@@ -10,8 +10,8 @@
 //! stdout): per-engine wall time, wire traffic and evaluation counts for a
 //! batch of one CDF, one transient and one three-probability quantile measure
 //! on the voting model.  The distributed engine runs over the in-process
-//! transport here; its bytes-on-wire column becomes non-zero under the
-//! sim-latency or TCP backends (see `table2`/`smpq`).
+//! transport here; its bytes-on-wire column becomes non-zero under the TCP
+//! and sharded backends (see `smpq`, and `smpbench` for the measured runs).
 
 use smp_bench::Args;
 use smp_core::query::{Engine, MeasureRequest, TargetSpec};
@@ -105,18 +105,6 @@ fn main() {
                 model.clone(),
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(workers),
-            ),
-            &requests,
-        ),
-        measure(
-            &DistributedEngine::in_process(
-                model.clone(),
-                InversionMethod::euler(),
-                PipelineOptions {
-                    workers,
-                    simulated_latency: Some(std::time::Duration::from_micros(100)),
-                    ..Default::default()
-                },
             ),
             &requests,
         ),

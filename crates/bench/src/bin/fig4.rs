@@ -19,7 +19,7 @@ use smp_bench::{
 };
 use smp_core::{PassageTimeAnalysis, PassageTimeSolver, StateSet};
 use smp_laplace::InversionMethod;
-use smp_pipeline::{DistributedPipeline, PipelineOptions};
+use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 use smp_simulator::smp_sim::simulate_smp_passage_times;
 
 fn main() {
@@ -64,7 +64,11 @@ fn main() {
         PipelineOptions::with_workers(workers),
     );
     let result = pipeline
-        .run(passage_evaluator(&solver), &t_points)
+        .run_batch(BatchJob::new().with_measure(MeasureSpec::density(
+            "passage",
+            &t_points,
+            passage_evaluator(&solver),
+        )))
         .expect("pipeline run failed");
     println!(
         "# pipeline: {} s-point evaluations on {} workers in {:.2}s",
@@ -87,7 +91,7 @@ fn main() {
 
     let rows: Vec<Vec<f64>> = t_points
         .iter()
-        .zip(result.values.iter())
+        .zip(result.measures[0].values.iter())
         .zip(sim_density.iter())
         .map(|((t, a), s)| vec![*t, a.max(0.0), *s])
         .collect();

@@ -13,7 +13,7 @@ use smp_bench::{
 };
 use smp_core::{PassageTimeAnalysis, PassageTimeSolver};
 use smp_laplace::{CdfCurve, InversionMethod};
-use smp_pipeline::{DistributedPipeline, PipelineOptions};
+use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 
 fn main() {
     let args = Args::from_env();
@@ -48,10 +48,14 @@ fn main() {
         PipelineOptions::with_workers(workers),
     );
     let result = pipeline
-        .run_cdf(passage_evaluator(&solver), &t_points)
+        .run_batch(BatchJob::new().with_measure(MeasureSpec::cdf(
+            "passage",
+            &t_points,
+            passage_evaluator(&solver),
+        )))
         .expect("pipeline run failed");
 
-    let curve = CdfCurve::from_samples(t_points.clone(), result.values.clone());
+    let curve = CdfCurve::from_samples(t_points.clone(), result.measures[0].values.clone());
     let rows: Vec<Vec<f64>> = curve.iter().map(|(t, p)| vec![t, p]).collect();
     print_columns(&["t", "cdf"], &rows);
 

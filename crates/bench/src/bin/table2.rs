@@ -5,19 +5,20 @@
 //!
 //! ```text
 //! cargo run -p smp-bench --release --bin table2 [--system 0] [--voters K]
-//!     [--workers 1,2,4,8,16,32] [--latency-ms L]
+//!     [--workers 1,2,4,8,16,32]
 //! ```
 //!
 //! Absolute times differ from the paper (different hardware, thread workers instead
 //! of cluster nodes); the quantity being reproduced is the *shape*: near-linear
 //! speedup that tapers as the per-worker share of the fixed-size work queue shrinks
 //! (and, on this machine, once the worker count exceeds the physical core count).
+//! The same table over worker *processes* on real sockets is
+//! `smpbench --workload fanout_sys0` (`fanout.efficiency_w2`).
 
 use smp_bench::{build_paper_system, build_scaled_system, passage_evaluator, Args};
 use smp_core::{PassageTimeAnalysis, PassageTimeSolver};
 use smp_laplace::InversionMethod;
-use smp_pipeline::run_scalability_sweep;
-use std::time::Duration;
+use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 
 fn main() {
     let args = Args::from_env();
@@ -29,12 +30,6 @@ fn main() {
     let config = system.config();
     let voters = args.value_or("voters", config.voters);
     let worker_counts = args.list_or("workers", &[1, 2, 4, 8, 16, 32]);
-    let latency_ms = args.value_or("latency-ms", 0u64);
-    let latency = if latency_ms > 0 {
-        Some(Duration::from_millis(latency_ms))
-    } else {
-        None
-    };
 
     println!(
         "# Table 2: pipeline scalability, {} states, passage of {voters} voters, 5 t-points, Euler inversion",
@@ -46,6 +41,7 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1)
     );
+    println!("# thread workers; for worker processes on real sockets run: smpbench --workload fanout_sys0");
 
     let smp = system.smp();
     let source = system.initial_state();
@@ -58,27 +54,32 @@ fn main() {
     let t_points: Vec<f64> = (1..=5).map(|k| mean * 0.4 * k as f64).collect();
 
     let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
-    let rows = run_scalability_sweep(
-        InversionMethod::euler(),
-        passage_evaluator(&solver),
-        &t_points,
-        &worker_counts,
-        latency,
-    )
-    .expect("scalability sweep failed");
-
     println!(
-        "{:>6}  {:>10}  {:>8}  {:>10}  {:>8}  {:>10}  ({} s-point evaluations per run, {} backend)",
-        "slaves",
-        "time(s)",
-        "speedup",
-        "efficiency",
-        "messages",
-        "wire-B",
-        rows[0].evaluations,
-        rows[0].backend
+        "{:>6}  {:>10}  {:>8}  {:>10}  {:>8}",
+        "slaves", "time(s)", "speedup", "efficiency", "messages"
     );
-    for row in &rows {
-        println!("{}", row.formatted());
+    let mut baseline: Option<f64> = None;
+    for &workers in &worker_counts {
+        // One point per message, as in the paper's protocol: automatic chunk
+        // sizing depends on the worker count, which would make the per-message
+        // cost differ between rows and corrupt the speedup comparison.
+        let pipeline = DistributedPipeline::new(
+            InversionMethod::euler(),
+            PipelineOptions::with_workers(workers).chunked(1),
+        );
+        let run = pipeline
+            .run_batch(BatchJob::new().with_measure(MeasureSpec::density(
+                "passage",
+                &t_points,
+                passage_evaluator(&solver),
+            )))
+            .expect("pipeline run failed");
+        let elapsed = run.elapsed.as_secs_f64();
+        let speedup = *baseline.get_or_insert(elapsed) / elapsed.max(1e-12);
+        println!(
+            "{workers:>6}  {elapsed:>10.3}  {speedup:>8.2}  {:>10.3}  {:>8}",
+            speedup / workers as f64,
+            run.report.messages
+        );
     }
 }

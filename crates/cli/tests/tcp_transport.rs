@@ -88,8 +88,8 @@ fn voting_over_tcp_is_bitwise_identical_to_in_process() {
         .collect();
     let over_tcp = pipeline.execute(voting_job(&ts), &transport).unwrap();
     assert_eq!(over_tcp.backend, "tcp");
-    assert_eq!(over_tcp.disconnects, 0);
-    assert!(over_tcp.bytes_on_wire > 0);
+    assert_eq!(over_tcp.report.disconnects, 0);
+    assert!(over_tcp.report.bytes_on_wire > 0);
 
     // Bitwise-identical inversions: every measure, every t-point.
     assert_eq!(reference.measures.len(), over_tcp.measures.len());
@@ -135,7 +135,7 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
     let healthy = spawn_worker(&addrs[1].to_string(), &[]);
 
     let over_tcp = pipeline.execute(voting_job(&ts), &transport).unwrap();
-    assert_eq!(over_tcp.disconnects, 1, "the casualty is reported");
+    assert_eq!(over_tcp.report.disconnects, 1, "the casualty is reported");
     for (a, b) in reference.measures.iter().zip(&over_tcp.measures) {
         assert_eq!(
             a.values, b.values,
@@ -144,7 +144,7 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
         );
     }
     // The flaky worker answered exactly one chunk before vanishing.
-    let flaky_stats = &over_tcp.worker_stats[0];
+    let flaky_stats = &over_tcp.report.worker_stats[0];
     assert_eq!(flaky_stats.messages, 1);
 
     finish(flaky);

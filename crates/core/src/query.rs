@@ -442,7 +442,7 @@ pub struct Provenance {
     /// `distributed`).
     pub engine: &'static str,
     /// The engine's backend: transport name for the distributed engine
-    /// (`in-process`, `sim-latency`, `tcp`), a replication/seed summary for
+    /// (`in-process`, `tcp`, `sharded-loopback`, …), a replication/seed summary for
     /// the simulation engine, `sequential` for the analytic engine.
     pub backend: String,
     /// Workers (threads, processes or replication threads) that contributed.

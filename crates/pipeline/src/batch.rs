@@ -12,8 +12,8 @@
 //! queries" realised as an API.
 
 use crate::transform::TransformSpec;
-use crate::transport::Evaluator;
-use crate::worker::{TransformFn, WorkerStats};
+use crate::transport::{Evaluator, TransportReport};
+use crate::worker::TransformFn;
 use smp_laplace::{SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::time::Duration;
@@ -320,34 +320,12 @@ pub struct BatchResult {
     pub chunks_dispatched: usize,
     /// Name of the transport backend that ran the evaluations.
     pub backend: &'static str,
-    /// Aggregate symbolic/numeric-split counters of the run's local
-    /// evaluators: kernel-matrix rebuilds avoided and pooled LST evaluations
-    /// (see `smp_core::workspace`).  Zero for TCP runs, whose workers count
-    /// on their side of the wire.
-    pub hotpath: smp_core::HotPathStats,
-    /// Protocol messages exchanged with the workers (see
-    /// [`crate::transport::TransportReport::messages`]).
-    pub messages: usize,
-    /// Bytes shipped (or, for the simulated-latency backend, bytes that
-    /// *would* be shipped) over the wire; zero in-process.
-    pub bytes_on_wire: u64,
-    /// Workers lost before the queue drained (their outstanding chunks were
-    /// requeued onto the survivors).
-    pub disconnects: usize,
-    /// Reachable markings of the state space, when the backend compiled the
-    /// job's specs in-process (`None` for closure-based jobs, TCP runs —
-    /// whose workers explore remotely — and fully-warm runs that never
-    /// touched the transport).
-    pub states: Option<usize>,
-    /// Compiled model sets served from a shared
-    /// [`CompiledSetCache`](crate::transform::CompiledSetCache) without
-    /// re-exploring the state space (zero without an attached cache).
-    pub model_cache_hits: usize,
-    /// Compiled model sets this run compiled — each one a state-space
-    /// exploration per distinct model in the job.
-    pub model_cache_misses: usize,
-    /// Per-worker accounting.
-    pub worker_stats: Vec<WorkerStats>,
+    /// Everything the transport reported about the run: wire traffic, lost
+    /// workers, state-space size, hot-path and model-cache counters, and —
+    /// for row-sharded backends — the shard layout, halo traffic and
+    /// recovery counters.  All zero for a fully-warm run, which never touches
+    /// the transport.
+    pub report: TransportReport,
 }
 
 impl BatchResult {

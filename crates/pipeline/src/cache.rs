@@ -12,10 +12,7 @@
 //! key**.  Measures that evaluate the same underlying transform (say, the
 //! density and the CDF of the same passage) can share a key and therefore share
 //! evaluations; unrelated measures get distinct keys so their values never
-//! collide even when their `s`-points coincide.  The key
-//! [`LEGACY_MEASURE_KEY`] (the empty string) is the shard used by
-//! single-measure runs and by checkpoint records written before measures
-//! existed.
+//! collide even when their `s`-points coincide.
 //!
 //! ## Bounded operation
 //!
@@ -35,10 +32,6 @@ use smp_laplace::TransformValues;
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The transform key under which untagged (pre-measure) checkpoint records and
-/// single-measure pipeline runs store their values.
-pub const LEGACY_MEASURE_KEY: &str = "";
 
 /// Approximate heap bytes per cached `(s, L(s))` entry: two `Complex64`s plus
 /// ordered-map node overhead.  The figure is deliberately conservative (an
@@ -74,17 +67,6 @@ impl ResultCache {
     pub fn with_byte_limit(limit_bytes: usize) -> Self {
         ResultCache {
             limit_bytes: Some(limit_bytes),
-            ..ResultCache::default()
-        }
-    }
-
-    /// Creates a cache whose [`LEGACY_MEASURE_KEY`] shard is seeded from
-    /// previously computed values (untagged checkpoint restore).
-    pub fn from_values(values: TransformValues) -> Self {
-        let mut shards = BTreeMap::new();
-        shards.insert(LEGACY_MEASURE_KEY.to_string(), values);
-        ResultCache {
-            shards: RwLock::new(shards),
             ..ResultCache::default()
         }
     }
@@ -308,27 +290,18 @@ mod tests {
     }
 
     #[test]
-    fn seeded_from_legacy_checkpoint_values() {
-        let mut values = TransformValues::new();
-        values.insert(Complex64::new(2.0, 3.0), Complex64::new(0.5, 0.5));
-        let cache = ResultCache::from_values(values);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.contains(LEGACY_MEASURE_KEY, Complex64::new(2.0, 3.0)));
-    }
-
-    #[test]
     fn seeded_from_measure_keyed_shards() {
         let mut shards = BTreeMap::new();
         let mut a = TransformValues::new();
         a.insert(Complex64::ONE, Complex64::I);
         shards.insert("a".to_string(), a);
-        let mut legacy = TransformValues::new();
-        legacy.insert(Complex64::I, Complex64::ONE);
-        shards.insert(LEGACY_MEASURE_KEY.to_string(), legacy);
+        let mut b = TransformValues::new();
+        b.insert(Complex64::I, Complex64::ONE);
+        shards.insert("b".to_string(), b);
         let cache = ResultCache::from_shards(shards);
         assert_eq!(cache.len(), 2);
         assert!(cache.contains("a", Complex64::ONE));
-        assert!(cache.contains(LEGACY_MEASURE_KEY, Complex64::I));
+        assert!(cache.contains("b", Complex64::I));
     }
 
     #[test]

@@ -5,29 +5,19 @@
 //! points already done — the paper stores results "both in memory and on disk so
 //! that all computation is checkpointed".
 //!
-//! The format is a plain text file, one record per line.  A *legacy* record
-//! (everything the tool wrote before batch jobs existed) has four fields:
-//!
-//! ```text
-//! <s.re bits hex> <s.im bits hex> <value.re bits hex> <value.im bits hex>
-//! ```
-//!
-//! A *measure-tagged* record prefixes those four fields with the percent-encoded
-//! transform key of the measure that produced the value:
+//! The format is a plain text file, one record per line: the percent-encoded
+//! transform key of the measure that produced the value, then the point and
+//! the value as bit patterns.
 //!
 //! ```text
 //! k=<transform key> <s.re bits hex> <s.im bits hex> <value.re bits hex> <value.im bits hex>
 //! ```
 //!
-//! Both kinds may coexist in one file: legacy records load into the
-//! [`crate::cache::LEGACY_MEASURE_KEY`] shard, tagged records into their own
-//! measure's shard, so checkpoints written by older versions keep working next
-//! to new ones.  Bit-exact hexadecimal encoding of the `f64`s guarantees that a
-//! reloaded point matches its planned `s`-point exactly (the cache is keyed by
-//! bit pattern).  Malformed trailing lines (e.g. from a crash mid-write) are
-//! ignored on load.
+//! Bit-exact hexadecimal encoding of the `f64`s guarantees that a reloaded
+//! point matches its planned `s`-point exactly (the cache is keyed by bit
+//! pattern).  Anything else on a line — a record torn by a crash mid-write, a
+//! line without its `k=` tag, trailing junk — is skipped on load, never fatal.
 
-use crate::cache::LEGACY_MEASURE_KEY;
 use crate::wire;
 use smp_laplace::TransformValues;
 use smp_numeric::Complex64;
@@ -85,28 +75,18 @@ impl CheckpointWriter {
         })
     }
 
-    /// Appends one computed value in the legacy (untagged) format and flushes
-    /// it to disk.  Equivalent to
-    /// [`record_tagged`](CheckpointWriter::record_tagged) with the legacy key.
-    pub fn record(&mut self, s: Complex64, value: Complex64) -> std::io::Result<()> {
-        self.record_tagged(LEGACY_MEASURE_KEY, s, value)
-    }
-
     /// Appends one computed value for a measure's transform key and flushes it
-    /// to disk.  The legacy key writes an untagged 4-field record, so
-    /// single-measure checkpoints remain readable by older loaders.
+    /// to disk.
     pub fn record_tagged(
         &mut self,
         key: &str,
         s: Complex64,
         value: Complex64,
     ) -> std::io::Result<()> {
-        if key != LEGACY_MEASURE_KEY {
-            write!(self.writer, "k={} ", wire::encode_str(key))?;
-        }
         writeln!(
             self.writer,
-            "{} {} {} {}",
+            "k={} {} {} {} {}",
+            wire::encode_str(key),
             wire::encode_f64(s.re),
             wire::encode_f64(s.im),
             wire::encode_f64(value.re),
@@ -128,10 +108,9 @@ impl CheckpointWriter {
     }
 }
 
-/// Loads every valid record from a checkpoint file into per-measure shards:
-/// tagged records under their transform key, legacy 4-field records under
-/// [`LEGACY_MEASURE_KEY`].  A missing file yields an empty map; malformed lines
-/// are skipped.
+/// Loads every valid record from a checkpoint file into per-measure shards,
+/// each record under its transform key.  A missing file yields an empty map;
+/// malformed lines are skipped.
 pub fn load_checkpoint_by_measure(
     path: impl AsRef<Path>,
 ) -> std::io::Result<BTreeMap<String, TransformValues>> {
@@ -144,18 +123,16 @@ pub fn load_checkpoint_by_measure(
     let reader = BufReader::new(file);
     for line in reader.lines() {
         let line = line?;
-        let mut parts = line.split_whitespace().peekable();
+        let mut parts = line.split_whitespace();
         // A checkpoint file is untrusted input (it may be truncated, edited,
         // or from another run), so this loop never panics: every malformed
         // construct is skipped, never unwrapped (smp-lint D004).
-        let key = match parts.next_if(|first| first.starts_with("k=")) {
-            Some(field) => {
-                let Some(key) = wire::decode_str(&field[2..]) else {
-                    continue; // malformed key escape
-                };
-                key
-            }
-            None => LEGACY_MEASURE_KEY.to_string(),
+        let Some(key) = parts
+            .next()
+            .and_then(|first| first.strip_prefix("k="))
+            .and_then(wire::decode_str)
+        else {
+            continue; // no key tag, or a malformed key escape
         };
         // `wire::decode_f64` insists on exactly 16 hex digits; anything
         // shorter is a record truncated mid-field by a crash, which would
@@ -175,15 +152,6 @@ pub fn load_checkpoint_by_measure(
             .insert(Complex64::new(sre, sim), Complex64::new(vre, vim));
     }
     Ok(shards)
-}
-
-/// Loads the legacy (untagged) records of a checkpoint file.  A missing file
-/// yields an empty cache; malformed lines and measure-tagged records are
-/// skipped — use [`load_checkpoint_by_measure`] for the full restore.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> std::io::Result<TransformValues> {
-    Ok(load_checkpoint_by_measure(path)?
-        .remove(LEGACY_MEASURE_KEY)
-        .unwrap_or_default())
 }
 
 // ---------------------------------------------------------------------------
@@ -403,23 +371,21 @@ mod tests {
         {
             let mut writer = CheckpointWriter::open(&path).unwrap();
             for &(s, v) in &points {
-                writer.record(s, v).unwrap();
+                writer.record_tagged("m", s, v).unwrap();
             }
             assert_eq!(writer.records_written(), 2);
             assert_eq!(writer.path(), path.as_path());
         }
-        let loaded = load_checkpoint(&path).unwrap();
-        assert_eq!(loaded.len(), 2);
+        let loaded = load_checkpoint_by_measure(&path).unwrap();
+        assert_eq!(loaded["m"].len(), 2);
         for &(s, v) in &points {
-            assert_eq!(loaded.get(s), Some(v));
+            assert_eq!(loaded["m"].get(s), Some(v));
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_loads_empty() {
-        let loaded = load_checkpoint(temp_path("never-created")).unwrap();
-        assert!(loaded.is_empty());
         let shards = load_checkpoint_by_measure(temp_path("never-created")).unwrap();
         assert!(shards.is_empty());
     }
@@ -430,22 +396,22 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = CheckpointWriter::open(&path).unwrap();
-            w.record(Complex64::ONE, Complex64::I).unwrap();
+            w.record_tagged("m", Complex64::ONE, Complex64::I).unwrap();
         }
         {
             let mut w = CheckpointWriter::open(&path).unwrap();
-            w.record(Complex64::new(2.0, 0.0), Complex64::new(0.5, 0.0))
+            w.record_tagged("m", Complex64::new(2.0, 0.0), Complex64::new(0.5, 0.0))
                 .unwrap();
         }
         // Simulate a crash mid-write: a truncated line at the end.
         {
             use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "deadbeef 1234").unwrap();
+            write!(f, "k=m deadbeef 1234").unwrap();
         }
-        let loaded = load_checkpoint(&path).unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get(Complex64::ONE), Some(Complex64::I));
+        let loaded = load_checkpoint_by_measure(&path).unwrap();
+        assert_eq!(loaded["m"].len(), 2);
+        assert_eq!(loaded["m"].get(Complex64::ONE), Some(Complex64::I));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -456,29 +422,38 @@ mod tests {
         let s_old = Complex64::new(1.25, -7.5);
         let s_new = Complex64::new(0.5, 2.5);
         {
+            // A line in the retired untagged 4-field format (an old tool's
+            // file) followed by two tagged records, one of which reuses the
+            // *same* s-point under a different measure.
+            use std::io::Write as _;
+            let mut f = File::create(&path).unwrap();
+            let one = wire::encode_f64(1.0);
+            writeln!(
+                f,
+                "{} {} {one} {one}",
+                wire::encode_f64(s_old.re),
+                wire::encode_f64(s_old.im)
+            )
+            .unwrap();
+        }
+        {
             let mut w = CheckpointWriter::open(&path).unwrap();
-            // An old-format record followed by two measure-tagged ones (one of
-            // which reuses the *same* s-point under a different measure).
-            w.record(s_old, Complex64::ONE).unwrap();
             w.record_tagged("voters:density", s_new, Complex64::I)
                 .unwrap();
             w.record_tagged("failure cdf", s_old, Complex64::new(0.25, 0.0))
                 .unwrap();
-            assert_eq!(w.records_written(), 3);
+            assert_eq!(w.records_written(), 2);
         }
+        // The untagged line is skipped — neither loaded under any key nor
+        // fatal — and the tagged records around it load.
         let shards = load_checkpoint_by_measure(&path).unwrap();
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards[LEGACY_MEASURE_KEY].get(s_old), Some(Complex64::ONE));
+        assert_eq!(shards.len(), 2);
         assert_eq!(shards["voters:density"].get(s_new), Some(Complex64::I));
         // The space in the key survives the percent-encoding round-trip.
         assert_eq!(
             shards["failure cdf"].get(s_old),
             Some(Complex64::new(0.25, 0.0))
         );
-        // The legacy loader sees only the untagged record.
-        let legacy = load_checkpoint(&path).unwrap();
-        assert_eq!(legacy.len(), 1);
-        assert_eq!(legacy.get(s_old), Some(Complex64::ONE));
         std::fs::remove_file(&path).unwrap();
     }
 

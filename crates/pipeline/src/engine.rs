@@ -10,10 +10,12 @@
 //!   evaluate the transform sequentially, invert.  The single-machine
 //!   reference.
 //! * [`DistributedEngine`] — the same numbers through the master–worker
-//!   pipeline over any [`Transport`] (worker threads, simulated latency, TCP
-//!   worker processes).  **Bitwise identical** to the analytic engine: both
-//!   build their evaluators from the same [`TransformSpec`]s and invert with
-//!   the same post-processing.
+//!   pipeline over any [`Transport`] (worker threads, TCP worker processes,
+//!   row shards over loopback or TCP, the query server's standing pool):
+//!   every deployment obtains its values through
+//!   [`DistributedPipeline::execute`].  **Bitwise identical** to the analytic
+//!   engine: both build their evaluators from the same [`TransformSpec`]s and
+//!   invert with the same post-processing.
 //! * [`SimulationEngine`] — discrete-event simulation of the same high-level
 //!   model (wrapping `smp-simulator` with seed, replication and thread
 //!   control), reporting confidence bounds so the deterministic engines can be
@@ -34,15 +36,14 @@
 //! means/moments read the transform's derivatives at the origin with one
 //! finite-difference stencil used by both.
 
-use crate::batch::{BatchJob, MeasureKind as CurveKind, MeasureSpec};
-use crate::checkpoint::{self, CheckpointWriter};
+use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec};
 use crate::master::{DistributedPipeline, PipelineOptions};
-use crate::shard::{ShardedOutcome, SliceFleet, SolveRecovery};
+use crate::shard::ShardedTransport;
 use crate::transform::{
     CompiledEvaluator, CompiledModelSet, CompiledSetCache, ModelSpec, ResolveTarget,
     TargetResolveError, TransformSpec,
 };
-use crate::transport::{InProcess, SimulatedLatency, TcpTransport, Transport};
+use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
@@ -54,8 +55,6 @@ use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
     TransientSimulationOptions,
 };
-use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -365,53 +364,26 @@ impl Engine for AnalyticEngine {
 // DistributedEngine
 // ---------------------------------------------------------------------------
 
-/// The distributed pipeline behind the typed query layer: one engine, three
-/// wire backends (worker threads, simulated latency, TCP worker processes).
+/// The distributed pipeline behind the typed query layer: one engine, one
+/// solve path, any [`Transport`].
 ///
 /// Curve measures of one solve are planned as a single [`BatchJob`] — shared
 /// transform keys, union `s`-point planning, measure-keyed cache and
 /// checkpoint all apply — and executed over the configured [`Transport`].
 /// Quantiles run the shared search of `smp_laplace::quantiles_from_cdf` with
-/// one *pipeline run per refinement round* on reusable (in-process)
-/// transports; with a configured checkpoint the rounds warm each other and
-/// any later run.  The TCP transport is single-rendezvous (workers dial in
-/// once per run), so quantile refinement and the mean/moment stencils are
-/// evaluated master-side there — same shared code paths, same bitwise
-/// values, noted in the report's provenance backend.
+/// one *pipeline run per refinement round* on reusable transports (worker
+/// threads, row shards, the query server's pool); with a configured
+/// checkpoint or shared cache the rounds warm each other and any later run.
+/// The TCP chunk transport is single-rendezvous (workers dial in once per
+/// run), so quantile refinement is evaluated master-side there; the
+/// mean/moment stencils are always master-side — same shared code paths,
+/// same bitwise values, noted in the report's provenance backend.
 pub struct DistributedEngine {
     model: ModelSpec,
     method: InversionMethod,
     pipeline: DistributedPipeline,
     transport: Box<dyn Transport>,
     compiled_cache: Option<Arc<CompiledSetCache>>,
-    sharded: Option<ShardBackend>,
-    /// The configured checkpoint path, kept for the sharded solve path (the
-    /// unsharded pipeline reads it from its own options): per-point value
-    /// records plus the `<path>.shard` mid-point iterate sidecar.
-    checkpoint_path: Option<PathBuf>,
-    /// Whether a sharded solve pre-seeds its memo from the checkpoint file;
-    /// off when a shared cache is configured (the cache *is* the restored
-    /// state), mirroring the unsharded pipeline's restore rule.
-    restore_checkpoint: bool,
-}
-
-/// How a row-sharded [`DistributedEngine`] reaches its slice workers.
-///
-/// Either way the state space is partitioned into contiguous row blocks — a
-/// pure function of the state count and the shard count — and each worker
-/// explores, compiles and iterates only its own `O(N/shards)` slice, with a
-/// per-round boundary (halo) exchange carrying the few vector entries that
-/// cross block edges (see [`crate::shard`]).
-pub enum ShardBackend {
-    /// In-process loopback slice workers (`--shards N` without a cluster):
-    /// the full frame grammar runs, bytes are accounted as if shipped.
-    InProcess {
-        /// Number of contiguous row shards (and loopback workers).
-        shards: usize,
-    },
-    /// One slice-worker process per rendezvous address of a bound
-    /// [`TcpTransport`] (`smpq worker --connect host:port` on each machine).
-    Tcp(TcpTransport),
 }
 
 impl std::fmt::Debug for DistributedEngine {
@@ -424,15 +396,10 @@ impl std::fmt::Debug for DistributedEngine {
 }
 
 impl DistributedEngine {
-    /// A distributed engine over the in-process thread backend (or the
-    /// simulated-latency backend when `options.simulated_latency` is set) —
-    /// the default deployment.
+    /// A distributed engine over the in-process thread backend — the default
+    /// deployment.
     pub fn in_process(model: ModelSpec, method: InversionMethod, options: PipelineOptions) -> Self {
-        let workers = options.workers.max(1);
-        let transport: Box<dyn Transport> = match options.simulated_latency {
-            Some(latency) => Box::new(SimulatedLatency::new(workers, latency)),
-            None => Box::new(InProcess::new(workers)),
-        };
+        let transport = Box::new(InProcess::new(options.workers.max(1)));
         Self::with_transport(model, method, options, transport)
     }
 
@@ -445,17 +412,12 @@ impl DistributedEngine {
         options: PipelineOptions,
         transport: Box<dyn Transport>,
     ) -> Self {
-        let checkpoint_path = options.checkpoint_path.clone();
-        let restore_checkpoint = options.shared_cache.is_none();
         DistributedEngine {
             model,
             method: method.clone(),
             pipeline: DistributedPipeline::new(method, options),
             transport,
             compiled_cache: None,
-            sharded: None,
-            checkpoint_path,
-            restore_checkpoint,
         }
     }
 
@@ -469,11 +431,9 @@ impl DistributedEngine {
         options: PipelineOptions,
         shards: usize,
     ) -> Self {
-        let mut engine = Self::in_process(model, method, options);
-        engine.sharded = Some(ShardBackend::InProcess {
-            shards: shards.max(1),
-        });
-        engine
+        let transport =
+            ShardedTransport::loopback(shards).with_checkpoint(options.checkpoint_path.as_deref());
+        Self::with_transport(model, method, options, Box::new(transport))
     }
 
     /// A row-sharded engine whose slice workers are `smpq worker` processes
@@ -485,379 +445,52 @@ impl DistributedEngine {
         options: PipelineOptions,
         transport: TcpTransport,
     ) -> Self {
-        let mut engine = Self::in_process(model, method, options);
-        engine.sharded = Some(ShardBackend::Tcp(transport));
-        engine
+        let transport =
+            ShardedTransport::tcp(transport).with_checkpoint(options.checkpoint_path.as_deref());
+        Self::with_transport(model, method, options, Box::new(transport))
     }
 
     /// Serves *master-side* compiled model sets (quantile fallbacks and
     /// mean/moment stencils) from `cache`.  The transport's own compiles are
-    /// cached separately — attach the same cache to an
-    /// [`InProcess`]/[`SimulatedLatency`] backend via their
-    /// `with_compiled_cache` builders, as the query server does.
+    /// cached separately — attach the same cache to an [`InProcess`] backend
+    /// via its `with_compiled_cache` builder, as the query server does.
     pub fn with_compiled_cache(mut self, cache: Arc<CompiledSetCache>) -> Self {
         self.compiled_cache = Some(cache);
         self
     }
 
-    /// The backend name (`in-process`, `sim-latency`, `tcp`, or the sharded
-    /// variants `sharded-loopback` / `sharded-tcp`).
+    /// The backend name (`in-process`, `tcp`, `sharded-loopback`,
+    /// `sharded-tcp`, …).
     pub fn backend(&self) -> &'static str {
-        match &self.sharded {
-            Some(ShardBackend::InProcess { .. }) => "sharded-loopback",
-            Some(ShardBackend::Tcp(_)) => "sharded-tcp",
-            None => self.transport.name(),
-        }
+        self.transport.name()
+    }
+
+    /// One pipeline run over the engine's transport — the only way this
+    /// engine obtains distributed transform values.
+    fn execute(&self, job: BatchJob<'_>) -> Result<BatchResult, EngineError> {
+        self.pipeline
+            .execute(job, self.transport.as_ref())
+            .map_err(|e| EngineError::Analysis(e.to_string()))
     }
 }
 
-/// Run-level counters of a sharded solve, folded from every
-/// [`ShardedOutcome`] the fleet produced and attributed to the solve's first
-/// report (like the unsharded wire counters, so summing a solve's reports
-/// gives true totals).
-#[derive(Default)]
-struct ShardTotals {
-    messages: usize,
-    bytes_on_wire: u64,
-    halo_bytes: u64,
-    exchange_rounds: u64,
-    states: Option<usize>,
-    shard_states: Vec<usize>,
-    retries: u64,
-    recovered_faults: u64,
-    resumed_rounds: u64,
-}
-
-impl ShardTotals {
-    fn absorb(&mut self, out: &ShardedOutcome) {
-        self.messages += out.messages;
-        self.bytes_on_wire += out.bytes_on_wire;
-        self.halo_bytes += out.halo_bytes;
-        self.exchange_rounds += out.exchange_rounds as u64;
-        self.states = self.states.or(Some(out.num_states));
-        // Snapshot of the *current* session: shrinks if a worker was lost.
-        self.shard_states.clone_from(&out.shard_states);
-        self.retries += out.disconnects as u64;
-        self.recovered_faults += out.recovered_faults;
-        self.resumed_rounds += out.resumed_rounds;
+/// Folds one pipeline run's transport counters into the provenance of the
+/// report they are attributed to (the first curve of a batch; the quantile a
+/// refinement round belongs to), so summing a solve's reports gives true
+/// totals.
+fn absorb_run(provenance: &mut Provenance, run: &TransportReport) {
+    provenance.messages += run.messages;
+    provenance.bytes_on_wire += run.bytes_on_wire;
+    provenance.matrix_rebuilds_avoided += run.hotpath.matrix_rebuilds_avoided;
+    provenance.pooled_lst_evaluations += run.hotpath.pooled_lst_evaluations;
+    provenance.halo_bytes += run.halo_bytes;
+    provenance.exchange_rounds += run.exchange_rounds;
+    if run.shards > 0 {
+        provenance.shard_states.clone_from(&run.shard_states);
     }
-}
-
-/// Snapshot cadence of checkpointed sharded solves, in exchange rounds: low
-/// enough that a killed master redoes at most a few rounds per point, high
-/// enough that the pure-read `TermReq` sweep stays a rounding error next to
-/// the per-round halo exchange.
-const SHARD_SNAPSHOT_EVERY: u64 = 8;
-
-/// Crash-recovery plumbing of one sharded solve: the per-point checkpoint
-/// writer, the mid-point snapshot sidecar, and (after a crash) the snapshot
-/// the previous run left — consumed by the first measure whose transform key
-/// matches.  With no checkpoint configured the context is inert and sharded
-/// solves behave exactly as before.
-struct ShardRecoveryCtx {
-    writer: Option<CheckpointWriter>,
-    snapshot_path: Option<PathBuf>,
-    seed: Option<checkpoint::ShardSnapshot>,
-}
-
-impl ShardRecoveryCtx {
-    fn open(path: Option<&PathBuf>) -> std::io::Result<ShardRecoveryCtx> {
-        let Some(path) = path else {
-            return Ok(ShardRecoveryCtx {
-                writer: None,
-                snapshot_path: None,
-                seed: None,
-            });
-        };
-        let snapshot_path = checkpoint::shard_snapshot_path(path);
-        let seed = checkpoint::ShardSnapshot::load(&snapshot_path)?;
-        Ok(ShardRecoveryCtx {
-            writer: Some(CheckpointWriter::open(path)?),
-            snapshot_path: Some(snapshot_path),
-            seed,
-        })
-    }
-}
-
-/// Evaluates `spec` at `s_points` through the slice fleet, memoizing values
-/// across the solve's measures (a density and a CDF over one target share
-/// every boundary-exchange round, exactly as the batch pipeline shares
-/// transform keys).  Returns the values in request order plus the number of
-/// fresh evaluations and memo hits.
-fn fleet_eval(
-    fleet: &mut SliceFleet,
-    memo: &mut HashMap<String, TransformValues>,
-    spec: &TransformSpec,
-    s_points: &[Complex64],
-    totals: &mut ShardTotals,
-    ctx: &mut ShardRecoveryCtx,
-) -> Result<(Vec<Complex64>, usize, usize), EngineError> {
-    let key = spec
-        .encode()
-        .map_err(|e| EngineError::Analysis(e.to_string()))?;
-    let cached = memo.entry(key.clone()).or_default();
-    let missing: Vec<Complex64> = s_points
-        .iter()
-        .copied()
-        .filter(|&s| !cached.contains(s))
-        .collect();
-    let shared = s_points.len() - missing.len();
-    if !missing.is_empty() {
-        // A snapshot from a killed run is only offered to its own measure;
-        // anything else keeps it for a later fleet_eval call.
-        let seed = if ctx.seed.as_ref().is_some_and(|snap| snap.key == key) {
-            ctx.seed.take()
-        } else {
-            None
-        };
-        let mut writer = ctx.writer.as_mut();
-        let mut record = |s: Complex64, value: Complex64| -> std::io::Result<()> {
-            match writer.as_mut() {
-                Some(w) => w.record_tagged(&key, s, value),
-                None => Ok(()),
-            }
-        };
-        let mut recovery = SolveRecovery {
-            key: key.clone(),
-            snapshot_path: ctx.snapshot_path.clone(),
-            snapshot_every: if ctx.snapshot_path.is_some() {
-                SHARD_SNAPSHOT_EVERY
-            } else {
-                0
-            },
-            seed,
-            on_value: Some(&mut record),
-        };
-        let out = fleet
-            .solve_recoverable(spec, &missing, &mut recovery)
-            .map_err(|e| EngineError::Analysis(e.to_string()))?;
-        for (&s, &value) in missing.iter().zip(&out.values) {
-            cached.insert(s, value);
-        }
-        totals.absorb(&out);
-    }
-    let values = s_points
-        .iter()
-        .map(|&s| cached.get(s).expect("every point evaluated or memoized"))
-        .collect();
-    Ok((values, missing.len(), shared))
-}
-
-impl DistributedEngine {
-    /// The sharded solve path: build (or rendezvous) the slice fleet, drive
-    /// every passage measure through it, and always release the session —
-    /// workers return to their outer accept loop even when a measure fails.
-    fn solve_sharded(
-        &self,
-        requests: &[MeasureRequest],
-    ) -> Result<Vec<MeasureReport>, EngineError> {
-        let backend = self.sharded.as_ref().expect("sharded backend configured");
-        let (mut fleet, hello_messages, hello_bytes) = match backend {
-            ShardBackend::InProcess { shards } => (SliceFleet::loopback(*shards), 0usize, 0u64),
-            ShardBackend::Tcp(transport) => {
-                let (channels, messages, bytes) = transport
-                    .accept_slice_channels()
-                    .map_err(|e| EngineError::Analysis(e.to_string()))?;
-                (SliceFleet::from_channels(channels), messages, bytes)
-            }
-        };
-        let result = self.run_sharded(requests, &mut fleet, hello_messages, hello_bytes);
-        fleet.release();
-        result
-    }
-
-    fn run_sharded(
-        &self,
-        requests: &[MeasureRequest],
-        fleet: &mut SliceFleet,
-        hello_messages: usize,
-        hello_bytes: u64,
-    ) -> Result<Vec<MeasureReport>, EngineError> {
-        let backend_name = self.backend();
-        let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
-        let mut memo: HashMap<String, TransformValues> = HashMap::new();
-        let mut totals = ShardTotals {
-            messages: hello_messages,
-            bytes_on_wire: hello_bytes,
-            ..ShardTotals::default()
-        };
-        let mut local_indices: Vec<usize> = Vec::new();
-
-        // Crash recovery: open the per-point checkpoint writer and pick up any
-        // mid-point iterate snapshot a killed run left behind, then pre-seed
-        // the memo with every value already on disk so a restarted solve only
-        // redoes the points the crash interrupted.
-        let mut ctx = ShardRecoveryCtx::open(self.checkpoint_path.as_ref())
-            .map_err(|e| EngineError::Analysis(format!("checkpoint I/O error: {e}")))?;
-        let mut restored = 0usize;
-        if self.restore_checkpoint {
-            if let Some(path) = &self.checkpoint_path {
-                let shards = checkpoint::load_checkpoint_by_measure(path)
-                    .map_err(|e| EngineError::Analysis(format!("checkpoint I/O error: {e}")))?;
-                for (key, values) in shards {
-                    restored += values.len();
-                    memo.insert(key, values);
-                }
-            }
-        }
-
-        // 1. Passage measures run on the fleet: curves evaluate their union
-        //    plan once per distinct transform, quantiles refine through
-        //    repeated CDF rounds on the *same* resident sessions (slices
-        //    refill in place per s-point; no re-exploration).
-        for (ri, request) in requests.iter().enumerate() {
-            let started = Instant::now();
-            let spec = transform_spec_for(&self.model, request);
-            let report = match &request.kind {
-                MeasureKind::Density | MeasureKind::Cdf => {
-                    let plan = SPointPlan::new(self.method.clone(), &request.t_points);
-                    let (at_s, evaluated, shared) = fleet_eval(
-                        fleet,
-                        &mut memo,
-                        &spec,
-                        plan.s_points(),
-                        &mut totals,
-                        &mut ctx,
-                    )?;
-                    let mut shard = TransformValues::new();
-                    for (&s, &value) in plan.s_points().iter().zip(&at_s) {
-                        shard.insert(s, value);
-                    }
-                    let values = curve_kind_of(&request.kind).postprocess(&plan, &shard);
-                    let mut provenance = Provenance::local("distributed", backend_name);
-                    provenance.workers = fleet.shards();
-                    provenance.shards = fleet.shards();
-                    provenance.evaluations = evaluated;
-                    provenance.shared_hits = shared;
-                    provenance.wall = started.elapsed();
-                    MeasureReport {
-                        name: request.name(),
-                        kind: request.kind.clone(),
-                        points: request.t_points.clone(),
-                        values,
-                        provenance,
-                    }
-                }
-                MeasureKind::Quantile { probs } => {
-                    let (initial, max_horizon) = quantile_horizons(request);
-                    let name = request.name();
-                    let mut evaluations = 0usize;
-                    let mut shared_hits = 0usize;
-                    let found =
-                        quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
-                            let plan = SPointPlan::new(self.method.clone(), ts);
-                            let (at_s, evaluated, shared) = fleet_eval(
-                                fleet,
-                                &mut memo,
-                                &spec,
-                                plan.s_points(),
-                                &mut totals,
-                                &mut ctx,
-                            )?;
-                            evaluations += evaluated;
-                            shared_hits += shared;
-                            let mut shard = TransformValues::new();
-                            for (&s, &value) in plan.s_points().iter().zip(&at_s) {
-                                shard.insert(s, value);
-                            }
-                            Ok::<Vec<f64>, EngineError>(CurveKind::Cdf.postprocess(&plan, &shard))
-                        })?;
-                    let values = require_quantiles(&name, probs, found, max_horizon)?;
-                    let mut provenance = Provenance::local("distributed", backend_name);
-                    provenance.workers = fleet.shards();
-                    provenance.shards = fleet.shards();
-                    provenance.evaluations = evaluations;
-                    provenance.shared_hits = shared_hits;
-                    provenance.wall = started.elapsed();
-                    MeasureReport {
-                        name,
-                        kind: request.kind.clone(),
-                        points: probs.clone(),
-                        values,
-                        provenance,
-                    }
-                }
-                // Transient transforms and the near-origin moment stencils
-                // stay master-side (the slice grammar speaks passage only);
-                // same shared code the analytic engine runs, so still
-                // bitwise identical.
-                MeasureKind::Transient | MeasureKind::Mean | MeasureKind::Moment { .. } => {
-                    local_indices.push(ri);
-                    continue;
-                }
-            };
-            reports[ri] = Some(report);
-        }
-
-        // 2. Master-side leftovers, compiled once per distinct spec.
-        let mut model_hits = 0usize;
-        let mut model_misses = 0usize;
-        if !local_indices.is_empty() {
-            let local_requests: Vec<&MeasureRequest> =
-                local_indices.iter().map(|&ri| &requests[ri]).collect();
-            let (set, index_of, hits, misses) =
-                compile_unique_specs(&self.model, &local_requests, self.compiled_cache.as_deref())?;
-            model_hits += hits;
-            model_misses += misses;
-            totals.states = totals.states.or(Some(set.num_states()));
-            let evaluators = set.evaluators().map_err(EngineError::Analysis)?;
-            for (di, &ri) in local_indices.iter().enumerate() {
-                let request = &requests[ri];
-                let started = Instant::now();
-                let stats_before = evaluators[index_of[di]].hotpath_stats();
-                let (points, values, evaluations) =
-                    solve_locally(request, &evaluators[index_of[di]], &self.method)?;
-                let hotpath = evaluators[index_of[di]].hotpath_stats().since(stats_before);
-                let detail = if matches!(request.kind, MeasureKind::Transient) {
-                    "master-side (transient curves are not row-sharded)"
-                } else {
-                    "master-side (near-origin stencil)"
-                };
-                let mut provenance = Provenance::local("distributed", detail);
-                provenance.workers = fleet.shards();
-                provenance.evaluations = evaluations;
-                provenance.matrix_rebuilds_avoided = hotpath.matrix_rebuilds_avoided;
-                provenance.pooled_lst_evaluations = hotpath.pooled_lst_evaluations;
-                provenance.wall = started.elapsed();
-                reports[ri] = Some(MeasureReport {
-                    name: request.name(),
-                    kind: request.kind.clone(),
-                    points,
-                    values,
-                    provenance,
-                });
-            }
-        }
-
-        // Backfill states everywhere; run-level counters (wire traffic, halo
-        // traffic, exchange rounds, per-shard memory, model-cache traffic) go
-        // to the first report so summing a solve's reports gives true totals.
-        let mut reports: Vec<MeasureReport> = reports
-            .into_iter()
-            .map(|r| {
-                let mut report = r.expect("every request answered");
-                report.provenance.states = report.provenance.states.or(totals.states);
-                report
-            })
-            .collect();
-        if let Some(first) = reports.first_mut() {
-            first.provenance.messages = totals.messages;
-            first.provenance.bytes_on_wire = totals.bytes_on_wire;
-            first.provenance.halo_bytes = totals.halo_bytes;
-            first.provenance.exchange_rounds = totals.exchange_rounds;
-            first
-                .provenance
-                .shard_states
-                .clone_from(&totals.shard_states);
-            first.provenance.model_cache_hits = model_hits;
-            first.provenance.model_cache_misses = model_misses;
-            first.provenance.cache_hits += restored;
-            first.provenance.retries = totals.retries;
-            first.provenance.recovered_faults = totals.recovered_faults;
-            first.provenance.resumed_rounds = totals.resumed_rounds;
-        }
-        Ok(reports)
-    }
+    provenance.retries += run.retries;
+    provenance.recovered_faults += run.recovered_faults;
+    provenance.resumed_rounds += run.resumed_rounds;
 }
 
 impl Engine for DistributedEngine {
@@ -867,10 +500,7 @@ impl Engine for DistributedEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         validate_requests(&self.model, requests)?;
-        if self.sharded.is_some() {
-            return self.solve_sharded(requests);
-        }
-        let workers = self.transport.parallelism();
+        let backend = self.transport.name();
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
         let mut states: Option<usize> = None;
         // Run-level model-cache traffic (transport compiles + master-side
@@ -898,25 +528,17 @@ impl Engine for DistributedEngine {
                     transform_spec_for(&self.model, request),
                 ));
             }
-            let batch = self
-                .pipeline
-                .execute(job, self.transport.as_ref())
-                .map_err(|e| EngineError::Analysis(e.to_string()))?;
-            states = states.or(batch.states);
-            model_hits += batch.model_cache_hits;
-            model_misses += batch.model_cache_misses;
+            let batch = self.execute(job)?;
+            states = states.or(batch.report.states);
+            model_hits += batch.report.model_cache_hits;
+            model_misses += batch.report.model_cache_misses;
             for (slot, (&ri, result)) in curve_indices.iter().zip(batch.measures).enumerate() {
-                let mut provenance = Provenance::local("distributed", batch.backend);
-                provenance.workers = workers;
-                provenance.states = batch.states;
-                // Run-level wire counters are attributed to the *first*
-                // measure of the shared run, so summing across a solve's
-                // reports gives the true totals.
+                let mut provenance = Provenance::local("distributed", backend);
+                provenance.workers = self.transport.parallelism();
+                provenance.shards = batch.report.shards;
+                provenance.states = batch.report.states;
                 if slot == 0 {
-                    provenance.messages = batch.messages;
-                    provenance.bytes_on_wire = batch.bytes_on_wire;
-                    provenance.matrix_rebuilds_avoided = batch.hotpath.matrix_rebuilds_avoided;
-                    provenance.pooled_lst_evaluations = batch.hotpath.pooled_lst_evaluations;
+                    absorb_run(&mut provenance, &batch.report);
                 }
                 provenance.evaluations = result.evaluations;
                 provenance.cache_hits = result.cache_hits;
@@ -933,10 +555,10 @@ impl Engine for DistributedEngine {
         }
 
         // 2. Derived measures.  Quantiles refine through repeated pipeline
-        //    runs when the transport supports them; otherwise (TCP) they fall
-        //    back to the same master-side code the analytic engine runs.
-        //    Mean/moment stencils are a handful of near-origin evaluations —
-        //    always master-side.
+        //    runs when the transport supports them; otherwise (TCP chunk
+        //    workers) they fall back to the same master-side code the
+        //    analytic engine runs.  Mean/moment stencils are a handful of
+        //    near-origin evaluations — always master-side.
         let derived: Vec<usize> = requests
             .iter()
             .enumerate()
@@ -971,16 +593,16 @@ impl Engine for DistributedEngine {
             let is_quantile = matches!(request.kind, MeasureKind::Quantile { .. });
             let report = if is_quantile && self.transport.reusable() {
                 // Multi-round distributed refinement: one Cdf batch per grid
-                // the search asks for.  A configured checkpoint warms every
-                // round (and any later run) under the spec's canonical key.
+                // the search asks for.  A configured checkpoint or shared
+                // cache warms every round (and any later run) under the
+                // spec's canonical key.
                 let MeasureKind::Quantile { probs } = &request.kind else {
                     unreachable!()
                 };
                 let spec = transform_spec_for(&self.model, request);
                 let (initial, max_horizon) = quantile_horizons(request);
                 let name = request.name();
-                let mut provenance = Provenance::local("distributed", self.transport.name());
-                provenance.workers = workers;
+                let mut provenance = Provenance::local("distributed", backend);
                 let found =
                     quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
                         let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
@@ -989,17 +611,12 @@ impl Engine for DistributedEngine {
                             ts,
                             spec.clone(),
                         ));
-                        let batch = self
-                            .pipeline
-                            .execute(job, self.transport.as_ref())
-                            .map_err(|e| EngineError::Analysis(e.to_string()))?;
-                        provenance.messages += batch.messages;
-                        provenance.bytes_on_wire += batch.bytes_on_wire;
-                        provenance.matrix_rebuilds_avoided += batch.hotpath.matrix_rebuilds_avoided;
-                        provenance.pooled_lst_evaluations += batch.hotpath.pooled_lst_evaluations;
-                        provenance.states = provenance.states.or(batch.states);
-                        model_hits += batch.model_cache_hits;
-                        model_misses += batch.model_cache_misses;
+                        let batch = self.execute(job)?;
+                        absorb_run(&mut provenance, &batch.report);
+                        provenance.shards = provenance.shards.max(batch.report.shards);
+                        provenance.states = provenance.states.or(batch.report.states);
+                        model_hits += batch.report.model_cache_hits;
+                        model_misses += batch.report.model_cache_misses;
                         let result = batch.measures.into_iter().next().expect("one measure");
                         provenance.evaluations += result.evaluations;
                         provenance.cache_hits += result.cache_hits;
@@ -1007,6 +624,7 @@ impl Engine for DistributedEngine {
                     })?;
                 let values = require_quantiles(&name, probs, found, max_horizon)?;
                 states = states.or(provenance.states);
+                provenance.workers = self.transport.parallelism();
                 provenance.wall = started.elapsed();
                 MeasureReport {
                     name,
@@ -1022,16 +640,13 @@ impl Engine for DistributedEngine {
                 let (points, values, evaluations) =
                     solve_locally(request, &evaluators[index_of[di]], &self.method)?;
                 let hotpath = evaluators[index_of[di]].hotpath_stats().since(stats_before);
-                let backend = if is_quantile {
-                    format!(
-                        "master-side ({} transport is single-rendezvous)",
-                        self.transport.name()
-                    )
+                let detail = if is_quantile {
+                    format!("master-side ({backend} transport is single-rendezvous)")
                 } else {
                     "master-side (near-origin stencil)".to_string()
                 };
-                let mut provenance = Provenance::local("distributed", backend);
-                provenance.workers = workers;
+                let mut provenance = Provenance::local("distributed", detail);
+                provenance.workers = self.transport.parallelism();
                 provenance.states = states;
                 provenance.evaluations = evaluations;
                 provenance.matrix_rebuilds_avoided = hotpath.matrix_rebuilds_avoided;
@@ -1829,8 +1444,9 @@ mod tests {
                 reports[1].provenance.shared_hits,
                 reports[0].provenance.evaluations
             );
-            // Transient curves and moment stencils stay master-side.
-            assert!(reports[2].provenance.backend.contains("transient"));
+            // Transient curves ride the same batch (evaluated by the fleet's
+            // master-side fallback); moment stencils stay master-side.
+            assert_eq!(reports[2].provenance.backend, "sharded-loopback");
             assert!(reports[4].provenance.backend.contains("stencil"));
         }
     }
@@ -1863,12 +1479,9 @@ mod tests {
         .unwrap();
         assert!(rounds >= 2, "the search must refine for this lock to bite");
 
-        let options = PipelineOptions {
-            workers: 2,
-            simulated_latency: Some(std::time::Duration::from_micros(10)),
-            ..Default::default()
-        };
-        let report = DistributedEngine::in_process(voting(), InversionMethod::euler(), options)
+        // Loopback shards account the bytes their frames would ship.
+        let options = PipelineOptions::with_workers(2);
+        let report = DistributedEngine::sharded(voting(), InversionMethod::euler(), options, 2)
             .solve(std::slice::from_ref(&request))
             .unwrap()
             .remove(0);

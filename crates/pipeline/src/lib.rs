@@ -16,23 +16,26 @@
 //! The original tool ran on a cluster of PCs over 100 Mbps Ethernet via a
 //! master–slave message-passing harness.  That layer is abstracted behind the
 //! [`transport::Transport`] trait, so one planning/caching/checkpointing core
-//! ([`DistributedPipeline::execute`]) drives three interchangeable backends:
+//! ([`DistributedPipeline::execute`]) — the only solve path — drives
+//! interchangeable backends:
 //!
 //! * [`transport::InProcess`] (default) — worker threads stand in for slave
 //!   processors, a shared lock-protected queue is the global work queue;
-//! * [`transport::SimulatedLatency`] — the same threads plus a configurable
-//!   per-message delay and wire-byte accounting, for Table-2 style scalability
-//!   measurements with a network in the loop;
 //! * [`transport::TcpTransport`] — real worker **processes** over
 //!   length-prefixed frames on TCP sockets (`smpq worker --connect`), which
 //!   rebuild their evaluators from serializable [`transform::TransformSpec`]s
-//!   and survive mid-run disconnects by requeueing outstanding chunks.
+//!   and survive mid-run disconnects by requeueing outstanding chunks;
+//! * [`shard::ShardedTransport`] — row-sharded evaluation: every point runs
+//!   as lockstep sparse products over slice workers (loopback or TCP) that
+//!   each hold one row block of the model;
+//! * the query server's standing worker pool.
 //!
 //! The scheduling, caching, checkpointing and convergence code paths are
-//! identical across backends — a TCP run inverts from bit-identical transform
-//! values — and the closure-based [`DistributedPipeline::run`] remains as an
-//! in-process-only convenience (closures cannot cross a process boundary; see
-//! the workspace `README.md` for the two-terminal walkthrough).
+//! identical across backends — a TCP or sharded run inverts from
+//! bit-identical transform values.  Closure-based measures
+//! ([`MeasureSpec::new`]) run on the in-process backend only (closures cannot
+//! cross a process boundary; see the workspace `README.md` for the
+//! two-terminal walkthrough).
 //!
 //! ## Batch jobs
 //!
@@ -42,8 +45,7 @@
 //! CDFs via the `/s` trick, transients) over shared or distinct time grids, with
 //! per-transform union planning, a measure-keyed cache/checkpoint, and chunked
 //! work dispatch so channel and lock traffic is one round-trip per *chunk*, not
-//! per point.  Single-measure [`DistributedPipeline::run`] /
-//! [`DistributedPipeline::run_cdf`] are thin wrappers over the same machinery.
+//! per point.  A single curve is a one-measure batch.
 //!
 //! * [`work`] — the global chunked `s`-point work queue;
 //! * [`batch`] — measure and batch-job specifications and their results;
@@ -54,21 +56,21 @@
 //!   frames are built from the same primitives);
 //! * [`cache`] — the measure-keyed in-memory result cache shared between
 //!   workers and master;
-//! * [`checkpoint`] — append-only on-disk checkpoint files (legacy and
-//!   measure-tagged records) and their recovery;
-//! * [`worker`] — the slave loop: pull a chunk, evaluate, (optionally delay),
-//!   push one result message;
+//! * [`checkpoint`] — append-only on-disk checkpoint files of measure-tagged
+//!   records, the mid-point shard snapshot sidecar, and their recovery;
+//! * [`worker`] — the slave loop: pull a chunk, evaluate, push one result
+//!   message;
 //! * [`master`] — the orchestrating [`DistributedPipeline`];
 //! * [`shard`] — row-sharded distributed SpMV sessions: each worker holds
 //!   one contiguous `O(N/shards)` row block of the state space and the
 //!   Laplace-domain iteration runs as lockstep sparse products with a
 //!   per-round boundary (halo) exchange — bitwise identical to the
-//!   single-machine solve for any worker count;
+//!   single-machine solve for any worker count — and the transport that
+//!   puts those sessions behind the pipeline;
 //! * [`server`] — the always-on query daemon behind `smpq serve`: the
 //!   request/reply protocol, fingerprint-keyed caches, admission control
 //!   and the standing worker pool;
-//! * [`client`] — the matching client side (`smpq query` / `smpq shutdown`);
-//! * [`metrics`] — timing, speedup and efficiency reporting (Table 2).
+//! * [`client`] — the matching client side (`smpq query` / `smpq shutdown`).
 
 #![warn(missing_docs)]
 
@@ -78,7 +80,6 @@ pub mod checkpoint;
 pub mod client;
 pub mod engine;
 pub mod master;
-pub mod metrics;
 pub mod server;
 pub mod shard;
 pub mod transform;
@@ -90,20 +91,17 @@ pub mod worker;
 pub use batch::{BatchJob, BatchResult, MeasureKind, MeasureResult, MeasureSpec};
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
-    uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache, ShardBackend,
-    SimulationEngine, SimulationOptions, UniformizationEngine,
+    uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache, SimulationEngine,
+    SimulationOptions, UniformizationEngine,
 };
-pub use master::{
-    DistributedPipeline, PipelineError, PipelineOptions, PipelineResult, RUN_CDF_TRANSFORM_KEY,
-};
-pub use metrics::{run_scalability_sweep, ScalabilityRow};
+pub use master::{DistributedPipeline, PipelineError, PipelineOptions};
 pub use server::{
     PoolHealth, PoolSpec, QueryReply, QueryRequest, QueryServer, QueryServerOptions, Refusal,
     RefusalKind, SHUTDOWN_ACK, SHUTDOWN_REQUEST,
 };
 pub use shard::{
-    serve_slices, FaultyChannel, LoopbackSlice, ShardedOutcome, SliceChannel, SliceFleet,
-    SliceServeSummary, SliceWorkerSession, SolveRecovery, TcpSliceChannel,
+    serve_slices, FaultyChannel, LoopbackSlice, ShardedOutcome, ShardedTransport, SliceChannel,
+    SliceFleet, SliceServeSummary, SliceWorkerSession, SolveRecovery, TcpSliceChannel,
 };
 pub use transform::{
     model_fingerprint, CompareOp, CompiledModelSet, CompiledSetCache, DistSpec, ModelSpec,
@@ -111,6 +109,5 @@ pub use transform::{
 };
 pub use transport::{
     run_tcp_worker, splitmix64, Backoff, FaultKind, FaultPlan, FaultyStream, FaultyTransport,
-    InProcess, SimulatedLatency, TcpTransport, TcpWorkerOptions, TcpWorkerSummary, Transport,
-    TransportReport,
+    InProcess, TcpTransport, TcpWorkerOptions, TcpWorkerSummary, Transport, TransportReport,
 };

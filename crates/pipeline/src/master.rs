@@ -1,11 +1,10 @@
 //! The master process: planning, distribution, checkpointing and final inversion.
 
-use crate::batch::{BatchJob, BatchResult, MeasureResult, MeasureSpec};
-use crate::cache::{ResultCache, LEGACY_MEASURE_KEY};
+use crate::batch::{BatchJob, BatchResult, MeasureResult};
+use crate::cache::ResultCache;
 use crate::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
-use crate::transport::{ExecutionPlan, InProcess, SimulatedLatency, Transport};
+use crate::transport::{ExecutionPlan, InProcess, Transport, TransportReport};
 use crate::work::WorkItem;
-use crate::worker::WorkerStats;
 use smp_laplace::{union_s_points, InversionMethod, SPointPlan};
 use smp_numeric::Complex64;
 use std::collections::{BTreeMap, HashSet};
@@ -21,9 +20,6 @@ pub struct PipelineOptions {
     /// When set, computed values are appended to this file and reloaded on the next
     /// run (checkpointing).
     pub checkpoint_path: Option<PathBuf>,
-    /// Optional simulated master⇄worker network latency applied per result
-    /// *message* (chunking amortises it across the chunk's points).
-    pub simulated_latency: Option<std::time::Duration>,
     /// Number of work items dispatched to a worker per queue request and
     /// answered with a single result message.  `0` picks a size automatically
     /// (enough chunks for ~4 per worker, capped at 64 items).
@@ -113,36 +109,6 @@ impl From<std::io::Error> for PipelineError {
     }
 }
 
-/// The transform key [`DistributedPipeline::run_cdf`] caches and checkpoints
-/// its raw density values under.  Distinct from the legacy (untagged) key so
-/// that checkpoints written by pre-batch versions of `run_cdf` — which stored
-/// `L(s)/s` untagged — can never be misread as raw densities.
-pub const RUN_CDF_TRANSFORM_KEY: &str = "__run_cdf";
-
-/// The outcome of a single-measure pipeline run.
-#[derive(Debug)]
-pub struct PipelineResult {
-    /// The user-requested time points.
-    pub t_points: Vec<f64>,
-    /// The inverted function values at those points (density, CDF or transient
-    /// probability depending on the transform supplied).
-    pub values: Vec<f64>,
-    /// Wall-clock duration of the whole run (planning to inversion).
-    pub elapsed: std::time::Duration,
-    /// Number of `s`-points evaluated in this run.
-    pub evaluations: usize,
-    /// Number of planned `s`-points satisfied from the checkpoint/cache.
-    pub cache_hits: usize,
-    /// Name of the transport backend that ran the evaluations.
-    pub backend: &'static str,
-    /// Protocol messages exchanged with the workers.
-    pub messages: usize,
-    /// Bytes shipped (or simulated) on the wire; zero in-process.
-    pub bytes_on_wire: u64,
-    /// Per-worker accounting.
-    pub worker_stats: Vec<WorkerStats>,
-}
-
 /// The distributed analysis pipeline of Section 4 of the paper.
 #[derive(Debug, Clone)]
 pub struct DistributedPipeline {
@@ -207,24 +173,20 @@ impl DistributedPipeline {
     /// assert!(*cdf.values.last().unwrap() > 0.95);
     /// ```
     pub fn run_batch(&self, job: BatchJob<'_>) -> Result<BatchResult, PipelineError> {
-        match self.options.simulated_latency {
-            Some(latency) => {
-                self.execute(job, &SimulatedLatency::new(self.options.workers, latency))
-            }
-            None => self.execute(job, &InProcess::new(self.options.workers)),
-        }
+        self.execute(job, &InProcess::new(self.options.workers))
     }
 
     /// The generic pipeline core: plans, dedupes, dispatches and inverts a
     /// batch over **any** [`Transport`] backend.
     ///
-    /// [`DistributedPipeline::run_batch`], [`DistributedPipeline::run`] and
-    /// [`DistributedPipeline::run_cdf`] are all thin shims over this method
-    /// with the backend chosen from [`PipelineOptions`]; pass a
-    /// [`crate::transport::TcpTransport`] here (or from the `smpq` CLI via
+    /// This is the one solve path: [`DistributedPipeline::run_batch`] calls it
+    /// with worker threads, and every [`crate::DistributedEngine`] deployment
+    /// calls it with its own backend — pass a
+    /// [`crate::transport::TcpTransport`] (from the `smpq` CLI:
     /// `--workers tcp:ADDR,...`) to farm the evaluations out to worker
-    /// *processes*.  Process-boundary backends require every measure to be
-    /// built with [`MeasureSpec::from_spec`].
+    /// *processes*, or a [`crate::shard::ShardedTransport`] to run every
+    /// point row-sharded.  Process-boundary backends require every measure
+    /// to be built with [`crate::MeasureSpec::from_spec`].
     pub fn execute(
         &self,
         job: BatchJob<'_>,
@@ -243,14 +205,7 @@ impl DistributedPipeline {
                 chunk_size: self.options.chunk_size.max(1),
                 chunks_dispatched: 0,
                 backend,
-                messages: 0,
-                bytes_on_wire: 0,
-                disconnects: 0,
-                states: None,
-                hotpath: Default::default(),
-                model_cache_hits: 0,
-                model_cache_misses: 0,
-                worker_stats: Vec::new(),
+                report: TransportReport::default(),
             });
         }
         let plans: Vec<SPointPlan> = measures
@@ -354,7 +309,7 @@ impl DistributedPipeline {
         // entirely rather than (for the TCP backend) blocking on a worker
         // rendezvous that no worker has any reason to attend.
         let transport_result = if plan.items.is_empty() {
-            Ok(crate::transport::TransportReport::default())
+            Ok(TransportReport::default())
         } else {
             transport.execute(plan, &mut |message| {
                 chunks_dispatched += 1;
@@ -431,87 +386,15 @@ impl DistributedPipeline {
             chunk_size,
             chunks_dispatched,
             backend,
-            messages: report.messages,
-            bytes_on_wire: report.bytes_on_wire,
-            disconnects: report.disconnects,
-            states: report.states,
-            hotpath: report.hotpath,
-            model_cache_hits: report.model_cache_hits,
-            model_cache_misses: report.model_cache_misses,
-            worker_stats: report.worker_stats,
+            report,
         })
-    }
-
-    /// Runs the pipeline for a single measure: plans the `s`-points for
-    /// `t_points`, distributes the evaluations of `transform` across the worker
-    /// pool, checkpoints results, and inverts once all values are available.
-    ///
-    /// `transform` is any Laplace-domain evaluator — for the paper's workloads it is
-    /// a closure around `PassageTimeSolver::transform_at` or
-    /// `TransientSolver::transform_at`; for a CDF it wraps the density transform and
-    /// divides by `s`.
-    ///
-    /// Values are cached and checkpointed under the *legacy* (untagged)
-    /// transform key, so checkpoints written by pre-batch versions of the tool
-    /// are reused and new checkpoints remain readable by them.
-    pub fn run<F>(&self, transform: F, t_points: &[f64]) -> Result<PipelineResult, PipelineError>
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync,
-    {
-        self.run_single(
-            MeasureSpec::density("single", t_points, transform)
-                .with_transform_key(LEGACY_MEASURE_KEY),
-        )
-    }
-
-    /// Runs a one-measure batch and flattens the result into a
-    /// [`PipelineResult`].
-    fn run_single(&self, measure: MeasureSpec<'_>) -> Result<PipelineResult, PipelineError> {
-        let mut batch = self.run_batch(BatchJob::new().with_measure(measure))?;
-        let measure = batch.measures.pop().expect("single-measure batch");
-        Ok(PipelineResult {
-            t_points: measure.t_points,
-            values: measure.values,
-            elapsed: batch.elapsed,
-            evaluations: batch.evaluations,
-            cache_hits: batch.cache_hits,
-            backend: batch.backend,
-            messages: batch.messages,
-            bytes_on_wire: batch.bytes_on_wire,
-            worker_stats: batch.worker_stats,
-        })
-    }
-
-    /// Runs the pipeline for the *cumulative distribution* of a density transform:
-    /// identical to [`DistributedPipeline::run`] but inverting `L(s)/s`, with the
-    /// result clamped into `[0, 1]` and made monotone.
-    ///
-    /// The cached/checkpointed values are the *raw* density transform (the `/s`
-    /// division happens at inversion), stored under the dedicated
-    /// [`RUN_CDF_TRANSFORM_KEY`].  Versions of this tool predating batch jobs
-    /// checkpointed `L(s)/s` from `run_cdf` as *untagged* records; keeping the
-    /// new records under their own key means such a stale file simply misses
-    /// the cache and is recomputed, rather than being divided by `s` twice.  To
-    /// share evaluations between a density and a CDF over one transform, use
-    /// [`DistributedPipeline::run_batch`] with a common transform key.
-    pub fn run_cdf<F>(
-        &self,
-        density_transform: F,
-        t_points: &[f64],
-    ) -> Result<PipelineResult, PipelineError>
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync,
-    {
-        self.run_single(
-            MeasureSpec::cdf("single", t_points, density_transform)
-                .with_transform_key(RUN_CDF_TRANSFORM_KEY),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::MeasureSpec;
     use smp_distributions::Dist;
     use smp_laplace::Euler;
     use smp_numeric::stats::linspace;
@@ -520,21 +403,36 @@ mod tests {
         move |s| Ok(d.lst(s))
     }
 
+    /// A one-measure batch over the default thread backend.
+    fn solve_one(
+        pipeline: &DistributedPipeline,
+        measure: MeasureSpec<'_>,
+    ) -> Result<BatchResult, PipelineError> {
+        pipeline.run_batch(BatchJob::new().with_measure(measure))
+    }
+
+    fn solve_density<F>(pipeline: &DistributedPipeline, transform: F, ts: &[f64]) -> BatchResult
+    where
+        F: Fn(Complex64) -> Result<Complex64, String> + Sync,
+    {
+        solve_one(pipeline, MeasureSpec::density("single", ts, transform)).unwrap()
+    }
+
     #[test]
     fn pipeline_matches_direct_inversion() {
         let d = Dist::erlang(2.0, 3);
         let ts = linspace(0.2, 5.0, 25);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-        let result = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
+        let result = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
         let reference = Euler::standard().invert_many(&d, &ts);
-        assert_eq!(result.values.len(), reference.len());
-        for (a, b) in result.values.iter().zip(&reference) {
+        assert_eq!(result.measures[0].values.len(), reference.len());
+        for (a, b) in result.measures[0].values.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
         assert_eq!(result.cache_hits, 0);
         assert!(result.evaluations > 0);
-        let total_by_workers: usize = result.worker_stats.iter().map(|w| w.evaluated).sum();
+        let total_by_workers: usize = result.report.worker_stats.iter().map(|w| w.evaluated).sum();
         assert_eq!(total_by_workers, result.evaluations);
     }
 
@@ -551,13 +449,14 @@ mod tests {
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(workers),
             );
-            let result = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
+            let mut result = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+            let values = result.measures.remove(0).values;
             if let Some(prev) = &previous {
-                for (a, b) in result.values.iter().zip(prev) {
+                for (a, b) in values.iter().zip(prev) {
                     assert!((a - b).abs() < 1e-12);
                 }
             }
-            previous = Some(result.values);
+            previous = Some(values);
         }
     }
 
@@ -571,11 +470,12 @@ mod tests {
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(3).chunked(chunk_size),
             );
-            let result = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
+            let mut result = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+            let values = result.measures.remove(0).values;
             if let Some(prev) = &previous {
-                assert_eq!(&result.values, prev);
+                assert_eq!(&values, prev);
             }
-            previous = Some(result.values);
+            previous = Some(values);
         }
     }
 
@@ -593,14 +493,18 @@ mod tests {
             ..Default::default()
         };
         let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-        let first = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
+        let first = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
         assert_eq!(first.cache_hits, 0);
         assert!(first.evaluations > 0);
 
-        let second = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
+        let second = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
         assert_eq!(second.evaluations, 0);
         assert_eq!(second.cache_hits, first.evaluations);
-        for (a, b) in first.values.iter().zip(&second.values) {
+        for (a, b) in first.measures[0]
+            .values
+            .iter()
+            .zip(&second.measures[0].values)
+        {
             assert!((a - b).abs() < 1e-12);
         }
         std::fs::remove_file(&path).unwrap();
@@ -617,7 +521,7 @@ mod tests {
             ..Default::default()
         };
         let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-        let first = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
+        let first = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
         assert!(first.evaluations > 0);
         assert_eq!(first.cache_hits, 0);
         assert!(!shared.is_empty(), "values deposited into the shared cache");
@@ -630,10 +534,13 @@ mod tests {
             ..Default::default()
         };
         let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-        let second = pipeline.run(density_evaluator(d), &ts).unwrap();
+        let second = solve_density(&pipeline, density_evaluator(d), &ts);
         assert_eq!(second.evaluations, 0);
         assert_eq!(second.cache_hits, first.evaluations);
-        assert_eq!(second.values, first.values, "bitwise identical");
+        assert_eq!(
+            second.measures[0].values, first.measures[0].values,
+            "bitwise identical"
+        );
     }
 
     #[test]
@@ -641,15 +548,15 @@ mod tests {
         let ts = vec![1.0];
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(3));
-        let result = pipeline.run(
-            |s: Complex64| {
+        let result = solve_one(
+            &pipeline,
+            MeasureSpec::density("single", &ts, |s: Complex64| {
                 if s.im > 20.0 {
                     Err("synthetic convergence failure".to_string())
                 } else {
                     Ok(Complex64::ONE / (Complex64::ONE + s))
                 }
-            },
-            &ts,
+            }),
         );
         match result {
             Err(PipelineError::Evaluation { message, .. }) => {
@@ -665,11 +572,16 @@ mod tests {
         let ts = linspace(0.25, 8.0, 30);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
-        let result = pipeline.run_cdf(density_evaluator(d.clone()), &ts).unwrap();
-        for w in result.values.windows(2) {
+        let result = solve_one(
+            &pipeline,
+            MeasureSpec::cdf("single", &ts, density_evaluator(d.clone())),
+        )
+        .unwrap();
+        let values = &result.measures[0].values;
+        for w in values.windows(2) {
             assert!(w[1] + 1e-12 >= w[0]);
         }
-        for (t, v) in ts.iter().zip(&result.values) {
+        for (t, v) in ts.iter().zip(values) {
             let expect = 1.0 - (-0.8 * t).exp();
             assert!((v - expect).abs() < 1e-5, "F({t}) = {v} vs {expect}");
         }
@@ -688,18 +600,17 @@ mod tests {
         let ts = linspace(0.2, 4.0, 16);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-        let result = pipeline
-            .run(
-                |s| {
-                    solver
-                        .transform_at(s)
-                        .map(|p| p.value)
-                        .map_err(|e| e.to_string())
-                },
-                &ts,
-            )
-            .unwrap();
-        for (t, v) in ts.iter().zip(&result.values) {
+        let result = solve_density(
+            &pipeline,
+            |s| {
+                solver
+                    .transform_at(s)
+                    .map(|p| p.value)
+                    .map_err(|e| e.to_string())
+            },
+            &ts,
+        );
+        for (t, v) in ts.iter().zip(&result.measures[0].values) {
             let expect = 4.0 * t * (-2.0 * t).exp();
             assert!((v - expect).abs() < 1e-5, "f({t}) = {v} vs {expect}");
         }
@@ -730,14 +641,21 @@ mod tests {
         let batch = pipeline.run_batch(job).unwrap();
         assert_eq!(batch.measures.len(), 3);
 
-        // Density matches a plain run.
-        let reference = pipeline.run(density_evaluator(d.clone()), &ts).unwrap();
-        assert_eq!(batch.measure("d").unwrap().values, reference.values);
+        // Density matches a single-measure run.
+        let reference = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+        assert_eq!(
+            batch.measure("d").unwrap().values,
+            reference.measures[0].values
+        );
 
-        // CDF matches run_cdf.
-        let cdf_reference = pipeline.run_cdf(density_evaluator(d.clone()), &ts).unwrap();
+        // CDF matches a single-measure CDF run.
+        let cdf_reference = solve_one(
+            &pipeline,
+            MeasureSpec::cdf("single", &ts, density_evaluator(d.clone())),
+        )
+        .unwrap();
         let cdf = batch.measure("F").unwrap();
-        for (a, b) in cdf.values.iter().zip(&cdf_reference.values) {
+        for (a, b) in cdf.values.iter().zip(&cdf_reference.measures[0].values) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
         // The CDF shared every point with the density measure.
@@ -757,9 +675,9 @@ mod tests {
             batch.evaluations,
             batch.measures.iter().map(|m| m.evaluations).sum::<usize>()
         );
-        let by_workers: usize = batch.worker_stats.iter().map(|w| w.evaluated).sum();
+        let by_workers: usize = batch.report.worker_stats.iter().map(|w| w.evaluated).sum();
         assert_eq!(by_workers, batch.evaluations);
-        let messages: usize = batch.worker_stats.iter().map(|w| w.messages).sum();
+        let messages: usize = batch.report.worker_stats.iter().map(|w| w.messages).sum();
         assert_eq!(messages, batch.chunks_dispatched);
         assert!(batch.chunk_size >= 1);
     }
@@ -799,20 +717,22 @@ mod tests {
         let target_states = targets.resolve(&net, &space).unwrap();
         let solver =
             PassageTimeSolver::new(space.smp(), &[space.initial_state()], &target_states).unwrap();
-        let from_closure = pipeline
-            .run(
-                |s| {
-                    solver
-                        .transform_at(s)
-                        .map(|p| p.value)
-                        .map_err(|e| e.to_string())
-                },
-                &ts,
-            )
-            .unwrap();
+        let from_closure = solve_density(
+            &pipeline,
+            |s| {
+                solver
+                    .transform_at(s)
+                    .map(|p| p.value)
+                    .map_err(|e| e.to_string())
+            },
+            &ts,
+        );
 
         let spec_values = &from_spec.measures[0].values;
-        assert_eq!(spec_values, &from_closure.values, "bitwise identical");
+        assert_eq!(
+            spec_values, &from_closure.measures[0].values,
+            "bitwise identical"
+        );
         // The spec-based measure's default key folds the model fingerprint in.
         assert_eq!(from_spec.measures[0].name, "voting:density",);
         assert_eq!(spec.transform_key(), {
@@ -831,25 +751,9 @@ mod tests {
             BatchJob::new().with_measure(MeasureSpec::density("d", &ts, density_evaluator(d)));
         let batch = pipeline.run_batch(job).unwrap();
         assert_eq!(batch.backend, "in-process");
-        assert_eq!(batch.bytes_on_wire, 0);
-        assert_eq!(batch.disconnects, 0);
-        assert_eq!(batch.messages, batch.chunks_dispatched);
-
-        // The same job over the simulated-latency backend accounts bytes.
-        let d = Dist::erlang(1.0, 2);
-        let pipeline = DistributedPipeline::new(
-            InversionMethod::euler(),
-            PipelineOptions {
-                workers: 2,
-                simulated_latency: Some(std::time::Duration::from_micros(100)),
-                ..Default::default()
-            },
-        );
-        let job =
-            BatchJob::new().with_measure(MeasureSpec::density("d", &ts, density_evaluator(d)));
-        let batch = pipeline.run_batch(job).unwrap();
-        assert_eq!(batch.backend, "sim-latency");
-        assert!(batch.bytes_on_wire > 0);
+        assert_eq!(batch.report.bytes_on_wire, 0);
+        assert_eq!(batch.report.disconnects, 0);
+        assert_eq!(batch.report.messages, batch.chunks_dispatched);
     }
 
     #[test]

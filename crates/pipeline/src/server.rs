@@ -61,6 +61,7 @@ use crate::engine::{
     UniformizationEngine,
 };
 use crate::master::{PipelineError, PipelineOptions};
+use crate::shard::ShardedTransport;
 use crate::transform::{CompiledSetCache, ModelSpec};
 use crate::transport::{
     drive_connected_worker, encode_plan_specs, expect_hello, send_job, splitmix64, ExecutionPlan,
@@ -1238,25 +1239,17 @@ fn solve_routed(
             };
             let mut options = PipelineOptions::with_workers(workers);
             options.shared_cache = Some(shared.results.clone());
-            if shared.solve_shards > 0 && shared.pool_size == 0 {
-                // `serve --shards N`: row-shard onto loopback slice workers.
-                // The resident tcp pool speaks the chunked s-point protocol,
-                // not slice jobs, so sharding is in-process only (enforced at
-                // the CLI).
-                return DistributedEngine::sharded(
-                    model.clone(),
-                    method.clone(),
-                    options,
-                    shared.solve_shards,
-                )
-                .with_compiled_cache(shared.compiled.clone())
-                .solve(requests);
-            }
             let transport: Box<dyn Transport> = if shared.pool_size > 0 {
                 Box::new(PoolTransport {
                     shared: shared.clone(),
                     deadline,
                 })
+            } else if shared.solve_shards > 0 {
+                // `serve --shards N`: row-shard onto loopback slice workers.
+                // The resident tcp pool speaks the chunked s-point protocol,
+                // not slice jobs, so sharding is in-process only (enforced at
+                // the CLI).
+                Box::new(ShardedTransport::loopback(shared.solve_shards))
             } else {
                 Box::new(InProcess::new(workers).with_compiled_cache(shared.compiled.clone()))
             };
@@ -1884,6 +1877,43 @@ mod tests {
         assert_eq!(hits, 1);
         let (routed, _, _) = route_engine(&shared, "auto", &voting()).expect("auto routes");
         assert_eq!(routed, RoutedEngine::Distributed);
+    }
+
+    #[test]
+    fn sharded_server_answers_a_repeat_query_from_the_shared_cache() {
+        let mut shared = bare_shared(1, 1);
+        shared.solve_shards = 2;
+        let shared = Arc::new(shared);
+        let request = QueryRequest {
+            engine: "distributed".to_string(),
+            deadline: None,
+            measures: vec!["cdf:p2>=2".to_string()],
+            ..sample_request()
+        };
+        let answer = || match answer_query(&shared, &request) {
+            QueryReply::Reports(mut reports) => reports.remove(0),
+            other => panic!("expected reports, got {other:?}"),
+        };
+        let grid = smp_laplace::SPointPlan::new(InversionMethod::euler(), &request.t_points).len();
+        let cold = answer();
+        assert_eq!(cold.provenance.backend, "sharded-loopback");
+        assert_eq!(cold.provenance.evaluations, grid);
+        assert!(cold.provenance.exchange_rounds > 0);
+        // The repeat never reaches the slice fleet: every planned point is
+        // in the server's result cache.
+        let warm = answer();
+        assert_eq!(warm.provenance.evaluations, 0);
+        assert_eq!(warm.provenance.exchange_rounds, 0);
+        assert_eq!(warm.provenance.cache_hits, grid);
+        assert_eq!(
+            warm.values, cold.values,
+            "bitwise equal to the first answer"
+        );
+        let target = smp_core::query::TargetSpec::parse("p2>=2").unwrap();
+        let analytic = AnalyticEngine::new(voting(), InversionMethod::euler())
+            .solve(&[MeasureRequest::cdf(target, &request.t_points)])
+            .unwrap();
+        assert_eq!(warm.values, analytic[0].values, "bitwise equal to one-shot");
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   `SliceRoute` handshake, the per-point `SPoint` / `Halo` / `SState`
 //!   lockstep rounds with the [`ConvergenceFold`] of the core solver, and
 //!   re-sharding recovery when a worker connection dies mid-run.
+//! * [`ShardedTransport`] — the fleet as a [`Transport`], so a row-sharded
+//!   solve is planned, memoised, checkpointed and inverted by the same
+//!   `DistributedPipeline::execute` as every other deployment.
 //!
 //! The session protocol, frame by frame (`shards = 3`):
 //!
@@ -37,10 +40,13 @@
 //! same legacy local fallback, and every float crosses the wire as its exact
 //! bit pattern.
 
-use crate::checkpoint::ShardSnapshot;
+use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use crate::master::PipelineError;
 use crate::transform::{CompiledModelSet, ResolveTarget, TransformSpec};
+use crate::transport::{Evaluator, ExecutionPlan, TcpTransport, Transport, TransportReport};
 use crate::wire::{self, Frame, WIRE_VERSION};
+use crate::work::WorkItem;
+use crate::worker::{WorkItemOutcome, WorkerMessage};
 use smp_core::shard::owner_of;
 use smp_core::{
     plan_exchange, ConvergenceFold, FoldStatus, IterationOptions, ShardWorkspace, ShardedSkeleton,
@@ -49,6 +55,7 @@ use smp_core::{
 use smp_numeric::Complex64;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -734,12 +741,7 @@ impl SliceFleet {
         s_points: &[Complex64],
         recovery: &mut SolveRecovery<'_>,
     ) -> Result<ShardedOutcome, PipelineError> {
-        let mut divisions = 0usize;
-        let mut inner = spec;
-        while let TransformSpec::CdfOf(next) = inner {
-            divisions += 1;
-            inner = next;
-        }
+        let (inner, divisions) = strip_cdf_wrappers(spec);
         if !matches!(inner, TransformSpec::Passage { .. }) {
             return Err(transport(
                 "sharded sessions evaluate passage transforms; transient and analytic \
@@ -1209,24 +1211,249 @@ fn run_point(
     }))
 }
 
+/// Peels the `CdfOf` wrappers off a spec: the innermost spec and the number
+/// of `/s` divisions the wrappers stand for.
+fn strip_cdf_wrappers(spec: &TransformSpec) -> (&TransformSpec, usize) {
+    let mut divisions = 0usize;
+    let mut inner = spec;
+    while let TransformSpec::CdfOf(next) = inner {
+        divisions += 1;
+        inner = next;
+    }
+    (inner, divisions)
+}
+
+/// The master-side compiled model set for `spec` (including any `CdfOf`
+/// wrapping), compiled on first use and kept until a different spec asks.
+/// The boolean is `true` when this call compiled it.
+fn fallback_set<'a>(
+    cache: &'a mut Option<(String, CompiledModelSet)>,
+    spec: &TransformSpec,
+) -> Result<(&'a CompiledModelSet, bool), PipelineError> {
+    let key = spec.encode().map_err(|e| transport(e.to_string()))?;
+    let compile = cache.as_ref().is_none_or(|(k, _)| *k != key);
+    if compile {
+        let set = CompiledModelSet::compile(std::slice::from_ref(spec)).map_err(transport)?;
+        *cache = Some((key, set));
+    }
+    Ok((&cache.as_ref().expect("just compiled").1, compile))
+}
+
 /// The legacy master-side evaluation of an unfaithful point: the full spec
-/// (including any `CdfOf` wrapping) through a compiled evaluator, which takes
-/// the identical legacy branch the unsharded workspace path takes.
+/// through a compiled evaluator, which takes the identical legacy branch the
+/// unsharded workspace path takes.
 fn fallback_eval(
     cache: &mut Option<(String, CompiledModelSet)>,
     spec: &TransformSpec,
     s: Complex64,
 ) -> Result<Complex64, PipelineError> {
-    let key = spec.encode().map_err(|e| transport(e.to_string()))?;
-    if cache.as_ref().is_none_or(|(k, _)| *k != key) {
-        let set = CompiledModelSet::compile(std::slice::from_ref(spec)).map_err(transport)?;
-        *cache = Some((key, set));
-    }
-    let set = &cache.as_ref().expect("just compiled").1;
+    let (set, _) = fallback_set(cache, spec)?;
     let evaluator = set.evaluator(0).map_err(transport)?;
     evaluator
         .eval(s)
         .map_err(|message| PipelineError::Evaluation { s, message })
+}
+
+// ---------------------------------------------------------------------------
+// The transport adapter
+// ---------------------------------------------------------------------------
+
+/// Snapshot cadence of checkpointed sharded solves, in exchange rounds: low
+/// enough that a killed master redoes at most a few rounds per point, high
+/// enough that the pure-read `TermReq` sweep stays a rounding error next to
+/// the per-round halo exchange.
+const SNAPSHOT_EVERY: u64 = 8;
+
+/// Row-sharded evaluation as a [`Transport`].
+///
+/// The state space is partitioned into contiguous row blocks — a pure
+/// function of the state count and the shard count — and each slice worker
+/// explores, compiles and iterates only its own `O(N/shards)` block.  Where
+/// the chunk backends farm whole `s`-points out, this one drives every point
+/// of the plan through the resident [`SliceFleet`], one sharded session per
+/// distinct transform spec, and hands each finished value to the pipeline as
+/// its own [`WorkerMessage`] — so the pipeline's result cache and checkpoint
+/// writer memoise, restore and record sharded points exactly as they do
+/// unsharded ones.  Specs the slice grammar does not speak (transient
+/// transforms) are evaluated master-side by the fleet's fallback evaluator.
+///
+/// The fleet outlives single `execute` calls (the transport is reusable, so
+/// quantile refinement rounds run on the same resident slices): loopback
+/// shards are created, and TCP shard holders accepted, on the first call and
+/// released when the transport drops.
+pub struct ShardedTransport {
+    /// The rendezvous of a TCP deployment; `None` runs loopback shards.
+    rendezvous: Option<TcpTransport>,
+    shards: usize,
+    /// Taken out for the length of an `execute` — no lock is held across
+    /// slice I/O — and put back afterwards.
+    fleet: parking_lot::Mutex<Option<SliceFleet>>,
+    sidecar: Option<PathBuf>,
+}
+
+impl ShardedTransport {
+    /// `shards` in-process loopback slice workers (`--shards N` without a
+    /// cluster): the full frame grammar runs, bytes are accounted as if
+    /// shipped.
+    pub fn loopback(shards: usize) -> ShardedTransport {
+        ShardedTransport {
+            rendezvous: None,
+            shards: shards.max(1),
+            fleet: parking_lot::Mutex::new(None),
+            sidecar: None,
+        }
+    }
+
+    /// One shard-holder process per rendezvous address of `rendezvous`
+    /// (`smpq worker --connect host:port` on each machine).
+    pub fn tcp(rendezvous: TcpTransport) -> ShardedTransport {
+        ShardedTransport {
+            shards: rendezvous.num_workers(),
+            rendezvous: Some(rendezvous),
+            fleet: parking_lot::Mutex::new(None),
+            sidecar: None,
+        }
+    }
+
+    /// Keeps a mid-point iterate snapshot in the `<checkpoint>.shard` sidecar
+    /// of the pipeline's checkpoint file, so a killed master resumes its
+    /// in-flight point mid-iteration.  `None` keeps snapshots off.
+    pub fn with_checkpoint(mut self, checkpoint: Option<&Path>) -> ShardedTransport {
+        self.sidecar = checkpoint.map(shard_snapshot_path);
+        self
+    }
+
+    /// Drives every item of the plan through `fleet`, one session per
+    /// distinct spec, folding the sessions' counters into `report`.
+    fn drain(
+        &self,
+        fleet: &mut SliceFleet,
+        plan: ExecutionPlan<'_>,
+        on_message: &mut dyn FnMut(WorkerMessage),
+        report: &mut TransportReport,
+    ) -> Result<(), PipelineError> {
+        let mut groups: Vec<(&TransformSpec, Vec<WorkItem>)> = Vec::new();
+        for item in plan.items {
+            let Evaluator::Spec(spec) = plan.evaluators[item.measure] else {
+                return Err(transport(
+                    "closure-based measures cannot be row-sharded; build the batch from \
+                     TransformSpecs to use a sharded backend"
+                        .to_string(),
+                ));
+            };
+            match groups.iter_mut().find(|(known, _)| *known == spec) {
+                Some((_, items)) => items.push(item),
+                None => groups.push((spec, vec![item])),
+            }
+        }
+        // A snapshot a killed run left behind is offered only to the spec
+        // whose key it carries; anything else starts its points cold.
+        let mut seed = match &self.sidecar {
+            Some(path) => ShardSnapshot::load(path)?,
+            None => None,
+        };
+        let mut deliver = |item: WorkItem, outcome: Result<Complex64, String>| {
+            on_message(WorkerMessage {
+                worker: 0,
+                results: vec![WorkItemOutcome { item, outcome }],
+            })
+        };
+        for (spec, items) in groups {
+            if !matches!(strip_cdf_wrappers(spec).0, TransformSpec::Passage { .. }) {
+                let (set, compiled) = fallback_set(&mut fleet.fallback, spec)?;
+                let evaluator = set.evaluator(0).map_err(transport)?;
+                for item in items {
+                    deliver(item, evaluator.eval(item.s));
+                }
+                report.states = report.states.or(Some(set.num_states()));
+                report.hotpath = report.hotpath.merged(evaluator.hotpath_stats());
+                report.model_cache_misses += if compiled { set.num_models() } else { 0 };
+                continue;
+            }
+            let key = spec.transform_key();
+            let points: Vec<Complex64> = items.iter().map(|item| item.s).collect();
+            // The fleet finishes the points in order, one value each.
+            let mut answered = 0;
+            let mut on_value = |_s: Complex64, value: Complex64| -> io::Result<()> {
+                deliver(items[answered], Ok(value));
+                answered += 1;
+                Ok(())
+            };
+            let mut recovery = SolveRecovery {
+                seed: seed.take_if(|snapshot| snapshot.key == key),
+                key,
+                snapshot_path: self.sidecar.clone(),
+                snapshot_every: if self.sidecar.is_some() {
+                    SNAPSHOT_EVERY
+                } else {
+                    0
+                },
+                on_value: Some(&mut on_value),
+            };
+            let out = fleet.solve_recoverable(spec, &points, &mut recovery)?;
+            report.messages += out.messages;
+            report.bytes_on_wire += out.bytes_on_wire;
+            report.halo_bytes += out.halo_bytes;
+            report.exchange_rounds += out.exchange_rounds as u64;
+            report.states = report.states.or(Some(out.num_states));
+            // The layout of the *current* session: shrinks if a worker was lost.
+            report.shards = fleet.shards();
+            report.shard_states = out.shard_states;
+            report.disconnects += out.disconnects;
+            report.retries += out.disconnects as u64;
+            report.recovered_faults += out.recovered_faults;
+            report.resumed_rounds += out.resumed_rounds;
+        }
+        Ok(())
+    }
+}
+
+impl Transport for ShardedTransport {
+    fn name(&self) -> &'static str {
+        match self.rendezvous {
+            Some(_) => "sharded-tcp",
+            None => "sharded-loopback",
+        }
+    }
+
+    fn parallelism(&self) -> usize {
+        self.fleet
+            .lock()
+            .as_ref()
+            .map_or(self.shards, SliceFleet::shards)
+    }
+
+    fn execute(
+        &self,
+        plan: ExecutionPlan<'_>,
+        on_message: &mut dyn FnMut(WorkerMessage),
+    ) -> Result<TransportReport, PipelineError> {
+        let mut report = TransportReport::default();
+        let resident = self.fleet.lock().take();
+        let mut fleet = match (resident, &self.rendezvous) {
+            (Some(fleet), _) => fleet,
+            (None, None) => SliceFleet::loopback(self.shards),
+            (None, Some(rendezvous)) => {
+                let (channels, messages, bytes) = rendezvous.accept_slice_channels()?;
+                report.messages += messages;
+                report.bytes_on_wire += bytes;
+                SliceFleet::from_channels(channels)
+            }
+        };
+        let drained = self.drain(&mut fleet, plan, on_message, &mut report);
+        *self.fleet.lock() = Some(fleet);
+        drained.map(|()| report)
+    }
+}
+
+impl Drop for ShardedTransport {
+    /// Releases the slice workers with an explicit farewell, whether or not
+    /// the last solve succeeded.
+    fn drop(&mut self) {
+        if let Some(fleet) = self.fleet.get_mut() {
+            fleet.release();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1485,6 +1712,63 @@ mod tests {
                 assert!(out.disconnects > 0, "faults must flow through recovery");
             }
         }
+    }
+
+    #[test]
+    fn sharded_transport_answers_every_item_with_its_own_message() {
+        let passage = voting_spec();
+        let TransformSpec::Passage { model, targets } = &passage else {
+            unreachable!()
+        };
+        let transient = TransformSpec::transient(model.clone(), targets.clone());
+        let specs = [&passage, &transient];
+        // Measure 0 rides the slice fleet, measure 1 the master-side fallback.
+        let items: Vec<WorkItem> = points()
+            .into_iter()
+            .flat_map(|s| [0, 1].map(|measure| (measure, s)))
+            .enumerate()
+            .map(|(index, (measure, s))| WorkItem { measure, index, s })
+            .collect();
+        let plan = || ExecutionPlan {
+            evaluators: specs.iter().map(|spec| Evaluator::Spec(spec)).collect(),
+            items: items.clone(),
+            chunk_size: 64,
+            method: "euler".to_string(),
+        };
+        let transport = ShardedTransport::loopback(2);
+        assert_eq!(transport.name(), "sharded-loopback");
+        assert!(transport.reusable());
+        // The fleet is resident: a second execute reuses the same slices.
+        for _ in 0..2 {
+            let mut answered = Vec::new();
+            let report = transport
+                .execute(plan(), &mut |message| {
+                    assert_eq!(message.results.len(), 1, "one point per message");
+                    answered.extend(message.results);
+                })
+                .unwrap();
+            assert_eq!(answered.len(), items.len());
+            for outcome in answered {
+                let expected = reference(specs[outcome.item.measure], &[outcome.item.s]);
+                assert_eq!(outcome.outcome.unwrap(), expected[0]);
+            }
+            assert_eq!(report.shards, 2);
+            assert_eq!(
+                report.shard_states.iter().sum::<usize>(),
+                report.states.unwrap()
+            );
+            assert!(report.exchange_rounds > 0 && report.halo_bytes > 0);
+        }
+        // Closures have no slice-job encoding.
+        let closure = |s: Complex64| -> Result<Complex64, String> { Ok(s) };
+        let closure_plan = ExecutionPlan {
+            evaluators: vec![Evaluator::Closure(&closure)],
+            items: items[..1].to_vec(),
+            chunk_size: 1,
+            method: "euler".to_string(),
+        };
+        let error = transport.execute(closure_plan, &mut |_| {}).unwrap_err();
+        assert!(error.to_string().contains("row-sharded"), "{error}");
     }
 
     #[test]

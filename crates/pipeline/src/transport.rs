@@ -4,27 +4,30 @@
 //! evaluations in a global work queue and slave processors collected them over
 //! a message-passing layer.  This module abstracts that layer behind the
 //! [`Transport`] trait so the *same* planning, caching, checkpointing and
-//! inversion code drives three deployments:
+//! inversion code drives every deployment:
 //!
 //! * [`InProcess`] — worker threads and crossbeam channels (the default; the
 //!   substitution documented in the crate root),
-//! * [`SimulatedLatency`] — in-process threads plus a configurable per-message
-//!   delay and wire-size accounting, standing in for the cluster's network
-//!   round-trips when measuring Table-2 style scalability,
 //! * [`TcpTransport`] — real worker *processes* on real sockets: the master
 //!   listens, each `smpq worker --connect HOST:PORT` dials in, receives the
 //!   job's [`TransformSpec`]s, rebuilds the evaluators from bytes and answers
 //!   chunks until the queue drains.  A worker that disconnects mid-run loses
 //!   nothing: its outstanding chunk is requeued and the surviving workers
-//!   finish it.
+//!   finish it,
+//! * [`crate::shard::ShardedTransport`] — row-sharded evaluation: instead of
+//!   farming whole `s`-points out, every point runs as lockstep sparse
+//!   products over slice workers that each hold one row block of the model,
+//! * the query server's standing pool (`server.rs`) and the fault-injecting
+//!   [`FaultyTransport`] wrapper.
 //!
-//! All three speak about the same [`ExecutionPlan`]; only [`TcpTransport`]
-//! requires every measure to carry a serializable spec (closures cannot cross
-//! a process boundary — that is the whole point of [`TransformSpec`]).
+//! All of them speak about the same [`ExecutionPlan`]; only [`InProcess`]
+//! accepts closure-based measures — everything else needs a serializable spec
+//! (closures cannot cross a process boundary — that is the whole point of
+//! [`TransformSpec`]).
 
 use crate::master::PipelineError;
 use crate::transform::{CompiledEvaluator, CompiledModelSet, CompiledSetCache, TransformSpec};
-use crate::wire::{frame_wire_size, read_frame, write_frame, Frame, WIRE_VERSION};
+use crate::wire::{read_frame, write_frame, Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
 use crate::worker::{run_batch_worker, TransformFn, WorkItemOutcome, WorkerMessage, WorkerStats};
 use crossbeam::channel::unbounded;
@@ -92,14 +95,15 @@ pub struct TransportReport {
     /// Number of protocol messages exchanged (chunk requests + results for
     /// socket-backed transports; result messages for in-process ones).
     pub messages: usize,
-    /// Bytes put on (or, for [`SimulatedLatency`], bytes that *would* go on)
-    /// the wire.  Zero for [`InProcess`] — shared memory ships no bytes.
+    /// Bytes put on the wire (the loopback slice workers account the bytes
+    /// their frames would ship).  Zero for [`InProcess`] — shared memory
+    /// ships no bytes.
     pub bytes_on_wire: u64,
     /// Number of workers that disconnected or failed before the queue drained.
     pub disconnects: usize,
     /// Reachable markings of the state space, when this backend explored it
-    /// in-process (`None` for the TCP backend, whose workers explore it on
-    /// their side of the wire).
+    /// in-process or learned it from its slice workers (`None` for the TCP
+    /// chunk backend, whose workers explore it on their side of the wire).
     pub states: Option<usize>,
     /// Aggregate symbolic/numeric-split counters of the backend's local
     /// evaluators (zero for the TCP backend — its workers count on their own
@@ -112,11 +116,54 @@ pub struct TransportReport {
     /// Compiled model sets this run had to compile — each one a state-space
     /// exploration per distinct model in the plan.
     pub model_cache_misses: usize,
+    /// Row shards alive at the end of the last sharded session of the run
+    /// (0 when none ran — the backend does not row-shard, or the plan held
+    /// only specs it evaluates master-side).
+    pub shards: usize,
+    /// Owned states per shard of the final session (empty when not sharded).
+    pub shard_states: Vec<usize>,
+    /// Bytes of boundary (halo) traffic within `bytes_on_wire`.
+    pub halo_bytes: u64,
+    /// Boundary-exchange rounds driven across all sharded points.
+    pub exchange_rounds: u64,
+    /// Work re-issued after a fault: sessions re-sharded around a lost slice
+    /// worker, work items re-executed after a swallowed result message.
+    pub retries: u64,
+    /// Faults the run absorbed without changing a value.
+    pub recovered_faults: u64,
+    /// Exchange rounds skipped by resuming a point from a mid-iteration
+    /// snapshot instead of redoing them.
+    pub resumed_rounds: u64,
+}
+
+impl TransportReport {
+    /// Folds a later round's report into this one: counters add up, the
+    /// state count keeps its first reading, and the shard layout follows the
+    /// most recent session (it shrinks when a slice worker is lost).
+    pub fn absorb(&mut self, later: TransportReport) {
+        self.worker_stats.extend(later.worker_stats);
+        self.messages += later.messages;
+        self.bytes_on_wire += later.bytes_on_wire;
+        self.disconnects += later.disconnects;
+        self.states = self.states.or(later.states);
+        self.hotpath = self.hotpath.merged(later.hotpath);
+        self.model_cache_hits += later.model_cache_hits;
+        self.model_cache_misses += later.model_cache_misses;
+        if later.shards > 0 {
+            self.shards = later.shards;
+            self.shard_states = later.shard_states;
+        }
+        self.halo_bytes += later.halo_bytes;
+        self.exchange_rounds += later.exchange_rounds;
+        self.retries += later.retries;
+        self.recovered_faults += later.recovered_faults;
+        self.resumed_rounds += later.resumed_rounds;
+    }
 }
 
 /// A pluggable master⇄worker message-passing backend.
 pub trait Transport {
-    /// Short backend name for reports (`in-process`, `sim-latency`, `tcp`).
+    /// Short backend name for reports (`in-process`, `tcp`, `sharded-tcp`, …).
     fn name(&self) -> &'static str;
 
     /// How many workers the backend runs in parallel — the master's hint for
@@ -124,7 +171,8 @@ pub trait Transport {
     fn parallelism(&self) -> usize;
 
     /// True when [`Transport::execute`] may be called repeatedly on the same
-    /// instance (in-process backends).  The TCP backend returns `false`: its
+    /// instance (worker threads, row shards, the server's standing pool).
+    /// The TCP chunk backend returns `false`: its
     /// rendezvous listeners serve one worker connection per run, so
     /// multi-round computations (the distributed engine's quantile
     /// refinement) must fall back to master-side evaluation rather than
@@ -221,83 +269,16 @@ impl Transport for InProcess {
         run_threaded(
             self.workers,
             plan,
-            None,
-            false,
             self.compiled_cache.as_deref(),
             on_message,
         )
     }
 }
 
-/// In-process evaluation plus a simulated per-message network round-trip and
-/// wire-size accounting that mirrors the TCP backend's frame traffic: each
-/// chunk costs a request *and* a response frame, and (for spec-expressible
-/// plans) every worker also pays the hello/job/done handshake — so the
-/// report's messages/bytes columns are directly comparable to a real
-/// [`TcpTransport`] run.  Closure-based plans have no wire form for the job
-/// frame, so only their chunk/result traffic is counted.  This replaces the
-/// ad-hoc sleep injection the scalability sweep used to thread through the
-/// pipeline options.
-#[derive(Debug, Clone)]
-pub struct SimulatedLatency {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Delay applied per result message (chunking amortises it).
-    pub latency: Duration,
-    compiled_cache: Option<Arc<CompiledSetCache>>,
-}
-
-impl SimulatedLatency {
-    /// A simulated-latency backend with `workers` threads and `latency` per
-    /// message.
-    pub fn new(workers: usize, latency: Duration) -> Self {
-        SimulatedLatency {
-            workers,
-            latency,
-            compiled_cache: None,
-        }
-    }
-
-    /// Serves compiled model sets from `cache` instead of re-exploring the
-    /// state space on every run.
-    pub fn with_compiled_cache(mut self, cache: Arc<CompiledSetCache>) -> Self {
-        self.compiled_cache = Some(cache);
-        self
-    }
-}
-
-impl Transport for SimulatedLatency {
-    fn name(&self) -> &'static str {
-        "sim-latency"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.workers.max(1)
-    }
-
-    fn execute(
-        &self,
-        plan: ExecutionPlan<'_>,
-        on_message: &mut dyn FnMut(WorkerMessage),
-    ) -> Result<TransportReport, PipelineError> {
-        run_threaded(
-            self.workers,
-            plan,
-            Some(self.latency),
-            true,
-            self.compiled_cache.as_deref(),
-            on_message,
-        )
-    }
-}
-
-/// The shared thread-backed engine behind [`InProcess`] and
-/// [`SimulatedLatency`].
+/// The thread-backed engine behind [`InProcess`].
 fn run_threaded(
     workers: usize,
     plan: ExecutionPlan<'_>,
-    latency: Option<Duration>,
-    account_wire_bytes: bool,
     compiled_cache: Option<&CompiledSetCache>,
     on_message: &mut dyn FnMut(WorkerMessage),
 ) -> Result<TransportReport, PipelineError> {
@@ -351,63 +332,23 @@ fn run_threaded(
         .collect();
     let evaluators: Vec<&TransformFn<'_>> = boxed.iter().map(|b| b.as_ref()).collect();
 
-    // For wire accounting: the handshake frames a TCP run would ship, when
-    // the plan is spec-expressible at all.
-    let spec_lines: Option<Vec<String>> = plan
-        .evaluators
-        .iter()
-        .map(|e| match e {
-            Evaluator::Spec(spec) => spec.encode().ok(),
-            Evaluator::Closure(_) => None,
-        })
-        .collect();
-
     let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
     let (tx, rx) = unbounded::<WorkerMessage>();
     let mut messages = 0usize;
-    let mut bytes_on_wire = 0u64;
-    if account_wire_bytes {
-        if let Some(lines) = &spec_lines {
-            for worker in 0..workers {
-                let hello = Frame::Hello {
-                    version: WIRE_VERSION,
-                };
-                let job = Frame::Job {
-                    version: WIRE_VERSION,
-                    worker,
-                    method: plan.method.clone(),
-                    specs: lines.clone(),
-                };
-                bytes_on_wire += frame_wire_size(&hello).unwrap_or(0)
-                    + frame_wire_size(&job).unwrap_or(0)
-                    + frame_wire_size(&Frame::Done).unwrap_or(0);
-                messages += 3;
-            }
-        }
-    }
-
     let worker_stats: Vec<WorkerStats> = crossbeam::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for id in 0..workers {
             let queue = &queue;
             let evaluators = &evaluators;
             let tx = tx.clone();
-            handles
-                .push(scope.spawn(move |_| run_batch_worker(id, queue, evaluators, latency, &tx)));
+            handles.push(scope.spawn(move |_| run_batch_worker(id, queue, evaluators, &tx)));
         }
         drop(tx);
 
         // The master-side collection loop (where a cluster deployment would
         // read from the network instead of a channel).
         for message in rx {
-            if account_wire_bytes {
-                // A chunk round-trip is two wire messages: request out,
-                // result back — exactly how the TCP backend counts.
-                messages += 2;
-                bytes_on_wire += simulated_wire_bytes(&message);
-            } else {
-                messages += 1;
-            }
+            messages += 1;
             on_message(message);
         }
 
@@ -425,27 +366,12 @@ fn run_threaded(
     Ok(TransportReport {
         worker_stats,
         messages,
-        bytes_on_wire,
-        disconnects: 0,
         states,
         hotpath,
         model_cache_hits,
         model_cache_misses,
+        ..TransportReport::default()
     })
-}
-
-/// The bytes the TCP backend would have spent on one request/response pair for
-/// this chunk: the chunk frame out plus the result frame back.  Encodes from
-/// references — this runs on the master's collection path during timed
-/// scalability runs, so it must not clone the message.
-fn simulated_wire_bytes(message: &WorkerMessage) -> u64 {
-    let chunk = Frame::Chunk {
-        items: message.results.iter().map(|o| o.item).collect(),
-    };
-    let result_bytes = crate::wire::encode_worker_message(message, 0)
-        .map(|payload| 4 + payload.len() as u64)
-        .unwrap_or(0);
-    frame_wire_size(&chunk).unwrap_or(0) + result_bytes
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,14 +1101,14 @@ pub(crate) fn prove_corruption_detected(frame: &Frame, xor: u8) -> std::io::Erro
 /// messages are requeued and re-executed on the inner transport until the
 /// plan is drained, so a run under faults produces exactly the messages a
 /// fault-free run produces (corrupted ones are first proven to be refused by
-/// the wire layer).  Requires a reusable inner transport (the in-process
-/// backends); the TCP path injects faults at the worker (`exit_after_chunks`)
-/// and slice-channel layers instead.
+/// the wire layer).  The faults absorbed and the work items re-executed are
+/// reported as [`TransportReport::recovered_faults`] and
+/// [`TransportReport::retries`].  Requires a reusable inner transport (the
+/// in-process backend); the TCP path injects faults at the worker
+/// (`exit_after_chunks`) and slice-channel layers instead.
 pub struct FaultyTransport<T> {
     inner: T,
     plan: std::sync::Mutex<FaultPlan>,
-    recovered: std::sync::atomic::AtomicU64,
-    retried: std::sync::atomic::AtomicU64,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -1191,20 +1117,7 @@ impl<T: Transport> FaultyTransport<T> {
         FaultyTransport {
             inner,
             plan: std::sync::Mutex::new(plan),
-            recovered: std::sync::atomic::AtomicU64::new(0),
-            retried: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Faults injected *and absorbed* so far (each one re-executed to the
-    /// fault-free answer).
-    pub fn recovered_faults(&self) -> u64 {
-        self.recovered.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Work items re-executed because a fault swallowed their results.
-    pub fn retried_items(&self) -> u64 {
-        self.retried.load(std::sync::atomic::Ordering::SeqCst)
     }
 }
 
@@ -1232,7 +1145,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             chunk_size,
             method,
         } = plan;
-        let mut total: Option<TransportReport> = None;
+        let mut total = TransportReport::default();
         // Each pass re-executes only the items whose results a fault
         // swallowed; the plan keeps advancing (one consult per message), so
         // a scripted schedule addresses retry traffic too.
@@ -1244,6 +1157,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 method: method.clone(),
             };
             let mut swallowed: Vec<WorkItem> = Vec::new();
+            let mut recovered = 0u64;
             let report = self.inner.execute(round, &mut |message: WorkerMessage| {
                 let kind = match self.plan.lock() {
                     Ok(mut plan) => plan.next_op(),
@@ -1263,33 +1177,20 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                             busy_nanos: 0,
                         };
                         let _refusal = prove_corruption_detected(&frame, xor);
-                        self.recovered
-                            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        recovered += 1;
                         swallowed.extend(message.results.into_iter().map(|o| o.item));
                     }
                     FaultKind::DropFrame | FaultKind::Disconnect => {
-                        self.recovered
-                            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        recovered += 1;
                         swallowed.extend(message.results.into_iter().map(|o| o.item));
                     }
                 }
             })?;
-            total = Some(match total.take() {
-                None => report,
-                Some(mut sum) => {
-                    sum.worker_stats.extend(report.worker_stats);
-                    sum.messages += report.messages;
-                    sum.bytes_on_wire += report.bytes_on_wire;
-                    sum.disconnects += report.disconnects;
-                    sum.states = sum.states.or(report.states);
-                    sum.hotpath = sum.hotpath.merged(report.hotpath);
-                    sum.model_cache_hits += report.model_cache_hits;
-                    sum.model_cache_misses += report.model_cache_misses;
-                    sum
-                }
-            });
+            total.absorb(report);
+            total.recovered_faults += recovered;
+            total.retries += swallowed.len() as u64;
             if swallowed.is_empty() {
-                return Ok(total.unwrap_or_default());
+                return Ok(total);
             }
             if !self.inner.reusable() {
                 return Err(transport_error(
@@ -1297,8 +1198,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                      nothing can re-execute them",
                 ));
             }
-            self.retried
-                .fetch_add(swallowed.len() as u64, std::sync::atomic::Ordering::SeqCst);
             items = swallowed;
         }
     }
@@ -1984,29 +1883,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_latency_accounts_wire_bytes() {
-        let points: Vec<Complex64> = (1..=6).map(|k| Complex64::new(k as f64, 2.0)).collect();
-        let identity = |s: Complex64| -> Result<Complex64, String> { Ok(s) };
-        let plan = ExecutionPlan {
-            evaluators: vec![Evaluator::Closure(&identity)],
-            items: items_for(&points, 0),
-            chunk_size: 3,
-            method: "euler".to_string(),
-        };
-        let transport = SimulatedLatency::new(2, Duration::from_millis(1));
-        assert_eq!(transport.name(), "sim-latency");
-        let (outcomes, report) = collect(&transport, plan);
-        assert_eq!(outcomes.len(), 6);
-        assert!(
-            report.bytes_on_wire > 0,
-            "simulated backend reports the bytes a network would ship"
-        );
-        // 6 points at chunk size 3 → 2 request/response pairs, counted in
-        // both directions like the TCP backend (no job frame: closure plan).
-        assert_eq!(report.messages, 4);
-    }
-
-    #[test]
     fn tcp_transport_rejects_closure_plans() {
         let transport = TcpTransport::bind(&["127.0.0.1:0"]).unwrap();
         let f = |s: Complex64| -> Result<Complex64, String> { Ok(s) };
@@ -2397,7 +2273,7 @@ mod tests {
             let faulty = FaultyTransport::new(InProcess::new(2), plan);
             assert_eq!(faulty.name(), "faulty");
             assert!(faulty.reusable());
-            let (outcomes, _) = collect(&faulty, make_plan());
+            let (outcomes, report) = collect(&faulty, make_plan());
             assert_eq!(outcomes.len(), clean.len());
             for (got, want) in outcomes.iter().zip(&clean) {
                 assert_eq!(got.item, want.item);
@@ -2406,10 +2282,10 @@ mod tests {
                 assert_eq!(got_v.im.to_bits(), want_v.im.to_bits());
             }
             assert!(
-                faulty.recovered_faults() > 0,
+                report.recovered_faults > 0,
                 "every schedule here injects at least one fault"
             );
-            assert!(faulty.retried_items() > 0, "recovery re-executes items");
+            assert!(report.retries > 0, "recovery re-executes items");
         }
     }
 

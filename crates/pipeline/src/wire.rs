@@ -1090,7 +1090,7 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<(Frame, u64)> {
 }
 
 /// The wire size of a frame without writing it anywhere — used by the
-/// simulated-latency backend to report the bytes a real network deployment
+/// loopback slice workers to report the bytes a real network deployment
 /// would have shipped.
 pub fn frame_wire_size(frame: &Frame) -> Result<u64, WireError> {
     Ok(FRAME_HEADER_BYTES + frame.encode()?.len() as u64)

@@ -4,9 +4,8 @@
 //! work queue, evaluates the transform of the measure each item belongs to (for
 //! passage-time analysis: refill the prebuilt `U` skeleton's values for the
 //! point and run the iterative algorithm to convergence — the symbolic phase
-//! ran once at solver construction, see `smp_core::workspace`), optionally
-//! sleeps for a configurable simulated network latency, and returns the whole
-//! chunk's results to the master in a single message.  Workers never talk to
+//! ran once at solver construction, see `smp_core::workspace`), and returns
+//! the whole chunk's results to the master in a single message.  Workers never talk to
 //! each other — the property that gives the pipeline its near-linear
 //! scalability — and chunking keeps the master⇄worker message count
 //! proportional to the number of chunks, not the number of points.  Chunking
@@ -36,7 +35,7 @@ pub struct WorkerStats {
     pub evaluated: usize,
     /// Number of result messages (chunks) this worker sent to the master.
     pub messages: usize,
-    /// Total time spent evaluating (excludes queue waiting and simulated latency).
+    /// Total time spent evaluating (excludes queue waiting).
     pub busy: Duration,
 }
 
@@ -59,14 +58,12 @@ pub struct WorkerMessage {
 }
 
 /// Runs one worker until the queue is empty, evaluating each item with the
-/// evaluator of the measure it belongs to.  `latency` simulates the
-/// master⇄slave network round-trip per *message* (i.e. per chunk — batching is
-/// exactly what amortises it).
+/// evaluator of the measure it belongs to and answering each chunk with one
+/// message.
 pub fn run_batch_worker(
     id: usize,
     queue: &WorkQueue,
     evaluators: &[&TransformFn<'_>],
-    latency: Option<Duration>,
     results: &Sender<WorkerMessage>,
 ) -> WorkerStats {
     let mut stats = WorkerStats {
@@ -87,9 +84,6 @@ pub fn run_batch_worker(
         stats.busy += started.elapsed();
         stats.evaluated += outcomes.len();
         stats.messages += 1;
-        if let Some(latency) = latency {
-            std::thread::sleep(latency);
-        }
         if results
             .send(WorkerMessage {
                 worker: id,
@@ -110,14 +104,13 @@ pub fn run_worker<F>(
     id: usize,
     queue: &WorkQueue,
     evaluator: &F,
-    latency: Option<Duration>,
     results: &Sender<WorkerMessage>,
 ) -> WorkerStats
 where
     F: Fn(Complex64) -> Result<Complex64, String> + Sync + ?Sized,
 {
     let evaluators: [&TransformFn<'_>; 1] = [&|s| evaluator(s)];
-    run_batch_worker(id, queue, &evaluators, latency, results)
+    run_batch_worker(id, queue, &evaluators, results)
 }
 
 #[cfg(test)]
@@ -131,7 +124,7 @@ mod tests {
         let queue = WorkQueue::new(&points);
         let (tx, rx) = unbounded();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s * s) };
-        let stats = run_worker(3, &queue, &evaluator, None, &tx);
+        let stats = run_worker(3, &queue, &evaluator, &tx);
         drop(tx);
         assert_eq!(stats.id, 3);
         assert_eq!(stats.evaluated, 20);
@@ -160,7 +153,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s + Complex64::ONE) };
         let evaluators: [&TransformFn<'_>; 1] = [&evaluator];
-        let stats = run_batch_worker(1, &queue, &evaluators, None, &tx);
+        let stats = run_batch_worker(1, &queue, &evaluators, &tx);
         drop(tx);
         // 17 items at chunk size 5: 5 + 5 + 5 + 2 → 4 messages.
         assert_eq!(stats.evaluated, 17);
@@ -186,7 +179,7 @@ mod tests {
         let double = |s: Complex64| -> Result<Complex64, String> { Ok(s * Complex64::real(2.0)) };
         let negate = |s: Complex64| -> Result<Complex64, String> { Ok(-s) };
         let evaluators: [&TransformFn<'_>; 2] = [&double, &negate];
-        run_batch_worker(0, &queue, &evaluators, None, &tx);
+        run_batch_worker(0, &queue, &evaluators, &tx);
         drop(tx);
         for outcome in rx.iter().flat_map(|m| m.results) {
             let expect = match outcome.item.measure {
@@ -209,7 +202,7 @@ mod tests {
                 Ok(s)
             }
         };
-        let stats = run_worker(0, &queue, &evaluator, None, &tx);
+        let stats = run_worker(0, &queue, &evaluator, &tx);
         drop(tx);
         assert_eq!(stats.evaluated, 3);
         let errors: Vec<_> = rx
@@ -219,37 +212,5 @@ mod tests {
             .collect();
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].item.s, Complex64::I);
-    }
-
-    #[test]
-    fn simulated_latency_is_per_message_so_chunking_amortises_it() {
-        let points: Vec<Complex64> = (0..6).map(|k| Complex64::real(k as f64)).collect();
-        let (tx, _rx) = unbounded();
-        let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s) };
-        let latency = Some(Duration::from_millis(5));
-
-        // Chunk size 1: six messages, so at least 30 ms of simulated latency.
-        let queue = WorkQueue::new(&points);
-        let started = Instant::now();
-        let stats = run_worker(0, &queue, &evaluator, latency, &tx);
-        let unchunked = started.elapsed();
-        assert_eq!(stats.messages, 6);
-        assert!(unchunked >= Duration::from_millis(30));
-
-        // Chunk size 6: a single message pays the latency once.
-        let items: Vec<WorkItem> = (0..6)
-            .map(|index| WorkItem {
-                measure: 0,
-                index,
-                s: Complex64::real(index as f64),
-            })
-            .collect();
-        let chunked_queue = WorkQueue::with_chunk_size(items, 6);
-        let evaluators: [&TransformFn<'_>; 1] = [&evaluator];
-        let started = Instant::now();
-        let stats = run_batch_worker(0, &chunked_queue, &evaluators, latency, &tx);
-        let chunked = started.elapsed();
-        assert_eq!(stats.messages, 1);
-        assert!(chunked < unchunked);
     }
 }

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use smp_suite::core::{PassageTimeAnalysis, PassageTimeSolver, StateSet};
 use smp_suite::laplace::{CdfCurve, InversionMethod};
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{DistributedPipeline, PipelineOptions};
+use smp_suite::pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 use smp_suite::simulator::smp_sim::simulate_smp_passage_times;
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
@@ -46,12 +46,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|p| p.value)
             .map_err(|e| e.to_string())
     };
-    let density = pipeline.run(evaluator, &ts)?;
+    // One batch, two measures over one transform key: the CDF of Fig. 5
+    // reuses every s-point the density evaluates.
+    let batch = pipeline.run_batch(
+        BatchJob::new()
+            .with_measure(MeasureSpec::density("f", &ts, evaluator).with_transform_key("passage"))
+            .with_measure(MeasureSpec::cdf("F", &ts, evaluator).with_transform_key("passage")),
+    )?;
     println!(
         "pipeline evaluated {} s-points in {:.2} s on 4 workers",
-        density.evaluations,
-        density.elapsed.as_secs_f64()
+        batch.evaluations,
+        batch.elapsed.as_secs_f64()
     );
+    let density = &batch.measures[0];
 
     // Validate against simulation of the same SMP.
     let target_set = StateSet::new(smp.num_states(), &targets)?;
@@ -70,16 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // And the response-time quantile of Fig. 5.
-    let cdf_result = pipeline.run_cdf(
-        |s| {
-            solver
-                .transform_at(s)
-                .map(|p| p.value)
-                .map_err(|e| e.to_string())
-        },
-        &ts,
-    )?;
-    let cdf = CdfCurve::from_samples(ts.clone(), cdf_result.values);
+    let cdf = CdfCurve::from_samples(ts.clone(), batch.measures[1].values.clone());
     if let Some(q) = cdf.quantile(0.95) {
         println!(
             "\n95% of runs finish within {q:.2} s (simulation says {:.2} s)",

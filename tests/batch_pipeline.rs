@@ -1,13 +1,13 @@
 //! Batched multi-measure pipeline runs on a real semi-Markov workload:
 //! union planning, per-measure cache-hit accounting, chunked dispatch, and the
-//! measure-tagged checkpoint format living next to legacy records.
+//! measure-tagged checkpoint format.
 
 use smp_suite::core::{PassageTimeSolver, SmpBuilder};
 use smp_suite::distributions::Dist;
 use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::numeric::Complex64;
-use smp_suite::pipeline::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
+use smp_suite::pipeline::checkpoint::load_checkpoint_by_measure;
 use smp_suite::pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 
 fn tandem_smp() -> smp_suite::core::SemiMarkovProcess {
@@ -74,7 +74,7 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
     // master and workers.
     assert_eq!(cold.chunk_size, 16);
     assert_eq!(cold.chunks_dispatched, (union * 3).div_ceil(16));
-    let worker_messages: usize = cold.worker_stats.iter().map(|w| w.messages).sum();
+    let worker_messages: usize = cold.report.worker_stats.iter().map(|w| w.messages).sum();
     assert_eq!(worker_messages, cold.chunks_dispatched);
 
     // Warm rerun against the checkpoint: zero evaluations, per-measure hits.
@@ -147,10 +147,11 @@ fn batch_values_match_single_process_analysis() {
     );
 }
 
-/// A checkpoint written partly by the legacy 4-field format and partly by the
-/// measure-tagged format restores both shards — old files keep working.
+/// Runs under distinct transform keys append to one checkpoint file and each
+/// restores its own shard — a later run never pays for, or reads, another
+/// key's records.
 #[test]
-fn mixed_format_checkpoint_feeds_both_legacy_and_batch_runs() {
+fn one_checkpoint_file_feeds_runs_under_distinct_transform_keys() {
     let d = Dist::erlang(2.0, 2);
     let ts = linspace(0.5, 4.0, 5);
     let mut checkpoint = std::env::temp_dir();
@@ -169,62 +170,29 @@ fn mixed_format_checkpoint_feeds_both_legacy_and_batch_runs() {
         let d = d.clone();
         move |s: Complex64| Ok::<_, String>(d.lst(s))
     };
+    let run = |name: &str| {
+        pipeline
+            .run_batch(BatchJob::new().with_measure(MeasureSpec::density(name, &ts, &evaluator)))
+            .unwrap()
+    };
 
-    // A legacy single-measure run writes untagged records…
-    let legacy = pipeline.run(&evaluator, &ts).unwrap();
-    assert!(legacy.evaluations > 0);
-    // …a batch run appends tagged records to the same file…
-    let batch = pipeline
-        .run_batch(BatchJob::new().with_measure(MeasureSpec::density("erlang", &ts, &evaluator)))
-        .unwrap();
-    assert_eq!(batch.evaluations, legacy.evaluations); // distinct shard: re-evaluated
+    // A single-measure run writes its records…
+    let single = run("single");
+    assert!(single.evaluations > 0);
+    // …a run under another key appends to the same file…
+    let batch = run("erlang");
+    assert_eq!(batch.evaluations, single.evaluations); // distinct shard: re-evaluated
 
-    // …and both shards restore: a second legacy run and a second batch run are
-    // all cache hits.
-    let legacy_again = pipeline.run(&evaluator, &ts).unwrap();
-    assert_eq!(legacy_again.evaluations, 0);
-    assert_eq!(legacy_again.cache_hits, legacy.evaluations);
-    let batch_again = pipeline
-        .run_batch(BatchJob::new().with_measure(MeasureSpec::density("erlang", &ts, &evaluator)))
-        .unwrap();
+    // …and both shards restore: a second run under either key is all cache
+    // hits.
+    let single_again = run("single");
+    assert_eq!(single_again.evaluations, 0);
+    assert_eq!(single_again.cache_hits, single.evaluations);
+    let batch_again = run("erlang");
     assert_eq!(batch_again.evaluations, 0);
-    assert_eq!(batch_again.measures[0].cache_hits, legacy.evaluations);
+    assert_eq!(batch_again.measures[0].cache_hits, single.evaluations);
 
     let shards = load_checkpoint_by_measure(&checkpoint).unwrap();
-    assert_eq!(shards.len(), 2, "legacy shard + 'erlang' shard");
+    assert_eq!(shards.len(), 2, "'single' shard + 'erlang' shard");
     std::fs::remove_file(&checkpoint).unwrap();
-}
-
-/// Records written by hand in the old 4-field format sit next to new tagged
-/// records in one file and both load with bit-exact values.
-#[test]
-fn old_records_load_next_to_tagged_records() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("smp-suite-oldnew-ckpt-{}.txt", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let s = Complex64::new(1.5, -2.25);
-    {
-        // Simulate a file begun by an old version of the tool…
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&path).unwrap();
-        writeln!(
-            f,
-            "{:016x} {:016x} {:016x} {:016x}",
-            s.re.to_bits(),
-            s.im.to_bits(),
-            0.125f64.to_bits(),
-            (-0.5f64).to_bits()
-        )
-        .unwrap();
-    }
-    {
-        // …appended to by the new one.
-        let mut w = CheckpointWriter::open(&path).unwrap();
-        w.record_tagged("voters", s, Complex64::new(0.75, 0.0))
-            .unwrap();
-    }
-    let shards = load_checkpoint_by_measure(&path).unwrap();
-    assert_eq!(shards[""].get(s), Some(Complex64::new(0.125, -0.5)));
-    assert_eq!(shards["voters"].get(s), Some(Complex64::new(0.75, 0.0)));
-    std::fs::remove_file(&path).unwrap();
 }

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use smp_suite::core::{PassageTimeAnalysis, PassageTimeSolver, StateSet, TransientAnalysis};
 use smp_suite::laplace::InversionMethod;
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{DistributedPipeline, PipelineOptions};
+use smp_suite::pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 use smp_suite::simulator::smp_sim::{simulate_smp_passage_times, simulate_smp_transient};
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
@@ -66,18 +66,21 @@ fn pipeline_and_sequential_solver_agree() {
     let pipeline =
         DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
     let distributed = pipeline
-        .run(
-            |s| {
+        .run_batch(
+            BatchJob::new().with_measure(MeasureSpec::density("passage", &ts, |s| {
                 solver
                     .transform_at(s)
                     .map(|p| p.value)
                     .map_err(|e| e.to_string())
-            },
-            &ts,
+            })),
         )
         .unwrap();
 
-    for (a, b) in sequential.values().iter().zip(&distributed.values) {
+    for (a, b) in sequential
+        .values()
+        .iter()
+        .zip(&distributed.measures[0].values)
+    {
         assert!((a - b).abs() < 1e-10, "sequential {a} vs pipeline {b}");
     }
 }

@@ -1,11 +1,19 @@
 //! Checkpoint / restart behaviour of the distributed pipeline on a real
-//! passage-time workload, and the scalability-sweep protocol of Table 2.
+//! passage-time workload — across worker counts (the protocol of Table 2)
+//! and across sharded and unsharded deployments.
 
+use smp_suite::core::query::{Engine, MeasureRequest, TargetSpec};
 use smp_suite::core::PassageTimeSolver;
-use smp_suite::laplace::InversionMethod;
+use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{run_scalability_sweep, DistributedPipeline, PipelineOptions};
+use smp_suite::numeric::Complex64;
+use smp_suite::pipeline::checkpoint::{shard_snapshot_path, ShardSnapshot};
+use smp_suite::pipeline::{
+    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, MeasureSpec, ModelSpec,
+    PipelineOptions,
+};
 use smp_suite::voting::{VotingConfig, VotingSystem};
+use std::path::{Path, PathBuf};
 
 #[test]
 fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
@@ -35,22 +43,27 @@ fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
             .map_err(|e| e.to_string())
     };
 
-    let first = pipeline.run(evaluator, &ts).unwrap();
+    let run = |ts: &[f64]| {
+        pipeline
+            .run_batch(BatchJob::new().with_measure(MeasureSpec::density("passage", ts, evaluator)))
+            .unwrap()
+    };
+    let first = run(&ts);
     assert!(first.evaluations > 0);
     assert_eq!(first.cache_hits, 0);
 
     // A second run against the same checkpoint file must do no transform work at
     // all and produce bit-identical output.
-    let second = pipeline.run(evaluator, &ts).unwrap();
+    let second = run(&ts);
     assert_eq!(second.evaluations, 0);
     assert_eq!(second.cache_hits, first.evaluations);
-    assert_eq!(first.values, second.values);
+    assert_eq!(first.measures[0].values, second.measures[0].values);
 
     // Extending the time grid reuses the checkpointed points that overlap (here the
     // shared t = 1.0 contributes one t-point's worth of s-values) and only computes
     // the new ones.
     let extended = linspace(1.0, 20.0, 8);
-    let third = pipeline.run(evaluator, &extended).unwrap();
+    let third = run(&extended);
     let per_t_point = first.evaluations / ts.len();
     assert_eq!(third.cache_hits, per_t_point);
     assert_eq!(third.evaluations, (extended.len() - 1) * per_t_point);
@@ -67,26 +80,135 @@ fn scalability_sweep_runs_the_table2_protocol() {
     // 5 t-points, as in the paper's Table 2 workload.
     let ts: Vec<f64> = (1..=5).map(|k| k as f64 * 3.0).collect();
 
-    let rows = run_scalability_sweep(
-        InversionMethod::euler(),
-        |s| {
-            solver
-                .transform_at(s)
-                .map(|p| p.value)
-                .map_err(|e| e.to_string())
-        },
-        &ts,
-        &[1, 2, 4],
-        None,
-    )
-    .unwrap();
+    // The protocol: the same plan, one point per message, solved with an
+    // increasing worker count.  Every row does the same work and — the
+    // property the speedup column rests on — produces the same bits.
+    let rows: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            DistributedPipeline::new(
+                InversionMethod::euler(),
+                PipelineOptions::with_workers(workers).chunked(1),
+            )
+            .run_batch(
+                BatchJob::new().with_measure(MeasureSpec::density("passage", &ts, |s| {
+                    solver
+                        .transform_at(s)
+                        .map(|p| p.value)
+                        .map_err(|e| e.to_string())
+                })),
+            )
+            .unwrap()
+        })
+        .collect();
 
     assert_eq!(rows.len(), 3);
-    assert_eq!(rows[0].workers, 1);
-    assert!((rows[0].speedup - 1.0).abs() < 1e-12);
-    for row in &rows {
+    for (row, workers) in rows.iter().zip([1usize, 2, 4]) {
         assert!(row.elapsed.as_secs_f64() > 0.0);
-        assert!(row.efficiency > 0.0);
+        assert_eq!(row.report.worker_stats.len(), workers);
         assert_eq!(row.evaluations, rows[0].evaluations);
+        assert_eq!(
+            row.report.messages, row.evaluations,
+            "one message per point"
+        );
+        assert_eq!(row.measures[0].values, rows[0].measures[0].values);
     }
+}
+
+fn voting_311() -> ModelSpec {
+    ModelSpec::Voting {
+        voters: 3,
+        polling: 1,
+        central: 1,
+    }
+}
+
+fn temp_checkpoint(tag: &str) -> PathBuf {
+    let mut path = std::env::temp_dir();
+    path.push(format!("smp-suite-ckpt-{tag}-{}.txt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(shard_snapshot_path(&path));
+    path
+}
+
+/// A distributed engine over `checkpoint`: two loopback row shards, or two
+/// worker threads.
+fn checkpointed_engine(sharded: bool, checkpoint: &Path) -> DistributedEngine {
+    let options = PipelineOptions {
+        workers: 2,
+        checkpoint_path: Some(checkpoint.to_path_buf()),
+        ..Default::default()
+    };
+    if sharded {
+        DistributedEngine::sharded(voting_311(), InversionMethod::euler(), options, 2)
+    } else {
+        DistributedEngine::in_process(voting_311(), InversionMethod::euler(), options)
+    }
+}
+
+#[test]
+fn a_checkpoint_warms_sharded_and_unsharded_runs_of_one_measure_alike() {
+    let ts = linspace(2.0, 40.0, 5);
+    let requests = [MeasureRequest::cdf(
+        TargetSpec::parse("p2>=2").unwrap(),
+        &ts,
+    )];
+    for written_sharded in [false, true] {
+        let checkpoint = temp_checkpoint(if written_sharded { "s2u" } else { "u2s" });
+        let cold = checkpointed_engine(written_sharded, &checkpoint)
+            .solve(&requests)
+            .unwrap()
+            .remove(0);
+        assert!(cold.provenance.evaluations > 0);
+        // The other deployment reads the same records under the same key.
+        let warm = checkpointed_engine(!written_sharded, &checkpoint)
+            .solve(&requests)
+            .unwrap()
+            .remove(0);
+        assert_eq!(warm.provenance.evaluations, 0, "sharded={written_sharded}");
+        assert_eq!(warm.provenance.cache_hits, cold.provenance.evaluations);
+        assert_eq!(warm.provenance.exchange_rounds, 0);
+        assert_eq!(warm.values, cold.values, "bitwise equal");
+        std::fs::remove_file(&checkpoint).unwrap();
+    }
+}
+
+#[test]
+fn a_shard_sidecar_left_by_another_measure_is_never_resumed_from() {
+    let ts = linspace(2.0, 40.0, 5);
+    let requests = [MeasureRequest::cdf(
+        TargetSpec::parse("p2>=2").unwrap(),
+        &ts,
+    )];
+    let baseline = AnalyticEngine::new(voting_311(), InversionMethod::euler())
+        .solve(&requests)
+        .unwrap();
+
+    // A well-formed snapshot of this run's very first point, but stamped with
+    // another measure's key and holding an iterate that would wreck the value.
+    let checkpoint = temp_checkpoint("stale-sidecar");
+    let sidecar = shard_snapshot_path(&checkpoint);
+    ShardSnapshot {
+        key: "m0000000000000000:passage:other>=1".to_string(),
+        s: SPointPlan::new(InversionMethod::euler(), &ts).s_points()[0],
+        round: 3,
+        total: Complex64::new(42.0, -42.0),
+        quiet: 0,
+        last_delta: 1.0,
+        entries: vec![(0, Complex64::new(7.0, 7.0))],
+    }
+    .save(&sidecar)
+    .unwrap();
+
+    let report = checkpointed_engine(true, &checkpoint)
+        .solve(&requests)
+        .unwrap()
+        .remove(0);
+    assert_eq!(report.values, baseline[0].values, "the point started cold");
+    assert_eq!(report.provenance.resumed_rounds, 0);
+    assert!(
+        ShardSnapshot::load(&sidecar).unwrap().is_none(),
+        "a clean completion clears the sidecar"
+    );
+    std::fs::remove_file(&checkpoint).unwrap();
 }

@@ -175,6 +175,9 @@ fn a_killed_tcp_shard_worker_is_resharded_without_changing_a_bit() {
         states
     );
 
+    // The shard holders stay resident until the engine — and with it the
+    // transport that owns the fleet — drops; that is their farewell.
+    drop(engine);
     let mut dropped = 0;
     for worker in workers {
         let summary = worker.join().unwrap().unwrap();
