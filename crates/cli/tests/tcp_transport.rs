@@ -130,12 +130,24 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
         .with_accept_timeout(Duration::from_secs(60));
     let addrs = transport.local_addrs();
     // Worker 0 drops its connection right after answering its first chunk;
-    // the chunk the master had already sent it is requeued onto worker 1.
-    let flaky = spawn_worker(&addrs[0].to_string(), &["--exit-after-chunks", "1"]);
-    let healthy = spawn_worker(&addrs[1].to_string(), &[]);
-
-    let over_tcp = pipeline.execute(voting_job(&ts), &transport).unwrap();
+    // the chunk the master had already sent it is requeued onto worker 1 —
+    // which starts only once worker 0 is gone, so it cannot drain the queue
+    // before the fault lands.
+    let over_tcp = std::thread::scope(|scope| {
+        let run = scope.spawn(|| pipeline.execute(voting_job(&ts), &transport));
+        let mut flaky = spawn_worker(&addrs[0].to_string(), &["--exit-after-chunks", "1"]);
+        let _ = flaky.wait();
+        let healthy = spawn_worker(&addrs[1].to_string(), &[]);
+        let over_tcp = run.join().expect("master panicked").unwrap();
+        finish(flaky);
+        finish(healthy);
+        over_tcp
+    });
     assert_eq!(over_tcp.report.disconnects, 1, "the casualty is reported");
+    // …as absorbed work: the one-point chunk in flight at the lost worker
+    // was requeued and finished by the survivor.
+    assert_eq!(over_tcp.report.retries, 1);
+    assert_eq!(over_tcp.report.recovered_faults, 1);
     for (a, b) in reference.measures.iter().zip(&over_tcp.measures) {
         assert_eq!(
             a.values, b.values,
@@ -147,18 +159,29 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
     let flaky_stats = &over_tcp.report.worker_stats[0];
     assert_eq!(flaky_stats.messages, 1);
 
-    finish(flaky);
-    finish(healthy);
+    // The same loss through `smpq`: the absorbed fault surfaces on the
+    // report's recovery line.
+    let flaky: [&[&str]; 2] = [&["--exit-after-chunks", "1"], &[]];
+    let (report, _, children) = run_cli_master(&["--chunk-size", "1"], flaky);
+    assert!(report.contains("recovery: 1 retry"), "{report}");
+    assert!(report.contains("1 fault(s) absorbed"), "{report}");
+    for child in children {
+        finish(child);
+    }
 }
 
-#[test]
-fn smpq_master_and_workers_run_the_cli_paths() {
-    // The same two-terminal walkthrough the README documents, both sides
-    // driven through the CLI library entry points.  Ports are picked by
-    // binding ephemeral listeners first so the master can re-bind them —
-    // another process could grab a probed port in the gap (TOCTOU), so a
-    // bind failure re-probes fresh ports instead of failing the test.
-    let base_args: Vec<String> = [
+/// The two-terminal walkthrough the README documents, both sides driven
+/// through the CLI: an `smpq` master (the library entry point) over two
+/// `smpq worker` processes started with the given extra arguments.  Returns
+/// the master's report, its argument list and the worker processes.  Ports
+/// are picked by binding ephemeral listeners first so the master can re-bind
+/// them — another process could grab a probed port in the gap (TOCTOU), so a
+/// bind failure re-probes fresh ports instead of failing the test.
+fn run_cli_master(
+    master_args: &[&str],
+    worker_args: [&[&str]; 2],
+) -> (String, Vec<String>, Vec<Child>) {
+    let fixed = [
         "--voting",
         "3,1,1",
         "--measure",
@@ -171,14 +194,16 @@ fn smpq_master_and_workers_run_the_cli_paths() {
         "20",
         "--t-count",
         "3",
-        "--workers",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
+    let base_args: Vec<String> = fixed
+        .iter()
+        .chain(master_args)
+        .chain(&["--workers"])
+        .map(|s| s.to_string())
+        .collect();
 
     let mut attempt = 0;
-    let (report, args, children) = loop {
+    loop {
         attempt += 1;
         let addrs: Vec<String> = (0..2)
             .map(|_| {
@@ -190,9 +215,23 @@ fn smpq_master_and_workers_run_the_cli_paths() {
         args.push(format!("tcp:{}", addrs.join(",")));
         let options = smp_cli::parse_args(&args).unwrap();
 
-        let children: Vec<Child> = addrs.iter().map(|addr| spawn_worker(addr, &[])).collect();
-        match smp_cli::run(&options) {
-            Ok(report) => break (report, args, children),
+        let (outcome, children) = std::thread::scope(|scope| {
+            let master = scope.spawn(|| smp_cli::run(&options));
+            let mut children = Vec::new();
+            for (addr, extra) in addrs.iter().zip(worker_args) {
+                let mut child = spawn_worker(addr, extra);
+                // A fault-injected worker has the master to itself until its
+                // fault has fired (it exits on it): a faster peer could
+                // otherwise drain the queue before the fault ever lands.
+                if !extra.is_empty() {
+                    let _ = child.wait();
+                }
+                children.push(child);
+            }
+            (master.join().expect("cli master panicked"), children)
+        });
+        match outcome {
+            Ok(report) => return (report, args, children),
             Err(e) if e.to_string().contains("cannot bind") && attempt < 3 => {
                 for mut child in children {
                     let _ = child.kill();
@@ -201,13 +240,20 @@ fn smpq_master_and_workers_run_the_cli_paths() {
             }
             Err(e) => panic!("cli master run failed: {e}"),
         }
-    };
+    }
+}
+
+#[test]
+fn smpq_master_and_workers_run_the_cli_paths() {
+    let (report, args, children) = run_cli_master(&[], [&[], &[]]);
     assert!(
         report.contains("state space explored by the workers"),
         "{report}"
     );
     assert!(report.contains("[tcp]"), "{report}");
     assert!(report.contains("density:p2>=2"), "{report}");
+    // Nothing went wrong, so nothing was absorbed.
+    assert!(!report.contains("recovery:"), "{report}");
 
     // The thread-backend report over the same model/grid carries the same
     // value table (formatting included), so the CLI paths agree end to end.

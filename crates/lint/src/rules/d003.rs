@@ -11,8 +11,11 @@
 //! Fires on `SystemTime::now`, `Instant::now`, and entropy-seeded generator
 //! constructors (`from_entropy`, `thread_rng`, `OsRng`, `from_os_rng`,
 //! `getrandom`) in non-test code of the computation and pipeline crates.
-//! `transport.rs` is out of scope: socket timeout bookkeeping is genuinely
-//! about wall time and never touches values.
+//! `transport.rs` is out of scope: it holds the socket timeouts, accept
+//! windows and dispatch deadlines, which are genuinely about wall time and
+//! never touch values.  The fault schedule and the retry backoff
+//! (`fault.rs`) and the link layer (`link.rs`) are *in* scope — they must
+//! stay pure functions of a seed and a counter.
 
 use super::Finding;
 use crate::analysis::SourceFile;
@@ -33,7 +36,8 @@ const SCOPE_CRATES: &[&str] = &[
     "suite",
 ];
 
-/// File stems exempt wholesale: timeout plumbing, not value computation.
+/// File stems exempt wholesale: socket-timeout plumbing, not value
+/// computation.
 const EXEMPT_STEMS: &[&str] = &["transport"];
 
 /// Entropy-seeded generator constructors.

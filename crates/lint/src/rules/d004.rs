@@ -8,8 +8,9 @@
 //!
 //! The rule builds a name-based call graph over the pipeline crate, seeds it
 //! with the decode roots (`decode*` in `wire.rs`, `server.rs` and
-//! `client.rs`, `load_checkpoint*` in `checkpoint.rs`, `read_frame`
-//! anywhere), walks reachability, and flags
+//! `client.rs`, `load_checkpoint*` in `checkpoint.rs`, every `Link::recv`
+//! implementation in `link.rs`, the worker's frame loop `serve_link` in
+//! `worker.rs`, `read_frame` anywhere), walks reachability, and flags
 //! every `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` /
 //! `unimplemented!` inside a reachable non-test function.
 
@@ -48,7 +49,8 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
         (file.stem() == "wire" && name.starts_with("decode"))
             || (file.stem() == "checkpoint" && name.starts_with("load_checkpoint"))
             || ((file.stem() == "server" || file.stem() == "client") && name.starts_with("decode"))
-            || (file.stem() == "shard" && (name.starts_with("recv") || name == "serve_slices"))
+            || (file.stem() == "link" && name == "recv")
+            || (file.stem() == "worker" && name == "serve_link")
             || name == "read_frame"
     };
 

@@ -8,8 +8,8 @@
 //! need out of the guard, drop it (end of scope or explicit `drop`), *then*
 //! perform the blocking operation.
 //!
-//! Fires in `transport.rs`, `master.rs`, `server.rs` and `client.rs` when a
-//! guard bound from a
+//! Fires in `transport.rs`, `link.rs`, `worker.rs`, `shard.rs`, `master.rs`,
+//! `server.rs` and `client.rs` when a guard bound from a
 //! zero-argument `.lock()` / `.read()` / `.write()` call is still live
 //! (same block, not yet `drop`ped) at a `.send(` / `.recv(` /
 //! `.write_all(` / `.read_exact(` / `.flush(` / `.accept(` call.
@@ -19,7 +19,15 @@ use crate::analysis::SourceFile;
 use crate::lexer::TokenKind;
 
 /// File stems patrolled by D005.
-const SCOPE_STEMS: &[&str] = &["transport", "master", "server", "client", "shard"];
+const SCOPE_STEMS: &[&str] = &[
+    "transport",
+    "link",
+    "worker",
+    "shard",
+    "master",
+    "server",
+    "client",
+];
 
 /// Guard-producing methods (zero-argument distinguishes the lock APIs from
 /// `io::Read::read(&mut buf)` / `io::Write::write(&buf)`).

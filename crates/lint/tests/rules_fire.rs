@@ -71,6 +71,9 @@ fn d003_wall_clock_and_entropy_in_results() {
     assert_eq!(findings("crates/core/src/passage.rs", bad).len(), 3);
     // transport.rs is exempt wholesale: timeouts are genuinely about wall time.
     assert!(findings("crates/pipeline/src/transport.rs", bad).is_empty());
+    // The fault schedule, the backoff and the link layer are not.
+    assert_eq!(findings("crates/pipeline/src/fault.rs", bad).len(), 3);
+    assert_eq!(findings("crates/pipeline/src/link.rs", bad).len(), 3);
 }
 
 #[test]
@@ -80,6 +83,13 @@ fn d004_panics_reachable_from_decoders() {
     assert_rule("D004", "crates/pipeline/src/wire.rs", bad, good);
     // unwrap in the root, expect in a callee, panic! in a transitive callee.
     assert_eq!(findings("crates/pipeline/src/wire.rs", bad).len(), 3);
+    // The link layer's roots: a `Link::recv` implementation and the
+    // worker's frame loop.
+    let link = "pub fn recv() -> u64 { helper() }\nfn helper() -> u64 { None::<u64>.unwrap() }";
+    let worker = link.replace("recv", "serve_link");
+    assert_eq!(findings("crates/pipeline/src/link.rs", link).len(), 1);
+    assert_eq!(findings("crates/pipeline/src/worker.rs", &worker).len(), 1);
+    assert!(findings("crates/pipeline/src/shard.rs", link).is_empty());
 }
 
 #[test]
@@ -88,6 +98,8 @@ fn d005_guard_across_blocking_calls() {
     let good = include_str!("../fixtures/d005_good.rs");
     assert_rule("D005", "crates/pipeline/src/transport.rs", bad, good);
     assert_eq!(findings("crates/pipeline/src/transport.rs", bad).len(), 3);
-    // Outside transport.rs/master.rs the same code is not D005's business.
+    assert_eq!(findings("crates/pipeline/src/link.rs", bad).len(), 3);
+    assert_eq!(findings("crates/pipeline/src/worker.rs", bad).len(), 3);
+    // Outside the master/link/worker layer the same code is not D005's business.
     assert!(findings("crates/pipeline/src/work.rs", bad).is_empty());
 }

@@ -30,6 +30,12 @@
 //!   each hold one row block of the model;
 //! * the query server's standing worker pool.
 //!
+//! Every backend with a worker at the far end of a wire reaches it through
+//! one type, the [`link::Link`] — a framed, checksummed, handshaken duplex
+//! with TCP, in-memory loopback and fault-injecting implementations.  A
+//! worker process runs one frame loop over the far end of it; a loopback
+//! shard runs that loop's slice step inline, one call per frame.
+//!
 //! The scheduling, caching, checkpointing and convergence code paths are
 //! identical across backends — a TCP or sharded run inverts from
 //! bit-identical transform values.  Closure-based measures
@@ -51,15 +57,20 @@
 //! * [`batch`] — measure and batch-job specifications and their results;
 //! * [`transform`] — serializable evaluator descriptions ([`TransformSpec`])
 //!   and their reconstruction into solvers on a worker;
-//! * [`transport`] — the pluggable master⇄worker backends;
+//! * [`transport`] — the pluggable master⇄worker backends and the one
+//!   chunk-dispatch loop they share;
+//! * [`link`] — the one framed duplex between the master and a worker, and
+//!   the single fault-injection point;
+//! * [`fault`] — the deterministic fault schedule and retry backoff;
 //! * [`wire`] — the shared field/frame encoding (checkpoint records and TCP
 //!   frames are built from the same primitives);
 //! * [`cache`] — the measure-keyed in-memory result cache shared between
 //!   workers and master;
 //! * [`checkpoint`] — append-only on-disk checkpoint files of measure-tagged
 //!   records, the mid-point shard snapshot sidecar, and their recovery;
-//! * [`worker`] — the slave loop: pull a chunk, evaluate, push one result
-//!   message;
+//! * [`worker`] — the slave loops: pull a chunk, evaluate, push one result
+//!   message — from the shared queue (threads) or off a link (processes and
+//!   loopback shards);
 //! * [`master`] — the orchestrating [`DistributedPipeline`];
 //! * [`shard`] — row-sharded distributed SpMV sessions: each worker holds
 //!   one contiguous `O(N/shards)` row block of the state space and the
@@ -79,6 +90,8 @@ pub mod cache;
 pub mod checkpoint;
 pub mod client;
 pub mod engine;
+pub mod fault;
+pub mod link;
 pub mod master;
 pub mod server;
 pub mod shard;
@@ -94,20 +107,17 @@ pub use engine::{
     uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache, SimulationEngine,
     SimulationOptions, UniformizationEngine,
 };
+pub use fault::{splitmix64, Backoff, FaultKind, FaultPlan};
+pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};
 pub use master::{DistributedPipeline, PipelineError, PipelineOptions};
 pub use server::{
     PoolHealth, PoolSpec, QueryReply, QueryRequest, QueryServer, QueryServerOptions, Refusal,
     RefusalKind, SHUTDOWN_ACK, SHUTDOWN_REQUEST,
 };
-pub use shard::{
-    serve_slices, FaultyChannel, LoopbackSlice, ShardedOutcome, ShardedTransport, SliceChannel,
-    SliceFleet, SliceServeSummary, SliceWorkerSession, SolveRecovery, TcpSliceChannel,
-};
+pub use shard::{ShardedOutcome, ShardedTransport, SliceFleet, SliceWorkerSession, SolveRecovery};
 pub use transform::{
     model_fingerprint, CompareOp, CompiledModelSet, CompiledSetCache, DistSpec, ModelSpec,
     ResolveTarget, TargetResolveError, TargetSpec, TransformSpec,
 };
-pub use transport::{
-    run_tcp_worker, splitmix64, Backoff, FaultKind, FaultPlan, FaultyStream, FaultyTransport,
-    InProcess, TcpTransport, TcpWorkerOptions, TcpWorkerSummary, Transport, TransportReport,
-};
+pub use transport::{InProcess, TcpTransport, Transport, TransportReport};
+pub use worker::{run_tcp_worker, TcpWorkerOptions, TcpWorkerSummary};

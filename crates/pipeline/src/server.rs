@@ -60,27 +60,26 @@ use crate::engine::{
     uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
     UniformizationEngine,
 };
+use crate::fault::splitmix64;
+use crate::link::{Link, TcpLink};
 use crate::master::{PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{CompiledSetCache, ModelSpec};
 use crate::transport::{
-    drive_connected_worker, encode_plan_specs, expect_hello, send_job, splitmix64, ExecutionPlan,
-    HandlerOutcome, InProcess, Transport, TransportReport,
+    dispatch_chunks, encode_plan_specs, held, transport_error, ExecutionPlan, InProcess, Transport,
+    TransportReport,
 };
 use crate::wire::{
-    decode_f64, decode_str, encode_f64, encode_str, read_frame, read_payload, write_frame,
-    write_payload, Frame, WireError,
+    decode_f64, decode_str, encode_f64, encode_str, read_payload, write_payload, Frame, WireError,
 };
-use crate::work::WorkQueue;
 use crate::worker::WorkerMessage;
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance, MEASURE_KIND_NAMES,
 };
 use smp_laplace::InversionMethod;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
@@ -118,20 +117,6 @@ pub struct PoolHealth {
     pub replaced: usize,
 }
 
-/// One non-blocking accept on a vacant worker rendezvous listener: a dialing
-/// replacement is handshaken and adopted; nobody waiting is not an error.
-fn accept_replacement(listener: &TcpListener, id: usize) -> Option<PoolWorker> {
-    listener.set_nonblocking(true).ok()?;
-    let accepted = listener.accept();
-    let _ = listener.set_nonblocking(false);
-    let (mut stream, _) = accepted.ok()?;
-    stream.set_nodelay(true).ok()?;
-    stream.set_read_timeout(Some(IO_TIMEOUT)).ok()?;
-    stream.set_write_timeout(Some(IO_TIMEOUT)).ok()?;
-    expect_hello(&mut stream).ok()?;
-    Some(PoolWorker { id, stream })
-}
-
 fn malformed(message: impl Into<String>) -> WireError {
     WireError::Malformed {
         message: message.into(),
@@ -145,12 +130,6 @@ fn decode_text(field: &str, what: &'static str) -> Result<String, WireError> {
             "{what} field '{field}' is not a valid encoded string"
         ))
     })
-}
-
-fn transport_failure(message: impl Into<String>) -> PipelineError {
-    PipelineError::Transport {
-        message: message.into(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -805,12 +784,9 @@ impl Default for QueryServerOptions {
 // Shared server state
 // ---------------------------------------------------------------------------
 
-/// One attached worker process: its socket, kept in protocol sync (`done`
-/// received, next `job` expected) between requests.
-struct PoolWorker {
-    id: usize,
-    stream: TcpStream,
-}
+/// One attached worker process: its rendezvous slot and its link, kept in
+/// protocol sync (`done` received, next `job` expected) between requests.
+type PoolWorker = (usize, TcpLink);
 
 /// An `--engine auto` routing probe, memoized per model fingerprint.
 struct RouteSlot {
@@ -995,7 +971,7 @@ impl ServerShared {
             }
             if let Some(deadline) = deadline {
                 if Instant::now() >= deadline {
-                    return Err(transport_failure(
+                    return Err(transport_error(
                         "request deadline exceeded while waiting for the worker pool",
                     ));
                 }
@@ -1021,9 +997,10 @@ impl ServerShared {
 
 /// A [`Transport`] over the server's resident worker processes.  Unlike
 /// [`crate::TcpTransport`] there is no per-run rendezvous: `execute` checks
-/// the attached sockets out of the shared pool, streams one job over each,
-/// and checks the survivors back in — so it is `reusable` and multi-round
-/// quantile refinement works over real processes.
+/// the attached links out of the shared pool, runs the shared chunk dispatch
+/// over them under the request's deadline, and checks the survivors back in
+/// — so it is `reusable` and multi-round quantile refinement works over real
+/// processes.
 struct PoolTransport {
     shared: Arc<ServerShared>,
     deadline: Option<Instant>,
@@ -1038,111 +1015,26 @@ impl Transport for PoolTransport {
         self.shared.pool_size.max(1)
     }
 
-    fn reusable(&self) -> bool {
-        true
-    }
-
     fn execute(
         &self,
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
         let specs = encode_plan_specs(&plan.evaluators)?;
-        let total_items = plan.items.len();
-        let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
-        let remaining = AtomicUsize::new(total_items);
-        let method = plan.method.clone();
-
         let workers = self.shared.checkout_pool(self.deadline)?;
-        let mut report = TransportReport::default();
-        let mut failures: Vec<String> = Vec::new();
-
-        // Open this request's job on every worker before dispatching chunks;
-        // a worker whose job frame fails to send is dropped from the pool.
-        let mut live: Vec<PoolWorker> = Vec::new();
-        for mut worker in workers {
-            match send_job(&mut worker.stream, worker.id, &method, &specs) {
-                Ok(bytes) => {
-                    report.bytes_on_wire += bytes;
-                    report.messages += 1;
-                    live.push(worker);
-                }
-                Err(e) => {
-                    report.disconnects += 1;
-                    failures.push(format!("worker {}: job dispatch failed: {e}", worker.id));
-                }
-            }
-        }
-        if live.is_empty() {
-            self.shared.return_pool(Vec::new());
-            return Err(transport_failure(format!(
-                "{total_items} work item(s) left undone: no pool worker accepted the job: {}",
-                failures.join("; ")
-            )));
-        }
-
-        let (tx, rx) = unbounded::<WorkerMessage>();
-        let deadline = self.deadline;
-        let outcomes: Vec<(PoolWorker, bool, HandlerOutcome)> = crossbeam::scope(|scope| {
-            let mut handles = Vec::with_capacity(live.len());
-            for mut worker in live {
-                let queue = &queue;
-                let remaining = &remaining;
-                let tx = tx.clone();
-                handles.push(scope.spawn(move |_| {
-                    let mut outcome = HandlerOutcome::new(worker.id);
-                    let in_sync = drive_connected_worker(
-                        &mut worker.stream,
-                        queue,
-                        remaining,
-                        deadline,
-                        &tx,
-                        &mut outcome,
-                    );
-                    (worker, in_sync, outcome)
-                }));
-            }
-            drop(tx);
-
-            for message in rx {
-                on_message(message);
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool handler thread panicked"))
-                .collect()
-        })
-        .expect("pool transport scope failed");
-
+        let (survivors, outcome) = dispatch_chunks(
+            specs,
+            plan,
+            held(workers),
+            &|_, _| Ok(None),
+            self.deadline,
+            on_message,
+        );
         // Workers still in protocol sync (their `done` frame was delivered —
         // including those released early by a deadline) go back in the pool;
-        // anything else is dropped and its socket closes here.
-        let mut keep = Vec::new();
-        for (worker, in_sync, outcome) in outcomes {
-            report.messages += outcome.messages;
-            report.bytes_on_wire += outcome.bytes;
-            if let Some(failure) = outcome.failure {
-                if !in_sync {
-                    report.disconnects += 1;
-                }
-                failures.push(format!("worker {}: {failure}", outcome.stats.id));
-            }
-            report.worker_stats.push(outcome.stats);
-            if in_sync {
-                keep.push(worker);
-            }
-        }
-        self.shared.return_pool(keep);
-
-        let undone = remaining.load(Ordering::SeqCst);
-        if undone > 0 {
-            return Err(transport_failure(format!(
-                "{undone} work item(s) left undone: {}",
-                failures.join("; ")
-            )));
-        }
-        Ok(report)
+        // anything else was dropped and its socket closed.
+        self.shared.return_pool(survivors);
+        outcome
     }
 }
 
@@ -1448,12 +1340,9 @@ impl QueryServer {
         }
         let mut workers = Vec::with_capacity(self.worker_listeners.len());
         for (id, listener) in self.worker_listeners.iter().enumerate() {
-            let (mut stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(IO_TIMEOUT))?;
-            stream.set_write_timeout(Some(IO_TIMEOUT))?;
-            expect_hello(&mut stream)?;
-            workers.push(PoolWorker { id, stream });
+            let accepted = TcpLink::accept(listener, IO_TIMEOUT, &mut || true)?;
+            let (link, ..) = accepted.ok_or(std::io::ErrorKind::TimedOut)?;
+            workers.push((id, link));
         }
         let attached = workers.len();
         self.shared.return_pool(workers);
@@ -1480,34 +1369,35 @@ impl QueryServer {
             }
         };
         let mut live = Vec::with_capacity(workers.len());
-        for mut worker in workers {
+        for (id, mut link) in workers {
             health.checked += 1;
             let tick = self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
-            let nonce = splitmix64(tick ^ ((worker.id as u64) << 32));
+            let nonce = splitmix64(tick ^ ((id as u64) << 32));
             // A kill -9'd worker answers the ping with EOF immediately; the
             // short timeout only bounds a *hung* (connected but wedged) one.
-            let _ = worker.stream.set_read_timeout(Some(HEARTBEAT_TIMEOUT));
-            let healthy = write_frame(&mut worker.stream, &Frame::Ping { nonce }).is_ok()
+            let _ = link.stream().set_read_timeout(Some(HEARTBEAT_TIMEOUT));
+            let healthy = link.send(&Frame::Ping { nonce }).is_ok()
                 && matches!(
-                    read_frame(&mut worker.stream),
+                    link.recv(),
                     Ok((Frame::Pong { nonce: echoed }, _)) if echoed == nonce
                 );
-            let _ = worker.stream.set_read_timeout(Some(IO_TIMEOUT));
+            let _ = link.stream().set_read_timeout(Some(IO_TIMEOUT));
             if healthy {
-                live.push(worker);
+                live.push((id, link));
             } else {
                 health.dead += 1;
             }
         }
         // Every vacant rendezvous slot — vacated by this sweep or by a solve
         // that dropped an out-of-sync worker — offers itself to a dialing
-        // replacement.
+        // replacement: one non-blocking accept, and nobody waiting is not an
+        // error.
         for (id, listener) in self.worker_listeners.iter().enumerate() {
-            if live.iter().any(|w| w.id == id) {
+            if live.iter().any(|(taken, _)| *taken == id) {
                 continue;
             }
-            if let Some(worker) = accept_replacement(listener, id) {
-                live.push(worker);
+            if let Ok(Some((link, ..))) = TcpLink::accept(listener, IO_TIMEOUT, &mut || false) {
+                live.push((id, link));
                 health.replaced += 1;
             }
         }

@@ -6,12 +6,12 @@
 //! frame transport so each worker holds only its `O(N/shards)` row block:
 //!
 //! * [`SliceWorkerSession`] — the worker half, written once and driven
-//!   frame-by-frame: build the slice from a [`Frame::SliceJob`], answer
-//!   [`Frame::SPoint`] / [`Frame::Halo`] with [`Frame::SState`].
-//! * [`SliceChannel`] — one bidirectional frame channel per worker, with two
-//!   backends: [`LoopbackSlice`] (in-process, synchronous, full wire-size
-//!   accounting) and [`TcpSliceChannel`] (a connected socket).
-//! * [`SliceFleet`] — the master driver: the `SliceJob` → `SliceMeta` →
+//!   frame-by-frame by the worker's slice step (`worker::answer` — run by a
+//!   worker process's link loop and, inline, by a loopback shard): build
+//!   the slice from a [`Frame::SliceJob`], answer [`Frame::SPoint`] /
+//!   [`Frame::Halo`] with [`Frame::SState`].
+//! * [`SliceFleet`] — the master driver over one [`Link`] per worker
+//!   (loopback workers or accepted TCP connections): the `SliceJob` → `SliceMeta` →
 //!   `SliceRoute` handshake, the per-point `SPoint` / `Halo` / `SState`
 //!   lockstep rounds with the [`ConvergenceFold`] of the core solver, and
 //!   re-sharding recovery when a worker connection dies mid-run.
@@ -41,10 +41,13 @@
 //! bit pattern.
 
 use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
+use crate::link::{Link, LoopbackLink};
 use crate::master::PipelineError;
 use crate::transform::{CompiledModelSet, ResolveTarget, TransformSpec};
-use crate::transport::{Evaluator, ExecutionPlan, TcpTransport, Transport, TransportReport};
-use crate::wire::{self, Frame, WIRE_VERSION};
+use crate::transport::{
+    transport_error, Evaluator, ExecutionPlan, TcpTransport, Transport, TransportReport,
+};
+use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::WorkItem;
 use crate::worker::{WorkItemOutcome, WorkerMessage};
 use smp_core::shard::owner_of;
@@ -53,8 +56,7 @@ use smp_core::{
     StateSet,
 };
 use smp_numeric::Complex64;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -65,9 +67,9 @@ use std::sync::Arc;
 /// One worker's half of a sharded session: the slice workspace plus the
 /// export route the master assigned, driven frame-by-frame.
 ///
-/// The state machine is written once here; the in-process [`LoopbackSlice`]
-/// and the TCP worker loop ([`serve_slices`]) both delegate to
-/// [`SliceWorkerSession::handle`], so the two deployments cannot drift.
+/// The state machine is written once here; loopback shards and `smpq worker`
+/// processes run it behind the same per-frame step, so the two deployments
+/// cannot drift.
 pub struct SliceWorkerSession {
     ws: ShardWorkspace,
     route: Vec<u32>,
@@ -210,317 +212,6 @@ impl SliceWorkerSession {
     }
 }
 
-/// What a worker-side TCP slice loop did before returning to the outer frame
-/// loop (diagnostics for [`crate::transport::TcpWorkerSummary`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SliceServeSummary {
-    /// `s`-points started (round-0 refills) across (re)assignments.
-    pub points: usize,
-    /// [`Frame::SState`] frames written.
-    pub responses: usize,
-    /// Whether the loop exited through its fault-injection response limit,
-    /// dropping the connection mid-session.
-    pub exited_early: bool,
-}
-
-/// Serves one sharded session on the worker side of `stream`, starting from
-/// the already-read [`Frame::SliceJob`] `job`, until the master sends
-/// [`Frame::Done`].  A mid-session `SliceJob` rebuilds the slice in place —
-/// that is how the master re-shards survivors after losing a worker.
-///
-/// `exit_after_responses` is the fault-injection hook behind
-/// `smpq worker --exit-after`: once that many [`Frame::SState`] frames have
-/// been written the loop returns abruptly *without* answering, simulating a
-/// worker crash for the master's requeue path to absorb.
-pub fn serve_slices<S: Read + Write>(
-    stream: &mut S,
-    job: &Frame,
-    exit_after_responses: Option<usize>,
-) -> io::Result<SliceServeSummary> {
-    let mut summary = SliceServeSummary::default();
-    let Some(mut session) = install_slice(stream, job)? else {
-        return Ok(summary);
-    };
-    loop {
-        let (frame, _) = wire::read_frame(stream)?;
-        match frame {
-            Frame::Done => return Ok(summary),
-            Frame::SliceJob { .. } => {
-                session = match install_slice(stream, &frame)? {
-                    Some(session) => session,
-                    None => return Ok(summary),
-                };
-            }
-            other => match session.handle(&other) {
-                Ok(Some(response)) => {
-                    if exit_after_responses.is_some_and(|limit| summary.responses >= limit) {
-                        summary.exited_early = true;
-                        return Ok(summary);
-                    }
-                    if matches!(other, Frame::SPoint { .. }) {
-                        summary.points += 1;
-                    }
-                    wire::write_frame(stream, &response)?;
-                    summary.responses += 1;
-                }
-                Ok(None) => {}
-                Err(message) => {
-                    let _ = wire::write_frame(stream, &Frame::Fatal { message });
-                    return Ok(summary);
-                }
-            },
-        }
-    }
-}
-
-/// Builds a session from a `SliceJob` frame and answers `SliceMeta` (or
-/// `Fatal`, in which case `None` is returned and the caller abandons the
-/// session).
-fn install_slice<S: Read + Write>(
-    stream: &mut S,
-    job: &Frame,
-) -> io::Result<Option<SliceWorkerSession>> {
-    let Frame::SliceJob {
-        version,
-        worker,
-        shards,
-        spec,
-    } = job
-    else {
-        let _ = wire::write_frame(
-            stream,
-            &Frame::Fatal {
-                message: format!("expected a slice job frame, got {job:?}"),
-            },
-        );
-        return Ok(None);
-    };
-    if *version != WIRE_VERSION {
-        let _ = wire::write_frame(
-            stream,
-            &Frame::Fatal {
-                message: format!(
-                    "wire version mismatch: master speaks v{version}, worker v{WIRE_VERSION}"
-                ),
-            },
-        );
-        return Ok(None);
-    }
-    match SliceWorkerSession::new(spec, *shards, *worker) {
-        Ok(session) => {
-            wire::write_frame(stream, &session.meta())?;
-            Ok(Some(session))
-        }
-        Err(message) => {
-            let _ = wire::write_frame(stream, &Frame::Fatal { message });
-            Ok(None)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Channels
-// ---------------------------------------------------------------------------
-
-/// A bidirectional frame channel between the master and one slice worker.
-///
-/// Both directions report the frame's wire size so the in-process backend
-/// accounts the same `bytes_on_wire` a real network deployment would ship.
-/// An `Err` from either direction means the worker is lost: the master drops
-/// the channel and re-shards the session across the survivors.
-pub trait SliceChannel: Send {
-    /// Sends one frame, returning its wire size in bytes.
-    fn send(&mut self, frame: &Frame) -> io::Result<u64>;
-    /// Receives the next frame and its wire size.
-    fn recv(&mut self) -> io::Result<(Frame, u64)>;
-}
-
-fn invalid(message: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// The in-process [`SliceChannel`]: a [`SliceWorkerSession`] driven
-/// synchronously behind the same frame grammar the TCP deployment speaks,
-/// with full wire-size accounting — the `--shards N` backend.
-#[derive(Default)]
-pub struct LoopbackSlice {
-    session: Option<SliceWorkerSession>,
-    inbox: VecDeque<Frame>,
-    fail_after: Option<usize>,
-    responses: usize,
-}
-
-impl LoopbackSlice {
-    /// A fresh idle loopback worker.
-    pub fn new() -> LoopbackSlice {
-        LoopbackSlice::default()
-    }
-
-    /// A loopback worker that fails (as if its process died) once the master
-    /// has received `responses` frames from it — the in-process counterpart
-    /// of killing a TCP worker mid-run, for exercising the requeue path.
-    pub fn failing_after(responses: usize) -> LoopbackSlice {
-        LoopbackSlice {
-            fail_after: Some(responses),
-            ..LoopbackSlice::default()
-        }
-    }
-}
-
-impl SliceChannel for LoopbackSlice {
-    fn send(&mut self, frame: &Frame) -> io::Result<u64> {
-        let bytes = wire::frame_wire_size(frame).map_err(|e| invalid(e.to_string()))?;
-        match frame {
-            Frame::SliceJob {
-                worker,
-                shards,
-                spec,
-                ..
-            } => match SliceWorkerSession::new(spec, *shards, *worker) {
-                Ok(session) => {
-                    self.inbox.push_back(session.meta());
-                    self.session = Some(session);
-                }
-                Err(message) => self.inbox.push_back(Frame::Fatal { message }),
-            },
-            Frame::Done => self.session = None,
-            other => match self.session.as_mut() {
-                Some(session) => match session.handle(other) {
-                    Ok(Some(response)) => self.inbox.push_back(response),
-                    Ok(None) => {}
-                    Err(message) => self.inbox.push_back(Frame::Fatal { message }),
-                },
-                None => self.inbox.push_back(Frame::Fatal {
-                    message: format!("no slice session is active for {other:?}"),
-                }),
-            },
-        }
-        Ok(bytes)
-    }
-
-    fn recv(&mut self) -> io::Result<(Frame, u64)> {
-        if self.fail_after.is_some_and(|limit| self.responses >= limit) {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "injected slice-worker failure",
-            ));
-        }
-        let frame = self.inbox.pop_front().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "loopback slice has no frame pending",
-            )
-        })?;
-        self.responses += 1;
-        let bytes = wire::frame_wire_size(&frame).map_err(|e| invalid(e.to_string()))?;
-        Ok((frame, bytes))
-    }
-}
-
-/// A [`SliceChannel`] over a connected TCP stream: length-prefixed wire
-/// frames, one resident worker process per shard.
-pub struct TcpSliceChannel {
-    stream: std::net::TcpStream,
-}
-
-impl TcpSliceChannel {
-    /// Wraps an accepted (post-`Hello`) worker connection.
-    pub fn new(stream: std::net::TcpStream) -> TcpSliceChannel {
-        TcpSliceChannel { stream }
-    }
-}
-
-impl SliceChannel for TcpSliceChannel {
-    fn send(&mut self, frame: &Frame) -> io::Result<u64> {
-        wire::write_frame(&mut self.stream, frame)
-    }
-
-    fn recv(&mut self) -> io::Result<(Frame, u64)> {
-        wire::read_frame(&mut self.stream)
-    }
-}
-
-/// A [`SliceChannel`] wrapper that injects a [`FaultPlan`]'s faults into the
-/// master→worker direction, one plan consult per sent frame.
-///
-/// * `Drop` — the frame vanishes: the worker never sees it.  TCP cannot lose
-///   one frame and stay healthy, so the drop poisons the channel's receive
-///   side: every later `recv` times out, exactly as a stalled peer would,
-///   and the fleet re-shards around the link.  (Without the poison, dropping
-///   a frame that expects no reply — a `SliceRoute` — would leave the worker
-///   on a stale route and corrupt values *silently*.)
-/// * `CorruptByte` — the frame's wire bytes are corrupted and *proven to be
-///   refused* by the frame reader (the checksum at work), then surfaced as
-///   the `InvalidData` error the receiving end would raise.
-/// * `Disconnect` — the channel dies with `ConnectionAborted`.
-/// * `Delay` — the frame is late but intact.
-///
-/// Every outcome funnels into the fleet's existing lost-worker recovery, so
-/// a chaos schedule exercises exactly the re-shard/resume paths a real flaky
-/// network would.  The plan is shared (`Arc<Mutex>`) so one schedule can
-/// address a whole fleet's channels with a single op counter.
-pub struct FaultyChannel {
-    inner: Box<dyn SliceChannel>,
-    plan: Arc<std::sync::Mutex<crate::transport::FaultPlan>>,
-    stalled: bool,
-}
-
-impl FaultyChannel {
-    /// Wraps a channel with a shared fault plan.
-    pub fn new(
-        inner: Box<dyn SliceChannel>,
-        plan: Arc<std::sync::Mutex<crate::transport::FaultPlan>>,
-    ) -> FaultyChannel {
-        FaultyChannel {
-            inner,
-            plan,
-            stalled: false,
-        }
-    }
-}
-
-impl SliceChannel for FaultyChannel {
-    fn send(&mut self, frame: &Frame) -> io::Result<u64> {
-        use crate::transport::FaultKind;
-        let kind = match self.plan.lock() {
-            Ok(mut plan) => plan.next_op(),
-            Err(_) => FaultKind::Pass,
-        };
-        match kind {
-            FaultKind::Pass => self.inner.send(frame),
-            FaultKind::Delay { millis } => {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-                self.inner.send(frame)
-            }
-            FaultKind::DropFrame => {
-                // The sender believes the frame shipped; the worker never
-                // sees it, and the link is now out of sync for good.
-                self.stalled = true;
-                wire::frame_wire_size(frame).map_err(|e| invalid(e.to_string()))
-            }
-            FaultKind::Disconnect => Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "slice link killed by fault plan",
-            )),
-            FaultKind::CorruptByte { xor } => {
-                // The wire layer must refuse the corrupted bytes; surface its
-                // refusal as this channel's failure.
-                Err(crate::transport::prove_corruption_detected(frame, xor))
-            }
-        }
-    }
-
-    fn recv(&mut self) -> io::Result<(Frame, u64)> {
-        if self.stalled {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "peer never received a dropped frame; session stalled",
-            ));
-        }
-        self.inner.recv()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Master side
 // ---------------------------------------------------------------------------
@@ -554,7 +245,7 @@ pub struct ShardedOutcome {
     pub shard_nnz: Vec<usize>,
     /// Restricted LST-pool sizes per shard.
     pub shard_dists: Vec<usize>,
-    /// Injected or organic channel faults the solve absorbed (re-shards and
+    /// Injected or organic link faults the solve absorbed (re-shards and
     /// mid-point resumes) without changing its values.
     pub recovered_faults: u64,
     /// Exchange rounds *not* redone thanks to mid-point snapshot resumes —
@@ -583,17 +274,17 @@ pub struct SolveRecovery<'a> {
     pub on_value: Option<&'a mut dyn FnMut(Complex64, Complex64) -> io::Result<()>>,
 }
 
-/// One channel plus the number of response frames the master has asked of it
+/// One link plus the number of response frames the master has asked of it
 /// and not yet consumed — drained before any re-handshake so a torn session
 /// can never leave a stale frame in front of a fresh `SliceMeta`.
 struct Slot {
-    channel: Box<dyn SliceChannel>,
+    link: Box<dyn Link>,
     pending: usize,
 }
 
 impl Slot {
     fn send(&mut self, frame: &Frame, out: &mut ShardedOutcome) -> io::Result<()> {
-        let bytes = self.channel.send(frame)?;
+        let bytes = self.link.send(frame)?;
         out.messages += 1;
         out.bytes_on_wire += bytes;
         if matches!(frame, Frame::Halo { .. }) {
@@ -613,7 +304,7 @@ impl Slot {
     }
 
     fn recv(&mut self, out: &mut ShardedOutcome) -> io::Result<Frame> {
-        let (frame, bytes) = self.channel.recv()?;
+        let (frame, bytes) = self.link.recv()?;
         out.messages += 1;
         out.bytes_on_wire += bytes;
         self.pending = self.pending.saturating_sub(1);
@@ -643,13 +334,9 @@ enum PointError {
     Hard(PipelineError),
 }
 
-fn transport(message: String) -> PipelineError {
-    PipelineError::Transport { message }
-}
-
 /// The master driver over a set of slice workers.
 ///
-/// A fleet is handed its channels once (loopback workers or accepted TCP
+/// A fleet is handed its links once (loopback workers or accepted TCP
 /// connections) and then runs any number of sharded sessions over them — one
 /// [`solve`](SliceFleet::solve) call per passage spec.  Losing a worker
 /// mid-run shrinks the fleet: the session is re-handshaken across the
@@ -664,44 +351,40 @@ pub struct SliceFleet {
 impl SliceFleet {
     /// A fleet of `shards` in-process loopback workers.
     pub fn loopback(shards: usize) -> SliceFleet {
-        SliceFleet::from_channels(
+        SliceFleet::from_links(
             (0..shards)
-                .map(|_| Box::new(LoopbackSlice::new()) as Box<dyn SliceChannel>)
+                .map(|_| Box::new(LoopbackLink::new()) as Box<dyn Link>)
                 .collect(),
         )
     }
 
-    /// A loopback fleet whose `failing` worker dies after the master has
-    /// received `after_responses` frames from it — the fault-injection
-    /// harness for the requeue path.
-    pub fn loopback_with_failure(
-        shards: usize,
-        failing: usize,
-        after_responses: usize,
-    ) -> SliceFleet {
-        SliceFleet::from_channels(
-            (0..shards)
-                .map(|k| {
-                    if k == failing {
-                        Box::new(LoopbackSlice::failing_after(after_responses))
-                            as Box<dyn SliceChannel>
-                    } else {
-                        Box::new(LoopbackSlice::new()) as Box<dyn SliceChannel>
-                    }
-                })
-                .collect(),
-        )
+    /// A fleet with one shard holder per rendezvous address of `rendezvous`,
+    /// plus the handshakes' message and byte counts so the caller's wire
+    /// accounting starts from the true totals.  A sharded session needs
+    /// every worker, so an absent one is a timeout error, not an unused
+    /// address.
+    pub fn accept(rendezvous: &TcpTransport) -> Result<(SliceFleet, usize, u64), PipelineError> {
+        // The sentinel never reaches zero: nobody is excused.
+        let pending = std::sync::atomic::AtomicUsize::new(usize::MAX);
+        let (mut links, mut messages, mut bytes) = (Vec::new(), 0, 0);
+        for index in 0..rendezvous.num_workers() {
+            let (link, hello_messages, hello_bytes) = rendezvous
+                .accept(index, &pending)
+                .map_err(|e| transport_error(format!("worker {index} failed to connect: {e}")))?
+                .expect("a non-zero sentinel never skips the accept");
+            links.push(Box::new(link) as Box<dyn Link>);
+            messages += hello_messages;
+            bytes += hello_bytes;
+        }
+        Ok((SliceFleet::from_links(links), messages, bytes))
     }
 
-    /// A fleet over explicit channels (e.g. accepted TCP worker connections).
-    pub fn from_channels(channels: Vec<Box<dyn SliceChannel>>) -> SliceFleet {
+    /// A fleet over explicit, already handshaken links.
+    pub fn from_links(links: Vec<Box<dyn Link>>) -> SliceFleet {
         SliceFleet {
-            slots: channels
+            slots: links
                 .into_iter()
-                .map(|channel| Slot {
-                    channel,
-                    pending: 0,
-                })
+                .map(|link| Slot { link, pending: 0 })
                 .collect(),
             fallback: None,
         }
@@ -743,13 +426,13 @@ impl SliceFleet {
     ) -> Result<ShardedOutcome, PipelineError> {
         let (inner, divisions) = strip_cdf_wrappers(spec);
         if !matches!(inner, TransformSpec::Passage { .. }) {
-            return Err(transport(
+            return Err(transport_error(
                 "sharded sessions evaluate passage transforms; transient and analytic \
                  measures are evaluated master-side"
                     .to_string(),
             ));
         }
-        let spec_line = inner.encode().map_err(|e| transport(e.to_string()))?;
+        let spec_line = inner.encode().map_err(|e| transport_error(e.to_string()))?;
         let options = IterationOptions::default();
         let mut out = ShardedOutcome {
             values: Vec::with_capacity(s_points.len()),
@@ -831,7 +514,7 @@ impl SliceFleet {
                     out.disconnects += 1;
                     out.recovered_faults += 1;
                     session = self.handshake(&spec_line, &mut out).map_err(|e| {
-                        transport(format!("{e} (worker {k} lost mid-point: {cause})"))
+                        transport_error(format!("{e} (worker {k} lost mid-point: {cause})"))
                     })?;
                     // Redo the same point on the re-sharded fleet — resuming
                     // from `latest` if a snapshot of it exists.
@@ -850,9 +533,9 @@ impl SliceFleet {
     }
 
     /// Releases the fleet: a best-effort outer-level [`Frame::Done`] so TCP
-    /// worker processes exit cleanly, then drops every channel.
+    /// worker processes exit cleanly, then drops every link.
     ///
-    /// `Done` is sent *twice* per channel: if a worker is still inside a
+    /// `Done` is sent *twice* per link: if a worker is still inside a
     /// slice session (a solve that errored out mid-run never sent the
     /// session-level farewell), the first `Done` ends the session and the
     /// second is the outer-level farewell its reconnect loop exits on.  A
@@ -861,14 +544,14 @@ impl SliceFleet {
     /// one signal a `--reconnect` worker will not redial after.
     pub fn release(&mut self) {
         for slot in &mut self.slots {
-            let _ = slot.channel.send(&Frame::Done);
-            let _ = slot.channel.send(&Frame::Done);
+            let _ = slot.link.send(&Frame::Done);
+            let _ = slot.link.send(&Frame::Done);
         }
         self.slots.clear();
     }
 
     /// Handshakes a session across the current fleet, shrinking it on
-    /// channel failures until a full handshake lands or nobody is left.
+    /// link failures until a full handshake lands or nobody is left.
     fn handshake(
         &mut self,
         spec_line: &str,
@@ -876,7 +559,7 @@ impl SliceFleet {
     ) -> Result<SessionState, PipelineError> {
         loop {
             if self.slots.is_empty() {
-                return Err(transport(
+                return Err(transport_error(
                     "every slice worker was lost before the session could run".to_string(),
                 ));
             }
@@ -952,12 +635,12 @@ fn try_handshake(
                 needs.push(need);
             }
             Frame::Fatal { message } => {
-                return Err(PointError::Hard(transport(format!(
+                return Err(PointError::Hard(transport_error(format!(
                     "slice worker {k}: {message}"
                 ))))
             }
             other => {
-                return Err(PointError::Hard(transport(format!(
+                return Err(PointError::Hard(transport_error(format!(
                     "expected a slice meta from worker {k}, got {other:?}"
                 ))))
             }
@@ -1008,7 +691,7 @@ fn recv_state(
             exports,
         } => {
             if got_id != id || got_r != r {
-                return Err(PointError::Hard(transport(format!(
+                return Err(PointError::Hard(transport_error(format!(
                     "slice worker {k} answered point {got_id} round {got_r}, \
                      expected point {id} round {r}"
                 ))));
@@ -1020,10 +703,10 @@ fn recv_state(
                 exports,
             })
         }
-        Frame::Fatal { message } => Err(PointError::Hard(transport(format!(
+        Frame::Fatal { message } => Err(PointError::Hard(transport_error(format!(
             "slice worker {k}: {message}"
         )))),
-        other => Err(PointError::Hard(transport(format!(
+        other => Err(PointError::Hard(transport_error(format!(
             "expected a slice state from worker {k}, got {other:?}"
         )))),
     }
@@ -1178,12 +861,12 @@ fn run_point(
                         entries.extend(shard_entries);
                     }
                     Frame::Fatal { message } => {
-                        return Err(PointError::Hard(transport(format!(
+                        return Err(PointError::Hard(transport_error(format!(
                             "slice worker {k}: {message}"
                         ))))
                     }
                     other => {
-                        return Err(PointError::Hard(transport(format!(
+                        return Err(PointError::Hard(transport_error(format!(
                             "expected a term snapshot from worker {k}, got {other:?}"
                         ))))
                     }
@@ -1230,10 +913,10 @@ fn fallback_set<'a>(
     cache: &'a mut Option<(String, CompiledModelSet)>,
     spec: &TransformSpec,
 ) -> Result<(&'a CompiledModelSet, bool), PipelineError> {
-    let key = spec.encode().map_err(|e| transport(e.to_string()))?;
+    let key = spec.encode().map_err(|e| transport_error(e.to_string()))?;
     let compile = cache.as_ref().is_none_or(|(k, _)| *k != key);
     if compile {
-        let set = CompiledModelSet::compile(std::slice::from_ref(spec)).map_err(transport)?;
+        let set = CompiledModelSet::compile(std::slice::from_ref(spec)).map_err(transport_error)?;
         *cache = Some((key, set));
     }
     Ok((&cache.as_ref().expect("just compiled").1, compile))
@@ -1248,7 +931,7 @@ fn fallback_eval(
     s: Complex64,
 ) -> Result<Complex64, PipelineError> {
     let (set, _) = fallback_set(cache, spec)?;
-    let evaluator = set.evaluator(0).map_err(transport)?;
+    let evaluator = set.evaluator(0).map_err(transport_error)?;
     evaluator
         .eval(s)
         .map_err(|message| PipelineError::Evaluation { s, message })
@@ -1335,7 +1018,7 @@ impl ShardedTransport {
         let mut groups: Vec<(&TransformSpec, Vec<WorkItem>)> = Vec::new();
         for item in plan.items {
             let Evaluator::Spec(spec) = plan.evaluators[item.measure] else {
-                return Err(transport(
+                return Err(transport_error(
                     "closure-based measures cannot be row-sharded; build the batch from \
                      TransformSpecs to use a sharded backend"
                         .to_string(),
@@ -1361,7 +1044,7 @@ impl ShardedTransport {
         for (spec, items) in groups {
             if !matches!(strip_cdf_wrappers(spec).0, TransformSpec::Passage { .. }) {
                 let (set, compiled) = fallback_set(&mut fleet.fallback, spec)?;
-                let evaluator = set.evaluator(0).map_err(transport)?;
+                let evaluator = set.evaluator(0).map_err(transport_error)?;
                 for item in items {
                     deliver(item, evaluator.eval(item.s));
                 }
@@ -1434,10 +1117,10 @@ impl Transport for ShardedTransport {
             (Some(fleet), _) => fleet,
             (None, None) => SliceFleet::loopback(self.shards),
             (None, Some(rendezvous)) => {
-                let (channels, messages, bytes) = rendezvous.accept_slice_channels()?;
+                let (fleet, messages, bytes) = SliceFleet::accept(rendezvous)?;
                 report.messages += messages;
                 report.bytes_on_wire += bytes;
-                SliceFleet::from_channels(channels)
+                fleet
             }
         };
         let drained = self.drain(&mut fleet, plan, on_message, &mut report);
@@ -1457,12 +1140,14 @@ impl Drop for ShardedTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
+    use crate::link::FaultyLink;
     use crate::transform::ModelSpec;
     use smp_core::query::TargetSpec;
 
-    fn voting_spec() -> TransformSpec {
+    pub(crate) fn voting_spec() -> TransformSpec {
         TransformSpec::passage(
             ModelSpec::Voting {
                 voters: 3,
@@ -1473,7 +1158,7 @@ mod tests {
         )
     }
 
-    fn points() -> Vec<Complex64> {
+    pub(crate) fn points() -> Vec<Complex64> {
         vec![
             Complex64::new(0.9, 0.0),
             Complex64::new(0.4, 1.3),
@@ -1482,7 +1167,39 @@ mod tests {
         ]
     }
 
-    fn reference(spec: &TransformSpec, points: &[Complex64]) -> Vec<Complex64> {
+    /// A loopback fleet whose links `faulty` picks consult the shared `plan`.
+    fn faulty_fleet(
+        shards: usize,
+        plan: &Arc<std::sync::Mutex<FaultPlan>>,
+        faulty: impl Fn(usize) -> bool,
+    ) -> SliceFleet {
+        let link = |k| {
+            let link = Box::new(LoopbackLink::new()) as Box<dyn Link>;
+            match faulty(k) {
+                true => Box::new(FaultyLink::new(link, Arc::clone(plan))) as Box<dyn Link>,
+                false => link,
+            }
+        };
+        SliceFleet::from_links((0..shards).map(link).collect())
+    }
+
+    /// A three-worker fleet whose worker 1 dies (as if its process was
+    /// killed) at the `op`-th frame the master sends it.
+    fn fleet_losing_worker_one_at(op: u64) -> SliceFleet {
+        let plan = FaultPlan::scripted([(op, FaultKind::Disconnect)]);
+        faulty_fleet(3, &Arc::new(std::sync::Mutex::new(plan)), |k| k == 1)
+    }
+
+    /// Recovery with in-memory snapshots every `snapshot_every` rounds.
+    fn recovery(snapshot_every: u64) -> SolveRecovery<'static> {
+        SolveRecovery {
+            key: "passage".to_string(),
+            snapshot_every,
+            ..SolveRecovery::default()
+        }
+    }
+
+    pub(crate) fn reference(spec: &TransformSpec, points: &[Complex64]) -> Vec<Complex64> {
         let set = CompiledModelSet::compile(std::slice::from_ref(spec)).unwrap();
         let evaluator = set.evaluator(0).unwrap();
         points.iter().map(|&s| evaluator.eval(s).unwrap()).collect()
@@ -1524,10 +1241,10 @@ mod tests {
     fn killed_worker_is_requeued_onto_survivors_bitwise() {
         let spec = voting_spec();
         let expected = reference(&spec, &points());
-        // The failing worker dies mid-run (after the master consumed its
-        // meta plus a few round states); the point in flight is redone on
-        // the re-sharded survivors.
-        let mut fleet = SliceFleet::loopback_with_failure(3, 1, 7);
+        // The failing worker dies mid-run (its slice job, route, first point
+        // and five halo rounds got through); the point in flight is redone
+        // on the re-sharded survivors.
+        let mut fleet = fleet_losing_worker_one_at(8);
         let out = fleet.solve(&spec, &points()).unwrap();
         assert_eq!(out.values, expected);
         assert_eq!(out.disconnects, 1);
@@ -1577,10 +1294,8 @@ mod tests {
         for every in [1u64, 2, 5] {
             let mut fleet = SliceFleet::loopback(3);
             let mut recovery = SolveRecovery {
-                key: "passage".to_string(),
                 snapshot_path: Some(path.clone()),
-                snapshot_every: every,
-                ..SolveRecovery::default()
+                ..recovery(every)
             };
             let out = fleet
                 .solve_recoverable(&spec, &points(), &mut recovery)
@@ -1613,11 +1328,9 @@ mod tests {
                 Ok(())
             };
             let mut recovery = SolveRecovery {
-                key: "passage".to_string(),
                 snapshot_path: Some(path.clone()),
-                snapshot_every: 2,
                 on_value: Some(&mut on_value),
-                ..SolveRecovery::default()
+                ..recovery(2)
             };
             let err = fleet
                 .solve_recoverable(&spec, &points(), &mut recovery)
@@ -1631,11 +1344,9 @@ mod tests {
         // values must be bitwise identical and the resume must skip rounds.
         let mut fleet = SliceFleet::loopback(2);
         let mut recovery = SolveRecovery {
-            key: "passage".to_string(),
             snapshot_path: Some(path.clone()),
-            snapshot_every: 2,
             seed: Some(seed.clone()),
-            ..SolveRecovery::default()
+            ..recovery(2)
         };
         let out = fleet
             .solve_recoverable(&spec, &points(), &mut recovery)
@@ -1652,12 +1363,8 @@ mod tests {
         let expected = reference(&spec, &points());
         // The failing worker dies well into the solve; with a snapshot
         // cadence the redone point resumes mid-iteration instead of cold.
-        let mut fleet = SliceFleet::loopback_with_failure(3, 1, 9);
-        let mut recovery = SolveRecovery {
-            key: "passage".to_string(),
-            snapshot_every: 2,
-            ..SolveRecovery::default()
-        };
+        let mut fleet = fleet_losing_worker_one_at(10);
+        let mut recovery = recovery(2);
         let out = fleet
             .solve_recoverable(&spec, &points(), &mut recovery)
             .unwrap();
@@ -1671,7 +1378,6 @@ mod tests {
     fn faulty_channels_recover_to_bitwise_identical_values() {
         let spec = voting_spec();
         let expected = reference(&spec, &points());
-        use crate::transport::{FaultKind, FaultPlan};
         let schedules: Vec<FaultPlan> = vec![
             FaultPlan::scripted([(11, FaultKind::DropFrame)]),
             FaultPlan::scripted([(7, FaultKind::CorruptByte { xor: 0x40 })]),
@@ -1686,20 +1392,8 @@ mod tests {
         ];
         for plan in schedules {
             let shared = Arc::new(std::sync::Mutex::new(plan));
-            let channels: Vec<Box<dyn SliceChannel>> = (0..4)
-                .map(|_| {
-                    Box::new(FaultyChannel::new(
-                        Box::new(LoopbackSlice::new()),
-                        Arc::clone(&shared),
-                    )) as Box<dyn SliceChannel>
-                })
-                .collect();
-            let mut fleet = SliceFleet::from_channels(channels);
-            let mut recovery = SolveRecovery {
-                key: "passage".to_string(),
-                snapshot_every: 2,
-                ..SolveRecovery::default()
-            };
+            let mut fleet = faulty_fleet(4, &shared, |_| true);
+            let mut recovery = recovery(2);
             let out = fleet
                 .solve_recoverable(&spec, &points(), &mut recovery)
                 .unwrap();

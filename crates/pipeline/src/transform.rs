@@ -577,7 +577,7 @@ impl CompiledModelSet {
                 let targets = resolved
                     .targets
                     .as_deref()
-                    .expect("model specs always carry resolved targets");
+                    .ok_or("model spec carries no resolved targets")?;
                 let smp = space.smp();
                 let initial = space.initial_state();
                 if resolved.transient {
@@ -591,7 +591,9 @@ impl CompiledModelSet {
                     )
                 }
             }
-            (None, None) => unreachable!("resolved spec has neither model nor distribution"),
+            (None, None) => {
+                return Err("resolved spec has neither model nor distribution".to_string())
+            }
         };
         Ok(CompiledEvaluator {
             kind,

@@ -8,8 +8,8 @@
 //! snapshot resume, checksummed frame refusal) must absorb them without
 //! perturbing one ulp of any reported value.
 //!
-//! Deployments covered: the unsharded distributed engine over a faulty
-//! transport, a sharded slice fleet over faulty channels, the query service
+//! Deployments covered: the unsharded distributed engine's chunk dispatch
+//! over faulty links, a sharded slice fleet over faulty links, the query service
 //! behind a retrying client, and — the crash-recovery acceptance cell — a
 //! master "killed" mid-solve whose restart resumes from the per-shard
 //! checkpoint instead of starting cold.
@@ -24,14 +24,16 @@ use smp_suite::numeric::stats::linspace;
 use smp_suite::numeric::Complex64;
 use smp_suite::pipeline::checkpoint::{shard_snapshot_path, CheckpointWriter, ShardSnapshot};
 use smp_suite::pipeline::server::encode_query_reply;
+use smp_suite::pipeline::transport::LinkTransport;
 use smp_suite::pipeline::wire::{read_payload, write_payload};
 use smp_suite::pipeline::{
-    query_with_retry, AnalyticEngine, CompiledModelSet, DistributedEngine, FaultKind, FaultPlan,
-    FaultyChannel, FaultyTransport, InProcess, LoopbackSlice, ModelSpec, PipelineError,
+    query_with_retry, run_tcp_worker, AnalyticEngine, CompiledModelSet, DistributedEngine,
+    FaultKind, FaultPlan, FaultyLink, Link, LoopbackLink, ModelSpec, PipelineError,
     PipelineOptions, PoolSpec, QueryClient, QueryReply, QueryRequest, QueryServer,
-    QueryServerOptions, Refusal, RefusalKind, RetryPolicy, SliceChannel, SliceFleet, SolveRecovery,
-    TransformSpec,
+    QueryServerOptions, Refusal, RefusalKind, RetryPolicy, SliceFleet, SolveRecovery, TcpLink,
+    TcpWorkerOptions, TransformSpec,
 };
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,11 +78,37 @@ fn assert_bitwise(label: &str, faulty: &[MeasureReport], baseline: &[MeasureRepo
     }
 }
 
-/// Cell row 1: the unsharded distributed engine over a fault-injecting
-/// transport.  Scripted drops, corruptions, delays and a seeded background
-/// schedule — every schedule's full six-measure battery must equal the
-/// fault-free battery bit for bit, and the schedules that swallow results
-/// must visibly flow through the recovery path.
+/// Wraps every link so that all of them consult one fault plan (a single op
+/// counter across the fleet).
+fn faulty<L: Link + 'static>(
+    links: impl Iterator<Item = L>,
+    plan: &Arc<std::sync::Mutex<FaultPlan>>,
+) -> Vec<Box<dyn Link>> {
+    links
+        .map(|link| Box::new(FaultyLink::new(Box::new(link), Arc::clone(plan))) as Box<dyn Link>)
+        .collect()
+}
+
+/// Handshaken links to `workers` real worker loops (threads running what
+/// `smpq worker --connect` runs) over real sockets.
+fn tcp_workers(workers: usize) -> Vec<TcpLink> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let accept = |_| {
+        let addr = addr.clone();
+        std::thread::spawn(move || run_tcp_worker(&addr, &TcpWorkerOptions::default()));
+        let accepted = TcpLink::accept(&listener, Duration::from_secs(30), &mut || true);
+        accepted.unwrap().expect("the worker dials in").0
+    };
+    (0..workers).map(accept).collect()
+}
+
+/// Cell row 1: the unsharded distributed engine's production chunk dispatch
+/// over fault-injecting links.  Scripted drops, corruptions, delays and a
+/// seeded background schedule — every schedule's full six-measure battery
+/// must equal the fault-free battery bit for bit, and the lossy schedules
+/// must visibly flow through the recovery path a real lost worker takes: the
+/// link is given up and its chunk in flight requeued onto the survivors.
 #[test]
 fn faulty_transport_schedules_are_bitwise_invisible_to_the_engine() {
     let ts = linspace(2.0, 40.0, 5);
@@ -119,11 +147,17 @@ fn faulty_transport_schedules_are_bitwise_invisible_to_the_engine() {
 
     for (label, plan) in schedules {
         let lossy = !matches!(label, "fault-free control" | "scripted delay");
+        // Ten workers against a fault budget of at most eight: a fault can
+        // cost the fleet one link, so every schedule leaves survivors.
+        let shared = Arc::new(std::sync::Mutex::new(plan));
         let engine = DistributedEngine::with_transport(
             model(),
             InversionMethod::euler(),
             PipelineOptions::with_workers(2),
-            Box::new(FaultyTransport::new(InProcess::new(2), plan)),
+            Box::new(LinkTransport::new(faulty(
+                tcp_workers(10).into_iter(),
+                &shared,
+            ))),
         );
         let reports = engine.solve(&requests).unwrap();
         assert_bitwise(label, &reports, &baseline);
@@ -142,8 +176,8 @@ fn faulty_transport_schedules_are_bitwise_invisible_to_the_engine() {
     }
 }
 
-/// Cell row 2: a sharded slice fleet whose channels inject the plan's
-/// faults.  Dropped frames poison the channel (a silent gap would desync the
+/// Cell row 2: a sharded slice fleet whose links inject the plan's
+/// faults.  Dropped frames poison the link (a silent gap would desync the
 /// lockstep exchange), corrupted frames are refused by the checksum, and
 /// either way the fleet re-shards and redoes the point — the values must
 /// match the local compiled evaluator exactly.
@@ -170,15 +204,8 @@ fn faulty_slice_channels_leave_sharded_values_untouched() {
     ];
     for plan_cell in schedules {
         let shared = Arc::new(std::sync::Mutex::new(plan_cell));
-        let channels: Vec<Box<dyn SliceChannel>> = (0..4)
-            .map(|_| {
-                Box::new(FaultyChannel::new(
-                    Box::new(LoopbackSlice::new()),
-                    Arc::clone(&shared),
-                )) as Box<dyn SliceChannel>
-            })
-            .collect();
-        let mut fleet = SliceFleet::from_channels(channels);
+        let shards = (0..4).map(|_| LoopbackLink::new());
+        let mut fleet = SliceFleet::from_links(faulty(shards, &shared));
         let mut recovery = SolveRecovery {
             key: "passage".to_string(),
             snapshot_every: 4,
