@@ -1,10 +1,9 @@
 //! # smp-bench
 //!
-//! Experiment harnesses and Criterion benchmarks that regenerate every table and
-//! figure of the paper's evaluation section (Section 5.3).  The mapping from
-//! experiments to binaries is recorded in the workspace `README.md` and the
-//! measured results in
-//! `EXPERIMENTS.md`.
+//! Experiment harnesses that regenerate every table and figure of the paper's
+//! evaluation section (Section 5.3).  The mapping from experiments to binaries
+//! is recorded in the workspace `README.md`; performance is measured by the
+//! stand-alone `smpbench/` package, not here.
 //!
 //! Binaries (`cargo run -p smp-bench --release --bin <name>`):
 //!

@@ -21,8 +21,8 @@
 //! * [`workspace`] — the symbolic/numeric split behind the per-`s`-point hot
 //!   path: build the CSR skeleton of `U` and its fill plan once per
 //!   (model, target set), refill a reusable values buffer per point, apply
-//!   `U'` as a row mask — bitwise identical to the legacy build-per-point
-//!   path at a fraction of the cost.
+//!   `U'` as a row mask — bitwise identical to the build-per-point reference
+//!   oracle (exact-zero kernel entries included) at a fraction of the cost.
 //! * [`shard`] — row-sharded slices of the same iteration (the paper's
 //!   distributed memory model): deterministic contiguous state blocks,
 //!   per-shard sub-skeletons with halo subscriptions, and an in-process
@@ -85,14 +85,13 @@ pub mod uniform;
 pub mod workspace;
 
 pub use error::SmpError;
-pub use passage::{IterationOptions, PassageTimeSolver};
+pub use passage::{ConvergenceFold, FoldStatus, IterationOptions, PassageTimeSolver};
 pub use query::{
     CompareOp, Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
     TargetSpec,
 };
 pub use shard::{
-    plan_exchange, shard_bounds, ConvergenceFold, ExchangePlan, FoldStatus, ShardWorkspace,
-    ShardedSkeleton, ShardedSolver,
+    plan_exchange, shard_bounds, ExchangePlan, ShardWorkspace, ShardedSkeleton, ShardedSolver,
 };
 pub use smp::{SemiMarkovProcess, SmpBuilder, StateSet};
 pub use solver::{PassageTimeAnalysis, TransientAnalysis};

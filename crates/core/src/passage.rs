@@ -21,6 +21,24 @@
 //! cost is `O(N²r)` — compare the `O(N³)` of the dense solver in
 //! [`dense_reference_solve`], which this module also provides as the validation
 //! baseline.
+//!
+//! ## One iteration, one oracle
+//!
+//! Every entry point iterates through the fixed-structure workspace kernel
+//! ([`crate::workspace`]); the build-per-point solver
+//! ([`PassageTimeSolver::transform_at_legacy`] and its vector form) is kept
+//! only as the reference the equivalence suites compare against.  The two
+//! differ structurally only where a kernel entry evaluates to exact zero (an
+//! LST underflowing at `Re(s)·delay ≳ 745`): the oracle drops the entry, the
+//! kernel keeps a slot holding `±0`.  That slot is bitwise-neutral — every
+//! accumulator starts at `+0`, `z + (±0) = z` and `(+0) + (±0) = +0` under
+//! round-to-nearest, and iterates are finite wherever a zero slot can exist
+//! (`|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`; underflow needs `Re(s) > 0`) —
+//! so values and iteration counts agree bit for bit with no per-point
+//! verdict or fallback.  Only a non-finite iterate (outside that half-plane)
+//! can tell the two apart, and then both report `ConvergenceFailure`, with
+//! possibly different `last_delta`.  The convergence policy itself lives in
+//! [`ConvergenceFold`], shared with the row-sharded drivers.
 
 use crate::error::SmpError;
 use crate::smp::{SemiMarkovProcess, StateSet};
@@ -54,6 +72,100 @@ impl Default for IterationOptions {
     }
 }
 
+/// What [`ConvergenceFold::push`] decided about the iteration so far.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FoldStatus {
+    /// Keep iterating.
+    Continue,
+    /// Converged: the final transform value.
+    Converged(Complex64),
+}
+
+/// The convergence policy of the scalar iteration (Eq. 11), in one place: the
+/// running total, the per-round delta magnitude and the consecutive-quiet
+/// streak.  [`PassageTimeSolver::transform_at_with`] drives it directly; the
+/// row-sharded drivers (`crate::shard` in process, the slice fleet of
+/// `smp-pipeline` over the wire) feed it per-round deltas folded in shard
+/// order and the AND of the shards' quiet verdicts — the same accumulation
+/// sequence, so the same bits.
+#[derive(Debug, Clone)]
+pub struct ConvergenceFold {
+    options: IterationOptions,
+    total: Complex64,
+    quiet: usize,
+    last_delta: f64,
+}
+
+impl ConvergenceFold {
+    /// Starts a fold with the round-0 total (the `α·U · ẽ` inner product).
+    pub fn new(options: IterationOptions, initial: Complex64) -> ConvergenceFold {
+        ConvergenceFold {
+            options,
+            total: initial,
+            quiet: 0,
+            last_delta: f64::INFINITY,
+        }
+    }
+
+    /// Folds one round's delta (the term's `· ẽ` inner product after the
+    /// step).  A round is quiet when the delta is below `ε` *and* the whole
+    /// term vector has gone quiet: a passage whose shortest route to the
+    /// target is long produces exact zero increments for the first few
+    /// transitions even though mass is still in flight.  `term_quiet` is
+    /// asked only on rounds whose delta already went quiet, so the unsharded
+    /// solver's `O(N)` scan stays off the common path.
+    pub fn push(&mut self, delta: Complex64, term_quiet: impl FnOnce() -> bool) -> FoldStatus {
+        self.total += delta;
+        self.last_delta = delta.re.abs().max(delta.im.abs());
+        if self.last_delta < self.options.epsilon && term_quiet() {
+            self.quiet += 1;
+            if self.quiet >= self.options.consecutive {
+                return FoldStatus::Converged(self.total);
+            }
+        } else {
+            self.quiet = 0;
+        }
+        FoldStatus::Continue
+    }
+
+    /// Magnitude of the most recent delta (for the convergence-failure
+    /// report).
+    pub fn last_delta(&self) -> f64 {
+        self.last_delta
+    }
+
+    /// Resumes a fold from checkpointed state: the running total, the quiet
+    /// streak and the last delta magnitude exactly as a prior fold left them
+    /// after its round-`r` [`ConvergenceFold::push`].  Continuing with round
+    /// `r + 1` pushes then replays the original accumulation sequence bit
+    /// for bit — `total` is the only accumulated quantity, and it crossed
+    /// the checkpoint as an exact bit pattern.
+    pub fn resume(
+        options: IterationOptions,
+        total: Complex64,
+        quiet: usize,
+        last_delta: f64,
+    ) -> ConvergenceFold {
+        ConvergenceFold {
+            options,
+            total,
+            quiet,
+            last_delta,
+        }
+    }
+
+    /// The running total (checkpointed by the crash-recovery layer).
+    pub fn total(&self) -> Complex64 {
+        self.total
+    }
+
+    /// The current consecutive-quiet streak (checkpointed alongside the
+    /// total).
+    pub fn quiet_rounds(&self) -> usize {
+        self.quiet
+    }
+}
+
 /// The result of evaluating the passage-time transform at one `s`-point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassagePoint {
@@ -73,8 +185,9 @@ pub struct PassagePoint {
 /// phase — evaluate each pooled LST once, refill a reusable values buffer,
 /// iterate — through a checked-out [`PassageWorkspace`], so a batch of
 /// `s`-points allocates nothing after the first.  Results are bitwise
-/// identical to the legacy build-per-point path
-/// ([`PassageTimeSolver::transform_at_legacy`]).
+/// identical to the build-per-point reference oracle
+/// ([`PassageTimeSolver::transform_at_legacy`]) at every point, exact-zero
+/// kernel entries included (see [`crate::workspace`]).
 #[derive(Debug, Clone)]
 pub struct PassageTimeSolver<'a> {
     smp: &'a SemiMarkovProcess,
@@ -82,14 +195,10 @@ pub struct PassageTimeSolver<'a> {
     targets: StateSet,
     alpha: Vec<f64>,
     options: IterationOptions,
-    /// `α` lifted to ℂ once (the legacy path re-materialised it per point).
+    /// `α` lifted to ℂ once (the oracle re-materialises it per point).
     alpha_c: Vec<Complex64>,
     /// Shared symbolic skeleton + reusable numeric workspaces.
     pool: Arc<WorkspacePool>,
-    /// Intra-point parallelism (threads for the masked products); 1 =
-    /// sequential and bitwise reproducible — see
-    /// [`PassageTimeSolver::with_intra_point_threads`].
-    intra_threads: usize,
 }
 
 impl<'a> PassageTimeSolver<'a> {
@@ -154,7 +263,6 @@ impl<'a> PassageTimeSolver<'a> {
             options,
             alpha_c,
             pool,
-            intra_threads: 1,
         }
     }
 
@@ -190,26 +298,6 @@ impl<'a> PassageTimeSolver<'a> {
         }
         let sources = StateSet::new(n, &source_indices)?;
         Ok(Self::assemble(smp, sources, targets, alpha, options))
-    }
-
-    /// Opts in to intra-point parallelism: the dense-phase `x·U'` products of
-    /// the iteration are split over `threads` threads through the skeleton's
-    /// column-blocked layout.
-    ///
-    /// The paper parallelises across independent `s`-points first; this is
-    /// the second-level split for very large state spaces.  Every output
-    /// column is accumulated by exactly one thread in the same ascending
-    /// source-row order as the sequential scatter, so results stay **bitwise
-    /// identical for every thread count** — including the legacy
-    /// build-per-point path.
-    ///
-    /// Each dense-phase step currently spawns its scoped threads afresh
-    /// (tens of microseconds per step), so the split only pays off when a
-    /// single step's scatter work dominates that overhead — roughly
-    /// `num_states ≫ 10⁵`.  Leave it at 1 for smaller models.
-    pub fn with_intra_point_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads.max(1);
-        self
     }
 
     /// The source state set.
@@ -313,57 +401,31 @@ impl<'a> PassageTimeSolver<'a> {
         s: Complex64,
     ) -> Result<PassagePoint, SmpError> {
         self.check_workspace(ws);
-        if !ws.refill(self.smp, s) {
-            // A kernel entry evaluated to exact zero (an LST underflowing at
-            // extreme Re(s)·delay, or cancelling duplicates): the fixed
-            // skeleton cannot reproduce build_u's structural drop, so this
-            // point takes the legacy path — bitwise identity holds
-            // unconditionally.
-            return self.transform_at_legacy(s);
-        }
+        ws.refill(self.smp, s);
         let sk = Arc::clone(ws.skeleton_arc());
         // Accumulator initialised to αU (the leading U term of Eq. 9/10 ensures
         // cycle times L_ii register correctly instead of collapsing to zero).
         ws.u.vec_mul_into(&self.alpha_c, &mut ws.term);
         ws.begin_point();
-        let mut total = sk.dot_e(&ws.term);
-        let mut quiet = 0usize;
-        let mut last_delta = f64::INFINITY;
+        let mut fold = ConvergenceFold::new(self.options, sk.dot_e(&ws.term));
         for r in 1..=self.options.max_iterations {
-            self.masked_vec_mul_step(ws);
+            ws.step_term_times_u_prime();
             let delta = sk.dot_e(&ws.term);
-            total += delta;
-            last_delta = delta.re.abs().max(delta.im.abs());
-            // Also require the whole accumulator to have gone quiet: a passage
-            // whose shortest route to the target is long produces exact zero
-            // increments for the first few transitions even though mass is
-            // still in flight.  `term_is_quiet` reaches the same decision as
-            // the legacy full `max(norm)` fold, lazily.
-            if last_delta < self.options.epsilon && term_is_quiet(&ws.term, self.options.epsilon) {
-                quiet += 1;
-                if quiet >= self.options.consecutive {
-                    return Ok(PassagePoint {
-                        value: total,
-                        iterations: r,
-                    });
-                }
-            } else {
-                quiet = 0;
+            // `term_is_quiet` reaches the same decision as the oracle's full
+            // `max(norm)` fold, lazily.
+            let quiet = || term_is_quiet(&ws.term, self.options.epsilon);
+            if let FoldStatus::Converged(value) = fold.push(delta, quiet) {
+                return Ok(PassagePoint {
+                    value,
+                    iterations: r,
+                });
             }
         }
         Err(SmpError::ConvergenceFailure {
             s: (s.re, s.im),
             iterations: self.options.max_iterations,
-            last_delta,
+            last_delta: fold.last_delta(),
         })
-    }
-
-    /// One `term ← term · U'` step through the workspace's sparsity-aware
-    /// kernels, split over the configured intra-point threads when the dense
-    /// phase is reached (bit-identical for every thread count — see
-    /// `PassageWorkspace::step_term_times_u_prime`).
-    fn masked_vec_mul_step(&self, ws: &mut PassageWorkspace) {
-        ws.step_term_times_u_prime(self.intra_threads);
     }
 
     /// Evaluates the full vector `L̃_j(s) = (L_{1j}(s), …, L_{Nj}(s))` at one complex
@@ -383,11 +445,7 @@ impl<'a> PassageTimeSolver<'a> {
         s: Complex64,
     ) -> Result<Vec<Complex64>, SmpError> {
         self.check_workspace(ws);
-        if !ws.refill(self.smp, s) {
-            // See transform_at_with: exact-zero kernel entries take the
-            // legacy path so results stay bitwise identical.
-            return self.transform_vector_at_legacy(s);
-        }
+        ws.refill(self.smp, s);
         let sk = Arc::clone(ws.skeleton_arc());
         let mask = sk.target_mask();
         // v_r = U'^r ẽ ;   acc = Σ_{r=0}^{R-1} v_r ;   L̃ = U · acc
@@ -429,70 +487,39 @@ impl<'a> PassageTimeSolver<'a> {
 
     /// Evaluates the truncated `r`-transition transform `L^{(r)}_{i→j}(s)` exactly —
     /// no convergence test, precisely `r` terms of the sum.  Used to study the
-    /// convergence behaviour of the iteration (the paper's stated future work) and
-    /// by the ablation benchmarks.
+    /// convergence behaviour of the iteration (the paper's stated future work).
     pub fn r_transition_transform(&self, s: Complex64, r: usize) -> Complex64 {
         if r == 0 {
             return Complex64::ZERO;
         }
-        let mut ws = self.pool.checkout();
-        if !ws.refill(self.smp, s) {
-            // See transform_at_with: exact-zero kernel entries take the
-            // legacy path so results stay bitwise identical.
-            self.pool.give_back(ws);
-            return self.r_transition_transform_legacy(s, r);
-        }
-        let sk = Arc::clone(ws.skeleton_arc());
-        ws.u.vec_mul_into(&self.alpha_c, &mut ws.term);
-        ws.begin_point();
-        let mut total = sk.dot_e(&ws.term);
-        for _ in 1..r {
-            self.masked_vec_mul_step(&mut ws);
-            total += sk.dot_e(&ws.term);
-        }
-        self.pool.give_back(ws);
-        total
-    }
-
-    /// The legacy build-per-point form of the truncated transform (the
-    /// exact-zero fallback of [`PassageTimeSolver::r_transition_transform`]).
-    fn r_transition_transform_legacy(&self, s: Complex64, r: usize) -> Complex64 {
-        let (u, u_prime) = self.smp.build_u_pair(s, &self.targets);
-        let alpha_c: Vec<Complex64> = self.alpha.iter().map(|&a| Complex64::real(a)).collect();
-        let e_mask = self.targets.mask();
-        let dot_e = |vec: &[Complex64]| -> Complex64 {
-            vec.iter()
-                .zip(e_mask)
-                .filter(|(_, &m)| m)
-                .map(|(v, _)| *v)
-                .sum()
-        };
-        if r == 0 {
-            return Complex64::ZERO;
-        }
-        let mut term = u.vec_mul(&alpha_c);
-        let mut total = dot_e(&term);
-        let mut scratch = vec![Complex64::ZERO; term.len()];
-        for _ in 1..r {
-            u_prime.vec_mul_into(&term, &mut scratch);
-            std::mem::swap(&mut term, &mut scratch);
-            total += dot_e(&term);
-        }
-        total
+        self.with_workspace(|ws| {
+            ws.refill(self.smp, s);
+            let sk = Arc::clone(ws.skeleton_arc());
+            ws.u.vec_mul_into(&self.alpha_c, &mut ws.term);
+            ws.begin_point();
+            let mut total = sk.dot_e(&ws.term);
+            for _ in 1..r {
+                ws.step_term_times_u_prime();
+                total += sk.dot_e(&ws.term);
+            }
+            total
+        })
     }
 
     // -----------------------------------------------------------------------
-    // Legacy build-per-point path — the validation baseline.
+    // Legacy build-per-point path — the reference oracle.  No production
+    // caller: only `#[cfg(test)]` modules and `tests/` directories reach it.
     // -----------------------------------------------------------------------
 
     /// The legacy per-point evaluation: materialises the `(U, U')` pair from
-    /// triplets at every call (`SemiMarkovProcess::build_u_pair`) and iterates
-    /// with freshly-allocated buffers.
+    /// triplets at every call (`SemiMarkovProcess::build_u_pair`) — exact-zero
+    /// entries dropped structurally — and iterates with freshly-allocated
+    /// buffers.
     ///
-    /// Kept as the validation baseline for the symbolic/numeric split: the
-    /// equivalence proptests and `bench_hotpath` assert that
-    /// [`PassageTimeSolver::transform_at`] reproduces this bitwise while
-    /// skipping all of the per-point construction.
+    /// Kept as the reference oracle of the symbolic/numeric split: the
+    /// equivalence suites assert that [`PassageTimeSolver::transform_at`]
+    /// reproduces this bitwise, underflow points included, while skipping
+    /// all of the per-point construction.
     pub fn transform_at_legacy(&self, s: Complex64) -> Result<PassagePoint, SmpError> {
         let (u, u_prime) = self.smp.build_u_pair(s, &self.targets);
         self.iterate_row_legacy(&u, &u_prime, s)
@@ -593,8 +620,8 @@ impl<'a> PassageTimeSolver<'a> {
 /// norms compared against ε), decided lazily: `hypot(a, b) ≥ max(|a|, |b|)`
 /// holds in floating point, so any component at or above ε settles the answer
 /// without computing the norm — and this runs at all only on iterations whose
-/// increment already went quiet (the `&&` above short-circuits), instead of
-/// `N` square roots on *every* transition.
+/// increment already went quiet ([`ConvergenceFold::push`] asks lazily),
+/// instead of `N` square roots on *every* transition.
 ///
 /// NaN components mirror the legacy `f64::max` fold, which ignores NaN: a NaN
 /// norm contributes nothing, while an infinite component (whose norm is +∞

@@ -21,8 +21,9 @@
 //! * [`plan_exchange`] / [`ExchangePlan`] — the master-side routing: which
 //!   owned rows each shard must publish per iteration (the union of the other
 //!   shards' needs).
-//! * [`ConvergenceFold`] — the master-side convergence bookkeeping, the exact
-//!   accumulation sequence of `PassageTimeSolver::transform_at_with`.
+//! * [`ConvergenceFold`] (defined beside `IterationOptions` in
+//!   `crate::passage`) — the one convergence policy, fed per-round deltas
+//!   folded in shard order and the AND of the shards' quiet verdicts.
 //! * [`ShardedSolver`] — an in-process lockstep driver over all shards: the
 //!   executable specification that the distributed transport in `smp-pipeline`
 //!   reproduces frame by frame, and the oracle its conformance tests solve
@@ -39,13 +40,26 @@
 //! bit-exactly (the wire codec is the `f64`-bit-pattern codec), zero values
 //! are elided on the wire because both sides skip exact zeros anyway, and the
 //! convergence fold sums shard target-slices in shard order = ascending state
-//! order, matching `PassageSkeleton::dot_e`.  Points where the fixed skeleton
-//! cannot reproduce `build_u` (an LST underflowing to exact zero) are detected
-//! by the same per-slot faithfulness test, partitioned across shards, and
-//! routed through the same legacy fallback.
+//! order, matching `PassageSkeleton::dot_e`.
+//!
+//! ## Exact-zero kernel entries
+//!
+//! A slice entry that evaluates to exact zero at some `s` (an LST
+//! underflowing at `Re(s)·delay ≳ 745`) stays in its slot holding `±0`, as in
+//! `crate::workspace`, and is bitwise-neutral for the same reason: the gather
+//! accumulator of [`ShardWorkspace::step`] and the owned slots
+//! [`ShardWorkspace::init`] adds into start at `+0`, round-to-nearest gives
+//! `z + (±0) = z` and `(+0) + (±0) = +0`, and iterates are finite wherever a
+//! zero slot can exist (`|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`; underflow
+//! needs `Re(s) > 0`).  An owned value that is `+0` only because its entries
+//! underflowed is elided from the halo like any other zero.  So underflow
+//! points run on the shards like every other point and still equal the
+//! build-per-point oracle bit for bit; only a non-finite iterate could tell
+//! the two apart, and then both report `ConvergenceFailure` (possibly with a
+//! different `last_delta`).
 
 use crate::error::SmpError;
-use crate::passage::{term_is_quiet, IterationOptions, PassagePoint, PassageTimeSolver};
+use crate::passage::{term_is_quiet, ConvergenceFold, FoldStatus, IterationOptions, PassagePoint};
 use crate::smp::{SemiMarkovProcess, StateSet};
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
@@ -123,7 +137,7 @@ pub struct ShardedSkeleton {
     entry_row: Vec<u32>,
     /// Iterate slot of each entry: `< owned` = owned block, `>= owned` =
     /// halo slot, [`SKIP`] = masked row (skipped by the step, like the full
-    /// masked scatter; kept for the fill plan's faithfulness test and init).
+    /// masked scatter; kept for init).
     entry_x: Vec<u32>,
     /// Fill plan: contributions of entry `e` are `slot_ptr[e]..slot_ptr[e+1]`
     /// of `contrib_dist` / `contrib_prob`, in legacy summation order.
@@ -375,19 +389,11 @@ impl ShardWorkspace {
     /// Numeric phase for one `s`-point: evaluates each pooled LST once and
     /// refills the slice's entry values — the same arithmetic as
     /// `PassageWorkspace::refill`, restricted to this shard's entries.
-    ///
-    /// Returns `false` when any entry (or contribution) evaluates to exact
-    /// zero: the per-slot faithfulness test of the full refill, partitioned —
-    /// every slice entry is a slot of the full skeleton and the slices cover
-    /// all slots, so the AND of the shards' verdicts equals the full verdict
-    /// and the solve falls back to the legacy path on the same points.
-    #[must_use = "a false verdict from any shard must route the point through the legacy path"]
-    pub fn refill(&mut self, s: Complex64) -> bool {
+    pub fn refill(&mut self, s: Complex64) {
         let sk = &*self.skeleton;
         for (slot, dist) in self.pool_values.iter_mut().zip(&sk.pool) {
             *slot = dist.lst(s);
         }
-        let mut faithful = true;
         if sk.uniform_slots {
             for ((value, &dist), &prob) in self
                 .values
@@ -395,9 +401,7 @@ impl ShardWorkspace {
                 .zip(&sk.contrib_dist)
                 .zip(&sk.contrib_prob)
             {
-                let v = self.pool_values[dist as usize].scale(prob);
-                faithful &= !v.is_zero();
-                *value = v;
+                *value = self.pool_values[dist as usize].scale(prob);
             }
         } else {
             for (e, value) in self.values.iter_mut().enumerate() {
@@ -405,17 +409,12 @@ impl ShardWorkspace {
                 let end = sk.slot_ptr[e + 1] as usize;
                 let mut acc =
                     self.pool_values[sk.contrib_dist[start] as usize].scale(sk.contrib_prob[start]);
-                faithful &= !acc.is_zero();
                 for j in start + 1..end {
-                    let v = self.pool_values[sk.contrib_dist[j] as usize].scale(sk.contrib_prob[j]);
-                    faithful &= !v.is_zero();
-                    acc += v;
+                    acc += self.pool_values[sk.contrib_dist[j] as usize].scale(sk.contrib_prob[j]);
                 }
-                faithful &= !acc.is_zero();
                 *value = acc;
             }
         }
-        faithful
     }
 
     /// Writes the owned slice of the initial accumulator `term₀ = α·U` (α the
@@ -629,92 +628,6 @@ pub fn plan_exchange(num_states: usize, shards: usize, needs: &[&[u32]]) -> Exch
     ExchangePlan { exports }
 }
 
-/// What [`ConvergenceFold::push`] decided about the iteration so far.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FoldStatus {
-    /// Keep iterating.
-    Continue,
-    /// Converged: the final transform value.
-    Converged(Complex64),
-}
-
-/// The master-side convergence bookkeeping of the sharded solve — the exact
-/// accumulation sequence of `PassageTimeSolver::transform_at_with` (total,
-/// per-round delta magnitude, consecutive-quiet counting), fed per-round
-/// deltas and the AND of the shards' quiet verdicts.
-#[derive(Debug, Clone)]
-pub struct ConvergenceFold {
-    options: IterationOptions,
-    total: Complex64,
-    quiet: usize,
-    last_delta: f64,
-}
-
-impl ConvergenceFold {
-    /// Starts a fold with the round-0 total (the `α·U · ẽ` inner product).
-    pub fn new(options: IterationOptions, initial: Complex64) -> ConvergenceFold {
-        ConvergenceFold {
-            options,
-            total: initial,
-            quiet: 0,
-            last_delta: f64::INFINITY,
-        }
-    }
-
-    /// Folds one round's delta (the term's `· ẽ` inner product after the
-    /// step) and the whole-term quiet verdict.
-    pub fn push(&mut self, delta: Complex64, term_quiet: bool) -> FoldStatus {
-        self.total += delta;
-        self.last_delta = delta.re.abs().max(delta.im.abs());
-        if self.last_delta < self.options.epsilon && term_quiet {
-            self.quiet += 1;
-            if self.quiet >= self.options.consecutive {
-                return FoldStatus::Converged(self.total);
-            }
-        } else {
-            self.quiet = 0;
-        }
-        FoldStatus::Continue
-    }
-
-    /// Magnitude of the most recent delta (for the convergence-failure
-    /// report).
-    pub fn last_delta(&self) -> f64 {
-        self.last_delta
-    }
-
-    /// Resumes a fold from checkpointed state: the running total, the quiet
-    /// streak and the last delta magnitude exactly as a prior fold left them
-    /// after its round-`r` [`ConvergenceFold::push`].  Continuing with round
-    /// `r + 1` pushes then replays the original accumulation sequence bit
-    /// for bit — `total` is the only accumulated quantity, and it crossed
-    /// the checkpoint as an exact bit pattern.
-    pub fn resume(
-        options: IterationOptions,
-        total: Complex64,
-        quiet: usize,
-        last_delta: f64,
-    ) -> ConvergenceFold {
-        ConvergenceFold {
-            options,
-            total,
-            quiet,
-            last_delta,
-        }
-    }
-
-    /// The running total (checkpointed by the crash-recovery layer).
-    pub fn total(&self) -> Complex64 {
-        self.total
-    }
-
-    /// The current consecutive-quiet streak (checkpointed alongside the
-    /// total).
-    pub fn quiet_rounds(&self) -> usize {
-        self.quiet
-    }
-}
-
 /// An in-process lockstep driver over all shards of one passage measure: the
 /// executable specification of the distributed protocol, bitwise identical to
 /// `PassageTimeSolver::transform_at` for every shard count.
@@ -722,8 +635,7 @@ impl ConvergenceFold {
 /// The distributed transport in `smp-pipeline` runs the same slices behind
 /// wire frames; its conformance tests solve through this driver (and through
 /// the unsharded solver) as the oracle.
-pub struct ShardedSolver<'a> {
-    fallback: PassageTimeSolver<'a>,
+pub struct ShardedSolver {
     options: IterationOptions,
     slices: Vec<ShardWorkspace>,
     plan: ExchangePlan,
@@ -733,21 +645,28 @@ pub struct ShardedSolver<'a> {
     halos: Vec<Vec<(u32, Complex64)>>,
 }
 
-impl<'a> ShardedSolver<'a> {
+impl ShardedSolver {
     /// Builds `shards` slices for the passage from single source `source`
     /// into `targets`, with explicit convergence options.
     pub fn new(
-        smp: &'a SemiMarkovProcess,
+        smp: &SemiMarkovProcess,
         source: usize,
         targets: &[usize],
         options: IterationOptions,
         shards: usize,
-    ) -> Result<ShardedSolver<'a>, SmpError> {
+    ) -> Result<ShardedSolver, SmpError> {
         assert!(shards >= 1, "shard count must be at least 1");
-        // The fallback solver also validates the source/target sets.
-        let fallback = PassageTimeSolver::with_options(smp, &[source], targets, options)?;
         let n = smp.num_states();
+        if source >= n {
+            return Err(SmpError::StateOutOfRange {
+                state: source,
+                num_states: n,
+            });
+        }
         let target_set = StateSet::new(n, targets)?;
+        if target_set.is_empty() {
+            return Err(SmpError::EmptyStateSet { which: "target" });
+        }
         let slices: Vec<ShardWorkspace> = (0..shards)
             .map(|k| {
                 ShardWorkspace::new(Arc::new(ShardedSkeleton::build(
@@ -762,7 +681,6 @@ impl<'a> ShardedSolver<'a> {
         let needs: Vec<&[u32]> = slices.iter().map(|ws| ws.skeleton().need_rows()).collect();
         let plan = plan_exchange(n, shards, &needs);
         Ok(ShardedSolver {
-            fallback,
             options,
             slices,
             plan,
@@ -806,17 +724,8 @@ impl<'a> ShardedSolver<'a> {
     /// through the sharded iteration — bitwise identical to
     /// `PassageTimeSolver::transform_at` for any shard count.
     pub fn transform_at(&mut self, s: Complex64) -> Result<PassagePoint, SmpError> {
-        let mut faithful = true;
         for ws in self.slices.iter_mut() {
-            faithful &= ws.refill(s);
-        }
-        if !faithful {
-            // Same branch as the unsharded workspace path: an exact-zero
-            // kernel entry routes the whole point through the legacy
-            // build-per-point solve.
-            return self.fallback.transform_at_legacy(s);
-        }
-        for ws in self.slices.iter_mut() {
+            ws.refill(s);
             ws.init();
         }
         let mut initial = Complex64::ZERO;
@@ -837,7 +746,7 @@ impl<'a> ShardedSolver<'a> {
                 ws.fold_targets(&mut delta);
                 quiet &= ws.is_quiet(self.options.epsilon);
             }
-            if let FoldStatus::Converged(value) = fold.push(delta, quiet) {
+            if let FoldStatus::Converged(value) = fold.push(delta, || quiet) {
                 return Ok(PassagePoint {
                     value,
                     iterations: r,
@@ -855,6 +764,7 @@ impl<'a> ShardedSolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passage::PassageTimeSolver;
     use crate::smp::SmpBuilder;
     use smp_distributions::Dist;
 
@@ -1016,9 +926,10 @@ mod tests {
     #[test]
     fn unfaithful_points_fall_back_to_the_legacy_path() {
         // A deterministic holding time with Re(s)·d past ~745 underflows
-        // e^{-s·d} to exact zero: the fixed skeleton cannot reproduce
-        // build_u's structural drop, so the sharded solve must take the same
-        // legacy fallback as the unsharded one.
+        // e^{-s·d} to exact zero: build_u drops the entry structurally, the
+        // slice keeps a slot holding zero — and the sharded kernel itself
+        // must still equal the build-per-point oracle bit for bit (the name
+        // dates from when such points were re-solved through the oracle).
         let mut b = SmpBuilder::new(3);
         b.add_transition(0, 1, 1.0, Dist::deterministic(1.0));
         b.add_transition(1, 2, 1.0, Dist::exponential(2.0));
@@ -1029,15 +940,21 @@ mod tests {
         for shards in 1..=3usize {
             let mut sharded =
                 ShardedSolver::new(&smp, 0, &[2], IterationOptions::default(), shards).unwrap();
-            let mut faithful = true;
             for ws in sharded.slices.iter_mut() {
-                faithful &= ws.refill(s);
+                ws.refill(s);
             }
-            assert!(!faithful, "underflow point must be unfaithful");
-            let want = reference.transform_at(s).unwrap();
+            assert!(
+                sharded
+                    .slices
+                    .iter()
+                    .any(|ws| ws.values.iter().any(|v| v.is_zero())),
+                "the point solved must be an underflow point"
+            );
+            let want = reference.transform_at_legacy(s).unwrap();
             let got = sharded.transform_at(s).unwrap();
             assert_eq!(got.value, want.value, "shards={shards}");
             assert_eq!(got.iterations, want.iterations);
+            assert_eq!(reference.transform_at(s).unwrap(), want);
         }
     }
 

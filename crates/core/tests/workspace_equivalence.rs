@@ -1,14 +1,15 @@
 //! The symbolic/numeric split's correctness contract: workspace-evaluated
-//! transforms are **bitwise equal** to the legacy build-per-point path
+//! transforms are **bitwise equal** to the build-per-point reference oracle
 //! (`build_u_pair` + freshly-allocated iteration buffers) across random SMPs,
-//! target sets and `s`-points — and a workspace reused across `s`-point
-//! chunks, target sets and thread counts never leaks state from one
+//! target sets and `s`-points — points where kernel entries underflow to
+//! exact zero included, through the kernel itself — and a workspace reused
+//! across `s`-point chunks and target sets never leaks state from one
 //! evaluation into the next.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smp_core::{IterationOptions, PassageTimeSolver, SemiMarkovProcess, SmpBuilder};
+use smp_core::{IterationOptions, PassageTimeSolver, SemiMarkovProcess, ShardedSolver, SmpBuilder};
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
 
@@ -100,27 +101,6 @@ proptest! {
         let legacy = solver.transform_vector_at_legacy(s).unwrap();
         prop_assert_eq!(fast, legacy);
     }
-
-    /// Intra-point parallelism is *also* bitwise identical (the column-blocked
-    /// scatter assigns every output column to exactly one thread, in the
-    /// sequential accumulation order), for every thread count.
-    #[test]
-    fn threaded_workspace_is_bitwise_legacy(
-        seed in 0u64..100,
-        re in 0.05f64..2.0,
-        threads in 2usize..6,
-    ) {
-        let smp = random_smp(seed);
-        let n = smp.num_states();
-        let solver = PassageTimeSolver::new(&smp, &[0], &[n - 1])
-            .unwrap()
-            .with_intra_point_threads(threads);
-        let s = Complex64::new(re, 1.3);
-        let fast = solver.transform_at(s).unwrap();
-        let legacy = solver.transform_at_legacy(s).unwrap();
-        prop_assert_eq!(fast.value, legacy.value);
-        prop_assert_eq!(fast.iterations, legacy.iterations);
-    }
 }
 
 /// A workspace reused across a whole chunk of `s`-points — and interleaved
@@ -200,9 +180,10 @@ fn r_transition_transform_matches_legacy_iteration_prefixes() {
 }
 
 /// An LST underflowing to exactly zero (e.g. `e^{-s·d}` past `Re(s)·d ≈
-/// 745`) makes the legacy construction drop the kernel entry structurally;
-/// the workspace detects the unfaithful refill and routes the point through
-/// the legacy path, so results stay bitwise identical even there.
+/// 745`) makes the oracle's construction drop the kernel entry structurally;
+/// the workspace keeps the slot holding zero, which is bitwise-neutral, so
+/// results stay identical even there (the name dates from when such points
+/// were re-solved through the oracle).
 #[test]
 fn lst_underflow_points_fall_back_to_the_legacy_path_bitwise() {
     let mut b = SmpBuilder::new(3);
@@ -223,11 +204,148 @@ fn lst_underflow_points_fall_back_to_the_legacy_path_bitwise() {
             solver.transform_vector_at_legacy(s).unwrap()
         );
     }
-    // And ordinary points on the same solver still use the fast path.
+    // And ordinary points on the same solver agree as ever.
     let s = Complex64::new(0.5, 1.0);
     assert_eq!(
         solver.transform_at(s).unwrap().value,
         solver.transform_at_legacy(s).unwrap().value
+    );
+}
+
+/// A random SMP built to hit exact-zero kernel entries from every side:
+/// deterministic delays in `1..4` (so `e^{-s·d}` underflows at the probed
+/// `Re(s)`), duplicate `(from, to)` edges where one contribution underflows
+/// and one does not, one state whose *only* in-edge is deterministic — a
+/// column reachable only through an underflowing entry — and, in a quarter of
+/// the models, a hub row of ~45 edges with many-way duplicates, long enough
+/// that the compression's column sort leaves insertion-sort territory (the
+/// duplicate merge order must not depend on which entries underflowed).
+fn underflow_smp(seed: u64) -> SemiMarkovProcess {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(4..12usize);
+    let lonely = rng.gen_range(0..n);
+    let hub = rng.gen_bool(0.25).then(|| rng.gen_range(0..n));
+    let mut b = SmpBuilder::new(n);
+    for i in 0..n {
+        let extras = if hub == Some(i) {
+            45
+        } else {
+            rng.gen_range(0..3usize)
+        };
+        let next = (i + 1) % n;
+        if next == lonely || rng.gen_bool(0.5) {
+            b.add_transition(i, next, 1.0, Dist::deterministic(rng.gen_range(1.0..4.0)));
+            if next != lonely && rng.gen_bool(0.6) {
+                b.add_transition(
+                    i,
+                    next,
+                    rng.gen_range(0.2..1.0),
+                    Dist::exponential(rng.gen_range(0.5..3.0)),
+                );
+                if rng.gen_bool(0.4) {
+                    let extra = Dist::deterministic(rng.gen_range(1.0..4.0));
+                    b.add_transition(i, next, rng.gen_range(0.2..1.0), extra);
+                }
+            }
+        } else {
+            b.add_transition(i, next, 1.0, Dist::exponential(rng.gen_range(0.5..3.0)));
+        }
+        for _ in 0..extras {
+            let to = rng.gen_range(0..n);
+            if to == lonely {
+                continue;
+            }
+            let dist = match rng.gen_range(0..3) {
+                0 => Dist::deterministic(rng.gen_range(1.0..4.0)),
+                1 => Dist::erlang(rng.gen_range(0.5..2.0), rng.gen_range(1..4)),
+                _ => Dist::uniform(0.0, rng.gen_range(0.5..2.0)),
+            };
+            b.add_transition(i, to, rng.gen_range(0.1..1.5), dist);
+        }
+    }
+    b.build().unwrap()
+}
+
+fn bits(c: Complex64) -> (u64, u64) {
+    (c.re.to_bits(), c.im.to_bits())
+}
+
+/// The kernel handles exact-zero entries itself: at well over a thousand
+/// points whose refilled values contain an exact zero, the scalar transform
+/// (value bits and iteration count), the vector form, the truncated
+/// `r`-transition prefixes and the row-sharded solver at 1, 2, 3 and 5 shards
+/// all equal the build-per-point oracle, which drops those entries
+/// structurally.
+#[test]
+fn exact_zero_kernel_entries_are_bitwise_neutral() {
+    let mut zero_points = 0usize;
+    for seed in 0..300u64 {
+        let smp = underflow_smp(seed);
+        let n = smp.num_states();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x51ed_270b);
+        let source = rng.gen_range(0..n);
+        let targets = [rng.gen_range(0..n)];
+        let solver = PassageTimeSolver::new(&smp, &[source], &targets).unwrap();
+        let mut sharded: Vec<ShardedSolver> = [1usize, 2, 3, 5]
+            .iter()
+            .map(|&k| {
+                ShardedSolver::new(&smp, source, &targets, IterationOptions::default(), k).unwrap()
+            })
+            .collect();
+        // With ε = ∞ every round is quiet, so the oracle stops after exactly
+        // `consecutive` steps: the (consecutive + 1)-term prefix of the sum.
+        let prefix_oracles = [2usize, 3, 5, 9].map(|r| {
+            let truncated = IterationOptions {
+                epsilon: f64::INFINITY,
+                max_iterations: r,
+                consecutive: r - 1,
+            };
+            let oracle = PassageTimeSolver::with_options(&smp, &[source], &targets, truncated);
+            (r, oracle.unwrap())
+        });
+        let mut ws = solver.checkout_workspace();
+        for &re in &[200.0, 400.0, 760.0, 1500.0, 5000.0] {
+            for im in [0.0, rng.gen_range(-6.0..6.0)] {
+                let s = Complex64::new(re, im);
+                ws.refill(&smp, s);
+                let zeros = ws.u().values().iter().any(|v| v.re == 0.0 && v.im == 0.0);
+                zero_points += zeros as usize;
+
+                let oracle = solver.transform_at_legacy(s).unwrap();
+                let fast = solver.transform_at_with(&mut ws, s).unwrap();
+                assert_eq!(bits(fast.value), bits(oracle.value), "seed {seed} s={s}");
+                assert_eq!(fast.iterations, oracle.iterations, "seed {seed} s={s}");
+
+                let fast_vec = solver.transform_vector_at_with(&mut ws, s).unwrap();
+                let oracle_vec = solver.transform_vector_at_legacy(s).unwrap();
+                assert_eq!(
+                    fast_vec.iter().copied().map(bits).collect::<Vec<_>>(),
+                    oracle_vec.iter().copied().map(bits).collect::<Vec<_>>(),
+                    "seed {seed} s={s}"
+                );
+
+                for (r, prefix_oracle) in &prefix_oracles {
+                    let prefix = prefix_oracle.transform_at_legacy(s).unwrap();
+                    assert_eq!(prefix.iterations, r - 1);
+                    assert_eq!(
+                        bits(solver.r_transition_transform(s, *r)),
+                        bits(prefix.value),
+                        "seed {seed} s={s} r={r}"
+                    );
+                }
+
+                for solver_k in sharded.iter_mut() {
+                    let got = solver_k.transform_at(s).unwrap();
+                    assert_eq!(bits(got.value), bits(oracle.value), "seed {seed} s={s}");
+                    assert_eq!(got.iterations, oracle.iterations, "seed {seed} s={s}");
+                }
+            }
+        }
+        solver.give_back(ws);
+    }
+    assert!(
+        zero_points >= 1_000,
+        "only {zero_points} of 3000 probed points had an exact-zero kernel entry"
     );
 }
 

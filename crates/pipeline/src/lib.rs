@@ -83,6 +83,7 @@
 //!   and the standing worker pool;
 //! * [`client`] — the matching client side (`smpq query` / `smpq shutdown`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -1266,17 +1266,17 @@ impl QueryServer {
     /// listener per configured address.  Workers are not yet attached — call
     /// [`QueryServer::attach_workers`] before [`QueryServer::run`].
     ///
-    /// Every listener is bound with `SO_REUSEADDR` (see
-    /// [`crate::transport`]'s crash-restart binding): a daemon restarted
-    /// after a crash reclaims its advertised addresses immediately instead
-    /// of waiting out its predecessor's `TIME_WAIT` quarantine.
+    /// On Unix std binds every listener with `SO_REUSEADDR` (see
+    /// [`crate::transport::TcpTransport::bind`]): a daemon restarted after a
+    /// crash reclaims its advertised addresses immediately instead of
+    /// waiting out its predecessor's `TIME_WAIT` quarantine.
     pub fn bind(options: QueryServerOptions) -> std::io::Result<QueryServer> {
-        let listener = crate::transport::bind_reusable_to(options.listen.as_str())?;
+        let listener = TcpListener::bind(options.listen.as_str())?;
         let (worker_listeners, pool_size, inproc_workers, initial_pool) = match &options.pool {
             PoolSpec::Tcp(addrs) => {
                 let mut listeners = Vec::with_capacity(addrs.len());
                 for addr in addrs {
-                    listeners.push(crate::transport::bind_reusable_to(addr.as_str())?);
+                    listeners.push(TcpListener::bind(addr.as_str())?);
                 }
                 let size = listeners.len();
                 // The pool slot stays `None` until attach_workers fills it;

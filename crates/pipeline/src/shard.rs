@@ -27,7 +27,7 @@
 //!   ◀──────── SliceMeta{states, nnz, dists, need}   (memory model + halo subscription)
 //!   SliceRoute{rows} ──────────────────▶  rows other shards will ask of k
 //!   SPoint{id, s} ─────────────────────▶  refill + init
-//!   ◀──────── SState{r: 0, faithful, quiet, targets, exports}
+//!   ◀──────── SState{r: 0, quiet, targets, exports}
 //!   Halo{id, r: 1, entries} ───────────▶  apply halo, one SpMV step
 //!   ◀──────── SState{r: 1, ...}           (… rounds until the master folds
 //!   ⋮                                      the deltas to convergence …)
@@ -36,9 +36,18 @@
 //!
 //! Values are **bitwise identical for any worker count**: the fold replicates
 //! `PassageTimeSolver::transform_at` exactly (see `smp_core::shard` for the
-//! analysis), any slice's unfaithful refill routes the whole point through the
-//! same legacy local fallback, and every float crosses the wire as its exact
-//! bit pattern.
+//! analysis) and every float crosses the wire as its exact bit pattern.
+//!
+//! Points where a kernel entry evaluates to exact zero (an LST underflowing at
+//! `Re(s)·delay ≳ 745`) run on the shards like every other point: the slot
+//! holds `±0`, every gather accumulator starts at `+0`, round-to-nearest gives
+//! `z + (±0) = z` and `(+0) + (±0) = +0`, and iterates are finite wherever a
+//! zero slot can exist (`|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`; underflow
+//! needs `Re(s) > 0`), so the slot contributes what the build-per-point
+//! oracle's structurally dropped entry contributes — nothing.  The master
+//! therefore never compiles or explores the model for a passage spec.  Only a
+//! non-finite iterate could tell kernel and oracle apart, and then both fail
+//! to converge (the reported last delta may differ).
 
 use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use crate::link::{Link, LoopbackLink};
@@ -138,19 +147,7 @@ impl SliceWorkerSession {
                 Ok(None)
             }
             Frame::SPoint { id, s } => {
-                if !self.ws.refill(*s) {
-                    // An exact-zero kernel entry: the master must route this
-                    // whole point through the legacy local solve, exactly as
-                    // the unsharded workspace path would.
-                    return Ok(Some(Frame::SState {
-                        id: *id,
-                        r: 0,
-                        faithful: false,
-                        quiet: false,
-                        targets: Vec::new(),
-                        exports: Vec::new(),
-                    }));
-                }
+                self.ws.refill(*s);
                 self.ws.init();
                 Ok(Some(self.state_frame(*id, 0)))
             }
@@ -179,16 +176,7 @@ impl SliceWorkerSession {
             // checkpoint) and uses only the exports to seed round `r + 1`'s
             // halo.
             Frame::Restore { id, r, s, entries } => {
-                if !self.ws.refill(*s) {
-                    return Ok(Some(Frame::SState {
-                        id: *id,
-                        r: *r,
-                        faithful: false,
-                        quiet: false,
-                        targets: Vec::new(),
-                        exports: Vec::new(),
-                    }));
-                }
+                self.ws.refill(*s);
                 self.ws.load_term(entries).map_err(|e| e.to_string())?;
                 Ok(Some(self.state_frame(*id, *r)))
             }
@@ -204,7 +192,6 @@ impl SliceWorkerSession {
         Frame::SState {
             id,
             r,
-            faithful: true,
             quiet: self.ws.is_quiet(self.epsilon),
             targets,
             exports,
@@ -231,9 +218,6 @@ pub struct ShardedOutcome {
     pub halo_bytes: u64,
     /// Boundary-exchange rounds driven across all points.
     pub exchange_rounds: usize,
-    /// Points routed through the legacy master-side solve because a slice's
-    /// refill was unfaithful at that `s`.
-    pub fallback_points: usize,
     /// Workers lost (and re-sharded around) during the call.
     pub disconnects: usize,
     /// Total states across the slices of the final session.
@@ -241,10 +225,6 @@ pub struct ShardedOutcome {
     /// Owned states per shard — sums to `num_states`; the largest entry is
     /// the per-worker memory ceiling `⌈N/shards⌉`.
     pub shard_states: Vec<usize>,
-    /// Kernel entries stored per shard.
-    pub shard_nnz: Vec<usize>,
-    /// Restricted LST-pool sizes per shard.
-    pub shard_dists: Vec<usize>,
     /// Injected or organic link faults the solve absorbed (re-shards and
     /// mid-point resumes) without changing its values.
     pub recovered_faults: u64,
@@ -487,20 +467,7 @@ impl SliceFleet {
                 latest = Some(snap);
             }
             match outcome {
-                Ok(Some(value)) => {
-                    if let Some(on_value) = recovery.on_value.as_mut() {
-                        on_value(s, value).map_err(PipelineError::Io)?;
-                    }
-                    out.values.push(value);
-                    latest = None;
-                    index += 1;
-                }
-                Ok(None) => {
-                    // Some slice's refill was unfaithful at this `s`: the
-                    // whole point goes through the same legacy local solve
-                    // the unsharded workspace path falls back to.
-                    let value = fallback_eval(&mut self.fallback, spec, s)?;
-                    out.fallback_points += 1;
+                Ok(value) => {
                     if let Some(on_value) = recovery.on_value.as_mut() {
                         on_value(s, value).map_err(PipelineError::Io)?;
                     }
@@ -618,20 +585,13 @@ fn try_handshake(
             .map_err(|e| PointError::Channel(k, e))?;
     }
     let mut states = Vec::with_capacity(shards);
-    let mut nnz = Vec::with_capacity(shards);
-    let mut dists = Vec::with_capacity(shards);
     let mut needs = Vec::with_capacity(shards);
     for (k, slot) in slots.iter_mut().enumerate() {
         match slot.recv(out).map_err(|e| PointError::Channel(k, e))? {
             Frame::SliceMeta {
-                states: s,
-                nnz: n,
-                dists: d,
-                need,
+                states: s, need, ..
             } => {
                 states.push(s);
-                nnz.push(n);
-                dists.push(d);
                 needs.push(need);
             }
             Frame::Fatal { message } => {
@@ -657,8 +617,6 @@ fn try_handshake(
             .map_err(|e| PointError::Channel(k, e))?;
     }
     out.shard_states = states;
-    out.shard_nnz = nnz;
-    out.shard_dists = dists;
     Ok(SessionState {
         shards,
         num_states,
@@ -668,7 +626,6 @@ fn try_handshake(
 
 /// One shard's round state as received from the wire.
 struct SliceState {
-    faithful: bool,
     quiet: bool,
     targets: Vec<Complex64>,
     exports: Vec<(u32, Complex64)>,
@@ -685,7 +642,6 @@ fn recv_state(
         Frame::SState {
             id: got_id,
             r: got_r,
-            faithful,
             quiet,
             targets,
             exports,
@@ -697,7 +653,6 @@ fn recv_state(
                 ))));
             }
             Ok(SliceState {
-                faithful,
                 quiet,
                 targets,
                 exports,
@@ -729,8 +684,7 @@ fn assemble_halo(
     entries
 }
 
-/// Drives one `s`-point through the fleet.  `Ok(None)` means some slice's
-/// refill was unfaithful and the caller must evaluate the point locally.
+/// Drives one `s`-point through the fleet to its converged value.
 ///
 /// With `resume`, the point restarts mid-iteration: every shard gets a
 /// [`Frame::Restore`] carrying the snapshot's global term vector (each loads
@@ -751,28 +705,23 @@ fn run_point(
     snapshot_every: u64,
     snapshot: &mut dyn FnMut(ShardSnapshot) -> io::Result<()>,
     out: &mut ShardedOutcome,
-) -> Result<Option<Complex64>, PointError> {
+) -> Result<Complex64, PointError> {
     let (mut fold, mut exports, start_round) = match resume {
         None => {
             for (k, slot) in slots.iter_mut().enumerate() {
                 slot.send(&Frame::SPoint { id, s }, out)
                     .map_err(|e| PointError::Channel(k, e))?;
             }
-            let mut faithful = true;
             let mut initial = Complex64::ZERO;
             let mut exports: Vec<Vec<(u32, Complex64)>> = vec![Vec::new(); session.shards];
             for (k, slot) in slots.iter_mut().enumerate() {
                 let state = recv_state(slot, k, id, 0, out)?;
-                faithful &= state.faithful;
                 // Shard order is ascending state order: this accumulation is
                 // the exact fold sequence of the unsharded solver's init.
                 for value in &state.targets {
                     initial += *value;
                 }
                 exports[k] = state.exports;
-            }
-            if !faithful {
-                return Ok(None);
             }
             (ConvergenceFold::new(options, initial), exports, 0usize)
         }
@@ -792,9 +741,6 @@ fn run_point(
             let mut exports: Vec<Vec<(u32, Complex64)>> = vec![Vec::new(); session.shards];
             for (k, slot) in slots.iter_mut().enumerate() {
                 let state = recv_state(slot, k, id, snap.round, out)?;
-                if !state.faithful {
-                    return Ok(None);
-                }
                 // Targets and quiet flags of the restore-ack are ignored:
                 // the fold's state comes from the snapshot, and the ack's
                 // exports seed the next round's halo.
@@ -833,12 +779,12 @@ fn run_point(
             }
             exports[k] = state.exports;
         }
-        if let FoldStatus::Converged(total) = fold.push(delta, quiet) {
+        if let FoldStatus::Converged(total) = fold.push(delta, || quiet) {
             let mut value = total;
             for _ in 0..divisions {
                 value /= s;
             }
-            return Ok(Some(value));
+            return Ok(value);
         }
         if snapshot_every > 0 && (r as u64).is_multiple_of(snapshot_every) {
             // Capture the iterate *after* this round's fold: a TermReq sweep
@@ -920,21 +866,6 @@ fn fallback_set<'a>(
         *cache = Some((key, set));
     }
     Ok((&cache.as_ref().expect("just compiled").1, compile))
-}
-
-/// The legacy master-side evaluation of an unfaithful point: the full spec
-/// through a compiled evaluator, which takes the identical legacy branch the
-/// unsharded workspace path takes.
-fn fallback_eval(
-    cache: &mut Option<(String, CompiledModelSet)>,
-    spec: &TransformSpec,
-    s: Complex64,
-) -> Result<Complex64, PipelineError> {
-    let (set, _) = fallback_set(cache, spec)?;
-    let evaluator = set.evaluator(0).map_err(transport_error)?;
-    evaluator
-        .eval(s)
-        .map_err(|message| PipelineError::Evaluation { s, message })
 }
 
 // ---------------------------------------------------------------------------
@@ -1167,6 +1098,54 @@ pub(crate) mod tests {
         ]
     }
 
+    /// A two-token DNAmaca ring whose `ab` delay is deterministic: past
+    /// `Re(s)·2 ≈ 745` its LST underflows to exact zero, so the first two
+    /// points hit exact-zero kernel entries and the last two do not.
+    pub(crate) fn underflow_spec_and_points() -> (TransformSpec, Vec<Complex64>) {
+        let source = r"
+            \place{a}{2} \place{b}{0} \place{c}{0}
+            \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+                \weight{1.0} \sojourntimeLT{ return deterministicLT(2.0, s); } }
+            \transition{bc}{ \condition{b > 0} \action{ next->b = b - 1; next->c = c + 1; }
+                \weight{1.0} \sojourntimeLT{ return expLT(1.0, s); } }
+            \transition{ca}{ \condition{c > 0} \action{ next->c = c - 1; next->a = a + 1; }
+                \weight{1.0} \sojourntimeLT{ return erlangLT(2.0, 2, s); } }";
+        let spec = TransformSpec::passage(
+            ModelSpec::Dnamaca(source.to_string()),
+            TargetSpec::parse("c>=2").unwrap(),
+        );
+        let points = vec![
+            Complex64::new(500.0, 0.0),
+            Complex64::new(900.0, 1.5),
+            Complex64::new(0.9, 0.0),
+            Complex64::new(0.4, 1.3),
+        ];
+        for &s in &points[..2] {
+            let lst = smp_distributions::Dist::deterministic(2.0).lst(s);
+            assert_eq!((lst.re, lst.im), (0.0, 0.0), "{s} must underflow");
+        }
+        (spec, points)
+    }
+
+    pub(crate) fn bits(values: &[Complex64]) -> Vec<(u64, u64)> {
+        let bits = |v: &Complex64| (v.re.to_bits(), v.im.to_bits());
+        values.iter().map(bits).collect()
+    }
+
+    /// Underflow points are solved by the shards themselves — values bitwise
+    /// those of the compiled evaluator, and a solve of the underflow points
+    /// alone still drives exchange rounds (the master compiled nothing).
+    pub(crate) fn assert_underflow_points_run_on_the_shards(fleet: &mut SliceFleet) {
+        let (spec, points) = underflow_spec_and_points();
+        let expected = reference(&spec, &points);
+        let out = fleet.solve(&spec, &points).unwrap();
+        assert_eq!(bits(&out.values), bits(&expected));
+        let out = fleet.solve(&spec, &points[..2]).unwrap();
+        assert_eq!(bits(&out.values), bits(&expected[..2]));
+        assert!(out.exchange_rounds > 0, "the points ran on the shards");
+        assert_eq!(out.disconnects, 0);
+    }
+
     /// A loopback fleet whose links `faulty` picks consult the shared `plan`.
     fn faulty_fleet(
         shards: usize,
@@ -1354,6 +1333,48 @@ pub(crate) mod tests {
         assert_eq!(out.values, expected, "resume must not change any value");
         assert_eq!(out.resumed_rounds, seed.round, "the resume skipped rounds");
         assert!(out.recovered_faults > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn underflow_points_run_on_the_shards_and_resume_bitwise() {
+        assert_underflow_points_run_on_the_shards(&mut SliceFleet::loopback(3));
+
+        // A snapshot resume (`Frame::Restore`) *at* an underflow point: kill
+        // the run as the second underflow point completes, then seed its
+        // last snapshot into a fresh fleet.
+        let (spec, points) = underflow_spec_and_points();
+        let expected = reference(&spec, &points);
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("smp-shard-underflow-{}.shard", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut seen = 0usize;
+        let mut on_value = |_s: Complex64, _v: Complex64| -> io::Result<()> {
+            seen += 1;
+            match seen {
+                2 => Err(io::Error::other("simulated master kill")),
+                _ => Ok(()),
+            }
+        };
+        let mut killed = SolveRecovery {
+            snapshot_path: Some(path.clone()),
+            on_value: Some(&mut on_value),
+            ..recovery(1)
+        };
+        SliceFleet::loopback(3)
+            .solve_recoverable(&spec, &points, &mut killed)
+            .unwrap_err();
+        let seed = ShardSnapshot::load(&path).unwrap().expect("a snapshot");
+        assert_eq!(bits(&[seed.s]), bits(&points[1..2]), "taken at point 1");
+        let mut resumed = SolveRecovery {
+            seed: Some(seed.clone()),
+            ..recovery(0)
+        };
+        let out = SliceFleet::loopback(2)
+            .solve_recoverable(&spec, &points, &mut resumed)
+            .unwrap();
+        assert_eq!(bits(&out.values), bits(&expected));
+        assert_eq!(out.resumed_rounds, seed.round, "point 1 resumed mid-way");
         std::fs::remove_file(&path).ok();
     }
 

@@ -382,107 +382,6 @@ fn run_threaded(
 // TCP backend — master side
 // ---------------------------------------------------------------------------
 
-/// Binds a TCP listener with `SO_REUSEADDR` set *before* the bind — the
-/// crash-restart precondition of every fixed rendezvous endpoint.
-///
-/// A master killed mid-solve (`kill -9`) leaves its accepted sockets'
-/// `TIME_WAIT` entries parked on the listener's port; a plain
-/// `TcpListener::bind` by the restarted master is then refused with
-/// `EADDRINUSE` for up to a minute — longer than any reconnecting worker's
-/// redial budget.  Linux honours an immediate re-bind only when *both*
-/// generations of socket carry `SO_REUSEADDR` (accepted sockets inherit the
-/// flag from their listener), and the flag must be set between `socket()`
-/// and `bind()`, a window `std` does not expose — hence this small libc
-/// shim.  Non-Linux targets keep the plain bind.
-#[cfg(target_os = "linux")]
-pub(crate) fn bind_reusable(addr: &SocketAddr) -> std::io::Result<TcpListener> {
-    use std::os::fd::FromRawFd;
-
-    const AF_INET: i32 = 2;
-    const AF_INET6: i32 = 10;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    const BACKLOG: i32 = 128;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    // `struct sockaddr_in` / `sockaddr_in6`, byte for byte: the family is a
-    // host-endian u16; ports, addresses and the v6 flow label travel in
-    // network byte order; the v6 scope id stays host-endian.
-    let (family, raw): (i32, Vec<u8>) = match addr {
-        SocketAddr::V4(v4) => {
-            let mut raw = Vec::with_capacity(16);
-            raw.extend_from_slice(&(AF_INET as u16).to_ne_bytes());
-            raw.extend_from_slice(&v4.port().to_be_bytes());
-            raw.extend_from_slice(&v4.ip().octets());
-            raw.resize(16, 0); // sin_zero padding
-            (AF_INET, raw)
-        }
-        SocketAddr::V6(v6) => {
-            let mut raw = Vec::with_capacity(28);
-            raw.extend_from_slice(&(AF_INET6 as u16).to_ne_bytes());
-            raw.extend_from_slice(&v6.port().to_be_bytes());
-            raw.extend_from_slice(&v6.flowinfo().to_be_bytes());
-            raw.extend_from_slice(&v6.ip().octets());
-            raw.extend_from_slice(&v6.scope_id().to_ne_bytes());
-            (AF_INET6, raw)
-        }
-    };
-
-    // SAFETY: the fd is owned by this function until `from_raw_fd` transfers
-    // it to the returned listener (or `close` reclaims it on error), and the
-    // sockaddr bytes outlive every call that reads them.
-    unsafe {
-        let fd = socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, (&one as *const i32).cast(), 4) != 0
-            || bind(fd, raw.as_ptr(), raw.len() as u32) != 0
-            || listen(fd, BACKLOG) != 0
-        {
-            let error = std::io::Error::last_os_error();
-            close(fd);
-            return Err(error);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
-
-/// Fallback for non-Linux targets: the portable bind, without the
-/// crash-restart `SO_REUSEADDR` guarantee.
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn bind_reusable(addr: &SocketAddr) -> std::io::Result<TcpListener> {
-    TcpListener::bind(addr)
-}
-
-/// [`bind_reusable`] over anything address-like: each candidate the name
-/// resolves to is tried in order, exactly as `TcpListener::bind` would.
-pub(crate) fn bind_reusable_to<A: ToSocketAddrs>(addr: A) -> std::io::Result<TcpListener> {
-    let mut last: Option<std::io::Error> = None;
-    for candidate in addr.to_socket_addrs()? {
-        match bind_reusable(&candidate) {
-            Ok(listener) => return Ok(listener),
-            Err(error) => last = Some(error),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to no socket addresses",
-        )
-    }))
-}
-
 /// Real multi-process distribution over TCP.
 ///
 /// The master binds one listener per expected worker (so each worker has an
@@ -512,14 +411,16 @@ impl TcpTransport {
     /// read the real one back with [`TcpTransport::local_addrs`]).  Each
     /// listener serves exactly one worker connection per run.
     ///
-    /// Listeners are bound with `SO_REUSEADDR` (see `bind_reusable`): a
-    /// master restarted after a crash re-binds its advertised rendezvous
-    /// endpoints immediately instead of waiting out its predecessor's
-    /// `TIME_WAIT` quarantine.
+    /// A master killed mid-solve (`kill -9`) leaves its accepted sockets'
+    /// `TIME_WAIT` entries parked on the listener's port.  On Unix std sets
+    /// `SO_REUSEADDR` between `socket()` and `bind()` (and accepted sockets
+    /// inherit it), so the restarted master re-binds its advertised
+    /// rendezvous endpoints immediately instead of waiting out the
+    /// quarantine — longer than any reconnecting worker's redial budget.
     pub fn bind<A: ToSocketAddrs>(addrs: &[A]) -> std::io::Result<TcpTransport> {
         let listeners: Vec<TcpListener> = addrs
             .iter()
-            .map(bind_reusable_to)
+            .map(TcpListener::bind)
             .collect::<std::io::Result<_>>()?;
         Ok(TcpTransport {
             listeners,
@@ -1134,6 +1035,17 @@ mod tests {
     }
 
     #[test]
+    fn sharded_tcp_session_solves_underflow_points_on_the_shards() {
+        let (transport, workers) = cluster(&[None, None, None]);
+        let (mut fleet, _, _) = crate::shard::SliceFleet::accept(&transport).unwrap();
+        crate::shard::tests::assert_underflow_points_run_on_the_shards(&mut fleet);
+        fleet.release();
+        for handle in workers {
+            assert_eq!(handle.join().unwrap().unwrap().jobs, 2, "two sessions");
+        }
+    }
+
+    #[test]
     fn sharded_tcp_worker_kill_is_resharded_onto_survivors() {
         let (spec, points, expected) = sharded_spec_and_points();
         // Worker 1 vanishes mid-point after five slice responses; the master
@@ -1453,12 +1365,13 @@ mod tests {
         // accepted connection in TIME_WAIT on the *listener's* port for up to
         // a minute.  A restarted master must re-bind that exact advertised
         // port immediately — workers are redialing it — which only works when
-        // both generations of the listener set SO_REUSEADDR before bind.
+        // both generations of the listener set SO_REUSEADDR before bind (std
+        // does, on Unix).
         //
         // Reproduce the state in-process: accept a connection, then close the
         // master side *first* (active close → our port owns the TIME_WAIT
         // entry), then re-bind the same port.
-        let listener = bind_reusable_to("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let accepted = listener.accept().unwrap().0;
@@ -1468,7 +1381,7 @@ mod tests {
         std::io::Read::read_to_end(&mut client, &mut sink).unwrap(); // EOF
         drop(client);
         drop(listener);
-        let reborn = bind_reusable_to(addr)
+        let reborn = TcpListener::bind(addr)
             .expect("immediate re-bind of a crashed master's port must succeed");
         assert_eq!(reborn.local_addr().unwrap(), addr);
     }

@@ -38,8 +38,10 @@ use std::io::{Read, Write};
 /// Protocol version spoken by this build (first field of `hello`/`job`
 /// frames).  Version 2 added the checksummed 12-byte frame header and the
 /// fault-tolerance frames (`ping`/`pong` heartbeats, `termreq`/`term`
-/// iterate snapshots, `restore` mid-point resume).
-pub const WIRE_VERSION: u32 = 2;
+/// iterate snapshots, `restore` mid-point resume).  Version 3 dropped the
+/// refill-verdict flag from `sstate`: slices solve exact-zero kernel entries
+/// themselves, so there is no per-point verdict to ship.
+pub const WIRE_VERSION: u32 = 3;
 
 /// An encoding or decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -539,9 +541,6 @@ pub enum Frame {
         id: u64,
         /// Round number (0 after init).
         r: u64,
-        /// Whether the slice's refill was faithful (round 0 only; `true`
-        /// afterwards).
-        faithful: bool,
         /// Whether the slice's term slice is quiet under the session epsilon.
         quiet: bool,
         /// Term values at the slice's owned target states, ascending.
@@ -684,14 +683,12 @@ impl Frame {
             Frame::SState {
                 id,
                 r,
-                faithful,
                 quiet,
                 targets,
                 exports,
             } => {
                 let mut out = format!(
-                    "sstate id={id} r={r} faithful={} quiet={} targets={} exports={}",
-                    *faithful as u32,
+                    "sstate id={id} r={r} quiet={} targets={} exports={}",
                     *quiet as u32,
                     targets.len(),
                     exports.len()
@@ -860,7 +857,6 @@ impl Frame {
             "sstate" => {
                 let id = parse_kv(take(&mut parts, "id")?, "id")?;
                 let r = parse_kv(take(&mut parts, "r")?, "r")?;
-                let faithful = parse_flag(take(&mut parts, "faithful")?, "faithful")?;
                 let quiet = parse_flag(take(&mut parts, "quiet")?, "quiet")?;
                 let t = parse_kv(take(&mut parts, "targets")?, "targets")? as usize;
                 let e = parse_kv(take(&mut parts, "exports")?, "exports")? as usize;
@@ -887,7 +883,6 @@ impl Frame {
                 Ok(Frame::SState {
                     id,
                     r,
-                    faithful,
                     quiet,
                     targets,
                     exports,
@@ -1282,7 +1277,6 @@ mod tests {
             Frame::SState {
                 id: 41,
                 r: 0,
-                faithful: false,
                 quiet: true,
                 targets: vec![Complex64::new(0.25, -0.75), Complex64::ZERO],
                 exports: vec![(12, Complex64::new(-1.5, 0.5))],
@@ -1290,7 +1284,6 @@ mod tests {
             Frame::SState {
                 id: 42,
                 r: 3,
-                faithful: true,
                 quiet: false,
                 targets: vec![],
                 exports: vec![],
@@ -1331,12 +1324,15 @@ mod tests {
         assert!(Frame::decode("slicemeta states=1 nnz=1 dists=1 need=2 5").is_err());
         assert!(Frame::decode("sliceroute n=3 1 2").is_err());
         assert!(Frame::decode("halo id=1 r=1 n=1").is_err());
-        assert!(Frame::decode("sstate id=1 r=0 faithful=1 quiet=0 targets=1 exports=0").is_err());
+        assert!(Frame::decode("sstate id=1 r=0 quiet=0 targets=1 exports=0").is_err());
         // Missing spec line and trailing junk.
         assert!(Frame::decode("slicejob v=1 worker=0 shards=2").is_err());
         assert!(Frame::decode("spoint id=1 3ff0000000000000 3ff0000000000000 junk").is_err());
         // Flags must be 0/1.
-        assert!(Frame::decode("sstate id=1 r=0 faithful=2 quiet=0 targets=0 exports=0").is_err());
+        assert!(Frame::decode("sstate id=1 r=0 quiet=2 targets=0 exports=0").is_err());
+        // The version-2 grammar (a refill-verdict token) is refused.
+        assert!(Frame::decode("sstate id=1 r=0 quiet=0 targets=0 exports=0").is_ok());
+        assert!(Frame::decode("sstate id=1 r=0 faithful=1 quiet=0 targets=0 exports=0").is_err());
         // Non-finite boundary values are rejected at decode.
         let nan = encode_f64(f64::NAN);
         assert!(Frame::decode(&format!("halo id=1 r=1 n=1\n4 {nan} {nan}")).is_err());
@@ -1429,7 +1425,6 @@ mod tests {
         let frame = Frame::SState {
             id: 3,
             r: 5,
-            faithful: true,
             quiet: false,
             targets: vec![Complex64::new(0.25, -0.75)],
             exports: vec![(12, Complex64::new(-1.5, 0.5))],

@@ -110,21 +110,6 @@ pub fn run_batch_worker(
     stats
 }
 
-/// Runs one single-measure worker until the queue is empty (the paper's
-/// original one-point-per-message protocol when the queue's chunk size is 1).
-pub fn run_worker<F>(
-    id: usize,
-    queue: &WorkQueue,
-    evaluator: &F,
-    results: &Sender<WorkerMessage>,
-) -> WorkerStats
-where
-    F: Fn(Complex64) -> Result<Complex64, String> + Sync + ?Sized,
-{
-    let evaluators: [&TransformFn<'_>; 1] = [&|s| evaluator(s)];
-    run_batch_worker(id, queue, &evaluators, results)
-}
-
 // ---------------------------------------------------------------------------
 // The worker at the far end of a link
 // ---------------------------------------------------------------------------
@@ -630,7 +615,7 @@ mod tests {
         let queue = WorkQueue::new(&points);
         let (tx, rx) = unbounded();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s * s) };
-        let stats = run_worker(3, &queue, &evaluator, &tx);
+        let stats = run_batch_worker(3, &queue, &[&evaluator], &tx);
         drop(tx);
         assert_eq!(stats.id, 3);
         assert_eq!(stats.evaluated, 20);
@@ -708,7 +693,7 @@ mod tests {
                 Ok(s)
             }
         };
-        let stats = run_worker(0, &queue, &evaluator, &tx);
+        let stats = run_batch_worker(0, &queue, &[&evaluator], &tx);
         drop(tx);
         assert_eq!(stats.evaluated, 3);
         let errors: Vec<_> = rx

@@ -17,10 +17,6 @@
 //!   `U'` — `U` with target rows absorbed — without ever materialising it,
 //!   and `values_mut` lets a prebuilt skeleton be refilled per transform
 //!   point (the symbolic/numeric split of `smp_core::workspace`).
-//! * [`parallel`] — chunked multi-threaded products built on `crossbeam::scope`,
-//!   used when a single `s`-point evaluation is large enough to be worth splitting
-//!   (the distributed pipeline parallelises across `s`-points first, within one
-//!   evaluation second).
 //! * [`steady_state`] — power-method and Gauss–Seidel solvers for `π P = π`,
 //!   used for the α-weights of Eq. (5) and the steady-state comparison of Fig. 7.
 //!
@@ -31,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod csr;
-pub mod parallel;
 pub mod scalar;
 pub mod steady_state;
 pub mod triplet;

@@ -67,6 +67,9 @@ impl<T: Scalar> TripletMatrix<T> {
     pub fn to_csr(&self) -> CsrMatrix<T> {
         // Counting sort by row (stable within a row because we scan in insertion
         // order), then sort each row segment by column and merge duplicates.
+        // The column sort is stable too, so duplicates of one coordinate merge
+        // in push order whatever else the row holds — an entry skipped as an
+        // exact zero cannot reorder the survivors' sum.
         let mut row_counts = vec![0usize; self.rows + 1];
         for &(r, _, _) in &self.entries {
             row_counts[r as usize + 1] += 1;
@@ -99,7 +102,7 @@ impl<T: Scalar> TripletMatrix<T> {
                     .copied()
                     .zip(vals[start..end].iter().copied()),
             );
-            scratch.sort_unstable_by_key(|&(c, _)| c);
+            scratch.sort_by_key(|&(c, _)| c);
             let mut i = 0;
             while i < scratch.len() {
                 let c = scratch[i].0;
