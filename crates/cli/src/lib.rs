@@ -732,20 +732,11 @@ routing to the distributed pipeline"
     if matches!(options.workers, WorkerBackend::Tcp(_))
         && reports.iter().all(|r| r.provenance.messages == 0)
     {
-        // No frame ever crossed the rendezvous.  Say why eagerly — a worker
-        // started per the hints above will retry against a closed port and
-        // exit (cleanly, as released).
-        let note = if requests.iter().any(|r| r.kind.is_curve()) {
-            // Curve measures were planned but nothing was dispatched: the
-            // checkpoint satisfied the whole plan.
-            "tcp master: run satisfied entirely from the checkpoint; \
-no worker connections were used (any started workers exit cleanly)"
-        } else {
-            // Only derived measures, which are computed master-side on the
-            // single-rendezvous TCP transport.
-            "tcp master: no distributed work was dispatched (all requested \
-measures are computed master-side); any started workers exit cleanly"
-        };
+        // No frame ever crossed the rendezvous: the checkpoint satisfied the
+        // whole plan.  Say so eagerly — a worker started per the hints above
+        // will retry against a closed port and exit (cleanly, as released).
+        let note = "tcp master: run satisfied entirely from the checkpoint; \
+no worker connections were used (any started workers exit cleanly)";
         eprintln!("{note}");
         let _ = writeln!(out, "{note}");
     }
@@ -2342,6 +2333,39 @@ mod tests {
             .and_then(|v| v.trim().parse().ok())
             .expect("a quantile line");
         assert!(q > 0.0, "{report}");
+    }
+
+    #[test]
+    fn a_multi_round_thread_run_explores_the_model_once() {
+        // Four quantile rounds and a mean stencil: five pipeline runs over
+        // one model.  The thread backend keeps its compiled model between
+        // runs, so only the first explores.
+        let options = parse_args(&args(&[
+            "--voting",
+            "8,3,2",
+            "--measure",
+            "quantile:p2>=8@0.5,0.9",
+            "--measure",
+            "mean:p2>=8",
+            "--t-start",
+            "2",
+            "--t-stop",
+            "40",
+            "--t-count",
+            "8",
+            "--workers",
+            "2",
+        ]))
+        .unwrap();
+        let report = run(&options).unwrap();
+        assert!(
+            report.contains("model cache: 4 hit(s) / 1 miss(es)"),
+            "{report}"
+        );
+        assert!(report.contains("evaluations: 17666 new"), "{report}");
+        assert!(report.contains("p = 0.5    ->  t = 9.192657"), "{report}");
+        assert!(report.contains("p = 0.9    ->  t = 51.001205"), "{report}");
+        assert!(report.contains("mean:p2>=8 = 23.403984"), "{report}");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! backend, and a mid-run worker disconnect must be survived by requeueing the
 //! dead worker's outstanding chunk onto the survivor.
 
+use smp_core::query::{Engine, MeasureRequest};
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
 use smp_pipeline::{
-    BatchJob, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
-    TargetSpec, TcpTransport, TransformSpec,
+    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, MeasureKind, MeasureSpec,
+    ModelSpec, PipelineOptions, TargetSpec, TcpTransport, TransformSpec,
 };
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -109,6 +110,62 @@ fn voting_over_tcp_is_bitwise_identical_to_in_process() {
         over_tcp.measure("density:p2>=2").unwrap().evaluations
     );
 
+    // Closing the sockets is the workers' release.
+    drop(transport);
+    for child in children {
+        finish(child);
+    }
+}
+
+#[test]
+fn every_measure_kind_is_dispatched_to_the_tcp_workers() {
+    let ts = linspace(2.0, 20.0, 3);
+    let target = TargetSpec::parse("p2>=2").unwrap();
+    // The mean leads the batch, so the batch's wire counters are its.
+    let requests = [
+        MeasureRequest::mean(target.clone()),
+        MeasureRequest::cdf(target.clone(), &ts),
+        MeasureRequest::quantile(target.clone(), &[0.5, 0.9]).with_t_points(&ts),
+        MeasureRequest::moment(target, 2),
+    ];
+    let reference = AnalyticEngine::new(voting_model(), InversionMethod::euler())
+        .solve(&requests)
+        .unwrap();
+
+    let transport = TcpTransport::bind(&["127.0.0.1:0", "127.0.0.1:0"])
+        .unwrap()
+        .with_accept_timeout(Duration::from_secs(60));
+    let children: Vec<Child> = transport
+        .local_addrs()
+        .iter()
+        .map(|addr| spawn_worker(&addr.to_string(), &[]))
+        .collect();
+    let engine = DistributedEngine::with_transport(
+        voting_model(),
+        InversionMethod::euler(),
+        PipelineOptions::with_workers(2),
+        Box::new(transport),
+    );
+    let reports = engine.solve(&requests).unwrap();
+    // Dropping the engine closes the sockets: the workers' release.
+    drop(engine);
+
+    for (report, analytic) in reports.iter().zip(&reference) {
+        assert_eq!(report.provenance.backend, "tcp", "{}", report.name);
+        assert_eq!(report.points, analytic.points, "{}", report.name);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&report.values),
+            bits(&analytic.values),
+            "{}",
+            report.name
+        );
+    }
+    // The stencils and every quantile round went over the wire.
+    assert!(reports[0].provenance.messages > 0, "mean");
+    assert_eq!(reports[0].provenance.evaluations, 2);
+    assert!(reports[2].provenance.messages > 0, "quantile");
+    assert_eq!(reports[3].provenance.evaluations, 3);
     for child in children {
         finish(child);
     }
@@ -134,7 +191,10 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
     // which starts only once worker 0 is gone, so it cannot drain the queue
     // before the fault lands.
     let over_tcp = std::thread::scope(|scope| {
-        let run = scope.spawn(|| pipeline.execute(voting_job(&ts), &transport));
+        // The run owns the transport: its end closes the sockets, which is
+        // the healthy worker's release.
+        let (pipeline, ts) = (&pipeline, &ts);
+        let run = scope.spawn(move || pipeline.execute(voting_job(ts), &transport));
         let mut flaky = spawn_worker(&addrs[0].to_string(), &["--exit-after-chunks", "1"]);
         let _ = flaky.wait();
         let healthy = spawn_worker(&addrs[1].to_string(), &[]);

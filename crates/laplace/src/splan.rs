@@ -116,6 +116,19 @@ impl SPointPlan {
         }
     }
 
+    /// A plan over explicitly given, distinct evaluation points and no time
+    /// grid — for a measure read off the transform itself rather than off an
+    /// inversion (a finite-difference stencil at the origin).  Such a plan is
+    /// queued, cached and checkpointed like any other; [`SPointPlan::invert`]
+    /// on it returns no values.
+    pub fn at_points(method: InversionMethod, s_points: Vec<Complex64>) -> Self {
+        SPointPlan {
+            method,
+            t_points: Vec::new(),
+            s_points,
+        }
+    }
+
     /// The inversion method of the plan.
     pub fn method(&self) -> &InversionMethod {
         &self.method

@@ -3,22 +3,24 @@
 //! Realistic studies rarely ask for a single curve — they ask for *families* of
 //! quantities: passage-time densities and CDFs for several source/target pairs,
 //! transient probabilities for several state sets, all over shared (or
-//! overlapping) time grids.  A [`BatchJob`] is that workload: an ordered list of
-//! [`MeasureSpec`]s, each pairing a Laplace-domain transform with a time grid
-//! and a post-processing kind.  `DistributedPipeline::run_batch` plans the
-//! union of required `s`-points per transform, dedupes against the
-//! measure-keyed cache and checkpoint, and solves everything through one shared
-//! work queue — the paper's "cache results both within and across successive
-//! queries" realised as an API.
+//! overlapping) time grids, and the moments of the same passages.  A
+//! [`BatchJob`] is that workload: an ordered list of [`MeasureSpec`]s, each
+//! pairing a Laplace-domain transform with a time grid and a kind that says
+//! which `s`-points it needs ([`MeasureKind::plan`]) and how its values are
+//! read off them ([`MeasureKind::postprocess`]).
+//! `DistributedPipeline::execute` plans the union of required `s`-points per
+//! transform, dedupes against the measure-keyed cache and checkpoint, and
+//! solves everything through one shared work queue — the paper's "cache
+//! results both within and across successive queries" realised as an API.
 
 use crate::transform::TransformSpec;
 use crate::transport::{Evaluator, TransportReport};
 use crate::worker::TransformFn;
-use smp_laplace::{SPointPlan, TransformValues};
+use smp_laplace::{InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::time::Duration;
 
-/// How a measure's inverted values are derived from its transform.
+/// How a measure's values are derived from its transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureKind {
     /// Invert the transform directly — a passage-time *density* `f(t)`.
@@ -31,6 +33,66 @@ pub enum MeasureKind {
     /// Invert directly, then clamp into `[0, 1]` — a transient state
     /// probability `P(Z(t) ∈ targets)`.
     Transient,
+    /// A raw passage-time moment `E[Tᵏ]`, read off the density transform at
+    /// the stencil's nodes — no inversion and no time grid.  The nodes are
+    /// ordinary `s`-points: queued, shared, cached and checkpointed under
+    /// the transform key like any curve's.
+    Moment(MomentStencil),
+}
+
+/// `E[Tᵏ] = (−1)ᵏ L⁽ᵏ⁾(0)`: the k-th central finite difference of a
+/// passage-time density transform at the origin, for `k` in `1..=4`.  The one
+/// definition of the nodes and of the fold, so every engine that evaluates
+/// the transform at [`MeasureKind::plan`]'s points and folds them with
+/// [`MeasureKind::postprocess`] reports the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MomentStencil {
+    order: u32,
+}
+
+impl MomentStencil {
+    /// The stencil of the given moment order; `None` outside `1..=4`.
+    pub fn new(order: u32) -> Option<MomentStencil> {
+        (1..=4).contains(&order).then_some(MomentStencil { order })
+    }
+
+    /// The step size, balancing truncation against cancellation per order.
+    fn step(&self) -> f64 {
+        match self.order {
+            1 => 1e-5,
+            2 => 1e-4,
+            3 => 1e-3,
+            _ => 3e-3,
+        }
+    }
+
+    /// The `order + 1` real nodes, in the fold's accumulation order.
+    fn nodes(&self) -> Vec<Complex64> {
+        (0..=self.order)
+            .map(|j| (f64::from(self.order) / 2.0 - f64::from(j)) * self.step())
+            .map(Complex64::real)
+            .collect()
+    }
+
+    /// The signed binomial fold of the transform values at the nodes.
+    fn fold(&self, shard: &TransformValues) -> f64 {
+        let binomial = |k: u32| {
+            (1..=k).fold(1.0, |acc, i| {
+                acc * f64::from(self.order - k + i) / f64::from(i)
+            })
+        };
+        let mut acc = 0.0;
+        for (j, s) in (0..=self.order).zip(self.nodes()) {
+            let coeff = if j % 2 == 0 { 1.0 } else { -1.0 } * binomial(j);
+            acc += coeff * shard.get(s).expect("plan satisfied by shard").re;
+        }
+        let derivative = acc / self.step().powi(self.order as i32);
+        if self.order.is_multiple_of(2) {
+            derivative
+        } else {
+            -derivative
+        }
+    }
 }
 
 impl MeasureKind {
@@ -40,11 +102,28 @@ impl MeasureKind {
             MeasureKind::Density => "density",
             MeasureKind::Cdf => "cdf",
             MeasureKind::Transient => "transient",
+            MeasureKind::Moment(_) => "moment",
         }
     }
 
-    /// Inverts a measure's plan from its cached transform shard, applying the
-    /// kind-specific post-processing.  This is the *only* place the `/s`
+    /// The `s`-points a measure of this kind needs: the inversion contour of
+    /// every `t`-point for the curve kinds, the stencil's nodes (whatever the
+    /// grid) for a moment.
+    ///
+    /// # Panics
+    /// As [`SPointPlan::new`], for a curve kind over an empty or non-positive
+    /// grid.
+    pub fn plan(&self, method: InversionMethod, t_points: &[f64]) -> SPointPlan {
+        match self {
+            MeasureKind::Moment(stencil) => SPointPlan::at_points(method, stencil.nodes()),
+            _ => SPointPlan::new(method, t_points),
+        }
+    }
+
+    /// Derives a measure's values from its cached transform shard: inversion
+    /// on the plan's time grid with the kind-specific post-processing for the
+    /// curve kinds, the finite-difference fold (one value) for a moment.
+    /// This is the *only* place the `/s`
     /// trick's inversion side lives: a CDF measure's shard holds the **raw**
     /// density values (so they stay sharable with density measures over the
     /// same transform key), and the division happens here, on a derived copy,
@@ -75,6 +154,7 @@ impl MeasureKind {
                 .into_iter()
                 .map(|p| p.clamp(0.0, 1.0))
                 .collect(),
+            MeasureKind::Moment(stencil) => vec![stencil.fold(shard)],
         }
     }
 }
@@ -275,9 +355,10 @@ pub struct MeasureResult {
     pub name: String,
     /// The measure's post-processing kind.
     pub kind: MeasureKind,
-    /// The measure's output time grid.
+    /// The measure's output time grid (unused by a moment measure).
     pub t_points: Vec<f64>,
-    /// The inverted (and kind-specific post-processed) values on that grid.
+    /// The inverted (and kind-specific post-processed) values on that grid;
+    /// for a moment measure, the one moment.
     pub values: Vec<f64>,
     /// Number of `s`-points this measure caused to be evaluated in this run.
     pub evaluations: usize,

@@ -33,10 +33,12 @@
 //! drift apart: quantiles run `smp_laplace::quantiles_from_cdf` over a
 //! CDF-on-grid provider (sequential inversion for the analytic engine, one
 //! pipeline run per refinement round for the distributed engine), and
-//! means/moments read the transform's derivatives at the origin with one
-//! finite-difference stencil used by both.
+//! means/moments are a batch measure kind like the curves — the stencil's
+//! nodes are its plan, the finite-difference fold its post-processing
+//! ([`crate::batch::MomentStencil`]) — so the analytic engine evaluates the
+//! same points in sequence that the distributed engine puts on the work queue.
 
-use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec};
+use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
 use crate::master::{DistributedPipeline, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{
@@ -50,7 +52,6 @@ use smp_core::query::{
 use smp_core::uniform::{self, PhaseCtmc};
 use smp_core::StateSet;
 use smp_laplace::{quantiles_from_cdf, InversionMethod, SPointPlan, TransformValues};
-use smp_numeric::Complex64;
 use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
     TransientSimulationOptions,
@@ -97,13 +98,37 @@ fn transform_spec_for(model: &ModelSpec, request: &MeasureRequest) -> TransformS
     }
 }
 
-/// The batch-level post-processing kind of a curve request.
-fn curve_kind_of(kind: &MeasureKind) -> CurveKind {
+/// The batch measure kind that answers a request from one fixed plan — the
+/// curve kinds on the request's grid, mean/moment on the stencil's nodes —
+/// or `None` for a quantile, whose grids depend on the values found.
+fn batch_kind_of(kind: &MeasureKind) -> Result<Option<CurveKind>, EngineError> {
+    let moment = |order: u32| {
+        MomentStencil::new(order)
+            .map(|stencil| Some(CurveKind::Moment(stencil)))
+            .ok_or_else(|| {
+                EngineError::Unsupported(format!(
+                    "moment order {order} is out of range (supported: 1..=4)"
+                ))
+            })
+    };
     match kind {
-        MeasureKind::Density => CurveKind::Density,
-        MeasureKind::Cdf => CurveKind::Cdf,
-        MeasureKind::Transient => CurveKind::Transient,
-        _ => unreachable!("not a curve kind"),
+        MeasureKind::Density => Ok(Some(CurveKind::Density)),
+        MeasureKind::Cdf => Ok(Some(CurveKind::Cdf)),
+        MeasureKind::Transient => Ok(Some(CurveKind::Transient)),
+        MeasureKind::Quantile { .. } => Ok(None),
+        MeasureKind::Mean => moment(1),
+        MeasureKind::Moment { order } => moment(*order),
+    }
+}
+
+/// The abscissae a report's values sit on: the time grid of a curve, the
+/// probabilities of a quantile, the order of a mean/moment.
+fn report_points(request: &MeasureRequest) -> Vec<f64> {
+    match &request.kind {
+        MeasureKind::Quantile { probs } => probs.clone(),
+        MeasureKind::Mean => vec![1.0],
+        MeasureKind::Moment { order } => vec![f64::from(*order)],
+        _ => request.t_points.clone(),
     }
 }
 
@@ -136,50 +161,6 @@ fn eval_plan(
         *evaluations += 1;
     }
     Ok(shard)
-}
-
-fn binomial(n: u32, k: u32) -> f64 {
-    (1..=k).fold(1.0, |acc, i| acc * f64::from(n - k + i) / f64::from(i))
-}
-
-/// `E[Tᵏ] = (−1)ᵏ L⁽ᵏ⁾(0)`: the k-th raw moment of a passage time from the
-/// k-th central finite difference of its density transform at the origin.
-/// One implementation shared by the analytic and distributed engines, so the
-/// two are bitwise identical by construction.
-fn moment_from_transform(
-    evaluator: &CompiledEvaluator<'_>,
-    order: u32,
-    evaluations: &mut usize,
-) -> Result<f64, EngineError> {
-    if !(1..=4).contains(&order) {
-        return Err(EngineError::Unsupported(format!(
-            "moment order {order} is out of range (supported: 1..=4)"
-        )));
-    }
-    // Step sizes balance truncation against cancellation per stencil order.
-    let h = match order {
-        1 => 1e-5,
-        2 => 1e-4,
-        3 => 1e-3,
-        _ => 3e-3,
-    };
-    let k = order as i32;
-    let mut acc = 0.0;
-    for j in 0..=order {
-        let coeff = if j % 2 == 0 { 1.0 } else { -1.0 } * binomial(order, j);
-        let x = (f64::from(order) / 2.0 - f64::from(j)) * h;
-        let value = evaluator
-            .eval(Complex64::real(x))
-            .map_err(|e| EngineError::Analysis(format!("evaluation failed at s = {x}: {e}")))?;
-        *evaluations += 1;
-        acc += coeff * value.re;
-    }
-    let derivative = acc / h.powi(k);
-    Ok(if order.is_multiple_of(2) {
-        derivative
-    } else {
-        -derivative
-    })
 }
 
 /// Turns the generic quantile search's per-probability options into values,
@@ -241,41 +222,34 @@ impl AnalyticEngine {
     }
 }
 
-/// Solves one request against a compiled evaluator — the sequential core
-/// shared by [`AnalyticEngine`] and the [`DistributedEngine`]'s master-side
-/// fallback.  Returns `(points, values, evaluations)`.
+/// Solves one request against a compiled evaluator, every point in the
+/// calling thread — the sequential reference the distributed deployments are
+/// compared against bit for bit.  Returns `(values, evaluations)`.
 fn solve_locally(
     request: &MeasureRequest,
     evaluator: &CompiledEvaluator<'_>,
     method: &InversionMethod,
-) -> Result<(Vec<f64>, Vec<f64>, usize), EngineError> {
+) -> Result<(Vec<f64>, usize), EngineError> {
     let mut evaluations = 0usize;
-    match &request.kind {
-        MeasureKind::Density | MeasureKind::Cdf | MeasureKind::Transient => {
-            let plan = SPointPlan::new(method.clone(), &request.t_points);
-            let shard = eval_plan(&plan, evaluator, &mut evaluations)?;
-            let values = curve_kind_of(&request.kind).postprocess(&plan, &shard);
-            Ok((request.t_points.clone(), values, evaluations))
-        }
+    let mut solve_plan = |kind: CurveKind, ts: &[f64]| {
+        let plan = kind.plan(method.clone(), ts);
+        let shard = eval_plan(&plan, evaluator, &mut evaluations)?;
+        Ok::<Vec<f64>, EngineError>(kind.postprocess(&plan, &shard))
+    };
+    let values = match &request.kind {
         MeasureKind::Quantile { probs } => {
             let (initial, max_horizon) = quantile_horizons(request);
             let found = quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
-                let plan = SPointPlan::new(method.clone(), ts);
-                let shard = eval_plan(&plan, evaluator, &mut evaluations)?;
-                Ok::<Vec<f64>, EngineError>(CurveKind::Cdf.postprocess(&plan, &shard))
+                solve_plan(CurveKind::Cdf, ts)
             })?;
-            let values = require_quantiles(&request.name(), probs, found, max_horizon)?;
-            Ok((probs.clone(), values, evaluations))
+            require_quantiles(&request.name(), probs, found, max_horizon)?
         }
-        MeasureKind::Mean => {
-            let mean = moment_from_transform(evaluator, 1, &mut evaluations)?;
-            Ok((vec![1.0], vec![mean], evaluations))
+        kind => {
+            let kind = batch_kind_of(kind)?.expect("every kind but the quantile has one");
+            solve_plan(kind, &request.t_points)?
         }
-        MeasureKind::Moment { order } => {
-            let moment = moment_from_transform(evaluator, *order, &mut evaluations)?;
-            Ok((vec![f64::from(*order)], vec![moment], evaluations))
-        }
-    }
+    };
+    Ok((values, evaluations))
 }
 
 /// Compiles the unique transform specs of `requests`, returning the set, a
@@ -284,7 +258,7 @@ fn solve_locally(
 /// without a cache every distinct model is a miss — a fresh exploration).
 fn compile_unique_specs(
     model: &ModelSpec,
-    requests: &[&MeasureRequest],
+    requests: &[MeasureRequest],
     cache: Option<&CompiledSetCache>,
 ) -> Result<(Arc<CompiledModelSet>, Vec<usize>, usize, usize), EngineError> {
     let mut specs: Vec<TransformSpec> = Vec::new();
@@ -324,17 +298,15 @@ impl Engine for AnalyticEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         validate_requests(&self.model, requests)?;
-        let refs: Vec<&MeasureRequest> = requests.iter().collect();
         let (set, spec_of, model_hits, model_misses) =
-            compile_unique_specs(&self.model, &refs, self.compiled_cache.as_deref())?;
+            compile_unique_specs(&self.model, requests, self.compiled_cache.as_deref())?;
         let evaluators = set.evaluators().map_err(EngineError::Analysis)?;
         let states = Some(set.num_states());
         let mut reports = Vec::with_capacity(requests.len());
         for (request, &si) in requests.iter().zip(&spec_of) {
             let started = Instant::now();
             let stats_before = evaluators[si].hotpath_stats();
-            let (points, values, evaluations) =
-                solve_locally(request, &evaluators[si], &self.method)?;
+            let (values, evaluations) = solve_locally(request, &evaluators[si], &self.method)?;
             let hotpath = evaluators[si].hotpath_stats().since(stats_before);
             let mut provenance = Provenance::local("analytic", "sequential");
             provenance.states = states;
@@ -351,7 +323,7 @@ impl Engine for AnalyticEngine {
             reports.push(MeasureReport {
                 name: request.name(),
                 kind: request.kind.clone(),
-                points,
+                points: report_points(request),
                 values,
                 provenance,
             });
@@ -365,25 +337,23 @@ impl Engine for AnalyticEngine {
 // ---------------------------------------------------------------------------
 
 /// The distributed pipeline behind the typed query layer: one engine, one
-/// solve path, any [`Transport`].
+/// evaluation path, any [`Transport`].
 ///
-/// Curve measures of one solve are planned as a single [`BatchJob`] — shared
-/// transform keys, union `s`-point planning, measure-keyed cache and
-/// checkpoint all apply — and executed over the configured [`Transport`].
-/// Quantiles run the shared search of `smp_laplace::quantiles_from_cdf` with
-/// one *pipeline run per refinement round* on reusable transports (worker
-/// threads, row shards, the query server's pool); with a configured
-/// checkpoint or shared cache the rounds warm each other and any later run.
-/// The TCP chunk transport is single-rendezvous (workers dial in once per
-/// run), so quantile refinement is evaluated master-side there; the
-/// mean/moment stencils are always master-side — same shared code paths,
-/// same bitwise values, noted in the report's provenance backend.
+/// Every transform value this engine reports was obtained through
+/// [`DistributedPipeline::execute`].  The measures with a fixed plan — curves
+/// on their grid, means/moments on their stencil — are planned as a single
+/// [`BatchJob`], so shared transform keys, union `s`-point planning, the
+/// measure-keyed cache and the checkpoint apply to all of them.  Quantiles
+/// run the shared search of `smp_laplace::quantiles_from_cdf` with one
+/// *pipeline run per refinement round*; with a configured checkpoint or
+/// shared cache the rounds warm each other and any later run.  Every
+/// transport keeps its workers between runs — threads are respawned over a
+/// kept compiled model, links and slice fleets stay connected until the
+/// engine drops — so a multi-round solve pays its rendezvous once.
 pub struct DistributedEngine {
     model: ModelSpec,
-    method: InversionMethod,
     pipeline: DistributedPipeline,
     transport: Box<dyn Transport>,
-    compiled_cache: Option<Arc<CompiledSetCache>>,
 }
 
 impl std::fmt::Debug for DistributedEngine {
@@ -414,10 +384,8 @@ impl DistributedEngine {
     ) -> Self {
         DistributedEngine {
             model,
-            method: method.clone(),
             pipeline: DistributedPipeline::new(method, options),
             transport,
-            compiled_cache: None,
         }
     }
 
@@ -450,15 +418,6 @@ impl DistributedEngine {
         Self::with_transport(model, method, options, Box::new(transport))
     }
 
-    /// Serves *master-side* compiled model sets (quantile fallbacks and
-    /// mean/moment stencils) from `cache`.  The transport's own compiles are
-    /// cached separately — attach the same cache to an [`InProcess`] backend
-    /// via its `with_compiled_cache` builder, as the query server does.
-    pub fn with_compiled_cache(mut self, cache: Arc<CompiledSetCache>) -> Self {
-        self.compiled_cache = Some(cache);
-        self
-    }
-
     /// The backend name (`in-process`, `tcp`, `sharded-loopback`,
     /// `sharded-tcp`, …).
     pub fn backend(&self) -> &'static str {
@@ -466,7 +425,7 @@ impl DistributedEngine {
     }
 
     /// One pipeline run over the engine's transport — the only way this
-    /// engine obtains distributed transform values.
+    /// engine obtains a transform value.
     fn execute(&self, job: BatchJob<'_>) -> Result<BatchResult, EngineError> {
         self.pipeline
             .execute(job, self.transport.as_ref())
@@ -474,10 +433,9 @@ impl DistributedEngine {
     }
 }
 
-/// Folds one pipeline run's transport counters into the provenance of the
-/// report they are attributed to (the first curve of a batch; the quantile a
-/// refinement round belongs to), so summing a solve's reports gives true
-/// totals.
+/// Folds one pipeline run into the provenance of the report it is attributed
+/// to (the first measure of a batch; the quantile a refinement round belongs
+/// to), so summing a solve's reports gives true totals.
 fn absorb_run(provenance: &mut Provenance, run: &TransportReport) {
     provenance.messages += run.messages;
     provenance.bytes_on_wire += run.bytes_on_wire;
@@ -491,6 +449,8 @@ fn absorb_run(provenance: &mut Provenance, run: &TransportReport) {
     provenance.retries += run.retries;
     provenance.recovered_faults += run.recovered_faults;
     provenance.resumed_rounds += run.resumed_rounds;
+    provenance.model_cache_hits += run.model_cache_hits;
+    provenance.model_cache_misses += run.model_cache_misses;
 }
 
 impl Engine for DistributedEngine {
@@ -502,37 +462,27 @@ impl Engine for DistributedEngine {
         validate_requests(&self.model, requests)?;
         let backend = self.transport.name();
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
-        let mut states: Option<usize> = None;
-        // Run-level model-cache traffic (transport compiles + master-side
-        // compiles), attributed to the solve's first report at the end.
-        let mut model_hits = 0usize;
-        let mut model_misses = 0usize;
 
-        // 1. All curve measures go through the pipeline as one batch: shared
-        //    transform keys mean a density and a CDF over one target share
-        //    every evaluation, exactly as run_batch always promised.
-        let curve_indices: Vec<usize> = requests
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.kind.is_curve())
-            .map(|(i, _)| i)
-            .collect();
-        if !curve_indices.is_empty() {
-            let mut job = BatchJob::new();
-            for &ri in &curve_indices {
-                let request = &requests[ri];
+        // 1. Every measure with a fixed plan goes through the pipeline as one
+        //    batch: shared transform keys mean a density, a CDF and a mean
+        //    over one target share every evaluation they have in common.
+        let mut job = BatchJob::new();
+        let mut batched = Vec::new();
+        for (ri, request) in requests.iter().enumerate() {
+            if let Some(kind) = batch_kind_of(&request.kind)? {
+                let spec = transform_spec_for(&self.model, request);
                 job.push(MeasureSpec::from_spec(
                     request.name(),
-                    curve_kind_of(&request.kind),
+                    kind,
                     &request.t_points,
-                    transform_spec_for(&self.model, request),
+                    spec,
                 ));
+                batched.push(ri);
             }
+        }
+        if !batched.is_empty() {
             let batch = self.execute(job)?;
-            states = states.or(batch.report.states);
-            model_hits += batch.report.model_cache_hits;
-            model_misses += batch.report.model_cache_misses;
-            for (slot, (&ri, result)) in curve_indices.iter().zip(batch.measures).enumerate() {
+            for (slot, (&ri, result)) in batched.iter().zip(batch.measures).enumerate() {
                 let mut provenance = Provenance::local("distributed", backend);
                 provenance.workers = self.transport.parallelism();
                 provenance.shards = batch.report.shards;
@@ -547,139 +497,58 @@ impl Engine for DistributedEngine {
                 reports[ri] = Some(MeasureReport {
                     name: result.name,
                     kind: requests[ri].kind.clone(),
-                    points: result.t_points,
+                    points: report_points(&requests[ri]),
                     values: result.values,
                     provenance,
                 });
             }
         }
 
-        // 2. Derived measures.  Quantiles refine through repeated pipeline
-        //    runs when the transport supports them; otherwise (TCP chunk
-        //    workers) they fall back to the same master-side code the
-        //    analytic engine runs.  Mean/moment stencils are a handful of
-        //    near-origin evaluations — always master-side.
-        let derived: Vec<usize> = requests
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.kind.is_curve())
-            .map(|(i, _)| i)
-            .collect();
-        let needs_local = derived.iter().any(|&ri| {
-            !matches!(requests[ri].kind, MeasureKind::Quantile { .. }) || !self.transport.reusable()
-        });
-        let local = if needs_local {
-            let local_requests: Vec<&MeasureRequest> =
-                derived.iter().map(|&ri| &requests[ri]).collect();
-            let (set, index_of, hits, misses) =
-                compile_unique_specs(&self.model, &local_requests, self.compiled_cache.as_deref())?;
-            model_hits += hits;
-            model_misses += misses;
-            Some((set, index_of))
-        } else {
-            None
-        };
-        let local_evaluators = match &local {
-            Some((set, _)) => {
-                states = states.or(Some(set.num_states()));
-                Some(set.evaluators().map_err(EngineError::Analysis)?)
-            }
-            None => None,
-        };
-
-        for (di, &ri) in derived.iter().enumerate() {
-            let request = &requests[ri];
-            let started = Instant::now();
-            let is_quantile = matches!(request.kind, MeasureKind::Quantile { .. });
-            let report = if is_quantile && self.transport.reusable() {
-                // Multi-round distributed refinement: one Cdf batch per grid
-                // the search asks for.  A configured checkpoint or shared
-                // cache warms every round (and any later run) under the
-                // spec's canonical key.
-                let MeasureKind::Quantile { probs } = &request.kind else {
-                    unreachable!()
-                };
-                let spec = transform_spec_for(&self.model, request);
-                let (initial, max_horizon) = quantile_horizons(request);
-                let name = request.name();
-                let mut provenance = Provenance::local("distributed", backend);
-                let found =
-                    quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
-                        let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
-                            name.clone(),
-                            CurveKind::Cdf,
-                            ts,
-                            spec.clone(),
-                        ));
-                        let batch = self.execute(job)?;
-                        absorb_run(&mut provenance, &batch.report);
-                        provenance.shards = provenance.shards.max(batch.report.shards);
-                        provenance.states = provenance.states.or(batch.report.states);
-                        model_hits += batch.report.model_cache_hits;
-                        model_misses += batch.report.model_cache_misses;
-                        let result = batch.measures.into_iter().next().expect("one measure");
-                        provenance.evaluations += result.evaluations;
-                        provenance.cache_hits += result.cache_hits;
-                        Ok::<Vec<f64>, EngineError>(result.values)
-                    })?;
-                let values = require_quantiles(&name, probs, found, max_horizon)?;
-                states = states.or(provenance.states);
-                provenance.workers = self.transport.parallelism();
-                provenance.wall = started.elapsed();
-                MeasureReport {
-                    name,
-                    kind: request.kind.clone(),
-                    points: probs.clone(),
-                    values,
-                    provenance,
-                }
-            } else {
-                let (_, index_of) = local.as_ref().expect("local compile present");
-                let evaluators = local_evaluators.as_ref().expect("local evaluators present");
-                let stats_before = evaluators[index_of[di]].hotpath_stats();
-                let (points, values, evaluations) =
-                    solve_locally(request, &evaluators[index_of[di]], &self.method)?;
-                let hotpath = evaluators[index_of[di]].hotpath_stats().since(stats_before);
-                let detail = if is_quantile {
-                    format!("master-side ({backend} transport is single-rendezvous)")
-                } else {
-                    "master-side (near-origin stencil)".to_string()
-                };
-                let mut provenance = Provenance::local("distributed", detail);
-                provenance.workers = self.transport.parallelism();
-                provenance.states = states;
-                provenance.evaluations = evaluations;
-                provenance.matrix_rebuilds_avoided = hotpath.matrix_rebuilds_avoided;
-                provenance.pooled_lst_evaluations = hotpath.pooled_lst_evaluations;
-                provenance.wall = started.elapsed();
-                MeasureReport {
-                    name: request.name(),
-                    kind: request.kind.clone(),
-                    points,
-                    values,
-                    provenance,
-                }
+        // 2. Quantiles refine through repeated pipeline runs: one Cdf batch
+        //    per grid the search asks for.  A configured checkpoint or
+        //    shared cache warms every round (and any later run) under the
+        //    spec's canonical key.
+        for (ri, request) in requests.iter().enumerate() {
+            let MeasureKind::Quantile { probs } = &request.kind else {
+                continue;
             };
-            reports[ri] = Some(report);
+            let started = Instant::now();
+            let spec = transform_spec_for(&self.model, request);
+            let (initial, max_horizon) = quantile_horizons(request);
+            let name = request.name();
+            let mut provenance = Provenance::local("distributed", backend);
+            let found = quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
+                let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
+                    name.clone(),
+                    CurveKind::Cdf,
+                    ts,
+                    spec.clone(),
+                ));
+                let batch = self.execute(job)?;
+                absorb_run(&mut provenance, &batch.report);
+                provenance.shards = provenance.shards.max(batch.report.shards);
+                provenance.states = provenance.states.or(batch.report.states);
+                let result = batch.measures.into_iter().next().expect("one measure");
+                provenance.evaluations += result.evaluations;
+                provenance.cache_hits += result.cache_hits;
+                Ok::<Vec<f64>, EngineError>(result.values)
+            })?;
+            let values = require_quantiles(&name, probs, found, max_horizon)?;
+            provenance.workers = self.transport.parallelism();
+            provenance.wall = started.elapsed();
+            reports[ri] = Some(MeasureReport {
+                name,
+                kind: request.kind.clone(),
+                points: report_points(request),
+                values,
+                provenance,
+            });
         }
 
-        // Backfill the state-space size for reports issued before it was
-        // known (e.g. a curve batch over TCP followed by a local stencil).
-        let mut reports: Vec<MeasureReport> = reports
+        Ok(reports
             .into_iter()
-            .map(|r| {
-                let mut report = r.expect("every request answered");
-                report.provenance.states = report.provenance.states.or(states);
-                report
-            })
-            .collect();
-        // Model-cache traffic is run-level: attribute it to the first report
-        // so summing across a solve's reports gives the true totals.
-        if let Some(first) = reports.first_mut() {
-            first.provenance.model_cache_hits = model_hits;
-            first.provenance.model_cache_misses = model_misses;
-        }
-        Ok(reports)
+            .map(|r| r.expect("every request answered"))
+            .collect())
     }
 }
 
@@ -1445,9 +1314,11 @@ mod tests {
                 reports[0].provenance.evaluations
             );
             // Transient curves ride the same batch (evaluated by the fleet's
-            // master-side fallback); moment stencils stay master-side.
+            // fallback evaluator); the mean's two stencil nodes are passage
+            // points like any other and run on the slices.
             assert_eq!(reports[2].provenance.backend, "sharded-loopback");
-            assert!(reports[4].provenance.backend.contains("stencil"));
+            assert_eq!(reports[4].provenance.backend, "sharded-loopback");
+            assert_eq!(reports[4].provenance.evaluations, 2);
         }
     }
 
@@ -1496,6 +1367,36 @@ mod tests {
             "at least one message per pipeline run"
         );
         assert!(p.bytes_on_wire > 0);
+    }
+
+    #[test]
+    fn stencil_points_are_result_cached_like_any_other_point() {
+        let requests = [
+            MeasureRequest::mean(target("p2>=2")),
+            MeasureRequest::moment(target("p2>=2"), 3),
+        ];
+        let options = PipelineOptions {
+            workers: 2,
+            shared_cache: Some(Arc::new(crate::cache::ResultCache::new())),
+            ..Default::default()
+        };
+        let engine = DistributedEngine::in_process(voting(), InversionMethod::euler(), options);
+        let cold = engine.solve(&requests).unwrap();
+        let warm = engine.solve(&requests).unwrap();
+        for ((c, w), order) in cold.iter().zip(&warm).zip([1, 3]) {
+            assert_eq!(c.provenance.evaluations, order + 1, "{}", c.name);
+            assert_eq!(c.values, w.values, "{}", c.name);
+            assert_eq!(w.provenance.evaluations, 0, "{}", w.name);
+            assert_eq!(w.provenance.cache_hits, order + 1, "{}", w.name);
+            assert_eq!(
+                w.provenance.messages, 0,
+                "a warm stencil dispatches nothing"
+            );
+        }
+        match engine.solve(&[MeasureRequest::moment(target("p2>=2"), 5)]) {
+            Err(EngineError::Unsupported(m)) => assert!(m.contains("1..=4"), "{m}"),
+            other => panic!("expected unsupported, got {other:?}"),
+        }
     }
 
     #[test]

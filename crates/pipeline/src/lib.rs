@@ -48,7 +48,8 @@
 //! The paper amortises transform evaluations across many time points and
 //! measures, caching values "both within and across successive queries".  The
 //! pipeline therefore solves whole [`BatchJob`]s: N [`MeasureSpec`]s (densities,
-//! CDFs via the `/s` trick, transients) over shared or distinct time grids, with
+//! CDFs via the `/s` trick, transients over shared or distinct time grids;
+//! moments over their finite-difference stencil), with
 //! per-transform union planning, a measure-keyed cache/checkpoint, and chunked
 //! work dispatch so channel and lock traffic is one round-trip per *chunk*, not
 //! per point.  A single curve is a one-measure batch.
@@ -102,7 +103,7 @@ pub mod wire;
 pub mod work;
 pub mod worker;
 
-pub use batch::{BatchJob, BatchResult, MeasureKind, MeasureResult, MeasureSpec};
+pub use batch::{BatchJob, BatchResult, MeasureKind, MeasureResult, MeasureSpec, MomentStencil};
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
     uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache, SimulationEngine,

@@ -138,7 +138,8 @@ impl DistributedPipeline {
     /// every value is cached and checkpointed under its measure's transform
     /// key; once all values have arrived the master inverts each measure on
     /// its own time grid, applying the kind-specific post-processing
-    /// (`/s` + monotone clamp for CDFs, `[0, 1]` clamp for transients).
+    /// (`/s` + monotone clamp for CDFs, `[0, 1]` clamp for transients) — or,
+    /// for a moment measure, folds its stencil's values into one number.
     ///
     /// # Example
     ///
@@ -210,7 +211,7 @@ impl DistributedPipeline {
         }
         let plans: Vec<SPointPlan> = measures
             .iter()
-            .map(|m| SPointPlan::new(self.method.clone(), m.t_points()))
+            .map(|m| m.kind().plan(self.method.clone(), m.t_points()))
             .collect();
 
         // Restore any checkpointed values into their measure shards — unless a
@@ -356,11 +357,11 @@ impl DistributedPipeline {
         let report = transport_result?;
 
         // Invert each measure on its own grid with kind-specific
-        // post-processing (the /s trick for CDFs lives in
+        // post-processing (the /s trick for CDFs and the moment fold live in
         // `MeasureKind::postprocess`).
         let mut measure_results = Vec::with_capacity(measures.len());
         for (mi, m) in measures.iter().enumerate() {
-            let shard = cache.snapshot(m.transform_key());
+            let shard = cache.snapshot(m.transform_key(), plans[mi].s_points());
             if !plans[mi].is_satisfied_by(&shard) {
                 return Err(PipelineError::Incomplete {
                     measure: m.name().to_string(),

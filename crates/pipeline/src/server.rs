@@ -995,12 +995,11 @@ impl ServerShared {
 // The standing-pool transport
 // ---------------------------------------------------------------------------
 
-/// A [`Transport`] over the server's resident worker processes.  Unlike
-/// [`crate::TcpTransport`] there is no per-run rendezvous: `execute` checks
-/// the attached links out of the shared pool, runs the shared chunk dispatch
-/// over them under the request's deadline, and checks the survivors back in
-/// — so it is `reusable` and multi-round quantile refinement works over real
-/// processes.
+/// A [`Transport`] over the server's resident worker processes.  Where
+/// [`crate::TcpTransport`] owns its seats, this one borrows them: `execute`
+/// checks the attached links out of the pool all requests share, runs the
+/// shared chunk dispatch over them under the request's deadline, and checks
+/// the survivors back in.
 struct PoolTransport {
     shared: Arc<ServerShared>,
     deadline: Option<Instant>,
@@ -1146,7 +1145,6 @@ fn solve_routed(
                 Box::new(InProcess::new(workers).with_compiled_cache(shared.compiled.clone()))
             };
             DistributedEngine::with_transport(model.clone(), method.clone(), options, transport)
-                .with_compiled_cache(shared.compiled.clone())
                 .solve(requests)
         }
     }

@@ -891,8 +891,8 @@ const SNAPSHOT_EVERY: u64 = 8;
 /// unsharded ones.  Specs the slice grammar does not speak (transient
 /// transforms) are evaluated master-side by the fleet's fallback evaluator.
 ///
-/// The fleet outlives single `execute` calls (the transport is reusable, so
-/// quantile refinement rounds run on the same resident slices): loopback
+/// The fleet outlives single `execute` calls (quantile refinement rounds run
+/// on the same resident slices): loopback
 /// shards are created, and TCP shard holders accepted, on the first call and
 /// released when the transport drops.
 pub struct ShardedTransport {
@@ -1452,7 +1452,6 @@ pub(crate) mod tests {
         };
         let transport = ShardedTransport::loopback(2);
         assert_eq!(transport.name(), "sharded-loopback");
-        assert!(transport.reusable());
         // The fleet is resident: a second execute reuses the same slices.
         for _ in 0..2 {
             let mut answered = Vec::new();

@@ -11,9 +11,11 @@
 //! * [`TcpTransport`] — real worker *processes* on real sockets: the master
 //!   listens, each `smpq worker --connect HOST:PORT` dials in, receives the
 //!   job's [`TransformSpec`]s, rebuilds the evaluators from bytes and answers
-//!   chunks until the queue drains.  A worker that disconnects mid-run loses
-//!   nothing: its outstanding chunk is requeued and the surviving workers
-//!   finish it,
+//!   chunks until the queue drains.  The master keeps the link for its next
+//!   run (a quantile search is one run per refinement round) and releases
+//!   its workers by closing the sockets when the transport drops.  A worker
+//!   that disconnects mid-run loses nothing: its outstanding chunk is
+//!   requeued and the surviving workers finish it,
 //! * [`crate::shard::ShardedTransport`] — row-sharded evaluation: instead of
 //!   farming whole `s`-points out, every point runs as lockstep sparse
 //!   products over slice workers that each hold one row block of the model,
@@ -25,8 +27,8 @@
 //! [`TransformSpec`]).
 //!
 //! The chunk backends with a worker at the far end of a wire differ only in
-//! where their [`Link`]s come from — a lazy rendezvous accept or a pool
-//! checkout; the chunk protocol itself is written once, in
+//! where their [`Link`]s come from — a seat table filled by lazy rendezvous
+//! accepts, or a pool checkout; the chunk protocol itself is written once, in
 //! `dispatch_chunks`.  This file also holds the crate's socket timeouts and
 //! deadlines, which is why `smp-lint` D003 leaves its clock reads alone; the
 //! fault schedule and backoff ([`crate::fault`], re-exported here) are
@@ -35,7 +37,7 @@
 pub use crate::fault::{splitmix64, Backoff, FaultKind, FaultPlan};
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
-use crate::transform::{CompiledEvaluator, CompiledModelSet, CompiledSetCache, TransformSpec};
+use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
 use crate::worker::{run_batch_worker, TransformFn, WorkerMessage, WorkerStats};
@@ -113,9 +115,9 @@ pub struct TransportReport {
     /// evaluators (zero for the TCP backend — its workers count on their own
     /// side of the wire).
     pub hotpath: smp_core::HotPathStats,
-    /// Compiled model sets this run served from a shared
-    /// [`CompiledSetCache`] without
-    /// re-exploring (zero when the backend has no cache attached).
+    /// Compiled model sets this run served from a [`CompiledSetCache`]
+    /// without re-exploring (zero for backends that compile on the far side
+    /// of a wire).
     pub model_cache_hits: usize,
     /// Compiled model sets this run had to compile — each one a state-space
     /// exploration per distinct model in the plan.
@@ -165,7 +167,10 @@ impl TransportReport {
     }
 }
 
-/// A pluggable master⇄worker message-passing backend.
+/// A pluggable master⇄worker message-passing backend.  `execute` may be
+/// called any number of times on one instance: multi-round computations (the
+/// distributed engine's quantile refinement) run every round on the same
+/// workers.
 pub trait Transport {
     /// Short backend name for reports (`in-process`, `tcp`, `sharded-tcp`, …).
     fn name(&self) -> &'static str;
@@ -173,17 +178,6 @@ pub trait Transport {
     /// How many workers the backend runs in parallel — the master's hint for
     /// automatic chunk sizing.
     fn parallelism(&self) -> usize;
-
-    /// True when [`Transport::execute`] may be called repeatedly on the same
-    /// instance (worker threads, row shards, the server's standing pool).
-    /// The TCP chunk backend returns `false`: its
-    /// rendezvous listeners serve one worker connection per run, so
-    /// multi-round computations (the distributed engine's quantile
-    /// refinement) must fall back to master-side evaluation rather than
-    /// expecting workers to dial in again.
-    fn reusable(&self) -> bool {
-        true
-    }
 
     /// Drains the plan, delivering every [`WorkerMessage`] to `on_message` as
     /// it arrives (the master caches and checkpoints inside the callback).
@@ -235,23 +229,25 @@ pub(crate) fn encode_plan_specs(
 pub struct InProcess {
     /// Number of worker threads; 0 or 1 means a single worker.
     pub workers: usize,
-    compiled_cache: Option<Arc<CompiledSetCache>>,
+    compiled_cache: Arc<CompiledSetCache>,
 }
 
 impl InProcess {
-    /// An in-process backend with `workers` threads.
+    /// An in-process backend with `workers` threads.  It keeps the compiled
+    /// model set of its last run, so the refinement rounds of a quantile
+    /// search explore the state space once, not once per round.
     pub fn new(workers: usize) -> Self {
         InProcess {
             workers,
-            compiled_cache: None,
+            compiled_cache: Arc::new(CompiledSetCache::new(1)),
         }
     }
 
-    /// Serves compiled model sets from `cache` instead of re-exploring the
-    /// state space on every run — the query server shares one cache across
-    /// all requests.
+    /// Serves compiled model sets from `cache` instead of the backend's own
+    /// one-entry cache — the query server shares one cache across all
+    /// requests.
     pub fn with_compiled_cache(mut self, cache: Arc<CompiledSetCache>) -> Self {
-        self.compiled_cache = Some(cache);
+        self.compiled_cache = cache;
         self
     }
 }
@@ -270,12 +266,7 @@ impl Transport for InProcess {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        run_threaded(
-            self.workers,
-            plan,
-            self.compiled_cache.as_deref(),
-            on_message,
-        )
+        run_threaded(self.workers, plan, &self.compiled_cache, on_message)
     }
 }
 
@@ -283,14 +274,14 @@ impl Transport for InProcess {
 fn run_threaded(
     workers: usize,
     plan: ExecutionPlan<'_>,
-    compiled_cache: Option<&CompiledSetCache>,
+    compiled_cache: &CompiledSetCache,
     on_message: &mut dyn FnMut(WorkerMessage),
 ) -> Result<TransportReport, PipelineError> {
     let workers = workers.max(1);
 
     // Compile every spec-based measure locally: one state-space exploration
     // per distinct model, exactly what a remote worker would do on receipt of
-    // the job frame.  With a cache attached, a repeated spec list reuses the
+    // the job frame — and, like that worker, a repeated spec list reuses the
     // explored state space instead.
     let specs: Vec<TransformSpec> = plan
         .evaluators
@@ -300,13 +291,9 @@ fn run_threaded(
             Evaluator::Closure(_) => None,
         })
         .collect();
-    let (compiled_set, cache_hit) = match compiled_cache {
-        Some(cache) => cache.get_or_compile(&specs).map_err(transport_error)?,
-        None => (
-            Arc::new(CompiledModelSet::compile(&specs).map_err(transport_error)?),
-            false,
-        ),
-    };
+    let (compiled_set, cache_hit) = compiled_cache
+        .get_or_compile(&specs)
+        .map_err(transport_error)?;
     let (model_cache_hits, model_cache_misses) = if cache_hit {
         (compiled_set.num_models(), 0)
     } else {
@@ -382,16 +369,31 @@ fn run_threaded(
 // TCP backend — master side
 // ---------------------------------------------------------------------------
 
+/// How long a finished run keeps a vacant rendezvous address open for a
+/// worker that may already be dialing — longer than the worker-side dial
+/// retry delay.
+const FINISHED_RUN_GRACE: Duration = Duration::from_millis(400);
+
 /// Real multi-process distribution over TCP.
 ///
 /// The master binds one listener per expected worker (so each worker has an
-/// unambiguous rendezvous address) and hands each accepted link its own
-/// handler thread.  Handlers pull chunks from the shared [`WorkQueue`] — the
-/// same global queue the thread backends use — so work naturally balances
-/// across workers of different speeds, and a dead worker's outstanding chunk
-/// is pushed back for the survivors.
+/// unambiguous rendezvous address) and hands each seat its own handler
+/// thread.  Handlers pull chunks from the shared [`WorkQueue`] — the same
+/// global queue the thread backends use — so work naturally balances across
+/// workers of different speeds, and a dead worker's outstanding chunk is
+/// pushed back for the survivors.
+///
+/// A seat keeps its worker's link between runs: the worker is resident
+/// across `job … done` rounds, so the second and later runs of a solve
+/// dispatch without a rendezvous.  A vacant seat (nobody dialed yet, or the
+/// worker was lost) accepts lazily at the start of a run.  Dropping the
+/// transport closes the sockets, which is how a one-shot master releases its
+/// workers.
 pub struct TcpTransport {
     listeners: Vec<TcpListener>,
+    /// The link each seat holds between runs, by worker id.  Taken out for
+    /// the length of an `execute` (no lock across link I/O) and put back.
+    seats: parking_lot::Mutex<Vec<Option<Box<dyn Link>>>>,
     accept_timeout: Duration,
     io_timeout: Duration,
 }
@@ -409,7 +411,7 @@ impl std::fmt::Debug for TcpTransport {
 impl TcpTransport {
     /// Binds one listener per address (use port `0` for an ephemeral port and
     /// read the real one back with [`TcpTransport::local_addrs`]).  Each
-    /// listener serves exactly one worker connection per run.
+    /// listener seats one worker.
     ///
     /// A master killed mid-solve (`kill -9`) leaves its accepted sockets'
     /// `TIME_WAIT` entries parked on the listener's port.  On Unix std sets
@@ -423,10 +425,25 @@ impl TcpTransport {
             .map(TcpListener::bind)
             .collect::<std::io::Result<_>>()?;
         Ok(TcpTransport {
+            seats: parking_lot::Mutex::new(listeners.iter().map(|_| None).collect()),
             listeners,
             accept_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(600),
         })
+    }
+
+    /// A transport whose seats come with their links: one worker, past its
+    /// handshake, at the far end of each.  There is no address to rejoin at,
+    /// so a seat that loses its link stays vacant.  This is how the fault
+    /// tests put [`crate::link::FaultyLink`]s under the production dispatch,
+    /// as `SliceFleet::from_links` does for slices.
+    pub fn from_links(links: Vec<Box<dyn Link>>) -> TcpTransport {
+        TcpTransport {
+            listeners: Vec::new(),
+            seats: parking_lot::Mutex::new(links.into_iter().map(Some).collect()),
+            accept_timeout: Duration::ZERO,
+            io_timeout: Duration::ZERO,
+        }
     }
 
     /// Overrides how long `execute` waits for each worker to dial in.
@@ -454,12 +471,13 @@ impl TcpTransport {
             .collect()
     }
 
-    /// Number of workers this transport expects.
+    /// Number of rendezvous addresses, one per worker this transport expects
+    /// to dial in.
     pub fn num_workers(&self) -> usize {
         self.listeners.len()
     }
 
-    /// The rendezvous link source: accepts this listener's worker through
+    /// The blocking rendezvous: accepts this listener's worker through
     /// [`TcpLink::accept`].  `remaining` counts the items no worker has
     /// answered yet.  `Ok(None)` means the run finished (every item answered
     /// by the other workers) before anyone dialed in — not a failure, just an
@@ -475,15 +493,13 @@ impl TcpTransport {
         // Once the run is finished (remaining == 0) this worker is not
         // needed, but one may already be dialing — its connection would land
         // in the listener backlog, never be accepted, and die with an error
-        // when the listener drops.  A short grace window (longer than the
-        // worker-side dial retry delay) lets such a worker be accepted,
-        // handshaked and released cleanly with a `done` frame instead.
+        // when the listener drops.  A short grace window lets such a worker
+        // be accepted and handshaked, and seated for the next run.
         let mut grace_deadline: Option<Instant> = None;
         let mut keep_waiting = || {
             if remaining.load(Ordering::SeqCst) == 0 {
                 Instant::now()
-                    < *grace_deadline
-                        .get_or_insert_with(|| Instant::now() + Duration::from_millis(400))
+                    < *grace_deadline.get_or_insert_with(|| Instant::now() + FINISHED_RUN_GRACE)
             } else {
                 Instant::now() < deadline
             }
@@ -505,13 +521,7 @@ impl Transport for TcpTransport {
     }
 
     fn parallelism(&self) -> usize {
-        self.listeners.len().max(1)
-    }
-
-    fn reusable(&self) -> bool {
-        // One rendezvous per listener per run: a second execute() would wait
-        // for workers that have already been released.
-        false
+        self.seats.lock().len().max(1)
     }
 
     fn execute(
@@ -520,52 +530,33 @@ impl Transport for TcpTransport {
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
         let specs = encode_plan_specs(&plan.evaluators)?;
-        // Every seat starts vacant and accepts its worker lazily, on its own
-        // handler thread.  The survivors drop on return: closing the sockets
-        // is the one-shot master's release.
-        let seats = (0..self.listeners.len()).map(|id| (id, None)).collect();
-        let accept = |id: usize, remaining: &AtomicUsize| self.accept(id, remaining);
-        dispatch_chunks(specs, plan, seats, &accept, None, on_message).1
-    }
-}
-
-/// The chunk dispatch over handshaken links the caller already holds.  Not a
-/// deployment: the fault tests' way to put [`crate::link::FaultyLink`]s under
-/// the production dispatch, as `SliceFleet::from_links` does for slices.
-#[doc(hidden)]
-pub struct LinkTransport {
-    /// Taken out for the length of an `execute` (no lock across link I/O).
-    links: parking_lot::Mutex<Vec<(usize, Box<dyn Link>)>>,
-}
-
-impl LinkTransport {
-    /// One worker, past its handshake, at the far end of each link.
-    pub fn new(links: Vec<Box<dyn Link>>) -> LinkTransport {
-        LinkTransport {
-            links: parking_lot::Mutex::new(links.into_iter().enumerate().collect()),
+        let held: Vec<Option<Box<dyn Link>>> =
+            self.seats.lock().iter_mut().map(Option::take).collect();
+        // A transport that holds no link waits for its workers: each vacant
+        // seat blocks in the rendezvous, on its own handler thread.  Once a
+        // seat is filled the run can proceed without the others, so a
+        // vacant seat only polls its listener (a `--reconnect` worker can
+        // still rejoin) instead of taxing every run of a multi-round solve
+        // with the wait.
+        let resident = held.iter().any(Option::is_some);
+        let accept = |id: usize, remaining: &AtomicUsize| {
+            let Some(listener) = self.listeners.get(id) else {
+                return Ok(None);
+            };
+            let accepted = if resident {
+                TcpLink::accept(listener, self.io_timeout, &mut || false)?
+            } else {
+                self.accept(id, remaining)?
+            };
+            Ok(accepted
+                .map(|(link, messages, bytes)| (Box::new(link) as Box<dyn Link>, messages, bytes)))
+        };
+        let seats = held.into_iter().enumerate().collect();
+        let (survivors, outcome) = dispatch_chunks(specs, plan, seats, &accept, None, on_message);
+        let mut seats = self.seats.lock();
+        for (id, link) in survivors {
+            seats[id] = Some(link);
         }
-    }
-}
-
-impl Transport for LinkTransport {
-    fn name(&self) -> &'static str {
-        "links"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.links.lock().len().max(1)
-    }
-
-    fn execute(
-        &self,
-        plan: ExecutionPlan<'_>,
-        on_message: &mut dyn FnMut(WorkerMessage),
-    ) -> Result<TransportReport, PipelineError> {
-        let specs = encode_plan_specs(&plan.evaluators)?;
-        let links = std::mem::take(&mut *self.links.lock());
-        let (survivors, outcome) =
-            dispatch_chunks(specs, plan, held(links), &|_, _| Ok(None), None, on_message);
-        *self.links.lock() = survivors;
         outcome
     }
 }
@@ -993,6 +984,8 @@ mod tests {
         let by_workers: usize = report.worker_stats.iter().map(|w| w.evaluated).sum();
         assert_eq!(by_workers, 20);
 
+        // Closing the sockets is the workers' release.
+        drop(transport);
         let mut total = 0;
         for handle in workers {
             let summary = handle.join().unwrap().unwrap();
@@ -1085,9 +1078,11 @@ mod tests {
             run_tcp_worker(&addrs[k].to_string(), &options).unwrap()
         };
         // Worker 0 vanishes after a single chunk; the healthy worker 1 dials
-        // in only once it is gone, so it cannot drain the queue first.
+        // in only once it is gone, so it cannot drain the queue first, and
+        // serves until the run's end drops the transport.
         let ((outcomes, report), flaky_summary) = std::thread::scope(|scope| {
-            let run = scope.spawn(|| collect(&transport, spec_plan(&spec, &points, 2)));
+            let (spec, points) = (&spec, &points);
+            let run = scope.spawn(move || collect(&transport, spec_plan(spec, points, 2)));
             let flaky_summary = serve(0, Some(1));
             serve(1, None);
             (run.join().unwrap(), flaky_summary)
@@ -1106,6 +1101,36 @@ mod tests {
         assert_eq!(report.recovered_faults, 1);
         assert!(flaky_summary.dropped_early);
         assert_eq!(flaky_summary.chunks, 1);
+    }
+
+    #[test]
+    fn a_vacant_seat_costs_a_multi_round_solve_one_grace_window() {
+        // Two rendezvous addresses, one worker.  The first run — the
+        // transport holds no link yet — waits the grace window out for the
+        // absent worker.  Every later run (which is what each further
+        // refinement round of a quantile search is to its transport) holds
+        // worker 0's link and only polls.  One cheap point per run keeps the
+        // compute three orders of magnitude under the window.
+        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let transport = TcpTransport::bind(&["127.0.0.1:0"; 2]).unwrap();
+        let addr = transport.local_addrs()[0].to_string();
+        let worker =
+            std::thread::spawn(move || run_tcp_worker(&addr, &TcpWorkerOptions::default()));
+        let run = |round: usize| {
+            let started = Instant::now();
+            let point = Complex64::new(1.0 + round as f64, 0.5);
+            let (outcomes, report) = collect(&transport, spec_plan(&spec, &[point], 1));
+            assert_eq!(outcomes.len(), 1);
+            assert_eq!(report.disconnects, 0, "an absent worker is not a lost one");
+            started.elapsed()
+        };
+        assert!(run(0) >= FINISHED_RUN_GRACE);
+        for round in 1..4 {
+            let elapsed = run(round);
+            assert!(elapsed < FINISHED_RUN_GRACE, "round {round}: {elapsed:?}");
+        }
+        drop(transport);
+        assert_eq!(worker.join().unwrap().unwrap().jobs, 4, "one job per run");
     }
 
     #[test]
@@ -1262,9 +1287,7 @@ mod tests {
                 let worker = Box::new(accepted.expect("the worker dials in").0);
                 Box::new(FaultyLink::new(worker, Arc::clone(&shared))) as Box<dyn Link>
             });
-            let faulty = LinkTransport::new(links.collect());
-            assert_eq!(faulty.name(), "links");
-            assert!(faulty.reusable());
+            let faulty = TcpTransport::from_links(links.collect());
             let (outcomes, report) = collect(&faulty, make_plan());
             assert_eq!(outcomes.len(), clean.len());
             for (got, want) in outcomes.iter().zip(&clean) {

@@ -24,14 +24,13 @@ use smp_suite::numeric::stats::linspace;
 use smp_suite::numeric::Complex64;
 use smp_suite::pipeline::checkpoint::{shard_snapshot_path, CheckpointWriter, ShardSnapshot};
 use smp_suite::pipeline::server::encode_query_reply;
-use smp_suite::pipeline::transport::LinkTransport;
 use smp_suite::pipeline::wire::{read_payload, write_payload};
 use smp_suite::pipeline::{
     query_with_retry, run_tcp_worker, AnalyticEngine, CompiledModelSet, DistributedEngine,
     FaultKind, FaultPlan, FaultyLink, Link, LoopbackLink, ModelSpec, PipelineError,
     PipelineOptions, PoolSpec, QueryClient, QueryReply, QueryRequest, QueryServer,
     QueryServerOptions, Refusal, RefusalKind, RetryPolicy, SliceFleet, SolveRecovery, TcpLink,
-    TcpWorkerOptions, TransformSpec,
+    TcpTransport, TcpWorkerOptions, TransformSpec,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -154,7 +153,7 @@ fn faulty_transport_schedules_are_bitwise_invisible_to_the_engine() {
             model(),
             InversionMethod::euler(),
             PipelineOptions::with_workers(2),
-            Box::new(LinkTransport::new(faulty(
+            Box::new(TcpTransport::from_links(faulty(
                 tcp_workers(10).into_iter(),
                 &shared,
             ))),

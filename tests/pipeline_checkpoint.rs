@@ -149,26 +149,37 @@ fn checkpointed_engine(sharded: bool, checkpoint: &Path) -> DistributedEngine {
 #[test]
 fn a_checkpoint_warms_sharded_and_unsharded_runs_of_one_measure_alike() {
     let ts = linspace(2.0, 40.0, 5);
-    let requests = [MeasureRequest::cdf(
-        TargetSpec::parse("p2>=2").unwrap(),
-        &ts,
-    )];
+    let target = TargetSpec::parse("p2>=2").unwrap();
+    // A curve and a mean: the stencil's two points are checkpointed under
+    // the same key as the curve's, so both are restored.
+    let requests = [
+        MeasureRequest::cdf(target.clone(), &ts),
+        MeasureRequest::mean(target),
+    ];
     for written_sharded in [false, true] {
         let checkpoint = temp_checkpoint(if written_sharded { "s2u" } else { "u2s" });
         let cold = checkpointed_engine(written_sharded, &checkpoint)
             .solve(&requests)
-            .unwrap()
-            .remove(0);
-        assert!(cold.provenance.evaluations > 0);
+            .unwrap();
+        assert!(cold[0].provenance.evaluations > 0);
+        assert_eq!(cold[1].provenance.evaluations, 2);
         // The other deployment reads the same records under the same key.
         let warm = checkpointed_engine(!written_sharded, &checkpoint)
             .solve(&requests)
-            .unwrap()
-            .remove(0);
-        assert_eq!(warm.provenance.evaluations, 0, "sharded={written_sharded}");
-        assert_eq!(warm.provenance.cache_hits, cold.provenance.evaluations);
-        assert_eq!(warm.provenance.exchange_rounds, 0);
-        assert_eq!(warm.values, cold.values, "bitwise equal");
+            .unwrap();
+        for (warm, cold) in warm.iter().zip(&cold) {
+            let name = &warm.name;
+            assert_eq!(
+                warm.provenance.evaluations, 0,
+                "{name}, sharded={written_sharded}"
+            );
+            assert_eq!(
+                warm.provenance.cache_hits, cold.provenance.evaluations,
+                "{name}"
+            );
+            assert_eq!(warm.provenance.exchange_rounds, 0, "{name}");
+            assert_eq!(warm.values, cold.values, "{name}: bitwise equal");
+        }
         std::fs::remove_file(&checkpoint).unwrap();
     }
 }
