@@ -33,32 +33,45 @@
 //! simulation's own 95% confidence bound — the paper's analytic-vs-simulation
 //! validation loop as a one-flag feature.
 //!
+//! All five modes (`smpq`, `smpq worker|serve|query|shutdown`) read argv
+//! through one scanner over one flag table, and each `parse_*_args` is typed
+//! reads from the scanned flags plus its cross-flag rules.  The request part
+//! of a command line ([`RequestOptions`]) is built by one function for
+//! one-shot runs and `smpq query`, and its engine / method / measure text is
+//! resolved by [`smp_pipeline::resolve_request`] — the function the query
+//! server calls on the wire fields, so a served answer equals the one-shot
+//! answer because there is one resolver.
+//!
 //! The binary in `src/main.rs` is a thin wrapper around [`parse_args`] and
 //! [`run`], which are kept in this library so the whole flow is unit-testable.
 
-use smp_core::query::{
-    Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, MEASURE_KIND_NAMES,
-};
+use smp_core::query::{Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest};
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
 use smp_pipeline::{
-    query_with_retry, run_tcp_worker, uniformization_applies, AnalyticEngine, DistributedEngine,
-    ModelSpec, PipelineOptions, PoolSpec, QueryClient, QueryError, QueryRequest, QueryServer,
-    QueryServerOptions, RefusalKind, RetryPolicy, SimulationEngine, SimulationOptions,
+    query_with_retry, resolve_request, run_tcp_worker, uniformization_applies, AnalyticEngine,
+    DistributedEngine, ModelSpec, PipelineOptions, PoolSpec, QueryClient, QueryError, QueryRequest,
+    QueryServer, QueryServerOptions, RefusalKind, RetryPolicy, SimulationEngine, SimulationOptions,
     TcpTransport, TcpWorkerOptions, UniformizationEngine,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// The target predicate type — `smp_core::query::TargetSpec`, re-exported
 /// under the name this CLI has always used.
 pub type Predicate = smp_pipeline::TargetSpec;
+/// The engine selected with `--engine` — the one selector vocabulary, shared
+/// with the query wire.
+pub use smp_pipeline::EngineChoice;
 pub use smp_pipeline::{model_fingerprint, CompareOp};
 
-/// Everything `smpq` needs for one invocation, parsed from the command line.
+/// What is asked, of which model, on what grid, of which engine: the part of
+/// the command line that one-shot runs and `smpq query` share, and that
+/// `smpq query` ships to the server.
 #[derive(Debug, Clone)]
-pub struct CliOptions {
+pub struct RequestOptions {
     /// Where the model text comes from.
     pub model: ModelSource,
     /// The requested measures, in command-line order (time grids are filled
@@ -72,6 +85,15 @@ pub struct CliOptions {
     pub t_count: usize,
     /// Which engine answers the requests.
     pub engine: EngineChoice,
+    /// Inversion method driving the `s`-point plan.
+    pub method: InversionMethod,
+}
+
+/// Everything `smpq` needs for one invocation, parsed from the command line.
+#[derive(Debug, Clone)]
+pub struct CliOptions {
+    /// The request itself; its fields read as this struct's own.
+    pub request: RequestOptions,
     /// Where the distributed engine's evaluations run: worker threads or TCP
     /// worker processes.
     pub workers: WorkerBackend,
@@ -87,8 +109,6 @@ pub struct CliOptions {
     pub chunk_size: usize,
     /// Optional checkpoint file shared across invocations.
     pub checkpoint: Option<PathBuf>,
-    /// Inversion method driving the `s`-point plan.
-    pub method: MethodChoice,
     /// Print the model source instead of solving.
     pub emit_model: bool,
     /// Cross-validate the chosen engine against the simulation engine with
@@ -100,6 +120,13 @@ pub struct CliOptions {
     pub sim_seed: u64,
 }
 
+impl std::ops::Deref for CliOptions {
+    type Target = RequestOptions;
+    fn deref(&self) -> &RequestOptions {
+        &self.request
+    }
+}
+
 /// Where the model specification text comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelSource {
@@ -107,41 +134,6 @@ pub enum ModelSource {
     File(PathBuf),
     /// Generate the built-in voting model for `(voters, polling, central)`.
     Voting(u32, u32, u32),
-}
-
-/// The engine selected with `--engine`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Sequential in-process Laplace inversion.
-    Analytic,
-    /// Discrete-event simulation.
-    Sim,
-    /// The distributed master–worker pipeline (default).
-    Distributed,
-    /// CTMC uniformization (all-exponential models only).
-    Uniform,
-    /// Route automatically: uniformization when every holding time is
-    /// exponential, the distributed pipeline otherwise.  The default for
-    /// `smpq query` (the server memoizes the routing probe per model).
-    Auto,
-}
-
-impl EngineChoice {
-    fn name(self) -> &'static str {
-        match self {
-            EngineChoice::Analytic => "analytic",
-            EngineChoice::Sim => "sim",
-            EngineChoice::Distributed => "distributed",
-            EngineChoice::Uniform => "uniform",
-            EngineChoice::Auto => "auto",
-        }
-    }
-
-    /// The measure kinds the chosen engine supports, for engine-scoped
-    /// `--measure` parse errors.  Every shipped engine answers the full set.
-    fn supported_kinds(self) -> &'static str {
-        MEASURE_KIND_NAMES
-    }
 }
 
 /// Where the distributed engine farms its transform evaluations out to.
@@ -154,27 +146,11 @@ pub enum WorkerBackend {
     Tcp(Vec<String>),
 }
 
-/// The inversion algorithm selected with `--method`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MethodChoice {
-    /// Euler inversion (default; robust to discontinuities).
-    Euler,
-    /// Laguerre inversion (smooth targets, fixed `s`-point set).
-    Laguerre,
-}
-
-impl MethodChoice {
-    fn to_method(self) -> InversionMethod {
-        match self {
-            MethodChoice::Euler => InversionMethod::euler(),
-            MethodChoice::Laguerre => InversionMethod::laguerre(),
-        }
-    }
-}
-
 /// An `smpq` failure: bad flags, unreadable/invalid model, or analysis error.
 #[derive(Debug)]
 pub enum CliError {
+    /// `--help` / `-h` was given: print [`usage`] and exit successfully.
+    Help,
     /// A command-line problem; print [`usage`] alongside it.
     Usage(String),
     /// The model could not be read, parsed or explored.
@@ -186,6 +162,7 @@ pub enum CliError {
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CliError::Help => write!(f, "help requested"),
             CliError::Usage(m) => write!(f, "usage error: {m}"),
             CliError::Model(m) => write!(f, "model error: {m}"),
             CliError::Analysis(m) => write!(f, "analysis error: {m}"),
@@ -336,6 +313,166 @@ QUERY SERVICE (always-on daemon; see ARCHITECTURE.md 'Query service'):
                         ask the server to drain in-flight queries and exit"
 }
 
+// ---------------------------------------------------------------------------
+// The front door: one flag table, one scanner
+// ---------------------------------------------------------------------------
+
+/// What a flag takes after its name.  The words finish the flag's parse
+/// error: "`--t-count` expects an integer".
+#[derive(Debug, Clone, Copy)]
+enum Takes {
+    /// Nothing: being there is the value.
+    Switch,
+    /// Any text; the mode that reads it gives it meaning.
+    Text,
+    /// A real number.
+    Number(&'static str),
+    /// An unsigned integer no smaller than the minimum.
+    Int(&'static str, u64),
+}
+use Takes::{Int, Number, Switch, Text};
+
+/// One table row: the flag and what it takes.
+type Flag = (&'static str, Takes);
+
+/// What is asked — one-shot runs and `smpq query`.
+const REQUEST_FLAGS: &[Flag] = &[
+    ("--model", Text),
+    ("--voting", Text),
+    ("--measure", Text),
+    ("--t-start", Number("a number")),
+    ("--t-stop", Number("a number")),
+    ("--t-count", Int("an integer", 0)),
+    ("--engine", Text),
+    ("--method", Text),
+];
+
+/// Where solves run — one-shot runs and `smpq serve`.
+const POOL_FLAGS: &[Flag] = &[("--workers", Text), ("--shards", Int("an integer", 1))];
+
+const ONE_SHOT_FLAGS: &[Flag] = &[
+    ("--emit-model", Switch),
+    ("--validate-sim", Number("a tolerance")),
+    ("--replications", Int("an integer", 1)),
+    ("--seed", Int("an integer", 0)),
+    ("--sharded", Switch),
+    ("--chunk-size", Int("an integer", 0)),
+    ("--checkpoint", Text),
+];
+
+const WORKER_FLAGS: &[Flag] = &[
+    ("--connect", Text),
+    ("--exit-after-chunks", Int("an integer", 0)),
+    ("--reconnect", Int("an integer", 0)),
+];
+
+const SERVE_FLAGS: &[Flag] = &[
+    ("--listen", Text),
+    ("--cache-models", Int("an integer", 1)),
+    ("--cache-results", Int("a size in MiB", 0)),
+    ("--max-inflight", Int("an integer", 1)),
+    ("--max-queued", Int("an integer", 0)),
+];
+
+const QUERY_FLAGS: &[Flag] = &[
+    ("--server", Text),
+    ("--deadline-ms", Int("milliseconds", 1)),
+    ("--retries", Int("an integer", 0)),
+    ("--retry-backoff", Int("milliseconds", 1)),
+];
+
+const SHUTDOWN_FLAGS: &[Flag] = &[("--server", Text)];
+
+fn usage_error(message: impl Into<String>) -> CliError {
+    CliError::Usage(message.into())
+}
+
+impl Takes {
+    /// The error for a value that is not what the flag takes.
+    fn mismatch(self, name: &str) -> CliError {
+        match self {
+            Number(words) | Int(words, _) => usage_error(format!("{name} expects {words}")),
+            Switch | Text => usage_error(format!("{name} expects a value")),
+        }
+    }
+}
+
+/// The flags of one invocation in command-line order, every value already
+/// checked against its table row.
+struct Scanned<'a>(Vec<(Flag, &'a str)>);
+
+/// The one pass over argv.  Looks each argument up in the mode's tables,
+/// takes its value and checks it against the row, so `--help`, an unknown
+/// flag (in the mode's words: "unknown serve flag"), a missing value, a
+/// non-number and a count below its minimum are refused here for every mode.
+fn scan<'a>(mode: &str, tables: &[&[Flag]], args: &'a [String]) -> Result<Scanned<'a>, CliError> {
+    let mut found = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(CliError::Help);
+        }
+        let mut rows = tables.iter().copied().flatten();
+        let Some(&(name, takes)) = rows.find(|row| row.0 == arg.as_str()) else {
+            return Err(usage_error(format!("unknown {mode}flag '{arg}'")));
+        };
+        let value = match takes {
+            Switch => "",
+            _ => args.next().ok_or_else(|| Text.mismatch(name))?.as_str(),
+        };
+        match takes {
+            Number(_) if value.parse::<f64>().is_err() => return Err(takes.mismatch(name)),
+            Int(_, min) => match value.parse::<u64>() {
+                Ok(n) if n >= min => {}
+                Ok(_) => return Err(usage_error(format!("{name} must be at least {min}"))),
+                Err(_) => return Err(takes.mismatch(name)),
+            },
+            _ => {}
+        }
+        found.push(((name, takes), value));
+    }
+    Ok(Scanned(found))
+}
+
+impl<'a> Scanned<'a> {
+    /// Every value given for a flag, in order.
+    fn all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        let given = self.0.iter().filter(move |(flag, _)| flag.0 == name);
+        given.map(|&(_, value)| value)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.all(name).next().is_some()
+    }
+
+    /// The last value given for a flag: repeating a flag overrides it.
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.all(name).last()
+    }
+
+    /// Runs `parse` over every value given for a flag, so that each one is
+    /// validated, and keeps the last.
+    fn last_of<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&'a str) -> Result<T, CliError>,
+    ) -> Result<Option<T>, CliError> {
+        self.all(name)
+            .try_fold(None, |_, value| parse(value).map(Some))
+    }
+
+    /// The last value of a `Number` or `Int` flag, in the field's own type.
+    /// [`scan`] parsed every value at full width, so this fails only on one
+    /// too large for a narrower field.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let Some(&((_, takes), value)) = self.0.iter().rev().find(|(flag, _)| flag.0 == name)
+        else {
+            return Ok(None);
+        };
+        value.parse().map(Some).map_err(|_| takes.mismatch(name))
+    }
+}
+
 /// Parses a `--workers` value: a thread count, or `tcp:` plus a list of
 /// rendezvous addresses (shared by one-shot runs and `smpq serve`).
 fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
@@ -346,14 +483,12 @@ fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
             .filter(|a| !a.is_empty())
             .collect();
         if addrs.is_empty() {
-            return Err(CliError::Usage(
-                "--workers tcp: needs at least one ADDR".into(),
-            ));
+            return Err(usage_error("--workers tcp: needs at least one ADDR"));
         }
         Ok(WorkerBackend::Tcp(addrs))
     } else {
         Ok(WorkerBackend::Threads(value.parse().map_err(|_| {
-            CliError::Usage("--workers expects an integer or tcp:ADDR[,ADDR...]".into())
+            usage_error("--workers expects an integer or tcp:ADDR[,ADDR...]")
         })?))
     }
 }
@@ -361,7 +496,7 @@ fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
 fn parse_voting(value: &str) -> Result<ModelSource, CliError> {
     let parts: Vec<&str> = value.split(',').collect();
     if parts.len() != 3 {
-        return Err(CliError::Usage(format!(
+        return Err(usage_error(format!(
             "--voting expects CC,MM,NN (got '{value}')"
         )));
     }
@@ -370,194 +505,140 @@ fn parse_voting(value: &str) -> Result<ModelSource, CliError> {
         *slot = part
             .trim()
             .parse()
-            .map_err(|_| CliError::Usage(format!("--voting component '{part}' is not a number")))?;
+            .map_err(|_| usage_error(format!("--voting component '{part}' is not a number")))?;
     }
     Ok(ModelSource::Voting(numbers[0], numbers[1], numbers[2]))
 }
 
-/// Parses command-line arguments (without the program name).
-pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
-    let mut model: Option<ModelSource> = None;
-    // Raw `--measure` texts; parsed after the loop so kind errors can speak
-    // for whichever engine `--engine` picked, regardless of flag order.
-    let mut measure_texts: Vec<String> = Vec::new();
-    let mut t_start = 1.0;
-    let mut t_stop = 10.0;
-    let mut t_count = 10usize;
-    let mut engine = EngineChoice::Distributed;
-    let mut workers = WorkerBackend::Threads(4);
-    let mut shards = 0usize;
-    let mut sharded = false;
-    let mut chunk_size = 0usize;
-    let mut checkpoint = None;
-    let mut method = MethodChoice::Euler;
-    let mut emit_model = false;
-    let mut validate_sim = None;
-    let mut replications = 10_000usize;
-    let mut sim_seed = 0x5eedu64;
+/// What [`resolve_request`] makes of a request's three texts.
+type Resolved = (EngineChoice, InversionMethod, Vec<MeasureRequest>);
 
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value_of = |name: &str| -> Result<&String, CliError> {
-            iter.next()
-                .ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
-            "--model" => model = Some(ModelSource::File(PathBuf::from(value_of("--model")?))),
-            "--voting" => model = Some(parse_voting(value_of("--voting")?)?),
-            "--measure" => measure_texts.push(value_of("--measure")?.clone()),
-            "--t-start" => {
-                t_start = value_of("--t-start")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--t-start expects a number".into()))?
-            }
-            "--t-stop" => {
-                t_stop = value_of("--t-stop")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--t-stop expects a number".into()))?
-            }
-            "--t-count" => {
-                t_count = value_of("--t-count")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--t-count expects an integer".into()))?
-            }
-            "--engine" => {
-                engine = match value_of("--engine")?.as_str() {
-                    "analytic" => EngineChoice::Analytic,
-                    "sim" | "simulation" => EngineChoice::Sim,
-                    "distributed" => EngineChoice::Distributed,
-                    "uniform" | "uniformization" => EngineChoice::Uniform,
-                    "auto" => EngineChoice::Auto,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown engine '{other}' \
-                             (expected auto, analytic, sim, distributed or uniform)"
-                        )))
-                    }
-                }
-            }
-            "--validate-sim" => {
-                let tol: f64 = value_of("--validate-sim")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--validate-sim expects a tolerance".into()))?;
-                if !(tol > 0.0 && tol.is_finite()) {
-                    return Err(CliError::Usage(
-                        "--validate-sim tolerance must be a positive number".into(),
-                    ));
-                }
-                validate_sim = Some(tol);
-            }
-            "--replications" => {
-                replications = value_of("--replications")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--replications expects an integer".into()))?;
-                if replications == 0 {
-                    return Err(CliError::Usage("--replications must be at least 1".into()));
-                }
-            }
-            "--seed" => {
-                sim_seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--seed expects an integer".into()))?
-            }
-            "--workers" => workers = parse_workers_value(value_of("--workers")?)?,
-            "--shards" => {
-                shards = value_of("--shards")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--shards expects an integer".into()))?;
-                if shards == 0 {
-                    return Err(CliError::Usage("--shards must be at least 1".into()));
-                }
-            }
-            "--sharded" => sharded = true,
-            "--chunk-size" => {
-                chunk_size = value_of("--chunk-size")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--chunk-size expects an integer".into()))?
-            }
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value_of("--checkpoint")?)),
-            "--method" => {
-                method = match value_of("--method")?.as_str() {
-                    "euler" => MethodChoice::Euler,
-                    "laguerre" => MethodChoice::Laguerre,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown method '{other}' (expected euler or laguerre)"
-                        )))
-                    }
-                }
-            }
-            "--emit-model" => emit_model = true,
-            "--help" | "-h" => return Err(CliError::Usage("help requested".into())),
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+/// [`resolve_request`] for the command line: a refusal is a usage error.
+/// `smpq query` (`served`) also refuses here, before any round trip, what its
+/// server would not take for an engine.
+fn resolve(
+    served: bool,
+    engine: &str,
+    method: &str,
+    measures: &[String],
+) -> Result<Resolved, CliError> {
+    match EngineChoice::from_name(engine) {
+        Some(EngineChoice::Sim) if served => Err(usage_error(
+            "the query server does not serve the simulation engine; \
+run `smpq --engine sim` one-shot instead",
+        )),
+        None if served => Err(usage_error(format!(
+            "unknown engine '{engine}' (expected auto, analytic, distributed or uniform)"
+        ))),
+        _ => resolve_request(engine, method, measures)
+            .map_err(|refusal| CliError::Usage(refusal.message)),
+    }
+}
+
+/// Reads the request flags: the one place a model source, a measure list, a
+/// time grid and the engine and method selectors leave the command line, for
+/// one-shot runs and for `smpq query` (`served`: engine `auto` unless told
+/// otherwise).
+fn request_options(bag: &Scanned<'_>, served: bool) -> Result<RequestOptions, CliError> {
+    let mut model = None;
+    let mut engine = if served { "auto" } else { "distributed" };
+    let mut method = "euler";
+    for &((name, _), value) in &bag.0 {
+        match name {
+            "--model" => model = Some(ModelSource::File(PathBuf::from(value))),
+            "--voting" => model = Some(parse_voting(value)?),
+            // Each selector is resolved as it is given, so a bad one is
+            // refused even where a later one overrides it.
+            "--engine" => engine = resolve(served, value, method, &[]).map(|_| value)?,
+            "--method" => method = resolve(served, engine, value, &[]).map(|_| value)?,
+            _ => {}
         }
     }
-
     let Some(model) = model else {
-        return Err(CliError::Usage(
-            "a model is required: --model FILE or --voting CC,MM,NN".into(),
+        return Err(usage_error(
+            "a model is required: --model FILE or --voting CC,MM,NN",
         ));
     };
-    let measures: Vec<MeasureRequest> = measure_texts
-        .iter()
-        .map(|text| {
-            MeasureRequest::parse_for_engine(text, engine.name(), engine.supported_kinds())
-                .map_err(CliError::Usage)
-        })
-        .collect::<Result<_, _>>()?;
-    if measures.is_empty() && !emit_model {
-        return Err(CliError::Usage(
-            "at least one --measure KIND:TARGET is required".into(),
+    // The measures are resolved last, so a kind error speaks for whichever
+    // engine `--engine` picked, regardless of flag order.
+    let texts: Vec<String> = bag.all("--measure").map(str::to_string).collect();
+    let (engine, method, measures) = resolve(served, engine, method, &texts)?;
+    if measures.is_empty() && !bag.has("--emit-model") {
+        return Err(usage_error(
+            "at least one --measure KIND:TARGET is required",
         ));
     }
+    let t_start = bag.get("--t-start")?.unwrap_or(1.0);
+    let t_stop = bag.get("--t-stop")?.unwrap_or(10.0);
+    let t_count = bag.get("--t-count")?.unwrap_or(10usize);
     if !(t_start > 0.0 && t_stop >= t_start) || t_count < 2 {
-        return Err(CliError::Usage(
-            "the time grid needs 0 < --t-start <= --t-stop and --t-count >= 2".into(),
+        return Err(usage_error(
+            "the time grid needs 0 < --t-start <= --t-stop and --t-count >= 2",
         ));
     }
-    if matches!(workers, WorkerBackend::Tcp(_))
-        && !matches!(engine, EngineChoice::Distributed | EngineChoice::Auto)
-    {
-        return Err(CliError::Usage(format!(
-            "--workers tcp: applies to the distributed engine only (got --engine {})",
-            engine.name()
-        )));
-    }
-    if (shards > 0 || sharded) && engine != EngineChoice::Distributed {
-        return Err(CliError::Usage(format!(
-            "row sharding applies to the distributed engine only (got --engine {})",
-            engine.name()
-        )));
-    }
-    if shards > 0 && matches!(workers, WorkerBackend::Tcp(_)) {
-        return Err(CliError::Usage(
-            "--shards runs in-process loopback slices; over TCP workers use --sharded              (one shard per rendezvous address)"
-                .into(),
-        ));
-    }
-    if sharded && !matches!(workers, WorkerBackend::Tcp(_)) {
-        return Err(CliError::Usage(
-            "--sharded needs --workers tcp:ADDR[,ADDR...] (one shard per worker              process); for in-process sharding use --shards N"
-                .into(),
-        ));
-    }
-    Ok(CliOptions {
+    Ok(RequestOptions {
         model,
         measures,
         t_start,
         t_stop,
         t_count,
         engine,
+        method,
+    })
+}
+
+/// Parses command-line arguments (without the program name).
+pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
+    let bag = scan("", &[REQUEST_FLAGS, POOL_FLAGS, ONE_SHOT_FLAGS], args)?;
+    let request = request_options(&bag, false)?;
+    let engine = request.engine;
+    let workers = bag
+        .last_of("--workers", parse_workers_value)?
+        .unwrap_or(WorkerBackend::Threads(4));
+    let shards = bag.get("--shards")?.unwrap_or(0usize);
+    let sharded = bag.has("--sharded");
+    let validate_sim = bag.last_of("--validate-sim", |value| match value.parse::<f64>() {
+        Ok(tol) if tol > 0.0 && tol.is_finite() => Ok(tol),
+        _ => Err(usage_error(
+            "--validate-sim tolerance must be a positive number",
+        )),
+    })?;
+    let tcp = matches!(workers, WorkerBackend::Tcp(_));
+    if tcp && !matches!(engine, EngineChoice::Distributed | EngineChoice::Auto) {
+        return Err(usage_error(format!(
+            "--workers tcp: applies to the distributed engine only (got --engine {})",
+            engine.name()
+        )));
+    }
+    if (shards > 0 || sharded) && engine != EngineChoice::Distributed {
+        return Err(usage_error(format!(
+            "row sharding applies to the distributed engine only (got --engine {})",
+            engine.name()
+        )));
+    }
+    if shards > 0 && tcp {
+        return Err(usage_error(
+            "--shards runs in-process loopback slices; over TCP workers use --sharded \
+(one shard per rendezvous address)",
+        ));
+    }
+    if sharded && !tcp {
+        return Err(usage_error(
+            "--sharded needs --workers tcp:ADDR[,ADDR...] (one shard per worker \
+process); for in-process sharding use --shards N",
+        ));
+    }
+    Ok(CliOptions {
+        request,
         workers,
         shards,
         sharded,
-        chunk_size,
-        checkpoint,
-        method,
-        emit_model,
+        chunk_size: bag.get("--chunk-size")?.unwrap_or(0),
+        checkpoint: bag.text("--checkpoint").map(PathBuf::from),
+        emit_model: bag.has("--emit-model"),
         validate_sim,
-        replications,
-        sim_seed,
+        replications: bag.get("--replications")?.unwrap_or(10_000),
+        sim_seed: bag.get("--seed")?.unwrap_or(0x5eed),
     })
 }
 
@@ -658,9 +739,7 @@ routing to the distributed pipeline"
     // Build the chosen engine.  The TCP transport is bound here so the
     // rendezvous hints can be printed *before* solve blocks in accept.
     let engine: Box<dyn Engine> = match (&routed, &options.workers) {
-        (EngineChoice::Analytic, _) => {
-            Box::new(AnalyticEngine::new(spec, options.method.to_method()))
-        }
+        (EngineChoice::Analytic, _) => Box::new(AnalyticEngine::new(spec, options.method.clone())),
         (EngineChoice::Sim, _) => Box::new(SimulationEngine::new(spec, sim_options(options))),
         (EngineChoice::Uniform, _) => Box::new(UniformizationEngine::new(spec)),
         (EngineChoice::Distributed | EngineChoice::Auto, WorkerBackend::Threads(n)) => {
@@ -673,14 +752,14 @@ routing to the distributed pipeline"
             if options.shards > 0 {
                 Box::new(DistributedEngine::sharded(
                     spec,
-                    options.method.to_method(),
+                    options.method.clone(),
                     pipeline,
                     options.shards,
                 ))
             } else {
                 Box::new(DistributedEngine::in_process(
                     spec,
-                    options.method.to_method(),
+                    options.method.clone(),
                     pipeline,
                 ))
             }
@@ -710,14 +789,14 @@ routing to the distributed pipeline"
             if options.sharded {
                 Box::new(DistributedEngine::sharded_tcp(
                     spec,
-                    options.method.to_method(),
+                    options.method.clone(),
                     pipeline,
                     transport,
                 ))
             } else {
                 Box::new(DistributedEngine::with_transport(
                     spec,
-                    options.method.to_method(),
+                    options.method.clone(),
                     pipeline,
                     Box::new(transport),
                 ))
@@ -1087,41 +1166,16 @@ pub struct WorkerCliOptions {
 
 /// Parses the arguments after `smpq worker`.
 pub fn parse_worker_args(args: &[String]) -> Result<WorkerCliOptions, CliError> {
-    let mut connect: Option<String> = None;
-    let mut exit_after_chunks = None;
-    let mut reconnect = 0u32;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value_of = |name: &str| -> Result<&String, CliError> {
-            iter.next()
-                .ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
-            "--connect" => connect = Some(value_of("--connect")?.clone()),
-            "--exit-after-chunks" => {
-                exit_after_chunks =
-                    Some(value_of("--exit-after-chunks")?.parse().map_err(|_| {
-                        CliError::Usage("--exit-after-chunks expects an integer".into())
-                    })?)
-            }
-            "--reconnect" => {
-                reconnect = value_of("--reconnect")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--reconnect expects an integer".into()))?
-            }
-            "--help" | "-h" => return Err(CliError::Usage("help requested".into())),
-            other => return Err(CliError::Usage(format!("unknown worker flag '{other}'"))),
-        }
-    }
-    let Some(connect) = connect else {
-        return Err(CliError::Usage(
-            "smpq worker needs --connect HOST:PORT (the master's rendezvous address)".into(),
+    let bag = scan("worker ", &[WORKER_FLAGS], args)?;
+    let Some(connect) = bag.text("--connect") else {
+        return Err(usage_error(
+            "smpq worker needs --connect HOST:PORT (the master's rendezvous address)",
         ));
     };
     Ok(WorkerCliOptions {
-        connect,
-        exit_after_chunks,
-        reconnect,
+        connect: connect.to_string(),
+        exit_after_chunks: bag.get("--exit-after-chunks")?,
+        reconnect: bag.get("--reconnect")?.unwrap_or(0),
     })
 }
 
@@ -1208,58 +1262,25 @@ impl Default for ServeCliOptions {
 
 /// Parses the arguments after `smpq serve`.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, CliError> {
-    let mut options = ServeCliOptions::default();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value_of = |name: &str| -> Result<&String, CliError> {
-            iter.next()
-                .ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
-            "--listen" => options.listen = value_of("--listen")?.clone(),
-            "--workers" => options.workers = parse_workers_value(value_of("--workers")?)?,
-            "--cache-models" => {
-                options.cache_models = value_of("--cache-models")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--cache-models expects an integer".into()))?
-            }
-            "--cache-results" => {
-                options.cache_results_mb = value_of("--cache-results")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--cache-results expects a size in MiB".into()))?
-            }
-            "--max-inflight" => {
-                options.max_inflight = value_of("--max-inflight")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--max-inflight expects an integer".into()))?
-            }
-            "--max-queued" => {
-                options.max_queued = value_of("--max-queued")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--max-queued expects an integer".into()))?
-            }
-            "--shards" => {
-                options.solve_shards = value_of("--shards")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--shards expects an integer".into()))?;
-                if options.solve_shards == 0 {
-                    return Err(CliError::Usage("--shards must be at least 1".into()));
-                }
-            }
-            "--help" | "-h" => return Err(CliError::Usage("help requested".into())),
-            other => return Err(CliError::Usage(format!("unknown serve flag '{other}'"))),
-        }
-    }
-    if options.cache_models == 0 {
-        return Err(CliError::Usage("--cache-models must be at least 1".into()));
-    }
-    if options.max_inflight == 0 {
-        return Err(CliError::Usage("--max-inflight must be at least 1".into()));
-    }
+    let bag = scan("serve ", &[POOL_FLAGS, SERVE_FLAGS], args)?;
+    let defaults = ServeCliOptions::default();
+    let options = ServeCliOptions {
+        listen: bag.text("--listen").map_or(defaults.listen, str::to_string),
+        workers: bag
+            .last_of("--workers", parse_workers_value)?
+            .unwrap_or(defaults.workers),
+        cache_models: bag.get("--cache-models")?.unwrap_or(defaults.cache_models),
+        cache_results_mb: bag
+            .get("--cache-results")?
+            .unwrap_or(defaults.cache_results_mb),
+        max_inflight: bag.get("--max-inflight")?.unwrap_or(defaults.max_inflight),
+        max_queued: bag.get("--max-queued")?.unwrap_or(defaults.max_queued),
+        solve_shards: bag.get("--shards")?.unwrap_or(defaults.solve_shards),
+    };
     if options.solve_shards > 0 && matches!(options.workers, WorkerBackend::Tcp(_)) {
-        return Err(CliError::Usage(
-            "serve --shards row-shards on in-process loopback slices and cannot be              combined with a resident tcp worker pool"
-                .into(),
+        return Err(usage_error(
+            "serve --shards row-shards on in-process loopback slices and cannot be \
+combined with a resident tcp worker pool",
         ));
     }
     Ok(options)
@@ -1317,20 +1338,13 @@ pub fn run_serve(options: &ServeCliOptions) -> Result<String, CliError> {
 pub struct QueryCliOptions {
     /// The running server's address (`HOST:PORT`).
     pub server: String,
-    /// Where the model text comes from (read locally; shipped in the query).
-    pub model: ModelSource,
-    /// Raw `--measure` texts, shipped verbatim (the server re-parses them).
+    /// The request itself (engine [`EngineChoice::Auto`] unless told
+    /// otherwise; the model is read locally and shipped in the query); its
+    /// fields read as this struct's own.
+    pub request: RequestOptions,
+    /// Raw `--measure` texts, shipped verbatim (the server resolves them
+    /// with the resolver that checked them here).
     pub measure_texts: Vec<String>,
-    /// Shared output time grid: first point.
-    pub t_start: f64,
-    /// Shared output time grid: last point.
-    pub t_stop: f64,
-    /// Shared output time grid: number of points.
-    pub t_count: usize,
-    /// Engine selector shipped to the server (default [`EngineChoice::Auto`]).
-    pub engine: EngineChoice,
-    /// Inversion method driving the server's `s`-point plan.
-    pub method: MethodChoice,
     /// Per-request deadline in milliseconds (queue time included).
     pub deadline_ms: Option<u64>,
     /// Extra attempts after a transient failure (connect refused, connection
@@ -1341,144 +1355,29 @@ pub struct QueryCliOptions {
     pub retry_backoff_ms: u64,
 }
 
+impl std::ops::Deref for QueryCliOptions {
+    type Target = RequestOptions;
+    fn deref(&self) -> &RequestOptions {
+        &self.request
+    }
+}
+
 /// Parses the arguments after `smpq query`.
 pub fn parse_query_args(args: &[String]) -> Result<QueryCliOptions, CliError> {
-    let mut server: Option<String> = None;
-    let mut model: Option<ModelSource> = None;
-    let mut measure_texts: Vec<String> = Vec::new();
-    let mut t_start = 1.0;
-    let mut t_stop = 10.0;
-    let mut t_count = 10usize;
-    let mut engine = EngineChoice::Auto;
-    let mut method = MethodChoice::Euler;
-    let mut deadline_ms = None;
-    let mut retries = 0u32;
-    let mut retry_backoff_ms = 100u64;
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value_of = |name: &str| -> Result<&String, CliError> {
-            iter.next()
-                .ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
-            "--server" => server = Some(value_of("--server")?.clone()),
-            "--model" => model = Some(ModelSource::File(PathBuf::from(value_of("--model")?))),
-            "--voting" => model = Some(parse_voting(value_of("--voting")?)?),
-            "--measure" => measure_texts.push(value_of("--measure")?.clone()),
-            "--t-start" => {
-                t_start = value_of("--t-start")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--t-start expects a number".into()))?
-            }
-            "--t-stop" => {
-                t_stop = value_of("--t-stop")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--t-stop expects a number".into()))?
-            }
-            "--t-count" => {
-                t_count = value_of("--t-count")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--t-count expects an integer".into()))?
-            }
-            "--engine" => {
-                engine = match value_of("--engine")?.as_str() {
-                    "auto" => EngineChoice::Auto,
-                    "analytic" => EngineChoice::Analytic,
-                    "distributed" => EngineChoice::Distributed,
-                    "uniform" | "uniformization" => EngineChoice::Uniform,
-                    "sim" | "simulation" => {
-                        return Err(CliError::Usage(
-                            "the query server does not serve the simulation engine; \
-run `smpq --engine sim` one-shot instead"
-                                .into(),
-                        ))
-                    }
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown engine '{other}' \
-                             (expected auto, analytic, distributed or uniform)"
-                        )))
-                    }
-                }
-            }
-            "--method" => {
-                method = match value_of("--method")?.as_str() {
-                    "euler" => MethodChoice::Euler,
-                    "laguerre" => MethodChoice::Laguerre,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown method '{other}' (expected euler or laguerre)"
-                        )))
-                    }
-                }
-            }
-            "--deadline-ms" => {
-                let ms: u64 = value_of("--deadline-ms")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--deadline-ms expects milliseconds".into()))?;
-                if ms == 0 {
-                    return Err(CliError::Usage("--deadline-ms must be at least 1".into()));
-                }
-                deadline_ms = Some(ms);
-            }
-            "--retries" => {
-                retries = value_of("--retries")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--retries expects an integer".into()))?
-            }
-            "--retry-backoff" => {
-                let ms: u64 = value_of("--retry-backoff")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--retry-backoff expects milliseconds".into()))?;
-                if ms == 0 {
-                    return Err(CliError::Usage("--retry-backoff must be at least 1".into()));
-                }
-                retry_backoff_ms = ms;
-            }
-            "--help" | "-h" => return Err(CliError::Usage("help requested".into())),
-            other => return Err(CliError::Usage(format!("unknown query flag '{other}'"))),
-        }
-    }
-
-    let Some(server) = server else {
-        return Err(CliError::Usage(
-            "smpq query needs --server HOST:PORT (a running smpq serve)".into(),
+    let bag = scan("query ", &[REQUEST_FLAGS, QUERY_FLAGS], args)?;
+    let Some(server) = bag.text("--server") else {
+        return Err(usage_error(
+            "smpq query needs --server HOST:PORT (a running smpq serve)",
         ));
     };
-    let Some(model) = model else {
-        return Err(CliError::Usage(
-            "a model is required: --model FILE or --voting CC,MM,NN".into(),
-        ));
-    };
-    if measure_texts.is_empty() {
-        return Err(CliError::Usage(
-            "at least one --measure KIND:TARGET is required".into(),
-        ));
-    }
-    // Validate measure syntax client-side so typos fail before a round trip
-    // (the server re-parses the same texts — same grammar, same errors).
-    for text in &measure_texts {
-        MeasureRequest::parse_for_engine(text, engine.name(), MEASURE_KIND_NAMES)
-            .map_err(CliError::Usage)?;
-    }
-    if !(t_start > 0.0 && t_stop >= t_start) || t_count < 2 {
-        return Err(CliError::Usage(
-            "the time grid needs 0 < --t-start <= --t-stop and --t-count >= 2".into(),
-        ));
-    }
     Ok(QueryCliOptions {
-        server,
-        model,
-        measure_texts,
-        t_start,
-        t_stop,
-        t_count,
-        engine,
-        method,
-        deadline_ms,
-        retries,
-        retry_backoff_ms,
+        server: server.to_string(),
+        // Resolving here fails a typo before the round trip.
+        request: request_options(&bag, true)?,
+        measure_texts: bag.all("--measure").map(str::to_string).collect(),
+        deadline_ms: bag.get("--deadline-ms")?,
+        retries: bag.get("--retries")?.unwrap_or(0),
+        retry_backoff_ms: bag.get("--retry-backoff")?.unwrap_or(100),
     })
 }
 
@@ -1495,11 +1394,7 @@ pub fn run_query(options: &QueryCliOptions) -> Result<String, CliError> {
     let request = QueryRequest {
         model: model_spec(&options.model, &source),
         engine: options.engine.name().to_string(),
-        method: match options.method {
-            MethodChoice::Euler => "euler",
-            MethodChoice::Laguerre => "laguerre",
-        }
-        .to_string(),
+        method: options.method.name().to_string(),
         deadline: options.deadline_ms.map(Duration::from_millis),
         t_points: ts.clone(),
         measures: options.measure_texts.clone(),
@@ -1522,6 +1417,13 @@ pub fn run_query(options: &QueryCliOptions) -> Result<String, CliError> {
         QueryClient::connect(&options.server)?.query(&request)?
     };
     let elapsed = started.elapsed();
+    // The table below is laid out on the grid that was asked for.
+    if let Some(off_grid) = reports.iter().find(|r| r.kind.is_curve() && r.points != ts) {
+        return Err(CliError::Analysis(format!(
+            "protocol error: the report for '{}' is not on the requested time grid",
+            off_grid.name
+        )));
+    }
 
     // The engine that actually answered (auto-routing happens server-side)
     // comes back in the provenance.
@@ -1552,25 +1454,15 @@ pub struct ShutdownCliOptions {
 
 /// Parses the arguments after `smpq shutdown`.
 pub fn parse_shutdown_args(args: &[String]) -> Result<ShutdownCliOptions, CliError> {
-    let mut server: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value_of = |name: &str| -> Result<&String, CliError> {
-            iter.next()
-                .ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
-            "--server" => server = Some(value_of("--server")?.clone()),
-            "--help" | "-h" => return Err(CliError::Usage("help requested".into())),
-            other => return Err(CliError::Usage(format!("unknown shutdown flag '{other}'"))),
-        }
-    }
-    let Some(server) = server else {
-        return Err(CliError::Usage(
-            "smpq shutdown needs --server HOST:PORT (a running smpq serve)".into(),
+    let bag = scan("shutdown ", &[SHUTDOWN_FLAGS], args)?;
+    let Some(server) = bag.text("--server") else {
+        return Err(usage_error(
+            "smpq shutdown needs --server HOST:PORT (a running smpq serve)",
         ));
     };
-    Ok(ShutdownCliOptions { server })
+    Ok(ShutdownCliOptions {
+        server: server.to_string(),
+    })
 }
 
 /// Asks a running server to drain and exit; returns the confirmation line.
@@ -1585,9 +1477,21 @@ pub fn run_shutdown(options: &ShutdownCliOptions) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smp_core::query::MEASURE_KIND_NAMES;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// No usage error carries a run of spaces (the mark of a string literal
+    /// that lost its line continuation).
+    fn single_spaced(message: &str) -> &str {
+        assert!(!message.contains("  "), "{message:?}");
+        message
     }
 
     fn parse_predicate(text: &str) -> Result<Predicate, CliError> {
@@ -1652,7 +1556,7 @@ mod tests {
         assert_eq!(options.engine, EngineChoice::Distributed);
         assert_eq!(options.workers, WorkerBackend::Threads(8));
         assert_eq!(options.chunk_size, 16);
-        assert_eq!(options.method, MethodChoice::Laguerre);
+        assert_eq!(options.method.name(), "laguerre");
         assert_eq!(options.checkpoint, Some(PathBuf::from("/tmp/x.ckpt")));
         assert_eq!(options.validate_sim, Some(1e-2));
         assert_eq!(options.replications, 5000);
@@ -1859,6 +1763,9 @@ mod tests {
                 matches!(parse_args(&args(&bad)), Err(CliError::Usage(_))),
                 "expected a usage error for {bad:?}"
             );
+            if let Err(CliError::Usage(message)) = parse_args(&args(&bad)) {
+                single_spaced(&message);
+            }
         }
     }
 
@@ -2033,7 +1940,9 @@ mod tests {
             ]);
             list.extend(extra.iter().map(|s| s.to_string()));
             match parse_args(&list) {
-                Err(CliError::Usage(msg)) => assert!(msg.contains("distributed"), "{msg}"),
+                Err(CliError::Usage(msg)) => {
+                    assert!(single_spaced(&msg).contains("distributed"), "{msg}")
+                }
                 other => panic!("expected a usage error, got {other:?}"),
             }
         }
@@ -2048,7 +1957,9 @@ mod tests {
             "--shards",
             "2",
         ])) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("--sharded"), "{msg}"),
+            Err(CliError::Usage(msg)) => {
+                assert!(single_spaced(&msg).contains("--sharded"), "{msg}")
+            }
             other => panic!("expected a usage error, got {other:?}"),
         }
         // --sharded needs worker processes to hold the shards.
@@ -2059,7 +1970,9 @@ mod tests {
             "mean:p2>=2",
             "--sharded",
         ])) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("--workers tcp"), "{msg}"),
+            Err(CliError::Usage(msg)) => {
+                assert!(single_spaced(&msg).contains("--workers tcp"), "{msg}")
+            }
             other => panic!("expected a usage error, got {other:?}"),
         }
 
@@ -2067,7 +1980,7 @@ mod tests {
         let serve = parse_serve_args(&args(&["--shards", "4"])).unwrap();
         assert_eq!(serve.solve_shards, 4);
         match parse_serve_args(&args(&["--shards", "2", "--workers", "tcp:127.0.0.1:0"])) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("loopback"), "{msg}"),
+            Err(CliError::Usage(msg)) => assert!(single_spaced(&msg).contains("loopback"), "{msg}"),
             other => panic!("expected a usage error, got {other:?}"),
         }
     }
@@ -2425,7 +2338,7 @@ mod tests {
         // Degenerate capacities are rejected up front.
         assert!(matches!(
             parse_serve_args(&args(&["--max-inflight", "0"])),
-            Err(CliError::Usage(m)) if m.contains("--max-inflight")
+            Err(CliError::Usage(m)) if single_spaced(&m).contains("--max-inflight")
         ));
     }
 
@@ -2555,5 +2468,106 @@ mod tests {
 
         run_shutdown(&parse_shutdown_args(&args(&["--server", &addr])).unwrap()).unwrap();
         handle.join().unwrap().unwrap();
+    }
+    #[test]
+    fn query_refuses_a_reply_that_does_not_fit_the_requested_grid() {
+        use smp_pipeline::wire::{read_payload, write_payload};
+        // A fake server: each connection's query is answered with one
+        // crafted, well-framed payload.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let report = |points: &[f64], values: &[f64]| MeasureReport {
+            name: "cdf:p2>=2".to_string(),
+            kind: MeasureKind::Cdf,
+            points: points.to_vec(),
+            values: values.to_vec(),
+            provenance: smp_core::query::Provenance::local("analytic", "sequential"),
+        };
+        let replies = [
+            // `points 2 … / values 0`: fewer values than the grid it claims.
+            report(&[1.0, 10.0], &[]),
+            // Consistent, but not the grid that was asked for.
+            report(&[1.0], &[0.5]),
+        ];
+        let server = std::thread::spawn(move || {
+            for reply in replies {
+                let (mut stream, _) = listener.accept().unwrap();
+                read_payload(&mut stream).unwrap();
+                let reply = smp_pipeline::QueryReply::Reports(vec![reply]);
+                let payload = smp_pipeline::server::encode_query_reply(&reply);
+                write_payload(&mut stream, &payload).unwrap();
+            }
+        });
+        let flags = format!("--server {addr} --voting 3,1,1 --measure cdf:p2>=2 --t-count 2");
+        let query = parse_query_args(&words(&flags)).unwrap();
+        for _ in 0..2 {
+            match run_query(&query) {
+                Err(CliError::Analysis(m)) => assert!(m.starts_with("protocol error:"), "{m}"),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_in_the_tables() {
+        use std::collections::BTreeSet;
+        let tables = [
+            REQUEST_FLAGS,
+            POOL_FLAGS,
+            ONE_SHOT_FLAGS,
+            WORKER_FLAGS,
+            SERVE_FLAGS,
+            QUERY_FLAGS,
+            SHUTDOWN_FLAGS,
+        ];
+        let mut declared: BTreeSet<&str> = tables.iter().copied().flatten().map(|f| f.0).collect();
+        declared.insert("--help");
+        assert_eq!(declared.len(), 30);
+        let documented: BTreeSet<&str> = usage()
+            .split(|c: char| !(c == '-' || c.is_ascii_lowercase()))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        assert_eq!(documented, declared);
+    }
+
+    #[test]
+    fn repeated_flags_are_each_validated_and_the_last_one_wins() {
+        let with = |extra: &str| {
+            parse_args(&words(&format!(
+                "--voting 3,1,1 --measure cdf:p2>=2 {extra}"
+            )))
+        };
+        let options = with(
+            "--t-count 4 --t-count 6 --engine sim --engine analytic --measure mean:p2>=2 \
+             --voting 4,1,1",
+        )
+        .unwrap();
+        assert_eq!(options.t_count, 6);
+        assert_eq!(options.engine, EngineChoice::Analytic);
+        assert_eq!(options.model, ModelSource::Voting(4, 1, 1));
+        let names: Vec<String> = options.measures.iter().map(|m| m.name()).collect();
+        assert_eq!(names, ["cdf:p2>=2", "mean:p2>=2"]);
+        for (overridden, complaint) in [
+            ("--t-count x --t-count 4", "--t-count expects an integer"),
+            ("--shards 0 --shards 2", "--shards must be at least 1"),
+            ("--engine quantum --engine sim", "unknown engine 'quantum'"),
+            ("--method talbot --method euler", "unknown method 'talbot'"),
+            ("--workers tcp: --workers 2", "--workers tcp: needs"),
+            ("--voting 5,2 --voting 3,1,1", "--voting expects CC,MM,NN"),
+            ("--validate-sim -1 --validate-sim 1", "positive number"),
+            ("--seed", "--seed expects a value"),
+        ] {
+            match with(overridden) {
+                Err(CliError::Usage(m)) => assert!(m.contains(complaint), "{m}"),
+                other => panic!("expected a usage error for {overridden:?}, got {other:?}"),
+            }
+        }
+        // `--help` is its own outcome in every mode, wherever it stands.
+        assert!(matches!(with("--help"), Err(CliError::Help)));
+        assert!(matches!(
+            parse_serve_args(&words("-h")),
+            Err(CliError::Help)
+        ));
     }
 }

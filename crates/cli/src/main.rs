@@ -13,11 +13,11 @@ fn dispatch<O>(
 ) {
     let options = match parse(args) {
         Ok(options) => options,
+        Err(smp_cli::CliError::Help) => {
+            println!("{}", smp_cli::usage());
+            return;
+        }
         Err(error) => {
-            if matches!(&error, smp_cli::CliError::Usage(m) if m == "help requested") {
-                println!("{}", smp_cli::usage());
-                return;
-            }
             eprintln!("{error}\n\n{}", smp_cli::usage());
             std::process::exit(2);
         }

@@ -302,31 +302,15 @@ impl MeasureRequest {
         Self::parse_impl(text, None)
     }
 
-    /// Like [`MeasureRequest::parse`], but kind errors speak for a specific
-    /// engine: an unknown kind token lists the kinds *that engine* supports
-    /// (rather than the global token list), and a well-formed kind outside
-    /// `supported_kinds` is rejected outright.
-    ///
-    /// `supported_kinds` is the engine's comma-separated kind list — normally
-    /// [`Engine::supported_kinds`].
-    pub fn parse_for_engine(
-        text: &str,
-        engine: &str,
-        supported_kinds: &str,
-    ) -> Result<MeasureRequest, String> {
-        let request = Self::parse_impl(text, Some((engine, supported_kinds)))?;
-        let kind = request.kind.name();
-        if supported_kinds.split(',').map(str::trim).any(|k| k == kind) {
-            Ok(request)
-        } else {
-            Err(format!(
-                "measure kind '{kind}' in '{text}' is not supported by the {engine} engine \
-                 (kinds supported by the {engine} engine: {supported_kinds})"
-            ))
-        }
+    /// Like [`MeasureRequest::parse`], but an unknown kind is reported in the
+    /// words of the engine the request selected ("kinds supported by the
+    /// uniform engine").  Every engine answers every kind, so the list is
+    /// always [`MEASURE_KIND_NAMES`].
+    pub fn parse_for_engine(text: &str, engine: &str) -> Result<MeasureRequest, String> {
+        Self::parse_impl(text, Some(engine))
     }
 
-    fn parse_impl(text: &str, engine: Option<(&str, &str)>) -> Result<MeasureRequest, String> {
+    fn parse_impl(text: &str, engine: Option<&str>) -> Result<MeasureRequest, String> {
         let Some((kind_text, rest)) = text.split_once(':') else {
             return Err(format!(
                 "measure '{text}' is missing its kind prefix \
@@ -412,9 +396,9 @@ impl MeasureRequest {
             }
             other => {
                 return Err(match engine {
-                    Some((engine, kinds)) => format!(
+                    Some(engine) => format!(
                         "unknown measure kind '{other}' in '{text}' \
-                         (kinds supported by the {engine} engine: {kinds})"
+                         (kinds supported by the {engine} engine: {MEASURE_KIND_NAMES})"
                     ),
                     None => format!(
                         "unknown measure kind '{other}' in '{text}' \
@@ -625,16 +609,6 @@ pub trait Engine {
     /// `uniformization`).
     fn name(&self) -> &'static str;
 
-    /// The measure kinds this engine can answer, as the comma-separated list
-    /// used by [`MeasureRequest::parse_for_engine`] in user-facing errors.
-    ///
-    /// Every shipped engine answers the full kind set, so the default returns
-    /// [`MEASURE_KIND_NAMES`]; a restricted engine overrides this and parse
-    /// errors then name *its* kinds instead of the global token list.
-    fn supported_kinds(&self) -> &'static str {
-        MEASURE_KIND_NAMES
-    }
-
     /// Answers a batch of requests, in order.
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError>;
 }
@@ -742,34 +716,23 @@ mod tests {
 
     #[test]
     fn engine_scoped_parse_errors_name_the_engines_kinds() {
-        // Unknown kind: the error lists the kinds supported by the named
-        // engine, not the global token list.
-        let unknown =
-            MeasureRequest::parse_for_engine("meen:p2>=3", "uniform", "density, cdf").unwrap_err();
+        // Unknown kind: the error speaks for the named engine.
+        let unknown = MeasureRequest::parse_for_engine("meen:p2>=3", "uniform").unwrap_err();
         assert_eq!(
             unknown,
-            "unknown measure kind 'meen' in 'meen:p2>=3' \
-             (kinds supported by the uniform engine: density, cdf)"
+            format!(
+                "unknown measure kind 'meen' in 'meen:p2>=3' \
+                 (kinds supported by the uniform engine: {MEASURE_KIND_NAMES})"
+            )
         );
 
-        // Known kind outside the engine's supported set: rejected, naming both
-        // the engine and its kind list.
-        let unsupported =
-            MeasureRequest::parse_for_engine("transient:p2>=1", "uniform", "density, cdf")
-                .unwrap_err();
-        assert_eq!(
-            unsupported,
-            "measure kind 'transient' in 'transient:p2>=1' is not supported by the \
-             uniform engine (kinds supported by the uniform engine: density, cdf)"
-        );
-
-        // Supported kinds parse exactly as the plain parser would.
-        let ok = MeasureRequest::parse_for_engine("cdf:p2>=1", "uniform", "density, cdf").unwrap();
+        // Known kinds parse exactly as the plain parser would.
+        let ok = MeasureRequest::parse_for_engine("cdf:p2>=1", "uniform").unwrap();
         assert_eq!(ok, MeasureRequest::parse("cdf:p2>=1").unwrap());
 
-        // The full kind list accepts everything, matching the Engine default.
+        // Every engine accepts every kind.
         for text in ["density:p>=1", "transient:p>=1", "quantile:p>=1@0.5"] {
-            MeasureRequest::parse_for_engine(text, "analytic", MEASURE_KIND_NAMES).unwrap();
+            MeasureRequest::parse_for_engine(text, "analytic").unwrap();
         }
     }
 

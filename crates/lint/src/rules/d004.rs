@@ -8,23 +8,49 @@
 //!
 //! The rule builds a name-based call graph over the pipeline crate, seeds it
 //! with the decode roots (`decode*` in `wire.rs`, `server.rs` and
-//! `client.rs`, `load_checkpoint*` in `checkpoint.rs`, every `Link::recv`
-//! implementation in `link.rs`, the worker's frame loop `serve_link` in
-//! `worker.rs`, `read_frame` anywhere), walks reachability, and flags
+//! `client.rs`, the request resolver `resolve_request` in `server.rs`,
+//! `load_checkpoint*` in `checkpoint.rs`, every `Link::recv` implementation
+//! in `link.rs`, the worker's frame loop `serve_link` in `worker.rs`,
+//! `read_frame` anywhere), walks reachability, and flags
 //! every `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` /
-//! `unimplemented!` inside a reachable non-test function.
+//! `unimplemented!` inside a reachable non-test function.  The command line
+//! is the other way untrusted text gets in, so `crates/cli` is a second
+//! scope with a graph of its own, rooted at the argv scanner `scan` and the
+//! five `parse_*_args`.
 
 use super::Finding;
 use crate::analysis::{FnDef, SourceFile};
 use crate::lexer::TokenKind;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The crate whose decoders consume untrusted input.
-const SCOPE_CRATE: &str = "pipeline";
+/// Picks a scope's roots: the functions (file stem, name) that first touch
+/// untrusted input.
+type IsRoot = fn(&str, &str) -> bool;
 
-/// Runs D004 over the file set.
+/// The crates that take untrusted input, each with its roots.
+const SCOPES: [(&str, IsRoot); 2] = [
+    ("pipeline", |stem, name| {
+        (stem == "wire" && name.starts_with("decode"))
+            || (stem == "checkpoint" && name.starts_with("load_checkpoint"))
+            || ((stem == "server" || stem == "client") && name.starts_with("decode"))
+            || (stem == "server" && name == "resolve_request")
+            || (stem == "link" && name == "recv")
+            || (stem == "worker" && name == "serve_link")
+            || name == "read_frame"
+    }),
+    ("cli", |_, name| {
+        name == "scan" || (name.starts_with("parse_") && name.ends_with("_args"))
+    }),
+];
+
+/// Runs D004 over the file set, one call graph per scope.
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
-    // Gather every non-test fn in the pipeline crate, with its calls.
+    let findings = |&(scope, is_root)| check_scope(files, scope, is_root);
+    SCOPES.iter().flat_map(findings).collect()
+}
+
+fn check_scope(files: &[SourceFile], scope: &str, is_root: fn(&str, &str) -> bool) -> Vec<Finding> {
+    // Gather every non-test fn in the scope's crate, with its calls.
     struct Node<'a> {
         file: &'a SourceFile,
         def: FnDef,
@@ -32,7 +58,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     }
     let mut nodes: Vec<Node<'_>> = Vec::new();
     for file in files {
-        if file.crate_name() != SCOPE_CRATE {
+        if file.crate_name() != scope {
             continue;
         }
         for def in file.functions() {
@@ -44,16 +70,6 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
 
-    // Roots: the functions that first touch untrusted bytes.
-    let is_root = |file: &SourceFile, name: &str| {
-        (file.stem() == "wire" && name.starts_with("decode"))
-            || (file.stem() == "checkpoint" && name.starts_with("load_checkpoint"))
-            || ((file.stem() == "server" || file.stem() == "client") && name.starts_with("decode"))
-            || (file.stem() == "link" && name == "recv")
-            || (file.stem() == "worker" && name == "serve_link")
-            || name == "read_frame"
-    };
-
     // Name-indexed reachability: calling `foo` may land in any `fn foo` in
     // the crate (method receivers are not resolved — conservative by design).
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -64,7 +80,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut frontier: Vec<usize> = nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| is_root(n.file, &n.def.name))
+        .filter(|(_, n)| is_root(n.file.stem(), &n.def.name))
         .map(|(i, _)| i)
         .collect();
     while let Some(i) = frontier.pop() {
@@ -106,8 +122,8 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                     line: toks[j].line,
                     message: format!(
                         "`{rendered}` in `{}`, which is reachable from the untrusted-input \
-                         decoders; malformed wire/checkpoint data must surface as a typed \
-                         error, never a panic",
+                         decoders; malformed wire/checkpoint/command-line data must surface \
+                         as a typed error, never a panic",
                         n.def.name
                     ),
                 });

@@ -90,6 +90,19 @@ fn d004_panics_reachable_from_decoders() {
     assert_eq!(findings("crates/pipeline/src/link.rs", link).len(), 1);
     assert_eq!(findings("crates/pipeline/src/worker.rs", &worker).len(), 1);
     assert!(findings("crates/pipeline/src/shard.rs", link).is_empty());
+    // The request resolver reads strings straight off the wire.
+    let resolver = link.replace("recv", "resolve_request");
+    assert_eq!(
+        findings("crates/pipeline/src/server.rs", &resolver).len(),
+        1
+    );
+    // The command line is untrusted text too: the argv scanner and the five
+    // `parse_*_args` root a second graph over the cli crate.
+    for root in ["scan", "parse_args", "parse_query_args"] {
+        let cli = link.replace("recv", root);
+        assert_eq!(findings("crates/cli/src/lib.rs", &cli).len(), 1, "{root}");
+    }
+    assert!(findings("crates/cli/src/lib.rs", &link.replace("recv", "run_query")).is_empty());
 }
 
 #[test]

@@ -259,6 +259,117 @@ impl ResultCache {
     }
 }
 
+/// A bounded, thread-safe least-recently-used memo — the one cache behind
+/// [`crate::transform::CompiledSetCache`], [`crate::engine::PhaseChainCache`]
+/// and the query server's `--engine auto` routing memo.
+///
+/// Recency is a logical clock stamped on every lookup, so the resident set
+/// after any sequence of operations is deterministic.  Values are handed out
+/// as clones; the heavy ones are `Arc`s, so every holder shares one
+/// allocation.
+pub struct LruMemo<K, V> {
+    capacity: usize,
+    slots: Mutex<LruSlots<K, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// The clock and the resident `(key, stamp, value)` slots, behind the lock.
+struct LruSlots<K, V> {
+    clock: u64,
+    slots: Vec<(K, u64, V)>,
+}
+
+impl<K: PartialEq, V: Clone> LruSlots<K, V> {
+    /// Finds `key` and restamps it most recently used.
+    fn touch(&mut self, key: &K) -> Option<V> {
+        self.clock += 1;
+        let slot = self.slots.iter_mut().find(|slot| slot.0 == *key)?;
+        slot.1 = self.clock;
+        Some(slot.2.clone())
+    }
+}
+
+impl<K: PartialEq, V: Clone> LruMemo<K, V> {
+    /// Creates a memo holding at most `capacity` values (minimum 1).
+    pub fn new(capacity: usize) -> Self {
+        LruMemo {
+            capacity: capacity.max(1),
+            slots: Mutex::new(LruSlots {
+                clock: 0,
+                slots: Vec::new(),
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Returns the value under `key`, building (and keeping) it on a miss;
+    /// the boolean is `true` when it was served without building.  A failed
+    /// build is returned as is and nothing is kept.
+    ///
+    /// `build` runs outside the lock, so misses on different keys do not
+    /// serialize.  Two concurrent misses on the *same* key may both build;
+    /// the second then defers to the first, so only one value is retained.
+    pub(crate) fn get_or_insert_with<E>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        let found = self.slots.lock().touch(&key);
+        if let Some(value) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((value, true));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let built = build()?;
+        let mut memo = self.slots.lock();
+        if let Some(first) = memo.touch(&key) {
+            return Ok((first, false));
+        }
+        let stamp = memo.clock;
+        memo.slots.push((key, stamp, built.clone()));
+        if memo.slots.len() > self.capacity {
+            let slots = &mut memo.slots;
+            if let Some(oldest) = (0..slots.len()).min_by_key(|&i| slots[i].1) {
+                slots.swap_remove(oldest);
+            }
+        }
+        Ok((built, false))
+    }
+
+    /// Lookups served without building.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that paid for a build.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Values currently resident.
+    pub fn len(&self) -> usize {
+        self.slots.lock().slots.len()
+    }
+
+    /// `true` when nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<K: PartialEq, V: Clone> std::fmt::Debug for LruMemo<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LruMemo")
+            .field("capacity", &self.capacity)
+            .field("len", &self.len())
+            .field("hits", &self.hits())
+            .field("misses", &self.misses())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,6 +39,7 @@
 //! same points in sequence that the distributed engine puts on the work queue.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
+use crate::cache::LruMemo;
 use crate::master::{DistributedPipeline, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{
@@ -806,118 +807,7 @@ pub fn uniformization_applies(model: &ModelSpec) -> bool {
 /// it.  Keys fold in [`crate::transform::model_fingerprint`], so an edited model misses rather
 /// than reading a stale chain.  Eviction is least-recently-used with a
 /// monotonic clock, mirroring [`CompiledSetCache`].
-pub struct PhaseChainCache {
-    capacity: usize,
-    clock: std::sync::atomic::AtomicU64,
-    entries: parking_lot::Mutex<Vec<PhaseChainSlot>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-struct PhaseChainSlot {
-    key: String,
-    stamp: u64,
-    chain: Arc<PhaseCtmc>,
-}
-
-impl PhaseChainCache {
-    /// Creates a cache holding at most `capacity` phase chains (minimum 1).
-    pub fn new(capacity: usize) -> PhaseChainCache {
-        PhaseChainCache {
-            capacity: capacity.max(1),
-            clock: std::sync::atomic::AtomicU64::new(0),
-            entries: parking_lot::Mutex::new(Vec::new()),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Returns the cached chain for `key`, building (and caching) it on a
-    /// miss.  The boolean is `true` on a hit.  The build runs outside the
-    /// cache lock; two concurrent misses on one key may both build, but only
-    /// one result is retained.
-    fn get_or_build(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Result<PhaseCtmc, EngineError>,
-    ) -> Result<(Arc<PhaseCtmc>, bool), EngineError> {
-        let stamp = self.tick();
-        {
-            let mut entries = self.entries.lock();
-            if let Some(slot) = entries.iter_mut().find(|slot| slot.key == key) {
-                slot.stamp = stamp;
-                let chain = Arc::clone(&slot.chain);
-                drop(entries);
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Ok((chain, true));
-            }
-        }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let chain = Arc::new(build()?);
-        let stamp = self.tick();
-        let mut entries = self.entries.lock();
-        if let Some(slot) = entries.iter_mut().find(|slot| slot.key == key) {
-            slot.stamp = stamp;
-            return Ok((Arc::clone(&slot.chain), false));
-        }
-        entries.push(PhaseChainSlot {
-            key: key.to_string(),
-            stamp,
-            chain: Arc::clone(&chain),
-        });
-        while entries.len() > self.capacity {
-            let oldest = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, slot)| slot.stamp)
-                .map(|(i, _)| i);
-            match oldest {
-                Some(i) => {
-                    entries.remove(i);
-                }
-                None => break,
-            }
-        }
-        Ok((chain, false))
-    }
-
-    /// Number of cache hits served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of misses (each one paid for a phase-chain reduction).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of chains currently resident.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when no chains are resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-}
-
-impl std::fmt::Debug for PhaseChainCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PhaseChainCache")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
-}
+pub type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 
 /// Uniformization over the phase-space CTMC of an all-exponential model.
 ///
@@ -1031,10 +921,11 @@ impl Engine for UniformizationEngine {
                     if transient_chain.is_none() {
                         let built = match &self.phase_cache {
                             Some(cache) => {
-                                let (chain, hit) = cache
-                                    .get_or_build(&format!("{fingerprint}:transient"), || {
-                                        PhaseCtmc::transient(smp, initial).map_err(uniform_error)
-                                    })?;
+                                let key = format!("{fingerprint}:transient");
+                                let (chain, hit) = cache.get_or_insert_with(key, || {
+                                    let chain = PhaseCtmc::transient(smp, initial);
+                                    chain.map(Arc::new).map_err(uniform_error)
+                                })?;
                                 if hit {
                                     chain_hits += 1;
                                 } else {
@@ -1063,13 +954,11 @@ impl Engine for UniformizationEngine {
                     if !passage_chains.iter().any(|(k, _)| *k == key) {
                         let built = match &self.phase_cache {
                             Some(cache) => {
-                                let (chain, hit) = cache.get_or_build(
-                                    &format!("{fingerprint}:passage:{key}"),
-                                    || {
-                                        PhaseCtmc::passage(smp, initial, &targets)
-                                            .map_err(uniform_error)
-                                    },
-                                )?;
+                                let cache_key = format!("{fingerprint}:passage:{key}");
+                                let (chain, hit) = cache.get_or_insert_with(cache_key, || {
+                                    let chain = PhaseCtmc::passage(smp, initial, &targets);
+                                    chain.map(Arc::new).map_err(uniform_error)
+                                })?;
                                 if hit {
                                     chain_hits += 1;
                                 } else {

@@ -113,8 +113,8 @@ pub use fault::{splitmix64, Backoff, FaultKind, FaultPlan};
 pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};
 pub use master::{DistributedPipeline, PipelineError, PipelineOptions};
 pub use server::{
-    PoolHealth, PoolSpec, QueryReply, QueryRequest, QueryServer, QueryServerOptions, Refusal,
-    RefusalKind, SHUTDOWN_ACK, SHUTDOWN_REQUEST,
+    resolve_request, EngineChoice, PoolHealth, PoolSpec, QueryReply, QueryRequest, QueryServer,
+    QueryServerOptions, Refusal, RefusalKind, SHUTDOWN_ACK, SHUTDOWN_REQUEST,
 };
 pub use shard::{ShardedOutcome, ShardedTransport, SliceFleet, SliceWorkerSession, SolveRecovery};
 pub use transform::{

@@ -37,6 +37,14 @@
 //!                    ...
 //! ```
 //!
+//! A request names its engine, method and measures as text.
+//! [`resolve_request`] is the one place that text becomes a typed request —
+//! the server calls it on the decoded fields, the `smpq` command line calls
+//! it on its flags — so the vocabulary ([`EngineChoice`], the method names,
+//! the measure grammar) is spelled once and a served answer is the one-shot
+//! answer.  On the way back, a reply is checked where it is decoded: as many
+//! values as points, a moment order in `1..=4`.
+//!
 //! A request the server will not answer gets a one-line `refusal` payload
 //! carrying a [`RefusalKind`] — the typed analogue of [`EngineError`] plus
 //! the server-only outcomes (admission rejection, deadline exceeded,
@@ -55,7 +63,7 @@
 //! returned).  The pool itself survives a deadline — workers are released in
 //! protocol with a `done` frame and stay attached for the next request.
 
-use crate::cache::ResultCache;
+use crate::cache::{LruMemo, ResultCache};
 use crate::engine::{
     uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
     UniformizationEngine,
@@ -75,7 +83,7 @@ use crate::wire::{
 use crate::worker::WorkerMessage;
 use parking_lot::Mutex;
 use smp_core::query::{
-    Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance, MEASURE_KIND_NAMES,
+    Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
 use smp_laplace::InversionMethod;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -139,11 +147,11 @@ fn decode_text(field: &str, what: &'static str) -> Result<String, WireError> {
 /// One query as shipped to the server: a model, an engine choice, and a batch
 /// of measures over a shared time grid.
 ///
-/// Measures travel as their *source text* (`density:p2>=3`), not as parsed
-/// structures: the server re-parses them with
-/// [`MeasureRequest::parse_for_engine`] exactly as the one-shot CLI does, so
-/// a served query and a local run are guaranteed to build identical requests
-/// — the precondition for bitwise-identical results.
+/// Engine, method and measures travel as their *source text* (`auto`,
+/// `euler`, `density:p2>=3`), not as parsed structures: [`resolve_request`]
+/// is the one place that text becomes a typed request, for the server and
+/// for the `smpq` command line alike, so a served query and a local run
+/// build identical requests — the precondition for bitwise-identical results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The model to analyse.
@@ -319,6 +327,79 @@ pub fn decode_query_request(payload: &str) -> Result<QueryRequest, WireError> {
     })
 }
 
+/// The engine a request selects: what `--engine` names on the command line
+/// and the `engine=` field carries on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineChoice {
+    /// Sequential in-process Laplace inversion.
+    Analytic,
+    /// Discrete-event simulation (one-shot runs only; the server refuses it).
+    Sim,
+    /// The distributed master–worker pipeline.
+    Distributed,
+    /// CTMC uniformization (all-exponential models only).
+    Uniform,
+    /// Probe the model: uniformization when every holding time is
+    /// exponential, the distributed pipeline otherwise.
+    Auto,
+}
+
+impl EngineChoice {
+    /// Parses a selector, long aliases included.
+    pub fn from_name(name: &str) -> Option<EngineChoice> {
+        match name {
+            "analytic" => Some(EngineChoice::Analytic),
+            "sim" | "simulation" => Some(EngineChoice::Sim),
+            "distributed" => Some(EngineChoice::Distributed),
+            "uniform" | "uniformization" => Some(EngineChoice::Uniform),
+            "auto" => Some(EngineChoice::Auto),
+            _ => None,
+        }
+    }
+
+    /// The canonical selector — what `smpq query` ships and what measure
+    /// parse errors call the engine.
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineChoice::Analytic => "analytic",
+            EngineChoice::Sim => "sim",
+            EngineChoice::Distributed => "distributed",
+            EngineChoice::Uniform => "uniform",
+            EngineChoice::Auto => "auto",
+        }
+    }
+}
+
+/// Turns the three text fields of a [`QueryRequest`] into a typed request,
+/// or the refusal that says which one is wrong.  One-shot `smpq`, `smpq
+/// query`'s check before the round trip and the server all resolve here, so
+/// the same text means the same request wherever it is read.  The grid is not
+/// this function's business: callers fill it in with
+/// [`MeasureRequest::with_t_points`].
+pub fn resolve_request(
+    engine: &str,
+    method: &str,
+    measures: &[String],
+) -> Result<(EngineChoice, InversionMethod, Vec<MeasureRequest>), Refusal> {
+    let refusal = |kind, message| Refusal { kind, message };
+    let method = InversionMethod::from_name(method).ok_or_else(|| {
+        let message = format!("unknown method '{method}' (expected euler or laguerre)");
+        refusal(RefusalKind::Protocol, message)
+    })?;
+    let engine = EngineChoice::from_name(engine).ok_or_else(|| {
+        let message = format!(
+            "unknown engine '{engine}' (expected auto, analytic, sim, distributed or uniform)"
+        );
+        refusal(RefusalKind::Protocol, message)
+    })?;
+    let measures = measures
+        .iter()
+        .map(|text| MeasureRequest::parse_for_engine(text, engine.name()))
+        .collect::<Result<_, _>>()
+        .map_err(|message| refusal(RefusalKind::Model, message))?;
+    Ok((engine, method, measures))
+}
+
 // ---------------------------------------------------------------------------
 // Replies
 // ---------------------------------------------------------------------------
@@ -419,16 +500,10 @@ fn decode_kind(name: &str, points: &[f64]) -> Result<MeasureKind, WireError> {
         "quantile" => Ok(MeasureKind::Quantile {
             probs: points.to_vec(),
         }),
-        "moment" => {
-            let first = points
-                .first()
-                .ok_or_else(|| malformed("moment report carries no points"))?;
-            // Orders are 1..=4 by construction; the `as` cast saturates on
-            // anything a corrupt peer might send instead of panicking.
-            Ok(MeasureKind::Moment {
-                order: *first as u32,
-            })
-        }
+        "moment" => (1..=4)
+            .find(|&order| points.first() == Some(&f64::from(order)))
+            .map(|order| MeasureKind::Moment { order })
+            .ok_or_else(|| malformed("moment report does not carry an order in 1..=4")),
         other => Err(malformed(format!("unknown measure kind '{other}'"))),
     }
 }
@@ -702,6 +777,11 @@ pub fn decode_query_reply(payload: &str) -> Result<QueryReply, WireError> {
                         .ok_or_else(|| malformed("'values' line carries no count"))?,
                     "value count",
                 )?;
+                if n_values != n_points {
+                    return Err(malformed(format!(
+                        "report '{name}' carries {n_values} values for {n_points} points"
+                    )));
+                }
                 let values = decode_f64_run(&mut value_tokens, n_values, "values")?;
 
                 let prov_line = lines
@@ -788,20 +868,6 @@ impl Default for QueryServerOptions {
 /// protocol sync (`done` received, next `job` expected) between requests.
 type PoolWorker = (usize, TcpLink);
 
-/// An `--engine auto` routing probe, memoized per model fingerprint.
-struct RouteSlot {
-    fingerprint: String,
-    uniform: bool,
-    stamp: u64,
-}
-
-/// Bounded-LRU memo of routing probes (a probe explores the state space, so
-/// it is exactly as expensive as the compile it precedes).
-struct RouteMemo {
-    slots: Vec<RouteSlot>,
-    clock: u64,
-}
-
 /// Counters behind the admission condition variable.
 struct AdmissionState {
     active: usize,
@@ -814,8 +880,10 @@ struct ServerShared {
     compiled: Arc<CompiledSetCache>,
     phase_chains: Arc<PhaseChainCache>,
     results: Arc<ResultCache>,
-    routes: Mutex<RouteMemo>,
-    route_capacity: usize,
+    /// `--engine auto` routing probes, memoized per model fingerprint (a
+    /// probe explores the state space, so it is exactly as expensive as the
+    /// compile it precedes).
+    routes: LruMemo<String, bool>,
     admission: Mutex<AdmissionState>,
     admission_cv: Condvar,
     /// `None` while the whole pool is checked out by a solve (or not yet
@@ -909,56 +977,15 @@ impl ServerShared {
     }
 
     /// Routes `--engine auto` for a model: is the all-exponential fast path
-    /// applicable?  The probe explores the state space, so its verdict is
-    /// memoized per model fingerprint in a bounded LRU.  Returns the verdict
-    /// plus (memo hits, memo misses) for provenance.
+    /// applicable?  Returns the memoized verdict plus (memo hits, memo misses)
+    /// for provenance.
     fn route_auto(&self, model: &ModelSpec) -> (bool, usize, usize) {
-        let fingerprint = model.fingerprint();
-        {
-            let mut memo = self.routes.lock();
-            memo.clock += 1;
-            let stamp = memo.clock;
-            if let Some(slot) = memo
-                .slots
-                .iter_mut()
-                .find(|slot| slot.fingerprint == fingerprint)
-            {
-                slot.stamp = stamp;
-                return (slot.uniform, 1, 0);
-            }
+        let probe = || Ok::<_, std::convert::Infallible>(uniformization_applies(model));
+        match self.routes.get_or_insert_with(model.fingerprint(), probe) {
+            Ok((uniform, true)) => (uniform, 1, 0),
+            Ok((uniform, false)) => (uniform, 0, 1),
+            Err(never) => match never {},
         }
-        // The expensive probe runs outside the lock; concurrent first
-        // queries for one model may both pay it, and the second insert below
-        // then defers to the first.
-        let uniform = uniformization_applies(model);
-        let mut memo = self.routes.lock();
-        memo.clock += 1;
-        let stamp = memo.clock;
-        if let Some(slot) = memo
-            .slots
-            .iter_mut()
-            .find(|slot| slot.fingerprint == fingerprint)
-        {
-            slot.stamp = stamp;
-            return (slot.uniform, 0, 1);
-        }
-        memo.slots.push(RouteSlot {
-            fingerprint,
-            uniform,
-            stamp,
-        });
-        while memo.slots.len() > self.route_capacity.max(1) {
-            let mut oldest = 0usize;
-            let mut oldest_stamp = u64::MAX;
-            for (i, slot) in memo.slots.iter().enumerate() {
-                if slot.stamp < oldest_stamp {
-                    oldest = i;
-                    oldest_stamp = slot.stamp;
-                }
-            }
-            memo.slots.swap_remove(oldest);
-        }
-        (uniform, 0, 1)
     }
 
     /// Takes the whole idle pool, waiting (deadline-capped) while another
@@ -1041,24 +1068,6 @@ impl Transport for PoolTransport {
 // Request handling
 // ---------------------------------------------------------------------------
 
-/// Where a request was routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoutedEngine {
-    Analytic,
-    Distributed,
-    Uniformization,
-}
-
-impl RoutedEngine {
-    fn name(self) -> &'static str {
-        match self {
-            RoutedEngine::Analytic => "analytic",
-            RoutedEngine::Distributed => "distributed",
-            RoutedEngine::Uniformization => "uniformization",
-        }
-    }
-}
-
 fn refuse(kind: RefusalKind, message: impl Into<String>) -> QueryReply {
     QueryReply::Refusal(Refusal {
         kind,
@@ -1066,130 +1075,110 @@ fn refuse(kind: RefusalKind, message: impl Into<String>) -> QueryReply {
     })
 }
 
-/// Picks the engine for a request: explicit names pass through, `auto`
-/// consults the memoized uniformization probe (the all-exponential fast path
-/// when it applies, the distributed pipeline otherwise).
+/// Builds the engine a request selected, over the server's long-lived
+/// transform-value and compiled-model caches: explicit choices pass through,
+/// `auto` consults the memoized uniformization probe (the all-exponential
+/// fast path when it applies, the distributed pipeline otherwise) and also
+/// returns its (memo hits, memo misses).  Distributed solves go over the
+/// standing worker pool when one is attached, in-process threads otherwise.
 fn route_engine(
-    shared: &ServerShared,
-    engine: &str,
-    model: &ModelSpec,
-) -> Result<(RoutedEngine, usize, usize), Refusal> {
-    match engine {
-        "analytic" => Ok((RoutedEngine::Analytic, 0, 0)),
-        "distributed" => Ok((RoutedEngine::Distributed, 0, 0)),
-        "uniform" | "uniformization" => Ok((RoutedEngine::Uniformization, 0, 0)),
-        "auto" => {
-            let (uniform, hits, misses) = shared.route_auto(model);
-            let routed = if uniform {
-                RoutedEngine::Uniformization
-            } else {
-                RoutedEngine::Distributed
-            };
-            Ok((routed, hits, misses))
-        }
-        "sim" | "simulation" => Err(Refusal {
-            kind: RefusalKind::Unsupported,
-            message: "the query server does not run the simulation engine; \
-                      run `smpq --engine sim` one-shot instead"
-                .to_string(),
-        }),
-        other => Err(Refusal {
-            kind: RefusalKind::Protocol,
-            message: format!(
-                "unknown engine '{other}' (the server accepts auto, analytic, \
-                 distributed, uniform)"
-            ),
-        }),
-    }
-}
-
-/// Runs the routed solve against the shared caches.  Distributed solves go
-/// over the standing worker pool when one is attached, in-process threads
-/// otherwise; either way the transform-value and compiled-model caches are
-/// the server's long-lived ones.
-fn solve_routed(
     shared: &Arc<ServerShared>,
-    routed: RoutedEngine,
+    choice: EngineChoice,
     model: &ModelSpec,
     method: &InversionMethod,
-    requests: &[MeasureRequest],
     deadline: Option<Instant>,
-) -> Result<Vec<MeasureReport>, EngineError> {
-    match routed {
-        RoutedEngine::Analytic => AnalyticEngine::new(model.clone(), method.clone())
-            .with_compiled_cache(shared.compiled.clone())
-            .solve(requests),
-        RoutedEngine::Uniformization => UniformizationEngine::new(model.clone())
-            .with_phase_cache(shared.phase_chains.clone())
-            .solve(requests),
-        RoutedEngine::Distributed => {
-            let workers = if shared.pool_size > 0 {
-                shared.pool_size
+) -> Result<(Box<dyn Engine>, usize, usize), Refusal> {
+    let uniformization = || -> Box<dyn Engine> {
+        let engine = UniformizationEngine::new(model.clone());
+        Box::new(engine.with_phase_cache(shared.phase_chains.clone()))
+    };
+    let distributed = || -> Box<dyn Engine> {
+        let workers = if shared.pool_size > 0 {
+            shared.pool_size
+        } else {
+            shared.inproc_workers.max(1)
+        };
+        let mut options = PipelineOptions::with_workers(workers);
+        options.shared_cache = Some(shared.results.clone());
+        let transport: Box<dyn Transport> = if shared.pool_size > 0 {
+            Box::new(PoolTransport {
+                shared: shared.clone(),
+                deadline,
+            })
+        } else if shared.solve_shards > 0 {
+            // `serve --shards N`: row-shard onto loopback slice workers.
+            // The resident tcp pool speaks the chunked s-point protocol,
+            // not slice jobs, so sharding is in-process only (enforced at
+            // the CLI).
+            Box::new(ShardedTransport::loopback(shared.solve_shards))
+        } else {
+            Box::new(InProcess::new(workers).with_compiled_cache(shared.compiled.clone()))
+        };
+        Box::new(DistributedEngine::with_transport(
+            model.clone(),
+            method.clone(),
+            options,
+            transport,
+        ))
+    };
+    let mut memo = (0, 0);
+    let engine: Box<dyn Engine> = match choice {
+        EngineChoice::Analytic => Box::new(
+            AnalyticEngine::new(model.clone(), method.clone())
+                .with_compiled_cache(shared.compiled.clone()),
+        ),
+        EngineChoice::Uniform => uniformization(),
+        EngineChoice::Distributed => distributed(),
+        EngineChoice::Auto => {
+            let (uniform, hits, misses) = shared.route_auto(model);
+            memo = (hits, misses);
+            if uniform {
+                uniformization()
             } else {
-                shared.inproc_workers.max(1)
-            };
-            let mut options = PipelineOptions::with_workers(workers);
-            options.shared_cache = Some(shared.results.clone());
-            let transport: Box<dyn Transport> = if shared.pool_size > 0 {
-                Box::new(PoolTransport {
-                    shared: shared.clone(),
-                    deadline,
-                })
-            } else if shared.solve_shards > 0 {
-                // `serve --shards N`: row-shard onto loopback slice workers.
-                // The resident tcp pool speaks the chunked s-point protocol,
-                // not slice jobs, so sharding is in-process only (enforced at
-                // the CLI).
-                Box::new(ShardedTransport::loopback(shared.solve_shards))
-            } else {
-                Box::new(InProcess::new(workers).with_compiled_cache(shared.compiled.clone()))
-            };
-            DistributedEngine::with_transport(model.clone(), method.clone(), options, transport)
-                .solve(requests)
+                distributed()
+            }
         }
-    }
+        EngineChoice::Sim => {
+            return Err(Refusal {
+                kind: RefusalKind::Unsupported,
+                message: "the query server does not run the simulation engine; \
+                          run `smpq --engine sim` one-shot instead"
+                    .to_string(),
+            })
+        }
+    };
+    Ok((engine, memo.0, memo.1))
 }
 
-/// Answers one decoded request end to end: route, parse measures, pass
+/// Answers one decoded request end to end: resolve its text, route, pass
 /// admission, solve, and stamp the server-side provenance (queue wait,
 /// model-cache traffic, rebuilds avoided by warm grid points).
 fn answer_query(shared: &Arc<ServerShared>, request: &QueryRequest) -> QueryReply {
     let deadline = request.deadline.map(|d| Instant::now() + d);
 
-    let Some(method) = InversionMethod::from_name(&request.method) else {
-        return refuse(
-            RefusalKind::Protocol,
-            format!(
-                "unknown inversion method '{}' (expected euler or laguerre)",
-                request.method
-            ),
-        );
-    };
-
-    let (routed, memo_hits, memo_misses) =
-        match route_engine(shared, &request.engine, &request.model) {
+    let (choice, method, measures) =
+        match resolve_request(&request.engine, &request.method, &request.measures) {
+            Ok(resolved) => resolved,
+            Err(refusal) => return QueryReply::Refusal(refusal),
+        };
+    if measures.is_empty() {
+        return refuse(RefusalKind::Protocol, "query carries no measures");
+    }
+    let requests: Vec<MeasureRequest> = measures
+        .into_iter()
+        .map(|measure| measure.with_t_points(&request.t_points))
+        .collect();
+    let (engine, memo_hits, memo_misses) =
+        match route_engine(shared, choice, &request.model, &method, deadline) {
             Ok(routed) => routed,
             Err(refusal) => return QueryReply::Refusal(refusal),
         };
-
-    // Re-parse the measure source text exactly as the one-shot CLI would for
-    // the routed engine — the guarantee behind bitwise-identical answers.
-    let mut requests = Vec::with_capacity(request.measures.len());
-    for text in &request.measures {
-        match MeasureRequest::parse_for_engine(text, routed.name(), MEASURE_KIND_NAMES) {
-            Ok(parsed) => requests.push(parsed.with_t_points(&request.t_points)),
-            Err(message) => return refuse(RefusalKind::Model, message),
-        }
-    }
-    if requests.is_empty() {
-        return refuse(RefusalKind::Protocol, "query carries no measures");
-    }
 
     let (permit, queue_wait) = match shared.admit(deadline) {
         Ok(admitted) => admitted,
         Err(refusal) => return QueryReply::Refusal(refusal),
     };
-    let outcome = solve_routed(shared, routed, &request.model, &method, &requests, deadline);
+    let outcome = engine.solve(&requests);
     drop(permit);
 
     if let Some(deadline) = deadline {
@@ -1287,11 +1276,7 @@ impl QueryServer {
             compiled: Arc::new(CompiledSetCache::new(options.cache_models)),
             phase_chains: Arc::new(PhaseChainCache::new(options.cache_models)),
             results: Arc::new(ResultCache::with_byte_limit(options.cache_result_bytes)),
-            routes: Mutex::new(RouteMemo {
-                slots: Vec::new(),
-                clock: 0,
-            }),
-            route_capacity: options.cache_models.max(1),
+            routes: LruMemo::new(options.cache_models),
             admission: Mutex::new(AdmissionState {
                 active: 0,
                 waiting: 0,
@@ -1644,11 +1629,7 @@ mod tests {
             compiled: Arc::new(CompiledSetCache::new(4)),
             phase_chains: Arc::new(PhaseChainCache::new(4)),
             results: Arc::new(ResultCache::with_byte_limit(1 << 20)),
-            routes: Mutex::new(RouteMemo {
-                slots: Vec::new(),
-                clock: 0,
-            }),
-            route_capacity: 2,
+            routes: LruMemo::new(2),
             admission: Mutex::new(AdmissionState {
                 active: 0,
                 waiting: 0,
@@ -1695,7 +1676,7 @@ mod tests {
 
     #[test]
     fn route_memo_hits_on_repeat_and_evicts_lru() {
-        let shared = bare_shared(1, 1); // route_capacity = 2
+        let shared = bare_shared(1, 1); // two route slots
         let a = ModelSpec::Voting {
             voters: 2,
             polling: 1,
@@ -1755,16 +1736,18 @@ mod tests {
 
     #[test]
     fn auto_routes_all_exponential_models_to_uniformization() {
-        let shared = bare_shared(1, 1);
+        let shared = Arc::new(bare_shared(1, 1));
+        let route = |model: &ModelSpec| {
+            let method = InversionMethod::euler();
+            let (engine, hits, misses) =
+                route_engine(&shared, EngineChoice::Auto, model, &method, None)
+                    .expect("auto routes");
+            (engine.name(), hits, misses)
+        };
         let exp_model = exp_ring();
-        let (routed, _, misses) = route_engine(&shared, "auto", &exp_model).expect("auto routes");
-        assert_eq!(routed, RoutedEngine::Uniformization);
-        assert_eq!(misses, 1);
-        let (routed, hits, _) = route_engine(&shared, "auto", &exp_model).expect("auto routes");
-        assert_eq!(routed, RoutedEngine::Uniformization);
-        assert_eq!(hits, 1);
-        let (routed, _, _) = route_engine(&shared, "auto", &voting()).expect("auto routes");
-        assert_eq!(routed, RoutedEngine::Distributed);
+        assert_eq!(route(&exp_model), ("uniformization", 0, 1));
+        assert_eq!(route(&exp_model), ("uniformization", 1, 0));
+        assert_eq!(route(&voting()).0, "distributed");
     }
 
     #[test]
@@ -1806,14 +1789,66 @@ mod tests {
 
     #[test]
     fn simulation_and_unknown_engines_are_refused() {
-        let shared = bare_shared(1, 1);
-        match route_engine(&shared, "sim", &voting()) {
-            Err(refusal) => assert_eq!(refusal.kind, RefusalKind::Unsupported),
-            Ok(_) => panic!("sim should be refused"),
-        }
-        match route_engine(&shared, "warp-drive", &voting()) {
-            Err(refusal) => assert_eq!(refusal.kind, RefusalKind::Protocol),
-            Ok(_) => panic!("unknown engine should be refused"),
+        let shared = Arc::new(bare_shared(1, 1));
+        let refusal = |engine: &str, method: &str, measure: &str| {
+            let request = QueryRequest {
+                engine: engine.to_string(),
+                method: method.to_string(),
+                measures: measure.split_whitespace().map(str::to_string).collect(),
+                ..sample_request()
+            };
+            match answer_query(&shared, &request) {
+                QueryReply::Refusal(refusal) => refusal,
+                QueryReply::Reports(_) => panic!("{engine}/{method}/{measure} was answered"),
+            }
+        };
+        let kind = |engine, method, measure| refusal(engine, method, measure).kind;
+        assert_eq!(kind("sim", "euler", "cdf:p2>=2"), RefusalKind::Unsupported);
+        assert_eq!(kind("warp", "euler", "cdf:p2>=2"), RefusalKind::Protocol);
+        assert_eq!(kind("auto", "talbot", "cdf:p2>=2"), RefusalKind::Protocol);
+        assert_eq!(kind("auto", "euler", ""), RefusalKind::Protocol);
+        // A bad measure is refused in the words of the selector the request
+        // named, before any routing probe runs.
+        let bad_kind = refusal("auto", "euler", "frob:p2>=2");
+        assert_eq!(bad_kind.kind, RefusalKind::Model);
+        assert!(bad_kind.message.contains("the auto engine"), "{bad_kind}");
+        assert_eq!(shared.routes.misses(), 0);
+    }
+
+    #[test]
+    fn malformed_replies_are_typed_errors_not_panics() {
+        let report = |kind: &str, points: &[f64], values: &[f64]| {
+            let run = |xs: &[f64]| {
+                let count = xs.len().to_string();
+                xs.iter()
+                    .fold(count, |run, x| format!("{run} {}", encode_f64(*x)))
+            };
+            format!(
+                "reports v=1 n=1\nreport name=m kind={kind}\npoints {}\nvalues {}\n{}\n",
+                run(points),
+                run(values),
+                encode_provenance(&Provenance::local("analytic", "sequential"))
+            )
+        };
+        assert!(decode_query_reply(&report("moment", &[4.0], &[1.0])).is_ok());
+        for payload in [
+            String::new(),
+            "reports v=1 n=1\n".to_string(),
+            "refusal v=1 kind=grumpy msg=x\n".to_string(),
+            // As many values as points, or a client indexes past the short one.
+            report("cdf", &[1.0, 2.0], &[]),
+            report("cdf", &[1.0], &[0.5, 0.5]),
+            // A moment's order is its first point, in 1..=4.
+            report("moment", &[], &[]),
+            report("moment", &[9.0], &[1.0]),
+            report("moment", &[1.5], &[1.0]),
+            report("moment", &[f64::NAN], &[1.0]),
+        ] {
+            let decoded = decode_query_reply(&payload);
+            assert!(
+                matches!(decoded, Err(WireError::Malformed { .. })),
+                "payload should be rejected: {payload:?}"
+            );
         }
     }
 }

@@ -22,6 +22,7 @@
 //! [`CompiledModelSet::evaluator`] builds the per-measure solver borrowing that
 //! shared state space.
 
+use crate::cache::LruMemo;
 use crate::wire::{decode_str, encode_finite_f64, encode_str, WireError};
 use smp_core::transient::TransientSolver;
 use smp_core::PassageTimeSolver;
@@ -623,37 +624,9 @@ impl CompiledModelSet {
 ///
 /// Eviction is least-recently-used with a monotonic clock, so the entry set
 /// after any sequence of operations is deterministic.
-pub struct CompiledSetCache {
-    capacity: usize,
-    clock: std::sync::atomic::AtomicU64,
-    entries: parking_lot::Mutex<Vec<CompiledSetSlot>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-struct CompiledSetSlot {
-    key: String,
-    stamp: u64,
-    set: std::sync::Arc<CompiledModelSet>,
-}
+pub type CompiledSetCache = LruMemo<String, std::sync::Arc<CompiledModelSet>>;
 
 impl CompiledSetCache {
-    /// Creates a cache holding at most `capacity` compiled sets (minimum 1).
-    pub fn new(capacity: usize) -> CompiledSetCache {
-        CompiledSetCache {
-            capacity: capacity.max(1),
-            clock: std::sync::atomic::AtomicU64::new(0),
-            entries: parking_lot::Mutex::new(Vec::new()),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Returns the cached set for `specs`, compiling (and caching) it on a
     /// miss. The boolean is `true` when the set was served from the cache
     /// without compiling. The compile itself runs outside the cache lock, so
@@ -664,6 +637,7 @@ impl CompiledSetCache {
         &self,
         specs: &[TransformSpec],
     ) -> Result<(std::sync::Arc<CompiledModelSet>, bool), String> {
+        let compile = || CompiledModelSet::compile(specs).map(std::sync::Arc::new);
         let mut key = String::new();
         for spec in specs {
             match spec.encode() {
@@ -671,88 +645,11 @@ impl CompiledSetCache {
                     key.push_str(&line);
                     key.push('\n');
                 }
-                Err(_) => {
-                    // Unkeyable spec: compile without touching the cache.
-                    self.misses
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let set = CompiledModelSet::compile(specs)?;
-                    return Ok((std::sync::Arc::new(set), false));
-                }
+                // Unkeyable spec: compile without touching the cache.
+                Err(_) => return Ok((compile()?, false)),
             }
         }
-        let stamp = self.tick();
-        {
-            let mut entries = self.entries.lock();
-            if let Some(slot) = entries.iter_mut().find(|slot| slot.key == key) {
-                slot.stamp = stamp;
-                let set = std::sync::Arc::clone(&slot.set);
-                drop(entries);
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Ok((set, true));
-            }
-        }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let set = std::sync::Arc::new(CompiledModelSet::compile(specs)?);
-        let stamp = self.tick();
-        let mut entries = self.entries.lock();
-        if let Some(slot) = entries.iter_mut().find(|slot| slot.key == key) {
-            // Another thread compiled the same key first; keep its copy so
-            // every holder shares one allocation.
-            slot.stamp = stamp;
-            return Ok((std::sync::Arc::clone(&slot.set), false));
-        }
-        entries.push(CompiledSetSlot {
-            key,
-            stamp,
-            set: std::sync::Arc::clone(&set),
-        });
-        while entries.len() > self.capacity {
-            let oldest = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, slot)| slot.stamp)
-                .map(|(i, _)| i);
-            match oldest {
-                Some(i) => {
-                    entries.remove(i);
-                }
-                None => break,
-            }
-        }
-        Ok((set, false))
-    }
-
-    /// Number of cache hits served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of misses (each one paid for a compile, i.e. a state-space
-    /// exploration per distinct model in the list).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of compiled sets currently resident.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// `true` when no compiled set is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-}
-
-impl std::fmt::Debug for CompiledSetCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledSetCache")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
+        self.get_or_insert_with(key, compile)
     }
 }
 
