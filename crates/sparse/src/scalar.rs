@@ -34,10 +34,12 @@ pub trait Scalar:
     /// Multiplies by a real scalar.
     fn scale(self, k: f64) -> Self;
 
-    /// True when the magnitude is exactly zero.
-    fn is_zero(self) -> bool {
-        self.magnitude() == 0.0
-    }
+    /// True when the value is exactly zero (`±0` in every component).
+    ///
+    /// Every kernel loop asks this once per row, so each type states its own
+    /// exact component test — there is deliberately no default body through
+    /// [`Scalar::magnitude`], which for [`Complex64`] is a libm `hypot` call.
+    fn is_zero(self) -> bool;
 }
 
 impl Scalar for f64 {
@@ -53,6 +55,11 @@ impl Scalar for f64 {
     fn scale(self, k: f64) -> f64 {
         self * k
     }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        self == 0.0
+    }
 }
 
 impl Scalar for Complex64 {
@@ -67,6 +74,14 @@ impl Scalar for Complex64 {
     #[inline]
     fn scale(self, k: f64) -> Complex64 {
         Complex64::new(self.re * k, self.im * k)
+    }
+
+    /// The same predicate as `magnitude() == 0.0` for every input: `hypot` is
+    /// zero only when both components are, and a NaN compares false either
+    /// way.
+    #[inline]
+    fn is_zero(self) -> bool {
+        self.re == 0.0 && self.im == 0.0
     }
 }
 
@@ -91,5 +106,32 @@ mod tests {
         assert_eq!(z.scale(2.0), Complex64::new(6.0, 8.0));
         assert!(Complex64::ZERO.is_zero());
         assert!(!Complex64::I.is_zero());
+    }
+
+    /// `is_zero` is the component test, and the component test is the old
+    /// `magnitude() == 0.0` on every class of input a kernel can meet.
+    #[test]
+    fn is_zero_is_the_old_magnitude_test() {
+        let components = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e-200, // squares underflow; hypot does not
+            1.0,
+            -3.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &re in &components {
+            assert_eq!(re.is_zero(), re.magnitude() == 0.0, "f64 {re:?}");
+            for &im in &components {
+                let z = Complex64::new(re, im);
+                assert_eq!(z.is_zero(), z.magnitude() == 0.0, "{re:?} + {im:?}i");
+            }
+        }
     }
 }
