@@ -19,10 +19,12 @@
 //!   dense Gaussian-elimination reference solver (the `O(N³)` baseline the paper
 //!   compares against).
 //! * [`workspace`] — the symbolic/numeric split behind the per-`s`-point hot
-//!   path: build the CSR skeleton of `U` and its fill plan once per
-//!   (model, target set), refill a reusable values buffer per point, apply
-//!   `U'` as a row mask — bitwise identical to the build-per-point reference
-//!   oracle (exact-zero kernel entries included) at a fraction of the cost.
+//!   path: build the CSR skeleton of `U` and its de-duplicated fill recipes
+//!   once per (model, target set), refill a small value table per point,
+//!   apply `U'` as a row mask, and advance up to four points in lockstep
+//!   lanes over one pass of the index arrays — bitwise identical, lane by
+//!   lane, to the build-per-point reference oracle (exact-zero kernel
+//!   entries included) at a fraction of the cost.
 //! * [`shard`] — row-sharded slices of the same iteration (the paper's
 //!   distributed memory model): deterministic contiguous state blocks,
 //!   per-shard sub-skeletons with halo subscriptions, and an in-process

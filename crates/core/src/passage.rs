@@ -42,7 +42,7 @@
 
 use crate::error::SmpError;
 use crate::smp::{SemiMarkovProcess, StateSet};
-use crate::workspace::{HotPathStats, PassageWorkspace, WorkspacePool};
+use crate::workspace::{HotPathStats, LaneKernel, PassageWorkspace, WorkspacePool, BLOCK_LANES};
 use smp_distributions::LaplaceTransform;
 use smp_numeric::Complex64;
 use smp_sparse::CsrMatrix;
@@ -391,7 +391,7 @@ impl<'a> PassageTimeSolver<'a> {
     }
 
     /// [`PassageTimeSolver::transform_at`] through an explicit, reusable
-    /// workspace: the numeric phase refills the workspace's `U` values in
+    /// workspace: the numeric phase refills the workspace's value table in
     /// place (one pooled LST evaluation per distinct distribution) and runs
     /// the iteration in its scratch buffers — no matrix construction, no
     /// sort, no allocation.
@@ -402,30 +402,93 @@ impl<'a> PassageTimeSolver<'a> {
     ) -> Result<PassagePoint, SmpError> {
         self.check_workspace(ws);
         ws.refill(self.smp, s);
-        let sk = Arc::clone(ws.skeleton_arc());
+        let [point] = self.iterate(ws.kernel(), &[s]);
+        point.expect("the one lane is live")
+    }
+
+    /// Evaluates the transform at every point of a chunk, one result per
+    /// point in order — each bit for bit (value and iteration count) what
+    /// [`PassageTimeSolver::transform_at`] returns for that point alone, so a
+    /// point that fails to converge fails alone.
+    pub fn transform_many(&self, points: &[Complex64]) -> Vec<Result<PassagePoint, SmpError>> {
+        self.with_workspace(|ws| self.transform_many_with(ws, points))
+    }
+
+    /// [`PassageTimeSolver::transform_many`] through an explicit workspace.
+    ///
+    /// The chunk's shape picks the kernel: while two or more points remain
+    /// they advance as a block of up to four lockstep lanes over one shared
+    /// pass of the index arrays; a last point on its own takes the
+    /// single-lane instance of the same code.
+    pub fn transform_many_with(
+        &self,
+        ws: &mut PassageWorkspace,
+        points: &[Complex64],
+    ) -> Vec<Result<PassagePoint, SmpError>> {
+        self.check_workspace(ws);
+        let mut results = Vec::with_capacity(points.len());
+        let mut rest = points;
+        while rest.len() >= 2 {
+            let (block, tail) = rest.split_at(rest.len().min(BLOCK_LANES));
+            ws.refill_block(self.smp, block);
+            let lanes = self.iterate(ws.block_kernel(), block);
+            results.extend(lanes.into_iter().flatten());
+            rest = tail;
+        }
+        if let [s] = *rest {
+            results.push(self.transform_at_with(ws, s));
+        }
+        results
+    }
+
+    /// The convergence driver, generic in the lane count: lane `l` of the
+    /// (already refilled) kernel evaluates `points[l]` with its own
+    /// [`ConvergenceFold`] and lazy quiet test, exactly as if it ran alone.
+    /// A converged lane keeps stepping with the others and is no longer read;
+    /// lanes past `points.len()` are padding and yield `None`.
+    fn iterate<const K: usize>(
+        &self,
+        mut kernel: LaneKernel<'_, K>,
+        points: &[Complex64],
+    ) -> [Option<Result<PassagePoint, SmpError>>; K] {
         // Accumulator initialised to αU (the leading U term of Eq. 9/10 ensures
         // cycle times L_ii register correctly instead of collapsing to zero).
-        ws.u.vec_mul_into(&self.alpha_c, &mut ws.term);
-        ws.begin_point();
-        let mut fold = ConvergenceFold::new(self.options, sk.dot_e(&ws.term));
+        kernel.begin(&self.alpha_c);
+        let initial = kernel.dot_e();
+        let mut folds: [Option<ConvergenceFold>; K] = std::array::from_fn(|l| {
+            (l < points.len()).then(|| ConvergenceFold::new(self.options, initial[l]))
+        });
+        let mut results = std::array::from_fn(|_| None);
         for r in 1..=self.options.max_iterations {
-            ws.step_term_times_u_prime();
-            let delta = sk.dot_e(&ws.term);
-            // `term_is_quiet` reaches the same decision as the oracle's full
-            // `max(norm)` fold, lazily.
-            let quiet = || term_is_quiet(&ws.term, self.options.epsilon);
-            if let FoldStatus::Converged(value) = fold.push(delta, quiet) {
-                return Ok(PassagePoint {
-                    value,
-                    iterations: r,
-                });
+            kernel.step();
+            let delta = kernel.dot_e();
+            for (l, slot) in folds.iter_mut().enumerate() {
+                let Some(fold) = slot else { continue };
+                // `term_is_quiet` reaches the same decision as the oracle's
+                // full `max(norm)` fold, lazily.
+                let quiet = || term_is_quiet(kernel.lane_term(l), self.options.epsilon);
+                if let FoldStatus::Converged(value) = fold.push(delta[l], quiet) {
+                    results[l] = Some(Ok(PassagePoint {
+                        value,
+                        iterations: r,
+                    }));
+                    *slot = None;
+                }
+            }
+            if folds.iter().all(Option::is_none) {
+                break;
             }
         }
-        Err(SmpError::ConvergenceFailure {
-            s: (s.re, s.im),
-            iterations: self.options.max_iterations,
-            last_delta: fold.last_delta(),
-        })
+        for ((fold, result), s) in folds.iter().zip(&mut results).zip(points) {
+            if let Some(fold) = fold {
+                *result = Some(Err(SmpError::ConvergenceFailure {
+                    s: (s.re, s.im),
+                    iterations: self.options.max_iterations,
+                    last_delta: fold.last_delta(),
+                }));
+            }
+        }
+        results
     }
 
     /// Evaluates the full vector `L̃_j(s) = (L_{1j}(s), …, L_{Nj}(s))` at one complex
@@ -438,7 +501,9 @@ impl<'a> PassageTimeSolver<'a> {
     }
 
     /// [`PassageTimeSolver::transform_vector_at`] through an explicit,
-    /// reusable workspace.
+    /// reusable workspace.  The column form multiplies from the other side,
+    /// so it works on the workspace's materialised `U(s)`
+    /// ([`PassageWorkspace::u`]) rather than on the row kernel's value table.
     pub fn transform_vector_at_with(
         &self,
         ws: &mut PassageWorkspace,
@@ -449,30 +514,30 @@ impl<'a> PassageTimeSolver<'a> {
         let sk = Arc::clone(ws.skeleton_arc());
         let mask = sk.target_mask();
         // v_r = U'^r ẽ ;   acc = Σ_{r=0}^{R-1} v_r ;   L̃ = U · acc
-        // (v lives in ws.term, U'·v in ws.scratch.)
-        for (k, slot) in ws.term.iter_mut().enumerate() {
+        let (u, [term, scratch, acc]) = ws.vector_state();
+        for (k, slot) in term.iter_mut().enumerate() {
             *slot = if self.targets.contains(k) {
                 Complex64::ONE
             } else {
                 Complex64::ZERO
             };
         }
-        ws.acc.copy_from_slice(&ws.term);
+        acc.copy_from_slice(term);
         let mut quiet = 0usize;
         let mut iterations = 0usize;
         while iterations < self.options.max_iterations {
             iterations += 1;
-            ws.u.mul_vec_into_masked(&ws.term, &mut ws.scratch, mask);
-            std::mem::swap(&mut ws.term, &mut ws.scratch);
+            u.mul_vec_into_masked(term, scratch, mask);
+            std::mem::swap(term, scratch);
             let mut max_delta = 0.0f64;
-            for (a, d) in ws.acc.iter_mut().zip(&ws.term) {
+            for (a, d) in acc.iter_mut().zip(term.iter()) {
                 *a += *d;
                 max_delta = max_delta.max(d.re.abs()).max(d.im.abs());
             }
             if max_delta < self.options.epsilon {
                 quiet += 1;
                 if quiet >= self.options.consecutive {
-                    return Ok(ws.u.mul_vec(&ws.acc));
+                    return Ok(u.mul_vec(acc));
                 }
             } else {
                 quiet = 0;
@@ -481,7 +546,7 @@ impl<'a> PassageTimeSolver<'a> {
         Err(SmpError::ConvergenceFailure {
             s: (s.re, s.im),
             iterations,
-            last_delta: ws.term.iter().map(|c| c.norm()).fold(0.0, f64::max),
+            last_delta: term.iter().map(|c| c.norm()).fold(0.0, f64::max),
         })
     }
 
@@ -494,13 +559,13 @@ impl<'a> PassageTimeSolver<'a> {
         }
         self.with_workspace(|ws| {
             ws.refill(self.smp, s);
-            let sk = Arc::clone(ws.skeleton_arc());
-            ws.u.vec_mul_into(&self.alpha_c, &mut ws.term);
-            ws.begin_point();
-            let mut total = sk.dot_e(&ws.term);
+            let mut kernel = ws.kernel();
+            kernel.begin(&self.alpha_c);
+            let [mut total] = kernel.dot_e();
             for _ in 1..r {
-                ws.step_term_times_u_prime();
-                total += sk.dot_e(&ws.term);
+                kernel.step();
+                let [delta] = kernel.dot_e();
+                total += delta;
             }
             total
         })
@@ -630,7 +695,7 @@ impl<'a> PassageTimeSolver<'a> {
 /// The test is per-element and order-independent, so the row-sharded solver
 /// (`crate::shard`) applies it to each shard's slice of the term vector and
 /// ANDs the verdicts — exactly the whole-vector answer.
-pub(crate) fn term_is_quiet(term: &[Complex64], epsilon: f64) -> bool {
+pub(crate) fn term_is_quiet(term: impl IntoIterator<Item = Complex64>, epsilon: f64) -> bool {
     // The legacy fold starts at 0.0, so its mass is never below a
     // non-positive (or NaN) ε.
     if epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {

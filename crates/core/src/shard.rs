@@ -210,9 +210,6 @@ impl ShardedSkeleton {
 
         // Pass 2: flatten column-major, restricting the fill plan and the
         // distribution pool to the slice.
-        let g_slot_ptr = structure.slot_ptr();
-        let g_dist = structure.contrib_dist();
-        let g_prob = structure.contrib_prob();
         let mut local_of: Vec<u32> = vec![u32::MAX; smp.num_distributions()];
         let mut pool: Vec<Dist> = Vec::new();
         let mut col_ptr: Vec<u32> = Vec::with_capacity(owned + 1);
@@ -256,18 +253,15 @@ impl ShardedSkeleton {
                 }
                 entry_row.push(r as u32);
                 entry_x.push(x_slot);
-                let (cs, ce) = (
-                    g_slot_ptr[k as usize] as usize,
-                    g_slot_ptr[k as usize + 1] as usize,
-                );
-                for j in cs..ce {
-                    let gd = g_dist[j] as usize;
+                let (dists, probs) = structure.slot_contributions(k as usize);
+                for (&dist, &prob) in dists.iter().zip(probs) {
+                    let gd = dist as usize;
                     if local_of[gd] == u32::MAX {
                         local_of[gd] = pool.len() as u32;
-                        pool.push(smp.distribution(g_dist[j]).clone());
+                        pool.push(smp.distribution(dist).clone());
                     }
                     contrib_dist.push(local_of[gd]);
-                    contrib_prob.push(g_prob[j]);
+                    contrib_prob.push(prob);
                 }
                 slot_ptr.push(contrib_dist.len() as u32);
             }
@@ -533,7 +527,7 @@ impl ShardWorkspace {
     /// — the per-element legacy test; AND the shards' verdicts for the
     /// whole-vector answer.
     pub fn is_quiet(&self, epsilon: f64) -> bool {
-        term_is_quiet(&self.x_owned, epsilon)
+        term_is_quiet(self.x_owned.iter().copied(), epsilon)
     }
 
     /// The owned slice of the current term vector (tests and diagnostics).

@@ -96,17 +96,16 @@ impl<'a> PassageTimeAnalysis<'a> {
 
     /// Evaluates the passage-time transform at every point of a plan, returning the
     /// filled value cache (this is the sequential analogue of the distributed
-    /// pipeline's work queue).  One workspace is checked out for the whole
-    /// plan, so the symbolic phase and all scratch buffers are shared across
-    /// every `s`-point.
+    /// pipeline's work queue).  The plan is one chunk through one workspace:
+    /// its points advance in lockstep blocks, and the first failure in plan
+    /// order is the one reported.
     pub fn compute_transform_values(&self, plan: &SPointPlan) -> Result<TransformValues, SmpError> {
-        self.solver.with_workspace(|ws| {
-            let mut values = TransformValues::new();
-            for &s in plan.s_points() {
-                values.insert(s, self.solver.transform_at_with(ws, s)?.value);
-            }
-            Ok(values)
-        })
+        let mut values = TransformValues::new();
+        let points = plan.s_points();
+        for (&s, point) in points.iter().zip(self.solver.transform_many(points)) {
+            values.insert(s, point?.value);
+        }
+        Ok(values)
     }
 
     /// The passage-time *density* `f(t)` on the given time grid.
@@ -120,17 +119,9 @@ impl<'a> PassageTimeAnalysis<'a> {
     /// obtained by inverting `L(s)/s` (Fig. 5 of the paper).
     pub fn cdf(&self, method: InversionMethod, t_points: &[f64]) -> Result<CdfCurve, SmpError> {
         let plan = SPointPlan::new(method, t_points);
-        let values = self.solver.with_workspace(|ws| {
-            let mut values = TransformValues::new();
-            for &s in plan.s_points() {
-                values.insert(s, self.solver.transform_at_with(ws, s)?.value / s);
-            }
-            Ok::<TransformValues, SmpError>(values)
-        })?;
-        Ok(CdfCurve::from_samples(
-            t_points.to_vec(),
-            plan.invert(&values),
-        ))
+        let values = self.compute_transform_values(&plan)?;
+        let inverted = plan.invert_with(|s| values.get(s).expect("every planned point") / s);
+        Ok(CdfCurve::from_samples(t_points.to_vec(), inverted))
     }
 
     /// The probability that the passage completes within `deadline` (a reliability

@@ -3,26 +3,36 @@
 //! The paper's cost model (Section 4) is *number of transform evaluations ×
 //! cost per evaluation*, yet the kernel matrix `U(s)` of Eq. (9) has a fixed
 //! sparsity **structure** for a given model — only its numeric entries vary
-//! with the transform variable `s`.  This module factors the per-point work
-//! accordingly:
+//! with the transform variable `s`, and even those take few distinct values:
+//! an entry is its transitions' `probability × LST`, and a model has far
+//! fewer distinct `(distribution, probability)` pairs than transitions (the
+//! paper's 106,994-state system 1: 570,700 entries, 104 pairs).  This module
+//! factors the per-point work accordingly:
 //!
 //! * [`PassageSkeleton`] — the one-time *symbolic* phase per `(model, target
-//!   set)` pair: the sorted CSR skeleton (`indptr` / `col_indices`) of `U`
-//!   plus a per-nonzero fill plan of `(pool distribution id, probability)`
-//!   contributions, and the target-set bookkeeping the iteration needs
-//!   (membership mask, ascending index list).
-//! * [`PassageWorkspace`] — the reusable *numeric* state: a CSR matrix whose
-//!   values buffer is refilled in place per `s`-point (each pooled LST
-//!   evaluated exactly once), and the iteration scratch vectors, so a batch
-//!   of `s`-points allocates nothing after the first.
+//!   set)` pair: the sorted CSR skeleton (`indptr` / `col_indices`) of `U`,
+//!   the **recipe table** — each distinct ordered list of `(pool
+//!   distribution id, probability)` contributions an entry is summed from,
+//!   in first-appearance order — with one `u32` recipe id per nonzero, and
+//!   the target-set bookkeeping the iteration needs (membership mask,
+//!   ascending index list).
+//! * [`PassageWorkspace`] — the reusable *numeric* state: per `s`-point each
+//!   pooled LST is evaluated exactly once and only the value table is
+//!   refilled (`O(distinct recipes)`, not `O(nnz)`); the `term · U'` steps
+//!   read `table[id[e]]`.  The iteration is written once, generic in a lane
+//!   count `K`: `K` `s`-points advance in lockstep over one shared index
+//!   stream, each lane an independent point.  A batch of points allocates
+//!   nothing after the workspace's first.
 //! * [`WorkspacePool`] — a shared checkout pool so several worker threads can
 //!   evaluate points of one measure concurrently, each amortising its own
 //!   workspace, with aggregate [`HotPathStats`] for provenance reports.
 //!
-//! `U'` (targets made absorbing, Eq. 9) is never materialised: the masked
-//! sparse kernels of `smp-sparse` (`vec_mul_into_masked` /
-//! `mul_vec_into_masked`) apply the target-row mask on the fly, which is
-//! bitwise identical to multiplying by `U.zero_rows(mask)`.
+//! `U'` (targets made absorbing, Eq. 9) is never materialised: the steps skip
+//! the target rows on the fly, which is bitwise identical to multiplying by
+//! `U.zero_rows(mask)`.  `U` itself is materialised only on request:
+//! [`PassageWorkspace::u`] is a lazily built CSR view of the same bits, for
+//! tests, benchmark probes and the column-form vector solve of the transient
+//! path; scalar solves never build it.
 //!
 //! ## Bitwise equivalence with the reference oracle
 //!
@@ -32,8 +42,9 @@
 //! duplicate `(row, col)` contributions are summed in the same order the
 //! build-per-point construction sums them (push order — the compression's
 //! sorts are stable, so the order does not depend on which entries a point
-//! drops), and every slot holds bit-for-bit the value that construction
-//! would produce.  The one structural difference:
+//! drops), and every table entry holds bit-for-bit the value that
+//! construction would store in each slot that names it.  The one structural
+//! difference:
 //! `build_u` drops entries whose value is *exactly* zero at a particular `s`
 //! (an LST underflowing at extreme `Re(s)·delay`, e.g. `e^{-s·d}` past ~745,
 //! or duplicate contributions cancelling), where the fixed skeleton keeps the
@@ -46,26 +57,42 @@
 //! every kernel — `scratch[c] += v·x_r` in the sparse and dense scatters,
 //! `mul_vec_into_masked`'s row sums, the gather of `crate::shard` — starts
 //! at `+0`, and IEEE-754 round-to-nearest gives `z + (±0) = z` and
-//! `(+0) + (±0) = +0`; the duplicate merge in `refill` starts from its first
-//! contribution, and `(±0) + v = v` puts it where the oracle's merge (zero
-//! contributions skipped at push) starts.  A slot
-//! holding `±0` multiplied by a *finite* iterate entry is `±0`, so it
-//! contributes exactly what the structurally dropped entry contributes:
-//! nothing.  A column reached only through zero slots merely joins the
-//! active list one round early with value `+0` and is skipped by the
-//! `x_r.is_zero()` test like any other zero row.
+//! `(+0) + (±0) = +0` (so no accumulator ever holds `−0`); the duplicate
+//! merge in `refill` starts from its first contribution, and `(±0) + v = v`
+//! puts it where the oracle's merge (zero contributions skipped at push)
+//! starts.  A slot holding `±0` multiplied by a *finite* iterate entry is
+//! `±0`, so it contributes exactly what the structurally dropped entry
+//! contributes: nothing.  A column reached only through zero slots merely
+//! joins the active list one round early with value `+0` and is skipped by
+//! the zero-row test like any other zero row.
 //!
-//! The precondition is that iterates are finite wherever a zero slot can
-//! exist, which holds on the half-plane the inversion samples:
-//! `|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`, and an LST underflows to zero
-//! only at `Re(s) > 0`.  Off it (a non-finite iterate meeting a zero slot
-//! yields NaN where the oracle's dropped entry yields nothing) both paths
-//! still fail with `ConvergenceFailure`, but may report a different
-//! `last_delta`.
+//! **Lanes extend the argument by its mirror image.**  A row is skipped when
+//! *all* its lanes are zero; a zero lane in a live row is not branched
+//! around, it adds `v·(±0) = ±0` for a *finite* kernel entry `v` — neutral
+//! for the same reason, with the roles of entry and iterate swapped.  A
+//! column one lane reaches a round before another joins the shared active
+//! list early for the late lane, holding `+0` there.  So every lane computes
+//! the bits, and takes the iteration count, of the `K = 1` kernel evaluating
+//! that point alone; a lane that has converged keeps stepping and is simply
+//! no longer read (mask, not compact), and the padding lanes of a short
+//! block hold zeros throughout.
+//!
+//! The preconditions are that iterates are finite wherever a zero slot can
+//! exist and kernel entries are finite wherever a zero lane can, which hold
+//! where inversion plans sample: `|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`, an
+//! LST underflows to zero only at `Re(s) > 0`, and the moment stencil's real
+//! nodes sit at most 6e-3 to the left of the origin, where an LST is
+//! infinite only on a pole of its own — and there the single-lane kernel
+//! fails too.  Off that region (a non-finite iterate
+//! meeting a zero slot, or a non-finite entry meeting a zero lane, yields
+//! NaN where the oracle yields nothing) both paths still fail with
+//! `ConvergenceFailure`, but may report a different `last_delta`.
 
 use crate::smp::{DistId, SemiMarkovProcess, StateSet};
 use smp_numeric::Complex64;
-use smp_sparse::{CsrMatrix, Scalar, TripletMatrix};
+use smp_sparse::{CsrMatrix, TripletMatrix};
+use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -111,8 +138,8 @@ impl HotPathStats {
 }
 
 /// The target-independent half of the symbolic phase: the sorted CSR
-/// structure of `U` and its per-nonzero fill plan.  Every target set over one
-/// model shares it, so it is memoized per [`SemiMarkovProcess`]
+/// structure of `U` and its fill plan.  Every target set over one model
+/// shares it, so it is memoized per [`SemiMarkovProcess`]
 /// (`SemiMarkovProcess::u_structure`) and building a [`PassageSkeleton`] for
 /// another target set of an already-analysed process costs only `O(N)` for
 /// the target bookkeeping — which is what keeps `TransientSolver`'s
@@ -124,14 +151,17 @@ pub(crate) struct UStructure {
     num_dists: usize,
     indptr: Vec<u64>,
     col_indices: Vec<u32>,
-    /// `slot_ptr[k] .. slot_ptr[k + 1]` indexes the contributions of CSR slot
-    /// `k` in `contrib_dist` / `contrib_prob`, in legacy summation order.
-    slot_ptr: Vec<u32>,
-    /// True when every slot has exactly one contribution (no duplicate
-    /// `(row, col)` transitions) — the common case, refilled by a plain zip.
-    uniform_slots: bool,
-    contrib_dist: Vec<DistId>,
-    contrib_prob: Vec<f64>,
+    /// The recipe each CSR slot is filled from: an index into the table
+    /// below.  Slots with equal contribution lists share a recipe, so the
+    /// numeric phase evaluates a value once per recipe, not once per slot.
+    slot_recipe: Vec<u32>,
+    /// `recipe_ptr[r] .. recipe_ptr[r + 1]` indexes the contributions of
+    /// recipe `r` in `recipe_dist` / `recipe_prob`, in legacy summation
+    /// order.  Recipes are numbered in order of first appearance in the slot
+    /// stream.
+    recipe_ptr: Vec<u32>,
+    recipe_dist: Vec<DistId>,
+    recipe_prob: Vec<f64>,
 }
 
 /// The symbolic phase: everything about `U(s)` and the target set that does
@@ -174,15 +204,20 @@ impl UStructure {
 
         // Recover each slot's contribution order by replaying the sort on the
         // raw stream: counting-sort by row, then the column sort — both
-        // stable, as in to_csr, so a slot's contributions are in push order.
+        // stable, as in to_csr, so a slot's contributions are in push order —
+        // and de-duplicate the contribution lists into the recipe table.
         let mut row_counts = vec![0usize; n + 1];
         for i in 0..n {
             row_counts[i + 1] = row_counts[i] + smp.transitions(i).len();
         }
-        let mut slot_ptr: Vec<u32> = Vec::with_capacity(traced.nnz() + 1);
-        let mut contrib_dist: Vec<DistId> = Vec::with_capacity(entry_dist.len());
-        let mut contrib_prob: Vec<f64> = Vec::with_capacity(entry_prob.len());
-        slot_ptr.push(0);
+        let mut slot_recipe: Vec<u32> = Vec::with_capacity(traced.nnz());
+        let mut recipe_ptr: Vec<u32> = vec![0];
+        let mut recipe_dist: Vec<DistId> = Vec::new();
+        let mut recipe_prob: Vec<f64> = Vec::new();
+        // Lookup only — recipe ids come from `recipe_ptr`'s length, so the
+        // table's order never depends on the map's.
+        let mut known: HashMap<Vec<(DistId, u64)>, u32> = HashMap::new();
+        let mut recipe: Vec<(DistId, u64)> = Vec::new();
         let mut scratch: Vec<(u32, Complex64)> = Vec::new();
         for (i, &row_base) in row_counts.iter().take(n).enumerate() {
             scratch.clear();
@@ -194,27 +229,39 @@ impl UStructure {
             let mut k = 0usize;
             while k < scratch.len() {
                 let c = scratch[k].0;
+                recipe.clear();
                 while k < scratch.len() && scratch[k].0 == c {
                     let index = scratch[k].1.re.to_bits() as usize;
-                    contrib_dist.push(entry_dist[index]);
-                    contrib_prob.push(entry_prob[index]);
+                    recipe.push((entry_dist[index], entry_prob[index].to_bits()));
                     k += 1;
                 }
-                slot_ptr.push(contrib_dist.len() as u32);
+                let id = match known.get(recipe.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = (recipe_ptr.len() - 1) as u32;
+                        for &(dist, prob) in &recipe {
+                            recipe_dist.push(dist);
+                            recipe_prob.push(f64::from_bits(prob));
+                        }
+                        recipe_ptr.push(recipe_dist.len() as u32);
+                        known.insert(recipe.clone(), id);
+                        id
+                    }
+                };
+                slot_recipe.push(id);
             }
         }
-        debug_assert_eq!(slot_ptr.len(), traced.nnz() + 1);
-        let uniform_slots = slot_ptr.windows(2).all(|w| w[1] - w[0] == 1);
+        debug_assert_eq!(slot_recipe.len(), traced.nnz());
 
         UStructure {
             num_states: n,
             num_dists: smp.num_distributions(),
             indptr: traced.indptr().to_vec(),
             col_indices: traced.col_indices().to_vec(),
-            slot_ptr,
-            uniform_slots,
-            contrib_dist,
-            contrib_prob,
+            slot_recipe,
+            recipe_ptr,
+            recipe_dist,
+            recipe_prob,
         }
     }
 
@@ -229,16 +276,29 @@ impl UStructure {
         &self.col_indices
     }
 
-    pub(crate) fn slot_ptr(&self) -> &[u32] {
-        &self.slot_ptr
+    /// The `(distribution, probability)` contributions CSR slot `slot` is
+    /// summed from, in legacy summation order.
+    pub(crate) fn slot_contributions(&self, slot: usize) -> (&[DistId], &[f64]) {
+        self.recipe(self.slot_recipe[slot] as usize)
     }
 
-    pub(crate) fn contrib_dist(&self) -> &[DistId] {
-        &self.contrib_dist
+    /// The recipe ids and column indices of row `r`'s slots.
+    #[inline]
+    fn row(&self, r: usize) -> (&[u32], &[u32]) {
+        let (start, end) = (self.indptr[r] as usize, self.indptr[r + 1] as usize);
+        (&self.slot_recipe[start..end], &self.col_indices[start..end])
     }
 
-    pub(crate) fn contrib_prob(&self) -> &[f64] {
-        &self.contrib_prob
+    fn num_recipes(&self) -> usize {
+        self.recipe_ptr.len() - 1
+    }
+
+    fn recipe(&self, id: usize) -> (&[DistId], &[f64]) {
+        let (start, end) = (
+            self.recipe_ptr[id] as usize,
+            self.recipe_ptr[id + 1] as usize,
+        );
+        (&self.recipe_dist[start..end], &self.recipe_prob[start..end])
     }
 }
 
@@ -283,31 +343,6 @@ impl PassageSkeleton {
     pub fn target_indices(&self) -> &[usize] {
         &self.target_indices
     }
-
-    /// Inner product of a state-indexed vector with the target indicator `ẽ`,
-    /// in the same ascending order (and therefore with bitwise the same value)
-    /// as the legacy full-mask filter — but in `O(|targets|)` instead of
-    /// `O(N)` per transition.
-    #[inline]
-    pub fn dot_e(&self, vec: &[Complex64]) -> Complex64 {
-        let mut acc = Complex64::ZERO;
-        for &t in &self.target_indices {
-            acc += vec[t];
-        }
-        acc
-    }
-
-    /// An all-zero CSR matrix with this skeleton's structure, ready for
-    /// refilling.
-    fn empty_matrix(&self) -> CsrMatrix<Complex64> {
-        CsrMatrix::from_raw_parts(
-            self.structure.num_states,
-            self.structure.num_states,
-            self.structure.indptr.clone(),
-            self.structure.col_indices.clone(),
-            vec![Complex64::ZERO; self.structure.col_indices.len()],
-        )
-    }
 }
 
 /// Leave the sparse active-list iteration mode once the live fraction of the
@@ -315,33 +350,295 @@ impl PassageSkeleton {
 /// full-scan scatter's predictable branches beat the list bookkeeping.
 const DENSE_SWITCH_DIVISOR: usize = 4;
 
-/// The numeric phase: reusable per-thread buffers for evaluating the
-/// passage-time iteration at one `s`-point after another without allocating.
-///
-/// Obtain one from a [`WorkspacePool`] (or directly via
-/// [`PassageWorkspace::new`]) and pass it to
-/// `PassageTimeSolver::transform_at_with` to evaluate a whole chunk of
-/// `s`-points through a single workspace.
+/// Lanes of a block: `s`-points that advance in lockstep.  Four lanes share
+/// one pass over the index arrays and fill two SSE2 registers per component;
+/// eight measured about a tenth slower on the 106,994-state model (twice the
+/// iterate bytes behind every scattered entry, and no fewer arithmetic
+/// instructions per lane).
+pub(crate) const BLOCK_LANES: usize = 4;
+
+/// `K` complex numbers, one per lane, planar: the real parts, then the
+/// imaginary parts.
+pub(crate) type Lanes<const K: usize> = [[f64; K]; 2];
+
+/// Scatters one row of `U` into `out`: `out[c] += table[id] · x` for each of
+/// the row's `(id, c)` slots, in every lane — per lane exactly `Complex64`'s
+/// `y += v * x`.  The one inner loop of the initialisation and of both step
+/// phases.
+#[inline(always)]
+fn scatter_row<const K: usize>(
+    out: &mut [Lanes<K>],
+    table: &[Lanes<K>],
+    ids: &[u32],
+    cols: &[u32],
+    x: Lanes<K>,
+) {
+    for (&id, &c) in ids.iter().zip(cols) {
+        let v = &table[id as usize];
+        let y = &mut out[c as usize];
+        for l in 0..K {
+            y[0][l] += v[0][l] * x[0][l] - v[1][l] * x[1][l];
+            y[1][l] += v[0][l] * x[1][l] + v[1][l] * x[0][l];
+        }
+    }
+}
+
+/// True when every lane holds an exact (signed) zero — the lane form of
+/// `Scalar::is_zero`, and the same test at `K = 1`.
+#[inline]
+fn all_zero<const K: usize>(x: &Lanes<K>) -> bool {
+    x[0].iter().chain(&x[1]).all(|&component| component == 0.0)
+}
+
+/// The numeric state of `K` lockstep `s`-points: the pooled LST values, the
+/// recipe value table built from them, and the two iterate vectors.  Sized on
+/// first use, so a workspace pays only for the lane counts it is asked for.
+#[derive(Debug, Default)]
+struct LaneBuffers<const K: usize> {
+    pool: Vec<Lanes<K>>,
+    table: Vec<Lanes<K>>,
+    term: Vec<Lanes<K>>,
+    scratch: Vec<Lanes<K>>,
+}
+
+impl<const K: usize> LaneBuffers<K> {
+    /// Evaluates each pooled LST once per point (lane `l` at `points[l]`) and
+    /// rebuilds the value table: per recipe the bits `build_u` stores —
+    /// `pool[dist].scale(prob)`, merged left to right.  Lanes past
+    /// `points.len()` are padding: no LST is evaluated for them and they hold
+    /// zeros.
+    fn refill(&mut self, smp: &SemiMarkovProcess, st: &UStructure, points: &[Complex64]) {
+        debug_assert!((1..=K).contains(&points.len()));
+        if self.term.len() != st.num_states {
+            self.pool = vec![[[0.0; K]; 2]; st.num_dists];
+            self.table = vec![[[0.0; K]; 2]; st.num_recipes()];
+            self.term = vec![[[0.0; K]; 2]; st.num_states];
+            self.scratch = vec![[[0.0; K]; 2]; st.num_states];
+        }
+        for (id, slot) in self.pool.iter_mut().enumerate() {
+            let dist = smp.distribution(id as DistId);
+            *slot = [[0.0; K]; 2];
+            for (l, &s) in points.iter().enumerate() {
+                let value = dist.lst(s);
+                slot[0][l] = value.re;
+                slot[1][l] = value.im;
+            }
+        }
+        for (id, entry) in self.table.iter_mut().enumerate() {
+            let (dists, probs) = st.recipe(id);
+            // Same accumulation order as to_csr's duplicate merge: the first
+            // contribution initialises, the rest add in sorted-stream order.
+            // build_u skips a zero contribution before the merge; here
+            // `(±0) + v = v` and `v + (±0) = v` skip it in effect.
+            let mut contributions = dists.iter().zip(probs);
+            let (&dist, &prob) = contributions.next().expect("a slot has a contribution");
+            *entry = self.pool[dist as usize].map(|part| part.map(|x| x * prob));
+            for (&dist, &prob) in contributions {
+                let value = &self.pool[dist as usize];
+                for l in 0..K {
+                    entry[0][l] += value[0][l] * prob;
+                    entry[1][l] += value[1][l] * prob;
+                }
+            }
+        }
+    }
+}
+
+/// Sparse-phase bookkeeping for the `term · U'` steps: the rows where `term`
+/// may be nonzero in some lane, ascending (unused once `dense` is set, when
+/// the frontier has saturated).  The passage iteration's term vector starts
+/// with a handful of nonzeros (the source states' successors) and fills in
+/// over the transitions — the active list makes the early iterations cost
+/// `O(live rows)` instead of `O(N)`.
 #[derive(Debug)]
-pub struct PassageWorkspace {
-    skeleton: Arc<PassageSkeleton>,
-    pub(crate) u: CsrMatrix<Complex64>,
-    pool_values: Vec<Complex64>,
-    /// Iteration scratch, all `num_states` long.
-    pub(crate) term: Vec<Complex64>,
-    pub(crate) acc: Vec<Complex64>,
-    pub(crate) scratch: Vec<Complex64>,
-    /// Sparse-phase bookkeeping for the `term · U'` steps: the rows where
-    /// `term` may be nonzero, ascending (empty + `dense = true` once the
-    /// frontier saturates).  The passage iteration's term vector starts with
-    /// a handful of nonzeros (the source states' successors) and fills in
-    /// over the transitions — the active list makes the early iterations cost
-    /// `O(live rows)` instead of `O(N)`.
+struct Frontier {
     active: Vec<u32>,
     touched: Vec<u32>,
     stamp: Vec<u32>,
     generation: u32,
     dense: bool,
+}
+
+/// The `K`-lane iteration over one workspace: what
+/// `PassageTimeSolver`'s convergence driver steps.  Obtained from
+/// [`PassageWorkspace::kernel`] / [`PassageWorkspace::block_kernel`] after
+/// the matching refill.
+pub(crate) struct LaneKernel<'a, const K: usize> {
+    skeleton: &'a PassageSkeleton,
+    lanes: &'a mut LaneBuffers<K>,
+    frontier: &'a mut Frontier,
+}
+
+impl<const K: usize> LaneKernel<'_, K> {
+    /// Starts a fresh point per lane: `term ← α·U` (the leading `U` of
+    /// Eq. 9/10, unmasked) in every lane, `scratch` zeroed, the live rows
+    /// listed and the starting mode picked.
+    pub(crate) fn begin(&mut self, alpha: &[Complex64]) {
+        let st = &*self.skeleton.structure;
+        let zero = [[0.0; K]; 2];
+        self.lanes.term.fill(zero);
+        self.lanes.scratch.fill(zero);
+        for (r, a) in alpha.iter().enumerate() {
+            let x = [[a.re; K], [a.im; K]];
+            if all_zero(&x) {
+                continue;
+            }
+            let (ids, cols) = st.row(r);
+            scatter_row(&mut self.lanes.term, &self.lanes.table, ids, cols, x);
+        }
+        let frontier = &mut *self.frontier;
+        frontier.active.clear();
+        for (r, x) in self.lanes.term.iter().enumerate() {
+            if !all_zero(x) {
+                frontier.active.push(r as u32);
+            }
+        }
+        frontier.dense = frontier.active.len() > st.num_states / DENSE_SWITCH_DIVISOR;
+    }
+
+    /// One `term ← term · U'` step of the iteration (Eq. 10) in every lane,
+    /// exploiting term sparsity while it lasts.
+    pub(crate) fn step(&mut self) {
+        if self.frontier.dense {
+            self.step_dense();
+        } else {
+            self.step_sparse();
+        }
+    }
+
+    /// The full-scan masked scatter: every non-target row whose term is live
+    /// in some lane, ascending.  Each row is zeroed as it is read, which is
+    /// what leaves the buffer about to become scratch all-zero without a
+    /// pass of its own.
+    fn step_dense(&mut self) {
+        let st = &*self.skeleton.structure;
+        let lanes = &mut *self.lanes;
+        for (r, slot) in lanes.term.iter_mut().enumerate() {
+            let x = *slot;
+            if all_zero(&x) {
+                continue;
+            }
+            *slot = [[0.0; K]; 2];
+            if self.skeleton.target_mask[r] {
+                continue;
+            }
+            let (ids, cols) = st.row(r);
+            scatter_row(&mut lanes.scratch, &lanes.table, ids, cols, x);
+        }
+        std::mem::swap(&mut lanes.term, &mut lanes.scratch);
+    }
+
+    /// Scatters only the rows on the active list — ascending, so each output
+    /// accumulates its contributions in exactly the order the full-scan
+    /// scatter produces them (rows absent from the list hold exact zeros in
+    /// every lane, which the full scan skips anyway): bitwise identical to
+    /// `U.zero_rows(targets).vec_mul_into(term, out)` per lane, at `O(live)`
+    /// instead of `O(N + nnz)`.  Once the live fraction saturates, the next
+    /// step is dense.
+    fn step_sparse(&mut self) {
+        let sk = self.skeleton;
+        let st = &*sk.structure;
+        let lanes = &mut *self.lanes;
+        let frontier = &mut *self.frontier;
+        // Invariant of both phases: scratch is all-zero at step entry
+        // (established by `begin`, restored by every step), so first touches
+        // need no clear.
+        frontier.generation = frontier.generation.wrapping_add(1);
+        if frontier.generation == 0 {
+            // A wrapped generation could collide with stale stamps and drop a
+            // live row from the active list; reset instead.
+            frontier.stamp.fill(0);
+            frontier.generation = 1;
+        }
+        let generation = frontier.generation;
+        frontier.touched.clear();
+        for &r in &frontier.active {
+            let r = r as usize;
+            let x = lanes.term[r];
+            if sk.target_mask[r] || all_zero(&x) {
+                continue;
+            }
+            let (ids, cols) = st.row(r);
+            for &c in cols {
+                if frontier.stamp[c as usize] != generation {
+                    frontier.stamp[c as usize] = generation;
+                    frontier.touched.push(c);
+                }
+            }
+            scatter_row(&mut lanes.scratch, &lanes.table, ids, cols, x);
+        }
+        // Restore the all-zero invariant on the buffer about to become
+        // scratch: only the old active rows can be nonzero in it.
+        for &r in &frontier.active {
+            lanes.term[r as usize] = [[0.0; K]; 2];
+        }
+        std::mem::swap(&mut lanes.term, &mut lanes.scratch);
+        // The next round's active rows, ascending for the bitwise order: an
+        // O(touched·log) sort while the frontier is small, an O(N) sequential
+        // stamp scan once sorting would cost more.
+        if frontier.touched.len() < st.num_states / 32 {
+            frontier.touched.sort_unstable();
+            std::mem::swap(&mut frontier.active, &mut frontier.touched);
+        } else {
+            frontier.active.clear();
+            for (c, &stamp) in frontier.stamp.iter().enumerate() {
+                if stamp == generation {
+                    frontier.active.push(c as u32);
+                }
+            }
+        }
+        if frontier.active.len() > st.num_states / DENSE_SWITCH_DIVISOR {
+            frontier.dense = true;
+        }
+    }
+
+    /// Every lane's inner product of the term vector with the target
+    /// indicator `ẽ`, summed over [`PassageSkeleton::target_indices`] in
+    /// ascending order — the order (and therefore bitwise the value) of the
+    /// legacy full-mask filter, in `O(|targets|)` instead of `O(N)`.
+    pub(crate) fn dot_e(&self) -> [Complex64; K] {
+        let mut acc = [[0.0; K]; 2];
+        for &t in &self.skeleton.target_indices {
+            let x = &self.lanes.term[t];
+            for l in 0..K {
+                acc[0][l] += x[0][l];
+                acc[1][l] += x[1][l];
+            }
+        }
+        std::array::from_fn(|l| Complex64::new(acc[0][l], acc[1][l]))
+    }
+
+    /// One lane's term vector, in state order.
+    pub(crate) fn lane_term(&self, lane: usize) -> impl Iterator<Item = Complex64> + '_ {
+        self.lanes
+            .term
+            .iter()
+            .map(move |x| Complex64::new(x[0][lane], x[1][lane]))
+    }
+}
+
+/// The numeric phase: reusable per-thread buffers for evaluating the
+/// passage-time iteration at one `s`-point after another without allocating.
+///
+/// Obtain one from a [`WorkspacePool`] (or directly via
+/// [`PassageWorkspace::new`]) and pass it to
+/// `PassageTimeSolver::transform_at_with` (or `transform_many_with`) to
+/// evaluate a whole chunk of `s`-points through a single workspace.
+#[derive(Debug)]
+pub struct PassageWorkspace {
+    skeleton: Arc<PassageSkeleton>,
+    /// The single-point kernel's state: what [`PassageWorkspace::refill`]
+    /// fills and [`PassageWorkspace::u`] views.
+    single: LaneBuffers<1>,
+    /// The lockstep kernel's state, for blocks of up to [`BLOCK_LANES`]
+    /// points.
+    block: LaneBuffers<BLOCK_LANES>,
+    frontier: Frontier,
+    /// `U(s)` of the latest [`PassageWorkspace::refill`] as a CSR matrix —
+    /// absent until somebody asks for it, kept current from then on.
+    u: OnceCell<CsrMatrix<Complex64>>,
+    /// Iterate vectors of the column-form vector solve (sized on first use).
+    vector: [Vec<Complex64>; 3],
     filled: bool,
     stats: HotPathStats,
 }
@@ -350,25 +647,21 @@ impl PassageWorkspace {
     /// Creates a workspace over a shared skeleton.
     pub fn new(skeleton: Arc<PassageSkeleton>) -> PassageWorkspace {
         let n = skeleton.structure.num_states;
-        let u = skeleton.empty_matrix();
-        let pool_values = vec![Complex64::ZERO; skeleton.structure.num_dists];
         PassageWorkspace {
             skeleton,
-            u,
-            pool_values,
-            term: vec![Complex64::ZERO; n],
-            acc: vec![Complex64::ZERO; n],
-            scratch: vec![Complex64::ZERO; n],
-            active: Vec::new(),
-            touched: Vec::new(),
-            stamp: vec![0; n],
-            generation: 0,
-            dense: true,
-            filled: false,
-            stats: HotPathStats {
-                skeleton_builds: 0,
-                ..HotPathStats::default()
+            single: LaneBuffers::default(),
+            block: LaneBuffers::default(),
+            frontier: Frontier {
+                active: Vec::new(),
+                touched: Vec::new(),
+                stamp: vec![0; n],
+                generation: 0,
+                dense: true,
             },
+            u: OnceCell::new(),
+            vector: Default::default(),
+            filled: false,
+            stats: HotPathStats::default(),
         }
     }
 
@@ -377,160 +670,96 @@ impl PassageWorkspace {
         &self.skeleton
     }
 
-    /// The skeleton's shared handle (lets the iteration hold the skeleton
-    /// while mutably borrowing the scratch buffers).
+    /// The skeleton's shared handle.
     pub(crate) fn skeleton_arc(&self) -> &Arc<PassageSkeleton> {
         &self.skeleton
     }
 
-    /// The refilled `U(s)` matrix of the most recent [`PassageWorkspace::refill`].
+    /// The refilled `U(s)` matrix of the most recent [`PassageWorkspace::refill`]
+    /// (all zeros before the first), materialised from the value table on
+    /// first request and kept current by later refills.  The iteration does
+    /// not read it.
     ///
     /// Use the masked products of `smp-sparse` with
     /// [`PassageSkeleton::target_mask`] to read it as `U'`.
     pub fn u(&self) -> &CsrMatrix<Complex64> {
-        &self.u
+        self.u.get_or_init(|| {
+            let st = &*self.skeleton.structure;
+            let mut u = CsrMatrix::from_raw_parts(
+                st.num_states,
+                st.num_states,
+                st.indptr.clone(),
+                st.col_indices.clone(),
+                vec![Complex64::ZERO; st.col_indices.len()],
+            );
+            gather_values(st, &self.single.table, u.values_mut());
+            u
+        })
     }
 
     /// Numeric phase: evaluates each pooled LST once at `s` and refills the
-    /// values buffer in place — no triplet matrix, no sort, no allocation.
+    /// value table in place — no triplet matrix, no sort, no allocation.
     ///
-    /// Every slot then holds bit-for-bit the value
+    /// Every slot of `U(s)` then reads bit-for-bit the value
     /// `SemiMarkovProcess::build_u(s)` stores there; a slot `build_u` drops
-    /// because it evaluates to exact zero holds `±0`, which the kernels treat
+    /// because it evaluates to exact zero reads `±0`, which the kernels treat
     /// as the absent entry it is (see the module docs).
     pub fn refill(&mut self, smp: &SemiMarkovProcess, s: Complex64) {
         debug_assert_eq!(smp.num_states(), self.skeleton.structure.num_states);
-        for (id, slot) in self.pool_values.iter_mut().enumerate() {
-            *slot = smp.distribution(id as DistId).lst(s);
+        let st = &*self.skeleton.structure;
+        self.single.refill(smp, st, &[s]);
+        if let Some(u) = self.u.get_mut() {
+            gather_values(st, &self.single.table, u.values_mut());
         }
-        let sk = &*self.skeleton.structure;
-        if sk.uniform_slots {
-            // One contribution per slot — refill is a straight zip.
-            for ((value, &dist), &prob) in self
-                .u
-                .values_mut()
-                .iter_mut()
-                .zip(&sk.contrib_dist)
-                .zip(&sk.contrib_prob)
-            {
-                *value = self.pool_values[dist as usize].scale(prob);
-            }
-        } else {
-            for (k, value) in self.u.values_mut().iter_mut().enumerate() {
-                let start = sk.slot_ptr[k] as usize;
-                let end = sk.slot_ptr[k + 1] as usize;
-                // Same accumulation order as to_csr's duplicate merge: first
-                // contribution initialises, the rest add in sorted-stream
-                // order.  build_u skips a zero contribution before the merge;
-                // here `(±0) + v = v` and `v + (±0) = v` skip it in effect.
-                let mut acc =
-                    self.pool_values[sk.contrib_dist[start] as usize].scale(sk.contrib_prob[start]);
-                for j in start + 1..end {
-                    acc += self.pool_values[sk.contrib_dist[j] as usize].scale(sk.contrib_prob[j]);
-                }
-                *value = acc;
-            }
-        }
-        if self.filled {
-            self.stats.matrix_rebuilds_avoided += 1;
-        }
+        self.count_points(1);
+    }
+
+    /// [`PassageWorkspace::refill`] for a block: lane `l` of the lockstep
+    /// kernel is refilled at `points[l]` (at most [`BLOCK_LANES`] of them).
+    pub(crate) fn refill_block(&mut self, smp: &SemiMarkovProcess, points: &[Complex64]) {
+        debug_assert_eq!(smp.num_states(), self.skeleton.structure.num_states);
+        self.block.refill(smp, &self.skeleton.structure, points);
+        self.count_points(points.len() as u64);
+    }
+
+    /// The counters stay per point whatever the block shape: every point
+    /// after a workspace's first avoids a matrix build, and every point
+    /// evaluates each pooled LST once.
+    fn count_points(&mut self, points: u64) {
+        self.stats.matrix_rebuilds_avoided += points - u64::from(!self.filled);
         self.filled = true;
-        self.stats.pooled_lst_evaluations += self.pool_values.len() as u64;
+        self.stats.pooled_lst_evaluations += points * self.skeleton.structure.num_dists as u64;
     }
 
-    /// Prepares the sparse/dense iteration state for a fresh `s`-point, after
-    /// the caller has written the point's initial vector into `term`: scans
-    /// `term` once for its live rows, (re-)zeroes `scratch`, and picks the
-    /// starting mode.  Must be called before the first
-    /// [`PassageWorkspace::step_term_times_u_prime`] of every point.
-    pub(crate) fn begin_point(&mut self) {
+    /// What the column-form vector solve (the transient path) works on: the
+    /// materialised `U(s)` of the latest [`PassageWorkspace::refill`] and
+    /// three state-length scratch vectors.
+    pub(crate) fn vector_state(&mut self) -> (&CsrMatrix<Complex64>, &mut [Vec<Complex64>; 3]) {
+        self.u();
         let n = self.skeleton.structure.num_states;
-        for slot in self.scratch.iter_mut() {
-            *slot = Complex64::ZERO;
+        for vector in &mut self.vector {
+            vector.resize(n, Complex64::ZERO);
         }
-        self.active.clear();
-        for (r, value) in self.term.iter().enumerate() {
-            if !value.is_zero() {
-                self.active.push(r as u32);
-            }
-        }
-        self.dense = self.active.len() > n / DENSE_SWITCH_DIVISOR;
+        let u = self.u.get().expect("materialised above");
+        (u, &mut self.vector)
     }
 
-    /// One `term ← term · U'` step of the iteration (Eq. 10), exploiting term
-    /// sparsity while it lasts.
-    ///
-    /// Sparse mode scatters only the rows on the active list — ascending, so
-    /// each output accumulates its contributions in exactly the order the
-    /// full-scan scatter produces them (rows absent from the list hold exact
-    /// zeros, which the full scan skips anyway): bitwise identical to
-    /// `U.zero_rows(targets).vec_mul_into(term, out)`, at `O(live)` instead
-    /// of `O(N + nnz)`.  Once the live fraction saturates, the step switches
-    /// to the full-scan masked scatter.
-    pub(crate) fn step_term_times_u_prime(&mut self) {
-        let sk = &*self.skeleton;
-        if self.dense {
-            self.u
-                .vec_mul_into_masked(&self.term, &mut self.scratch, &sk.target_mask);
-            std::mem::swap(&mut self.term, &mut self.scratch);
-            return;
+    /// The iteration over the point of the latest [`PassageWorkspace::refill`].
+    pub(crate) fn kernel(&mut self) -> LaneKernel<'_, 1> {
+        LaneKernel {
+            skeleton: &self.skeleton,
+            lanes: &mut self.single,
+            frontier: &mut self.frontier,
         }
-        // Sparse mode invariant: scratch is all-zero here (established by
-        // begin_point and restored below), so first touches need no clear.
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // A wrapped generation could collide with stale stamps and drop a
-            // live row from the active list; reset instead.
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
-        self.touched.clear();
-        let indptr = self.u.indptr();
-        let cols = self.u.col_indices();
-        let values = self.u.values();
-        for &r in &self.active {
-            let r = r as usize;
-            if sk.target_mask[r] {
-                continue;
-            }
-            let xr = self.term[r];
-            if xr.is_zero() {
-                continue;
-            }
-            let start = indptr[r] as usize;
-            let end = indptr[r + 1] as usize;
-            for (&v, &c) in values[start..end].iter().zip(&cols[start..end]) {
-                let c = c as usize;
-                if self.stamp[c] != self.generation {
-                    self.stamp[c] = self.generation;
-                    self.touched.push(c as u32);
-                }
-                self.scratch[c] += v * xr;
-            }
-        }
-        // Restore the all-zero invariant on the buffer about to become
-        // scratch: only the old active rows can be nonzero in it.
-        for &r in &self.active {
-            self.term[r as usize] = Complex64::ZERO;
-        }
-        std::mem::swap(&mut self.term, &mut self.scratch);
-        // The next round's active rows, ascending for the bitwise order: an
-        // O(touched·log) sort while the frontier is small, an O(N) sequential
-        // stamp scan once sorting would cost more.
-        if self.touched.len() < sk.num_states() / 32 {
-            self.touched.sort_unstable();
-            std::mem::swap(&mut self.active, &mut self.touched);
-        } else {
-            self.active.clear();
-            let generation = self.generation;
-            for (c, &stamp) in self.stamp.iter().enumerate() {
-                if stamp == generation {
-                    self.active.push(c as u32);
-                }
-            }
-        }
-        if self.active.len() > sk.num_states() / DENSE_SWITCH_DIVISOR {
-            self.dense = true;
+    }
+
+    /// The lockstep iteration over the points of the latest
+    /// [`PassageWorkspace::refill_block`].
+    pub(crate) fn block_kernel(&mut self) -> LaneKernel<'_, BLOCK_LANES> {
+        LaneKernel {
+            skeleton: &self.skeleton,
+            lanes: &mut self.block,
+            frontier: &mut self.frontier,
         }
     }
 
@@ -542,6 +771,18 @@ impl PassageWorkspace {
 
     fn take_stats(&mut self) -> HotPathStats {
         std::mem::take(&mut self.stats)
+    }
+}
+
+/// Writes the CSR values the single-lane table stands for: `table[id[e]]`
+/// per slot (zeros while the table has never been filled).
+fn gather_values(st: &UStructure, table: &[Lanes<1>], values: &mut [Complex64]) {
+    if table.is_empty() {
+        return;
+    }
+    for (value, &id) in values.iter_mut().zip(&st.slot_recipe) {
+        let entry = &table[id as usize];
+        *value = Complex64::new(entry[0][0], entry[1][0]);
     }
 }
 
@@ -709,20 +950,87 @@ mod tests {
         // Insertion order deliberately descending: dot_e must still sum in
         // ascending state order like the legacy mask filter.
         let targets = StateSet::new(3, &[2, 0]).unwrap();
-        let skeleton = PassageSkeleton::build(&smp, &targets);
+        let skeleton = Arc::new(PassageSkeleton::build(&smp, &targets));
         assert_eq!(skeleton.target_indices(), &[0, 2]);
-        let v = vec![
+        let v = [
             Complex64::new(0.1, 0.2),
             Complex64::new(9.0, 9.0),
             Complex64::new(0.4, -0.3),
         ];
-        let legacy: Complex64 = v
-            .iter()
-            .zip(targets.mask())
-            .filter(|(_, &m)| m)
-            .map(|(c, _)| *c)
-            .sum();
-        assert_eq!(skeleton.dot_e(&v), legacy);
+        let legacy = |v: &[Complex64]| -> Complex64 {
+            v.iter()
+                .zip(targets.mask())
+                .filter(|(_, &m)| m)
+                .map(|(c, _)| *c)
+                .sum()
+        };
+        let mut ws = PassageWorkspace::new(skeleton);
+        ws.refill(&smp, Complex64::ONE);
+        ws.refill_block(&smp, &[Complex64::ONE; BLOCK_LANES]);
+        // Lane l of the block holds v scaled by l + 1.
+        for (r, value) in v.iter().enumerate() {
+            ws.single.term[r] = [[value.re], [value.im]];
+            for l in 0..BLOCK_LANES {
+                let scaled = value.scale((l + 1) as f64);
+                ws.block.term[r][0][l] = scaled.re;
+                ws.block.term[r][1][l] = scaled.im;
+            }
+        }
+        assert_eq!(ws.kernel().dot_e(), [legacy(&v)]);
+        let block = ws.block_kernel().dot_e();
+        for (l, got) in block.iter().enumerate() {
+            let scaled: Vec<Complex64> = v.iter().map(|c| c.scale((l + 1) as f64)).collect();
+            assert_eq!(*got, legacy(&scaled), "lane {l}");
+        }
+    }
+
+    /// Slots with equal contribution lists share a recipe; recipes are
+    /// numbered by first appearance in the slot stream.
+    #[test]
+    fn recipes_are_deduplicated_in_first_appearance_order() {
+        let shared = Dist::exponential(2.0);
+        let mut b = SmpBuilder::new(3);
+        b.add_transition(0, 1, 1.0, shared.clone());
+        b.add_transition(0, 2, 1.0, Dist::erlang(1.0, 2));
+        b.add_transition(1, 2, 1.0, Dist::erlang(1.0, 2));
+        b.add_transition(1, 0, 1.0, shared.clone());
+        // A duplicate edge: one slot, a two-contribution recipe of its own.
+        b.add_transition(2, 0, 1.0, shared.clone());
+        b.add_transition(2, 0, 1.0, shared);
+        let smp = b.build().unwrap();
+        let st = smp.u_structure();
+        // Slots in CSR order: (0,1) (0,2) (1,0) (1,2) (2,0).
+        assert_eq!(st.slot_recipe, [0, 1, 0, 1, 2]);
+        assert_eq!(st.num_recipes(), 3);
+        let (dists, probs) = st.recipe(2);
+        assert_eq!((dists.len(), probs), (2, &[0.5, 0.5][..]));
+        assert_eq!(dists[0], dists[1]);
+        assert_eq!(st.slot_contributions(2), st.recipe(0));
+    }
+
+    /// `u()` is built on first request and kept current by later refills;
+    /// block refills neither build nor disturb it.
+    #[test]
+    fn u_view_is_lazy_and_follows_refills() {
+        let smp = duplicate_edge_smp();
+        let targets = StateSet::new(3, &[2]).unwrap();
+        let mut ws = PassageWorkspace::new(Arc::new(PassageSkeleton::build(&smp, &targets)));
+        assert!(ws.u().values().iter().all(|v| *v == Complex64::ZERO));
+        let mut lazy = PassageWorkspace::new(Arc::clone(ws.skeleton_arc()));
+        let (s1, s2) = (Complex64::new(0.5, 1.0), Complex64::new(2.0, -3.0));
+        lazy.refill(&smp, s1);
+        lazy.refill_block(&smp, &[s2, s1]);
+        assert!(lazy.u.get().is_none(), "nobody asked for the matrix yet");
+        assert_eq!(lazy.u().values(), smp.build_u(s1).values());
+        for s in [s2, s1] {
+            ws.refill(&smp, s);
+            lazy.refill(&smp, s);
+            lazy.refill_block(&smp, &[s1, s2, s1]);
+            assert_eq!(ws.u().values(), smp.build_u(s).values());
+            assert_eq!(lazy.u().values(), smp.build_u(s).values());
+        }
+        // Counted per point: three single refills, blocks of 2, 3 and 3.
+        assert_eq!(lazy.stats().matrix_rebuilds_avoided, (3 + 2 + 3 + 3) - 1);
     }
 
     #[test]

@@ -349,6 +349,234 @@ fn exact_zero_kernel_entries_are_bitwise_neutral() {
     );
 }
 
+/// The chunk shapes the lane axis is probed with: a lone point (`K = 1`), short
+/// blocks (2, 3), one full block, a block plus a lone remainder (5, 9), and
+/// back-to-back full blocks (8).
+const CHUNK_SHAPES: [usize; 7] = [1, 2, 3, 4, 5, 8, 9];
+
+/// Asserts that `transform_many` over `points` returns, per point, the
+/// oracle's value bits and iteration count (or, for a point that does not
+/// converge, the oracle's failure), and that the hot-path counters stay per
+/// point whatever the block shape.
+fn assert_chunk_is_the_oracle_per_point(
+    smp: &SemiMarkovProcess,
+    solver: &PassageTimeSolver,
+    points: &[Complex64],
+    context: &str,
+) {
+    let before = solver.hotpath_stats();
+    let many = solver.transform_many(points);
+    assert_eq!(many.len(), points.len(), "{context}");
+    for (lane, (&s, got)) in points.iter().zip(&many).enumerate() {
+        match (got, solver.transform_at_legacy(s)) {
+            (Ok(got), Ok(oracle)) => {
+                assert_eq!(
+                    bits(got.value),
+                    bits(oracle.value),
+                    "{context} lane {lane} s={s}"
+                );
+                assert_eq!(
+                    got.iterations, oracle.iterations,
+                    "{context} lane {lane} s={s}"
+                );
+            }
+            (Err(got), Err(oracle)) => assert_eq!(*got, oracle, "{context} lane {lane} s={s}"),
+            (got, oracle) => panic!("{context} lane {lane} s={s}: {got:?} vs oracle {oracle:?}"),
+        }
+    }
+    let stats = solver.hotpath_stats().since(before);
+    assert_eq!(
+        stats.pooled_lst_evaluations,
+        (points.len() * smp.num_distributions()) as u64,
+        "{context}: one LST evaluation per point per pooled distribution"
+    );
+    // The pool's one workspace is new for the first chunk only.
+    let first = u64::from(before.pooled_lst_evaluations == 0);
+    assert_eq!(
+        stats.matrix_rebuilds_avoided,
+        points.len() as u64 - first,
+        "{context}: points − 1 per workspace"
+    );
+}
+
+/// The lane axis on `random_smp`, whose duplicate edges give slots
+/// multi-contribution recipes: every chunk shape returns, per point, the
+/// oracle's bits and iteration count.
+#[test]
+fn lane_blocks_are_the_oracle_per_point_on_random_models() {
+    for seed in 0..40u64 {
+        let smp = random_smp(seed);
+        let n = smp.num_states();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1a4e_5b10);
+        let source = rng.gen_range(0..n);
+        let target = rng.gen_range(0..n);
+        let solver = PassageTimeSolver::new(&smp, &[source], &[target]).unwrap();
+        for shape in CHUNK_SHAPES {
+            let points: Vec<Complex64> = (0..shape)
+                .map(|_| Complex64::new(rng.gen_range(0.01..3.0), rng.gen_range(-6.0..6.0)))
+                .collect();
+            let context = format!("seed {seed} shape {shape}");
+            assert_chunk_is_the_oracle_per_point(&smp, &solver, &points, &context);
+        }
+    }
+}
+
+/// The lane axis on `underflow_smp`: blocks that mix lanes whose kernel holds
+/// exact zeros (`Re(s)` past the deterministic delays' underflow) with lanes
+/// whose kernel holds none, in every position of the block.
+#[test]
+fn lane_blocks_mix_exact_zero_and_zero_free_kernels() {
+    let mut mixed_blocks = 0usize;
+    for seed in 0..120u64 {
+        let smp = underflow_smp(seed);
+        let n = smp.num_states();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7c0f_fee5);
+        let source = rng.gen_range(0..n);
+        let targets = [rng.gen_range(0..n)];
+        let solver = PassageTimeSolver::new(&smp, &[source], &targets).unwrap();
+        let mut probe = solver.checkout_workspace();
+        for shape in CHUNK_SHAPES {
+            let points: Vec<Complex64> = (0..shape)
+                .map(|lane| {
+                    let re = if (lane + seed as usize + shape).is_multiple_of(2) {
+                        [400.0, 760.0, 1500.0][rng.gen_range(0..3usize)]
+                    } else {
+                        rng.gen_range(0.05..2.0)
+                    };
+                    Complex64::new(re, rng.gen_range(-6.0..6.0))
+                })
+                .collect();
+            for block in points.chunks(4).filter(|block| block.len() >= 2) {
+                let with_zeros = block
+                    .iter()
+                    .filter(|&&s| {
+                        probe.refill(&smp, s);
+                        probe
+                            .u()
+                            .values()
+                            .iter()
+                            .any(|v| v.re == 0.0 && v.im == 0.0)
+                    })
+                    .count();
+                mixed_blocks += (0 < with_zeros && with_zeros < block.len()) as usize;
+            }
+            let context = format!("seed {seed} shape {shape}");
+            assert_chunk_is_the_oracle_per_point(&smp, &solver, &points, &context);
+        }
+        solver.give_back(probe);
+    }
+    assert!(
+        mixed_blocks >= 300,
+        "only {mixed_blocks} blocks mixed exact-zero and zero-free kernels"
+    );
+}
+
+/// A lane whose row is zero while its neighbour's is live: in the three-state
+/// chain below state 1 is entered only through a deterministic delay, so at
+/// `Re(s) = 500` that kernel entry — and row 1 of the lane's iterate, on every
+/// round — is exactly zero, while the neighbouring lanes at ordinary points
+/// carry mass through the same row.  The zero lane is not branched around;
+/// it must still return its own `K = 1` bits, and so must its neighbours.
+#[test]
+fn a_zero_lane_in_a_live_row_is_neutral() {
+    let mut b = SmpBuilder::new(3);
+    b.add_transition(0, 1, 1.0, Dist::deterministic(2.0));
+    b.add_transition(1, 2, 1.0, Dist::exponential(1.0));
+    b.add_transition(2, 0, 1.0, Dist::exponential(0.5));
+    let smp = b.build().unwrap();
+    let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
+    let live = [Complex64::new(0.5, 1.0), Complex64::new(0.2, -3.0)];
+    let zero = [Complex64::real(500.0), Complex64::real(900.0)];
+    for points in [
+        vec![live[0], zero[0]],
+        vec![zero[0], live[0]],
+        vec![live[0], zero[0], live[1], zero[1]],
+        vec![zero[0], zero[1], live[0]],
+        vec![zero[1], live[1], live[0], zero[0], live[0]],
+    ] {
+        let context = format!("{points:?}");
+        assert_chunk_is_the_oracle_per_point(&smp, &solver, &points, &context);
+    }
+}
+
+/// One lane that does not converge fails alone: at `s = 0` the mass of an
+/// unreachable passage cycles without decaying, so that lane runs into the
+/// iteration cap and reports its own failure — the `K = 1` kernel's, field
+/// for field — while the lanes beside it return their `K = 1` bits, in every
+/// position of a block and as the lone remainder after one.
+#[test]
+fn a_lane_that_does_not_converge_fails_alone() {
+    // Two disjoint cycles plus a slow leak out of the first into the second,
+    // so the passage 0 → 2 is reachable and ordinary points have nonzero
+    // transforms; the twin without the leak is the unreachable one.
+    let build = |leak: bool| {
+        let mut b = SmpBuilder::new(4);
+        b.add_transition(0, 1, 1.0, Dist::exponential(1.0));
+        b.add_transition(1, 0, 1.0, Dist::erlang(2.0, 2));
+        if leak {
+            b.add_transition(1, 2, 0.25, Dist::uniform(0.1, 0.9));
+        }
+        b.add_transition(2, 3, 1.0, Dist::exponential(1.0));
+        b.add_transition(3, 2, 1.0, Dist::exponential(1.0));
+        b.build().unwrap()
+    };
+    let options = IterationOptions {
+        epsilon: 1e-12,
+        max_iterations: 150,
+        consecutive: 2,
+    };
+    let ordinary = [
+        Complex64::new(0.5, 1.0),
+        Complex64::new(1.5, -2.0),
+        Complex64::new(0.8, 0.0),
+        Complex64::new(2.0, 4.0),
+    ];
+    for leak in [false, true] {
+        let smp = build(leak);
+        let solver = PassageTimeSolver::with_options(&smp, &[0], &[2], options).unwrap();
+        // s = 0 never converges without the leak; with it, a point this close
+        // to the origin needs far more rounds than the cap allows.
+        let stuck = if leak {
+            Complex64::real(1e-9)
+        } else {
+            Complex64::ZERO
+        };
+        let alone = solver.transform_at(stuck).unwrap_err();
+        assert!(matches!(
+            alone,
+            smp_core::SmpError::ConvergenceFailure {
+                iterations: 150,
+                ..
+            }
+        ));
+        for position in 0..=4 {
+            let mut points = ordinary.to_vec();
+            points.insert(position, stuck);
+            let many = solver.transform_many(&points);
+            for (lane, (&s, got)) in points.iter().zip(&many).enumerate() {
+                if lane == position {
+                    assert_eq!(
+                        got.as_ref().unwrap_err(),
+                        &alone,
+                        "leak {leak} at {position}"
+                    );
+                } else {
+                    let single = solver.transform_at(s).unwrap();
+                    let got = got.as_ref().unwrap();
+                    assert_eq!(
+                        bits(got.value),
+                        bits(single.value),
+                        "leak {leak} lane {lane}"
+                    );
+                    assert_eq!(got.iterations, single.iterations, "leak {leak} lane {lane}");
+                }
+            }
+            let context = format!("leak {leak} stuck at {position}");
+            assert_chunk_is_the_oracle_per_point(&smp, &solver, &points, &context);
+        }
+    }
+}
+
 /// The memoized embedded-chain solve returns the same α-weights as a fresh
 /// solve, and repeated multi-source solver construction over one process hits
 /// the cache (same Arc).

@@ -131,29 +131,33 @@ impl Euler {
 
     /// Inverts a transform directly (evaluating it at the required points).
     pub fn invert<L: LaplaceTransform + ?Sized>(&self, transform: &L, t: f64) -> f64 {
-        let values: Vec<Complex64> = self
-            .s_points(t)
-            .into_iter()
-            .map(|s| transform.lst(s))
-            .collect();
-        self.invert_values(&values, t)
+        self.invert_many_with(|s| transform.lst(s), &[t])[0]
     }
 
     /// Inverts a transform at many `t`-points.
     pub fn invert_many<L: LaplaceTransform + ?Sized>(&self, transform: &L, ts: &[f64]) -> Vec<f64> {
-        ts.iter().map(|&t| self.invert(transform, t)).collect()
+        self.invert_many_with(|s| transform.lst(s), ts)
     }
 
     /// Inverts at many `t`-points from a pool of cached transform values (the
     /// pipeline's path: values were computed remotely against the planned points).
     pub fn invert_many_from(&self, cache: &TransformValues, ts: &[f64]) -> Vec<f64> {
+        self.invert_many_with(|s| cache.get(s).expect("missing planned s-point value"), ts)
+    }
+
+    /// Inverts at many `t`-points, asking `value_at` for the transform value
+    /// at each required `s`-point, in [`Euler::s_points`] order per `t` — the
+    /// one inversion loop behind the transform-, cache- and lookup-driven
+    /// entry points.
+    pub fn invert_many_with(
+        &self,
+        mut value_at: impl FnMut(Complex64) -> Complex64,
+        ts: &[f64],
+    ) -> Vec<f64> {
         ts.iter()
             .map(|&t| {
-                let values: Vec<Complex64> = self
-                    .s_points(t)
-                    .into_iter()
-                    .map(|s| cache.get(s).expect("missing planned s-point value"))
-                    .collect();
+                let values: Vec<Complex64> =
+                    self.s_points(t).into_iter().map(&mut value_at).collect();
                 self.invert_values(&values, t)
             })
             .collect()

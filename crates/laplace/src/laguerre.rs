@@ -153,25 +153,29 @@ impl Laguerre {
 
     /// Inverts a transform at a single `t`-point.
     pub fn invert<L: LaplaceTransform + ?Sized>(&self, transform: &L, t: f64) -> f64 {
-        let values: Vec<Complex64> = self.s_points().iter().map(|&s| transform.lst(s)).collect();
-        self.evaluate(&self.coefficients(&values), t)
+        self.invert_many_with(|s| transform.lst(s), &[t])[0]
     }
 
     /// Inverts a transform at many `t`-points, evaluating the transform only once.
     pub fn invert_many<L: LaplaceTransform + ?Sized>(&self, transform: &L, ts: &[f64]) -> Vec<f64> {
-        let values: Vec<Complex64> = self.s_points().iter().map(|&s| transform.lst(s)).collect();
-        let coeffs = self.coefficients(&values);
-        ts.iter().map(|&t| self.evaluate(&coeffs, t)).collect()
+        self.invert_many_with(|s| transform.lst(s), ts)
     }
 
     /// Inverts at many `t`-points from a pool of cached transform values computed
     /// against the planned `s`-points (the distributed pipeline's path).
     pub fn invert_many_from(&self, cache: &TransformValues, ts: &[f64]) -> Vec<f64> {
-        let values: Vec<Complex64> = self
-            .s_points()
-            .into_iter()
-            .map(|s| cache.get(s).expect("missing planned s-point value"))
-            .collect();
+        self.invert_many_with(|s| cache.get(s).expect("missing planned s-point value"), ts)
+    }
+
+    /// Inverts at many `t`-points, asking `value_at` once for the transform
+    /// value at each of [`Laguerre::s_points`], in order — the one inversion
+    /// loop behind the transform-, cache- and lookup-driven entry points.
+    pub fn invert_many_with(
+        &self,
+        value_at: impl FnMut(Complex64) -> Complex64,
+        ts: &[f64],
+    ) -> Vec<f64> {
+        let values: Vec<Complex64> = self.s_points().into_iter().map(value_at).collect();
         let coeffs = self.coefficients(&values);
         ts.iter().map(|&t| self.evaluate(&coeffs, t)).collect()
     }

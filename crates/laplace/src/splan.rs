@@ -158,10 +158,17 @@ impl SPointPlan {
     ///
     /// Returns `f(t)` for every planned `t`-point, in order.
     pub fn invert(&self, values: &TransformValues) -> Vec<f64> {
+        self.invert_with(|s| values.get(s).expect("missing planned s-point value"))
+    }
+
+    /// [`SPointPlan::invert`] reading each planned point's value through
+    /// `value_at` — for values derived on the fly from a cache (the `/s` of a
+    /// CDF) without building a second cache to hold them.
+    pub fn invert_with(&self, value_at: impl FnMut(Complex64) -> Complex64) -> Vec<f64> {
         match &self.method {
-            InversionMethod::Euler(euler) => euler.invert_many_from(values, &self.t_points),
+            InversionMethod::Euler(euler) => euler.invert_many_with(value_at, &self.t_points),
             InversionMethod::Laguerre(laguerre) => {
-                laguerre.invert_many_from(values, &self.t_points)
+                laguerre.invert_many_with(value_at, &self.t_points)
             }
         }
     }

@@ -126,8 +126,8 @@ impl MeasureKind {
     /// This is the *only* place the `/s`
     /// trick's inversion side lives: a CDF measure's shard holds the **raw**
     /// density values (so they stay sharable with density measures over the
-    /// same transform key), and the division happens here, on a derived copy,
-    /// followed by the `[0, 1]` clamp and the monotone sweep.
+    /// same transform key), and the division happens here, as the inversion
+    /// reads each value, followed by the `[0, 1]` clamp and the monotone sweep.
     ///
     /// # Panics
     /// Panics when the shard does not cover the plan (callers check
@@ -136,12 +136,8 @@ impl MeasureKind {
         match self {
             MeasureKind::Density => plan.invert(shard),
             MeasureKind::Cdf => {
-                let mut derived = TransformValues::new();
-                for &s in plan.s_points() {
-                    let value = shard.get(s).expect("plan satisfied by shard");
-                    derived.insert(s, value / s);
-                }
-                let mut values = plan.invert(&derived);
+                let mut values =
+                    plan.invert_with(|s| shard.get(s).expect("plan satisfied by shard") / s);
                 let mut running_max: f64 = 0.0;
                 for v in values.iter_mut() {
                     *v = v.clamp(0.0, 1.0).max(running_max);

@@ -47,6 +47,8 @@ use crate::transform::{
     TargetResolveError, TransformSpec,
 };
 use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
+use crate::work::WorkItem;
+use crate::worker::{evaluate_chunk, ChunkEvaluator};
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
@@ -147,16 +149,19 @@ fn quantile_horizons(request: &MeasureRequest) -> (f64, f64) {
 }
 
 /// Evaluates a plan's `s`-points through a compiled evaluator into a value
-/// shard, counting the evaluations.
+/// shard, counting the evaluations: the whole plan is one chunk, and the
+/// first failure in plan order is the one reported.
 fn eval_plan(
     plan: &SPointPlan,
     evaluator: &CompiledEvaluator<'_>,
     evaluations: &mut usize,
 ) -> Result<TransformValues, EngineError> {
+    let items = WorkItem::single_measure(plan.s_points());
     let mut shard = TransformValues::new();
-    for &s in plan.s_points() {
-        let value = evaluator
-            .eval(s)
+    for outcome in evaluate_chunk(&items, |_| Some(ChunkEvaluator::Compiled(evaluator))) {
+        let s = outcome.item.s;
+        let value = outcome
+            .outcome
             .map_err(|e| EngineError::Analysis(format!("evaluation failed at s = {s}: {e}")))?;
         shard.insert(s, value);
         *evaluations += 1;

@@ -5,7 +5,7 @@ use crate::cache::ResultCache;
 use crate::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
 use crate::transport::{ExecutionPlan, InProcess, Transport, TransportReport};
 use crate::work::WorkItem;
-use smp_laplace::{union_s_points, InversionMethod, SPointPlan};
+use smp_laplace::{union_s_points, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
@@ -240,32 +240,44 @@ impl DistributedPipeline {
         }
 
         // Per key group: the union of the members' planned s-points, deduped
-        // against the restored cache.  The first member needing an uncached
-        // point owns its evaluation; other members count it as a shared hit.
+        // against one snapshot of the group's cached values.  The first
+        // member needing an uncached point owns its evaluation; other members
+        // count it as a shared hit.  A lone member's plan *is* the union, and
+        // every point of it is wanted by that member.
         let mut items: Vec<WorkItem> = Vec::new();
         let mut cache_hits = vec![0usize; measures.len()];
         let mut shared_hits = vec![0usize; measures.len()];
         let mut evaluations = vec![0usize; measures.len()];
+        let mut cached: Vec<TransformValues> = Vec::with_capacity(groups.len());
         for (key, members) in &groups {
-            let union = union_s_points(members.iter().map(|&mi| &plans[mi]));
-            let wanted: Vec<HashSet<(u64, u64)>> = members
-                .iter()
-                .map(|&mi| {
-                    plans[mi]
-                        .s_points()
-                        .iter()
-                        .map(|s| (s.re.to_bits(), s.im.to_bits()))
-                        .collect()
-                })
-                .collect();
-            for &s in &union {
+            // `wanted` stays empty for a lone member, which wants every point.
+            let (union, wanted);
+            let union: &[Complex64] = if let [only] = members[..] {
+                wanted = Vec::new();
+                plans[only].s_points()
+            } else {
+                union = union_s_points(members.iter().map(|&mi| &plans[mi]));
+                wanted = members
+                    .iter()
+                    .map(|&mi| {
+                        plans[mi]
+                            .s_points()
+                            .iter()
+                            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+                            .collect::<HashSet<(u64, u64)>>()
+                    })
+                    .collect();
+                &union
+            };
+            let snapshot = cache.snapshot(key, union);
+            for &s in union {
                 let bits = (s.re.to_bits(), s.im.to_bits());
                 let mut needing = members
                     .iter()
-                    .zip(&wanted)
-                    .filter(|(_, set)| set.contains(&bits))
-                    .map(|(&mi, _)| mi);
-                if cache.contains(key, s) {
+                    .enumerate()
+                    .filter(|(member, _)| wanted.get(*member).is_none_or(|set| set.contains(&bits)))
+                    .map(|(_, &mi)| mi);
+                if snapshot.contains(s) {
                     for mi in needing {
                         cache_hits[mi] += 1;
                     }
@@ -282,6 +294,7 @@ impl DistributedPipeline {
                     });
                 }
             }
+            cached.push(snapshot);
         }
 
         let mut checkpoint = match &self.options.checkpoint_path {
@@ -309,7 +322,12 @@ impl DistributedPipeline {
         // A fully-warm run has nothing to dispatch: skip the transport
         // entirely rather than (for the TCP backend) blocking on a worker
         // rendezvous that no worker has any reason to attend.
-        let transport_result = if plan.items.is_empty() {
+        let fully_warm = plan.items.is_empty();
+        if !fully_warm {
+            // About to go stale, and not worth holding through the dispatch.
+            cached.clear();
+        }
+        let transport_result = if fully_warm {
             Ok(TransportReport::default())
         } else {
             transport.execute(plan, &mut |message| {
@@ -358,20 +376,30 @@ impl DistributedPipeline {
 
         // Invert each measure on its own grid with kind-specific
         // post-processing (the /s trick for CDFs and the moment fold live in
-        // `MeasureKind::postprocess`).
+        // `MeasureKind::postprocess`).  A fully warm run found every planned
+        // point in its group's snapshot a moment ago and reads it from there;
+        // otherwise the values are looked up afresh, now that the transport
+        // has deposited them.
         let mut measure_results = Vec::with_capacity(measures.len());
         for (mi, m) in measures.iter().enumerate() {
-            let shard = cache.snapshot(m.transform_key(), plans[mi].s_points());
-            if !plans[mi].is_satisfied_by(&shard) {
-                return Err(PipelineError::Incomplete {
-                    measure: m.name().to_string(),
-                });
-            }
+            let fresh;
+            let shard = if fully_warm {
+                let group = groups.iter().position(|(_, members)| members.contains(&mi));
+                &cached[group.expect("every measure is in a group")]
+            } else {
+                fresh = cache.snapshot(m.transform_key(), plans[mi].s_points());
+                if !plans[mi].is_satisfied_by(&fresh) {
+                    return Err(PipelineError::Incomplete {
+                        measure: m.name().to_string(),
+                    });
+                }
+                &fresh
+            };
             measure_results.push(MeasureResult {
                 name: m.name().to_string(),
                 kind: m.kind(),
                 t_points: m.t_points().to_vec(),
-                values: m.kind().postprocess(&plans[mi], &shard),
+                values: m.kind().postprocess(&plans[mi], shard),
                 evaluations: evaluations[mi],
                 cache_hits: cache_hits[mi],
                 shared_hits: shared_hits[mi],
@@ -542,6 +570,114 @@ mod tests {
             second.measures[0].values, first.measures[0].values,
             "bitwise identical"
         );
+    }
+
+    /// A fully warm re-run — nothing dispatched, values read from the group
+    /// snapshots the dedup pass took — reports the counts and the value bits
+    /// of a run that looks every point up one by one, for a lone measure and
+    /// for two measures sharing a key over overlapping grids.
+    #[test]
+    fn fully_warm_rerun_keeps_counts_and_value_bits() {
+        let d = Dist::erlang(2.0, 2);
+        let contour = SPointPlan::new(InversionMethod::euler(), &[1.0]).len();
+        let pipeline_over = |shared: &Arc<ResultCache>| {
+            let options = PipelineOptions {
+                workers: 2,
+                shared_cache: Some(Arc::clone(shared)),
+                ..Default::default()
+            };
+            DistributedPipeline::new(InversionMethod::euler(), options)
+        };
+        // The CDF as it was computed before the lookup-driven inversion: `/s`
+        // into a derived copy, invert the copy, clamp, monotone sweep.
+        let cdf_by_copy = |ts: &[f64]| {
+            let plan = SPointPlan::new(InversionMethod::euler(), ts);
+            let mut derived = TransformValues::new();
+            for &s in plan.s_points() {
+                derived.insert(s, d.lst(s) / s);
+            }
+            let mut running_max: f64 = 0.0;
+            let mut values = plan.invert(&derived);
+            for v in values.iter_mut() {
+                *v = v.clamp(0.0, 1.0).max(running_max);
+                running_max = *v;
+            }
+            values
+        };
+        let counts = |batch: &BatchResult| -> Vec<(usize, usize, usize)> {
+            batch
+                .measures
+                .iter()
+                .map(|m| (m.evaluations, m.cache_hits, m.shared_hits))
+                .collect()
+        };
+
+        // One-member group.
+        let shared = Arc::new(ResultCache::new());
+        let ts = [0.5, 1.0, 2.5];
+        let job = || {
+            BatchJob::new().with_measure(MeasureSpec::cdf("F", &ts, density_evaluator(d.clone())))
+        };
+        let cold = pipeline_over(&shared).run_batch(job()).unwrap();
+        let warm = pipeline_over(&shared).run_batch(job()).unwrap();
+        assert_eq!(counts(&cold), [(3 * contour, 0, 0)]);
+        assert_eq!(counts(&warm), [(0, 3 * contour, 0)]);
+        assert_eq!(warm.chunks_dispatched, 0);
+        assert_eq!(cold.measures[0].values, cdf_by_copy(&ts));
+        assert_eq!(warm.measures[0].values, cold.measures[0].values);
+
+        // Two-member group over overlapping grids: the density on {1, 2},
+        // the CDF on {2, 3}, one transform key.
+        let shared = Arc::new(ResultCache::new());
+        let (ts_d, ts_f) = ([1.0, 2.0], [2.0, 3.0]);
+        let job = || {
+            BatchJob::new()
+                .with_measure(
+                    MeasureSpec::density("d", &ts_d, density_evaluator(d.clone()))
+                        .with_transform_key("erlang"),
+                )
+                .with_measure(
+                    MeasureSpec::cdf("F", &ts_f, density_evaluator(d.clone()))
+                        .with_transform_key("erlang"),
+                )
+        };
+        let cold = pipeline_over(&shared).run_batch(job()).unwrap();
+        let warm = pipeline_over(&shared).run_batch(job()).unwrap();
+        assert_eq!(
+            counts(&cold),
+            [(2 * contour, 0, 0), (contour, 0, contour)],
+            "the density owns the shared contour, the CDF its own"
+        );
+        assert_eq!(
+            counts(&warm),
+            [(0, 2 * contour, 0), (0, 2 * contour, 0)],
+            "warm, every planned point of either member is a cache hit"
+        );
+        assert_eq!(
+            (warm.evaluations, warm.cache_hits, warm.shared_hits),
+            (0, 4 * contour, 0)
+        );
+        assert_eq!(
+            cold.measures[0].values,
+            Euler::standard().invert_many(&d, &ts_d)
+        );
+        assert_eq!(cold.measures[1].values, cdf_by_copy(&ts_f));
+        for (cold, warm) in cold.measures.iter().zip(&warm.measures) {
+            assert_eq!(warm.values, cold.values, "bitwise identical");
+        }
+
+        // Partly warm: a wider grid re-uses what is cached and evaluates
+        // (and afterwards looks up afresh) only the new contour.
+        let wider = pipeline_over(&shared)
+            .run_batch(
+                BatchJob::new().with_measure(
+                    MeasureSpec::cdf("F", &[2.0, 3.0, 4.0], density_evaluator(d.clone()))
+                        .with_transform_key("erlang"),
+                ),
+            )
+            .unwrap();
+        assert_eq!(counts(&wider), [(contour, 2 * contour, 0)]);
+        assert_eq!(wider.measures[0].values, cdf_by_copy(&[2.0, 3.0, 4.0]));
     }
 
     #[test]

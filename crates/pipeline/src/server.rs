@@ -874,6 +874,13 @@ struct AdmissionState {
     waiting: usize,
 }
 
+/// Capacity of the `--engine auto` routing memo.  An entry is a fingerprint
+/// and one `bool`, and a miss costs a parse plus a full state-space
+/// exploration whose result is thrown away — so the memo is sized by what it
+/// holds, not by `cache_models` (which budgets whole compiled models); a few
+/// hundred keeps the LRU's linear scan trivial.
+const ROUTE_MEMO_SLOTS: usize = 256;
+
 /// Everything the connection handlers share: the warm caches, the admission
 /// controller, and the standing worker pool.
 struct ServerShared {
@@ -1276,7 +1283,7 @@ impl QueryServer {
             compiled: Arc::new(CompiledSetCache::new(options.cache_models)),
             phase_chains: Arc::new(PhaseChainCache::new(options.cache_models)),
             results: Arc::new(ResultCache::with_byte_limit(options.cache_result_bytes)),
-            routes: LruMemo::new(options.cache_models),
+            routes: LruMemo::new(ROUTE_MEMO_SLOTS),
             admission: Mutex::new(AdmissionState {
                 active: 0,
                 waiting: 0,

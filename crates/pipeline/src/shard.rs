@@ -58,7 +58,7 @@ use crate::transport::{
 };
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::WorkItem;
-use crate::worker::{WorkItemOutcome, WorkerMessage};
+use crate::worker::{evaluate_chunk, ChunkEvaluator, WorkItemOutcome, WorkerMessage};
 use smp_core::shard::owner_of;
 use smp_core::{
     plan_exchange, ConvergenceFold, FoldStatus, IterationOptions, ShardWorkspace, ShardedSkeleton,
@@ -976,8 +976,10 @@ impl ShardedTransport {
             if !matches!(strip_cdf_wrappers(spec).0, TransformSpec::Passage { .. }) {
                 let (set, compiled) = fallback_set(&mut fleet.fallback, spec)?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
-                for item in items {
-                    deliver(item, evaluator.eval(item.s));
+                for outcome in
+                    evaluate_chunk(&items, |_| Some(ChunkEvaluator::Compiled(&evaluator)))
+                {
+                    deliver(outcome.item, outcome.outcome);
                 }
                 report.states = report.states.or(Some(set.num_states()));
                 report.hotpath = report.hotpath.merged(evaluator.hotpath_stats());

@@ -695,7 +695,7 @@ impl CompiledEvaluator<'_> {
     /// Evaluates the transform at one `s`-point — the same computation the
     /// closure-based API would run in-process.
     pub fn eval(&self, s: Complex64) -> Result<Complex64, String> {
-        let mut value = match &self.kind {
+        let value = match &self.kind {
             EvaluatorKind::Passage(solver) => solver
                 .transform_at(s)
                 .map(|p| p.value)
@@ -705,10 +705,37 @@ impl CompiledEvaluator<'_> {
             }
             EvaluatorKind::Analytic(dist) => dist.lst(s),
         };
+        Ok(self.divided(value, s))
+    }
+
+    /// Evaluates the transform at every point of a chunk: one result per
+    /// point, in order, each bit for bit what [`CompiledEvaluator::eval`]
+    /// returns for that point — so one failing point fails alone.  A passage
+    /// transform gets the chunk whole and advances its points in lockstep
+    /// blocks (`PassageTimeSolver::transform_many`); the other kinds have no
+    /// cross-point work to share and map `eval`.
+    pub fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
+        match &self.kind {
+            EvaluatorKind::Passage(solver) => solver
+                .transform_many(points)
+                .into_iter()
+                .zip(points)
+                .map(|(point, &s)| {
+                    point
+                        .map(|point| self.divided(point.value, s))
+                        .map_err(|e| e.to_string())
+                })
+                .collect(),
+            _ => points.iter().map(|&s| self.eval(s)).collect(),
+        }
+    }
+
+    /// Applies the spec's `/s` divisions to a raw transform value.
+    fn divided(&self, mut value: Complex64, s: Complex64) -> Complex64 {
         for _ in 0..self.s_divisions {
             value /= s;
         }
-        Ok(value)
+        value
     }
 }
 
@@ -838,6 +865,48 @@ mod tests {
             let s = Complex64::new(0.5 * k as f64, 0.3 * k as f64);
             let expect = solver.transform_at(s).unwrap().value;
             assert_eq!(evaluator.eval(s).unwrap(), expect, "bitwise at {s}");
+        }
+    }
+
+    /// `eval_many` is `map(eval)`, bit for bit, for every evaluator kind:
+    /// passage transforms (whose chunk runs as lockstep blocks, here of every
+    /// shape up to two blocks and a lone remainder) with and without `/s`
+    /// divisions, transient transforms and closed-form LSTs.
+    #[test]
+    fn eval_many_is_map_eval_bitwise() {
+        let passage = TransformSpec::passage(voting(), pred("p2>=2"));
+        let specs = [
+            passage.clone(),
+            TransformSpec::CdfOf(Box::new(passage.clone())),
+            TransformSpec::CdfOf(Box::new(TransformSpec::CdfOf(Box::new(passage)))),
+            TransformSpec::transient(voting(), pred("p2>=2")),
+            TransformSpec::Analytic(DistSpec::Erlang {
+                rate: 2.0,
+                phases: 3,
+            }),
+            TransformSpec::CdfOf(Box::new(TransformSpec::Analytic(DistSpec::Uniform {
+                lower: 0.5,
+                upper: 2.0,
+            }))),
+        ];
+        let compiled = CompiledModelSet::compile(&specs).unwrap();
+        let points: Vec<Complex64> = (1..=9)
+            .map(|k| Complex64::new(0.1 * k as f64, 1.7 * k as f64 - 6.0))
+            .collect();
+        for (spec, evaluator) in specs.iter().zip(compiled.evaluators().unwrap()) {
+            for shape in [0, 1, 2, 3, 4, 5, 8, 9] {
+                let chunk = &points[..shape];
+                let many = evaluator.eval_many(chunk);
+                assert_eq!(many.len(), shape);
+                for (&s, got) in chunk.iter().zip(many) {
+                    let (got, want) = (got.unwrap(), evaluator.eval(s).unwrap());
+                    assert_eq!(
+                        (got.re.to_bits(), got.im.to_bits()),
+                        (want.re.to_bits(), want.im.to_bits()),
+                        "{spec:?} shape {shape} s={s}"
+                    );
+                }
+            }
         }
     }
 

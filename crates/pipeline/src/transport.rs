@@ -40,9 +40,8 @@ use crate::master::PipelineError;
 use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
-use crate::worker::{run_batch_worker, TransformFn, WorkerMessage, WorkerStats};
+use crate::worker::{run_batch_worker, ChunkEvaluator, TransformFn, WorkerMessage, WorkerStats};
 use crossbeam::channel::unbounded;
-use smp_numeric::Complex64;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -303,25 +302,21 @@ fn run_threaded(
     let compiled: Vec<CompiledEvaluator<'_>> =
         compiled_set.evaluators().map_err(transport_error)?;
 
-    // Per-measure evaluation closures: live closures pass straight through,
-    // spec measures call their compiled evaluator.
-    let mut next_spec = 0usize;
-    let boxed: Vec<Box<TransformFn<'_>>> = plan
+    // Per-measure chunk evaluators: live closures pass straight through,
+    // spec measures hand their compiled evaluator over whole.
+    let mut compiled_specs = compiled.iter();
+    let evaluators: Vec<ChunkEvaluator<'_>> = plan
         .evaluators
         .iter()
         .map(|evaluator| match evaluator {
-            Evaluator::Closure(f) => {
-                let f = *f;
-                Box::new(move |s: Complex64| f(s)) as Box<TransformFn<'_>>
-            }
-            Evaluator::Spec(_) => {
-                let compiled = &compiled[next_spec];
-                next_spec += 1;
-                Box::new(move |s: Complex64| compiled.eval(s)) as Box<TransformFn<'_>>
-            }
+            Evaluator::Closure(f) => ChunkEvaluator::Closure(*f),
+            Evaluator::Spec(_) => ChunkEvaluator::Compiled(
+                compiled_specs
+                    .next()
+                    .expect("one compiled evaluator per spec measure"),
+            ),
         })
         .collect();
-    let evaluators: Vec<&TransformFn<'_>> = boxed.iter().map(|b| b.as_ref()).collect();
 
     let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
     let (tx, rx) = unbounded::<WorkerMessage>();
@@ -836,6 +831,7 @@ mod tests {
     use crate::wire::{read_frame, write_frame};
     use crate::worker::{run_tcp_worker, TcpWorkerOptions, TcpWorkerSummary, WorkItemOutcome};
     use smp_distributions::Dist;
+    use smp_numeric::Complex64;
     use std::net::TcpStream;
 
     fn items_for(points: &[Complex64], measure: usize) -> Vec<WorkItem> {

@@ -23,6 +23,21 @@ pub struct WorkItem {
     pub s: Complex64,
 }
 
+impl WorkItem {
+    /// The items of a single-measure plan: measure `0`, indexed in order.
+    pub fn single_measure(points: &[Complex64]) -> Vec<WorkItem> {
+        points
+            .iter()
+            .enumerate()
+            .map(|(index, &s)| WorkItem {
+                measure: 0,
+                index,
+                s,
+            })
+            .collect()
+    }
+}
+
 /// A shared, lock-protected FIFO work queue — the paper's "global work-queue to
 /// which the slave processors make requests" — that dispenses work in chunks.
 #[derive(Debug)]
@@ -44,17 +59,8 @@ impl WorkQueue {
     /// Creates a queue pre-loaded with the given evaluation points for a single
     /// measure, dispensed one item at a time (the paper's original protocol).
     pub fn new(points: &[Complex64]) -> Self {
-        let items = points
-            .iter()
-            .enumerate()
-            .map(|(index, &s)| WorkItem {
-                measure: 0,
-                index,
-                s,
-            })
-            .collect();
         WorkQueue {
-            items: Mutex::new(items),
+            items: Mutex::new(WorkItem::single_measure(points).into()),
             chunk_size: 1,
         }
     }

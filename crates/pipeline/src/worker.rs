@@ -9,12 +9,14 @@
 //! each other — the property that gives the pipeline its near-linear
 //! scalability — and chunking keeps the master⇄worker message count
 //! proportional to the number of chunks, not the number of points.  Chunking
-//! also feeds the hot path: a thread that owns a chunk evaluates its points
-//! back-to-back, and each evaluation checks a `PassageWorkspace` out of the
-//! solver's pool — the pool hands the thread the workspace it just returned
-//! (one uncontended lock round-trip, trivial next to an evaluation), so the
-//! per-point numeric phase allocates nothing and the number of workspaces
-//! ever built is bounded by the worker count.
+//! also feeds the hot path: a thread that owns a chunk hands each run of one
+//! measure's points to that measure's evaluator whole ([`evaluate_chunk`]),
+//! which checks one `PassageWorkspace` out of the solver's pool for the run
+//! and — for a passage transform — advances the points four at a time in
+//! lockstep lanes.  The pool hands the thread the workspace it last
+//! returned, so the numeric phase allocates nothing after a thread's first
+//! chunk and the number of workspaces ever built is bounded by the worker
+//! count.
 //!
 //! Two loops live here: [`run_batch_worker`], the in-process thread worker
 //! that pulls straight from the shared queue, and `serve_link`, the frame
@@ -25,7 +27,7 @@
 use crate::fault::Backoff;
 use crate::link::{Link, TcpLink};
 use crate::shard::SliceWorkerSession;
-use crate::transform::{CompiledModelSet, TransformSpec};
+use crate::transform::{CompiledEvaluator, CompiledModelSet, TransformSpec};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
 use crossbeam::channel::Sender;
@@ -69,13 +71,55 @@ pub struct WorkerMessage {
     pub results: Vec<WorkItemOutcome>,
 }
 
-/// Runs one worker until the queue is empty, evaluating each item with the
-/// evaluator of the measure it belongs to and answering each chunk with one
+/// How the items of one measure are evaluated, as a chunk sees it.
+#[derive(Clone, Copy)]
+pub enum ChunkEvaluator<'a> {
+    /// A live closure, applied point by point.
+    Closure(&'a TransformFn<'a>),
+    /// A compiled evaluator, handed each run of points whole
+    /// ([`CompiledEvaluator::eval_many`]).
+    Compiled(&'a CompiledEvaluator<'a>),
+}
+
+/// Evaluates one chunk — the one place a chunk is walked, whichever loop
+/// popped it (worker thread, worker process, the analytic engine's plan, a
+/// sharded backend's master-side specs).  Each run of consecutive items of
+/// one measure goes to that measure's evaluator as a whole; every item keeps
+/// its own outcome, in chunk order.
+pub fn evaluate_chunk<'a>(
+    items: &[WorkItem],
+    evaluator_of: impl Fn(usize) -> Option<ChunkEvaluator<'a>>,
+) -> Vec<WorkItemOutcome> {
+    let mut outcomes = Vec::with_capacity(items.len());
+    for run in items.chunk_by(|a, b| a.measure == b.measure) {
+        let measure = run[0].measure;
+        let values: Vec<Result<Complex64, String>> = match evaluator_of(measure) {
+            Some(ChunkEvaluator::Closure(f)) => run.iter().map(|item| f(item.s)).collect(),
+            Some(ChunkEvaluator::Compiled(evaluator)) => {
+                let points: Vec<Complex64> = run.iter().map(|item| item.s).collect();
+                evaluator.eval_many(&points)
+            }
+            None => run
+                .iter()
+                .map(|_| Err(format!("work item references unknown measure {measure}")))
+                .collect(),
+        };
+        outcomes.extend(
+            run.iter()
+                .zip(values)
+                .map(|(&item, outcome)| WorkItemOutcome { item, outcome }),
+        );
+    }
+    outcomes
+}
+
+/// Runs one worker until the queue is empty, evaluating each chunk with the
+/// evaluators of the measures its items belong to and answering it with one
 /// message.
 pub fn run_batch_worker(
     id: usize,
     queue: &WorkQueue,
-    evaluators: &[&TransformFn<'_>],
+    evaluators: &[ChunkEvaluator<'_>],
     results: &Sender<WorkerMessage>,
 ) -> WorkerStats {
     let mut stats = WorkerStats {
@@ -86,13 +130,7 @@ pub fn run_batch_worker(
     };
     while let Some(chunk) = queue.pop_chunk() {
         let started = Instant::now();
-        let outcomes: Vec<WorkItemOutcome> = chunk
-            .into_iter()
-            .map(|item| WorkItemOutcome {
-                outcome: (evaluators[item.measure])(item.s),
-                item,
-            })
-            .collect();
+        let outcomes = evaluate_chunk(&chunk, |measure| evaluators.get(measure).copied());
         stats.busy += started.elapsed();
         stats.evaluated += outcomes.len();
         stats.messages += 1;
@@ -571,20 +609,9 @@ fn serve_chunks(
             return Err(format!("unexpected frame from master: {frame:?}"));
         };
         let started = Instant::now();
-        let results: Vec<WorkItemOutcome> = items
-            .iter()
-            .map(|&item| WorkItemOutcome {
-                outcome: match evaluators.get(item.measure) {
-                    Some(evaluator) => evaluator.eval(item.s),
-                    None => Err(format!(
-                        "work item references measure {} but the job has {}",
-                        item.measure,
-                        evaluators.len()
-                    )),
-                },
-                item,
-            })
-            .collect();
+        let results = evaluate_chunk(items, |measure| {
+            evaluators.get(measure).map(ChunkEvaluator::Compiled)
+        });
         let busy_nanos = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         summary.evaluated += results.len();
         let message = WorkerMessage {
@@ -615,7 +642,7 @@ mod tests {
         let queue = WorkQueue::new(&points);
         let (tx, rx) = unbounded();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s * s) };
-        let stats = run_batch_worker(3, &queue, &[&evaluator], &tx);
+        let stats = run_batch_worker(3, &queue, &[ChunkEvaluator::Closure(&evaluator)], &tx);
         drop(tx);
         assert_eq!(stats.id, 3);
         assert_eq!(stats.evaluated, 20);
@@ -643,7 +670,7 @@ mod tests {
         let queue = WorkQueue::with_chunk_size(items, 5);
         let (tx, rx) = unbounded();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s + Complex64::ONE) };
-        let evaluators: [&TransformFn<'_>; 1] = [&evaluator];
+        let evaluators = [ChunkEvaluator::Closure(&evaluator)];
         let stats = run_batch_worker(1, &queue, &evaluators, &tx);
         drop(tx);
         // 17 items at chunk size 5: 5 + 5 + 5 + 2 → 4 messages.
@@ -669,7 +696,10 @@ mod tests {
         let (tx, rx) = unbounded();
         let double = |s: Complex64| -> Result<Complex64, String> { Ok(s * Complex64::real(2.0)) };
         let negate = |s: Complex64| -> Result<Complex64, String> { Ok(-s) };
-        let evaluators: [&TransformFn<'_>; 2] = [&double, &negate];
+        let evaluators = [
+            ChunkEvaluator::Closure(&double),
+            ChunkEvaluator::Closure(&negate),
+        ];
         run_batch_worker(0, &queue, &evaluators, &tx);
         drop(tx);
         for outcome in rx.iter().flat_map(|m| m.results) {
@@ -678,6 +708,50 @@ mod tests {
                 _ => -outcome.item.s,
             };
             assert_eq!(outcome.outcome.unwrap(), expect);
+        }
+    }
+
+    /// One chunk, three kinds of run: a compiled passage evaluator gets its
+    /// runs whole (and answers each point with its `eval` bits), a closure is
+    /// applied point by point, and items naming a measure the job does not
+    /// have fail alone — all in chunk order.
+    #[test]
+    fn chunk_runs_keep_order_and_per_item_outcomes() {
+        use crate::transform::{ModelSpec, TargetSpec};
+        let spec = TransformSpec::passage(
+            ModelSpec::Voting {
+                voters: 3,
+                polling: 1,
+                central: 1,
+            },
+            TargetSpec::parse("p2>=2").unwrap(),
+        );
+        let compiled = CompiledModelSet::compile(std::slice::from_ref(&spec)).unwrap();
+        let passage = compiled.evaluator(0).unwrap();
+        let negate = |s: Complex64| -> Result<Complex64, String> { Ok(-s) };
+        let evaluators = [
+            ChunkEvaluator::Compiled(&passage),
+            ChunkEvaluator::Closure(&negate),
+        ];
+        // Runs: measure 0 ×5, measure 1 ×2, measure 7 ×1, measure 0 ×1.
+        let items: Vec<WorkItem> = [0, 0, 0, 0, 0, 1, 1, 7, 0]
+            .iter()
+            .enumerate()
+            .map(|(index, &measure)| WorkItem {
+                measure,
+                index,
+                s: Complex64::new(0.2 + 0.1 * index as f64, index as f64 - 4.0),
+            })
+            .collect();
+        let outcomes = evaluate_chunk(&items, |measure| evaluators.get(measure).copied());
+        assert_eq!(outcomes.len(), items.len());
+        for (item, outcome) in items.iter().zip(outcomes) {
+            assert_eq!(outcome.item, *item);
+            match item.measure {
+                0 => assert_eq!(outcome.outcome, passage.eval(item.s)),
+                1 => assert_eq!(outcome.outcome, Ok(-item.s)),
+                _ => assert!(outcome.outcome.unwrap_err().contains("unknown measure 7")),
+            }
         }
     }
 
@@ -693,7 +767,7 @@ mod tests {
                 Ok(s)
             }
         };
-        let stats = run_batch_worker(0, &queue, &[&evaluator], &tx);
+        let stats = run_batch_worker(0, &queue, &[ChunkEvaluator::Closure(&evaluator)], &tx);
         drop(tx);
         assert_eq!(stats.evaluated, 3);
         let errors: Vec<_> = rx
