@@ -7,9 +7,9 @@
 //! is why the failure-mode experiment uses the smallest system — analytic
 //! techniques shine exactly where rare events starve a simulator.  The harness
 //! reproduces that set-up; because the paper does not print its failure/repair
-//! distribution parameters, a failure-prone parameter set (documented in
-//! `EXPERIMENTS.md`) is used so that both the analytic and the simulated curve are
-//! visible on the same axes.
+//! distribution parameters, a failure-prone parameter set
+//! (`failure_prone_distributions` below) is used so that both the analytic and
+//! the simulated curve are visible on the same axes.
 //!
 //! ```text
 //! cargo run -p smp-bench --release --bin fig6 [--system 0] [--points P]

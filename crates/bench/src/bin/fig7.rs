@@ -6,9 +6,10 @@
 //!     [--voters K] [--points P] [--horizon T]
 //! ```
 //!
-//! The transient computation needs one vector-valued passage solve per target state
-//! per `s`-point (Eq. 7 of the paper), so the default uses the scaled-down instance;
-//! `--system 0` runs the paper's 2 061-state configuration.
+//! A transient `s`-point is one unmasked row pass of the passage kernel whatever
+//! the size of the target set (Eq. 7 in renewal form, see `smp_core::transient`).
+//! The default is the scaled-down instance; `--system 0` runs the paper's
+//! 2 061-state configuration.
 
 use smp_bench::{build_paper_system, build_scaled_system, print_columns, Args};
 use smp_core::TransientAnalysis;

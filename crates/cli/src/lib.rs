@@ -1860,6 +1860,24 @@ mod tests {
             .expect("a t = 20 row");
         let p: f64 = last_row.split_whitespace().nth(1).unwrap().parse().unwrap();
         assert!((0.0..=1.0).contains(&p), "P = {p}");
+
+        // A transient point is one refill, like a passage point: on one
+        // thread, G = 4 × 46 points avoid G − 1 matrix builds and evaluate
+        // each pooled LST G times — the same line a CDF on that grid prints.
+        let hot_path = |measure: &str| {
+            let mut argv = args(&["--voting", "5,2,2", "--engine", "analytic"]);
+            argv.extend(args(&["--measure", measure, "--t-start", "2"]));
+            argv.extend(args(&["--t-stop", "20", "--t-count", "4"]));
+            let report = run(&parse_args(&argv).unwrap()).unwrap();
+            let line = report.lines().find(|line| line.starts_with("hot path:"));
+            line.expect("a hot path line").to_string()
+        };
+        let transient = hot_path("transient:p2>=3");
+        assert_eq!(transient, hot_path("cdf:p2>=3"));
+        assert!(
+            transient.starts_with("hot path: 183 matrix rebuild(s) avoided, "),
+            "{transient}"
+        );
     }
 
     #[test]

@@ -120,9 +120,9 @@ pub struct SemiMarkovProcess {
     /// multi-measure batch pays for it exactly once.
     embedded_cache: Arc<parking_lot::Mutex<Option<Arc<EmbeddedChain>>>>,
     /// Lazily-memoized target-independent CSR structure + fill plan of `U(s)`
-    /// (see `crate::workspace::UStructure`): shared by every passage skeleton
-    /// built over this process, so a solver per target state (the transient
-    /// computation) pays the `O(nnz log)` compression once.
+    /// (see `crate::workspace::UStructure`): shared by every passage and
+    /// occupancy skeleton built over this process, so a batch of measures
+    /// over one model pays the `O(nnz log)` compression once.
     structure_cache: Arc<parking_lot::Mutex<Option<Arc<crate::workspace::UStructure>>>>,
 }
 

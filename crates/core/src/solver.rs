@@ -185,8 +185,9 @@ impl<'a> TransientAnalysis<'a> {
     ) -> Result<Curve, SmpError> {
         let plan = SPointPlan::new(method, t_points);
         let mut values = TransformValues::new();
-        for &s in plan.s_points() {
-            values.insert(s, self.solver.transform_at(s)?);
+        let points = plan.s_points();
+        for (&s, value) in points.iter().zip(self.solver.transform_many(points)) {
+            values.insert(s, value?);
         }
         let raw = plan.invert(&values);
         // Probabilities: clamp the inversion noise into [0, 1].

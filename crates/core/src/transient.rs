@@ -1,57 +1,77 @@
-//! Transient state distributions from passage-time transforms (Eqs. 6–7).
+//! Transient state distributions by the paper's own iteration (Eqs. 6–7 in
+//! renewal form).
 //!
 //! Pyke's relations link the transient distribution `T_ij(t) = P(Z(t) = j | Z(0) = i)`
 //! to passage-time and sojourn-time transforms:
 //!
 //! ```text
-//!   T*_ij(s) = (1/s) · (1 − h*_i(s)) / (1 − L_ii(s))          if i = j
+//!   T*_ij(s) = (1/s) · (1 − h*_i(s)) / (1 − L_ii(s))          if i = j    (Eq. 6)
 //!   T*_ij(s) = L_ij(s) · T*_jj(s)                              if i ≠ j
 //! ```
 //!
-//! and for a *set* of target states `j` (Eq. 7):
+//! and Eq. 7 assembles a target *set* `j` from the `2|j| − 1` passage
+//! quantities `L_ik(s)`, `L_kk(s)`, `k ∈ j` — one absorbing-`k` passage solve
+//! per target state.  Those relations are a rearrangement of the Markov
+//! renewal equation — in `[0, t]` the process either never leaves `i`, or
+//! makes a first transition and starts afresh —
 //!
 //! ```text
-//!   T*_{i→j}(s) = (1/s) · [ Λ_i δ_{i∈j} + Σ_{k∈j, k≠i} Λ_k · L_ik(s) ]
-//!   Λ_n = (1 − h*_n(s)) / (1 − L_nn(s))
+//!   T*(s) = diag((1 − h*_k(s)) / s) + U(s) · T*(s)
+//!         = (I − U(s))⁻¹ · diag((1 − h*_k(s)) / s)
 //! ```
 //!
-//! Constructing `T*` for a target set of size `|j|` therefore needs the `2|j| − 1`
-//! passage quantities `L_ik(s)` and `L_kk(s)`, obtained from `|j|` vector-valued
-//! passage computations (one per target state `k`, each yielding `L_·k(s)` for every
-//! source simultaneously) — exactly the bookkeeping the paper describes.
+//! because `(I − U)⁻¹_ik` counts visits to `k`: `1 / (1 − L_kk)` of them from
+//! `k` itself (a geometric number of cycles), `L_ik / (1 − L_kk)` from
+//! `i ≠ k`.  Eq. 7 sums the visits to each `k` by *cycle*; expanding
+//! `(I − U)⁻¹ = Σ_r U^r` sums the same visits by *transition count*, for the
+//! whole target set at once:
+//!
+//! ```text
+//!   T*_{α→j}(s) = (1/s) · Σ_{r ≥ 0} Σ_{k ∈ j} (1 − h*_k(s)) · (α U^r)_k
+//! ```
+//!
+//! That is Eq. 10's row iteration with **no** absorbing row and a weighted
+//! `ẽ`, so it runs on the passage kernel as it stands (`crate::workspace`: an
+//! occupancy skeleton masks nothing and reads `Σ_k (1 − h*_k) · term_k`) under
+//! the passage's convergence driver — one row pass per `s`-point whatever
+//! `|j|` is.  No `1 − L_kk(s)` is ever formed: nothing is divided but the one
+//! final `/s`, so the truncation error of the series reaches the answer
+//! unamplified, where Eq. 7 divides each of its `|j|` truncated series by a
+//! quantity that tends to zero with `s`.
+//!
+//! **Cost.**  The term vector `α U^r` decays like `E[e^{−s·S_r}]`, `S_r` the
+//! time of the `r`-th transition, so at the Euler inversion's `Re(s) ≈ 9.2/t`
+//! a point takes about `2t ÷ (mean sojourn time)` rounds to fall below
+//! `ε = 1e-8`.  Eq. 7's absorbing passages stop as soon as every path has
+//! met `k`; for a single target state that is re-entered every few
+//! transitions, observed many cycles out, that is fewer rounds than the
+//! series here needs.  No second path is kept for that case.
 
 use crate::error::SmpError;
-use crate::passage::{IterationOptions, PassageTimeSolver};
+use crate::passage::{solve_chunk, start_weights, IterationOptions};
 use crate::smp::{SemiMarkovProcess, StateSet};
+use crate::workspace::{HotPathStats, PassageSkeleton, WorkspacePool};
 use smp_distributions::LaplaceTransform;
 use smp_numeric::Complex64;
-
-/// Largest target-set size whose per-target cycle solvers are pre-built and
-/// kept for the solver's lifetime (amortising their symbolic skeletons across
-/// every `s`-point); larger sets build them per evaluation to bound memory.
-const CYCLE_PREBUILD_LIMIT: usize = 32;
+use std::sync::Arc;
 
 /// Evaluates transient state-distribution transforms `T*_{i→j}(s)`.
 ///
-/// For target sets up to `CYCLE_PREBUILD_LIMIT` (32) states, construction
-/// pre-builds one cycle solver per target state `k` (the `L_·k(s)` column
-/// solves of Eq. 7) so their symbolic skeletons — and the reusable numeric
-/// workspaces behind them — are amortised across every `s`-point this solver
-/// evaluates, instead of being rebuilt per point as the legacy path did.
-/// Larger sets rebuild per evaluation to keep at most one skeleton alive.
+/// Construction builds the occupancy skeleton of the target set over the
+/// process's memoized `U` structure; every `s`-point then refills a pooled
+/// workspace and runs one unmasked row iteration (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TransientSolver<'a> {
     smp: &'a SemiMarkovProcess,
     /// Start-of-observation weights over source states (δ-vector for a single
-    /// source, α-weights of Eq. (5) for a steady-state-weighted set of sources).
-    alpha: Vec<f64>,
+    /// source, α-weights of Eq. (5) for a steady-state-weighted set of
+    /// sources), lifted to ℂ once.
+    alpha: Vec<Complex64>,
     sources: StateSet,
     targets: StateSet,
     options: IterationOptions,
-    /// One vector-valued passage solver per target state `k`, in
-    /// `targets.indices()` order; each yields the column `L_·k(s)` including
-    /// the cycle time `L_kk(s)`.
-    cycle_solvers: Vec<PassageTimeSolver<'a>>,
+    /// Reusable numeric workspaces over the occupancy skeleton.
+    pool: Arc<WorkspacePool>,
 }
 
 impl<'a> TransientSolver<'a> {
@@ -73,46 +93,15 @@ impl<'a> TransientSolver<'a> {
         targets: &[usize],
         options: IterationOptions,
     ) -> Result<Self, SmpError> {
-        let n = smp.num_states();
-        let source_set = StateSet::new(n, sources)?;
-        let target_set = StateSet::new(n, targets)?;
-        if source_set.is_empty() {
-            return Err(SmpError::EmptyStateSet { which: "source" });
-        }
-        if target_set.is_empty() {
-            return Err(SmpError::EmptyStateSet { which: "target" });
-        }
-        let alpha = if source_set.len() == 1 {
-            let mut a = vec![0.0; n];
-            a[source_set.indices()[0]] = 1.0;
-            a
-        } else {
-            // Memoized per process (`SemiMarkovProcess::embedded_chain`).
-            smp.embedded_chain()?.alpha_weights(&source_set)?
-        };
-        // Pre-build the per-target cycle solvers only for reasonably small
-        // target sets: each one holds a symbolic skeleton (O(nnz) indices),
-        // and a predicate matching thousands of markings would otherwise pin
-        // |targets| skeletons in memory at once where the legacy path peaked
-        // at a single transient build.  Above the cap, cycle solvers are
-        // built per evaluation (still benefiting from the memoized embedded
-        // chain and the workspace-backed iteration).
-        let cycle_solvers = if target_set.len() <= CYCLE_PREBUILD_LIMIT {
-            target_set
-                .indices()
-                .iter()
-                .map(|&k| PassageTimeSolver::with_options(smp, &[k], &[k], options))
-                .collect::<Result<Vec<_>, _>>()?
-        } else {
-            Vec::new()
-        };
+        let (sources, targets, alpha) = start_weights(smp, sources, targets)?;
+        let skeleton = PassageSkeleton::occupancy(smp, &targets);
         Ok(TransientSolver {
             smp,
-            alpha,
-            sources: source_set,
-            targets: target_set,
+            alpha: alpha.into_iter().map(Complex64::real).collect(),
+            sources,
+            targets,
             options,
-            cycle_solvers,
+            pool: Arc::new(WorkspacePool::over(skeleton)),
         })
     }
 
@@ -126,21 +115,16 @@ impl<'a> TransientSolver<'a> {
         &self.sources
     }
 
-    /// The convergence options in use (shared by every per-target cycle
-    /// solver).
+    /// The convergence options in use.
     pub fn options(&self) -> &IterationOptions {
         &self.options
     }
 
-    /// Aggregate symbolic/numeric-split counters over the *pre-built*
-    /// per-target cycle solvers (see `PassageTimeSolver::hotpath_stats`);
-    /// empty — all zeros — for target sets above `CYCLE_PREBUILD_LIMIT` (32),
-    /// whose solvers are transient by design.
-    pub fn hotpath_stats(&self) -> crate::workspace::HotPathStats {
-        self.cycle_solvers
-            .iter()
-            .map(|s| s.hotpath_stats())
-            .fold(Default::default(), |acc, s| acc.merged(s))
+    /// Aggregate symbolic/numeric-split counters of this solver's workspace
+    /// pool (see `PassageTimeSolver::hotpath_stats`): one refill per
+    /// `s`-point, like a passage over the same points.
+    pub fn hotpath_stats(&self) -> HotPathStats {
+        self.pool.stats()
     }
 
     /// The closure form of this solver consumed by the distributed pipeline's
@@ -149,61 +133,35 @@ impl<'a> TransientSolver<'a> {
         move |s| self.transform_at(s).map_err(|e| e.to_string())
     }
 
-    /// Evaluates `T*_{i→j}(s)` at one complex point.
-    ///
-    /// The computation performs one vector-valued passage solve per target state
-    /// (`L_·k(s)`, which also yields the cycle-time transform `L_kk(s)`), then
-    /// assembles Eq. (7) weighted over the source states.
+    /// Evaluates `T*_{i→j}(s)` at one complex point: one refill, one row
+    /// iteration, one division by `s`.
     pub fn transform_at(&self, s: Complex64) -> Result<Complex64, SmpError> {
-        let n = self.smp.num_states();
-        // For every target state k: Λ_k and the column vector L_·k(s).
-        let mut lambda = vec![Complex64::ZERO; self.targets.len()];
-        let mut l_columns: Vec<Vec<Complex64>> = Vec::with_capacity(self.targets.len());
-        for (idx, &k) in self.targets.indices().iter().enumerate() {
-            // The column solve for target {k} gives L_ik(s) for every i, including
-            // the cycle time L_kk(s) itself.  For small target sets the solver
-            // (and its workspace) was built once at construction and is reused
-            // for every s-point; above CYCLE_PREBUILD_LIMIT it is rebuilt per
-            // evaluation so only one skeleton is alive at a time.
-            let column = match self.cycle_solvers.get(idx) {
-                Some(solver) => solver.transform_vector_at(s)?,
-                None => PassageTimeSolver::with_options(self.smp, &[k], &[k], self.options)?
-                    .transform_vector_at(s)?,
-            };
-            let l_kk = column[k];
-            let h_k = self.smp.sojourn_lst(k, s);
-            let denom = Complex64::ONE - l_kk;
-            // For an irreducible SMP and Re(s) > 0, |L_kk(s)| < 1 so the denominator
-            // is safely away from zero; s = 0 is never requested by the inversion.
-            lambda[idx] = (Complex64::ONE - h_k) / denom;
-            l_columns.push(column);
-        }
+        let mut one = self.transform_many(&[s]);
+        one.pop().expect("one result per point")
+    }
 
-        // Assemble Eq. (7) for each source state i, weighted by alpha_i.
-        let mut total = Complex64::ZERO;
-        for (i, &a) in self.alpha.iter().enumerate().take(n) {
-            if a == 0.0 {
-                continue;
-            }
-            let mut acc = Complex64::ZERO;
-            for (idx, &k) in self.targets.indices().iter().enumerate() {
-                if k == i {
-                    acc += lambda[idx];
-                } else {
-                    acc += lambda[idx] * l_columns[idx][i];
-                }
-            }
-            total += acc.scale(a);
-        }
-        Ok(total / s)
+    /// Evaluates the transform at every point of a chunk, one result per
+    /// point in order — each bit for bit what
+    /// [`TransientSolver::transform_at`] returns for that point alone (a lone
+    /// point takes the single-lane kernel wherever it falls in a chunk).  The
+    /// points are the lanes of the kernel's lockstep blocks, exactly as for
+    /// `PassageTimeSolver::transform_many`.
+    pub fn transform_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, SmpError>> {
+        let mut ws = self.pool.checkout();
+        let sums = solve_chunk(self.smp, &mut ws, &self.alpha, self.options, points);
+        self.pool.give_back(ws);
+        sums.into_iter()
+            .zip(points)
+            .map(|(sum, &s)| Ok(sum?.value / s))
+            .collect()
     }
 }
 
 impl LaplaceTransform for TransientSolver<'_> {
-    /// Evaluating the solver as a transform runs the full Eq. (7) assembly.
+    /// Evaluating the solver as a transform runs the iteration at `s`.
     ///
     /// # Panics
-    /// Panics if any underlying passage-time iteration fails to converge; use
+    /// Panics if the iteration fails to converge; use
     /// [`TransientSolver::transform_at`] for explicit error handling.
     fn lst(&self, s: Complex64) -> Complex64 {
         self.transform_at(s)

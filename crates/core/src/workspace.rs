@@ -14,8 +14,9 @@
 //!   the **recipe table** — each distinct ordered list of `(pool
 //!   distribution id, probability)` contributions an entry is summed from,
 //!   in first-appearance order — with one `u32` recipe id per nonzero, and
-//!   the target-set bookkeeping the iteration needs (membership mask,
-//!   ascending index list).
+//!   the measure's bookkeeping: which rows the steps skip (a passage's
+//!   absorbing targets; none for an occupancy measure) and which states the
+//!   read-out sums over, ascending.
 //! * [`PassageWorkspace`] — the reusable *numeric* state: per `s`-point each
 //!   pooled LST is evaluated exactly once and only the value table is
 //!   refilled (`O(distinct recipes)`, not `O(nnz)`); the `term · U'` steps
@@ -31,8 +32,7 @@
 //! the target rows on the fly, which is bitwise identical to multiplying by
 //! `U.zero_rows(mask)`.  `U` itself is materialised only on request:
 //! [`PassageWorkspace::u`] is a lazily built CSR view of the same bits, for
-//! tests, benchmark probes and the column-form vector solve of the transient
-//! path; scalar solves never build it.
+//! tests and benchmark probes; no solve builds it.
 //!
 //! ## Bitwise equivalence with the reference oracle
 //!
@@ -55,9 +55,9 @@
 //! (`PassageTimeSolver::transform_at_legacy`) survives only as the oracle the
 //! equivalence suites compare against.  The argument: every accumulator of
 //! every kernel — `scratch[c] += v·x_r` in the sparse and dense scatters,
-//! `mul_vec_into_masked`'s row sums, the gather of `crate::shard` — starts
-//! at `+0`, and IEEE-754 round-to-nearest gives `z + (±0) = z` and
-//! `(+0) + (±0) = +0` (so no accumulator ever holds `−0`); the duplicate
+//! the gather of `crate::shard` — starts at `+0`, and IEEE-754
+//! round-to-nearest gives `z + (±0) = z` and `(+0) + (±0) = +0` (so no
+//! accumulator ever holds `−0`); the duplicate
 //! merge in `refill` starts from its first contribution, and `(±0) + v = v`
 //! puts it where the oracle's merge (zero contributions skipped at push)
 //! starts.  A slot holding `±0` multiplied by a *finite* iterate entry is
@@ -141,10 +141,9 @@ impl HotPathStats {
 /// structure of `U` and its fill plan.  Every target set over one model
 /// shares it, so it is memoized per [`SemiMarkovProcess`]
 /// (`SemiMarkovProcess::u_structure`) and building a [`PassageSkeleton`] for
-/// another target set of an already-analysed process costs only `O(N)` for
-/// the target bookkeeping — which is what keeps `TransientSolver`'s
-/// one-cycle-solver-per-target construction (and its large-target-set
-/// per-point fallback) cheap.
+/// another measure of an already-analysed process — a passage into another
+/// target set, or `TransientSolver`'s occupancy of one — costs only `O(N)`
+/// for the mask and read-out bookkeeping.
 #[derive(Debug)]
 pub(crate) struct UStructure {
     num_states: usize,
@@ -167,13 +166,24 @@ pub(crate) struct UStructure {
 /// The symbolic phase: everything about `U(s)` and the target set that does
 /// not depend on `s`, computed once per `(model, target set)` pair (the
 /// target-independent structure is shared across skeletons of one process).
+///
+/// A skeleton is one of two measures over the same iteration.  A *passage*
+/// into the target set ([`PassageSkeleton::build`]) masks the target rows —
+/// `U'` of Eq. (9) — and reads `term · ẽ`.  The *occupancy* of the set
+/// (`PassageSkeleton::occupancy`, the transient measure of
+/// `crate::transient`) masks no row and weighs each read-out state `k` by
+/// `1 − h*_k(s)`.
 #[derive(Debug)]
 pub struct PassageSkeleton {
     structure: Arc<UStructure>,
+    /// The rows the steps skip: the target set of a passage, no row of an
+    /// occupancy measure.
     target_mask: Vec<bool>,
     /// Target indices in ascending order — the order the legacy `dot_e`
     /// mask-filter visits them in, so the inner products sum identically.
     target_indices: Vec<usize>,
+    /// Whether the read-out is the occupancy measure's weighted sum.
+    sojourn_weighted: bool,
 }
 
 impl UStructure {
@@ -320,7 +330,18 @@ impl PassageSkeleton {
             structure: smp.u_structure(),
             target_mask,
             target_indices,
+            sojourn_weighted: false,
         }
+    }
+
+    /// Builds the skeleton of the occupancy of `states`: the structure and
+    /// read-out states of the passage into them, with no row masked and the
+    /// read-out weighted by `1 − h*_k(s)`.
+    pub(crate) fn occupancy(smp: &SemiMarkovProcess, states: &StateSet) -> PassageSkeleton {
+        let mut skeleton = Self::build(smp, states);
+        skeleton.target_mask.fill(false);
+        skeleton.sojourn_weighted = true;
+        skeleton
     }
 
     /// Number of states (matrix dimension).
@@ -399,6 +420,10 @@ struct LaneBuffers<const K: usize> {
     table: Vec<Lanes<K>>,
     term: Vec<Lanes<K>>,
     scratch: Vec<Lanes<K>>,
+    /// An occupancy skeleton's read-out weights `1 − h*_k(s)`, one per
+    /// read-out state in [`PassageSkeleton::target_indices`] order; empty
+    /// for a passage.
+    weights: Vec<Lanes<K>>,
 }
 
 impl<const K: usize> LaneBuffers<K> {
@@ -407,8 +432,9 @@ impl<const K: usize> LaneBuffers<K> {
     /// `pool[dist].scale(prob)`, merged left to right.  Lanes past
     /// `points.len()` are padding: no LST is evaluated for them and they hold
     /// zeros.
-    fn refill(&mut self, smp: &SemiMarkovProcess, st: &UStructure, points: &[Complex64]) {
+    fn refill(&mut self, smp: &SemiMarkovProcess, sk: &PassageSkeleton, points: &[Complex64]) {
         debug_assert!((1..=K).contains(&points.len()));
+        let st = &*sk.structure;
         if self.term.len() != st.num_states {
             self.pool = vec![[[0.0; K]; 2]; st.num_dists];
             self.table = vec![[[0.0; K]; 2]; st.num_recipes()];
@@ -439,6 +465,23 @@ impl<const K: usize> LaneBuffers<K> {
                     entry[0][l] += value[0][l] * prob;
                     entry[1][l] += value[1][l] * prob;
                 }
+            }
+        }
+        if sk.sojourn_weighted {
+            // `h*_k(s)` is row `k`'s sum of the table just built — the
+            // sojourn-time LST, at no LST evaluation of its own.
+            self.weights.clear();
+            for &k in &sk.target_indices {
+                let mut h = [[0.0; K]; 2];
+                for &id in st.row(k).0 {
+                    let value = &self.table[id as usize];
+                    for l in 0..K {
+                        h[0][l] += value[0][l];
+                        h[1][l] += value[1][l];
+                    }
+                }
+                self.weights
+                    .push([h[0].map(|re| 1.0 - re), h[1].map(|im| -im)]);
             }
         }
     }
@@ -472,8 +515,10 @@ pub(crate) struct LaneKernel<'a, const K: usize> {
 impl<const K: usize> LaneKernel<'_, K> {
     /// Starts a fresh point per lane: `term ← α·U` (the leading `U` of
     /// Eq. 9/10, unmasked) in every lane, `scratch` zeroed, the live rows
-    /// listed and the starting mode picked.
-    pub(crate) fn begin(&mut self, alpha: &[Complex64]) {
+    /// listed and the starting mode picked.  Returns the sum's first value
+    /// per lane: the read-out of `α·U`, plus — for an occupancy measure,
+    /// whose series starts a transition earlier — the read-out of `α`.
+    pub(crate) fn begin(&mut self, alpha: &[Complex64]) -> [Complex64; K] {
         let st = &*self.skeleton.structure;
         let zero = [[0.0; K]; 2];
         self.lanes.term.fill(zero);
@@ -494,6 +539,14 @@ impl<const K: usize> LaneKernel<'_, K> {
             }
         }
         frontier.dense = frontier.active.len() > st.num_states / DENSE_SWITCH_DIVISOR;
+        let mut first = self.read_out();
+        if self.skeleton.sojourn_weighted {
+            let at_rest = self.weighted(|k| [[alpha[k].re; K], [alpha[k].im; K]]);
+            for (value, rest) in first.iter_mut().zip(at_rest) {
+                *value += rest;
+            }
+        }
+        first
     }
 
     /// One `term ← term · U'` step of the iteration (Eq. 10) in every lane,
@@ -592,11 +645,35 @@ impl<const K: usize> LaneKernel<'_, K> {
         }
     }
 
+    /// What a round adds to every lane's sum: a passage's `term · ẽ`, an
+    /// occupancy measure's `Σ_k (1 − h*_k(s)) · term_k`.
+    pub(crate) fn read_out(&self) -> [Complex64; K] {
+        if self.skeleton.sojourn_weighted {
+            self.weighted(|k| self.lanes.term[k])
+        } else {
+            self.dot_e()
+        }
+    }
+
+    /// `Σ_k w_k · x(k)` per lane over the read-out states `k`, ascending,
+    /// with `w` the weights of the latest refill.
+    fn weighted(&self, x: impl Fn(usize) -> Lanes<K>) -> [Complex64; K] {
+        let mut acc = [[0.0; K]; 2];
+        for (w, &k) in self.lanes.weights.iter().zip(&self.skeleton.target_indices) {
+            let x = x(k);
+            for l in 0..K {
+                acc[0][l] += w[0][l] * x[0][l] - w[1][l] * x[1][l];
+                acc[1][l] += w[0][l] * x[1][l] + w[1][l] * x[0][l];
+            }
+        }
+        std::array::from_fn(|l| Complex64::new(acc[0][l], acc[1][l]))
+    }
+
     /// Every lane's inner product of the term vector with the target
     /// indicator `ẽ`, summed over [`PassageSkeleton::target_indices`] in
     /// ascending order — the order (and therefore bitwise the value) of the
     /// legacy full-mask filter, in `O(|targets|)` instead of `O(N)`.
-    pub(crate) fn dot_e(&self) -> [Complex64; K] {
+    fn dot_e(&self) -> [Complex64; K] {
         let mut acc = [[0.0; K]; 2];
         for &t in &self.skeleton.target_indices {
             let x = &self.lanes.term[t];
@@ -637,8 +714,6 @@ pub struct PassageWorkspace {
     /// `U(s)` of the latest [`PassageWorkspace::refill`] as a CSR matrix —
     /// absent until somebody asks for it, kept current from then on.
     u: OnceCell<CsrMatrix<Complex64>>,
-    /// Iterate vectors of the column-form vector solve (sized on first use).
-    vector: [Vec<Complex64>; 3],
     filled: bool,
     stats: HotPathStats,
 }
@@ -659,7 +734,6 @@ impl PassageWorkspace {
                 dense: true,
             },
             u: OnceCell::new(),
-            vector: Default::default(),
             filled: false,
             stats: HotPathStats::default(),
         }
@@ -706,9 +780,9 @@ impl PassageWorkspace {
     /// as the absent entry it is (see the module docs).
     pub fn refill(&mut self, smp: &SemiMarkovProcess, s: Complex64) {
         debug_assert_eq!(smp.num_states(), self.skeleton.structure.num_states);
-        let st = &*self.skeleton.structure;
-        self.single.refill(smp, st, &[s]);
+        self.single.refill(smp, &self.skeleton, &[s]);
         if let Some(u) = self.u.get_mut() {
+            let st = &*self.skeleton.structure;
             gather_values(st, &self.single.table, u.values_mut());
         }
         self.count_points(1);
@@ -718,7 +792,7 @@ impl PassageWorkspace {
     /// kernel is refilled at `points[l]` (at most [`BLOCK_LANES`] of them).
     pub(crate) fn refill_block(&mut self, smp: &SemiMarkovProcess, points: &[Complex64]) {
         debug_assert_eq!(smp.num_states(), self.skeleton.structure.num_states);
-        self.block.refill(smp, &self.skeleton.structure, points);
+        self.block.refill(smp, &self.skeleton, points);
         self.count_points(points.len() as u64);
     }
 
@@ -729,19 +803,6 @@ impl PassageWorkspace {
         self.stats.matrix_rebuilds_avoided += points - u64::from(!self.filled);
         self.filled = true;
         self.stats.pooled_lst_evaluations += points * self.skeleton.structure.num_dists as u64;
-    }
-
-    /// What the column-form vector solve (the transient path) works on: the
-    /// materialised `U(s)` of the latest [`PassageWorkspace::refill`] and
-    /// three state-length scratch vectors.
-    pub(crate) fn vector_state(&mut self) -> (&CsrMatrix<Complex64>, &mut [Vec<Complex64>; 3]) {
-        self.u();
-        let n = self.skeleton.structure.num_states;
-        for vector in &mut self.vector {
-            vector.resize(n, Complex64::ZERO);
-        }
-        let u = self.u.get().expect("materialised above");
-        (u, &mut self.vector)
     }
 
     /// The iteration over the point of the latest [`PassageWorkspace::refill`].
@@ -819,8 +880,13 @@ impl WorkspacePool {
     /// Builds the skeleton for `(smp, targets)` and an initially-empty pool
     /// over it.
     pub fn build(smp: &SemiMarkovProcess, targets: &StateSet) -> WorkspacePool {
+        Self::over(PassageSkeleton::build(smp, targets))
+    }
+
+    /// An initially-empty pool over an already-built skeleton.
+    pub(crate) fn over(skeleton: PassageSkeleton) -> WorkspacePool {
         WorkspacePool {
-            skeleton: Arc::new(PassageSkeleton::build(smp, targets)),
+            skeleton: Arc::new(skeleton),
             idle: parking_lot::Mutex::new(Vec::new()),
             rebuilds_avoided: AtomicU64::new(0),
             lst_evaluations: AtomicU64::new(0),
@@ -938,9 +1004,6 @@ mod tests {
         ws.u()
             .vec_mul_into_masked(&x, &mut masked, pool.skeleton().target_mask());
         assert_eq!(masked, u_prime.vec_mul(&x));
-        ws.u()
-            .mul_vec_into_masked(&x, &mut masked, pool.skeleton().target_mask());
-        assert_eq!(masked, u_prime.mul_vec(&x));
         assert_eq!(ws.u().values(), u.values());
     }
 

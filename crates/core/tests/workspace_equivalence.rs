@@ -5,11 +5,20 @@
 //! exact zero included, through the kernel itself — and a workspace reused
 //! across `s`-point chunks and target sets never leaks state from one
 //! evaluation into the next.
+//!
+//! The transient measure runs the same kernel unmasked with a weighted
+//! read-out (`smp_core::transient`); its oracle is the paper's Eq. 7 assembled
+//! from dense per-target solves, held by tolerance, and its lane blocks are
+//! held bitwise against its own single-point evaluation.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smp_core::{IterationOptions, PassageTimeSolver, SemiMarkovProcess, ShardedSolver, SmpBuilder};
+use smp_core::passage::dense_reference_solve;
+use smp_core::transient::TransientSolver;
+use smp_core::{
+    IterationOptions, PassageTimeSolver, SemiMarkovProcess, ShardedSolver, SmpBuilder, StateSet,
+};
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
 
@@ -81,25 +90,6 @@ proptest! {
         let legacy = solver.transform_at_legacy(s).unwrap();
         prop_assert_eq!(fast.value, legacy.value);
         prop_assert_eq!(fast.iterations, legacy.iterations);
-    }
-
-    /// Vector form too (the transient path's building block).
-    #[test]
-    fn workspace_vector_is_bitwise_legacy(
-        seed in 0u64..200,
-        re in 0.01f64..2.0,
-        im in -5.0f64..5.0,
-    ) {
-        let smp = random_smp(seed);
-        let n = smp.num_states();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ee3_22d1);
-        let targets: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.3)).collect();
-        let targets = if targets.is_empty() { vec![n - 1] } else { targets };
-        let solver = PassageTimeSolver::new(&smp, &[0], &targets).unwrap();
-        let s = Complex64::new(re, im);
-        let fast = solver.transform_vector_at(s).unwrap();
-        let legacy = solver.transform_vector_at_legacy(s).unwrap();
-        prop_assert_eq!(fast, legacy);
     }
 }
 
@@ -199,10 +189,6 @@ fn lst_underflow_points_fall_back_to_the_legacy_path_bitwise() {
         let legacy = solver.transform_at_legacy(s).unwrap();
         assert_eq!(fast.value, legacy.value);
         assert_eq!(fast.iterations, legacy.iterations);
-        assert_eq!(
-            solver.transform_vector_at(s).unwrap(),
-            solver.transform_vector_at_legacy(s).unwrap()
-        );
     }
     // And ordinary points on the same solver agree as ever.
     let s = Complex64::new(0.5, 1.0);
@@ -272,8 +258,7 @@ fn bits(c: Complex64) -> (u64, u64) {
 
 /// The kernel handles exact-zero entries itself: at well over a thousand
 /// points whose refilled values contain an exact zero, the scalar transform
-/// (value bits and iteration count), the vector form, the truncated
-/// `r`-transition prefixes and the row-sharded solver at 1, 2, 3 and 5 shards
+/// (value bits and iteration count), the truncated `r`-transition prefixes and the row-sharded solver at 1, 2, 3 and 5 shards
 /// all equal the build-per-point oracle, which drops those entries
 /// structurally.
 #[test]
@@ -315,14 +300,6 @@ fn exact_zero_kernel_entries_are_bitwise_neutral() {
                 let fast = solver.transform_at_with(&mut ws, s).unwrap();
                 assert_eq!(bits(fast.value), bits(oracle.value), "seed {seed} s={s}");
                 assert_eq!(fast.iterations, oracle.iterations, "seed {seed} s={s}");
-
-                let fast_vec = solver.transform_vector_at_with(&mut ws, s).unwrap();
-                let oracle_vec = solver.transform_vector_at_legacy(s).unwrap();
-                assert_eq!(
-                    fast_vec.iter().copied().map(bits).collect::<Vec<_>>(),
-                    oracle_vec.iter().copied().map(bits).collect::<Vec<_>>(),
-                    "seed {seed} s={s}"
-                );
 
                 for (r, prefix_oracle) in &prefix_oracles {
                     let prefix = prefix_oracle.transform_at_legacy(s).unwrap();
@@ -549,9 +526,36 @@ fn a_lane_that_does_not_converge_fails_alone() {
                 ..
             }
         ));
+        // The occupancy of the same state: unmasked, so near the origin its
+        // mass decays no faster, and the same point is stuck.
+        let occupancy = TransientSolver::with_options(&smp, &[0], &[2], options).unwrap();
+        let occupancy_alone = occupancy.transform_at(stuck).unwrap_err();
+        assert!(matches!(
+            occupancy_alone,
+            smp_core::SmpError::ConvergenceFailure {
+                iterations: 150,
+                ..
+            }
+        ));
         for position in 0..=4 {
             let mut points = ordinary.to_vec();
             points.insert(position, stuck);
+            for (lane, (&s, got)) in points
+                .iter()
+                .zip(occupancy.transform_many(&points))
+                .enumerate()
+            {
+                if lane == position {
+                    assert_eq!(
+                        got.unwrap_err(),
+                        occupancy_alone,
+                        "leak {leak} at {position}"
+                    );
+                } else {
+                    let single = occupancy.transform_at(s).unwrap();
+                    assert_eq!(bits(got.unwrap()), bits(single), "leak {leak} lane {lane}");
+                }
+            }
             let many = solver.transform_many(&points);
             for (lane, (&s, got)) in points.iter().zip(&many).enumerate() {
                 if lane == position {
@@ -573,6 +577,130 @@ fn a_lane_that_does_not_converge_fails_alone() {
             }
             let context = format!("leak {leak} stuck at {position}");
             assert_chunk_is_the_oracle_per_point(&smp, &solver, &points, &context);
+        }
+    }
+}
+
+/// Eq. 7 of the paper, assembled from dense solves: per target state `k` the
+/// column `L_·k(s)` (whose entry `k` is the cycle transform `L_kk`) and
+/// `Λ_k = (1 − h*_k) / (1 − L_kk)`, weighted over the sources by `alpha`.
+fn transient_by_eq7(
+    smp: &SemiMarkovProcess,
+    alpha: &[f64],
+    targets: &[usize],
+    s: Complex64,
+) -> Complex64 {
+    let n = smp.num_states();
+    let mut total = Complex64::ZERO;
+    for &k in targets {
+        let column = dense_reference_solve(smp, &StateSet::new(n, &[k]).unwrap(), s);
+        let lambda = (Complex64::ONE - smp.sojourn_lst(k, s)) / (Complex64::ONE - column[k]);
+        for (i, &a) in alpha.iter().enumerate() {
+            let from_i = if i == k { lambda } else { lambda * column[i] };
+            total += from_i.scale(a);
+        }
+    }
+    total / s
+}
+
+/// The transient solver's renewal form against Eq. 7 from dense columns, on
+/// both generators: a single source outside the target set, a source inside
+/// it, α-weighted sources, and the whole state space as target (`T* = 1/s`).
+#[test]
+fn transient_renewal_form_matches_eq7_from_dense_columns() {
+    for seed in 0..80u64 {
+        let smp = if seed % 2 == 0 {
+            random_smp(seed)
+        } else {
+            underflow_smp(seed)
+        };
+        let n = smp.num_states();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1e_57ed);
+        let inside = rng.gen_range(0..n);
+        let outside = (inside + 1 + rng.gen_range(0..n - 1)) % n;
+        let subset: Vec<usize> = (0..n)
+            .filter(|&k| k == inside || (k != outside && rng.gen_bool(0.3)))
+            .collect();
+        let everything: Vec<usize> = (0..n).collect();
+        let spread: Vec<usize> = (0..n).step_by(2).chain([n - 1]).collect();
+        for (sources, targets) in [
+            (vec![outside], &subset),
+            (vec![inside], &subset),
+            (spread.clone(), &subset),
+            (vec![outside], &everything),
+            (spread, &everything),
+        ] {
+            let alpha = match sources[..] {
+                [source] => (0..n).map(|i| f64::from(i == source)).collect(),
+                _ => smp
+                    .embedded_chain()
+                    .unwrap()
+                    .alpha_weights(&StateSet::new(n, &sources).unwrap())
+                    .unwrap(),
+            };
+            let solver =
+                TransientSolver::with_options(&smp, &sources, targets, IterationOptions::default())
+                    .unwrap();
+            for _ in 0..3 {
+                let s = Complex64::new(rng.gen_range(0.1..4.0), rng.gen_range(-6.0..6.0));
+                let got = solver.transform_at(s).unwrap();
+                let expect = transient_by_eq7(&smp, &alpha, targets, s);
+                let context = format!("seed {seed} sources {sources:?} targets {targets:?} s={s}");
+                assert!((got - expect).norm() < 1e-6, "{context}: {got} vs {expect}");
+                if targets.len() == n {
+                    assert!((got - Complex64::ONE / s).norm() < 1e-6, "{context}: {got}");
+                }
+            }
+        }
+    }
+}
+
+/// The lane axis of the transient solver: `transform_many` over every chunk
+/// shape returns, per point, the bits `transform_at` returns for that point
+/// alone — on `random_smp` and on `underflow_smp` with blocks mixing
+/// exact-zero and zero-free kernels — and counts one refill per point.
+#[test]
+fn transient_lane_blocks_are_single_points_bitwise() {
+    for seed in 0..60u64 {
+        let zeros = seed % 2 == 1;
+        let smp = if zeros {
+            underflow_smp(seed)
+        } else {
+            random_smp(seed)
+        };
+        let n = smp.num_states();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0cc0_9a7c);
+        let source = rng.gen_range(0..n);
+        let targets: Vec<usize> = (0..n).filter(|&k| k == 0 || rng.gen_bool(0.3)).collect();
+        let solver = TransientSolver::new(&smp, source, &targets).unwrap();
+        for shape in CHUNK_SHAPES {
+            let points: Vec<Complex64> = (0..shape)
+                .map(|lane| {
+                    let re = if zeros && (lane + shape).is_multiple_of(2) {
+                        [400.0, 760.0, 1500.0][rng.gen_range(0..3usize)]
+                    } else {
+                        rng.gen_range(0.05..3.0)
+                    };
+                    Complex64::new(re, rng.gen_range(-6.0..6.0))
+                })
+                .collect();
+            let before = solver.hotpath_stats();
+            let many = solver.transform_many(&points);
+            let stats = solver.hotpath_stats().since(before);
+            assert_eq!(many.len(), shape);
+            assert_eq!(
+                stats.pooled_lst_evaluations,
+                (shape * smp.num_distributions()) as u64,
+                "seed {seed} shape {shape}"
+            );
+            for (lane, (&s, got)) in points.iter().zip(many).enumerate() {
+                let single = solver.transform_at(s).unwrap();
+                assert_eq!(
+                    bits(got.unwrap()),
+                    bits(single),
+                    "seed {seed} shape {shape} lane {lane} s={s}"
+                );
+            }
         }
     }
 }

@@ -711,23 +711,37 @@ impl CompiledEvaluator<'_> {
     /// Evaluates the transform at every point of a chunk: one result per
     /// point, in order, each bit for bit what [`CompiledEvaluator::eval`]
     /// returns for that point — so one failing point fails alone.  A passage
-    /// transform gets the chunk whole and advances its points in lockstep
-    /// blocks (`PassageTimeSolver::transform_many`); the other kinds have no
-    /// cross-point work to share and map `eval`.
+    /// or transient transform gets the chunk whole and advances its points in
+    /// lockstep blocks (`PassageTimeSolver::transform_many`,
+    /// `TransientSolver::transform_many`); a closed-form distribution has no
+    /// cross-point work to share and maps `eval`.
     pub fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
         match &self.kind {
-            EvaluatorKind::Passage(solver) => solver
-                .transform_many(points)
-                .into_iter()
-                .zip(points)
-                .map(|(point, &s)| {
-                    point
-                        .map(|point| self.divided(point.value, s))
-                        .map_err(|e| e.to_string())
-                })
-                .collect(),
-            _ => points.iter().map(|&s| self.eval(s)).collect(),
+            EvaluatorKind::Passage(solver) => {
+                let values = solver.transform_many(points).into_iter();
+                self.divide_all(points, values.map(|point| point.map(|point| point.value)))
+            }
+            EvaluatorKind::Transient(solver) => {
+                self.divide_all(points, solver.transform_many(points).into_iter())
+            }
+            EvaluatorKind::Analytic(_) => points.iter().map(|&s| self.eval(s)).collect(),
         }
+    }
+
+    /// Applies the `/s` divisions to a solver's per-point results.
+    fn divide_all(
+        &self,
+        points: &[Complex64],
+        values: impl Iterator<Item = Result<Complex64, smp_core::SmpError>>,
+    ) -> Vec<Result<Complex64, String>> {
+        values
+            .zip(points)
+            .map(|(value, &s)| {
+                value
+                    .map(|value| self.divided(value, s))
+                    .map_err(|e| e.to_string())
+            })
+            .collect()
     }
 
     /// Applies the spec's `/s` divisions to a raw transform value.

@@ -246,37 +246,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// In-place matrix–vector product `y = A·x` that *skips* the rows flagged in
-    /// `skip_rows` (their outputs are written as `T::ZERO`).
-    ///
-    /// With `skip_rows` set to a target-state mask this computes `U'·x` directly
-    /// from `U` — bitwise identical to materialising `U' = U.zero_rows(mask)`
-    /// and calling [`CsrMatrix::mul_vec_into`], because a structurally-removed
-    /// row also yields an exact zero, and every kept row accumulates in the
-    /// same order.  Halves the memory and build work of the passage-time hot
-    /// path (Eq. 9's `U'` never needs to exist).
-    pub fn mul_vec_into_masked(&self, x: &[T], y: &mut [T], skip_rows: &[bool]) {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec_into");
-        assert_eq!(y.len(), self.rows, "output dimension mismatch");
-        assert_eq!(skip_rows.len(), self.rows, "mask dimension mismatch");
-        for r in 0..self.rows {
-            if skip_rows[r] {
-                y[r] = T::ZERO;
-                continue;
-            }
-            let start = self.indptr[r] as usize;
-            let end = self.indptr[r + 1] as usize;
-            let mut acc = T::ZERO;
-            for (&v, &c) in self.values[start..end]
-                .iter()
-                .zip(&self.col_indices[start..end])
-            {
-                acc += v * x[c as usize];
-            }
-            y[r] = acc;
-        }
-    }
-
     /// In-place row-vector–matrix product `y = x·A` that skips the rows flagged
     /// in `skip_rows` (as if those rows of `A` were zero).
     ///
@@ -563,16 +532,10 @@ mod tests {
         zeroed.vec_mul_into(&x, &mut reference);
         assert_eq!(masked, reference);
 
-        m.mul_vec_into_masked(&x, &mut masked, &mask);
-        zeroed.mul_vec_into(&x, &mut reference);
-        assert_eq!(masked, reference);
-
-        // An all-false mask reproduces the unmasked products.
+        // An all-false mask reproduces the unmasked product.
         let none = [false; 3];
         m.vec_mul_into_masked(&x, &mut masked, &none);
         assert_eq!(masked, m.vec_mul(&x));
-        m.mul_vec_into_masked(&x, &mut masked, &none);
-        assert_eq!(masked, m.mul_vec(&x));
     }
 
     #[test]

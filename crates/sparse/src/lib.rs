@@ -13,7 +13,7 @@
 //!   unsorted insertions (the natural output of state-space exploration).
 //! * [`CsrMatrix`] — compressed sparse row storage with row access, row-vector and
 //!   column-vector products, scaling, and transposition.  The row-*masked*
-//!   products (`vec_mul_into_masked` / `mul_vec_into_masked`) compute against
+//!   products (`vec_mul_into_masked` and its column-range form) compute against
 //!   `U'` — `U` with target rows absorbed — without ever materialising it,
 //!   and `values_mut` lets a prebuilt skeleton be refilled per transform
 //!   point (the symbolic/numeric split of `smp_core::workspace`).
