@@ -822,14 +822,9 @@ no worker connections were used (any started workers exit cleanly)";
 
     render_model_line(&mut out, &net, routed, &reports);
     render_reports(&mut out, &ts, &reports);
-    render_summary(
-        &mut out,
-        options,
-        routed,
-        engine.as_ref(),
-        &reports,
-        elapsed,
-    );
+    // Every report carries the backend label of the engine that produced it.
+    let backend = reports.first().map_or("", |r| &r.provenance.backend);
+    render_engine_summary(&mut out, engine.name(), backend, &reports, elapsed);
 
     if let Some(tolerance) = options.validate_sim {
         // With --engine sim the primary reports *are* the simulation's: reuse
@@ -920,29 +915,6 @@ fn render_reports(out: &mut String, ts: &[f64], reports: &[MeasureReport]) {
             _ => unreachable!("curve kinds rendered above"),
         }
     }
-}
-
-fn render_summary(
-    out: &mut String,
-    options: &CliOptions,
-    routed: EngineChoice,
-    engine: &dyn Engine,
-    reports: &[MeasureReport],
-    elapsed: std::time::Duration,
-) {
-    let backend = match routed {
-        EngineChoice::Analytic => "sequential".to_string(),
-        EngineChoice::Sim => format!("monte-carlo seed={:#x}", options.sim_seed),
-        // `Auto` has been resolved before solve; keep the arm for exhaustiveness.
-        EngineChoice::Distributed | EngineChoice::Auto => match &options.workers {
-            WorkerBackend::Threads(_) if options.shards > 0 => "sharded-loopback".to_string(),
-            WorkerBackend::Threads(_) => "in-process".to_string(),
-            WorkerBackend::Tcp(_) if options.sharded => "sharded-tcp".to_string(),
-            WorkerBackend::Tcp(_) => "tcp".to_string(),
-        },
-        EngineChoice::Uniform => "poisson".to_string(),
-    };
-    render_engine_summary(out, engine.name(), &backend, reports, elapsed);
 }
 
 /// The engine/backend/traffic/cache block shared between one-shot runs and

@@ -25,8 +25,8 @@
 //! ## One iteration, one oracle
 //!
 //! Every entry point iterates through the fixed-structure workspace kernel
-//! ([`crate::workspace`]); the build-per-point solver
-//! ([`PassageTimeSolver::transform_at_legacy`]) is kept only as the
+//! ([`crate::workspace`]); the build-per-point solver is not in the library
+//! at all — it is test support of `tests/workspace_equivalence.rs`, the
 //! reference the equivalence suites compare against.  The two
 //! differ structurally only where a kernel entry evaluates to exact zero (an
 //! LST underflowing at `Re(s)·delay ≳ 745`): the oracle drops the entry, the
@@ -45,7 +45,6 @@ use crate::smp::{SemiMarkovProcess, StateSet};
 use crate::workspace::{HotPathStats, LaneKernel, PassageWorkspace, WorkspacePool, BLOCK_LANES};
 use smp_distributions::LaplaceTransform;
 use smp_numeric::Complex64;
-use smp_sparse::CsrMatrix;
 use std::sync::Arc;
 
 /// Convergence controls for the iterative sum (Eq. 11).
@@ -185,9 +184,9 @@ pub struct PassagePoint {
 /// phase — evaluate each pooled LST once, refill a reusable values buffer,
 /// iterate — through a checked-out [`PassageWorkspace`], so a batch of
 /// `s`-points allocates nothing after the first.  Results are bitwise
-/// identical to the build-per-point reference oracle
-/// ([`PassageTimeSolver::transform_at_legacy`]) at every point, exact-zero
-/// kernel entries included (see [`crate::workspace`]).
+/// identical to the build-per-point reference oracle of
+/// `tests/workspace_equivalence.rs` at every point, exact-zero kernel entries
+/// included (see [`crate::workspace`]).
 #[derive(Debug, Clone)]
 pub struct PassageTimeSolver<'a> {
     smp: &'a SemiMarkovProcess,
@@ -422,71 +421,6 @@ impl<'a> PassageTimeSolver<'a> {
                 total += delta;
             }
             total
-        })
-    }
-
-    // -----------------------------------------------------------------------
-    // Legacy build-per-point path — the reference oracle.  No production
-    // caller: only `#[cfg(test)]` modules and `tests/` directories reach it.
-    // -----------------------------------------------------------------------
-
-    /// The legacy per-point evaluation: materialises the `(U, U')` pair from
-    /// triplets at every call (`SemiMarkovProcess::build_u_pair`) — exact-zero
-    /// entries dropped structurally — and iterates with freshly-allocated
-    /// buffers.
-    ///
-    /// Kept as the reference oracle of the symbolic/numeric split: the
-    /// equivalence suites assert that [`PassageTimeSolver::transform_at`]
-    /// reproduces this bitwise, underflow points included, while skipping
-    /// all of the per-point construction.
-    pub fn transform_at_legacy(&self, s: Complex64) -> Result<PassagePoint, SmpError> {
-        let (u, u_prime) = self.smp.build_u_pair(s, &self.targets);
-        self.iterate_row_legacy(&u, &u_prime, s)
-    }
-
-    fn iterate_row_legacy(
-        &self,
-        u: &CsrMatrix<Complex64>,
-        u_prime: &CsrMatrix<Complex64>,
-        s: Complex64,
-    ) -> Result<PassagePoint, SmpError> {
-        let alpha_c: Vec<Complex64> = self.alpha.iter().map(|&a| Complex64::real(a)).collect();
-        let mut term = u.vec_mul(&alpha_c);
-        let e_mask = self.targets.mask();
-        let dot_e = |vec: &[Complex64]| -> Complex64 {
-            vec.iter()
-                .zip(e_mask)
-                .filter(|(_, &m)| m)
-                .map(|(v, _)| *v)
-                .sum()
-        };
-        let mut total = dot_e(&term);
-        let mut scratch = vec![Complex64::ZERO; term.len()];
-        let mut quiet = 0usize;
-        let mut last_delta = f64::INFINITY;
-        for r in 1..=self.options.max_iterations {
-            u_prime.vec_mul_into(&term, &mut scratch);
-            std::mem::swap(&mut term, &mut scratch);
-            let delta = dot_e(&term);
-            total += delta;
-            last_delta = delta.re.abs().max(delta.im.abs());
-            let term_mass: f64 = term.iter().map(|c| c.norm()).fold(0.0, f64::max);
-            if last_delta < self.options.epsilon && term_mass < self.options.epsilon {
-                quiet += 1;
-                if quiet >= self.options.consecutive {
-                    return Ok(PassagePoint {
-                        value: total,
-                        iterations: r,
-                    });
-                }
-            } else {
-                quiet = 0;
-            }
-        }
-        Err(SmpError::ConvergenceFailure {
-            s: (s.re, s.im),
-            iterations: self.options.max_iterations,
-            last_delta,
         })
     }
 }

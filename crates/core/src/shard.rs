@@ -10,14 +10,15 @@
 //!
 //! * [`shard_bounds`] — the deterministic block boundaries, a pure function of
 //!   `(N, shards)`: shard `k` owns states `⌊kN/S⌋ .. ⌊(k+1)N/S⌋`.
-//! * [`ShardedSkeleton`] — one shard's symbolic slice of the memoized
-//!   `U`-structure: the kernel entries that *land in* its owned columns
-//!   (the row-vector iteration `term ← term · U'` writes column `c`, so the
-//!   shard owning `c` stores column `c`'s entries), the fill plan and LST
-//!   pool restricted to those entries, and the sorted list of external rows
-//!   whose iterate values the shard needs each round ([`ShardedSkeleton::need_rows`]).
-//! * [`ShardWorkspace`] — the numeric per-shard state: refill values in
-//!   place per `s`-point, apply a received halo, take one gather step.
+//! * [`ShardedSkeleton`] — one shard's symbolic slice: the row-major
+//!   restriction of the memoized `U`-structure to the kernel entries that
+//!   *land in* its owned columns (the row-vector iteration `term ← term · U'`
+//!   writes column `c`, so the shard owning `c` stores column `c`'s entries),
+//!   the recipe table and LST pool restricted to those entries, and the
+//!   sorted list of external rows whose iterate values the shard needs each
+//!   round ([`ShardedSkeleton::need_rows`]).
+//! * [`ShardWorkspace`] — the numeric per-shard state: refill the value table
+//!   in place per `s`-point, apply a received halo, take one scatter step.
 //! * [`plan_exchange`] / [`ExchangePlan`] — the master-side routing: which
 //!   owned rows each shard must publish per iteration (the union of the other
 //!   shards' needs).
@@ -32,43 +33,36 @@
 //! ## Why the result is bitwise shard-count-invariant
 //!
 //! The sequential step zeroes the output vector and scatters unmasked rows in
-//! ascending order, so output column `c` accumulates `ZERO += v·x_r` over its
-//! entries in ascending row order.  A shard owning `c` stores exactly those
-//! entries in the same order and folds them with the same skipped-zero rules
-//! (`x_r` exactly zero, or `r` masked) into a local accumulator initialised to
-//! `ZERO` — the identical floating-point sequence.  Halo values are shipped
-//! bit-exactly (the wire codec is the `f64`-bit-pattern codec), zero values
-//! are elided on the wire because both sides skip exact zeros anyway, and the
-//! convergence fold sums shard target-slices in shard order = ascending state
-//! order, matching `PassageSkeleton::dot_e`.
+//! ascending order, so output column `c` accumulates `+0 += v·x_r` over its
+//! entries in ascending row order.  A slice is the same scatter restricted to
+//! its columns: it visits the rows that reach an owned column in the same
+//! order with the same skipped-zero rules (`x_r` exactly zero, or `r`
+//! masked), through the same inner loop (`workspace::scatter_row` at one
+//! lane), into an output zeroed to `+0` — the identical floating-point
+//! sequence per column.  Halo values are shipped bit-exactly (the wire codec
+//! is the `f64`-bit-pattern codec), zero values are elided on the wire
+//! because both sides skip exact zeros anyway, and the convergence fold sums
+//! shard target-slices in shard order = ascending state order, matching
+//! `PassageSkeleton::dot_e`.
 //!
-//! ## Exact-zero kernel entries
-//!
-//! A slice entry that evaluates to exact zero at some `s` (an LST
-//! underflowing at `Re(s)·delay ≳ 745`) stays in its slot holding `±0`, as in
-//! `crate::workspace`, and is bitwise-neutral for the same reason: the gather
-//! accumulator of [`ShardWorkspace::step`] and the owned slots
-//! [`ShardWorkspace::init`] adds into start at `+0`, round-to-nearest gives
-//! `z + (±0) = z` and `(+0) + (±0) = +0`, and iterates are finite wherever a
-//! zero slot can exist (`|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`; underflow
-//! needs `Re(s) > 0`).  An owned value that is `+0` only because its entries
-//! underflowed is elided from the halo like any other zero.  So underflow
-//! points run on the shards like every other point and still equal the
-//! build-per-point oracle bit for bit; only a non-finite iterate could tell
-//! the two apart, and then both report `ConvergenceFailure` (possibly with a
-//! different `last_delta`).
+//! Exact-zero kernel entries (an LST underflowing at `Re(s)·delay ≳ 745`)
+//! are therefore bitwise-neutral on a slice for the reason `crate::workspace`
+//! gives for the unsharded kernel, and underflow points run on the shards
+//! like every other point; an owned value that is `+0` only because its
+//! entries underflowed is elided from the halo like any other zero.
 
 use crate::error::SmpError;
 use crate::passage::{term_is_quiet, ConvergenceFold, FoldStatus, IterationOptions, PassagePoint};
 use crate::smp::{SemiMarkovProcess, StateSet};
+use crate::workspace::{all_zero, fill_table, lane, scatter_row, splat, Lanes, RecipeTable};
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
 use smp_sparse::Scalar;
 use std::sync::Arc;
 
-/// Sentinel `entry_x` slot for entries whose source row is masked (a target
-/// state): the step skips them, exactly as the full masked scatter skips
-/// masked rows, and init never reads the iterate at all.
+/// Sentinel iterate slot of a masked row (a target state): the step skips
+/// it, exactly as the full masked scatter skips masked rows, and init never
+/// reads the iterate at all.
 const SKIP: u32 = u32::MAX;
 
 /// The contiguous state block owned by shard `shard` of `shards`, as a
@@ -117,45 +111,37 @@ pub fn owner_of(num_states: usize, shards: usize, row: usize) -> usize {
 /// owned column block of `U` that does not depend on `s`.
 ///
 /// Built from the process's memoized `U`-structure, but self-contained
-/// afterwards — it holds its own (restricted, re-indexed) distribution pool,
-/// so a worker process can drop the full model once its slice is built.  That
-/// is the memory claim of the distributed layer: the resident per-point state
-/// is `O(nnz(slice) + N/S)`, not `O(nnz(U) + N)`.
+/// afterwards — it holds its own (restricted, re-indexed) recipe table and
+/// distribution pool, so a worker process can drop the full model once its
+/// slice is built.  That is the memory claim of the distributed layer: the
+/// resident per-point state is `O(nnz(slice) + N/S)` — eight bytes of index
+/// per kernel entry, values per recipe — not `O(nnz(U) + N)`.
 #[derive(Debug)]
 pub struct ShardedSkeleton {
     num_states: usize,
-    shards: usize,
-    shard: usize,
     lo: usize,
     hi: usize,
-    source: usize,
-    /// Entries of owned column `c` (local index) are
-    /// `col_ptr[c] .. col_ptr[c+1]`, in ascending global-row order — the
-    /// accumulation order of the sequential scatter.
-    col_ptr: Vec<u32>,
-    /// Global source row of each entry.
-    entry_row: Vec<u32>,
-    /// Iterate slot of each entry: `< owned` = owned block, `>= owned` =
-    /// halo slot, [`SKIP`] = masked row (skipped by the step, like the full
-    /// masked scatter; kept for init).
-    entry_x: Vec<u32>,
-    /// Fill plan: contributions of entry `e` are `slot_ptr[e]..slot_ptr[e+1]`
-    /// of `contrib_dist` / `contrib_prob`, in legacy summation order.
-    slot_ptr: Vec<u32>,
-    /// True when every slice entry has exactly one contribution.
-    uniform_slots: bool,
-    contrib_dist: Vec<u32>,
-    contrib_prob: Vec<f64>,
-    /// The restricted LST pool: only distributions referenced by this slice,
-    /// re-indexed densely (`contrib_dist` holds local ids).
+    /// Iterate slot of each row of `U` that has an entry in the owned
+    /// columns, rows ascending — the order the sequential scatter visits
+    /// them in: `< owned` = owned block, `>= owned` = halo slot, [`SKIP`] =
+    /// masked row.
+    row_x: Vec<u32>,
+    /// The slots of the `i`-th such row are `row_ptr[i] .. row_ptr[i + 1]` of
+    /// `slot_recipe` / `slot_col`, columns ascending.
+    row_ptr: Vec<u32>,
+    /// Recipe id (into `recipes`) and local column of each kernel entry.
+    slot_recipe: Vec<u32>,
+    slot_col: Vec<u32>,
+    /// The recipes and distributions this slice references, re-indexed
+    /// densely in order of first appearance (`recipes` holds local pool ids).
+    recipes: RecipeTable,
     pool: Vec<Dist>,
     /// External (other-shard) unmasked rows whose iterate values the step
     /// reads, ascending — the shard's halo subscription.
     need_rows: Vec<u32>,
-    /// Entries whose source row is the α-source (global indices into the
-    /// entry arrays, ascending by owned column) — the slice of the `α·U`
-    /// initialisation.
-    init_entries: Vec<u32>,
+    /// The α-source's position among the rows above, when it reaches an
+    /// owned column — the slice of the `α·U` initialisation.
+    source_row: Option<usize>,
     /// Global indices of target states inside the owned block, ascending —
     /// this shard's summands of the `· ẽ` inner product.
     owned_targets: Vec<u32>,
@@ -179,131 +165,65 @@ impl ShardedSkeleton {
         let n = smp.num_states();
         assert!(source < n, "source state {source} out of range 0..{n}");
         let (lo, hi) = shard_bounds(n, shards, shard);
-        let owned = hi - lo;
         let structure = smp.u_structure();
         let mask = targets.mask();
-
-        // Pass 1: bucket the slice's entries by owned column (rows arrive
-        // ascending, so each bucket is already in scatter order) and collect
-        // the halo subscription.
-        let indptr = structure.indptr();
-        let cols = structure.col_indices();
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); owned];
-        let mut need_rows: Vec<u32> = Vec::new();
-        for r in 0..n {
-            let (a, b) = (indptr[r] as usize, indptr[r + 1] as usize);
-            // Columns are sorted within the row: the owned range is one
-            // contiguous run of entries.
-            let row_cols = &cols[a..b];
-            let s = a + row_cols.partition_point(|&c| (c as usize) < lo);
-            let e = a + row_cols.partition_point(|&c| (c as usize) < hi);
-            if s == e {
-                continue;
-            }
-            if !mask[r] && (r < lo || r >= hi) {
-                need_rows.push(r as u32);
-            }
-            for k in s..e {
-                buckets[cols[k] as usize - lo].push(k as u32);
-            }
-        }
-
-        // Pass 2: flatten column-major, restricting the fill plan and the
-        // distribution pool to the slice.
-        let mut local_of: Vec<u32> = vec![u32::MAX; smp.num_distributions()];
-        let mut pool: Vec<Dist> = Vec::new();
-        let mut col_ptr: Vec<u32> = Vec::with_capacity(owned + 1);
-        let mut entry_row: Vec<u32> = Vec::new();
-        let mut entry_x: Vec<u32> = Vec::new();
-        let mut slot_ptr: Vec<u32> = vec![0];
-        let mut contrib_dist: Vec<u32> = Vec::new();
-        let mut contrib_prob: Vec<f64> = Vec::new();
-        let mut init_entries: Vec<u32> = Vec::new();
-        col_ptr.push(0);
-        for bucket in &buckets {
-            for &k in bucket {
-                let r = {
-                    // Recover the entry's global row from its CSR position.
-                    // `indptr` is monotone, so this is a binary search for the
-                    // last row starting at or before `k`.
-                    let mut lo_r = 0usize;
-                    let mut hi_r = n;
-                    while lo_r + 1 < hi_r {
-                        let mid = lo_r + (hi_r - lo_r) / 2;
-                        if indptr[mid] as usize <= k as usize {
-                            lo_r = mid;
-                        } else {
-                            hi_r = mid;
-                        }
-                    }
-                    lo_r
-                };
-                let x_slot = if mask[r] {
-                    SKIP
-                } else if r >= lo && r < hi {
-                    (r - lo) as u32
-                } else {
-                    let pos = need_rows
-                        .binary_search(&(r as u32))
-                        .expect("external unmasked row must be subscribed");
-                    (owned + pos) as u32
-                };
-                if r == source {
-                    init_entries.push(entry_row.len() as u32);
-                }
-                entry_row.push(r as u32);
-                entry_x.push(x_slot);
-                let (dists, probs) = structure.slot_contributions(k as usize);
-                for (&dist, &prob) in dists.iter().zip(probs) {
-                    let gd = dist as usize;
-                    if local_of[gd] == u32::MAX {
-                        local_of[gd] = pool.len() as u32;
-                        pool.push(smp.distribution(dist).clone());
-                    }
-                    contrib_dist.push(local_of[gd]);
-                    contrib_prob.push(prob);
-                }
-                slot_ptr.push(contrib_dist.len() as u32);
-            }
-            col_ptr.push(entry_row.len() as u32);
-        }
-        let uniform_slots = slot_ptr.windows(2).all(|w| w[1] - w[0] == 1);
-        let owned_targets: Vec<u32> = (lo..hi).filter(|&t| mask[t]).map(|t| t as u32).collect();
-
-        ShardedSkeleton {
+        let mut slice = ShardedSkeleton {
             num_states: n,
-            shards,
-            shard,
             lo,
             hi,
-            source,
-            col_ptr,
-            entry_row,
-            entry_x,
-            slot_ptr,
-            uniform_slots,
-            contrib_dist,
-            contrib_prob,
-            pool,
-            need_rows,
-            init_entries,
-            owned_targets,
+            row_x: Vec::new(),
+            row_ptr: vec![0],
+            slot_recipe: Vec::new(),
+            slot_col: Vec::new(),
+            recipes: RecipeTable::new(),
+            pool: Vec::new(),
+            need_rows: Vec::new(),
+            source_row: None,
+            owned_targets: (lo..hi).filter(|&t| mask[t]).map(|t| t as u32).collect(),
+        };
+        // Local ids of the recipes and distributions met so far, by global id.
+        let mut local_recipe = vec![u32::MAX; structure.recipes.len()];
+        let mut local_dist = vec![u32::MAX; smp.num_distributions()];
+        for (r, &masked) in mask.iter().enumerate() {
+            let (ids, cols) = structure.row(r);
+            // Columns are sorted within the row: the owned range is one
+            // contiguous run of entries.
+            let start = cols.partition_point(|&c| (c as usize) < lo);
+            let end = cols.partition_point(|&c| (c as usize) < hi);
+            if start == end {
+                continue;
+            }
+            if r == source {
+                slice.source_row = Some(slice.row_x.len());
+            }
+            slice.row_x.push(if masked {
+                SKIP
+            } else if (lo..hi).contains(&r) {
+                (r - lo) as u32
+            } else {
+                slice.need_rows.push(r as u32);
+                (hi - lo + slice.need_rows.len() - 1) as u32
+            });
+            for (&id, &c) in ids[start..end].iter().zip(&cols[start..end]) {
+                if local_recipe[id as usize] == u32::MAX {
+                    let (dists, probs) = structure.recipes.get(id as usize);
+                    let pool = &mut slice.pool;
+                    let contributions = dists.iter().zip(probs).map(|(&dist, &prob)| {
+                        let local = &mut local_dist[dist as usize];
+                        if *local == u32::MAX {
+                            *local = pool.len() as u32;
+                            pool.push(smp.distribution(dist).clone());
+                        }
+                        (*local, prob)
+                    });
+                    local_recipe[id as usize] = slice.recipes.push(contributions);
+                }
+                slice.slot_recipe.push(local_recipe[id as usize]);
+                slice.slot_col.push(c - lo as u32);
+            }
+            slice.row_ptr.push(slice.slot_col.len() as u32);
         }
-    }
-
-    /// Total number of states in the (unsharded) model.
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// The shard count this slice was cut for.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// This slice's shard index.
-    pub fn shard(&self) -> usize {
-        self.shard
+        slice
     }
 
     /// The owned state block as a half-open range (= [`shard_bounds`]).
@@ -318,7 +238,7 @@ impl ShardedSkeleton {
 
     /// Number of kernel entries stored by this slice.
     pub fn nnz(&self) -> usize {
-        self.entry_row.len()
+        self.slot_col.len()
     }
 
     /// Number of distributions in the restricted LST pool.
@@ -332,46 +252,42 @@ impl ShardedSkeleton {
         &self.need_rows
     }
 
-    /// Global indices of target states in the owned block, ascending.
-    pub fn owned_targets(&self) -> &[u32] {
-        &self.owned_targets
-    }
-
-    /// The single α-source state this slice was built for.
-    pub fn source(&self) -> usize {
-        self.source
+    /// The recipe ids and local columns of the `i`-th stored row's slots.
+    #[inline]
+    fn row(&self, i: usize) -> (&[u32], &[u32]) {
+        let (start, end) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
+        (&self.slot_recipe[start..end], &self.slot_col[start..end])
     }
 }
 
-/// The numeric per-shard state: refilled values, the iterate slice and its
-/// halo, and the gather output buffer.  Reused across `s`-points and
+/// The numeric per-shard state: the refilled value table, the iterate slice
+/// and its halo, and the scatter output buffer.  Reused across `s`-points and
 /// iterations without allocating.
 #[derive(Debug)]
 pub struct ShardWorkspace {
     skeleton: Arc<ShardedSkeleton>,
-    pool_values: Vec<Complex64>,
-    values: Vec<Complex64>,
+    pool_values: Vec<Lanes<1>>,
+    table: Vec<Lanes<1>>,
     /// The owned slice of the current term vector.
-    x_owned: Vec<Complex64>,
+    x_owned: Vec<Lanes<1>>,
     /// Halo slots, in `need_rows` order.
-    x_halo: Vec<Complex64>,
-    y: Vec<Complex64>,
+    x_halo: Vec<Lanes<1>>,
+    y: Vec<Lanes<1>>,
 }
+
+const ZERO: Lanes<1> = [[0.0]; 2];
 
 impl ShardWorkspace {
     /// Creates a workspace over a shared slice skeleton.
     pub fn new(skeleton: Arc<ShardedSkeleton>) -> ShardWorkspace {
         let owned = skeleton.owned_states();
-        let halo = skeleton.need_rows.len();
-        let nnz = skeleton.nnz();
-        let dists = skeleton.pool.len();
         ShardWorkspace {
+            pool_values: vec![ZERO; skeleton.pool.len()],
+            table: vec![ZERO; skeleton.recipes.len()],
+            x_owned: vec![ZERO; owned],
+            x_halo: vec![ZERO; skeleton.need_rows.len()],
+            y: vec![ZERO; owned],
             skeleton,
-            pool_values: vec![Complex64::ZERO; dists],
-            values: vec![Complex64::ZERO; nnz],
-            x_owned: vec![Complex64::ZERO; owned],
-            x_halo: vec![Complex64::ZERO; halo],
-            y: vec![Complex64::ZERO; owned],
         }
     }
 
@@ -381,55 +297,32 @@ impl ShardWorkspace {
     }
 
     /// Numeric phase for one `s`-point: evaluates each pooled LST once and
-    /// refills the slice's entry values — the same arithmetic as
-    /// `PassageWorkspace::refill`, restricted to this shard's entries.
+    /// refills the slice's value table — the table fill of
+    /// `PassageWorkspace::refill`, over this shard's recipes.
     pub fn refill(&mut self, s: Complex64) {
         let sk = &*self.skeleton;
-        for (slot, dist) in self.pool_values.iter_mut().zip(&sk.pool) {
-            *slot = dist.lst(s);
-        }
-        if sk.uniform_slots {
-            for ((value, &dist), &prob) in self
-                .values
-                .iter_mut()
-                .zip(&sk.contrib_dist)
-                .zip(&sk.contrib_prob)
-            {
-                *value = self.pool_values[dist as usize].scale(prob);
-            }
-        } else {
-            for (e, value) in self.values.iter_mut().enumerate() {
-                let start = sk.slot_ptr[e] as usize;
-                let end = sk.slot_ptr[e + 1] as usize;
-                let mut acc =
-                    self.pool_values[sk.contrib_dist[start] as usize].scale(sk.contrib_prob[start]);
-                for j in start + 1..end {
-                    acc += self.pool_values[sk.contrib_dist[j] as usize].scale(sk.contrib_prob[j]);
-                }
-                *value = acc;
-            }
-        }
+        fill_table(
+            &sk.pool,
+            &sk.recipes,
+            &[s],
+            &mut self.pool_values,
+            &mut self.table,
+        );
     }
 
     /// Writes the owned slice of the initial accumulator `term₀ = α·U` (α the
     /// unit vector at the source state): zero, then scatter the source row's
     /// entries — the exact arithmetic of `u.vec_mul_into(α, term)`, whose only
-    /// surviving row is the source.  Also clears the halo slots.
+    /// surviving row is the source (read even when it is masked: the leading
+    /// `U` of Eq. 9/10 is unmasked).  Also clears the halo slots.
     pub fn init(&mut self) {
         let sk = &*self.skeleton;
-        for slot in self.x_owned.iter_mut() {
-            *slot = Complex64::ZERO;
-        }
-        for slot in self.x_halo.iter_mut() {
-            *slot = Complex64::ZERO;
-        }
-        let alpha = Complex64::real(1.0);
-        for &e in &sk.init_entries {
-            // Column index of entry `e`: its bucket in col_ptr.  init_entries
-            // is sparse (≤ out-degree of the source), so a binary search per
-            // entry is fine.
-            let c = sk.col_ptr.partition_point(|&p| p <= e) - 1;
-            self.x_owned[c] += self.values[e as usize] * alpha;
+        self.x_owned.fill(ZERO);
+        self.x_halo.fill(ZERO);
+        if let Some(i) = sk.source_row {
+            let (ids, cols) = sk.row(i);
+            let alpha = splat(Complex64::real(1.0));
+            scatter_row(&mut self.x_owned, &self.table, ids, cols, alpha);
         }
     }
 
@@ -441,9 +334,7 @@ impl ShardWorkspace {
     /// Returns an error for a row this shard never subscribed to (a protocol
     /// violation, not a numeric condition).
     pub fn apply_halo(&mut self, entries: &[(u32, Complex64)]) -> Result<(), SmpError> {
-        for slot in self.x_halo.iter_mut() {
-            *slot = Complex64::ZERO;
-        }
+        self.x_halo.fill(ZERO);
         for &(row, value) in entries {
             let pos = self.skeleton.need_rows.binary_search(&row).map_err(|_| {
                 SmpError::StateOutOfRange {
@@ -451,51 +342,49 @@ impl ShardWorkspace {
                     num_states: self.skeleton.num_states,
                 }
             })?;
-            self.x_halo[pos] = value;
+            self.x_halo[pos] = splat(value);
         }
         Ok(())
     }
 
-    /// One `term ← term · U'` step for the owned block: gathers each owned
-    /// column from the current iterate (owned slice + halo), skipping masked
-    /// rows and exact-zero iterate entries — the identical accumulation
-    /// sequence as the sequential full-scan masked scatter restricted to
-    /// these columns (see the module docs).  The halo must have been applied
-    /// for this round first.
+    /// One `term ← term · U'` step for the owned block: scatters each stored
+    /// row from the current iterate (owned slice + halo) into the owned
+    /// columns, skipping masked rows and exact-zero iterate entries — the
+    /// sequential full-scan masked scatter restricted to these columns (see
+    /// the module docs).  The halo must have been applied for this round
+    /// first.
     pub fn step(&mut self) {
         let sk = &*self.skeleton;
-        let owned = sk.owned_states();
-        for (c, out) in self.y.iter_mut().enumerate() {
-            let start = sk.col_ptr[c] as usize;
-            let end = sk.col_ptr[c + 1] as usize;
-            let mut acc = Complex64::ZERO;
-            for e in start..end {
-                let slot = sk.entry_x[e];
-                if slot == SKIP {
-                    continue;
-                }
-                let xr = if (slot as usize) < owned {
-                    self.x_owned[slot as usize]
-                } else {
-                    self.x_halo[slot as usize - owned]
-                };
-                if xr.is_zero() {
-                    continue;
-                }
-                acc += self.values[e] * xr;
+        let owned = self.x_owned.len();
+        self.y.fill(ZERO);
+        for (i, &slot) in sk.row_x.iter().enumerate() {
+            if slot == SKIP {
+                continue;
             }
-            *out = acc;
+            let x = match (slot as usize).checked_sub(owned) {
+                None => self.x_owned[slot as usize],
+                Some(halo) => self.x_halo[halo],
+            };
+            if all_zero(&x) {
+                continue;
+            }
+            let (ids, cols) = sk.row(i);
+            scatter_row(&mut self.y, &self.table, ids, cols, x);
         }
         std::mem::swap(&mut self.x_owned, &mut self.y);
+    }
+
+    /// The current term value at global row `row` of the owned block.
+    fn term_at(&self, row: u32) -> Complex64 {
+        lane(&self.x_owned[row as usize - self.skeleton.lo], 0)
     }
 
     /// Folds this shard's target-state values of the current term into `acc`
     /// (ascending state order).  Calling this per shard in shard order
     /// reproduces `PassageSkeleton::dot_e`'s exact summation sequence.
     pub fn fold_targets(&self, acc: &mut Complex64) {
-        let sk = &*self.skeleton;
-        for &t in &sk.owned_targets {
-            *acc += self.x_owned[t as usize - sk.lo];
+        for &t in &self.skeleton.owned_targets {
+            *acc += self.term_at(t);
         }
     }
 
@@ -503,10 +392,7 @@ impl ShardWorkspace {
     /// — the wire form of [`ShardWorkspace::fold_targets`]: the master folds
     /// the shipped values in the same order with the same `+=`.
     pub fn collect_targets(&self, out: &mut Vec<Complex64>) {
-        let sk = &*self.skeleton;
-        for &t in &sk.owned_targets {
-            out.push(self.x_owned[t as usize - sk.lo]);
-        }
+        out.extend(self.skeleton.owned_targets.iter().map(|&t| self.term_at(t)));
     }
 
     /// Publishes the current term values at the requested owned rows,
@@ -514,9 +400,8 @@ impl ShardWorkspace {
     /// [`ShardWorkspace::apply_halo`]).  `rows` must be ascending owned
     /// indices; the output preserves that order.
     pub fn export_values(&self, rows: &[u32], out: &mut Vec<(u32, Complex64)>) {
-        let lo = self.skeleton.lo;
         for &r in rows {
-            let v = self.x_owned[r as usize - lo];
+            let v = self.term_at(r);
             if !v.is_zero() {
                 out.push((r, v));
             }
@@ -527,12 +412,7 @@ impl ShardWorkspace {
     /// — the per-element legacy test; AND the shards' verdicts for the
     /// whole-vector answer.
     pub fn is_quiet(&self, epsilon: f64) -> bool {
-        term_is_quiet(self.x_owned.iter().copied(), epsilon)
-    }
-
-    /// The owned slice of the current term vector (tests and diagnostics).
-    pub fn owned_term(&self) -> &[Complex64] {
-        &self.x_owned
+        term_is_quiet(self.x_owned.iter().map(|x| lane(x, 0)), epsilon)
     }
 
     /// Appends the nonzero entries of the owned term slice keyed by *global*
@@ -542,9 +422,9 @@ impl ShardWorkspace {
     /// zero-fills first), mirroring [`ShardWorkspace::export_values`].
     pub fn save_term(&self, out: &mut Vec<(u32, Complex64)>) {
         let lo = self.skeleton.lo;
-        for (offset, &v) in self.x_owned.iter().enumerate() {
-            if !v.is_zero() {
-                out.push(((lo + offset) as u32, v));
+        for (offset, x) in self.x_owned.iter().enumerate() {
+            if !all_zero(x) {
+                out.push(((lo + offset) as u32, lane(x, 0)));
             }
         }
     }
@@ -560,14 +440,8 @@ impl ShardWorkspace {
     /// snapshot, not a numeric condition).
     pub fn load_term(&mut self, entries: &[(u32, Complex64)]) -> Result<(), SmpError> {
         let sk = &*self.skeleton;
-        let lo = sk.lo;
-        let owned = sk.owned_states();
-        for slot in self.x_owned.iter_mut() {
-            *slot = Complex64::ZERO;
-        }
-        for slot in self.x_halo.iter_mut() {
-            *slot = Complex64::ZERO;
-        }
+        self.x_owned.fill(ZERO);
+        self.x_halo.fill(ZERO);
         for &(row, value) in entries {
             let row = row as usize;
             if row >= sk.num_states {
@@ -576,8 +450,8 @@ impl ShardWorkspace {
                     num_states: sk.num_states,
                 });
             }
-            if row >= lo && row < lo + owned {
-                self.x_owned[row - lo] = value;
+            if (sk.lo..sk.hi).contains(&row) {
+                self.x_owned[row - sk.lo] = splat(value);
             }
         }
         Ok(())
@@ -595,11 +469,6 @@ impl ExchangePlan {
     /// The ascending owned rows shard `k` must publish each round.
     pub fn exports(&self, k: usize) -> &[u32] {
         &self.exports[k]
-    }
-
-    /// Total subscribed boundary rows across all shards (diagnostics).
-    pub fn total_exports(&self) -> usize {
-        self.exports.iter().map(Vec::len).sum()
     }
 }
 
@@ -690,14 +559,9 @@ impl ShardedSolver {
         &self.slices
     }
 
-    /// The exchange routing in use.
-    pub fn plan(&self) -> &ExchangePlan {
-        &self.plan
-    }
-
-    /// Publishes every shard's boundary values and assembles each shard's
-    /// halo for the coming round.
-    fn exchange(&mut self) {
+    /// One lockstep round: publishes every shard's boundary values, assembles
+    /// each shard's halo from them, then steps every shard.
+    fn round(&mut self) {
         for (k, ws) in self.slices.iter().enumerate() {
             self.exports[k].clear();
             ws.export_values(self.plan.exports(k), &mut self.exports[k]);
@@ -711,6 +575,11 @@ impl ShardedSolver {
                     halo.push(self.exports[owner][pos]);
                 }
             }
+        }
+        for (ws, halo) in self.slices.iter_mut().zip(&self.halos) {
+            ws.apply_halo(halo)
+                .expect("planned halo rows are always subscribed");
+            ws.step();
         }
     }
 
@@ -728,12 +597,7 @@ impl ShardedSolver {
         }
         let mut fold = ConvergenceFold::new(self.options, initial);
         for r in 1..=self.options.max_iterations {
-            self.exchange();
-            for (k, ws) in self.slices.iter_mut().enumerate() {
-                ws.apply_halo(&self.halos[k])
-                    .expect("planned halo rows are always subscribed");
-                ws.step();
-            }
+            self.round();
             let mut delta = Complex64::ZERO;
             let mut quiet = true;
             for ws in &self.slices {
@@ -760,7 +624,7 @@ mod tests {
     use super::*;
     use crate::passage::PassageTimeSolver;
     use crate::smp::SmpBuilder;
-    use smp_distributions::Dist;
+    use crate::workspace::{PassageSkeleton, PassageWorkspace};
 
     fn duplicate_edge_smp() -> SemiMarkovProcess {
         let mut b = SmpBuilder::new(3);
@@ -854,6 +718,14 @@ mod tests {
             let nnz: usize = slices.iter().map(ShardedSkeleton::nnz).sum();
             assert_eq!(states, 17);
             assert_eq!(nnz, full_nnz, "shards={shards}");
+            // The restricted pools together hold exactly the model's
+            // distributions, each slice's without repeats.
+            let pooled: Vec<&Dist> = slices.iter().flat_map(|slice| &slice.pool).collect();
+            assert!(pooled.iter().all(|dist| smp.distributions().contains(dist)));
+            assert!(smp.distributions().iter().all(|d| pooled.contains(&d)));
+            for pool in slices.iter().map(|slice| &slice.pool) {
+                assert!((0..pool.len()).all(|i| !pool[..i].contains(&pool[i])));
+            }
             let max_owned = slices.iter().map(ShardedSkeleton::owned_states).max();
             assert_eq!(max_owned, Some(17usize.div_ceil(shards)));
         }
@@ -917,38 +789,62 @@ mod tests {
         assert_eq!(got.iterations, want.iterations);
     }
 
+    /// Every round, not only the converged value: each slice's owned term is
+    /// rows `lo..hi` of the single-lane kernel's term, bit for bit (signed
+    /// zeros included) — with duplicate edges, with a masked source row (read
+    /// at `init` only), and at a point where a kernel entry underflows to
+    /// exact zero.
     #[test]
-    fn unfaithful_points_fall_back_to_the_legacy_path() {
-        // A deterministic holding time with Re(s)·d past ~745 underflows
-        // e^{-s·d} to exact zero: build_u drops the entry structurally, the
-        // slice keeps a slot holding zero — and the sharded kernel itself
-        // must still equal the build-per-point oracle bit for bit (the name
-        // dates from when such points were re-solved through the oracle).
+    fn every_round_of_every_slice_is_the_unsharded_term_bitwise() {
+        let bits = |c: Complex64| (c.re.to_bits(), c.im.to_bits());
+        let underflow = Complex64::new(800.0, 0.0);
         let mut b = SmpBuilder::new(3);
         b.add_transition(0, 1, 1.0, Dist::deterministic(1.0));
         b.add_transition(1, 2, 1.0, Dist::exponential(2.0));
         b.add_transition(2, 0, 1.0, Dist::exponential(1.0));
-        let smp = b.build().unwrap();
-        let s = Complex64::new(800.0, 0.0);
-        let reference = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
-        for shards in 1..=3usize {
-            let mut sharded =
-                ShardedSolver::new(&smp, 0, &[2], IterationOptions::default(), shards).unwrap();
-            for ws in sharded.slices.iter_mut() {
-                ws.refill(s);
+        let underflow_smp = b.build().unwrap();
+        assert!(
+            underflow_smp.build_u(underflow).nnz() < 3,
+            "e^(-800) is zero"
+        );
+        for (smp, source, target) in [
+            (duplicate_edge_smp(), 0usize, 2usize),
+            (random_smp(12, 3), 4, 4),
+            (underflow_smp, 0, 2),
+        ] {
+            let n = smp.num_states();
+            let targets = StateSet::new(n, &[target]).unwrap();
+            let mut alpha = vec![Complex64::ZERO; n];
+            alpha[source] = Complex64::ONE;
+            let mut full = PassageWorkspace::new(Arc::new(PassageSkeleton::build(&smp, &targets)));
+            for shards in [1, 2, 3, n + 1] {
+                let options = IterationOptions::default();
+                let mut sharded =
+                    ShardedSolver::new(&smp, source, &[target], options, shards).unwrap();
+                let nnz: usize = sharded.slices.iter().map(|ws| ws.skeleton.nnz()).sum();
+                assert_eq!(nnz, full.skeleton().nnz(), "shards={shards}");
+                for s in test_points().into_iter().chain([underflow]) {
+                    full.refill(&smp, s);
+                    let mut kernel = full.kernel();
+                    kernel.begin(&alpha);
+                    for ws in sharded.slices.iter_mut() {
+                        ws.refill(s);
+                        ws.init();
+                    }
+                    for round in 0..=40 {
+                        if round > 0 {
+                            kernel.step();
+                            sharded.round();
+                        }
+                        let want: Vec<_> = kernel.lane_term(0).map(bits).collect();
+                        for ws in &sharded.slices {
+                            let (lo, hi) = (ws.skeleton.lo, ws.skeleton.hi);
+                            let got: Vec<_> = ws.x_owned.iter().map(|x| bits(lane(x, 0))).collect();
+                            assert_eq!(got, want[lo..hi], "shards={shards} s={s} round={round}");
+                        }
+                    }
+                }
             }
-            assert!(
-                sharded
-                    .slices
-                    .iter()
-                    .any(|ws| ws.values.iter().any(|v| v.is_zero())),
-                "the point solved must be an underflow point"
-            );
-            let want = reference.transform_at_legacy(s).unwrap();
-            let got = sharded.transform_at(s).unwrap();
-            assert_eq!(got.value, want.value, "shards={shards}");
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(reference.transform_at(s).unwrap(), want);
         }
     }
 

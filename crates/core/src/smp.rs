@@ -152,6 +152,11 @@ impl SemiMarkovProcess {
         &self.dist_pool[id as usize]
     }
 
+    /// The distribution pool, indexed by [`DistId`].
+    pub(crate) fn distributions(&self) -> &[Dist] {
+        &self.dist_pool
+    }
+
     /// The memoized stationary solve of the embedded DTMC (default solver
     /// options).  The first call runs the Gauss–Seidel solver; every later
     /// call — from any solver or clone of this process — returns the shared

@@ -51,13 +51,13 @@
 //! slot holding `±0`.
 //!
 //! Such a slot is **bitwise-neutral**, so the workspace kernel is the one
-//! iteration the system ships and the build-per-point solver
-//! (`PassageTimeSolver::transform_at_legacy`) survives only as the oracle the
-//! equivalence suites compare against.  The argument: every accumulator of
-//! every kernel — `scratch[c] += v·x_r` in the sparse and dense scatters,
-//! the gather of `crate::shard` — starts at `+0`, and IEEE-754
-//! round-to-nearest gives `z + (±0) = z` and `(+0) + (±0) = +0` (so no
-//! accumulator ever holds `−0`); the duplicate
+//! iteration the system ships and the build-per-point solver survives only
+//! as the oracle the equivalence suites compare against (test support of
+//! `tests/workspace_equivalence.rs`).  The argument: every accumulator of
+//! every kernel — `out[c] += v·x_r` in the sparse and dense scatters and in
+//! the column-restricted scatter of `crate::shard` — starts at `+0`, and
+//! IEEE-754 round-to-nearest gives `z + (±0) = z` and `(+0) + (±0) = +0` (so
+//! no accumulator ever holds `−0`); the duplicate
 //! merge in `refill` starts from its first contribution, and `(±0) + v = v`
 //! puts it where the oracle's merge (zero contributions skipped at push)
 //! starts.  A slot holding `±0` multiplied by a *finite* iterate entry is
@@ -89,6 +89,7 @@
 //! `ConvergenceFailure`, but may report a different `last_delta`.
 
 use crate::smp::{DistId, SemiMarkovProcess, StateSet};
+use smp_distributions::Dist;
 use smp_numeric::Complex64;
 use smp_sparse::{CsrMatrix, TripletMatrix};
 use std::cell::OnceCell;
@@ -154,13 +155,48 @@ pub(crate) struct UStructure {
     /// below.  Slots with equal contribution lists share a recipe, so the
     /// numeric phase evaluates a value once per recipe, not once per slot.
     slot_recipe: Vec<u32>,
-    /// `recipe_ptr[r] .. recipe_ptr[r + 1]` indexes the contributions of
-    /// recipe `r` in `recipe_dist` / `recipe_prob`, in legacy summation
-    /// order.  Recipes are numbered in order of first appearance in the slot
-    /// stream.
-    recipe_ptr: Vec<u32>,
-    recipe_dist: Vec<DistId>,
-    recipe_prob: Vec<f64>,
+    pub(crate) recipes: RecipeTable,
+}
+
+/// Each distinct ordered list of `(pool distribution id, probability)`
+/// contributions a kernel entry is summed from, numbered in order of first
+/// appearance in the slot stream it was built over.
+#[derive(Debug)]
+pub(crate) struct RecipeTable {
+    /// `ptr[r] .. ptr[r + 1]` indexes the contributions of recipe `r` in
+    /// `dist` / `prob`, in legacy summation order.
+    ptr: Vec<u32>,
+    dist: Vec<DistId>,
+    prob: Vec<f64>,
+}
+
+impl RecipeTable {
+    pub(crate) fn new() -> RecipeTable {
+        RecipeTable {
+            ptr: vec![0],
+            dist: Vec::new(),
+            prob: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    pub(crate) fn get(&self, id: usize) -> (&[DistId], &[f64]) {
+        let (start, end) = (self.ptr[id] as usize, self.ptr[id + 1] as usize);
+        (&self.dist[start..end], &self.prob[start..end])
+    }
+
+    /// Appends a recipe and returns its id.
+    pub(crate) fn push(&mut self, contributions: impl Iterator<Item = (DistId, f64)>) -> u32 {
+        for (dist, prob) in contributions {
+            self.dist.push(dist);
+            self.prob.push(prob);
+        }
+        self.ptr.push(self.dist.len() as u32);
+        (self.ptr.len() - 2) as u32
+    }
 }
 
 /// The symbolic phase: everything about `U(s)` and the target set that does
@@ -221,11 +257,9 @@ impl UStructure {
             row_counts[i + 1] = row_counts[i] + smp.transitions(i).len();
         }
         let mut slot_recipe: Vec<u32> = Vec::with_capacity(traced.nnz());
-        let mut recipe_ptr: Vec<u32> = vec![0];
-        let mut recipe_dist: Vec<DistId> = Vec::new();
-        let mut recipe_prob: Vec<f64> = Vec::new();
-        // Lookup only — recipe ids come from `recipe_ptr`'s length, so the
-        // table's order never depends on the map's.
+        let mut recipes = RecipeTable::new();
+        // Lookup only — recipe ids come from the table's length, so its
+        // order never depends on the map's.
         let mut known: HashMap<Vec<(DistId, u64)>, u32> = HashMap::new();
         let mut recipe: Vec<(DistId, u64)> = Vec::new();
         let mut scratch: Vec<(u32, Complex64)> = Vec::new();
@@ -248,12 +282,7 @@ impl UStructure {
                 let id = match known.get(recipe.as_slice()) {
                     Some(&id) => id,
                     None => {
-                        let id = (recipe_ptr.len() - 1) as u32;
-                        for &(dist, prob) in &recipe {
-                            recipe_dist.push(dist);
-                            recipe_prob.push(f64::from_bits(prob));
-                        }
-                        recipe_ptr.push(recipe_dist.len() as u32);
+                        let id = recipes.push(recipe.iter().map(|&(d, p)| (d, f64::from_bits(p))));
                         known.insert(recipe.clone(), id);
                         id
                     }
@@ -269,46 +298,16 @@ impl UStructure {
             indptr: traced.indptr().to_vec(),
             col_indices: traced.col_indices().to_vec(),
             slot_recipe,
-            recipe_ptr,
-            recipe_dist,
-            recipe_prob,
+            recipes,
         }
     }
 
-    // Read-only views for the row-sharded slices (`crate::shard`), which carve
-    // per-shard sub-skeletons out of one memoized structure.
-
-    pub(crate) fn indptr(&self) -> &[u64] {
-        &self.indptr
-    }
-
-    pub(crate) fn col_indices(&self) -> &[u32] {
-        &self.col_indices
-    }
-
-    /// The `(distribution, probability)` contributions CSR slot `slot` is
-    /// summed from, in legacy summation order.
-    pub(crate) fn slot_contributions(&self, slot: usize) -> (&[DistId], &[f64]) {
-        self.recipe(self.slot_recipe[slot] as usize)
-    }
-
-    /// The recipe ids and column indices of row `r`'s slots.
+    /// The recipe ids and column indices of row `r`'s slots (the row-sharded
+    /// slices of `crate::shard` are carved from these).
     #[inline]
-    fn row(&self, r: usize) -> (&[u32], &[u32]) {
+    pub(crate) fn row(&self, r: usize) -> (&[u32], &[u32]) {
         let (start, end) = (self.indptr[r] as usize, self.indptr[r + 1] as usize);
         (&self.slot_recipe[start..end], &self.col_indices[start..end])
-    }
-
-    fn num_recipes(&self) -> usize {
-        self.recipe_ptr.len() - 1
-    }
-
-    fn recipe(&self, id: usize) -> (&[DistId], &[f64]) {
-        let (start, end) = (
-            self.recipe_ptr[id] as usize,
-            self.recipe_ptr[id + 1] as usize,
-        );
-        (&self.recipe_dist[start..end], &self.recipe_prob[start..end])
     }
 }
 
@@ -384,10 +383,11 @@ pub(crate) type Lanes<const K: usize> = [[f64; K]; 2];
 
 /// Scatters one row of `U` into `out`: `out[c] += table[id] · x` for each of
 /// the row's `(id, c)` slots, in every lane — per lane exactly `Complex64`'s
-/// `y += v * x`.  The one inner loop of the initialisation and of both step
-/// phases.
+/// `y += v * x`.  The one inner loop of the initialisation and of every step,
+/// unsharded (`LaneKernel`) and row-sharded (`crate::shard`, whose slices are
+/// this scatter restricted to their owned columns).
 #[inline(always)]
-fn scatter_row<const K: usize>(
+pub(crate) fn scatter_row<const K: usize>(
     out: &mut [Lanes<K>],
     table: &[Lanes<K>],
     ids: &[u32],
@@ -407,8 +407,61 @@ fn scatter_row<const K: usize>(
 /// True when every lane holds an exact (signed) zero — the lane form of
 /// `Scalar::is_zero`, and the same test at `K = 1`.
 #[inline]
-fn all_zero<const K: usize>(x: &Lanes<K>) -> bool {
+pub(crate) fn all_zero<const K: usize>(x: &Lanes<K>) -> bool {
     x[0].iter().chain(&x[1]).all(|&component| component == 0.0)
+}
+
+/// `c` in every lane.
+#[inline]
+pub(crate) fn splat<const K: usize>(c: Complex64) -> Lanes<K> {
+    [[c.re; K], [c.im; K]]
+}
+
+/// Lane `l` of `x`.
+#[inline]
+pub(crate) fn lane<const K: usize>(x: &Lanes<K>, l: usize) -> Complex64 {
+    Complex64::new(x[0][l], x[1][l])
+}
+
+/// The numeric phase of one block of points: evaluates each pooled LST once
+/// per point (lane `l` at `points[l]`) and rebuilds the value table — per
+/// recipe the bits `build_u` stores, `pool[dist].scale(prob)` merged left to
+/// right.  Lanes past `points.len()` are padding: no LST is evaluated for
+/// them and they hold zeros.  `recipes` names distributions by their index
+/// in `dists`.
+pub(crate) fn fill_table<const K: usize>(
+    dists: &[Dist],
+    recipes: &RecipeTable,
+    points: &[Complex64],
+    pool: &mut [Lanes<K>],
+    table: &mut [Lanes<K>],
+) {
+    debug_assert!((1..=K).contains(&points.len()));
+    for (slot, dist) in pool.iter_mut().zip(dists) {
+        *slot = [[0.0; K]; 2];
+        for (l, &s) in points.iter().enumerate() {
+            let value = dist.lst(s);
+            slot[0][l] = value.re;
+            slot[1][l] = value.im;
+        }
+    }
+    for (id, entry) in table.iter_mut().enumerate() {
+        let (dists, probs) = recipes.get(id);
+        // Same accumulation order as to_csr's duplicate merge: the first
+        // contribution initialises, the rest add in sorted-stream order.
+        // build_u skips a zero contribution before the merge; here
+        // `(±0) + v = v` and `v + (±0) = v` skip it in effect.
+        let mut contributions = dists.iter().zip(probs);
+        let (&dist, &prob) = contributions.next().expect("a slot has a contribution");
+        *entry = pool[dist as usize].map(|part| part.map(|x| x * prob));
+        for (&dist, &prob) in contributions {
+            let value = &pool[dist as usize];
+            for l in 0..K {
+                entry[0][l] += value[0][l] * prob;
+                entry[1][l] += value[1][l] * prob;
+            }
+        }
+    }
 }
 
 /// The numeric state of `K` lockstep `s`-points: the pooled LST values, the
@@ -427,46 +480,23 @@ struct LaneBuffers<const K: usize> {
 }
 
 impl<const K: usize> LaneBuffers<K> {
-    /// Evaluates each pooled LST once per point (lane `l` at `points[l]`) and
-    /// rebuilds the value table: per recipe the bits `build_u` stores —
-    /// `pool[dist].scale(prob)`, merged left to right.  Lanes past
-    /// `points.len()` are padding: no LST is evaluated for them and they hold
-    /// zeros.
+    /// Sizes the buffers on first use, fills pool and table at `points`
+    /// ([`fill_table`]) and, for an occupancy skeleton, the read-out weights.
     fn refill(&mut self, smp: &SemiMarkovProcess, sk: &PassageSkeleton, points: &[Complex64]) {
-        debug_assert!((1..=K).contains(&points.len()));
         let st = &*sk.structure;
         if self.term.len() != st.num_states {
             self.pool = vec![[[0.0; K]; 2]; st.num_dists];
-            self.table = vec![[[0.0; K]; 2]; st.num_recipes()];
+            self.table = vec![[[0.0; K]; 2]; st.recipes.len()];
             self.term = vec![[[0.0; K]; 2]; st.num_states];
             self.scratch = vec![[[0.0; K]; 2]; st.num_states];
         }
-        for (id, slot) in self.pool.iter_mut().enumerate() {
-            let dist = smp.distribution(id as DistId);
-            *slot = [[0.0; K]; 2];
-            for (l, &s) in points.iter().enumerate() {
-                let value = dist.lst(s);
-                slot[0][l] = value.re;
-                slot[1][l] = value.im;
-            }
-        }
-        for (id, entry) in self.table.iter_mut().enumerate() {
-            let (dists, probs) = st.recipe(id);
-            // Same accumulation order as to_csr's duplicate merge: the first
-            // contribution initialises, the rest add in sorted-stream order.
-            // build_u skips a zero contribution before the merge; here
-            // `(±0) + v = v` and `v + (±0) = v` skip it in effect.
-            let mut contributions = dists.iter().zip(probs);
-            let (&dist, &prob) = contributions.next().expect("a slot has a contribution");
-            *entry = self.pool[dist as usize].map(|part| part.map(|x| x * prob));
-            for (&dist, &prob) in contributions {
-                let value = &self.pool[dist as usize];
-                for l in 0..K {
-                    entry[0][l] += value[0][l] * prob;
-                    entry[1][l] += value[1][l] * prob;
-                }
-            }
-        }
+        fill_table(
+            smp.distributions(),
+            &st.recipes,
+            points,
+            &mut self.pool,
+            &mut self.table,
+        );
         if sk.sojourn_weighted {
             // `h*_k(s)` is row `k`'s sum of the table just built — the
             // sojourn-time LST, at no LST evaluation of its own.
@@ -524,7 +554,7 @@ impl<const K: usize> LaneKernel<'_, K> {
         self.lanes.term.fill(zero);
         self.lanes.scratch.fill(zero);
         for (r, a) in alpha.iter().enumerate() {
-            let x = [[a.re; K], [a.im; K]];
+            let x = splat(*a);
             if all_zero(&x) {
                 continue;
             }
@@ -541,7 +571,7 @@ impl<const K: usize> LaneKernel<'_, K> {
         frontier.dense = frontier.active.len() > st.num_states / DENSE_SWITCH_DIVISOR;
         let mut first = self.read_out();
         if self.skeleton.sojourn_weighted {
-            let at_rest = self.weighted(|k| [[alpha[k].re; K], [alpha[k].im; K]]);
+            let at_rest = self.weighted(|k| splat(alpha[k]));
             for (value, rest) in first.iter_mut().zip(at_rest) {
                 *value += rest;
             }
@@ -666,7 +696,7 @@ impl<const K: usize> LaneKernel<'_, K> {
                 acc[1][l] += w[0][l] * x[1][l] + w[1][l] * x[0][l];
             }
         }
-        std::array::from_fn(|l| Complex64::new(acc[0][l], acc[1][l]))
+        std::array::from_fn(|l| lane(&acc, l))
     }
 
     /// Every lane's inner product of the term vector with the target
@@ -682,15 +712,12 @@ impl<const K: usize> LaneKernel<'_, K> {
                 acc[1][l] += x[1][l];
             }
         }
-        std::array::from_fn(|l| Complex64::new(acc[0][l], acc[1][l]))
+        std::array::from_fn(|l| lane(&acc, l))
     }
 
     /// One lane's term vector, in state order.
-    pub(crate) fn lane_term(&self, lane: usize) -> impl Iterator<Item = Complex64> + '_ {
-        self.lanes
-            .term
-            .iter()
-            .map(move |x| Complex64::new(x[0][lane], x[1][lane]))
+    pub(crate) fn lane_term(&self, l: usize) -> impl Iterator<Item = Complex64> + '_ {
+        self.lanes.term.iter().map(move |x| lane(x, l))
     }
 }
 
@@ -842,8 +869,7 @@ fn gather_values(st: &UStructure, table: &[Lanes<1>], values: &mut [Complex64]) 
         return;
     }
     for (value, &id) in values.iter_mut().zip(&st.slot_recipe) {
-        let entry = &table[id as usize];
-        *value = Complex64::new(entry[0][0], entry[1][0]);
+        *value = lane(&table[id as usize], 0);
     }
 }
 
@@ -946,7 +972,6 @@ impl WorkspacePool {
 mod tests {
     use super::*;
     use crate::smp::SmpBuilder;
-    use smp_distributions::Dist;
 
     /// A kernel with duplicate (row, col) transitions carrying different
     /// distributions — the case where contribution order matters.
@@ -1064,11 +1089,10 @@ mod tests {
         let st = smp.u_structure();
         // Slots in CSR order: (0,1) (0,2) (1,0) (1,2) (2,0).
         assert_eq!(st.slot_recipe, [0, 1, 0, 1, 2]);
-        assert_eq!(st.num_recipes(), 3);
-        let (dists, probs) = st.recipe(2);
+        assert_eq!(st.recipes.len(), 3);
+        let (dists, probs) = st.recipes.get(2);
         assert_eq!((dists.len(), probs), (2, &[0.5, 0.5][..]));
         assert_eq!(dists[0], dists[1]);
-        assert_eq!(st.slot_contributions(2), st.recipe(0));
     }
 
     /// `u()` is built on first request and kept current by later refills;

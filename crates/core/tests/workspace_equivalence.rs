@@ -14,13 +14,66 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smp_core::passage::dense_reference_solve;
+use smp_core::passage::{dense_reference_solve, PassagePoint};
 use smp_core::transient::TransientSolver;
 use smp_core::{
-    IterationOptions, PassageTimeSolver, SemiMarkovProcess, ShardedSolver, SmpBuilder, StateSet,
+    IterationOptions, PassageTimeSolver, SemiMarkovProcess, ShardedSolver, SmpBuilder, SmpError,
+    StateSet,
 };
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
+
+/// The reference oracle: the build-per-point evaluation of `solver`'s measure
+/// at `s`.  Materialises the `(U, U')` pair from triplets at every call
+/// (`SemiMarkovProcess::build_u_pair`) — exact-zero entries dropped
+/// structurally — and iterates with freshly-allocated buffers, a full
+/// `max(norm)` quiet test every round.  It shares nothing with the kernel but
+/// the model, which is why it lives here and not in the library.
+fn transform_at_legacy(
+    solver: &PassageTimeSolver<'_>,
+    s: Complex64,
+) -> Result<PassagePoint, SmpError> {
+    let options = solver.options();
+    let (u, u_prime) = solver.smp().build_u_pair(s, solver.targets());
+    let alpha_c: Vec<Complex64> = solver.alpha().iter().map(|&a| Complex64::real(a)).collect();
+    let mut term = u.vec_mul(&alpha_c);
+    let e_mask = solver.targets().mask();
+    let dot_e = |vec: &[Complex64]| -> Complex64 {
+        vec.iter()
+            .zip(e_mask)
+            .filter(|(_, &m)| m)
+            .map(|(v, _)| *v)
+            .sum()
+    };
+    let mut total = dot_e(&term);
+    let mut scratch = vec![Complex64::ZERO; term.len()];
+    let mut quiet = 0usize;
+    let mut last_delta = f64::INFINITY;
+    for r in 1..=options.max_iterations {
+        u_prime.vec_mul_into(&term, &mut scratch);
+        std::mem::swap(&mut term, &mut scratch);
+        let delta = dot_e(&term);
+        total += delta;
+        last_delta = delta.re.abs().max(delta.im.abs());
+        let term_mass: f64 = term.iter().map(|c| c.norm()).fold(0.0, f64::max);
+        if last_delta < options.epsilon && term_mass < options.epsilon {
+            quiet += 1;
+            if quiet >= options.consecutive {
+                return Ok(PassagePoint {
+                    value: total,
+                    iterations: r,
+                });
+            }
+        } else {
+            quiet = 0;
+        }
+    }
+    Err(SmpError::ConvergenceFailure {
+        s: (s.re, s.im),
+        iterations: options.max_iterations,
+        last_delta,
+    })
+}
 
 /// A random irreducible SMP with a ring backbone, random extra edges, and —
 /// importantly for the fill plan — occasional *duplicate* `(from, to)`
@@ -87,7 +140,7 @@ proptest! {
         let solver = PassageTimeSolver::new(&smp, &[source], &[target]).unwrap();
         let s = Complex64::new(re, im);
         let fast = solver.transform_at(s).unwrap();
-        let legacy = solver.transform_at_legacy(s).unwrap();
+        let legacy = transform_at_legacy(&solver, s).unwrap();
         prop_assert_eq!(fast.value, legacy.value);
         prop_assert_eq!(fast.iterations, legacy.iterations);
     }
@@ -110,11 +163,11 @@ fn workspace_reuse_across_chunks_and_target_sets_never_leaks() {
     // Reference: fresh legacy evaluation per point.
     let ref_a: Vec<_> = points
         .iter()
-        .map(|&s| solver_a.transform_at_legacy(s).unwrap())
+        .map(|&s| transform_at_legacy(&solver_a, s).unwrap())
         .collect();
     let ref_b: Vec<_> = points
         .iter()
-        .map(|&s| solver_b.transform_at_legacy(s).unwrap())
+        .map(|&s| transform_at_legacy(&solver_b, s).unwrap())
         .collect();
 
     // One workspace per solver, reused across every point, interleaved —
@@ -186,7 +239,7 @@ fn lst_underflow_points_fall_back_to_the_legacy_path_bitwise() {
     for &re in &[500.0, 900.0] {
         let s = Complex64::real(re);
         let fast = solver.transform_at(s).unwrap();
-        let legacy = solver.transform_at_legacy(s).unwrap();
+        let legacy = transform_at_legacy(&solver, s).unwrap();
         assert_eq!(fast.value, legacy.value);
         assert_eq!(fast.iterations, legacy.iterations);
     }
@@ -194,8 +247,34 @@ fn lst_underflow_points_fall_back_to_the_legacy_path_bitwise() {
     let s = Complex64::new(0.5, 1.0);
     assert_eq!(
         solver.transform_at(s).unwrap().value,
-        solver.transform_at_legacy(s).unwrap().value
+        transform_at_legacy(&solver, s).unwrap().value
     );
+}
+
+/// The same neutrality on the row-sharded slices, for every shard count: a
+/// deterministic holding time with `Re(s)·d` past ~745 underflows `e^{-s·d}`
+/// to exact zero, `build_u` drops the entry structurally, the slice keeps a
+/// slot holding zero — and still equals the oracle bit for bit.
+#[test]
+fn underflow_points_equal_the_oracle_on_every_shard_count() {
+    let mut b = SmpBuilder::new(3);
+    b.add_transition(0, 1, 1.0, Dist::deterministic(1.0));
+    b.add_transition(1, 2, 1.0, Dist::exponential(2.0));
+    b.add_transition(2, 0, 1.0, Dist::exponential(1.0));
+    let smp = b.build().unwrap();
+    let s = Complex64::new(800.0, 0.0);
+    assert!(
+        smp.build_u(s).nnz() < smp.build_u(Complex64::ONE).nnz(),
+        "the point solved must be an underflow point"
+    );
+    let reference = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
+    let want = transform_at_legacy(&reference, s).unwrap();
+    assert_eq!(reference.transform_at(s).unwrap(), want);
+    for shards in 1..=3usize {
+        let mut sharded =
+            ShardedSolver::new(&smp, 0, &[2], IterationOptions::default(), shards).unwrap();
+        assert_eq!(sharded.transform_at(s).unwrap(), want, "shards={shards}");
+    }
 }
 
 /// A random SMP built to hit exact-zero kernel entries from every side:
@@ -296,13 +375,13 @@ fn exact_zero_kernel_entries_are_bitwise_neutral() {
                 let zeros = ws.u().values().iter().any(|v| v.re == 0.0 && v.im == 0.0);
                 zero_points += zeros as usize;
 
-                let oracle = solver.transform_at_legacy(s).unwrap();
+                let oracle = transform_at_legacy(&solver, s).unwrap();
                 let fast = solver.transform_at_with(&mut ws, s).unwrap();
                 assert_eq!(bits(fast.value), bits(oracle.value), "seed {seed} s={s}");
                 assert_eq!(fast.iterations, oracle.iterations, "seed {seed} s={s}");
 
                 for (r, prefix_oracle) in &prefix_oracles {
-                    let prefix = prefix_oracle.transform_at_legacy(s).unwrap();
+                    let prefix = transform_at_legacy(prefix_oracle, s).unwrap();
                     assert_eq!(prefix.iterations, r - 1);
                     assert_eq!(
                         bits(solver.r_transition_transform(s, *r)),
@@ -345,7 +424,7 @@ fn assert_chunk_is_the_oracle_per_point(
     let many = solver.transform_many(points);
     assert_eq!(many.len(), points.len(), "{context}");
     for (lane, (&s, got)) in points.iter().zip(&many).enumerate() {
-        match (got, solver.transform_at_legacy(s)) {
+        match (got, transform_at_legacy(solver, s)) {
             (Ok(got), Ok(oracle)) => {
                 assert_eq!(
                     bits(got.value),

@@ -39,15 +39,11 @@
 //! analysis) and every float crosses the wire as its exact bit pattern.
 //!
 //! Points where a kernel entry evaluates to exact zero (an LST underflowing at
-//! `Re(s)·delay ≳ 745`) run on the shards like every other point: the slot
-//! holds `±0`, every gather accumulator starts at `+0`, round-to-nearest gives
-//! `z + (±0) = z` and `(+0) + (±0) = +0`, and iterates are finite wherever a
-//! zero slot can exist (`|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`; underflow
-//! needs `Re(s) > 0`), so the slot contributes what the build-per-point
-//! oracle's structurally dropped entry contributes — nothing.  The master
-//! therefore never compiles or explores the model for a passage spec.  Only a
-//! non-finite iterate could tell kernel and oracle apart, and then both fail
-//! to converge (the reported last delta may differ).
+//! `Re(s)·delay ≳ 745`) run on the shards like every other point: a slice is
+//! the same scatter restricted to its columns, so such an entry is
+//! bitwise-neutral for the reason `smp_core::workspace`'s module docs give.
+//! The master therefore never compiles or explores the model for a passage
+//! spec.
 
 use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use crate::link::{Link, LoopbackLink};
@@ -138,11 +134,19 @@ impl SliceWorkerSession {
 
     /// Handles one in-session frame.  [`Frame::SliceRoute`] installs the
     /// export route and has no answer; [`Frame::SPoint`] and [`Frame::Halo`]
-    /// answer with the round's [`Frame::SState`].  Anything else is a
-    /// protocol error.
+    /// answer with the round's [`Frame::SState`].  Anything else — a route
+    /// naming a row this shard does not own included — is a protocol error.
     pub fn handle(&mut self, frame: &Frame) -> Result<Option<Frame>, String> {
         match frame {
             Frame::SliceRoute { rows } => {
+                // The only rows a route may name are this shard's own.
+                let (lo, hi) = self.ws.skeleton().bounds();
+                let ascending = rows.windows(2).all(|pair| pair[0] < pair[1]);
+                if !ascending || !rows.iter().all(|&r| (lo..hi).contains(&(r as usize))) {
+                    return Err(format!(
+                        "export route is not strictly ascending inside this shard's rows {lo}..{hi}"
+                    ));
+                }
                 self.route = rows.clone();
                 Ok(None)
             }
@@ -1498,5 +1502,32 @@ pub(crate) mod tests {
         // Out-of-range shard assignments fail loudly.
         assert!(SliceWorkerSession::new(&spec_line, 2, 5).is_err());
         assert!(SliceWorkerSession::new("garbage", 2, 0).is_err());
+    }
+
+    /// A route is outside input: rows another shard owns, or out of order,
+    /// are refused when the route arrives — not a panic at the next export.
+    #[test]
+    fn worker_session_refuses_a_route_outside_its_rows() {
+        let spec_line = voting_spec().encode().unwrap();
+        let mut session = SliceWorkerSession::new(&spec_line, 2, 1).unwrap();
+        let lo = session.ws.skeleton().bounds().0 as u32;
+        let point = Frame::SPoint {
+            id: 1,
+            s: Complex64::new(0.5, 1.0),
+        };
+        for rows in [vec![0], vec![lo + 1, lo], vec![lo, lo], vec![u32::MAX]] {
+            assert!(session.handle(&Frame::SliceRoute { rows }).is_err());
+            // The refused route was not installed.
+            assert!(matches!(
+                session.handle(&point),
+                Ok(Some(Frame::SState { .. }))
+            ));
+        }
+        let rows = vec![lo, lo + 1];
+        assert_eq!(session.handle(&Frame::SliceRoute { rows }), Ok(None));
+        assert!(matches!(
+            session.handle(&point),
+            Ok(Some(Frame::SState { .. }))
+        ));
     }
 }
