@@ -2240,9 +2240,12 @@ mod tests {
 
     #[test]
     fn a_multi_round_thread_run_explores_the_model_once() {
-        // Four quantile rounds and a mean stencil: five pipeline runs over
-        // one model.  The thread backend keeps its compiled model between
-        // runs, so only the first explores.
+        // The search's runs and a mean stencil over one model.  The median
+        // (9.19) is reached on the first level (horizon 40) and the
+        // 0.9-quantile (51.0) on the second (80): 2 level grids + 3 sectioning
+        // rounds for each of the 2 probabilities = 8 quantile runs, and the
+        // stencil makes 9.  The thread backend keeps its compiled model
+        // between runs, so only the first explores.
         let options = parse_args(&args(&[
             "--voting",
             "8,3,2",
@@ -2262,12 +2265,26 @@ mod tests {
         .unwrap();
         let report = run(&options).unwrap();
         assert!(
-            report.contains("model cache: 4 hit(s) / 1 miss(es)"),
+            report.contains("model cache: 8 hit(s) / 1 miss(es)"),
             "{report}"
         );
-        assert!(report.contains("evaluations: 17666 new"), "{report}");
-        assert!(report.contains("p = 0.5    ->  t = 9.192657"), "{report}");
-        assert!(report.contains("p = 0.9    ->  t = 51.001205"), "{report}");
+        // 16 t-points on the first level, the 8 new ones of the doubled level
+        // (its other 8 are the first level's even points, served by the
+        // search's cache) and 3·8 probes per probability, at Euler's 46
+        // s-points each; plus the mean's two stencil nodes.
+        let new = (16 + 8 + 2 * 24) * 46 + 2;
+        let line = format!("evaluations: {new} new, {} from checkpoint/cache", 8 * 46);
+        assert!(report.contains(&line), "{report}");
+        // The values the 128 + 64-point grids of the previous search policy
+        // reported, to its own resolution.
+        for (p, expected) in [("0.5", 9.192657), ("0.9", 51.001205)] {
+            let q: f64 = report
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix(&format!("p = {p:<6} ->  t = ")))
+                .and_then(|t| t.parse().ok())
+                .expect("a quantile line");
+            assert!((q - expected).abs() < 1e-4, "q({p}) = {q}\n{report}");
+        }
         assert!(report.contains("mean:p2>=8 = 23.403984"), "{report}");
     }
 

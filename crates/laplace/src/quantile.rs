@@ -7,13 +7,14 @@
 //!   — [`probability_of_completion_by`];
 //! * "the 99th-percentile response time is …" — [`quantile`].
 //!
-//! Both invert `L(s)/s` over an automatically refined time grid and read the value
-//! off the resulting [`CdfCurve`].
+//! Both invert `L(s)/s`: the first on a short grid ending at the deadline, the second
+//! wherever the sectioning search of [`quantiles_from_cdf`] asks — 16 `t`-points per
+//! horizon level plus 24 per probability.
 
 use crate::cdf::CdfCurve;
 use crate::splan::InversionMethod;
 use smp_distributions::LaplaceTransform;
-use smp_numeric::stats::linspace;
+use smp_numeric::stats::{linspace, quantile_from_cdf};
 
 /// Probability that the passage completes by time `deadline`, i.e. `F(deadline)`.
 ///
@@ -52,9 +53,9 @@ pub fn probability_of_completion_by<L: LaplaceTransform + ?Sized>(
 /// The `p`-quantile of the passage time: the earliest time by which the completion
 /// probability reaches `p`.
 ///
-/// The search expands the time horizon geometrically (up to `max_horizon`) until the
-/// CDF reaches `p`, then refines on a denser grid.  Returns `None` if the probability
-/// is not reached within `max_horizon` (e.g. defective distributions).
+/// The search ([`quantiles_from_cdf`]) doubles the time horizon (up to `max_horizon`)
+/// until the CDF reaches `p`, then sections the cell that straddles it.  Returns `None`
+/// if the probability is not reached within `max_horizon` (e.g. defective distributions).
 pub fn quantile<L: LaplaceTransform + ?Sized>(
     method: InversionMethod,
     density_transform: &L,
@@ -80,40 +81,80 @@ where
     }
 }
 
-/// A batched CDF evaluator: maps a strictly increasing `t`-grid to the CDF
-/// values on it.  The callback form taken by [`quantiles_from_cdf`].
+/// A batched CDF evaluator: maps a strictly increasing grid of positive times
+/// to the CDF values on it.  The callback form taken by
+/// [`quantiles_from_cdf`].
 pub type CdfOnGrid<'a, E> = dyn FnMut(&[f64]) -> Result<Vec<f64>, E> + 'a;
 
-/// The generic quantile search: horizon expansion plus local refinement over
-/// **any** CDF-on-grid provider.
+/// The generic quantile search: horizon doubling plus sectioning over **any**
+/// CDF-on-grid provider.
 ///
-/// `cdf_on_grid` receives a strictly increasing time grid and returns the CDF
-/// values on it — by in-process inversion ([`quantile`] wraps this function
-/// that way), by a distributed pipeline run, or by anything else.  This is the
-/// single home of the search policy, so every engine that layers quantiles on
-/// the CDF machinery produces **identical** grids and therefore (given
-/// identical CDF values) bitwise-identical quantiles.
+/// `cdf_on_grid` receives a strictly increasing grid of positive times and
+/// returns the CDF values on it — by in-process inversion ([`quantile`] wraps
+/// this function that way), by a distributed pipeline run, by uniformization,
+/// or by anything else.  This is the single home of the search policy, so
+/// every engine that layers quantiles on the CDF machinery asks for
+/// **identical** grids and therefore (given identical CDF values) reports
+/// bitwise-identical quantiles.
 ///
-/// Starting from `initial_horizon`, invert the CDF on a 128-point grid over
-/// `(0, horizon]`; every still-unresolved probability that the curve reaches
-/// is then refined on its own 64-point grid around the bracketing interval;
-/// the horizon doubles (up to `max_horizon`) until every probability is
-/// resolved.  One coarse grid per horizon level serves *all* probabilities —
-/// a batch costs one sweep, not one per probability — and each probability
-/// resolves at the same horizon, coarse grid and refinement grid as a
-/// single-probability search would use, so batching never changes the
-/// values.  The entry for a probability not reached within `max_horizon` is
-/// `None` (e.g. defective distributions).
+/// # The policy
 ///
-/// Returned values are clamped/monotone-repaired via [`CdfCurve::from_samples`]
-/// (idempotent for already-repaired inputs).  Errors from `cdf_on_grid`
-/// propagate immediately.
+/// Starting from `initial_horizon`, each horizon level reads the CDF on the
+/// 16 points `horizon·k/16`, one grid for *all* pending probabilities.  The
+/// horizon doubles (up to `max_horizon`) until every probability is reached,
+/// and because the points are computed as that product, a doubled level's
+/// first eight points are the previous level's even points bit for bit — a
+/// provider that remembers what it evaluated pays for eight new points, not
+/// sixteen.
+///
+/// A probability `p` the level reaches is then *sectioned* inside the level
+/// cell that first straddles it: three rounds of 8 interior probes cut the
+/// bracket into 9 and keep the sub-cell straddling `p`, and the answer is the
+/// linear inverse interpolation of `p` in the final cell, whose width is
+/// horizon/11,664.  Probe values are clamped into — and made monotone from —
+/// the CDF values already known at the bracket's two ends (the repair
+/// [`CdfCurve::from_samples`] applies to a whole curve, anchored at both
+/// ends), so inversion noise can never walk the bracket off `p`.
+///
+/// The cost is 16 `t`-points per level plus 24 per probability: a
+/// `quantile@0.5,0.9` that resolves on its first level is 64 `t`-points
+/// (2,944 Euler `s`-points).  The entry for a probability not reached within
+/// `max_horizon` is `None` (e.g. defective distributions).  Errors from
+/// `cdf_on_grid` propagate immediately.
+///
+/// # One provider call per probability per round
+///
+/// A provider need not be pointwise: uniformization sums every `t` of a call
+/// to the depth its largest `t` needs, so a value can depend on which other
+/// times share its call.  Every call here therefore depends only on the
+/// horizon (the level grid) or on one probability's own bracket (its eight
+/// probes) — never on which other probabilities happen to be in the batch —
+/// so each probability resolves through exactly the calls a
+/// single-probability search would make, and batching never changes the
+/// values.
+///
+/// # The origin is never probed
+///
+/// Transform inversion is undefined at `t = 0`, so the first level cell's
+/// lower edge stands for `F(0) = 0` without being asked.  A bracket still
+/// anchored there after the last round — `p` at or below the CDF at the
+/// smallest time probed — resolves to that time, the search floor
+/// horizon/11,664, rather than interpolating towards a value nobody
+/// evaluated.
 pub fn quantiles_from_cdf<E>(
     probs: &[f64],
     initial_horizon: f64,
     max_horizon: f64,
     cdf_on_grid: &mut CdfOnGrid<'_, E>,
 ) -> Result<Vec<Option<f64>>, E> {
+    /// Points of a horizon level's grid, `horizon·k/LEVEL_POINTS`.
+    const LEVEL_POINTS: usize = 16;
+    /// Interior probes of one sectioning round: the bracket is cut into
+    /// `SECTION_PROBES + 1` cells.
+    const SECTION_PROBES: usize = 8;
+    /// Sectioning rounds per probability.
+    const SECTION_ROUNDS: usize = 3;
+
     assert!(
         initial_horizon > 0.0 && max_horizon >= initial_horizon,
         "horizons must satisfy 0 < initial <= max"
@@ -126,23 +167,35 @@ pub fn quantiles_from_cdf<E>(
     let mut pending: Vec<usize> = (0..probs.len()).collect();
     let mut horizon = initial_horizon;
     while !pending.is_empty() {
-        let ts = linspace(horizon / 128.0, horizon, 128);
-        let curve = CdfCurve::from_samples(ts.clone(), cdf_on_grid(&ts)?);
+        let ts: Vec<f64> = (1..=LEVEL_POINTS)
+            .map(|k| horizon * k as f64 / LEVEL_POINTS as f64)
+            .collect();
+        // The level is itself a bracket: from the origin to wherever the
+        // CDF — at most 1 — stands at the horizon.
+        let level = Bracket {
+            lo: (0.0, 0.0),
+            hi: (horizon, 1.0),
+        };
+        let curve = level.repair(&ts, cdf_on_grid(&ts)?);
         let mut still_pending = Vec::with_capacity(pending.len());
         for index in pending {
             let p = probs[index];
-            match curve.quantile(p) {
-                Some(q) => {
-                    // Refine around the bracketing interval with a 10× denser
-                    // local grid.
-                    let lo = (q - horizon / 128.0).max(horizon / 1024.0);
-                    let hi = q + horizon / 128.0;
-                    let fine = linspace(lo, hi, 64);
-                    let fine_curve = CdfCurve::from_samples(fine.clone(), cdf_on_grid(&fine)?);
-                    out[index] = fine_curve.quantile(p).or(Some(q));
-                }
-                None => still_pending.push(index),
+            let Some(mut bracket) = level.cell_straddling(&curve, p) else {
+                still_pending.push(index);
+                continue;
+            };
+            for _ in 0..SECTION_ROUNDS {
+                let (lo, width) = (bracket.lo.0, bracket.hi.0 - bracket.lo.0);
+                let probes: Vec<f64> = (1..=SECTION_PROBES)
+                    .map(|j| lo + width * j as f64 / (SECTION_PROBES + 1) as f64)
+                    .collect();
+                let mut section = bracket.repair(&probes, cdf_on_grid(&probes)?);
+                section.push(bracket.hi);
+                bracket = bracket
+                    .cell_straddling(&section, p)
+                    .expect("a bracket's upper end reaches its probability");
             }
+            out[index] = Some(bracket.interpolate(p));
         }
         pending = still_pending;
         if horizon >= max_horizon {
@@ -151,6 +204,52 @@ pub fn quantiles_from_cdf<E>(
         horizon = (horizon * 2.0).min(max_horizon);
     }
     Ok(out)
+}
+
+/// A time interval with the CDF value known at each end, as `(t, F(t))`
+/// pairs.  The level grid's first cell starts at the origin, `(0, 0)`, which
+/// is never evaluated.
+#[derive(Debug, Clone, Copy)]
+struct Bracket {
+    lo: (f64, f64),
+    hi: (f64, f64),
+}
+
+impl Bracket {
+    /// Pairs interior times with their raw CDF values, each clamped into the
+    /// bracket's end values and raised to the running maximum from the lower
+    /// end.
+    fn repair(&self, ts: &[f64], raw: Vec<f64>) -> Vec<(f64, f64)> {
+        assert_eq!(ts.len(), raw.len(), "mismatched sample lengths");
+        let mut running = self.lo.1;
+        ts.iter()
+            .zip(raw)
+            .map(|(&t, v)| {
+                running = running.max(v.clamp(self.lo.1, self.hi.1));
+                (t, running)
+            })
+            .collect()
+    }
+
+    /// The cell that ends at the first of `samples` (repaired interior points
+    /// of this bracket) whose value reaches `p`; `None` when none does.
+    fn cell_straddling(&self, samples: &[(f64, f64)], p: f64) -> Option<Bracket> {
+        let k = samples.iter().position(|&(_, v)| v >= p)?;
+        Some(Bracket {
+            lo: if k == 0 { self.lo } else { samples[k - 1] },
+            hi: samples[k],
+        })
+    }
+
+    /// The time at which the chord between the ends reaches `p` — or the
+    /// upper end itself when the lower end is the origin.
+    fn interpolate(&self, p: f64) -> f64 {
+        let ((t0, f0), (t1, f1)) = (self.lo, self.hi);
+        if t0 == 0.0 {
+            return t1;
+        }
+        quantile_from_cdf(&[t0, t1], &[f0, f1], p).expect("a bracket straddles its probability")
+    }
 }
 
 #[cfg(test)]
@@ -219,11 +318,11 @@ mod tests {
             assert_eq!(q, wrapped, "p = {p}");
             assert!(q.is_some());
         }
-        // Batching shares the coarse sweeps: per horizon level one coarse grid
-        // serves every probability, plus one refinement grid per probability.
-        // An Erlang(2, 3) CDF tops 0.9 well within a horizon of 8, so at most
-        // 4 coarse levels (1, 2, 4, 8) + 3 refinements.
-        assert!(sweeps <= 7, "expected shared coarse sweeps, got {sweeps}");
+        // Batching shares the level grids: one per horizon level serves every
+        // probability, plus three sectioning rounds per probability.  The
+        // Erlang(2, 3) quartile (0.86), median (1.34) and 0.9-quantile (2.66)
+        // are first reached at horizons 1, 2 and 4: 3 levels + 3·3 rounds.
+        assert_eq!(sweeps, 3 + 3 * probs.len(), "shared level grids");
     }
 
     #[test]
@@ -246,16 +345,16 @@ mod tests {
             Ok(ts.iter().map(|t| (t / 2.0).min(1.0)).collect())
         };
 
-        // p -> 0: resolved on the first coarse grid; the answer is the first
-        // point of the refinement grid, i.e. the search's resolution floor,
-        // never a negative or zero time.
+        // p -> 0: resolved on the first level grid; the answer is the
+        // smallest time the sectioning probes, i.e. the search's resolution
+        // floor, never a negative or zero time.
         let result = quantiles_from_cdf(&[0.0, 1e-12], 1.0, 16.0, &mut ramp).unwrap();
         for (p, q) in [0.0, 1e-12].iter().zip(&result) {
             let q = q.expect("tiny probabilities resolve immediately");
             assert!(q > 0.0 && q <= 1.0 / 64.0, "q({p}) = {q}");
         }
 
-        // p = 1: reached exactly at t = 2 (the coarse grid has points past 2).
+        // p = 1: reached exactly at t = 2 (a point of the second level's grid).
         let result = quantiles_from_cdf(&[1.0], 1.0, 16.0, &mut ramp).unwrap();
         let q = result[0].expect("the ramp reaches 1 within the horizon");
         assert!((q - 2.0).abs() < 0.1, "q(1.0) = {q}");
@@ -269,10 +368,10 @@ mod tests {
         assert_eq!(result[0], None);
 
         // Non-bracketing (far too large) initial horizon: the true median of
-        // the ramp (t = 1) sits below the first coarse grid point at
-        // 1024/128 = 8.  The search still resolves -- to the refinement
-        // grid's floor, never below the true quantile and never above the
-        // coarse cell that first crossed p.
+        // the ramp (t = 1) sits below the first level grid point at
+        // 1024/16 = 64.  The search still resolves -- by sectioning the cell
+        // that starts at the origin, never below the true quantile and never
+        // above the level cell that first crossed p.
         let result = quantiles_from_cdf(&[0.5], 1024.0, 1024.0, &mut ramp).unwrap();
         let q = result[0].expect("resolved on the oversized grid");
         assert!((1.0..=16.0).contains(&q), "q(0.5) = {q} on a 1024 horizon");

@@ -32,7 +32,8 @@
 //! Derived measure kinds are layered on shared machinery so engines cannot
 //! drift apart: quantiles run `smp_laplace::quantiles_from_cdf` over a
 //! CDF-on-grid provider (sequential inversion for the analytic engine, one
-//! pipeline run per refinement round for the distributed engine), and
+//! pipeline run per search grid for the distributed engine, Poisson sums for
+//! the uniformization engine — `search_quantiles` is the one call site), and
 //! means/moments are a batch measure kind like the curves — the stencil's
 //! nodes are its plan, the finite-difference fold its post-processing
 //! ([`crate::batch::MomentStencil`]) — so the analytic engine evaluates the
@@ -54,6 +55,7 @@ use smp_core::query::{
 };
 use smp_core::uniform::{self, PhaseCtmc};
 use smp_core::StateSet;
+use smp_laplace::quantile::CdfOnGrid;
 use smp_laplace::{quantiles_from_cdf, InversionMethod, SPointPlan, TransformValues};
 use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
@@ -169,22 +171,26 @@ fn eval_plan(
     Ok(shard)
 }
 
-/// Turns the generic quantile search's per-probability options into values,
-/// failing loudly on an unreachable probability.
-fn require_quantiles(
-    name: &str,
+/// A quantile request's whole search: the shared policy of
+/// `smp_laplace::quantiles_from_cdf` from the request's horizons over
+/// `cdf_on_grid`, failing loudly on a probability the CDF never reaches.  The
+/// engines differ only in the provider they pass.
+fn search_quantiles(
+    request: &MeasureRequest,
     probs: &[f64],
-    found: Vec<Option<f64>>,
-    max_horizon: f64,
+    cdf_on_grid: &mut CdfOnGrid<'_, EngineError>,
 ) -> Result<Vec<f64>, EngineError> {
+    let (initial, max_horizon) = quantile_horizons(request);
+    let found = quantiles_from_cdf(probs, initial, max_horizon, cdf_on_grid)?;
     probs
         .iter()
         .zip(found)
         .map(|(&p, q)| {
             q.ok_or_else(|| {
                 EngineError::Analysis(format!(
-                    "quantile p = {p} of '{name}' not reached within the search horizon \
-                     {max_horizon:.3} (defective or very heavy-tailed passage)"
+                    "quantile p = {p} of '{}' not reached within the search horizon \
+                     {max_horizon:.3} (defective or very heavy-tailed passage)",
+                    request.name()
                 ))
             })
         })
@@ -231,24 +237,28 @@ impl AnalyticEngine {
 /// Solves one request against a compiled evaluator, every point in the
 /// calling thread — the sequential reference the distributed deployments are
 /// compared against bit for bit.  Returns `(values, evaluations)`.
+///
+/// One value table lives as long as the request, and a plan evaluates only
+/// the points the table lacks: a quantile search's later rounds pay for the
+/// `s`-points they add — under Laguerre, whose points do not depend on `t`,
+/// for none.
 fn solve_locally(
     request: &MeasureRequest,
     evaluator: &CompiledEvaluator<'_>,
     method: &InversionMethod,
 ) -> Result<(Vec<f64>, usize), EngineError> {
     let mut evaluations = 0usize;
+    let mut known = TransformValues::new();
     let mut solve_plan = |kind: CurveKind, ts: &[f64]| {
         let plan = kind.plan(method.clone(), ts);
-        let shard = eval_plan(&plan, evaluator, &mut evaluations)?;
-        Ok::<Vec<f64>, EngineError>(kind.postprocess(&plan, &shard))
+        let new = plan.s_points().iter().filter(|&&s| !known.contains(s));
+        let new = SPointPlan::at_points(method.clone(), new.copied().collect());
+        known.merge(&eval_plan(&new, evaluator, &mut evaluations)?);
+        Ok::<Vec<f64>, EngineError>(kind.postprocess(&plan, &known))
     };
     let values = match &request.kind {
         MeasureKind::Quantile { probs } => {
-            let (initial, max_horizon) = quantile_horizons(request);
-            let found = quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
-                solve_plan(CurveKind::Cdf, ts)
-            })?;
-            require_quantiles(&request.name(), probs, found, max_horizon)?
+            search_quantiles(request, probs, &mut |ts| solve_plan(CurveKind::Cdf, ts))?
         }
         kind => {
             let kind = batch_kind_of(kind)?.expect("every kind but the quantile has one");
@@ -351,8 +361,9 @@ impl Engine for AnalyticEngine {
 /// [`BatchJob`], so shared transform keys, union `s`-point planning, the
 /// measure-keyed cache and the checkpoint apply to all of them.  Quantiles
 /// run the shared search of `smp_laplace::quantiles_from_cdf` with one
-/// *pipeline run per refinement round*; with a configured checkpoint or
-/// shared cache the rounds warm each other and any later run.  Every
+/// *pipeline run per grid the search asks for*, every run of a search against
+/// one result cache, so no round evaluates a point an earlier one has; a
+/// configured checkpoint or shared cache also warms any later run.  Every
 /// transport keeps its workers between runs — threads are respawned over a
 /// kept compiled model, links and slice fleets stay connected until the
 /// engine drops — so a multi-round solve pays its rendezvous once.
@@ -430,10 +441,15 @@ impl DistributedEngine {
         self.transport.name()
     }
 
-    /// One pipeline run over the engine's transport — the only way this
-    /// engine obtains a transform value.
-    fn execute(&self, job: BatchJob<'_>) -> Result<BatchResult, EngineError> {
-        self.pipeline
+    /// One run of `pipeline` — the engine's own, or a quantile search's copy
+    /// of it — over the engine's transport: the only way this engine obtains
+    /// a transform value.
+    fn execute(
+        &self,
+        pipeline: &DistributedPipeline,
+        job: BatchJob<'_>,
+    ) -> Result<BatchResult, EngineError> {
+        pipeline
             .execute(job, self.transport.as_ref())
             .map_err(|e| EngineError::Analysis(e.to_string()))
     }
@@ -487,7 +503,7 @@ impl Engine for DistributedEngine {
             }
         }
         if !batched.is_empty() {
-            let batch = self.execute(job)?;
+            let batch = self.execute(&self.pipeline, job)?;
             for (slot, (&ri, result)) in batched.iter().zip(batch.measures).enumerate() {
                 let mut provenance = Provenance::local("distributed", backend);
                 provenance.workers = self.transport.parallelism();
@@ -510,36 +526,45 @@ impl Engine for DistributedEngine {
             }
         }
 
-        // 2. Quantiles refine through repeated pipeline runs: one Cdf batch
-        //    per grid the search asks for.  A configured checkpoint or
-        //    shared cache warms every round (and any later run) under the
-        //    spec's canonical key.
+        // 2. Quantiles search through repeated pipeline runs: one Cdf batch
+        //    per grid the search asks for, all against one result cache so
+        //    that no round evaluates a point an earlier round already has —
+        //    the configured shared cache (which warms any later run too),
+        //    else one that lives as long as the search.
         for (ri, request) in requests.iter().enumerate() {
             let MeasureKind::Quantile { probs } = &request.kind else {
                 continue;
             };
             let started = Instant::now();
             let spec = transform_spec_for(&self.model, request);
-            let (initial, max_horizon) = quantile_horizons(request);
             let name = request.name();
             let mut provenance = Provenance::local("distributed", backend);
-            let found = quantiles_from_cdf(probs, initial, max_horizon, &mut |ts: &[f64]| {
+            let search_pipeline;
+            let pipeline = if self.pipeline.options().shared_cache.is_some() {
+                &self.pipeline
+            } else {
+                search_pipeline = self
+                    .pipeline
+                    .caching_across_runs()
+                    .map_err(|e| EngineError::Analysis(e.to_string()))?;
+                &search_pipeline
+            };
+            let values = search_quantiles(request, probs, &mut |ts| {
                 let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
                     name.clone(),
                     CurveKind::Cdf,
                     ts,
                     spec.clone(),
                 ));
-                let batch = self.execute(job)?;
+                let batch = self.execute(pipeline, job)?;
                 absorb_run(&mut provenance, &batch.report);
                 provenance.shards = provenance.shards.max(batch.report.shards);
                 provenance.states = provenance.states.or(batch.report.states);
                 let result = batch.measures.into_iter().next().expect("one measure");
                 provenance.evaluations += result.evaluations;
                 provenance.cache_hits += result.cache_hits;
-                Ok::<Vec<f64>, EngineError>(result.values)
+                Ok(result.values)
             })?;
-            let values = require_quantiles(&name, probs, found, max_horizon)?;
             provenance.workers = self.transport.parallelism();
             provenance.wall = started.elapsed();
             reports[ri] = Some(MeasureReport {
@@ -1016,23 +1041,14 @@ impl Engine for UniformizationEngine {
                             (request.t_points.clone(), values)
                         }
                         MeasureKind::Quantile { probs } => {
-                            let (initial_horizon, max_horizon) = quantile_horizons(request);
                             let mut iterations = 0usize;
                             let mut bound = 0.0f64;
-                            let found = quantiles_from_cdf(
-                                probs,
-                                initial_horizon,
-                                max_horizon,
-                                &mut |ts: &[f64]| {
-                                    let out =
-                                        chain.cdf(ts, self.tolerance).map_err(uniform_error)?;
-                                    iterations += out.iterations;
-                                    bound = bound.max(out.truncation_bound);
-                                    Ok::<Vec<f64>, EngineError>(out.values)
-                                },
-                            )?;
-                            let values =
-                                require_quantiles(&request.name(), probs, found, max_horizon)?;
+                            let values = search_quantiles(request, probs, &mut |ts| {
+                                let out = chain.cdf(ts, self.tolerance).map_err(uniform_error)?;
+                                iterations += out.iterations;
+                                bound = bound.max(out.truncation_bound);
+                                Ok(out.values)
+                            })?;
                             provenance.evaluations = iterations;
                             // The bound is on the CDF values the search read,
                             // not on the inverted time axis.

@@ -127,6 +127,25 @@ impl DistributedPipeline {
         &self.options
     }
 
+    /// The cache a run without a shared one starts from: the checkpoint's
+    /// values, or nothing.
+    fn restored_cache(&self) -> Result<ResultCache, PipelineError> {
+        let restored = match &self.options.checkpoint_path {
+            Some(path) => load_checkpoint_by_measure(path)?,
+            None => BTreeMap::new(),
+        };
+        Ok(ResultCache::from_shards(restored))
+    }
+
+    /// This pipeline over a shared cache of its own, restored from the
+    /// checkpoint once: a sequence of runs through the copy — a quantile
+    /// search's rounds — never evaluates a point twice.
+    pub(crate) fn caching_across_runs(&self) -> Result<DistributedPipeline, PipelineError> {
+        let mut pipeline = self.clone();
+        pipeline.options.shared_cache = Some(Arc::new(self.restored_cache()?));
+        Ok(pipeline)
+    }
+
     /// Solves a whole [`BatchJob`] — N measures over shared or distinct time
     /// grids — in one distributed run.
     ///
@@ -221,11 +240,7 @@ impl DistributedPipeline {
         let cache: &ResultCache = match &self.options.shared_cache {
             Some(shared) => shared.as_ref(),
             None => {
-                let restored = match &self.options.checkpoint_path {
-                    Some(path) => load_checkpoint_by_measure(path)?,
-                    None => BTreeMap::new(),
-                };
-                local_cache = ResultCache::from_shards(restored);
+                local_cache = self.restored_cache()?;
                 &local_cache
             }
         };
