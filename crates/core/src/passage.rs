@@ -42,7 +42,9 @@
 
 use crate::error::SmpError;
 use crate::smp::{SemiMarkovProcess, StateSet};
-use crate::workspace::{HotPathStats, LaneKernel, PassageWorkspace, WorkspacePool, BLOCK_LANES};
+use crate::workspace::{
+    lane, HotPathStats, LaneKernel, Lanes, PassageWorkspace, WorkspacePool, BLOCK_LANES,
+};
 use smp_distributions::LaplaceTransform;
 use smp_numeric::Complex64;
 use std::sync::Arc;
@@ -516,14 +518,23 @@ fn iterate<const K: usize>(
         (l < points.len()).then(|| ConvergenceFold::new(options, initial[l]))
     });
     let mut results = std::array::from_fn(|_| None);
+    // Per lane, the row its last quiet test found loud: where the next one
+    // starts looking.
+    let mut loud_rows = [0usize; K];
     for r in 1..=options.max_iterations {
         kernel.step();
         let delta = kernel.read_out();
         for (l, slot) in folds.iter_mut().enumerate() {
             let Some(fold) = slot else { continue };
-            // `term_is_quiet` reaches the same decision as the oracle's
-            // full `max(norm)` fold, lazily.
-            let quiet = || term_is_quiet(kernel.lane_term(l), options.epsilon);
+            // `loud_row` reaches the same decision as the oracle's full
+            // `max(norm)` fold, lazily.
+            let quiet = || match loud_row(kernel.term(), l, loud_rows[l], options.epsilon) {
+                Some(row) => {
+                    loud_rows[l] = row;
+                    false
+                }
+                None => true,
+            };
             if let FoldStatus::Converged(value) = fold.push(delta[l], quiet) {
                 results[l] = Some(Ok(PassagePoint {
                     value,
@@ -563,36 +574,56 @@ fn iterate<const K: usize>(
 /// (`crate::shard`) applies it to each shard's slice of the term vector and
 /// ANDs the verdicts — exactly the whole-vector answer.
 pub(crate) fn term_is_quiet(term: impl IntoIterator<Item = Complex64>, epsilon: f64) -> bool {
-    // The legacy fold starts at 0.0, so its mass is never below a
-    // non-positive (or NaN) ε.
-    if epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+    can_be_quiet(epsilon) && !term.into_iter().any(|c| is_loud(c, epsilon))
+}
+
+/// The legacy fold starts at 0.0, so its mass is never below a non-positive
+/// (or NaN) ε.
+fn can_be_quiet(epsilon: f64) -> bool {
+    epsilon.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
+}
+
+/// One element's share of [`term_is_quiet`]: whether its norm reaches a
+/// positive `epsilon`.
+#[inline]
+fn is_loud(c: Complex64, epsilon: f64) -> bool {
+    let a = c.re.abs();
+    let b = c.im.abs();
+    // Provably quiet without the hypot: both components below ε/2 bound the
+    // true norm by √2·ε/2 ≈ 0.707·ε, and correct rounding cannot carry that
+    // across ε.  Near convergence this covers almost every element.
+    let half = epsilon * 0.5;
+    if a < half && b < half {
         return false;
     }
-    let half = epsilon * 0.5;
-    for c in term {
-        let a = c.re.abs();
-        let b = c.im.abs();
-        // Provably quiet without the hypot: both components below ε/2 bound
-        // the true norm by √2·ε/2 ≈ 0.707·ε, and correct rounding cannot
-        // carry that across ε.  Near convergence this covers almost every
-        // element.
-        if a < half && b < half {
-            continue;
-        }
-        if a.is_nan() || b.is_nan() {
-            if a == f64::INFINITY || b == f64::INFINITY {
-                return false;
-            }
-            continue;
-        }
-        if a >= epsilon || b >= epsilon {
-            return false;
-        }
-        if a.hypot(b) >= epsilon {
-            return false;
-        }
+    if a.is_nan() || b.is_nan() {
+        return a == f64::INFINITY || b == f64::INFINITY;
     }
-    true
+    a >= epsilon || b >= epsilon || a.hypot(b) >= epsilon
+}
+
+/// [`term_is_quiet`] on lane `l` of the kernel's term vector, as a search for
+/// a loud row that starts at row `from` and wraps round: `None` is "quiet".
+/// The test is order-independent, so where the scan starts changes no
+/// verdict — but a lane that was loud at some row a round ago is loud at or
+/// just past it now (the mass still in flight moves as a front), so starting
+/// at the row the last scan returned meets a loud row in a few reads where a
+/// scan from row 0 crosses every state the front has left behind.
+fn loud_row<const K: usize>(
+    term: &[Lanes<K>],
+    l: usize,
+    from: usize,
+    epsilon: f64,
+) -> Option<usize> {
+    if !can_be_quiet(epsilon) {
+        return Some(from);
+    }
+    let loud = |x: &Lanes<K>| is_loud(lane(x, l), epsilon);
+    let (before, onwards) = term.split_at(from);
+    match onwards.iter().position(loud) {
+        Some(offset) => Some(from + offset),
+        None => before.iter().position(loud),
+    }
 }
 
 impl LaplaceTransform for PassageTimeSolver<'_> {

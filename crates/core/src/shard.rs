@@ -836,7 +836,7 @@ mod tests {
                             kernel.step();
                             sharded.round();
                         }
-                        let want: Vec<_> = kernel.lane_term(0).map(bits).collect();
+                        let want: Vec<_> = kernel.term().iter().map(|x| bits(lane(x, 0))).collect();
                         for ws in &sharded.slices {
                             let (lo, hi) = (ws.skeleton.lo, ws.skeleton.hi);
                             let got: Vec<_> = ws.x_owned.iter().map(|x| bits(lane(x, 0))).collect();

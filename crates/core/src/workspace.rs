@@ -715,9 +715,10 @@ impl<const K: usize> LaneKernel<'_, K> {
         std::array::from_fn(|l| lane(&acc, l))
     }
 
-    /// One lane's term vector, in state order.
-    pub(crate) fn lane_term(&self, l: usize) -> impl Iterator<Item = Complex64> + '_ {
-        self.lanes.term.iter().map(move |x| lane(x, l))
+    /// The term vector, in state order: every lane's component of a state
+    /// side by side.
+    pub(crate) fn term(&self) -> &[Lanes<K>] {
+        &self.lanes.term
     }
 }
 
