@@ -539,16 +539,10 @@ impl Engine for DistributedEngine {
             let spec = transform_spec_for(&self.model, request);
             let name = request.name();
             let mut provenance = Provenance::local("distributed", backend);
-            let search_pipeline;
-            let pipeline = if self.pipeline.options().shared_cache.is_some() {
-                &self.pipeline
-            } else {
-                search_pipeline = self
-                    .pipeline
-                    .caching_across_runs()
-                    .map_err(|e| EngineError::Analysis(e.to_string()))?;
-                &search_pipeline
-            };
+            let pipeline = self
+                .pipeline
+                .caching_across_runs()
+                .map_err(|e| EngineError::Analysis(e.to_string()))?;
             let values = search_quantiles(request, probs, &mut |ts| {
                 let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
                     name.clone(),
@@ -556,7 +550,7 @@ impl Engine for DistributedEngine {
                     ts,
                     spec.clone(),
                 ));
-                let batch = self.execute(pipeline, job)?;
+                let batch = self.execute(&pipeline, job)?;
                 absorb_run(&mut provenance, &batch.report);
                 provenance.shards = provenance.shards.max(batch.report.shards);
                 provenance.states = provenance.states.or(batch.report.states);

@@ -137,12 +137,15 @@ impl DistributedPipeline {
         Ok(ResultCache::from_shards(restored))
     }
 
-    /// This pipeline over a shared cache of its own, restored from the
-    /// checkpoint once: a sequence of runs through the copy — a quantile
-    /// search's rounds — never evaluates a point twice.
+    /// This pipeline over a cache that outlives its runs — the configured
+    /// shared cache, else one of the copy's own, restored from the checkpoint
+    /// once — so that a sequence of runs through the copy (a quantile
+    /// search's rounds) never evaluates a point twice.
     pub(crate) fn caching_across_runs(&self) -> Result<DistributedPipeline, PipelineError> {
         let mut pipeline = self.clone();
-        pipeline.options.shared_cache = Some(Arc::new(self.restored_cache()?));
+        if pipeline.options.shared_cache.is_none() {
+            pipeline.options.shared_cache = Some(Arc::new(self.restored_cache()?));
+        }
         Ok(pipeline)
     }
 
