@@ -99,3 +99,9 @@ pub use smp::{SemiMarkovProcess, SmpBuilder, StateSet};
 pub use solver::{PassageTimeAnalysis, TransientAnalysis};
 pub use uniform::{PhaseCtmc, UniformError};
 pub use workspace::{HotPathStats, PassageSkeleton, PassageWorkspace, WorkspacePool};
+
+/// A lock's guard whether or not an earlier holder panicked: every lock in
+/// this crate guards a memo or a free list that is whole between statements.
+pub(crate) fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -14,10 +14,11 @@
 
 use crate::embedded::EmbeddedChain;
 use crate::error::SmpError;
+use crate::unpoisoned;
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
 use smp_sparse::{CsrMatrix, TripletMatrix};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Identifier of a distribution in the de-duplicated pool.
 pub type DistId = u32;
@@ -118,12 +119,12 @@ pub struct SemiMarkovProcess {
     /// `PassageTimeSolver`/`TransientSolver` built over this process for a
     /// multiple-source measure needs the same α-weight solve, so a
     /// multi-measure batch pays for it exactly once.
-    embedded_cache: Arc<parking_lot::Mutex<Option<Arc<EmbeddedChain>>>>,
+    embedded_cache: Arc<Mutex<Option<Arc<EmbeddedChain>>>>,
     /// Lazily-memoized target-independent CSR structure + fill plan of `U(s)`
     /// (see `crate::workspace::UStructure`): shared by every passage and
     /// occupancy skeleton built over this process, so a batch of measures
     /// over one model pays the `O(nnz log)` compression once.
-    structure_cache: Arc<parking_lot::Mutex<Option<Arc<crate::workspace::UStructure>>>>,
+    structure_cache: Arc<Mutex<Option<Arc<crate::workspace::UStructure>>>>,
 }
 
 impl SemiMarkovProcess {
@@ -163,7 +164,7 @@ impl SemiMarkovProcess {
     /// result.  Use [`EmbeddedChain::solve_with`] directly for non-default
     /// solver options (those results are not cached).
     pub fn embedded_chain(&self) -> Result<Arc<EmbeddedChain>, SmpError> {
-        let mut cache = self.embedded_cache.lock();
+        let mut cache = unpoisoned(self.embedded_cache.lock());
         if let Some(chain) = cache.as_ref() {
             return Ok(Arc::clone(chain));
         }
@@ -175,7 +176,7 @@ impl SemiMarkovProcess {
     /// The memoized target-independent `U(s)` structure + fill plan shared by
     /// every passage skeleton over this process.
     pub(crate) fn u_structure(&self) -> Arc<crate::workspace::UStructure> {
-        let mut cache = self.structure_cache.lock();
+        let mut cache = unpoisoned(self.structure_cache.lock());
         if let Some(structure) = cache.as_ref() {
             return Arc::clone(structure);
         }
@@ -370,8 +371,8 @@ impl SmpBuilder {
             transitions,
             dist_pool: self.dist_pool,
             num_transitions,
-            embedded_cache: Arc::new(parking_lot::Mutex::new(None)),
-            structure_cache: Arc::new(parking_lot::Mutex::new(None)),
+            embedded_cache: Arc::new(Mutex::new(None)),
+            structure_cache: Arc::new(Mutex::new(None)),
         })
     }
 }

@@ -89,13 +89,14 @@
 //! `ConvergenceFailure`, but may report a different `last_delta`.
 
 use crate::smp::{DistId, SemiMarkovProcess, StateSet};
+use crate::unpoisoned;
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
 use smp_sparse::{CsrMatrix, TripletMatrix};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Aggregate counters of the symbolic/numeric split, surfaced through
 /// `Provenance` so reports can show what the workspace saved.
@@ -886,7 +887,7 @@ fn gather_values(st: &UStructure, table: &[Lanes<1>], values: &mut [Complex64]) 
 /// whole work-queue chunk.
 pub struct WorkspacePool {
     skeleton: Arc<PassageSkeleton>,
-    idle: parking_lot::Mutex<Vec<PassageWorkspace>>,
+    idle: Mutex<Vec<PassageWorkspace>>,
     rebuilds_avoided: AtomicU64,
     lst_evaluations: AtomicU64,
     skeleton_builds: AtomicU64,
@@ -914,7 +915,7 @@ impl WorkspacePool {
     pub(crate) fn over(skeleton: PassageSkeleton) -> WorkspacePool {
         WorkspacePool {
             skeleton: Arc::new(skeleton),
-            idle: parking_lot::Mutex::new(Vec::new()),
+            idle: Mutex::new(Vec::new()),
             rebuilds_avoided: AtomicU64::new(0),
             lst_evaluations: AtomicU64::new(0),
             skeleton_builds: AtomicU64::new(1),
@@ -929,7 +930,7 @@ impl WorkspacePool {
 
     /// Checks a workspace out (reusing an idle one when available).
     pub fn checkout(&self) -> PassageWorkspace {
-        if let Some(ws) = self.idle.lock().pop() {
+        if let Some(ws) = unpoisoned(self.idle.lock()).pop() {
             return ws;
         }
         self.created.fetch_add(1, Ordering::Relaxed);
@@ -954,7 +955,7 @@ impl WorkspacePool {
             .fetch_add(stats.pooled_lst_evaluations, Ordering::Relaxed);
         self.skeleton_builds
             .fetch_add(stats.skeleton_builds, Ordering::Relaxed);
-        self.idle.lock().push(workspace);
+        unpoisoned(self.idle.lock()).push(workspace);
     }
 
     /// Aggregate counters over everything this pool's workspaces have done

@@ -18,12 +18,11 @@
 //!    inverted later without access to the original model.
 
 use crate::lst::LaplaceTransform;
-use serde::{Deserialize, Serialize};
 use smp_numeric::Complex64;
 
 /// A distribution (or any Laplace-domain function) reduced to its values at a fixed,
 /// ordered set of planned `s`-points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledLst {
     points: Vec<Complex64>,
     values: Vec<Complex64>,

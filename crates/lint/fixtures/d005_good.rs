@@ -25,3 +25,16 @@ pub fn chained_temporary(state: &Mutex<Vec<u64>>, tx: &Sender<u64>) {
     let len = state.lock().len();
     tx.send(len as u64);
 }
+
+pub fn std_guard_dropped_first(state: &Mutex<Vec<u64>>, tx: &Sender<u64>) {
+    let guard = unpoisoned(state.lock());
+    let len = guard.len();
+    drop(guard);
+    tx.send(len as u64);
+}
+
+pub fn std_chained_temporary(state: &Mutex<Vec<u64>>, tx: &Sender<u64>) {
+    // Chained past the `LockResult` adapter, the guard is again a temporary.
+    let len = state.lock().unwrap_or_else(PoisonError::into_inner).len();
+    tx.send(len as u64);
+}

@@ -12,11 +12,14 @@
 //! `server.rs` and `client.rs` when a guard bound from a
 //! zero-argument `.lock()` / `.read()` / `.write()` call is still live
 //! (same block, not yet `drop`ped) at a `.send(` / `.recv(` /
-//! `.write_all(` / `.read_exact(` / `.flush(` / `.accept(` call.
+//! `.write_all(` / `.read_exact(` / `.flush(` / `.accept(` call.  A std
+//! guard still counts when its `LockResult` is unwrapped (`.unwrap()`,
+//! `.expect(..)`, `.unwrap_or_else(..)`) or passed through a call
+//! (`unpoisoned(state.lock())`, `Some(shard.read())`).
 
 use super::Finding;
 use crate::analysis::SourceFile;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 
 /// File stems patrolled by D005.
 const SCOPE_STEMS: &[&str] = &[
@@ -32,6 +35,9 @@ const SCOPE_STEMS: &[&str] = &[
 /// Guard-producing methods (zero-argument distinguishes the lock APIs from
 /// `io::Read::read(&mut buf)` / `io::Write::write(&buf)`).
 const GUARD_METHODS: &[&str] = &["lock", "read", "write"];
+
+/// The `LockResult` adapters that hand the guard on.
+const RESULT_ADAPTERS: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 
 /// Blocking channel/socket operations.
 const BLOCKING_CALLS: &[&str] = &[
@@ -93,9 +99,10 @@ fn scan_fn(file: &SourceFile, range: (usize, usize), findings: &mut Vec<Finding>
             if let (Some(name_tok), Some(eq_tok)) = (toks.get(j), toks.get(j + 1)) {
                 if name_tok.kind == TokenKind::Ident && eq_tok.is_punct("=") {
                     // A guard binding is a *trailing* zero-argument guard
-                    // method call right before the statement's `;` —
-                    // `let g = shard.lock();`.  A chained call after it
-                    // (`.lock().clone()`) means the guard is a temporary,
+                    // method call, followed only by `LockResult` adapters
+                    // and wrapping calls' `)`s — `let g = shard.lock();`,
+                    // `let g = unpoisoned(shard.lock());`.  A chained call
+                    // (`.lock().clone()`) makes the guard a temporary,
                     // dropped at the end of the statement; a `{` means a
                     // block expression whose inner `let`s are scanned on
                     // their own.
@@ -107,7 +114,7 @@ fn scan_fn(file: &SourceFile, range: (usize, usize), findings: &mut Vec<Finding>
                                 .is_some_and(|t| GUARD_METHODS.contains(&t.text.as_str()))
                             && toks.get(k + 2).is_some_and(|t| t.is_punct("("))
                             && toks.get(k + 3).is_some_and(|t| t.is_punct(")"))
-                            && toks.get(k + 4).is_some_and(|t| t.is_punct(";"))
+                            && ends_in_hand(toks, k + 4)
                         {
                             live.push((name_tok.text.clone(), file.depth[i]));
                             break;
@@ -140,4 +147,23 @@ fn scan_fn(file: &SourceFile, range: (usize, usize), findings: &mut Vec<Finding>
         }
         i += 1;
     }
+}
+
+/// Whether the guard is still in hand when the statement reaches its `;`,
+/// reading from `from` (just past the guard method's `()`): nothing but the
+/// `)`s of calls that wrap it and [`RESULT_ADAPTERS`] calls comes first.
+fn ends_in_hand(toks: &[Token], from: usize) -> bool {
+    let mut depth = 0usize; // inside an adapter's argument list
+    for t in &toks[from.min(toks.len())..] {
+        if t.is_punct(";") {
+            return depth == 0;
+        } else if t.is_punct("(") {
+            depth += 1;
+        } else if t.is_punct(")") {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0 && !t.is_punct(".") && !RESULT_ADAPTERS.contains(&t.text.as_str()) {
+            return false;
+        }
+    }
+    false
 }

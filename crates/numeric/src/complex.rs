@@ -10,13 +10,12 @@
 //! elementary transcendental functions needed by the Euler and Laguerre inversion
 //! algorithms (`exp`, `ln`, `sqrt`, `powi`, `powf`, `powc`), and polar helpers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number `re + i·im` stored as two `f64`s.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex64 {
     /// Real part.

@@ -27,11 +27,12 @@
 //! working set exceeds the limit still completes; the limit should nonetheless
 //! be sized well above the largest expected per-request working set.
 
-use parking_lot::{Mutex, RwLock};
+use crate::unpoisoned;
 use smp_laplace::TransformValues;
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
 /// Approximate heap bytes per cached `(s, L(s))` entry: two `Complex64`s plus
 /// ordered-map node overhead.  The figure is deliberately conservative (an
@@ -91,7 +92,7 @@ impl ResultCache {
         // Relaxed is fine: the clock only needs to be monotonic, not ordered
         // with respect to the data it stamps.
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut stamps = self.stamps.lock();
+        let mut stamps = unpoisoned(self.stamps.lock());
         match stamps.get_mut(key) {
             Some(stamp) => *stamp = now,
             None => {
@@ -108,8 +109,7 @@ impl ResultCache {
     /// Approximate total footprint of every shard, in bytes (entry counts and
     /// key lengths; allocator slack is not measured).
     pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .read()
+        unpoisoned(self.shards.read())
             .iter()
             .map(|(key, shard)| ResultCache::shard_bytes(key, shard))
             .sum()
@@ -132,7 +132,7 @@ impl ResultCache {
         let Some(limit) = self.limit_bytes else {
             return;
         };
-        let mut shards = self.shards.write();
+        let mut shards = unpoisoned(self.shards.write());
         let mut total: usize = shards
             .iter()
             .map(|(key, shard)| ResultCache::shard_bytes(key, shard))
@@ -143,7 +143,7 @@ impl ResultCache {
             // deterministic).  A shard without a stamp sorts oldest; the shard
             // carrying the newest stamp is exempt.
             let victim = {
-                let stamps = self.stamps.lock();
+                let stamps = unpoisoned(self.stamps.lock());
                 let newest = shards
                     .keys()
                     .map(|key| stamps.get(key).copied().unwrap_or(0))
@@ -165,14 +165,14 @@ impl ResultCache {
                 self.evicted_values
                     .fetch_add(shard.len() as u64, Ordering::Relaxed);
             }
-            self.stamps.lock().remove(&victim);
+            unpoisoned(self.stamps.lock()).remove(&victim);
         }
     }
 
     /// Stores a computed value under a transform key.
     pub fn insert(&self, key: &str, s: Complex64, value: Complex64) {
         {
-            let mut shards = self.shards.write();
+            let mut shards = unpoisoned(self.shards.write());
             match shards.get_mut(key) {
                 Some(shard) => shard.insert(s, value),
                 None => {
@@ -188,7 +188,9 @@ impl ResultCache {
 
     /// Looks up a previously computed value for a transform key.
     pub fn get(&self, key: &str, s: Complex64) -> Option<Complex64> {
-        let value = self.shards.read().get(key).and_then(|shard| shard.get(s));
+        let value = unpoisoned(self.shards.read())
+            .get(key)
+            .and_then(|shard| shard.get(s));
         if value.is_some() {
             self.touch(key);
         }
@@ -197,9 +199,7 @@ impl ResultCache {
 
     /// True when the point has already been computed for the transform key.
     pub fn contains(&self, key: &str, s: Complex64) -> bool {
-        let hit = self
-            .shards
-            .read()
+        let hit = unpoisoned(self.shards.read())
             .get(key)
             .is_some_and(|shard| shard.contains(s));
         if hit {
@@ -210,12 +210,17 @@ impl ResultCache {
 
     /// Total number of stored values across all shards.
     pub fn len(&self) -> usize {
-        self.shards.read().values().map(TransformValues::len).sum()
+        unpoisoned(self.shards.read())
+            .values()
+            .map(TransformValues::len)
+            .sum()
     }
 
     /// Number of values stored for one transform key.
     pub fn shard_len(&self, key: &str) -> usize {
-        self.shards.read().get(key).map_or(0, TransformValues::len)
+        unpoisoned(self.shards.read())
+            .get(key)
+            .map_or(0, TransformValues::len)
     }
 
     /// True when no values are stored at all.
@@ -226,7 +231,7 @@ impl ResultCache {
     /// The transform keys that currently have a shard (sorted, for
     /// deterministic reporting).
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.shards.read().keys().cloned().collect();
+        let mut keys: Vec<String> = unpoisoned(self.shards.read()).keys().cloned().collect();
         keys.sort();
         keys
     }
@@ -239,7 +244,7 @@ impl ResultCache {
     /// a mean's two stencil points do not pay for the tens of thousands a
     /// quantile search left under the same key.
     pub fn snapshot(&self, key: &str, points: &[Complex64]) -> TransformValues {
-        let snapshot = match self.shards.read().get(key) {
+        let snapshot = match unpoisoned(self.shards.read()).get(key) {
             Some(shard) if shard.len() > 8 * points.len() => {
                 let mut picked = TransformValues::new();
                 for &s in points {
@@ -316,14 +321,14 @@ impl<K: PartialEq, V: Clone> LruMemo<K, V> {
         key: K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        let found = self.slots.lock().touch(&key);
+        let found = unpoisoned(self.slots.lock()).touch(&key);
         if let Some(value) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((value, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = build()?;
-        let mut memo = self.slots.lock();
+        let mut memo = unpoisoned(self.slots.lock());
         if let Some(first) = memo.touch(&key) {
             return Ok((first, false));
         }
@@ -350,7 +355,7 @@ impl<K: PartialEq, V: Clone> LruMemo<K, V> {
 
     /// Values currently resident.
     pub fn len(&self) -> usize {
-        self.slots.lock().slots.len()
+        unpoisoned(self.slots.lock()).slots.len()
     }
 
     /// `true` when nothing is resident.
@@ -373,7 +378,6 @@ impl<K: PartialEq, V: Clone> std::fmt::Debug for LruMemo<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn insert_get_contains() {
@@ -442,11 +446,11 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_all_visible() {
-        let cache = Arc::new(ResultCache::new());
-        crossbeam::scope(|scope| {
+        let cache = ResultCache::new();
+        std::thread::scope(|scope| {
             for worker in 0..8 {
-                let cache = Arc::clone(&cache);
-                scope.spawn(move |_| {
+                let cache = &cache;
+                scope.spawn(move || {
                     let key = format!("measure-{}", worker % 2);
                     for k in 0..100 {
                         let s = Complex64::new(worker as f64, k as f64);
@@ -454,13 +458,31 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(cache.len(), 800);
         assert_eq!(
             cache.get("measure-1", Complex64::new(3.0, 42.0)),
             Some(Complex64::real(42.0))
         );
+    }
+
+    #[test]
+    fn a_cache_whose_lock_holder_panicked_stays_usable() {
+        // A request thread that dies under the shard write lock poisons it;
+        // the server's next requests still read, insert and evict.
+        let cache = ResultCache::with_byte_limit(10 * APPROX_BYTES_PER_ENTRY);
+        fill(&cache, "before", 4);
+        let died = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = cache.shards.write();
+                panic!("request dies holding the shard lock");
+            });
+            holder.join().is_err()
+        });
+        assert!(died && cache.shards.is_poisoned());
+        assert!(cache.contains("before", Complex64::new(3.0, 1.0)));
+        fill(&cache, "after", 8);
+        assert_eq!(cache.keys(), ["after"], "the older shard was evicted");
     }
 
     /// Fills one shard with `n` entries at distinct s-points.

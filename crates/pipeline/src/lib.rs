@@ -123,3 +123,11 @@ pub use transform::{
 };
 pub use transport::{InProcess, TcpTransport, Transport, TransportReport};
 pub use worker::{run_tcp_worker, TcpWorkerOptions, TcpWorkerSummary};
+
+/// A lock's guard (or a condvar wait's result) whether or not an earlier
+/// holder panicked: every lock in this crate guards a queue, cache, seat
+/// table or counter that is whole between statements, so one panicking
+/// request or worker thread leaves the server usable.
+pub(crate) fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

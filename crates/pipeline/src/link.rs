@@ -18,6 +18,7 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::shard::SliceWorkerSession;
+use crate::unpoisoned;
 use crate::wire::{self, Frame, WIRE_VERSION};
 use crate::worker;
 use std::collections::VecDeque;
@@ -262,10 +263,7 @@ impl FaultyLink {
 
 impl Link for FaultyLink {
     fn send(&mut self, frame: &Frame) -> io::Result<u64> {
-        let kind = match self.plan.lock() {
-            Ok(mut plan) => plan.next_op(),
-            Err(_) => FaultKind::Pass,
-        };
+        let kind = unpoisoned(self.plan.lock()).next_op();
         match kind {
             FaultKind::Pass => self.inner.send(frame),
             FaultKind::Delay { millis } => {

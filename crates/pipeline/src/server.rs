@@ -77,18 +77,18 @@ use crate::transport::{
     dispatch_chunks, encode_plan_specs, held, transport_error, ExecutionPlan, InProcess, Transport,
     TransportReport,
 };
+use crate::unpoisoned;
 use crate::wire::{
     decode_f64, decode_str, encode_f64, encode_str, read_payload, write_payload, Frame, WireError,
 };
 use crate::worker::WorkerMessage;
-use parking_lot::Mutex;
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
 use smp_laplace::InversionMethod;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The query-protocol version spoken by this build.
@@ -241,7 +241,10 @@ fn decode_f64_run(
     count: usize,
     what: &'static str,
 ) -> Result<Vec<f64>, WireError> {
-    let mut values = Vec::with_capacity(count);
+    // No Vec::with_capacity(count): every count in this codec is an
+    // unvalidated wire field, and a huge one must fail below when the tokens
+    // run out, not abort the process allocating for it.
+    let mut values = Vec::new();
     for _ in 0..count {
         let token = tokens
             .next()
@@ -299,7 +302,7 @@ pub fn decode_query_request(payload: &str) -> Result<QueryRequest, WireError> {
     let mut grid_tokens = grid_rest.split_whitespace();
     let t_points = decode_f64_run(&mut grid_tokens, n_points, "grid")?;
 
-    let mut measures = Vec::with_capacity(n_measures);
+    let mut measures = Vec::new();
     for _ in 0..n_measures {
         let line = lines.next().ok_or_else(|| {
             malformed(format!(
@@ -728,7 +731,7 @@ pub fn decode_query_reply(payload: &str) -> Result<QueryReply, WireError> {
         Some("reports") => {
             decode_version(kv(&mut tokens, "v")?)?;
             let n = decode_count(kv(&mut tokens, "n")?, "report count")?;
-            let mut reports = Vec::with_capacity(n);
+            let mut reports = Vec::new();
             for _ in 0..n {
                 let report_line = lines.next().ok_or_else(|| {
                     malformed(format!(
@@ -911,16 +914,6 @@ struct ServerShared {
     pool_recovered: AtomicU64,
 }
 
-/// The std condvar API returns `LockResult`s; the vendored `parking_lot`
-/// guards *are* std guards, so recover them poison-free the same way the
-/// shim does.
-fn ignore_poison<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    match result {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// Releases one admission slot on drop, waking a queued request.
 struct AdmissionPermit<'a> {
     shared: &'a ServerShared,
@@ -928,7 +921,7 @@ struct AdmissionPermit<'a> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut state = self.shared.admission.lock();
+        let mut state = unpoisoned(self.shared.admission.lock());
         state.active = state.active.saturating_sub(1);
         drop(state);
         self.shared.admission_cv.notify_all();
@@ -941,7 +934,7 @@ impl ServerShared {
     /// returned permit drops.
     fn admit(&self, deadline: Option<Instant>) -> Result<(AdmissionPermit<'_>, Duration), Refusal> {
         let started = Instant::now();
-        let mut state = self.admission.lock();
+        let mut state = unpoisoned(self.admission.lock());
         if state.active < self.max_inflight {
             state.active += 1;
             return Ok((AdmissionPermit { shared: self }, Duration::ZERO));
@@ -975,7 +968,7 @@ impl ServerShared {
                     });
                 }
             }
-            let (guard, _) = ignore_poison(
+            let (guard, _) = unpoisoned(
                 self.admission_cv
                     .wait_timeout(state, Duration::from_millis(50)),
             );
@@ -998,7 +991,7 @@ impl ServerShared {
     /// Takes the whole idle pool, waiting (deadline-capped) while another
     /// solve holds it or the workers have not attached yet.
     fn checkout_pool(&self, deadline: Option<Instant>) -> Result<Vec<PoolWorker>, PipelineError> {
-        let mut slot = self.pool.lock();
+        let mut slot = unpoisoned(self.pool.lock());
         loop {
             if let Some(workers) = slot.take() {
                 return Ok(workers);
@@ -1010,15 +1003,14 @@ impl ServerShared {
                     ));
                 }
             }
-            let (guard, _) =
-                ignore_poison(self.pool_cv.wait_timeout(slot, Duration::from_millis(50)));
+            let (guard, _) = unpoisoned(self.pool_cv.wait_timeout(slot, Duration::from_millis(50)));
             slot = guard;
         }
     }
 
     /// Puts the (surviving) workers back and wakes the next solve.
     fn return_pool(&self, workers: Vec<PoolWorker>) {
-        let mut slot = self.pool.lock();
+        let mut slot = unpoisoned(self.pool.lock());
         *slot = Some(workers);
         drop(slot);
         self.pool_cv.notify_all();
@@ -1352,7 +1344,7 @@ impl QueryServer {
             return health;
         }
         let workers = {
-            let mut slot = self.shared.pool.lock();
+            let mut slot = unpoisoned(self.shared.pool.lock());
             match slot.take() {
                 Some(workers) => workers,
                 None => return health, // a solve holds the pool
@@ -1433,7 +1425,7 @@ impl QueryServer {
         let drain_deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let idle = {
-                let state = self.shared.admission.lock();
+                let state = unpoisoned(self.shared.admission.lock());
                 state.active == 0 && state.waiting == 0
             };
             if idle || Instant::now() >= drain_deadline {
@@ -1520,6 +1512,9 @@ mod tests {
             "query v=9 engine=auto method=euler deadline_ms=0 measures=0 tpoints=0\nmodel x\ngrid\n",
             "query v=1 engine=auto method=euler deadline_ms=0 measures=1 tpoints=2\nmodel voting:3:1:1\ngrid 3ff0000000000000\n",
             "query v=1 engine=auto method=euler deadline_ms=0 measures=2 tpoints=0\nmodel voting:3:1:1\ngrid\nmeasure density:p2>=2\n",
+            // Counts far past what the payload carries fail when it runs out.
+            hostile_query("1", HUGE_COUNT).as_str(),
+            hostile_query(HUGE_COUNT, "0").as_str(),
         ] {
             assert!(
                 decode_query_request(payload).is_err(),
@@ -1850,6 +1845,10 @@ mod tests {
             report("moment", &[9.0], &[1.0]),
             report("moment", &[1.5], &[1.0]),
             report("moment", &[f64::NAN], &[1.0]),
+            // Counts far past what the payload carries.
+            format!("reports v=1 n={HUGE_COUNT}\n"),
+            report("cdf", &[], &[]).replace("points 0", &format!("points {HUGE_COUNT}")),
+            report("cdf", &[1.0], &[]).replace("values 0", &format!("values {HUGE_COUNT}")),
         ] {
             let decoded = decode_query_reply(&payload);
             assert!(
@@ -1857,5 +1856,41 @@ mod tests {
                 "payload should be rejected: {payload:?}"
             );
         }
+    }
+
+    /// 2^45: reserving as many grid points up front is 256 TiB, which aborts
+    /// the process instead of returning an error.
+    const HUGE_COUNT: &str = "35184372088832";
+
+    /// A query announcing `measures` measures and `tpoints` grid points over
+    /// a payload that carries none of either.
+    fn hostile_query(measures: &str, tpoints: &str) -> String {
+        let model = voting().encode();
+        format!("query v=1 engine=auto method=euler deadline_ms=0 measures={measures} tpoints={tpoints}\nmodel {model}\ngrid\n")
+    }
+
+    #[test]
+    fn a_hostile_count_is_refused_and_the_server_keeps_answering() {
+        let server = QueryServer::bind(QueryServerOptions {
+            pool: PoolSpec::InProcess(1),
+            ..QueryServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.run());
+            let mut hostile = TcpStream::connect(&addr).unwrap();
+            write_payload(&mut hostile, &hostile_query("1", HUGE_COUNT)).unwrap();
+            let (reply, _) = read_payload(&mut hostile).unwrap();
+            match decode_query_reply(&reply).unwrap() {
+                QueryReply::Refusal(refusal) => assert_eq!(refusal.kind, RefusalKind::Protocol),
+                QueryReply::Reports(_) => panic!("a hostile count was answered"),
+            }
+            let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+            let reports = client.query(&sample_request()).unwrap();
+            assert_eq!(reports.len(), 2);
+            client.shutdown().unwrap();
+            running.join().unwrap().unwrap();
+        });
     }
 }

@@ -48,10 +48,11 @@
 use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use crate::link::{Link, LoopbackLink};
 use crate::master::PipelineError;
-use crate::transform::{CompiledModelSet, ResolveTarget, TransformSpec};
+use crate::transform::{CompiledSetCache, ResolveTarget, TransformSpec};
 use crate::transport::{
     transport_error, Evaluator, ExecutionPlan, TcpTransport, Transport, TransportReport,
 };
+use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::WorkItem;
 use crate::worker::{evaluate_chunk, ChunkEvaluator, WorkItemOutcome, WorkerMessage};
@@ -63,7 +64,7 @@ use smp_core::{
 use smp_numeric::Complex64;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Worker side
@@ -329,7 +330,9 @@ enum PointError {
 /// redone from scratch.
 pub struct SliceFleet {
     slots: Vec<Slot>,
-    fallback: Option<(String, CompiledModelSet)>,
+    /// The master-side compiled model set of the last spec the slice
+    /// grammar does not speak, kept until a different one asks.
+    fallback: CompiledSetCache,
 }
 
 impl SliceFleet {
@@ -370,7 +373,7 @@ impl SliceFleet {
                 .into_iter()
                 .map(|link| Slot { link, pending: 0 })
                 .collect(),
-            fallback: None,
+            fallback: CompiledSetCache::new(1),
         }
     }
 
@@ -856,22 +859,6 @@ fn strip_cdf_wrappers(spec: &TransformSpec) -> (&TransformSpec, usize) {
     (inner, divisions)
 }
 
-/// The master-side compiled model set for `spec` (including any `CdfOf`
-/// wrapping), compiled on first use and kept until a different spec asks.
-/// The boolean is `true` when this call compiled it.
-fn fallback_set<'a>(
-    cache: &'a mut Option<(String, CompiledModelSet)>,
-    spec: &TransformSpec,
-) -> Result<(&'a CompiledModelSet, bool), PipelineError> {
-    let key = spec.encode().map_err(|e| transport_error(e.to_string()))?;
-    let compile = cache.as_ref().is_none_or(|(k, _)| *k != key);
-    if compile {
-        let set = CompiledModelSet::compile(std::slice::from_ref(spec)).map_err(transport_error)?;
-        *cache = Some((key, set));
-    }
-    Ok((&cache.as_ref().expect("just compiled").1, compile))
-}
-
 // ---------------------------------------------------------------------------
 // The transport adapter
 // ---------------------------------------------------------------------------
@@ -905,7 +892,7 @@ pub struct ShardedTransport {
     shards: usize,
     /// Taken out for the length of an `execute` — no lock is held across
     /// slice I/O — and put back afterwards.
-    fleet: parking_lot::Mutex<Option<SliceFleet>>,
+    fleet: Mutex<Option<SliceFleet>>,
     sidecar: Option<PathBuf>,
 }
 
@@ -917,7 +904,7 @@ impl ShardedTransport {
         ShardedTransport {
             rendezvous: None,
             shards: shards.max(1),
-            fleet: parking_lot::Mutex::new(None),
+            fleet: Mutex::new(None),
             sidecar: None,
         }
     }
@@ -928,7 +915,7 @@ impl ShardedTransport {
         ShardedTransport {
             shards: rendezvous.num_workers(),
             rendezvous: Some(rendezvous),
-            fleet: parking_lot::Mutex::new(None),
+            fleet: Mutex::new(None),
             sidecar: None,
         }
     }
@@ -978,7 +965,10 @@ impl ShardedTransport {
         };
         for (spec, items) in groups {
             if !matches!(strip_cdf_wrappers(spec).0, TransformSpec::Passage { .. }) {
-                let (set, compiled) = fallback_set(&mut fleet.fallback, spec)?;
+                let (set, hit) = fleet
+                    .fallback
+                    .get_or_compile(std::slice::from_ref(spec))
+                    .map_err(transport_error)?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
                 for outcome in
                     evaluate_chunk(&items, |_| Some(ChunkEvaluator::Compiled(&evaluator)))
@@ -987,7 +977,7 @@ impl ShardedTransport {
                 }
                 report.states = report.states.or(Some(set.num_states()));
                 report.hotpath = report.hotpath.merged(evaluator.hotpath_stats());
-                report.model_cache_misses += if compiled { set.num_models() } else { 0 };
+                report.model_cache_misses += if hit { 0 } else { set.num_models() };
                 continue;
             }
             let key = spec.transform_key();
@@ -1037,8 +1027,7 @@ impl Transport for ShardedTransport {
     }
 
     fn parallelism(&self) -> usize {
-        self.fleet
-            .lock()
+        unpoisoned(self.fleet.lock())
             .as_ref()
             .map_or(self.shards, SliceFleet::shards)
     }
@@ -1049,7 +1038,7 @@ impl Transport for ShardedTransport {
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
         let mut report = TransportReport::default();
-        let resident = self.fleet.lock().take();
+        let resident = unpoisoned(self.fleet.lock()).take();
         let mut fleet = match (resident, &self.rendezvous) {
             (Some(fleet), _) => fleet,
             (None, None) => SliceFleet::loopback(self.shards),
@@ -1061,7 +1050,7 @@ impl Transport for ShardedTransport {
             }
         };
         let drained = self.drain(&mut fleet, plan, on_message, &mut report);
-        *self.fleet.lock() = Some(fleet);
+        *unpoisoned(self.fleet.lock()) = Some(fleet);
         drained.map(|()| report)
     }
 }
@@ -1070,7 +1059,7 @@ impl Drop for ShardedTransport {
     /// Releases the slice workers with an explicit farewell, whether or not
     /// the last solve succeeded.
     fn drop(&mut self) {
-        if let Some(fleet) = self.fleet.get_mut() {
+        if let Some(fleet) = unpoisoned(self.fleet.get_mut()) {
             fleet.release();
         }
     }
@@ -1081,7 +1070,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::link::FaultyLink;
-    use crate::transform::ModelSpec;
+    use crate::transform::{CompiledModelSet, ModelSpec};
     use smp_core::query::TargetSpec;
 
     pub(crate) fn voting_spec() -> TransformSpec {
@@ -1155,7 +1144,7 @@ pub(crate) mod tests {
     /// A loopback fleet whose links `faulty` picks consult the shared `plan`.
     fn faulty_fleet(
         shards: usize,
-        plan: &Arc<std::sync::Mutex<FaultPlan>>,
+        plan: &Arc<Mutex<FaultPlan>>,
         faulty: impl Fn(usize) -> bool,
     ) -> SliceFleet {
         let link = |k| {
@@ -1172,7 +1161,7 @@ pub(crate) mod tests {
     /// killed) at the `op`-th frame the master sends it.
     fn fleet_losing_worker_one_at(op: u64) -> SliceFleet {
         let plan = FaultPlan::scripted([(op, FaultKind::Disconnect)]);
-        faulty_fleet(3, &Arc::new(std::sync::Mutex::new(plan)), |k| k == 1)
+        faulty_fleet(3, &Arc::new(Mutex::new(plan)), |k| k == 1)
     }
 
     /// Recovery with in-memory snapshots every `snapshot_every` rounds.
@@ -1418,7 +1407,7 @@ pub(crate) mod tests {
             FaultPlan::seeded(0xfeed_beef, 37).with_budget(3),
         ];
         for plan in schedules {
-            let shared = Arc::new(std::sync::Mutex::new(plan));
+            let shared = Arc::new(Mutex::new(plan));
             let mut fleet = faulty_fleet(4, &shared, |_| true);
             let mut recovery = recovery(2);
             let out = fleet
@@ -1458,8 +1447,8 @@ pub(crate) mod tests {
         };
         let transport = ShardedTransport::loopback(2);
         assert_eq!(transport.name(), "sharded-loopback");
-        // The fleet is resident: a second execute reuses the same slices.
-        for _ in 0..2 {
+        // The fleet is resident: a second execute reuses its slices and fallback set.
+        for round in 0..2 {
             let mut answered = Vec::new();
             let report = transport
                 .execute(plan(), &mut |message| {
@@ -1478,6 +1467,7 @@ pub(crate) mod tests {
                 report.states.unwrap()
             );
             assert!(report.exchange_rounds > 0 && report.halo_bytes > 0);
+            assert_eq!(report.model_cache_misses, usize::from(round == 0));
         }
         // Closures have no slice-job encoding.
         let closure = |s: Complex64| -> Result<Complex64, String> { Ok(s) };

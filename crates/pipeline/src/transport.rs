@@ -6,8 +6,8 @@
 //! [`Transport`] trait so the *same* planning, caching, checkpointing and
 //! inversion code drives every deployment:
 //!
-//! * [`InProcess`] — worker threads and crossbeam channels (the default; the
-//!   substitution documented in the crate root),
+//! * [`InProcess`] — worker threads and `std::sync::mpsc` channels (the
+//!   default; the substitution documented in the crate root),
 //! * [`TcpTransport`] — real worker *processes* on real sockets: the master
 //!   listens, each `smpq worker --connect HOST:PORT` dials in, receives the
 //!   job's [`TransformSpec`]s, rebuilds the evaluators from bytes and answers
@@ -38,14 +38,15 @@ pub use crate::fault::{splitmix64, Backoff, FaultKind, FaultPlan};
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
 use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
+use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
 use crate::worker::{run_batch_worker, ChunkEvaluator, TransformFn, WorkerMessage, WorkerStats};
-use crossbeam::channel::unbounded;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How one measure of a plan is evaluated.
@@ -223,7 +224,7 @@ pub(crate) fn encode_plan_specs(
 // ---------------------------------------------------------------------------
 
 /// The default backend: worker threads inside the master process, one shared
-/// lock-protected queue, crossbeam result channels.
+/// lock-protected queue, `mpsc` result channels.
 #[derive(Debug, Clone)]
 pub struct InProcess {
     /// Number of worker threads; 0 or 1 means a single worker.
@@ -319,31 +320,12 @@ fn run_threaded(
         .collect();
 
     let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
-    let (tx, rx) = unbounded::<WorkerMessage>();
     let mut messages = 0usize;
-    let worker_stats: Vec<WorkerStats> = crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let queue = &queue;
-            let evaluators = &evaluators;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move |_| run_batch_worker(id, queue, evaluators, &tx)));
-        }
-        drop(tx);
-
-        // The master-side collection loop (where a cluster deployment would
-        // read from the network instead of a channel).
-        for message in rx {
-            messages += 1;
-            on_message(message);
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-    .expect("transport scope failed");
+    let serve = |id, tx: &Sender<_>| run_batch_worker(id, &queue, &evaluators, tx);
+    let worker_stats = fan_in((0..workers).collect(), serve, &mut |message| {
+        messages += 1;
+        on_message(message);
+    });
 
     let hotpath = compiled
         .iter()
@@ -388,7 +370,7 @@ pub struct TcpTransport {
     listeners: Vec<TcpListener>,
     /// The link each seat holds between runs, by worker id.  Taken out for
     /// the length of an `execute` (no lock across link I/O) and put back.
-    seats: parking_lot::Mutex<Vec<Option<Box<dyn Link>>>>,
+    seats: Mutex<Vec<Option<Box<dyn Link>>>>,
     accept_timeout: Duration,
     io_timeout: Duration,
 }
@@ -420,7 +402,7 @@ impl TcpTransport {
             .map(TcpListener::bind)
             .collect::<std::io::Result<_>>()?;
         Ok(TcpTransport {
-            seats: parking_lot::Mutex::new(listeners.iter().map(|_| None).collect()),
+            seats: Mutex::new(listeners.iter().map(|_| None).collect()),
             listeners,
             accept_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(600),
@@ -435,7 +417,7 @@ impl TcpTransport {
     pub fn from_links(links: Vec<Box<dyn Link>>) -> TcpTransport {
         TcpTransport {
             listeners: Vec::new(),
-            seats: parking_lot::Mutex::new(links.into_iter().map(Some).collect()),
+            seats: Mutex::new(links.into_iter().map(Some).collect()),
             accept_timeout: Duration::ZERO,
             io_timeout: Duration::ZERO,
         }
@@ -516,7 +498,7 @@ impl Transport for TcpTransport {
     }
 
     fn parallelism(&self) -> usize {
-        self.seats.lock().len().max(1)
+        unpoisoned(self.seats.lock()).len().max(1)
     }
 
     fn execute(
@@ -525,8 +507,10 @@ impl Transport for TcpTransport {
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
         let specs = encode_plan_specs(&plan.evaluators)?;
-        let held: Vec<Option<Box<dyn Link>>> =
-            self.seats.lock().iter_mut().map(Option::take).collect();
+        let held: Vec<Option<Box<dyn Link>>> = unpoisoned(self.seats.lock())
+            .iter_mut()
+            .map(Option::take)
+            .collect();
         // A transport that holds no link waits for its workers: each vacant
         // seat blocks in the rendezvous, on its own handler thread.  Once a
         // seat is filled the run can proceed without the others, so a
@@ -548,7 +532,7 @@ impl Transport for TcpTransport {
         };
         let seats = held.into_iter().enumerate().collect();
         let (survivors, outcome) = dispatch_chunks(specs, plan, seats, &accept, None, on_message);
-        let mut seats = self.seats.lock();
+        let mut seats = unpoisoned(self.seats.lock());
         for (id, link) in survivors {
             seats[id] = Some(link);
         }
@@ -622,38 +606,20 @@ pub(crate) fn dispatch_chunks<L: Link>(
     // flight at a dying worker will be requeued, and someone must still be
     // around to pick it up.
     let remaining = AtomicUsize::new(queue.len());
-    let (tx, rx) = unbounded::<WorkerMessage>();
-
-    let outcomes: Vec<Seat<L>> = crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(seats.len());
-        for (worker, held) in seats {
-            let (queue, remaining, tx) = (&queue, &remaining, tx.clone());
-            let job = Frame::Job {
-                version: WIRE_VERSION,
-                worker,
-                method: plan.method.clone(),
-                specs: specs.clone(),
-            };
-            handles.push(scope.spawn(move |_| {
-                let link = match held {
-                    Some(link) => Ok(Some((link, 0, 0))),
-                    None => accept(worker, remaining),
-                };
-                serve_seat(worker, link, job, queue, remaining, deadline, &tx)
-            }));
-        }
-        drop(tx);
-
-        for message in rx {
-            on_message(message);
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatch handler thread panicked"))
-            .collect()
-    })
-    .expect("dispatch scope failed");
+    let serve = |(worker, held): (usize, Option<L>), tx: &Sender<_>| {
+        let job = Frame::Job {
+            version: WIRE_VERSION,
+            worker,
+            method: plan.method.clone(),
+            specs: specs.clone(),
+        };
+        let link = match held {
+            Some(link) => Ok(Some((link, 0, 0))),
+            None => accept(worker, &remaining),
+        };
+        serve_seat(worker, link, job, &queue, &remaining, deadline, tx)
+    };
+    let outcomes = fan_in(seats, serve, on_message);
 
     let mut report = TransportReport::default();
     let mut failures = Vec::new();
@@ -684,6 +650,34 @@ pub(crate) fn dispatch_chunks<L: Link>(
     (survivors, outcome)
 }
 
+/// The master-side collection loop, where a cluster deployment reads from
+/// the network: runs `serve` for each seat on its own scoped thread with a
+/// sender of one result channel, hands every message to `on_message` as it
+/// arrives, and returns the threads' results in seat order.
+fn fan_in<S: Send, R: Send>(
+    seats: Vec<S>,
+    serve: impl Fn(S, &Sender<WorkerMessage>) -> R + Sync,
+    on_message: &mut dyn FnMut(WorkerMessage),
+) -> Vec<R> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let serve = &serve;
+        let handles: Vec<_> = seats
+            .into_iter()
+            .map(|seat| {
+                let tx = tx.clone();
+                scope.spawn(move || serve(seat, &tx))
+            })
+            .collect();
+        drop(tx);
+        rx.into_iter().for_each(on_message);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("master-side handler thread panicked"))
+            .collect()
+    })
+}
+
 /// One seat of a dispatch: stream chunks to the worker at the far end of
 /// `link` and forward the results, then release it with `done`.
 fn serve_seat<L: Link>(
@@ -693,7 +687,7 @@ fn serve_seat<L: Link>(
     queue: &WorkQueue,
     remaining: &AtomicUsize,
     deadline: Option<Instant>,
-    results: &crossbeam::channel::Sender<WorkerMessage>,
+    results: &Sender<WorkerMessage>,
 ) -> Seat<L> {
     let mut seat = Seat {
         stats: WorkerStats {
@@ -1276,7 +1270,7 @@ mod tests {
         for plan in schedules {
             // One op counter across the fleet, and more workers than the
             // largest fault budget: each fault can cost at most one link.
-            let shared = Arc::new(std::sync::Mutex::new(plan));
+            let shared = Arc::new(Mutex::new(plan));
             let (rendezvous, _workers) = cluster(&[None; 7]);
             let links = (0..7).map(|k| {
                 let accepted = rendezvous.accept(k, &AtomicUsize::new(1)).unwrap();
@@ -1312,7 +1306,7 @@ mod tests {
             (1, FaultKind::CorruptByte { xor: 0x08 }),
             (2, FaultKind::DropFrame),
         ]);
-        let shared = Arc::new(std::sync::Mutex::new(plan));
+        let shared = Arc::new(Mutex::new(plan));
         let mut faulty = FaultyLink::new(Box::new(LoopbackLink::new()), Arc::clone(&shared));
         // The intact frame reaches the worker, which answers it.
         faulty.send(&ping(0)).unwrap();
@@ -1336,7 +1330,7 @@ mod tests {
         // A disconnect kills the link for good.
         let plan = FaultPlan::scripted([(0, FaultKind::Disconnect)]);
         let near = Box::new(LoopbackLink::new());
-        let mut dead = FaultyLink::new(near, Arc::new(std::sync::Mutex::new(plan)));
+        let mut dead = FaultyLink::new(near, Arc::new(Mutex::new(plan)));
         let error = dead.send(&ping(9)).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::ConnectionAborted);
         assert!(dead.recv().is_err());

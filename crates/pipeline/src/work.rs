@@ -7,9 +7,10 @@
 //! acquisition per [`WorkQueue::pop_chunk`] call returns up to `chunk_size`
 //! items, and the worker answers with a single message per chunk.
 
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use smp_numeric::Complex64;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// One unit of work: evaluate the transform of measure `measure` at `s`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,19 +91,19 @@ impl WorkQueue {
 
     /// Adds a work item to the back of the queue.
     pub fn push(&self, item: WorkItem) {
-        self.items.lock().push_back(item);
+        unpoisoned(self.items.lock()).push_back(item);
     }
 
     /// Takes the next single work item, if any.
     pub fn pop(&self) -> Option<WorkItem> {
-        self.items.lock().pop_front()
+        unpoisoned(self.items.lock()).pop_front()
     }
 
     /// Takes the next chunk of up to `chunk_size` items under one lock
     /// acquisition (this is the slave's "request").  Returns `None` when the
     /// queue is empty; the final chunk may be shorter than `chunk_size`.
     pub fn pop_chunk(&self) -> Option<Vec<WorkItem>> {
-        let mut items = self.items.lock();
+        let mut items = unpoisoned(self.items.lock());
         if items.is_empty() {
             return None;
         }
@@ -112,19 +113,18 @@ impl WorkQueue {
 
     /// Number of outstanding items.
     pub fn len(&self) -> usize {
-        self.items.lock().len()
+        unpoisoned(self.items.lock()).len()
     }
 
     /// True when no work remains.
     pub fn is_empty(&self) -> bool {
-        self.items.lock().is_empty()
+        unpoisoned(self.items.lock()).is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn items(n: usize) -> Vec<WorkItem> {
         (0..n)
@@ -203,54 +203,58 @@ mod tests {
     #[test]
     fn concurrent_pops_drain_exactly_once() {
         let points: Vec<Complex64> = (0..1000).map(|k| Complex64::new(k as f64, 1.0)).collect();
-        let queue = Arc::new(WorkQueue::new(&points));
-        let seen: Vec<usize> = crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
+        let queue = WorkQueue::new(&points);
+        let seen = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
             for _ in 0..8 {
-                let queue = Arc::clone(&queue);
-                handles.push(scope.spawn(move |_| {
-                    let mut local = Vec::new();
+                scope.spawn(|| {
                     while let Some(item) = queue.pop() {
-                        local.push(item.index);
+                        seen.lock().unwrap().push(item.index);
                     }
-                    local
-                }));
+                });
             }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-        .unwrap();
-        let mut seen = seen;
+        });
+        let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
     fn concurrent_chunked_pops_drain_exactly_once() {
-        let queue = Arc::new(WorkQueue::with_chunk_size(items(997), 8));
-        let seen: Vec<usize> = crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
+        let queue = WorkQueue::with_chunk_size(items(997), 8);
+        let seen = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
             for _ in 0..6 {
-                let queue = Arc::clone(&queue);
-                handles.push(scope.spawn(move |_| {
-                    let mut local = Vec::new();
+                scope.spawn(|| {
                     while let Some(chunk) = queue.pop_chunk() {
                         assert!(chunk.len() <= 8);
-                        local.extend(chunk.iter().map(|i| i.index));
+                        seen.lock().unwrap().extend(chunk.iter().map(|i| i.index));
                     }
-                    local
-                }));
+                });
             }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-        .unwrap();
-        let mut seen = seen;
+        });
+        let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..997).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_queue_whose_lock_holder_panicked_stays_usable() {
+        // A worker thread that dies holding the queue lock poisons it; the
+        // survivors keep pulling and requeueing as if nothing happened.
+        let queue = WorkQueue::with_chunk_size(items(5), 2);
+        let died = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = queue.items.lock();
+                panic!("worker dies holding the queue lock");
+            });
+            holder.join().is_err()
+        });
+        assert!(died && queue.items.is_poisoned());
+        let chunk = queue.pop_chunk().unwrap();
+        assert_eq!(chunk.iter().map(|i| i.index).collect::<Vec<_>>(), [0, 1]);
+        queue.push(chunk[0]);
+        assert_eq!(queue.len(), 4);
+        assert_eq!(queue.pop().unwrap().index, 2);
     }
 }

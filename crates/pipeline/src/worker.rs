@@ -27,12 +27,12 @@
 use crate::fault::Backoff;
 use crate::link::{Link, TcpLink};
 use crate::shard::SliceWorkerSession;
-use crate::transform::{CompiledEvaluator, CompiledModelSet, TransformSpec};
+use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
-use crossbeam::channel::Sender;
 use smp_numeric::Complex64;
 use std::io;
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 /// The transform evaluator a worker applies to an `s`-point: any Laplace-domain
@@ -240,12 +240,12 @@ pub fn run_tcp_worker(
     options: &TcpWorkerOptions,
 ) -> Result<TcpWorkerSummary, String> {
     let mut summary = TcpWorkerSummary::default();
-    // The last job's spec lines and their compiled model set.  A resident
-    // worker behind a query daemon sees the same model for most jobs, and a
-    // repeat job must not pay the exploration again.  The cache survives
-    // reconnects: a worker that outlives a crashed master keeps its compiled
-    // state space for the resumed run.
-    let mut cached: Option<(Vec<String>, CompiledModelSet)> = None;
+    // The last job's compiled model set.  A resident worker behind a query
+    // daemon sees the same model for most jobs, and a repeat job must not pay
+    // the exploration again.  The cache survives reconnects: a worker that
+    // outlives a crashed master keeps its compiled state space for the
+    // resumed run.
+    let compiled = CompiledSetCache::new(1);
     let mut redial = Backoff::for_endpoint(
         options.retry_delay.max(Duration::from_millis(1)),
         options.retry_delay.max(Duration::from_millis(1)) * 8,
@@ -267,7 +267,7 @@ pub fn run_tcp_worker(
             &mut link,
             options.exit_after_chunks,
             &mut summary,
-            &mut cached,
+            &compiled,
         ) {
             // Only an explicit outer `done` (or the fault-injection exit)
             // ends a reconnecting worker: every other link end could be a
@@ -393,7 +393,7 @@ pub(crate) fn serve_link(
     link: &mut dyn Link,
     exit_after: Option<usize>,
     summary: &mut TcpWorkerSummary,
-    cached: &mut Option<(Vec<String>, CompiledModelSet)>,
+    compiled: &CompiledSetCache,
 ) -> Result<SessionEnd, String> {
     let hello = Frame::Hello {
         version: WIRE_VERSION,
@@ -427,7 +427,7 @@ pub(crate) fn serve_link(
                 specs,
             } if version == WIRE_VERSION => {
                 summary.worker_id = worker;
-                serve_chunks(link, exit_after, summary, cached, &method, specs)?
+                serve_chunks(link, exit_after, summary, compiled, &method, specs)?
             }
             Frame::Job { version, .. } => {
                 return Err(format!(
@@ -559,7 +559,7 @@ fn serve_chunks(
     link: &mut dyn Link,
     exit_after: Option<usize>,
     summary: &mut TcpWorkerSummary,
-    cached: &mut Option<(Vec<String>, CompiledModelSet)>,
+    compiled: &CompiledSetCache,
     method: &str,
     spec_lines: Vec<String>,
 ) -> Result<Option<SessionEnd>, String> {
@@ -579,26 +579,16 @@ fn serve_chunks(
     }
 
     // Rebuild the evaluators from bytes unless this job repeats the
-    // previous one verbatim.  A compile failure is reported to the master
-    // as a fatal frame so the run fails with a message, not a timeout.
-    if cached
-        .as_ref()
-        .is_none_or(|(lines, _)| *lines != spec_lines)
+    // previous one.  A compile failure is reported to the master as a fatal
+    // frame so the run fails with a message, not a timeout.
+    let compiled_set = match spec_lines
+        .iter()
+        .map(|l| TransformSpec::decode(l).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|specs| compiled.get_or_compile(&specs))
     {
-        let specs: Result<Vec<TransformSpec>, _> = spec_lines
-            .iter()
-            .map(|l| TransformSpec::decode(l))
-            .collect();
-        let compiled = specs
-            .map_err(|e| e.to_string())
-            .and_then(|specs| CompiledModelSet::compile(&specs));
-        match compiled {
-            Ok(set) => *cached = Some((spec_lines, set)),
-            Err(message) => return Err(format!("spec compile failed: {}", fatal(link, message))),
-        }
-    }
-    let Some((_, compiled_set)) = &cached else {
-        return Err("internal error: no compiled model set after compile".to_string());
+        Ok((set, _)) => set,
+        Err(message) => return Err(format!("spec compile failed: {}", fatal(link, message))),
     };
     let evaluators = compiled_set
         .evaluators()
@@ -634,13 +624,13 @@ fn serve_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn worker_drains_queue_and_reports_stats() {
         let points: Vec<Complex64> = (1..=20).map(|k| Complex64::new(k as f64, 0.0)).collect();
         let queue = WorkQueue::new(&points);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s * s) };
         let stats = run_batch_worker(3, &queue, &[ChunkEvaluator::Closure(&evaluator)], &tx);
         drop(tx);
@@ -668,7 +658,7 @@ mod tests {
             })
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 5);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s + Complex64::ONE) };
         let evaluators = [ChunkEvaluator::Closure(&evaluator)];
         let stats = run_batch_worker(1, &queue, &evaluators, &tx);
@@ -693,7 +683,7 @@ mod tests {
             })
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 4);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let double = |s: Complex64| -> Result<Complex64, String> { Ok(s * Complex64::real(2.0)) };
         let negate = |s: Complex64| -> Result<Complex64, String> { Ok(-s) };
         let evaluators = [
@@ -717,7 +707,7 @@ mod tests {
     /// have fail alone — all in chunk order.
     #[test]
     fn chunk_runs_keep_order_and_per_item_outcomes() {
-        use crate::transform::{ModelSpec, TargetSpec};
+        use crate::transform::{CompiledModelSet, ModelSpec, TargetSpec};
         let spec = TransformSpec::passage(
             ModelSpec::Voting {
                 voters: 3,
@@ -759,7 +749,7 @@ mod tests {
     fn errors_are_forwarded_not_fatal() {
         let points = vec![Complex64::ONE, Complex64::I, Complex64::new(2.0, 0.0)];
         let queue = WorkQueue::new(&points);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let evaluator = |s: Complex64| -> Result<Complex64, String> {
             if s == Complex64::I {
                 Err("did not converge".into())

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_distributions::EmpiricalDistribution;
 use smp_smspn::{Marking, SmSpn};
+use std::ops::Range;
 
 /// The RNG seed of replication `index` under a base `seed`: a SplitMix64-style
 /// mix, so per-replication streams are decorrelated and, crucially,
@@ -71,40 +72,12 @@ pub fn simulate_passage_times(
     target: impl Fn(&Marking) -> bool + Send + Sync,
     options: &PassageSimulationOptions,
 ) -> PassageSimulationResult {
-    let threads = options.threads.max(1);
-    let replications = options.replications;
-    if threads == 1 {
-        let (samples, censored) = run_replications(net, &target, 0..replications, options);
-        return PassageSimulationResult {
-            distribution: EmpiricalDistribution::from_samples(samples),
-            censored,
-        };
-    }
-
-    // Contiguous index ranges per worker; joined in worker order the samples
-    // come back in replication order, so the result is the single-thread one.
-    let per_thread = replications.div_ceil(threads);
-    let results: Vec<(Vec<f64>, usize)> = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads {
-            let target = &target;
-            let start = worker * per_thread;
-            let end = ((worker + 1) * per_thread).min(replications);
-            if start >= end {
-                break;
-            }
-            handles.push(scope.spawn(move |_| run_replications(net, target, start..end, options)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("simulation worker panicked"))
-            .collect()
-    })
-    .expect("simulation scope failed");
-
-    let mut samples = Vec::with_capacity(replications);
+    let runs = fan_out(options.replications, options.threads, |range| {
+        run_replications(net, &target, range, options)
+    });
+    let mut samples = Vec::with_capacity(options.replications);
     let mut censored = 0;
-    for (s, c) in results {
+    for (s, c) in runs {
         samples.extend(s);
         censored += c;
     }
@@ -114,10 +87,35 @@ pub fn simulate_passage_times(
     }
 }
 
+/// Runs `replications` as contiguous index ranges, one per thread (in the
+/// calling thread when there is one), and returns each range's result in
+/// range order: folded in order, they are the single-thread result.
+pub(crate) fn fan_out<T: Send>(
+    replications: usize,
+    threads: usize,
+    run: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    if threads <= 1 {
+        return vec![run(0..replications)];
+    }
+    let per_thread = replications.div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (0..replications)
+            .step_by(per_thread)
+            .map(|start| scope.spawn(move || run(start..(start + per_thread).min(replications))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("simulation worker panicked"))
+            .collect()
+    })
+}
+
 fn run_replications(
     net: &SmSpn,
     target: &(impl Fn(&Marking) -> bool + ?Sized),
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     options: &PassageSimulationOptions,
 ) -> (Vec<f64>, usize) {
     let mut samples = Vec::with_capacity(range.len());

@@ -5,7 +5,7 @@
 //! bitwise-identical across runs and thread counts.
 
 use crate::engine::SimulationEngine;
-use crate::passage::replication_seed;
+use crate::passage::{fan_out, replication_seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_smspn::{Marking, SmSpn};
@@ -52,42 +52,16 @@ pub fn simulate_transient(
         t_points.windows(2).all(|w| w[0] < w[1]),
         "t-points must be strictly increasing"
     );
-    let threads = options.threads.max(1);
-    let replications = options.replications;
-
-    let hits = if threads == 1 {
-        run_transient_replications(net, &target, t_points, 0..replications, options)
-    } else {
-        let per_thread = replications.div_ceil(threads);
-        let partial: Vec<Vec<u64>> = crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let target = &target;
-                let start = worker * per_thread;
-                let end = ((worker + 1) * per_thread).min(replications);
-                if start >= end {
-                    break;
-                }
-                handles.push(scope.spawn(move |_| {
-                    run_transient_replications(net, target, t_points, start..end, options)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("transient simulation worker panicked"))
-                .collect()
-        })
-        .expect("transient simulation scope failed");
-        // Integer hit counts: summation order cannot change the result.
-        let mut total = vec![0u64; t_points.len()];
-        for part in partial {
-            for (slot, h) in total.iter_mut().zip(part) {
-                *slot += h;
-            }
+    // Integer hit counts: summation order cannot change the result.
+    let mut hits = vec![0u64; t_points.len()];
+    let runs = fan_out(options.replications, options.threads, |range| {
+        run_transient_replications(net, &target, t_points, range, options)
+    });
+    for run in runs {
+        for (slot, h) in hits.iter_mut().zip(run) {
+            *slot += h;
         }
-        total
-    };
-
+    }
     hits.into_iter()
         .map(|h| h as f64 / options.replications as f64)
         .collect()

@@ -4,8 +4,9 @@
 //! Every `tests/corpus/` model plus the larger voting 5,2,2 system is solved
 //! with the full six-kind measure battery at shard counts {1, 2, 3, 4} and
 //! compared **bitwise** against the unsharded analytic path — the block
-//! boundaries are a pure function of the state count, the per-shard gather
-//! replays the full masked kernel product entry-for-entry in row order, and
+//! boundaries are a pure function of the state count, each slice scatters
+//! its stored rows through the unsharded kernel's own inner loop
+//! (`scatter_row`) entry for entry in row order, and
 //! halo entries are exchanged as exact bit patterns, so no shard count may
 //! perturb even the last ulp of any value.
 //!
