@@ -21,3 +21,5 @@ pub fn decode_tag(line: &str) -> u64 {
     }
     0
 }
+
+pub fn load(path: &str) -> u64 { path.parse().unwrap() }

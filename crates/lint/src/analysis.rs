@@ -173,6 +173,15 @@ impl SourceFile {
                 Some(t) if t.is_punct("(") && (i == 0 || !toks[i - 1].is_ident("fn")) => {
                     out.push(toks[i].text.clone());
                 }
+                // A function passed as a value (`map(decode)`,
+                // `all(Self::read)`) is called by whatever it is passed to.
+                Some(t)
+                    if (t.is_punct(")") || t.is_punct(","))
+                        && i > 0
+                        && ["(", ",", ":"].iter().any(|p| toks[i - 1].is_punct(p)) =>
+                {
+                    out.push(toks[i].text.clone());
+                }
                 Some(t)
                     if t.is_punct("!")
                         && toks.get(i + 2).is_some_and(|t| {
@@ -389,7 +398,7 @@ mod gated_tests { fn t() {} }
 
     #[test]
     fn function_extents_and_calls() {
-        let src = "fn outer() { inner(x); obj.method(); mac!(1); }\nfn inner(_: u8) {}";
+        let src = "fn outer() { inner(x); obj.method(); mac!(1); v.map(named).all(Self::path) }\nfn inner(_: u8) {}";
         let f = SourceFile::parse("crates/x/src/a.rs", src);
         let fns = f.functions();
         assert_eq!(fns.len(), 2);
@@ -397,6 +406,8 @@ mod gated_tests { fn t() {} }
         assert!(calls.contains(&"inner".to_string()));
         assert!(calls.contains(&"method".to_string()));
         assert!(calls.contains(&"mac!".to_string()));
+        assert!(calls.contains(&"named".to_string()));
+        assert!(calls.contains(&"path".to_string()));
     }
 
     #[test]

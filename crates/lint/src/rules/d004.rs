@@ -9,9 +9,10 @@
 //! The rule builds a name-based call graph over the pipeline crate, seeds it
 //! with the decode roots (`decode*` in `wire.rs`, `server.rs` and
 //! `client.rs`, the request resolver `resolve_request` in `server.rs`,
-//! `load_checkpoint*` in `checkpoint.rs`, every `Link::recv` implementation
-//! in `link.rs`, the worker's frame loop `serve_link` in `worker.rs`,
-//! `read_frame` anywhere), walks reachability, and flags
+//! `load*` in `checkpoint.rs` for the checkpoint file and its `.shard`
+//! sidecar, every `Link::recv` implementation in `link.rs`, the worker's
+//! frame loop `serve_link` in `worker.rs`, `read_frame` anywhere), walks
+//! reachability (a function passed as a value counts as called), and flags
 //! every `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` /
 //! `unimplemented!` inside a reachable non-test function.  The command line
 //! is the other way untrusted text gets in, so `crates/cli` is a second
@@ -31,7 +32,7 @@ type IsRoot = fn(&str, &str) -> bool;
 const SCOPES: [(&str, IsRoot); 2] = [
     ("pipeline", |stem, name| {
         (stem == "wire" && name.starts_with("decode"))
-            || (stem == "checkpoint" && name.starts_with("load_checkpoint"))
+            || (stem == "checkpoint" && name.starts_with("load"))
             || ((stem == "server" || stem == "client") && name.starts_with("decode"))
             || (stem == "server" && name == "resolve_request")
             || (stem == "link" && name == "recv")

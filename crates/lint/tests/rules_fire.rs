@@ -83,6 +83,9 @@ fn d004_panics_reachable_from_decoders() {
     assert_rule("D004", "crates/pipeline/src/wire.rs", bad, good);
     // unwrap in the root, expect in a callee, panic! in a transitive callee.
     assert_eq!(findings("crates/pipeline/src/wire.rs", bad).len(), 3);
+    // In checkpoint.rs the roots are the loaders, the `.shard` sidecar's
+    // `load` among them.
+    assert_eq!(findings("crates/pipeline/src/checkpoint.rs", bad).len(), 1);
     // The link layer's roots: a `Link::recv` implementation and the
     // worker's frame loop.
     let link = "pub fn recv() -> u64 { helper() }\nfn helper() -> u64 { None::<u64>.unwrap() }";

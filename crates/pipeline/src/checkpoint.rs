@@ -5,30 +5,26 @@
 //! points already done — the paper stores results "both in memory and on disk so
 //! that all computation is checkpointed".
 //!
-//! The format is a plain text file, one record per line: the percent-encoded
-//! transform key of the measure that produced the value, then the point and
-//! the value as bit patterns.
+//! The format is a plain text file, one record per line, in the field grammar
+//! of [`crate::wire`]: the measure's transform key, then the point and the
+//! value.
 //!
 //! ```text
 //! k=<transform key> <s.re bits hex> <s.im bits hex> <value.re bits hex> <value.im bits hex>
 //! ```
 //!
-//! Bit-exact hexadecimal encoding of the `f64`s guarantees that a reloaded
-//! point matches its planned `s`-point exactly (the cache is keyed by bit
-//! pattern).  Anything else on a line — a record torn by a crash mid-write, a
-//! line without its `k=` tag, trailing junk — is skipped on load, never fatal.
+//! Bit-exact `f64`s guarantee that a reloaded point matches its planned
+//! `s`-point exactly (the cache is keyed by bit pattern).  A line the grammar
+//! refuses — a record torn by a crash mid-write, a line without its `k=` tag,
+//! trailing junk — is skipped on load, never fatal.
 
-use crate::wire;
+use crate::wire::{self, Body, Line, WireError};
 use smp_laplace::TransformValues;
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-// Key and float fields use the workspace wire encoding (`crate::wire`), so a
-// checkpoint record and a TCP result frame are built from the same primitives:
-// percent-encoded strings, 16-hex-digit bit patterns for `f64`s.
 
 /// An append-only checkpoint writer.
 #[derive(Debug)]
@@ -122,36 +118,21 @@ pub fn load_checkpoint_by_measure(
     };
     let reader = BufReader::new(file);
     for line in reader.lines() {
-        let line = line?;
-        let mut parts = line.split_whitespace();
         // A checkpoint file is untrusted input (it may be truncated, edited,
-        // or from another run), so this loop never panics: every malformed
-        // construct is skipped, never unwrapped (smp-lint D004).
-        let Some(key) = parts
-            .next()
-            .and_then(|first| first.strip_prefix("k="))
-            .and_then(wire::decode_str)
-        else {
-            continue; // no key tag, or a malformed key escape
-        };
-        // `wire::decode_f64` insists on exactly 16 hex digits; anything
-        // shorter is a record truncated mid-field by a crash, which would
-        // otherwise still parse as a (tiny, wrong) f64.
-        let mut next_f64 = || -> Option<f64> { parts.next().and_then(wire::decode_f64) };
-        let (Some(sre), Some(sim), Some(vre), Some(vim)) =
-            (next_f64(), next_f64(), next_f64(), next_f64())
-        else {
-            continue; // skip malformed (possibly truncated) record
-        };
-        if parts.next().is_some() {
-            continue; // trailing junk: not a cleanly written record
+        // or from another run): a malformed record is skipped, never fatal.
+        if let Ok((key, s, value)) = Line::new(&line?).all(read_record) {
+            shards.entry(key).or_default().insert(s, value);
         }
-        shards
-            .entry(key)
-            .or_default()
-            .insert(Complex64::new(sre, sim), Complex64::new(vre, vim));
     }
     Ok(shards)
+}
+
+/// One `k=<key> <s> <value>` record.
+fn read_record(line: &mut Line<'_>) -> Result<(String, Complex64, Complex64), WireError> {
+    let key = line.text("k")?;
+    let s = Complex64::new(line.bits("s")?, line.bits("s")?);
+    let value = Complex64::new(line.bits("value")?, line.bits("value")?);
+    Ok((key, s, value))
 }
 
 // ---------------------------------------------------------------------------
@@ -178,8 +159,8 @@ pub fn shard_snapshot_path(checkpoint: impl AsRef<Path>) -> PathBuf {
 /// iterate the killed run held, so the resumed solve converges to bitwise the
 /// fault-free answer.
 ///
-/// On-disk format (plain text like the checkpoint proper, one snapshot per
-/// file, written atomically via tmp + rename):
+/// On-disk format (the checkpoint's field grammar, one snapshot per file,
+/// written atomically via tmp + rename):
 ///
 /// ```text
 /// shardckpt v=1 key=<enc> s=<hex16> <hex16> r=<round> total=<hex16> <hex16> quiet=<n> delta=<hex16> n=<entries>
@@ -257,80 +238,38 @@ impl ShardSnapshot {
     /// sentinel, short entry list), or malformed in any way — untrusted input
     /// never panics and never yields a partial iterate.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Option<ShardSnapshot>> {
-        let file = match File::open(path.as_ref()) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
+        match std::fs::read_to_string(path.as_ref()) {
+            Ok(text) => Ok(Body::payload(&text, Self::read_snapshot).ok()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn read_snapshot(head: &mut Line<'_>, body: &mut Body<'_>) -> Result<Self, WireError> {
+        head.tag("shardckpt")?;
+        head.version(1)?;
+        let snapshot = ShardSnapshot {
+            key: head.text("key")?,
+            s: Complex64::new(wire::bits(head.value("s")?, "s")?, head.bits("s")?),
+            round: head.key("r")?,
+            total: Complex64::new(
+                wire::bits(head.value("total")?, "total")?,
+                head.bits("total")?,
+            ),
+            quiet: head.key("quiet")?,
+            last_delta: wire::bits(head.value("delta")?, "delta")?,
+            entries: body.list(head.key("n")?, |body| {
+                body.line("iterate entry", |line| {
+                    let row = line.parse("row")?;
+                    Ok((
+                        row,
+                        Complex64::new(line.bits("value")?, line.bits("value")?),
+                    ))
+                })
+            })?,
         };
-        let mut lines = BufReader::new(file).lines();
-        let Some(header) = lines.next().transpose()? else {
-            return Ok(None);
-        };
-        let mut fields = header.split_whitespace();
-        if fields.next() != Some("shardckpt") || fields.next() != Some("v=1") {
-            return Ok(None);
-        }
-        fn tagged<'a>(field: Option<&'a str>, tag: &str) -> Option<&'a str> {
-            field?.strip_prefix(tag)
-        }
-        let Some(key) = tagged(fields.next(), "key=").and_then(wire::decode_str) else {
-            return Ok(None);
-        };
-        let s_re = tagged(fields.next(), "s=").and_then(wire::decode_f64);
-        let s_im = fields.next().and_then(wire::decode_f64);
-        let round = tagged(fields.next(), "r=").and_then(|f| f.parse::<u64>().ok());
-        let total_re = tagged(fields.next(), "total=").and_then(wire::decode_f64);
-        let total_im = fields.next().and_then(wire::decode_f64);
-        let quiet = tagged(fields.next(), "quiet=").and_then(|f| f.parse::<u64>().ok());
-        let last_delta = tagged(fields.next(), "delta=").and_then(wire::decode_f64);
-        let count = tagged(fields.next(), "n=").and_then(|f| f.parse::<usize>().ok());
-        let (
-            Some(s_re),
-            Some(s_im),
-            Some(round),
-            Some(total_re),
-            Some(total_im),
-            Some(quiet),
-            Some(last_delta),
-            Some(count),
-        ) = (
-            s_re, s_im, round, total_re, total_im, quiet, last_delta, count,
-        )
-        else {
-            return Ok(None);
-        };
-        if fields.next().is_some() {
-            return Ok(None);
-        }
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let Some(line) = lines.next().transpose()? else {
-                return Ok(None); // torn: fewer entry lines than announced
-            };
-            let mut parts = line.split_whitespace();
-            let row = parts.next().and_then(|f| f.parse::<u32>().ok());
-            let re = parts.next().and_then(wire::decode_f64);
-            let im = parts.next().and_then(wire::decode_f64);
-            let (Some(row), Some(re), Some(im)) = (row, re, im) else {
-                return Ok(None);
-            };
-            if parts.next().is_some() {
-                return Ok(None);
-            }
-            entries.push((row, Complex64::new(re, im)));
-        }
-        match lines.next().transpose()? {
-            Some(line) if line == "end" => Ok(Some(ShardSnapshot {
-                key,
-                s: Complex64::new(s_re, s_im),
-                round,
-                total: Complex64::new(total_re, total_im),
-                quiet,
-                last_delta,
-                entries,
-            })),
-            _ => Ok(None), // missing sentinel: the save never completed
-        }
+        body.tag("end")?;
+        Ok(snapshot)
     }
 
     /// Removes the snapshot file (missing is fine — the common case after a

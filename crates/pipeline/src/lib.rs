@@ -63,8 +63,9 @@
 //! * [`link`] — the one framed duplex between the master and a worker, and
 //!   the single fault-injection point;
 //! * [`fault`] — the deterministic fault schedule and retry backoff;
-//! * [`wire`] — the shared field/frame encoding (checkpoint records and TCP
-//!   frames are built from the same primitives);
+//! * [`wire`] — the shared field/frame encoding: TCP frames, query payloads,
+//!   transform specs and checkpoint records are one field grammar with one
+//!   reader;
 //! * [`cache`] — the measure-keyed in-memory result cache shared between
 //!   workers and master;
 //! * [`checkpoint`] — append-only on-disk checkpoint files of measure-tagged

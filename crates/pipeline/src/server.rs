@@ -18,9 +18,10 @@
 //! ## Frames
 //!
 //! The query protocol is layered on the same length-prefixed payload framing
-//! as checkpoints and worker frames ([`crate::wire::write_payload`]).  One
-//! client request is one payload; the server answers with exactly one payload
-//! per request and keeps the connection open for the next request:
+//! as worker frames ([`crate::wire::write_payload`]), and its payloads are
+//! written in the field grammar of [`crate::wire`].  One client request is one
+//! payload; the server answers with exactly one payload per request and keeps
+//! the connection open for the next request:
 //!
 //! ```text
 //! client → server    query v=1 engine=auto method=euler deadline_ms=0 measures=2 tpoints=3
@@ -79,7 +80,8 @@ use crate::transport::{
 };
 use crate::unpoisoned;
 use crate::wire::{
-    decode_f64, decode_str, encode_f64, encode_str, read_payload, write_payload, Frame, WireError,
+    self, encode_f64, encode_str, malformed, read_payload, write_payload, Body, Frame, Line,
+    WireError,
 };
 use crate::worker::WorkerMessage;
 use smp_core::query::{
@@ -123,21 +125,6 @@ pub struct PoolHealth {
     pub dead: usize,
     /// Replacement workers accepted onto vacant rendezvous listeners.
     pub replaced: usize,
-}
-
-fn malformed(message: impl Into<String>) -> WireError {
-    WireError::Malformed {
-        message: message.into(),
-    }
-}
-
-/// [`decode_str`] with a typed error naming the field.
-fn decode_text(field: &str, what: &'static str) -> Result<String, WireError> {
-    decode_str(field).ok_or_else(|| {
-        malformed(format!(
-            "{what} field '{field}' is not a valid encoded string"
-        ))
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -203,130 +190,44 @@ pub fn encode_query_request(request: &QueryRequest) -> String {
     out
 }
 
-/// Pulls the next `key=value` token off a whitespace token stream.
-fn kv<'a>(
-    tokens: &mut std::str::SplitWhitespace<'a>,
-    key: &'static str,
-) -> Result<&'a str, WireError> {
-    let token = tokens
-        .next()
-        .ok_or_else(|| malformed(format!("payload line ends before its '{key}=' field")))?;
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| malformed(format!("expected '{key}=...', got '{token}'")))
-}
-
-/// Parses a decimal count field, naming it on failure.
-fn decode_count(text: &str, what: &'static str) -> Result<usize, WireError> {
-    text.parse()
-        .map_err(|_| malformed(format!("{what} '{text}' is not a non-negative integer")))
-}
-
-/// Checks a `v=N` token against [`QUERY_PROTOCOL_VERSION`].
-fn decode_version(text: &str) -> Result<(), WireError> {
-    let got: u32 = text
-        .parse()
-        .map_err(|_| malformed(format!("protocol version '{text}' is not an integer")))?;
-    if got == QUERY_PROTOCOL_VERSION {
-        Ok(())
-    } else {
-        Err(WireError::Version { got })
-    }
-}
-
-/// Decodes a space-separated run of 16-hex-digit `f64` bit patterns.
-fn decode_f64_run(
-    tokens: &mut std::str::SplitWhitespace<'_>,
-    count: usize,
-    what: &'static str,
-) -> Result<Vec<f64>, WireError> {
-    // No Vec::with_capacity(count): every count in this codec is an
-    // unvalidated wire field, and a huge one must fail below when the tokens
-    // run out, not abort the process allocating for it.
-    let mut values = Vec::new();
-    for _ in 0..count {
-        let token = tokens
-            .next()
-            .ok_or_else(|| malformed(format!("{what} run ends early (expected {count} values)")))?;
-        let value = decode_f64(token)
-            .ok_or_else(|| malformed(format!("{what} value '{token}' is not a hex bit pattern")))?;
-        values.push(value);
-    }
-    Ok(values)
-}
-
 /// Decodes one query payload (the inverse of [`encode_query_request`]).
 /// Malformed input surfaces as a typed [`WireError`], never a panic — this
 /// function parses bytes from an untrusted TCP peer.
 pub fn decode_query_request(payload: &str) -> Result<QueryRequest, WireError> {
-    let mut lines = payload.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| malformed("empty query payload"))?;
-    let mut tokens = header.split_whitespace();
-    match tokens.next() {
-        Some("query") => {}
-        other => {
-            return Err(malformed(format!(
-                "expected 'query' header, got '{}'",
-                other.unwrap_or_default()
-            )))
-        }
-    }
-    decode_version(kv(&mut tokens, "v")?)?;
-    let engine = decode_text(kv(&mut tokens, "engine")?, "engine")?;
-    let method = decode_text(kv(&mut tokens, "method")?, "method")?;
-    let deadline_ms: u64 = {
-        let text = kv(&mut tokens, "deadline_ms")?;
-        text.parse()
-            .map_err(|_| malformed(format!("deadline_ms '{text}' is not an integer")))?
-    };
-    let n_measures = decode_count(kv(&mut tokens, "measures")?, "measure count")?;
-    let n_points = decode_count(kv(&mut tokens, "tpoints")?, "grid size")?;
-
-    let model_line = lines
-        .next()
-        .ok_or_else(|| malformed("query payload is missing its 'model' line"))?;
-    let model_field = model_line
-        .strip_prefix("model ")
-        .ok_or_else(|| malformed(format!("expected 'model ...', got '{model_line}'")))?;
-    let model = ModelSpec::decode(model_field)?;
-
-    let grid_line = lines
-        .next()
-        .ok_or_else(|| malformed("query payload is missing its 'grid' line"))?;
-    let grid_rest = grid_line
-        .strip_prefix("grid")
-        .ok_or_else(|| malformed(format!("expected 'grid ...', got '{grid_line}'")))?;
-    let mut grid_tokens = grid_rest.split_whitespace();
-    let t_points = decode_f64_run(&mut grid_tokens, n_points, "grid")?;
-
-    let mut measures = Vec::new();
-    for _ in 0..n_measures {
-        let line = lines.next().ok_or_else(|| {
-            malformed(format!(
-                "query payload announces {n_measures} measures but carries {}",
-                measures.len()
-            ))
+    Body::payload(payload, |head, body| {
+        head.tag("query")?;
+        head.version(QUERY_PROTOCOL_VERSION)?;
+        let engine = head.text("engine")?;
+        let method = head.text("method")?;
+        let deadline_ms: u64 = head.key("deadline_ms")?;
+        let n_measures = head.key("measures")?;
+        let n_points = head.key("tpoints")?;
+        let model = body.line("model line", |line| {
+            line.tag("model")?;
+            ModelSpec::decode(line.token("model")?)
         })?;
-        let field = line
-            .strip_prefix("measure ")
-            .ok_or_else(|| malformed(format!("expected 'measure ...', got '{line}'")))?;
-        measures.push(decode_text(field, "measure")?);
-    }
-
-    Ok(QueryRequest {
-        model,
-        engine,
-        method,
-        deadline: if deadline_ms == 0 {
-            None
-        } else {
-            Some(Duration::from_millis(deadline_ms))
-        },
-        t_points,
-        measures,
+        let t_points = body.line("grid line", |line| {
+            line.tag("grid")?;
+            line.list(n_points, |line| line.bits("grid point"))
+        })?;
+        let measures = body.list(n_measures, |body| {
+            body.line("measure line", |line| {
+                line.tag("measure")?;
+                wire::text(line.token("measure")?, "measure")
+            })
+        })?;
+        Ok(QueryRequest {
+            model,
+            engine,
+            method,
+            deadline: if deadline_ms == 0 {
+                None
+            } else {
+                Some(Duration::from_millis(deadline_ms))
+            },
+            t_points,
+            measures,
+        })
     })
 }
 
@@ -557,119 +458,46 @@ fn encode_provenance(p: &Provenance) -> String {
     )
 }
 
-fn decode_provenance(line: &str) -> Result<Provenance, WireError> {
-    let mut tokens = line.split_whitespace();
-    match tokens.next() {
-        Some("prov") => {}
-        other => {
-            return Err(malformed(format!(
-                "expected 'prov ...', got '{}'",
-                other.unwrap_or_default()
-            )))
-        }
-    }
-    let engine = engine_static(&decode_text(kv(&mut tokens, "engine")?, "engine")?);
-    let backend = decode_text(kv(&mut tokens, "backend")?, "backend")?;
-    let workers = decode_count(kv(&mut tokens, "workers")?, "worker count")?;
-    let states = match kv(&mut tokens, "states")? {
-        "-" => None,
-        text => Some(decode_count(text, "state count")?),
-    };
-    let messages = decode_count(kv(&mut tokens, "messages")?, "message count")?;
-    let bytes: u64 = {
-        let text = kv(&mut tokens, "bytes")?;
-        text.parse()
-            .map_err(|_| malformed(format!("byte count '{text}' is not an integer")))?
-    };
-    let evaluations = decode_count(kv(&mut tokens, "evaluations")?, "evaluation count")?;
-    let rebuilds: u64 = {
-        let text = kv(&mut tokens, "rebuilds")?;
-        text.parse()
-            .map_err(|_| malformed(format!("rebuild count '{text}' is not an integer")))?
-    };
-    let pooled: u64 = {
-        let text = kv(&mut tokens, "pooled")?;
-        text.parse()
-            .map_err(|_| malformed(format!("pooled count '{text}' is not an integer")))?
-    };
-    let cache_hits = decode_count(kv(&mut tokens, "cache")?, "cache-hit count")?;
-    let shared_hits = decode_count(kv(&mut tokens, "shared")?, "shared-hit count")?;
-    let wall_ns: u64 = {
-        let text = kv(&mut tokens, "wall_ns")?;
-        text.parse()
-            .map_err(|_| malformed(format!("wall time '{text}' is not an integer")))?
-    };
-    let error_bound = match kv(&mut tokens, "bound")? {
-        "-" => None,
-        text => Some(
-            decode_f64(text)
-                .ok_or_else(|| malformed(format!("error bound '{text}' is not a bit pattern")))?,
-        ),
-    };
-    let queue_ns: u64 = {
-        let text = kv(&mut tokens, "queue_ns")?;
-        text.parse()
-            .map_err(|_| malformed(format!("queue time '{text}' is not an integer")))?
-    };
-    let model_cache_hits = decode_count(kv(&mut tokens, "mhits")?, "model-cache hit count")?;
-    let model_cache_misses = decode_count(kv(&mut tokens, "mmiss")?, "model-cache miss count")?;
-    let shards = decode_count(kv(&mut tokens, "shards")?, "shard count")?;
-    let shard_states = match kv(&mut tokens, "sstates")? {
-        "-" => Vec::new(),
-        text => text
-            .split(',')
-            .map(|n| decode_count(n, "per-shard state count"))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let halo_bytes: u64 = {
-        let text = kv(&mut tokens, "halo")?;
-        text.parse()
-            .map_err(|_| malformed(format!("halo byte count '{text}' is not an integer")))?
-    };
-    let exchange_rounds: u64 = {
-        let text = kv(&mut tokens, "rounds")?;
-        text.parse()
-            .map_err(|_| malformed(format!("exchange-round count '{text}' is not an integer")))?
-    };
-    let retries: u64 = {
-        let text = kv(&mut tokens, "retries")?;
-        text.parse()
-            .map_err(|_| malformed(format!("retry count '{text}' is not an integer")))?
-    };
-    let recovered_faults: u64 = {
-        let text = kv(&mut tokens, "recovered")?;
-        text.parse()
-            .map_err(|_| malformed(format!("recovered-fault count '{text}' is not an integer")))?
-    };
-    let resumed_rounds: u64 = {
-        let text = kv(&mut tokens, "resumed")?;
-        text.parse()
-            .map_err(|_| malformed(format!("resumed-round count '{text}' is not an integer")))?
-    };
+/// Reads a `prov` line; the struct literal below lists its fields in wire
+/// order, which is the order they are read in.
+fn read_provenance(line: &mut Line<'_>) -> Result<Provenance, WireError> {
+    line.tag("prov")?;
     Ok(Provenance {
-        engine,
-        backend,
-        workers,
-        states,
-        messages,
-        bytes_on_wire: bytes,
-        evaluations,
-        matrix_rebuilds_avoided: rebuilds,
-        pooled_lst_evaluations: pooled,
-        cache_hits,
-        shared_hits,
-        wall: Duration::from_nanos(wall_ns),
-        error_bound,
-        queue_wait: Duration::from_nanos(queue_ns),
-        model_cache_hits,
-        model_cache_misses,
-        shards,
-        shard_states,
-        halo_bytes,
-        exchange_rounds,
-        retries,
-        recovered_faults,
-        resumed_rounds,
+        engine: engine_static(&line.text("engine")?),
+        backend: line.text("backend")?,
+        workers: line.key("workers")?,
+        states: match line.value("states")? {
+            "-" => None,
+            count => Some(wire::number(count, "states")?),
+        },
+        messages: line.key("messages")?,
+        bytes_on_wire: line.key("bytes")?,
+        evaluations: line.key("evaluations")?,
+        matrix_rebuilds_avoided: line.key("rebuilds")?,
+        pooled_lst_evaluations: line.key("pooled")?,
+        cache_hits: line.key("cache")?,
+        shared_hits: line.key("shared")?,
+        wall: Duration::from_nanos(line.key("wall_ns")?),
+        error_bound: match line.value("bound")? {
+            "-" => None,
+            bound => Some(wire::bits(bound, "bound")?),
+        },
+        queue_wait: Duration::from_nanos(line.key("queue_ns")?),
+        model_cache_hits: line.key("mhits")?,
+        model_cache_misses: line.key("mmiss")?,
+        shards: line.key("shards")?,
+        shard_states: match line.value("sstates")? {
+            "-" => Vec::new(),
+            counts => counts
+                .split(',')
+                .map(|count| wire::number(count, "sstates"))
+                .collect::<Result<_, _>>()?,
+        },
+        halo_bytes: line.key("halo")?,
+        exchange_rounds: line.key("rounds")?,
+        retries: line.key("retries")?,
+        recovered_faults: line.key("recovered")?,
+        resumed_rounds: line.key("resumed")?,
     })
 }
 
@@ -714,99 +542,58 @@ pub fn encode_query_reply(reply: &QueryReply) -> String {
 /// Decodes one reply payload (the inverse of [`encode_query_reply`]).
 /// Malformed input surfaces as a typed [`WireError`], never a panic.
 pub fn decode_query_reply(payload: &str) -> Result<QueryReply, WireError> {
-    let mut lines = payload.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| malformed("empty reply payload"))?;
-    let mut tokens = header.split_whitespace();
-    match tokens.next() {
-        Some("refusal") => {
-            decode_version(kv(&mut tokens, "v")?)?;
-            let kind_name = kv(&mut tokens, "kind")?;
+    Body::payload(payload, |head, body| match head.token("reply tag")? {
+        "refusal" => {
+            head.version(QUERY_PROTOCOL_VERSION)?;
+            let kind_name = head.value("kind")?;
             let kind = RefusalKind::from_name(kind_name)
                 .ok_or_else(|| malformed(format!("unknown refusal kind '{kind_name}'")))?;
-            let message = decode_text(kv(&mut tokens, "msg")?, "refusal message")?;
+            let message = head.text("msg")?;
             Ok(QueryReply::Refusal(Refusal { kind, message }))
         }
-        Some("reports") => {
-            decode_version(kv(&mut tokens, "v")?)?;
-            let n = decode_count(kv(&mut tokens, "n")?, "report count")?;
-            let mut reports = Vec::new();
-            for _ in 0..n {
-                let report_line = lines.next().ok_or_else(|| {
-                    malformed(format!(
-                        "reply announces {n} reports but carries {}",
-                        reports.len()
-                    ))
-                })?;
-                let mut tokens = report_line.split_whitespace();
-                match tokens.next() {
-                    Some("report") => {}
-                    other => {
-                        return Err(malformed(format!(
-                            "expected 'report ...', got '{}'",
-                            other.unwrap_or_default()
-                        )))
-                    }
-                }
-                let name = decode_text(kv(&mut tokens, "name")?, "report name")?;
-                let kind_name = decode_text(kv(&mut tokens, "kind")?, "measure kind")?;
-
-                let points_line = lines
-                    .next()
-                    .ok_or_else(|| malformed("report is missing its 'points' line"))?;
-                let points_rest = points_line.strip_prefix("points ").ok_or_else(|| {
-                    malformed(format!("expected 'points ...', got '{points_line}'"))
-                })?;
-                let mut point_tokens = points_rest.split_whitespace();
-                let n_points = decode_count(
-                    point_tokens
-                        .next()
-                        .ok_or_else(|| malformed("'points' line carries no count"))?,
-                    "point count",
-                )?;
-                let points = decode_f64_run(&mut point_tokens, n_points, "points")?;
-
-                let values_line = lines
-                    .next()
-                    .ok_or_else(|| malformed("report is missing its 'values' line"))?;
-                let values_rest = values_line.strip_prefix("values ").ok_or_else(|| {
-                    malformed(format!("expected 'values ...', got '{values_line}'"))
-                })?;
-                let mut value_tokens = values_rest.split_whitespace();
-                let n_values = decode_count(
-                    value_tokens
-                        .next()
-                        .ok_or_else(|| malformed("'values' line carries no count"))?,
-                    "value count",
-                )?;
-                if n_values != n_points {
-                    return Err(malformed(format!(
-                        "report '{name}' carries {n_values} values for {n_points} points"
-                    )));
-                }
-                let values = decode_f64_run(&mut value_tokens, n_values, "values")?;
-
-                let prov_line = lines
-                    .next()
-                    .ok_or_else(|| malformed("report is missing its 'prov' line"))?;
-                let provenance = decode_provenance(prov_line)?;
-                let kind = decode_kind(&kind_name, &points)?;
-                reports.push(MeasureReport {
-                    name,
-                    kind,
-                    points,
-                    values,
-                    provenance,
-                });
-            }
-            Ok(QueryReply::Reports(reports))
+        "reports" => {
+            head.version(QUERY_PROTOCOL_VERSION)?;
+            let n = head.key("n")?;
+            Ok(QueryReply::Reports(body.list(n, read_report)?))
         }
         other => Err(malformed(format!(
-            "expected 'reports' or 'refusal' header, got '{}'",
-            other.unwrap_or_default()
+            "expected 'reports' or 'refusal' header, got '{other}'"
         ))),
-    }
+    })
+}
+
+/// One report's four lines: name and kind, points, values, provenance.
+fn read_report(body: &mut Body<'_>) -> Result<MeasureReport, WireError> {
+    let (name, kind_name) = body.line("report line", |line| {
+        line.tag("report")?;
+        Ok((line.text("name")?, line.text("kind")?))
+    })?;
+    let points = body.line("points line", |line| {
+        line.tag("points")?;
+        let n = line.parse("point count")?;
+        line.list(n, |line| line.bits("point"))
+    })?;
+    let values = body.line("values line", |line| {
+        line.tag("values")?;
+        let n: usize = line.parse("value count")?;
+        if n != points.len() {
+            let message = format!(
+                "report '{name}' carries {n} values for {} points",
+                points.len()
+            );
+            return Err(malformed(message));
+        }
+        line.list(n, |line| line.bits("value"))
+    })?;
+    let provenance = body.line("prov line", read_provenance)?;
+    let kind = decode_kind(&kind_name, &points)?;
+    Ok(MeasureReport {
+        name,
+        kind,
+        points,
+        values,
+        provenance,
+    })
 }
 
 // ---------------------------------------------------------------------------

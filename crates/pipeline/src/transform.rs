@@ -9,8 +9,8 @@
 //! distribution's LST for testing and calibration).
 //!
 //! A spec has a **canonical single-line wire encoding**
-//! ([`TransformSpec::encode`] / [`TransformSpec::decode`]) built from the same
-//! field primitives as the checkpoint format, and a **transform key**
+//! ([`TransformSpec::encode`] / [`TransformSpec::decode`]) in the field
+//! grammar of [`crate::wire`], and a **transform key**
 //! ([`TransformSpec::transform_key`]) that folds the model source's FNV-1a
 //! fingerprint in, so cache shards and checkpoint records written against one
 //! model can never be replayed against another.
@@ -23,7 +23,7 @@
 //! shared state space.
 
 use crate::cache::LruMemo;
-use crate::wire::{decode_str, encode_finite_f64, encode_str, WireError};
+use crate::wire::{self, encode_finite_f64, encode_str, malformed, Fields, Line, WireError};
 use smp_core::transient::TransientSolver;
 use smp_core::PassageTimeSolver;
 use smp_distributions::Dist;
@@ -32,12 +32,6 @@ use smp_smspn::{Marking, StateSpace};
 
 /// Wire-format version of the spec encoding (first field of every spec line).
 pub const SPEC_VERSION: u32 = 1;
-
-fn malformed(message: impl Into<String>) -> WireError {
-    WireError::Malformed {
-        message: message.into(),
-    }
-}
 
 /// A 64-bit FNV-1a fingerprint of a model's source text, rendered as 16 hex
 /// digits.  Folded into every transform key so that a checkpoint file reused
@@ -109,27 +103,17 @@ impl ModelSpec {
 
     /// Decodes a wire-format model field back into a spec.
     pub fn decode(field: &str) -> Result<ModelSpec, WireError> {
-        if let Some(rest) = field.strip_prefix("voting:") {
-            let parts: Vec<&str> = rest.split(',').collect();
-            if parts.len() != 3 {
-                return Err(malformed(format!("voting model needs CC,MM,NN: '{rest}'")));
-            }
-            let mut numbers = [0u32; 3];
-            for (slot, part) in numbers.iter_mut().zip(&parts) {
-                *slot = part
-                    .parse()
-                    .map_err(|_| malformed(format!("bad voting component '{part}'")))?;
-            }
-            return Ok(ModelSpec::Voting {
-                voters: numbers[0],
-                polling: numbers[1],
-                central: numbers[2],
+        if let Some(counts) = field.strip_prefix("voting:") {
+            return Fields::split(counts, ',').all(|counts| {
+                Ok(ModelSpec::Voting {
+                    voters: counts.parse("voters")?,
+                    polling: counts.parse("polling")?,
+                    central: counts.parse("central")?,
+                })
             });
         }
-        if let Some(rest) = field.strip_prefix("dnamaca:") {
-            let source =
-                decode_str(rest).ok_or_else(|| malformed("bad DNAmaca source encoding"))?;
-            return Ok(ModelSpec::Dnamaca(source));
+        if let Some(source) = field.strip_prefix("dnamaca:") {
+            return Ok(ModelSpec::Dnamaca(wire::text(source, "DNAmaca source")?));
         }
         Err(malformed(format!("unknown model spec '{field}'")))
     }
@@ -254,43 +238,29 @@ impl DistSpec {
     }
 
     fn decode(field: &str) -> Result<DistSpec, WireError> {
-        let mut parts = field.split(':');
-        let name = parts.next().unwrap_or("");
-        let mut f64_arg = |what: &'static str| -> Result<f64, WireError> {
-            let part = parts
-                .next()
-                .ok_or_else(|| malformed(format!("distribution missing parameter '{what}'")))?;
-            crate::wire::decode_finite_f64(part, "distribution parameter")
-        };
-        let spec = match name {
-            "exponential" => DistSpec::Exponential {
-                rate: f64_arg("rate")?,
-            },
-            "erlang" => {
-                let rate = f64_arg("rate")?;
-                let phases = parts
-                    .next()
-                    .and_then(|p| p.parse().ok())
-                    .ok_or_else(|| malformed("erlang needs an integer phase count"))?;
-                DistSpec::Erlang { rate, phases }
-            }
-            "uniform" => DistSpec::Uniform {
-                lower: f64_arg("lower")?,
-                upper: f64_arg("upper")?,
-            },
-            "deterministic" => DistSpec::Deterministic {
-                value: f64_arg("value")?,
-            },
-            "weibull" => DistSpec::Weibull {
-                shape: f64_arg("shape")?,
-                scale: f64_arg("scale")?,
-            },
-            other => return Err(malformed(format!("unknown distribution '{other}'"))),
-        };
-        if parts.next().is_some() {
-            return Err(malformed("trailing distribution parameters"));
-        }
-        Ok(spec)
+        Fields::split(field, ':').all(|parts| {
+            Ok(match parts.token("distribution")? {
+                "exponential" => DistSpec::Exponential {
+                    rate: parts.finite("rate")?,
+                },
+                "erlang" => DistSpec::Erlang {
+                    rate: parts.finite("rate")?,
+                    phases: parts.parse("phases")?,
+                },
+                "uniform" => DistSpec::Uniform {
+                    lower: parts.finite("lower")?,
+                    upper: parts.finite("upper")?,
+                },
+                "deterministic" => DistSpec::Deterministic {
+                    value: parts.finite("value")?,
+                },
+                "weibull" => DistSpec::Weibull {
+                    shape: parts.finite("shape")?,
+                    scale: parts.finite("scale")?,
+                },
+                other => return Err(malformed(format!("unknown distribution '{other}'"))),
+            })
+        })
     }
 }
 
@@ -408,48 +378,29 @@ impl TransformSpec {
 
     /// Decodes one wire line back into a spec.
     pub fn decode(line: &str) -> Result<TransformSpec, WireError> {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("cdf-of ") {
-            return Ok(TransformSpec::CdfOf(Box::new(TransformSpec::decode(rest)?)));
+        Line::new(line).all(Self::read_spec)
+    }
+
+    /// One spec off a line; a `cdf-of` tag wraps the spec after it.
+    fn read_spec(line: &mut Line<'_>) -> Result<TransformSpec, WireError> {
+        let tag = line.token("spec tag")?;
+        if tag == "cdf-of" {
+            return Ok(TransformSpec::CdfOf(Box::new(Self::read_spec(line)?)));
         }
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().ok_or_else(|| malformed("empty spec line"))?;
-        let version_field = parts
-            .next()
-            .and_then(|p| p.strip_prefix("v="))
-            .ok_or_else(|| malformed("spec missing v=N"))?;
-        let version: u32 = version_field
-            .parse()
-            .map_err(|_| malformed("bad spec version"))?;
-        if version != SPEC_VERSION {
-            return Err(WireError::Version { got: version });
-        }
-        let mut field = |key: &str| -> Result<String, WireError> {
-            parts
-                .next()
-                .and_then(|p| p.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-                .map(str::to_string)
-                .ok_or_else(|| malformed(format!("spec missing {key}=...")))
-        };
-        let spec = match tag {
+        line.version(SPEC_VERSION)?;
+        Ok(match tag {
             "passage" | "transient" => {
-                let model = ModelSpec::decode(&field("model")?)?;
-                let targets_text =
-                    decode_str(&field("targets")?).ok_or_else(|| malformed("bad targets"))?;
-                let targets = TargetSpec::parse(&targets_text).map_err(malformed)?;
+                let model = ModelSpec::decode(line.value("model")?)?;
+                let targets = TargetSpec::parse(&line.text("targets")?).map_err(malformed)?;
                 if tag == "passage" {
                     TransformSpec::Passage { model, targets }
                 } else {
                     TransformSpec::Transient { model, targets }
                 }
             }
-            "analytic" => TransformSpec::Analytic(DistSpec::decode(&field("dist")?)?),
+            "analytic" => TransformSpec::Analytic(DistSpec::decode(line.value("dist")?)?),
             other => return Err(malformed(format!("unknown spec tag '{other}'"))),
-        };
-        if parts.next().is_some() {
-            return Err(malformed("trailing fields after spec"));
-        }
-        Ok(spec)
+        })
     }
 }
 

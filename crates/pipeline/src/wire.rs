@@ -29,11 +29,32 @@
 //! are rejected when non-finite: a NaN or infinity entering the cache or the
 //! checkpoint would silently poison every inversion that touches it, so the
 //! encoder turns such outcomes into errors at the boundary instead.
+//!
+//! ## The field grammar
+//!
+//! Every text payload in the crate — frames, query requests and replies
+//! (`crate::server`), transform specs (`crate::transform`), checkpoint
+//! records and the `.shard` sidecar (`crate::checkpoint`) — is one grammar,
+//! and one crate-private cursor (`Fields`) is its only reader:
+//!
+//! * a payload is lines; the first is a **header** of whitespace-separated
+//!   tokens in a fixed order: a tag, then `key=value` and bare fields;
+//! * a **typed key** (`n=3`, `v=1`) parses into the field's own integer type:
+//!   a value out of that type's range is malformed, never narrowed with `as`;
+//! * strings are percent-encoded and floats are 16-hex-digit bit patterns, as
+//!   above;
+//! * a **counted list** (`n=3` then three tokens, or three body lines) grows
+//!   by pushing: a wire count never sizes a reservation and never enters
+//!   arithmetic, so a count the payload does not carry fails when the
+//!   payload runs out;
+//! * **trailing** tokens after a line's last field, and trailing lines after
+//!   a payload's last one, are refused.
 
 use crate::work::WorkItem;
 use crate::worker::{WorkItemOutcome, WorkerMessage};
 use smp_numeric::Complex64;
 use std::io::{Read, Write};
+use std::str::{FromStr, Lines, Split, SplitWhitespace};
 
 /// Protocol version spoken by this build (first field of `hello`/`job`
 /// frames).  Version 2 added the checksummed 12-byte frame header and the
@@ -111,7 +132,8 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn malformed(message: impl Into<String>) -> WireError {
+/// The one constructor of [`WireError::Malformed`] in the crate.
+pub(crate) fn malformed(message: impl Into<String>) -> WireError {
     WireError::Malformed {
         message: message.into(),
     }
@@ -199,28 +221,187 @@ pub fn encode_complex(value: Complex64, field: &'static str) -> Result<String, W
     ))
 }
 
-fn take<'a>(parts: &mut impl Iterator<Item = &'a str>, name: &str) -> Result<&'a str, WireError> {
-    parts
-        .next()
-        .ok_or_else(|| malformed(format!("missing field '{name}'")))
+/// A field that must parse into `T` (an integer type, for every count and
+/// id on the wire): a value out of `T`'s range is malformed, never narrowed.
+pub(crate) fn number<T: FromStr>(token: &str, what: &str) -> Result<T, WireError> {
+    token.parse().map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        malformed(format!("field '{what}' is not a {ty}: '{token}'"))
+    })
 }
 
-fn take_usize<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-    name: &str,
-) -> Result<usize, WireError> {
-    take(parts, name)?
-        .parse()
-        .map_err(|_| malformed(format!("bad integer field '{name}'")))
+/// A percent-encoded string field (see [`encode_str`]).
+pub(crate) fn text(token: &str, what: &str) -> Result<String, WireError> {
+    decode_str(token).ok_or_else(|| {
+        malformed(format!(
+            "field '{what}' is not an encoded string: '{token}'"
+        ))
+    })
 }
 
-fn take_complex<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-    name: &'static str,
-) -> Result<Complex64, WireError> {
-    let re = decode_finite_f64(take(parts, name)?, name)?;
-    let im = decode_finite_f64(take(parts, name)?, name)?;
-    Ok(Complex64::new(re, im))
+/// A bit-exact `f64` field, any bit pattern (see [`decode_f64`]).
+pub(crate) fn bits(token: &str, what: &str) -> Result<f64, WireError> {
+    decode_f64(token).ok_or_else(|| {
+        malformed(format!(
+            "field '{what}' is not a 16-hex-digit f64: '{token}'"
+        ))
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The field cursor
+// ---------------------------------------------------------------------------
+
+/// A cursor over the fields of one payload: the tokens of a [`Line`], the
+/// lines of a [`Body`], or the parts of one field split on a separator.
+/// Every decoder in the crate reads through it, so the grammar in the module
+/// docs is enforced in one place.  Decoders read fields in wire order; a
+/// struct literal written in that order is the decoder, because Rust
+/// evaluates its fields in the order they are written.
+pub(crate) struct Fields<I> {
+    tokens: I,
+}
+
+/// A cursor over the whitespace-separated tokens of one line.
+pub(crate) type Line<'a> = Fields<SplitWhitespace<'a>>;
+
+/// A cursor over the lines of a payload, each read whole by [`Body::line`].
+pub(crate) type Body<'a> = Fields<Lines<'a>>;
+
+impl<'a> Line<'a> {
+    /// A cursor over `line`'s tokens.
+    pub(crate) fn new(line: &'a str) -> Self {
+        Fields {
+            tokens: line.split_whitespace(),
+        }
+    }
+}
+
+impl<'a> Fields<Split<'a, char>> {
+    /// A cursor over the parts of one field (`voting:3,1,1`'s counts, a
+    /// distribution's parameters).
+    pub(crate) fn split(field: &'a str, separator: char) -> Self {
+        Fields {
+            tokens: field.split(separator),
+        }
+    }
+}
+
+impl<'a> Body<'a> {
+    /// Reads a payload: `read` gets its header line and the body lines after
+    /// it, and neither may have anything left over.
+    pub(crate) fn payload<T>(
+        payload: &'a str,
+        read: impl FnOnce(&mut Line<'a>, &mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let body = Fields {
+            tokens: payload.lines(),
+        };
+        body.all(|body| {
+            let header = body.token("header line")?;
+            Line::new(header).all(|head| read(head, body))
+        })
+    }
+
+    /// Reads the next line whole.
+    pub(crate) fn line<T>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Line<'a>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        Line::new(self.token(what)?).all(read)
+    }
+}
+
+impl<'a, I: Iterator<Item = &'a str>> Fields<I> {
+    /// Runs `read` over the cursor and refuses whatever it leaves.
+    pub(crate) fn all<T>(
+        mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let value = read(&mut self)?;
+        match self.tokens.next() {
+            None => Ok(value),
+            Some(_) => Err(malformed("trailing data after the last field")),
+        }
+    }
+
+    /// The next field, raw.
+    pub(crate) fn token(&mut self, what: &str) -> Result<&'a str, WireError> {
+        self.tokens
+            .next()
+            .ok_or_else(|| malformed(format!("payload ends before its {what}")))
+    }
+
+    /// The next field, which must be `expected`.
+    pub(crate) fn tag(&mut self, expected: &str) -> Result<(), WireError> {
+        match self.token(expected)? {
+            token if token == expected => Ok(()),
+            other => Err(malformed(format!("expected '{expected}', got '{other}'"))),
+        }
+    }
+
+    /// The value of the next field, which must be `key=value`.
+    pub(crate) fn value(&mut self, key: &str) -> Result<&'a str, WireError> {
+        let token = self.token(key)?;
+        token
+            .strip_prefix(key)
+            .and_then(|rest| rest.strip_prefix('='))
+            .ok_or_else(|| malformed(format!("expected '{key}=...', got '{token}'")))
+    }
+
+    /// A typed `key=value` field (see [`number`]).
+    pub(crate) fn key<T: FromStr>(&mut self, key: &str) -> Result<T, WireError> {
+        number(self.value(key)?, key)
+    }
+
+    /// A percent-encoded `key=value` field.
+    pub(crate) fn text(&mut self, key: &str) -> Result<String, WireError> {
+        text(self.value(key)?, key)
+    }
+
+    /// A `v=N` field that must announce version `expected`.
+    pub(crate) fn version(&mut self, expected: u32) -> Result<(), WireError> {
+        match self.key("v")? {
+            got if got == expected => Ok(()),
+            got => Err(WireError::Version { got }),
+        }
+    }
+
+    /// A typed bare field (see [`number`]).
+    pub(crate) fn parse<T: FromStr>(&mut self, what: &str) -> Result<T, WireError> {
+        number(self.token(what)?, what)
+    }
+
+    /// A bare bit-exact `f64` field, any bit pattern.
+    pub(crate) fn bits(&mut self, what: &str) -> Result<f64, WireError> {
+        bits(self.token(what)?, what)
+    }
+
+    /// A bare *quantity* `f64` field: NaN and infinities are refused.
+    pub(crate) fn finite(&mut self, what: &'static str) -> Result<f64, WireError> {
+        decode_finite_f64(self.token(what)?, what)
+    }
+
+    /// Two quantity fields: a complex value's real and imaginary parts.
+    pub(crate) fn complex(&mut self, what: &'static str) -> Result<Complex64, WireError> {
+        Ok(Complex64::new(self.finite(what)?, self.finite(what)?))
+    }
+
+    /// `n` items, each taken by `read`.  `n` comes off the wire, so the list
+    /// grows by pushing and never reserves for it: a count the payload does
+    /// not carry fails when the fields run out.
+    pub(crate) fn list<T>(
+        &mut self,
+        n: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut items = Vec::new();
+        while items.len() < n {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -237,23 +418,17 @@ pub fn encode_work_item(item: &WorkItem) -> Result<String, WireError> {
     ))
 }
 
-fn decode_work_item_fields<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<WorkItem, WireError> {
-    let measure = take_usize(parts, "measure")?;
-    let index = take_usize(parts, "index")?;
-    let s = take_complex(parts, "work item s-point")?;
-    Ok(WorkItem { measure, index, s })
+fn read_work_item(line: &mut Line<'_>) -> Result<WorkItem, WireError> {
+    Ok(WorkItem {
+        measure: line.parse("measure")?,
+        index: line.parse("index")?,
+        s: line.complex("work item s-point")?,
+    })
 }
 
 /// Decodes one [`WorkItem`] line.
 pub fn decode_work_item(line: &str) -> Result<WorkItem, WireError> {
-    let mut parts = line.split_whitespace();
-    let item = decode_work_item_fields(&mut parts)?;
-    if parts.next().is_some() {
-        return Err(malformed("trailing fields after work item"));
-    }
-    Ok(item)
+    Line::new(line).all(read_work_item)
 }
 
 /// Encodes one [`WorkItemOutcome`]: the item's fields followed by
@@ -292,19 +467,16 @@ pub fn encode_outcome(outcome: &WorkItemOutcome) -> Result<String, WireError> {
 
 /// Decodes one [`WorkItemOutcome`] line.
 pub fn decode_outcome(line: &str) -> Result<WorkItemOutcome, WireError> {
-    let mut parts = line.split_whitespace();
-    let item = decode_work_item_fields(&mut parts)?;
-    let outcome = match take(&mut parts, "outcome tag")? {
-        "ok" => Ok(take_complex(&mut parts, "transform value")?),
-        "err" => {
-            let field = take(&mut parts, "error message")?;
-            Err(decode_str(field).ok_or_else(|| malformed("bad error message encoding"))?)
-        }
+    Line::new(line).all(read_outcome)
+}
+
+fn read_outcome(line: &mut Line<'_>) -> Result<WorkItemOutcome, WireError> {
+    let item = read_work_item(line)?;
+    let outcome = match line.token("outcome tag")? {
+        "ok" => Ok(line.complex("transform value")?),
+        "err" => Err(text(line.token("error message")?, "error message")?),
         other => return Err(malformed(format!("unknown outcome tag '{other}'"))),
     };
-    if parts.next().is_some() {
-        return Err(malformed("trailing fields after outcome"));
-    }
     Ok(WorkItemOutcome { item, outcome })
 }
 
@@ -327,44 +499,24 @@ pub fn encode_worker_message(
     Ok(out)
 }
 
-fn parse_kv(field: &str, key: &str) -> Result<u64, WireError> {
-    let value = field
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| malformed(format!("expected '{key}=N', got '{field}'")))?;
-    value
-        .parse()
-        .map_err(|_| malformed(format!("bad integer in '{field}'")))
-}
-
 /// Decodes a `result` frame payload back into a [`WorkerMessage`] and the
 /// chunk's busy time in nanoseconds.
 pub fn decode_worker_message(payload: &str) -> Result<(WorkerMessage, u64), WireError> {
-    let mut lines = payload.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| malformed("empty result frame"))?;
-    let mut parts = header.split_whitespace();
-    match take(&mut parts, "frame tag")? {
-        "result" => {}
-        other => return Err(malformed(format!("expected result frame, got '{other}'"))),
-    }
-    let worker = parse_kv(take(&mut parts, "worker")?, "worker")? as usize;
-    let busy_nanos = parse_kv(take(&mut parts, "busy_ns")?, "busy_ns")?;
-    let n = parse_kv(take(&mut parts, "n")?, "n")? as usize;
-    // No Vec::with_capacity(n): the header is unvalidated wire input, and a
-    // huge announced count must produce a decode error below, not a
-    // capacity-overflow panic here.
-    let mut results = Vec::new();
-    for line in lines {
-        results.push(decode_outcome(line)?);
-    }
-    if results.len() != n {
-        return Err(malformed(format!(
-            "result frame announced {n} outcomes but carried {}",
-            results.len()
-        )));
-    }
+    Body::payload(payload, |head, body| {
+        head.tag("result")?;
+        read_result(head, body)
+    })
+}
+
+/// A `result` frame after its tag.
+fn read_result(
+    head: &mut Line<'_>,
+    body: &mut Body<'_>,
+) -> Result<(WorkerMessage, u64), WireError> {
+    let worker = head.key("worker")?;
+    let busy_nanos = head.key("busy_ns")?;
+    let n = head.key("n")?;
+    let results = body.list(n, |body| body.line("outcome", read_outcome))?;
     Ok((WorkerMessage { worker, results }, busy_nanos))
 }
 
@@ -381,45 +533,13 @@ pub fn encode_value_entry(row: u32, value: Complex64) -> Result<String, WireErro
     ))
 }
 
-/// Decodes one boundary entry line (inverse of [`encode_value_entry`]).
-pub fn decode_value_entry(line: &str) -> Result<(u32, Complex64), WireError> {
-    let mut parts = line.split_whitespace();
-    let row: u32 = take(&mut parts, "row")?
-        .parse()
-        .map_err(|_| malformed("bad row field in boundary entry"))?;
-    let value = take_complex(&mut parts, "boundary value")?;
-    if parts.next().is_some() {
-        return Err(malformed("trailing fields after boundary entry"));
-    }
-    Ok((row, value))
-}
-
-fn take_u32_list<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-    n: usize,
-    name: &str,
-) -> Result<Vec<u32>, WireError> {
-    // No Vec::with_capacity(n): `n` is an unvalidated wire count, and a huge
-    // announced value must fail below when the fields run out, not allocate.
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(
-            take(parts, name)?
-                .parse()
-                .map_err(|_| malformed(format!("bad integer in '{name}' list")))?,
-        );
-    }
-    Ok(out)
-}
-
-fn parse_flag(field: &str, key: &str) -> Result<bool, WireError> {
-    match parse_kv(field, key)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(malformed(format!(
-            "flag '{key}' must be 0 or 1, got {other}"
-        ))),
-    }
+/// `n` boundary-entry lines (the inverse of [`encode_value_entry`]).
+fn read_entries(body: &mut Body<'_>, n: usize) -> Result<Vec<(u32, Complex64)>, WireError> {
+    body.list(n, |body| {
+        body.line("boundary entry", |line| {
+            Ok((line.parse("row")?, line.complex("boundary value")?))
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -731,224 +851,105 @@ impl Frame {
 
     /// Decodes a payload string back into a frame.
     pub fn decode(payload: &str) -> Result<Frame, WireError> {
-        let mut lines = payload.lines();
-        let header = lines.next().ok_or_else(|| malformed("empty frame"))?;
-        let mut parts = header.split_whitespace();
-        match take(&mut parts, "frame tag")? {
-            "hello" => {
-                let version = parse_kv(take(&mut parts, "v")?, "v")? as u32;
-                Ok(Frame::Hello { version })
-            }
-            "job" => {
-                let version = parse_kv(take(&mut parts, "v")?, "v")? as u32;
-                let worker = parse_kv(take(&mut parts, "worker")?, "worker")? as usize;
-                let method_field = take(&mut parts, "method")?
-                    .strip_prefix("method=")
-                    .ok_or_else(|| malformed("expected method=NAME"))?
-                    .to_string();
-                let method =
-                    decode_str(&method_field).ok_or_else(|| malformed("bad method encoding"))?;
-                let n = parse_kv(take(&mut parts, "specs")?, "specs")? as usize;
-                let specs: Vec<String> = lines.map(str::to_string).collect();
-                if specs.len() != n {
-                    return Err(malformed(format!(
-                        "job frame announced {n} specs but carried {}",
-                        specs.len()
-                    )));
-                }
-                Ok(Frame::Job {
-                    version,
-                    worker,
-                    method,
-                    specs,
-                })
-            }
-            "chunk" => {
-                let n = parse_kv(take(&mut parts, "n")?, "n")? as usize;
-                let items: Result<Vec<WorkItem>, WireError> = lines.map(decode_work_item).collect();
-                let items = items?;
-                if items.len() != n {
-                    return Err(malformed(format!(
-                        "chunk frame announced {n} items but carried {}",
-                        items.len()
-                    )));
-                }
-                Ok(Frame::Chunk { items })
-            }
-            "done" => Ok(Frame::Done),
-            "result" => {
-                let (message, busy_nanos) = decode_worker_message(payload)?;
-                Ok(Frame::Result {
-                    message,
-                    busy_nanos,
-                })
-            }
-            "fatal" => {
-                let field = take(&mut parts, "message")?;
-                let message =
-                    decode_str(field).ok_or_else(|| malformed("bad fatal message encoding"))?;
-                Ok(Frame::Fatal { message })
-            }
-            "slicejob" => {
-                let version = parse_kv(take(&mut parts, "v")?, "v")? as u32;
-                let worker = parse_kv(take(&mut parts, "worker")?, "worker")? as usize;
-                let shards = parse_kv(take(&mut parts, "shards")?, "shards")? as usize;
-                let spec = lines
-                    .next()
-                    .ok_or_else(|| malformed("slicejob frame carries no spec line"))?
-                    .to_string();
-                if lines.next().is_some() {
-                    return Err(malformed("trailing lines after slicejob spec"));
-                }
-                Ok(Frame::SliceJob {
-                    version,
-                    worker,
-                    shards,
-                    spec,
-                })
-            }
-            "slicemeta" => {
-                let states = parse_kv(take(&mut parts, "states")?, "states")? as usize;
-                let nnz = parse_kv(take(&mut parts, "nnz")?, "nnz")? as usize;
-                let dists = parse_kv(take(&mut parts, "dists")?, "dists")? as usize;
-                let n = parse_kv(take(&mut parts, "need")?, "need")? as usize;
-                let need = take_u32_list(&mut parts, n, "need")?;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields after slicemeta need list"));
-                }
-                Ok(Frame::SliceMeta {
-                    states,
-                    nnz,
-                    dists,
-                    need,
-                })
-            }
-            "sliceroute" => {
-                let n = parse_kv(take(&mut parts, "n")?, "n")? as usize;
-                let rows = take_u32_list(&mut parts, n, "rows")?;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields after sliceroute row list"));
-                }
-                Ok(Frame::SliceRoute { rows })
-            }
-            "spoint" => {
-                let id = parse_kv(take(&mut parts, "id")?, "id")?;
-                let s = take_complex(&mut parts, "s-point")?;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields after spoint"));
-                }
-                Ok(Frame::SPoint { id, s })
-            }
-            "halo" => {
-                let id = parse_kv(take(&mut parts, "id")?, "id")?;
-                let r = parse_kv(take(&mut parts, "r")?, "r")?;
-                let n = parse_kv(take(&mut parts, "n")?, "n")? as usize;
-                let entries: Result<Vec<(u32, Complex64)>, WireError> =
-                    lines.map(decode_value_entry).collect();
-                let entries = entries?;
-                if entries.len() != n {
-                    return Err(malformed(format!(
-                        "halo frame announced {n} entries but carried {}",
-                        entries.len()
-                    )));
-                }
-                Ok(Frame::Halo { id, r, entries })
-            }
-            "sstate" => {
-                let id = parse_kv(take(&mut parts, "id")?, "id")?;
-                let r = parse_kv(take(&mut parts, "r")?, "r")?;
-                let quiet = parse_flag(take(&mut parts, "quiet")?, "quiet")?;
-                let t = parse_kv(take(&mut parts, "targets")?, "targets")? as usize;
-                let e = parse_kv(take(&mut parts, "exports")?, "exports")? as usize;
-                let body: Vec<&str> = lines.collect();
-                if body.len() != t + e {
-                    return Err(malformed(format!(
-                        "sstate frame announced {t}+{e} lines but carried {}",
-                        body.len()
-                    )));
-                }
-                let mut targets = Vec::new();
-                for line in &body[..t] {
-                    let mut fields = line.split_whitespace();
-                    let value = take_complex(&mut fields, "target value")?;
-                    if fields.next().is_some() {
-                        return Err(malformed("trailing fields after target value"));
+        Body::payload(payload, |head, body| {
+            Ok(match head.token("frame tag")? {
+                "hello" => Frame::Hello {
+                    version: head.key("v")?,
+                },
+                "job" => Frame::Job {
+                    version: head.key("v")?,
+                    worker: head.key("worker")?,
+                    method: head.text("method")?,
+                    specs: body.list(head.key("specs")?, |body| {
+                        Ok(body.token("spec line")?.to_string())
+                    })?,
+                },
+                "chunk" => Frame::Chunk {
+                    items: body.list(head.key("n")?, |body| {
+                        body.line("work item", read_work_item)
+                    })?,
+                },
+                "done" => Frame::Done,
+                "result" => {
+                    let (message, busy_nanos) = read_result(head, body)?;
+                    Frame::Result {
+                        message,
+                        busy_nanos,
                     }
-                    targets.push(value);
                 }
-                let mut exports = Vec::new();
-                for line in &body[t..] {
-                    exports.push(decode_value_entry(line)?);
+                "fatal" => Frame::Fatal {
+                    message: text(head.token("message")?, "fatal message")?,
+                },
+                "slicejob" => Frame::SliceJob {
+                    version: head.key("v")?,
+                    worker: head.key("worker")?,
+                    shards: head.key("shards")?,
+                    spec: body.token("spec line")?.to_string(),
+                },
+                "slicemeta" => Frame::SliceMeta {
+                    states: head.key("states")?,
+                    nnz: head.key("nnz")?,
+                    dists: head.key("dists")?,
+                    need: {
+                        let n = head.key("need")?;
+                        head.list(n, |head| head.parse("need row"))?
+                    },
+                },
+                "sliceroute" => {
+                    let n = head.key("n")?;
+                    Frame::SliceRoute {
+                        rows: head.list(n, |head| head.parse("route row"))?,
+                    }
                 }
-                Ok(Frame::SState {
-                    id,
-                    r,
-                    quiet,
-                    targets,
-                    exports,
-                })
-            }
-            "ping" => {
-                let nonce = parse_kv(take(&mut parts, "nonce")?, "nonce")?;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields after ping"));
-                }
-                Ok(Frame::Ping { nonce })
-            }
-            "pong" => {
-                let nonce = parse_kv(take(&mut parts, "nonce")?, "nonce")?;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields after pong"));
-                }
-                Ok(Frame::Pong { nonce })
-            }
-            "termreq" => {
-                let id = parse_kv(take(&mut parts, "id")?, "id")?;
-                let r = parse_kv(take(&mut parts, "r")?, "r")?;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields after termreq"));
-                }
-                Ok(Frame::TermReq { id, r })
-            }
-            "term" => {
-                let id = parse_kv(take(&mut parts, "id")?, "id")?;
-                let r = parse_kv(take(&mut parts, "r")?, "r")?;
-                let n = parse_kv(take(&mut parts, "n")?, "n")? as usize;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields in term header"));
-                }
-                let entries: Result<Vec<(u32, Complex64)>, WireError> =
-                    lines.map(decode_value_entry).collect();
-                let entries = entries?;
-                if entries.len() != n {
-                    return Err(malformed(format!(
-                        "term frame announced {n} entries but carried {}",
-                        entries.len()
-                    )));
-                }
-                Ok(Frame::Term { id, r, entries })
-            }
-            "restore" => {
-                let id = parse_kv(take(&mut parts, "id")?, "id")?;
-                let r = parse_kv(take(&mut parts, "r")?, "r")?;
-                let s = take_complex(&mut parts, "s-point")?;
-                let n = parse_kv(take(&mut parts, "n")?, "n")? as usize;
-                if parts.next().is_some() {
-                    return Err(malformed("trailing fields in restore header"));
-                }
-                let entries: Result<Vec<(u32, Complex64)>, WireError> =
-                    lines.map(decode_value_entry).collect();
-                let entries = entries?;
-                if entries.len() != n {
-                    return Err(malformed(format!(
-                        "restore frame announced {n} entries but carried {}",
-                        entries.len()
-                    )));
-                }
-                Ok(Frame::Restore { id, r, s, entries })
-            }
-            other => Err(malformed(format!("unknown frame tag '{other}'"))),
-        }
+                "spoint" => Frame::SPoint {
+                    id: head.key("id")?,
+                    s: head.complex("s-point")?,
+                },
+                "halo" => Frame::Halo {
+                    id: head.key("id")?,
+                    r: head.key("r")?,
+                    entries: read_entries(body, head.key("n")?)?,
+                },
+                "sstate" => Frame::SState {
+                    id: head.key("id")?,
+                    r: head.key("r")?,
+                    quiet: match head.key::<u8>("quiet")? {
+                        0 => false,
+                        1 => true,
+                        other => {
+                            let message = format!("flag 'quiet' must be 0 or 1, got {other}");
+                            return Err(malformed(message));
+                        }
+                    },
+                    targets: body.list(head.key("targets")?, |body| {
+                        body.line("target value", |line| line.complex("target value"))
+                    })?,
+                    exports: read_entries(body, head.key("exports")?)?,
+                },
+                "ping" => Frame::Ping {
+                    nonce: head.key("nonce")?,
+                },
+                "pong" => Frame::Pong {
+                    nonce: head.key("nonce")?,
+                },
+                "termreq" => Frame::TermReq {
+                    id: head.key("id")?,
+                    r: head.key("r")?,
+                },
+                "term" => Frame::Term {
+                    id: head.key("id")?,
+                    r: head.key("r")?,
+                    entries: read_entries(body, head.key("n")?)?,
+                },
+                "restore" => Frame::Restore {
+                    id: head.key("id")?,
+                    r: head.key("r")?,
+                    s: head.complex("s-point")?,
+                    entries: read_entries(body, head.key("n")?)?,
+                },
+                other => return Err(malformed(format!("unknown frame tag '{other}'"))),
+            })
+        })
     }
 }
 
@@ -1336,6 +1337,15 @@ mod tests {
         // Non-finite boundary values are rejected at decode.
         let nan = encode_f64(f64::NAN);
         assert!(Frame::decode(&format!("halo id=1 r=1 n=1\n4 {nan} {nan}")).is_err());
+        // Counts past the body and versions past `u32` are typed refusals:
+        // no overflow, no out-of-range slice, no version narrowed to a match.
+        for payload in [
+            "sstate id=0 r=0 quiet=0 targets=18446744073709551615 exports=1",
+            "slicejob v=4294967299 worker=0 shards=2\npassage v=1 model=voting:3,1,1 targets=p2%3e%3d2",
+        ] {
+            let decoded = Frame::decode(payload);
+            assert!(matches!(decoded, Err(WireError::Malformed { .. })), "{payload}: {decoded:?}");
+        }
     }
 
     #[test]
@@ -1506,5 +1516,15 @@ mod tests {
         assert!(Frame::decode("chunk n=2\n0 0 3ff0000000000000 3ff0000000000000").is_err());
         assert!(Frame::decode("warble n=1").is_err());
         assert!(Frame::decode("").is_err());
+        for payload in [
+            "hello v=4294967299",
+            "job v=4294967299 worker=0 method=euler specs=0",
+        ] {
+            let decoded = Frame::decode(payload);
+            assert!(
+                matches!(decoded, Err(WireError::Malformed { .. })),
+                "{payload}: {decoded:?}"
+            );
+        }
     }
 }

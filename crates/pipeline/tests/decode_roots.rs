@@ -5,6 +5,12 @@
 //! `golden_bytes` pins the exact text each encoder writes and the values each
 //! loader reads back.  A round-trip test cannot do that: a change applied to
 //! the encoder and the decoder alike still round-trips.
+//!
+//! `token_mutation_sweep` replaces every whitespace token of every sample
+//! (and the value of every `key=value` token) with each hostile replacement
+//! in turn, and cuts every sample after every token and after every line.  Each decoder must answer every variant with `Ok` or
+//! a typed error, never a panic.  The sweep is exhaustive and deterministic:
+//! no random source, no seed.
 
 use smp_core::query::{MeasureKind, MeasureReport, Provenance};
 use smp_numeric::Complex64;
@@ -18,6 +24,7 @@ use smp_pipeline::worker::{WorkItemOutcome, WorkerMessage};
 use smp_pipeline::{
     DistSpec, ModelSpec, QueryReply, QueryRequest, Refusal, RefusalKind, TargetSpec, TransformSpec,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -383,4 +390,104 @@ fn golden_bytes() {
         assert_eq!((got.0, bits(got.1)), (want.0, bits(want.1)));
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// What each token is replaced by: nothing, counts past `u64`/`u32`, signs,
+/// a bad percent escape and an all-ones (NaN) bit pattern.
+const REPLACEMENTS: [&str; 7] = [
+    "",
+    "18446744073709551615",
+    "4294967299",
+    "-1",
+    "+1",
+    "%zz",
+    "ffffffffffffffff",
+];
+
+/// Every variant of `text` the sweep feeds a decoder.
+fn variants(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for token in text.split_whitespace() {
+        let from = token.as_ptr() as usize - text.as_ptr() as usize;
+        let to = from + token.len();
+        // A `key=value` token is mutated twice: whole, and in its value
+        // alone, so the decoder gets past the key to the number it guards.
+        let value_from = text[from..to].find('=').map(|eq| from + eq + 1);
+        for start in [Some(from), value_from].into_iter().flatten() {
+            for replacement in REPLACEMENTS {
+                out.push(format!("{}{replacement}{}", &text[..start], &text[to..]));
+            }
+        }
+        out.push(text[..to].to_string());
+    }
+    for (newline, _) in text.match_indices('\n') {
+        out.push(text[..=newline].to_string());
+    }
+    out
+}
+
+/// Feeds every variant of every sample to `decode`; returns the variants
+/// that panicked, labelled with the root's name.
+fn sweep(root: &str, samples: &[String], decode: impl Fn(&str)) -> Vec<String> {
+    let mut panicked = Vec::new();
+    for sample in samples {
+        for variant in variants(sample) {
+            if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
+                panicked.push(format!("{root}: {variant:?}"));
+            }
+        }
+    }
+    panicked
+}
+
+#[test]
+fn token_mutation_sweep() {
+    let frames: Vec<String> = frame_samples()
+        .iter()
+        .map(|frame| frame.encode().unwrap())
+        .collect();
+    let replies: Vec<String> = reply_samples().iter().map(encode_query_reply).collect();
+    let specs: Vec<String> = spec_samples()
+        .iter()
+        .map(|spec| spec.encode().unwrap())
+        .collect();
+    let checkpoint_path = temp_path("sweep-checkpoint");
+    let sidecar_path = temp_path("sweep-sidecar");
+    let checkpoint = write_checkpoint(&checkpoint_path);
+    let sidecar = write_snapshot(&sidecar_path);
+
+    let mut panicked = Vec::new();
+    panicked.extend(sweep("Frame::decode", &frames, |text| {
+        let _ = Frame::decode(text);
+    }));
+    panicked.extend(sweep(
+        "decode_query_request",
+        &[encode_query_request(&request_sample())],
+        |text| {
+            let _ = decode_query_request(text);
+        },
+    ));
+    panicked.extend(sweep("decode_query_reply", &replies, |text| {
+        let _ = decode_query_reply(text);
+    }));
+    panicked.extend(sweep("TransformSpec::decode", &specs, |text| {
+        let _ = TransformSpec::decode(text);
+    }));
+    panicked.extend(sweep("load_checkpoint_by_measure", &[checkpoint], |text| {
+        std::fs::write(&checkpoint_path, text).unwrap();
+        let _ = load_checkpoint_by_measure(&checkpoint_path);
+    }));
+    panicked.extend(sweep("ShardSnapshot::load", &[sidecar], |text| {
+        std::fs::write(&sidecar_path, text).unwrap();
+        let _ = ShardSnapshot::load(&sidecar_path);
+    }));
+    let _ = std::fs::remove_file(&checkpoint_path);
+    let _ = std::fs::remove_file(&sidecar_path);
+
+    assert!(
+        panicked.is_empty(),
+        "{} variants panicked a decoder:\n{}",
+        panicked.len(),
+        panicked.join("\n")
+    );
 }
