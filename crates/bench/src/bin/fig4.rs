@@ -1,10 +1,10 @@
 //! Fig. 4 — density of the time taken for the voters to pass from p1 to p2,
-//! analytic (iterative passage-time algorithm + Euler inversion through the
-//! distributed pipeline) against simulation.
+//! analytic (iterative passage-time algorithm + Euler inversion) against
+//! simulation.
 //!
 //! ```text
 //! cargo run -p smp-bench --release --bin fig4 [--system N] [--voters K]
-//!     [--points P] [--workers W] [--replications R] [--quick]
+//!     [--points P] [--replications R] [--quick]
 //! ```
 //!
 //! The paper plots system 5 (1.1 million states, 175 voters); generating that
@@ -13,13 +13,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smp_bench::{
-    build_paper_system, build_scaled_system, grid_around_mean, passage_evaluator, print_columns,
-    Args,
-};
-use smp_core::{PassageTimeAnalysis, PassageTimeSolver, StateSet};
+use smp_bench::{build_paper_system, build_scaled_system, grid_around_mean, print_columns, Args};
+use smp_core::{PassageTimeAnalysis, StateSet};
 use smp_laplace::InversionMethod;
-use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 use smp_simulator::smp_sim::simulate_smp_passage_times;
 
 fn main() {
@@ -36,7 +32,6 @@ fn main() {
     } else {
         args.value_or("points", 30usize)
     };
-    let workers = args.value_or("workers", 4usize);
     let replications = args.value_or("replications", 20_000usize);
 
     println!(
@@ -57,25 +52,10 @@ fn main() {
     println!("# analytic mean passage time: {mean:.3}");
     let t_points = grid_around_mean(mean, 0.3, 2.0, points);
 
-    // Analytic curve through the distributed pipeline (Euler inversion).
-    let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
-    let pipeline = DistributedPipeline::new(
-        InversionMethod::euler(),
-        PipelineOptions::with_workers(workers),
-    );
-    let result = pipeline
-        .run_batch(BatchJob::new().with_measure(MeasureSpec::density(
-            "passage",
-            &t_points,
-            passage_evaluator(&solver),
-        )))
-        .expect("pipeline run failed");
-    println!(
-        "# pipeline: {} s-point evaluations on {} workers in {:.2}s",
-        result.evaluations,
-        workers,
-        result.elapsed.as_secs_f64()
-    );
+    // Analytic curve (Euler inversion).
+    let density = analysis
+        .density(InversionMethod::euler(), &t_points)
+        .expect("analytic density");
 
     // Simulation of the same passage on the generated SMP.
     let target_set = StateSet::new(smp.num_states(), &targets).expect("target set");
@@ -91,7 +71,7 @@ fn main() {
 
     let rows: Vec<Vec<f64>> = t_points
         .iter()
-        .zip(result.measures[0].values.iter())
+        .zip(density.values())
         .zip(sim_density.iter())
         .map(|((t, a), s)| vec![*t, a.max(0.0), *s])
         .collect();

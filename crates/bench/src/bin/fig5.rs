@@ -4,16 +4,12 @@
 //!
 //! ```text
 //! cargo run -p smp-bench --release --bin fig5 [--system N] [--voters K]
-//!     [--points P] [--workers W] [--quantile Q]
+//!     [--points P] [--quantile Q]
 //! ```
 
-use smp_bench::{
-    build_paper_system, build_scaled_system, grid_around_mean, passage_evaluator, print_columns,
-    Args,
-};
-use smp_core::{PassageTimeAnalysis, PassageTimeSolver};
-use smp_laplace::{CdfCurve, InversionMethod};
-use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
+use smp_bench::{build_paper_system, build_scaled_system, grid_around_mean, print_columns, Args};
+use smp_core::PassageTimeAnalysis;
+use smp_laplace::InversionMethod;
 
 fn main() {
     let args = Args::from_env();
@@ -25,7 +21,6 @@ fn main() {
     let config = system.config();
     let voters = args.value_or("voters", config.voters);
     let points = args.value_or("points", 40usize);
-    let workers = args.value_or("workers", 4usize);
     let quantile_level = args.value_or("quantile", 0.9858f64);
 
     println!(
@@ -42,20 +37,9 @@ fn main() {
         .expect("mean passage time");
     let t_points = grid_around_mean(mean, 0.3, 2.5, points);
 
-    let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
-    let pipeline = DistributedPipeline::new(
-        InversionMethod::euler(),
-        PipelineOptions::with_workers(workers),
-    );
-    let result = pipeline
-        .run_batch(BatchJob::new().with_measure(MeasureSpec::cdf(
-            "passage",
-            &t_points,
-            passage_evaluator(&solver),
-        )))
-        .expect("pipeline run failed");
-
-    let curve = CdfCurve::from_samples(t_points.clone(), result.measures[0].values.clone());
+    let curve = analysis
+        .cdf(InversionMethod::euler(), &t_points)
+        .expect("analytic CDF");
     let rows: Vec<Vec<f64>> = curve.iter().map(|(t, p)| vec![t, p]).collect();
     print_columns(&["t", "cdf"], &rows);
 

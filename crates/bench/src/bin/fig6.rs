@@ -13,16 +13,15 @@
 //!
 //! ```text
 //! cargo run -p smp-bench --release --bin fig6 [--system 0] [--points P]
-//!     [--workers W] [--replications R]
+//!     [--replications R]
 //! ```
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smp_bench::{grid_around_mean, passage_evaluator, print_columns, Args};
-use smp_core::{PassageTimeAnalysis, PassageTimeSolver, StateSet};
+use smp_bench::{grid_around_mean, print_columns, Args};
+use smp_core::{PassageTimeAnalysis, StateSet};
 use smp_distributions::Dist;
 use smp_laplace::InversionMethod;
-use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
 use smp_simulator::smp_sim::simulate_smp_passage_times;
 use smp_smspn::ReachabilityOptions;
 use smp_voting::model::VotingDistributions;
@@ -47,7 +46,6 @@ fn main() {
     let args = Args::from_env();
     let id = args.value_or("system", 0u32);
     let points = args.value_or("points", 30usize);
-    let workers = args.value_or("workers", 4usize);
     let replications = args.value_or("replications", 20_000usize);
 
     let paper = configs::paper_system(id).expect("unknown system id");
@@ -75,23 +73,9 @@ fn main() {
     println!("# analytic mean time to complete failure: {mean:.3}");
     let t_points = grid_around_mean(mean, 0.05, 3.0, points);
 
-    let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
-    let pipeline = DistributedPipeline::new(
-        InversionMethod::euler(),
-        PipelineOptions::with_workers(workers),
-    );
-    let result = pipeline
-        .run_batch(BatchJob::new().with_measure(MeasureSpec::density(
-            "passage",
-            &t_points,
-            passage_evaluator(&solver),
-        )))
-        .expect("pipeline run failed");
-    println!(
-        "# pipeline: {} s-point evaluations in {:.2}s",
-        result.evaluations,
-        result.elapsed.as_secs_f64()
-    );
+    let density = analysis
+        .density(InversionMethod::euler(), &t_points)
+        .expect("analytic density");
 
     let target_set = StateSet::new(smp.num_states(), &targets).expect("target set");
     let mut rng = StdRng::seed_from_u64(1926);
@@ -106,7 +90,7 @@ fn main() {
 
     let rows: Vec<Vec<f64>> = t_points
         .iter()
-        .zip(result.measures[0].values.iter())
+        .zip(density.values())
         .zip(sim_density.iter())
         .map(|((t, a), s)| vec![*t, a.max(0.0), *s])
         .collect();

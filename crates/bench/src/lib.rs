@@ -17,10 +17,8 @@
 //! | `table2`| Table 2 — time / speedup / efficiency vs number of workers | `--system N`, `--workers a,b,c` |
 //!
 //! The shared plumbing in this library keeps the binaries small: argument parsing,
-//! system construction, evaluator closures and column printing.
+//! system construction and column printing.
 
-use smp_core::{PassageTimeSolver, SmpError};
-use smp_numeric::Complex64;
 use smp_voting::{configs, VotingConfig, VotingSystem};
 
 /// Minimal command-line flag reader (`--name value` and bare `--flag` switches) so
@@ -101,19 +99,6 @@ pub fn build_scaled_system() -> VotingSystem {
     VotingSystem::build(VotingConfig::new(8, 3, 2)).expect("state-space generation failed")
 }
 
-/// Wraps a passage-time solver as the `Fn(Complex64) -> Result<...>` evaluator
-/// expected by the distributed pipeline.
-pub fn passage_evaluator<'a>(
-    solver: &'a PassageTimeSolver<'a>,
-) -> impl Fn(Complex64) -> Result<Complex64, String> + Sync + 'a {
-    move |s| {
-        solver
-            .transform_at(s)
-            .map(|p| p.value)
-            .map_err(|e: SmpError| e.to_string())
-    }
-}
-
 /// Prints aligned data columns with a `#`-prefixed header (gnuplot-friendly, like
 /// the data behind the paper's figures).
 pub fn print_columns(header: &[&str], rows: &[Vec<f64>]) {
@@ -165,15 +150,5 @@ mod tests {
         assert_eq!(g.first().copied(), Some(5.0));
         assert_eq!(g.last().copied(), Some(20.0));
         assert_eq!(g.len(), 4);
-    }
-
-    #[test]
-    fn passage_evaluator_reports_values() {
-        let sys = build_scaled_system();
-        let targets = sys.states_with_voted_at_least(2);
-        let solver = PassageTimeSolver::new(sys.smp(), &[sys.initial_state()], &targets).unwrap();
-        let eval = passage_evaluator(&solver);
-        let v = eval(Complex64::new(0.5, 1.0)).unwrap();
-        assert!(v.norm() <= 1.0 + 1e-9);
     }
 }

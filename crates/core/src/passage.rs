@@ -309,19 +309,6 @@ impl<'a> PassageTimeSolver<'a> {
         self.smp
     }
 
-    /// The closure form of this solver consumed by the distributed pipeline's
-    /// measure specs and scalability sweeps: evaluate the transform, keep the
-    /// converged value, stringify the error.  Every call site used to spell
-    /// this closure out by hand; it is the canonical evaluator-from-solver
-    /// constructor now.
-    pub fn transform_fn(&self) -> impl Fn(Complex64) -> Result<Complex64, String> + Sync + '_ {
-        move |s| {
-            self.transform_at(s)
-                .map(|p| p.value)
-                .map_err(|e| e.to_string())
-        }
-    }
-
     /// A workspace built over another solver's skeleton would silently
     /// compute against the wrong target set; the pointer comparison is free
     /// next to a transform evaluation, so this guards release builds too.

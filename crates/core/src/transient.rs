@@ -127,12 +127,6 @@ impl<'a> TransientSolver<'a> {
         self.pool.stats()
     }
 
-    /// The closure form of this solver consumed by the distributed pipeline's
-    /// measure specs (see `PassageTimeSolver::transform_fn`).
-    pub fn transform_fn(&self) -> impl Fn(Complex64) -> Result<Complex64, String> + Sync + '_ {
-        move |s| self.transform_at(s).map_err(|e| e.to_string())
-    }
-
     /// Evaluates `T*_{i→j}(s)` at one complex point: one refill, one row
     /// iteration, one division by `s`.
     pub fn transform_at(&self, s: Complex64) -> Result<Complex64, SmpError> {

@@ -878,9 +878,9 @@ fn gather_values(st: &UStructure, table: &[Lanes<1>], values: &mut [Complex64]) 
 /// A checkout pool of [`PassageWorkspace`]s over one shared
 /// [`PassageSkeleton`].
 ///
-/// Solvers are shared across worker threads (`transform_fn` closures are
-/// `Sync`), so the per-point buffers cannot live in the solver directly; the
-/// pool hands each thread its own workspace and takes it back afterwards.
+/// Solvers are shared across worker threads (a solver is `Sync`), so the
+/// per-point buffers cannot live in the solver directly; the pool hands each
+/// thread its own workspace and takes it back afterwards.
 /// The number of workspaces ever created is bounded by the peak number of
 /// concurrent threads, and each is reused for every subsequent point its
 /// thread evaluates — which is what amortises the symbolic phase across a

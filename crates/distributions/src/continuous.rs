@@ -37,34 +37,26 @@ pub enum Dist {
 impl Dist {
     /// Exponential distribution with the given rate.
     pub fn exponential(rate: f64) -> Dist {
-        assert!(rate > 0.0, "exponential rate must be positive, got {rate}");
-        Dist::Exponential { rate }
+        Dist::Exponential { rate }.asserted()
     }
 
     /// Erlang distribution with `phases` exponential phases of the given rate.
     ///
     /// Matches the paper's `erlangLT(λ, n)`.
     pub fn erlang(rate: f64, phases: u32) -> Dist {
-        assert!(rate > 0.0, "erlang rate must be positive, got {rate}");
-        assert!(phases >= 1, "erlang needs at least one phase");
-        Dist::Erlang { rate, phases }
+        Dist::Erlang { rate, phases }.asserted()
     }
 
     /// Uniform distribution on `[lower, upper]`.
     ///
     /// Matches the paper's `uniformLT(a, b)`.
     pub fn uniform(lower: f64, upper: f64) -> Dist {
-        assert!(
-            lower >= 0.0 && upper > lower,
-            "uniform requires 0 <= lower < upper, got [{lower}, {upper}]"
-        );
-        Dist::Uniform { lower, upper }
+        Dist::Uniform { lower, upper }.asserted()
     }
 
     /// Deterministic delay of exactly `value` time units.
     pub fn deterministic(value: f64) -> Dist {
-        assert!(value >= 0.0, "deterministic delay must be non-negative");
-        Dist::Deterministic { value }
+        Dist::Deterministic { value }.asserted()
     }
 
     /// Instantaneous firing (zero delay) — used for immediate transitions.
@@ -74,29 +66,95 @@ impl Dist {
 
     /// Weibull distribution with the given shape and scale.
     pub fn weibull(shape: f64, scale: f64) -> Dist {
-        assert!(
-            shape > 0.0 && scale > 0.0,
-            "weibull parameters must be positive"
-        );
-        Dist::Weibull { shape, scale }
+        Dist::Weibull { shape, scale }.asserted()
     }
 
     /// Probabilistic mixture; weights are normalised and must be non-negative with a
     /// positive sum.
     pub fn mixture(branches: Vec<(f64, Dist)>) -> Dist {
-        assert!(!branches.is_empty(), "mixture needs at least one branch");
-        let total: f64 = branches.iter().map(|(w, _)| *w).sum();
-        assert!(
-            total > 0.0 && branches.iter().all(|(w, _)| *w >= 0.0),
-            "mixture weights must be non-negative with positive sum"
-        );
-        Dist::Mixture(branches.into_iter().map(|(w, d)| (w / total, d)).collect())
+        Dist::Mixture(branches).asserted()
     }
 
     /// Sum of independent delays.
     pub fn convolution(parts: Vec<Dist>) -> Dist {
-        assert!(!parts.is_empty(), "convolution needs at least one part");
-        Dist::Convolution(parts)
+        Dist::Convolution(parts).asserted()
+    }
+
+    /// The distribution these parameters make, or why they make none — the
+    /// one judge of a parameter set.  Every parameter must be finite and in
+    /// its family's domain: a positive rate, shape and scale, at least one
+    /// phase, `0 ≤ lower < upper`, a non-negative delay.  A mixture needs
+    /// non-negative weights with a positive total and comes back normalised;
+    /// a mixture's branches and a convolution's parts must be distributions
+    /// themselves.  The constructors above assert it; front ends that read
+    /// parameters from outside the program return its error instead.
+    pub fn checked(self) -> Result<Dist, String> {
+        self.check()?;
+        Ok(match self {
+            Dist::Mixture(branches) => {
+                let total: f64 = branches.iter().map(|(w, _)| *w).sum();
+                Dist::Mixture(branches.into_iter().map(|(w, d)| (w / total, d)).collect())
+            }
+            dist => dist,
+        })
+    }
+
+    fn asserted(self) -> Dist {
+        self.checked().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn check(&self) -> Result<(), String> {
+        fn require(holds: bool, why: impl FnOnce() -> String) -> Result<(), String> {
+            if holds {
+                Ok(())
+            } else {
+                Err(why())
+            }
+        }
+        let positive = |what: &str, v: f64| {
+            require(v.is_finite() && v > 0.0, || {
+                format!("{what} must be positive and finite, got {v}")
+            })
+        };
+        match self {
+            Dist::Exponential { rate } => positive("exponential rate", *rate),
+            Dist::Erlang { rate, phases } => {
+                positive("erlang rate", *rate)?;
+                require(*phases >= 1, || "erlang needs at least one phase".into())
+            }
+            Dist::Uniform { lower, upper } => {
+                require(upper.is_finite() && *lower >= 0.0 && upper > lower, || {
+                    format!("uniform requires finite 0 <= lower < upper, got [{lower}, {upper}]")
+                })
+            }
+            Dist::Deterministic { value } => require(value.is_finite() && *value >= 0.0, || {
+                format!("deterministic delay must be non-negative and finite, got {value}")
+            }),
+            Dist::Weibull { shape, scale } => {
+                positive("weibull shape", *shape)?;
+                positive("weibull scale", *scale)
+            }
+            Dist::Mixture(branches) => {
+                require(!branches.is_empty(), || {
+                    "mixture needs at least one branch".into()
+                })?;
+                let total: f64 = branches.iter().map(|(w, _)| *w).sum();
+                let weights = branches.iter().all(|(w, _)| *w >= 0.0);
+                require(weights && total.is_finite() && total > 0.0, || {
+                    format!(
+                        "mixture weights must be non-negative with a positive finite sum, \
+                         got a sum of {total}"
+                    )
+                })?;
+                branches.iter().try_for_each(|(_, d)| d.check())
+            }
+            Dist::Convolution(parts) => {
+                require(!parts.is_empty(), || {
+                    "convolution needs at least one part".into()
+                })?;
+                parts.iter().try_for_each(Dist::check)
+            }
+        }
     }
 
     /// `Some(rate)` iff this distribution **is** the exponential variant, i.e.
@@ -522,6 +580,59 @@ mod tests {
     #[should_panic(expected = "at least one branch")]
     fn empty_mixture_rejected() {
         Dist::mixture(vec![]);
+    }
+
+    #[test]
+    fn checked_refuses_non_finite_and_degenerate_parameters() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let refused = [
+            Dist::Exponential { rate: nan },
+            Dist::Exponential { rate: inf },
+            Dist::Erlang {
+                rate: nan,
+                phases: 2,
+            },
+            Dist::Erlang {
+                rate: 2.0,
+                phases: 0,
+            },
+            Dist::Uniform {
+                lower: 0.0,
+                upper: inf,
+            },
+            Dist::Uniform {
+                lower: nan,
+                upper: 1.0,
+            },
+            Dist::Deterministic { value: inf },
+            Dist::Weibull {
+                shape: 1.5,
+                scale: inf,
+            },
+            Dist::Mixture(vec![(0.0, Dist::exponential(2.0))]),
+            Dist::Mixture(vec![
+                (1.0, Dist::exponential(1.0)),
+                (inf, Dist::immediate()),
+            ]),
+            Dist::Mixture(vec![(1.0, Dist::Exponential { rate: -1.0 })]),
+            Dist::Convolution(vec![Dist::immediate(), Dist::Deterministic { value: nan }]),
+            Dist::Convolution(vec![]),
+        ];
+        for dist in refused {
+            assert!(dist.clone().checked().is_err(), "{dist:?}");
+        }
+        let mixture = Dist::Mixture(vec![
+            (2.0, Dist::exponential(1.0)),
+            (6.0, Dist::immediate()),
+        ]);
+        assert_eq!(
+            mixture.checked().unwrap(),
+            Dist::mixture(vec![
+                (0.25, Dist::exponential(1.0)),
+                (0.75, Dist::immediate())
+            ])
+        );
     }
 
     #[test]

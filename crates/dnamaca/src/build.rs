@@ -2,8 +2,9 @@
 //!
 //! Each parsed transition becomes an `smp_smspn::TransitionSpec` whose guard, action,
 //! weight, priority and distribution closures interpret the corresponding AST
-//! fragments against the current marking.  Constants and initial markings are
-//! evaluated eagerly (they cannot depend on a marking).
+//! fragments against the current marking.  Constants, initial markings and
+//! sojourn-time distributions that read no place are evaluated eagerly (they
+//! cannot depend on a marking).
 
 use crate::ast::ModelAst;
 use crate::eval::Environment;
@@ -136,12 +137,22 @@ pub fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
         }
 
         if let Some(sojourn) = t.sojourn.clone() {
-            let env_c = Arc::clone(&env);
-            spec = spec.distribution_fn(move |m: &Marking| {
-                env_c
-                    .eval_dist(&sojourn, Some(m))
-                    .unwrap_or_else(|e| panic!("sojourn-time evaluation failed: {e}"))
-            });
+            if env.dist_reads_marking(&sojourn) {
+                let env_c = Arc::clone(&env);
+                spec = spec.distribution_fn(move |m: &Marking| {
+                    env_c
+                        .eval_dist(&sojourn, Some(m))
+                        .unwrap_or_else(|e| panic!("sojourn-time evaluation failed: {e}"))
+                });
+            } else {
+                // One distribution in every marking: built once, here, so
+                // that parameters making no distribution are a model error
+                // rather than a panic in the middle of exploration.
+                let dist = env
+                    .eval_dist(&sojourn, None)
+                    .map_err(|e| format!("transition '{}' sojourn time: {e}", t.name))?;
+                spec = spec.distribution(dist);
+            }
         }
 
         net.add_transition(spec);
@@ -241,6 +252,14 @@ mod tests {
         assert!(build("\\place{p}{1}")
             .unwrap_err()
             .contains("no transitions"));
+    }
+
+    #[test]
+    fn constant_sojourn_making_no_distribution_is_a_build_error() {
+        let err =
+            build("\\place{p}{1} \\transition{t}{ \\sojourntimeLT{ return 0 * expLT(2.0, s); } }")
+                .unwrap_err();
+        assert!(err.contains("transition 't' sojourn time"), "{err}");
     }
 
     #[test]

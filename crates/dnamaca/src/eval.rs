@@ -114,6 +114,32 @@ impl Environment {
         }
     }
 
+    /// True when the value of `expr` depends on the marking: it names a place
+    /// that no constant shadows.
+    fn reads_marking(&self, expr: &Expr) -> bool {
+        match expr {
+            Expr::Number(_) => false,
+            Expr::Ident(name) => {
+                !self.constants.contains_key(name) && self.places.contains_key(name)
+            }
+            Expr::Neg(inner) | Expr::Not(inner) => self.reads_marking(inner),
+            Expr::Call { args, .. } => args.iter().any(|a| self.reads_marking(a)),
+            Expr::Binary { lhs, rhs, .. } => self.reads_marking(lhs) || self.reads_marking(rhs),
+        }
+    }
+
+    /// True when some parameter or mixture weight of `expr` depends on the
+    /// marking; otherwise `expr` is one distribution in every marking.
+    pub(crate) fn dist_reads_marking(&self, expr: &DistExpr) -> bool {
+        match expr {
+            DistExpr::Call { args, .. } => args.iter().any(|a| self.reads_marking(a)),
+            DistExpr::Sum(branches) => branches
+                .iter()
+                .any(|(w, d)| self.reads_marking(w) || self.dist_reads_marking(d)),
+            DistExpr::Product(factors) => factors.iter().any(|f| self.dist_reads_marking(f)),
+        }
+    }
+
     /// Evaluates an expression as a boolean.
     pub fn eval_bool(&self, expr: &Expr, marking: Option<&Marking>) -> Result<bool, String> {
         Ok(self.eval(expr, marking)? != 0.0)
@@ -135,19 +161,16 @@ impl Environment {
                 let mut parts = Vec::with_capacity(branches.len());
                 for (weight_expr, dist_expr) in branches {
                     let w = self.eval(weight_expr, marking)?;
-                    if w < 0.0 {
-                        return Err(format!("negative mixture weight {w}"));
-                    }
                     parts.push((w, self.eval_dist(dist_expr, marking)?));
                 }
-                Ok(Dist::mixture(parts))
+                Dist::Mixture(parts).checked()
             }
             DistExpr::Product(factors) => {
                 let mut parts = Vec::with_capacity(factors.len());
                 for f in factors {
                     parts.push(self.eval_dist(f, marking)?);
                 }
-                Ok(Dist::convolution(parts))
+                Dist::Convolution(parts).checked()
             }
         }
     }
@@ -173,60 +196,49 @@ fn build_primitive(name: &str, args: &[f64]) -> Result<Dist, String> {
             ))
         }
     };
-    match name {
+    let dist = match name {
         "uniformLT" => {
             check(2)?;
-            if !(args[0] >= 0.0 && args[1] > args[0]) {
-                return Err(format!(
-                    "uniformLT requires 0 <= a < b, got ({}, {})",
-                    args[0], args[1]
-                ));
+            Dist::Uniform {
+                lower: args[0],
+                upper: args[1],
             }
-            Ok(Dist::uniform(args[0], args[1]))
         }
         "erlangLT" => {
             check(2)?;
             let phases = args[1];
-            if phases < 1.0 || phases.fract() != 0.0 {
+            if phases.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&phases) {
                 return Err(format!(
-                    "erlangLT phase count must be a positive integer, got {phases}"
+                    "erlangLT phase count must be a whole number, got {phases}"
                 ));
             }
-            if args[0] <= 0.0 {
-                return Err(format!("erlangLT rate must be positive, got {}", args[0]));
+            Dist::Erlang {
+                rate: args[0],
+                phases: phases as u32,
             }
-            Ok(Dist::erlang(args[0], phases as u32))
         }
         "expLT" | "exponentialLT" => {
             check(1)?;
-            if args[0] <= 0.0 {
-                return Err(format!("{name} rate must be positive, got {}", args[0]));
-            }
-            Ok(Dist::exponential(args[0]))
+            Dist::Exponential { rate: args[0] }
         }
         "detLT" | "deterministicLT" => {
             check(1)?;
-            if args[0] < 0.0 {
-                return Err(format!(
-                    "{name} delay must be non-negative, got {}",
-                    args[0]
-                ));
-            }
-            Ok(Dist::deterministic(args[0]))
+            Dist::Deterministic { value: args[0] }
         }
         "weibullLT" => {
             check(2)?;
-            if args[0] <= 0.0 || args[1] <= 0.0 {
-                return Err("weibullLT shape and scale must be positive".into());
+            Dist::Weibull {
+                shape: args[0],
+                scale: args[1],
             }
-            Ok(Dist::weibull(args[0], args[1]))
         }
         "immediateLT" => {
             check(0)?;
-            Ok(Dist::immediate())
+            Dist::immediate()
         }
-        other => Err(format!("unknown distribution constructor '{other}'")),
-    }
+        other => return Err(format!("unknown distribution constructor '{other}'")),
+    };
+    dist.checked().map_err(|e| format!("{name}: {e}"))
 }
 
 #[cfg(test)]
@@ -334,6 +346,25 @@ mod tests {
             dist,
             Dist::convolution(vec![Dist::exponential(1.0), Dist::deterministic(2.0)])
         );
+    }
+
+    #[test]
+    fn degenerate_sojourn_texts_are_errors_not_panics() {
+        let e = env();
+        for sojourn in [
+            "return 0 * expLT(2.0, s);",
+            "return expLT(1e400 - 1e400, s);",
+            "return erlangLT(1e400 - 1e400, 2, s);",
+            "return uniformLT(0, 1e400, s);",
+        ] {
+            let model = parse(&format!(
+                "\\transition{{t}}{{ \\sojourntimeLT{{ {sojourn} }} }}"
+            ))
+            .unwrap();
+            let sojourn_expr = model.transitions[0].sojourn.as_ref().unwrap();
+            let built = e.eval_dist(sojourn_expr, None);
+            assert!(built.is_err(), "{sojourn} built {built:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! transient probabilities for several state sets, all over shared (or
 //! overlapping) time grids, and the moments of the same passages.  A
 //! [`BatchJob`] is that workload: an ordered list of [`MeasureSpec`]s, each
-//! pairing a Laplace-domain transform with a time grid and a kind that says
+//! pairing a [`TransformSpec`] with a time grid and a kind that says
 //! which `s`-points it needs ([`MeasureKind::plan`]) and how its values are
 //! read off them ([`MeasureKind::postprocess`]).
 //! `DistributedPipeline::execute` plans the union of required `s`-points per
@@ -14,10 +14,10 @@
 //! results both within and across successive queries" realised as an API.
 
 use crate::transform::TransformSpec;
-use crate::transport::{Evaluator, TransportReport};
-use crate::worker::TransformFn;
+use crate::transport::TransportReport;
 use smp_laplace::{InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
+use std::marker::PhantomData;
 use std::time::Duration;
 
 /// How a measure's values are derived from its transform.
@@ -155,113 +155,37 @@ impl MeasureKind {
     }
 }
 
-/// How a measure's transform is evaluated: a live in-process closure, or a
-/// serializable [`TransformSpec`] that any backend — including a worker on the
-/// other end of a socket — can rebuild into an evaluator.
-enum MeasureTransform<'a> {
-    Closure(Box<TransformFn<'a>>),
-    Spec(TransformSpec),
-}
-
-/// One measure of a batch job: a named transform, the time grid to invert it
-/// on, and the post-processing kind.
-pub struct MeasureSpec<'a> {
+/// One measure of a batch job: a named transform spec, the time grid to
+/// invert it on, and the post-processing kind.
+#[derive(Debug)]
+pub struct MeasureSpec {
     name: String,
     kind: MeasureKind,
     t_points: Vec<f64>,
     transform_key: String,
-    transform: MeasureTransform<'a>,
+    spec: TransformSpec,
 }
 
-impl std::fmt::Debug for MeasureSpec<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MeasureSpec")
-            .field("name", &self.name)
-            .field("kind", &self.kind)
-            .field("t_points", &self.t_points.len())
-            .field("transform_key", &self.transform_key)
-            .finish()
-    }
-}
-
-impl<'a> MeasureSpec<'a> {
-    /// Creates a measure.  `transform` is the Laplace-domain evaluator — for
-    /// [`MeasureKind::Density`] and [`MeasureKind::Cdf`] the *density*
-    /// transform `L(s)` (the `/s` division happens at inversion time), for
-    /// [`MeasureKind::Transient`] the transient transform.
-    ///
-    /// The measure's cache/checkpoint *transform key* defaults to its name;
-    /// measures that evaluate the same transform should share a key via
-    /// [`MeasureSpec::with_transform_key`] so their evaluations are shared too.
-    pub fn new<F>(
-        name: impl Into<String>,
-        kind: MeasureKind,
-        t_points: &[f64],
-        transform: F,
-    ) -> Self
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync + 'a,
-    {
-        let name = name.into();
-        MeasureSpec {
-            transform_key: name.clone(),
-            name,
-            kind,
-            t_points: t_points.to_vec(),
-            transform: MeasureTransform::Closure(Box::new(transform)),
-        }
-    }
-
-    /// Creates a measure from a serializable [`TransformSpec`] instead of a
-    /// closure.  Spec-based measures run on *every* transport backend — the
-    /// TCP backend requires them, since a closure cannot cross a process
-    /// boundary — and default their transform key to
-    /// [`TransformSpec::transform_key`], which folds the model fingerprint in.
+impl MeasureSpec {
+    /// Creates a measure over a serializable [`TransformSpec`] — for
+    /// [`MeasureKind::Density`], [`MeasureKind::Cdf`] and moments the
+    /// *passage* transform `L(s)` (the `/s` division happens at inversion),
+    /// for [`MeasureKind::Transient`] the transient transform.  Every
+    /// transport backend, including a worker on the other end of a socket,
+    /// rebuilds the spec into an evaluator.
     pub fn from_spec(
         name: impl Into<String>,
         kind: MeasureKind,
         t_points: &[f64],
         spec: TransformSpec,
-    ) -> MeasureSpec<'static> {
+    ) -> MeasureSpec {
         MeasureSpec {
-            transform_key: spec.transform_key(),
             name: name.into(),
             kind,
             t_points: t_points.to_vec(),
-            transform: MeasureTransform::Spec(spec),
+            transform_key: spec.transform_key(),
+            spec,
         }
-    }
-
-    /// A [`MeasureKind::Density`] measure.
-    pub fn density<F>(name: impl Into<String>, t_points: &[f64], transform: F) -> Self
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync + 'a,
-    {
-        MeasureSpec::new(name, MeasureKind::Density, t_points, transform)
-    }
-
-    /// A [`MeasureKind::Cdf`] measure over a *density* transform.
-    pub fn cdf<F>(name: impl Into<String>, t_points: &[f64], transform: F) -> Self
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync + 'a,
-    {
-        MeasureSpec::new(name, MeasureKind::Cdf, t_points, transform)
-    }
-
-    /// A [`MeasureKind::Transient`] measure over a transient transform.
-    pub fn transient<F>(name: impl Into<String>, t_points: &[f64], transform: F) -> Self
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync + 'a,
-    {
-        MeasureSpec::new(name, MeasureKind::Transient, t_points, transform)
-    }
-
-    /// Overrides the transform key.  Measures with equal keys are assumed to
-    /// evaluate the *same* transform and will share cache entries, checkpoint
-    /// records and work-queue evaluations.
-    pub fn with_transform_key(mut self, key: impl Into<String>) -> Self {
-        self.transform_key = key.into();
-        self
     }
 
     /// The measure's display name.
@@ -279,53 +203,48 @@ impl<'a> MeasureSpec<'a> {
         &self.t_points
     }
 
-    /// The cache/checkpoint key this measure's transform values live under.
+    /// The cache/checkpoint key this measure's transform values live under:
+    /// its spec's [`TransformSpec::transform_key`], which folds the model
+    /// fingerprint in.  Measures over equal specs share cache entries,
+    /// checkpoint records and work-queue evaluations.
     pub fn transform_key(&self) -> &str {
         &self.transform_key
     }
 
-    /// The measure's transform spec, when it was built with
-    /// [`MeasureSpec::from_spec`].
-    pub fn transform_spec(&self) -> Option<&TransformSpec> {
-        match &self.transform {
-            MeasureTransform::Spec(spec) => Some(spec),
-            MeasureTransform::Closure(_) => None,
-        }
-    }
-
-    pub(crate) fn evaluator(&self) -> Evaluator<'_> {
-        match &self.transform {
-            MeasureTransform::Closure(f) => Evaluator::Closure(f.as_ref()),
-            MeasureTransform::Spec(spec) => Evaluator::Spec(spec),
-        }
+    pub(crate) fn spec(&self) -> &TransformSpec {
+        &self.spec
     }
 }
 
 /// An ordered collection of measures solved together in one pipeline run.
+///
+/// The job owns its measures; `'a` bounds nothing it holds and is kept so
+/// that signatures spelling `BatchJob<'_>` or `BatchJob<'static>` compile.
 #[derive(Debug, Default)]
 pub struct BatchJob<'a> {
-    measures: Vec<MeasureSpec<'a>>,
+    measures: Vec<MeasureSpec>,
+    owned: PhantomData<&'a ()>,
 }
 
-impl<'a> BatchJob<'a> {
+impl BatchJob<'_> {
     /// Creates an empty job.
     pub fn new() -> Self {
         BatchJob::default()
     }
 
     /// Adds a measure (builder style).
-    pub fn with_measure(mut self, measure: MeasureSpec<'a>) -> Self {
+    pub fn with_measure(mut self, measure: MeasureSpec) -> Self {
         self.measures.push(measure);
         self
     }
 
     /// Adds a measure in place.
-    pub fn push(&mut self, measure: MeasureSpec<'a>) {
+    pub fn push(&mut self, measure: MeasureSpec) {
         self.measures.push(measure);
     }
 
     /// The measures in submission order.
-    pub fn measures(&self) -> &[MeasureSpec<'a>] {
+    pub fn measures(&self) -> &[MeasureSpec] {
         &self.measures
     }
 
@@ -339,7 +258,7 @@ impl<'a> BatchJob<'a> {
         self.measures.is_empty()
     }
 
-    pub(crate) fn into_measures(self) -> Vec<MeasureSpec<'a>> {
+    pub(crate) fn into_measures(self) -> Vec<MeasureSpec> {
         self.measures
     }
 }

@@ -49,7 +49,7 @@ use crate::transform::{
 };
 use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
 use crate::work::WorkItem;
-use crate::worker::{evaluate_chunk, ChunkEvaluator};
+use crate::worker::evaluate_chunk;
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
@@ -160,7 +160,7 @@ fn eval_plan(
 ) -> Result<TransformValues, EngineError> {
     let items = WorkItem::single_measure(plan.s_points());
     let mut shard = TransformValues::new();
-    for outcome in evaluate_chunk(&items, |_| Some(ChunkEvaluator::Compiled(evaluator))) {
+    for outcome in evaluate_chunk(&items, std::slice::from_ref(evaluator)) {
         let s = outcome.item.s;
         let value = outcome
             .outcome

@@ -38,10 +38,10 @@
 //!
 //! The scheduling, caching, checkpointing and convergence code paths are
 //! identical across backends — a TCP or sharded run inverts from
-//! bit-identical transform values.  Closure-based measures
-//! ([`MeasureSpec::new`]) run on the in-process backend only (closures cannot
-//! cross a process boundary; see the workspace `README.md` for the
-//! two-terminal walkthrough).
+//! bit-identical transform values.  Every measure names its transform with a
+//! [`TransformSpec`] ([`MeasureSpec::from_spec`]), which each backend
+//! rebuilds into an evaluator on its side of the wire (see the workspace
+//! `README.md` for the two-terminal walkthrough).
 //!
 //! ## Batch jobs
 //!

@@ -78,8 +78,7 @@ pub enum PipelineError {
         measure: String,
     },
     /// The transport backend itself failed: a spec would not compile or
-    /// encode, every worker was lost with work outstanding, or a closure-based
-    /// measure was handed to a process-boundary backend.
+    /// encode, or every worker was lost with work outstanding.
     Transport {
         /// Description of the backend failure.
         message: String,
@@ -166,21 +165,27 @@ impl DistributedPipeline {
     /// # Example
     ///
     /// A two-measure batch — the density *and* the CDF of the same Erlang
-    /// passage — sharing one transform key, so the CDF costs no extra
-    /// transform evaluations:
+    /// transform — over one spec, so they share its transform key and the
+    /// CDF costs no extra transform evaluations:
     ///
     /// ```
-    /// use smp_pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
+    /// use smp_pipeline::{
+    ///     BatchJob, DistSpec, DistributedPipeline, MeasureKind, MeasureSpec, PipelineOptions,
+    ///     TransformSpec,
+    /// };
     /// use smp_laplace::InversionMethod;
-    /// use smp_distributions::{Dist, LaplaceTransform};
     ///
-    /// let d = Dist::erlang(2.0, 3);
-    /// let lst = |s| Ok(d.lst(s));
+    /// let erlang = TransformSpec::Analytic(DistSpec::Erlang { rate: 2.0, phases: 3 });
     /// let ts: Vec<f64> = (1..=8).map(|k| k as f64 * 0.5).collect();
     ///
     /// let job = BatchJob::new()
-    ///     .with_measure(MeasureSpec::density("erlang:density", &ts, lst).with_transform_key("erlang"))
-    ///     .with_measure(MeasureSpec::cdf("erlang:cdf", &ts, lst).with_transform_key("erlang"));
+    ///     .with_measure(MeasureSpec::from_spec(
+    ///         "erlang:density",
+    ///         MeasureKind::Density,
+    ///         &ts,
+    ///         erlang.clone(),
+    ///     ))
+    ///     .with_measure(MeasureSpec::from_spec("erlang:cdf", MeasureKind::Cdf, &ts, erlang));
     ///
     /// let pipeline =
     ///     DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
@@ -208,8 +213,7 @@ impl DistributedPipeline {
     /// [`crate::transport::TcpTransport`] (from the `smpq` CLI:
     /// `--workers tcp:ADDR,...`) to farm the evaluations out to worker
     /// *processes*, or a [`crate::shard::ShardedTransport`] to run every
-    /// point row-sharded.  Process-boundary backends require every measure
-    /// to be built with [`crate::MeasureSpec::from_spec`].
+    /// point row-sharded.
     pub fn execute(
         &self,
         job: BatchJob<'_>,
@@ -324,7 +328,7 @@ impl DistributedPipeline {
             .options
             .resolve_chunk_size(items.len(), transport.parallelism().max(1));
         let plan = ExecutionPlan {
-            evaluators: measures.iter().map(|m| m.evaluator()).collect(),
+            specs: measures.iter().map(|m| m.spec()).collect(),
             items,
             chunk_size,
             method: self.method.name().to_string(),
@@ -441,28 +445,45 @@ impl DistributedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::MeasureSpec;
+    use crate::batch::{MeasureKind, MeasureSpec};
+    use crate::transform::{DistSpec, ModelSpec, TargetSpec, TransformSpec};
+    use crate::worker::{WorkItemOutcome, WorkerMessage};
     use smp_distributions::Dist;
     use smp_laplace::Euler;
     use smp_numeric::stats::linspace;
 
-    fn density_evaluator(d: Dist) -> impl Fn(Complex64) -> Result<Complex64, String> + Sync {
-        move |s| Ok(d.lst(s))
+    /// A closed-form transform: an exact reference whose values the tests
+    /// can recompute with `Dist::lst`.
+    fn analytic(dist: DistSpec) -> TransformSpec {
+        TransformSpec::Analytic(dist)
+    }
+
+    fn erlang(rate: f64, phases: u32) -> TransformSpec {
+        analytic(DistSpec::Erlang { rate, phases })
+    }
+
+    fn density(name: &str, ts: &[f64], spec: TransformSpec) -> MeasureSpec {
+        MeasureSpec::from_spec(name, MeasureKind::Density, ts, spec)
+    }
+
+    fn cdf(name: &str, ts: &[f64], spec: TransformSpec) -> MeasureSpec {
+        MeasureSpec::from_spec(name, MeasureKind::Cdf, ts, spec)
     }
 
     /// A one-measure batch over the default thread backend.
     fn solve_one(
         pipeline: &DistributedPipeline,
-        measure: MeasureSpec<'_>,
+        measure: MeasureSpec,
     ) -> Result<BatchResult, PipelineError> {
         pipeline.run_batch(BatchJob::new().with_measure(measure))
     }
 
-    fn solve_density<F>(pipeline: &DistributedPipeline, transform: F, ts: &[f64]) -> BatchResult
-    where
-        F: Fn(Complex64) -> Result<Complex64, String> + Sync,
-    {
-        solve_one(pipeline, MeasureSpec::density("single", ts, transform)).unwrap()
+    fn solve_density(
+        pipeline: &DistributedPipeline,
+        spec: TransformSpec,
+        ts: &[f64],
+    ) -> BatchResult {
+        solve_one(pipeline, density("single", ts, spec)).unwrap()
     }
 
     #[test]
@@ -471,7 +492,7 @@ mod tests {
         let ts = linspace(0.2, 5.0, 25);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-        let result = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+        let result = solve_density(&pipeline, erlang(2.0, 3), &ts);
         let reference = Euler::standard().invert_many(&d, &ts);
         assert_eq!(result.measures[0].values.len(), reference.len());
         for (a, b) in result.measures[0].values.iter().zip(&reference) {
@@ -485,10 +506,10 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_answer() {
-        let d = Dist::mixture(vec![
-            (0.5, Dist::exponential(1.0)),
-            (0.5, Dist::uniform(0.5, 2.0)),
-        ]);
+        let uniform = analytic(DistSpec::Uniform {
+            lower: 0.5,
+            upper: 2.0,
+        });
         let ts = linspace(0.25, 4.0, 12);
         let mut previous: Option<Vec<f64>> = None;
         for workers in [1, 2, 8] {
@@ -496,7 +517,7 @@ mod tests {
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(workers),
             );
-            let mut result = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+            let mut result = solve_density(&pipeline, uniform.clone(), &ts);
             let values = result.measures.remove(0).values;
             if let Some(prev) = &previous {
                 for (a, b) in values.iter().zip(prev) {
@@ -509,7 +530,6 @@ mod tests {
 
     #[test]
     fn chunk_size_does_not_change_the_answer() {
-        let d = Dist::erlang(1.5, 2);
         let ts = linspace(0.25, 4.0, 10);
         let mut previous: Option<Vec<f64>> = None;
         for chunk_size in [1, 7, 64] {
@@ -517,7 +537,7 @@ mod tests {
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(3).chunked(chunk_size),
             );
-            let mut result = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+            let mut result = solve_density(&pipeline, erlang(1.5, 2), &ts);
             let values = result.measures.remove(0).values;
             if let Some(prev) = &previous {
                 assert_eq!(&values, prev);
@@ -528,7 +548,6 @@ mod tests {
 
     #[test]
     fn checkpoint_restart_skips_evaluations() {
-        let d = Dist::erlang(1.0, 2);
         let ts = linspace(0.5, 3.0, 6);
         let mut path = std::env::temp_dir();
         path.push(format!("smp-pipeline-ckpt-{}.txt", std::process::id()));
@@ -540,11 +559,11 @@ mod tests {
             ..Default::default()
         };
         let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-        let first = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+        let first = solve_density(&pipeline, erlang(1.0, 2), &ts);
         assert_eq!(first.cache_hits, 0);
         assert!(first.evaluations > 0);
 
-        let second = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+        let second = solve_density(&pipeline, erlang(1.0, 2), &ts);
         assert_eq!(second.evaluations, 0);
         assert_eq!(second.cache_hits, first.evaluations);
         for (a, b) in first.measures[0]
@@ -559,7 +578,6 @@ mod tests {
 
     #[test]
     fn shared_cache_makes_second_run_fully_warm() {
-        let d = Dist::erlang(2.0, 2);
         let ts = linspace(0.5, 4.0, 9);
         let shared = Arc::new(ResultCache::new());
         let options = PipelineOptions {
@@ -568,7 +586,7 @@ mod tests {
             ..Default::default()
         };
         let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-        let first = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+        let first = solve_density(&pipeline, erlang(2.0, 2), &ts);
         assert!(first.evaluations > 0);
         assert_eq!(first.cache_hits, 0);
         assert!(!shared.is_empty(), "values deposited into the shared cache");
@@ -581,7 +599,7 @@ mod tests {
             ..Default::default()
         };
         let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-        let second = solve_density(&pipeline, density_evaluator(d), &ts);
+        let second = solve_density(&pipeline, erlang(2.0, 2), &ts);
         assert_eq!(second.evaluations, 0);
         assert_eq!(second.cache_hits, first.evaluations);
         assert_eq!(
@@ -633,9 +651,7 @@ mod tests {
         // One-member group.
         let shared = Arc::new(ResultCache::new());
         let ts = [0.5, 1.0, 2.5];
-        let job = || {
-            BatchJob::new().with_measure(MeasureSpec::cdf("F", &ts, density_evaluator(d.clone())))
-        };
+        let job = || BatchJob::new().with_measure(cdf("F", &ts, erlang(2.0, 2)));
         let cold = pipeline_over(&shared).run_batch(job()).unwrap();
         let warm = pipeline_over(&shared).run_batch(job()).unwrap();
         assert_eq!(counts(&cold), [(3 * contour, 0, 0)]);
@@ -645,19 +661,13 @@ mod tests {
         assert_eq!(warm.measures[0].values, cold.measures[0].values);
 
         // Two-member group over overlapping grids: the density on {1, 2},
-        // the CDF on {2, 3}, one transform key.
+        // the CDF on {2, 3}, one spec and so one transform key.
         let shared = Arc::new(ResultCache::new());
         let (ts_d, ts_f) = ([1.0, 2.0], [2.0, 3.0]);
         let job = || {
             BatchJob::new()
-                .with_measure(
-                    MeasureSpec::density("d", &ts_d, density_evaluator(d.clone()))
-                        .with_transform_key("erlang"),
-                )
-                .with_measure(
-                    MeasureSpec::cdf("F", &ts_f, density_evaluator(d.clone()))
-                        .with_transform_key("erlang"),
-                )
+                .with_measure(density("d", &ts_d, erlang(2.0, 2)))
+                .with_measure(cdf("F", &ts_f, erlang(2.0, 2)))
         };
         let cold = pipeline_over(&shared).run_batch(job()).unwrap();
         let warm = pipeline_over(&shared).run_batch(job()).unwrap();
@@ -687,33 +697,47 @@ mod tests {
         // Partly warm: a wider grid re-uses what is cached and evaluates
         // (and afterwards looks up afresh) only the new contour.
         let wider = pipeline_over(&shared)
-            .run_batch(
-                BatchJob::new().with_measure(
-                    MeasureSpec::cdf("F", &[2.0, 3.0, 4.0], density_evaluator(d.clone()))
-                        .with_transform_key("erlang"),
-                ),
-            )
+            .run_batch(BatchJob::new().with_measure(cdf("F", &[2.0, 3.0, 4.0], erlang(2.0, 2))))
             .unwrap();
         assert_eq!(counts(&wider), [(contour, 2 * contour, 0)]);
         assert_eq!(wider.measures[0].values, cdf_by_copy(&[2.0, 3.0, 4.0]));
     }
 
+    /// A test-double backend whose every evaluation fails to converge.
+    struct NeverConverges;
+
+    impl Transport for NeverConverges {
+        fn name(&self) -> &'static str {
+            "never-converges"
+        }
+
+        fn parallelism(&self) -> usize {
+            1
+        }
+
+        fn execute(
+            &self,
+            plan: ExecutionPlan<'_>,
+            on_message: &mut dyn FnMut(WorkerMessage),
+        ) -> Result<TransportReport, PipelineError> {
+            let results = plan.items.into_iter().map(|item| WorkItemOutcome {
+                item,
+                outcome: Err("synthetic convergence failure".to_string()),
+            });
+            on_message(WorkerMessage {
+                worker: 0,
+                results: results.collect(),
+            });
+            Ok(TransportReport::default())
+        }
+    }
+
     #[test]
     fn evaluation_errors_are_reported() {
-        let ts = vec![1.0];
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(3));
-        let result = solve_one(
-            &pipeline,
-            MeasureSpec::density("single", &ts, |s: Complex64| {
-                if s.im > 20.0 {
-                    Err("synthetic convergence failure".to_string())
-                } else {
-                    Ok(Complex64::ONE / (Complex64::ONE + s))
-                }
-            }),
-        );
-        match result {
+        let job = BatchJob::new().with_measure(density("single", &[1.0], erlang(1.0, 1)));
+        match pipeline.execute(job, &NeverConverges) {
             Err(PipelineError::Evaluation { message, .. }) => {
                 assert!(message.contains("synthetic"));
             }
@@ -723,15 +747,11 @@ mod tests {
 
     #[test]
     fn cdf_run_is_monotone_and_bounded() {
-        let d = Dist::exponential(0.8);
         let ts = linspace(0.25, 8.0, 30);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
-        let result = solve_one(
-            &pipeline,
-            MeasureSpec::cdf("single", &ts, density_evaluator(d.clone())),
-        )
-        .unwrap();
+        let exponential = analytic(DistSpec::Exponential { rate: 0.8 });
+        let result = solve_one(&pipeline, cdf("single", &ts, exponential)).unwrap();
         let values = &result.measures[0].values;
         for w in values.windows(2) {
             assert!(w[1] + 1e-12 >= w[0]);
@@ -744,27 +764,22 @@ mod tests {
 
     #[test]
     fn passage_time_solver_through_the_pipeline() {
-        use smp_core::{PassageTimeSolver, SmpBuilder};
         // Two exponential stages: passage density is Erlang(2, 2).
-        let mut b = SmpBuilder::new(3);
-        b.add_transition(0, 1, 1.0, Dist::exponential(2.0));
-        b.add_transition(1, 2, 1.0, Dist::exponential(2.0));
-        b.add_transition(2, 0, 1.0, Dist::exponential(1.0));
-        let smp = b.build().unwrap();
-        let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
+        let ring = r"\place{a}{1} \place{b}{0} \place{c}{0}
+            \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+                \sojourntimeLT{ return expLT(2.0, s); } }
+            \transition{bc}{ \condition{b > 0} \action{ next->b = b - 1; next->c = c + 1; }
+                \sojourntimeLT{ return expLT(2.0, s); } }
+            \transition{ca}{ \condition{c > 0} \action{ next->c = c - 1; next->a = a + 1; }
+                \sojourntimeLT{ return expLT(1.0, s); } }";
+        let spec = TransformSpec::passage(
+            ModelSpec::Dnamaca(ring.to_string()),
+            TargetSpec::parse("c>=1").unwrap(),
+        );
         let ts = linspace(0.2, 4.0, 16);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-        let result = solve_density(
-            &pipeline,
-            |s| {
-                solver
-                    .transform_at(s)
-                    .map(|p| p.value)
-                    .map_err(|e| e.to_string())
-            },
-            &ts,
-        );
+        let result = solve_density(&pipeline, spec, &ts);
         for (t, v) in ts.iter().zip(&result.measures[0].values) {
             let expect = 4.0 * t * (-2.0 * t).exp();
             assert!((v - expect).abs() < 1e-5, "f({t}) = {v} vs {expect}");
@@ -773,42 +788,35 @@ mod tests {
 
     #[test]
     fn batch_of_three_kinds_matches_single_measure_runs() {
-        let d = Dist::erlang(2.0, 2);
         let ts = linspace(0.3, 5.0, 14);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
 
         // A density, a CDF over the same transform (shared key), and a
-        // "transient" measure over an unrelated transform.
+        // "transient" measure over an unrelated transform: L{e^{-t}}, a
+        // transient-like bounded function.
+        let decay = analytic(DistSpec::Exponential { rate: 1.0 });
         let job = BatchJob::new()
-            .with_measure(
-                MeasureSpec::density("d", &ts, density_evaluator(d.clone()))
-                    .with_transform_key("erlang"),
-            )
-            .with_measure(
-                MeasureSpec::cdf("F", &ts, density_evaluator(d.clone()))
-                    .with_transform_key("erlang"),
-            )
-            .with_measure(MeasureSpec::transient("p", &ts, |s: Complex64| {
-                // L{0.5 e^{-t}} — a transient-like bounded function.
-                Ok(Complex64::real(0.5) / (Complex64::ONE + s))
-            }));
+            .with_measure(density("d", &ts, erlang(2.0, 2)))
+            .with_measure(cdf("F", &ts, erlang(2.0, 2)))
+            .with_measure(MeasureSpec::from_spec(
+                "p",
+                MeasureKind::Transient,
+                &ts,
+                decay,
+            ));
         let batch = pipeline.run_batch(job).unwrap();
         assert_eq!(batch.measures.len(), 3);
 
         // Density matches a single-measure run.
-        let reference = solve_density(&pipeline, density_evaluator(d.clone()), &ts);
+        let reference = solve_density(&pipeline, erlang(2.0, 2), &ts);
         assert_eq!(
             batch.measure("d").unwrap().values,
             reference.measures[0].values
         );
 
         // CDF matches a single-measure CDF run.
-        let cdf_reference = solve_one(
-            &pipeline,
-            MeasureSpec::cdf("single", &ts, density_evaluator(d.clone())),
-        )
-        .unwrap();
+        let cdf_reference = solve_one(&pipeline, cdf("single", &ts, erlang(2.0, 2))).unwrap();
         let cdf = batch.measure("F").unwrap();
         for (a, b) in cdf.values.iter().zip(&cdf_reference.measures[0].values) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
@@ -817,10 +825,10 @@ mod tests {
         assert_eq!(cdf.evaluations, 0);
         assert_eq!(cdf.shared_hits, batch.measure("d").unwrap().evaluations);
 
-        // Transient values are 0.5 e^{-t}, clamped into [0, 1].
+        // Transient values are e^{-t}, clamped into [0, 1].
         let p = batch.measure("p").unwrap();
         for (t, v) in p.iter() {
-            let expect = 0.5 * (-t).exp();
+            let expect = (-t).exp();
             assert!((v - expect).abs() < 1e-6, "p({t}) = {v} vs {expect}");
             assert!((0.0..=1.0).contains(&v));
         }
@@ -838,72 +846,11 @@ mod tests {
     }
 
     #[test]
-    fn spec_based_measures_match_closure_based_ones_bitwise() {
-        use crate::batch::MeasureKind;
-        use crate::transform::{ModelSpec, ResolveTarget, TargetSpec, TransformSpec};
-        use smp_core::PassageTimeSolver;
-        use smp_smspn::StateSpace;
-
-        let model = ModelSpec::Voting {
-            voters: 3,
-            polling: 1,
-            central: 1,
-        };
-        let targets = TargetSpec::parse("p2>=2").unwrap();
-        let ts = linspace(1.0, 12.0, 6);
-        let pipeline =
-            DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(3));
-
-        // Spec-based: the measure carries a description, the transport
-        // compiles it (exactly what a TCP worker process would do).
-        let spec = TransformSpec::passage(model.clone(), targets.clone());
-        let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
-            "voting:density",
-            MeasureKind::Density,
-            &ts,
-            spec.clone(),
-        ));
-        let from_spec = pipeline.run_batch(job).unwrap();
-
-        // Closure-based: the CLI's historical construction path.
-        let source = model.source();
-        let net = smp_dnamaca::parse_model(&source).unwrap();
-        let space = StateSpace::explore(&net).unwrap();
-        let target_states = targets.resolve(&net, &space).unwrap();
-        let solver =
-            PassageTimeSolver::new(space.smp(), &[space.initial_state()], &target_states).unwrap();
-        let from_closure = solve_density(
-            &pipeline,
-            |s| {
-                solver
-                    .transform_at(s)
-                    .map(|p| p.value)
-                    .map_err(|e| e.to_string())
-            },
-            &ts,
-        );
-
-        let spec_values = &from_spec.measures[0].values;
-        assert_eq!(
-            spec_values, &from_closure.measures[0].values,
-            "bitwise identical"
-        );
-        // The spec-based measure's default key folds the model fingerprint in.
-        assert_eq!(from_spec.measures[0].name, "voting:density",);
-        assert_eq!(spec.transform_key(), {
-            let fp = model.fingerprint();
-            format!("m{fp}:passage:p2>=2")
-        });
-    }
-
-    #[test]
     fn batch_reports_backend_and_protocol_counters() {
-        let d = Dist::erlang(1.0, 2);
         let ts = linspace(0.5, 3.0, 5);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
-        let job =
-            BatchJob::new().with_measure(MeasureSpec::density("d", &ts, density_evaluator(d)));
+        let job = BatchJob::new().with_measure(density("d", &ts, erlang(1.0, 2)));
         let batch = pipeline.run_batch(job).unwrap();
         assert_eq!(batch.backend, "in-process");
         assert_eq!(batch.report.bytes_on_wire, 0);
@@ -923,22 +870,50 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_share_even_with_identical_grids() {
-        let a = Dist::exponential(1.0);
-        let b = Dist::exponential(3.0);
+        let a = analytic(DistSpec::Exponential { rate: 1.0 });
+        let b = analytic(DistSpec::Exponential { rate: 3.0 });
         let ts = linspace(0.5, 4.0, 8);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
         let job = BatchJob::new()
-            .with_measure(MeasureSpec::density("a", &ts, density_evaluator(a)))
-            .with_measure(MeasureSpec::density("b", &ts, density_evaluator(b)));
+            .with_measure(density("a", &ts, a))
+            .with_measure(density("b", &ts, b));
         let batch = pipeline.run_batch(job).unwrap();
         let union = SPointPlan::new(InversionMethod::euler(), &ts).len();
-        // Default keys are the measure names: no sharing, |union| evaluations each.
+        // Distinct specs key distinctly: no sharing, |union| evaluations each.
         for m in &batch.measures {
             assert_eq!(m.evaluations, union);
             assert_eq!(m.shared_hits, 0);
             assert_eq!(m.cache_hits, 0);
         }
         assert_eq!(batch.evaluations, 2 * union);
+    }
+
+    /// Two analytic specs whose parameters encode to nothing share the bare
+    /// `analytic:` key; neither makes a distribution, so the run is refused
+    /// before either is evaluated (or read off the other's values).
+    #[test]
+    fn unbuildable_analytic_specs_are_refused_before_evaluation() {
+        let ts = linspace(0.5, 4.0, 4);
+        let pipeline =
+            DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
+        let uniform = analytic(DistSpec::Uniform {
+            lower: 0.5,
+            upper: f64::INFINITY,
+        });
+        let weibull = analytic(DistSpec::Weibull {
+            shape: 1.5,
+            scale: f64::INFINITY,
+        });
+        assert_eq!(uniform.transform_key(), weibull.transform_key());
+        let job = BatchJob::new()
+            .with_measure(density("uniform", &ts, uniform))
+            .with_measure(density("weibull", &ts, weibull));
+        match pipeline.run_batch(job) {
+            Err(PipelineError::Transport { message }) => {
+                assert!(message.contains("uniform requires"), "{message}");
+            }
+            other => panic!("expected a refused compile, got {other:?}"),
+        }
     }
 }

@@ -832,7 +832,7 @@ impl Transport for PoolTransport {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        let specs = encode_plan_specs(&plan.evaluators)?;
+        let specs = encode_plan_specs(&plan.specs)?;
         let workers = self.shared.checkout_pool(self.deadline)?;
         let (survivors, outcome) = dispatch_chunks(
             specs,
@@ -1676,6 +1676,49 @@ mod tests {
             let mut client = crate::client::QueryClient::connect(&addr).unwrap();
             let reports = client.query(&sample_request()).unwrap();
             assert_eq!(reports.len(), 2);
+            client.shutdown().unwrap();
+            running.join().unwrap().unwrap();
+        });
+    }
+
+    /// A model whose one constant sojourn is a zero-weight mixture makes no
+    /// distribution.  Every engine refuses it as a model error, and the
+    /// server goes on answering.
+    #[test]
+    fn a_model_whose_sojourn_makes_no_distribution_is_refused_on_every_engine() {
+        let zero_weight = ModelSpec::Dnamaca(
+            r"\place{a}{1} \place{b}{0}
+              \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+                  \sojourntimeLT{ return 0 * expLT(2.0, s); } }
+              \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
+                  \sojourntimeLT{ return expLT(1.0, s); } }"
+                .to_string(),
+        );
+        let server = QueryServer::bind(QueryServerOptions {
+            pool: PoolSpec::InProcess(1),
+            ..QueryServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.run());
+            for engine in ["auto", "analytic", "distributed"] {
+                let request = QueryRequest {
+                    model: zero_weight.clone(),
+                    engine: engine.to_string(),
+                    measures: vec!["density:b>=1".to_string()],
+                    ..sample_request()
+                };
+                let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+                match client.query(&request) {
+                    Err(crate::client::QueryError::Refused(refusal)) => {
+                        assert_eq!(refusal.kind, RefusalKind::Model, "{engine}: {refusal}");
+                    }
+                    other => panic!("{engine}: expected a model refusal, got {other:?}"),
+                }
+            }
+            let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+            assert_eq!(client.query(&sample_request()).unwrap().len(), 2);
             client.shutdown().unwrap();
             running.join().unwrap().unwrap();
         });

@@ -49,13 +49,11 @@ use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use crate::link::{Link, LoopbackLink};
 use crate::master::PipelineError;
 use crate::transform::{CompiledSetCache, ResolveTarget, TransformSpec};
-use crate::transport::{
-    transport_error, Evaluator, ExecutionPlan, TcpTransport, Transport, TransportReport,
-};
+use crate::transport::{transport_error, ExecutionPlan, TcpTransport, Transport, TransportReport};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::WorkItem;
-use crate::worker::{evaluate_chunk, ChunkEvaluator, WorkItemOutcome, WorkerMessage};
+use crate::worker::{WorkItemOutcome, WorkerMessage};
 use smp_core::shard::owner_of;
 use smp_core::{
     plan_exchange, ConvergenceFold, FoldStatus, IterationOptions, ShardWorkspace, ShardedSkeleton,
@@ -386,9 +384,7 @@ impl SliceFleet {
     /// bitwise identical to [`crate::transform::CompiledEvaluator::eval`] on
     /// the same spec, for any live worker count.
     ///
-    /// `spec` must be a passage transform, optionally `CdfOf`-wrapped (the
-    /// `/s` divisions are applied master-side after the fold, exactly as the
-    /// compiled evaluator applies them).  Transient and analytic specs are
+    /// `spec` must be a passage transform.  Transient and analytic specs are
     /// rejected: their iterations are not row-sharded and stay master-side.
     pub fn solve(
         &mut self,
@@ -411,15 +407,14 @@ impl SliceFleet {
         s_points: &[Complex64],
         recovery: &mut SolveRecovery<'_>,
     ) -> Result<ShardedOutcome, PipelineError> {
-        let (inner, divisions) = strip_cdf_wrappers(spec);
-        if !matches!(inner, TransformSpec::Passage { .. }) {
+        if !matches!(spec, TransformSpec::Passage { .. }) {
             return Err(transport_error(
                 "sharded sessions evaluate passage transforms; transient and analytic \
                  measures are evaluated master-side"
                     .to_string(),
             ));
         }
-        let spec_line = inner.encode().map_err(|e| transport_error(e.to_string()))?;
+        let spec_line = spec.encode().map_err(|e| transport_error(e.to_string()))?;
         let options = IterationOptions::default();
         let mut out = ShardedOutcome {
             values: Vec::with_capacity(s_points.len()),
@@ -464,7 +459,6 @@ impl SliceFleet {
                 index as u64,
                 s,
                 options,
-                divisions,
                 resume.as_ref(),
                 every,
                 &mut sink,
@@ -707,7 +701,6 @@ fn run_point(
     id: u64,
     s: Complex64,
     options: IterationOptions,
-    divisions: usize,
     resume: Option<&ShardSnapshot>,
     snapshot_every: u64,
     snapshot: &mut dyn FnMut(ShardSnapshot) -> io::Result<()>,
@@ -787,11 +780,7 @@ fn run_point(
             exports[k] = state.exports;
         }
         if let FoldStatus::Converged(total) = fold.push(delta, || quiet) {
-            let mut value = total;
-            for _ in 0..divisions {
-                value /= s;
-            }
-            return Ok(value);
+            return Ok(total);
         }
         if snapshot_every > 0 && (r as u64).is_multiple_of(snapshot_every) {
             // Capture the iterate *after* this round's fold: a TermReq sweep
@@ -845,18 +834,6 @@ fn run_point(
             fold.last_delta()
         ),
     }))
-}
-
-/// Peels the `CdfOf` wrappers off a spec: the innermost spec and the number
-/// of `/s` divisions the wrappers stand for.
-fn strip_cdf_wrappers(spec: &TransformSpec) -> (&TransformSpec, usize) {
-    let mut divisions = 0usize;
-    let mut inner = spec;
-    while let TransformSpec::CdfOf(next) = inner {
-        divisions += 1;
-        inner = next;
-    }
-    (inner, divisions)
 }
 
 // ---------------------------------------------------------------------------
@@ -939,13 +916,7 @@ impl ShardedTransport {
     ) -> Result<(), PipelineError> {
         let mut groups: Vec<(&TransformSpec, Vec<WorkItem>)> = Vec::new();
         for item in plan.items {
-            let Evaluator::Spec(spec) = plan.evaluators[item.measure] else {
-                return Err(transport_error(
-                    "closure-based measures cannot be row-sharded; build the batch from \
-                     TransformSpecs to use a sharded backend"
-                        .to_string(),
-                ));
-            };
+            let spec = plan.specs[item.measure];
             match groups.iter_mut().find(|(known, _)| *known == spec) {
                 Some((_, items)) => items.push(item),
                 None => groups.push((spec, vec![item])),
@@ -964,16 +935,15 @@ impl ShardedTransport {
             })
         };
         for (spec, items) in groups {
-            if !matches!(strip_cdf_wrappers(spec).0, TransformSpec::Passage { .. }) {
+            let points: Vec<Complex64> = items.iter().map(|item| item.s).collect();
+            if !matches!(spec, TransformSpec::Passage { .. }) {
                 let (set, hit) = fleet
                     .fallback
                     .get_or_compile(std::slice::from_ref(spec))
                     .map_err(transport_error)?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
-                for outcome in
-                    evaluate_chunk(&items, |_| Some(ChunkEvaluator::Compiled(&evaluator)))
-                {
-                    deliver(outcome.item, outcome.outcome);
+                for (&item, outcome) in items.iter().zip(evaluator.eval_many(&points)) {
+                    deliver(item, outcome);
                 }
                 report.states = report.states.or(Some(set.num_states()));
                 report.hotpath = report.hotpath.merged(evaluator.hotpath_stats());
@@ -981,7 +951,6 @@ impl ShardedTransport {
                 continue;
             }
             let key = spec.transform_key();
-            let points: Vec<Complex64> = items.iter().map(|item| item.s).collect();
             // The fleet finishes the points in order, one value each.
             let mut answered = 0;
             let mut on_value = |_s: Complex64, value: Complex64| -> io::Result<()> {
@@ -1200,15 +1169,6 @@ pub(crate) mod tests {
             }
             assert!(out.exchange_rounds > 0);
         }
-    }
-
-    #[test]
-    fn cdf_wrapping_applies_the_s_divisions_master_side() {
-        let spec = TransformSpec::CdfOf(Box::new(voting_spec()));
-        let expected = reference(&spec, &points());
-        let mut fleet = SliceFleet::loopback(3);
-        let out = fleet.solve(&spec, &points()).unwrap();
-        assert_eq!(out.values, expected);
     }
 
     #[test]
@@ -1440,7 +1400,7 @@ pub(crate) mod tests {
             .map(|(index, (measure, s))| WorkItem { measure, index, s })
             .collect();
         let plan = || ExecutionPlan {
-            evaluators: specs.iter().map(|spec| Evaluator::Spec(spec)).collect(),
+            specs: specs.to_vec(),
             items: items.clone(),
             chunk_size: 64,
             method: "euler".to_string(),
@@ -1469,16 +1429,6 @@ pub(crate) mod tests {
             assert!(report.exchange_rounds > 0 && report.halo_bytes > 0);
             assert_eq!(report.model_cache_misses, usize::from(round == 0));
         }
-        // Closures have no slice-job encoding.
-        let closure = |s: Complex64| -> Result<Complex64, String> { Ok(s) };
-        let closure_plan = ExecutionPlan {
-            evaluators: vec![Evaluator::Closure(&closure)],
-            items: items[..1].to_vec(),
-            chunk_size: 1,
-            method: "euler".to_string(),
-        };
-        let error = transport.execute(closure_plan, &mut |_| {}).unwrap_err();
-        assert!(error.to_string().contains("row-sharded"), "{error}");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Serializable transform specifications — *descriptions* of evaluators.
 //!
-//! The closure-based pipeline API (`Fn(Complex64) -> Result<Complex64, String>`)
-//! cannot cross a process boundary, so everything a remote worker needs to
-//! rebuild an evaluator is captured in a [`TransformSpec`]: which model (a
-//! built-in voting configuration or raw extended-DNAmaca source), which target
-//! markings (a token-count predicate), and what to do with the transform (raw
-//! passage density, the `/s` CDF trick, a transient row, or a named analytic
-//! distribution's LST for testing and calibration).
+//! A [`TransformSpec`] is the one way a measure names its transform, on every
+//! backend: the paper's slave processors rebuild `U` and `U'` from the model
+//! for each `s`-value they are handed, so the unit the master distributes is
+//! "model plus target set".  A spec says which model (a built-in voting
+//! configuration or raw extended-DNAmaca source), which target markings (a
+//! token-count predicate), and which transform (the passage density, a
+//! transient row, or a named analytic distribution's LST for testing and
+//! calibration).  A CDF is the passage density's spec too: its `/s` division
+//! happens at inversion ([`crate::MeasureKind::Cdf`]).
 //!
 //! A spec has a **canonical single-line wire encoding**
 //! ([`TransformSpec::encode`] / [`TransformSpec::decode`]) in the field
@@ -215,15 +217,17 @@ pub enum DistSpec {
 }
 
 impl DistSpec {
-    /// Builds the concrete distribution.
-    pub fn to_dist(&self) -> Dist {
+    /// Builds the concrete distribution, or says why these parameters make
+    /// none ([`Dist::checked`]) — a spec off the wire is outside input.
+    pub fn to_dist(&self) -> Result<Dist, String> {
         match *self {
-            DistSpec::Exponential { rate } => Dist::exponential(rate),
-            DistSpec::Erlang { rate, phases } => Dist::erlang(rate, phases),
-            DistSpec::Uniform { lower, upper } => Dist::uniform(lower, upper),
-            DistSpec::Deterministic { value } => Dist::deterministic(value),
-            DistSpec::Weibull { shape, scale } => Dist::weibull(shape, scale),
+            DistSpec::Exponential { rate } => Dist::Exponential { rate },
+            DistSpec::Erlang { rate, phases } => Dist::Erlang { rate, phases },
+            DistSpec::Uniform { lower, upper } => Dist::Uniform { lower, upper },
+            DistSpec::Deterministic { value } => Dist::Deterministic { value },
+            DistSpec::Weibull { shape, scale } => Dist::Weibull { shape, scale },
         }
+        .checked()
     }
 
     fn encode(&self) -> Result<String, WireError> {
@@ -287,13 +291,6 @@ pub enum TransformSpec {
         /// The target-marking predicate.
         targets: TargetSpec,
     },
-    /// The `/s` trick applied to an inner transform: evaluates the inner spec
-    /// and divides by `s`, turning a density transform into a CDF transform
-    /// *at evaluation time*.  (Batch CDF measures usually prefer caching the
-    /// raw density and dividing at inversion — see
-    /// [`crate::MeasureKind::Cdf`] — but a worker evaluating `L(s)/s` directly
-    /// is part of the protocol so single-measure CDF jobs stay expressible.)
-    CdfOf(Box<TransformSpec>),
     /// A named analytic distribution's LST.
     Analytic(DistSpec),
 }
@@ -315,18 +312,16 @@ impl TransformSpec {
             TransformSpec::Passage { model, .. } | TransformSpec::Transient { model, .. } => {
                 Some(model)
             }
-            TransformSpec::CdfOf(inner) => inner.model(),
             TransformSpec::Analytic(_) => None,
         }
     }
 
     /// The canonical cache/checkpoint transform key of the spec, with the
-    /// model fingerprint folded in.  Matches the keys the `smpq` CLI has
-    /// always written: `m<fingerprint>:passage:<pred>` and
-    /// `m<fingerprint>:transient:<pred>`; `CdfOf` shares its inner spec's key
-    /// **only when the inner values are cached raw** — because a `CdfOf`
-    /// worker returns `L(s)/s`, its values live under a distinct `cdf-of:`
-    /// key so they can never collide with raw density values.
+    /// model fingerprint folded in: `m<fingerprint>:passage:<pred>`,
+    /// `m<fingerprint>:transient:<pred>` or `analytic:<dist>`.  An analytic
+    /// spec whose parameters do not encode keys as bare `analytic:`; such a
+    /// spec never compiles ([`DistSpec::to_dist`]), so it never evaluates
+    /// under that key.
     pub fn transform_key(&self) -> String {
         match self {
             TransformSpec::Passage { model, targets } => {
@@ -335,7 +330,6 @@ impl TransformSpec {
             TransformSpec::Transient { model, targets } => {
                 Self::transient_key(&model.fingerprint(), targets)
             }
-            TransformSpec::CdfOf(inner) => format!("cdf-of:{}", inner.transform_key()),
             TransformSpec::Analytic(dist) => {
                 format!("analytic:{}", dist.encode().unwrap_or_default())
             }
@@ -343,9 +337,8 @@ impl TransformSpec {
     }
 
     /// The canonical passage transform key for a model fingerprint and target
-    /// predicate — the one format every producer (spec-based measures, the
-    /// `smpq` CLI's closure path) must agree on for checkpoints to warm
-    /// across backends.
+    /// predicate — the one format every backend's cache and checkpoint
+    /// records are keyed by, so that a checkpoint warms across backends.
     pub fn passage_key(fingerprint: &str, targets: &TargetSpec) -> String {
         format!("m{fingerprint}:passage:{targets}")
     }
@@ -369,7 +362,6 @@ impl TransformSpec {
                 model.encode(),
                 encode_str(&targets.to_string())
             ),
-            TransformSpec::CdfOf(inner) => format!("cdf-of {}", inner.encode()?),
             TransformSpec::Analytic(dist) => {
                 format!("analytic v={SPEC_VERSION} dist={}", dist.encode()?)
             }
@@ -378,28 +370,23 @@ impl TransformSpec {
 
     /// Decodes one wire line back into a spec.
     pub fn decode(line: &str) -> Result<TransformSpec, WireError> {
-        Line::new(line).all(Self::read_spec)
-    }
-
-    /// One spec off a line; a `cdf-of` tag wraps the spec after it.
-    fn read_spec(line: &mut Line<'_>) -> Result<TransformSpec, WireError> {
-        let tag = line.token("spec tag")?;
-        if tag == "cdf-of" {
-            return Ok(TransformSpec::CdfOf(Box::new(Self::read_spec(line)?)));
-        }
-        line.version(SPEC_VERSION)?;
-        Ok(match tag {
-            "passage" | "transient" => {
-                let model = ModelSpec::decode(line.value("model")?)?;
-                let targets = TargetSpec::parse(&line.text("targets")?).map_err(malformed)?;
-                if tag == "passage" {
-                    TransformSpec::Passage { model, targets }
-                } else {
-                    TransformSpec::Transient { model, targets }
-                }
+        Line::new(line).all(|line| {
+            let tag = line.token("spec tag")?;
+            if !matches!(tag, "passage" | "transient" | "analytic") {
+                return Err(malformed(format!("unknown spec tag '{tag}'")));
             }
-            "analytic" => TransformSpec::Analytic(DistSpec::decode(line.value("dist")?)?),
-            other => return Err(malformed(format!("unknown spec tag '{other}'"))),
+            line.version(SPEC_VERSION)?;
+            if tag == "analytic" {
+                let dist = DistSpec::decode(line.value("dist")?)?;
+                return Ok(TransformSpec::Analytic(dist));
+            }
+            let model = ModelSpec::decode(line.value("model")?)?;
+            let targets = TargetSpec::parse(&line.text("targets")?).map_err(malformed)?;
+            Ok(if tag == "passage" {
+                TransformSpec::Passage { model, targets }
+            } else {
+                TransformSpec::Transient { model, targets }
+            })
         })
     }
 }
@@ -408,17 +395,15 @@ impl TransformSpec {
 // Compilation: spec → evaluator
 // ---------------------------------------------------------------------------
 
-/// Everything of a spec that needs the model: which solver to build and how
-/// many `/s` divisions to apply.  `targets` holds the *resolved* state
-/// indices — the predicate is matched against the state space exactly once,
-/// at compile time.
+/// Everything of a spec that needs the model: which solver to build.
+/// `targets` holds the *resolved* state indices — the predicate is matched
+/// against the state space exactly once, at compile time.
 struct ResolvedSpec {
     /// Index into [`CompiledModelSet::models`], or `None` for analytic specs.
     model: Option<usize>,
     targets: Option<Vec<usize>>,
     transient: bool,
     dist: Option<Dist>,
-    s_divisions: u32,
 }
 
 /// A set of parsed-and-explored models shared by the evaluators of one job.
@@ -450,7 +435,7 @@ impl CompiledModelSet {
         let mut models: Vec<(String, smp_smspn::SmSpn, StateSpace)> = Vec::new();
         let mut resolved = Vec::with_capacity(specs.len());
         for spec in specs {
-            resolved.push(Self::resolve(spec, &mut models, 0)?);
+            resolved.push(Self::resolve(spec, &mut models)?);
         }
         Ok(CompiledModelSet { models, resolved })
     }
@@ -458,16 +443,13 @@ impl CompiledModelSet {
     fn resolve(
         spec: &TransformSpec,
         models: &mut Vec<(String, smp_smspn::SmSpn, StateSpace)>,
-        s_divisions: u32,
     ) -> Result<ResolvedSpec, String> {
         match spec {
-            TransformSpec::CdfOf(inner) => Self::resolve(inner, models, s_divisions + 1),
             TransformSpec::Analytic(dist) => Ok(ResolvedSpec {
                 model: None,
                 targets: None,
                 transient: false,
-                dist: Some(dist.to_dist()),
-                s_divisions,
+                dist: Some(dist.to_dist()?),
             }),
             TransformSpec::Passage { model, targets }
             | TransformSpec::Transient { model, targets } => {
@@ -494,7 +476,6 @@ impl CompiledModelSet {
                     targets: Some(target_states),
                     transient: matches!(spec, TransformSpec::Transient { .. }),
                     dist: None,
-                    s_divisions,
                 })
             }
         }
@@ -547,10 +528,7 @@ impl CompiledModelSet {
                 return Err("resolved spec has neither model nor distribution".to_string())
             }
         };
-        Ok(CompiledEvaluator {
-            kind,
-            s_divisions: resolved.s_divisions,
-        })
+        Ok(CompiledEvaluator { kind })
     }
 
     /// Builds all evaluators, in spec order.
@@ -614,7 +592,6 @@ enum EvaluatorKind<'a> {
 /// its [`CompiledModelSet`].
 pub struct CompiledEvaluator<'a> {
     kind: EvaluatorKind<'a>,
-    s_divisions: u32,
 }
 
 impl std::fmt::Debug for CompiledEvaluator<'_> {
@@ -626,7 +603,6 @@ impl std::fmt::Debug for CompiledEvaluator<'_> {
         };
         f.debug_struct("CompiledEvaluator")
             .field("kind", &kind)
-            .field("s_divisions", &self.s_divisions)
             .finish()
     }
 }
@@ -643,20 +619,17 @@ impl CompiledEvaluator<'_> {
         }
     }
 
-    /// Evaluates the transform at one `s`-point — the same computation the
-    /// closure-based API would run in-process.
+    /// Evaluates the transform at one `s`-point: the solver's converged
+    /// value, or its error as text.
     pub fn eval(&self, s: Complex64) -> Result<Complex64, String> {
-        let value = match &self.kind {
+        match &self.kind {
             EvaluatorKind::Passage(solver) => solver
                 .transform_at(s)
                 .map(|p| p.value)
-                .map_err(|e| e.to_string())?,
-            EvaluatorKind::Transient(solver) => {
-                solver.transform_at(s).map_err(|e| e.to_string())?
-            }
-            EvaluatorKind::Analytic(dist) => dist.lst(s),
-        };
-        Ok(self.divided(value, s))
+                .map_err(|e| e.to_string()),
+            EvaluatorKind::Transient(solver) => solver.transform_at(s).map_err(|e| e.to_string()),
+            EvaluatorKind::Analytic(dist) => Ok(dist.lst(s)),
+        }
     }
 
     /// Evaluates the transform at every point of a chunk: one result per
@@ -667,40 +640,20 @@ impl CompiledEvaluator<'_> {
     /// `TransientSolver::transform_many`); a closed-form distribution has no
     /// cross-point work to share and maps `eval`.
     pub fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
+        let text = |e: smp_core::SmpError| e.to_string();
         match &self.kind {
-            EvaluatorKind::Passage(solver) => {
-                let values = solver.transform_many(points).into_iter();
-                self.divide_all(points, values.map(|point| point.map(|point| point.value)))
-            }
-            EvaluatorKind::Transient(solver) => {
-                self.divide_all(points, solver.transform_many(points).into_iter())
-            }
+            EvaluatorKind::Passage(solver) => solver
+                .transform_many(points)
+                .into_iter()
+                .map(|point| point.map(|point| point.value).map_err(text))
+                .collect(),
+            EvaluatorKind::Transient(solver) => solver
+                .transform_many(points)
+                .into_iter()
+                .map(|value| value.map_err(text))
+                .collect(),
             EvaluatorKind::Analytic(_) => points.iter().map(|&s| self.eval(s)).collect(),
         }
-    }
-
-    /// Applies the `/s` divisions to a solver's per-point results.
-    fn divide_all(
-        &self,
-        points: &[Complex64],
-        values: impl Iterator<Item = Result<Complex64, smp_core::SmpError>>,
-    ) -> Vec<Result<Complex64, String>> {
-        values
-            .zip(points)
-            .map(|(value, &s)| {
-                value
-                    .map(|value| self.divided(value, s))
-                    .map_err(|e| e.to_string())
-            })
-            .collect()
-    }
-
-    /// Applies the spec's `/s` divisions to a raw transform value.
-    fn divided(&self, mut value: Complex64, s: Complex64) -> Complex64 {
-        for _ in 0..self.s_divisions {
-            value /= s;
-        }
-        value
     }
 }
 
@@ -725,7 +678,6 @@ mod tests {
         let specs = vec![
             TransformSpec::passage(voting(), pred("p2>=2")),
             TransformSpec::transient(ModelSpec::Dnamaca("\\place{p}{1}".into()), pred("p==0")),
-            TransformSpec::CdfOf(Box::new(TransformSpec::passage(voting(), pred("p2>=2")))),
             TransformSpec::Analytic(DistSpec::Erlang {
                 rate: 2.0,
                 phases: 3,
@@ -776,10 +728,6 @@ mod tests {
         assert_ne!(a, b, "different models must never share cache shards");
         let fingerprint = voting().fingerprint();
         assert_eq!(a, format!("m{fingerprint}:passage:p2>=2"));
-        // CdfOf values are L(s)/s — never the raw density's shard.
-        let c = TransformSpec::CdfOf(Box::new(TransformSpec::passage(voting(), pred("p2>=2"))))
-            .transform_key();
-        assert_eq!(c, format!("cdf-of:{a}"));
         // Transient and passage transforms are distinct even on one model.
         let t = TransformSpec::transient(voting(), pred("p2>=2")).transform_key();
         assert_ne!(t, a);
@@ -835,24 +783,21 @@ mod tests {
 
     /// `eval_many` is `map(eval)`, bit for bit, for every evaluator kind:
     /// passage transforms (whose chunk runs as lockstep blocks, here of every
-    /// shape up to two blocks and a lone remainder) with and without `/s`
-    /// divisions, transient transforms and closed-form LSTs.
+    /// shape up to two blocks and a lone remainder), transient transforms and
+    /// closed-form LSTs.
     #[test]
     fn eval_many_is_map_eval_bitwise() {
-        let passage = TransformSpec::passage(voting(), pred("p2>=2"));
         let specs = [
-            passage.clone(),
-            TransformSpec::CdfOf(Box::new(passage.clone())),
-            TransformSpec::CdfOf(Box::new(TransformSpec::CdfOf(Box::new(passage)))),
+            TransformSpec::passage(voting(), pred("p2>=2")),
             TransformSpec::transient(voting(), pred("p2>=2")),
             TransformSpec::Analytic(DistSpec::Erlang {
                 rate: 2.0,
                 phases: 3,
             }),
-            TransformSpec::CdfOf(Box::new(TransformSpec::Analytic(DistSpec::Uniform {
+            TransformSpec::Analytic(DistSpec::Uniform {
                 lower: 0.5,
                 upper: 2.0,
-            }))),
+            }),
         ];
         let compiled = CompiledModelSet::compile(&specs).unwrap();
         let points: Vec<Complex64> = (1..=9)
@@ -876,19 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_of_divides_by_s() {
-        let inner = TransformSpec::Analytic(DistSpec::Exponential { rate: 2.0 });
-        let spec = TransformSpec::CdfOf(Box::new(inner.clone()));
-        let both = [inner, spec];
-        let compiled = CompiledModelSet::compile(&both).unwrap();
-        let evaluators = compiled.evaluators().unwrap();
-        let s = Complex64::new(1.5, -0.5);
-        let raw = evaluators[0].eval(s).unwrap();
-        let divided = evaluators[1].eval(s).unwrap();
-        assert_eq!(divided, raw / s);
-    }
-
-    #[test]
     fn bad_specs_fail_at_compile_time() {
         let missing_place = TransformSpec::passage(voting(), pred("nosuch>=1"));
         let err = CompiledModelSet::compile(std::slice::from_ref(&missing_place)).unwrap_err();
@@ -902,6 +834,27 @@ mod tests {
             TransformSpec::passage(ModelSpec::Dnamaca("\\bogus{".into()), pred("p>=1"));
         let err = CompiledModelSet::compile(std::slice::from_ref(&unparsable)).unwrap_err();
         assert!(err.contains("parse"), "{err}");
+
+        // Distribution parameters that decode but make no distribution.
+        for dist in [
+            DistSpec::Erlang {
+                rate: 2.0,
+                phases: 0,
+            },
+            DistSpec::Exponential { rate: -1.0 },
+            DistSpec::Uniform {
+                lower: 2.0,
+                upper: 1.0,
+            },
+            DistSpec::Weibull {
+                shape: 1.5,
+                scale: f64::INFINITY,
+            },
+        ] {
+            let spec = TransformSpec::Analytic(dist);
+            let compiled = CompiledModelSet::compile(std::slice::from_ref(&spec));
+            assert!(compiled.is_err(), "{spec:?}");
+        }
     }
 
     #[test]
@@ -960,5 +913,12 @@ mod tests {
         assert!(TransformSpec::decode("frob v=1").is_err());
         assert!(TransformSpec::decode("").is_err());
         assert!(TransformSpec::decode("analytic v=1 dist=erlang:xx:3").is_err());
+        // 700 KB of nested prefixes once recursed the decoder off its stack;
+        // `cdf-of` is no tag at all now.
+        let nested = "cdf-of ".repeat(100_000) + "analytic v=1 dist=exponential:3ff0000000000000";
+        assert!(matches!(
+            TransformSpec::decode(&nested),
+            Err(WireError::Malformed { .. })
+        ));
     }
 }

@@ -21,10 +21,9 @@
 //!   products over slice workers that each hold one row block of the model,
 //! * the query server's standing pool (`server.rs`).
 //!
-//! All of them speak about the same [`ExecutionPlan`]; only [`InProcess`]
-//! accepts closure-based measures — everything else needs a serializable spec
-//! (closures cannot cross a process boundary — that is the whole point of
-//! [`TransformSpec`]).
+//! All of them speak about the same [`ExecutionPlan`], whose measures are
+//! [`TransformSpec`]s: a description every backend can rebuild into an
+//! evaluator, in process or on the far side of a socket.
 //!
 //! The chunk backends with a worker at the far end of a wire differ only in
 //! where their [`Link`]s come from — a seat table filled by lazy rendezvous
@@ -41,7 +40,7 @@ use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
-use crate::worker::{run_batch_worker, ChunkEvaluator, TransformFn, WorkerMessage, WorkerStats};
+use crate::worker::{run_batch_worker, WorkerMessage, WorkerStats};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,28 +48,10 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How one measure of a plan is evaluated.
-#[derive(Clone, Copy)]
-pub enum Evaluator<'a> {
-    /// A live in-process closure (cannot cross a process boundary).
-    Closure(&'a TransformFn<'a>),
-    /// A serializable description a remote worker can rebuild.
-    Spec(&'a TransformSpec),
-}
-
-impl std::fmt::Debug for Evaluator<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Evaluator::Closure(_) => f.write_str("Evaluator::Closure(..)"),
-            Evaluator::Spec(spec) => f.debug_tuple("Evaluator::Spec").field(spec).finish(),
-        }
-    }
-}
-
 impl std::fmt::Debug for ExecutionPlan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutionPlan")
-            .field("evaluators", &self.evaluators)
+            .field("specs", &self.specs)
             .field("items", &self.items.len())
             .field("chunk_size", &self.chunk_size)
             .field("method", &self.method)
@@ -79,12 +60,12 @@ impl std::fmt::Debug for ExecutionPlan<'_> {
 }
 
 /// Everything a transport needs to run one distributed evaluation: the
-/// per-measure evaluators, the outstanding work items, and the dispatch chunk
-/// size.  Produced by `DistributedPipeline::execute` after planning and cache
-/// dedup.
+/// per-measure transform specs, the outstanding work items, and the dispatch
+/// chunk size.  Produced by `DistributedPipeline::execute` after planning and
+/// cache dedup.
 pub struct ExecutionPlan<'a> {
-    /// Per-measure evaluators, indexed by [`WorkItem::measure`].
-    pub evaluators: Vec<Evaluator<'a>>,
+    /// Per-measure transform specs, indexed by [`WorkItem::measure`].
+    pub specs: Vec<&'a TransformSpec>,
     /// The work items still to evaluate (cache misses only).
     pub items: Vec<WorkItem>,
     /// Work items dispatched per request; the final chunk may be shorter.
@@ -199,22 +180,14 @@ pub(crate) fn transport_error(message: impl Into<String>) -> PipelineError {
     }
 }
 
-/// Encodes every measure of a plan into its wire spec line, rejecting plans
-/// with closure-based measures (they cannot cross a process boundary).  Shared
-/// by the TCP rendezvous backend and the query server's standing worker pool.
-pub(crate) fn encode_plan_specs(
-    evaluators: &[Evaluator<'_>],
-) -> Result<Vec<String>, PipelineError> {
-    evaluators
+/// Encodes every measure of a plan into its wire spec line.  Shared by the
+/// TCP rendezvous backend and the query server's standing worker pool.
+pub(crate) fn encode_plan_specs(specs: &[&TransformSpec]) -> Result<Vec<String>, PipelineError> {
+    specs
         .iter()
-        .map(|evaluator| match evaluator {
-            Evaluator::Spec(spec) => spec
-                .encode()
-                .map_err(|e| transport_error(format!("unencodable transform spec: {e}"))),
-            Evaluator::Closure(_) => Err(transport_error(
-                "closure-based measures cannot cross a process boundary; \
-                 build the batch from TransformSpecs to use the TCP backend",
-            )),
+        .map(|spec| {
+            spec.encode()
+                .map_err(|e| transport_error(format!("unencodable transform spec: {e}")))
         })
         .collect()
 }
@@ -279,18 +252,11 @@ fn run_threaded(
 ) -> Result<TransportReport, PipelineError> {
     let workers = workers.max(1);
 
-    // Compile every spec-based measure locally: one state-space exploration
-    // per distinct model, exactly what a remote worker would do on receipt of
-    // the job frame — and, like that worker, a repeated spec list reuses the
+    // Compile every measure locally: one state-space exploration per
+    // distinct model, exactly what a remote worker would do on receipt of the
+    // job frame — and, like that worker, a repeated spec list reuses the
     // explored state space instead.
-    let specs: Vec<TransformSpec> = plan
-        .evaluators
-        .iter()
-        .filter_map(|e| match e {
-            Evaluator::Spec(spec) => Some((*spec).clone()),
-            Evaluator::Closure(_) => None,
-        })
-        .collect();
+    let specs: Vec<TransformSpec> = plan.specs.iter().map(|&spec| spec.clone()).collect();
     let (compiled_set, cache_hit) = compiled_cache
         .get_or_compile(&specs)
         .map_err(transport_error)?;
@@ -300,24 +266,8 @@ fn run_threaded(
         (0, compiled_set.num_models())
     };
     let states = (compiled_set.num_models() > 0).then(|| compiled_set.num_states());
-    let compiled: Vec<CompiledEvaluator<'_>> =
+    let evaluators: Vec<CompiledEvaluator<'_>> =
         compiled_set.evaluators().map_err(transport_error)?;
-
-    // Per-measure chunk evaluators: live closures pass straight through,
-    // spec measures hand their compiled evaluator over whole.
-    let mut compiled_specs = compiled.iter();
-    let evaluators: Vec<ChunkEvaluator<'_>> = plan
-        .evaluators
-        .iter()
-        .map(|evaluator| match evaluator {
-            Evaluator::Closure(f) => ChunkEvaluator::Closure(*f),
-            Evaluator::Spec(_) => ChunkEvaluator::Compiled(
-                compiled_specs
-                    .next()
-                    .expect("one compiled evaluator per spec measure"),
-            ),
-        })
-        .collect();
 
     let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
     let mut messages = 0usize;
@@ -327,7 +277,7 @@ fn run_threaded(
         on_message(message);
     });
 
-    let hotpath = compiled
+    let hotpath = evaluators
         .iter()
         .map(|evaluator| evaluator.hotpath_stats())
         .fold(smp_core::HotPathStats::default(), |acc, s| acc.merged(s));
@@ -506,7 +456,7 @@ impl Transport for TcpTransport {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        let specs = encode_plan_specs(&plan.evaluators)?;
+        let specs = encode_plan_specs(&plan.specs)?;
         let held: Vec<Option<Box<dyn Link>>> = unpoisoned(self.seats.lock())
             .iter_mut()
             .map(Option::take)
@@ -855,7 +805,7 @@ mod tests {
         chunk_size: usize,
     ) -> ExecutionPlan<'a> {
         ExecutionPlan {
-            evaluators: vec![Evaluator::Spec(spec)],
+            specs: vec![spec],
             items: items_for(points, 0),
             chunk_size,
             method: "euler".to_string(),
@@ -885,67 +835,28 @@ mod tests {
     }
 
     #[test]
-    fn in_process_closure_plan_evaluates_everything() {
-        let points: Vec<Complex64> = (1..=9).map(|k| Complex64::new(k as f64, 0.5)).collect();
-        let square = |s: Complex64| -> Result<Complex64, String> { Ok(s * s) };
-        let plan = ExecutionPlan {
-            evaluators: vec![Evaluator::Closure(&square)],
-            items: items_for(&points, 0),
-            chunk_size: 2,
-            method: "euler".to_string(),
-        };
-        let transport = InProcess::new(3);
-        assert_eq!(transport.name(), "in-process");
-        let (outcomes, report) = collect(&transport, plan);
-        assert_eq!(outcomes.len(), 9);
-        for outcome in &outcomes {
-            assert_eq!(
-                outcome.outcome.clone().unwrap(),
-                outcome.item.s * outcome.item.s
-            );
-        }
-        assert_eq!(report.bytes_on_wire, 0, "shared memory ships no bytes");
-        assert_eq!(report.disconnects, 0);
-        let evaluated: usize = report.worker_stats.iter().map(|w| w.evaluated).sum();
-        assert_eq!(evaluated, 9);
-        assert_eq!(
-            report.messages,
-            report
-                .worker_stats
-                .iter()
-                .map(|w| w.messages)
-                .sum::<usize>()
-        );
-    }
-
-    #[test]
     fn in_process_spec_plan_matches_the_analytic_transform() {
         let spec = TransformSpec::Analytic(DistSpec::Erlang {
             rate: 2.0,
             phases: 3,
         });
-        let points: Vec<Complex64> = (1..=5)
+        let points: Vec<Complex64> = (1..=9)
             .map(|k| Complex64::new(0.3 * k as f64, 1.0))
             .collect();
-        let (outcomes, _) = collect(&InProcess::new(2), spec_plan(&spec, &points, 3));
+        let transport = InProcess::new(3);
+        assert_eq!(transport.name(), "in-process");
+        let (outcomes, report) = collect(&transport, spec_plan(&spec, &points, 2));
+        assert_eq!(outcomes.len(), 9);
         let d = Dist::erlang(2.0, 3);
         for outcome in outcomes {
             assert_eq!(outcome.outcome.unwrap(), d.lst(outcome.item.s));
         }
-    }
-
-    #[test]
-    fn tcp_transport_rejects_closure_plans() {
-        let transport = TcpTransport::bind(&["127.0.0.1:0"]).unwrap();
-        let f = |s: Complex64| -> Result<Complex64, String> { Ok(s) };
-        let plan = ExecutionPlan {
-            evaluators: vec![Evaluator::Closure(&f)],
-            items: Vec::new(),
-            chunk_size: 1,
-            method: "euler".to_string(),
-        };
-        let error = transport.execute(plan, &mut |_| {}).unwrap_err();
-        assert!(error.to_string().contains("process boundary"), "{error}");
+        assert_eq!(report.bytes_on_wire, 0, "shared memory ships no bytes");
+        assert_eq!(report.disconnects, 0);
+        let evaluated: usize = report.worker_stats.iter().map(|w| w.evaluated).sum();
+        assert_eq!(evaluated, 9);
+        let messages: usize = report.worker_stats.iter().map(|w| w.messages).sum();
+        assert_eq!(report.messages, messages);
     }
 
     #[test]

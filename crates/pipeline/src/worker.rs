@@ -35,11 +35,6 @@ use std::io;
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
-/// The transform evaluator a worker applies to an `s`-point: any Laplace-domain
-/// function, typically a closure around a `PassageTimeSolver` or
-/// `TransientSolver`.
-pub type TransformFn<'a> = dyn Fn(Complex64) -> Result<Complex64, String> + Sync + 'a;
-
 /// Per-worker accounting, reported back to the master when the queue drains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStats {
@@ -71,31 +66,21 @@ pub struct WorkerMessage {
     pub results: Vec<WorkItemOutcome>,
 }
 
-/// How the items of one measure are evaluated, as a chunk sees it.
-#[derive(Clone, Copy)]
-pub enum ChunkEvaluator<'a> {
-    /// A live closure, applied point by point.
-    Closure(&'a TransformFn<'a>),
-    /// A compiled evaluator, handed each run of points whole
-    /// ([`CompiledEvaluator::eval_many`]).
-    Compiled(&'a CompiledEvaluator<'a>),
-}
-
 /// Evaluates one chunk — the one place a chunk is walked, whichever loop
-/// popped it (worker thread, worker process, the analytic engine's plan, a
-/// sharded backend's master-side specs).  Each run of consecutive items of
-/// one measure goes to that measure's evaluator as a whole; every item keeps
-/// its own outcome, in chunk order.
-pub fn evaluate_chunk<'a>(
+/// popped it (worker thread, worker process, the analytic engine's plan).
+/// Each run of consecutive items of one measure goes to that measure's
+/// evaluator as a whole ([`CompiledEvaluator::eval_many`]); every item keeps
+/// its own outcome, in chunk order, and an item naming a measure
+/// `evaluators` lacks fails alone.
+pub fn evaluate_chunk(
     items: &[WorkItem],
-    evaluator_of: impl Fn(usize) -> Option<ChunkEvaluator<'a>>,
+    evaluators: &[CompiledEvaluator<'_>],
 ) -> Vec<WorkItemOutcome> {
     let mut outcomes = Vec::with_capacity(items.len());
     for run in items.chunk_by(|a, b| a.measure == b.measure) {
         let measure = run[0].measure;
-        let values: Vec<Result<Complex64, String>> = match evaluator_of(measure) {
-            Some(ChunkEvaluator::Closure(f)) => run.iter().map(|item| f(item.s)).collect(),
-            Some(ChunkEvaluator::Compiled(evaluator)) => {
+        let values: Vec<Result<Complex64, String>> = match evaluators.get(measure) {
+            Some(evaluator) => {
                 let points: Vec<Complex64> = run.iter().map(|item| item.s).collect();
                 evaluator.eval_many(&points)
             }
@@ -119,7 +104,7 @@ pub fn evaluate_chunk<'a>(
 pub fn run_batch_worker(
     id: usize,
     queue: &WorkQueue,
-    evaluators: &[ChunkEvaluator<'_>],
+    evaluators: &[CompiledEvaluator<'_>],
     results: &Sender<WorkerMessage>,
 ) -> WorkerStats {
     let mut stats = WorkerStats {
@@ -130,7 +115,7 @@ pub fn run_batch_worker(
     };
     while let Some(chunk) = queue.pop_chunk() {
         let started = Instant::now();
-        let outcomes = evaluate_chunk(&chunk, |measure| evaluators.get(measure).copied());
+        let outcomes = evaluate_chunk(&chunk, evaluators);
         stats.busy += started.elapsed();
         stats.evaluated += outcomes.len();
         stats.messages += 1;
@@ -599,9 +584,7 @@ fn serve_chunks(
             return Err(format!("unexpected frame from master: {frame:?}"));
         };
         let started = Instant::now();
-        let results = evaluate_chunk(items, |measure| {
-            evaluators.get(measure).map(ChunkEvaluator::Compiled)
-        });
+        let results = evaluate_chunk(items, &evaluators);
         let busy_nanos = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         summary.evaluated += results.len();
         let message = WorkerMessage {
@@ -624,15 +607,27 @@ fn serve_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::{CompiledModelSet, DistSpec, ModelSpec, TargetSpec};
+    use smp_distributions::Dist;
     use std::sync::mpsc::channel;
+
+    /// Compiles closed-form transforms: exact references whose values the
+    /// tests can recompute with `Dist::lst`.
+    fn analytic(dists: &[DistSpec]) -> CompiledModelSet {
+        let specs: Vec<TransformSpec> =
+            dists.iter().cloned().map(TransformSpec::Analytic).collect();
+        CompiledModelSet::compile(&specs).unwrap()
+    }
+
+    const EXP: DistSpec = DistSpec::Exponential { rate: 1.5 };
 
     #[test]
     fn worker_drains_queue_and_reports_stats() {
         let points: Vec<Complex64> = (1..=20).map(|k| Complex64::new(k as f64, 0.0)).collect();
         let queue = WorkQueue::new(&points);
         let (tx, rx) = channel();
-        let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s * s) };
-        let stats = run_batch_worker(3, &queue, &[ChunkEvaluator::Closure(&evaluator)], &tx);
+        let compiled = analytic(&[EXP]);
+        let stats = run_batch_worker(3, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         assert_eq!(stats.id, 3);
         assert_eq!(stats.evaluated, 20);
@@ -642,7 +637,7 @@ mod tests {
             rx.iter().flat_map(|message| message.results).collect();
         assert_eq!(received.len(), 20);
         for outcome in received {
-            let expect = outcome.item.s * outcome.item.s;
+            let expect = Dist::exponential(1.5).lst(outcome.item.s);
             assert_eq!(outcome.outcome.unwrap(), expect);
         }
         assert!(queue.is_empty());
@@ -659,9 +654,8 @@ mod tests {
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 5);
         let (tx, rx) = channel();
-        let evaluator = |s: Complex64| -> Result<Complex64, String> { Ok(s + Complex64::ONE) };
-        let evaluators = [ChunkEvaluator::Closure(&evaluator)];
-        let stats = run_batch_worker(1, &queue, &evaluators, &tx);
+        let compiled = analytic(&[EXP]);
+        let stats = run_batch_worker(1, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         // 17 items at chunk size 5: 5 + 5 + 5 + 2 → 4 messages.
         assert_eq!(stats.evaluated, 17);
@@ -684,31 +678,29 @@ mod tests {
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 4);
         let (tx, rx) = channel();
-        let double = |s: Complex64| -> Result<Complex64, String> { Ok(s * Complex64::real(2.0)) };
-        let negate = |s: Complex64| -> Result<Complex64, String> { Ok(-s) };
-        let evaluators = [
-            ChunkEvaluator::Closure(&double),
-            ChunkEvaluator::Closure(&negate),
-        ];
-        run_batch_worker(0, &queue, &evaluators, &tx);
+        let erlang = DistSpec::Erlang {
+            rate: 2.0,
+            phases: 3,
+        };
+        let compiled = analytic(&[EXP, erlang]);
+        run_batch_worker(0, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         for outcome in rx.iter().flat_map(|m| m.results) {
             let expect = match outcome.item.measure {
-                0 => outcome.item.s * Complex64::real(2.0),
-                _ => -outcome.item.s,
+                0 => Dist::exponential(1.5).lst(outcome.item.s),
+                _ => Dist::erlang(2.0, 3).lst(outcome.item.s),
             };
             assert_eq!(outcome.outcome.unwrap(), expect);
         }
     }
 
     /// One chunk, three kinds of run: a compiled passage evaluator gets its
-    /// runs whole (and answers each point with its `eval` bits), a closure is
-    /// applied point by point, and items naming a measure the job does not
-    /// have fail alone — all in chunk order.
+    /// runs whole (and answers each point with its `eval` bits), a
+    /// closed-form transform its own, and items naming a measure the job does
+    /// not have fail alone — all in chunk order.
     #[test]
     fn chunk_runs_keep_order_and_per_item_outcomes() {
-        use crate::transform::{CompiledModelSet, ModelSpec, TargetSpec};
-        let spec = TransformSpec::passage(
+        let passage = TransformSpec::passage(
             ModelSpec::Voting {
                 voters: 3,
                 polling: 1,
@@ -716,13 +708,8 @@ mod tests {
             },
             TargetSpec::parse("p2>=2").unwrap(),
         );
-        let compiled = CompiledModelSet::compile(std::slice::from_ref(&spec)).unwrap();
-        let passage = compiled.evaluator(0).unwrap();
-        let negate = |s: Complex64| -> Result<Complex64, String> { Ok(-s) };
-        let evaluators = [
-            ChunkEvaluator::Compiled(&passage),
-            ChunkEvaluator::Closure(&negate),
-        ];
+        let compiled = CompiledModelSet::compile(&[passage, TransformSpec::Analytic(EXP)]).unwrap();
+        let evaluators = compiled.evaluators().unwrap();
         // Runs: measure 0 ×5, measure 1 ×2, measure 7 ×1, measure 0 ×1.
         let items: Vec<WorkItem> = [0, 0, 0, 0, 0, 1, 1, 7, 0]
             .iter()
@@ -733,13 +720,13 @@ mod tests {
                 s: Complex64::new(0.2 + 0.1 * index as f64, index as f64 - 4.0),
             })
             .collect();
-        let outcomes = evaluate_chunk(&items, |measure| evaluators.get(measure).copied());
+        let outcomes = evaluate_chunk(&items, &evaluators);
         assert_eq!(outcomes.len(), items.len());
         for (item, outcome) in items.iter().zip(outcomes) {
             assert_eq!(outcome.item, *item);
             match item.measure {
-                0 => assert_eq!(outcome.outcome, passage.eval(item.s)),
-                1 => assert_eq!(outcome.outcome, Ok(-item.s)),
+                0 => assert_eq!(outcome.outcome, evaluators[0].eval(item.s)),
+                1 => assert_eq!(outcome.outcome, Ok(Dist::exponential(1.5).lst(item.s))),
                 _ => assert!(outcome.outcome.unwrap_err().contains("unknown measure 7")),
             }
         }
@@ -747,17 +734,21 @@ mod tests {
 
     #[test]
     fn errors_are_forwarded_not_fatal() {
-        let points = vec![Complex64::ONE, Complex64::I, Complex64::new(2.0, 0.0)];
-        let queue = WorkQueue::new(&points);
+        // The middle item names a measure the job does not have: its
+        // evaluation fails, and the failure travels as that item's outcome.
+        let items: Vec<WorkItem> = [
+            (0, Complex64::ONE),
+            (1, Complex64::I),
+            (0, Complex64::new(2.0, 0.0)),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(index, (measure, s))| WorkItem { measure, index, s })
+        .collect();
+        let queue = WorkQueue::with_chunk_size(items, 1);
         let (tx, rx) = channel();
-        let evaluator = |s: Complex64| -> Result<Complex64, String> {
-            if s == Complex64::I {
-                Err("did not converge".into())
-            } else {
-                Ok(s)
-            }
-        };
-        let stats = run_batch_worker(0, &queue, &[ChunkEvaluator::Closure(&evaluator)], &tx);
+        let compiled = analytic(&[EXP]);
+        let stats = run_batch_worker(0, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         assert_eq!(stats.evaluated, 3);
         let errors: Vec<_> = rx

@@ -1,5 +1,5 @@
 //! The decode roots against their own samples: every frame kind, the query
-//! request and both reply forms, all four transform-spec forms, a checkpoint
+//! request and both reply forms, all three transform-spec forms, a checkpoint
 //! file and a `.shard` sidecar.
 //!
 //! `golden_bytes` pins the exact text each encoder writes and the values each
@@ -9,8 +9,10 @@
 //! `token_mutation_sweep` replaces every whitespace token of every sample
 //! (and the value of every `key=value` token) with each hostile replacement
 //! in turn, and cuts every sample after every token and after every line.  Each decoder must answer every variant with `Ok` or
-//! a typed error, never a panic.  The sweep is exhaustive and deterministic:
-//! no random source, no seed.
+//! a typed error, never a panic; a spec that decodes must also compile or be
+//! refused, since a worker compiles every spec line of a `job` frame it
+//! reads.  The sweep is exhaustive and deterministic: no random source, no
+//! seed.
 
 use smp_core::query::{MeasureKind, MeasureReport, Provenance};
 use smp_numeric::Complex64;
@@ -18,11 +20,12 @@ use smp_pipeline::checkpoint::{load_checkpoint_by_measure, CheckpointWriter, Sha
 use smp_pipeline::server::{
     decode_query_reply, decode_query_request, encode_query_reply, encode_query_request,
 };
-use smp_pipeline::wire::Frame;
+use smp_pipeline::wire::{Frame, WireError};
 use smp_pipeline::work::WorkItem;
 use smp_pipeline::worker::{WorkItemOutcome, WorkerMessage};
 use smp_pipeline::{
-    DistSpec, ModelSpec, QueryReply, QueryRequest, Refusal, RefusalKind, TargetSpec, TransformSpec,
+    CompiledModelSet, DistSpec, ModelSpec, QueryReply, QueryRequest, Refusal, RefusalKind,
+    TargetSpec, TransformSpec,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -48,8 +51,8 @@ fn target(text: &str) -> TargetSpec {
     TargetSpec::parse(text).unwrap()
 }
 
-/// One spec of each form: passage, transient (over awkward DNAmaca source),
-/// the `/s` wrapper, and an analytic distribution.
+/// One spec of each form: passage, transient (over awkward DNAmaca source)
+/// and an analytic distribution.
 fn spec_samples() -> Vec<TransformSpec> {
     vec![
         TransformSpec::passage(voting(), target("p2>=2")),
@@ -57,7 +60,6 @@ fn spec_samples() -> Vec<TransformSpec> {
             ModelSpec::Dnamaca("\\place{p}{1}\n% naïve 100%\n".to_string()),
             target("p==0"),
         ),
-        TransformSpec::CdfOf(Box::new(TransformSpec::passage(voting(), target("p2>=2")))),
         TransformSpec::Analytic(DistSpec::Erlang {
             rate: 2.0,
             phases: 3,
@@ -77,7 +79,7 @@ fn frame_samples() -> Vec<Frame> {
             version: 3,
             worker: 1,
             method: "euler".to_string(),
-            specs: vec![specs[0].clone(), specs[3].clone()],
+            specs: vec![specs[0].clone(), specs[2].clone()],
         },
         Frame::Chunk {
             items: vec![item(0, 0, c(0.5, 1.5)), item(1, 7, c(2.0, -3.25))],
@@ -314,10 +316,9 @@ const GOLDEN_REPLIES: [&str; 2] = [
     "refusal v=1 kind=busy msg=server%20is%20at%20capacity:%204%20in%20flight\n",
 ];
 
-const GOLDEN_SPECS: [&str; 4] = [
+const GOLDEN_SPECS: [&str; 3] = [
     "passage v=1 model=voting:3,1,1 targets=p2%3e%3d2",
     "transient v=1 model=dnamaca:%5cplace%7bp%7d%7b1%7d%0a%25%20na%c3%afve%20100%25%0a targets=p%3d%3d0",
-    "cdf-of passage v=1 model=voting:3,1,1 targets=p2%3e%3d2",
     "analytic v=1 dist=erlang:4000000000000000:3",
 ];
 
@@ -404,6 +405,52 @@ const REPLACEMENTS: [&str; 7] = [
     "ffffffffffffffff",
 ];
 
+/// What each parameter of an analytic spec is replaced by, one at a time:
+/// zero, minus one, NaN and infinity bits, and a phase count of zero.
+const HOSTILE_PARAMETERS: [&str; 5] = [
+    "0000000000000000",
+    "bff0000000000000",
+    "7ff8000000000000",
+    "7ff0000000000000",
+    "0",
+];
+
+/// One analytic spec line per distribution family, with each parameter in
+/// turn replaced by each hostile value: lines that decode, but whose
+/// parameters may make no distribution.
+fn hostile_analytic_specs() -> Vec<String> {
+    let families = [
+        DistSpec::Exponential { rate: 1.0 },
+        DistSpec::Erlang {
+            rate: 2.0,
+            phases: 3,
+        },
+        DistSpec::Uniform {
+            lower: 0.5,
+            upper: 2.0,
+        },
+        DistSpec::Deterministic { value: 1.5 },
+        DistSpec::Weibull {
+            shape: 1.5,
+            scale: 0.5,
+        },
+    ];
+    let mut out = Vec::new();
+    for dist in families {
+        let line = TransformSpec::Analytic(dist).encode().unwrap();
+        let (head, field) = line.split_once("dist=").unwrap();
+        let parts: Vec<&str> = field.split(':').collect();
+        for k in 1..parts.len() {
+            for hostile in HOSTILE_PARAMETERS {
+                let mut mutated = parts.clone();
+                mutated[k] = hostile;
+                out.push(format!("{head}dist={}", mutated.join(":")));
+            }
+        }
+    }
+    out
+}
+
 /// Every variant of `text` the sweep feeds a decoder.
 fn variants(text: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -447,10 +494,11 @@ fn token_mutation_sweep() {
         .map(|frame| frame.encode().unwrap())
         .collect();
     let replies: Vec<String> = reply_samples().iter().map(encode_query_reply).collect();
-    let specs: Vec<String> = spec_samples()
+    let mut specs: Vec<String> = spec_samples()
         .iter()
         .map(|spec| spec.encode().unwrap())
         .collect();
+    specs.extend(hostile_analytic_specs());
     let checkpoint_path = temp_path("sweep-checkpoint");
     let sidecar_path = temp_path("sweep-sidecar");
     let checkpoint = write_checkpoint(&checkpoint_path);
@@ -471,7 +519,9 @@ fn token_mutation_sweep() {
         let _ = decode_query_reply(text);
     }));
     panicked.extend(sweep("TransformSpec::decode", &specs, |text| {
-        let _ = TransformSpec::decode(text);
+        if let Ok(spec) = TransformSpec::decode(text) {
+            let _ = CompiledModelSet::compile(&[spec]);
+        }
     }));
     panicked.extend(sweep("load_checkpoint_by_measure", &[checkpoint], |text| {
         std::fs::write(&checkpoint_path, text).unwrap();
@@ -489,5 +539,33 @@ fn token_mutation_sweep() {
         "{} variants panicked a decoder:\n{}",
         panicked.len(),
         panicked.join("\n")
+    );
+}
+
+/// A `job` frame whose spec line nests 100,000 `cdf-of` prefixes (700 KB,
+/// well under the frame cap) decodes as a frame, and its spec line is refused
+/// as malformed — on a thread with the default stack, like the worker
+/// thread that reads a `job`, which the line once overflowed.
+#[test]
+fn a_nested_cdf_of_spec_line_is_refused_not_recursed() {
+    let line = "cdf-of ".repeat(100_000) + "analytic v=1 dist=exponential:3ff0000000000000";
+    let job = Frame::Job {
+        version: 3,
+        worker: 0,
+        method: "euler".to_string(),
+        specs: vec![line],
+    };
+    let payload = job.encode().unwrap();
+    let refused = std::thread::spawn(move || {
+        let Frame::Job { specs, .. } = Frame::decode(&payload).unwrap() else {
+            panic!("a job frame decodes as a job");
+        };
+        TransformSpec::decode(&specs[0])
+    })
+    .join()
+    .unwrap();
+    assert!(
+        matches!(refused, Err(WireError::Malformed { .. })),
+        "{refused:?}"
     );
 }

@@ -120,8 +120,7 @@ proptest! {
         op_index in 0usize..6,
         count in 0u32..10_000,
         (rate, shape) in (1e-6f64..1e6, 0.1f64..50.0),
-        phases in 1u32..64,
-        wrap_in_cdf in 0u8..2)
+        phases in 1u32..64)
     {
         let targets = TargetSpec {
             place: place_from(&place_bytes),
@@ -136,11 +135,6 @@ proptest! {
             TransformSpec::Analytic(DistSpec::Weibull { shape, scale: rate }),
         ];
         for spec in specs {
-            let spec = if wrap_in_cdf == 1 {
-                TransformSpec::CdfOf(Box::new(spec))
-            } else {
-                spec
-            };
             let line = spec.encode().unwrap();
             prop_assert!(!line.contains('\n'));
             prop_assert_eq!(TransformSpec::decode(&line).unwrap(), spec);
@@ -248,10 +242,10 @@ proptest! {
             TransformSpec::Analytic(DistSpec::Exponential { rate: bad }),
             TransformSpec::Analytic(DistSpec::Uniform { lower: 0.0, upper: bad }),
             TransformSpec::Analytic(DistSpec::Deterministic { value: bad }),
-            TransformSpec::CdfOf(Box::new(TransformSpec::Analytic(DistSpec::Weibull {
+            TransformSpec::Analytic(DistSpec::Weibull {
                 shape: bad,
                 scale: 1.0,
-            }))),
+            }),
         ] {
             prop_assert!(matches!(spec.encode(), Err(WireError::NonFinite { .. })));
         }

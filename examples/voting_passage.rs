@@ -10,10 +10,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smp_suite::core::{PassageTimeAnalysis, PassageTimeSolver, StateSet};
+use smp_suite::core::{PassageTimeAnalysis, StateSet};
 use smp_suite::laplace::{CdfCurve, InversionMethod};
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
+use smp_suite::pipeline::{
+    BatchJob, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
+    TargetSpec, TransformSpec,
+};
 use smp_suite::simulator::smp_sim::simulate_smp_passage_times;
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
@@ -36,22 +39,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("analytic mean time to process all 10 voters: {mean:.2} s");
     let ts = linspace(mean * 0.3, mean * 2.0, 24);
 
-    // Analytic density via the distributed pipeline (4 workers, Euler inversion).
-    let solver = PassageTimeSolver::new(smp, &[source], &targets)?;
+    // Analytic density via the distributed pipeline (4 workers, Euler
+    // inversion).  The pipeline's workers rebuild the same model from its
+    // spec: the voting model's DNAmaca form, passage into "all 10 voted".
+    let passage = TransformSpec::passage(
+        ModelSpec::Voting {
+            voters: 10,
+            polling: 4,
+            central: 2,
+        },
+        TargetSpec::parse("p2>=10")?,
+    );
     let pipeline =
         DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-    let evaluator = |s| {
-        solver
-            .transform_at(s)
-            .map(|p| p.value)
-            .map_err(|e| e.to_string())
-    };
-    // One batch, two measures over one transform key: the CDF of Fig. 5
-    // reuses every s-point the density evaluates.
+    // One batch, two measures over one spec and so one transform key: the
+    // CDF of Fig. 5 reuses every s-point the density evaluates.
     let batch = pipeline.run_batch(
         BatchJob::new()
-            .with_measure(MeasureSpec::density("f", &ts, evaluator).with_transform_key("passage"))
-            .with_measure(MeasureSpec::cdf("F", &ts, evaluator).with_transform_key("passage")),
+            .with_measure(MeasureSpec::from_spec(
+                "f",
+                MeasureKind::Density,
+                &ts,
+                passage.clone(),
+            ))
+            .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, passage)),
     )?;
     println!(
         "pipeline evaluated {} s-points in {:.2} s on 4 workers",

@@ -2,21 +2,41 @@
 //! union planning, per-measure cache-hit accounting, chunked dispatch, and the
 //! measure-tagged checkpoint format.
 
-use smp_suite::core::{PassageTimeSolver, SmpBuilder};
-use smp_suite::distributions::Dist;
+use smp_suite::core::PassageTimeAnalysis;
 use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
-use smp_suite::numeric::Complex64;
 use smp_suite::pipeline::checkpoint::load_checkpoint_by_measure;
-use smp_suite::pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
+use smp_suite::pipeline::{
+    BatchJob, DistSpec, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
+    ResolveTarget, TargetSpec, TransformSpec,
+};
+use smp_suite::smspn::StateSpace;
 
-fn tandem_smp() -> smp_suite::core::SemiMarkovProcess {
-    let mut b = SmpBuilder::new(4);
-    b.add_transition(0, 1, 1.0, Dist::erlang(2.0, 2));
-    b.add_transition(1, 2, 1.0, Dist::uniform(0.2, 1.0));
-    b.add_transition(2, 3, 1.0, Dist::exponential(1.5));
-    b.add_transition(3, 0, 1.0, Dist::deterministic(0.3));
-    b.build().unwrap()
+/// A four-stage cycle `q0 → q1 → q2 → q3 → q0` with one token, which starts
+/// in place `q{start}`: Erlang, uniform, exponential and deterministic
+/// stages.
+fn tandem(start: usize) -> ModelSpec {
+    let stage = |from: usize, sojourn: &str| {
+        let to = (from + 1) % 4;
+        format!(
+            "\\transition{{t{from}{to}}}{{ \\condition{{q{from} > 0}}
+                \\action{{ next->q{from} = q{from} - 1; next->q{to} = q{to} + 1; }}
+                \\sojourntimeLT{{ return {sojourn}; }} }}\n"
+        )
+    };
+    let mut source: String = (0..4)
+        .map(|q| format!("\\place{{q{q}}}{{{}}}\n", usize::from(q == start)))
+        .collect();
+    source += &stage(0, "erlangLT(2.0, 2, s)");
+    source += &stage(1, "uniformLT(0.2, 1.0, s)");
+    source += &stage(2, "expLT(1.5, s)");
+    source += &stage(3, "detLT(0.3, s)");
+    ModelSpec::Dnamaca(source)
+}
+
+/// The passage from `tandem(start)`'s initial marking into `target`.
+fn passage(start: usize, target: &str) -> TransformSpec {
+    TransformSpec::passage(tandem(start), TargetSpec::parse(target).unwrap())
 }
 
 /// The ISSUE's acceptance criterion: M measures sharing a t-grid (with
@@ -24,10 +44,9 @@ fn tandem_smp() -> smp_suite::core::SemiMarkovProcess {
 /// points on a cold cache, and a warm rerun reports them all as cache hits.
 #[test]
 fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
-    let smp = tandem_smp();
-    let to_half = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
-    let to_end = PassageTimeSolver::new(&smp, &[0], &[3]).unwrap();
-    let back_home = PassageTimeSolver::new(&smp, &[1], &[0]).unwrap();
+    let to_half = passage(0, "q2>=1");
+    let to_end = passage(0, "q3>=1");
+    let back_home = passage(1, "q0>=1");
     let ts = linspace(0.5, 8.0, 7);
 
     let mut checkpoint = std::env::temp_dir();
@@ -43,21 +62,26 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
             ..Default::default()
         },
     );
-    fn passage<'a>(
-        solver: &'a PassageTimeSolver<'a>,
-    ) -> impl Fn(Complex64) -> Result<Complex64, String> + Sync + 'a {
-        move |s| {
-            solver
-                .transform_at(s)
-                .map(|p| p.value)
-                .map_err(|e| e.to_string())
-        }
-    }
     let job = || {
         BatchJob::new()
-            .with_measure(MeasureSpec::density("0->2", &ts, passage(&to_half)))
-            .with_measure(MeasureSpec::density("0->3", &ts, passage(&to_end)))
-            .with_measure(MeasureSpec::cdf("1->0", &ts, passage(&back_home)))
+            .with_measure(MeasureSpec::from_spec(
+                "0->2",
+                MeasureKind::Density,
+                &ts,
+                to_half.clone(),
+            ))
+            .with_measure(MeasureSpec::from_spec(
+                "0->3",
+                MeasureKind::Density,
+                &ts,
+                to_end.clone(),
+            ))
+            .with_measure(MeasureSpec::from_spec(
+                "1->0",
+                MeasureKind::Cdf,
+                &ts,
+                back_home.clone(),
+            ))
     };
 
     // Cold cache: |union| × M evaluations, no hits.
@@ -90,8 +114,9 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
     // The checkpoint holds one tagged shard per measure, |union| records each.
     let shards = load_checkpoint_by_measure(&checkpoint).unwrap();
     assert_eq!(shards.len(), 3);
-    for key in ["0->2", "0->3", "1->0"] {
-        assert_eq!(shards[key].len(), union, "shard {key}");
+    for spec in [&to_half, &to_end, &back_home] {
+        let key = spec.transform_key();
+        assert_eq!(shards[&key].len(), union, "shard {key}");
     }
     std::fs::remove_file(&checkpoint).unwrap();
 }
@@ -99,29 +124,32 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
 /// Batch results agree with the sequential single-measure analyses.
 #[test]
 fn batch_values_match_single_process_analysis() {
-    use smp_suite::core::PassageTimeAnalysis;
-    let smp = tandem_smp();
-    let analysis = PassageTimeAnalysis::new(&smp, &[0], &[3]).unwrap();
-    let solver = PassageTimeSolver::new(&smp, &[0], &[3]).unwrap();
+    let to_end = passage(0, "q3>=1");
+    let source = to_end.model().unwrap().source();
+    let net = smp_suite::dnamaca::parse_model(&source).unwrap();
+    let space = StateSpace::explore(&net).unwrap();
+    let targets = TargetSpec::parse("q3>=1")
+        .unwrap()
+        .resolve(&net, &space)
+        .unwrap();
+    let analysis =
+        PassageTimeAnalysis::new(space.smp(), &[space.initial_state()], &targets).unwrap();
     let ts = linspace(0.4, 10.0, 20);
 
     let pipeline = DistributedPipeline::new(
         InversionMethod::euler(),
         PipelineOptions::with_workers(3).chunked(5),
     );
-    let evaluator = |s: Complex64| {
-        solver
-            .transform_at(s)
-            .map(|p| p.value)
-            .map_err(|e| e.to_string())
-    };
     let batch = pipeline
         .run_batch(
             BatchJob::new()
-                .with_measure(
-                    MeasureSpec::density("f", &ts, evaluator).with_transform_key("passage"),
-                )
-                .with_measure(MeasureSpec::cdf("F", &ts, evaluator).with_transform_key("passage")),
+                .with_measure(MeasureSpec::from_spec(
+                    "f",
+                    MeasureKind::Density,
+                    &ts,
+                    to_end.clone(),
+                ))
+                .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, to_end)),
         )
         .unwrap();
 
@@ -152,7 +180,6 @@ fn batch_values_match_single_process_analysis() {
 /// key's records.
 #[test]
 fn one_checkpoint_file_feeds_runs_under_distinct_transform_keys() {
-    let d = Dist::erlang(2.0, 2);
     let ts = linspace(0.5, 4.0, 5);
     let mut checkpoint = std::env::temp_dir();
     checkpoint.push(format!("smp-suite-mixed-ckpt-{}.txt", std::process::id()));
@@ -166,33 +193,31 @@ fn one_checkpoint_file_feeds_runs_under_distinct_transform_keys() {
             ..Default::default()
         },
     );
-    let evaluator = {
-        let d = d.clone();
-        move |s: Complex64| Ok::<_, String>(d.lst(s))
-    };
-    let run = |name: &str| {
+    let erlang = |phases| TransformSpec::Analytic(DistSpec::Erlang { rate: 2.0, phases });
+    let run = |phases: u32| {
+        let measure = MeasureSpec::from_spec("d", MeasureKind::Density, &ts, erlang(phases));
         pipeline
-            .run_batch(BatchJob::new().with_measure(MeasureSpec::density(name, &ts, &evaluator)))
+            .run_batch(BatchJob::new().with_measure(measure))
             .unwrap()
     };
 
     // A single-measure run writes its records…
-    let single = run("single");
-    assert!(single.evaluations > 0);
+    let two = run(2);
+    assert!(two.evaluations > 0);
     // …a run under another key appends to the same file…
-    let batch = run("erlang");
-    assert_eq!(batch.evaluations, single.evaluations); // distinct shard: re-evaluated
+    let three = run(3);
+    assert_eq!(three.evaluations, two.evaluations); // distinct shard: re-evaluated
 
     // …and both shards restore: a second run under either key is all cache
     // hits.
-    let single_again = run("single");
-    assert_eq!(single_again.evaluations, 0);
-    assert_eq!(single_again.cache_hits, single.evaluations);
-    let batch_again = run("erlang");
-    assert_eq!(batch_again.evaluations, 0);
-    assert_eq!(batch_again.measures[0].cache_hits, single.evaluations);
+    let two_again = run(2);
+    assert_eq!(two_again.evaluations, 0);
+    assert_eq!(two_again.cache_hits, two.evaluations);
+    let three_again = run(3);
+    assert_eq!(three_again.evaluations, 0);
+    assert_eq!(three_again.measures[0].cache_hits, two.evaluations);
 
     let shards = load_checkpoint_by_measure(&checkpoint).unwrap();
-    assert_eq!(shards.len(), 2, "'single' shard + 'erlang' shard");
+    assert_eq!(shards.len(), 2, "one shard per transform key");
     std::fs::remove_file(&checkpoint).unwrap();
 }

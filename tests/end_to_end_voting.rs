@@ -4,10 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smp_suite::core::{PassageTimeAnalysis, PassageTimeSolver, StateSet, TransientAnalysis};
+use smp_suite::core::{PassageTimeAnalysis, StateSet, TransientAnalysis};
 use smp_suite::laplace::InversionMethod;
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{BatchJob, DistributedPipeline, MeasureSpec, PipelineOptions};
+use smp_suite::pipeline::{
+    BatchJob, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
+    TargetSpec, TransformSpec,
+};
 use smp_suite::simulator::smp_sim::{simulate_smp_passage_times, simulate_smp_transient};
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
@@ -62,18 +65,20 @@ fn pipeline_and_sequential_solver_agree() {
     let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).unwrap();
     let sequential = analysis.density(InversionMethod::euler(), &ts).unwrap();
 
-    let solver = PassageTimeSolver::new(smp, &[source], &targets).unwrap();
+    // The pipeline's workers rebuild the same model from its spec.
+    let passage = TransformSpec::passage(
+        ModelSpec::Voting {
+            voters: 4,
+            polling: 2,
+            central: 2,
+        },
+        TargetSpec::parse("p2>=3").unwrap(),
+    );
     let pipeline =
         DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
+    let measure = MeasureSpec::from_spec("passage", MeasureKind::Density, &ts, passage);
     let distributed = pipeline
-        .run_batch(
-            BatchJob::new().with_measure(MeasureSpec::density("passage", &ts, |s| {
-                solver
-                    .transform_at(s)
-                    .map(|p| p.value)
-                    .map_err(|e| e.to_string())
-            })),
-        )
+        .run_batch(BatchJob::new().with_measure(measure))
         .unwrap();
 
     for (a, b) in sequential

@@ -3,24 +3,31 @@
 //! and across sharded and unsharded deployments.
 
 use smp_suite::core::query::{Engine, MeasureRequest, TargetSpec};
-use smp_suite::core::PassageTimeSolver;
 use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::numeric::Complex64;
 use smp_suite::pipeline::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use smp_suite::pipeline::{
-    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, MeasureSpec, ModelSpec,
-    PipelineOptions,
+    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, MeasureKind, MeasureSpec,
+    ModelSpec, PipelineOptions, TransformSpec,
 };
-use smp_suite::voting::{VotingConfig, VotingSystem};
 use std::path::{Path, PathBuf};
+
+/// The density of the passage until every voter of `voting voters,2,2` has
+/// voted, over the grid `ts`.
+fn all_voted_density(voters: u32, ts: &[f64]) -> MeasureSpec {
+    let model = ModelSpec::Voting {
+        voters,
+        polling: 2,
+        central: 2,
+    };
+    let targets = TargetSpec::parse(&format!("p2>={voters}")).unwrap();
+    let passage = TransformSpec::passage(model, targets);
+    MeasureSpec::from_spec("passage", MeasureKind::Density, ts, passage)
+}
 
 #[test]
 fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
-    let system = VotingSystem::build(VotingConfig::new(3, 2, 2)).unwrap();
-    let smp = system.smp();
-    let targets = system.states_with_voted_at_least(3);
-    let solver = PassageTimeSolver::new(smp, &[system.initial_state()], &targets).unwrap();
     let ts = linspace(1.0, 15.0, 6);
 
     let mut checkpoint = std::env::temp_dir();
@@ -36,16 +43,9 @@ fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
         ..Default::default()
     };
     let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-    let evaluator = |s| {
-        solver
-            .transform_at(s)
-            .map(|p| p.value)
-            .map_err(|e| e.to_string())
-    };
-
     let run = |ts: &[f64]| {
         pipeline
-            .run_batch(BatchJob::new().with_measure(MeasureSpec::density("passage", ts, evaluator)))
+            .run_batch(BatchJob::new().with_measure(all_voted_density(3, ts)))
             .unwrap()
     };
     let first = run(&ts);
@@ -73,10 +73,6 @@ fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
 
 #[test]
 fn scalability_sweep_runs_the_table2_protocol() {
-    let system = VotingSystem::build(VotingConfig::new(4, 2, 2)).unwrap();
-    let smp = system.smp();
-    let targets = system.states_with_voted_at_least(4);
-    let solver = PassageTimeSolver::new(smp, &[system.initial_state()], &targets).unwrap();
     // 5 t-points, as in the paper's Table 2 workload.
     let ts: Vec<f64> = (1..=5).map(|k| k as f64 * 3.0).collect();
 
@@ -90,14 +86,7 @@ fn scalability_sweep_runs_the_table2_protocol() {
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(workers).chunked(1),
             )
-            .run_batch(
-                BatchJob::new().with_measure(MeasureSpec::density("passage", &ts, |s| {
-                    solver
-                        .transform_at(s)
-                        .map(|p| p.value)
-                        .map_err(|e| e.to_string())
-                })),
-            )
+            .run_batch(BatchJob::new().with_measure(all_voted_density(4, &ts)))
             .unwrap()
         })
         .collect();
