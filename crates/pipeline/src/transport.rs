@@ -834,20 +834,24 @@ mod tests {
         (transport, workers)
     }
 
+    /// Every item of an in-process plan is evaluated once, and the report
+    /// accounts for it.  (The name predates specs: the in-process plan is
+    /// the one that used to carry closures.)
     #[test]
-    fn in_process_spec_plan_matches_the_analytic_transform() {
-        let spec = TransformSpec::Analytic(DistSpec::Erlang {
-            rate: 2.0,
-            phases: 3,
-        });
-        let points: Vec<Complex64> = (1..=9)
-            .map(|k| Complex64::new(0.3 * k as f64, 1.0))
-            .collect();
+    fn in_process_closure_plan_evaluates_everything() {
+        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let points: Vec<Complex64> = (1..=9).map(|k| Complex64::new(k as f64, 0.5)).collect();
         let transport = InProcess::new(3);
         assert_eq!(transport.name(), "in-process");
         let (outcomes, report) = collect(&transport, spec_plan(&spec, &points, 2));
         assert_eq!(outcomes.len(), 9);
-        let d = Dist::erlang(2.0, 3);
+        let indices: Vec<usize> = outcomes.iter().map(|o| o.item.index).collect();
+        assert_eq!(
+            indices,
+            (0..9).collect::<Vec<_>>(),
+            "each item exactly once"
+        );
+        let d = Dist::exponential(1.0);
         for outcome in outcomes {
             assert_eq!(outcome.outcome.unwrap(), d.lst(outcome.item.s));
         }
@@ -857,6 +861,22 @@ mod tests {
         assert_eq!(evaluated, 9);
         let messages: usize = report.worker_stats.iter().map(|w| w.messages).sum();
         assert_eq!(report.messages, messages);
+    }
+
+    #[test]
+    fn in_process_spec_plan_matches_the_analytic_transform() {
+        let spec = TransformSpec::Analytic(DistSpec::Erlang {
+            rate: 2.0,
+            phases: 3,
+        });
+        let points: Vec<Complex64> = (1..=5)
+            .map(|k| Complex64::new(0.3 * k as f64, 1.0))
+            .collect();
+        let (outcomes, _) = collect(&InProcess::new(2), spec_plan(&spec, &points, 3));
+        let d = Dist::erlang(2.0, 3);
+        for outcome in outcomes {
+            assert_eq!(outcome.outcome.unwrap(), d.lst(outcome.item.s));
+        }
     }
 
     #[test]
