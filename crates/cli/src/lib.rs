@@ -19,8 +19,8 @@
 //!
 //! * `distributed` (default) — the master–worker pipeline over worker threads,
 //!   or over TCP worker processes with `--workers tcp:ADDR,...`;
-//! * `analytic` — sequential in-process Laplace inversion (bitwise identical
-//!   to `distributed`);
+//! * `analytic` — in-process Laplace inversion, each plan's `s`-points spread
+//!   over the cores (bitwise identical to `distributed`);
 //! * `sim` — discrete-event simulation of the same model with
 //!   `--replications`/`--seed` control;
 //! * `uniform` — CTMC uniformization for models whose holding times are all
@@ -1833,23 +1833,34 @@ mod tests {
         let p: f64 = last_row.split_whitespace().nth(1).unwrap().parse().unwrap();
         assert!((0.0..=1.0).contains(&p), "P = {p}");
 
-        // A transient point is one refill, like a passage point: on one
-        // thread, G = 4 × 46 points avoid G − 1 matrix builds and evaluate
-        // each pooled LST G times — the same line a CDF on that grid prints.
-        let hot_path = |measure: &str| {
+        // A transient point is one refill, like a passage point: G = 4 × 46
+        // points evaluate each pooled LST G times — the count a CDF on that
+        // grid prints.  Rebuilds are avoided per workspace, one per thread
+        // that took a block: G − 1 on one thread, as few as G − W on W.
+        let hot_path = |measure: &str| -> (u64, String) {
             let mut argv = args(&["--voting", "5,2,2", "--engine", "analytic"]);
             argv.extend(args(&["--measure", measure, "--t-start", "2"]));
             argv.extend(args(&["--t-stop", "20", "--t-count", "4"]));
             let report = run(&parse_args(&argv).unwrap()).unwrap();
-            let line = report.lines().find(|line| line.starts_with("hot path:"));
-            line.expect("a hot path line").to_string()
+            let line = report
+                .lines()
+                .find_map(|line| line.strip_prefix("hot path: "));
+            let (rebuilds, pooled) = line
+                .and_then(|line| line.split_once(" matrix rebuild(s) avoided, "))
+                .expect("a hot path line");
+            (rebuilds.parse().unwrap(), pooled.to_string())
         };
-        let transient = hot_path("transient:p2>=3");
-        assert_eq!(transient, hot_path("cdf:p2>=3"));
-        assert!(
-            transient.starts_with("hot path: 183 matrix rebuild(s) avoided, "),
-            "{transient}"
-        );
+        let (g, threads) = (4 * 46, std::thread::available_parallelism().unwrap().get());
+        for measure in ["transient:p2>=3", "cdf:p2>=3"] {
+            let (rebuilds, pooled) = hot_path(measure);
+            // Eight pooled distributions, each evaluated once a point.
+            assert_eq!(pooled, format!("{} pooled LST evaluation(s)", g * 8));
+            let range = g - threads.min(g / 4)..g;
+            assert!(
+                range.contains(&(rebuilds as usize)),
+                "{measure}: {rebuilds}"
+            );
+        }
     }
 
     #[test]
@@ -1891,7 +1902,7 @@ mod tests {
         };
         assert_eq!(numeric_rows(&analytic), numeric_rows(&distributed));
         assert!(
-            analytic.contains("engine: analytic [sequential]"),
+            analytic.contains("engine: analytic [threads]"),
             "{analytic}"
         );
         assert!(

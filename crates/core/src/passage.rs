@@ -118,7 +118,9 @@ impl ConvergenceFold {
     pub fn push(&mut self, delta: Complex64, term_quiet: impl FnOnce() -> bool) -> FoldStatus {
         self.total += delta;
         self.last_delta = delta.re.abs().max(delta.im.abs());
-        if self.last_delta < self.options.epsilon && term_quiet() {
+        // A total that went non-finite (a round through an LST pole) stays
+        // so, however quiet the rounds after it: it never converges.
+        if self.last_delta < self.options.epsilon && self.total.is_finite() && term_quiet() {
             self.quiet += 1;
             if self.quiet >= self.options.consecutive {
                 return FoldStatus::Converged(self.total);
@@ -973,6 +975,33 @@ mod tests {
         // The same probe at Re(s) > 0 converges (the cycling mass decays) to zero.
         let ok = solver.transform_at(Complex64::real(0.5)).unwrap();
         assert!(ok.value.norm() < 1e-9);
+    }
+
+    #[test]
+    fn a_point_on_an_lst_pole_fails_instead_of_converging_to_nan() {
+        // At s = −2, on the pole of the first hop's exp(2) transform, one
+        // round carries NaN into the target and every round after it reads
+        // an exact zero: quiet deltas, but a NaN total, so the point fails.
+        let mut b = SmpBuilder::new(3);
+        b.add_transition(0, 1, 1.0, Dist::exponential(2.0));
+        b.add_transition(1, 2, 1.0, Dist::exponential(1.0));
+        b.add_transition(2, 0, 1.0, Dist::exponential(3.0));
+        let smp = b.build().unwrap();
+        let options = IterationOptions {
+            max_iterations: 200,
+            ..IterationOptions::default()
+        };
+        let solver = PassageTimeSolver::with_options(&smp, &[0], &[2], options).unwrap();
+        let err = solver.transform_at(Complex64::real(-2.0)).unwrap_err();
+        assert!(matches!(err, SmpError::ConvergenceFailure { .. }), "{err}");
+        let mut fold = ConvergenceFold::new(options, Complex64::ZERO);
+        assert_eq!(
+            fold.push(Complex64::new(f64::NAN, 0.0), || true),
+            FoldStatus::Continue
+        );
+        for _ in 0..options.consecutive + 1 {
+            assert_eq!(fold.push(Complex64::ZERO, || true), FoldStatus::Continue);
+        }
     }
 
     #[test]

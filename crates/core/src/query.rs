@@ -427,7 +427,7 @@ pub struct Provenance {
     pub engine: &'static str,
     /// The engine's backend: transport name for the distributed engine
     /// (`in-process`, `tcp`, `sharded-loopback`, …), a replication/seed summary for
-    /// the simulation engine, `sequential` for the analytic engine.
+    /// the simulation engine, `threads` for the analytic engine.
     pub backend: String,
     /// Workers (threads, processes or replication threads) that contributed.
     pub workers: usize,

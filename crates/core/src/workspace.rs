@@ -37,14 +37,15 @@
 //! ## Bitwise equivalence with the reference oracle
 //!
 //! [`PassageWorkspace::refill`] reproduces `SemiMarkovProcess::build_u`
-//! exactly: the skeleton is built by running the *same* triplet compression
-//! (`TripletMatrix::to_csr`) with each entry's identity as the payload, so
+//! exactly: the skeleton has the slots of that construction's triplet
+//! compression (`TripletMatrix::to_csr`, whose stable row and column sorts
+//! the build repeats on each row's transition list — the compression run
+//! with each entry's identity as the payload is its test oracle), so
 //! duplicate `(row, col)` contributions are summed in the same order the
-//! build-per-point construction sums them (push order — the compression's
-//! sorts are stable, so the order does not depend on which entries a point
-//! drops), and every table entry holds bit-for-bit the value that
-//! construction would store in each slot that names it.  The one structural
-//! difference:
+//! build-per-point construction sums them (push order — the sorts are
+//! stable, so the order does not depend on which entries a point drops), and
+//! every table entry holds bit-for-bit the value that construction would
+//! store in each slot that names it.  The one structural difference:
 //! `build_u` drops entries whose value is *exactly* zero at a particular `s`
 //! (an LST underflowing at extreme `Re(s)·delay`, e.g. `e^{-s·d}` past ~745,
 //! or duplicate contributions cancelling), where the fixed skeleton keeps the
@@ -88,11 +89,11 @@
 //! NaN where the oracle yields nothing) both paths still fail with
 //! `ConvergenceFailure`, but may report a different `last_delta`.
 
-use crate::smp::{DistId, SemiMarkovProcess, StateSet};
+use crate::smp::{DistId, SemiMarkovProcess, StateSet, Transition};
 use crate::unpoisoned;
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
-use smp_sparse::{CsrMatrix, TripletMatrix};
+use smp_sparse::CsrMatrix;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,62 +225,31 @@ pub struct PassageSkeleton {
 }
 
 impl UStructure {
-    /// Runs the same triplet compression as `SemiMarkovProcess::build_u`, with
-    /// each raw entry's index as the payload, so the resulting slot order and
-    /// per-slot contribution order match the legacy construction exactly.
+    /// The slots of `SemiMarkovProcess::build_u`'s triplet compression, read
+    /// straight off the transition lists: each row's transitions sorted by
+    /// column — stably, as `to_csr` sorts, so a slot's contributions stay in
+    /// push order — one slot per distinct column, and each slot's
+    /// contribution list de-duplicated into the recipe table.
     pub(crate) fn build(smp: &SemiMarkovProcess) -> UStructure {
         let n = smp.num_states();
-        // The raw entry stream of build_u, in push order.
-        let mut entry_dist = Vec::with_capacity(smp.num_transitions());
-        let mut entry_prob = Vec::with_capacity(smp.num_transitions());
-        let mut tracer = TripletMatrix::<Complex64>::with_capacity(n, n, smp.num_transitions());
-        for i in 0..n {
-            for tr in smp.transitions(i) {
-                // Payload: this entry's index, smuggled through the value bits
-                // so the compression applies the identical permutation it
-                // applies to the real values (same element type, same keys).
-                let index = entry_dist.len() as u64;
-                entry_dist.push(tr.dist);
-                entry_prob.push(tr.probability);
-                tracer.push(i, tr.target, Complex64::new(f64::from_bits(index), 1.0));
-            }
-        }
-        // The compression merges duplicate coordinates (summing the payloads,
-        // whose im = 1.0 keeps every merged value nonzero so no slot is
-        // dropped); only its *structure* is kept.
-        let traced = tracer.to_csr();
-
-        // Recover each slot's contribution order by replaying the sort on the
-        // raw stream: counting-sort by row, then the column sort — both
-        // stable, as in to_csr, so a slot's contributions are in push order —
-        // and de-duplicate the contribution lists into the recipe table.
-        let mut row_counts = vec![0usize; n + 1];
-        for i in 0..n {
-            row_counts[i + 1] = row_counts[i] + smp.transitions(i).len();
-        }
-        let mut slot_recipe: Vec<u32> = Vec::with_capacity(traced.nnz());
+        let mut indptr: Vec<u64> = Vec::with_capacity(n + 1);
+        indptr.push(0);
+        // Every slot holds at least one transition.
+        let mut col_indices: Vec<u32> = Vec::with_capacity(smp.num_transitions());
+        let mut slot_recipe: Vec<u32> = Vec::with_capacity(smp.num_transitions());
         let mut recipes = RecipeTable::new();
         // Lookup only — recipe ids come from the table's length, so its
         // order never depends on the map's.
         let mut known: HashMap<Vec<(DistId, u64)>, u32> = HashMap::new();
         let mut recipe: Vec<(DistId, u64)> = Vec::new();
-        let mut scratch: Vec<(u32, Complex64)> = Vec::new();
-        for (i, &row_base) in row_counts.iter().take(n).enumerate() {
-            scratch.clear();
-            for (offset, tr) in smp.transitions(i).iter().enumerate() {
-                let index = (row_base + offset) as u64;
-                scratch.push((tr.target as u32, Complex64::new(f64::from_bits(index), 1.0)));
-            }
-            scratch.sort_by_key(|&(c, _)| c);
-            let mut k = 0usize;
-            while k < scratch.len() {
-                let c = scratch[k].0;
+        let mut row: Vec<&Transition> = Vec::new();
+        for i in 0..n {
+            row.clear();
+            row.extend(smp.transitions(i));
+            row.sort_by_key(|tr| tr.target);
+            for slot in row.chunk_by(|a, b| a.target == b.target) {
                 recipe.clear();
-                while k < scratch.len() && scratch[k].0 == c {
-                    let index = scratch[k].1.re.to_bits() as usize;
-                    recipe.push((entry_dist[index], entry_prob[index].to_bits()));
-                    k += 1;
-                }
+                recipe.extend(slot.iter().map(|tr| (tr.dist, tr.probability.to_bits())));
                 let id = match known.get(recipe.as_slice()) {
                     Some(&id) => id,
                     None => {
@@ -288,16 +258,17 @@ impl UStructure {
                         id
                     }
                 };
+                col_indices.push(slot[0].target as u32);
                 slot_recipe.push(id);
             }
+            indptr.push(col_indices.len() as u64);
         }
-        debug_assert_eq!(slot_recipe.len(), traced.nnz());
 
         UStructure {
             num_states: n,
             num_dists: smp.num_distributions(),
-            indptr: traced.indptr().to_vec(),
-            col_indices: traced.col_indices().to_vec(),
+            indptr,
+            col_indices,
             slot_recipe,
             recipes,
         }
@@ -375,8 +346,9 @@ const DENSE_SWITCH_DIVISOR: usize = 4;
 /// one pass over the index arrays and fill two SSE2 registers per component;
 /// eight measured about a tenth slower on the 106,994-state model (twice the
 /// iterate bytes behind every scattered entry, and no fewer arithmetic
-/// instructions per lane).
-pub(crate) const BLOCK_LANES: usize = 4;
+/// instructions per lane).  It is also the chunk a work queue hands a thread
+/// when whole blocks are the unit of work.
+pub const BLOCK_LANES: usize = 4;
 
 /// `K` complex numbers, one per lane, planar: the real parts, then the
 /// imaginary parts.
@@ -1072,6 +1044,128 @@ mod tests {
             let scaled: Vec<Complex64> = v.iter().map(|c| c.scale((l + 1) as f64)).collect();
             assert_eq!(*got, legacy(&scaled), "lane {l}");
         }
+    }
+
+    /// The build [`UStructure::build`] replaced, kept as its oracle: the
+    /// triplet compression of `SemiMarkovProcess::build_u` run with each raw
+    /// entry's index as the payload (so it applies the permutation it applies
+    /// to real values), then the sort replayed on the raw stream to recover
+    /// each slot's contribution order.
+    fn triplet_structure(smp: &SemiMarkovProcess) -> UStructure {
+        let n = smp.num_states();
+        let mut entry_dist = Vec::with_capacity(smp.num_transitions());
+        let mut entry_prob = Vec::with_capacity(smp.num_transitions());
+        let mut tracer =
+            smp_sparse::TripletMatrix::<Complex64>::with_capacity(n, n, smp.num_transitions());
+        for i in 0..n {
+            for tr in smp.transitions(i) {
+                let index = entry_dist.len() as u64;
+                entry_dist.push(tr.dist);
+                entry_prob.push(tr.probability);
+                tracer.push(i, tr.target, Complex64::new(f64::from_bits(index), 1.0));
+            }
+        }
+        // im = 1.0 keeps every merged payload nonzero, so no slot is dropped.
+        let traced = tracer.to_csr();
+
+        let mut row_counts = vec![0usize; n + 1];
+        for i in 0..n {
+            row_counts[i + 1] = row_counts[i] + smp.transitions(i).len();
+        }
+        let mut slot_recipe: Vec<u32> = Vec::with_capacity(traced.nnz());
+        let mut recipes = RecipeTable::new();
+        let mut known: HashMap<Vec<(DistId, u64)>, u32> = HashMap::new();
+        let mut recipe: Vec<(DistId, u64)> = Vec::new();
+        let mut scratch: Vec<(u32, usize)> = Vec::new();
+        for (i, &row_base) in row_counts.iter().take(n).enumerate() {
+            scratch.clear();
+            for (offset, tr) in smp.transitions(i).iter().enumerate() {
+                scratch.push((tr.target as u32, row_base + offset));
+            }
+            scratch.sort_by_key(|&(c, _)| c);
+            for slot in scratch.chunk_by(|a, b| a.0 == b.0) {
+                recipe.clear();
+                recipe.extend(
+                    slot.iter()
+                        .map(|&(_, index)| (entry_dist[index], entry_prob[index].to_bits())),
+                );
+                let id = match known.get(recipe.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = recipes.push(recipe.iter().map(|&(d, p)| (d, f64::from_bits(p))));
+                        known.insert(recipe.clone(), id);
+                        id
+                    }
+                };
+                slot_recipe.push(id);
+            }
+        }
+        assert_eq!(slot_recipe.len(), traced.nnz());
+        UStructure {
+            num_states: n,
+            num_dists: smp.num_distributions(),
+            indptr: traced.indptr().to_vec(),
+            col_indices: traced.col_indices().to_vec(),
+            slot_recipe,
+            recipes,
+        }
+    }
+
+    /// A process of this crate with the transitions and distribution pool of
+    /// the model `source` describes, as the DNAmaca front end explores it.
+    fn explored(source: &str) -> SemiMarkovProcess {
+        let net = smp_dnamaca::parse_model(source).unwrap();
+        let space = smp_smspn::StateSpace::explore(&net).unwrap();
+        let front = space.smp();
+        let mut b = SmpBuilder::new(front.num_states());
+        for id in 0..front.num_distributions() as DistId {
+            let interned = b.intern_distribution(front.distribution(id).clone());
+            assert_eq!(interned, id, "the pool keeps its numbering");
+        }
+        for i in 0..front.num_states() {
+            for tr in front.transitions(i) {
+                b.add_transition_pooled(i, tr.target, tr.probability, tr.dist);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The transition lists give the triplet compression's slots, slot
+    /// recipes and recipe table, on duplicate edges, every corpus model and
+    /// the paper's voting 5,2,2.
+    #[test]
+    fn structure_is_the_triplet_compression() {
+        let voting =
+            |c, m, n| smp_voting::spec::dnamaca_source(smp_voting::VotingConfig::new(c, m, n));
+        let models = [
+            ("duplicate edges", duplicate_edge_smp()),
+            (
+                "ring-exp",
+                explored(include_str!("../../../tests/corpus/ring_exp.mod")),
+            ),
+            (
+                "voting-exp",
+                explored(include_str!("../../../tests/corpus/voting_exp.mod")),
+            ),
+            (
+                "ring-erlang-lookalike",
+                explored(include_str!("../../../tests/corpus/erlang_lookalike.mod")),
+            ),
+            ("voting 3,1,1", explored(&voting(3, 1, 1))),
+            ("voting 5,2,2", explored(&voting(5, 2, 2))),
+        ];
+        for (name, smp) in &models {
+            let (built, oracle) = (UStructure::build(smp), triplet_structure(smp));
+            assert_eq!(built.indptr, oracle.indptr, "{name}");
+            assert_eq!(built.col_indices, oracle.col_indices, "{name}");
+            assert_eq!(built.slot_recipe, oracle.slot_recipe, "{name}");
+            assert_eq!(built.recipes.ptr, oracle.recipes.ptr, "{name}");
+            assert_eq!(built.recipes.dist, oracle.recipes.dist, "{name}");
+            let bits = |t: &RecipeTable| t.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&built.recipes), bits(&oracle.recipes), "{name}");
+        }
+        // The duplicate edge merges three transitions into one slot.
+        assert!(models[0].1.num_transitions() > UStructure::build(&models[0].1).col_indices.len());
     }
 
     /// Slots with equal contribution lists share a recipe; recipes are

@@ -7,8 +7,8 @@
 //! all-exponential special case:
 //!
 //! * [`AnalyticEngine`] — in-process Laplace inversion: compile the model,
-//!   evaluate the transform sequentially, invert.  The single-machine
-//!   reference.
+//!   evaluate the transform on every core through the in-process work queue,
+//!   invert.  The single-machine reference.
 //! * [`DistributedEngine`] — the same numbers through the master–worker
 //!   pipeline over any [`Transport`] (worker threads, TCP worker processes,
 //!   row shards over loopback or TCP, the query server's standing pool):
@@ -31,13 +31,14 @@
 //!
 //! Derived measure kinds are layered on shared machinery so engines cannot
 //! drift apart: quantiles run `smp_laplace::quantiles_from_cdf` over a
-//! CDF-on-grid provider (sequential inversion for the analytic engine, one
-//! pipeline run per search grid for the distributed engine, Poisson sums for
-//! the uniformization engine — `search_quantiles` is the one call site), and
-//! means/moments are a batch measure kind like the curves — the stencil's
-//! nodes are its plan, the finite-difference fold its post-processing
-//! ([`crate::batch::MomentStencil`]) — so the analytic engine evaluates the
-//! same points in sequence that the distributed engine puts on the work queue.
+//! CDF-on-grid provider (one in-process fan-out per search grid for the
+//! analytic engine, one pipeline run per search grid for the distributed
+//! engine, Poisson sums for the uniformization engine — `search_quantiles` is
+//! the one call site), and means/moments are a batch measure kind like the
+//! curves — the stencil's nodes are its plan, the finite-difference fold its
+//! post-processing ([`crate::batch::MomentStencil`]) — so the analytic engine
+//! evaluates the same points the distributed engine puts on the work queue,
+//! and counts the ones measures share the same way.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
 use crate::cache::LruMemo;
@@ -47,16 +48,18 @@ use crate::transform::{
     CompiledEvaluator, CompiledModelSet, CompiledSetCache, ModelSpec, ResolveTarget,
     TargetResolveError, TransformSpec,
 };
-use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
+use crate::transport::{drain_on_threads, InProcess, TcpTransport, Transport, TransportReport};
 use crate::work::WorkItem;
 use crate::worker::evaluate_chunk;
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
 use smp_core::uniform::{self, PhaseCtmc};
+use smp_core::workspace::BLOCK_LANES;
 use smp_core::StateSet;
 use smp_laplace::quantile::CdfOnGrid;
-use smp_laplace::{quantiles_from_cdf, InversionMethod, SPointPlan, TransformValues};
+use smp_laplace::{quantiles_from_cdf, InversionMethod, TransformValues};
+use smp_numeric::Complex64;
 use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
     TransientSimulationOptions,
@@ -150,25 +153,40 @@ fn quantile_horizons(request: &MeasureRequest) -> (f64, f64) {
     (initial, initial * 4096.0)
 }
 
-/// Evaluates a plan's `s`-points through a compiled evaluator into a value
-/// shard, counting the evaluations: the whole plan is one chunk, and the
-/// first failure in plan order is the one reported.
+/// Evaluates `points` through a compiled evaluator into a value shard on at
+/// most `threads` threads, one per lane block of [`BLOCK_LANES`] points: the
+/// blocks go out through the in-process backend's work queue, and a plan of
+/// one block (or a budget of one thread) runs inline.  Every point's value is
+/// the same whichever thread takes its block.  Outcomes are read back in plan
+/// order, so the first failure in plan order is the one reported.  Returns
+/// the shard and the number of threads used.
 fn eval_plan(
-    plan: &SPointPlan,
+    points: &[Complex64],
     evaluator: &CompiledEvaluator<'_>,
-    evaluations: &mut usize,
-) -> Result<TransformValues, EngineError> {
-    let items = WorkItem::single_measure(plan.s_points());
+    threads: usize,
+) -> Result<(TransformValues, usize), EngineError> {
+    let items = WorkItem::single_measure(points);
+    let evaluators = std::slice::from_ref(evaluator);
+    let threads = threads.min(points.len().div_ceil(BLOCK_LANES)).max(1);
+    let outcomes = if threads == 1 {
+        evaluate_chunk(&items, evaluators)
+    } else {
+        let mut outcomes = Vec::with_capacity(items.len());
+        drain_on_threads(threads, items, BLOCK_LANES, evaluators, &mut |message| {
+            outcomes.extend(message.results);
+        });
+        outcomes.sort_by_key(|outcome| outcome.item.index);
+        outcomes
+    };
     let mut shard = TransformValues::new();
-    for outcome in evaluate_chunk(&items, std::slice::from_ref(evaluator)) {
+    for outcome in outcomes {
         let s = outcome.item.s;
         let value = outcome
             .outcome
             .map_err(|e| EngineError::Analysis(format!("evaluation failed at s = {s}: {e}")))?;
         shard.insert(s, value);
-        *evaluations += 1;
     }
-    Ok(shard)
+    Ok((shard, threads))
 }
 
 /// A quantile request's whole search: the shared policy of
@@ -201,13 +219,15 @@ fn search_quantiles(
 // AnalyticEngine
 // ---------------------------------------------------------------------------
 
-/// In-process Laplace inversion: the sequential reference engine.
+/// In-process Laplace inversion: the single-machine reference engine.
 ///
 /// Compiles the model once per [`Engine::solve`] call (one state-space
 /// exploration shared by all requests and by requests over the same target),
-/// evaluates every transform point in the calling thread, and inverts with the
-/// same post-processing the distributed pipeline uses — which is why the two
-/// agree bitwise.
+/// evaluates each plan's transform points on as many threads as the process
+/// may run on — one per lane block at most, pulling blocks from the work
+/// queue the in-process backend uses — and inverts with the same
+/// post-processing the distributed pipeline uses, which is why the two agree
+/// bitwise whatever the thread count.
 #[derive(Debug, Clone)]
 pub struct AnalyticEngine {
     model: ModelSpec,
@@ -234,38 +254,69 @@ impl AnalyticEngine {
     }
 }
 
-/// Solves one request against a compiled evaluator, every point in the
-/// calling thread — the sequential reference the distributed deployments are
-/// compared against bit for bit.  Returns `(values, evaluations)`.
+/// What one request of an analytic solve spent.
+struct Spent {
+    /// Points it evaluated.
+    evaluations: usize,
+    /// Points of its plan an earlier request of the solve had evaluated.
+    shared_hits: usize,
+    /// The most threads one of its plans ran on.
+    workers: usize,
+}
+
+/// Solves one request against a compiled evaluator, each plan on at most
+/// `threads` threads ([`eval_plan`]).
 ///
-/// One value table lives as long as the request, and a plan evaluates only
-/// the points the table lacks: a quantile search's later rounds pay for the
+/// `shared` is the value table of the request's transform for the whole
+/// solve: a plan evaluates only the points it lacks and counts the others as
+/// shared, so the first request to need a point pays for it — the
+/// attribution the distributed engine's batch makes.  A quantile search runs
+/// against a table of its own, as the distributed engine's search runs
+/// against a result cache of its own: its later rounds pay only for the
 /// `s`-points they add — under Laguerre, whose points do not depend on `t`,
 /// for none.
 fn solve_locally(
     request: &MeasureRequest,
     evaluator: &CompiledEvaluator<'_>,
     method: &InversionMethod,
-) -> Result<(Vec<f64>, usize), EngineError> {
-    let mut evaluations = 0usize;
-    let mut known = TransformValues::new();
-    let mut solve_plan = |kind: CurveKind, ts: &[f64]| {
+    shared: &mut TransformValues,
+    threads: usize,
+) -> Result<(Vec<f64>, Spent), EngineError> {
+    let mut spent = Spent {
+        evaluations: 0,
+        shared_hits: 0,
+        workers: 1,
+    };
+    // The plan's values, and how many of its points `known` already held.
+    let mut solve_plan = |known: &mut TransformValues, kind: CurveKind, ts: &[f64]| {
         let plan = kind.plan(method.clone(), ts);
-        let new = plan.s_points().iter().filter(|&&s| !known.contains(s));
-        let new = SPointPlan::at_points(method.clone(), new.copied().collect());
-        known.merge(&eval_plan(&new, evaluator, &mut evaluations)?);
-        Ok::<Vec<f64>, EngineError>(kind.postprocess(&plan, &known))
+        let new: Vec<Complex64> = plan
+            .s_points()
+            .iter()
+            .copied()
+            .filter(|&s| !known.contains(s))
+            .collect();
+        let (shard, workers) = eval_plan(&new, evaluator, threads)?;
+        known.merge(&shard);
+        spent.evaluations += new.len();
+        spent.workers = spent.workers.max(workers);
+        Ok::<_, EngineError>((kind.postprocess(&plan, known), plan.len() - new.len()))
     };
     let values = match &request.kind {
         MeasureKind::Quantile { probs } => {
-            search_quantiles(request, probs, &mut |ts| solve_plan(CurveKind::Cdf, ts))?
+            let mut own = TransformValues::new();
+            search_quantiles(request, probs, &mut |ts| {
+                Ok(solve_plan(&mut own, CurveKind::Cdf, ts)?.0)
+            })?
         }
         kind => {
             let kind = batch_kind_of(kind)?.expect("every kind but the quantile has one");
-            solve_plan(kind, &request.t_points)?
+            let (values, found) = solve_plan(shared, kind, &request.t_points)?;
+            spent.shared_hits = found;
+            values
         }
     };
-    Ok((values, evaluations))
+    Ok((values, spent))
 }
 
 /// Compiles the unique transform specs of `requests`, returning the set, a
@@ -318,15 +369,28 @@ impl Engine for AnalyticEngine {
             compile_unique_specs(&self.model, requests, self.compiled_cache.as_deref())?;
         let evaluators = set.evaluators().map_err(EngineError::Analysis)?;
         let states = Some(set.num_states());
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // One value table per transform for the whole solve: requests over
+        // one target share every point they have in common.
+        let mut tables: Vec<TransformValues> =
+            evaluators.iter().map(|_| TransformValues::new()).collect();
         let mut reports = Vec::with_capacity(requests.len());
         for (request, &si) in requests.iter().zip(&spec_of) {
             let started = Instant::now();
             let stats_before = evaluators[si].hotpath_stats();
-            let (values, evaluations) = solve_locally(request, &evaluators[si], &self.method)?;
+            let (values, spent) = solve_locally(
+                request,
+                &evaluators[si],
+                &self.method,
+                &mut tables[si],
+                threads,
+            )?;
             let hotpath = evaluators[si].hotpath_stats().since(stats_before);
-            let mut provenance = Provenance::local("analytic", "sequential");
+            let mut provenance = Provenance::local("analytic", "threads");
+            provenance.workers = spent.workers;
             provenance.states = states;
-            provenance.evaluations = evaluations;
+            provenance.evaluations = spent.evaluations;
+            provenance.shared_hits = spent.shared_hits;
             provenance.matrix_rebuilds_avoided = hotpath.matrix_rebuilds_avoided;
             provenance.pooled_lst_evaluations = hotpath.pooled_lst_evaluations;
             provenance.wall = started.elapsed();
@@ -1088,6 +1152,7 @@ impl Engine for UniformizationEngine {
 mod tests {
     use super::*;
     use smp_core::query::TargetSpec;
+    use smp_laplace::SPointPlan;
     use smp_numeric::stats::linspace;
 
     fn voting() -> ModelSpec {
@@ -1146,6 +1211,86 @@ mod tests {
         for (a, b) in distributed.iter().zip(&more_workers) {
             assert_eq!(a.values, b.values);
         }
+    }
+
+    /// Measures over one transform share its points in the analytic engine
+    /// as they do in the distributed engine's batch: the first to need a
+    /// point evaluates it and the others count it as shared.
+    #[test]
+    fn analytic_and_distributed_count_shared_points_alike() {
+        let mut requests = full_request_set();
+        requests.push(MeasureRequest::cdf(target("p2>=2"), &linspace(2.0, 9.0, 3)));
+        let analytic = AnalyticEngine::new(voting(), InversionMethod::euler())
+            .solve(&requests)
+            .unwrap();
+        let distributed = DistributedEngine::in_process(
+            voting(),
+            InversionMethod::euler(),
+            PipelineOptions::with_workers(1),
+        )
+        .solve(&requests)
+        .unwrap();
+        let spent = |r: &MeasureReport| (r.provenance.evaluations, r.provenance.shared_hits);
+        for (a, d) in analytic.iter().zip(&distributed) {
+            assert_eq!(spent(a), spent(d), "{}", a.name);
+            let bits = |r: &MeasureReport| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(d), "{}", a.name);
+            assert_eq!(a.provenance.messages, 0, "{}", a.name);
+        }
+        // The CDF over the density's grid evaluates nothing of its own.
+        assert_eq!(spent(&analytic[1]), (0, analytic[0].provenance.evaluations));
+    }
+
+    /// The fan-out's thread count changes neither a value bit nor an
+    /// evaluation, nor which failure is reported: plans of 7 points (a short
+    /// last block) and 9 (a single-lane tail), passage and transient alike,
+    /// at one, two and three threads.
+    #[test]
+    fn a_plan_answers_alike_on_any_thread_count() {
+        let specs = [
+            TransformSpec::passage(voting(), target("p2>=2")),
+            TransformSpec::transient(voting(), target("p2>=2")),
+        ];
+        let set = CompiledModelSet::compile(&specs).unwrap();
+        let points: Vec<Complex64> = (0..9)
+            .map(|k| Complex64::new(0.2 + 0.1 * k as f64, k as f64 - 4.0))
+            .collect();
+        for evaluator in set.evaluators().unwrap() {
+            for n in [7, 9] {
+                let table = |threads| {
+                    let before = evaluator.hotpath_stats().pooled_lst_evaluations;
+                    let (shard, used) = eval_plan(&points[..n], &evaluator, threads).unwrap();
+                    assert_eq!(used, threads.min(n.div_ceil(BLOCK_LANES)));
+                    let lsts = evaluator.hotpath_stats().pooled_lst_evaluations - before;
+                    let bits: Vec<_> = points[..n]
+                        .iter()
+                        .map(|&s| shard.get(s).map(|v| (v.re.to_bits(), v.im.to_bits())))
+                        .collect();
+                    (bits, lsts)
+                };
+                let one = table(1);
+                assert!(one.0.iter().all(Option::is_some));
+                assert_eq!(table(2), one, "{n} points on 2 threads");
+                assert_eq!(table(3), one, "{n} points on 3 threads");
+            }
+        }
+
+        // Points on the LST poles of the ring's holding times (rates 2 and
+        // 1) fail; the error names the first of them in plan order.
+        let set = CompiledModelSet::compile(&[TransformSpec::passage(exp_ring(), target("c>=1"))])
+            .unwrap();
+        let evaluator = set.evaluator(0).unwrap();
+        let mut points: Vec<Complex64> = points[..7].to_vec();
+        points[2] = Complex64::new(-2.0, 0.0);
+        points[5] = Complex64::new(-1.0, 0.0);
+        let failure = |threads| match eval_plan(&points, &evaluator, threads) {
+            Err(EngineError::Analysis(message)) => message,
+            other => panic!("expected a failure, got {other:?}"),
+        };
+        let first = failure(1);
+        assert!(first.contains("at s = -2"), "{first}");
+        assert_eq!(failure(2), first);
+        assert_eq!(failure(3), first);
     }
 
     #[test]
@@ -1247,8 +1392,7 @@ mod tests {
             rounds += 1;
             let plan = SPointPlan::new(InversionMethod::euler(), ts);
             grid_points += plan.s_points().len();
-            let mut evals = 0usize;
-            let shard = eval_plan(&plan, &evaluator, &mut evals).unwrap();
+            let (shard, _) = eval_plan(plan.s_points(), &evaluator, 1).unwrap();
             Ok::<Vec<f64>, EngineError>(CurveKind::Cdf.postprocess(&plan, &shard))
         })
         .unwrap();

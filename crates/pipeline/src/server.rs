@@ -235,7 +235,7 @@ pub fn decode_query_request(payload: &str) -> Result<QueryRequest, WireError> {
 /// and the `engine=` field carries on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// Sequential in-process Laplace inversion.
+    /// In-process Laplace inversion, each plan's points on every core.
     Analytic,
     /// Discrete-event simulation (one-shot runs only; the server refuses it).
     Sim,
