@@ -1850,12 +1850,13 @@ mod tests {
                 .expect("a hot path line");
             (rebuilds.parse().unwrap(), pooled.to_string())
         };
-        let (g, threads) = (4 * 46, std::thread::available_parallelism().unwrap().get());
+        let g: usize = 4 * 46;
+        let threads = std::thread::available_parallelism().unwrap().get();
         for measure in ["transient:p2>=3", "cdf:p2>=3"] {
             let (rebuilds, pooled) = hot_path(measure);
             // Eight pooled distributions, each evaluated once a point.
             assert_eq!(pooled, format!("{} pooled LST evaluation(s)", g * 8));
-            let range = g - threads.min(g / 4)..g;
+            let range = g - threads.min(g.div_ceil(smp_core::workspace::BLOCK_LANES))..g;
             assert!(
                 range.contains(&(rebuilds as usize)),
                 "{measure}: {rebuilds}"

@@ -50,7 +50,6 @@ use crate::transform::{
 };
 use crate::transport::{drain_on_threads, InProcess, TcpTransport, Transport, TransportReport};
 use crate::work::WorkItem;
-use crate::worker::evaluate_chunk;
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
@@ -155,11 +154,10 @@ fn quantile_horizons(request: &MeasureRequest) -> (f64, f64) {
 
 /// Evaluates `points` through a compiled evaluator into a value shard on at
 /// most `threads` threads, one per lane block of [`BLOCK_LANES`] points: the
-/// blocks go out through the in-process backend's work queue, and a plan of
-/// one block (or a budget of one thread) runs inline.  Every point's value is
-/// the same whichever thread takes its block.  Outcomes are read back in plan
-/// order, so the first failure in plan order is the one reported.  Returns
-/// the shard and the number of threads used.
+/// blocks go out through the in-process backend's work queue.  Every point's
+/// value is the same whichever thread takes its block.  Outcomes are read
+/// back in plan order, so the first failure in plan order is the one
+/// reported.  Returns the shard and the number of threads used.
 fn eval_plan(
     points: &[Complex64],
     evaluator: &CompiledEvaluator<'_>,
@@ -168,16 +166,11 @@ fn eval_plan(
     let items = WorkItem::single_measure(points);
     let evaluators = std::slice::from_ref(evaluator);
     let threads = threads.min(points.len().div_ceil(BLOCK_LANES)).max(1);
-    let outcomes = if threads == 1 {
-        evaluate_chunk(&items, evaluators)
-    } else {
-        let mut outcomes = Vec::with_capacity(items.len());
-        drain_on_threads(threads, items, BLOCK_LANES, evaluators, &mut |message| {
-            outcomes.extend(message.results);
-        });
-        outcomes.sort_by_key(|outcome| outcome.item.index);
-        outcomes
-    };
+    let mut outcomes = Vec::with_capacity(items.len());
+    drain_on_threads(threads, items, BLOCK_LANES, evaluators, &mut |message| {
+        outcomes.extend(message.results);
+    });
+    outcomes.sort_by_key(|outcome| outcome.item.index);
     let mut shard = TransformValues::new();
     for outcome in outcomes {
         let s = outcome.item.s;
@@ -1275,11 +1268,21 @@ mod tests {
             }
         }
 
-        // Points on the LST poles of the ring's holding times (rates 2 and
-        // 1) fail; the error names the first of them in plan order.
-        let set = CompiledModelSet::compile(&[TransformSpec::passage(exp_ring(), target("c>=1"))])
-            .unwrap();
-        let evaluator = set.evaluator(0).unwrap();
+        // Points on the LST poles of a ring's holding times (rates 2 and 1)
+        // fail; the error names the first of them in plan order.  A point on
+        // a pole never converges, so the solver stops at 200 rounds, not at
+        // the default budget.
+        let mut ring = smp_core::SmpBuilder::new(3);
+        ring.add_transition(0, 1, 1.0, smp_distributions::Dist::exponential(2.0));
+        ring.add_transition(1, 2, 1.0, smp_distributions::Dist::exponential(1.0));
+        ring.add_transition(2, 0, 1.0, smp_distributions::Dist::exponential(3.0));
+        let ring = ring.build().unwrap();
+        let options = smp_core::IterationOptions {
+            max_iterations: 200,
+            ..Default::default()
+        };
+        let solver = smp_core::PassageTimeSolver::with_options(&ring, &[0], &[2], options);
+        let evaluator = CompiledEvaluator::passage(solver.unwrap());
         let mut points: Vec<Complex64> = points[..7].to_vec();
         points[2] = Complex64::new(-2.0, 0.0);
         points[5] = Complex64::new(-1.0, 0.0);
