@@ -19,8 +19,9 @@
 //!
 //! * `distributed` (default) — the master–worker pipeline over worker threads,
 //!   or over TCP worker processes with `--workers tcp:ADDR,...`;
-//! * `analytic` — in-process Laplace inversion, each plan's `s`-points spread
-//!   over the cores (bitwise identical to `distributed`);
+//! * `analytic` — in-process Laplace inversion: the same pipeline over one
+//!   worker thread per core, handing out lane blocks of `s`-points, so it is
+//!   bitwise identical to `distributed` by construction;
 //! * `sim` — discrete-event simulation of the same model with
 //!   `--replications`/`--seed` control;
 //! * `uniform` — CTMC uniformization for models whose holding times are all
@@ -1903,7 +1904,7 @@ mod tests {
         };
         assert_eq!(numeric_rows(&analytic), numeric_rows(&distributed));
         assert!(
-            analytic.contains("engine: analytic [threads]"),
+            analytic.contains("engine: analytic [in-process]"),
             "{analytic}"
         );
         assert!(

@@ -10,8 +10,8 @@ use smp_core::query::{Engine, MeasureRequest};
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
 use smp_pipeline::{
-    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, MeasureKind, MeasureSpec,
-    ModelSpec, PipelineOptions, TargetSpec, TcpTransport, TransformSpec,
+    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, InProcess, MeasureKind,
+    MeasureSpec, ModelSpec, PipelineOptions, TargetSpec, TcpTransport, TransformSpec,
 };
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -75,7 +75,9 @@ fn voting_over_tcp_is_bitwise_identical_to_in_process() {
         DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
 
     // Reference: the in-process backend (threads) over the same spec job.
-    let reference = pipeline.run_batch(voting_job(&ts)).unwrap();
+    let reference = pipeline
+        .execute(voting_job(&ts), &InProcess::new(2))
+        .unwrap();
     assert_eq!(reference.backend, "in-process");
 
     // Two real worker processes dial the master's rendezvous listeners.
@@ -180,7 +182,9 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
         InversionMethod::euler(),
         PipelineOptions::with_workers(2).chunked(1),
     );
-    let reference = pipeline.run_batch(voting_job(&ts)).unwrap();
+    let reference = pipeline
+        .execute(voting_job(&ts), &InProcess::new(2))
+        .unwrap();
 
     let transport = TcpTransport::bind(&["127.0.0.1:0", "127.0.0.1:0"])
         .unwrap()

@@ -36,8 +36,9 @@
 //! (`|p_ij·h*_ij(s)| ≤ p_ij` on `Re(s) ≥ 0`; underflow needs `Re(s) > 0`) —
 //! so values and iteration counts agree bit for bit with no per-point
 //! verdict or fallback.  Only a non-finite iterate (outside that half-plane)
-//! can tell the two apart, and then both report `ConvergenceFailure`, with
-//! possibly different `last_delta`.  The convergence policy itself lives in
+//! can tell the two apart, and then both report `ConvergenceFailure`: the
+//! kernel on the round its total goes non-finite ([`FoldStatus::Diverged`]),
+//! the oracle at its iteration cap.  The convergence policy itself lives in
 //! [`ConvergenceFold`], shared with the row-sharded drivers.
 
 use crate::error::SmpError;
@@ -80,6 +81,9 @@ pub enum FoldStatus {
     Continue,
     /// Converged: the final transform value.
     Converged(Complex64),
+    /// The total went non-finite (a round through an LST pole): it stays so
+    /// and never converges, so the point has failed on this round.
+    Diverged,
 }
 
 /// The convergence policy of the scalar iteration (Eq. 11), in one place: the
@@ -118,9 +122,10 @@ impl ConvergenceFold {
     pub fn push(&mut self, delta: Complex64, term_quiet: impl FnOnce() -> bool) -> FoldStatus {
         self.total += delta;
         self.last_delta = delta.re.abs().max(delta.im.abs());
-        // A total that went non-finite (a round through an LST pole) stays
-        // so, however quiet the rounds after it: it never converges.
-        if self.last_delta < self.options.epsilon && self.total.is_finite() && term_quiet() {
+        if !self.total.is_finite() {
+            return FoldStatus::Diverged;
+        }
+        if self.last_delta < self.options.epsilon && term_quiet() {
             self.quiet += 1;
             if self.quiet >= self.options.consecutive {
                 return FoldStatus::Converged(self.total);
@@ -135,6 +140,16 @@ impl ConvergenceFold {
     /// report).
     pub fn last_delta(&self) -> f64 {
         self.last_delta
+    }
+
+    /// The failure of a point at `s` retired after `iterations` rounds —
+    /// the round its total diverged, or the whole budget.
+    pub fn failure(&self, s: Complex64, iterations: usize) -> SmpError {
+        SmpError::ConvergenceFailure {
+            s: (s.re, s.im),
+            iterations,
+            last_delta: self.last_delta,
+        }
     }
 
     /// Resumes a fold from checkpointed state: the running total, the quiet
@@ -524,25 +539,23 @@ fn iterate<const K: usize>(
                 }
                 None => true,
             };
-            if let FoldStatus::Converged(value) = fold.push(delta[l], quiet) {
-                results[l] = Some(Ok(PassagePoint {
+            results[l] = match fold.push(delta[l], quiet) {
+                FoldStatus::Continue => continue,
+                FoldStatus::Converged(value) => Some(Ok(PassagePoint {
                     value,
                     iterations: r,
-                }));
-                *slot = None;
-            }
+                })),
+                FoldStatus::Diverged => Some(Err(fold.failure(points[l], r))),
+            };
+            *slot = None;
         }
         if folds.iter().all(Option::is_none) {
             break;
         }
     }
-    for ((fold, result), s) in folds.iter().zip(&mut results).zip(points) {
+    for ((fold, result), &s) in folds.iter().zip(&mut results).zip(points) {
         if let Some(fold) = fold {
-            *result = Some(Err(SmpError::ConvergenceFailure {
-                s: (s.re, s.im),
-                iterations: options.max_iterations,
-                last_delta: fold.last_delta(),
-            }));
+            *result = Some(Err(fold.failure(s, options.max_iterations)));
         }
     }
     results
@@ -980,28 +993,32 @@ mod tests {
     #[test]
     fn a_point_on_an_lst_pole_fails_instead_of_converging_to_nan() {
         // At s = −2, on the pole of the first hop's exp(2) transform, one
-        // round carries NaN into the target and every round after it reads
-        // an exact zero: quiet deltas, but a NaN total, so the point fails.
+        // round carries NaN into the target: the total goes non-finite, the
+        // fold reports it diverged, and the point fails on that round
+        // instead of running out the default budget of 10⁶ rounds.
         let mut b = SmpBuilder::new(3);
         b.add_transition(0, 1, 1.0, Dist::exponential(2.0));
         b.add_transition(1, 2, 1.0, Dist::exponential(1.0));
         b.add_transition(2, 0, 1.0, Dist::exponential(3.0));
         let smp = b.build().unwrap();
-        let options = IterationOptions {
-            max_iterations: 200,
-            ..IterationOptions::default()
-        };
-        let solver = PassageTimeSolver::with_options(&smp, &[0], &[2], options).unwrap();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
         let err = solver.transform_at(Complex64::real(-2.0)).unwrap_err();
-        assert!(matches!(err, SmpError::ConvergenceFailure { .. }), "{err}");
+        assert!(
+            matches!(err, SmpError::ConvergenceFailure { iterations: 1, .. }),
+            "{err}"
+        );
+        let options = IterationOptions::default();
         let mut fold = ConvergenceFold::new(options, Complex64::ZERO);
+        assert_eq!(fold.push(Complex64::ONE, || true), FoldStatus::Continue);
         assert_eq!(
             fold.push(Complex64::new(f64::NAN, 0.0), || true),
-            FoldStatus::Continue
+            FoldStatus::Diverged
         );
-        for _ in 0..options.consecutive + 1 {
-            assert_eq!(fold.push(Complex64::ZERO, || true), FoldStatus::Continue);
-        }
+        let mut fold = ConvergenceFold::new(options, Complex64::ZERO);
+        assert_eq!(
+            fold.push(Complex64::new(0.0, f64::INFINITY), || true),
+            FoldStatus::Diverged
+        );
     }
 
     #[test]

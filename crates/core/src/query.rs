@@ -13,10 +13,10 @@
 //!   record of *how* they were computed (engine, backend, messages and bytes on
 //!   the wire, wall time, statistical error bound);
 //! * the [`Engine`] trait executes batches of requests.  Implementations live
-//!   in `smp-pipeline` (`AnalyticEngine`, `SimulationEngine`,
-//!   `DistributedEngine`) so that in-process Laplace inversion, discrete-event
-//!   simulation and the distributed master–worker pipeline all sit behind the
-//!   same call — the `smpq` CLI's `--engine` flag and `--validate-sim`
+//!   in `smp-pipeline` (`DistributedEngine` — whose in-process deployment
+//!   `AnalyticEngine` builds — `SimulationEngine`, `UniformizationEngine`) so
+//!   that Laplace inversion, discrete-event simulation and CTMC
+//!   uniformization all sit behind the same call — the `smpq` CLI's `--engine` flag and `--validate-sim`
 //!   cross-check are thin wrappers over [`Engine::solve`].
 //!
 //! Everything here is plain data with no solver dependencies, which is why it
@@ -425,9 +425,10 @@ pub struct Provenance {
     /// The engine that produced the values (`analytic`, `simulation`,
     /// `distributed`).
     pub engine: &'static str,
-    /// The engine's backend: transport name for the distributed engine
-    /// (`in-process`, `tcp`, `sharded-loopback`, …), a replication/seed summary for
-    /// the simulation engine, `threads` for the analytic engine.
+    /// The engine's backend: transport name for the distributed engine and
+    /// the analytic engine, its in-process deployment (`in-process`, `tcp`,
+    /// `sharded-loopback`, …), a replication/seed summary for the simulation
+    /// engine.
     pub backend: String,
     /// Workers (threads, processes or replication threads) that contributed.
     pub workers: usize,

@@ -604,18 +604,18 @@ impl ShardedSolver {
                 ws.fold_targets(&mut delta);
                 quiet &= ws.is_quiet(self.options.epsilon);
             }
-            if let FoldStatus::Converged(value) = fold.push(delta, || quiet) {
-                return Ok(PassagePoint {
-                    value,
-                    iterations: r,
-                });
+            match fold.push(delta, || quiet) {
+                FoldStatus::Continue => {}
+                FoldStatus::Converged(value) => {
+                    return Ok(PassagePoint {
+                        value,
+                        iterations: r,
+                    })
+                }
+                FoldStatus::Diverged => return Err(fold.failure(s, r)),
             }
         }
-        Err(SmpError::ConvergenceFailure {
-            s: (s.re, s.im),
-            iterations: self.options.max_iterations,
-            last_delta: fold.last_delta(),
-        })
+        Err(fold.failure(s, self.options.max_iterations))
     }
 }
 

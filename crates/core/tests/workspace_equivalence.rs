@@ -660,6 +660,89 @@ fn a_lane_that_does_not_converge_fails_alone() {
     }
 }
 
+/// A failure's fields as bits: the last delta of a diverged point may be NaN.
+fn failure_bits(error: &SmpError) -> ((u64, u64), usize, u64) {
+    match error {
+        SmpError::ConvergenceFailure {
+            s,
+            iterations,
+            last_delta,
+        } => (
+            (s.0.to_bits(), s.1.to_bits()),
+            *iterations,
+            last_delta.to_bits(),
+        ),
+        other => panic!("expected a convergence failure, got {other}"),
+    }
+}
+
+/// A lane on an LST pole fails on the round its total goes non-finite, not
+/// at the iteration cap: the default budget of 10⁶ rounds is never spent.
+/// In a block it reports its `K = 1` failure field for field — that round as
+/// its iteration count — while the lanes beside it return their `K = 1`
+/// bits, in every position of a block and as the lone remainder after one;
+/// the occupancy measure and the row-sharded solver fail on the same round.
+#[test]
+fn a_lane_on_an_lst_pole_fails_on_its_divergent_round() {
+    let mut b = SmpBuilder::new(3);
+    b.add_transition(0, 1, 1.0, Dist::exponential(2.0));
+    b.add_transition(1, 2, 1.0, Dist::exponential(1.0));
+    b.add_transition(2, 0, 1.0, Dist::exponential(3.0));
+    let smp = b.build().unwrap();
+    let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
+    let occupancy = TransientSolver::new(&smp, 0, &[2]).unwrap();
+    let ordinary = [
+        Complex64::new(0.5, 1.0),
+        Complex64::new(1.5, -2.0),
+        Complex64::new(0.8, 0.0),
+        Complex64::new(2.0, 4.0),
+    ];
+    // The poles of the exp(2) and exp(1) holding times.
+    for pole in [Complex64::real(-2.0), Complex64::real(-1.0)] {
+        let alone = solver.transform_at(pole).unwrap_err();
+        let (_, rounds, _) = failure_bits(&alone);
+        assert!(rounds <= 3, "s = {pole} failed after {rounds} rounds");
+        let occupancy_alone = occupancy.transform_at(pole).unwrap_err();
+        assert!(failure_bits(&occupancy_alone).1 <= 3, "{occupancy_alone}");
+        for shards in 1..=3 {
+            let mut sharded =
+                ShardedSolver::new(&smp, 0, &[2], IterationOptions::default(), shards).unwrap();
+            let got = sharded.transform_at(pole).unwrap_err();
+            assert_eq!(failure_bits(&got), failure_bits(&alone), "shards={shards}");
+        }
+        for position in 0..=4 {
+            let mut points = ordinary.to_vec();
+            points.insert(position, pole);
+            let many = solver.transform_many(&points);
+            let occupied = occupancy.transform_many(&points);
+            for (lane, &s) in points.iter().enumerate() {
+                let context = format!("s = {pole} at {position}, lane {lane}");
+                if lane == position {
+                    let got = many[lane].as_ref().unwrap_err();
+                    assert_eq!(failure_bits(got), failure_bits(&alone), "{context}");
+                    let got = occupied[lane].as_ref().unwrap_err();
+                    assert_eq!(
+                        failure_bits(got),
+                        failure_bits(&occupancy_alone),
+                        "{context}"
+                    );
+                } else {
+                    let single = solver.transform_at(s).unwrap();
+                    let got = many[lane].as_ref().unwrap();
+                    assert_eq!(bits(got.value), bits(single.value), "{context}");
+                    assert_eq!(got.iterations, single.iterations, "{context}");
+                    let single = occupancy.transform_at(s).unwrap();
+                    assert_eq!(
+                        bits(*occupied[lane].as_ref().unwrap()),
+                        bits(single),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Eq. 7 of the paper, assembled from dense solves: per target state `k` the
 /// column `L_·k(s)` (whose entry `k` is the cycle transform `L_kk`) and
 /// `Λ_k = (1 − h*_k) / (1 − L_kk)`, weighted over the sources by `alpha`.

@@ -1,21 +1,21 @@
-//! The four measure engines behind the typed query layer.
+//! The measure engines behind the typed query layer.
 //!
 //! `smp_core::query` defines *what* can be asked ([`MeasureRequest`]) and what
-//! comes back ([`MeasureReport`]); this module supplies the four
-//! implementations of its [`Engine`] trait — the paper's full validation
-//! triangle behind one call, plus a third independent oracle for the
-//! all-exponential special case:
+//! comes back ([`MeasureReport`]); this module supplies the implementations
+//! of its [`Engine`] trait — the paper's full validation triangle behind one
+//! call, plus a third independent oracle for the all-exponential special
+//! case:
 //!
-//! * [`AnalyticEngine`] — in-process Laplace inversion: compile the model,
-//!   evaluate the transform on every core through the in-process work queue,
-//!   invert.  The single-machine reference.
-//! * [`DistributedEngine`] — the same numbers through the master–worker
+//! * [`DistributedEngine`] — Laplace inversion through the master–worker
 //!   pipeline over any [`Transport`] (worker threads, TCP worker processes,
 //!   row shards over loopback or TCP, the query server's standing pool):
 //!   every deployment obtains its values through
-//!   [`DistributedPipeline::execute`].  **Bitwise identical** to the analytic
-//!   engine: both build their evaluators from the same [`TransformSpec`]s and
-//!   invert with the same post-processing.
+//!   [`DistributedPipeline::execute`], and every deployment reports the same
+//!   bits.
+//! * [`AnalyticEngine`] — the single-machine reference, which is not a code
+//!   path of its own but the distributed engine deployed over [`InProcess`]
+//!   on every core, handing out lane blocks of [`BLOCK_LANES`] points: the
+//!   paper's one-processor run is the same program as its cluster run.
 //! * [`SimulationEngine`] — discrete-event simulation of the same high-level
 //!   model (wrapping `smp-simulator` with seed, replication and thread
 //!   control), reporting confidence bounds so the deterministic engines can be
@@ -31,25 +31,19 @@
 //!
 //! Derived measure kinds are layered on shared machinery so engines cannot
 //! drift apart: quantiles run `smp_laplace::quantiles_from_cdf` over a
-//! CDF-on-grid provider (one in-process fan-out per search grid for the
-//! analytic engine, one pipeline run per search grid for the distributed
+//! CDF-on-grid provider (one pipeline run per search grid for the inversion
 //! engine, Poisson sums for the uniformization engine — `search_quantiles` is
 //! the one call site), and means/moments are a batch measure kind like the
 //! curves — the stencil's nodes are its plan, the finite-difference fold its
-//! post-processing ([`crate::batch::MomentStencil`]) — so the analytic engine
-//! evaluates the same points the distributed engine puts on the work queue,
-//! and counts the ones measures share the same way.
+//! post-processing ([`crate::batch::MomentStencil`]) — so they ride the same
+//! batch, and share points, as the curves over their transform.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
 use crate::cache::LruMemo;
 use crate::master::{DistributedPipeline, PipelineOptions};
 use crate::shard::ShardedTransport;
-use crate::transform::{
-    CompiledEvaluator, CompiledModelSet, CompiledSetCache, ModelSpec, ResolveTarget,
-    TargetResolveError, TransformSpec,
-};
-use crate::transport::{drain_on_threads, InProcess, TcpTransport, Transport, TransportReport};
-use crate::work::WorkItem;
+use crate::transform::{ModelSpec, ResolveTarget, TargetResolveError, TransformSpec};
+use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
@@ -57,8 +51,7 @@ use smp_core::uniform::{self, PhaseCtmc};
 use smp_core::workspace::BLOCK_LANES;
 use smp_core::StateSet;
 use smp_laplace::quantile::CdfOnGrid;
-use smp_laplace::{quantiles_from_cdf, InversionMethod, TransformValues};
-use smp_numeric::Complex64;
+use smp_laplace::{quantiles_from_cdf, InversionMethod};
 use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
     TransientSimulationOptions,
@@ -152,36 +145,6 @@ fn quantile_horizons(request: &MeasureRequest) -> (f64, f64) {
     (initial, initial * 4096.0)
 }
 
-/// Evaluates `points` through a compiled evaluator into a value shard on at
-/// most `threads` threads, one per lane block of [`BLOCK_LANES`] points: the
-/// blocks go out through the in-process backend's work queue.  Every point's
-/// value is the same whichever thread takes its block.  Outcomes are read
-/// back in plan order, so the first failure in plan order is the one
-/// reported.  Returns the shard and the number of threads used.
-fn eval_plan(
-    points: &[Complex64],
-    evaluator: &CompiledEvaluator<'_>,
-    threads: usize,
-) -> Result<(TransformValues, usize), EngineError> {
-    let items = WorkItem::single_measure(points);
-    let evaluators = std::slice::from_ref(evaluator);
-    let threads = threads.min(points.len().div_ceil(BLOCK_LANES)).max(1);
-    let mut outcomes = Vec::with_capacity(items.len());
-    drain_on_threads(threads, items, BLOCK_LANES, evaluators, &mut |message| {
-        outcomes.extend(message.results);
-    });
-    outcomes.sort_by_key(|outcome| outcome.item.index);
-    let mut shard = TransformValues::new();
-    for outcome in outcomes {
-        let s = outcome.item.s;
-        let value = outcome
-            .outcome
-            .map_err(|e| EngineError::Analysis(format!("evaluation failed at s = {s}: {e}")))?;
-        shard.insert(s, value);
-    }
-    Ok((shard, threads))
-}
-
 /// A quantile request's whole search: the shared policy of
 /// `smp_laplace::quantiles_from_cdf` from the request's horizons over
 /// `cdf_on_grid`, failing loudly on a probability the CDF never reaches.  The
@@ -212,196 +175,43 @@ fn search_quantiles(
 // AnalyticEngine
 // ---------------------------------------------------------------------------
 
-/// In-process Laplace inversion: the single-machine reference engine.
-///
-/// Compiles the model once per [`Engine::solve`] call (one state-space
-/// exploration shared by all requests and by requests over the same target),
-/// evaluates each plan's transform points on as many threads as the process
-/// may run on — one per lane block at most, pulling blocks from the work
-/// queue the in-process backend uses — and inverts with the same
-/// post-processing the distributed pipeline uses, which is why the two agree
-/// bitwise whatever the thread count.
-#[derive(Debug, Clone)]
-pub struct AnalyticEngine {
-    model: ModelSpec,
-    method: InversionMethod,
-    compiled_cache: Option<Arc<CompiledSetCache>>,
+/// The threads the process may run on.
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
+
+/// In-process Laplace inversion: the single-machine reference engine, built
+/// as the [`DistributedEngine`] over [`InProcess`].
+///
+/// The engine runs one thread per core.  Each pipeline run plans, dedupes
+/// and caches like any distributed run, and its threads pull lane blocks of
+/// [`BLOCK_LANES`] points from the work queue.  Its reports name the engine
+/// `analytic` and the backend `in-process`.  The type has no values: it
+/// names the constructors, so `AnalyticEngine::new(model, method)` reads as
+/// the engine it builds.
+#[derive(Debug)]
+pub enum AnalyticEngine {}
 
 impl AnalyticEngine {
-    /// An analytic engine over `model` using `method` for inversion planning.
-    pub fn new(model: ModelSpec, method: InversionMethod) -> Self {
-        AnalyticEngine {
-            model,
-            method,
-            compiled_cache: None,
-        }
+    /// The analytic engine over `model`, planning with `method`, on every
+    /// core.
+    #[allow(clippy::new_ret_no_self)] // the engine is a `DistributedEngine`
+    pub fn new(model: ModelSpec, method: InversionMethod) -> DistributedEngine {
+        Self::over(model, method, InProcess::new(available_cores()))
     }
 
-    /// Serves compiled model sets from `cache` instead of re-exploring the
-    /// state space on every solve; hits and misses are reported in the first
-    /// report's provenance (`model_cache_hits` / `model_cache_misses`).
-    pub fn with_compiled_cache(mut self, cache: Arc<CompiledSetCache>) -> Self {
-        self.compiled_cache = Some(cache);
-        self
-    }
-}
-
-/// What one request of an analytic solve spent.
-struct Spent {
-    /// Points it evaluated.
-    evaluations: usize,
-    /// Points of its plan an earlier request of the solve had evaluated.
-    shared_hits: usize,
-    /// The most threads one of its plans ran on.
-    workers: usize,
-}
-
-/// Solves one request against a compiled evaluator, each plan on at most
-/// `threads` threads ([`eval_plan`]).
-///
-/// `shared` is the value table of the request's transform for the whole
-/// solve: a plan evaluates only the points it lacks and counts the others as
-/// shared, so the first request to need a point pays for it — the
-/// attribution the distributed engine's batch makes.  A quantile search runs
-/// against a table of its own, as the distributed engine's search runs
-/// against a result cache of its own: its later rounds pay only for the
-/// `s`-points they add — under Laguerre, whose points do not depend on `t`,
-/// for none.
-fn solve_locally(
-    request: &MeasureRequest,
-    evaluator: &CompiledEvaluator<'_>,
-    method: &InversionMethod,
-    shared: &mut TransformValues,
-    threads: usize,
-) -> Result<(Vec<f64>, Spent), EngineError> {
-    let mut spent = Spent {
-        evaluations: 0,
-        shared_hits: 0,
-        workers: 1,
-    };
-    // The plan's values, and how many of its points `known` already held.
-    let mut solve_plan = |known: &mut TransformValues, kind: CurveKind, ts: &[f64]| {
-        let plan = kind.plan(method.clone(), ts);
-        let new: Vec<Complex64> = plan
-            .s_points()
-            .iter()
-            .copied()
-            .filter(|&s| !known.contains(s))
-            .collect();
-        let (shard, workers) = eval_plan(&new, evaluator, threads)?;
-        known.merge(&shard);
-        spent.evaluations += new.len();
-        spent.workers = spent.workers.max(workers);
-        Ok::<_, EngineError>((kind.postprocess(&plan, known), plan.len() - new.len()))
-    };
-    let values = match &request.kind {
-        MeasureKind::Quantile { probs } => {
-            let mut own = TransformValues::new();
-            search_quantiles(request, probs, &mut |ts| {
-                Ok(solve_plan(&mut own, CurveKind::Cdf, ts)?.0)
-            })?
+    /// The analytic engine over an explicit in-process backend — the query
+    /// server's, whose compiled-model cache outlives a request.
+    pub fn over(
+        model: ModelSpec,
+        method: InversionMethod,
+        backend: InProcess,
+    ) -> DistributedEngine {
+        let options = PipelineOptions::with_workers(backend.workers).chunked(BLOCK_LANES);
+        DistributedEngine {
+            name: "analytic",
+            ..DistributedEngine::with_transport(model, method, options, Box::new(backend))
         }
-        kind => {
-            let kind = batch_kind_of(kind)?.expect("every kind but the quantile has one");
-            let (values, found) = solve_plan(shared, kind, &request.t_points)?;
-            spent.shared_hits = found;
-            values
-        }
-    };
-    Ok((values, spent))
-}
-
-/// Compiles the unique transform specs of `requests`, returning the set, a
-/// per-request index into it (so repeated targets share one solver), and the
-/// number of model-cache hits and misses (a hit or miss per distinct model;
-/// without a cache every distinct model is a miss — a fresh exploration).
-fn compile_unique_specs(
-    model: &ModelSpec,
-    requests: &[MeasureRequest],
-    cache: Option<&CompiledSetCache>,
-) -> Result<(Arc<CompiledModelSet>, Vec<usize>, usize, usize), EngineError> {
-    let mut specs: Vec<TransformSpec> = Vec::new();
-    let mut index_of = Vec::with_capacity(requests.len());
-    for request in requests {
-        let spec = transform_spec_for(model, request);
-        let index = match specs.iter().position(|s| *s == spec) {
-            Some(found) => found,
-            None => {
-                specs.push(spec);
-                specs.len() - 1
-            }
-        };
-        index_of.push(index);
-    }
-    let (set, hit) = match cache {
-        Some(cache) => cache
-            .get_or_compile(&specs)
-            .map_err(EngineError::Analysis)?,
-        None => (
-            Arc::new(CompiledModelSet::compile(&specs).map_err(EngineError::Analysis)?),
-            false,
-        ),
-    };
-    let (hits, misses) = if hit {
-        (set.num_models(), 0)
-    } else {
-        (0, set.num_models())
-    };
-    Ok((set, index_of, hits, misses))
-}
-
-impl Engine for AnalyticEngine {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
-        validate_requests(&self.model, requests)?;
-        let (set, spec_of, model_hits, model_misses) =
-            compile_unique_specs(&self.model, requests, self.compiled_cache.as_deref())?;
-        let evaluators = set.evaluators().map_err(EngineError::Analysis)?;
-        let states = Some(set.num_states());
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // One value table per transform for the whole solve: requests over
-        // one target share every point they have in common.
-        let mut tables: Vec<TransformValues> =
-            evaluators.iter().map(|_| TransformValues::new()).collect();
-        let mut reports = Vec::with_capacity(requests.len());
-        for (request, &si) in requests.iter().zip(&spec_of) {
-            let started = Instant::now();
-            let stats_before = evaluators[si].hotpath_stats();
-            let (values, spent) = solve_locally(
-                request,
-                &evaluators[si],
-                &self.method,
-                &mut tables[si],
-                threads,
-            )?;
-            let hotpath = evaluators[si].hotpath_stats().since(stats_before);
-            let mut provenance = Provenance::local("analytic", "threads");
-            provenance.workers = spent.workers;
-            provenance.states = states;
-            provenance.evaluations = spent.evaluations;
-            provenance.shared_hits = spent.shared_hits;
-            provenance.matrix_rebuilds_avoided = hotpath.matrix_rebuilds_avoided;
-            provenance.pooled_lst_evaluations = hotpath.pooled_lst_evaluations;
-            provenance.wall = started.elapsed();
-            // Like the wire counters, model-cache traffic is run-level and
-            // attributed to the first report of the solve.
-            if reports.is_empty() {
-                provenance.model_cache_hits = model_hits;
-                provenance.model_cache_misses = model_misses;
-            }
-            reports.push(MeasureReport {
-                name: request.name(),
-                kind: request.kind.clone(),
-                points: report_points(request),
-                values,
-                provenance,
-            });
-        }
-        Ok(reports)
     }
 }
 
@@ -425,6 +235,9 @@ impl Engine for AnalyticEngine {
 /// kept compiled model, links and slice fleets stay connected until the
 /// engine drops — so a multi-round solve pays its rendezvous once.
 pub struct DistributedEngine {
+    /// The engine name reports carry: `distributed`, or `analytic` for the
+    /// deployment [`AnalyticEngine`] builds.
+    name: &'static str,
     model: ModelSpec,
     pipeline: DistributedPipeline,
     transport: Box<dyn Transport>,
@@ -433,6 +246,7 @@ pub struct DistributedEngine {
 impl std::fmt::Debug for DistributedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistributedEngine")
+            .field("name", &self.name)
             .field("model", &self.model)
             .field("backend", &self.backend())
             .finish()
@@ -457,6 +271,7 @@ impl DistributedEngine {
         transport: Box<dyn Transport>,
     ) -> Self {
         DistributedEngine {
+            name: "distributed",
             model,
             pipeline: DistributedPipeline::new(method, options),
             transport,
@@ -534,7 +349,7 @@ fn absorb_run(provenance: &mut Provenance, run: &TransportReport) {
 
 impl Engine for DistributedEngine {
     fn name(&self) -> &'static str {
-        "distributed"
+        self.name
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
@@ -562,7 +377,7 @@ impl Engine for DistributedEngine {
         if !batched.is_empty() {
             let batch = self.execute(&self.pipeline, job)?;
             for (slot, (&ri, result)) in batched.iter().zip(batch.measures).enumerate() {
-                let mut provenance = Provenance::local("distributed", backend);
+                let mut provenance = Provenance::local(self.name, backend);
                 provenance.workers = self.transport.parallelism();
                 provenance.shards = batch.report.shards;
                 provenance.states = batch.report.states;
@@ -595,7 +410,7 @@ impl Engine for DistributedEngine {
             let started = Instant::now();
             let spec = transform_spec_for(&self.model, request);
             let name = request.name();
-            let mut provenance = Provenance::local("distributed", backend);
+            let mut provenance = Provenance::local(self.name, backend);
             let pipeline = self
                 .pipeline
                 .caching_across_runs()
@@ -887,7 +702,7 @@ pub fn uniformization_applies(model: &ModelSpec) -> bool {
 /// repeated uniformization query reuses the reduction instead of rebuilding
 /// it.  Keys fold in [`crate::transform::model_fingerprint`], so an edited model misses rather
 /// than reading a stale chain.  Eviction is least-recently-used with a
-/// monotonic clock, mirroring [`CompiledSetCache`].
+/// monotonic clock, mirroring [`crate::transform::CompiledSetCache`].
 pub type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 
 /// Uniformization over the phase-space CTMC of an all-exponential model.
@@ -973,16 +788,33 @@ impl Engine for UniformizationEngine {
         let states = Some(space.num_states());
 
         // One transient chain serves every occupancy request; passage chains
-        // are cached per distinct target predicate so e.g. density + cdf +
+        // are kept per distinct target predicate so e.g. density + cdf +
         // quantile over one target share a single reduction.  With a
         // configured [`PhaseChainCache`] the reductions also survive across
         // solves, keyed by model fingerprint so edits miss instead of
         // reading a stale chain.
         let fingerprint = crate::transform::model_fingerprint(&self.model.source());
-        let mut chain_hits = 0usize;
-        let mut chain_misses = 0usize;
-        let mut transient_chain: Option<Arc<PhaseCtmc>> = None;
-        let mut passage_chains: Vec<(String, Arc<PhaseCtmc>)> = Vec::new();
+        let (mut chain_hits, mut chain_misses) = (0usize, 0usize);
+        let mut chains: Vec<(String, Arc<PhaseCtmc>)> = Vec::new();
+        let mut chain_for = |key: String,
+                             build: &dyn Fn() -> Result<PhaseCtmc, uniform::UniformError>|
+         -> Result<Arc<PhaseCtmc>, EngineError> {
+            if let Some((_, chain)) = chains.iter().find(|(k, _)| *k == key) {
+                return Ok(Arc::clone(chain));
+            }
+            let build = || build().map(Arc::new).map_err(uniform_error);
+            let (chain, hit) = match &self.phase_cache {
+                Some(cache) => cache.get_or_insert_with(format!("{fingerprint}:{key}"), build)?,
+                None => (build()?, false),
+            };
+            if hit {
+                chain_hits += 1;
+            } else {
+                chain_misses += 1;
+            }
+            chains.push((key, Arc::clone(&chain)));
+            Ok(chain)
+        };
 
         let mut reports = Vec::with_capacity(requests.len());
         for request in requests {
@@ -999,29 +831,8 @@ impl Engine for UniformizationEngine {
 
             let (points, values) = match &request.kind {
                 MeasureKind::Transient => {
-                    if transient_chain.is_none() {
-                        let built = match &self.phase_cache {
-                            Some(cache) => {
-                                let key = format!("{fingerprint}:transient");
-                                let (chain, hit) = cache.get_or_insert_with(key, || {
-                                    let chain = PhaseCtmc::transient(smp, initial);
-                                    chain.map(Arc::new).map_err(uniform_error)
-                                })?;
-                                if hit {
-                                    chain_hits += 1;
-                                } else {
-                                    chain_misses += 1;
-                                }
-                                chain
-                            }
-                            None => {
-                                chain_misses += 1;
-                                Arc::new(PhaseCtmc::transient(smp, initial).map_err(uniform_error)?)
-                            }
-                        };
-                        transient_chain = Some(built);
-                    }
-                    let chain = transient_chain.as_ref().expect("just built");
+                    let chain =
+                        chain_for("transient".into(), &|| PhaseCtmc::transient(smp, initial))?;
                     let out = chain
                         .transient_probability(&targets, &request.t_points, self.tolerance)
                         .map_err(uniform_error)?;
@@ -1031,37 +842,8 @@ impl Engine for UniformizationEngine {
                     (request.t_points.clone(), values)
                 }
                 kind => {
-                    let key = request.target.to_string();
-                    if !passage_chains.iter().any(|(k, _)| *k == key) {
-                        let built = match &self.phase_cache {
-                            Some(cache) => {
-                                let cache_key = format!("{fingerprint}:passage:{key}");
-                                let (chain, hit) = cache.get_or_insert_with(cache_key, || {
-                                    let chain = PhaseCtmc::passage(smp, initial, &targets);
-                                    chain.map(Arc::new).map_err(uniform_error)
-                                })?;
-                                if hit {
-                                    chain_hits += 1;
-                                } else {
-                                    chain_misses += 1;
-                                }
-                                chain
-                            }
-                            None => {
-                                chain_misses += 1;
-                                Arc::new(
-                                    PhaseCtmc::passage(smp, initial, &targets)
-                                        .map_err(uniform_error)?,
-                                )
-                            }
-                        };
-                        passage_chains.push((key.clone(), built));
-                    }
-                    let chain = &passage_chains
-                        .iter()
-                        .find(|(k, _)| *k == key)
-                        .expect("just inserted")
-                        .1;
+                    let key = format!("passage:{}", request.target);
+                    let chain = chain_for(key, &|| PhaseCtmc::passage(smp, initial, &targets))?;
                     match kind {
                         MeasureKind::Cdf => {
                             let out = chain
@@ -1144,9 +926,16 @@ impl Engine for UniformizationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchResult;
+    use crate::cache::ResultCache;
+    use crate::master::PipelineError;
+    use crate::transform::CompiledModelSet;
+    use crate::transport::ExecutionPlan;
+    use crate::worker::WorkerMessage;
     use smp_core::query::TargetSpec;
-    use smp_laplace::SPointPlan;
+    use smp_laplace::{Euler, EulerParams, SPointPlan, TransformValues};
     use smp_numeric::stats::linspace;
+    use smp_numeric::Complex64;
 
     fn voting() -> ModelSpec {
         ModelSpec::Voting {
@@ -1228,38 +1017,103 @@ mod tests {
             assert_eq!(spent(a), spent(d), "{}", a.name);
             let bits = |r: &MeasureReport| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(d), "{}", a.name);
-            assert_eq!(a.provenance.messages, 0, "{}", a.name);
+            assert_eq!(a.provenance.backend, "in-process", "{}", a.name);
         }
         // The CDF over the density's grid evaluates nothing of its own.
         assert_eq!(spent(&analytic[1]), (0, analytic[0].provenance.evaluations));
+        // The batch's points went out as lane blocks, one result message
+        // each, counted on the batch's first report.
+        let batched: usize = analytic
+            .iter()
+            .filter(|r| !matches!(r.kind, MeasureKind::Quantile { .. }))
+            .map(|r| r.provenance.evaluations)
+            .sum();
+        assert_eq!(
+            analytic[0].provenance.messages,
+            batched.div_ceil(BLOCK_LANES)
+        );
+    }
+
+    /// The in-process backend evaluating `points` in place of the plan's
+    /// `s`-points, item by item: how a test puts points no inversion contour
+    /// reaches (the left half-plane) through the pipeline.
+    struct AtPoints<'a> {
+        points: &'a [Complex64],
+        threads: InProcess,
+    }
+
+    impl Transport for AtPoints<'_> {
+        fn name(&self) -> &'static str {
+            "at-points"
+        }
+
+        fn parallelism(&self) -> usize {
+            self.threads.parallelism()
+        }
+
+        fn execute(
+            &self,
+            mut plan: ExecutionPlan<'_>,
+            on_message: &mut dyn FnMut(WorkerMessage),
+        ) -> Result<TransportReport, PipelineError> {
+            for item in &mut plan.items {
+                item.s = self.points[item.index];
+            }
+            self.threads.execute(plan, on_message)
+        }
     }
 
     /// The fan-out's thread count changes neither a value bit nor an
     /// evaluation, nor which failure is reported: plans of 7 points (a short
     /// last block) and 9 (a single-lane tail), passage and transient alike,
-    /// at one, two and three threads.
+    /// through the pipeline over one, two and three in-process threads.
     #[test]
     fn a_plan_answers_alike_on_any_thread_count() {
+        // Euler at one `t`-point with n + m + 1 = 7 or 9 terms.
+        let euler = |n: usize| {
+            let params = EulerParams {
+                terms: n - 3,
+                euler_terms: 2,
+                ..EulerParams::default()
+            };
+            InversionMethod::Euler(Euler::new(params))
+        };
+        let run = |spec: &TransformSpec, n, backend: &dyn Transport| {
+            let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
+                "f",
+                CurveKind::Cdf,
+                &[1.0],
+                spec.clone(),
+            ));
+            let cache = Arc::new(ResultCache::new());
+            let options = PipelineOptions {
+                shared_cache: Some(Arc::clone(&cache)),
+                ..PipelineOptions::default().chunked(BLOCK_LANES)
+            };
+            let batch = DistributedPipeline::new(euler(n), options).execute(job, backend);
+            (batch, cache)
+        };
         let specs = [
             TransformSpec::passage(voting(), target("p2>=2")),
             TransformSpec::transient(voting(), target("p2>=2")),
         ];
-        let set = CompiledModelSet::compile(&specs).unwrap();
-        let points: Vec<Complex64> = (0..9)
-            .map(|k| Complex64::new(0.2 + 0.1 * k as f64, k as f64 - 4.0))
-            .collect();
-        for evaluator in set.evaluators().unwrap() {
+        for spec in &specs {
             for n in [7, 9] {
+                let plan = SPointPlan::new(euler(n), &[1.0]);
+                assert_eq!(plan.len(), n);
                 let table = |threads| {
-                    let before = evaluator.hotpath_stats().pooled_lst_evaluations;
-                    let (shard, used) = eval_plan(&points[..n], &evaluator, threads).unwrap();
-                    assert_eq!(used, threads.min(n.div_ceil(BLOCK_LANES)));
-                    let lsts = evaluator.hotpath_stats().pooled_lst_evaluations - before;
-                    let bits: Vec<_> = points[..n]
+                    let (batch, cache) = run(spec, n, &InProcess::new(threads));
+                    let batch: BatchResult = batch.unwrap();
+                    assert_eq!(batch.evaluations, n);
+                    assert_eq!(batch.chunks_dispatched, n.div_ceil(BLOCK_LANES));
+                    assert_eq!(batch.report.worker_stats.len(), threads);
+                    let values = cache.snapshot(&spec.transform_key(), plan.s_points());
+                    let bits: Vec<_> = plan
+                        .s_points()
                         .iter()
-                        .map(|&s| shard.get(s).map(|v| (v.re.to_bits(), v.im.to_bits())))
+                        .map(|&s| values.get(s).map(|v| (v.re.to_bits(), v.im.to_bits())))
                         .collect();
-                    (bits, lsts)
+                    (bits, batch.report.hotpath.pooled_lst_evaluations)
                 };
                 let one = table(1);
                 assert!(one.0.iter().all(Option::is_some));
@@ -1269,29 +1123,27 @@ mod tests {
         }
 
         // Points on the LST poles of a ring's holding times (rates 2 and 1)
-        // fail; the error names the first of them in plan order.  A point on
-        // a pole never converges, so the solver stops at 200 rounds, not at
-        // the default budget.
-        let mut ring = smp_core::SmpBuilder::new(3);
-        ring.add_transition(0, 1, 1.0, smp_distributions::Dist::exponential(2.0));
-        ring.add_transition(1, 2, 1.0, smp_distributions::Dist::exponential(1.0));
-        ring.add_transition(2, 0, 1.0, smp_distributions::Dist::exponential(3.0));
-        let ring = ring.build().unwrap();
-        let options = smp_core::IterationOptions {
-            max_iterations: 200,
-            ..Default::default()
-        };
-        let solver = smp_core::PassageTimeSolver::with_options(&ring, &[0], &[2], options);
-        let evaluator = CompiledEvaluator::passage(solver.unwrap());
-        let mut points: Vec<Complex64> = points[..7].to_vec();
+        // fail on the round their total goes non-finite, within the default
+        // budget; the error names the first of them in plan order.
+        let ring = TransformSpec::passage(exp_ring(), target("c>=1"));
+        let mut points: Vec<Complex64> = (0..7)
+            .map(|k| Complex64::new(0.2 + 0.1 * k as f64, k as f64 - 4.0))
+            .collect();
         points[2] = Complex64::new(-2.0, 0.0);
         points[5] = Complex64::new(-1.0, 0.0);
-        let failure = |threads| match eval_plan(&points, &evaluator, threads) {
-            Err(EngineError::Analysis(message)) => message,
-            other => panic!("expected a failure, got {other:?}"),
+        let failure = |threads| {
+            let backend = AtPoints {
+                points: &points,
+                threads: InProcess::new(threads),
+            };
+            match run(&ring, 7, &backend).0 {
+                Err(error @ PipelineError::Evaluation { .. }) => error.to_string(),
+                other => panic!("expected a failure, got {other:?}"),
+            }
         };
         let first = failure(1);
         assert!(first.contains("at s = -2"), "{first}");
+        assert!(first.contains(" after 1 iterations"), "{first}");
         assert_eq!(failure(2), first);
         assert_eq!(failure(3), first);
     }
@@ -1395,7 +1247,14 @@ mod tests {
             rounds += 1;
             let plan = SPointPlan::new(InversionMethod::euler(), ts);
             grid_points += plan.s_points().len();
-            let (shard, _) = eval_plan(plan.s_points(), &evaluator, 1).unwrap();
+            let mut shard = TransformValues::new();
+            for (&s, value) in plan
+                .s_points()
+                .iter()
+                .zip(evaluator.eval_many(plan.s_points()))
+            {
+                shard.insert(s, value.unwrap());
+            }
             Ok::<Vec<f64>, EngineError>(CurveKind::Cdf.postprocess(&plan, &shard))
         })
         .unwrap();

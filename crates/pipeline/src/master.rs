@@ -3,7 +3,7 @@
 use crate::batch::{BatchJob, BatchResult, MeasureResult};
 use crate::cache::ResultCache;
 use crate::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
-use crate::transport::{ExecutionPlan, InProcess, Transport, TransportReport};
+use crate::transport::{ExecutionPlan, Transport, TransportReport};
 use crate::work::WorkItem;
 use smp_laplace::{union_s_points, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
@@ -149,7 +149,7 @@ impl DistributedPipeline {
     }
 
     /// Solves a whole [`BatchJob`] — N measures over shared or distinct time
-    /// grids — in one distributed run.
+    /// grids — in one distributed run over **any** [`Transport`] backend.
     ///
     /// The master plans the `s`-points of every measure, takes the union per
     /// transform key (so measures sharing a transform never evaluate a point
@@ -162,6 +162,15 @@ impl DistributedPipeline {
     /// (`/s` + monotone clamp for CDFs, `[0, 1]` clamp for transients) — or,
     /// for a moment measure, folds its stencil's values into one number.
     ///
+    /// This is the one solve path: every [`crate::DistributedEngine`]
+    /// deployment — the analytic engine's cores included — calls it with its
+    /// own backend.  Pass [`crate::InProcess`] for worker threads, a
+    /// [`crate::transport::TcpTransport`] (from the `smpq` CLI:
+    /// `--workers tcp:ADDR,...`) to farm the evaluations out to worker
+    /// *processes*, or a [`crate::shard::ShardedTransport`] to run every
+    /// point row-sharded.  When points fail, the error names the first
+    /// failure in plan order, whichever worker reported it first.
+    ///
     /// # Example
     ///
     /// A two-measure batch — the density *and* the CDF of the same Erlang
@@ -170,8 +179,8 @@ impl DistributedPipeline {
     ///
     /// ```
     /// use smp_pipeline::{
-    ///     BatchJob, DistSpec, DistributedPipeline, MeasureKind, MeasureSpec, PipelineOptions,
-    ///     TransformSpec,
+    ///     BatchJob, DistSpec, DistributedPipeline, InProcess, MeasureKind, MeasureSpec,
+    ///     PipelineOptions, TransformSpec,
     /// };
     /// use smp_laplace::InversionMethod;
     ///
@@ -187,9 +196,8 @@ impl DistributedPipeline {
     ///     ))
     ///     .with_measure(MeasureSpec::from_spec("erlang:cdf", MeasureKind::Cdf, &ts, erlang));
     ///
-    /// let pipeline =
-    ///     DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-    /// let result = pipeline.run_batch(job).unwrap();
+    /// let pipeline = DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::default());
+    /// let result = pipeline.execute(job, &InProcess::new(4)).unwrap();
     ///
     /// let density = result.measure("erlang:density").unwrap();
     /// let cdf = result.measure("erlang:cdf").unwrap();
@@ -200,20 +208,6 @@ impl DistributedPipeline {
     /// assert!(cdf.values.windows(2).all(|w| w[1] >= w[0]));
     /// assert!(*cdf.values.last().unwrap() > 0.95);
     /// ```
-    pub fn run_batch(&self, job: BatchJob<'_>) -> Result<BatchResult, PipelineError> {
-        self.execute(job, &InProcess::new(self.options.workers))
-    }
-
-    /// The generic pipeline core: plans, dedupes, dispatches and inverts a
-    /// batch over **any** [`Transport`] backend.
-    ///
-    /// This is the one solve path: [`DistributedPipeline::run_batch`] calls it
-    /// with worker threads, and every [`crate::DistributedEngine`] deployment
-    /// calls it with its own backend — pass a
-    /// [`crate::transport::TcpTransport`] (from the `smpq` CLI:
-    /// `--workers tcp:ADDR,...`) to farm the evaluations out to worker
-    /// *processes*, or a [`crate::shard::ShardedTransport`] to run every
-    /// point row-sharded.
     pub fn execute(
         &self,
         job: BatchJob<'_>,
@@ -338,8 +332,15 @@ impl DistributedPipeline {
         // The transport drains the plan; the master caches and checkpoints
         // every arriving value under its measure's transform key inside the
         // collection callback (this is the code path a multi-host deployment
-        // runs when messages come off the network).
-        let mut first_error: Option<PipelineError> = None;
+        // runs when messages come off the network).  Of several failures the
+        // run keeps the one of the lowest work-item index — the first in plan
+        // order — so the error does not depend on which worker was faster.
+        let mut first_error: Option<(usize, PipelineError)> = None;
+        let mut fail = |index: usize, error: PipelineError| {
+            if first_error.as_ref().is_none_or(|(first, _)| index < *first) {
+                first_error = Some((index, error));
+            }
+        };
         let mut chunks_dispatched = 0usize;
         // A fully-warm run has nothing to dispatch: skip the transport
         // entirely rather than (for the TCP backend) blocking on a worker
@@ -359,14 +360,18 @@ impl DistributedPipeline {
                     // TCP backend; an out-of-range echo must fail the run,
                     // not panic it (handlers already reject mismatched
                     // echoes — this is the transport-independent backstop).
+                    let index = outcome.item.index;
                     let Some(key) = keys.get(outcome.item.measure).copied() else {
-                        first_error.get_or_insert(PipelineError::Transport {
-                            message: format!(
-                                "result references measure {} but the batch has {}",
-                                outcome.item.measure,
-                                keys.len()
-                            ),
-                        });
+                        fail(
+                            index,
+                            PipelineError::Transport {
+                                message: format!(
+                                    "result references measure {} but the batch has {}",
+                                    outcome.item.measure,
+                                    keys.len()
+                                ),
+                            },
+                        );
                         continue;
                     };
                     match outcome.outcome {
@@ -374,16 +379,17 @@ impl DistributedPipeline {
                             cache.insert(key, outcome.item.s, value);
                             if let Some(writer) = checkpoint.as_mut() {
                                 if let Err(e) = writer.record_tagged(key, outcome.item.s, value) {
-                                    first_error.get_or_insert(PipelineError::Io(e));
+                                    fail(index, PipelineError::Io(e));
                                 }
                             }
                         }
-                        Err(message_text) => {
-                            first_error.get_or_insert(PipelineError::Evaluation {
+                        Err(message) => fail(
+                            index,
+                            PipelineError::Evaluation {
                                 s: outcome.item.s,
-                                message: message_text,
-                            });
-                        }
+                                message,
+                            },
+                        ),
                     }
                 }
             })
@@ -391,7 +397,7 @@ impl DistributedPipeline {
 
         // A per-point evaluation failure is more specific than a transport
         // failure it may have caused; report it first.
-        if let Some(error) = first_error {
+        if let Some((_, error)) = first_error {
             return Err(error);
         }
         let report = transport_result?;
@@ -447,6 +453,7 @@ mod tests {
     use super::*;
     use crate::batch::{MeasureKind, MeasureSpec};
     use crate::transform::{DistSpec, ModelSpec, TargetSpec, TransformSpec};
+    use crate::transport::InProcess;
     use crate::worker::{WorkItemOutcome, WorkerMessage};
     use smp_distributions::Dist;
     use smp_laplace::Euler;
@@ -470,12 +477,20 @@ mod tests {
         MeasureSpec::from_spec(name, MeasureKind::Cdf, ts, spec)
     }
 
-    /// A one-measure batch over the default thread backend.
+    /// A batch over worker threads, as many as the pipeline's options ask.
+    fn run(
+        pipeline: &DistributedPipeline,
+        job: BatchJob<'_>,
+    ) -> Result<BatchResult, PipelineError> {
+        pipeline.execute(job, &InProcess::new(pipeline.options().workers))
+    }
+
+    /// A one-measure batch over worker threads.
     fn solve_one(
         pipeline: &DistributedPipeline,
         measure: MeasureSpec,
     ) -> Result<BatchResult, PipelineError> {
-        pipeline.run_batch(BatchJob::new().with_measure(measure))
+        run(pipeline, BatchJob::new().with_measure(measure))
     }
 
     fn solve_density(
@@ -652,8 +667,8 @@ mod tests {
         let shared = Arc::new(ResultCache::new());
         let ts = [0.5, 1.0, 2.5];
         let job = || BatchJob::new().with_measure(cdf("F", &ts, erlang(2.0, 2)));
-        let cold = pipeline_over(&shared).run_batch(job()).unwrap();
-        let warm = pipeline_over(&shared).run_batch(job()).unwrap();
+        let cold = run(&pipeline_over(&shared), job()).unwrap();
+        let warm = run(&pipeline_over(&shared), job()).unwrap();
         assert_eq!(counts(&cold), [(3 * contour, 0, 0)]);
         assert_eq!(counts(&warm), [(0, 3 * contour, 0)]);
         assert_eq!(warm.chunks_dispatched, 0);
@@ -669,8 +684,8 @@ mod tests {
                 .with_measure(density("d", &ts_d, erlang(2.0, 2)))
                 .with_measure(cdf("F", &ts_f, erlang(2.0, 2)))
         };
-        let cold = pipeline_over(&shared).run_batch(job()).unwrap();
-        let warm = pipeline_over(&shared).run_batch(job()).unwrap();
+        let cold = run(&pipeline_over(&shared), job()).unwrap();
+        let warm = run(&pipeline_over(&shared), job()).unwrap();
         assert_eq!(
             counts(&cold),
             [(2 * contour, 0, 0), (contour, 0, contour)],
@@ -696,14 +711,18 @@ mod tests {
 
         // Partly warm: a wider grid re-uses what is cached and evaluates
         // (and afterwards looks up afresh) only the new contour.
-        let wider = pipeline_over(&shared)
-            .run_batch(BatchJob::new().with_measure(cdf("F", &[2.0, 3.0, 4.0], erlang(2.0, 2))))
-            .unwrap();
+        let wider = solve_one(
+            &pipeline_over(&shared),
+            cdf("F", &[2.0, 3.0, 4.0], erlang(2.0, 2)),
+        )
+        .unwrap();
         assert_eq!(counts(&wider), [(contour, 2 * contour, 0)]);
         assert_eq!(wider.measures[0].values, cdf_by_copy(&[2.0, 3.0, 4.0]));
     }
 
-    /// A test-double backend whose every evaluation fails to converge.
+    /// A test-double backend whose every evaluation fails to converge.  It
+    /// answers the plan as two chunks, the later one first, as a faster
+    /// worker holding the tail of the queue would.
     struct NeverConverges;
 
     impl Transport for NeverConverges {
@@ -712,7 +731,7 @@ mod tests {
         }
 
         fn parallelism(&self) -> usize {
-            1
+            2
         }
 
         fn execute(
@@ -720,14 +739,21 @@ mod tests {
             plan: ExecutionPlan<'_>,
             on_message: &mut dyn FnMut(WorkerMessage),
         ) -> Result<TransportReport, PipelineError> {
-            let results = plan.items.into_iter().map(|item| WorkItemOutcome {
-                item,
-                outcome: Err("synthetic convergence failure".to_string()),
-            });
-            on_message(WorkerMessage {
-                worker: 0,
-                results: results.collect(),
-            });
+            let mut head = plan.items;
+            let tail = head.split_off(head.len() / 2);
+            for (worker, chunk) in [tail, head].into_iter().enumerate() {
+                let results = chunk.into_iter().map(|item| WorkItemOutcome {
+                    item,
+                    outcome: Err(format!(
+                        "synthetic convergence failure of item {}",
+                        item.index
+                    )),
+                });
+                on_message(WorkerMessage {
+                    worker,
+                    results: results.collect(),
+                });
+            }
             Ok(TransportReport::default())
         }
     }
@@ -740,6 +766,24 @@ mod tests {
         match pipeline.execute(job, &NeverConverges) {
             Err(PipelineError::Evaluation { message, .. }) => {
                 assert!(message.contains("synthetic"));
+            }
+            other => panic!("expected an evaluation error, got {other:?}"),
+        }
+    }
+
+    /// Failures arriving out of plan order — the tail chunk's first — still
+    /// report the first failure in plan order.
+    #[test]
+    fn the_first_failure_in_plan_order_is_reported() {
+        let pipeline =
+            DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::default());
+        let ts = [1.0, 2.0];
+        let job = BatchJob::new().with_measure(density("single", &ts, erlang(1.0, 1)));
+        match pipeline.execute(job, &NeverConverges) {
+            Err(PipelineError::Evaluation { s, message }) => {
+                assert!(message.ends_with("of item 0"), "{message}");
+                let first = SPointPlan::new(InversionMethod::euler(), &ts).s_points()[0];
+                assert_eq!(s, first);
             }
             other => panic!("expected an evaluation error, got {other:?}"),
         }
@@ -805,7 +849,7 @@ mod tests {
                 &ts,
                 decay,
             ));
-        let batch = pipeline.run_batch(job).unwrap();
+        let batch = run(&pipeline, job).unwrap();
         assert_eq!(batch.measures.len(), 3);
 
         // Density matches a single-measure run.
@@ -851,7 +895,7 @@ mod tests {
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
         let job = BatchJob::new().with_measure(density("d", &ts, erlang(1.0, 2)));
-        let batch = pipeline.run_batch(job).unwrap();
+        let batch = run(&pipeline, job).unwrap();
         assert_eq!(batch.backend, "in-process");
         assert_eq!(batch.report.bytes_on_wire, 0);
         assert_eq!(batch.report.disconnects, 0);
@@ -862,7 +906,7 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
-        let batch = pipeline.run_batch(BatchJob::new()).unwrap();
+        let batch = run(&pipeline, BatchJob::new()).unwrap();
         assert!(batch.measures.is_empty());
         assert_eq!(batch.evaluations, 0);
         assert_eq!(batch.chunks_dispatched, 0);
@@ -878,7 +922,7 @@ mod tests {
         let job = BatchJob::new()
             .with_measure(density("a", &ts, a))
             .with_measure(density("b", &ts, b));
-        let batch = pipeline.run_batch(job).unwrap();
+        let batch = run(&pipeline, job).unwrap();
         let union = SPointPlan::new(InversionMethod::euler(), &ts).len();
         // Distinct specs key distinctly: no sharing, |union| evaluations each.
         for m in &batch.measures {
@@ -909,7 +953,7 @@ mod tests {
         let job = BatchJob::new()
             .with_measure(density("uniform", &ts, uniform))
             .with_measure(density("weibull", &ts, weibull));
-        match pipeline.run_batch(job) {
+        match run(&pipeline, job) {
             Err(PipelineError::Transport { message }) => {
                 assert!(message.contains("uniform requires"), "{message}");
             }

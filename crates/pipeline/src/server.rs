@@ -66,7 +66,7 @@
 
 use crate::cache::{LruMemo, ResultCache};
 use crate::engine::{
-    uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
+    available_cores, uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
     UniformizationEngine,
 };
 use crate::fault::splitmix64;
@@ -235,7 +235,8 @@ pub fn decode_query_request(payload: &str) -> Result<QueryRequest, WireError> {
 /// and the `engine=` field carries on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// In-process Laplace inversion, each plan's points on every core.
+    /// In-process Laplace inversion: the distributed pipeline over worker
+    /// threads on every core, lane blocks at a time, reported as `analytic`.
     Analytic,
     /// Discrete-event simulation (one-shot runs only; the server refuses it).
     Sim,
@@ -909,10 +910,11 @@ fn route_engine(
     };
     let mut memo = (0, 0);
     let engine: Box<dyn Engine> = match choice {
-        EngineChoice::Analytic => Box::new(
-            AnalyticEngine::new(model.clone(), method.clone())
-                .with_compiled_cache(shared.compiled.clone()),
-        ),
+        EngineChoice::Analytic => {
+            let cores = InProcess::new(available_cores());
+            let backend = cores.with_compiled_cache(shared.compiled.clone());
+            Box::new(AnalyticEngine::over(model.clone(), method.clone(), backend))
+        }
         EngineChoice::Uniform => uniformization(),
         EngineChoice::Distributed => distributed(),
         EngineChoice::Auto => {

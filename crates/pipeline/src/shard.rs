@@ -779,8 +779,10 @@ fn run_point(
             }
             exports[k] = state.exports;
         }
-        if let FoldStatus::Converged(total) = fold.push(delta, || quiet) {
-            return Ok(total);
+        match fold.push(delta, || quiet) {
+            FoldStatus::Continue => {}
+            FoldStatus::Converged(total) => return Ok(total),
+            FoldStatus::Diverged => return Err(no_convergence(s, r, &fold)),
         }
         if snapshot_every > 0 && (r as u64).is_multiple_of(snapshot_every) {
             // Capture the iterate *after* this round's fold: a TermReq sweep
@@ -826,14 +828,19 @@ fn run_point(
             .map_err(|e| PointError::Hard(PipelineError::Io(e)))?;
         }
     }
-    Err(PointError::Hard(PipelineError::Evaluation {
+    Err(no_convergence(s, options.max_iterations, &fold))
+}
+
+/// The failure of a sharded point retired after `iterations` rounds — the
+/// round its total diverged, or the whole budget.
+fn no_convergence(s: Complex64, iterations: usize, fold: &ConvergenceFold) -> PointError {
+    PointError::Hard(PipelineError::Evaluation {
         s,
         message: format!(
-            "no convergence after {} iterations (last delta {:.3e})",
-            options.max_iterations,
+            "no convergence after {iterations} iterations (last delta {:.3e})",
             fold.last_delta()
         ),
-    }))
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -658,17 +658,6 @@ impl CompiledEvaluator<'_> {
 }
 
 #[cfg(test)]
-impl<'a> CompiledEvaluator<'a> {
-    /// A passage evaluator over a solver built by hand, for tests that need
-    /// iteration options no compiled spec carries.
-    pub(crate) fn passage(solver: PassageTimeSolver<'a>) -> Self {
-        CompiledEvaluator {
-            kind: EvaluatorKind::Passage(solver),
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -270,16 +270,12 @@ fn run_threaded(
         compiled_set.evaluators().map_err(transport_error)?;
 
     let mut messages = 0usize;
-    let worker_stats = drain_on_threads(
-        workers,
-        plan.items,
-        plan.chunk_size.max(1),
-        &evaluators,
-        &mut |message| {
-            messages += 1;
-            on_message(message);
-        },
-    );
+    let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
+    let serve = |id, tx: &Sender<_>| run_batch_worker(id, &queue, &evaluators, tx);
+    let worker_stats = fan_in((0..workers).collect(), serve, &mut |message| {
+        messages += 1;
+        on_message(message);
+    });
 
     let hotpath = evaluators
         .iter()
@@ -294,23 +290,6 @@ fn run_threaded(
         model_cache_misses,
         ..TransportReport::default()
     })
-}
-
-/// The in-process work queue: `workers` threads each run
-/// [`run_batch_worker`] over one [`WorkQueue`] of `items`, dispensed
-/// `chunk_size` at a time, and every message reaches `on_message` as it
-/// arrives.  Returns the per-thread stats in thread order.  [`InProcess`]
-/// drains its plans here, and so does the analytic engine.
-pub(crate) fn drain_on_threads(
-    workers: usize,
-    items: Vec<WorkItem>,
-    chunk_size: usize,
-    evaluators: &[CompiledEvaluator<'_>],
-    on_message: &mut dyn FnMut(WorkerMessage),
-) -> Vec<WorkerStats> {
-    let queue = WorkQueue::with_chunk_size(items, chunk_size);
-    let serve = |id, tx: &Sender<_>| run_batch_worker(id, &queue, evaluators, tx);
-    fan_in((0..workers).collect(), serve, on_message)
 }
 
 // ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ pub struct WorkerMessage {
 }
 
 /// Evaluates one chunk — the one place a chunk is walked, whichever loop
-/// popped it (worker thread, worker process, the analytic engine's plan).
+/// popped it (worker thread, worker process).
 /// Each run of consecutive items of one measure goes to that measure's
 /// evaluator as a whole ([`CompiledEvaluator::eval_many`]); every item keeps
 /// its own outcome, in chunk order, and an item naming a measure

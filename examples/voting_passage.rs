@@ -14,7 +14,7 @@ use smp_suite::core::{PassageTimeAnalysis, StateSet};
 use smp_suite::laplace::{CdfCurve, InversionMethod};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::pipeline::{
-    BatchJob, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
+    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
     TargetSpec, TransformSpec,
 };
 use smp_suite::simulator::smp_sim::simulate_smp_passage_times;
@@ -54,16 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
     // One batch, two measures over one spec and so one transform key: the
     // CDF of Fig. 5 reuses every s-point the density evaluates.
-    let batch = pipeline.run_batch(
-        BatchJob::new()
-            .with_measure(MeasureSpec::from_spec(
-                "f",
-                MeasureKind::Density,
-                &ts,
-                passage.clone(),
-            ))
-            .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, passage)),
-    )?;
+    let job = BatchJob::new()
+        .with_measure(MeasureSpec::from_spec(
+            "f",
+            MeasureKind::Density,
+            &ts,
+            passage.clone(),
+        ))
+        .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, passage));
+    let batch = pipeline.execute(job, &InProcess::new(4))?;
     println!(
         "pipeline evaluated {} s-points in {:.2} s on 4 workers",
         batch.evaluations,

@@ -7,8 +7,8 @@ use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::pipeline::checkpoint::load_checkpoint_by_measure;
 use smp_suite::pipeline::{
-    BatchJob, DistSpec, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
-    ResolveTarget, TargetSpec, TransformSpec,
+    BatchJob, DistSpec, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec,
+    PipelineOptions, ResolveTarget, TargetSpec, TransformSpec,
 };
 use smp_suite::smspn::StateSpace;
 
@@ -86,7 +86,7 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
 
     // Cold cache: |union| × M evaluations, no hits.
     let union = SPointPlan::new(InversionMethod::euler(), &ts).len();
-    let cold = pipeline.run_batch(job()).unwrap();
+    let cold = pipeline.execute(job(), &InProcess::new(4)).unwrap();
     assert_eq!(cold.evaluations, union * 3);
     assert_eq!(cold.cache_hits, 0);
     assert_eq!(cold.shared_hits, 0);
@@ -102,7 +102,7 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
     assert_eq!(worker_messages, cold.chunks_dispatched);
 
     // Warm rerun against the checkpoint: zero evaluations, per-measure hits.
-    let warm = pipeline.run_batch(job()).unwrap();
+    let warm = pipeline.execute(job(), &InProcess::new(4)).unwrap();
     assert_eq!(warm.evaluations, 0);
     assert_eq!(warm.cache_hits, union * 3);
     for (cold_measure, warm_measure) in cold.measures.iter().zip(&warm.measures) {
@@ -140,18 +140,15 @@ fn batch_values_match_single_process_analysis() {
         InversionMethod::euler(),
         PipelineOptions::with_workers(3).chunked(5),
     );
-    let batch = pipeline
-        .run_batch(
-            BatchJob::new()
-                .with_measure(MeasureSpec::from_spec(
-                    "f",
-                    MeasureKind::Density,
-                    &ts,
-                    to_end.clone(),
-                ))
-                .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, to_end)),
-        )
-        .unwrap();
+    let job = BatchJob::new()
+        .with_measure(MeasureSpec::from_spec(
+            "f",
+            MeasureKind::Density,
+            &ts,
+            to_end.clone(),
+        ))
+        .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, to_end));
+    let batch = pipeline.execute(job, &InProcess::new(3)).unwrap();
 
     let density = analysis.density(InversionMethod::euler(), &ts).unwrap();
     for (a, b) in batch
@@ -197,7 +194,7 @@ fn one_checkpoint_file_feeds_runs_under_distinct_transform_keys() {
     let run = |phases: u32| {
         let measure = MeasureSpec::from_spec("d", MeasureKind::Density, &ts, erlang(phases));
         pipeline
-            .run_batch(BatchJob::new().with_measure(measure))
+            .execute(BatchJob::new().with_measure(measure), &InProcess::new(2))
             .unwrap()
     };
 

@@ -1,8 +1,11 @@
 //! The cross-engine conformance matrix: every (model × measure × engine)
 //! cell of the `tests/corpus/` library is solved and compared pairwise.
 //!
-//! * `analytic` vs `distributed` — bitwise identical (same code path, one
-//!   scheduled over the work queue);
+//! * `analytic` vs `distributed` — bitwise identical across two deployments
+//!   that really differ: the analytic engine is the pipeline over in-process
+//!   threads, each taking whole `s`-points, while the `distributed` column
+//!   row-shards every passage point over two loopback slice workers that
+//!   exchange boundary rows each round;
 //! * `analytic` vs `uniformization` — agreement within the sum of the two
 //!   engines' reported error bounds plus a small relative slack for the
 //!   Laplace-inversion side (whose Euler error is not surfaced as a bound);
@@ -34,10 +37,11 @@ fn build_engine(name: &str, model: &CorpusModel) -> Box<dyn Engine> {
     let spec = model.spec.clone();
     match name {
         "analytic" => Box::new(AnalyticEngine::new(spec, InversionMethod::euler())),
-        "distributed" => Box::new(DistributedEngine::in_process(
+        "distributed" => Box::new(DistributedEngine::sharded(
             spec,
             InversionMethod::euler(),
             PipelineOptions::with_workers(2),
+            2,
         )),
         "simulation" => Box::new(SimulationEngine::new(
             spec,

@@ -8,7 +8,7 @@ use smp_suite::core::{PassageTimeAnalysis, StateSet, TransientAnalysis};
 use smp_suite::laplace::InversionMethod;
 use smp_suite::numeric::stats::linspace;
 use smp_suite::pipeline::{
-    BatchJob, DistributedPipeline, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
+    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
     TargetSpec, TransformSpec,
 };
 use smp_suite::simulator::smp_sim::{simulate_smp_passage_times, simulate_smp_transient};
@@ -78,7 +78,7 @@ fn pipeline_and_sequential_solver_agree() {
         DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
     let measure = MeasureSpec::from_spec("passage", MeasureKind::Density, &ts, passage);
     let distributed = pipeline
-        .run_batch(BatchJob::new().with_measure(measure))
+        .execute(BatchJob::new().with_measure(measure), &InProcess::new(4))
         .unwrap();
 
     for (a, b) in sequential

@@ -8,8 +8,8 @@ use smp_suite::numeric::stats::linspace;
 use smp_suite::numeric::Complex64;
 use smp_suite::pipeline::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use smp_suite::pipeline::{
-    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, MeasureKind, MeasureSpec,
-    ModelSpec, PipelineOptions, TransformSpec,
+    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, InProcess, MeasureKind,
+    MeasureSpec, ModelSpec, PipelineOptions, TransformSpec,
 };
 use std::path::{Path, PathBuf};
 
@@ -45,7 +45,10 @@ fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
     let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
     let run = |ts: &[f64]| {
         pipeline
-            .run_batch(BatchJob::new().with_measure(all_voted_density(3, ts)))
+            .execute(
+                BatchJob::new().with_measure(all_voted_density(3, ts)),
+                &InProcess::new(3),
+            )
             .unwrap()
     };
     let first = run(&ts);
@@ -86,7 +89,10 @@ fn scalability_sweep_runs_the_table2_protocol() {
                 InversionMethod::euler(),
                 PipelineOptions::with_workers(workers).chunked(1),
             )
-            .run_batch(BatchJob::new().with_measure(all_voted_density(4, &ts)))
+            .execute(
+                BatchJob::new().with_measure(all_voted_density(4, &ts)),
+                &InProcess::new(workers),
+            )
             .unwrap()
         })
         .collect();
