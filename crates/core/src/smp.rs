@@ -280,11 +280,14 @@ impl SemiMarkovProcess {
 /// Transitions are added with arbitrary positive *weights*; at [`SmpBuilder::build`]
 /// time the weights of each source state are normalised into the embedded transition
 /// probabilities `p_ij` (this mirrors the weight-based probabilistic choice of the
-/// SM-SPN formalism, Section 5.1).
+/// SM-SPN formalism, Section 5.1).  A builder is filled either by source state
+/// ([`SmpBuilder::add_transition`] on a builder made for `n` states) or one whole
+/// row at a time ([`SmpBuilder::push_state`], for a state space that is still
+/// being discovered).
 #[derive(Debug, Clone)]
 pub struct SmpBuilder {
-    num_states: usize,
-    weights: Vec<Vec<(usize, f64, DistId)>>,
+    /// One row per state; `probability` holds the weight until `build`.
+    rows: Vec<Vec<Transition>>,
     dist_pool: Vec<Dist>,
 }
 
@@ -292,15 +295,14 @@ impl SmpBuilder {
     /// Creates a builder for a process with `num_states` states.
     pub fn new(num_states: usize) -> Self {
         SmpBuilder {
-            num_states,
-            weights: vec![Vec::new(); num_states],
+            rows: vec![Vec::new(); num_states],
             dist_pool: Vec::new(),
         }
     }
 
     /// Number of states the process will have.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.rows.len()
     }
 
     /// Interns a distribution into the pool, returning its identifier.  Equal
@@ -324,50 +326,74 @@ impl SmpBuilder {
 
     /// Adds a transition referring to an already-interned distribution.
     pub fn add_transition_pooled(&mut self, from: usize, to: usize, weight: f64, dist: DistId) {
-        assert!(from < self.num_states, "source state {from} out of range");
-        assert!(to < self.num_states, "target state {to} out of range");
+        assert!(from < self.rows.len(), "source state {from} out of range");
+        assert!(to < self.rows.len(), "target state {to} out of range");
+        let transition = self.pooled(to, weight, dist);
+        self.rows[from].push(transition);
+    }
+
+    /// Appends a state whose outgoing transitions are `row`, as
+    /// `(target, weight, pooled distribution)`, and returns its index.  A
+    /// target may name a state not pushed yet; [`SmpBuilder::build`] checks
+    /// that every target exists by then.
+    pub fn push_state(&mut self, row: &[(usize, f64, DistId)]) -> usize {
+        let row = row
+            .iter()
+            .map(|&(to, weight, dist)| self.pooled(to, weight, dist))
+            .collect();
+        self.rows.push(row);
+        self.rows.len() - 1
+    }
+
+    fn pooled(&self, target: usize, weight: f64, dist: DistId) -> Transition {
         assert!(
             (dist as usize) < self.dist_pool.len(),
             "unknown distribution id"
         );
-        self.weights[from].push((to, weight, dist));
+        Transition {
+            target,
+            probability: weight,
+            dist,
+        }
     }
 
     /// Finalises the process, normalising weights into probabilities.
     pub fn build(self) -> Result<SemiMarkovProcess, SmpError> {
-        if self.num_states == 0 {
+        let num_states = self.rows.len();
+        if num_states == 0 {
             return Err(SmpError::EmptyModel);
         }
-        let mut transitions = Vec::with_capacity(self.num_states);
+        let mut transitions = self.rows;
         let mut num_transitions = 0;
-        for (state, row) in self.weights.into_iter().enumerate() {
+        for (state, row) in transitions.iter_mut().enumerate() {
             if row.is_empty() {
                 return Err(SmpError::DeadlockState { state });
             }
             let mut total = 0.0;
-            for &(to, w, _) in &row {
+            for tr in row.iter() {
+                assert!(
+                    tr.target < num_states,
+                    "target state {} out of range",
+                    tr.target
+                );
+                let w = tr.probability;
                 if !(w > 0.0 && w.is_finite()) {
                     return Err(SmpError::InvalidWeight {
                         from: state,
-                        to,
+                        to: tr.target,
                         weight: w,
                     });
                 }
                 total += w;
             }
-            let mut out = Vec::with_capacity(row.len());
-            for (to, w, dist) in row {
-                out.push(Transition {
-                    target: to,
-                    probability: w / total,
-                    dist,
-                });
+            for tr in row.iter_mut() {
+                tr.probability /= total;
             }
-            num_transitions += out.len();
-            transitions.push(out);
+            row.shrink_to_fit();
+            num_transitions += row.len();
         }
         Ok(SemiMarkovProcess {
-            num_states: self.num_states,
+            num_states,
             transitions,
             dist_pool: self.dist_pool,
             num_transitions,
@@ -400,6 +426,26 @@ mod tests {
         assert_eq!(row0.len(), 2);
         assert!((row0[0].probability - 0.75).abs() < 1e-15);
         assert!((row0[1].probability - 0.25).abs() < 1e-15);
+    }
+
+    #[test]
+    fn rows_pushed_whole_build_the_same_process() {
+        let by_source = three_state_smp();
+        let mut b = SmpBuilder::new(0);
+        let exp = b.intern_distribution(Dist::exponential(1.0));
+        let det = b.intern_distribution(Dist::deterministic(2.0));
+        let erl = b.intern_distribution(Dist::erlang(2.0, 2));
+        let uni = b.intern_distribution(Dist::uniform(0.5, 1.5));
+        // Row 0 names states 1 and 2 before they are pushed.
+        assert_eq!(b.push_state(&[(1, 3.0, exp), (2, 1.0, det)]), 0);
+        assert_eq!(b.push_state(&[(2, 1.0, erl)]), 1);
+        assert_eq!(b.push_state(&[(0, 1.0, uni)]), 2);
+        let pushed = b.build().unwrap();
+        for s in 0..3 {
+            assert_eq!(pushed.transitions(s), by_source.transitions(s));
+        }
+        assert_eq!(pushed.num_transitions(), by_source.num_transitions());
+        assert_eq!(pushed.num_distributions(), by_source.num_distributions());
     }
 
     #[test]
@@ -524,6 +570,15 @@ mod tests {
     fn builder_rejects_bad_state() {
         let mut b = SmpBuilder::new(2);
         b.add_transition(0, 5, 1.0, Dist::exponential(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "target state 5 out of range")]
+    fn build_rejects_a_pushed_row_naming_no_state() {
+        let mut b = SmpBuilder::new(0);
+        let exp = b.intern_distribution(Dist::exponential(1.0));
+        b.push_state(&[(5, 1.0, exp)]);
+        let _ = b.build();
     }
 
     proptest! {

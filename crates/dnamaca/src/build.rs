@@ -1,29 +1,32 @@
 //! Assembling an executable SM-SPN from a parsed model.
 //!
-//! Each parsed transition becomes an `smp_smspn::TransitionSpec` whose guard, action,
-//! weight, priority and distribution closures interpret the corresponding AST
-//! fragments against the current marking.  Constants, initial markings and
-//! sojourn-time distributions that read no place are evaluated eagerly (they
-//! cannot depend on a marking).
+//! Every expression is resolved once, here (see [`crate::eval`]): constants
+//! and initial markings are evaluated on the spot, and each parsed transition
+//! becomes an `smp_smspn::TransitionSpec` whose guard, action, weight, priority
+//! and sojourn closures evaluate resolved trees against the marking's token
+//! counts.  A sojourn that reads no place is built once, here, so parameters
+//! that make no distribution are a model error; a piece that fails in some
+//! reachable marking is reported by the explorer, naming the transition and
+//! the marking.
 
 use crate::ast::ModelAst;
-use crate::eval::Environment;
-use smp_smspn::{Marking, SmSpn, TransitionSpec};
-use std::sync::Arc;
+use crate::eval::{Resolved, Scope};
+use smp_smspn::{SmSpn, TransitionSpec};
 
 /// Builds an SM-SPN from a parsed model.
 ///
 /// Returns a descriptive error for semantic problems: duplicate or unknown names,
 /// non-integer initial markings, assignments to unknown places, and so on.
 pub fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
-    let mut env = Environment::new();
+    let mut scope = Scope::new();
 
     // Constants first (they may reference earlier constants only).
     for (name, expr) in &model.constants {
-        let value = env
-            .eval(expr, None)
+        let value = scope
+            .resolve_constant(expr)
+            .and_then(|e| e.eval(&[]))
             .map_err(|e| format!("constant '{name}': {e}"))?;
-        env.define_constant(name.clone(), value);
+        scope.define_constant(name.clone(), value);
     }
 
     // Places and initial markings.
@@ -32,22 +35,22 @@ pub fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
     }
     let mut places = Vec::with_capacity(model.places.len());
     for (index, (name, expr)) in model.places.iter().enumerate() {
-        if env.place_index(name).is_some() {
+        if scope.place_index(name).is_some() {
             return Err(format!("duplicate place '{name}'"));
         }
-        let tokens = env
-            .eval(expr, None)
+        let tokens = scope
+            .resolve_constant(expr)
+            .and_then(|e| e.eval(&[]))
             .map_err(|e| format!("initial marking of '{name}': {e}"))?;
         if tokens < 0.0 || tokens.fract() != 0.0 {
             return Err(format!(
                 "initial marking of '{name}' must be a non-negative integer, got {tokens}"
             ));
         }
-        env.define_place(name.clone(), index);
+        scope.define_place(name.clone(), index);
         places.push((name.clone(), tokens as u32));
     }
 
-    let env = Arc::new(env);
     let mut net = SmSpn::new(places);
 
     if model.transitions.is_empty() {
@@ -55,102 +58,67 @@ pub fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
     }
 
     for t in &model.transitions {
-        // Validate action targets eagerly so that typos fail at build time, not
-        // during state-space exploration.
-        for assignment in &t.action {
-            if env.place_index(&assignment.place).is_none() {
-                return Err(format!(
-                    "transition '{}' assigns to unknown place '{}'",
-                    t.name, assignment.place
-                ));
-            }
-        }
-        // Validate the marking-independent pieces once against the initial marking
-        // so that obviously broken expressions are reported early.
-        let probe = net.initial_marking().clone();
-        if let Some(cond) = &t.condition {
-            env.eval_bool(cond, Some(&probe))
-                .map_err(|e| format!("transition '{}' condition: {e}", t.name))?;
-        }
-
+        let piece = |what: &str, e: String| format!("transition '{}' {what}: {e}", t.name);
         let mut spec = TransitionSpec::new(t.name.clone());
 
-        if let Some(cond) = t.condition.clone() {
-            let env_c = Arc::clone(&env);
-            spec = spec.guard(move |m| {
-                env_c
-                    .eval_bool(&cond, Some(m))
-                    .unwrap_or_else(|e| panic!("condition evaluation failed: {e}"))
-            });
+        if let Some(cond) = &t.condition {
+            let cond = scope.resolve(cond).map_err(|e| piece("condition", e))?;
+            spec = spec.guard(move |m| cond.eval_bool(m.as_slice()));
         }
 
         if !t.action.is_empty() {
-            let action = t.action.clone();
-            let env_c = Arc::clone(&env);
-            spec = spec.action(move |m| {
-                let mut next = m.clone();
-                // All right-hand sides are evaluated against the *current* marking,
-                // matching the `next->p = expr;` semantics of the language.
-                let mut updates = Vec::with_capacity(action.len());
-                for assignment in &action {
-                    let value = env_c
-                        .eval(&assignment.value, Some(m))
-                        .unwrap_or_else(|e| panic!("action evaluation failed: {e}"));
-                    assert!(
-                        value >= 0.0 && value.fract() == 0.0,
-                        "action assigns non-integer or negative token count {value} to '{}'",
-                        assignment.place
-                    );
-                    let index = env_c
-                        .place_index(&assignment.place)
-                        .expect("validated at build time");
-                    updates.push((index, value as u32));
+            // `(place index, place name, value)`; every right-hand side reads
+            // the *current* marking, matching the `next->p = expr;` semantics
+            // of the language, and writes `next` in statement order.
+            let mut assignments: Vec<(usize, String, Resolved)> = Vec::new();
+            for assignment in &t.action {
+                let index = scope.place_index(&assignment.place).ok_or_else(|| {
+                    format!(
+                        "transition '{}' assigns to unknown place '{}'",
+                        t.name, assignment.place
+                    )
+                })?;
+                let value = scope
+                    .resolve(&assignment.value)
+                    .map_err(|e| piece("action", e))?;
+                assignments.push((index, assignment.place.clone(), value));
+            }
+            spec = spec.action(move |m, next| {
+                for (index, place, value) in &assignments {
+                    let value = value.eval(m.as_slice())?;
+                    let tokens = whole(value).ok_or_else(|| {
+                        format!("assigns {value} to '{place}', which is not a token count")
+                    })?;
+                    next.set(*index, tokens);
                 }
-                for (index, value) in updates {
-                    next.set(index, value);
-                }
-                next
+                Ok(())
             });
         }
 
-        if let Some(weight) = t.weight.clone() {
-            let env_c = Arc::clone(&env);
-            spec = spec.weight_fn(move |m| {
-                env_c
-                    .eval(&weight, Some(m))
-                    .unwrap_or_else(|e| panic!("weight evaluation failed: {e}"))
-            });
+        if let Some(weight) = &t.weight {
+            let weight = scope.resolve(weight).map_err(|e| piece("weight", e))?;
+            spec = spec.weight_fn(move |m| weight.eval(m.as_slice()));
         }
 
-        if let Some(priority) = t.priority.clone() {
-            let env_c = Arc::clone(&env);
+        if let Some(priority) = &t.priority {
+            let priority = scope.resolve(priority).map_err(|e| piece("priority", e))?;
             spec = spec.priority_fn(move |m| {
-                let value = env_c
-                    .eval(&priority, Some(m))
-                    .unwrap_or_else(|e| panic!("priority evaluation failed: {e}"));
-                assert!(
-                    value >= 0.0 && value.fract() == 0.0,
-                    "priority must be a non-negative integer, got {value}"
-                );
-                value as u32
+                let value = priority.eval(m.as_slice())?;
+                whole(value).ok_or_else(|| format!("must be a non-negative integer, got {value}"))
             });
         }
 
-        if let Some(sojourn) = t.sojourn.clone() {
-            if env.dist_reads_marking(&sojourn) {
-                let env_c = Arc::clone(&env);
-                spec = spec.distribution_fn(move |m: &Marking| {
-                    env_c
-                        .eval_dist(&sojourn, Some(m))
-                        .unwrap_or_else(|e| panic!("sojourn-time evaluation failed: {e}"))
-                });
+        if let Some(sojourn) = &t.sojourn {
+            let sojourn = scope
+                .resolve_dist(sojourn)
+                .map_err(|e| piece("sojourn time", e))?;
+            if sojourn.reads_marking() {
+                spec = spec.distribution_fn(move |m| sojourn.eval(m.as_slice()));
             } else {
                 // One distribution in every marking: built once, here, so
                 // that parameters making no distribution are a model error
-                // rather than a panic in the middle of exploration.
-                let dist = env
-                    .eval_dist(&sojourn, None)
-                    .map_err(|e| format!("transition '{}' sojourn time: {e}", t.name))?;
+                // rather than a failure in the middle of exploration.
+                let dist = sojourn.eval(&[]).map_err(|e| piece("sojourn time", e))?;
                 spec = spec.distribution(dist);
             }
         }
@@ -159,6 +127,11 @@ pub fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
     }
 
     Ok(net)
+}
+
+/// `value` as a count, when it is a non-negative whole number.
+fn whole(value: f64) -> Option<u32> {
+    (value >= 0.0 && value.fract() == 0.0).then_some(value as u32)
 }
 
 #[cfg(test)]
@@ -178,6 +151,21 @@ mod tests {
         assert_eq!(net.initial_marking().as_slice(), &[4, 0]);
         let space = StateSpace::explore(&net).unwrap();
         assert_eq!(space.num_states(), 5);
+
+        // `q` names both a constant and a place: the constant wins, in the
+        // initial marking and in every marking-dependent piece alike.
+        let net = build("\\constant{q}{2} \\place{p}{q} \\place{q}{0} \\transition{t}{ \\condition{p > 0} \\action{ next->p = p - 1; next->q = q + 3; } \\weight{q} \\sojourntimeLT{erlangLT(1, q, s)} } \\transition{back}{ \\condition{p == 0} \\action{ next->p = 2; next->q = 0; } \\sojourntimeLT{expLT(1,s)} }").unwrap();
+        assert_eq!(net.initial_marking().as_slice(), &[2, 0]);
+        let space = StateSpace::explore(&net).unwrap();
+        // The place `q` is written as the constant plus 3, never read: it is 5
+        // after every `t`.
+        assert_eq!(space.marking(1).as_slice(), &[1, 5]);
+        assert_eq!(space.marking(2).as_slice(), &[0, 5]);
+        let smp = space.smp();
+        for state in 0..2 {
+            let out = smp.transitions(state);
+            assert_eq!(smp.distribution(out[0].dist), &Dist::erlang(1.0, 2));
+        }
     }
 
     #[test]
@@ -260,6 +248,53 @@ mod tests {
             build("\\place{p}{1} \\transition{t}{ \\sojourntimeLT{ return 0 * expLT(2.0, s); } }")
                 .unwrap_err();
         assert!(err.contains("transition 't' sojourn time"), "{err}");
+    }
+
+    #[test]
+    fn a_piece_failing_in_a_reachable_marking_is_a_typed_exploration_error() {
+        use smp_smspn::reachability::ReachabilityError;
+        let two_places = |ab: &str| {
+            format!(
+                "\\place{{a}}{{1}} \\place{{b}}{{0}} \\transition{{ab}}{{ {ab} }} \\transition{{ba}}{{ \\condition{{b > 0}} \\action{{ next->b = b - 1; next->a = a + 1; }} \\sojourntimeLT{{expLT(1,s)}} }}"
+            )
+        };
+        for (ab, expect) in [
+            (
+                "\\condition{a > 0} \\action{ next->a = a - 1; next->b = b + 1; } \\weight{1 / b}",
+                "weight: division by zero",
+            ),
+            (
+                "\\condition{a > 0} \\action{ next->a = a - 1; next->b = b + 1; } \\sojourntimeLT{ expLT(b, s) }",
+                "sojourn time: expLT: exponential rate must be positive and finite, got 0",
+            ),
+            (
+                "\\condition{a > 0} \\action{ next->a = a - 1; next->b = b + 1; } \\priority{a / 2}",
+                "priority: must be a non-negative integer, got 0.5",
+            ),
+            (
+                "\\condition{a > 0} \\action{ next->a = a - 2; next->b = b + 1; }",
+                "action: assigns -1 to 'a', which is not a token count",
+            ),
+            (
+                "\\condition{a > 0} \\action{ next->a = a - 1; next->b = b + 0.5; }",
+                "action: assigns 0.5 to 'b', which is not a token count",
+            ),
+            ("\\condition{ 1 / b > 0 }", "guard: division by zero"),
+        ] {
+            let net = build(&two_places(ab)).unwrap();
+            match StateSpace::explore(&net) {
+                Err(ReachabilityError::Evaluation {
+                    transition,
+                    marking,
+                    message,
+                }) => {
+                    assert_eq!(transition, "ab", "{ab}");
+                    assert_eq!(marking, vec![1, 0], "{ab}");
+                    assert_eq!(message, expect, "{ab}");
+                }
+                other => panic!("{ab}: expected an evaluation error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //! token count) and constants.  `%` starts a comment that runs to the end of line.
 //!
 //! The crate is organised as a conventional pipeline:
-//! [`lexer`] → [`parser`] (producing the [`ast`]) → [`eval`] (expression evaluation
-//! against a marking) → [`build`] (assembling an `smp_smspn::SmSpn` whose closures
-//! interpret the parsed expressions).  [`parse_model`] runs the whole pipeline.
+//! [`lexer`] → [`parser`] (producing the [`ast`]) → [`eval`] (resolving every
+//! identifier of an expression, once, to a constant value or a place index) →
+//! [`build`] (assembling an `smp_smspn::SmSpn` whose closures evaluate the
+//! resolved expressions against a marking's token counts).  [`parse_model`] runs
+//! the whole pipeline.
 
 #![forbid(unsafe_code)]
 

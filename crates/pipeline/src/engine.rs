@@ -40,7 +40,7 @@
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
 use crate::cache::LruMemo;
-use crate::master::{DistributedPipeline, PipelineOptions};
+use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{ModelSpec, ResolveTarget, TargetResolveError, TransformSpec};
 use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
@@ -323,7 +323,10 @@ impl DistributedEngine {
     ) -> Result<BatchResult, EngineError> {
         pipeline
             .execute(job, self.transport.as_ref())
-            .map_err(|e| EngineError::Analysis(e.to_string()))
+            .map_err(|e| match e {
+                PipelineError::Model { message } => EngineError::Model(message),
+                e => EngineError::Analysis(e.to_string()),
+            })
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::batch::{BatchJob, BatchResult, MeasureResult};
 use crate::cache::ResultCache;
 use crate::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
+use crate::transform::CompileError;
 use crate::transport::{ExecutionPlan, Transport, TransportReport};
 use crate::work::WorkItem;
 use smp_laplace::{union_s_points, InversionMethod, SPointPlan, TransformValues};
@@ -77,6 +78,12 @@ pub enum PipelineError {
         /// Name of the measure whose plan is not fully covered.
         measure: String,
     },
+    /// A spec's model does not parse or build, or its state space cannot be
+    /// explored.
+    Model {
+        /// Description of the model's fault.
+        message: String,
+    },
     /// The transport backend itself failed: a spec would not compile or
     /// encode, or every worker was lost with work outstanding.
     Transport {
@@ -95,12 +102,22 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Incomplete { measure } => {
                 write!(f, "measure '{measure}' has unevaluated transform points")
             }
+            PipelineError::Model { message } => write!(f, "model error: {message}"),
             PipelineError::Transport { message } => write!(f, "transport error: {message}"),
         }
     }
 }
 
 impl std::error::Error for PipelineError {}
+
+impl From<CompileError> for PipelineError {
+    fn from(e: CompileError) -> Self {
+        match e {
+            CompileError::Model(message) => PipelineError::Model { message },
+            CompileError::Spec(message) => PipelineError::Transport { message },
+        }
+    }
+}
 
 impl From<std::io::Error> for PipelineError {
     fn from(e: std::io::Error) -> Self {

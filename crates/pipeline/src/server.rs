@@ -1696,6 +1696,24 @@ mod tests {
                   \sojourntimeLT{ return expLT(1.0, s); } }"
                 .to_string(),
         );
+        // Exploration reaches a marking where an expression has no value: a
+        // weight `1/b` with `b = 0`, and a sojourn `expLT(b, s)` with `b = 0`.
+        let weight_divides_by_zero = ModelSpec::Dnamaca(
+            r"\place{a}{1} \place{b}{0}
+              \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+                  \weight{1 / b} \sojourntimeLT{ return expLT(2.0, s); } }
+              \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
+                  \sojourntimeLT{ return expLT(1.0, s); } }"
+                .to_string(),
+        );
+        let sojourn_rate_zero = ModelSpec::Dnamaca(
+            r"\place{a}{1} \place{b}{0}
+              \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+                  \sojourntimeLT{ return expLT(b, s); } }
+              \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
+                  \sojourntimeLT{ return expLT(1.0, s); } }"
+                .to_string(),
+        );
         let server = QueryServer::bind(QueryServerOptions {
             pool: PoolSpec::InProcess(1),
             ..QueryServerOptions::default()
@@ -1704,19 +1722,21 @@ mod tests {
         let addr = server.local_addr().unwrap().to_string();
         std::thread::scope(|scope| {
             let running = scope.spawn(|| server.run());
-            for engine in ["auto", "analytic", "distributed"] {
-                let request = QueryRequest {
-                    model: zero_weight.clone(),
-                    engine: engine.to_string(),
-                    measures: vec!["density:b>=1".to_string()],
-                    ..sample_request()
-                };
-                let mut client = crate::client::QueryClient::connect(&addr).unwrap();
-                match client.query(&request) {
-                    Err(crate::client::QueryError::Refused(refusal)) => {
-                        assert_eq!(refusal.kind, RefusalKind::Model, "{engine}: {refusal}");
+            for model in [zero_weight, weight_divides_by_zero, sojourn_rate_zero] {
+                for engine in ["auto", "analytic", "distributed"] {
+                    let request = QueryRequest {
+                        model: model.clone(),
+                        engine: engine.to_string(),
+                        measures: vec!["density:b>=1".to_string()],
+                        ..sample_request()
+                    };
+                    let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+                    match client.query(&request) {
+                        Err(crate::client::QueryError::Refused(refusal)) => {
+                            assert_eq!(refusal.kind, RefusalKind::Model, "{engine}: {refusal}");
+                        }
+                        other => panic!("{engine}: expected a model refusal, got {other:?}"),
                     }
-                    other => panic!("{engine}: expected a model refusal, got {other:?}"),
                 }
             }
             let mut client = crate::client::QueryClient::connect(&addr).unwrap();

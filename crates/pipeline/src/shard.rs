@@ -944,10 +944,7 @@ impl ShardedTransport {
         for (spec, items) in groups {
             let points: Vec<Complex64> = items.iter().map(|item| item.s).collect();
             if !matches!(spec, TransformSpec::Passage { .. }) {
-                let (set, hit) = fleet
-                    .fallback
-                    .get_or_compile(std::slice::from_ref(spec))
-                    .map_err(transport_error)?;
+                let (set, hit) = fleet.fallback.get_or_compile(std::slice::from_ref(spec))?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
                 for (&item, outcome) in items.iter().zip(evaluator.eval_many(&points)) {
                     deliver(item, outcome);

@@ -406,6 +406,31 @@ struct ResolvedSpec {
     dist: Option<Dist>,
 }
 
+/// Why a spec list would not compile.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CompileError {
+    /// A model does not parse or build, or its state space cannot be
+    /// explored: the model itself is at fault, whatever is asked of it.
+    Model(String),
+    /// A spec does not fit its model (no marking matches its target) or
+    /// names an invalid analytic distribution.
+    Spec(String),
+}
+
+impl std::fmt::Display for CompileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CompileError::Model(message) | CompileError::Spec(message) => f.write_str(message),
+        }
+    }
+}
+
+impl From<CompileError> for String {
+    fn from(e: CompileError) -> String {
+        e.to_string()
+    }
+}
+
 /// A set of parsed-and-explored models shared by the evaluators of one job.
 ///
 /// Workers compile the measures' specs in two steps: this set owns the heavy
@@ -431,7 +456,7 @@ impl std::fmt::Debug for CompiledModelSet {
 impl CompiledModelSet {
     /// Parses and explores every distinct model among `specs`, in order.
     /// Returns an error naming the first spec that fails to compile.
-    pub fn compile(specs: &[TransformSpec]) -> Result<CompiledModelSet, String> {
+    pub fn compile(specs: &[TransformSpec]) -> Result<CompiledModelSet, CompileError> {
         let mut models: Vec<(String, smp_smspn::SmSpn, StateSpace)> = Vec::new();
         let mut resolved = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -443,13 +468,13 @@ impl CompiledModelSet {
     fn resolve(
         spec: &TransformSpec,
         models: &mut Vec<(String, smp_smspn::SmSpn, StateSpace)>,
-    ) -> Result<ResolvedSpec, String> {
+    ) -> Result<ResolvedSpec, CompileError> {
         match spec {
             TransformSpec::Analytic(dist) => Ok(ResolvedSpec {
                 model: None,
                 targets: None,
                 transient: false,
-                dist: Some(dist.to_dist()?),
+                dist: Some(dist.to_dist().map_err(CompileError::Spec)?),
             }),
             TransformSpec::Passage { model, targets }
             | TransformSpec::Transient { model, targets } => {
@@ -459,9 +484,10 @@ impl CompiledModelSet {
                     None => {
                         let source = model.source();
                         let net = smp_dnamaca::parse_model(&source)
-                            .map_err(|e| format!("model parse error: {e}"))?;
-                        let space = StateSpace::explore(&net)
-                            .map_err(|e| format!("state-space exploration failed: {e}"))?;
+                            .map_err(|e| CompileError::Model(format!("model parse error: {e}")))?;
+                        let space = StateSpace::explore(&net).map_err(|e| {
+                            CompileError::Model(format!("state-space exploration failed: {e}"))
+                        })?;
                         models.push((fingerprint, net, space));
                         models.len() - 1
                     }
@@ -470,7 +496,9 @@ impl CompiledModelSet {
                 // fails at compile time, not at the first s-point) and does
                 // the full state-space scan exactly once.
                 let (_, net, space) = &models[index];
-                let target_states = targets.resolve(net, space).map_err(|e| e.to_string())?;
+                let target_states = targets
+                    .resolve(net, space)
+                    .map_err(|e| CompileError::Spec(e.to_string()))?;
                 Ok(ResolvedSpec {
                     model: Some(index),
                     targets: Some(target_states),
@@ -565,7 +593,7 @@ impl CompiledSetCache {
     pub fn get_or_compile(
         &self,
         specs: &[TransformSpec],
-    ) -> Result<(std::sync::Arc<CompiledModelSet>, bool), String> {
+    ) -> Result<(std::sync::Arc<CompiledModelSet>, bool), CompileError> {
         let compile = || CompiledModelSet::compile(specs).map(std::sync::Arc::new);
         let mut key = String::new();
         for spec in specs {
@@ -824,16 +852,30 @@ mod tests {
     fn bad_specs_fail_at_compile_time() {
         let missing_place = TransformSpec::passage(voting(), pred("nosuch>=1"));
         let err = CompiledModelSet::compile(std::slice::from_ref(&missing_place)).unwrap_err();
-        assert!(err.contains("nosuch"), "{err}");
+        assert!(err.to_string().contains("nosuch"), "{err}");
 
         let empty = TransformSpec::passage(voting(), pred("p2>=99"));
         let err = CompiledModelSet::compile(std::slice::from_ref(&empty)).unwrap_err();
-        assert!(err.contains("no reachable marking"), "{err}");
+        assert!(err.to_string().contains("no reachable marking"), "{err}");
 
         let unparsable =
             TransformSpec::passage(ModelSpec::Dnamaca("\\bogus{".into()), pred("p>=1"));
         let err = CompiledModelSet::compile(std::slice::from_ref(&unparsable)).unwrap_err();
-        assert!(err.contains("parse"), "{err}");
+        assert!(
+            matches!(&err, CompileError::Model(m) if m.contains("parse")),
+            "{err}"
+        );
+
+        // A model that parses but fails to explore is the model's fault too.
+        let divides_by_zero = ModelSpec::Dnamaca(
+            "\\place{p}{0} \\transition{t}{ \\weight{1 / p} \\action{ next->p = 1; } }".into(),
+        );
+        let spec = TransformSpec::passage(divides_by_zero, pred("p>=1"));
+        let err = CompiledModelSet::compile(std::slice::from_ref(&spec)).unwrap_err();
+        assert!(
+            matches!(&err, CompileError::Model(m) if m.contains("division by zero")),
+            "{err}"
+        );
 
         // Distribution parameters that decode but make no distribution.
         for dist in [

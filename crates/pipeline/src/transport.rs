@@ -257,9 +257,7 @@ fn run_threaded(
     // job frame — and, like that worker, a repeated spec list reuses the
     // explored state space instead.
     let specs: Vec<TransformSpec> = plan.specs.iter().map(|&spec| spec.clone()).collect();
-    let (compiled_set, cache_hit) = compiled_cache
-        .get_or_compile(&specs)
-        .map_err(transport_error)?;
+    let (compiled_set, cache_hit) = compiled_cache.get_or_compile(&specs)?;
     let (model_cache_hits, model_cache_misses) = if cache_hit {
         (compiled_set.num_models(), 0)
     } else {

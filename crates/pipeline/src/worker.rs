@@ -570,7 +570,7 @@ fn serve_chunks(
         .iter()
         .map(|l| TransformSpec::decode(l).map_err(|e| e.to_string()))
         .collect::<Result<Vec<_>, _>>()
-        .and_then(|specs| compiled.get_or_compile(&specs))
+        .and_then(|specs| compiled.get_or_compile(&specs).map_err(String::from))
     {
         Ok((set, _)) => set,
         Err(message) => return Err(format!("spec compile failed: {}", fatal(link, message))),

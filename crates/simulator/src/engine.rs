@@ -68,8 +68,22 @@ impl<'a> SimulationEngine<'a> {
 
     /// Executes one firing.  Returns `None` when no transition is enabled (the net
     /// deadlocks), leaving the state unchanged.
+    ///
+    /// # Panics
+    /// Panics when a guard, priority, weight, action or sojourn time of the net
+    /// cannot be evaluated in the current marking; exploring the net reports
+    /// the same failure as a typed error.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Step> {
-        let choices = firing_probabilities(self.net, &self.marking);
+        let net = self.net;
+        let current = &self.marking;
+        let failed = |transition: usize, message: String| -> ! {
+            panic!(
+                "transition '{}' in marking {current}: {message}",
+                net.transitions()[transition].name()
+            )
+        };
+        let choices =
+            firing_probabilities(net, current).unwrap_or_else(|e| failed(e.transition, e.message));
         if choices.is_empty() {
             return None;
         }
@@ -83,10 +97,16 @@ impl<'a> SimulationEngine<'a> {
             }
             u -= probability;
         }
-        let spec = &self.net.transitions()[chosen];
-        let delay = spec.distribution_in(&self.marking).sample(rng);
+        let spec = &net.transitions()[chosen];
+        let delay = spec
+            .distribution_in(current)
+            .unwrap_or_else(|message| failed(chosen, message))
+            .sample(rng);
+        let mut next = current.clone();
+        spec.fire(current, &mut next)
+            .unwrap_or_else(|message| failed(chosen, message));
         self.clock += delay;
-        self.marking = spec.fire(&self.marking);
+        self.marking = next;
         self.steps += 1;
         Some(Step {
             transition: chosen,

@@ -12,53 +12,108 @@
 use crate::marking::Marking;
 use crate::net::SmSpn;
 
+/// A transition whose guard, priority or weight could not be evaluated in a
+/// marking, or a priority-enabled set whose weights do not sum to a positive
+/// total (then `transition` is the set's first member).
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvaluationError {
+    /// Index of the transition in `net.transitions()`.
+    pub transition: usize,
+    /// What failed, prefixed with the piece it came from.
+    pub message: String,
+}
+
 /// The net-enabled transitions `EN(m)` (indices into `net.transitions()`).
-pub fn net_enabled(net: &SmSpn, m: &Marking) -> Vec<usize> {
-    net.transitions()
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.is_net_enabled(m))
-        .map(|(i, _)| i)
-        .collect()
+pub fn net_enabled(net: &SmSpn, m: &Marking) -> Result<Vec<usize>, EvaluationError> {
+    let mut enabled = Vec::new();
+    for (i, t) in net.transitions().iter().enumerate() {
+        if t.is_net_enabled(m).map_err(|message| EvaluationError {
+            transition: i,
+            message,
+        })? {
+            enabled.push(i);
+        }
+    }
+    Ok(enabled)
 }
 
 /// The priority-enabled transitions `EP(m)`: the net-enabled transitions whose
 /// priority equals the maximum priority among net-enabled transitions.
-pub fn priority_enabled(net: &SmSpn, m: &Marking) -> Vec<usize> {
-    let enabled = net_enabled(net, m);
-    if enabled.is_empty() {
-        return enabled;
-    }
-    let max_priority = enabled
-        .iter()
-        .map(|&i| net.transitions()[i].priority_in(m))
-        .max()
-        .expect("non-empty enabled set");
-    enabled
-        .into_iter()
-        .filter(|&i| net.transitions()[i].priority_in(m) == max_priority)
-        .collect()
+pub fn priority_enabled(net: &SmSpn, m: &Marking) -> Result<Vec<usize>, EvaluationError> {
+    let mut enabled = Vec::new();
+    fill_priority_enabled(net, m, &mut enabled)?;
+    Ok(enabled.into_iter().map(|(i, _)| i).collect())
 }
 
 /// Firing probabilities of the priority-enabled transitions in `m`, as
 /// `(transition index, probability)` pairs — the paper's
 /// `P(t fires) = w_t(m) / Σ_{t'∈EP(m)} w_{t'}(m)`.
-pub fn firing_probabilities(net: &SmSpn, m: &Marking) -> Vec<(usize, f64)> {
-    let enabled = priority_enabled(net, m);
-    let weights: Vec<f64> = enabled
-        .iter()
-        .map(|&i| net.transitions()[i].weight_in(m))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    assert!(
-        total > 0.0 || enabled.is_empty(),
-        "priority-enabled transitions have zero total weight in marking {m}"
-    );
-    enabled
-        .into_iter()
-        .zip(weights)
-        .map(|(i, w)| (i, w / total))
-        .collect()
+pub fn firing_probabilities(
+    net: &SmSpn,
+    m: &Marking,
+) -> Result<Vec<(usize, f64)>, EvaluationError> {
+    let mut firings = Vec::new();
+    firing_probabilities_into(net, m, &mut firings)?;
+    Ok(firings)
+}
+
+/// [`firing_probabilities`] into a caller-owned buffer, so a state-space walk
+/// allocates nothing per marking.
+pub fn firing_probabilities_into(
+    net: &SmSpn,
+    m: &Marking,
+    out: &mut Vec<(usize, f64)>,
+) -> Result<(), EvaluationError> {
+    fill_priority_enabled(net, m, out)?;
+    for (i, weight) in out.iter_mut() {
+        *weight = net.transitions()[*i]
+            .weight_in(m)
+            .map_err(|message| EvaluationError {
+                transition: *i,
+                message,
+            })?;
+    }
+    let total: f64 = out.iter().map(|&(_, w)| w).sum();
+    if let Some(&(first, _)) = out.first() {
+        if total.is_nan() || total <= 0.0 {
+            return Err(EvaluationError {
+                transition: first,
+                message: format!("priority-enabled transitions have total weight {total}"),
+            });
+        }
+    }
+    for (_, weight) in out.iter_mut() {
+        *weight /= total;
+    }
+    Ok(())
+}
+
+/// Fills `out` with `EP(m)` in transition order, each paired with its
+/// priority (exact in an `f64`), evaluating every guard and priority once.
+fn fill_priority_enabled(
+    net: &SmSpn,
+    m: &Marking,
+    out: &mut Vec<(usize, f64)>,
+) -> Result<(), EvaluationError> {
+    out.clear();
+    let mut max_priority = 0;
+    for (i, t) in net.transitions().iter().enumerate() {
+        let fail = |message| EvaluationError {
+            transition: i,
+            message,
+        };
+        if !t.is_net_enabled(m).map_err(fail)? {
+            continue;
+        }
+        let priority = t.priority_in(m).map_err(fail)?;
+        if out.is_empty() || priority > max_priority {
+            max_priority = priority;
+        }
+        out.push((i, f64::from(priority)));
+    }
+    let max_priority = f64::from(max_priority);
+    out.retain(|&(_, priority)| priority == max_priority);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -102,21 +157,21 @@ mod tests {
     fn net_enabled_ignores_priority() {
         let net = priority_net();
         let m = net.initial_marking().clone();
-        assert_eq!(net_enabled(&net, &m), vec![0, 1, 2]);
+        assert_eq!(net_enabled(&net, &m), Ok(vec![0, 1, 2]));
     }
 
     #[test]
     fn priority_enabled_keeps_only_highest() {
         let net = priority_net();
         let m = net.initial_marking().clone();
-        assert_eq!(priority_enabled(&net, &m), vec![1, 2]);
+        assert_eq!(priority_enabled(&net, &m), Ok(vec![1, 2]));
     }
 
     #[test]
     fn firing_probabilities_normalise_weights() {
         let net = priority_net();
         let m = net.initial_marking().clone();
-        let probs = firing_probabilities(&net, &m);
+        let probs = firing_probabilities(&net, &m).unwrap();
         assert_eq!(probs.len(), 2);
         assert_eq!(probs[0].0, 1);
         assert!((probs[0].1 - 0.25).abs() < 1e-12);
@@ -127,9 +182,9 @@ mod tests {
     fn empty_marking_enables_nothing() {
         let net = priority_net();
         let m = crate::Marking::new(vec![0, 0, 0, 0]);
-        assert!(net_enabled(&net, &m).is_empty());
-        assert!(priority_enabled(&net, &m).is_empty());
-        assert!(firing_probabilities(&net, &m).is_empty());
+        assert_eq!(net_enabled(&net, &m), Ok(vec![]));
+        assert_eq!(priority_enabled(&net, &m), Ok(vec![]));
+        assert_eq!(firing_probabilities(&net, &m), Ok(vec![]));
     }
 
     #[test]
@@ -146,12 +201,33 @@ mod tests {
             TransitionSpec::new("urgent_when_two")
                 .consumes(0, 1)
                 .produces(1, 1)
-                .priority_fn(|m| if m.get(0) >= 2 { 5 } else { 1 })
+                .priority_fn(|m| Ok(if m.get(0) >= 2 { 5 } else { 1 }))
                 .distribution(Dist::exponential(1.0)),
         );
         let two = crate::Marking::new(vec![2, 0]);
         let one = crate::Marking::new(vec![1, 0]);
-        assert_eq!(priority_enabled(&net, &two), vec![1]);
-        assert_eq!(priority_enabled(&net, &one), vec![0, 1]);
+        assert_eq!(priority_enabled(&net, &two), Ok(vec![1]));
+        assert_eq!(priority_enabled(&net, &one), Ok(vec![0, 1]));
+    }
+
+    #[test]
+    fn evaluation_failures_name_the_transition() {
+        let mut net = SmSpn::with_places(&[("p", 1)]);
+        net.add_transition(TransitionSpec::new("fine").consumes(0, 1));
+        net.add_transition(
+            TransitionSpec::new("broken")
+                .consumes(0, 1)
+                .weight_fn(|_| Err("division by zero".into())),
+        );
+        let m = net.initial_marking().clone();
+        let err = firing_probabilities(&net, &m).unwrap_err();
+        assert_eq!(err.transition, 1);
+        assert_eq!(err.message, "weight: division by zero");
+
+        let mut zero = SmSpn::with_places(&[("p", 1)]);
+        zero.add_transition(TransitionSpec::new("nothing").weight_fn(|_| Ok(0.0)));
+        let err = firing_probabilities(&zero, &m).unwrap_err();
+        assert_eq!(err.transition, 0);
+        assert!(err.message.contains("total weight 0"), "{}", err.message);
     }
 }

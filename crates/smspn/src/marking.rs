@@ -72,6 +72,12 @@ impl Marking {
         self.tokens[p] -= count;
     }
 
+    /// Overwrites every token count with `other`'s (same number of places).
+    #[inline]
+    pub fn copy_from(&mut self, other: &Marking) {
+        self.tokens.copy_from_slice(&other.tokens);
+    }
+
     /// Total number of tokens in the marking.
     pub fn total_tokens(&self) -> u32 {
         self.tokens.iter().sum()
@@ -141,6 +147,8 @@ mod tests {
         m.remove(0, 2);
         m.set(0, 5);
         assert_eq!(m.as_slice(), &[5, 4]);
+        m.copy_from(&Marking::new(vec![7, 0]));
+        assert_eq!(m.as_slice(), &[7, 0]);
     }
 
     #[test]

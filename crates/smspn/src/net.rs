@@ -7,14 +7,32 @@
 //! and firing effect can be given either through classic input/output arcs or through
 //! arbitrary guard/action closures — the latter is what the DNAmaca-style
 //! `\condition{...}` / `\action{...}` blocks compile into.
+//!
+//! Every marking-dependent piece may fail to evaluate (a division by zero, a
+//! sojourn whose parameters make no distribution), so its closure returns
+//! `Result<_, String>`, and the evaluation methods return the failure,
+//! prefixed with the piece it came from, for the caller to name the
+//! transition and the marking.
 
 use crate::marking::Marking;
 use smp_distributions::Dist;
 use std::fmt;
 use std::sync::Arc;
 
-/// A marking-dependent value.
-pub type MarkingFn<T> = Arc<dyn Fn(&Marking) -> T + Send + Sync>;
+/// A marking-dependent value; `Err` says why it has none in that marking.
+pub type MarkingFn<T> = Arc<dyn Fn(&Marking) -> Result<T, String> + Send + Sync>;
+
+/// A firing effect: writes the successor of the first marking into the
+/// second, which enters holding a copy of the first.
+pub type ActionFn = Arc<dyn Fn(&Marking, &mut Marking) -> Result<(), String> + Send + Sync>;
+
+/// A transition's firing-time distribution: one for every marking, or a
+/// function of the marking.
+#[derive(Clone)]
+enum Sojourn {
+    Fixed(Dist),
+    Marking(MarkingFn<Dist>),
+}
 
 /// One transition of an SM-SPN.
 #[derive(Clone)]
@@ -29,10 +47,10 @@ pub struct TransitionSpec {
     /// Optional replacement firing effect; when present it overrides the arc-based
     /// consume/produce effect entirely (used by DNAmaca `\action` blocks that assign
     /// arbitrary expressions to places).
-    action: Option<MarkingFn<Marking>>,
+    action: Option<ActionFn>,
     priority: MarkingFn<u32>,
     weight: MarkingFn<f64>,
-    distribution: MarkingFn<Dist>,
+    sojourn: Sojourn,
 }
 
 impl fmt::Debug for TransitionSpec {
@@ -58,9 +76,9 @@ impl TransitionSpec {
             produce: Vec::new(),
             guard: None,
             action: None,
-            priority: Arc::new(|_| 1),
-            weight: Arc::new(|_| 1.0),
-            distribution: Arc::new(|_| Dist::immediate()),
+            priority: Arc::new(|_| Ok(1)),
+            weight: Arc::new(|_| Ok(1.0)),
+            sojourn: Sojourn::Fixed(Dist::immediate()),
         }
     }
 
@@ -77,25 +95,36 @@ impl TransitionSpec {
     }
 
     /// Sets an additional marking-dependent enabling condition.
-    pub fn guard(mut self, guard: impl Fn(&Marking) -> bool + Send + Sync + 'static) -> Self {
+    pub fn guard(
+        mut self,
+        guard: impl Fn(&Marking) -> Result<bool, String> + Send + Sync + 'static,
+    ) -> Self {
         self.guard = Some(Arc::new(guard));
         self
     }
 
-    /// Replaces the arc-based firing effect with an arbitrary marking transformer.
-    pub fn action(mut self, action: impl Fn(&Marking) -> Marking + Send + Sync + 'static) -> Self {
+    /// Replaces the arc-based firing effect with an arbitrary marking
+    /// transformer: `action(m, next)` writes the successor of `m` into `next`,
+    /// which enters holding a copy of `m`.
+    pub fn action(
+        mut self,
+        action: impl Fn(&Marking, &mut Marking) -> Result<(), String> + Send + Sync + 'static,
+    ) -> Self {
         self.action = Some(Arc::new(action));
         self
     }
 
     /// Sets a constant priority.
     pub fn priority(mut self, priority: u32) -> Self {
-        self.priority = Arc::new(move |_| priority);
+        self.priority = Arc::new(move |_| Ok(priority));
         self
     }
 
     /// Sets a marking-dependent priority.
-    pub fn priority_fn(mut self, f: impl Fn(&Marking) -> u32 + Send + Sync + 'static) -> Self {
+    pub fn priority_fn(
+        mut self,
+        f: impl Fn(&Marking) -> Result<u32, String> + Send + Sync + 'static,
+    ) -> Self {
         self.priority = Arc::new(f);
         self
     }
@@ -106,26 +135,32 @@ impl TransitionSpec {
             weight > 0.0 && weight.is_finite(),
             "weight must be positive"
         );
-        self.weight = Arc::new(move |_| weight);
+        self.weight = Arc::new(move |_| Ok(weight));
         self
     }
 
     /// Sets a marking-dependent weight.
-    pub fn weight_fn(mut self, f: impl Fn(&Marking) -> f64 + Send + Sync + 'static) -> Self {
+    pub fn weight_fn(
+        mut self,
+        f: impl Fn(&Marking) -> Result<f64, String> + Send + Sync + 'static,
+    ) -> Self {
         self.weight = Arc::new(f);
         self
     }
 
     /// Sets a constant firing-time distribution.
     pub fn distribution(mut self, dist: Dist) -> Self {
-        self.distribution = Arc::new(move |_| dist.clone());
+        self.sojourn = Sojourn::Fixed(dist);
         self
     }
 
     /// Sets a marking-dependent firing-time distribution (the paper's
     /// `\sojourntimeLT{...}` pragma with marking-dependent parameters).
-    pub fn distribution_fn(mut self, f: impl Fn(&Marking) -> Dist + Send + Sync + 'static) -> Self {
-        self.distribution = Arc::new(f);
+    pub fn distribution_fn(
+        mut self,
+        f: impl Fn(&Marking) -> Result<Dist, String> + Send + Sync + 'static,
+    ) -> Self {
+        self.sojourn = Sojourn::Marking(Arc::new(f));
         self
     }
 
@@ -136,49 +171,62 @@ impl TransitionSpec {
 
     /// True when the transition is *net-enabled* in `m`: all input arcs are covered
     /// and the guard (if any) holds.
-    pub fn is_net_enabled(&self, m: &Marking) -> bool {
+    pub fn is_net_enabled(&self, m: &Marking) -> Result<bool, String> {
         for &(place, count) in &self.consume {
             if !m.has_at_least(place, count) {
-                return false;
+                return Ok(false);
             }
         }
         match &self.guard {
-            Some(g) => g(m),
-            None => true,
+            Some(g) => g(m).map_err(|e| format!("guard: {e}")),
+            None => Ok(true),
         }
     }
 
-    /// The marking reached by firing the transition in `m`.
+    /// Writes the marking reached by firing the transition in `m` into `next`
+    /// (any marking with as many places; its old tokens are overwritten).
     ///
     /// # Panics
     /// Panics when fired in a marking where it is not enabled (token underflow).
-    pub fn fire(&self, m: &Marking) -> Marking {
+    pub fn fire(&self, m: &Marking, next: &mut Marking) -> Result<(), String> {
+        next.copy_from(m);
         if let Some(action) = &self.action {
-            return action(m);
+            return action(m, next).map_err(|e| format!("action: {e}"));
         }
-        let mut next = m.clone();
         for &(place, count) in &self.consume {
             next.remove(place, count);
         }
         for &(place, count) in &self.produce {
             next.add(place, count);
         }
-        next
+        Ok(())
     }
 
     /// The transition's priority in `m`.
-    pub fn priority_in(&self, m: &Marking) -> u32 {
-        (self.priority)(m)
+    pub fn priority_in(&self, m: &Marking) -> Result<u32, String> {
+        (self.priority)(m).map_err(|e| format!("priority: {e}"))
     }
 
     /// The transition's weight in `m`.
-    pub fn weight_in(&self, m: &Marking) -> f64 {
-        (self.weight)(m)
+    pub fn weight_in(&self, m: &Marking) -> Result<f64, String> {
+        (self.weight)(m).map_err(|e| format!("weight: {e}"))
     }
 
     /// The transition's firing-time distribution in `m`.
-    pub fn distribution_in(&self, m: &Marking) -> Dist {
-        (self.distribution)(m)
+    pub fn distribution_in(&self, m: &Marking) -> Result<Dist, String> {
+        match &self.sojourn {
+            Sojourn::Fixed(dist) => Ok(dist.clone()),
+            Sojourn::Marking(f) => f(m).map_err(|e| format!("sojourn time: {e}")),
+        }
+    }
+
+    /// The distribution the transition fires with in every marking, when it
+    /// does not depend on the marking.
+    pub fn fixed_distribution(&self) -> Option<&Dist> {
+        match &self.sojourn {
+            Sojourn::Fixed(dist) => Some(dist),
+            Sojourn::Marking(_) => None,
+        }
     }
 }
 
@@ -293,12 +341,15 @@ mod tests {
         let m0 = net.initial_marking().clone();
         let t0 = &net.transitions()[0];
         let t1 = &net.transitions()[1];
-        assert!(t0.is_net_enabled(&m0));
-        assert!(!t1.is_net_enabled(&m0));
-        let m1 = t0.fire(&m0);
+        assert_eq!(t0.is_net_enabled(&m0), Ok(true));
+        assert_eq!(t1.is_net_enabled(&m0), Ok(false));
+        let mut m1 = Marking::empty(2);
+        t0.fire(&m0, &mut m1).unwrap();
         assert_eq!(m1.as_slice(), &[0, 1]);
-        assert!(t1.is_net_enabled(&m1));
-        assert_eq!(t1.fire(&m1).as_slice(), &[1, 0]);
+        assert_eq!(t1.is_net_enabled(&m1), Ok(true));
+        let mut back = Marking::empty(2);
+        t1.fire(&m1, &mut back).unwrap();
+        assert_eq!(back.as_slice(), &[1, 0]);
     }
 
     #[test]
@@ -307,16 +358,19 @@ mod tests {
         net.add_transition(
             TransitionSpec::new("drain")
                 .consumes(0, 1)
-                .guard(|m| m.get(0) > 3)
+                .guard(|m| Ok(m.get(0) > 3))
                 .distribution(Dist::exponential(1.0)),
         );
         let t = &net.transitions()[0];
-        assert!(t.is_net_enabled(&Marking::new(vec![5])));
-        assert!(!t.is_net_enabled(&Marking::new(vec![3])));
+        assert_eq!(t.is_net_enabled(&Marking::new(vec![5])), Ok(true));
+        assert_eq!(t.is_net_enabled(&Marking::new(vec![3])), Ok(false));
         // Arc requirement still applies even if the guard would pass.
         let mut net2 = SmSpn::with_places(&[("p", 0)]);
-        net2.add_transition(TransitionSpec::new("x").consumes(0, 1).guard(|_| true));
-        assert!(!net2.transitions()[0].is_net_enabled(&Marking::new(vec![0])));
+        net2.add_transition(TransitionSpec::new("x").consumes(0, 1).guard(|_| Ok(true)));
+        assert_eq!(
+            net2.transitions()[0].is_net_enabled(&Marking::new(vec![0])),
+            Ok(false)
+        );
     }
 
     #[test]
@@ -326,12 +380,11 @@ mod tests {
         const MM: u32 = 6;
         net.add_transition(
             TransitionSpec::new("t5")
-                .guard(|m| m.get(1) > MM - 1)
-                .action(|m| {
-                    let mut next = m.clone();
+                .guard(|m| Ok(m.get(1) > MM - 1))
+                .action(|m, next| {
                     next.set(0, m.get(0) + MM);
                     next.set(1, m.get(1) - MM);
-                    next
+                    Ok(())
                 })
                 .weight(1.0)
                 .priority(2)
@@ -342,12 +395,14 @@ mod tests {
         );
         let t5 = &net.transitions()[0];
         let m = net.initial_marking().clone();
-        assert!(t5.is_net_enabled(&m));
-        let next = t5.fire(&m);
+        assert_eq!(t5.is_net_enabled(&m), Ok(true));
+        let mut next = Marking::empty(2);
+        t5.fire(&m, &mut next).unwrap();
         assert_eq!(next.as_slice(), &[6, 0]);
-        assert!(!t5.is_net_enabled(&next));
-        assert_eq!(t5.priority_in(&m), 2);
-        assert_eq!(t5.weight_in(&m), 1.0);
+        assert_eq!(t5.is_net_enabled(&next), Ok(false));
+        assert_eq!(t5.priority_in(&m), Ok(2));
+        assert_eq!(t5.weight_in(&m), Ok(1.0));
+        assert!(t5.fixed_distribution().is_some());
     }
 
     #[test]
@@ -356,17 +411,38 @@ mod tests {
         net.add_transition(
             TransitionSpec::new("serve")
                 .consumes(0, 1)
-                .weight_fn(|m| m.get(0) as f64)
-                .priority_fn(|m| if m.get(0) > 2 { 5 } else { 1 })
-                .distribution_fn(|m| Dist::erlang(1.0, m.get(0).max(1))),
+                .weight_fn(|m| Ok(m.get(0) as f64))
+                .priority_fn(|m| Ok(if m.get(0) > 2 { 5 } else { 1 }))
+                .distribution_fn(|m| Ok(Dist::erlang(1.0, m.get(0).max(1)))),
         );
         let t = &net.transitions()[0];
         let m = Marking::new(vec![4]);
-        assert_eq!(t.weight_in(&m), 4.0);
-        assert_eq!(t.priority_in(&m), 5);
-        assert_eq!(t.distribution_in(&m), Dist::erlang(1.0, 4));
+        assert_eq!(t.weight_in(&m), Ok(4.0));
+        assert_eq!(t.priority_in(&m), Ok(5));
+        assert_eq!(t.distribution_in(&m), Ok(Dist::erlang(1.0, 4)));
+        assert!(t.fixed_distribution().is_none());
         let low = Marking::new(vec![1]);
-        assert_eq!(t.priority_in(&low), 1);
+        assert_eq!(t.priority_in(&low), Ok(1));
+    }
+
+    #[test]
+    fn evaluation_failures_name_their_piece() {
+        let t = TransitionSpec::new("t")
+            .guard(|_| Err("no guard".into()))
+            .action(|_, _| Err("no action".into()))
+            .priority_fn(|_| Err("no priority".into()))
+            .weight_fn(|_| Err("no weight".into()))
+            .distribution_fn(|_| Err("no sojourn".into()));
+        let m = Marking::new(vec![1]);
+        let mut next = Marking::empty(1);
+        assert_eq!(t.is_net_enabled(&m), Err("guard: no guard".into()));
+        assert_eq!(t.fire(&m, &mut next), Err("action: no action".into()));
+        assert_eq!(t.priority_in(&m), Err("priority: no priority".into()));
+        assert_eq!(t.weight_in(&m), Err("weight: no weight".into()));
+        assert_eq!(
+            t.distribution_in(&m),
+            Err("sojourn time: no sojourn".into())
+        );
     }
 
     #[test]
@@ -391,7 +467,9 @@ mod tests {
 
     #[test]
     fn debug_formatting_mentions_name() {
-        let t = TransitionSpec::new("fire").consumes(0, 1).guard(|_| true);
+        let t = TransitionSpec::new("fire")
+            .consumes(0, 1)
+            .guard(|_| Ok(true));
         let dbg = format!("{t:?}");
         assert!(dbg.contains("fire") && dbg.contains("has_guard"));
     }

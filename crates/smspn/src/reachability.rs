@@ -6,12 +6,33 @@
 //! whose outgoing kernel entries are `(probability = normalised weight, holding-time
 //! distribution = the firing transition's distribution in that marking)` — the
 //! direct mapping onto a semi-Markov chain the paper relies on.
+//!
+//! The walk keeps one copy of everything it learns:
+//!
+//! * **States are numbered in FIFO order**, so the queue *is* the marking list:
+//!   state `k` is expanded `k`-th, and a marking is numbered when first reached
+//!   (level by level, parent by parent, successor by successor).
+//! * **Each marking is stored once**, in that list.  The index from marking to
+//!   state is an open-addressing table of `u32` state ids hashed by token slice
+//!   with a fixed hasher; it answers lookups only and is never iterated, so no
+//!   hash order reaches a state number (`smp-lint` D002).
+//! * **Transitions stream into the [`SmpBuilder`]** as each state is expanded —
+//!   no edge list is kept — and a successor is fired into one scratch marking,
+//!   which is copied into the list only when it is new.
+//! * **A marking-independent sojourn is interned once**, at its transition's
+//!   first firing; a marking-dependent one is evaluated and interned per
+//!   firing.  Interning runs in firing order either way, so the distribution
+//!   pool keeps its first-appearance numbering.
+//!
+//! A guard, priority, weight, action or sojourn time that fails to evaluate
+//! stops the walk with [`ReachabilityError::Evaluation`], naming the transition
+//! and the marking.
 
-use crate::enabling::firing_probabilities;
+use crate::enabling::firing_probabilities_into;
 use crate::marking::Marking;
 use crate::net::SmSpn;
+use smp_core::smp::DistId;
 use smp_core::{SemiMarkovProcess, SmpBuilder, SmpError};
-use std::collections::{HashMap, VecDeque};
 
 /// Options controlling the state-space exploration.
 #[derive(Debug, Clone, Copy)]
@@ -42,6 +63,17 @@ pub enum ReachabilityError {
         /// The deadlocked marking (token counts).
         marking: Vec<u32>,
     },
+    /// A transition's guard, priority, weight, action or sojourn time could
+    /// not be evaluated in a reachable marking, or its action assigned a count
+    /// that is not a token count.
+    Evaluation {
+        /// The transition's name.
+        transition: String,
+        /// The marking it was evaluated in (token counts).
+        marking: Vec<u32>,
+        /// What failed, prefixed with the piece it came from.
+        message: String,
+    },
     /// Converting the reachability graph into an SMP failed.
     Smp(SmpError),
 }
@@ -61,6 +93,14 @@ impl std::fmt::Display for ReachabilityError {
                     "reachable marking {marking:?} enables no transition (deadlock)"
                 )
             }
+            ReachabilityError::Evaluation {
+                transition,
+                marking,
+                message,
+            } => write!(
+                f,
+                "transition '{transition}' in reachable marking {marking:?}: {message}"
+            ),
             ReachabilityError::Smp(e) => write!(f, "SMP construction failed: {e}"),
         }
     }
@@ -74,25 +114,75 @@ impl From<SmpError> for ReachabilityError {
     }
 }
 
-/// One edge of the reachability graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Edge {
-    /// Source state index.
-    pub from: usize,
-    /// Destination state index.
-    pub to: usize,
-    /// Firing probability (normalised weight).
-    pub probability: f64,
-    /// Index of the transition that fired.
-    pub transition: usize,
+/// The marking → state index: open addressing with linear probing over `u32`
+/// state ids, keyed by the markings' token slices (which live only in the
+/// state list).  Lookup only; never iterated.
+#[derive(Debug)]
+struct MarkingIndex {
+    /// `EMPTY` or a state id; the length is a power of two, at most half full.
+    slots: Vec<u32>,
+    len: usize,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+impl MarkingIndex {
+    fn new() -> Self {
+        MarkingIndex {
+            slots: vec![EMPTY; 16],
+            len: 0,
+        }
+    }
+
+    /// A fixed multiplicative hash of the token counts (no per-process seed).
+    fn hash(tokens: &[u32]) -> u64 {
+        let mut h: u64 = 0;
+        for &t in tokens {
+            h = (h.rotate_left(5) ^ u64::from(t)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        h
+    }
+
+    fn home(&self, tokens: &[u32]) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (Self::hash(tokens) >> (64 - bits)) as usize
+    }
+
+    /// The state holding `tokens`, or the empty slot where it would go.
+    fn find(&self, markings: &[Marking], tokens: &[u32]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(tokens);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                id if markings[id as usize].as_slice() == tokens => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Files `id` (whose marking is `markings[id]`) in the empty `slot` that
+    /// [`Self::find`] returned, growing the table when it passes half full.
+    fn insert(&mut self, slot: usize, id: u32, markings: &[Marking]) {
+        self.slots[slot] = id;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let grown = vec![EMPTY; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for id in old.into_iter().filter(|&id| id != EMPTY) {
+                let tokens = markings[id as usize].as_slice();
+                let slot = self.find(markings, tokens).expect_err("ids are distinct");
+                self.slots[slot] = id;
+            }
+        }
+    }
 }
 
 /// The explored state space of an SM-SPN.
 #[derive(Debug)]
 pub struct StateSpace {
     markings: Vec<Marking>,
-    index: HashMap<Marking, usize>,
-    edges: Vec<Edge>,
+    index: MarkingIndex,
     place_names: Vec<String>,
     smp: SemiMarkovProcess,
 }
@@ -108,66 +198,82 @@ impl StateSpace {
         net: &SmSpn,
         options: &ReachabilityOptions,
     ) -> Result<Self, ReachabilityError> {
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut index: HashMap<Marking, usize> = HashMap::new();
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-
+        let transitions = net.transitions();
+        let limit = options.max_states.min(EMPTY as usize);
         let m0 = net.initial_marking().clone();
-        index.insert(m0.clone(), 0);
-        markings.push(m0);
-        queue.push_back(0);
+        let mut index = MarkingIndex::new();
+        let slot = index.find(&[], m0.as_slice()).expect_err("empty index");
+        let mut markings = vec![m0.clone()];
+        index.insert(slot, 0, &markings);
 
-        // Per-state transition records for the SMP: (from, to, prob, transition idx).
-        // Built in one pass; the SmpBuilder is filled afterwards so that the
-        // distribution pool can be interned per (transition, marking) pair.
-        while let Some(current) = queue.pop_front() {
-            let marking = markings[current].clone();
-            let firings = firing_probabilities(net, &marking);
+        let mut builder = SmpBuilder::new(0);
+        // Each transition's pool id, once a marking-independent sojourn has
+        // been interned.
+        let mut fixed_ids: Vec<Option<DistId>> = vec![None; transitions.len()];
+        let mut current = m0.clone();
+        let mut next = m0;
+        let mut firings: Vec<(usize, f64)> = Vec::new();
+        let mut row: Vec<(usize, f64, DistId)> = Vec::new();
+
+        // FIFO order is state order: state `k` is the `k`-th expanded.
+        let mut state = 0;
+        while state < markings.len() {
+            current.copy_from(&markings[state]);
+            let failed = |transition: usize, message: String| ReachabilityError::Evaluation {
+                transition: transitions[transition].name().to_string(),
+                marking: current.as_slice().to_vec(),
+                message,
+            };
+            firing_probabilities_into(net, &current, &mut firings)
+                .map_err(|e| failed(e.transition, e.message))?;
             if firings.is_empty() {
                 return Err(ReachabilityError::DeadlockMarking {
-                    marking: marking.as_slice().to_vec(),
+                    marking: current.as_slice().to_vec(),
                 });
             }
-            for (transition_idx, probability) in firings {
-                let next_marking = net.transitions()[transition_idx].fire(&marking);
-                let next_index = match index.get(&next_marking) {
-                    Some(&i) => i,
-                    None => {
-                        let i = markings.len();
-                        if i >= options.max_states {
+            row.clear();
+            for &(t, probability) in &firings {
+                let spec = &transitions[t];
+                spec.fire(&current, &mut next)
+                    .map_err(|message| failed(t, message))?;
+                let target = match index.find(&markings, next.as_slice()) {
+                    Ok(id) => id as usize,
+                    Err(slot) => {
+                        let id = markings.len();
+                        if id >= limit {
                             return Err(ReachabilityError::StateSpaceTooLarge {
                                 limit: options.max_states,
                             });
                         }
-                        index.insert(next_marking.clone(), i);
-                        markings.push(next_marking);
-                        queue.push_back(i);
-                        i
+                        markings.push(next.clone());
+                        index.insert(slot, id as u32, &markings);
+                        id
                     }
                 };
-                edges.push(Edge {
-                    from: current,
-                    to: next_index,
-                    probability,
-                    transition: transition_idx,
-                });
+                // The holding time of a firing is the transition's distribution
+                // in the *source* marking.
+                let dist = match (fixed_ids[t], spec.fixed_distribution()) {
+                    (Some(id), _) => id,
+                    (None, Some(fixed)) => {
+                        let id = builder.intern_distribution(fixed.clone());
+                        fixed_ids[t] = Some(id);
+                        id
+                    }
+                    (None, None) => builder.intern_distribution(
+                        spec.distribution_in(&current)
+                            .map_err(|message| failed(t, message))?,
+                    ),
+                };
+                row.push((target, probability, dist));
             }
-        }
-
-        // Assemble the SMP: the holding-time distribution of an edge is the firing
-        // transition's distribution evaluated in the *source* marking.
-        let mut builder = SmpBuilder::new(markings.len());
-        for edge in &edges {
-            let dist = net.transitions()[edge.transition].distribution_in(&markings[edge.from]);
-            builder.add_transition(edge.from, edge.to, edge.probability, dist);
+            builder.push_state(&row);
+            state += 1;
         }
         let smp = builder.build()?;
 
         Ok(StateSpace {
             markings,
             index,
-            edges,
             place_names: net.place_names().to_vec(),
             smp,
         })
@@ -180,7 +286,7 @@ impl StateSpace {
 
     /// Number of reachability-graph edges (= SMP kernel entries before merging).
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.smp.num_transitions()
     }
 
     /// The marking of a state index.
@@ -190,17 +296,15 @@ impl StateSpace {
 
     /// The state index of a marking, if reachable.
     pub fn state_of(&self, marking: &Marking) -> Option<usize> {
-        self.index.get(marking).copied()
+        self.index
+            .find(&self.markings, marking.as_slice())
+            .ok()
+            .map(|id| id as usize)
     }
 
     /// The index of the initial marking (always 0).
     pub fn initial_state(&self) -> usize {
         0
-    }
-
-    /// The edges of the reachability graph.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
     }
 
     /// The place names of the originating net (indices match marking positions).
@@ -255,6 +359,61 @@ mod tests {
         net
     }
 
+    /// The paper's voting net (places p1…p7 as in `smp-voting`), with
+    /// exponential holding times: the shape, not the timing, matters here.
+    fn voting(cc: u32, mm: u32, nn: u32) -> SmSpn {
+        let mut net = SmSpn::with_places(&[
+            ("p1", cc),
+            ("p2", 0),
+            ("p3", mm),
+            ("p4", 0),
+            ("p5", nn),
+            ("p6", 0),
+            ("p7", 0),
+        ]);
+        let exp = Dist::exponential(1.0);
+        let arcs = |name: &str, from: &[usize], to: &[usize]| {
+            let mut t = TransitionSpec::new(name).distribution(exp.clone());
+            for &p in from {
+                t = t.consumes(p, 1);
+            }
+            for &p in to {
+                t = t.produces(p, 1);
+            }
+            t
+        };
+        net.add_transition(arcs("vote", &[0, 2], &[1, 3]));
+        net.add_transition(arcs("register", &[3], &[2]).guard(|m| Ok(m.get(4) >= 1)));
+        net.add_transition(arcs("polling_failure", &[2], &[6]));
+        net.add_transition(arcs("central_failure", &[4], &[5]));
+        net.add_transition(
+            TransitionSpec::new("polling_repair")
+                .guard(move |m| Ok(m.get(6) > mm - 1))
+                .action(move |m, next| {
+                    next.set(2, m.get(2) + mm);
+                    next.set(6, m.get(6) - mm);
+                    Ok(())
+                })
+                .priority(2)
+                .distribution(exp.clone()),
+        );
+        net.add_transition(
+            TransitionSpec::new("central_repair")
+                .guard(move |m| Ok(m.get(5) > nn - 1))
+                .action(move |m, next| {
+                    next.set(4, m.get(4) + nn);
+                    next.set(5, m.get(5) - nn);
+                    Ok(())
+                })
+                .priority(2)
+                .distribution(exp.clone()),
+        );
+        net.add_transition(arcs("polling_recovery", &[6], &[2]).guard(move |m| Ok(m.get(6) < mm)));
+        net.add_transition(arcs("central_recovery", &[5], &[4]).guard(move |m| Ok(m.get(5) < nn)));
+        net.add_transition(arcs("voter_return", &[1], &[0]));
+        net
+    }
+
     #[test]
     fn ping_pong_has_two_states() {
         let space = StateSpace::explore(&ping_pong()).unwrap();
@@ -267,6 +426,25 @@ mod tests {
         assert_eq!(space.state_of(&Marking::new(vec![2, 0])), None);
         assert_eq!(space.tokens_in(1, "p1"), Some(1));
         assert_eq!(space.tokens_in(1, "zzz"), None);
+
+        // Voting 5,2,2 grows the marking index past its first table four
+        // times; every marking still finds its own state.
+        let space = StateSpace::explore(&voting(5, 2, 2)).unwrap();
+        assert_eq!(space.num_states(), 102);
+        assert_eq!(space.num_edges(), 308);
+        for state in 0..space.num_states() {
+            assert_eq!(space.state_of(space.marking(state)), Some(state));
+        }
+        // Voters are conserved (p1 + p2 = 5), and so are polling units.
+        assert_eq!(
+            space.state_of(&Marking::new(vec![4, 0, 2, 0, 2, 0, 0])),
+            None
+        );
+        assert_eq!(
+            space.state_of(&Marking::new(vec![5, 0, 2, 0, 2, 0, 1])),
+            None
+        );
+        assert_eq!(space.state_of(&Marking::new(vec![5, 0, 2])), None);
     }
 
     #[test]
@@ -326,16 +504,15 @@ mod tests {
             TransitionSpec::new("drain")
                 .consumes(0, 1)
                 .produces(1, 1)
-                .distribution_fn(|m| Dist::erlang(1.0, m.get(0))),
+                .distribution_fn(|m| Ok(Dist::erlang(1.0, m.get(0)))),
         );
         net.add_transition(
             TransitionSpec::new("refill")
-                .guard(|m| m.get(0) == 0)
-                .action(|m| {
-                    let mut next = m.clone();
+                .guard(|m| Ok(m.get(0) == 0))
+                .action(|_, next| {
                     next.set(0, 3);
                     next.set(1, 0);
-                    next
+                    Ok(())
                 })
                 .distribution(Dist::exponential(5.0)),
         );
@@ -397,6 +574,45 @@ mod tests {
         let err = StateSpace::explore(&net).unwrap_err();
         assert!(matches!(err, ReachabilityError::DeadlockMarking { .. }));
         assert!(err.to_string().contains("deadlock"));
+    }
+
+    #[test]
+    fn a_piece_failing_in_a_reachable_marking_is_a_typed_error() {
+        // The weight fails only once the token has moved: in marking (0,1).
+        let mut net = ping_pong();
+        net.add_transition(
+            TransitionSpec::new("odd")
+                .consumes(1, 1)
+                .produces(0, 1)
+                .weight_fn(|m| Err(format!("no weight with {} tokens", m.get(1)))),
+        );
+        let err = StateSpace::explore(&net).unwrap_err();
+        assert_eq!(
+            err,
+            ReachabilityError::Evaluation {
+                transition: "odd".into(),
+                marking: vec![0, 1],
+                message: "weight: no weight with 1 tokens".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "transition 'odd' in reachable marking [0, 1]: weight: no weight with 1 tokens"
+        );
+
+        let mut net = ping_pong();
+        net.add_transition(
+            TransitionSpec::new("sojourn")
+                .consumes(0, 1)
+                .produces(1, 1)
+                .distribution_fn(|_| Err("rate 0".into())),
+        );
+        let err = StateSpace::explore(&net).unwrap_err();
+        assert!(
+            matches!(&err, ReachabilityError::Evaluation { transition, marking, message }
+                if transition == "sojourn" && marking == &[1, 0] && message == "sojourn time: rate 0"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -262,7 +262,7 @@ pub fn build_net(config: VotingConfig, dists: &VotingDistributions) -> SmSpn {
         TransitionSpec::new("t2_register")
             .consumes(P4_POLLING_BUSY, 1)
             .produces(P3_POLLING_IDLE, 1)
-            .guard(|m| m.get(P5_CENTRAL_OK) >= 1)
+            .guard(|m| Ok(m.get(P5_CENTRAL_OK) >= 1))
             .weight(dists.weights[1])
             .priority(1)
             .distribution(dists.register.clone()),
@@ -292,12 +292,11 @@ pub fn build_net(config: VotingConfig, dists: &VotingDistributions) -> SmSpn {
     // DNAmaca definition appears in Fig. 3 of the paper.
     net.add_transition(
         TransitionSpec::new("t5_polling_full_repair")
-            .guard(move |m| m.get(P7_POLLING_FAILED) > mm - 1)
-            .action(move |m| {
-                let mut next = m.clone();
+            .guard(move |m| Ok(m.get(P7_POLLING_FAILED) > mm - 1))
+            .action(move |m, next| {
                 next.set(P3_POLLING_IDLE, m.get(P3_POLLING_IDLE) + mm);
                 next.set(P7_POLLING_FAILED, m.get(P7_POLLING_FAILED) - mm);
-                next
+                Ok(())
             })
             .weight(dists.weights[4])
             .priority(2)
@@ -307,12 +306,11 @@ pub fn build_net(config: VotingConfig, dists: &VotingDistributions) -> SmSpn {
     // t6: high-priority full repair of the central voting units.
     net.add_transition(
         TransitionSpec::new("t6_central_full_repair")
-            .guard(move |m| m.get(P6_CENTRAL_FAILED) > nn - 1)
-            .action(move |m| {
-                let mut next = m.clone();
+            .guard(move |m| Ok(m.get(P6_CENTRAL_FAILED) > nn - 1))
+            .action(move |m, next| {
                 next.set(P5_CENTRAL_OK, m.get(P5_CENTRAL_OK) + nn);
                 next.set(P6_CENTRAL_FAILED, m.get(P6_CENTRAL_FAILED) - nn);
-                next
+                Ok(())
             })
             .weight(dists.weights[5])
             .priority(2)
@@ -325,7 +323,7 @@ pub fn build_net(config: VotingConfig, dists: &VotingDistributions) -> SmSpn {
         TransitionSpec::new("t7_polling_self_recovery")
             .consumes(P7_POLLING_FAILED, 1)
             .produces(P3_POLLING_IDLE, 1)
-            .guard(move |m| m.get(P7_POLLING_FAILED) < mm)
+            .guard(move |m| Ok(m.get(P7_POLLING_FAILED) < mm))
             .weight(dists.weights[6])
             .priority(1)
             .distribution(dists.polling_self_recovery.clone()),
@@ -336,7 +334,7 @@ pub fn build_net(config: VotingConfig, dists: &VotingDistributions) -> SmSpn {
         TransitionSpec::new("t8_central_self_recovery")
             .consumes(P6_CENTRAL_FAILED, 1)
             .produces(P5_CENTRAL_OK, 1)
-            .guard(move |m| m.get(P6_CENTRAL_FAILED) < nn)
+            .guard(move |m| Ok(m.get(P6_CENTRAL_FAILED) < nn))
             .weight(dists.weights[7])
             .priority(1)
             .distribution(dists.central_self_recovery.clone()),

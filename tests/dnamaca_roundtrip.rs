@@ -93,5 +93,5 @@ fn fig3_excerpt_parses_inside_a_complete_model() {
     assert_eq!(space.num_states(), 4); // p7 ∈ {0, 1, 2, 3}
     let t5 = net.transition_index("t5").unwrap();
     let all_failed = net.initial_marking();
-    assert!(net.transitions()[t5].is_net_enabled(all_failed));
+    assert_eq!(net.transitions()[t5].is_net_enabled(all_failed), Ok(true));
 }
