@@ -19,8 +19,8 @@ use smp_bench::{build_paper_system, build_scaled_system, Args};
 use smp_core::PassageTimeAnalysis;
 use smp_laplace::InversionMethod;
 use smp_pipeline::{
-    BatchJob, CompiledSetCache, DistributedPipeline, InProcess, MeasureKind, MeasureSpec,
-    ModelSpec, PipelineOptions, TargetSpec, TransformSpec,
+    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelCache, ModelSpec,
+    PipelineOptions, TargetSpec, TransformSpec,
 };
 use std::sync::Arc;
 
@@ -60,18 +60,15 @@ fn main() {
     // The same passage as a spec: the voting model's DNAmaca form explores to
     // the programmatic state space.  It is explored once, here, so that every
     // row times evaluation and not exploration.
-    let spec = TransformSpec::passage(
-        ModelSpec::Voting {
-            voters: config.voters,
-            polling: config.polling_units,
-            central: config.central_units,
-        },
-        TargetSpec::parse(&format!("p2>={voters}")).expect("a voted-count predicate"),
-    );
-    let compiled = Arc::new(CompiledSetCache::new(1));
-    compiled
-        .get_or_compile(std::slice::from_ref(&spec))
-        .expect("the voting model compiles");
+    let model = ModelSpec::Voting {
+        voters: config.voters,
+        polling: config.polling_units,
+        central: config.central_units,
+    };
+    let models = Arc::new(ModelCache::new(1));
+    models.explored(&model).expect("the voting model explores");
+    let targets = TargetSpec::parse(&format!("p2>={voters}")).expect("a voted-count predicate");
+    let spec = TransformSpec::passage(model, targets);
     println!(
         "{:>6}  {:>10}  {:>8}  {:>10}  {:>8}",
         "slaves", "time(s)", "speedup", "efficiency", "messages"
@@ -91,7 +88,7 @@ fn main() {
             &t_points,
             spec.clone(),
         ));
-        let transport = InProcess::new(workers).with_compiled_cache(Arc::clone(&compiled));
+        let transport = InProcess::new(workers).with_model_cache(Arc::clone(&models));
         let run = pipeline
             .execute(job, &transport)
             .expect("pipeline run failed");

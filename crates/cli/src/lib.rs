@@ -50,14 +50,15 @@ use smp_core::query::{Engine, EngineError, MeasureKind, MeasureReport, MeasureRe
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
 use smp_pipeline::{
-    query_with_retry, resolve_request, run_tcp_worker, uniformization_applies, AnalyticEngine,
-    DistributedEngine, ModelSpec, PipelineOptions, PoolSpec, QueryClient, QueryError, QueryRequest,
-    QueryServer, QueryServerOptions, RefusalKind, RetryPolicy, SimulationEngine, SimulationOptions,
-    TcpTransport, TcpWorkerOptions, UniformizationEngine,
+    query_with_retry, resolve_request, run_tcp_worker, uniformizable, AnalyticEngine,
+    DistributedEngine, InProcess, ModelCache, ModelSpec, PipelineOptions, PoolSpec, QueryClient,
+    QueryError, QueryRequest, QueryServer, QueryServerOptions, RefusalKind, RetryPolicy,
+    SimulationEngine, SimulationOptions, TcpTransport, TcpWorkerOptions, UniformizationEngine,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The target predicate type — `smp_core::query::TargetSpec`, re-exported
@@ -283,15 +284,15 @@ WORKER MODE (one per terminal/host):
 QUERY SERVICE (always-on daemon; see ARCHITECTURE.md 'Query service'):
     smpq serve --listen ADDR
                         bind the query port and answer smpq query requests
-                        until an smpq shutdown arrives; caches compiled model
-                        sets and transform values across queries
+                        until an smpq shutdown arrives; caches explored
+                        models and transform values across queries
     --workers N         solve on N in-process threads (default 2), or
     --workers tcp:ADDR[,ADDR...]
                         bind one rendezvous per ADDR and wait for resident
                         'smpq worker --connect' processes to attach once
     --shards N          row-shard distributed solves into N loopback slices
                         (in-process pools only; answers stay bitwise identical)
-    --cache-models N    compiled-model-set LRU capacity (default 8)
+    --cache-models N    explored-model LRU capacity (default 8)
     --cache-results MB  transform-value cache byte budget (default 64)
     --max-inflight N    concurrent solves (default 4)
     --max-queued N      waiting requests before Busy refusals (default 16)
@@ -702,10 +703,25 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
         .map(|m| m.clone().with_t_points(&ts))
         .collect();
 
+    // The `--engine analytic` hint and the `--engine auto` probe read the
+    // explored model from the cache the in-process engine they lead to looks
+    // it up in, so the run explores the model once.  The clock starts here:
+    // the probe's exploration is the engine's.
+    let started = Instant::now();
+    let models = Arc::new(ModelCache::new(1));
+    let mut probed = (0, 0);
+    let mut probe = || -> Result<bool, CliError> {
+        let (explored, hit) = models
+            .explored(&spec)
+            .map_err(|e| CliError::Model(e.to_string()))?;
+        probed = (usize::from(hit), usize::from(!hit));
+        Ok(uniformizable(&explored))
+    };
+
     // The uniformization engine solves all-exponential models exactly with an
     // a-priori truncation bound; tell the modeller when their model qualifies
     // but they picked the Laplace-inversion path.
-    if options.engine == EngineChoice::Analytic && uniformization_applies(&spec) {
+    if options.engine == EngineChoice::Analytic && probe()? {
         let _ = writeln!(
             out,
             "hint: every holding-time distribution in this model is exponential; \
@@ -718,7 +734,7 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
     // the query server's routing, minus its memo).
     let routed = match options.engine {
         EngineChoice::Auto => {
-            if uniformization_applies(&spec) {
+            if probe()? {
                 let _ = writeln!(
                     out,
                     "engine auto: every holding time is exponential; \
@@ -739,10 +755,17 @@ routing to the distributed pipeline"
 
     // Build the chosen engine.  The TCP transport is bound here so the
     // rendezvous hints can be printed *before* solve blocks in accept.
+    let in_process = |workers| InProcess::new(workers).with_model_cache(Arc::clone(&models));
     let engine: Box<dyn Engine> = match (&routed, &options.workers) {
-        (EngineChoice::Analytic, _) => Box::new(AnalyticEngine::new(spec, options.method.clone())),
+        (EngineChoice::Analytic, _) => {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let backend = in_process(cores);
+            Box::new(AnalyticEngine::over(spec, options.method.clone(), backend))
+        }
         (EngineChoice::Sim, _) => Box::new(SimulationEngine::new(spec, sim_options(options))),
-        (EngineChoice::Uniform, _) => Box::new(UniformizationEngine::new(spec)),
+        (EngineChoice::Uniform, _) => {
+            Box::new(UniformizationEngine::new(spec).with_model_cache(Arc::clone(&models)))
+        }
         (EngineChoice::Distributed | EngineChoice::Auto, WorkerBackend::Threads(n)) => {
             let pipeline = PipelineOptions {
                 workers: (*n).max(1),
@@ -758,10 +781,12 @@ routing to the distributed pipeline"
                     options.shards,
                 ))
             } else {
-                Box::new(DistributedEngine::in_process(
+                let backend = Box::new(in_process(pipeline.workers));
+                Box::new(DistributedEngine::with_transport(
                     spec,
                     options.method.clone(),
                     pipeline,
+                    backend,
                 ))
             }
         }
@@ -805,9 +830,12 @@ routing to the distributed pipeline"
         }
     };
 
-    let started = Instant::now();
-    let reports = engine.solve(&requests)?;
+    let mut reports = engine.solve(&requests)?;
     let elapsed = started.elapsed();
+    if let Some(first) = reports.first_mut() {
+        first.provenance.model_cache_hits += probed.0;
+        first.provenance.model_cache_misses += probed.1;
+    }
 
     if matches!(options.workers, WorkerBackend::Tcp(_))
         && reports.iter().all(|r| r.provenance.messages == 0)
@@ -1000,17 +1028,15 @@ fn render_engine_summary(
             "sharding: {shards} row shard(s) [{slice} states], {halo} halo byte(s) over {rounds} exchange round(s)",
         );
     }
-    // Query-server counters: always zero on one-shot runs, so these lines
-    // only appear for `smpq query` answers (and the one-shot output stays
-    // byte-identical to earlier releases).
+    // Queue wait is a served-query quantity, zero on one-shot runs.  The
+    // model-cache line counts explored-model lookups (a miss is one
+    // exploration) on every engine that explores on this side of the wire.
     let queued: std::time::Duration = reports.iter().map(|r| r.provenance.queue_wait).sum();
     let model_hits: usize = reports.iter().map(|r| r.provenance.model_cache_hits).sum();
     let model_misses: usize = reports
         .iter()
         .map(|r| r.provenance.model_cache_misses)
         .sum();
-    // Queue wait is a served-query quantity; the model-cache line also covers
-    // one-shot engines with warm reductions (sharded compiles, phase chains).
     if queued > std::time::Duration::ZERO {
         let _ = writeln!(out, "server: {:.3}s queued", queued.as_secs_f64());
     }
@@ -2257,7 +2283,7 @@ mod tests {
         // (9.19) is reached on the first level (horizon 40) and the
         // 0.9-quantile (51.0) on the second (80): 2 level grids + 3 sectioning
         // rounds for each of the 2 probabilities = 8 quantile runs, and the
-        // stencil makes 9.  The thread backend keeps its compiled model
+        // stencil makes 9.  The thread backend keeps its explored model
         // between runs, so only the first explores.
         let options = parse_args(&args(&[
             "--voting",

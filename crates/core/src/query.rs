@@ -466,14 +466,14 @@ pub struct Provenance {
     /// Time the request spent queued behind the admission controller before a
     /// solve slot opened (always zero outside the query server).
     pub queue_wait: Duration,
-    /// Model-level artifacts served from a warm cache: compiled model sets
-    /// (parse + state-space exploration + target resolution) and memoized
-    /// engine-routing probes reused across requests.  Always zero outside the
-    /// query server.
+    /// Explored-model lookups served without exploring: the model was in the
+    /// engine's model cache (the query server's, shared by every request, or
+    /// an engine's own, kept across the runs of a solve), or the query
+    /// server's `auto` routing memo held the model's verdict.  Zero for
+    /// engines that explore on the far side of a wire, or never.
     pub model_cache_hits: usize,
-    /// Model-level artifacts built from scratch for this request (each miss is
-    /// a state-space exploration the cache could not avoid).  Always zero
-    /// outside the query server.
+    /// Explored-model lookups that had to explore: each miss is one parse
+    /// plus state-space exploration, the `auto` routing probe's included.
     pub model_cache_misses: usize,
     /// Contiguous row shards the state space was partitioned into (0 when the
     /// solve was not row-sharded).

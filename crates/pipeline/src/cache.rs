@@ -265,7 +265,7 @@ impl ResultCache {
 }
 
 /// A bounded, thread-safe least-recently-used memo — the one cache behind
-/// [`crate::transform::CompiledSetCache`], [`crate::engine::PhaseChainCache`]
+/// [`crate::transform::ModelCache`], [`crate::engine::PhaseChainCache`]
 /// and the query server's `--engine auto` routing memo.
 ///
 /// Recency is a logical clock stamped on every lookup, so the resident set

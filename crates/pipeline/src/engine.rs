@@ -42,7 +42,7 @@ use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec,
 use crate::cache::LruMemo;
 use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
-use crate::transform::{ModelSpec, ResolveTarget, TargetResolveError, TransformSpec};
+use crate::transform::{ExploredModel, ModelCache, ModelSpec, TargetResolveError, TransformSpec};
 use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
@@ -63,15 +63,25 @@ use std::time::Instant;
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-/// Parses the model and checks every request's target place against it, so
-/// that a bad place name fails as a *model* error before any engine work (and
-/// before a TCP job ships).  Returns the parsed net for further use.
+/// A model that does not parse, explore or fire is at fault whatever is asked
+/// of it, on every engine alike.
+fn model_error(e: impl std::fmt::Display) -> EngineError {
+    EngineError::Model(e.to_string())
+}
+
+/// Parses the model without exploring it: what an engine that explores on
+/// the far side of a transport, or never, needs of it on the master.
+fn parse_net(model: &ModelSpec) -> Result<smp_smspn::SmSpn, EngineError> {
+    smp_dnamaca::parse_model(&model.source()).map_err(model_error)
+}
+
+/// Checks every request's target place against the parsed net, so that a bad
+/// place name fails as a *model* error before any engine work (and before a
+/// TCP job ships).
 fn validate_requests(
-    model: &ModelSpec,
+    net: &smp_smspn::SmSpn,
     requests: &[MeasureRequest],
-) -> Result<smp_smspn::SmSpn, EngineError> {
-    let source = model.source();
-    let net = smp_dnamaca::parse_model(&source).map_err(|e| EngineError::Model(e.to_string()))?;
+) -> Result<(), EngineError> {
     for request in requests {
         if net.place_index(&request.target.place).is_none() {
             return Err(EngineError::Model(format!(
@@ -86,7 +96,7 @@ fn validate_requests(
             )));
         }
     }
-    Ok(net)
+    Ok(())
 }
 
 /// The serializable transform spec a request's values derive from.
@@ -201,7 +211,8 @@ impl AnalyticEngine {
     }
 
     /// The analytic engine over an explicit in-process backend — the query
-    /// server's, whose compiled-model cache outlives a request.
+    /// server's, whose model cache outlives a request, or the CLI's, whose
+    /// model cache holds what its `--engine` probe explored.
     pub fn over(
         model: ModelSpec,
         method: InversionMethod,
@@ -232,7 +243,7 @@ impl AnalyticEngine {
 /// one result cache, so no round evaluates a point an earlier one has; a
 /// configured checkpoint or shared cache also warms any later run.  Every
 /// transport keeps its workers between runs — threads are respawned over a
-/// kept compiled model, links and slice fleets stay connected until the
+/// kept explored model, links and slice fleets stay connected until the
 /// engine drops — so a multi-round solve pays its rendezvous once.
 pub struct DistributedEngine {
     /// The engine name reports carry: `distributed`, or `analytic` for the
@@ -356,7 +367,7 @@ impl Engine for DistributedEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
-        validate_requests(&self.model, requests)?;
+        validate_requests(&parse_net(&self.model)?, requests)?;
         let backend = self.transport.name();
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
 
@@ -516,7 +527,8 @@ impl Engine for SimulationEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
-        let net = validate_requests(&self.model, requests)?;
+        let net = parse_net(&self.model)?;
+        validate_requests(&net, requests)?;
         let n = self.options.replications.max(1) as f64;
         let backend = format!(
             "monte-carlo r={} seed={:#x}",
@@ -549,7 +561,8 @@ impl Engine for SimulationEngine {
                             seed: self.options.seed,
                             threads: self.options.threads,
                         },
-                    );
+                    )
+                    .map_err(model_error)?;
                     // Worst-case binomial half-width over the grid.
                     let band = probs
                         .iter()
@@ -579,7 +592,8 @@ impl Engine for SimulationEngine {
                                 threads: self.options.threads,
                                 seed: self.options.seed,
                             },
-                        );
+                        )
+                        .map_err(model_error)?;
                         if result.distribution.is_empty() {
                             return Err(EngineError::Analysis(format!(
                                 "no replication reached '{target}' within the simulation limits \
@@ -683,17 +697,19 @@ impl Engine for SimulationEngine {
 /// structurally exponential.
 ///
 /// This performs a full state-space exploration (distribution parameters may
-/// be marking-dependent, so the check cannot be purely syntactic); callers on
-/// a hot path should cache the answer.
+/// be marking-dependent, so the check cannot be purely syntactic) and keeps
+/// nothing.  A caller that goes on to solve probes the model it looked up in
+/// its [`ModelCache`] with [`uniformizable`] instead, so the engine it builds
+/// reuses the exploration.
 pub fn uniformization_applies(model: &ModelSpec) -> bool {
-    let source = model.source();
-    let Ok(net) = smp_dnamaca::parse_model(&source) else {
-        return false;
-    };
-    let Ok(space) = smp_smspn::StateSpace::explore(&net) else {
-        return false;
-    };
-    uniform::is_all_exponential(space.smp())
+    ExploredModel::explore(model).is_ok_and(|explored| uniformizable(&explored))
+}
+
+/// `true` iff every pooled holding-time distribution of an explored model is
+/// structurally exponential: the probe behind `--engine auto` and the
+/// analytic engine's hint.
+pub fn uniformizable(model: &ExploredModel) -> bool {
+    uniform::is_all_exponential(model.space().smp())
 }
 
 /// A bounded, thread-safe LRU cache of uniformization phase-chain
@@ -705,7 +721,7 @@ pub fn uniformization_applies(model: &ModelSpec) -> bool {
 /// repeated uniformization query reuses the reduction instead of rebuilding
 /// it.  Keys fold in [`crate::transform::model_fingerprint`], so an edited model misses rather
 /// than reading a stale chain.  Eviction is least-recently-used with a
-/// monotonic clock, mirroring [`crate::transform::CompiledSetCache`].
+/// monotonic clock, mirroring [`ModelCache`].
 pub type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 
 /// Uniformization over the phase-space CTMC of an all-exponential model.
@@ -716,11 +732,14 @@ pub type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 /// `smp_laplace::quantiles_from_cdf` search over a uniformized CDF provider,
 /// and means/moments from the absorbing chain's exact linear systems.  Models
 /// with any non-exponential holding time fail with
-/// [`EngineError::Unsupported`] naming the offending distribution.
+/// [`EngineError::Unsupported`] naming the offending distribution.  The
+/// explored model is kept in a [`ModelCache`] (its own one-entry cache
+/// unless given one), so repeat solves do not explore it again.
 #[derive(Debug, Clone)]
 pub struct UniformizationEngine {
     model: ModelSpec,
     tolerance: f64,
+    models: Arc<ModelCache>,
     phase_cache: Option<Arc<PhaseChainCache>>,
 }
 
@@ -742,13 +761,22 @@ impl UniformizationEngine {
         UniformizationEngine {
             model,
             tolerance,
+            models: Arc::new(ModelCache::new(1)),
             phase_cache: None,
         }
     }
 
+    /// Looks the model up in `models` instead of the engine's own one-entry
+    /// cache, so the engine reuses what a routing probe or an earlier request
+    /// explored.  The lookup is reported in the first report's provenance
+    /// (`model_cache_hits` / `model_cache_misses`).
+    pub fn with_model_cache(mut self, models: Arc<ModelCache>) -> Self {
+        self.models = models;
+        self
+    }
+
     /// Serves phase-chain reductions from `cache` instead of rebuilding them
-    /// on every solve; hits and misses are reported in the first report's
-    /// provenance (`model_cache_hits` / `model_cache_misses`).
+    /// on every solve; the cache's own hit and miss counters say how often.
     pub fn with_phase_cache(mut self, cache: Arc<PhaseChainCache>) -> Self {
         self.phase_cache = Some(cache);
         self
@@ -760,7 +788,7 @@ impl UniformizationEngine {
 /// is an *analysis* error.
 fn resolve_error(e: TargetResolveError) -> EngineError {
     match e {
-        TargetResolveError::UnknownPlace { .. } => EngineError::Model(e.to_string()),
+        TargetResolveError::UnknownPlace { .. } => model_error(e),
         TargetResolveError::NoMatchingMarking { .. } => EngineError::Analysis(e.to_string()),
     }
 }
@@ -775,9 +803,9 @@ impl Engine for UniformizationEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
-        let net = validate_requests(&self.model, requests)?;
-        let space =
-            smp_smspn::StateSpace::explore(&net).map_err(|e| EngineError::Model(e.to_string()))?;
+        let (explored, hit) = self.models.explored(&self.model).map_err(model_error)?;
+        validate_requests(explored.net(), requests)?;
+        let space = explored.space();
         let smp = space.smp();
         if let Err(e) = uniform::exponential_rates(smp) {
             // Not an analysis failure: the model is simply outside this
@@ -796,8 +824,7 @@ impl Engine for UniformizationEngine {
         // configured [`PhaseChainCache`] the reductions also survive across
         // solves, keyed by model fingerprint so edits miss instead of
         // reading a stale chain.
-        let fingerprint = crate::transform::model_fingerprint(&self.model.source());
-        let (mut chain_hits, mut chain_misses) = (0usize, 0usize);
+        let fingerprint = self.model.fingerprint();
         let mut chains: Vec<(String, Arc<PhaseCtmc>)> = Vec::new();
         let mut chain_for = |key: String,
                              build: &dyn Fn() -> Result<PhaseCtmc, uniform::UniformError>|
@@ -806,15 +833,10 @@ impl Engine for UniformizationEngine {
                 return Ok(Arc::clone(chain));
             }
             let build = || build().map(Arc::new).map_err(uniform_error);
-            let (chain, hit) = match &self.phase_cache {
+            let (chain, _) = match &self.phase_cache {
                 Some(cache) => cache.get_or_insert_with(format!("{fingerprint}:{key}"), build)?,
                 None => (build()?, false),
             };
-            if hit {
-                chain_hits += 1;
-            } else {
-                chain_misses += 1;
-            }
             chains.push((key, Arc::clone(&chain)));
             Ok(chain)
         };
@@ -822,10 +844,7 @@ impl Engine for UniformizationEngine {
         let mut reports = Vec::with_capacity(requests.len());
         for request in requests {
             let started = Instant::now();
-            let target_states = request
-                .target
-                .resolve(&net, &space)
-                .map_err(resolve_error)?;
+            let target_states = explored.resolve(&request.target).map_err(resolve_error)?;
             let targets = StateSet::new(smp.num_states(), &target_states)
                 .map_err(|e| EngineError::Analysis(e.to_string()))?;
 
@@ -916,18 +935,18 @@ impl Engine for UniformizationEngine {
                 provenance,
             });
         }
-        // Chain-cache traffic is solve-level: attribute it to the first
-        // report, like every other engine's model-cache counters.
+        // The model lookup is solve-level: attribute it to the first report,
+        // like every other engine's model-cache counters.
         if let Some(first) = reports.first_mut() {
-            first.provenance.model_cache_hits = chain_hits;
-            first.provenance.model_cache_misses = chain_misses;
+            first.provenance.model_cache_hits = usize::from(hit);
+            first.provenance.model_cache_misses = usize::from(!hit);
         }
         Ok(reports)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::batch::BatchResult;
     use crate::cache::ResultCache;
@@ -1024,6 +1043,15 @@ mod tests {
         }
         // The CDF over the density's grid evaluates nothing of its own.
         assert_eq!(spent(&analytic[1]), (0, analytic[0].provenance.evaluations));
+        // The batch's passage and transient specs and every quantile round
+        // are one model: explored once, found in the model cache after.
+        for reports in [&analytic, &distributed] {
+            let lookups = |count: fn(&Provenance) -> usize| -> usize {
+                reports.iter().map(|r| count(&r.provenance)).sum()
+            };
+            assert_eq!(lookups(|p| p.model_cache_misses), 1);
+            assert!(lookups(|p| p.model_cache_hits) >= 2);
+        }
         // The batch's points went out as lane blocks, one result message
         // each, counted on the batch's first report.
         let batched: usize = analytic
@@ -1405,6 +1433,44 @@ mod tests {
         assert_eq!(reports[1].provenance.shared_hits, 2_000);
     }
 
+    /// Three models whose state spaces cannot be explored: a constant
+    /// sojourn that is a zero-weight mixture, a weight `1/b` with `b = 0`,
+    /// and a sojourn `expLT(b, s)` with `b = 0`.  Every engine refuses each
+    /// as a model error.
+    pub(crate) fn hostile_models() -> [ModelSpec; 3] {
+        let ring = |ab: &str| {
+            ModelSpec::Dnamaca(format!(
+                r"\place{{a}}{{1}} \place{{b}}{{0}}
+                  \transition{{ab}}{{ \condition{{a > 0}} \action{{ next->a = a - 1; next->b = b + 1; }}
+                      {ab} }}
+                  \transition{{ba}}{{ \condition{{b > 0}} \action{{ next->b = b - 1; next->a = a + 1; }}
+                      \sojourntimeLT{{ return expLT(1.0, s); }} }}"
+            ))
+        };
+        [
+            ring(r"\sojourntimeLT{ return 0 * expLT(2.0, s); }"),
+            ring(r"\weight{1 / b} \sojourntimeLT{ return expLT(2.0, s); }"),
+            ring(r"\sojourntimeLT{ return expLT(b, s); }"),
+        ]
+    }
+
+    /// A trajectory that reaches a marking where a piece has no value is the
+    /// model's fault on the simulation engine too, not a panic.
+    #[test]
+    fn simulation_refuses_hostile_models_as_model_errors() {
+        let requests = [MeasureRequest::density(target("b>=1"), &[1.0, 2.0])];
+        let options = SimulationOptions {
+            replications: 50,
+            ..SimulationOptions::default()
+        };
+        for model in hostile_models() {
+            match SimulationEngine::new(model.clone(), options).solve(&requests) {
+                Err(EngineError::Model(m)) => assert!(m.contains("transition 'ab'"), "{m}"),
+                other => panic!("{model:?}: expected a model error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn unknown_place_is_a_model_error_on_every_engine() {
         let requests = vec![MeasureRequest::mean(target("nosuch>=1"))];
@@ -1518,12 +1584,15 @@ mod tests {
         let engine = UniformizationEngine::new(exp_ring()).with_phase_cache(Arc::clone(&cache));
         let cold = engine.solve(&requests).unwrap();
         // First solve builds one passage chain (cdf + mean share the target)
-        // and one transient chain.
+        // and one transient chain, over the one model it explores.
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert_eq!(cold[0].provenance.model_cache_hits, 0);
-        assert_eq!(cold[0].provenance.model_cache_misses, 2);
+        assert_eq!(cold[0].provenance.model_cache_misses, 1);
         assert_eq!(cache.len(), 2);
+        // The repeat reuses both chains and the explored model.
         let warm = engine.solve(&requests).unwrap();
-        assert_eq!(warm[0].provenance.model_cache_hits, 2);
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!(warm[0].provenance.model_cache_hits, 1);
         assert_eq!(warm[0].provenance.model_cache_misses, 0);
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.values, w.values, "{} changed under the cache", c.name);
@@ -1536,9 +1605,8 @@ mod tests {
         for (c, u) in cold.iter().zip(&uncached) {
             assert_eq!(c.values, u.values);
         }
-        assert_eq!(uncached[0].provenance.model_cache_misses, 2);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(uncached[0].provenance.model_cache_misses, 1);
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
     #[test]

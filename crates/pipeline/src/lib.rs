@@ -107,8 +107,8 @@ pub mod worker;
 pub use batch::{BatchJob, BatchResult, MeasureKind, MeasureResult, MeasureSpec, MomentStencil};
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
-    uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache, SimulationEngine,
-    SimulationOptions, UniformizationEngine,
+    uniformizable, uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
+    SimulationEngine, SimulationOptions, UniformizationEngine,
 };
 pub use fault::{splitmix64, Backoff, FaultKind, FaultPlan};
 pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};
@@ -119,7 +119,7 @@ pub use server::{
 };
 pub use shard::{ShardedOutcome, ShardedTransport, SliceFleet, SliceWorkerSession, SolveRecovery};
 pub use transform::{
-    model_fingerprint, CompareOp, CompiledModelSet, CompiledSetCache, DistSpec, ModelSpec,
+    model_fingerprint, CompareOp, CompiledModelSet, DistSpec, ExploredModel, ModelCache, ModelSpec,
     ResolveTarget, TargetResolveError, TargetSpec, TransformSpec,
 };
 pub use transport::{InProcess, TcpTransport, Transport, TransportReport};

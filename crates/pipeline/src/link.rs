@@ -160,7 +160,7 @@ impl Link for TcpLink {
 /// round costs a function call, not a thread hand-off; both directions
 /// account the wire size of their frame, exactly the bytes a TCP deployment
 /// would ship.  The worker is past its handshake and serves slice sessions
-/// and pings only: chunk evaluators borrow their compiled model for the
+/// and pings only: chunk evaluators borrow their explored model for the
 /// length of a job, so a chunk job cannot be suspended between two `send`s —
 /// in-process chunk work is [`crate::InProcess`]'s, without frames.
 #[derive(Default)]

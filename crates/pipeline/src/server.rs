@@ -8,12 +8,14 @@
 //! answers any number of [`QueryRequest`]s, each a full measure batch over
 //! any model.  Between requests it retains
 //!
-//! * a bounded-LRU [`CompiledSetCache`] of compiled model sets, so a repeated
-//!   model costs zero state-space explorations;
+//! * a bounded-LRU [`ModelCache`] of explored models keyed by fingerprint,
+//!   shared by every engine and the routing probe, so a repeated model costs
+//!   zero state-space explorations whatever measures it is asked for;
 //! * a byte-bounded [`crate::cache::ResultCache`] of transform values keyed
 //!   by measure fingerprint, so overlapping evaluation grids are served warm;
-//! * a bounded memo of engine-routing probes (`--engine auto`), so deciding
-//!   "is this model all-exponential?" also costs one exploration ever.
+//! * a bounded memo of engine-routing verdicts (`--engine auto`), so a model
+//!   whose explored state space was evicted is still routed without
+//!   exploring it again.
 //!
 //! ## Frames
 //!
@@ -66,14 +68,14 @@
 
 use crate::cache::{LruMemo, ResultCache};
 use crate::engine::{
-    available_cores, uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
+    available_cores, uniformizable, AnalyticEngine, DistributedEngine, PhaseChainCache,
     UniformizationEngine,
 };
 use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::{PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
-use crate::transform::{CompiledSetCache, ModelSpec};
+use crate::transform::{CompileError, ModelCache, ModelSpec};
 use crate::transport::{
     dispatch_chunks, encode_plan_specs, held, transport_error, ExecutionPlan, InProcess, Transport,
     TransportReport,
@@ -621,7 +623,7 @@ pub struct QueryServerOptions {
     pub listen: String,
     /// The worker pool behind distributed solves.
     pub pool: PoolSpec,
-    /// Capacity (entries) of the compiled-model-set LRU cache.
+    /// Capacity (explored models) of the model LRU cache.
     pub cache_models: usize,
     /// Byte budget of the shared transform-value result cache.
     pub cache_result_bytes: usize,
@@ -666,21 +668,20 @@ struct AdmissionState {
 }
 
 /// Capacity of the `--engine auto` routing memo.  An entry is a fingerprint
-/// and one `bool`, and a miss costs a parse plus a full state-space
-/// exploration whose result is thrown away — so the memo is sized by what it
-/// holds, not by `cache_models` (which budgets whole compiled models); a few
+/// and one `bool`, and a miss probes the explored model — an exploration
+/// unless the model cache still holds it — so the memo is sized by what it
+/// holds, not by `cache_models` (which budgets whole explored models); a few
 /// hundred keeps the LRU's linear scan trivial.
 const ROUTE_MEMO_SLOTS: usize = 256;
 
 /// Everything the connection handlers share: the warm caches, the admission
 /// controller, and the standing worker pool.
 struct ServerShared {
-    compiled: Arc<CompiledSetCache>,
+    models: Arc<ModelCache>,
     phase_chains: Arc<PhaseChainCache>,
     results: Arc<ResultCache>,
-    /// `--engine auto` routing probes, memoized per model fingerprint (a
-    /// probe explores the state space, so it is exactly as expensive as the
-    /// compile it precedes).
+    /// `--engine auto` routing verdicts, memoized per model fingerprint: they
+    /// outlive the explored models the probes read.
     routes: LruMemo<String, bool>,
     admission: Mutex<AdmissionState>,
     admission_cv: Condvar,
@@ -765,14 +766,24 @@ impl ServerShared {
     }
 
     /// Routes `--engine auto` for a model: is the all-exponential fast path
-    /// applicable?  Returns the memoized verdict plus (memo hits, memo misses)
-    /// for provenance.
-    fn route_auto(&self, model: &ModelSpec) -> (bool, usize, usize) {
-        let probe = || Ok::<_, std::convert::Infallible>(uniformization_applies(model));
+    /// applicable?  Returns the memoized verdict plus the (hits, misses) of
+    /// the model lookup for provenance: a memo hit counts as a hit, a memo
+    /// miss as the probe's lookup in the model cache, which explores the
+    /// model only if it is not there.  A model that fails to explore is
+    /// refused, not routed.
+    fn route_auto(&self, model: &ModelSpec) -> Result<(bool, usize, usize), Refusal> {
+        let mut probed_hit = true;
+        let probe = || {
+            let (explored, hit) = self.models.explored(model)?;
+            probed_hit = hit;
+            Ok::<_, CompileError>(uniformizable(&explored))
+        };
         match self.routes.get_or_insert_with(model.fingerprint(), probe) {
-            Ok((uniform, true)) => (uniform, 1, 0),
-            Ok((uniform, false)) => (uniform, 0, 1),
-            Err(never) => match never {},
+            Ok((uniform, _)) => Ok((uniform, usize::from(probed_hit), usize::from(!probed_hit))),
+            Err(e) => Err(Refusal {
+                kind: RefusalKind::Model,
+                message: e.to_string(),
+            }),
         }
     }
 
@@ -863,10 +874,10 @@ fn refuse(kind: RefusalKind, message: impl Into<String>) -> QueryReply {
 }
 
 /// Builds the engine a request selected, over the server's long-lived
-/// transform-value and compiled-model caches: explicit choices pass through,
+/// transform-value and explored-model caches: explicit choices pass through,
 /// `auto` consults the memoized uniformization probe (the all-exponential
 /// fast path when it applies, the distributed pipeline otherwise) and also
-/// returns its (memo hits, memo misses).  Distributed solves go over the
+/// returns its model lookup's (hits, misses).  Distributed solves go over the
 /// standing worker pool when one is attached, in-process threads otherwise.
 fn route_engine(
     shared: &Arc<ServerShared>,
@@ -876,8 +887,10 @@ fn route_engine(
     deadline: Option<Instant>,
 ) -> Result<(Box<dyn Engine>, usize, usize), Refusal> {
     let uniformization = || -> Box<dyn Engine> {
-        let engine = UniformizationEngine::new(model.clone());
-        Box::new(engine.with_phase_cache(shared.phase_chains.clone()))
+        let engine = UniformizationEngine::new(model.clone())
+            .with_model_cache(shared.models.clone())
+            .with_phase_cache(shared.phase_chains.clone());
+        Box::new(engine)
     };
     let distributed = || -> Box<dyn Engine> {
         let workers = if shared.pool_size > 0 {
@@ -899,7 +912,7 @@ fn route_engine(
             // the CLI).
             Box::new(ShardedTransport::loopback(shared.solve_shards))
         } else {
-            Box::new(InProcess::new(workers).with_compiled_cache(shared.compiled.clone()))
+            Box::new(InProcess::new(workers).with_model_cache(shared.models.clone()))
         };
         Box::new(DistributedEngine::with_transport(
             model.clone(),
@@ -912,13 +925,13 @@ fn route_engine(
     let engine: Box<dyn Engine> = match choice {
         EngineChoice::Analytic => {
             let cores = InProcess::new(available_cores());
-            let backend = cores.with_compiled_cache(shared.compiled.clone());
+            let backend = cores.with_model_cache(shared.models.clone());
             Box::new(AnalyticEngine::over(model.clone(), method.clone(), backend))
         }
         EngineChoice::Uniform => uniformization(),
         EngineChoice::Distributed => distributed(),
         EngineChoice::Auto => {
-            let (uniform, hits, misses) = shared.route_auto(model);
+            let (uniform, hits, misses) = shared.route_auto(model)?;
             memo = (hits, misses);
             if uniform {
                 uniformization()
@@ -1061,7 +1074,7 @@ impl QueryServer {
             PoolSpec::InProcess(threads) => (Vec::new(), 0, (*threads).max(1), Some(Vec::new())),
         };
         let shared = Arc::new(ServerShared {
-            compiled: Arc::new(CompiledSetCache::new(options.cache_models)),
+            models: Arc::new(ModelCache::new(options.cache_models)),
             phase_chains: Arc::new(PhaseChainCache::new(options.cache_models)),
             results: Arc::new(ResultCache::with_byte_limit(options.cache_result_bytes)),
             routes: LruMemo::new(ROUTE_MEMO_SLOTS),
@@ -1417,7 +1430,7 @@ mod tests {
 
     fn bare_shared(max_inflight: usize, max_queued: usize) -> ServerShared {
         ServerShared {
-            compiled: Arc::new(CompiledSetCache::new(4)),
+            models: Arc::new(ModelCache::new(4)),
             phase_chains: Arc::new(PhaseChainCache::new(4)),
             results: Arc::new(ResultCache::with_byte_limit(1 << 20)),
             routes: LruMemo::new(2),
@@ -1483,14 +1496,19 @@ mod tests {
             polling: 1,
             central: 1,
         };
-        assert_eq!(shared.route_auto(&a), (false, 0, 1), "first probe misses");
-        assert_eq!(shared.route_auto(&a), (false, 1, 0), "repeat probe hits");
-        assert_eq!(shared.route_auto(&b), (false, 0, 1));
+        let route = |model| shared.route_auto(model).unwrap();
+        assert_eq!(route(&a), (false, 0, 1), "first probe explores");
+        assert_eq!(route(&a), (false, 1, 0), "repeat probe hits");
+        assert_eq!(route(&b), (false, 0, 1));
         // Touch `a`, insert `c`: the LRU entry is now `b`.
-        assert_eq!(shared.route_auto(&a), (false, 1, 0));
-        assert_eq!(shared.route_auto(&c), (false, 0, 1));
-        assert_eq!(shared.route_auto(&a), (false, 1, 0), "a survived eviction");
-        assert_eq!(shared.route_auto(&b), (false, 0, 1), "b was evicted");
+        assert_eq!(route(&a), (false, 1, 0));
+        assert_eq!(route(&c), (false, 0, 1));
+        assert_eq!(route(&a), (false, 1, 0), "a survived eviction");
+        assert_eq!(shared.routes.misses(), 3);
+        // `b`'s verdict was evicted, but the four-entry model cache still
+        // holds its explored model: the probe runs without exploring.
+        assert_eq!(route(&b), (false, 1, 0), "b was evicted");
+        assert_eq!(shared.routes.misses(), 4);
     }
 
     /// A one-token three-state all-exponential ring, so `--engine auto`'s
@@ -1539,6 +1557,30 @@ mod tests {
         assert_eq!(route(&exp_model), ("uniformization", 0, 1));
         assert_eq!(route(&exp_model), ("uniformization", 1, 0));
         assert_eq!(route(&voting()).0, "distributed");
+    }
+
+    /// Cold `auto` queries of a passage and then a transient measure over
+    /// one model explore it once between them: the routing probe explores,
+    /// and the engine each query routes to finds the model in the cache.
+    #[test]
+    fn auto_queries_explore_each_model_once() {
+        let shared = Arc::new(bare_shared(1, 1));
+        for (model, target) in [(voting(), "p2>=2"), (exp_ring(), "c>=1")] {
+            let mut misses = 0;
+            for kind in ["cdf", "transient"] {
+                let request = QueryRequest {
+                    model: model.clone(),
+                    deadline: None,
+                    measures: vec![format!("{kind}:{target}")],
+                    ..sample_request()
+                };
+                let QueryReply::Reports(reports) = answer_query(&shared, &request) else {
+                    panic!("{model:?}: {kind} was refused");
+                };
+                misses += reports[0].provenance.model_cache_misses;
+            }
+            assert_eq!(misses, 1, "{model:?}");
+        }
     }
 
     #[test]
@@ -1683,37 +1725,11 @@ mod tests {
         });
     }
 
-    /// A model whose one constant sojourn is a zero-weight mixture makes no
-    /// distribution.  Every engine refuses it as a model error, and the
-    /// server goes on answering.
+    /// A model whose state space cannot be explored
+    /// ([`crate::engine::tests::hostile_models`]) is refused as a model error
+    /// on every engine the server runs, and the server goes on answering.
     #[test]
     fn a_model_whose_sojourn_makes_no_distribution_is_refused_on_every_engine() {
-        let zero_weight = ModelSpec::Dnamaca(
-            r"\place{a}{1} \place{b}{0}
-              \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
-                  \sojourntimeLT{ return 0 * expLT(2.0, s); } }
-              \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
-                  \sojourntimeLT{ return expLT(1.0, s); } }"
-                .to_string(),
-        );
-        // Exploration reaches a marking where an expression has no value: a
-        // weight `1/b` with `b = 0`, and a sojourn `expLT(b, s)` with `b = 0`.
-        let weight_divides_by_zero = ModelSpec::Dnamaca(
-            r"\place{a}{1} \place{b}{0}
-              \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
-                  \weight{1 / b} \sojourntimeLT{ return expLT(2.0, s); } }
-              \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
-                  \sojourntimeLT{ return expLT(1.0, s); } }"
-                .to_string(),
-        );
-        let sojourn_rate_zero = ModelSpec::Dnamaca(
-            r"\place{a}{1} \place{b}{0}
-              \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
-                  \sojourntimeLT{ return expLT(b, s); } }
-              \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
-                  \sojourntimeLT{ return expLT(1.0, s); } }"
-                .to_string(),
-        );
         let server = QueryServer::bind(QueryServerOptions {
             pool: PoolSpec::InProcess(1),
             ..QueryServerOptions::default()
@@ -1722,8 +1738,8 @@ mod tests {
         let addr = server.local_addr().unwrap().to_string();
         std::thread::scope(|scope| {
             let running = scope.spawn(|| server.run());
-            for model in [zero_weight, weight_divides_by_zero, sojourn_rate_zero] {
-                for engine in ["auto", "analytic", "distributed"] {
+            for model in crate::engine::tests::hostile_models() {
+                for engine in ["auto", "analytic", "distributed", "uniform"] {
                     let request = QueryRequest {
                         model: model.clone(),
                         engine: engine.to_string(),

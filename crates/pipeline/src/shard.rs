@@ -48,7 +48,7 @@
 use crate::checkpoint::{shard_snapshot_path, ShardSnapshot};
 use crate::link::{Link, LoopbackLink};
 use crate::master::PipelineError;
-use crate::transform::{CompiledSetCache, ResolveTarget, TransformSpec};
+use crate::transform::{CompiledModelSet, ExploredModel, ModelCache, TransformSpec};
 use crate::transport::{transport_error, ExecutionPlan, TcpTransport, Transport, TransportReport};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
@@ -102,16 +102,15 @@ impl SliceWorkerSession {
                 "shard index {worker} is out of range for {shards} shards"
             ));
         }
-        let source = model.source();
-        let net = smp_dnamaca::parse_model(&source).map_err(|e| e.to_string())?;
-        let space = smp_smspn::StateSpace::explore(&net).map_err(|e| e.to_string())?;
-        let target_states = targets.resolve(&net, &space).map_err(|e| e.to_string())?;
+        let explored = ExploredModel::explore(model)?;
+        let target_states = explored.resolve(targets).map_err(|e| e.to_string())?;
+        let space = explored.space();
         let smp = space.smp();
         let target_set =
             StateSet::new(smp.num_states(), &target_states).map_err(|e| e.to_string())?;
         let skeleton =
             ShardedSkeleton::build(smp, &target_set, space.initial_state(), shards, worker);
-        // `net` and `space` drop here: only the slice survives.
+        // The explored model drops here: only the slice survives.
         Ok(SliceWorkerSession {
             ws: ShardWorkspace::new(Arc::new(skeleton)),
             route: Vec::new(),
@@ -328,9 +327,9 @@ enum PointError {
 /// redone from scratch.
 pub struct SliceFleet {
     slots: Vec<Slot>,
-    /// The master-side compiled model set of the last spec the slice
-    /// grammar does not speak, kept until a different one asks.
-    fallback: CompiledSetCache,
+    /// The master-side explored model of the last spec the slice grammar
+    /// does not speak, kept until a spec over a different model asks.
+    fallback: ModelCache,
 }
 
 impl SliceFleet {
@@ -371,7 +370,7 @@ impl SliceFleet {
                 .into_iter()
                 .map(|link| Slot { link, pending: 0 })
                 .collect(),
-            fallback: CompiledSetCache::new(1),
+            fallback: ModelCache::new(1),
         }
     }
 
@@ -944,14 +943,15 @@ impl ShardedTransport {
         for (spec, items) in groups {
             let points: Vec<Complex64> = items.iter().map(|item| item.s).collect();
             if !matches!(spec, TransformSpec::Passage { .. }) {
-                let (set, hit) = fleet.fallback.get_or_compile(std::slice::from_ref(spec))?;
+                let set = CompiledModelSet::compile_cached([spec], &fleet.fallback)?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
                 for (&item, outcome) in items.iter().zip(evaluator.eval_many(&points)) {
                     deliver(item, outcome);
                 }
                 report.states = report.states.or(Some(set.num_states()));
                 report.hotpath = report.hotpath.merged(evaluator.hotpath_stats());
-                report.model_cache_misses += if hit { 0 } else { set.num_models() };
+                report.model_cache_hits += set.cache_hits();
+                report.model_cache_misses += set.cache_misses();
                 continue;
             }
             let key = spec.transform_key();

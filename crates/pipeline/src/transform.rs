@@ -18,11 +18,11 @@
 //! model can never be replayed against another.
 //!
 //! Workers turn a spec back into a running evaluator in two steps that mirror
-//! the life cycle of the paper's slave processors: [`CompiledModelSet::compile`]
-//! parses the model and explores its state space once per *distinct* model
-//! (several measures over one model share the exploration), and
-//! [`CompiledModelSet::evaluator`] builds the per-measure solver borrowing that
-//! shared state space.
+//! the life cycle of the paper's slave processors: the model is parsed and
+//! explored once ([`ExploredModel`], kept in a [`ModelCache`] keyed by the
+//! model's fingerprint), and every run resolves its specs against it into a
+//! [`CompiledModelSet`] and builds the per-measure solvers borrowing that
+//! shared state space ([`CompiledModelSet::evaluator`]).
 
 use crate::cache::LruMemo;
 use crate::wire::{self, encode_finite_f64, encode_str, malformed, Fields, Line, WireError};
@@ -30,7 +30,8 @@ use smp_core::transient::TransientSolver;
 use smp_core::PassageTimeSolver;
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
-use smp_smspn::{Marking, StateSpace};
+use smp_smspn::{Marking, SmSpn, StateSpace};
+use std::sync::Arc;
 
 /// Wire-format version of the spec encoding (first field of every spec line).
 pub const SPEC_VERSION: u32 = 1;
@@ -138,19 +139,11 @@ pub use smp_core::query::{CompareOp, TargetSpec};
 pub trait ResolveTarget {
     /// Resolves the predicate against an explored state space, returning the
     /// indices of the matching markings.
-    fn resolve(
-        &self,
-        net: &smp_smspn::SmSpn,
-        space: &StateSpace,
-    ) -> Result<Vec<usize>, TargetResolveError>;
+    fn resolve(&self, net: &SmSpn, space: &StateSpace) -> Result<Vec<usize>, TargetResolveError>;
 }
 
 impl ResolveTarget for TargetSpec {
-    fn resolve(
-        &self,
-        net: &smp_smspn::SmSpn,
-        space: &StateSpace,
-    ) -> Result<Vec<usize>, TargetResolveError> {
+    fn resolve(&self, net: &SmSpn, space: &StateSpace) -> Result<Vec<usize>, TargetResolveError> {
         let place =
             net.place_index(&self.place)
                 .ok_or_else(|| TargetResolveError::UnknownPlace {
@@ -395,9 +388,79 @@ impl TransformSpec {
 // Compilation: spec → evaluator
 // ---------------------------------------------------------------------------
 
+/// A parsed model and its explored state space: the heavy state every
+/// evaluator over the model borrows, built once per model.
+pub struct ExploredModel {
+    net: SmSpn,
+    space: StateSpace,
+}
+
+impl std::fmt::Debug for ExploredModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExploredModel")
+            .field("states", &self.space.num_states())
+            .finish()
+    }
+}
+
+impl ExploredModel {
+    /// Parses and explores `model`: the one place the pipeline explores a
+    /// state space.  Either failure is the model's fault, whatever is asked
+    /// of it ([`CompileError::Model`]).
+    pub(crate) fn explore(model: &ModelSpec) -> Result<ExploredModel, CompileError> {
+        let source = model.source();
+        let net = smp_dnamaca::parse_model(&source)
+            .map_err(|e| CompileError::Model(format!("model parse error: {e}")))?;
+        let space = StateSpace::explore(&net)
+            .map_err(|e| CompileError::Model(format!("state-space exploration failed: {e}")))?;
+        Ok(ExploredModel { net, space })
+    }
+
+    /// The parsed net.
+    pub(crate) fn net(&self) -> &SmSpn {
+        &self.net
+    }
+
+    /// The explored state space.
+    pub(crate) fn space(&self) -> &StateSpace {
+        &self.space
+    }
+
+    /// The indices of the markings `targets` matches.
+    pub(crate) fn resolve(&self, targets: &TargetSpec) -> Result<Vec<usize>, TargetResolveError> {
+        targets.resolve(&self.net, &self.space)
+    }
+}
+
+/// A bounded, thread-safe LRU cache of [`ExploredModel`]s keyed by
+/// [`ModelSpec::fingerprint`] — the one place an explored model is kept.
+///
+/// Exploring the state space is by far the most expensive part of answering
+/// a query that is not already in the result cache.  Every holder of a model
+/// looks it up here: the in-process backend's runs, the TCP worker's jobs,
+/// the slice fleet's master-side evaluations, the uniformization engine, and
+/// the `--engine auto` probe.  A passage and a transient over one model are
+/// one entry, so they cost one exploration; specs are resolved against the
+/// cached model on every run.  A failed exploration is not kept.
+///
+/// Eviction is least-recently-used with a monotonic clock, so the entry set
+/// after any sequence of operations is deterministic.
+pub type ModelCache = LruMemo<String, Arc<ExploredModel>>;
+
+impl ModelCache {
+    /// The explored `model`, exploring (and keeping) it on a miss.  The
+    /// boolean is `true` when it was served without exploring.  The
+    /// exploration runs outside the cache lock (see [`LruMemo`]).
+    pub fn explored(&self, model: &ModelSpec) -> Result<(Arc<ExploredModel>, bool), CompileError> {
+        self.get_or_insert_with(model.fingerprint(), || {
+            ExploredModel::explore(model).map(Arc::new)
+        })
+    }
+}
+
 /// Everything of a spec that needs the model: which solver to build.
 /// `targets` holds the *resolved* state indices — the predicate is matched
-/// against the state space exactly once, at compile time.
+/// against the state space exactly once per compile.
 struct ResolvedSpec {
     /// Index into [`CompiledModelSet::models`], or `None` for analytic specs.
     model: Option<usize>,
@@ -431,16 +494,17 @@ impl From<CompileError> for String {
     }
 }
 
-/// A set of parsed-and-explored models shared by the evaluators of one job.
+/// The specs of one run, resolved against their explored models.
 ///
-/// Workers compile the measures' specs in two steps: this set owns the heavy
-/// state (one [`StateSpace`] per *distinct* model source), then
-/// [`CompiledModelSet::evaluator`] builds cheap per-measure solvers that borrow
-/// it.  The two-step split is what lets several measures over one model share
-/// a single state-space exploration, exactly as the in-process CLI shares its
-/// solvers.
+/// Workers compile the measures' specs in two steps: this set holds the
+/// heavy state (one shared [`ExploredModel`] per *distinct* model), then
+/// [`CompiledModelSet::evaluator`] builds cheap per-measure solvers that
+/// borrow it.  The two-step split is what lets several measures over one
+/// model share a single state-space exploration.
 pub struct CompiledModelSet {
-    models: Vec<(String, smp_smspn::SmSpn, StateSpace)>,
+    models: Vec<(String, Arc<ExploredModel>)>,
+    /// How many of `models` the cache served without exploring.
+    cache_hits: usize,
     resolved: Vec<ResolvedSpec>,
 }
 
@@ -457,17 +521,31 @@ impl CompiledModelSet {
     /// Parses and explores every distinct model among `specs`, in order.
     /// Returns an error naming the first spec that fails to compile.
     pub fn compile(specs: &[TransformSpec]) -> Result<CompiledModelSet, CompileError> {
-        let mut models: Vec<(String, smp_smspn::SmSpn, StateSpace)> = Vec::new();
-        let mut resolved = Vec::with_capacity(specs.len());
+        Self::compile_cached(specs, &ModelCache::new(specs.len()))
+    }
+
+    /// Compiles `specs` against the models in `models`, looking each
+    /// distinct model up once and exploring only the ones it lacks.
+    pub(crate) fn compile_cached<'a>(
+        specs: impl IntoIterator<Item = &'a TransformSpec>,
+        models: &ModelCache,
+    ) -> Result<CompiledModelSet, CompileError> {
+        let mut set = CompiledModelSet {
+            models: Vec::new(),
+            cache_hits: 0,
+            resolved: Vec::new(),
+        };
         for spec in specs {
-            resolved.push(Self::resolve(spec, &mut models)?);
+            let resolved = set.resolve(spec, models)?;
+            set.resolved.push(resolved);
         }
-        Ok(CompiledModelSet { models, resolved })
+        Ok(set)
     }
 
     fn resolve(
+        &mut self,
         spec: &TransformSpec,
-        models: &mut Vec<(String, smp_smspn::SmSpn, StateSpace)>,
+        cache: &ModelCache,
     ) -> Result<ResolvedSpec, CompileError> {
         match spec {
             TransformSpec::Analytic(dist) => Ok(ResolvedSpec {
@@ -479,25 +557,21 @@ impl CompiledModelSet {
             TransformSpec::Passage { model, targets }
             | TransformSpec::Transient { model, targets } => {
                 let fingerprint = model.fingerprint();
-                let index = match models.iter().position(|(fp, _, _)| *fp == fingerprint) {
+                let index = match self.models.iter().position(|(fp, _)| *fp == fingerprint) {
                     Some(index) => index,
                     None => {
-                        let source = model.source();
-                        let net = smp_dnamaca::parse_model(&source)
-                            .map_err(|e| CompileError::Model(format!("model parse error: {e}")))?;
-                        let space = StateSpace::explore(&net).map_err(|e| {
-                            CompileError::Model(format!("state-space exploration failed: {e}"))
-                        })?;
-                        models.push((fingerprint, net, space));
-                        models.len() - 1
+                        let (explored, hit) = cache.explored(model)?;
+                        self.cache_hits += usize::from(hit);
+                        self.models.push((fingerprint, explored));
+                        self.models.len() - 1
                     }
                 };
                 // Resolving the predicate here both validates it (a bad spec
                 // fails at compile time, not at the first s-point) and does
                 // the full state-space scan exactly once.
-                let (_, net, space) = &models[index];
-                let target_states = targets
-                    .resolve(net, space)
+                let target_states = self.models[index]
+                    .1
+                    .resolve(targets)
                     .map_err(|e| CompileError::Spec(e.to_string()))?;
                 Ok(ResolvedSpec {
                     model: Some(index),
@@ -514,13 +588,23 @@ impl CompiledModelSet {
         self.models.len()
     }
 
+    /// Distinct models the compile found in its [`ModelCache`].
+    pub(crate) fn cache_hits(&self) -> usize {
+        self.cache_hits
+    }
+
+    /// Distinct models the compile had to explore.
+    pub(crate) fn cache_misses(&self) -> usize {
+        self.models.len() - self.cache_hits
+    }
+
     /// Total reachable markings across the compiled models (engines compile a
     /// single model, so this is simply its state-space size — reported in
     /// [`smp_core::query::Provenance::states`]).
     pub fn num_states(&self) -> usize {
         self.models
             .iter()
-            .map(|(_, _, space)| space.num_states())
+            .map(|(_, model)| model.space.num_states())
             .sum()
     }
 
@@ -534,7 +618,7 @@ impl CompiledModelSet {
         let kind = match (&resolved.dist, resolved.model) {
             (Some(dist), _) => EvaluatorKind::Analytic(dist.clone()),
             (None, Some(model)) => {
-                let (_, _net, space) = &self.models[model];
+                let space = &self.models[model].1.space;
                 let targets = resolved
                     .targets
                     .as_deref()
@@ -564,49 +648,6 @@ impl CompiledModelSet {
         (0..self.resolved.len())
             .map(|i| self.evaluator(i))
             .collect()
-    }
-}
-
-/// A bounded, thread-safe LRU cache of [`CompiledModelSet`]s keyed by the
-/// canonical wire encoding of their spec lists.
-///
-/// Compiling a model set parses the model and explores its state space — by
-/// far the most expensive part of answering a repeated query. The query
-/// server keeps one of these caches so that a second request against the same
-/// (model, target-set) list reuses the explored state space instead of
-/// re-exploring it. Keys are the joined [`TransformSpec::encode`] lines, so
-/// two spec lists collide only when they would compile to identical sets; a
-/// spec that cannot be encoded (impossible for specs built from parsed
-/// models) falls back to an uncached compile.
-///
-/// Eviction is least-recently-used with a monotonic clock, so the entry set
-/// after any sequence of operations is deterministic.
-pub type CompiledSetCache = LruMemo<String, std::sync::Arc<CompiledModelSet>>;
-
-impl CompiledSetCache {
-    /// Returns the cached set for `specs`, compiling (and caching) it on a
-    /// miss. The boolean is `true` when the set was served from the cache
-    /// without compiling. The compile itself runs outside the cache lock, so
-    /// concurrent misses on different keys do not serialize; two concurrent
-    /// misses on the *same* key may both compile, but only one result is
-    /// retained.
-    pub fn get_or_compile(
-        &self,
-        specs: &[TransformSpec],
-    ) -> Result<(std::sync::Arc<CompiledModelSet>, bool), CompileError> {
-        let compile = || CompiledModelSet::compile(specs).map(std::sync::Arc::new);
-        let mut key = String::new();
-        for spec in specs {
-            match spec.encode() {
-                Ok(line) => {
-                    key.push_str(&line);
-                    key.push('\n');
-                }
-                // Unkeyable spec: compile without touching the cache.
-                Err(_) => return Ok((compile()?, false)),
-            }
-        }
-        self.get_or_insert_with(key, compile)
     }
 }
 
@@ -899,50 +940,64 @@ mod tests {
         }
     }
 
+    /// A passage and a transient over one model are one cache entry: the
+    /// first compile explores it, a later compile of other specs over the
+    /// same model resolves them against the kept model.
     #[test]
-    fn compiled_set_cache_hits_on_identical_spec_lists() {
-        let cache = CompiledSetCache::new(4);
-        let specs = vec![
+    fn model_cache_explores_each_model_once() {
+        let cache = ModelCache::new(4);
+        let specs = [
             TransformSpec::passage(voting(), pred("p2>=2")),
             TransformSpec::transient(voting(), pred("p2>=2")),
         ];
-        let (first, hit) = cache.get_or_compile(&specs).unwrap();
-        assert!(!hit, "cold lookup must compile");
-        let (second, hit) = cache.get_or_compile(&specs).unwrap();
-        assert!(hit, "identical spec list must be served from cache");
+        let first = CompiledModelSet::compile_cached(&specs, &cache).unwrap();
+        assert_eq!((first.cache_hits(), first.cache_misses()), (0, 1));
+        let other = [TransformSpec::transient(voting(), pred("p2>=3"))];
+        let second = CompiledModelSet::compile_cached(&other, &cache).unwrap();
+        assert_eq!((second.cache_hits(), second.cache_misses()), (1, 0));
         assert!(
-            std::sync::Arc::ptr_eq(&first, &second),
-            "both holders share one compiled set"
+            Arc::ptr_eq(&first.models[0].1, &second.models[0].1),
+            "both sets share one explored model"
         );
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn compiled_set_cache_distinguishes_spec_lists_and_evicts_lru() {
-        let cache = CompiledSetCache::new(2);
-        let a = vec![TransformSpec::passage(voting(), pred("p2>=2"))];
-        let b = vec![TransformSpec::passage(voting(), pred("p2>=3"))];
-        let c = vec![TransformSpec::transient(voting(), pred("p2>=2"))];
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&b).unwrap();
-        // Touch `a` so `b` is the least recently used, then overflow.
-        let (_, hit) = cache.get_or_compile(&a).unwrap();
-        assert!(hit);
-        cache.get_or_compile(&c).unwrap();
+    fn model_cache_keys_by_fingerprint_and_evicts_lru() {
+        let cache = ModelCache::new(2);
+        let model = |voters| ModelSpec::Voting {
+            voters,
+            polling: 1,
+            central: 1,
+        };
+        let hit = |voters| cache.explored(&model(voters)).unwrap().1;
+        assert!(!hit(2));
+        assert!(!hit(3));
+        // Touch 2 so 3 is the least recently used, then overflow.
+        assert!(hit(2));
+        assert!(!hit(4));
         assert_eq!(cache.len(), 2, "capacity bound holds");
-        let (_, hit) = cache.get_or_compile(&a).unwrap();
-        assert!(hit, "recently-touched entry survived eviction");
-        let (_, hit) = cache.get_or_compile(&b).unwrap();
-        assert!(!hit, "least-recently-used entry was evicted");
+        assert!(hit(2), "recently-touched entry survived eviction");
+        assert!(!hit(3), "least-recently-used entry was evicted");
     }
 
     #[test]
-    fn compiled_set_cache_propagates_compile_errors_without_caching() {
-        let cache = CompiledSetCache::new(2);
-        let bad = vec![TransformSpec::passage(voting(), pred("nosuch>=1"))];
-        assert!(cache.get_or_compile(&bad).is_err());
-        assert!(cache.is_empty(), "failed compiles are not cached");
+    fn model_cache_keeps_no_failed_exploration() {
+        let cache = ModelCache::new(2);
+        let hostile = ModelSpec::Dnamaca(
+            "\\place{p}{0} \\transition{t}{ \\weight{1 / p} \\action{ next->p = 1; } }".into(),
+        );
+        let spec = [TransformSpec::passage(hostile, pred("p>=1"))];
+        let err = CompiledModelSet::compile_cached(&spec, &cache).unwrap_err();
+        assert!(matches!(err, CompileError::Model(_)), "{err}");
+        assert!(cache.is_empty(), "a failed exploration is not kept");
+        // A spec that does not fit its model fails after a good exploration,
+        // which is kept for the next spec.
+        let bad = [TransformSpec::passage(voting(), pred("nosuch>=1"))];
+        let err = CompiledModelSet::compile_cached(&bad, &cache).unwrap_err();
+        assert!(matches!(err, CompileError::Spec(_)), "{err}");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

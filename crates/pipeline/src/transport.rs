@@ -36,7 +36,7 @@
 pub use crate::fault::{splitmix64, Backoff, FaultKind, FaultPlan};
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
-use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
+use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
@@ -96,12 +96,11 @@ pub struct TransportReport {
     /// evaluators (zero for the TCP backend — its workers count on their own
     /// side of the wire).
     pub hotpath: smp_core::HotPathStats,
-    /// Compiled model sets this run served from a [`CompiledSetCache`]
-    /// without re-exploring (zero for backends that compile on the far side
-    /// of a wire).
+    /// Distinct models this run found explored in its [`ModelCache`] (zero
+    /// for backends that explore on the far side of a wire).
     pub model_cache_hits: usize,
-    /// Compiled model sets this run had to compile — each one a state-space
-    /// exploration per distinct model in the plan.
+    /// Distinct models this run had to explore, one state-space exploration
+    /// each.
     pub model_cache_misses: usize,
     /// Row shards alive at the end of the last sharded session of the run
     /// (0 when none ran — the backend does not row-shard, or the plan held
@@ -202,25 +201,26 @@ pub(crate) fn encode_plan_specs(specs: &[&TransformSpec]) -> Result<Vec<String>,
 pub struct InProcess {
     /// Number of worker threads; 0 or 1 means a single worker.
     pub workers: usize,
-    compiled_cache: Arc<CompiledSetCache>,
+    models: Arc<ModelCache>,
 }
 
 impl InProcess {
-    /// An in-process backend with `workers` threads.  It keeps the compiled
-    /// model set of its last run, so the refinement rounds of a quantile
-    /// search explore the state space once, not once per round.
+    /// An in-process backend with `workers` threads.  It keeps the explored
+    /// model of its last run, so every run of a solve over one model — its
+    /// batch and each refinement round of a quantile search, whatever
+    /// measures they ask — explores the state space once.
     pub fn new(workers: usize) -> Self {
         InProcess {
             workers,
-            compiled_cache: Arc::new(CompiledSetCache::new(1)),
+            models: Arc::new(ModelCache::new(1)),
         }
     }
 
-    /// Serves compiled model sets from `cache` instead of the backend's own
-    /// one-entry cache — the query server shares one cache across all
-    /// requests.
-    pub fn with_compiled_cache(mut self, cache: Arc<CompiledSetCache>) -> Self {
-        self.compiled_cache = cache;
+    /// Looks models up in `models` instead of the backend's own one-entry
+    /// cache: the query server shares one cache across all requests, and the
+    /// CLI hands the engine the model its `--engine` probe explored.
+    pub fn with_model_cache(mut self, models: Arc<ModelCache>) -> Self {
+        self.models = models;
         self
     }
 }
@@ -239,7 +239,7 @@ impl Transport for InProcess {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        run_threaded(self.workers, plan, &self.compiled_cache, on_message)
+        run_threaded(self.workers, plan, &self.models, on_message)
     }
 }
 
@@ -247,22 +247,15 @@ impl Transport for InProcess {
 fn run_threaded(
     workers: usize,
     plan: ExecutionPlan<'_>,
-    compiled_cache: &CompiledSetCache,
+    models: &ModelCache,
     on_message: &mut dyn FnMut(WorkerMessage),
 ) -> Result<TransportReport, PipelineError> {
     let workers = workers.max(1);
 
-    // Compile every measure locally: one state-space exploration per
-    // distinct model, exactly what a remote worker would do on receipt of the
-    // job frame — and, like that worker, a repeated spec list reuses the
-    // explored state space instead.
-    let specs: Vec<TransformSpec> = plan.specs.iter().map(|&spec| spec.clone()).collect();
-    let (compiled_set, cache_hit) = compiled_cache.get_or_compile(&specs)?;
-    let (model_cache_hits, model_cache_misses) = if cache_hit {
-        (compiled_set.num_models(), 0)
-    } else {
-        (0, compiled_set.num_models())
-    };
+    // Compile every measure locally, exactly what a remote worker does on
+    // receipt of the job frame: each distinct model is looked up in the
+    // cache, and only a model it lacks is explored.
+    let compiled_set = CompiledModelSet::compile_cached(plan.specs.iter().copied(), models)?;
     let states = (compiled_set.num_models() > 0).then(|| compiled_set.num_states());
     let evaluators: Vec<CompiledEvaluator<'_>> =
         compiled_set.evaluators().map_err(transport_error)?;
@@ -284,8 +277,8 @@ fn run_threaded(
         messages,
         states,
         hotpath,
-        model_cache_hits,
-        model_cache_misses,
+        model_cache_hits: compiled_set.cache_hits(),
+        model_cache_misses: compiled_set.cache_misses(),
         ..TransportReport::default()
     })
 }

@@ -27,7 +27,7 @@
 use crate::fault::Backoff;
 use crate::link::{Link, TcpLink};
 use crate::shard::SliceWorkerSession;
-use crate::transform::{CompiledEvaluator, CompiledSetCache, TransformSpec};
+use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
 use smp_numeric::Complex64;
@@ -215,9 +215,9 @@ pub struct TcpWorkerSummary {
 /// reuse it across requests without a fresh rendezvous.  The one-shot master
 /// closes the socket after its single run, which the worker sees as a clean
 /// end-of-stream and exits on — so `smpq worker --connect` behaves exactly as
-/// before against a batch run.  The last compiled model set is memoized:
-/// back-to-back jobs over the same specs (the common case behind a server)
-/// skip the parse + state-space exploration entirely.
+/// before against a batch run.  The last explored model is kept: back-to-back
+/// jobs over one model (the common case behind a server), whatever measures
+/// they ask, skip the parse and state-space exploration entirely.
 ///
 /// This is what `smpq worker --connect HOST:PORT` executes.
 pub fn run_tcp_worker(
@@ -225,12 +225,12 @@ pub fn run_tcp_worker(
     options: &TcpWorkerOptions,
 ) -> Result<TcpWorkerSummary, String> {
     let mut summary = TcpWorkerSummary::default();
-    // The last job's compiled model set.  A resident worker behind a query
+    // The last job's explored model.  A resident worker behind a query
     // daemon sees the same model for most jobs, and a repeat job must not pay
     // the exploration again.  The cache survives reconnects: a worker that
-    // outlives a crashed master keeps its compiled state space for the
+    // outlives a crashed master keeps its explored state space for the
     // resumed run.
-    let compiled = CompiledSetCache::new(1);
+    let models = ModelCache::new(1);
     let mut redial = Backoff::for_endpoint(
         options.retry_delay.max(Duration::from_millis(1)),
         options.retry_delay.max(Duration::from_millis(1)) * 8,
@@ -248,12 +248,7 @@ pub fn run_tcp_worker(
             Err(e) => return Err(e),
         };
 
-        match serve_link(
-            &mut link,
-            options.exit_after_chunks,
-            &mut summary,
-            &compiled,
-        ) {
+        match serve_link(&mut link, options.exit_after_chunks, &mut summary, &models) {
             // Only an explicit outer `done` (or the fault-injection exit)
             // ends a reconnecting worker: every other link end could be a
             // master mid-restart.
@@ -378,7 +373,7 @@ pub(crate) fn serve_link(
     link: &mut dyn Link,
     exit_after: Option<usize>,
     summary: &mut TcpWorkerSummary,
-    compiled: &CompiledSetCache,
+    models: &ModelCache,
 ) -> Result<SessionEnd, String> {
     let hello = Frame::Hello {
         version: WIRE_VERSION,
@@ -412,7 +407,7 @@ pub(crate) fn serve_link(
                 specs,
             } if version == WIRE_VERSION => {
                 summary.worker_id = worker;
-                serve_chunks(link, exit_after, summary, compiled, &method, specs)?
+                serve_chunks(link, exit_after, summary, models, &method, specs)?
             }
             Frame::Job { version, .. } => {
                 return Err(format!(
@@ -544,7 +539,7 @@ fn serve_chunks(
     link: &mut dyn Link,
     exit_after: Option<usize>,
     summary: &mut TcpWorkerSummary,
-    compiled: &CompiledSetCache,
+    models: &ModelCache,
     method: &str,
     spec_lines: Vec<String>,
 ) -> Result<Option<SessionEnd>, String> {
@@ -563,16 +558,17 @@ fn serve_chunks(
         return Err(fatal(link, format!("unknown inversion method '{method}'")));
     }
 
-    // Rebuild the evaluators from bytes unless this job repeats the
-    // previous one.  A compile failure is reported to the master as a fatal
-    // frame so the run fails with a message, not a timeout.
+    // Rebuild the evaluators from bytes, exploring the model only when this
+    // job's differs from the previous one's.  A compile failure is reported
+    // to the master as a fatal frame so the run fails with a message, not a
+    // timeout.
     let compiled_set = match spec_lines
         .iter()
         .map(|l| TransformSpec::decode(l).map_err(|e| e.to_string()))
         .collect::<Result<Vec<_>, _>>()
-        .and_then(|specs| compiled.get_or_compile(&specs).map_err(String::from))
+        .and_then(|specs| CompiledModelSet::compile_cached(&specs, models).map_err(String::from))
     {
-        Ok((set, _)) => set,
+        Ok(set) => set,
         Err(message) => return Err(format!("spec compile failed: {}", fatal(link, message))),
     };
     let evaluators = compiled_set

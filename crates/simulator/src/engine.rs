@@ -2,6 +2,7 @@
 
 use rand::Rng;
 use smp_smspn::enabling::firing_probabilities;
+use smp_smspn::reachability::ReachabilityError;
 use smp_smspn::{Marking, SmSpn};
 
 /// One executed firing.
@@ -66,26 +67,28 @@ impl<'a> SimulationEngine<'a> {
         self.steps
     }
 
-    /// Executes one firing.  Returns `None` when no transition is enabled (the net
-    /// deadlocks), leaving the state unchanged.
+    /// Executes one firing.  Returns `Ok(None)` when no transition is enabled
+    /// (the net deadlocks), leaving the state unchanged.
     ///
-    /// # Panics
-    /// Panics when a guard, priority, weight, action or sojourn time of the net
-    /// cannot be evaluated in the current marking; exploring the net reports
-    /// the same failure as a typed error.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Step> {
+    /// A guard, priority, weight, action or sojourn time of the net that
+    /// cannot be evaluated in the current marking fails the step with the
+    /// error exploring the net reports for it
+    /// ([`ReachabilityError::Evaluation`]), and leaves the state unchanged too.
+    pub fn step<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+    ) -> Result<Option<Step>, ReachabilityError> {
         let net = self.net;
         let current = &self.marking;
-        let failed = |transition: usize, message: String| -> ! {
-            panic!(
-                "transition '{}' in marking {current}: {message}",
-                net.transitions()[transition].name()
-            )
+        let failed = |transition: usize, message: String| ReachabilityError::Evaluation {
+            transition: net.transitions()[transition].name().to_string(),
+            marking: current.as_slice().to_vec(),
+            message,
         };
         let choices =
-            firing_probabilities(net, current).unwrap_or_else(|e| failed(e.transition, e.message));
+            firing_probabilities(net, current).map_err(|e| failed(e.transition, e.message))?;
         if choices.is_empty() {
-            return None;
+            return Ok(None);
         }
         // Probabilistic choice by weight.
         let mut u: f64 = rng.gen_range(0.0..1.0);
@@ -100,41 +103,44 @@ impl<'a> SimulationEngine<'a> {
         let spec = &net.transitions()[chosen];
         let delay = spec
             .distribution_in(current)
-            .unwrap_or_else(|message| failed(chosen, message))
+            .map_err(|message| failed(chosen, message))?
             .sample(rng);
         let mut next = current.clone();
         spec.fire(current, &mut next)
-            .unwrap_or_else(|message| failed(chosen, message));
+            .map_err(|message| failed(chosen, message))?;
         self.clock += delay;
         self.marking = next;
         self.steps += 1;
-        Some(Step {
+        Ok(Some(Step {
             transition: chosen,
             delay,
             marking: self.marking.clone(),
-        })
+        }))
     }
 
     /// Runs until `predicate` holds on the current marking, the clock passes
     /// `max_time`, or `max_steps` firings have happened.  Returns the clock value at
-    /// which the predicate first held, or `None` if the run was cut off first.
+    /// which the predicate first held, or `None` if the run was cut off (or
+    /// deadlocked) first; a step that fails ends the run with its error.
     pub fn run_until<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         mut predicate: impl FnMut(&Marking) -> bool,
         max_time: f64,
         max_steps: u64,
-    ) -> Option<f64> {
+    ) -> Result<Option<f64>, ReachabilityError> {
         if predicate(&self.marking) {
-            return Some(self.clock);
+            return Ok(Some(self.clock));
         }
         while self.clock <= max_time && self.steps < max_steps {
-            self.step(rng)?;
+            if self.step(rng)?.is_none() {
+                return Ok(None);
+            }
             if predicate(&self.marking) {
-                return Some(self.clock);
+                return Ok(Some(self.clock));
             }
         }
-        None
+        Ok(None)
     }
 }
 
@@ -170,11 +176,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut engine = SimulationEngine::new(&net);
         assert_eq!(engine.clock(), 0.0);
-        let s1 = engine.step(&mut rng).unwrap();
+        let s1 = engine.step(&mut rng).unwrap().unwrap();
         assert_eq!(s1.transition, 0);
         assert_eq!(engine.marking().as_slice(), &[0, 1]);
         assert!(engine.clock() > 0.0);
-        let s2 = engine.step(&mut rng).unwrap();
+        let s2 = engine.step(&mut rng).unwrap().unwrap();
         assert_eq!(s2.transition, 1);
         assert_eq!(s2.delay, 0.5);
         assert_eq!(engine.marking().as_slice(), &[1, 0]);
@@ -190,6 +196,7 @@ mod tests {
             let mut engine = SimulationEngine::new(&net);
             let t = engine
                 .run_until(&mut rng, |m| m.get(1) == 1, 1e9, 1_000)
+                .unwrap()
                 .unwrap();
             stats.push(t);
         }
@@ -205,7 +212,7 @@ mod tests {
         // Impossible predicate with tiny step budget.
         assert_eq!(
             engine.run_until(&mut rng, |m| m.get(0) == 99, 1e9, 10),
-            None
+            Ok(None)
         );
         assert_eq!(engine.steps(), 10);
     }
@@ -221,8 +228,8 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(4);
         let mut engine = SimulationEngine::new(&net);
-        assert!(engine.step(&mut rng).is_some());
-        assert!(engine.step(&mut rng).is_none());
+        assert!(engine.step(&mut rng).unwrap().is_some());
+        assert!(engine.step(&mut rng).unwrap().is_none());
         assert_eq!(engine.marking().as_slice(), &[0, 1]);
     }
 
@@ -248,13 +255,38 @@ mod tests {
         let n = 50_000;
         for _ in 0..n {
             let mut engine = SimulationEngine::new(&net);
-            engine.step(&mut rng).unwrap();
+            engine.step(&mut rng).unwrap().unwrap();
             if engine.marking().get(2) == 1 {
                 to_b += 1;
             }
         }
         let frac = to_b as f64 / n as f64;
         assert!((frac - 0.8).abs() < 0.01, "fraction to b: {frac}");
+    }
+
+    /// A piece that has no value in the marking the trajectory reaches fails
+    /// the step with the error exploration reports, and the run with it.
+    #[test]
+    fn a_piece_failing_in_a_reached_marking_is_a_typed_error() {
+        let mut net = ping_pong();
+        net.add_transition(
+            TransitionSpec::new("odd")
+                .consumes(1, 1)
+                .produces(0, 1)
+                .weight_fn(|m| Err(format!("no weight with {} tokens", m.get(1)))),
+        );
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut engine = SimulationEngine::new(&net);
+        engine.step(&mut rng).unwrap().unwrap();
+        let err = engine.step(&mut rng).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "transition 'odd' in reachable marking [0, 1]: weight: no weight with 1 tokens"
+        );
+        assert_eq!(engine.marking().as_slice(), &[0, 1], "state unchanged");
+        let mut engine = SimulationEngine::new(&net);
+        let run = engine.run_until(&mut rng, |m| m.get(0) == 99, 1e9, 10);
+        assert_eq!(run, Err(err));
     }
 
     #[test]

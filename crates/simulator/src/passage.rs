@@ -10,6 +10,7 @@ use crate::engine::SimulationEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_distributions::EmpiricalDistribution;
+use smp_smspn::reachability::ReachabilityError;
 use smp_smspn::{Marking, SmSpn};
 use std::ops::Range;
 
@@ -66,25 +67,28 @@ pub struct PassageSimulationResult {
 /// net's initial marking.
 ///
 /// `target` is an arbitrary marking predicate (e.g. "all voters have voted" or "all
-/// polling units have failed").
+/// polling units have failed").  A firing whose pieces cannot be evaluated
+/// fails the simulation with the error of the lowest-numbered replication that
+/// met one, whatever the thread count.
 pub fn simulate_passage_times(
     net: &SmSpn,
     target: impl Fn(&Marking) -> bool + Send + Sync,
     options: &PassageSimulationOptions,
-) -> PassageSimulationResult {
+) -> Result<PassageSimulationResult, ReachabilityError> {
     let runs = fan_out(options.replications, options.threads, |range| {
         run_replications(net, &target, range, options)
     });
     let mut samples = Vec::with_capacity(options.replications);
     let mut censored = 0;
-    for (s, c) in runs {
+    for run in runs {
+        let (s, c) = run?;
         samples.extend(s);
         censored += c;
     }
-    PassageSimulationResult {
+    Ok(PassageSimulationResult {
         distribution: EmpiricalDistribution::from_samples(samples),
         censored,
-    }
+    })
 }
 
 /// Runs `replications` as contiguous index ranges, one per thread (in the
@@ -117,18 +121,18 @@ fn run_replications(
     target: &(impl Fn(&Marking) -> bool + ?Sized),
     range: Range<usize>,
     options: &PassageSimulationOptions,
-) -> (Vec<f64>, usize) {
+) -> Result<(Vec<f64>, usize), ReachabilityError> {
     let mut samples = Vec::with_capacity(range.len());
     let mut censored = 0usize;
     for index in range {
         let mut rng = StdRng::seed_from_u64(replication_seed(options.seed, index as u64));
         let mut engine = SimulationEngine::new(net);
-        match engine.run_until(&mut rng, |m| target(m), options.max_time, options.max_steps) {
+        match engine.run_until(&mut rng, |m| target(m), options.max_time, options.max_steps)? {
             Some(t) => samples.push(t),
             None => censored += 1,
         }
     }
-    (samples, censored)
+    Ok((samples, censored))
 }
 
 #[cfg(test)]
@@ -169,7 +173,7 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let result = simulate_passage_times(&net, |m| m.get(3) == 1, &options);
+        let result = simulate_passage_times(&net, |m| m.get(3) == 1, &options).unwrap();
         assert_eq!(result.censored, 0);
         let d = &result.distribution;
         assert_eq!(d.len(), 30_000);
@@ -193,7 +197,8 @@ mod tests {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let multi = simulate_passage_times(
             &net,
             |m| m.get(2) == 1,
@@ -202,7 +207,8 @@ mod tests {
                 threads: 4,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(multi.distribution.len(), 20_000);
         assert_eq!(single.distribution.samples(), multi.distribution.samples());
         assert_eq!(single.censored, multi.censored);
@@ -219,7 +225,8 @@ mod tests {
                 max_steps: 100,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(result.censored, 50);
         assert!(result.distribution.is_empty());
     }
@@ -234,7 +241,8 @@ mod tests {
                 replications: 10,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(result.distribution.len(), 10);
         assert_eq!(result.distribution.max(), 0.0);
     }

@@ -8,6 +8,7 @@ use crate::engine::SimulationEngine;
 use crate::passage::{fan_out, replication_seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smp_smspn::reachability::ReachabilityError;
 use smp_smspn::{Marking, SmSpn};
 
 /// Options for transient simulation.
@@ -40,13 +41,15 @@ impl Default for TransientSimulationOptions {
 /// recording, for each grid time, whether the trajectory's marking satisfied the
 /// target predicate at that instant.
 ///
-/// `t_points` must be sorted in increasing order.
+/// `t_points` must be sorted in increasing order.  A firing whose pieces cannot
+/// be evaluated fails the simulation as in
+/// [`crate::passage::simulate_passage_times`].
 pub fn simulate_transient(
     net: &SmSpn,
     target: impl Fn(&Marking) -> bool + Send + Sync,
     t_points: &[f64],
     options: &TransientSimulationOptions,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, ReachabilityError> {
     assert!(!t_points.is_empty(), "at least one t-point is required");
     assert!(
         t_points.windows(2).all(|w| w[0] < w[1]),
@@ -58,13 +61,14 @@ pub fn simulate_transient(
         run_transient_replications(net, &target, t_points, range, options)
     });
     for run in runs {
-        for (slot, h) in hits.iter_mut().zip(run) {
+        for (slot, h) in hits.iter_mut().zip(run?) {
             *slot += h;
         }
     }
-    hits.into_iter()
+    Ok(hits
+        .into_iter()
         .map(|h| h as f64 / options.replications as f64)
-        .collect()
+        .collect())
 }
 
 /// Runs the replications of one index range, returning per-grid-point hit
@@ -75,7 +79,7 @@ fn run_transient_replications(
     t_points: &[f64],
     range: std::ops::Range<usize>,
     options: &TransientSimulationOptions,
-) -> Vec<u64> {
+) -> Result<Vec<u64>, ReachabilityError> {
     let horizon = *t_points.last().expect("non-empty");
     let mut hits = vec![0u64; t_points.len()];
     for index in range {
@@ -90,7 +94,7 @@ fn run_transient_replications(
             && engine.steps() < options.max_steps
         {
             previous_marking = engine.marking().clone();
-            if engine.step(&mut rng).is_none() {
+            if engine.step(&mut rng)?.is_none() {
                 break;
             }
             while grid_index < t_points.len() && engine.clock() > t_points[grid_index] {
@@ -109,7 +113,7 @@ fn run_transient_replications(
             grid_index += 1;
         }
     }
-    hits
+    Ok(hits)
 }
 
 #[cfg(test)]
@@ -149,7 +153,8 @@ mod tests {
                 replications: 40_000,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (&t, &p) in ts.iter().zip(&probs) {
             let expect = 1.0 / 3.0 + 2.0 / 3.0 * (-3.0f64 * t).exp();
             assert!((p - expect).abs() < 0.02, "P(a at {t}) = {p} vs {expect}");
@@ -167,7 +172,8 @@ mod tests {
                 replications: 2_000,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(probs[0] > 0.99);
     }
 
@@ -179,8 +185,8 @@ mod tests {
             replications: 5_000,
             ..Default::default()
         };
-        let in_a = simulate_transient(&net, |m| m.get(0) == 1, &ts, &opts);
-        let in_b = simulate_transient(&net, |m| m.get(1) == 1, &ts, &opts);
+        let in_a = simulate_transient(&net, |m| m.get(0) == 1, &ts, &opts).unwrap();
+        let in_b = simulate_transient(&net, |m| m.get(1) == 1, &ts, &opts).unwrap();
         for (pa, pb) in in_a.iter().zip(&in_b) {
             // Per-replication seeding means both runs walk the *same* trajectories,
             // so complementary targets partition every hit exactly (up to the
@@ -202,7 +208,8 @@ mod tests {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let multi = simulate_transient(
             &net,
             |m| m.get(0) == 1,
@@ -212,7 +219,8 @@ mod tests {
                 threads: 3,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(single, multi);
     }
 
@@ -225,6 +233,7 @@ mod tests {
             |_| true,
             &[1.0, 0.5],
             &TransientSimulationOptions::default(),
-        );
+        )
+        .unwrap();
     }
 }

@@ -66,7 +66,8 @@ fn passage_estimates_are_bitwise_identical_across_runs_and_thread_counts() {
                 seed: 0xfeed,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let key = (result.distribution.samples().to_vec(), result.censored);
         match &reference {
             None => reference = Some(key),
@@ -89,7 +90,8 @@ fn passage_estimates_are_bitwise_identical_across_runs_and_thread_counts() {
             seed: 0xbeef,
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert_ne!(reference.unwrap().0, other.distribution.samples());
 }
 
@@ -109,7 +111,8 @@ fn transient_estimates_are_bitwise_identical_across_runs_and_thread_counts() {
                 seed: 0xfeed,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         match &reference {
             None => reference = Some(probs),
             Some(expect) => assert_eq!(expect, &probs, "differs with {threads} thread(s)"),
@@ -125,7 +128,8 @@ fn transient_estimates_are_bitwise_identical_across_runs_and_thread_counts() {
             seed: 0xbeef,
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert_ne!(reference.unwrap(), other);
 }
 
