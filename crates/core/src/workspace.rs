@@ -437,15 +437,61 @@ pub(crate) fn fill_table<const K: usize>(
     }
 }
 
+/// `f64`s in a 64-byte cache line.
+const LINE_F64S: usize = 8;
+
+/// A zeroed `[Lanes<K>]` whose first element starts a cache line, so every
+/// `K = 4` block (64 bytes) is one whole line and no lane load is split
+/// across two.  The allocator only promises 16 bytes (large blocks start 16
+/// bytes past a page boundary), so the storage carries a line of slack and
+/// the lanes start at its first 64-byte boundary; the offset moves with the
+/// storage, so swapping two buffers keeps both aligned.
+#[derive(Debug, Default)]
+struct LaneVec<const K: usize> {
+    storage: Vec<f64>,
+    /// Index in `storage` of the first lane block's first `f64`.
+    offset: usize,
+    len: usize,
+}
+
+impl<const K: usize> LaneVec<K> {
+    fn zeroed(len: usize) -> LaneVec<K> {
+        let storage = vec![0.0; len * 2 * K + LINE_F64S];
+        let misaligned = storage.as_ptr().addr() % (LINE_F64S * size_of::<f64>());
+        let offset = (LINE_F64S - misaligned / size_of::<f64>()) % LINE_F64S;
+        LaneVec {
+            storage,
+            offset,
+            len,
+        }
+    }
+}
+
+impl<const K: usize> std::ops::Deref for LaneVec<K> {
+    type Target = [Lanes<K>];
+
+    fn deref(&self) -> &[Lanes<K>] {
+        let flat = &self.storage[self.offset..self.offset + self.len * 2 * K];
+        flat.as_chunks::<K>().0.as_chunks::<2>().0
+    }
+}
+
+impl<const K: usize> std::ops::DerefMut for LaneVec<K> {
+    fn deref_mut(&mut self) -> &mut [Lanes<K>] {
+        let flat = &mut self.storage[self.offset..self.offset + self.len * 2 * K];
+        flat.as_chunks_mut::<K>().0.as_chunks_mut::<2>().0
+    }
+}
+
 /// The numeric state of `K` lockstep `s`-points: the pooled LST values, the
 /// recipe value table built from them, and the two iterate vectors.  Sized on
 /// first use, so a workspace pays only for the lane counts it is asked for.
 #[derive(Debug, Default)]
 struct LaneBuffers<const K: usize> {
-    pool: Vec<Lanes<K>>,
-    table: Vec<Lanes<K>>,
-    term: Vec<Lanes<K>>,
-    scratch: Vec<Lanes<K>>,
+    pool: LaneVec<K>,
+    table: LaneVec<K>,
+    term: LaneVec<K>,
+    scratch: LaneVec<K>,
     /// An occupancy skeleton's read-out weights `1 − h*_k(s)`, one per
     /// read-out state in [`PassageSkeleton::target_indices`] order; empty
     /// for a passage.
@@ -458,10 +504,10 @@ impl<const K: usize> LaneBuffers<K> {
     fn refill(&mut self, smp: &SemiMarkovProcess, sk: &PassageSkeleton, points: &[Complex64]) {
         let st = &*sk.structure;
         if self.term.len() != st.num_states {
-            self.pool = vec![[[0.0; K]; 2]; st.num_dists];
-            self.table = vec![[[0.0; K]; 2]; st.recipes.len()];
-            self.term = vec![[[0.0; K]; 2]; st.num_states];
-            self.scratch = vec![[[0.0; K]; 2]; st.num_states];
+            self.pool = LaneVec::zeroed(st.num_dists);
+            self.table = LaneVec::zeroed(st.recipes.len());
+            self.term = LaneVec::zeroed(st.num_states);
+            self.scratch = LaneVec::zeroed(st.num_states);
         }
         fill_table(
             smp.distributions(),
@@ -569,6 +615,7 @@ impl<const K: usize> LaneKernel<'_, K> {
     fn step_dense(&mut self) {
         let st = &*self.skeleton.structure;
         let lanes = &mut *self.lanes;
+        let (scratch, table) = (&mut *lanes.scratch, &*lanes.table);
         for (r, slot) in lanes.term.iter_mut().enumerate() {
             let x = *slot;
             if all_zero(&x) {
@@ -579,7 +626,7 @@ impl<const K: usize> LaneKernel<'_, K> {
                 continue;
             }
             let (ids, cols) = st.row(r);
-            scatter_row(&mut lanes.scratch, &lanes.table, ids, cols, x);
+            scatter_row(scratch, table, ids, cols, x);
         }
         std::mem::swap(&mut lanes.term, &mut lanes.scratch);
     }
@@ -608,9 +655,10 @@ impl<const K: usize> LaneKernel<'_, K> {
         }
         let generation = frontier.generation;
         frontier.touched.clear();
+        let (term, scratch, table) = (&mut *lanes.term, &mut *lanes.scratch, &*lanes.table);
         for &r in &frontier.active {
             let r = r as usize;
-            let x = lanes.term[r];
+            let x = term[r];
             if sk.target_mask[r] || all_zero(&x) {
                 continue;
             }
@@ -621,12 +669,12 @@ impl<const K: usize> LaneKernel<'_, K> {
                     frontier.touched.push(c);
                 }
             }
-            scatter_row(&mut lanes.scratch, &lanes.table, ids, cols, x);
+            scatter_row(scratch, table, ids, cols, x);
         }
         // Restore the all-zero invariant on the buffer about to become
         // scratch: only the old active rows can be nonzero in it.
         for &r in &frontier.active {
-            lanes.term[r as usize] = [[0.0; K]; 2];
+            term[r as usize] = [[0.0; K]; 2];
         }
         std::mem::swap(&mut lanes.term, &mut lanes.scratch);
         // The next round's active rows, ascending for the bitwise order: an
@@ -946,6 +994,43 @@ impl WorkspacePool {
 mod tests {
     use super::*;
     use crate::smp::SmpBuilder;
+
+    fn starts_a_line<const K: usize>(v: &LaneVec<K>) -> bool {
+        v.as_ptr().addr() % (LINE_F64S * size_of::<f64>()) == 0
+    }
+
+    fn lane_vec_is_aligned_zeroed_and_sized<const K: usize>() {
+        for len in [0, 1, 106_994] {
+            let (mut term, mut scratch) = (LaneVec::<K>::zeroed(len), LaneVec::<K>::zeroed(len));
+            assert!(
+                starts_a_line(&term) && starts_a_line(&scratch),
+                "K = {K}, len {len}"
+            );
+            assert_eq!((term.len(), scratch.len()), (len, len), "K = {K}");
+            assert!(
+                term.iter().all(|x| *x == [[0.0; K]; 2]),
+                "K = {K}, len {len}"
+            );
+            if len > 0 {
+                term[len - 1][1][K - 1] = 1.0;
+            }
+            std::mem::swap(&mut term, &mut scratch);
+            assert!(
+                starts_a_line(&term) && starts_a_line(&scratch),
+                "K = {K}, len {len}"
+            );
+            assert_eq!((term.len(), scratch.len()), (len, len), "K = {K}");
+            if len > 0 {
+                assert_eq!(scratch[len - 1][1][K - 1], 1.0, "K = {K}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_vec_starts_a_cache_line_through_a_swap() {
+        lane_vec_is_aligned_zeroed_and_sized::<1>();
+        lane_vec_is_aligned_zeroed_and_sized::<BLOCK_LANES>();
+    }
 
     /// A kernel with duplicate (row, col) transitions carrying different
     /// distributions — the case where contribution order matters.
