@@ -343,6 +343,15 @@ impl<K: PartialEq, V: Clone> LruMemo<K, V> {
         Ok((built, false))
     }
 
+    /// The value under `key` if it is resident — a look that neither builds,
+    /// counts nor restamps, so the memo's counters and its next eviction
+    /// are as if the look never happened.
+    pub(crate) fn peek(&self, key: &K) -> Option<V> {
+        let memo = unpoisoned(self.slots.lock());
+        let slot = memo.slots.iter().find(|slot| slot.0 == *key)?;
+        Some(slot.2.clone())
+    }
+
     /// Lookups served without building.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

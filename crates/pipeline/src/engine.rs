@@ -70,7 +70,9 @@ fn model_error(e: impl std::fmt::Display) -> EngineError {
 }
 
 /// Parses the model without exploring it: what an engine that explores on
-/// the far side of a transport, or never, needs of it on the master.
+/// the far side of a transport, or never, needs of it on the master, and
+/// what the distributed engine validates against when its transport's model
+/// cache does not hold the model.
 fn parse_net(model: &ModelSpec) -> Result<smp_smspn::SmSpn, EngineError> {
     smp_dnamaca::parse_model(&model.source()).map_err(model_error)
 }
@@ -367,7 +369,17 @@ impl Engine for DistributedEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
-        validate_requests(&parse_net(&self.model)?, requests)?;
+        // The net of the model the transport already holds explored, if it
+        // does — looked at, not looked up, so no counter or recency moves —
+        // else a parse.
+        let resident = self
+            .transport
+            .model_cache()
+            .and_then(|models| models.resident(&self.model));
+        match &resident {
+            Some(explored) => validate_requests(explored.net(), requests)?,
+            None => validate_requests(&parse_net(&self.model)?, requests)?,
+        }
         let backend = self.transport.name();
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
 

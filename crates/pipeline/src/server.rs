@@ -839,6 +839,13 @@ impl Transport for PoolTransport {
         self.shared.pool_size.max(1)
     }
 
+    /// The pool's workers explore on their side of the wire; the server's
+    /// shared cache holds whatever its routing probes and in-process solves
+    /// explored.
+    fn model_cache(&self) -> Option<&ModelCache> {
+        Some(&self.shared.models)
+    }
+
     fn execute(
         &self,
         plan: ExecutionPlan<'_>,
@@ -1580,6 +1587,118 @@ mod tests {
                 misses += reports[0].provenance.model_cache_misses;
             }
             assert_eq!(misses, 1, "{model:?}");
+        }
+    }
+
+    /// Answers `request` on `shared`: its reports, or its refusal.
+    fn ask(
+        shared: &Arc<ServerShared>,
+        request: &QueryRequest,
+    ) -> Result<Vec<MeasureReport>, Refusal> {
+        match answer_query(shared, request) {
+            QueryReply::Reports(reports) => Ok(reports),
+            QueryReply::Refusal(refusal) => Err(refusal),
+        }
+    }
+
+    /// The served engines that validate against the net of a cached model.
+    const LAPLACE_ENGINES: [&str; 3] = ["auto", "analytic", "distributed"];
+
+    /// Once the model is explored in the server's cache, requests are
+    /// checked against its net instead of a fresh parse, and are refused in
+    /// the same kinds and words; a model that does not parse is never
+    /// cached, and is refused alike on every repeat.
+    #[test]
+    fn a_cached_model_validates_requests_as_a_parsed_one_does() {
+        let shared = Arc::new(bare_shared(1, 1));
+        for engine in LAPLACE_ENGINES {
+            let query = |model: &ModelSpec, measure: &str, t_points: &[f64]| QueryRequest {
+                model: model.clone(),
+                engine: engine.to_string(),
+                deadline: None,
+                t_points: t_points.to_vec(),
+                measures: vec![measure.to_string()],
+                ..sample_request()
+            };
+            let grid = [1.0, 2.5, 14.0];
+            ask(&shared, &query(&voting(), "cdf:p2>=2", &grid)).unwrap();
+            assert!(shared.models.resident(&voting()).is_some(), "{engine}");
+
+            let unknown = ask(&shared, &query(&voting(), "cdf:x>=1", &grid)).unwrap_err();
+            assert_eq!(unknown.kind, RefusalKind::Model, "{engine}: {unknown}");
+            assert_eq!(unknown.message, "place 'x' does not exist in the model");
+            let one_point = ask(&shared, &query(&voting(), "cdf:p2>=2", &[2.0])).unwrap_err();
+            assert_eq!(
+                one_point.kind,
+                RefusalKind::Analysis,
+                "{engine}: {one_point}"
+            );
+            assert!(
+                one_point.message.contains("at least two points"),
+                "{one_point}"
+            );
+
+            let broken = ModelSpec::Dnamaca(r"\place{a}{1} \transition{".to_string());
+            let refused = || ask(&shared, &query(&broken, "cdf:a>=1", &grid)).unwrap_err();
+            let first = refused();
+            assert_eq!(first.kind, RefusalKind::Model, "{engine}: {first}");
+            assert_eq!(refused(), first, "{engine}");
+        }
+    }
+
+    /// A fully warm query finds its model's net without touching the model
+    /// cache: its hit and miss counters stay put, every model stays
+    /// resident, and the least recently used one is still the next evicted —
+    /// a lookup that restamped the queried model would save it and evict
+    /// another.  The served analytic engine keeps no result cache, so its
+    /// repeat runs again and looks the model up once per run; the check
+    /// there is that those runs' lookups, which its provenance reports, are
+    /// the only ones.
+    #[test]
+    fn a_fully_warm_query_leaves_the_model_cache_as_it_found_it() {
+        let model = |voters| ModelSpec::Voting {
+            voters,
+            polling: 1,
+            central: 1,
+        };
+        for engine in LAPLACE_ENGINES {
+            // Four model slots, and the server's room for routing verdicts.
+            let mut shared = bare_shared(1, 1);
+            shared.routes = LruMemo::new(ROUTE_MEMO_SLOTS);
+            let shared = Arc::new(shared);
+            let query = |voters| QueryRequest {
+                model: model(voters),
+                engine: engine.to_string(),
+                deadline: None,
+                ..sample_request()
+            };
+            for voters in 2..6 {
+                ask(&shared, &query(voters)).unwrap();
+            }
+            let counters = || (shared.models.hits(), shared.models.misses());
+            let before = counters();
+            let repeat = ask(&shared, &query(2)).unwrap();
+            let after = counters();
+            assert!((2..6).all(|voters| shared.models.resident(&model(voters)).is_some()));
+            if engine == "analytic" {
+                let reported = repeat.iter().fold((0, 0), |(hits, misses), r| {
+                    let p = &r.provenance;
+                    (
+                        hits + p.model_cache_hits as u64,
+                        misses + p.model_cache_misses as u64,
+                    )
+                });
+                assert_eq!((after.0 - before.0, after.1 - before.1), reported);
+                continue;
+            }
+            assert!(
+                repeat.iter().all(|r| r.provenance.evaluations == 0),
+                "{engine}"
+            );
+            assert_eq!(after, before, "{engine}");
+            ask(&shared, &query(6)).unwrap();
+            assert!(shared.models.resident(&model(2)).is_none(), "{engine}");
+            assert!((3..7).all(|voters| shared.models.resident(&model(voters)).is_some()));
         }
     }
 

@@ -456,6 +456,12 @@ impl ModelCache {
             ExploredModel::explore(model).map(Arc::new)
         })
     }
+
+    /// The explored `model` if the cache holds it, found without exploring,
+    /// counting a lookup or restamping its recency (see [`LruMemo::peek`]).
+    pub(crate) fn resident(&self, model: &ModelSpec) -> Option<Arc<ExploredModel>> {
+        self.peek(&model.fingerprint())
+    }
 }
 
 /// Everything of a spec that needs the model: which solver to build.

@@ -159,6 +159,13 @@ pub trait Transport {
     /// automatic chunk sizing.
     fn parallelism(&self) -> usize;
 
+    /// The model cache the backend's runs look models up in, when it keeps
+    /// one on the master's side of the wire (`None`, the default, when its
+    /// workers explore on theirs).
+    fn model_cache(&self) -> Option<&ModelCache> {
+        None
+    }
+
     /// Drains the plan, delivering every [`WorkerMessage`] to `on_message` as
     /// it arrives (the master caches and checkpoints inside the callback).
     ///
@@ -232,6 +239,10 @@ impl Transport for InProcess {
 
     fn parallelism(&self) -> usize {
         self.workers.max(1)
+    }
+
+    fn model_cache(&self) -> Option<&ModelCache> {
+        Some(&self.models)
     }
 
     fn execute(
