@@ -58,7 +58,7 @@ impl EulerParams {
 }
 
 /// The Euler inversion operator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Euler {
     params: EulerParams,
 }

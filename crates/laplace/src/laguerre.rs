@@ -61,7 +61,7 @@ impl LaguerreParams {
 }
 
 /// The Laguerre inversion operator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Laguerre {
     params: LaguerreParams,
 }

@@ -14,7 +14,7 @@ use smp_numeric::Complex64;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Which numerical inversion algorithm drives the plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InversionMethod {
     /// Euler inversion — robust to discontinuities, `s`-points depend on each `t`.
     Euler(Euler),

@@ -28,7 +28,7 @@
 //! be sized well above the largest expected per-request working set.
 
 use crate::unpoisoned;
-use smp_laplace::TransformValues;
+use smp_laplace::{InversionMethod, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,10 +39,34 @@ use std::sync::{Mutex, RwLock};
 /// overestimate keeps a limited cache *under* its limit).
 pub const APPROX_BYTES_PER_ENTRY: usize = 64;
 
+/// Finished quantile searches a [`ResultCache`] remembers.  An answer is a
+/// few floats, so the memo is sized by what keeps its linear scan trivial,
+/// like the server's routing memo, not by the cache's byte limit.
+const QUANTILE_MEMO_SLOTS: usize = 256;
+
+/// Everything a quantile search depends on: the transform whose CDF it
+/// inverts, the method that plans its grids, and the bits of the
+/// probabilities it seeks and of the horizon it starts from.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct QuantileKey {
+    pub(crate) transform: String,
+    pub(crate) method: InversionMethod,
+    pub(crate) probs: Vec<u64>,
+    pub(crate) initial: u64,
+}
+
+/// A finished quantile search: the quantiles it found and the grid points
+/// its rounds read.
+#[derive(Debug, Clone)]
+pub(crate) struct QuantileAnswer {
+    pub(crate) values: Vec<f64>,
+    pub(crate) grid_points: usize,
+}
+
 /// A thread-safe, measure-keyed collection of [`TransformValues`] shards,
 /// optionally bounded by an approximate byte limit with least-recently-used
-/// shard eviction.
-#[derive(Debug, Default)]
+/// shard eviction, and a memo of the quantile searches run over them.
+#[derive(Debug)]
 pub struct ResultCache {
     shards: RwLock<BTreeMap<String, TransformValues>>,
     /// Approximate byte ceiling; `None` (the default) grows without bound.
@@ -54,6 +78,23 @@ pub struct ResultCache {
     clock: AtomicU64,
     evicted_shards: AtomicU64,
     evicted_values: AtomicU64,
+    /// The answer of every quantile search that succeeded over this cache:
+    /// a pure function of values the cache holds or held.
+    quantiles: LruMemo<QuantileKey, QuantileAnswer>,
+}
+
+impl Default for ResultCache {
+    fn default() -> Self {
+        ResultCache {
+            shards: RwLock::default(),
+            limit_bytes: None,
+            stamps: Mutex::default(),
+            clock: AtomicU64::default(),
+            evicted_shards: AtomicU64::default(),
+            evicted_values: AtomicU64::default(),
+            quantiles: LruMemo::new(QUANTILE_MEMO_SLOTS),
+        }
+    }
 }
 
 impl ResultCache {
@@ -262,11 +303,23 @@ impl ResultCache {
         }
         snapshot
     }
+
+    /// The answer of the quantile search under `key`: a remembered one, or
+    /// what `search` finds, remembered when it succeeds.  The boolean is
+    /// `true` when the answer was remembered.
+    pub(crate) fn quantiles<E>(
+        &self,
+        key: QuantileKey,
+        search: impl FnOnce() -> Result<QuantileAnswer, E>,
+    ) -> Result<(QuantileAnswer, bool), E> {
+        self.quantiles.get_or_insert_with(key, search)
+    }
 }
 
 /// A bounded, thread-safe least-recently-used memo — the one cache behind
-/// [`crate::transform::ModelCache`], [`crate::engine::PhaseChainCache`]
-/// and the query server's `--engine auto` routing memo.
+/// [`crate::transform::ModelCache`], [`crate::engine::PhaseChainCache`],
+/// the query server's `--engine auto` routing memo and the quantile answers
+/// a [`ResultCache`] remembers.
 ///
 /// Recency is a logical clock stamped on every lookup, so the resident set
 /// after any sequence of operations is deterministic.  Values are handed out

@@ -39,7 +39,7 @@
 //! batch, and share points, as the curves over their transform.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
-use crate::cache::LruMemo;
+use crate::cache::{LruMemo, QuantileAnswer, QuantileKey};
 use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{ExploredModel, ModelCache, ModelSpec, TargetResolveError, TransformSpec};
@@ -428,7 +428,10 @@ impl Engine for DistributedEngine {
         //    per grid the search asks for, all against one result cache so
         //    that no round evaluates a point an earlier round already has —
         //    the configured shared cache (which warms any later run too),
-        //    else one that lives as long as the search.
+        //    else one that lives as long as the search.  A shared cache also
+        //    remembers each search's answer, so a repeat reads no grid: it
+        //    reports the points the search read as cache hits, as a re-run
+        //    over the warm cache would.
         for (ri, request) in requests.iter().enumerate() {
             let MeasureKind::Quantile { probs } = &request.kind else {
                 continue;
@@ -437,26 +440,49 @@ impl Engine for DistributedEngine {
             let spec = transform_spec_for(&self.model, request);
             let name = request.name();
             let mut provenance = Provenance::local(self.name, backend);
-            let pipeline = self
-                .pipeline
-                .caching_across_runs()
-                .map_err(|e| EngineError::Analysis(e.to_string()))?;
-            let values = search_quantiles(request, probs, &mut |ts| {
-                let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
-                    name.clone(),
-                    CurveKind::Cdf,
-                    ts,
-                    spec.clone(),
-                ));
-                let batch = self.execute(&pipeline, job)?;
-                absorb_run(&mut provenance, &batch.report);
-                provenance.shards = provenance.shards.max(batch.report.shards);
-                provenance.states = provenance.states.or(batch.report.states);
-                let result = batch.measures.into_iter().next().expect("one measure");
-                provenance.evaluations += result.evaluations;
-                provenance.cache_hits += result.cache_hits;
-                Ok(result.values)
-            })?;
+            let mut search = || {
+                let pipeline = self
+                    .pipeline
+                    .caching_across_runs()
+                    .map_err(|e| EngineError::Analysis(e.to_string()))?;
+                let values = search_quantiles(request, probs, &mut |ts| {
+                    let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
+                        name.clone(),
+                        CurveKind::Cdf,
+                        ts,
+                        spec.clone(),
+                    ));
+                    let batch = self.execute(&pipeline, job)?;
+                    absorb_run(&mut provenance, &batch.report);
+                    provenance.shards = provenance.shards.max(batch.report.shards);
+                    provenance.states = provenance.states.or(batch.report.states);
+                    let result = batch.measures.into_iter().next().expect("one measure");
+                    provenance.evaluations += result.evaluations;
+                    provenance.cache_hits += result.cache_hits;
+                    Ok(result.values)
+                })?;
+                let grid_points = provenance.evaluations + provenance.cache_hits;
+                Ok::<_, EngineError>(QuantileAnswer {
+                    values,
+                    grid_points,
+                })
+            };
+            let (answer, remembered) = match &self.pipeline.options().shared_cache {
+                Some(cache) => {
+                    let key = QuantileKey {
+                        transform: spec.transform_key(),
+                        method: self.pipeline.method().clone(),
+                        probs: probs.iter().map(|p| p.to_bits()).collect(),
+                        initial: quantile_horizons(request).0.to_bits(),
+                    };
+                    cache.quantiles(key, search)?
+                }
+                None => (search()?, false),
+            };
+            if remembered {
+                provenance.cache_hits = answer.grid_points;
+            }
+            let values = answer.values;
             provenance.workers = self.transport.parallelism();
             provenance.wall = started.elapsed();
             reports[ri] = Some(MeasureReport {

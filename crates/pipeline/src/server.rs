@@ -1679,7 +1679,8 @@ mod tests {
             let before = counters();
             let repeat = ask(&shared, &query(2)).unwrap();
             let after = counters();
-            assert!((2..6).all(|voters| shared.models.resident(&model(voters)).is_some()));
+            // Counted, not looked at: the look would be the lookup under test.
+            assert_eq!(shared.models.len(), 4);
             if engine == "analytic" {
                 let reported = repeat.iter().fold((0, 0), |(hits, misses), r| {
                     let p = &r.provenance;
@@ -1700,6 +1701,126 @@ mod tests {
             assert!(shared.models.resident(&model(2)).is_none(), "{engine}");
             assert!((3..7).all(|voters| shared.models.resident(&model(voters)).is_some()));
         }
+    }
+
+    /// A served quantile query on the distributed engine, over `voting()`.
+    fn quantile_query(measure: &str, method: &str, t_points: &[f64]) -> QueryRequest {
+        QueryRequest {
+            engine: "distributed".to_string(),
+            method: method.to_string(),
+            deadline: None,
+            t_points: t_points.to_vec(),
+            measures: vec![measure.to_string()],
+            ..sample_request()
+        }
+    }
+
+    /// The one report of a served one-measure query.
+    fn one_report(shared: &Arc<ServerShared>, request: &QueryRequest) -> MeasureReport {
+        let mut reports = ask(shared, request).unwrap_or_else(|r| panic!("refused: {r}"));
+        assert_eq!(reports.len(), 1);
+        reports.remove(0)
+    }
+
+    /// What a distributed engine with no shared cache, so no memory of any
+    /// search, answers to `request`.
+    fn fresh_answer(request: &QueryRequest) -> Vec<u64> {
+        let (_, method, measures) =
+            resolve_request(&request.engine, &request.method, &request.measures).unwrap();
+        let requests: Vec<MeasureRequest> = measures
+            .into_iter()
+            .map(|measure| measure.with_t_points(&request.t_points))
+            .collect();
+        let engine = DistributedEngine::in_process(
+            request.model.clone(),
+            method,
+            PipelineOptions::with_workers(1),
+        );
+        bits(&engine.solve(&requests).unwrap()[0].values)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A repeated quantile is answered from the shared cache's memory of the
+    /// search: the same bits, nothing evaluated, sent or looked up, and the
+    /// grid points the search read counted as cache hits — what a re-search
+    /// over the warm cache reports.  A result cache too small to keep any
+    /// model's values but the latest shows that the repeat read no grid.
+    #[test]
+    fn a_repeated_quantile_is_answered_from_the_remembered_search() {
+        let mut shared = bare_shared(1, 1);
+        shared.results = Arc::new(ResultCache::with_byte_limit(1));
+        let shared = Arc::new(shared);
+        let request = quantile_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 14.0]);
+        let cold = one_report(&shared, &request);
+        assert!(cold.provenance.evaluations > 0);
+        let grid_points = cold.provenance.evaluations + cold.provenance.cache_hits;
+        // Another target's values displace the first's from the cache.
+        one_report(&shared, &quantile_query("cdf:p2>=1", "euler", &[1.0, 2.0]));
+        let repeat = one_report(&shared, &request);
+        assert_eq!(bits(&repeat.values), bits(&cold.values));
+        let p = &repeat.provenance;
+        assert_eq!((p.evaluations, p.messages, p.bytes_on_wire), (0, 0, 0));
+        assert_eq!((p.model_cache_hits, p.model_cache_misses), (0, 0));
+        assert_eq!(p.cache_hits, grid_points);
+        assert_eq!(p.matrix_rebuilds_avoided, grid_points as u64);
+        assert_eq!(bits(&repeat.values), fresh_answer(&request));
+    }
+
+    /// Whatever a search depends on is in the memo's key: other
+    /// probabilities, another last `t`, another inversion method and another
+    /// target each get their own search, bitwise what a fresh engine finds.
+    #[test]
+    fn each_search_input_gets_its_own_remembered_answer() {
+        let shared = Arc::new(bare_shared(1, 1));
+        let grid = [1.0, 2.5, 14.0];
+        let first = quantile_query("quantile:p2>=2@0.5,0.9", "euler", &grid);
+        let variants = [
+            quantile_query("quantile:p2>=2@0.5,0.75", "euler", &grid),
+            quantile_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 3.0]),
+            quantile_query("quantile:p2>=2@0.5,0.9", "laguerre", &grid),
+            quantile_query("quantile:p2>=1@0.5,0.9", "euler", &grid),
+        ];
+        let answer = |request: &QueryRequest| bits(&one_report(&shared, request).values);
+        let remembered = answer(&first);
+        for request in &variants {
+            let own = answer(request);
+            assert_eq!(own, fresh_answer(request), "{:?}", request.measures);
+            assert_eq!(answer(request), own, "{:?} on repeat", request.measures);
+        }
+        assert_eq!(answer(&first), remembered);
+    }
+
+    /// Only a search that succeeds is remembered: one whose probability the
+    /// CDF does not reach within the horizon is searched, and refused, again.
+    #[test]
+    fn a_failed_search_is_refused_again_on_repeat() {
+        let shared = Arc::new(bare_shared(1, 1));
+        let request = quantile_query("quantile:p2>=2@0.99", "euler", &[1e-4, 2e-4]);
+        for _ in 0..2 {
+            let refusal = ask(&shared, &request).unwrap_err();
+            assert_eq!(refusal.kind, RefusalKind::Analysis, "{refusal}");
+            assert!(refusal
+                .message
+                .contains("not reached within the search horizon"));
+        }
+    }
+
+    /// Two clients asking one cold quantile at once may both search; both
+    /// get the same bits, and so does a third asking after them.
+    #[test]
+    fn concurrent_cold_quantiles_answer_identical_bits() {
+        let shared = Arc::new(bare_shared(2, 2));
+        let request = quantile_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 14.0]);
+        let [a, b] = std::thread::scope(|scope| {
+            let ask = || scope.spawn(|| bits(&one_report(&shared, &request).values));
+            [ask(), ask()].map(|client| client.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(bits(&one_report(&shared, &request).values), a);
+        assert_eq!(a, fresh_answer(&request));
     }
 
     #[test]
