@@ -999,7 +999,8 @@ pub fn wire_error_of(error: &std::io::Error) -> Option<&WireError> {
 
 /// Writes one checksummed, length-prefixed UTF-8 payload to a stream and
 /// flushes it.  Returns the number of bytes put on the wire (header
-/// included).
+/// included).  Header and payload go out in one write, so a frame on a
+/// `TCP_NODELAY` socket is one segment where it fits, not three.
 ///
 /// This is the raw layer under [`write_frame`]; the query server's client
 /// protocol layers its own request/response payloads on it so every protocol
@@ -1015,11 +1016,13 @@ pub fn write_payload(stream: &mut impl Write, payload: &str) -> std::io::Result<
                 cap: MAX_FRAME_BYTES,
             })
         })?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(&frame_checksum(len, bytes).to_be_bytes())?;
-    stream.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + bytes.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(&frame_checksum(len, bytes).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    stream.write_all(&frame)?;
     stream.flush()?;
-    Ok(FRAME_HEADER_BYTES + bytes.len() as u64)
+    Ok(frame.len() as u64)
 }
 
 /// Reads one checksummed, length-prefixed UTF-8 payload from a stream.

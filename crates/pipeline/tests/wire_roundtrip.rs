@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use smp_numeric::Complex64;
 use smp_pipeline::wire::{
     decode_finite_f64, decode_worker_message, encode_f64, encode_finite_f64, encode_worker_message,
-    read_frame, read_payload, write_frame, write_payload, Frame, WireError, FRAME_HEADER_BYTES,
+    frame_checksum, read_frame, read_payload, write_frame, write_payload, Frame, WireError,
+    FRAME_HEADER_BYTES,
 };
 use smp_pipeline::work::WorkItem;
 use smp_pipeline::worker::{WorkItemOutcome, WorkerMessage};
@@ -302,5 +303,52 @@ fn every_single_bit_flip_in_a_frame_is_detected_or_refused() {
                 wire.len()
             );
         }
+    }
+}
+
+/// A sink that keeps what it is given and counts the `write` calls it took.
+#[derive(Default)]
+struct CountingWrite {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl std::io::Write for CountingWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A frame reaches its stream in one `write` — header and payload together,
+/// so a `TCP_NODELAY` socket sends one segment where three small writes
+/// could send three — and its bytes are still `len ‖ checksum ‖ payload`.
+#[test]
+fn a_frame_is_one_write_of_length_checksum_and_payload() {
+    let large = "x".repeat(100_000);
+    let frames = [Frame::Ping { nonce: 7 }, Frame::Pong { nonce: 7 }];
+    let mut payloads: Vec<String> = frames.iter().map(|f| f.encode().unwrap()).collect();
+    payloads.extend([String::new(), "query v=1".to_string(), large]);
+    for payload in &payloads {
+        let mut sink = CountingWrite::default();
+        let sent = write_payload(&mut sink, payload).unwrap();
+        assert_eq!(sink.writes, 1, "{} payload bytes", payload.len());
+        let len = u32::try_from(payload.len()).unwrap();
+        let mut expected = len.to_be_bytes().to_vec();
+        expected.extend_from_slice(&frame_checksum(len, payload.as_bytes()).to_be_bytes());
+        expected.extend_from_slice(payload.as_bytes());
+        assert_eq!(sink.bytes, expected);
+        assert_eq!(sent, FRAME_HEADER_BYTES + payload.len() as u64);
+    }
+    for frame in &frames {
+        let mut sink = CountingWrite::default();
+        write_frame(&mut sink, frame).unwrap();
+        assert_eq!(sink.writes, 1);
+        assert_eq!(read_frame(&mut sink.bytes.as_slice()).unwrap().0, *frame);
     }
 }
