@@ -79,10 +79,13 @@ fn parse_net(model: &ModelSpec) -> Result<smp_smspn::SmSpn, EngineError> {
 
 /// Checks every request's target place against the parsed net, so that a bad
 /// place name fails as a *model* error before any engine work (and before a
-/// TCP job ships).
+/// TCP job ships), and its time grid: every point finite, and — on an engine
+/// that inverts Laplace transforms (`laplace`), whose plans exist only for
+/// `t > 0` — every point of a curve's grid positive.
 fn validate_requests(
     net: &smp_smspn::SmSpn,
     requests: &[MeasureRequest],
+    laplace: bool,
 ) -> Result<(), EngineError> {
     for request in requests {
         if net.place_index(&request.target.place).is_none() {
@@ -91,11 +94,27 @@ fn validate_requests(
                 request.target.place
             )));
         }
-        if request.kind.is_curve() && request.t_points.len() < 2 {
+        let curve = request.kind.is_curve();
+        if curve && request.t_points.len() < 2 {
             return Err(EngineError::Analysis(format!(
                 "curve measure '{}' needs a time grid of at least two points",
                 request.name()
             )));
+        }
+        for &t in &request.t_points {
+            if !t.is_finite() {
+                return Err(EngineError::Analysis(format!(
+                    "time point t = {t} of measure '{}' is not finite",
+                    request.name()
+                )));
+            }
+            if laplace && curve && t <= 0.0 {
+                return Err(EngineError::Analysis(format!(
+                    "time point t = {t} of curve measure '{}' is not positive; \
+                     Laplace inversion needs t > 0",
+                    request.name()
+                )));
+            }
         }
     }
     Ok(())
@@ -377,8 +396,8 @@ impl Engine for DistributedEngine {
             .model_cache()
             .and_then(|models| models.resident(&self.model));
         match &resident {
-            Some(explored) => validate_requests(explored.net(), requests)?,
-            None => validate_requests(&parse_net(&self.model)?, requests)?,
+            Some(explored) => validate_requests(explored.net(), requests, true)?,
+            None => validate_requests(&parse_net(&self.model)?, requests, true)?,
         }
         let backend = self.transport.name();
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
@@ -566,7 +585,7 @@ impl Engine for SimulationEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         let net = parse_net(&self.model)?;
-        validate_requests(&net, requests)?;
+        validate_requests(&net, requests, false)?;
         let n = self.options.replications.max(1) as f64;
         let backend = format!(
             "monte-carlo r={} seed={:#x}",
@@ -842,7 +861,7 @@ impl Engine for UniformizationEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         let (explored, hit) = self.models.explored(&self.model).map_err(model_error)?;
-        validate_requests(explored.net(), requests)?;
+        validate_requests(explored.net(), requests, false)?;
         let space = explored.space();
         let smp = space.smp();
         if let Err(e) = uniform::exponential_rates(smp) {

@@ -2001,4 +2001,86 @@ mod tests {
             running.join().unwrap().unwrap();
         });
     }
+
+    /// A time grid holding a point that is not finite — or, on an engine
+    /// that inverts Laplace transforms, a curve point that is not positive
+    /// — is refused as an analysis error naming the point, on every engine
+    /// the server runs, and the connection answers its next query.  (Before,
+    /// such a point panicked the Laplace engines' planner, killing the
+    /// connection's thread, and uniformization answered a CDF at t = ∞ with
+    /// the value at the grid's other point.)  A quantile reads only its
+    /// grid's last point, as a positive starting horizon or not at all, and
+    /// uniformization keeps answering at t = 0.
+    #[test]
+    fn a_hostile_time_grid_is_refused_and_the_connection_keeps_answering() {
+        let server = QueryServer::bind(QueryServerOptions {
+            pool: PoolSpec::InProcess(1),
+            ..QueryServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        // (engine, model, target, whether it inverts Laplace transforms)
+        let served = [
+            ("auto", voting(), "p2>=2", true),
+            ("auto", exp_ring(), "c>=1", false),
+            ("analytic", exp_ring(), "c>=1", true),
+            ("distributed", exp_ring(), "c>=1", true),
+            ("uniform", exp_ring(), "c>=1", false),
+        ];
+        let checks = |client: &mut crate::client::QueryClient| {
+            for (engine, model, target, laplace) in &served {
+                for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                    for (kind, curve) in [("cdf", true), ("quantile", false)] {
+                        let suffix = if curve { "" } else { "@0.5" };
+                        let request = QueryRequest {
+                            model: model.clone(),
+                            engine: engine.to_string(),
+                            deadline: None,
+                            t_points: vec![1.0, t],
+                            measures: vec![format!("{kind}:{target}{suffix}")],
+                            ..sample_request()
+                        };
+                        // The refusal's words: the grid check's, naming the
+                        // point, or uniformization's own for a negative t.
+                        let refused = if !t.is_finite() || (*laplace && curve && t <= 0.0) {
+                            Some(format!("t = {t} "))
+                        } else if curve && t < 0.0 {
+                            Some("non-negative".to_string())
+                        } else {
+                            None
+                        };
+                        let case = format!("{engine} {kind} at t = {t}");
+                        match (client.query(&request), refused) {
+                            (Err(crate::client::QueryError::Refused(refusal)), Some(words)) => {
+                                assert_eq!(
+                                    refusal.kind,
+                                    RefusalKind::Analysis,
+                                    "{case}: {refusal}"
+                                );
+                                assert!(refusal.message.contains(&words), "{case}: {refusal}");
+                            }
+                            (Ok(reports), None) => assert_eq!(reports.len(), 1, "{case}"),
+                            (other, _) => panic!("{case}: got {other:?}"),
+                        }
+                    }
+                }
+            }
+            assert_eq!(client.query(&sample_request()).unwrap().len(), 2);
+        };
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.run());
+            let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+            // A failed check must still stop the server, or the scope waits
+            // on it for ever.
+            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                checks(&mut client);
+            }));
+            let stopper = crate::client::QueryClient::connect(&addr).unwrap();
+            stopper.shutdown().unwrap();
+            running.join().unwrap().unwrap();
+            if let Err(failure) = checked {
+                std::panic::resume_unwind(failure);
+            }
+        });
+    }
 }
