@@ -1703,8 +1703,8 @@ mod tests {
         }
     }
 
-    /// A served quantile query on the distributed engine, over `voting()`.
-    fn quantile_query(measure: &str, method: &str, t_points: &[f64]) -> QueryRequest {
+    /// A served one-measure query on the distributed engine, over `voting()`.
+    fn distributed_query(measure: &str, method: &str, t_points: &[f64]) -> QueryRequest {
         QueryRequest {
             engine: "distributed".to_string(),
             method: method.to_string(),
@@ -1753,12 +1753,15 @@ mod tests {
         let mut shared = bare_shared(1, 1);
         shared.results = Arc::new(ResultCache::with_byte_limit(1));
         let shared = Arc::new(shared);
-        let request = quantile_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 14.0]);
+        let request = distributed_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 14.0]);
         let cold = one_report(&shared, &request);
         assert!(cold.provenance.evaluations > 0);
         let grid_points = cold.provenance.evaluations + cold.provenance.cache_hits;
         // Another target's values displace the first's from the cache.
-        one_report(&shared, &quantile_query("cdf:p2>=1", "euler", &[1.0, 2.0]));
+        one_report(
+            &shared,
+            &distributed_query("cdf:p2>=1", "euler", &[1.0, 2.0]),
+        );
         let repeat = one_report(&shared, &request);
         assert_eq!(bits(&repeat.values), bits(&cold.values));
         let p = &repeat.provenance;
@@ -1776,12 +1779,12 @@ mod tests {
     fn each_search_input_gets_its_own_remembered_answer() {
         let shared = Arc::new(bare_shared(1, 1));
         let grid = [1.0, 2.5, 14.0];
-        let first = quantile_query("quantile:p2>=2@0.5,0.9", "euler", &grid);
+        let first = distributed_query("quantile:p2>=2@0.5,0.9", "euler", &grid);
         let variants = [
-            quantile_query("quantile:p2>=2@0.5,0.75", "euler", &grid),
-            quantile_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 3.0]),
-            quantile_query("quantile:p2>=2@0.5,0.9", "laguerre", &grid),
-            quantile_query("quantile:p2>=1@0.5,0.9", "euler", &grid),
+            distributed_query("quantile:p2>=2@0.5,0.75", "euler", &grid),
+            distributed_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 3.0]),
+            distributed_query("quantile:p2>=2@0.5,0.9", "laguerre", &grid),
+            distributed_query("quantile:p2>=1@0.5,0.9", "euler", &grid),
         ];
         let answer = |request: &QueryRequest| bits(&one_report(&shared, request).values);
         let remembered = answer(&first);
@@ -1798,7 +1801,7 @@ mod tests {
     #[test]
     fn a_failed_search_is_refused_again_on_repeat() {
         let shared = Arc::new(bare_shared(1, 1));
-        let request = quantile_query("quantile:p2>=2@0.99", "euler", &[1e-4, 2e-4]);
+        let request = distributed_query("quantile:p2>=2@0.99", "euler", &[1e-4, 2e-4]);
         for _ in 0..2 {
             let refusal = ask(&shared, &request).unwrap_err();
             assert_eq!(refusal.kind, RefusalKind::Analysis, "{refusal}");
@@ -1813,7 +1816,7 @@ mod tests {
     #[test]
     fn concurrent_cold_quantiles_answer_identical_bits() {
         let shared = Arc::new(bare_shared(2, 2));
-        let request = quantile_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 14.0]);
+        let request = distributed_query("quantile:p2>=2@0.5,0.9", "euler", &[1.0, 2.5, 14.0]);
         let [a, b] = std::thread::scope(|scope| {
             let ask = || scope.spawn(|| bits(&one_report(&shared, &request).values));
             [ask(), ask()].map(|client| client.join().unwrap())
