@@ -12,7 +12,9 @@
 //!   shared by every engine and the routing probe, so a repeated model costs
 //!   zero state-space explorations whatever measures it is asked for;
 //! * a byte-bounded [`crate::cache::ResultCache`] of transform values keyed
-//!   by measure fingerprint, so overlapping evaluation grids are served warm;
+//!   by measure fingerprint, so overlapping evaluation grids are served warm,
+//!   and with it the answer of every quantile search run over it, so a
+//!   repeated quantile reads no grid at all;
 //! * a bounded memo of engine-routing verdicts (`--engine auto`), so a model
 //!   whose explored state space was evicted is still routed without
 //!   exploring it again.
