@@ -4,13 +4,15 @@
 //! binary, so a build setting that moves both sides alike (a target CPU level,
 //! a fused multiply-add, a reassociated sum) passes it.  This suite folds the
 //! bits of every value the analytic engine returns for the conformance corpus
-//! and two voting systems into one FNV-1a digest per model, and compares them
+//! and two voting systems into two FNV-1a digests per model — one over the
+//! curves and the mean, one over the quantile search — and compares them
 //! with the digests recorded on the portable `x86-64` build, so any build or
-//! kernel rewrite that moves one answer by one ulp fails here.
+//! kernel rewrite that moves one answer by one ulp fails here, and a change
+//! to the quantile search shows that it moved no curve bit.
 
 mod corpus;
 
-use smp_suite::core::query::{Engine, MeasureRequest, TargetSpec};
+use smp_suite::core::query::{Engine, MeasureReport, MeasureRequest, TargetSpec};
 use smp_suite::laplace::InversionMethod;
 use smp_suite::numeric::stats::linspace;
 use smp_suite::pipeline::{AnalyticEngine, ModelSpec};
@@ -50,16 +52,12 @@ fn battery(target: &str, ts: &[f64]) -> Vec<MeasureRequest> {
     ]
 }
 
-/// `(values, digest)` of the battery solved by the analytic engine: each
-/// report's name, then the bits of its points and values.
-fn digest(spec: ModelSpec, target: &str, ts: &[f64]) -> (usize, u64) {
-    let engine = AnalyticEngine::new(spec, InversionMethod::euler());
-    let reports = engine
-        .solve(&battery(target, ts))
-        .expect("the battery solves");
+/// One FNV-1a digest over `reports`: each report's name, then the bits of
+/// its points and values.  Returns `(values, digest)`.
+fn fold(reports: &[MeasureReport]) -> (usize, u64) {
     let mut h = Fnv::new();
     let mut values = 0;
-    for report in &reports {
+    for report in reports {
         h.bytes(report.name.as_bytes());
         h.u64(report.values.len() as u64);
         for (point, value) in report.iter() {
@@ -71,6 +69,29 @@ fn digest(spec: ModelSpec, target: &str, ts: &[f64]) -> (usize, u64) {
     (values, h.0)
 }
 
+/// The battery solved by the analytic engine, digested twice: the curves
+/// and the mean, which read fixed plans, and the quantile, which reads
+/// whatever points its search asks for — so a change to the search moves
+/// only the second.
+fn digest(spec: ModelSpec, target: &str, ts: &[f64]) -> Digests {
+    let engine = AnalyticEngine::new(spec, InversionMethod::euler());
+    let reports = engine
+        .solve(&battery(target, ts))
+        .expect("the battery solves");
+    let (curves, quantiles) = reports.split_at(reports.len() - 1);
+    Digests {
+        curves: fold(curves),
+        quantiles: fold(quantiles),
+    }
+}
+
+/// A model's two digests, each `(values, digest)`.
+#[derive(Debug, PartialEq)]
+struct Digests {
+    curves: (usize, u64),
+    quantiles: (usize, u64),
+}
+
 fn voting(voters: u32, polling: u32, central: u32) -> ModelSpec {
     ModelSpec::Voting {
         voters,
@@ -79,34 +100,59 @@ fn voting(voters: u32, polling: u32, central: u32) -> ModelSpec {
     }
 }
 
-/// The recorded digests: `(model, values, digest)`.  The Erlang lookalike's
-/// `erlangLT(2.0, 1, s)` evaluates to the bits of `expLT(2.0, s)`, so it
-/// answers exactly as the exponential ring does.
-const RECORDED: &[(&str, usize, u64)] = &[
-    ("ring-exp", 21, 0xa587b9455283bf4e),
-    ("voting-exp", 21, 0x4ef07e583da8307f),
-    ("ring-erlang-lookalike", 21, 0xa587b9455283bf4e),
-    ("voting-3-1-1", 21, 0xa11b0f3274253386),
-    ("voting 5,2,2", 15, 0x35df2e43f57caaf9),
-    ("voting 18,6,3", 12, 0x5b766fd77c40f031),
+/// The recorded curve digests, `(model, values, digest)`.  The Erlang
+/// lookalike's `erlangLT(2.0, 1, s)` evaluates to the bits of `expLT(2.0, s)`,
+/// so it answers exactly as the exponential ring does.
+const CURVES: &[(&str, usize, u64)] = &[
+    ("ring-exp", 19, 0x4b086389b2f9227a),
+    ("voting-exp", 19, 0xc79d72393f705614),
+    ("ring-erlang-lookalike", 19, 0x4b086389b2f9227a),
+    ("voting-3-1-1", 19, 0x90445dd1ef9c1106),
+    ("voting 5,2,2", 13, 0x22b44a3005aee80a),
+    ("voting 18,6,3", 10, 0xf865d87bb2b275cb),
 ];
+
+/// The recorded quantile digests, `(model, values, digest)`.
+const QUANTILES: &[(&str, usize, u64)] = &[
+    ("ring-exp", 2, 0x67ec817cb79901cb),
+    ("voting-exp", 2, 0x8b538448c414241a),
+    ("ring-erlang-lookalike", 2, 0x67ec817cb79901cb),
+    ("voting-3-1-1", 2, 0xa7c60b2576978da1),
+    ("voting 5,2,2", 2, 0x493dd916112d688a),
+    ("voting 18,6,3", 2, 0x67da6539d297aaf7),
+];
+
+/// `got` as rows of the recorded table it is checked against.
+fn table(got: &[(&'static str, (usize, u64))]) -> String {
+    got.iter()
+        .map(|(n, (v, d))| format!("    ({n:?}, {v}, {d:#018x}),\n"))
+        .collect()
+}
 
 #[test]
 fn analytic_answers_match_the_recorded_digests() {
-    let mut got: Vec<(&str, usize, u64)> = Vec::new();
+    let mut got: Vec<(&str, Digests)> = Vec::new();
     for model in corpus::corpus() {
         let ts = linspace(model.t_start, model.t_stop, 6);
-        let (values, d) = digest(model.spec, model.target, &ts);
-        got.push((model.name, values, d));
+        got.push((model.name, digest(model.spec, model.target, &ts)));
     }
-    let (values, d) = digest(voting(5, 2, 2), "p2>=5", &linspace(2.0, 40.0, 4));
-    got.push(("voting 5,2,2", values, d));
-    let (values, d) = digest(voting(18, 6, 3), "p2>=18", &linspace(10.0, 100.0, 3));
-    got.push(("voting 18,6,3", values, d));
+    let d = digest(voting(5, 2, 2), "p2>=5", &linspace(2.0, 40.0, 4));
+    got.push(("voting 5,2,2", d));
+    let d = digest(voting(18, 6, 3), "p2>=18", &linspace(10.0, 100.0, 3));
+    got.push(("voting 18,6,3", d));
 
-    let table: String = got
-        .iter()
-        .map(|(n, v, d)| format!("    ({n:?}, {v}, {d:#018x}),\n"))
-        .collect();
-    assert_eq!(got, RECORDED, "answer digests:\n{table}");
+    let flat = |recorded: &[(&'static str, usize, u64)]| -> Vec<(&'static str, (usize, u64))> {
+        recorded.iter().map(|&(n, v, d)| (n, (v, d))).collect()
+    };
+    // The curves first: a moved curve bit is a kernel or plan change, which
+    // no change to the quantile search may hide behind.
+    let curves: Vec<_> = got.iter().map(|(n, d)| (*n, d.curves)).collect();
+    assert_eq!(curves, flat(CURVES), "curve digests:\n{}", table(&curves));
+    let quantiles: Vec<_> = got.iter().map(|(n, d)| (*n, d.quantiles)).collect();
+    assert_eq!(
+        quantiles,
+        flat(QUANTILES),
+        "quantile digests:\n{}",
+        table(&quantiles)
+    );
 }
