@@ -2281,10 +2281,10 @@ mod tests {
     fn a_multi_round_thread_run_explores_the_model_once() {
         // The search's runs and a mean stencil over one model.  The median
         // (9.19) is reached on the first level (horizon 40) and the
-        // 0.9-quantile (51.0) on the second (80): 2 level grids + 3 sectioning
-        // rounds for each of the 2 probabilities = 8 quantile runs, and the
-        // stencil makes 9.  The thread backend keeps its explored model
-        // between runs, so only the first explores.
+        // 0.9-quantile (51.0) on the second (80): 2 level grids + 4 and 2
+        // Newton rounds = 8 quantile runs, and the stencil makes 9.  The
+        // thread backend keeps its explored model between runs, so only the
+        // first explores.
         let options = parse_args(&args(&[
             "--voting",
             "8,3,2",
@@ -2309,9 +2309,9 @@ mod tests {
         );
         // 16 t-points on the first level, the 8 new ones of the doubled level
         // (its other 8 are the first level's even points, served by the
-        // search's cache) and 3·8 probes per probability, at Euler's 46
+        // search's cache) and one probe per Newton round, at Euler's 46
         // s-points each; plus the mean's two stencil nodes.
-        let new = (16 + 8 + 2 * 24) * 46 + 2;
+        let new = (16 + 8 + 4 + 2) * 46 + 2;
         let line = format!("evaluations: {new} new, {} from checkpoint/cache", 8 * 46);
         assert!(report.contains(&line), "{report}");
         // The values the 128 + 64-point grids of the previous search policy

@@ -31,12 +31,13 @@
 //!
 //! Derived measure kinds are layered on shared machinery so engines cannot
 //! drift apart: quantiles run `smp_laplace::quantiles_from_cdf` over a
-//! CDF-on-grid provider (one pipeline run per search grid for the inversion
-//! engine, Poisson sums for the uniformization engine — `search_quantiles` is
-//! the one call site), and means/moments are a batch measure kind like the
-//! curves — the stencil's nodes are its plan, the finite-difference fold its
-//! post-processing ([`crate::batch::MomentStencil`]) — so they ride the same
-//! batch, and share points, as the curves over their transform.
+//! CDF-and-density provider (one pipeline run per search grid for the
+//! inversion engine, Poisson sums for the uniformization engine —
+//! `search_quantiles` is the one call site), and means/moments are a batch
+//! measure kind like the curves — the stencil's nodes are its plan, the
+//! finite-difference fold its post-processing
+//! ([`crate::batch::MomentStencil`]) — so they ride the same batch, and share
+//! points, as the curves over their transform.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
 use crate::cache::{LruMemo, QuantileAnswer, QuantileKey};
@@ -443,14 +444,15 @@ impl Engine for DistributedEngine {
             }
         }
 
-        // 2. Quantiles search through repeated pipeline runs: one Cdf batch
-        //    per grid the search asks for, all against one result cache so
-        //    that no round evaluates a point an earlier round already has —
-        //    the configured shared cache (which warms any later run too),
-        //    else one that lives as long as the search.  A shared cache also
-        //    remembers each search's answer, so a repeat reads no grid: it
-        //    reports the points the search read as cache hits, as a re-run
-        //    over the warm cache would.
+        // 2. Quantiles search through repeated pipeline runs: one Cdf +
+        //    Density batch per grid the search asks for (the density's points
+        //    are the CDF's, so it evaluates nothing), all against one result
+        //    cache so that no round evaluates a point an earlier round
+        //    already has — the configured shared cache (which warms any
+        //    later run too), else one that lives as long as the search.  A
+        //    shared cache also remembers each search's answer, so a repeat
+        //    reads no grid: it reports the points the search read as cache
+        //    hits, as a re-run over the warm cache would.
         for (ri, request) in requests.iter().enumerate() {
             let MeasureKind::Quantile { probs } = &request.kind else {
                 continue;
@@ -465,20 +467,21 @@ impl Engine for DistributedEngine {
                     .caching_across_runs()
                     .map_err(|e| EngineError::Analysis(e.to_string()))?;
                 let values = search_quantiles(request, probs, &mut |ts| {
-                    let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
-                        name.clone(),
-                        CurveKind::Cdf,
-                        ts,
-                        spec.clone(),
-                    ));
+                    // The density over the same transform and grid: every
+                    // point it needs is the CDF's, a shared hit.
+                    let measure =
+                        |kind| MeasureSpec::from_spec(name.clone(), kind, ts, spec.clone());
+                    let job = BatchJob::new()
+                        .with_measure(measure(CurveKind::Cdf))
+                        .with_measure(measure(CurveKind::Density));
                     let batch = self.execute(&pipeline, job)?;
                     absorb_run(&mut provenance, &batch.report);
                     provenance.shards = provenance.shards.max(batch.report.shards);
                     provenance.states = provenance.states.or(batch.report.states);
-                    let result = batch.measures.into_iter().next().expect("one measure");
-                    provenance.evaluations += result.evaluations;
-                    provenance.cache_hits += result.cache_hits;
-                    Ok(result.values)
+                    let [cdf, density]: [_; 2] = batch.measures.try_into().expect("two measures");
+                    provenance.evaluations += cdf.evaluations;
+                    provenance.cache_hits += cdf.cache_hits;
+                    Ok(cdf.values.into_iter().zip(density.values).collect())
                 })?;
                 let grid_points = provenance.evaluations + provenance.cache_hits;
                 Ok::<_, EngineError>(QuantileAnswer {
@@ -786,9 +789,9 @@ pub type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 /// Solves every [`MeasureKind`] without Laplace inversion: transients and
 /// passage CDFs/densities by Poisson-weighted power iteration (truncation
 /// bound in `Provenance::error_bound`), quantiles through the shared
-/// `smp_laplace::quantiles_from_cdf` search over a uniformized CDF provider,
-/// and means/moments from the absorbing chain's exact linear systems.  Models
-/// with any non-exponential holding time fail with
+/// `smp_laplace::quantiles_from_cdf` search over uniformized CDF and density
+/// sums, and means/moments from the absorbing chain's exact linear systems.
+/// Models with any non-exponential holding time fail with
 /// [`EngineError::Unsupported`] naming the offending distribution.  The
 /// explored model is kept in a [`ModelCache`] (its own one-entry cache
 /// unless given one), so repeat solves do not explore it again.
@@ -956,10 +959,12 @@ impl Engine for UniformizationEngine {
                             let mut iterations = 0usize;
                             let mut bound = 0.0f64;
                             let values = search_quantiles(request, probs, &mut |ts| {
-                                let out = chain.cdf(ts, self.tolerance).map_err(uniform_error)?;
-                                iterations += out.iterations;
-                                bound = bound.max(out.truncation_bound);
-                                Ok(out.values)
+                                let cdf = chain.cdf(ts, self.tolerance).map_err(uniform_error)?;
+                                let density =
+                                    chain.density(ts, self.tolerance).map_err(uniform_error)?;
+                                iterations += cdf.iterations + density.iterations;
+                                bound = bound.max(cdf.truncation_bound);
+                                Ok(cdf.values.into_iter().zip(density.values).collect())
                             })?;
                             provenance.evaluations = iterations;
                             // The bound is on the CDF values the search read,
@@ -1343,7 +1348,9 @@ pub(crate) mod tests {
             {
                 shard.insert(s, value.unwrap());
             }
-            Ok::<Vec<f64>, EngineError>(CurveKind::Cdf.postprocess(&plan, &shard))
+            let cdf = CurveKind::Cdf.postprocess(&plan, &shard);
+            let density = CurveKind::Density.postprocess(&plan, &shard);
+            Ok::<_, EngineError>(cdf.into_iter().zip(density).collect())
         })
         .unwrap();
         assert!(rounds >= 2, "the search must refine for this lock to bite");

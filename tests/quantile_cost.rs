@@ -1,18 +1,21 @@
 //! What the quantile search costs and what it may not lose for it.
 //!
-//! `smp_laplace::quantiles_from_cdf` reads the CDF on 16 `t`-points per
-//! horizon level plus 24 per probability (three sectioning rounds of 8
-//! probes), and the engines never evaluate a transform point twice inside one
-//! search.  These tests lock both numbers, the accuracy the cheaper search
-//! still has to deliver, and the property that makes sharing it safe: a
-//! batched search returns exactly the bits of its single-probability searches
-//! on every provider, including the one that is not pointwise.
+//! `smp_laplace::quantiles_from_cdf` reads the CDF and the density on 16
+//! `t`-points per horizon level plus one per Newton round (at most 8 per
+//! probability), and the engines never evaluate a transform point twice
+//! inside one search.  These tests lock both numbers, the accuracy the
+//! cheaper search still has to deliver — also behind a density that is
+//! wrong — and the property that makes sharing it safe: a batched search
+//! returns exactly the bits of its single-probability searches on every
+//! provider, including the one that is not pointwise.
 
 mod corpus;
 
 use smp_suite::core::query::{Engine, MeasureReport, MeasureRequest, TargetSpec};
 use smp_suite::distributions::Dist;
-use smp_suite::laplace::{quantile, quantiles_from_cdf, InversionMethod, SPointPlan};
+use smp_suite::laplace::{
+    quantile, quantiles_from_cdf, CdfCurve, InversionMethod, SPointPlan, TransformValues,
+};
 use smp_suite::pipeline::{
     AnalyticEngine, DistributedEngine, ModelSpec, PipelineOptions, UniformizationEngine,
 };
@@ -48,18 +51,18 @@ fn solve_one(engine: &dyn Engine, request: &MeasureRequest) -> MeasureReport {
         .remove(0)
 }
 
-/// Runs the policy over `cdf`, returning what it found and every grid it
-/// asked for.
+/// Runs the policy over `curve`, `t ↦ (F(t), f(t))`, returning what it found
+/// and every grid it asked for.
 fn search_counting(
     probs: &[f64],
     initial: f64,
     max: f64,
-    cdf: impl Fn(f64) -> f64,
+    curve: impl Fn(f64) -> (f64, f64),
 ) -> (Vec<Option<f64>>, Vec<Vec<f64>>) {
     let mut calls = Vec::new();
     let found = quantiles_from_cdf::<Infallible>(probs, initial, max, &mut |ts: &[f64]| {
         calls.push(ts.to_vec());
-        Ok(ts.iter().map(|&t| cdf(t)).collect())
+        Ok(ts.iter().map(|&t| curve(t)).collect())
     })
     .unwrap();
     (found, calls)
@@ -68,19 +71,20 @@ fn search_counting(
 // --- (a) cost lock ---------------------------------------------------------
 
 #[test]
-fn a_search_reads_16_points_per_level_and_24_per_probability() {
+fn a_search_reads_16_points_per_level_and_one_per_newton_round() {
     // Exp(1): the quartile (0.29) and median (0.69) sit inside the first
     // level (horizon 1), the 0.9-quantile (2.30) needs horizon 4, the
     // 0.999-quantile (6.9) horizon 8 — four levels.
     let probs = [0.25, 0.5, 0.9, 0.999];
-    let (found, calls) = search_counting(&probs, 1.0, 64.0, |t| 1.0 - (-t).exp());
+    let (found, calls) = search_counting(&probs, 1.0, 64.0, |t| (1.0 - (-t).exp(), (-t).exp()));
     assert!(found.iter().all(Option::is_some), "{found:?}");
-    let levels = 4;
-    assert_eq!(calls.len(), levels + 3 * probs.len());
+    // Two or three Newton rounds per probability.
+    let (levels, rounds) = (4, 10);
+    assert_eq!(calls.len(), levels + rounds);
     let t_points: usize = calls.iter().map(Vec::len).sum();
-    assert_eq!(t_points, 16 * levels + 24 * probs.len());
+    assert_eq!(t_points, 16 * levels + rounds);
     for ts in &calls {
-        assert!(ts.len() == 16 || ts.len() == 8, "{ts:?}");
+        assert!(ts.len() == 16 || ts.len() == 1, "{ts:?}");
         assert!(ts[0] > 0.0, "the origin is never probed: {ts:?}");
         assert!(ts.windows(2).all(|w| w[0] < w[1]), "{ts:?}");
     }
@@ -100,9 +104,9 @@ fn a_search_reads_16_points_per_level_and_24_per_probability() {
 }
 
 #[test]
-fn two_quantiles_on_the_first_level_cost_2944_euler_evaluations() {
+fn two_quantiles_on_the_first_level_cost_1058_euler_evaluations() {
     // Both resolve on the first level (horizon 60), in different cells:
-    // (16 + 2·24) t-points × 46 s-points.
+    // (16 + 4 + 3 Newton probes) t-points × 46 s-points.
     let request = quantile_request(all_voted(), &[0.5, 0.9], 60.0);
     let report = solve_one(
         &AnalyticEngine::new(voting(), InversionMethod::euler()),
@@ -111,9 +115,9 @@ fn two_quantiles_on_the_first_level_cost_2944_euler_evaluations() {
     assert!(report.values[0] < 60.0 / 16.0 * 3.0 && report.values[1] > 60.0 / 16.0 * 13.0);
     assert_eq!(
         report.provenance.evaluations,
-        (16 + 2 * 24) * EULER_POINTS_PER_T
+        (16 + 4 + 3) * EULER_POINTS_PER_T
     );
-    assert_eq!(report.provenance.evaluations, 2_944);
+    assert_eq!(report.provenance.evaluations, 1_058);
 }
 
 // --- (b) accuracy lock -----------------------------------------------------
@@ -217,7 +221,7 @@ fn in_process(method: InversionMethod) -> DistributedEngine {
 #[test]
 fn a_laguerre_search_evaluates_one_plan() {
     // Laguerre's s-points do not depend on t: the first level grid evaluates
-    // them and every later run — a doubled level, six sectioning rounds —
+    // them and every later run — a doubled level, thirteen Newton rounds —
     // finds them all.
     let one_plan = SPointPlan::new(InversionMethod::laguerre(), &[1.0]).len();
     let request = quantile_request(all_voted(), &[0.5, 0.9], 40.0);
@@ -228,8 +232,10 @@ fn a_laguerre_search_evaluates_one_plan() {
     assert_eq!(analytic.provenance.evaluations, one_plan);
     let distributed = solve_one(&in_process(InversionMethod::laguerre()), &request);
     assert_eq!(distributed.provenance.evaluations, one_plan);
-    // 2 levels + 2·3 rounds, all but the first answered from the search's cache.
-    assert_eq!(distributed.provenance.cache_hits, 7 * one_plan);
+    // 2 levels + 8 + 5 rounds, all but the first answered from the search's
+    // cache.  (Laguerre's noisier CDF keeps the median's steps above the
+    // tolerance until the 8-probe cap.)
+    assert_eq!(distributed.provenance.cache_hits, 14 * one_plan);
     assert_eq!(analytic.values, distributed.values);
     assert!(analytic.values[0] < 40.0 && analytic.values[1] > 40.0);
 }
@@ -239,7 +245,7 @@ fn a_doubled_euler_level_costs_eight_new_points() {
     // The 0.9-quantile (51.0) from horizon 15: levels 15, 30 and 60 — the
     // second and third share half their points with the one before.
     let request = quantile_request(all_voted(), &[0.9], 15.0);
-    let expected = (16 + 8 + 8 + 24) * EULER_POINTS_PER_T;
+    let expected = (16 + 8 + 8 + 3) * EULER_POINTS_PER_T;
     let analytic = solve_one(
         &AnalyticEngine::new(voting(), InversionMethod::euler()),
         &request,
@@ -258,14 +264,17 @@ fn a_doubled_euler_level_costs_eight_new_points() {
 
 #[test]
 fn unreachable_and_edge_probabilities_keep_their_verdicts() {
-    let ramp = |t: f64| (t / 2.0).min(1.0);
+    let ramp = |t: f64| if t < 2.0 { (t / 2.0, 0.5) } else { (1.0, 0.0) };
 
     // Defective: tops out at 0.4.  The reachable quartile resolves; 0.9 is
-    // None after every level up to the cap (1, 2, …, 16) and no probe.
-    let (found, calls) = search_counting(&[0.25, 0.9], 1.0, 16.0, |t| 0.4 * (1.0 - (-t).exp()));
+    // None after every level up to the cap (1, 2, …, 16) and no probe; the
+    // quartile takes two Newton rounds.
+    let (found, calls) = search_counting(&[0.25, 0.9], 1.0, 16.0, |t| {
+        (0.4 * (1.0 - (-t).exp()), 0.4 * (-t).exp())
+    });
     assert!(found[0].is_some());
     assert_eq!(found[1], None);
-    assert_eq!(calls.len(), 5 + 3);
+    assert_eq!(calls.len(), 5 + 2);
 
     // max == initial below the quantile: None, not a clamp to the horizon.
     let (found, calls) = search_counting(&[0.9], 0.25, 0.25, ramp);
@@ -284,7 +293,7 @@ fn unreachable_and_edge_probabilities_keep_their_verdicts() {
     let (found, _) = search_counting(&[1.0], 1.0, 16.0, ramp);
     assert!((found[0].unwrap() - 2.0).abs() < 1e-3, "{found:?}");
     // … and is unreachable on a CDF that only tends to 1.
-    let (found, _) = search_counting(&[1.0], 1.0, 16.0, |t| 1.0 - (-t).exp());
+    let (found, _) = search_counting(&[1.0], 1.0, 16.0, |t| (1.0 - (-t).exp(), (-t).exp()));
     assert_eq!(found, [None]);
 
     // Through an engine an unreachable probability is an error that names it.
@@ -296,4 +305,70 @@ fn unreachable_and_edge_probabilities_keep_their_verdicts() {
         error.contains("not reached within the search horizon"),
         "{error}"
     );
+}
+
+/// `(F(t), f(t))` of `dist` on `ts` by Euler inversion of `L(s)/s` and `L(s)`.
+fn inverted(dist: &Dist, ts: &[f64]) -> Vec<(f64, f64)> {
+    let cdf = CdfCurve::from_density_transform(InversionMethod::euler(), dist, ts);
+    let plan = SPointPlan::new(InversionMethod::euler(), ts);
+    let density = plan.invert(&TransformValues::compute(&plan, dist));
+    cdf.values().iter().copied().zip(density).collect()
+}
+
+#[test]
+fn a_wrong_density_still_meets_the_closed_form_lock_within_the_probe_cap() {
+    // Each wrong density trips a different safeguard: a density that is not
+    // positive and finite, a step that leaves the bracket (too small), a step
+    // that stops halving (too large).  The Illinois chord takes over, and the
+    // answer still meets (b)'s lock on one level in at most 8 probes.
+    let horizon = 8.0;
+    type Corruption = (&'static str, fn(f64) -> f64);
+    let wrong: [Corruption; 5] = [
+        ("zero", |_| 0.0),
+        ("negative", |f| -f),
+        ("NaN", |_| f64::NAN),
+        ("10x too large", |f| 10.0 * f),
+        ("10x too small", |f| f / 10.0),
+    ];
+    for dist in [Dist::exponential(1.5), Dist::erlang(2.0, 3)] {
+        for (name, corrupt) in wrong {
+            for p in [0.1, 0.5, 0.9, 0.99] {
+                let mut calls = 0usize;
+                let found = quantiles_from_cdf::<Infallible>(
+                    &[p],
+                    horizon,
+                    horizon,
+                    &mut |ts: &[f64]| {
+                        calls += 1;
+                        Ok(inverted(&dist, ts)
+                            .into_iter()
+                            .map(|(cdf, f)| (cdf, corrupt(f)))
+                            .collect())
+                    },
+                )
+                .unwrap();
+                let q = found[0].expect("reached on the one level");
+                let (mut lo, mut hi) = (0.0, horizon);
+                for _ in 0..60 {
+                    let mid = 0.5 * (lo + hi);
+                    if dist.cdf(mid).unwrap() < p {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                assert!(
+                    (q - hi).abs() <= horizon / 10_000.0,
+                    "{dist:?}, {name} density: q({p}) = {q} vs {hi}"
+                );
+                assert!(calls <= 1 + 8, "{dist:?}, {name}: {calls} calls");
+            }
+        }
+    }
+
+    // A ramp whose density drops to 0 on its flat top: p = 1 is first reached
+    // at t = 2, where no Newton step can start, and the chord lands on it.
+    let ramp = |t: f64| if t < 2.0 { (t / 2.0, 0.5) } else { (1.0, 0.0) };
+    let (found, _) = search_counting(&[1.0], 1.0, 16.0, ramp);
+    assert_eq!(found, [Some(2.0)]);
 }
