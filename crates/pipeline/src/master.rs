@@ -6,6 +6,7 @@ use crate::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
 use crate::transform::CompileError;
 use crate::transport::{ExecutionPlan, Transport, TransportReport};
 use crate::work::WorkItem;
+use smp_core::workspace::BLOCK_LANES;
 use smp_laplace::{union_s_points, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::{BTreeMap, HashSet};
@@ -23,7 +24,8 @@ pub struct PipelineOptions {
     pub checkpoint_path: Option<PathBuf>,
     /// Number of work items dispatched to a worker per queue request and
     /// answered with a single result message.  `0` picks a size automatically
-    /// (enough chunks for ~4 per worker, capped at 64 items).
+    /// (enough chunks for ~4 per worker, capped at 64 items, rounded up to a
+    /// multiple of the kernel's lane width, `BLOCK_LANES`).
     pub chunk_size: usize,
     /// A result cache that outlives single runs.  When set, the pipeline
     /// dedupes against and deposits into this cache instead of building a
@@ -55,8 +57,11 @@ impl PipelineOptions {
             return self.chunk_size;
         }
         // Aim for ~4 chunks per worker so the tail of the run stays balanced,
-        // while capping the per-message payload.
-        (outstanding / (workers * 4)).clamp(1, 64)
+        // while capping the per-message payload; whole lane blocks, so no
+        // chunk ends in a partly filled one.
+        (outstanding / (workers * 4))
+            .clamp(1, 64)
+            .next_multiple_of(BLOCK_LANES)
     }
 }
 
@@ -563,6 +568,16 @@ mod tests {
             }
             previous = Some(values);
         }
+    }
+
+    #[test]
+    fn the_automatic_chunk_size_is_whole_lane_blocks() {
+        let automatic = PipelineOptions::default();
+        assert_eq!(automatic.resolve_chunk_size(46, 2), 8);
+        assert_eq!(automatic.resolve_chunk_size(1_840, 2), 64);
+        assert_eq!(automatic.resolve_chunk_size(3, 4), 4);
+        // An explicit size is taken as given.
+        assert_eq!(automatic.chunked(5).resolve_chunk_size(46, 2), 5);
     }
 
     #[test]
