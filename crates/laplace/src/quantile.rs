@@ -69,16 +69,11 @@ pub fn quantile<L: LaplaceTransform + ?Sized>(
     assert!((0.0..1.0).contains(&p) || p == 1.0, "p must be in [0, 1]");
     let result: Result<Vec<Option<f64>>, std::convert::Infallible> =
         quantiles_from_cdf(&[p], initial_horizon, max_horizon, &mut |ts: &[f64]| {
+            // The search repairs the CDF values itself, as `CdfCurve` would.
             let plan = SPointPlan::new(method.clone(), ts);
             let values = TransformValues::compute(&plan, density_transform);
             let cdf = plan.invert_with(|s| values.get(s).expect("planned point computed") / s);
-            let cdf = CdfCurve::from_samples(ts.to_vec(), cdf);
-            Ok(cdf
-                .values()
-                .iter()
-                .copied()
-                .zip(plan.invert(&values))
-                .collect())
+            Ok(cdf.into_iter().zip(plan.invert(&values)).collect())
         });
     match result {
         Ok(mut quantiles) => quantiles.pop().flatten(),
