@@ -317,10 +317,11 @@ fn inverted(dist: &Dist, ts: &[f64]) -> Vec<(f64, f64)> {
 
 #[test]
 fn a_wrong_density_still_meets_the_closed_form_lock_within_the_probe_cap() {
-    // Each wrong density trips a different safeguard: a density that is not
-    // positive and finite, a step that leaves the bracket (too small), a step
-    // that stops halving (too large).  The Illinois chord takes over, and the
-    // answer still meets (b)'s lock on one level in at most 8 probes.
+    // Each wrong density trips a safeguard: one that is not positive and
+    // finite, or 10x too small, sends the step out of the bracket; one 10x
+    // too large makes steps that stop halving.  The Illinois chord takes
+    // over, and the answer still meets (b)'s lock on one level in at most 8
+    // probes.
     let horizon = 8.0;
     type Corruption = (&'static str, fn(f64) -> f64);
     let wrong: [Corruption; 5] = [
