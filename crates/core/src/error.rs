@@ -47,6 +47,16 @@ pub enum SmpError {
     },
     /// The model has no states at all.
     EmptyModel,
+    /// The model has more states or transitions than its `u32` state numbers
+    /// and row offsets can number.
+    TooLarge {
+        /// What overflowed ("states" or "transitions").
+        what: &'static str,
+        /// How many the model has.
+        count: usize,
+        /// The most a process may have.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SmpError {
@@ -75,6 +85,9 @@ impl fmt::Display for SmpError {
                 write!(f, "embedded DTMC steady-state solve did not converge (residual {residual})")
             }
             SmpError::EmptyModel => write!(f, "the model has no states"),
+            SmpError::TooLarge { what, count, limit } => {
+                write!(f, "the model has {count} {what}, more than the {limit} a process can number")
+            }
         }
     }
 }
@@ -118,6 +131,14 @@ mod tests {
                 "steady-state",
             ),
             (SmpError::EmptyModel, "no states"),
+            (
+                SmpError::TooLarge {
+                    what: "states",
+                    count: 1 << 32,
+                    limit: u32::MAX as usize,
+                },
+                "4294967296 states",
+            ),
         ];
         for (err, needle) in cases {
             assert!(

@@ -197,24 +197,23 @@ pub struct PassagePoint {
 /// semi-Markov process.
 ///
 /// Construction runs the one-time *symbolic* phase: the CSR skeleton of `U`
-/// and its per-nonzero fill plan (see [`crate::workspace`]), the complex
-/// α-vector, and the target-index list of the `· ẽ` inner products.  Each
-/// [`PassageTimeSolver::transform_at`] call then performs only the *numeric*
-/// phase — evaluate each pooled LST once, refill a reusable values buffer,
-/// iterate — through a checked-out [`PassageWorkspace`], so a batch of
-/// `s`-points allocates nothing after the first.  Results are bitwise
-/// identical to the build-per-point reference oracle of
-/// `tests/workspace_equivalence.rs` at every point, exact-zero kernel entries
-/// included (see [`crate::workspace`]).
+/// and its per-nonzero fill plan (see [`crate::workspace`]), the list of
+/// non-zero α-weights, and the target-index list of the `· ẽ` inner
+/// products.  Each [`PassageTimeSolver::transform_at`] call then performs
+/// only the *numeric* phase — evaluate each pooled LST once, refill a
+/// reusable values buffer, iterate — through a checked-out
+/// [`PassageWorkspace`], so a batch of `s`-points allocates nothing after the
+/// first.  Results are bitwise identical to the build-per-point reference
+/// oracle of `tests/workspace_equivalence.rs` at every point, exact-zero
+/// kernel entries included (see [`crate::workspace`]).
 #[derive(Debug, Clone)]
 pub struct PassageTimeSolver<'a> {
     smp: &'a SemiMarkovProcess,
     sources: StateSet,
     targets: StateSet,
-    alpha: Vec<f64>,
     options: IterationOptions,
-    /// `α` lifted to ℂ once (the oracle re-materialises it per point).
-    alpha_c: Vec<Complex64>,
+    /// The non-zero entries of `α`, where each point's iteration starts.
+    starts: Vec<(usize, f64)>,
     /// Shared symbolic skeleton + reusable numeric workspaces.
     pool: Arc<WorkspacePool>,
 }
@@ -244,9 +243,9 @@ impl<'a> PassageTimeSolver<'a> {
         Ok(Self::assemble(smp, sources, targets, alpha, options))
     }
 
-    /// Shared tail of the constructors: precomputes the complex α-vector and
-    /// the symbolic skeleton (the one-time phase of the symbolic/numeric
-    /// split).
+    /// Shared tail of the constructors: lists the non-zero α-weights and
+    /// builds the symbolic skeleton (the one-time phase of the
+    /// symbolic/numeric split).
     fn assemble(
         smp: &'a SemiMarkovProcess,
         sources: StateSet,
@@ -254,15 +253,14 @@ impl<'a> PassageTimeSolver<'a> {
         alpha: Vec<f64>,
         options: IterationOptions,
     ) -> Self {
-        let alpha_c: Vec<Complex64> = alpha.iter().map(|&a| Complex64::real(a)).collect();
+        let starts = nonzero_weights(&alpha);
         let pool = Arc::new(WorkspacePool::build(smp, &targets));
         PassageTimeSolver {
             smp,
             sources,
             targets,
-            alpha,
             options,
-            alpha_c,
+            starts,
             pool,
         }
     }
@@ -311,9 +309,13 @@ impl<'a> PassageTimeSolver<'a> {
         &self.targets
     }
 
-    /// The α-weights in use (Eq. 5).
-    pub fn alpha(&self) -> &[f64] {
-        &self.alpha
+    /// The α-weights in use (Eq. 5), as a vector over every state.
+    pub fn alpha(&self) -> Vec<f64> {
+        let mut alpha = vec![0.0; self.smp.num_states()];
+        for &(state, weight) in &self.starts {
+            alpha[state] = weight;
+        }
+        alpha
     }
 
     /// The convergence options in use.
@@ -389,7 +391,7 @@ impl<'a> PassageTimeSolver<'a> {
         s: Complex64,
     ) -> Result<PassagePoint, SmpError> {
         self.check_workspace(ws);
-        solve_point(self.smp, ws, &self.alpha_c, self.options, s)
+        solve_point(self.smp, ws, &self.starts, self.options, s)
     }
 
     /// Evaluates the transform at every point of a chunk, one result per
@@ -407,7 +409,7 @@ impl<'a> PassageTimeSolver<'a> {
         points: &[Complex64],
     ) -> Vec<Result<PassagePoint, SmpError>> {
         self.check_workspace(ws);
-        solve_chunk(self.smp, ws, &self.alpha_c, self.options, points)
+        solve_chunk(self.smp, ws, &self.starts, self.options, points)
     }
 
     /// Evaluates the truncated `r`-transition transform `L^{(r)}_{i→j}(s)` exactly —
@@ -420,7 +422,7 @@ impl<'a> PassageTimeSolver<'a> {
         self.with_workspace(|ws| {
             ws.refill(self.smp, s);
             let mut kernel = ws.kernel();
-            let [mut total] = kernel.begin(&self.alpha_c);
+            let [mut total] = kernel.begin(&self.starts);
             for _ in 1..r {
                 kernel.step();
                 let [delta] = kernel.read_out();
@@ -460,11 +462,22 @@ pub(crate) fn start_weights(
     Ok((sources, targets, alpha))
 }
 
+/// The non-zero entries of a start-weight vector, `(state, weight)` by
+/// ascending state: what [`LaneKernel::begin`] starts a point from.
+pub(crate) fn nonzero_weights(alpha: &[f64]) -> Vec<(usize, f64)> {
+    alpha
+        .iter()
+        .enumerate()
+        .filter(|&(_, &a)| a != 0.0)
+        .map(|(r, &a)| (r, a))
+        .collect()
+}
+
 /// Evaluates one point through the single-lane kernel of `ws`.
 fn solve_point(
     smp: &SemiMarkovProcess,
     ws: &mut PassageWorkspace,
-    alpha: &[Complex64],
+    alpha: &[(usize, f64)],
     options: IterationOptions,
     s: Complex64,
 ) -> Result<PassagePoint, SmpError> {
@@ -482,7 +495,7 @@ fn solve_point(
 pub(crate) fn solve_chunk(
     smp: &SemiMarkovProcess,
     ws: &mut PassageWorkspace,
-    alpha: &[Complex64],
+    alpha: &[(usize, f64)],
     options: IterationOptions,
     points: &[Complex64],
 ) -> Vec<Result<PassagePoint, SmpError>> {
@@ -511,7 +524,7 @@ pub(crate) fn solve_chunk(
 /// yield `None`.
 fn iterate<const K: usize>(
     mut kernel: LaneKernel<'_, K>,
-    alpha: &[Complex64],
+    alpha: &[(usize, f64)],
     options: IterationOptions,
     points: &[Complex64],
 ) -> [Option<Result<PassagePoint, SmpError>>; K] {

@@ -814,8 +814,6 @@ mod tests {
         ] {
             let n = smp.num_states();
             let targets = StateSet::new(n, &[target]).unwrap();
-            let mut alpha = vec![Complex64::ZERO; n];
-            alpha[source] = Complex64::ONE;
             let mut full = PassageWorkspace::new(Arc::new(PassageSkeleton::build(&smp, &targets)));
             for shards in [1, 2, 3, n + 1] {
                 let options = IterationOptions::default();
@@ -826,7 +824,7 @@ mod tests {
                 for s in test_points().into_iter().chain([underflow]) {
                     full.refill(&smp, s);
                     let mut kernel = full.kernel();
-                    kernel.begin(&alpha);
+                    kernel.begin(&[(source, 1.0)]);
                     for ws in sharded.slices.iter_mut() {
                         ws.refill(s);
                         ws.init();

@@ -3,10 +3,13 @@
 //! A time-homogeneous SMP over states `{0, …, N−1}` is described by its kernel
 //! `R(i,j,t) = p_ij · H_ij(t)` (Section 2.1 of the paper): `p_ij` is the embedded
 //! state-transition probability and `H_ij` the sojourn-time distribution used when
-//! the next state is `j`.  [`SemiMarkovProcess`] stores the kernel sparsely —
-//! transition lists per source state, with holding-time distributions de-duplicated
-//! into a shared pool — and knows how to materialise the Laplace-domain matrices
-//! used by the passage-time iteration:
+//! the next state is `j`.  [`SemiMarkovProcess`] stores the kernel flat, as one
+//! CSR: `u32` row offsets into a single array of 16-byte [`Transition`]s
+//! (`u32` target, pooled distribution id, `f64` probability), each row in push
+//! order, with holding-time distributions de-duplicated into a shared pool.
+//! Nothing is allocated per state, so a process has at most `u32::MAX` states
+//! and transitions ([`SmpError::TooLarge`] refuses more).  It knows how to
+//! materialise the Laplace-domain matrices used by the passage-time iteration:
 //!
 //! * `U`  with entries `u_pq  = r*_pq(s) = p_pq · H*_pq(s)`;
 //! * `U'` equal to `U` with the rows of target states zeroed (targets made
@@ -23,15 +26,33 @@ use std::sync::{Arc, Mutex};
 /// Identifier of a distribution in the de-duplicated pool.
 pub type DistId = u32;
 
-/// One outgoing transition of the SMP kernel.
-#[derive(Debug, Clone, PartialEq)]
+/// One outgoing transition of the SMP kernel: a target, a probability and a
+/// holding-time distribution id, the `(P, H)` pair of one kernel entry, in
+/// 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// Destination state.
-    pub target: usize,
-    /// Embedded transition probability `p_ij` (normalised over the source state).
-    pub probability: f64,
+    pub target: u32,
     /// Index of the holding-time distribution in the process's pool.
     pub dist: DistId,
+    /// Embedded transition probability `p_ij` (normalised over the source state).
+    pub probability: f64,
+}
+
+/// The most states — and transitions — a process may have: state numbers and
+/// row offsets are `u32`, and `u32::MAX` numbers no state.
+const MAX_INDEX: usize = u32::MAX as usize;
+
+/// `n` as a `u32` state number or row offset.  It saturates at `u32::MAX`,
+/// which [`SmpBuilder::build`] refuses as a count and never accepts as a
+/// state, so a saturated value is never read.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
+/// Where row `k` of a CSR with these row offsets lies in its entry array.
+fn row_span(offsets: &[u32], k: usize) -> std::ops::Range<usize> {
+    offsets[k] as usize..offsets[k + 1] as usize
 }
 
 /// A set of states, stored both as a membership mask (O(1) lookups during the
@@ -111,10 +132,11 @@ impl StateSet {
 /// clone of an already-analysed process never re-runs the steady-state solver.
 #[derive(Debug, Clone)]
 pub struct SemiMarkovProcess {
-    num_states: usize,
-    transitions: Vec<Vec<Transition>>,
+    /// State `i`'s transitions are `transitions[row_offsets[i]..row_offsets[i + 1]]`.
+    row_offsets: Vec<u32>,
+    /// Every state's transitions, row after row, each row in push order.
+    transitions: Vec<Transition>,
     dist_pool: Vec<Dist>,
-    num_transitions: usize,
     /// Lazily-memoized stationary solve of the embedded DTMC: every
     /// `PassageTimeSolver`/`TransientSolver` built over this process for a
     /// multiple-source measure needs the same α-weight solve, so a
@@ -130,12 +152,12 @@ pub struct SemiMarkovProcess {
 impl SemiMarkovProcess {
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.row_offsets.len() - 1
     }
 
     /// Total number of kernel transitions.
     pub fn num_transitions(&self) -> usize {
-        self.num_transitions
+        self.transitions.len()
     }
 
     /// Number of distinct holding-time distributions in the pool.
@@ -145,7 +167,7 @@ impl SemiMarkovProcess {
 
     /// The outgoing transitions of a state.
     pub fn transitions(&self, state: usize) -> &[Transition] {
-        &self.transitions[state]
+        &self.transitions[row_span(&self.row_offsets, state)]
     }
 
     /// Looks up a pooled distribution.
@@ -187,11 +209,11 @@ impl SemiMarkovProcess {
 
     /// The embedded discrete-time Markov chain `P = [p_ij]`.
     pub fn embedded_dtmc(&self) -> CsrMatrix<f64> {
-        let mut t =
-            TripletMatrix::with_capacity(self.num_states, self.num_states, self.num_transitions);
-        for (i, row) in self.transitions.iter().enumerate() {
-            for tr in row {
-                t.push(i, tr.target, tr.probability);
+        let n = self.num_states();
+        let mut t = TripletMatrix::with_capacity(n, n, self.num_transitions());
+        for i in 0..n {
+            for tr in self.transitions(i) {
+                t.push(i, tr.target as usize, tr.probability);
             }
         }
         t.to_csr()
@@ -201,13 +223,13 @@ impl SemiMarkovProcess {
     pub fn build_u(&self, s: Complex64) -> CsrMatrix<Complex64> {
         // Evaluate every pooled distribution once, then scale per transition.
         let pool_values: Vec<Complex64> = self.dist_pool.iter().map(|d| d.lst(s)).collect();
-        let mut t =
-            TripletMatrix::with_capacity(self.num_states, self.num_states, self.num_transitions);
-        for (i, row) in self.transitions.iter().enumerate() {
-            for tr in row {
+        let n = self.num_states();
+        let mut t = TripletMatrix::with_capacity(n, n, self.num_transitions());
+        for i in 0..n {
+            for tr in self.transitions(i) {
                 t.push(
                     i,
-                    tr.target,
+                    tr.target as usize,
                     pool_values[tr.dist as usize].scale(tr.probability),
                 );
             }
@@ -230,7 +252,7 @@ impl SemiMarkovProcess {
     /// LST of the (unconditional) sojourn-time distribution in state `i`:
     /// `h*_i(s) = Σ_j r*_ij(s)`.
     pub fn sojourn_lst(&self, state: usize, s: Complex64) -> Complex64 {
-        self.transitions[state]
+        self.transitions(state)
             .iter()
             .map(|tr| {
                 self.dist_pool[tr.dist as usize]
@@ -242,7 +264,7 @@ impl SemiMarkovProcess {
 
     /// Mean sojourn time in state `i`: `Σ_j p_ij · E[H_ij]`.
     pub fn mean_sojourn(&self, state: usize) -> f64 {
-        self.transitions[state]
+        self.transitions(state)
             .iter()
             .map(|tr| tr.probability * self.dist_pool[tr.dist as usize].mean())
             .sum()
@@ -251,27 +273,31 @@ impl SemiMarkovProcess {
     /// Samples the next state and sojourn time from state `i` (used by tests and by
     /// the state-level simulator to cross-validate the analytic pipeline).
     pub fn sample_step<R: rand::Rng + ?Sized>(&self, state: usize, rng: &mut R) -> (usize, f64) {
-        let row = &self.transitions[state];
+        let row = self.transitions(state);
         debug_assert!(!row.is_empty(), "deadlock state {state} in sample_step");
         let mut u: f64 = rng.gen_range(0.0..1.0);
         for tr in row {
             if u < tr.probability {
                 let delay = self.dist_pool[tr.dist as usize].sample(rng);
-                return (tr.target, delay);
+                return (tr.target as usize, delay);
             }
             u -= tr.probability;
         }
         let tr = row.last().expect("non-empty transition row");
-        (tr.target, self.dist_pool[tr.dist as usize].sample(rng))
+        (
+            tr.target as usize,
+            self.dist_pool[tr.dist as usize].sample(rng),
+        )
     }
 
-    /// Approximate heap footprint of the kernel in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.transitions
-            .iter()
-            .map(|row| row.len() * std::mem::size_of::<Transition>())
-            .sum::<usize>()
-            + self.num_states * std::mem::size_of::<Vec<Transition>>()
+    /// Heap bytes of the kernel, from capacities: the row offsets, the
+    /// transitions and the distribution pool's slots.  A pooled
+    /// distribution's own heap (a mixture's parts) is not counted, nor are
+    /// the memoized embedded chain and `U` structure.
+    pub fn heap_bytes(&self) -> usize {
+        self.row_offsets.capacity() * std::mem::size_of::<u32>()
+            + self.transitions.capacity() * std::mem::size_of::<Transition>()
+            + self.dist_pool.capacity() * std::mem::size_of::<Dist>()
     }
 }
 
@@ -283,11 +309,22 @@ impl SemiMarkovProcess {
 /// SM-SPN formalism, Section 5.1).  A builder is filled either by source state
 /// ([`SmpBuilder::add_transition`] on a builder made for `n` states) or one whole
 /// row at a time ([`SmpBuilder::push_state`], for a state space that is still
-/// being discovered).
+/// being discovered).  Neither keeps anything per state but a row offset:
+/// pushed rows go straight into the process's layout, and added transitions
+/// are sorted into it by source at `build`.
 #[derive(Debug, Clone)]
 pub struct SmpBuilder {
-    /// One row per state; `probability` holds the weight until `build`.
-    rows: Vec<Vec<Transition>>,
+    /// States made by [`SmpBuilder::new`]; their rows hold only added
+    /// transitions.
+    declared: usize,
+    /// Rows pushed whole, as a CSR: state `declared + k` is
+    /// `pushed[offsets[k]..offsets[k + 1]]`.  `probability` holds the weight
+    /// until `build`, here and in `added`.
+    offsets: Vec<u32>,
+    pushed: Vec<Transition>,
+    /// Transitions added by source, in add order, and each one's source.
+    added: Vec<Transition>,
+    sources: Vec<u32>,
     dist_pool: Vec<Dist>,
 }
 
@@ -295,14 +332,18 @@ impl SmpBuilder {
     /// Creates a builder for a process with `num_states` states.
     pub fn new(num_states: usize) -> Self {
         SmpBuilder {
-            rows: vec![Vec::new(); num_states],
+            declared: num_states,
+            offsets: vec![0],
+            pushed: Vec::new(),
+            added: Vec::new(),
+            sources: Vec::new(),
             dist_pool: Vec::new(),
         }
     }
 
     /// Number of states the process will have.
     pub fn num_states(&self) -> usize {
-        self.rows.len()
+        self.declared + self.offsets.len() - 1
     }
 
     /// Interns a distribution into the pool, returning its identifier.  Equal
@@ -326,10 +367,11 @@ impl SmpBuilder {
 
     /// Adds a transition referring to an already-interned distribution.
     pub fn add_transition_pooled(&mut self, from: usize, to: usize, weight: f64, dist: DistId) {
-        assert!(from < self.rows.len(), "source state {from} out of range");
-        assert!(to < self.rows.len(), "target state {to} out of range");
+        assert!(from < self.num_states(), "source state {from} out of range");
+        assert!(to < self.num_states(), "target state {to} out of range");
         let transition = self.pooled(to, weight, dist);
-        self.rows[from].push(transition);
+        self.added.push(transition);
+        self.sources.push(to_u32(from));
     }
 
     /// Appends a state whose outgoing transitions are `row`, as
@@ -337,12 +379,12 @@ impl SmpBuilder {
     /// target may name a state not pushed yet; [`SmpBuilder::build`] checks
     /// that every target exists by then.
     pub fn push_state(&mut self, row: &[(usize, f64, DistId)]) -> usize {
-        let row = row
-            .iter()
-            .map(|&(to, weight, dist)| self.pooled(to, weight, dist))
-            .collect();
-        self.rows.push(row);
-        self.rows.len() - 1
+        for &(to, weight, dist) in row {
+            let transition = self.pooled(to, weight, dist);
+            self.pushed.push(transition);
+        }
+        self.offsets.push(to_u32(self.pushed.len()));
+        self.num_states() - 1
     }
 
     fn pooled(&self, target: usize, weight: f64, dist: DistId) -> Transition {
@@ -351,28 +393,41 @@ impl SmpBuilder {
             "unknown distribution id"
         );
         Transition {
-            target,
-            probability: weight,
+            target: to_u32(target),
             dist,
+            probability: weight,
         }
     }
 
     /// Finalises the process, normalising weights into probabilities.
-    pub fn build(self) -> Result<SemiMarkovProcess, SmpError> {
-        let num_states = self.rows.len();
+    ///
+    /// A process with more states or transitions than a `u32` can number is
+    /// refused with [`SmpError::TooLarge`] before anything is allocated.
+    pub fn build(mut self) -> Result<SemiMarkovProcess, SmpError> {
+        let num_states = self.num_states();
+        let num_transitions = self.pushed.len() + self.added.len();
+        for (what, count) in [("states", num_states), ("transitions", num_transitions)] {
+            if count > MAX_INDEX {
+                return Err(SmpError::TooLarge {
+                    what,
+                    count,
+                    limit: MAX_INDEX,
+                });
+            }
+        }
         if num_states == 0 {
             return Err(SmpError::EmptyModel);
         }
-        let mut transitions = self.rows;
-        let mut num_transitions = 0;
-        for (state, row) in transitions.iter_mut().enumerate() {
+        let (row_offsets, mut transitions) = self.flatten();
+        for state in 0..num_states {
+            let row = &mut transitions[row_span(&row_offsets, state)];
             if row.is_empty() {
                 return Err(SmpError::DeadlockState { state });
             }
             let mut total = 0.0;
             for tr in row.iter() {
                 assert!(
-                    tr.target < num_states,
+                    (tr.target as usize) < num_states,
                     "target state {} out of range",
                     tr.target
                 );
@@ -380,7 +435,7 @@ impl SmpBuilder {
                 if !(w > 0.0 && w.is_finite()) {
                     return Err(SmpError::InvalidWeight {
                         from: state,
-                        to: tr.target,
+                        to: tr.target as usize,
                         weight: w,
                     });
                 }
@@ -389,17 +444,61 @@ impl SmpBuilder {
             for tr in row.iter_mut() {
                 tr.probability /= total;
             }
-            row.shrink_to_fit();
-            num_transitions += row.len();
         }
         Ok(SemiMarkovProcess {
-            num_states,
+            row_offsets,
             transitions,
             dist_pool: self.dist_pool,
-            num_transitions,
             embedded_cache: Arc::new(Mutex::new(None)),
             structure_cache: Arc::new(Mutex::new(None)),
         })
+    }
+
+    /// Every row in state order, as row offsets and one transition list: the
+    /// pushed CSR itself when nothing was added, otherwise a stable counting
+    /// sort by source — a row's pushed transitions, then its added ones in
+    /// add order.
+    fn flatten(&mut self) -> (Vec<u32>, Vec<Transition>) {
+        self.dist_pool.shrink_to_fit();
+        if self.declared == 0 && self.added.is_empty() {
+            let (mut offsets, mut pushed) = (
+                std::mem::take(&mut self.offsets),
+                std::mem::take(&mut self.pushed),
+            );
+            offsets.shrink_to_fit();
+            pushed.shrink_to_fit();
+            return (offsets, pushed);
+        }
+        let n = self.num_states();
+        let mut row_offsets = vec![0u32; n + 1];
+        for (k, pair) in self.offsets.windows(2).enumerate() {
+            row_offsets[self.declared + k + 1] = pair[1] - pair[0];
+        }
+        for &source in &self.sources {
+            row_offsets[source as usize + 1] += 1;
+        }
+        for i in 0..n {
+            row_offsets[i + 1] += row_offsets[i];
+        }
+        let mut next = row_offsets[..n].to_vec();
+        let unset = Transition {
+            target: 0,
+            dist: 0,
+            probability: 0.0,
+        };
+        let mut transitions = vec![unset; row_offsets[n] as usize];
+        for k in 0..self.offsets.len() - 1 {
+            let row = &self.pushed[row_span(&self.offsets, k)];
+            let slot = &mut next[self.declared + k];
+            transitions[*slot as usize..][..row.len()].copy_from_slice(row);
+            *slot += to_u32(row.len());
+        }
+        for (&source, &tr) in self.sources.iter().zip(&self.added) {
+            let slot = &mut next[source as usize];
+            transitions[*slot as usize] = tr;
+            *slot += 1;
+        }
+        (row_offsets, transitions)
     }
 }
 
@@ -446,6 +545,85 @@ mod tests {
         }
         assert_eq!(pushed.num_transitions(), by_source.num_transitions());
         assert_eq!(pushed.num_distributions(), by_source.num_distributions());
+    }
+
+    #[test]
+    fn adds_out_of_source_order_fill_the_rows_pushes_give() {
+        // (source, target, weight, pooled distribution) in add order, the
+        // sources interleaved; a source's entries are its row in push order.
+        let adds: [(usize, usize, f64, DistId); 8] = [
+            (2, 0, 0.3, 0),
+            (0, 1, 3.0, 0),
+            (3, 0, 1.0, 2),
+            (2, 3, 0.7, 1),
+            (0, 2, 1.0, 1),
+            (1, 2, 2.5, 2),
+            (0, 1, 0.1, 2),
+            (2, 1, 0.2, 0),
+        ];
+        let row = |state: usize| adds.iter().filter(move |a| a.0 == state);
+        let mut by_source = SmpBuilder::new(4);
+        let mut by_row = SmpBuilder::new(0);
+        for dist in [
+            Dist::exponential(1.0),
+            Dist::deterministic(2.0),
+            Dist::erlang(2.0, 2),
+        ] {
+            by_source.intern_distribution(dist.clone());
+            by_row.intern_distribution(dist);
+        }
+        for &(from, to, weight, dist) in &adds {
+            by_source.add_transition_pooled(from, to, weight, dist);
+        }
+        for state in 0..4 {
+            let pushed: Vec<_> = row(state).map(|&(_, to, w, d)| (to, w, d)).collect();
+            assert_eq!(by_row.push_state(&pushed), state);
+        }
+        // Two declared states filled by source, then states 2 and 3 pushed
+        // with their first transition and given the rest by source.
+        let mut mixed = SmpBuilder::new(2);
+        mixed.dist_pool = by_row.dist_pool.clone();
+        for state in 2..4 {
+            let &(_, to, w, d) = row(state).next().unwrap();
+            assert_eq!(mixed.push_state(&[(to, w, d)]), state);
+        }
+        for &(from, to, weight, dist) in &adds {
+            if from < 2 || row(from).next() != Some(&(from, to, weight, dist)) {
+                mixed.add_transition_pooled(from, to, weight, dist);
+            }
+        }
+        let (by_source, by_row) = (by_source.build().unwrap(), by_row.build().unwrap());
+        let mixed = mixed.build().unwrap();
+        let bits = |tr: &Transition| (tr.target, tr.dist, tr.probability.to_bits());
+        for state in 0..4 {
+            // The weights normalised as a row of lists did: summed in push
+            // order, then each divided by the sum.
+            let total = row(state).fold(0.0, |total, a| total + a.2);
+            let expect: Vec<_> = row(state)
+                .map(|&(_, to, w, d)| (to as u32, d, (w / total).to_bits()))
+                .collect();
+            let got = |smp: &SemiMarkovProcess| {
+                smp.transitions(state).iter().map(bits).collect::<Vec<_>>()
+            };
+            assert_eq!(got(&by_source), expect, "added, state {state}");
+            assert_eq!(got(&by_row), expect, "pushed, state {state}");
+            assert_eq!(got(&mixed), expect, "mixed, state {state}");
+        }
+    }
+
+    #[test]
+    fn a_process_past_u32_state_numbers_is_refused() {
+        let states = u32::MAX as usize + 1;
+        let mut b = SmpBuilder::new(states);
+        b.add_transition(0, 1, 1.0, Dist::exponential(1.0));
+        assert_eq!(
+            b.build().unwrap_err(),
+            SmpError::TooLarge {
+                what: "states",
+                count: states,
+                limit: u32::MAX as usize,
+            }
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! series here needs.  No second path is kept for that case.
 
 use crate::error::SmpError;
-use crate::passage::{solve_chunk, start_weights, IterationOptions};
+use crate::passage::{nonzero_weights, solve_chunk, start_weights, IterationOptions};
 use crate::smp::{SemiMarkovProcess, StateSet};
 use crate::workspace::{HotPathStats, PassageSkeleton, WorkspacePool};
 use smp_distributions::LaplaceTransform;
@@ -63,10 +63,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct TransientSolver<'a> {
     smp: &'a SemiMarkovProcess,
-    /// Start-of-observation weights over source states (δ-vector for a single
-    /// source, α-weights of Eq. (5) for a steady-state-weighted set of
-    /// sources), lifted to ℂ once.
-    alpha: Vec<Complex64>,
+    /// The non-zero start-of-observation weights, `(state, weight)` by
+    /// ascending state (a δ-vector for a single source, α-weights of Eq. (5)
+    /// for a steady-state-weighted set of sources).
+    starts: Vec<(usize, f64)>,
     sources: StateSet,
     targets: StateSet,
     options: IterationOptions,
@@ -97,7 +97,7 @@ impl<'a> TransientSolver<'a> {
         let skeleton = PassageSkeleton::occupancy(smp, &targets);
         Ok(TransientSolver {
             smp,
-            alpha: alpha.into_iter().map(Complex64::real).collect(),
+            starts: nonzero_weights(&alpha),
             sources,
             targets,
             options,
@@ -142,7 +142,7 @@ impl<'a> TransientSolver<'a> {
     /// `PassageTimeSolver::transform_many`.
     pub fn transform_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, SmpError>> {
         let mut ws = self.pool.checkout();
-        let sums = solve_chunk(self.smp, &mut ws, &self.alpha, self.options, points);
+        let sums = solve_chunk(self.smp, &mut ws, &self.starts, self.options, points);
         self.pool.give_back(ws);
         sums.into_iter()
             .zip(points)

@@ -260,7 +260,7 @@ impl PhaseCtmc {
                 phase_state.push(i);
                 phase_rate.push(lambda);
                 triplets.push(phi, phi, -lambda);
-                let j = tr.target;
+                let j = tr.target as usize;
                 if targets.is_some_and(|t| t.contains(j)) {
                     triplets.push(phi, num_phases, lambda);
                     phase_absorb_rate[phi] = lambda;

@@ -258,7 +258,7 @@ impl UStructure {
                         id
                     }
                 };
-                col_indices.push(slot[0].target as u32);
+                col_indices.push(slot[0].target);
                 slot_recipe.push(id);
             }
             indptr.push(col_indices.len() as u64);
@@ -566,21 +566,25 @@ pub(crate) struct LaneKernel<'a, const K: usize> {
 impl<const K: usize> LaneKernel<'_, K> {
     /// Starts a fresh point per lane: `term ← α·U` (the leading `U` of
     /// Eq. 9/10, unmasked) in every lane, `scratch` zeroed, the live rows
-    /// listed and the starting mode picked.  Returns the sum's first value
-    /// per lane: the read-out of `α·U`, plus — for an occupancy measure,
-    /// whose series starts a transition earlier — the read-out of `α`.
-    pub(crate) fn begin(&mut self, alpha: &[Complex64]) -> [Complex64; K] {
+    /// listed and the starting mode picked.  `alpha` lists the non-zero
+    /// weights `(state, α_state)` by ascending state.  Returns the sum's
+    /// first value per lane: the read-out of `α·U`, plus — for an occupancy
+    /// measure, whose series starts a transition earlier — the read-out of
+    /// `α`.
+    pub(crate) fn begin(&mut self, alpha: &[(usize, f64)]) -> [Complex64; K] {
         let st = &*self.skeleton.structure;
         let zero = [[0.0; K]; 2];
         self.lanes.term.fill(zero);
         self.lanes.scratch.fill(zero);
-        for (r, a) in alpha.iter().enumerate() {
-            let x = splat(*a);
-            if all_zero(&x) {
-                continue;
-            }
+        for &(r, a) in alpha {
             let (ids, cols) = st.row(r);
-            scatter_row(&mut self.lanes.term, &self.lanes.table, ids, cols, x);
+            scatter_row(
+                &mut self.lanes.term,
+                &self.lanes.table,
+                ids,
+                cols,
+                splat(Complex64::real(a)),
+            );
         }
         let frontier = &mut *self.frontier;
         frontier.active.clear();
@@ -592,7 +596,10 @@ impl<const K: usize> LaneKernel<'_, K> {
         frontier.dense = frontier.active.len() > st.num_states / DENSE_SWITCH_DIVISOR;
         let mut first = self.read_out();
         if self.skeleton.sojourn_weighted {
-            let at_rest = self.weighted(|k| splat(alpha[k]));
+            let at_rest = self.weighted(|k| {
+                let i = alpha.binary_search_by_key(&k, |&(r, _)| r);
+                splat(Complex64::real(i.map_or(0.0, |i| alpha[i].1)))
+            });
             for (value, rest) in first.iter_mut().zip(at_rest) {
                 *value += rest;
             }
@@ -1151,7 +1158,11 @@ mod tests {
                 let index = entry_dist.len() as u64;
                 entry_dist.push(tr.dist);
                 entry_prob.push(tr.probability);
-                tracer.push(i, tr.target, Complex64::new(f64::from_bits(index), 1.0));
+                tracer.push(
+                    i,
+                    tr.target as usize,
+                    Complex64::new(f64::from_bits(index), 1.0),
+                );
             }
         }
         // im = 1.0 keeps every merged payload nonzero, so no slot is dropped.
@@ -1169,7 +1180,7 @@ mod tests {
         for (i, &row_base) in row_counts.iter().take(n).enumerate() {
             scratch.clear();
             for (offset, tr) in smp.transitions(i).iter().enumerate() {
-                scratch.push((tr.target as u32, row_base + offset));
+                scratch.push((tr.target, row_base + offset));
             }
             scratch.sort_by_key(|&(c, _)| c);
             for slot in scratch.chunk_by(|a, b| a.0 == b.0) {
@@ -1213,7 +1224,7 @@ mod tests {
         }
         for i in 0..front.num_states() {
             for tr in front.transitions(i) {
-                b.add_transition_pooled(i, tr.target, tr.probability, tr.dist);
+                b.add_transition_pooled(i, tr.target as usize, tr.probability, tr.dist);
             }
         }
         b.build().unwrap()

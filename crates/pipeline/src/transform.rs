@@ -30,7 +30,7 @@ use smp_core::transient::TransientSolver;
 use smp_core::PassageTimeSolver;
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
-use smp_smspn::{Marking, SmSpn, StateSpace};
+use smp_smspn::{SmSpn, StateSpace};
 use std::sync::Arc;
 
 /// Wire-format version of the spec encoding (first field of every spec line).
@@ -149,7 +149,7 @@ impl ResolveTarget for TargetSpec {
                 .ok_or_else(|| TargetResolveError::UnknownPlace {
                     place: self.place.clone(),
                 })?;
-        let targets = space.states_where(|m: &Marking| self.matches(m.get(place)));
+        let targets = space.states_where(|m| self.matches(m.get(place)));
         if targets.is_empty() {
             return Err(TargetResolveError::NoMatchingMarking {
                 predicate: self.to_string(),

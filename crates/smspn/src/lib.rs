@@ -31,6 +31,6 @@ pub mod marking;
 pub mod net;
 pub mod reachability;
 
-pub use marking::Marking;
+pub use marking::{Marking, MarkingView};
 pub use net::{SmSpn, TransitionSpec};
 pub use reachability::{ReachabilityOptions, StateSpace};

@@ -72,10 +72,10 @@ impl Marking {
         self.tokens[p] -= count;
     }
 
-    /// Overwrites every token count with `other`'s (same number of places).
+    /// Overwrites every token count with `tokens` (one per place).
     #[inline]
-    pub fn copy_from(&mut self, other: &Marking) {
-        self.tokens.copy_from_slice(&other.tokens);
+    pub fn copy_from(&mut self, tokens: &[u32]) {
+        self.tokens.copy_from_slice(tokens);
     }
 
     /// Total number of tokens in the marking.
@@ -103,6 +103,42 @@ impl Index<usize> for Marking {
 }
 
 impl fmt::Display for Marking {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        MarkingView::from(self).fmt(f)
+    }
+}
+
+/// A borrowed marking: a row of an explored state space's marking matrix,
+/// or a view of an owned [`Marking`].
+#[derive(Debug, Clone, Copy)]
+pub struct MarkingView<'a> {
+    tokens: &'a [u32],
+}
+
+impl<'a> MarkingView<'a> {
+    pub(crate) fn new(tokens: &'a [u32]) -> Self {
+        MarkingView { tokens }
+    }
+
+    /// Token count of place `p`.
+    #[inline]
+    pub fn get(&self, p: usize) -> u32 {
+        self.tokens[p]
+    }
+
+    /// The underlying token counts.
+    pub fn as_slice(&self) -> &'a [u32] {
+        self.tokens
+    }
+}
+
+impl<'a> From<&'a Marking> for MarkingView<'a> {
+    fn from(marking: &'a Marking) -> Self {
+        MarkingView::new(&marking.tokens)
+    }
+}
+
+impl fmt::Display for MarkingView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
         for (i, t) in self.tokens.iter().enumerate() {
@@ -147,7 +183,7 @@ mod tests {
         m.remove(0, 2);
         m.set(0, 5);
         assert_eq!(m.as_slice(), &[5, 4]);
-        m.copy_from(&Marking::new(vec![7, 0]));
+        m.copy_from(&[7, 0]);
         assert_eq!(m.as_slice(), &[7, 0]);
     }
 
@@ -176,5 +212,8 @@ mod tests {
     fn display_and_from() {
         let m: Marking = vec![1, 0, 2].into();
         assert_eq!(m.to_string(), "(1,0,2)");
+        let view = MarkingView::from(&m);
+        assert_eq!((view.get(2), view.as_slice()), (2, m.as_slice()));
+        assert_eq!(view.to_string(), "(1,0,2)");
     }
 }

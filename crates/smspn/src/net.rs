@@ -189,7 +189,7 @@ impl TransitionSpec {
     /// # Panics
     /// Panics when fired in a marking where it is not enabled (token underflow).
     pub fn fire(&self, m: &Marking, next: &mut Marking) -> Result<(), String> {
-        next.copy_from(m);
+        next.copy_from(m.as_slice());
         if let Some(action) = &self.action {
             return action(m, next).map_err(|e| format!("action: {e}"));
         }

@@ -9,16 +9,20 @@
 //!
 //! The walk keeps one copy of everything it learns:
 //!
-//! * **States are numbered in FIFO order**, so the queue *is* the marking list:
+//! * **States are numbered in FIFO order**, so the queue *is* the marking matrix:
 //!   state `k` is expanded `k`-th, and a marking is numbered when first reached
 //!   (level by level, parent by parent, successor by successor).
-//! * **Each marking is stored once**, in that list.  The index from marking to
-//!   state is an open-addressing table of `u32` state ids hashed by token slice
-//!   with a fixed hasher; it answers lookups only and is never iterated, so no
-//!   hash order reaches a state number (`smp-lint` D002).
-//! * **Transitions stream into the [`SmpBuilder`]** as each state is expanded —
-//!   no edge list is kept — and a successor is fired into one scratch marking,
-//!   which is copied into the list only when it is new.
+//! * **Each marking is stored once**, as a row of one row-major `u32` matrix
+//!   (`places` token counts a state, no allocation per state).  The index from
+//!   marking to state is an open-addressing table of `u32` state ids hashed by
+//!   token row with a fixed hasher; it answers lookups only and is never
+//!   iterated, so no hash order reaches a state number (`smp-lint` D002).  It
+//!   numbers new markings only, so it is dropped when exploration ends, and
+//!   [`StateSpace::state_of`] scans the matrix instead.
+//! * **Transitions stream into the [`SmpBuilder`]** as each state is expanded,
+//!   straight into the process's flat transition array — no edge list is
+//!   kept — and a successor is fired into one scratch marking, which is
+//!   copied into the matrix only when it is new.
 //! * **A marking-independent sojourn is interned once**, at its transition's
 //!   first firing; a marking-dependent one is evaluated and interned per
 //!   firing.  Interning runs in firing order either way, so the distribution
@@ -29,7 +33,7 @@
 //! and the marking.
 
 use crate::enabling::firing_probabilities_into;
-use crate::marking::Marking;
+use crate::marking::MarkingView;
 use crate::net::SmSpn;
 use smp_core::smp::DistId;
 use smp_core::{SemiMarkovProcess, SmpBuilder, SmpError};
@@ -114,9 +118,29 @@ impl From<SmpError> for ReachabilityError {
     }
 }
 
+/// The markings of the states found so far, one row of token counts a state,
+/// row-major in one allocation.
+#[derive(Debug)]
+struct MarkingMatrix {
+    tokens: Vec<u32>,
+    places: usize,
+    len: usize,
+}
+
+impl MarkingMatrix {
+    fn row(&self, state: usize) -> &[u32] {
+        &self.tokens[state * self.places..][..self.places]
+    }
+
+    fn push(&mut self, tokens: &[u32]) {
+        self.tokens.extend_from_slice(tokens);
+        self.len += 1;
+    }
+}
+
 /// The marking → state index: open addressing with linear probing over `u32`
-/// state ids, keyed by the markings' token slices (which live only in the
-/// state list).  Lookup only; never iterated.
+/// state ids, keyed by the markings' token rows (which live only in the
+/// marking matrix).  Lookup only; never iterated.
 #[derive(Debug)]
 struct MarkingIndex {
     /// `EMPTY` or a state id; the length is a power of two, at most half full.
@@ -149,28 +173,29 @@ impl MarkingIndex {
     }
 
     /// The state holding `tokens`, or the empty slot where it would go.
-    fn find(&self, markings: &[Marking], tokens: &[u32]) -> Result<u32, usize> {
+    fn find(&self, markings: &MarkingMatrix, tokens: &[u32]) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(tokens);
         loop {
             match self.slots[slot] {
                 EMPTY => return Err(slot),
-                id if markings[id as usize].as_slice() == tokens => return Ok(id),
+                id if markings.row(id as usize) == tokens => return Ok(id),
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Files `id` (whose marking is `markings[id]`) in the empty `slot` that
-    /// [`Self::find`] returned, growing the table when it passes half full.
-    fn insert(&mut self, slot: usize, id: u32, markings: &[Marking]) {
+    /// Files `id` (whose marking is `markings.row(id)`) in the empty `slot`
+    /// that [`Self::find`] returned, growing the table when it passes half
+    /// full.
+    fn insert(&mut self, slot: usize, id: u32, markings: &MarkingMatrix) {
         self.slots[slot] = id;
         self.len += 1;
         if 2 * self.len > self.slots.len() {
             let grown = vec![EMPTY; 2 * self.slots.len()];
             let old = std::mem::replace(&mut self.slots, grown);
             for id in old.into_iter().filter(|&id| id != EMPTY) {
-                let tokens = markings[id as usize].as_slice();
+                let tokens = markings.row(id as usize);
                 let slot = self.find(markings, tokens).expect_err("ids are distinct");
                 self.slots[slot] = id;
             }
@@ -181,8 +206,7 @@ impl MarkingIndex {
 /// The explored state space of an SM-SPN.
 #[derive(Debug)]
 pub struct StateSpace {
-    markings: Vec<Marking>,
-    index: MarkingIndex,
+    markings: MarkingMatrix,
     place_names: Vec<String>,
     smp: SemiMarkovProcess,
 }
@@ -201,9 +225,16 @@ impl StateSpace {
         let transitions = net.transitions();
         let limit = options.max_states.min(EMPTY as usize);
         let m0 = net.initial_marking().clone();
+        let mut markings = MarkingMatrix {
+            tokens: Vec::new(),
+            places: m0.len(),
+            len: 0,
+        };
         let mut index = MarkingIndex::new();
-        let slot = index.find(&[], m0.as_slice()).expect_err("empty index");
-        let mut markings = vec![m0.clone()];
+        let slot = index
+            .find(&markings, m0.as_slice())
+            .expect_err("empty index");
+        markings.push(m0.as_slice());
         index.insert(slot, 0, &markings);
 
         let mut builder = SmpBuilder::new(0);
@@ -217,8 +248,8 @@ impl StateSpace {
 
         // FIFO order is state order: state `k` is the `k`-th expanded.
         let mut state = 0;
-        while state < markings.len() {
-            current.copy_from(&markings[state]);
+        while state < markings.len {
+            current.copy_from(markings.row(state));
             let failed = |transition: usize, message: String| ReachabilityError::Evaluation {
                 transition: transitions[transition].name().to_string(),
                 marking: current.as_slice().to_vec(),
@@ -239,13 +270,13 @@ impl StateSpace {
                 let target = match index.find(&markings, next.as_slice()) {
                     Ok(id) => id as usize,
                     Err(slot) => {
-                        let id = markings.len();
+                        let id = markings.len;
                         if id >= limit {
                             return Err(ReachabilityError::StateSpaceTooLarge {
                                 limit: options.max_states,
                             });
                         }
-                        markings.push(next.clone());
+                        markings.push(next.as_slice());
                         index.insert(slot, id as u32, &markings);
                         id
                     }
@@ -269,11 +300,14 @@ impl StateSpace {
             builder.push_state(&row);
             state += 1;
         }
+        // The index only numbers new markings: once every state is expanded
+        // it has nothing left to do.
+        drop(index);
+        markings.tokens.shrink_to_fit();
         let smp = builder.build()?;
 
         Ok(StateSpace {
             markings,
-            index,
             place_names: net.place_names().to_vec(),
             smp,
         })
@@ -281,7 +315,7 @@ impl StateSpace {
 
     /// Number of reachable markings (= SMP states).
     pub fn num_states(&self) -> usize {
-        self.markings.len()
+        self.markings.len
     }
 
     /// Number of reachability-graph edges (= SMP kernel entries before merging).
@@ -290,16 +324,16 @@ impl StateSpace {
     }
 
     /// The marking of a state index.
-    pub fn marking(&self, state: usize) -> &Marking {
-        &self.markings[state]
+    pub fn marking(&self, state: usize) -> MarkingView<'_> {
+        MarkingView::new(self.markings.row(state))
     }
 
-    /// The state index of a marking, if reachable.
-    pub fn state_of(&self, marking: &Marking) -> Option<usize> {
-        self.index
-            .find(&self.markings, marking.as_slice())
-            .ok()
-            .map(|id| id as usize)
+    /// The state index of a marking, if reachable.  A linear scan of the
+    /// marking matrix: the index exploration numbered states with is not
+    /// kept.
+    pub fn state_of<'m>(&self, marking: impl Into<MarkingView<'m>>) -> Option<usize> {
+        let tokens = marking.into().as_slice();
+        (0..self.num_states()).find(|&state| self.markings.row(state) == tokens)
     }
 
     /// The index of the initial marking (always 0).
@@ -319,12 +353,9 @@ impl StateSpace {
 
     /// All state indices whose marking satisfies a predicate — the way experiment
     /// harnesses express target sets such as "all polling units failed".
-    pub fn states_where(&self, mut predicate: impl FnMut(&Marking) -> bool) -> Vec<usize> {
-        self.markings
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| predicate(m))
-            .map(|(i, _)| i)
+    pub fn states_where(&self, mut predicate: impl FnMut(MarkingView<'_>) -> bool) -> Vec<usize> {
+        (0..self.num_states())
+            .filter(|&state| predicate(self.marking(state)))
             .collect()
     }
 
@@ -332,13 +363,25 @@ impl StateSpace {
     /// not exist).
     pub fn tokens_in(&self, state: usize, place_name: &str) -> Option<u32> {
         let place = self.place_names.iter().position(|n| n == place_name)?;
-        Some(self.markings[state].get(place))
+        Some(self.marking(state).get(place))
+    }
+
+    /// Heap bytes of the explored model, from lengths and capacities: the
+    /// marking matrix, the place names and the process's
+    /// [`SemiMarkovProcess::heap_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        let names: usize = self.place_names.iter().map(String::capacity).sum();
+        self.markings.tokens.capacity() * std::mem::size_of::<u32>()
+            + self.place_names.capacity() * std::mem::size_of::<String>()
+            + names
+            + self.smp.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::marking::Marking;
     use crate::net::TransitionSpec;
     use smp_distributions::Dist;
 
@@ -447,6 +490,32 @@ mod tests {
         assert_eq!(space.state_of(&Marking::new(vec![5, 0, 2])), None);
     }
 
+    /// The explored model is stored flat: 16 bytes a transition and 4 a row
+    /// offset in the process, `4 × places` bytes a marking beside it, and
+    /// nothing allocated per state.
+    #[test]
+    fn the_explored_model_is_stored_flat() {
+        use std::mem::size_of;
+        let space = StateSpace::explore(&voting(10, 4, 2)).unwrap();
+        let smp = space.smp();
+        let (states, places) = (space.num_states(), space.place_names().len());
+        assert_eq!(size_of::<smp_core::smp::Transition>(), 16);
+        let pool = smp.num_distributions() * size_of::<Dist>();
+        assert_eq!(
+            smp.heap_bytes(),
+            16 * smp.num_transitions() + 4 * (states + 1) + pool
+        );
+        let names: usize = space
+            .place_names()
+            .iter()
+            .map(|name| size_of::<String>() + name.capacity())
+            .sum();
+        assert_eq!(
+            space.heap_bytes() - smp.heap_bytes() - names,
+            4 * places * states
+        );
+    }
+
     #[test]
     fn smp_kernel_reflects_weights_and_distributions() {
         // One token, two competing transitions with weights 1 and 3.
@@ -485,11 +554,11 @@ mod tests {
         let a_state = space.state_of(&Marking::new(vec![0, 1, 0])).unwrap();
         let b_state = space.state_of(&Marking::new(vec![0, 0, 1])).unwrap();
         for tr in from0 {
-            if tr.target == a_state {
+            if tr.target as usize == a_state {
                 assert!((tr.probability - 0.25).abs() < 1e-12);
                 assert_eq!(smp.distribution(tr.dist), &Dist::exponential(1.0));
             } else {
-                assert_eq!(tr.target, b_state);
+                assert_eq!(tr.target as usize, b_state);
                 assert!((tr.probability - 0.75).abs() < 1e-12);
                 assert_eq!(smp.distribution(tr.dist), &Dist::deterministic(2.0));
             }

@@ -35,7 +35,7 @@
 //! behaviour (documented substitution, see the workspace `README.md`).
 
 use smp_distributions::Dist;
-use smp_smspn::{Marking, ReachabilityOptions, SmSpn, StateSpace, TransitionSpec};
+use smp_smspn::{MarkingView, ReachabilityOptions, SmSpn, StateSpace, TransitionSpec};
 
 /// Place indices of the voting net, for readability.
 pub mod places {
@@ -217,7 +217,7 @@ impl VotingSystem {
     }
 
     /// Convenience: the marking of a state.
-    pub fn marking(&self, state: usize) -> &Marking {
+    pub fn marking(&self, state: usize) -> MarkingView<'_> {
         self.state_space.marking(state)
     }
 
