@@ -7,9 +7,11 @@
 //!     [--points P] [--replications R] [--quick]
 //! ```
 //!
-//! The paper plots system 5 (1.1 million states, 175 voters); generating that
-//! instance is supported (`--system 5`) but takes hours on one machine, so the
-//! default is a scaled-down instance that exercises exactly the same code path.
+//! The paper plots system 5 (1.1 million states, 175 voters); that instance is
+//! supported (`--system 5`), but it holds about 1 GB, and a two-point CDF of it,
+//! exploration included, takes about 1.5 minutes on a 2-core host — this
+//! figure asks for many more points plus a simulation.  So the default is a
+//! scaled-down instance that exercises exactly the same code path.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

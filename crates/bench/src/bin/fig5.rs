@@ -1,6 +1,9 @@
 //! Fig. 5 — cumulative distribution function of the voter-throughput passage and
-//! the response-time quantile read off it (the paper quotes
-//! `P(system 5 processes 175 voters in under 440 s) = 0.9858`).
+//! the response-time quantile read off it.  The paper quotes
+//! `P(system 5 processes 175 voters in under 440 s) = 0.9858`; that value does
+//! not reproduce with the substituted firing distributions (this workspace
+//! gets 0.492 at 440 s — see the substitution note in the workspace
+//! `README.md`).
 //!
 //! ```text
 //! cargo run -p smp-bench --release --bin fig5 [--system N] [--voters K]

@@ -36,11 +36,6 @@ impl Args {
         }
     }
 
-    /// Builds from an explicit vector (tests).
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Args { raw }
-    }
-
     /// True when the bare flag `--name` is present.
     pub fn flag(&self, name: &str) -> bool {
         let needle = format!("--{name}");
@@ -122,13 +117,15 @@ mod tests {
 
     #[test]
     fn args_parse_flags_values_and_lists() {
-        let args = Args::from_vec(vec![
-            "--full".into(),
-            "--system".into(),
-            "3".into(),
-            "--workers".into(),
-            "1,2,4".into(),
-        ]);
+        let args = Args {
+            raw: vec![
+                "--full".into(),
+                "--system".into(),
+                "3".into(),
+                "--workers".into(),
+                "1,2,4".into(),
+            ],
+        };
         assert!(args.flag("full"));
         assert!(!args.flag("quick"));
         assert_eq!(args.value_or("system", 0u32), 3);

@@ -61,9 +61,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The target predicate type — `smp_core::query::TargetSpec`, re-exported
-/// under the name this CLI has always used.
-pub type Predicate = smp_pipeline::TargetSpec;
 /// The engine selected with `--engine` — the one selector vocabulary, shared
 /// with the query wire.
 pub use smp_pipeline::EngineChoice;
@@ -1493,8 +1490,8 @@ mod tests {
         message
     }
 
-    fn parse_predicate(text: &str) -> Result<Predicate, CliError> {
-        Predicate::parse(text).map_err(CliError::Usage)
+    fn parse_predicate(text: &str) -> Result<smp_pipeline::TargetSpec, CliError> {
+        smp_pipeline::TargetSpec::parse(text).map_err(CliError::Usage)
     }
 
     #[test]

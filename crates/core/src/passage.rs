@@ -240,63 +240,17 @@ impl<'a> PassageTimeSolver<'a> {
         options: IterationOptions,
     ) -> Result<Self, SmpError> {
         let (sources, targets, alpha) = start_weights(smp, sources, targets)?;
-        Ok(Self::assemble(smp, sources, targets, alpha, options))
-    }
-
-    /// Shared tail of the constructors: lists the non-zero α-weights and
-    /// builds the symbolic skeleton (the one-time phase of the
-    /// symbolic/numeric split).
-    fn assemble(
-        smp: &'a SemiMarkovProcess,
-        sources: StateSet,
-        targets: StateSet,
-        alpha: Vec<f64>,
-        options: IterationOptions,
-    ) -> Self {
         let starts = nonzero_weights(&alpha);
+        // The symbolic skeleton: the one-time phase of the symbolic/numeric split.
         let pool = Arc::new(WorkspacePool::build(smp, &targets));
-        PassageTimeSolver {
+        Ok(PassageTimeSolver {
             smp,
             sources,
             targets,
             options,
             starts,
             pool,
-        }
-    }
-
-    /// Creates a solver with caller-supplied α-weights (must be a full-length vector
-    /// summing to 1 and supported on the source set).  Used when the start-of-passage
-    /// distribution is known from context — e.g. a transient analysis started from a
-    /// specific initial marking rather than from steady state.
-    pub fn with_alpha(
-        smp: &'a SemiMarkovProcess,
-        alpha: Vec<f64>,
-        targets: &[usize],
-        options: IterationOptions,
-    ) -> Result<Self, SmpError> {
-        let n = smp.num_states();
-        if alpha.len() != n {
-            return Err(SmpError::StateOutOfRange {
-                state: alpha.len(),
-                num_states: n,
-            });
-        }
-        let targets = StateSet::new(n, targets)?;
-        if targets.is_empty() {
-            return Err(SmpError::EmptyStateSet { which: "target" });
-        }
-        let source_indices: Vec<usize> = alpha
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(i, _)| i)
-            .collect();
-        if source_indices.is_empty() {
-            return Err(SmpError::EmptyStateSet { which: "source" });
-        }
-        let sources = StateSet::new(n, &source_indices)?;
-        Ok(Self::assemble(smp, sources, targets, alpha, options))
+        })
     }
 
     /// The source state set.
@@ -901,24 +855,6 @@ mod tests {
         let expect = (exp + exp * exp).scale(0.5);
         let got = solver.transform_at(s).unwrap().value;
         assert!(close(got, expect, 1e-8));
-    }
-
-    #[test]
-    fn with_alpha_overrides_steady_state() {
-        let mut b = SmpBuilder::new(3);
-        for i in 0..3 {
-            b.add_transition(i, (i + 1) % 3, 1.0, Dist::exponential(1.0));
-        }
-        let smp = b.build().unwrap();
-        let mut alpha = vec![0.0; 3];
-        alpha[0] = 0.9;
-        alpha[1] = 0.1;
-        let solver =
-            PassageTimeSolver::with_alpha(&smp, alpha, &[2], IterationOptions::default()).unwrap();
-        let s = Complex64::new(0.7, 0.0);
-        let exp = Dist::exponential(1.0).lst(s);
-        let expect = exp * exp * 0.9 + exp * 0.1;
-        assert!(close(solver.transform_at(s).unwrap().value, expect, 1e-8));
     }
 
     #[test]

@@ -192,8 +192,6 @@ pub struct PhaseCtmc {
     /// phase `φ = (i, j)`).  The absorbing phase, when present, is absent
     /// from this mapping (index `== num_phases`).
     phase_state: Vec<usize>,
-    /// Exit rate `λ_ij` of each non-absorbing phase.
-    phase_rate: Vec<f64>,
     /// Rate routed directly into the absorbing phase (passage chains only;
     /// `λ_ij` when the committed successor is a target, else 0).
     phase_absorb_rate: Vec<f64>,
@@ -250,7 +248,7 @@ impl PhaseCtmc {
         let dim = num_phases + usize::from(absorbing.is_some());
 
         let mut phase_state = Vec::with_capacity(num_phases);
-        let mut phase_rate = Vec::with_capacity(num_phases);
+        let mut max_rate = 0.0f64;
         let mut phase_absorb_rate = vec![0.0; dim];
         let mut triplets = TripletMatrix::with_capacity(dim, dim, smp.num_transitions() * 3);
         for i in 0..n {
@@ -258,7 +256,7 @@ impl PhaseCtmc {
                 let phi = first_phase[i] + k;
                 let lambda = rates[tr.dist as usize];
                 phase_state.push(i);
-                phase_rate.push(lambda);
+                max_rate = max_rate.max(lambda);
                 triplets.push(phi, phi, -lambda);
                 let j = tr.target as usize;
                 if targets.is_some_and(|t| t.contains(j)) {
@@ -275,7 +273,6 @@ impl PhaseCtmc {
 
         // q strictly above the largest exit rate keeps every diagonal of P
         // strictly positive (the 1.1 factor follows the classic recipe).
-        let max_rate = phase_rate.iter().copied().fold(0.0, f64::max);
         let q = 1.1 * max_rate;
         let mut p_triplets = TripletMatrix::with_capacity(dim, dim, generator.nnz() + dim);
         for (r, c, v) in generator.iter() {
@@ -293,7 +290,6 @@ impl PhaseCtmc {
 
         Ok(PhaseCtmc {
             phase_state,
-            phase_rate,
             phase_absorb_rate,
             generator,
             p,
@@ -306,11 +302,6 @@ impl PhaseCtmc {
     /// Number of phases, including the absorbing phase on passage chains.
     pub fn num_phases(&self) -> usize {
         self.p.rows()
-    }
-
-    /// The uniformization rate `q`.
-    pub fn uniformization_rate(&self) -> f64 {
-        self.uniformization_rate
     }
 
     /// The CTMC generator `Q` over the phase space (row sums are 0 up to
@@ -356,11 +347,6 @@ impl PhaseCtmc {
     pub fn density(&self, t_points: &[f64], tolerance: f64) -> Result<Expectation, UniformError> {
         self.require_absorbing();
         self.poisson_expectation(&self.phase_absorb_rate, t_points, tolerance)
-    }
-
-    /// Exit rate `λ_ij` of each non-absorbing phase, in phase order.
-    pub fn exit_rates(&self) -> &[f64] {
-        &self.phase_rate
     }
 
     /// Raw passage-time moment `E[Tᵏ]` from the nested linear systems
@@ -663,9 +649,14 @@ mod tests {
             let smp = random_exponential_smp(seed, n);
             let chain = PhaseCtmc::transient(&smp, 0).unwrap();
             let q = chain.generator();
-            for r in 0..chain.num_phases() {
+            // Phase (i, j) leaves at the rate of transition i → j's distribution.
+            let rates = exponential_rates(&smp).unwrap();
+            let phase_rate: Vec<f64> = (0..n)
+                .flat_map(|i| smp.transitions(i).iter().map(|tr| rates[tr.dist as usize]))
+                .collect();
+            prop_assert_eq!(phase_rate.len(), chain.num_phases());
+            for (r, &rate) in phase_rate.iter().enumerate() {
                 let sum: f64 = q.row(r).map(|(_, v)| v).sum();
-                let rate = chain.phase_rate[r];
                 let fanout = q.row(r).count() as f64;
                 prop_assert!(
                     sum.abs() <= 32.0 * f64::EPSILON * rate * fanout.max(1.0),
@@ -681,7 +672,8 @@ mod tests {
         fn prop_transient_values_are_probabilities(seed in 0u64..60, n in 2usize..6) {
             let smp = random_exponential_smp(seed, n);
             let chain = PhaseCtmc::transient(&smp, 0).unwrap();
-            let targets = StateSet::from_predicate(n, |s| s % 2 == 0);
+            let even: Vec<usize> = (0..n).step_by(2).collect();
+            let targets = StateSet::new(n, &even).unwrap();
             let out = chain.transient_probability(&targets, &[0.1, 1.0, 7.5], 1e-10).unwrap();
             prop_assert!(out.truncation_bound <= 1e-10);
             for &v in &out.values {

@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn deterministic_lst_is_pure_phase() {
         let d = Dist::deterministic(2.0);
-        let s = Complex64::imag(3.0);
+        let s = Complex64::new(0.0, 3.0);
         let v = d.lst(s);
         assert!((v.norm() - 1.0).abs() < 1e-14);
         assert_close(v, Complex64::from_polar(1.0, -6.0), 1e-13);

@@ -15,10 +15,6 @@
 //!   - evaluate its LST at a complex point ([`Dist::lst`]),
 //!   - draw samples for the validation simulator ([`Dist::sample`]),
 //!   - report exact moments ([`Dist::mean`], [`Dist::variance`]) and its CDF.
-//! * [`SampledLst`] — the paper's **constant-space representation**: a distribution
-//!   reduced to its LST values at exactly the `s`-points the chosen inversion
-//!   algorithm will request, so that arbitrarily composed distributions never grow
-//!   in storage.
 //! * [`empirical`] — empirical distribution estimation (histograms / densities /
 //!   CDFs) used to post-process simulator output into the curves plotted in
 //!   Figs. 4 and 6.
@@ -28,9 +24,7 @@
 pub mod continuous;
 pub mod empirical;
 pub mod lst;
-pub mod sampled;
 
 pub use continuous::Dist;
 pub use empirical::EmpiricalDistribution;
 pub use lst::LaplaceTransform;
-pub use sampled::SampledLst;

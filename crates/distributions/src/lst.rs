@@ -8,10 +8,11 @@
 //! ```
 //!
 //! at arbitrary complex points `s`.  [`LaplaceTransform`] captures exactly that; it is
-//! implemented by the closed-form distribution library ([`crate::Dist`]), by the
-//! constant-space sampled representation ([`crate::SampledLst`]), and by the
+//! implemented by the closed-form distribution library ([`crate::Dist`]) and by the
 //! passage-time results themselves (a passage-time transform `L_ij(s)` is just
-//! another transform that can be composed or inverted).
+//! another transform that can be composed or inverted).  The paper's constant-space
+//! representation — each distribution held as its values at the planned `s`-points
+//! only — is `smp_core`'s pooled-LST recipe table, filled once per `s`-point.
 
 use smp_numeric::Complex64;
 
@@ -21,9 +22,6 @@ pub trait LaplaceTransform {
     fn lst(&self, s: Complex64) -> Complex64;
 
     /// Evaluates the transform at a batch of points (default: point-wise).
-    ///
-    /// The distributed pipeline overrides nothing here — batching exists so that a
-    /// cached/sampled representation can assert it is only asked for planned points.
     fn lst_batch(&self, points: &[Complex64]) -> Vec<Complex64> {
         points.iter().map(|&s| self.lst(s)).collect()
     }

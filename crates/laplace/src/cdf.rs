@@ -72,12 +72,6 @@ impl CdfCurve {
         quantile_from_cdf(&self.t_points, &self.values, p)
     }
 
-    /// `P(t1 < T < t2)` — the paper's definition of a passage-time quantile as the
-    /// integral of the density between two time bounds.
-    pub fn probability_between(&self, t1: f64, t2: f64) -> f64 {
-        (self.probability_at(t2) - self.probability_at(t1)).max(0.0)
-    }
-
     /// Iterates over `(t, F(t))` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.t_points
@@ -117,16 +111,6 @@ mod tests {
         );
         let p90 = curve.quantile(0.9).unwrap();
         assert!((p90 - 10f64.ln()).abs() < 0.02, "p90 {p90}");
-    }
-
-    #[test]
-    fn probability_between_is_density_integral() {
-        let d = Dist::erlang(2.0, 2);
-        let ts = linspace(0.05, 10.0, 200);
-        let curve = CdfCurve::from_density_transform(InversionMethod::euler(), &d, &ts);
-        let p = curve.probability_between(0.5, 2.0);
-        let analytic = d.cdf(2.0).unwrap() - d.cdf(0.5).unwrap();
-        assert!((p - analytic).abs() < 1e-5);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! `n + m + 1` per `t`-point — `k` "typically varies between 15 and 50, depending on
 //! the accuracy of the inversion required".
 
-use crate::splan::TransformValues;
 use smp_distributions::LaplaceTransform;
 use smp_numeric::kahan::KahanSum;
 use smp_numeric::special::binomial_row;
@@ -74,11 +73,6 @@ impl Euler {
     /// Creates an inverter with default parameters (A = 19.1, n = 33, m = 12).
     pub fn standard() -> Self {
         Euler::new(EulerParams::default())
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &EulerParams {
-        &self.params
     }
 
     /// The `s`-points at which the transform must be evaluated to invert at time `t`.
@@ -139,12 +133,6 @@ impl Euler {
         self.invert_many_with(|s| transform.lst(s), ts)
     }
 
-    /// Inverts at many `t`-points from a pool of cached transform values (the
-    /// pipeline's path: values were computed remotely against the planned points).
-    pub fn invert_many_from(&self, cache: &TransformValues, ts: &[f64]) -> Vec<f64> {
-        self.invert_many_with(|s| cache.get(s).expect("missing planned s-point value"), ts)
-    }
-
     /// Inverts at many `t`-points, asking `value_at` for the transform value
     /// at each required `s`-point, in [`Euler::s_points`] order per `t` — the
     /// one inversion loop behind the transform-, cache- and lookup-driven
@@ -180,7 +168,7 @@ mod tests {
         let euler = Euler::standard();
         let t = 2.5;
         let pts = euler.s_points(t);
-        assert_eq!(pts.len(), euler.params().evaluations_per_t());
+        assert_eq!(pts.len(), EulerParams::default().evaluations_per_t());
         let re = 19.1 / (2.0 * t);
         for (k, s) in pts.iter().enumerate() {
             assert!((s.re - re).abs() < 1e-14);

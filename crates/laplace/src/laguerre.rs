@@ -24,7 +24,6 @@
 //! densities with jumps (deterministic or uniform firing delays) use
 //! [`crate::Euler`] instead — the paper makes the same recommendation.
 
-use crate::splan::TransformValues;
 use smp_distributions::LaplaceTransform;
 use smp_numeric::special::laguerre_functions_upto;
 use smp_numeric::Complex64;
@@ -53,13 +52,6 @@ impl Default for LaguerreParams {
     }
 }
 
-impl LaguerreParams {
-    /// Total number of transform evaluations (independent of the number of t-points).
-    pub fn evaluations(&self) -> usize {
-        2 * self.half_points
-    }
-}
-
 /// The Laguerre inversion operator.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Laguerre {
@@ -84,11 +76,6 @@ impl Laguerre {
     /// Creates an inverter with the default 400-point configuration.
     pub fn standard() -> Self {
         Laguerre::new(LaguerreParams::default())
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &LaguerreParams {
-        &self.params
     }
 
     /// The contour points `z_j = r·e^{iπj/N}` for `j = 0 … 2N−1`.
@@ -161,12 +148,6 @@ impl Laguerre {
         self.invert_many_with(|s| transform.lst(s), ts)
     }
 
-    /// Inverts at many `t`-points from a pool of cached transform values computed
-    /// against the planned `s`-points (the distributed pipeline's path).
-    pub fn invert_many_from(&self, cache: &TransformValues, ts: &[f64]) -> Vec<f64> {
-        self.invert_many_with(|s| cache.get(s).expect("missing planned s-point value"), ts)
-    }
-
     /// Inverts at many `t`-points, asking `value_at` once for the transform
     /// value at each of [`Laguerre::s_points`], in order — the one inversion
     /// loop behind the transform-, cache- and lookup-driven entry points.
@@ -188,7 +169,8 @@ mod tests {
 
     #[test]
     fn default_uses_400_points() {
-        assert_eq!(LaguerreParams::default().evaluations(), 400);
+        let laguerre = Laguerre::new(LaguerreParams::default());
+        assert_eq!(laguerre.s_points().len(), 400);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! the master process works out *in advance* every `s`-point at which transform
 //! values will be needed, deduplicates them, and farms exactly those evaluations out
 //! to the workers.  Storing a distribution as its values at the planned points is
-//! then a complete, constant-space representation (see `smp-distributions`'s
-//! `SampledLst`).
+//! then a complete, constant-space representation (see `smp-core`'s pooled-LST
+//! recipe table, which evaluates each pooled distribution once per `s`-point).
 //!
 //! Finally [`cdf`] and [`mod@quantile`] post-process inverted values into cumulative
 //! distribution curves, reliability quantiles and percentile look-ups (Fig. 5 of the

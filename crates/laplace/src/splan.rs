@@ -205,8 +205,8 @@ pub fn union_s_points<'a>(plans: impl IntoIterator<Item = &'a SPointPlan>) -> Ve
 /// A cache of computed transform values keyed by their (bit-exact) `s`-point.
 ///
 /// Backed by a `BTreeMap` ordered on the raw bit patterns so that
-/// [`TransformValues::iter`] (and anything built on it — merges, snapshots,
-/// future serializers) is deterministic regardless of insertion order.
+/// [`TransformValues::iter`] (and anything built on it — snapshots,
+/// serializers) is deterministic regardless of insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct TransformValues {
     map: BTreeMap<PointKey, Complex64>,
@@ -241,13 +241,6 @@ impl TransformValues {
     /// Returns true when a value for the point is present.
     pub fn contains(&self, s: Complex64) -> bool {
         self.map.contains_key(&PointKey::of(s))
-    }
-
-    /// Merges another cache into this one (later values win).
-    pub fn merge(&mut self, other: &TransformValues) {
-        for (k, v) in &other.map {
-            self.map.insert(*k, *v);
-        }
     }
 
     /// Iterates over stored `(s, value)` pairs in ascending bit-pattern order
@@ -337,12 +330,10 @@ mod tests {
     #[test]
     fn cache_merge_and_lookup() {
         let mut a = TransformValues::new();
-        let mut b = TransformValues::new();
         let s1 = Complex64::new(1.0, 2.0);
         let s2 = Complex64::new(3.0, -4.0);
         a.insert(s1, Complex64::ONE);
-        b.insert(s2, Complex64::I);
-        a.merge(&b);
+        a.insert(s2, Complex64::I);
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(s1), Some(Complex64::ONE));
         assert_eq!(a.get(s2), Some(Complex64::I));

@@ -1,18 +1,18 @@
 // D001 bad fixture — analyzed as crates/pipeline/src/wire.rs.
 // Decimal float formatting on a wire path: every one of these rounds.
 
-pub fn encode_result(value: f64) -> String {
+fn encode_result(value: f64) -> String {
     format!("res {}", value)
 }
 
-pub fn encode_point(re: f64, im: f64) -> String {
+fn encode_point(re: f64, im: f64) -> String {
     format!("{re} {im}")
 }
 
-pub fn encode_precise(value: f64) -> String {
+fn encode_precise(value: f64) -> String {
     format!("{:.17}", value)
 }
 
-pub fn encode_cast(raw: u32) -> String {
+fn encode_cast(raw: u32) -> String {
     format!("{}", raw as f64)
 }

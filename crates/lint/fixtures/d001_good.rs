@@ -2,23 +2,23 @@
 // Floats cross the wire as 16-hex-digit bit patterns; everything else that
 // gets formatted is integral or already encoded.
 
-pub fn encode_f64(value: f64) -> String {
+fn encode_f64(value: f64) -> String {
     format!("{:016x}", value.to_bits())
 }
 
-pub fn encode_tagged(value: f64) -> String {
+fn encode_tagged(value: f64) -> String {
     format!("v={}", encode_f64(value))
 }
 
-pub fn frame_header(count: usize, tag: &str) -> String {
+fn frame_header(count: usize, tag: &str) -> String {
     format!("chunk n={count} tag={tag}")
 }
 
-pub fn debug_dump(value: f64) -> String {
+fn debug_dump(value: f64) -> String {
     format!("{:?} {:x}", value.to_bits(), value.to_bits())
 }
 
-pub fn frame_counts(entries: Vec<(u32, Complex64)>) -> String {
+fn frame_counts(entries: Vec<(u32, Complex64)>) -> String {
     // A count projected off a float-typed collection is integral.
     format!("halo n={}", entries.len())
 }

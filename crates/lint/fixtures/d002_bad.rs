@@ -4,17 +4,17 @@
 
 use std::collections::{HashMap, HashSet};
 
-pub fn write_records(records: &HashMap<u64, u64>, out: &mut String) {
+fn write_records(records: &HashMap<u64, u64>, out: &mut String) {
     for (k, v) in records.iter() {
         out.push_str(&format!("{k} {v}\n"));
     }
 }
 
-pub fn write_keys(seen: &HashSet<u64>, out: &mut Vec<u64>) {
+fn write_keys(seen: &HashSet<u64>, out: &mut Vec<u64>) {
     out.extend(seen.iter().copied());
 }
 
-pub fn dispatch_order(pending: HashSet<u64>) -> Vec<u64> {
+fn dispatch_order(pending: HashSet<u64>) -> Vec<u64> {
     let mut order = Vec::new();
     for id in &pending {
         order.push(*id);

@@ -4,16 +4,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-pub fn write_records(records: &BTreeMap<u64, u64>, out: &mut String) {
+fn write_records(records: &BTreeMap<u64, u64>, out: &mut String) {
     for (k, v) in records.iter() {
         out.push_str(&format!("{k} {v}\n"));
     }
 }
 
-pub fn lookup(cache: &HashMap<u64, u64>, key: u64) -> Option<u64> {
+fn lookup(cache: &HashMap<u64, u64>, key: u64) -> Option<u64> {
     cache.get(&key).copied()
 }
 
-pub fn count(cache: &HashMap<u64, u64>) -> usize {
+fn count(cache: &HashMap<u64, u64>) -> usize {
     cache.len()
 }

@@ -3,19 +3,19 @@
 
 use std::time::{Instant, SystemTime};
 
-pub fn seed_from_clock() -> u64 {
+fn seed_from_clock() -> u64 {
     let now = SystemTime::now();
     let _ = now;
     0
 }
 
-pub fn perturb(x: f64) -> f64 {
+fn perturb(x: f64) -> f64 {
     let t = Instant::now();
     let _ = t;
     x
 }
 
-pub fn random_start() -> u64 {
+fn random_start() -> u64 {
     let rng = thread_rng();
     let _ = rng;
     0

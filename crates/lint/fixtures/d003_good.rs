@@ -2,11 +2,11 @@
 // Results are a pure function of (model, measure, parameters): RNGs are
 // explicitly seeded, and the only clock reading sits in test code.
 
-pub fn seeded_stream(seed: u64) -> u64 {
+fn seeded_stream(seed: u64) -> u64 {
     seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
 }
 
-pub fn passage_value(alpha: f64, beta: f64) -> f64 {
+fn passage_value(alpha: f64, beta: f64) -> f64 {
     alpha / (alpha + beta)
 }
 

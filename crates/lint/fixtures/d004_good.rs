@@ -3,7 +3,7 @@
 // only panic in the file sits in a helper *not* reachable from the decoders,
 // and test code may unwrap freely.
 
-pub fn decode_frame(line: &str) -> Option<u64> {
+fn decode_frame(line: &str) -> Option<u64> {
     let field = line.split(' ').next()?;
     parse_field(field)
 }
@@ -13,7 +13,7 @@ fn parse_field(field: &str) -> Option<u64> {
 }
 
 /// Startup-only helper: never called from a decoder, so D004 ignores it.
-pub fn startup_config() -> String {
+fn startup_config() -> String {
     std::env::var("SMP_CONFIG").unwrap()
 }
 

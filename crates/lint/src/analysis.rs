@@ -6,7 +6,7 @@
 //! * `#[cfg(test)] mod … { … }` extents (test code is exempt from all rules —
 //!   a test unwrapping a decoder result is the *point* of the test),
 //! * function extents (`fn name … { body }`) with their call sites, feeding
-//!   the D004 reachability pass,
+//!   the D004 reachability pass and D006's set of called names,
 //! * a lexical table of bindings whose type is float-like or a hash
 //!   collection, feeding D001/D002.
 

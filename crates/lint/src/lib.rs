@@ -4,7 +4,8 @@
 //! Generic linters can say a `HashMap` iteration exists; only this workspace
 //! knows that iteration order feeding a checkpoint file breaks the
 //! distributed pipeline's bit-exact restart guarantee.  `smp-lint` encodes
-//! those *repo-specific determinism invariants* as five rules (see
+//! those *repo-specific determinism invariants* as five rules, and a sixth
+//! that keeps the public surface free of functions nothing calls (see
 //! [`rules`]), built on a hand-rolled lexer ([`lexer`]) and token-level
 //! structure pass ([`analysis`]) — the build container has no crates.io
 //! access, so there is deliberately no `syn`/`proc-macro2` in sight.
@@ -36,13 +37,15 @@ use std::path::{Path, PathBuf};
 ///
 /// This is the testable core: fixtures hand it synthetic paths such as
 /// `crates/pipeline/src/wire.rs` so the module-scoping logic engages without
-/// touching the real tree.
+/// touching the real tree.  A file outside `src/` and `crates/*/src`
+/// (`examples/…`, `tests/…`, `smpbench/…`) is read only for the calls it
+/// makes (D006) and is never itself a finding's site.
 pub fn analyze_files(files: &[(String, String)], config: &Config) -> Vec<Finding> {
-    let parsed: Vec<SourceFile> = files
+    let (parsed, callers): (Vec<SourceFile>, Vec<SourceFile>) = files
         .iter()
         .map(|(path, src)| SourceFile::parse(path, src))
-        .collect();
-    rules::run_all(&parsed)
+        .partition(|f| is_linted(&f.path));
+    rules::run_all(&parsed, &callers)
         .into_iter()
         .filter(|f| {
             let line_text = parsed
@@ -64,8 +67,20 @@ pub struct WorkspaceReport {
     pub files_scanned: usize,
 }
 
+/// True for a workspace source the rules patrol: `src/…` or
+/// `crates/<name>/src/…`.
+fn is_linted(path: &str) -> bool {
+    path.starts_with("src/")
+        || path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"))
+}
+
 /// Walks a workspace root (`src/` plus every `crates/*/src/`), lints all Rust
-/// sources, and applies the root `lint.toml` if present.
+/// sources, and applies the root `lint.toml` if present.  The caller-only
+/// trees — `examples/`, `tests/`, `crates/*/tests`, `smpbench/src` and
+/// `smpbench/tests` — are read for D006.
 ///
 /// Skipped subtrees: `crates/lint` (its fixtures and rule-pattern strings are
 /// violations *by construction*), `vendor/` (external stand-ins), and
@@ -73,7 +88,10 @@ pub struct WorkspaceReport {
 pub fn analyze_workspace(root: &Path) -> Result<WorkspaceReport, String> {
     let config = load_config(root)?;
     let mut sources = Vec::new();
-    let mut roots: Vec<PathBuf> = vec![root.join("src")];
+    let mut roots: Vec<PathBuf> = ["src", "examples", "tests", "smpbench/src", "smpbench/tests"]
+        .iter()
+        .map(|dir| root.join(dir))
+        .collect();
     let crates_dir = root.join("crates");
     if let Ok(entries) = std::fs::read_dir(&crates_dir) {
         let mut crate_dirs: Vec<PathBuf> = entries
@@ -82,7 +100,10 @@ pub fn analyze_workspace(root: &Path) -> Result<WorkspaceReport, String> {
             .filter(|p| p.is_dir() && p.file_name().is_some_and(|n| n != "lint"))
             .collect();
         crate_dirs.sort();
-        roots.extend(crate_dirs.into_iter().map(|p| p.join("src")));
+        for dir in crate_dirs {
+            roots.push(dir.join("src"));
+            roots.push(dir.join("tests"));
+        }
     }
     for dir in roots {
         collect_rs_files(&dir, &mut sources)?;

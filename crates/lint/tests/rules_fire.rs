@@ -88,7 +88,7 @@ fn d004_panics_reachable_from_decoders() {
     assert_eq!(findings("crates/pipeline/src/checkpoint.rs", bad).len(), 1);
     // The link layer's roots: a `Link::recv` implementation and the
     // worker's frame loop.
-    let link = "pub fn recv() -> u64 { helper() }\nfn helper() -> u64 { None::<u64>.unwrap() }";
+    let link = "fn recv() -> u64 { helper() }\nfn helper() -> u64 { None::<u64>.unwrap() }";
     let worker = link.replace("recv", "serve_link");
     assert_eq!(findings("crates/pipeline/src/link.rs", link).len(), 1);
     assert_eq!(findings("crates/pipeline/src/worker.rs", &worker).len(), 1);
@@ -122,4 +122,180 @@ fn d005_guard_across_blocking_calls() {
     assert_eq!(findings("crates/pipeline/src/worker.rs", bad).len(), 6);
     // Outside the master/link/worker layer the same code is not D005's business.
     assert!(findings("crates/pipeline/src/work.rs", bad).is_empty());
+}
+
+/// Runs the analyzer over several synthetic files at once.
+fn findings_in(files: &[(&str, &str)]) -> Vec<smp_lint::rules::Finding> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|&(path, source)| (path.to_string(), source.to_string()))
+        .collect();
+    analyze_files(&files, &Config::default())
+}
+
+/// `(path, line, message)` of each finding, all of which must be D006's.
+fn d006(fired: &[smp_lint::rules::Finding]) -> Vec<(&str, u32, &str)> {
+    for f in fired {
+        assert_eq!(f.rule, "D006", "unexpected rule: {}", f.render());
+    }
+    fired
+        .iter()
+        .map(|f| (f.path.as_str(), f.line, f.message.as_str()))
+        .collect()
+}
+
+#[test]
+fn d006_pub_fn_named_only_by_its_own_unit_test() {
+    let lonely = "pub fn lonely() -> u32 { 1 }\n\
+                  #[cfg(test)]\n\
+                  mod tests { use super::*; #[test] fn t() { assert_eq!(lonely(), 1); } }\n";
+    let fired = findings("crates/numeric/src/stats.rs", lonely);
+    let fired = d006(&fired);
+    assert_eq!(fired.len(), 1, "{fired:?}");
+    assert_eq!(fired[0].1, 1);
+    assert!(fired[0].2.contains("`pub fn lonely`"), "{}", fired[0].2);
+    // Another crate's unit tests do not count either.
+    let other_tests =
+        "#[cfg(test)]\nmod tests { #[test] fn t() { smp_numeric::stats::lonely(); } }\n";
+    let fired = findings_in(&[
+        ("crates/numeric/src/stats.rs", lonely),
+        ("crates/core/src/solver.rs", other_tests),
+    ]);
+    assert_eq!(d006(&fired).len(), 1);
+}
+
+#[test]
+fn d006_pub_fn_named_only_in_use_items() {
+    // `exported` sits mid-list in a `pub use` and is imported by another
+    // crate, but nothing calls it; its neighbours are called by an example.
+    let special = "pub fn kept() {}\npub fn exported() {}\npub const fn kept_too() {}\n";
+    let reexport = "pub mod special;\npub use special::{kept, exported, kept_too};\n";
+    let importer = "use smp_numeric::special::{exported, kept};\nfn f() { kept() }\n";
+    let example = "fn main() { kept_too(); }\n";
+    let fired = findings_in(&[
+        ("crates/numeric/src/special.rs", special),
+        ("crates/numeric/src/lib.rs", reexport),
+        ("crates/core/src/solver.rs", importer),
+        ("examples/demo.rs", example),
+    ]);
+    let fired = d006(&fired);
+    assert_eq!(fired.len(), 1, "{fired:?}");
+    assert_eq!(fired[0].0, "crates/numeric/src/special.rs");
+    assert_eq!(fired[0].1, 2);
+}
+
+#[test]
+fn d006_counts_every_caller_outside_test_code() {
+    let lib = "pub fn by_crate() {}\n\
+               pub fn by_example() {}\n\
+               pub fn by_bench() {}\n\
+               pub fn by_bench_test() {}\n\
+               pub fn by_test() {}\n\
+               pub fn by_crate_test() {}\n\
+               pub fn as_value(x: u32) -> u32 { x }\n\
+               pub fn by_binary() {}\n\
+               pub fn by_figure() {}\n\
+               pub struct A;\n\
+               impl A { pub fn len(&self) -> usize { 0 } }\n";
+    // Each caller file, with the function only it names.
+    let callers = [
+        (
+            "crates/core/src/solver.rs",
+            "fn f() { smp_numeric::by_crate(); }\n",
+            "by_crate",
+        ),
+        (
+            "crates/voting/src/model.rs",
+            "fn g(v: &[u32]) -> Vec<u32> { v.iter().copied().map(as_value).collect() }\n",
+            "as_value",
+        ),
+        // A different `len` is called: the shared name keeps `A::len` alive.
+        (
+            "crates/dnamaca/src/eval.rs",
+            "fn h(v: &[u8]) -> usize { v.len() }\n",
+            "len",
+        ),
+        // A binary is a caller, never a candidate: its own uncalled `pub fn`
+        // is no finding.
+        (
+            "crates/cli/src/main.rs",
+            "fn main() { by_binary() }\npub fn usage() {}\n",
+            "by_binary",
+        ),
+        (
+            "crates/bench/src/bin/fig9.rs",
+            "fn main() { by_figure() }\npub fn usage() {}\n",
+            "by_figure",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() { by_example() }\n",
+            "by_example",
+        ),
+        (
+            "smpbench/src/layers.rs",
+            "pub fn probe() { by_bench() }\n",
+            "by_bench",
+        ),
+        (
+            "smpbench/tests/smoke.rs",
+            "#[test]\nfn t() { by_bench_test() }\n",
+            "by_bench_test",
+        ),
+        (
+            "tests/end_to_end.rs",
+            "#[test]\nfn t() { smp_numeric::by_test() }\n",
+            "by_test",
+        ),
+        (
+            "crates/core/tests/oracle.rs",
+            "#[test]\nfn t() { by_crate_test() }\n",
+            "by_crate_test",
+        ),
+    ];
+    let with_all = |dropped: &str| {
+        let mut files = vec![("crates/numeric/src/lib.rs", lib)];
+        files.extend(
+            callers
+                .iter()
+                .filter(|(path, _, _)| *path != dropped)
+                .map(|&(path, source, _)| (path, source)),
+        );
+        findings_in(&files)
+    };
+    let fired = with_all("");
+    assert!(fired.is_empty(), "{:?}", d006(&fired));
+    // Without its one caller each function is flagged, so every caller counts.
+    for (path, _, name) in callers {
+        let fired = with_all(path);
+        let fired = d006(&fired);
+        assert_eq!(fired.len(), 1, "{path}: {fired:?}");
+        assert!(
+            fired[0].2.contains(&format!("`pub fn {name}`")),
+            "{path}: {fired:?}"
+        );
+    }
+}
+
+#[test]
+fn d006_reads_caller_only_files_for_nothing_else() {
+    // The benchmark, examples and integration tests are read for their calls
+    // only: their own uncalled `pub fn`s, clocks and unwraps are no finding.
+    let bench = "use std::time::Instant;\n\
+                 pub fn unused_helper() { let t = Instant::now(); None::<u8>.unwrap(); }\n";
+    for path in [
+        "smpbench/src/main.rs",
+        "examples/demo.rs",
+        "tests/checkpoint.rs",
+        "crates/pipeline/tests/wire.rs",
+    ] {
+        assert!(findings(path, bench).is_empty(), "{path}");
+    }
+    // The same source in the core crate trips D003 and D006.
+    let mut rules: Vec<&str> = findings("crates/core/src/passage.rs", bench)
+        .iter()
+        .map(|f| f.rule)
+        .collect();
+    rules.dedup();
+    assert_eq!(rules, ["D003", "D006"]);
 }

@@ -8,7 +8,7 @@
 //! [`Complex64`] is a plain `#[repr(C)]` pair of `f64`s with value semantics and a
 //! complete set of arithmetic operators (including mixed `f64` operands), the
 //! elementary transcendental functions needed by the Euler and Laguerre inversion
-//! algorithms (`exp`, `ln`, `sqrt`, `powi`, `powf`, `powc`), and polar helpers.
+//! algorithms (`exp`, `ln`, `sqrt`, `powi`, `powf`), and polar helpers.
 
 use std::fmt;
 use std::iter::Sum;
@@ -44,28 +44,10 @@ impl Complex64 {
         Complex64 { re, im: 0.0 }
     }
 
-    /// Creates a purely imaginary complex number.
-    #[inline]
-    pub const fn imag(im: f64) -> Self {
-        Complex64 { re: 0.0, im }
-    }
-
     /// Creates a complex number from polar coordinates `r·e^{iθ}`.
     #[inline]
     pub fn from_polar(r: f64, theta: f64) -> Self {
         Complex64::new(r * theta.cos(), r * theta.sin())
-    }
-
-    /// Complex conjugate `re - i·im`.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
-    }
-
-    /// Squared modulus `re² + im²`.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
     }
 
     /// Modulus `|z|`, computed with `hypot` for robustness against overflow.
@@ -155,17 +137,6 @@ impl Complex64 {
         (self.ln().scale(p)).exp()
     }
 
-    /// Complex power `z^w` via the principal branch.
-    pub fn powc(self, w: Complex64) -> Self {
-        if self == Complex64::ZERO {
-            if w == Complex64::ZERO {
-                return Complex64::ONE;
-            }
-            return Complex64::ZERO;
-        }
-        (self.ln() * w).exp()
-    }
-
     /// True when either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -176,13 +147,6 @@ impl Complex64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Component-wise maximum absolute difference from another complex number;
-    /// this is exactly the convergence measure of Eq. (11) in the paper.
-    #[inline]
-    pub fn max_component_diff(self, other: Complex64) -> f64 {
-        (self.re - other.re).abs().max((self.im - other.im).abs())
     }
 }
 
@@ -364,9 +328,7 @@ mod tests {
     #[test]
     fn conj_norm_arg() {
         let z = Complex64::new(3.0, 4.0);
-        assert_eq!(z.conj(), Complex64::new(3.0, -4.0));
         assert_eq!(z.norm(), 5.0);
-        assert_eq!(z.norm_sqr(), 25.0);
         assert!((Complex64::I.arg() - PI / 2.0).abs() < 1e-15);
     }
 
@@ -376,7 +338,7 @@ mod tests {
         assert!(close(z.exp().ln(), z, 1e-14));
         // Euler's identity e^{iπ} = -1.
         assert!(close(
-            Complex64::imag(PI).exp(),
+            Complex64::new(0.0, PI).exp(),
             Complex64::real(-1.0),
             1e-14
         ));
@@ -405,11 +367,6 @@ mod tests {
     fn real_and_complex_powers() {
         let z = Complex64::new(2.0, 0.0);
         assert!(close(z.powf(0.5), Complex64::real(2f64.sqrt()), 1e-14));
-        assert!(close(
-            Complex64::real(std::f64::consts::E).powc(Complex64::imag(PI)),
-            Complex64::real(-1.0),
-            1e-13
-        ));
         assert_eq!(Complex64::ZERO.powf(2.0), Complex64::ZERO);
         assert_eq!(Complex64::ZERO.powf(0.0), Complex64::ONE);
     }
@@ -430,13 +387,6 @@ mod tests {
         ];
         let s: Complex64 = xs.iter().sum();
         assert!(close(s, Complex64::new(0.0, 0.5), 1e-15));
-    }
-
-    #[test]
-    fn max_component_diff_matches_eq11() {
-        let a = Complex64::new(1.0, 2.0);
-        let b = Complex64::new(1.0 + 1e-9, 2.0 - 3e-9);
-        assert!((a.max_component_diff(b) - 3e-9).abs() < 1e-15);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl KahanSum {
     pub fn value(&self) -> f64 {
         self.sum + self.compensation
     }
-
-    /// Sums an iterator of terms with compensation.
-    pub fn sum_iter<I: IntoIterator<Item = f64>>(iter: I) -> f64 {
-        let mut acc = KahanSum::new();
-        for x in iter {
-            acc.add(x);
-        }
-        acc.value()
-    }
 }
 
 impl std::iter::FromIterator<f64> for KahanSum {
@@ -98,15 +89,6 @@ impl KahanComplex {
     pub fn value(&self) -> Complex64 {
         Complex64::new(self.re.value(), self.im.value())
     }
-
-    /// Sums an iterator of complex terms with compensation.
-    pub fn sum_iter<I: IntoIterator<Item = Complex64>>(iter: I) -> Complex64 {
-        let mut acc = KahanComplex::new();
-        for x in iter {
-            acc.add(x);
-        }
-        acc.value()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +100,7 @@ mod tests {
         // 1 + 1e100 - 1e100 + small terms: naive summation loses the 1.
         let terms = [1.0, 1e100, 1.0, -1e100];
         let naive: f64 = terms.iter().sum();
-        let kahan = KahanSum::sum_iter(terms.iter().copied());
+        let kahan = terms.iter().copied().collect::<KahanSum>().value();
         assert_eq!(naive, 0.0);
         assert_eq!(kahan, 2.0);
     }
@@ -126,7 +108,7 @@ mod tests {
     #[test]
     fn kahan_many_small_terms() {
         let n = 1_000_000;
-        let kahan = KahanSum::sum_iter((0..n).map(|_| 0.1));
+        let kahan = (0..n).map(|_| 0.1).collect::<KahanSum>().value();
         assert!((kahan - 0.1 * n as f64).abs() < 1e-6);
     }
 
@@ -152,8 +134,11 @@ mod tests {
             Complex64::new(1.0, -1e100),
             Complex64::new(-1e100, 1.0),
         ];
-        let s = KahanComplex::sum_iter(terms);
-        assert_eq!(s, Complex64::new(2.0, 2.0));
+        let mut acc = KahanComplex::new();
+        for term in terms {
+            acc.add(term);
+        }
+        assert_eq!(acc.value(), Complex64::new(2.0, 2.0));
     }
 
     #[test]
@@ -161,10 +146,13 @@ mod tests {
         // pi/4 = 1 - 1/3 + 1/5 - ... ; check compensated summation is at least as
         // accurate as the analytic tail bound.
         let n = 200_000usize;
-        let val = KahanSum::sum_iter((0..n).map(|k| {
-            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-            sign / (2 * k + 1) as f64
-        }));
+        let val = (0..n)
+            .map(|k| {
+                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+                sign / (2 * k + 1) as f64
+            })
+            .collect::<KahanSum>()
+            .value();
         let err = (4.0 * val - std::f64::consts::PI).abs();
         assert!(err < 2.0 / (2.0 * n as f64));
     }

@@ -12,8 +12,9 @@
 //!   footprint) stays under our control.
 //! * [`kahan`] — compensated (Kahan/Neumaier) summation for long alternating series
 //!   such as the Euler-summation stage of numerical Laplace inversion.
-//! * [`special`] — special functions: log-gamma, factorials, binomial coefficients and
-//!   (generalised) Laguerre polynomials needed by the Laguerre inversion algorithm.
+//! * [`special`] — special functions: log-gamma, binomial coefficients, the
+//!   incomplete gamma function and the Laguerre functions needed by the Laguerre
+//!   inversion algorithm.
 //! * [`stats`] — small statistics helpers (running moments, histogram bins, linear
 //!   interpolation, trapezoidal integration) shared by the simulator and the
 //!   experiment harnesses.
@@ -30,46 +31,3 @@ pub use kahan::{KahanComplex, KahanSum};
 /// quantities produced by analytic manipulation (e.g. convergence of the iterative
 /// passage-time sum, Eq. (11) of the paper).
 pub const DEFAULT_EPSILON: f64 = 1e-8;
-
-/// Returns `true` when two floating point numbers are equal to within `tol`,
-/// using a mixed absolute/relative criterion that is robust for both tiny
-/// densities (absolute) and large time values (relative).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    if diff <= tol {
-        return true;
-    }
-    let scale = a.abs().max(b.abs());
-    diff <= tol * scale
-}
-
-/// Relative error `|a - b| / max(|b|, floor)`; used by the experiment harnesses when
-/// recording paper-versus-measured discrepancies.
-#[inline]
-pub fn relative_error(a: f64, b: f64, floor: f64) -> f64 {
-    (a - b).abs() / b.abs().max(floor)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_absolute() {
-        assert!(approx_eq(1.0e-12, 0.0, 1e-9));
-        assert!(!approx_eq(1.0e-6, 0.0, 1e-9));
-    }
-
-    #[test]
-    fn approx_eq_relative() {
-        assert!(approx_eq(1_000_000.0, 1_000_000.5, 1e-6));
-        assert!(!approx_eq(1_000_000.0, 1_000_100.0, 1e-6));
-    }
-
-    #[test]
-    fn relative_error_uses_floor() {
-        assert_eq!(relative_error(0.5, 0.0, 1.0), 0.5);
-        assert!((relative_error(1.1, 1.0, 1e-12) - 0.1).abs() < 1e-12);
-    }
-}

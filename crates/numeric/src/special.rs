@@ -45,24 +45,6 @@ pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
 }
 
-/// Exact factorial as `f64`; exact for `n ≤ 170`, `+inf` beyond.
-pub fn factorial(n: u32) -> f64 {
-    let mut acc = 1.0f64;
-    for k in 2..=n as u64 {
-        acc *= k as f64;
-    }
-    acc
-}
-
-/// Natural logarithm of `n!`.
-pub fn ln_factorial(n: u32) -> f64 {
-    if n < 2 {
-        0.0
-    } else {
-        ln_gamma(n as f64 + 1.0)
-    }
-}
-
 /// Binomial coefficient `C(n, k)` as `f64`, computed multiplicatively so that values
 /// up to the `f64` range are exact to machine precision.
 pub fn binomial(n: u32, k: u32) -> f64 {
@@ -93,34 +75,11 @@ pub fn binomial_row(n: u32) -> Vec<f64> {
     row
 }
 
-/// Evaluates the (standard) Laguerre polynomial `L_n(x)` by the three-term
-/// recurrence `(k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}`.
-pub fn laguerre(n: u32, x: f64) -> f64 {
-    if n == 0 {
-        return 1.0;
-    }
-    let mut lm1 = 1.0; // L_0
-    let mut l = 1.0 - x; // L_1
-    for k in 1..n {
-        let kf = k as f64;
-        let next = ((2.0 * kf + 1.0 - x) * l - kf * lm1) / (kf + 1.0);
-        lm1 = l;
-        l = next;
-    }
-    l
-}
-
-/// Evaluates the Laguerre *function* `l_n(t) = e^{-t/2} L_n(t)` used as the expansion
-/// basis by the Laguerre inversion method.
-pub fn laguerre_function(n: u32, t: f64) -> f64 {
-    (-t / 2.0).exp() * laguerre(n, t)
-}
-
 /// Evaluates all Laguerre functions `l_0(t) … l_n(t)` in one pass of the recurrence.
 ///
 /// Returns a vector of length `n + 1`.  This is the hot path of Laguerre inversion
 /// (one evaluation per output `t`-point), so a single sweep is preferred over
-/// repeated calls to [`laguerre_function`].
+/// one recurrence per order.
 pub fn laguerre_functions_upto(n: u32, t: f64) -> Vec<f64> {
     let scale = (-t / 2.0).exp();
     let mut out = Vec::with_capacity(n as usize + 1);
@@ -198,10 +157,32 @@ pub fn regularised_gamma_p(a: f64, x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// Evaluates the (standard) Laguerre polynomial `L_n(x)` by the three-term
+    /// recurrence `(k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}`.
+    fn laguerre(n: u32, x: f64) -> f64 {
+        if n == 0 {
+            return 1.0;
+        }
+        let mut lm1 = 1.0; // L_0
+        let mut l = 1.0 - x; // L_1
+        for k in 1..n {
+            let kf = k as f64;
+            let next = ((2.0 * kf + 1.0 - x) * l - kf * lm1) / (kf + 1.0);
+            lm1 = l;
+            l = next;
+        }
+        l
+    }
+
+    /// The Laguerre function `l_n(t) = e^{-t/2} L_n(t)`, one order at a time.
+    fn laguerre_function(n: u32, t: f64) -> f64 {
+        (-t / 2.0).exp() * laguerre(n, t)
+    }
+
     #[test]
     fn ln_gamma_matches_factorials() {
         for n in 1u32..20 {
-            let expect = ln_factorial(n - 1);
+            let expect: f64 = (2..n).map(|k| (k as f64).ln()).sum();
             assert!(
                 (ln_gamma(n as f64) - expect).abs() < 1e-10,
                 "ln_gamma({n}) mismatch"
@@ -221,14 +202,6 @@ mod tests {
     #[should_panic(expected = "positive argument")]
     fn ln_gamma_rejects_nonpositive() {
         ln_gamma(0.0);
-    }
-
-    #[test]
-    fn factorial_small_values() {
-        assert_eq!(factorial(0), 1.0);
-        assert_eq!(factorial(1), 1.0);
-        assert_eq!(factorial(5), 120.0);
-        assert_eq!(factorial(10), 3_628_800.0);
     }
 
     #[test]

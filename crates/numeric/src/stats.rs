@@ -81,27 +81,6 @@ impl RunningStats {
         }
         1.96 * self.std_dev() / (self.count as f64).sqrt()
     }
-
-    /// Merges another accumulator into this one (parallel simulation workers each
-    /// keep a private accumulator which the master merges at the end).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Linear interpolation of `y(x)` in a table of (x, y) samples sorted by `x`.
@@ -175,16 +154,6 @@ pub fn quantile_from_cdf(ts: &[f64], cdf: &[f64], p: f64) -> Option<f64> {
     None
 }
 
-/// Maximum absolute difference between two equal-length sample vectors; used when
-/// comparing analytic and simulated curves in the integration tests.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,40 +169,6 @@ mod tests {
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn running_stats_merge_equivalent_to_combined() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 3.0 + 1.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before_mean = a.mean();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.mean(), before_mean);
-        let mut empty = RunningStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
     }
 
     #[test]
@@ -291,11 +226,5 @@ mod tests {
         assert_eq!(quantile_from_cdf(&ts, &cdf, 1.0), Some(3.0));
         assert_eq!(quantile_from_cdf(&ts, &cdf, 0.0), Some(0.0));
         assert_eq!(quantile_from_cdf(&ts, &cdf, 2.0), None);
-    }
-
-    #[test]
-    fn max_abs_diff_works() {
-        assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 1.0]), 1.0);
-        assert_eq!(max_abs_diff(&[], &[]), 0.0);
     }
 }

@@ -76,8 +76,6 @@ pub struct ResultCache {
     /// paths can bump recency without taking the write lock on the data.
     stamps: Mutex<BTreeMap<String, u64>>,
     clock: AtomicU64,
-    evicted_shards: AtomicU64,
-    evicted_values: AtomicU64,
     /// The answer of every quantile search that succeeded over this cache:
     /// a pure function of values the cache holds or held.
     quantiles: LruMemo<QuantileKey, QuantileAnswer>,
@@ -90,8 +88,6 @@ impl Default for ResultCache {
             limit_bytes: None,
             stamps: Mutex::default(),
             clock: AtomicU64::default(),
-            evicted_shards: AtomicU64::default(),
-            evicted_values: AtomicU64::default(),
             quantiles: LruMemo::new(QUANTILE_MEMO_SLOTS),
         }
     }
@@ -104,8 +100,8 @@ impl ResultCache {
     }
 
     /// Creates an empty cache that evicts least-recently-used shards once its
-    /// approximate footprint exceeds `limit_bytes` (see
-    /// [`ResultCache::approx_bytes`] for the accounting).
+    /// approximate footprint exceeds `limit_bytes`: entry counts and key
+    /// lengths, allocator slack not measured.
     pub fn with_byte_limit(limit_bytes: usize) -> Self {
         ResultCache {
             limit_bytes: Some(limit_bytes),
@@ -120,11 +116,6 @@ impl ResultCache {
             shards: RwLock::new(shards),
             ..ResultCache::default()
         }
-    }
-
-    /// The configured byte limit, if any.
-    pub fn byte_limit(&self) -> Option<usize> {
-        self.limit_bytes
     }
 
     /// Advances the logical clock and stamps `key` as the most recently used
@@ -147,23 +138,13 @@ impl ResultCache {
         key.len() + shard.len() * APPROX_BYTES_PER_ENTRY
     }
 
-    /// Approximate total footprint of every shard, in bytes (entry counts and
-    /// key lengths; allocator slack is not measured).
-    pub fn approx_bytes(&self) -> usize {
+    /// Approximate total footprint of every shard, in bytes.
+    #[cfg(test)]
+    fn approx_bytes(&self) -> usize {
         unpoisoned(self.shards.read())
             .iter()
             .map(|(key, shard)| ResultCache::shard_bytes(key, shard))
             .sum()
-    }
-
-    /// Number of whole shards evicted to stay under the byte limit.
-    pub fn evicted_shards(&self) -> u64 {
-        self.evicted_shards.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached values lost to shard evictions.
-    pub fn evicted_values(&self) -> u64 {
-        self.evicted_values.load(Ordering::Relaxed)
     }
 
     /// Evicts least-recently-used shards until the footprint fits the limit.
@@ -202,9 +183,6 @@ impl ResultCache {
             };
             if let Some(shard) = shards.remove(&victim) {
                 total = total.saturating_sub(ResultCache::shard_bytes(&victim, &shard));
-                self.evicted_shards.fetch_add(1, Ordering::Relaxed);
-                self.evicted_values
-                    .fetch_add(shard.len() as u64, Ordering::Relaxed);
             }
             unpoisoned(self.stamps.lock()).remove(&victim);
         }
@@ -258,7 +236,8 @@ impl ResultCache {
     }
 
     /// Number of values stored for one transform key.
-    pub fn shard_len(&self, key: &str) -> usize {
+    #[cfg(test)]
+    fn shard_len(&self, key: &str) -> usize {
         unpoisoned(self.shards.read())
             .get(key)
             .map_or(0, TransformValues::len)
@@ -557,12 +536,11 @@ mod tests {
     #[test]
     fn unbounded_cache_never_evicts() {
         let cache = ResultCache::new();
-        assert_eq!(cache.byte_limit(), None);
         for shard in 0..16 {
             fill(&cache, &format!("m{shard}"), 100);
         }
         assert_eq!(cache.len(), 1600);
-        assert_eq!(cache.evicted_shards(), 0);
+        assert_eq!(cache.keys().len(), 16);
     }
 
     #[test]
@@ -584,8 +562,7 @@ mod tests {
         // Touch "oldest" so "middle" becomes the LRU victim.
         assert!(cache.contains("oldest", Complex64::new(0.0, 1.0)));
         fill(&cache, "newest", 10);
-        assert_eq!(cache.evicted_shards(), 1);
-        assert_eq!(cache.evicted_values(), 10);
+        assert_eq!(cache.keys(), ["newest", "oldest"], "one shard evicted");
         assert_eq!(cache.shard_len("middle"), 0, "LRU shard evicted");
         assert_eq!(cache.shard_len("oldest"), 10, "recently read shard kept");
         assert_eq!(cache.shard_len("newest"), 10, "incoming shard kept");
@@ -599,14 +576,12 @@ mod tests {
         let cache = ResultCache::with_byte_limit(APPROX_BYTES_PER_ENTRY);
         fill(&cache, "working-set", 50);
         assert_eq!(cache.shard_len("working-set"), 50);
-        assert_eq!(cache.evicted_shards(), 0);
         // A second shard displaces the first the moment it becomes the most
         // recent one.
         fill(&cache, "next", 50);
         assert_eq!(cache.shard_len("next"), 50);
         assert_eq!(cache.shard_len("working-set"), 0);
-        assert_eq!(cache.evicted_shards(), 1);
-        assert_eq!(cache.evicted_values(), 50);
+        assert_eq!(cache.keys(), ["next"]);
     }
 
     #[test]
@@ -621,6 +596,6 @@ mod tests {
         assert_eq!(cache.shard_len("a"), 0);
         assert_eq!(cache.shard_len("b"), 0);
         assert_eq!(cache.shard_len("c"), 8);
-        assert_eq!(cache.evicted_shards(), 2);
+        assert_eq!(cache.keys(), ["c"]);
     }
 }

@@ -86,12 +86,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds one scripted op to any plan (builder style).
-    pub fn with_op(mut self, op: u64, kind: FaultKind) -> FaultPlan {
-        self.scripted.insert(op, kind);
-        self
-    }
-
     /// Caps the total faults the plan will inject; ops past the budget pass
     /// untouched.  A chaos schedule over an `n`-shard fleet needs a budget
     /// `< n` to be survivable by construction — each injected fault can cost
@@ -128,11 +122,6 @@ impl FaultPlan {
             self.injected += 1;
         }
         kind
-    }
-
-    /// Operations consulted so far.
-    pub fn ops_seen(&self) -> u64 {
-        self.counter
     }
 
     /// Faults injected so far.
@@ -190,10 +179,5 @@ impl Backoff {
         let jitter = 0.5
             + (splitmix64(self.seed ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
         doubled.mul_f64(jitter)
-    }
-
-    /// Attempts consumed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
     }
 }

@@ -324,6 +324,10 @@ pub struct TcpTransport {
     /// the length of an `execute` (no lock across link I/O) and put back.
     seats: Mutex<Vec<Option<Box<dyn Link>>>>,
     accept_timeout: Duration,
+    /// Per-read socket timeout on accepted connections.  A worker that
+    /// connects but goes silent — a SIGSTOPped process, a network partition
+    /// with no RST — is declared lost after this long without a frame, and
+    /// its outstanding chunk is requeued.
     io_timeout: Duration,
 }
 
@@ -381,13 +385,10 @@ impl TcpTransport {
         self
     }
 
-    /// Overrides the per-read socket timeout on accepted connections.  A
-    /// worker that connects but goes silent — a SIGSTOPped process, a
-    /// network partition with no RST — must not hang the run forever: after
-    /// this long without a frame the handler declares the worker lost and
-    /// requeues its outstanding chunk.  Size it above the slowest expected
-    /// chunk evaluation (default: 10 minutes).
-    pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
+    /// Shortens the per-read socket timeout on accepted connections (10
+    /// minutes in production) so a test sees a silent worker declared lost.
+    #[cfg(test)]
+    fn with_io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = timeout;
         self
     }
@@ -1128,7 +1129,6 @@ mod tests {
             2,
             "nothing fires off-script"
         );
-        assert_eq!(plan.ops_seen(), 8);
         assert_eq!(plan.injected(), 2);
 
         // Seeded schedules are pure functions of (seed, op): two instances
@@ -1161,7 +1161,6 @@ mod tests {
         let delays_a: Vec<Duration> = (0..10).map(|_| a.next_delay()).collect();
         let delays_b: Vec<Duration> = (0..10).map(|_| b.next_delay()).collect();
         assert_eq!(delays_a, delays_b, "same endpoint → same schedule");
-        assert_eq!(a.attempts(), 10);
         for (k, &d) in delays_a.iter().enumerate() {
             // Jitter lives in [0.5, 1.0): never less than half the doubled
             // base, never at or above the cap × 1.0.

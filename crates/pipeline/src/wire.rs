@@ -427,7 +427,8 @@ fn read_work_item(line: &mut Line<'_>) -> Result<WorkItem, WireError> {
 }
 
 /// Decodes one [`WorkItem`] line.
-pub fn decode_work_item(line: &str) -> Result<WorkItem, WireError> {
+#[cfg(test)]
+fn decode_work_item(line: &str) -> Result<WorkItem, WireError> {
     Line::new(line).all(read_work_item)
 }
 
@@ -466,7 +467,8 @@ pub fn encode_outcome(outcome: &WorkItemOutcome) -> Result<String, WireError> {
 }
 
 /// Decodes one [`WorkItemOutcome`] line.
-pub fn decode_outcome(line: &str) -> Result<WorkItemOutcome, WireError> {
+#[cfg(test)]
+fn decode_outcome(line: &str) -> Result<WorkItemOutcome, WireError> {
     Line::new(line).all(read_outcome)
 }
 
@@ -984,16 +986,16 @@ pub fn frame_checksum(len: u32, payload: &[u8]) -> u64 {
 }
 
 /// Wraps a typed [`WireError`] as the source of an `InvalidData` io error, so
-/// protocol layers can refuse with the precise failure kind (see
-/// [`wire_error_of`]).
+/// protocol layers can refuse with the precise failure kind.
 fn invalid_data(error: WireError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, error)
 }
 
 /// Recovers the typed [`WireError`] carried by an io error raised in this
-/// module, if any — the hook that lets the query server and the fault tests
-/// distinguish "bytes were corrupted" from "peer hung up".
-pub fn wire_error_of(error: &std::io::Error) -> Option<&WireError> {
+/// module, if any, so a test can tell "bytes were corrupted" from "peer hung
+/// up".
+#[cfg(test)]
+pub(crate) fn wire_error_of(error: &std::io::Error) -> Option<&WireError> {
     error.get_ref().and_then(|e| e.downcast_ref::<WireError>())
 }
 
@@ -1033,7 +1035,7 @@ pub fn write_payload(stream: &mut impl Write, payload: &str) -> std::io::Result<
 /// [`WireError::Oversize`] refusal raised *before allocating anything*; a
 /// checksum mismatch is a typed [`WireError::Corrupt`] refusal.  Both reach
 /// the caller as `InvalidData` io errors whose source is the [`WireError`]
-/// (recover it with [`wire_error_of`]).
+/// (`io::Error::get_ref` recovers it).
 pub fn read_payload(stream: &mut impl Read) -> std::io::Result<(String, u64)> {
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     stream.read_exact(&mut header)?;

@@ -79,11 +79,6 @@ impl WorkQueue {
         }
     }
 
-    /// Creates an empty queue (chunk size 1).
-    pub fn empty() -> Self {
-        WorkQueue::default()
-    }
-
     /// The number of items handed out per [`WorkQueue::pop_chunk`] call.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
@@ -154,7 +149,7 @@ mod tests {
 
     #[test]
     fn push_appends() {
-        let queue = WorkQueue::empty();
+        let queue = WorkQueue::default();
         queue.push(WorkItem {
             measure: 2,
             index: 7,

@@ -41,17 +41,6 @@ impl<'a> SimulationEngine<'a> {
         }
     }
 
-    /// Starts a trajectory from an explicit marking.
-    pub fn from_marking(net: &'a SmSpn, marking: Marking) -> Self {
-        assert_eq!(marking.len(), net.num_places(), "marking size mismatch");
-        SimulationEngine {
-            net,
-            marking,
-            clock: 0.0,
-            steps: 0,
-        }
-    }
-
     /// The current marking.
     pub fn marking(&self) -> &Marking {
         &self.marking
@@ -287,12 +276,5 @@ mod tests {
         let mut engine = SimulationEngine::new(&net);
         let run = engine.run_until(&mut rng, |m| m.get(0) == 99, 1e9, 10);
         assert_eq!(run, Err(err));
-    }
-
-    #[test]
-    fn from_marking_starts_elsewhere() {
-        let net = ping_pong();
-        let engine = SimulationEngine::from_marking(&net, Marking::new(vec![0, 1]));
-        assert_eq!(engine.marking().as_slice(), &[0, 1]);
     }
 }

@@ -23,28 +23,6 @@ pub struct EvaluationError {
     pub message: String,
 }
 
-/// The net-enabled transitions `EN(m)` (indices into `net.transitions()`).
-pub fn net_enabled(net: &SmSpn, m: &Marking) -> Result<Vec<usize>, EvaluationError> {
-    let mut enabled = Vec::new();
-    for (i, t) in net.transitions().iter().enumerate() {
-        if t.is_net_enabled(m).map_err(|message| EvaluationError {
-            transition: i,
-            message,
-        })? {
-            enabled.push(i);
-        }
-    }
-    Ok(enabled)
-}
-
-/// The priority-enabled transitions `EP(m)`: the net-enabled transitions whose
-/// priority equals the maximum priority among net-enabled transitions.
-pub fn priority_enabled(net: &SmSpn, m: &Marking) -> Result<Vec<usize>, EvaluationError> {
-    let mut enabled = Vec::new();
-    fill_priority_enabled(net, m, &mut enabled)?;
-    Ok(enabled.into_iter().map(|(i, _)| i).collect())
-}
-
 /// Firing probabilities of the priority-enabled transitions in `m`, as
 /// `(transition index, probability)` pairs — the paper's
 /// `P(t fires) = w_t(m) / Σ_{t'∈EP(m)} w_{t'}(m)`.
@@ -122,6 +100,13 @@ mod tests {
     use crate::net::TransitionSpec;
     use smp_distributions::Dist;
 
+    /// `EP(m)`'s transition indices, as the state-space walk computes them.
+    fn priority_enabled(net: &SmSpn, m: &Marking) -> Result<Vec<usize>, EvaluationError> {
+        let mut enabled = Vec::new();
+        fill_priority_enabled(net, m, &mut enabled)?;
+        Ok(enabled.into_iter().map(|(i, _)| i).collect())
+    }
+
     fn priority_net() -> SmSpn {
         // Three transitions competing for the same token with different priorities
         // and weights.
@@ -154,13 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn net_enabled_ignores_priority() {
-        let net = priority_net();
-        let m = net.initial_marking().clone();
-        assert_eq!(net_enabled(&net, &m), Ok(vec![0, 1, 2]));
-    }
-
-    #[test]
     fn priority_enabled_keeps_only_highest() {
         let net = priority_net();
         let m = net.initial_marking().clone();
@@ -182,7 +160,6 @@ mod tests {
     fn empty_marking_enables_nothing() {
         let net = priority_net();
         let m = crate::Marking::new(vec![0, 0, 0, 0]);
-        assert_eq!(net_enabled(&net, &m), Ok(vec![]));
         assert_eq!(priority_enabled(&net, &m), Ok(vec![]));
         assert_eq!(firing_probabilities(&net, &m), Ok(vec![]));
     }

@@ -22,13 +22,6 @@ impl Marking {
         }
     }
 
-    /// A marking of `places` places, all empty.
-    pub fn empty(places: usize) -> Self {
-        Marking {
-            tokens: vec![0; places].into_boxed_slice(),
-        }
-    }
-
     /// Number of places.
     pub fn len(&self) -> usize {
         self.tokens.len()
@@ -76,11 +69,6 @@ impl Marking {
     #[inline]
     pub fn copy_from(&mut self, tokens: &[u32]) {
         self.tokens.copy_from_slice(tokens);
-    }
-
-    /// Total number of tokens in the marking.
-    pub fn total_tokens(&self) -> u32 {
-        self.tokens.iter().sum()
     }
 
     /// The underlying token counts.
@@ -168,12 +156,10 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(m.get(0), 3);
         assert_eq!(m[2], 7);
-        assert_eq!(m.total_tokens(), 10);
         assert!(m.has_at_least(0, 3));
         assert!(!m.has_at_least(1, 1));
         assert_eq!(m.as_slice(), &[3, 0, 7]);
         assert!(!m.is_empty());
-        assert_eq!(Marking::empty(2).total_tokens(), 0);
     }
 
     #[test]

@@ -284,12 +284,6 @@ impl SmSpn {
         &self.initial_marking
     }
 
-    /// Overrides the initial marking (used when exploring from a non-default start).
-    pub fn set_initial_marking(&mut self, marking: Marking) {
-        assert_eq!(marking.len(), self.num_places(), "marking size mismatch");
-        self.initial_marking = marking;
-    }
-
     /// The transitions of the net.
     pub fn transitions(&self) -> &[TransitionSpec] {
         &self.transitions
@@ -343,11 +337,11 @@ mod tests {
         let t1 = &net.transitions()[1];
         assert_eq!(t0.is_net_enabled(&m0), Ok(true));
         assert_eq!(t1.is_net_enabled(&m0), Ok(false));
-        let mut m1 = Marking::empty(2);
+        let mut m1 = Marking::new(vec![0; 2]);
         t0.fire(&m0, &mut m1).unwrap();
         assert_eq!(m1.as_slice(), &[0, 1]);
         assert_eq!(t1.is_net_enabled(&m1), Ok(true));
-        let mut back = Marking::empty(2);
+        let mut back = Marking::new(vec![0; 2]);
         t1.fire(&m1, &mut back).unwrap();
         assert_eq!(back.as_slice(), &[1, 0]);
     }
@@ -396,7 +390,7 @@ mod tests {
         let t5 = &net.transitions()[0];
         let m = net.initial_marking().clone();
         assert_eq!(t5.is_net_enabled(&m), Ok(true));
-        let mut next = Marking::empty(2);
+        let mut next = Marking::new(vec![0; 2]);
         t5.fire(&m, &mut next).unwrap();
         assert_eq!(next.as_slice(), &[6, 0]);
         assert_eq!(t5.is_net_enabled(&next), Ok(false));
@@ -434,7 +428,7 @@ mod tests {
             .weight_fn(|_| Err("no weight".into()))
             .distribution_fn(|_| Err("no sojourn".into()));
         let m = Marking::new(vec![1]);
-        let mut next = Marking::empty(1);
+        let mut next = Marking::new(vec![0; 1]);
         assert_eq!(t.is_net_enabled(&m), Err("guard: no guard".into()));
         assert_eq!(t.fire(&m, &mut next), Err("action: no action".into()));
         assert_eq!(t.priority_in(&m), Err("priority: no priority".into()));
@@ -449,20 +443,6 @@ mod tests {
     #[should_panic(expected = "weight must be positive")]
     fn zero_weight_rejected() {
         TransitionSpec::new("bad").weight(0.0);
-    }
-
-    #[test]
-    fn set_initial_marking_checks_size() {
-        let mut net = simple_net();
-        net.set_initial_marking(Marking::new(vec![0, 1]));
-        assert_eq!(net.initial_marking().as_slice(), &[0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "marking size mismatch")]
-    fn set_initial_marking_rejects_wrong_size() {
-        let mut net = simple_net();
-        net.set_initial_marking(Marking::new(vec![1]));
     }
 
     #[test]

@@ -359,13 +359,6 @@ impl StateSpace {
             .collect()
     }
 
-    /// Token count of a named place in a state's marking (`None` if the place does
-    /// not exist).
-    pub fn tokens_in(&self, state: usize, place_name: &str) -> Option<u32> {
-        let place = self.place_names.iter().position(|n| n == place_name)?;
-        Some(self.marking(state).get(place))
-    }
-
     /// Heap bytes of the explored model, from lengths and capacities: the
     /// marking matrix, the place names and the process's
     /// [`SemiMarkovProcess::heap_bytes`].
@@ -467,8 +460,6 @@ mod tests {
         assert_eq!(space.marking(1).as_slice(), &[0, 1]);
         assert_eq!(space.state_of(&Marking::new(vec![0, 1])), Some(1));
         assert_eq!(space.state_of(&Marking::new(vec![2, 0])), None);
-        assert_eq!(space.tokens_in(1, "p1"), Some(1));
-        assert_eq!(space.tokens_in(1, "zzz"), None);
 
         // Voting 5,2,2 grows the marking index past its first table four
         // times; every marking still finds its own state.

@@ -7,7 +7,6 @@
 //! (Eq. 10 of the paper).
 
 use crate::scalar::Scalar;
-use crate::triplet::TripletMatrix;
 
 /// An immutable sparse matrix in compressed sparse row format.
 ///
@@ -30,7 +29,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Panics when the parts are structurally inconsistent (wrong `indptr` length,
     /// non-monotone `indptr`, out-of-range column indices or mismatched buffer
     /// lengths).  Column ordering within rows is *not* verified here — the
-    /// [`TripletMatrix`] builder guarantees it; `debug_assert`s check it in tests.
+    /// [`TripletMatrix`](crate::TripletMatrix) builder guarantees it; `debug_assert`s check it in tests.
     pub fn from_raw_parts(
         rows: usize,
         cols: usize,
@@ -71,30 +70,6 @@ impl<T: Scalar> CsrMatrix<T> {
             col_indices,
             values,
         }
-    }
-
-    /// Builds from an explicit dense matrix (convenience for tests and tiny models).
-    pub fn from_dense(dense: &[Vec<T>]) -> Self {
-        let rows = dense.len();
-        let cols = dense.first().map_or(0, |r| r.len());
-        let mut t = TripletMatrix::new(rows, cols);
-        for (i, row) in dense.iter().enumerate() {
-            assert_eq!(row.len(), cols, "ragged dense matrix");
-            for (j, &v) in row.iter().enumerate() {
-                if !v.is_zero() {
-                    t.push(i, j, v);
-                }
-            }
-        }
-        t.to_csr()
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let indptr = (0..=n as u64).collect();
-        let col_indices = (0..n as u32).collect();
-        let values = vec![T::ONE; n];
-        CsrMatrix::from_raw_parts(n, n, indptr, col_indices, values)
     }
 
     /// Number of rows.
@@ -145,13 +120,6 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.col_indices
     }
 
-    /// Approximate heap footprint in bytes (used by the pipeline's memory report).
-    pub fn memory_bytes(&self) -> usize {
-        self.indptr.len() * std::mem::size_of::<u64>()
-            + self.col_indices.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<T>()
-    }
-
     /// Iterates over `(column, value)` pairs of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, T)> + '_ {
@@ -163,12 +131,6 @@ impl<T: Scalar> CsrMatrix<T> {
             .map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Number of stored entries in row `r`.
-    #[inline]
-    pub fn row_nnz(&self, r: usize) -> usize {
-        (self.indptr[r + 1] - self.indptr[r]) as usize
-    }
-
     /// Value at `(r, c)`, `T::ZERO` when not stored.  O(log nnz(row)).
     pub fn get(&self, r: usize, c: usize) -> T {
         let start = self.indptr[r] as usize;
@@ -176,43 +138,6 @@ impl<T: Scalar> CsrMatrix<T> {
         match self.col_indices[start..end].binary_search(&(c as u32)) {
             Ok(i) => self.values[start + i],
             Err(_) => T::ZERO,
-        }
-    }
-
-    /// Sum of each row's stored values.
-    pub fn row_sums(&self) -> Vec<T> {
-        (0..self.rows)
-            .map(|r| {
-                let mut acc = T::ZERO;
-                for (_, v) in self.row(r) {
-                    acc += v;
-                }
-                acc
-            })
-            .collect()
-    }
-
-    /// Matrix–(column-)vector product `y = A·x`.
-    pub fn mul_vec(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
-        let mut y = vec![T::ZERO; self.rows];
-        self.mul_vec_into(x, &mut y);
-        y
-    }
-
-    /// In-place matrix–vector product `y = A·x` writing into a caller-provided
-    /// buffer (avoids allocation in the inner loop of the passage-time iteration).
-    pub fn mul_vec_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec_into");
-        assert_eq!(y.len(), self.rows, "output dimension mismatch");
-        for (r, out) in y.iter_mut().enumerate() {
-            let start = self.indptr[r] as usize;
-            let end = self.indptr[r + 1] as usize;
-            let mut acc = T::ZERO;
-            for i in start..end {
-                acc += self.values[i] * x[self.col_indices[i] as usize];
-            }
-            *out = acc;
         }
     }
 
@@ -331,19 +256,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Returns a new matrix with every stored value transformed by `f` (structure is
-    /// preserved; `f` must not be relied upon to produce zeros that would need
-    /// pruning).
-    pub fn map_values<U: Scalar>(&self, mut f: impl FnMut(T) -> U) -> CsrMatrix<U> {
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr: self.indptr.clone(),
-            col_indices: self.col_indices.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// Returns a copy with entire rows zeroed out (structurally removed).
     ///
     /// Used to build `U'` from `U`: rows belonging to target states are made
@@ -404,39 +316,16 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Converts back to a dense row-major representation (tests and tiny systems
-    /// only — panics on matrices with more than 4·10⁶ cells to catch accidents).
-    pub fn to_dense(&self) -> Vec<Vec<T>> {
-        assert!(
-            self.rows.saturating_mul(self.cols) <= 4_000_000,
-            "refusing to densify a large sparse matrix"
-        );
-        let mut dense = vec![vec![T::ZERO; self.cols]; self.rows];
-        for (r, dense_row) in dense.iter_mut().enumerate() {
-            for (c, v) in self.row(r) {
-                dense_row[c] = v;
-            }
-        }
-        dense
-    }
-
     /// Iterates over all stored entries as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
         (0..self.rows).flat_map(move |r| self.row(r).map(move |(c, v)| (r, c, v)))
-    }
-
-    /// Frobenius-style max-magnitude norm of the stored entries.
-    pub fn max_norm(&self) -> f64 {
-        self.values
-            .iter()
-            .map(|v| v.magnitude())
-            .fold(0.0, f64::max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triplet::TripletMatrix;
     use proptest::prelude::*;
     use smp_numeric::Complex64;
 
@@ -451,22 +340,6 @@ mod tests {
         t.push(2, 0, 4.0);
         t.push(2, 2, 5.0);
         t.to_csr()
-    }
-
-    #[test]
-    fn identity_behaves() {
-        let i = CsrMatrix::<f64>::identity(4);
-        assert_eq!(i.nnz(), 4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(i.mul_vec(&x), x);
-        assert_eq!(i.vec_mul(&x), x);
-    }
-
-    #[test]
-    fn mul_vec_matches_dense() {
-        let m = sample_matrix();
-        let y = m.mul_vec(&[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![7.0, 6.0, 19.0]);
     }
 
     #[test]
@@ -490,14 +363,7 @@ mod tests {
         assert_eq!(m.get(1, 0), 0.0);
         let row0: Vec<(usize, f64)> = m.row(0).collect();
         assert_eq!(row0, vec![(0, 1.0), (2, 2.0)]);
-        assert_eq!(m.row_nnz(2), 2);
-    }
-
-    #[test]
-    fn row_sums_and_max_norm() {
-        let m = sample_matrix();
-        assert_eq!(m.row_sums(), vec![3.0, 3.0, 9.0]);
-        assert_eq!(m.max_norm(), 5.0);
+        assert_eq!(m.row(2).count(), 2);
     }
 
     #[test]
@@ -506,14 +372,14 @@ mod tests {
         let t = m.transpose();
         assert_eq!(t.get(2, 0), 2.0);
         assert_eq!(t.get(0, 2), 4.0);
-        assert_eq!(t.transpose().to_dense(), m.to_dense());
+        assert_eq!(t.transpose(), m);
     }
 
     #[test]
     fn zero_rows_makes_states_absorbing() {
         let m = sample_matrix();
         let z = m.zero_rows(&[false, true, false]);
-        assert_eq!(z.row_nnz(1), 0);
+        assert_eq!(z.row(1).count(), 0);
         assert_eq!(z.get(0, 0), 1.0);
         assert_eq!(z.get(2, 2), 5.0);
         assert_eq!(z.nnz(), m.nnz() - 1);
@@ -591,35 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn map_values_changes_type() {
-        let m = sample_matrix();
-        let c = m.map_values(|v| Complex64::new(v, -v));
-        assert_eq!(c.get(2, 2), Complex64::new(5.0, -5.0));
-        assert_eq!(c.nnz(), m.nnz());
-    }
-
-    #[test]
-    fn from_dense_roundtrip() {
-        let dense = vec![vec![0.0, 1.5], vec![2.5, 0.0]];
-        let m = CsrMatrix::from_dense(&dense);
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.to_dense(), dense);
-    }
-
-    #[test]
-    fn memory_bytes_scales_with_nnz() {
-        let small = CsrMatrix::<f64>::identity(2);
-        let large = CsrMatrix::<f64>::identity(200);
-        assert!(large.memory_bytes() > small.memory_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn mul_vec_rejects_wrong_length() {
-        sample_matrix().mul_vec(&[1.0, 2.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "indptr length")]
     fn from_raw_parts_validates_indptr() {
         CsrMatrix::<f64>::from_raw_parts(2, 2, vec![0, 0], vec![], vec![]);
@@ -633,16 +470,13 @@ mod tests {
         t.push(1, 0, Complex64::new(2.0, 0.0));
         let m = t.to_csr();
         let x = vec![Complex64::ONE, Complex64::I];
-        let y = m.mul_vec(&x);
-        assert_eq!(y[0], Complex64::new(0.0, 2.0));
-        assert_eq!(y[1], Complex64::new(2.0, 0.0));
         let z = m.vec_mul(&x);
         assert_eq!(z[0], Complex64::new(0.0, 3.0));
         assert_eq!(z[1], Complex64::ONE);
     }
 
     proptest! {
-        /// x·A computed through vec_mul equals (Aᵀ)·x computed through mul_vec.
+        /// x·A computed through vec_mul equals (Aᵀ)·x computed row by row.
         #[test]
         fn prop_vec_mul_equals_transpose_mul_vec(
             entries in proptest::collection::vec((0usize..7, 0usize..7, -3.0f64..3.0), 1..50),
@@ -654,29 +488,12 @@ mod tests {
             }
             let m = t.to_csr();
             let a = m.vec_mul(&x);
-            let b = m.transpose().mul_vec(&x);
+            let mt = m.transpose();
+            let b: Vec<f64> = (0..7)
+                .map(|j| mt.row(j).map(|(i, v)| v * x[i]).sum())
+                .collect();
             for (u, v) in a.iter().zip(&b) {
                 prop_assert!((u - v).abs() < 1e-9);
-            }
-        }
-
-        /// (A·x) matches a dense reference product.
-        #[test]
-        fn prop_mul_vec_matches_dense(
-            entries in proptest::collection::vec((0usize..6, 0usize..6, -5.0f64..5.0), 1..40),
-            x in proptest::collection::vec(-2.0f64..2.0, 6))
-        {
-            let mut t = TripletMatrix::new(6, 6);
-            let mut dense = [[0.0f64; 6]; 6];
-            for &(r, c, v) in &entries {
-                t.push(r, c, v);
-                dense[r][c] += v;
-            }
-            let m = t.to_csr();
-            let y = m.mul_vec(&x);
-            for r in 0..6 {
-                let expect: f64 = (0..6).map(|c| dense[r][c] * x[c]).sum();
-                prop_assert!((y[r] - expect).abs() < 1e-9);
             }
         }
 

@@ -11,13 +11,13 @@
 //!
 //! * [`TripletMatrix`] — a coordinate-format builder that tolerates duplicate and
 //!   unsorted insertions (the natural output of state-space exploration).
-//! * [`CsrMatrix`] — compressed sparse row storage with row access, row-vector and
-//!   column-vector products, scaling, and transposition.  The row-*masked*
+//! * [`CsrMatrix`] — compressed sparse row storage with row access, row-vector
+//!   products, row zeroing, and transposition.  The row-*masked*
 //!   products (`vec_mul_into_masked` and its column-range form) compute against
 //!   `U'` — `U` with target rows absorbed — without ever materialising it,
 //!   and `values_mut` lets a prebuilt skeleton be refilled per transform
 //!   point (the symbolic/numeric split of `smp_core::workspace`).
-//! * [`steady_state`] — power-method and Gauss–Seidel solvers for `π P = π`,
+//! * [`steady_state`] — the Gauss–Seidel solver for `π P = π`,
 //!   used for the α-weights of Eq. (5) and the steady-state comparison of Fig. 7.
 //!
 //! Indices are `u32` internally (state spaces of ~10⁶–10⁸ states fit comfortably)
@@ -33,5 +33,5 @@ pub mod triplet;
 
 pub use csr::CsrMatrix;
 pub use scalar::Scalar;
-pub use steady_state::{gauss_seidel_steady_state, power_method_steady_state, SteadyStateOptions};
+pub use steady_state::{gauss_seidel_steady_state, SteadyStateOptions};
 pub use triplet::TripletMatrix;

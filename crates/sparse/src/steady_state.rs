@@ -8,12 +8,10 @@
 //! * the SMP steady-state probabilities plotted as the horizontal asymptote of the
 //!   transient distribution in Fig. 7 (π weighted by mean sojourn times).
 //!
-//! Two solvers are provided.  The **damped power method** is simple, allocation-light
-//! and — with damping — converges even for periodic chains (the embedded chain of the
-//! voting model has strong periodic structure because every transition moves tokens
-//! deterministically).  **Gauss–Seidel** solves `π(P - I) = 0` in place and usually
-//! converges in far fewer sweeps on stiff chains; it is the default used by the
-//! higher-level crates.
+//! The solver is **Gauss–Seidel**: it solves `π(P - I) = 0` in place, converges in
+//! few sweeps on stiff chains, and — because it uses the freshest values within a
+//! sweep — also on periodic ones (the embedded chain of the voting model has strong
+//! periodic structure because every transition moves tokens deterministically).
 
 use crate::csr::CsrMatrix;
 
@@ -24,10 +22,6 @@ pub struct SteadyStateOptions {
     pub max_iterations: usize,
     /// Convergence tolerance on the L1 change between successive iterates.
     pub tolerance: f64,
-    /// Damping factor `ω ∈ (0, 1]` for the power method: `π' = (1-ω)π + ω πP`.
-    /// `ω < 1` guarantees aperiodicity of the damped chain without changing the
-    /// fixed point.
-    pub damping: f64,
 }
 
 impl Default for SteadyStateOptions {
@@ -35,7 +29,6 @@ impl Default for SteadyStateOptions {
         SteadyStateOptions {
             max_iterations: 20_000,
             tolerance: 1e-12,
-            damping: 0.9,
         }
     }
 }
@@ -64,63 +57,6 @@ fn normalise(v: &mut [f64]) {
 
 fn l1_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Validates that `p` is a stochastic matrix (square, rows sum to ~1) and panics with
-/// a descriptive message otherwise.  State-space generation bugs show up here first,
-/// so the check is always on.
-pub fn assert_stochastic(p: &CsrMatrix<f64>, tolerance: f64) {
-    assert_eq!(p.rows(), p.cols(), "transition matrix must be square");
-    for (r, sum) in p.row_sums().iter().enumerate() {
-        assert!(
-            (sum - 1.0).abs() <= tolerance,
-            "row {r} of transition matrix sums to {sum}, not 1"
-        );
-    }
-}
-
-/// Damped power iteration for `π P = π`.
-pub fn power_method_steady_state(
-    p: &CsrMatrix<f64>,
-    options: &SteadyStateOptions,
-) -> SteadyStateResult {
-    assert_eq!(p.rows(), p.cols(), "transition matrix must be square");
-    let n = p.rows();
-    if n == 0 {
-        return SteadyStateResult {
-            pi: vec![],
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-        };
-    }
-    let omega = options.damping.clamp(f64::MIN_POSITIVE, 1.0);
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    for iter in 1..=options.max_iterations {
-        p.vec_mul_into(&pi, &mut next);
-        for i in 0..n {
-            next[i] = (1.0 - omega) * pi[i] + omega * next[i];
-        }
-        normalise(&mut next);
-        residual = l1_diff(&pi, &next);
-        std::mem::swap(&mut pi, &mut next);
-        if residual < options.tolerance {
-            return SteadyStateResult {
-                pi,
-                iterations: iter,
-                residual,
-                converged: true,
-            };
-        }
-    }
-    SteadyStateResult {
-        pi,
-        iterations: options.max_iterations,
-        residual,
-        converged: false,
-    }
 }
 
 /// Gauss–Seidel iteration for `π P = π`.
@@ -191,33 +127,40 @@ mod tests {
     use crate::triplet::TripletMatrix;
     use proptest::prelude::*;
 
+    /// A CSR matrix from its dense rows (zeros not stored).
+    fn dense(rows: &[&[f64]]) -> CsrMatrix<f64> {
+        let mut t = TripletMatrix::new(rows.len(), rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    t.push(i, j, v);
+                }
+            }
+        }
+        t.to_csr()
+    }
+
     fn two_state_chain(a: f64, b: f64) -> CsrMatrix<f64> {
         // P = [[1-a, a], [b, 1-b]]  =>  pi = (b, a) / (a + b)
-        CsrMatrix::from_dense(&[vec![1.0 - a, a], vec![b, 1.0 - b]])
+        dense(&[&[1.0 - a, a], &[b, 1.0 - b]])
     }
 
     #[test]
     fn two_state_analytic_solution() {
         let p = two_state_chain(0.3, 0.1);
         let expect = [0.25, 0.75];
-        for result in [
-            power_method_steady_state(&p, &SteadyStateOptions::default()),
-            gauss_seidel_steady_state(&p, &SteadyStateOptions::default()),
-        ] {
-            assert!(result.converged);
-            for (x, e) in result.pi.iter().zip(expect) {
-                assert!((x - e).abs() < 1e-9, "got {:?}", result.pi);
-            }
+        let result = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
+        assert!(result.converged);
+        for (x, e) in result.pi.iter().zip(expect) {
+            assert!((x - e).abs() < 1e-9, "got {:?}", result.pi);
         }
     }
 
     #[test]
     fn periodic_chain_converges_with_damping() {
-        // Pure 2-cycle: undamped power iteration oscillates; damping fixes it.
-        let p = CsrMatrix::from_dense(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let result = power_method_steady_state(&p, &SteadyStateOptions::default());
-        assert!(result.converged);
-        assert!((result.pi[0] - 0.5).abs() < 1e-9);
+        // Pure 2-cycle: undamped power iteration would oscillate forever;
+        // Gauss–Seidel's in-sweep updates settle it.
+        let p = dense(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let gs = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
         assert!(gs.converged);
         assert!((gs.pi[1] - 0.5).abs() < 1e-9);
@@ -225,11 +168,7 @@ mod tests {
 
     #[test]
     fn three_state_ring_uniform() {
-        let p = CsrMatrix::from_dense(&[
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 1.0],
-            vec![1.0, 0.0, 0.0],
-        ]);
+        let p = dense(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[1.0, 0.0, 0.0]]);
         let result = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
         for x in &result.pi {
             assert!((x - 1.0 / 3.0).abs() < 1e-9);
@@ -256,7 +195,6 @@ mod tests {
             }
         }
         let p = t.to_csr();
-        assert_stochastic(&p, 1e-12);
         // Detailed balance: pi_{i+1} / pi_i = up / down.
         let result = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
         assert!(result.converged);
@@ -270,55 +208,19 @@ mod tests {
     }
 
     #[test]
-    fn power_and_gauss_seidel_agree_on_random_chain() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 40;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            // 3 random outgoing transitions per state, normalised.
-            let mut targets = vec![];
-            let mut weights = vec![];
-            for _ in 0..3 {
-                targets.push(rng.gen_range(0..n));
-                weights.push(rng.gen_range(0.1..1.0));
-            }
-            let total: f64 = weights.iter().sum();
-            for (j, w) in targets.into_iter().zip(weights) {
-                t.push(i, j, w / total);
-            }
-        }
-        let p = t.to_csr();
-        let a = power_method_steady_state(&p, &SteadyStateOptions::default());
-        let b = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
-        assert!(a.converged && b.converged);
-        for (x, y) in a.pi.iter().zip(&b.pi) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn absorbing_state_chain_handled() {
         // State 1 is absorbing; stationary mass should concentrate there.
-        let p = CsrMatrix::from_dense(&[vec![0.5, 0.5], vec![0.0, 1.0]]);
-        let result = power_method_steady_state(&p, &SteadyStateOptions::default());
+        let p = dense(&[&[0.5, 0.5], &[0.0, 1.0]]);
+        let result = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
         assert!(result.pi[1] > 0.999);
     }
 
     #[test]
     fn empty_chain() {
-        let p = CsrMatrix::<f64>::from_dense(&[]);
+        let p = dense(&[]);
         let r = gauss_seidel_steady_state(&p, &SteadyStateOptions::default());
         assert!(r.converged);
         assert!(r.pi.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sums to")]
-    fn assert_stochastic_catches_bad_rows() {
-        let p = CsrMatrix::from_dense(&[vec![0.5, 0.2], vec![0.0, 1.0]]);
-        assert_stochastic(&p, 1e-9);
     }
 
     proptest! {

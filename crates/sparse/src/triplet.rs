@@ -46,11 +46,6 @@ impl<T: Scalar> TripletMatrix<T> {
         self.cols
     }
 
-    /// Number of raw (possibly duplicated) entries pushed so far.
-    pub fn raw_len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Adds `value` at `(row, col)`.  Duplicate coordinates are summed during
     /// compression; exact zeros are skipped.
     pub fn push(&mut self, row: usize, col: usize, value: T) {
@@ -171,7 +166,6 @@ mod tests {
     fn explicit_zeros_are_skipped() {
         let mut t = TripletMatrix::<f64>::new(2, 2);
         t.push(0, 0, 0.0);
-        assert_eq!(t.raw_len(), 0);
         assert_eq!(t.to_csr().nnz(), 0);
     }
 
