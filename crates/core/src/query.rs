@@ -457,7 +457,12 @@ pub struct Provenance {
     pub cache_hits: usize,
     /// Evaluation-grid points shared with other measures of the same solve.
     pub shared_hits: usize,
-    /// Wall-clock time of the run that produced this measure.
+    /// Wall-clock time spent before this measure's report was complete.  The
+    /// distributed and analytic engines time it from the top of `solve`:
+    /// validation, any model parse and every pipeline run the report waited
+    /// on are in it, so the measures of one batch report one wall and a
+    /// quantile's includes the batch before it.  The simulation and
+    /// uniformization engines time each measure's own work.
     pub wall: Duration,
     /// A statistical error bound on the values, when the engine has one (the
     /// simulation engine reports a 95% confidence half-width; deterministic

@@ -20,11 +20,6 @@ use smp_numeric::Complex64;
 pub trait LaplaceTransform {
     /// Evaluates the transform at the complex point `s`.
     fn lst(&self, s: Complex64) -> Complex64;
-
-    /// Evaluates the transform at a batch of points (default: point-wise).
-    fn lst_batch(&self, points: &[Complex64]) -> Vec<Complex64> {
-        points.iter().map(|&s| self.lst(s)).collect()
-    }
 }
 
 /// Blanket implementation for closures, used heavily in tests and by the inversion
@@ -56,20 +51,6 @@ mod tests {
         let v = f.lst(Complex64::real(1.0));
         assert!((v.re - 2.0 / 3.0).abs() < 1e-14);
         assert_eq!(v.im, 0.0);
-    }
-
-    #[test]
-    fn batch_matches_pointwise() {
-        let f = |s: Complex64| (Complex64::real(-1.0) * s).exp();
-        let pts = [
-            Complex64::new(0.5, 0.0),
-            Complex64::new(1.0, 2.0),
-            Complex64::new(0.0, -3.0),
-        ];
-        let batch = f.lst_batch(&pts);
-        for (s, v) in pts.iter().zip(batch) {
-            assert_eq!(f.lst(*s), v);
-        }
     }
 
     #[test]

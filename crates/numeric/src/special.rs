@@ -45,20 +45,6 @@ pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
 }
 
-/// Binomial coefficient `C(n, k)` as `f64`, computed multiplicatively so that values
-/// up to the `f64` range are exact to machine precision.
-pub fn binomial(n: u32, k: u32) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    let k = k.min(n - k);
-    let mut acc = 1.0f64;
-    for i in 0..k {
-        acc = acc * (n - i) as f64 / (i + 1) as f64;
-    }
-    acc
-}
-
 /// Row `n` of Pascal's triangle: `[C(n,0), …, C(n,n)]`.
 ///
 /// The Euler-summation stage of the Euler inversion algorithm averages the last
@@ -172,6 +158,20 @@ mod tests {
             l = next;
         }
         l
+    }
+
+    /// Binomial coefficient `C(n, k)` as `f64`, computed multiplicatively:
+    /// the one-at-a-time oracle of `binomial_row`.
+    fn binomial(n: u32, k: u32) -> f64 {
+        if k > n {
+            return 0.0;
+        }
+        let k = k.min(n - k);
+        let mut acc = 1.0f64;
+        for i in 0..k {
+            acc = acc * (n - i) as f64 / (i + 1) as f64;
+        }
+        acc
     }
 
     /// The Laguerre function `l_n(t) = e^{-t/2} L_n(t)`, one order at a time.

@@ -27,10 +27,12 @@
 //! working set exceeds the limit still completes; the limit should nonetheless
 //! be sized well above the largest expected per-request working set.
 
+use crate::batch::MeasureKind;
 use crate::unpoisoned;
 use smp_laplace::{InversionMethod, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -39,33 +41,43 @@ use std::sync::{Mutex, RwLock};
 /// overestimate keeps a limited cache *under* its limit).
 pub const APPROX_BYTES_PER_ENTRY: usize = 64;
 
-/// Finished quantile searches a [`ResultCache`] remembers.  An answer is a
-/// few floats, so the memo is sized by what keeps its linear scan trivial,
-/// like the server's routing memo, not by the cache's byte limit.
-const QUANTILE_MEMO_SLOTS: usize = 256;
+/// Answers a [`ResultCache`] remembers.  An answer is a few floats, so the
+/// memo is sized by what keeps its linear scan trivial, like the server's
+/// routing memo, not by the cache's byte limit.
+const ANSWER_MEMO_SLOTS: usize = 256;
 
-/// Everything a quantile search depends on: the transform whose CDF it
-/// inverts, the method that plans its grids, and the bits of the
-/// probabilities it seeks and of the horizon it starts from.
+/// What an answer reads of the transform: a measure with a fixed plan (a
+/// curve on its grid, a moment on its stencil), or a quantile search for
+/// the probabilities with these bits.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct QuantileKey {
-    pub(crate) transform: String,
-    pub(crate) method: InversionMethod,
-    pub(crate) probs: Vec<u64>,
-    pub(crate) initial: u64,
+pub(crate) enum AnswerKind {
+    Planned(MeasureKind),
+    Quantile(Vec<u64>),
 }
 
-/// A finished quantile search: the quantiles it found and the grid points
-/// its rounds read.
+/// Everything an answer depends on: what it reads, the bits of the grid it
+/// reads it on (a curve's `t`-points, a quantile search's initial horizon,
+/// nothing for a moment, whose stencil is fixed by its order), the method
+/// that plans the grid, and the transform it reads.  Fields compare in
+/// declaration order, the cheap ones first.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AnswerKey {
+    pub(crate) kind: AnswerKind,
+    pub(crate) grid: Vec<u64>,
+    pub(crate) method: InversionMethod,
+    pub(crate) transform: String,
+}
+
+/// A finished answer: its values and the grid points it read.
 #[derive(Debug, Clone)]
-pub(crate) struct QuantileAnswer {
+pub(crate) struct Answer {
     pub(crate) values: Vec<f64>,
     pub(crate) grid_points: usize,
 }
 
 /// A thread-safe, measure-keyed collection of [`TransformValues`] shards,
 /// optionally bounded by an approximate byte limit with least-recently-used
-/// shard eviction, and a memo of the quantile searches run over them.
+/// shard eviction, and a memo of the answers read off them.
 #[derive(Debug)]
 pub struct ResultCache {
     shards: RwLock<BTreeMap<String, TransformValues>>,
@@ -76,9 +88,9 @@ pub struct ResultCache {
     /// paths can bump recency without taking the write lock on the data.
     stamps: Mutex<BTreeMap<String, u64>>,
     clock: AtomicU64,
-    /// The answer of every quantile search that succeeded over this cache:
-    /// a pure function of values the cache holds or held.
-    quantiles: LruMemo<QuantileKey, QuantileAnswer>,
+    /// Every answer that succeeded over this cache — curve, moment or
+    /// quantile: a pure function of values the cache holds or held.
+    answers: LruMemo<AnswerKey, Answer>,
 }
 
 impl Default for ResultCache {
@@ -88,7 +100,7 @@ impl Default for ResultCache {
             limit_bytes: None,
             stamps: Mutex::default(),
             clock: AtomicU64::default(),
-            quantiles: LruMemo::new(QUANTILE_MEMO_SLOTS),
+            answers: LruMemo::new(ANSWER_MEMO_SLOTS),
         }
     }
 }
@@ -283,22 +295,45 @@ impl ResultCache {
         snapshot
     }
 
-    /// The answer of the quantile search under `key`: a remembered one, or
-    /// what `search` finds, remembered when it succeeds.  The boolean is
-    /// `true` when the answer was remembered.
-    pub(crate) fn quantiles<E>(
+    /// The answer remembered under `key`, if any, stamped most recently used.
+    pub(crate) fn remembered(&self, key: &AnswerKey) -> Option<Answer> {
+        self.answers.get(key)
+    }
+
+    /// The answer under `key`: a remembered one, or what `solve` finds,
+    /// remembered when it succeeds.  The boolean is `true` when the answer
+    /// was remembered.
+    pub(crate) fn answer_or<E>(
         &self,
-        key: QuantileKey,
-        search: impl FnOnce() -> Result<QuantileAnswer, E>,
-    ) -> Result<(QuantileAnswer, bool), E> {
-        self.quantiles.get_or_insert_with(key, search)
+        key: AnswerKey,
+        solve: impl FnOnce() -> Result<Answer, E>,
+    ) -> Result<(Answer, bool), E> {
+        self.answers.get_or_insert_with(key, solve)
+    }
+
+    /// Remembers `answer` under `key`, unless an answer is there already.
+    pub(crate) fn remember(&self, key: AnswerKey, answer: Answer) {
+        let Ok(_) = self.answer_or(key, || Ok::<_, Infallible>(answer));
+    }
+
+    /// Answers currently remembered.
+    #[cfg(test)]
+    pub(crate) fn remembered_answers(&self) -> usize {
+        self.answers.len()
+    }
+
+    /// Forgets every remembered answer, so the next solve of each runs over
+    /// the cached values.
+    #[cfg(test)]
+    pub(crate) fn forget_answers(&self) {
+        unpoisoned(self.answers.slots.lock()).slots.clear();
     }
 }
 
 /// A bounded, thread-safe least-recently-used memo — the one cache behind
 /// [`crate::transform::ModelCache`], [`crate::engine::PhaseChainCache`],
-/// the query server's `--engine auto` routing memo and the quantile answers
-/// a [`ResultCache`] remembers.
+/// the query server's `--engine auto` routing memo and the answers a
+/// [`ResultCache`] remembers.
 ///
 /// Recency is a logical clock stamped on every lookup, so the resident set
 /// after any sequence of operations is deterministic.  Values are handed out
@@ -339,6 +374,15 @@ impl<K: PartialEq, V: Clone> LruMemo<K, V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    /// The value under `key` if it is resident, restamped most recently used
+    /// and counted as a hit; an absent key counts nothing, so a lookup that
+    /// goes on to build counts its miss there.
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
+        let found = unpoisoned(self.slots.lock()).touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(found)
     }
 
     /// Returns the value under `key`, building (and keeping) it on a miss;

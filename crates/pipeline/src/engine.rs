@@ -40,7 +40,7 @@
 //! points, as the curves over their transform.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
-use crate::cache::{LruMemo, QuantileAnswer, QuantileKey};
+use crate::cache::{Answer, AnswerKey, AnswerKind, LruMemo};
 use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{ExploredModel, ModelCache, ModelSpec, TargetResolveError, TransformSpec};
@@ -78,23 +78,12 @@ fn parse_net(model: &ModelSpec) -> Result<smp_smspn::SmSpn, EngineError> {
     smp_dnamaca::parse_model(&model.source()).map_err(model_error)
 }
 
-/// Checks every request's target place against the parsed net, so that a bad
-/// place name fails as a *model* error before any engine work (and before a
-/// TCP job ships), and its time grid: every point finite, and — on an engine
+/// Checks every request's time grid: every point finite, and — on an engine
 /// that inverts Laplace transforms (`laplace`), whose plans exist only for
-/// `t > 0` — every point of a curve's grid positive.
-fn validate_requests(
-    net: &smp_smspn::SmSpn,
-    requests: &[MeasureRequest],
-    laplace: bool,
-) -> Result<(), EngineError> {
+/// `t > 0` — every point of a curve's grid positive.  These checks need no
+/// net, so they run before an answer is looked up, remembered or not.
+fn validate_grids(requests: &[MeasureRequest], laplace: bool) -> Result<(), EngineError> {
     for request in requests {
-        if net.place_index(&request.target.place).is_none() {
-            return Err(EngineError::Model(format!(
-                "place '{}' does not exist in the model",
-                request.target.place
-            )));
-        }
         let curve = request.kind.is_curve();
         if curve && request.t_points.len() < 2 {
             return Err(EngineError::Analysis(format!(
@@ -119,6 +108,22 @@ fn validate_requests(
         }
     }
     Ok(())
+}
+
+/// Checks every request's target place against the parsed net, so that a bad
+/// place name fails as a *model* error before any engine work (and before a
+/// TCP job ships).
+fn validate_places(net: &smp_smspn::SmSpn, requests: &[MeasureRequest]) -> Result<(), EngineError> {
+    match requests
+        .iter()
+        .find(|request| net.place_index(&request.target.place).is_none())
+    {
+        Some(request) => Err(EngineError::Model(format!(
+            "place '{}' does not exist in the model",
+            request.target.place
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// The serializable transform spec a request's values derive from.
@@ -389,6 +394,30 @@ impl Engine for DistributedEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
+        let started = Instant::now();
+        validate_grids(requests, true)?;
+        // A shared cache remembers every answer it gave.  When it remembers
+        // all of this request's, they are the reply: an answer remembered
+        // under this model's fingerprint and target proves the places, so
+        // nothing is parsed, planned, snapshot or inverted.
+        let memo = self
+            .pipeline
+            .options()
+            .shared_cache
+            .as_deref()
+            .and_then(|cache| Some((cache, self.answer_keys(requests)?)));
+        if let Some((cache, keys)) = &memo {
+            let remembered: Option<Vec<Answer>> =
+                keys.iter().map(|key| cache.remembered(key)).collect();
+            if let Some(answers) = remembered {
+                return Ok(requests
+                    .iter()
+                    .zip(answers)
+                    .map(|(request, answer)| self.remembered_report(request, answer, started))
+                    .collect());
+            }
+        }
+
         // The net of the model the transport already holds explored, if it
         // does — looked at, not looked up, so no counter or recency moves —
         // else a parse.
@@ -397,8 +426,8 @@ impl Engine for DistributedEngine {
             .model_cache()
             .and_then(|models| models.resident(&self.model));
         match &resident {
-            Some(explored) => validate_requests(explored.net(), requests, true)?,
-            None => validate_requests(&parse_net(&self.model)?, requests, true)?,
+            Some(explored) => validate_places(explored.net(), requests)?,
+            None => validate_places(&parse_net(&self.model)?, requests)?,
         }
         let backend = self.transport.name();
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
@@ -422,7 +451,15 @@ impl Engine for DistributedEngine {
         }
         if !batched.is_empty() {
             let batch = self.execute(&self.pipeline, job)?;
+            let wall = started.elapsed();
             for (slot, (&ri, result)) in batched.iter().zip(batch.measures).enumerate() {
+                if let Some((cache, keys)) = &memo {
+                    let answer = Answer {
+                        values: result.values.clone(),
+                        grid_points: result.evaluations + result.cache_hits + result.shared_hits,
+                    };
+                    cache.remember(keys[ri].clone(), answer);
+                }
                 let mut provenance = Provenance::local(self.name, backend);
                 provenance.workers = self.transport.parallelism();
                 provenance.shards = batch.report.shards;
@@ -433,7 +470,7 @@ impl Engine for DistributedEngine {
                 provenance.evaluations = result.evaluations;
                 provenance.cache_hits = result.cache_hits;
                 provenance.shared_hits = result.shared_hits;
-                provenance.wall = batch.elapsed;
+                provenance.wall = wall;
                 reports[ri] = Some(MeasureReport {
                     name: result.name,
                     kind: requests[ri].kind.clone(),
@@ -457,7 +494,6 @@ impl Engine for DistributedEngine {
             let MeasureKind::Quantile { probs } = &request.kind else {
                 continue;
             };
-            let started = Instant::now();
             let spec = transform_spec_for(&self.model, request);
             let name = request.name();
             let mut provenance = Provenance::local(self.name, backend);
@@ -484,35 +520,27 @@ impl Engine for DistributedEngine {
                     Ok(cdf.values.into_iter().zip(density.values).collect())
                 })?;
                 let grid_points = provenance.evaluations + provenance.cache_hits;
-                Ok::<_, EngineError>(QuantileAnswer {
+                Ok::<_, EngineError>(Answer {
                     values,
                     grid_points,
                 })
             };
-            let (answer, remembered) = match &self.pipeline.options().shared_cache {
-                Some(cache) => {
-                    let key = QuantileKey {
-                        transform: spec.transform_key(),
-                        method: self.pipeline.method().clone(),
-                        probs: probs.iter().map(|p| p.to_bits()).collect(),
-                        initial: quantile_horizons(request).0.to_bits(),
-                    };
-                    cache.quantiles(key, search)?
-                }
+            let (answer, remembered) = match &memo {
+                Some((cache, keys)) => cache.answer_or(keys[ri].clone(), search)?,
                 None => (search()?, false),
             };
-            if remembered {
-                provenance.cache_hits = answer.grid_points;
-            }
-            let values = answer.values;
-            provenance.workers = self.transport.parallelism();
-            provenance.wall = started.elapsed();
-            reports[ri] = Some(MeasureReport {
-                name,
-                kind: request.kind.clone(),
-                points: report_points(request),
-                values,
-                provenance,
+            reports[ri] = Some(if remembered {
+                self.remembered_report(request, answer, started)
+            } else {
+                provenance.workers = self.transport.parallelism();
+                provenance.wall = started.elapsed();
+                MeasureReport {
+                    name,
+                    kind: request.kind.clone(),
+                    points: report_points(request),
+                    values: answer.values,
+                    provenance,
+                }
             });
         }
 
@@ -520,6 +548,67 @@ impl Engine for DistributedEngine {
             .into_iter()
             .map(|r| r.expect("every request answered"))
             .collect())
+    }
+}
+
+impl DistributedEngine {
+    /// The memo key of every request's answer, from one render of the
+    /// model's fingerprint — or `None` when a request has no answer to
+    /// remember (a moment order out of range, refused by the solve).
+    fn answer_keys(&self, requests: &[MeasureRequest]) -> Option<Vec<AnswerKey>> {
+        let fingerprint = self.model.fingerprint();
+        let method = self.pipeline.method();
+        requests
+            .iter()
+            .map(|request| {
+                let (kind, grid) = match &request.kind {
+                    MeasureKind::Quantile { probs } => (
+                        AnswerKind::Quantile(probs.iter().map(|p| p.to_bits()).collect()),
+                        vec![quantile_horizons(request).0.to_bits()],
+                    ),
+                    kind => match batch_kind_of(kind).ok()?? {
+                        moment @ CurveKind::Moment(_) => (AnswerKind::Planned(moment), Vec::new()),
+                        curve => (
+                            AnswerKind::Planned(curve),
+                            request.t_points.iter().map(|t| t.to_bits()).collect(),
+                        ),
+                    },
+                };
+                let transform = if request.kind.uses_passage_transform() {
+                    TransformSpec::passage_key(&fingerprint, &request.target)
+                } else {
+                    TransformSpec::transient_key(&fingerprint, &request.target)
+                };
+                Some(AnswerKey {
+                    kind,
+                    grid,
+                    method: method.clone(),
+                    transform,
+                })
+            })
+            .collect()
+    }
+
+    /// The report of a remembered answer: what a re-run over the warm cache
+    /// reports — nothing evaluated, sent, shared or looked up, and every
+    /// grid point the answer read a cache hit.
+    fn remembered_report(
+        &self,
+        request: &MeasureRequest,
+        answer: Answer,
+        started: Instant,
+    ) -> MeasureReport {
+        let mut provenance = Provenance::local(self.name, self.transport.name());
+        provenance.workers = self.transport.parallelism();
+        provenance.cache_hits = answer.grid_points;
+        provenance.wall = started.elapsed();
+        MeasureReport {
+            name: request.name(),
+            kind: request.kind.clone(),
+            points: report_points(request),
+            values: answer.values,
+            provenance,
+        }
     }
 }
 
@@ -588,7 +677,8 @@ impl Engine for SimulationEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         let net = parse_net(&self.model)?;
-        validate_requests(&net, requests, false)?;
+        validate_places(&net, requests)?;
+        validate_grids(requests, false)?;
         let n = self.options.replications.max(1) as f64;
         let backend = format!(
             "monte-carlo r={} seed={:#x}",
@@ -864,7 +954,8 @@ impl Engine for UniformizationEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         let (explored, hit) = self.models.explored(&self.model).map_err(model_error)?;
-        validate_requests(explored.net(), requests, false)?;
+        validate_places(explored.net(), requests)?;
+        validate_grids(requests, false)?;
         let space = explored.space();
         let smp = space.smp();
         if let Err(e) = uniform::exponential_rates(smp) {

@@ -1725,8 +1725,8 @@ mod tests {
     }
 
     /// What a distributed engine with no shared cache, so no memory of any
-    /// search, answers to `request`.
-    fn fresh_answer(request: &QueryRequest) -> Vec<u64> {
+    /// answer, answers to each measure of `request`.
+    fn fresh_answers(request: &QueryRequest) -> Vec<Vec<u64>> {
         let (_, method, measures) =
             resolve_request(&request.engine, &request.method, &request.measures).unwrap();
         let requests: Vec<MeasureRequest> = measures
@@ -1738,7 +1738,14 @@ mod tests {
             method,
             PipelineOptions::with_workers(1),
         );
-        bits(&engine.solve(&requests).unwrap()[0].values)
+        let reports = engine.solve(&requests).unwrap();
+        reports.iter().map(|report| bits(&report.values)).collect()
+    }
+
+    /// What a distributed engine with no shared cache answers to the first
+    /// measure of `request`.
+    fn fresh_answer(request: &QueryRequest) -> Vec<u64> {
+        fresh_answers(request).swap_remove(0)
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1826,6 +1833,192 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(bits(&one_report(&shared, &request).values), a);
         assert_eq!(a, fresh_answer(&request));
+    }
+
+    /// A provenance with its wall zeroed, printed: two of them are equal
+    /// when every field but the wall is.
+    fn without_wall(report: &MeasureReport) -> String {
+        let provenance = Provenance {
+            wall: Duration::ZERO,
+            ..report.provenance.clone()
+        };
+        format!("{provenance:?}")
+    }
+
+    /// Every measure kind the distributed engine answers is remembered: a
+    /// repeat gives a fresh engine's bits, and reports what a fully warm
+    /// re-run over the same cache reports — nothing evaluated, sent or
+    /// looked up, every grid point a cache hit.
+    #[test]
+    fn a_repeated_curve_is_answered_from_the_remembered_answer() {
+        let shared = Arc::new(bare_shared(1, 1));
+        let grid = [1.0, 2.5, 14.0];
+        for measure in [
+            "cdf:p2>=2",
+            "density:p2>=2",
+            "transient:p2>=2",
+            "mean:p2>=2",
+            "moment:p2>=2@2",
+            "quantile:p2>=2@0.5,0.9",
+        ] {
+            let request = distributed_query(measure, "euler", &grid);
+            let cold = one_report(&shared, &request);
+            let remembered = shared.results.remembered_answers();
+            let repeat = one_report(&shared, &request);
+            assert_eq!(shared.results.remembered_answers(), remembered, "{measure}");
+            assert_eq!(bits(&repeat.values), bits(&cold.values), "{measure}");
+            assert_eq!(bits(&repeat.values), fresh_answer(&request), "{measure}");
+            shared.results.forget_answers();
+            let rerun = one_report(&shared, &request);
+            assert_eq!(rerun.provenance.evaluations, 0, "{measure}: fully warm");
+            assert_eq!(bits(&rerun.values), bits(&cold.values), "{measure}");
+            assert_eq!(without_wall(&repeat), without_wall(&rerun), "{measure}");
+        }
+    }
+
+    /// Whatever an answer depends on is in the memo's key: another model,
+    /// target, kind, probability, moment order, method or `t`-point bit
+    /// each gets an answer of its own, bitwise what a fresh engine finds;
+    /// a mean, which reads no grid, is the same answer on any grid.
+    #[test]
+    fn each_answer_input_gets_its_own_remembered_answer() {
+        let shared = Arc::new(bare_shared(1, 1));
+        let grid = [1.0, 2.5, 14.0];
+        let nudged = [1.0, 2.5, f64::from_bits(14.0f64.to_bits() + 1)];
+        let other_model = QueryRequest {
+            model: ModelSpec::Voting {
+                voters: 4,
+                polling: 1,
+                central: 1,
+            },
+            ..distributed_query("cdf:p2>=2", "euler", &grid)
+        };
+        let requests = [
+            distributed_query("cdf:p2>=2", "euler", &grid),
+            other_model,
+            distributed_query("cdf:p2>=1", "euler", &grid),
+            distributed_query("density:p2>=2", "euler", &grid),
+            distributed_query("transient:p2>=2", "euler", &grid),
+            distributed_query("cdf:p2>=2", "laguerre", &grid),
+            distributed_query("cdf:p2>=2", "euler", &nudged),
+            distributed_query("quantile:p2>=2@0.5,0.9", "euler", &grid),
+            distributed_query("quantile:p2>=2@0.5,0.75", "euler", &grid),
+            distributed_query("mean:p2>=2", "euler", &grid),
+            distributed_query("moment:p2>=2@2", "euler", &grid),
+        ];
+        let mut answers = Vec::new();
+        for request in &requests {
+            let before = shared.results.remembered_answers();
+            let own = bits(&one_report(&shared, request).values);
+            assert_eq!(
+                shared.results.remembered_answers(),
+                before + 1,
+                "{:?} {:?} misses",
+                request.measures,
+                request.t_points
+            );
+            assert_eq!(own, fresh_answer(request), "{:?}", request.measures);
+            answers.push(own);
+        }
+        let remembered = shared.results.remembered_answers();
+        for (request, own) in requests.iter().zip(&answers) {
+            assert_eq!(&bits(&one_report(&shared, request).values), own);
+        }
+        let mean = distributed_query("mean:p2>=2", "euler", &[2.0, 5.0]);
+        assert_eq!(bits(&one_report(&shared, &mean).values), answers[9]);
+        assert_eq!(shared.results.remembered_answers(), remembered, "all hit");
+    }
+
+    /// A request whose every answer is remembered needs neither its model's
+    /// net nor its explored state space: with the model evicted by other
+    /// voting shapes, the repeat is answered and the model cache's counters
+    /// and resident set stay as they were.
+    #[test]
+    fn a_remembered_request_needs_no_resident_model() {
+        let shared = Arc::new(bare_shared(1, 1));
+        let shape = |voters| ModelSpec::Voting {
+            voters,
+            polling: 1,
+            central: 1,
+        };
+        let query = |voters| QueryRequest {
+            model: shape(voters),
+            ..distributed_query("cdf:p2>=2", "euler", &[1.0, 2.5, 14.0])
+        };
+        let cold = one_report(&shared, &query(3));
+        for voters in 4..8 {
+            one_report(&shared, &query(voters));
+        }
+        let resident = || {
+            (3..8)
+                .map(|voters| shared.models.resident(&shape(voters)).is_some())
+                .collect::<Vec<_>>()
+        };
+        let state = || (shared.models.hits(), shared.models.misses(), resident());
+        let before = state();
+        assert_eq!(before.2, [false, true, true, true, true], "3,1,1 evicted");
+        let repeat = one_report(&shared, &query(3));
+        assert_eq!(bits(&repeat.values), bits(&cold.values));
+        assert_eq!(state(), before);
+    }
+
+    /// The grid checks run before the memo is asked: a remembered mean,
+    /// which reads no grid, and a remembered quantile, which reads only the
+    /// last point, are refused on a grid with a NaN point all the same.
+    #[test]
+    fn a_hostile_grid_is_refused_even_when_remembered() {
+        let shared = Arc::new(bare_shared(1, 1));
+        for measure in ["mean:p2>=2", "quantile:p2>=2@0.5,0.9"] {
+            one_report(
+                &shared,
+                &distributed_query(measure, "euler", &[1.0, 2.5, 14.0]),
+            );
+            let hostile = distributed_query(measure, "euler", &[1.0, f64::NAN, 14.0]);
+            let refusal = ask(&shared, &hostile).unwrap_err();
+            assert_eq!(refusal.kind, RefusalKind::Analysis, "{measure}: {refusal}");
+            assert!(refusal.message.contains("is not finite"), "{refusal}");
+        }
+    }
+
+    /// A request only some of whose answers are remembered runs as a fresh
+    /// solve: a fresh engine's bits for every measure, and the counts of the
+    /// same request with no answer remembered.  A result cache too small to
+    /// keep any target's values but the latest makes the batch evaluate, so
+    /// a remembered CDF answered beside the batch would show: the density
+    /// would own the evaluations the CDF owns.
+    #[test]
+    fn a_partly_remembered_request_answers_as_a_fresh_solve() {
+        let grid = [1.0, 2.5, 14.0];
+        let cdf = distributed_query("cdf:p2>=2", "euler", &grid);
+        let both = QueryRequest {
+            measures: vec!["cdf:p2>=2".to_string(), "density:p2>=2".to_string()],
+            ..cdf.clone()
+        };
+        let served = |forget: bool| {
+            let mut shared = bare_shared(1, 1);
+            shared.results = Arc::new(ResultCache::with_byte_limit(1));
+            let shared = Arc::new(shared);
+            one_report(&shared, &cdf);
+            one_report(&shared, &distributed_query("cdf:p2>=1", "euler", &grid));
+            if forget {
+                shared.results.forget_answers();
+            }
+            ask(&shared, &both).unwrap()
+        };
+        let partly = served(false);
+        let plan = smp_laplace::SPointPlan::new(InversionMethod::euler(), &grid).len();
+        let counts = |r: &MeasureReport| (r.provenance.evaluations, r.provenance.shared_hits);
+        assert_eq!(counts(&partly[0]), (plan, 0), "the CDF owns every point");
+        assert_eq!(counts(&partly[1]), (0, plan), "the density shares them");
+        let fresh = fresh_answers(&both);
+        assert_eq!(partly.len(), 2);
+        for (report, fresh) in partly.iter().zip(&fresh) {
+            assert_eq!(&bits(&report.values), fresh, "{}", report.name);
+        }
+        let unremembered = served(true);
+        for (report, today) in partly.iter().zip(&unremembered) {
+            assert_eq!(without_wall(report), without_wall(today), "{}", report.name);
+        }
     }
 
     #[test]
