@@ -51,20 +51,16 @@ use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
 use smp_pipeline::{
     query_with_retry, resolve_request, run_tcp_worker, uniformizable, AnalyticEngine,
-    DistributedEngine, InProcess, ModelCache, ModelSpec, PipelineOptions, PoolSpec, QueryClient,
-    QueryError, QueryRequest, QueryServer, QueryServerOptions, RefusalKind, RetryPolicy,
-    SimulationEngine, SimulationOptions, TcpTransport, TcpWorkerOptions, UniformizationEngine,
+    DistributedEngine, EngineChoice, InProcess, ModelCache, ModelSpec, PipelineOptions, PoolSpec,
+    QueryClient, QueryError, QueryRequest, QueryServer, QueryServerOptions, RefusalKind,
+    RetryPolicy, SimulationEngine, SimulationOptions, TcpTransport, TcpWorkerOptions,
+    UniformizationEngine,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The engine selected with `--engine` — the one selector vocabulary, shared
-/// with the query wire.
-pub use smp_pipeline::EngineChoice;
-pub use smp_pipeline::{model_fingerprint, CompareOp};
 
 /// What is asked, of which model, on what grid, of which engine: the part of
 /// the command line that one-shot runs and `smpq query` share, and that
@@ -100,9 +96,9 @@ pub struct CliOptions {
     /// workers (`--shards N`; 0 = unsharded).
     pub shards: usize,
     /// Make the TCP worker processes row-shard holders (`--sharded` with
-    /// `--workers tcp:...`): each worker explores, compiles and iterates only
-    /// its own contiguous slice of the state space, with per-round boundary
-    /// exchange.
+    /// `--workers tcp:...`): each worker iterates only its own contiguous
+    /// slice of the state space, with per-round boundary exchange, after
+    /// exploring the whole model to carve it.
     pub sharded: bool,
     /// Work-queue chunk size; 0 lets the pipeline choose.
     pub chunk_size: usize,
@@ -246,15 +242,17 @@ TIME GRID (shared by all curve measures; quantile searches start at --t-stop):
     --t-count N         number of output times (default 10, minimum 2)
 
 PIPELINE (distributed engine):
-    --workers N         worker threads (default 4)
+    --workers N         worker threads (default: one per available core,
+                        as the analytic engine runs)
     --workers tcp:ADDR[,ADDR...]
                         distribute over TCP worker *processes* instead: the
                         master binds each ADDR (one per worker) and waits for
                         an 'smpq worker --connect HOST:PORT' to dial in
     --shards N          row-shard the state space into N contiguous blocks
-                        solved by in-process loopback slice workers: each holds
-                        ~1/N of the states and the Laplace iteration runs as
-                        lockstep sharded SpMV with per-round halo exchange;
+                        solved by in-process loopback slice workers: each
+                        iterates ~1/N of the states as lockstep sharded SpMV
+                        with per-round halo exchange, but explores the whole
+                        model first, so peak memory does not fall with N;
                         results are bitwise identical for any N
     --sharded           with --workers tcp: make each TCP worker process a row
                         shard holder (one shard per ADDR) instead of an
@@ -472,6 +470,12 @@ impl<'a> Scanned<'a> {
     }
 }
 
+/// The threads the process may run on: the analytic engine's thread count
+/// and the default `--workers`.
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Parses a `--workers` value: a thread count, or `tcp:` plus a list of
 /// rendezvous addresses (shared by one-shot runs and `smpq serve`).
 fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
@@ -593,7 +597,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
     let engine = request.engine;
     let workers = bag
         .last_of("--workers", parse_workers_value)?
-        .unwrap_or(WorkerBackend::Threads(4));
+        .unwrap_or_else(|| WorkerBackend::Threads(available_cores()));
     let shards = bag.get("--shards")?.unwrap_or(0usize);
     let sharded = bag.has("--sharded");
     let validate_sim = bag.last_of("--validate-sim", |value| match value.parse::<f64>() {
@@ -755,8 +759,7 @@ routing to the distributed pipeline"
     let in_process = |workers| InProcess::new(workers).with_model_cache(Arc::clone(&models));
     let engine: Box<dyn Engine> = match (&routed, &options.workers) {
         (EngineChoice::Analytic, _) => {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let backend = in_process(cores);
+            let backend = in_process(available_cores());
             Box::new(AnalyticEngine::over(spec, options.method.clone(), backend))
         }
         (EngineChoice::Sim, _) => Box::new(SimulationEngine::new(spec, sim_options(options))),
@@ -1473,7 +1476,7 @@ pub fn run_shutdown(options: &ShutdownCliOptions) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smp_core::query::MEASURE_KIND_NAMES;
+    use smp_pipeline::CompareOp;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1557,6 +1560,19 @@ mod tests {
         assert_eq!(options.validate_sim, Some(1e-2));
         assert_eq!(options.replications, 5000);
         assert_eq!(options.sim_seed, 7);
+    }
+
+    /// Without `--workers` the in-process pipeline runs one thread per core
+    /// the host gives the process, as the analytic engine does; each thread
+    /// holds its own lane buffers, so a fixed count past the cores only adds
+    /// memory.
+    #[test]
+    fn default_workers_follow_the_host() {
+        let options = parse_args(&args(&["--voting", "3,1,1", "--measure", "cdf:p2>=2"])).unwrap();
+        assert_eq!(options.workers, WorkerBackend::Threads(available_cores()));
+        assert!(
+            usage().contains("--workers N         worker threads (default: one per available core")
+        );
     }
 
     #[test]
@@ -1676,15 +1692,6 @@ mod tests {
             parse_worker_args(&args(&["--connect", "x:1", "--frob"])),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn model_fingerprint_distinguishes_models() {
-        let a = model_fingerprint("\\place{p}{1}");
-        let b = model_fingerprint("\\place{p}{2}");
-        assert_ne!(a, b);
-        assert_eq!(a, model_fingerprint("\\place{p}{1}"), "deterministic");
-        assert_eq!(a.len(), 16);
     }
 
     #[test]
@@ -2201,7 +2208,10 @@ mod tests {
                 err.contains("kinds supported by the uniform engine"),
                 "{err}"
             );
-            assert!(err.contains(MEASURE_KIND_NAMES), "{err}");
+            assert!(
+                err.contains("density, cdf, transient, quantile, mean, moment"),
+                "{err}"
+            );
         }
     }
 

@@ -39,7 +39,7 @@ impl EmbeddedChain {
     }
 
     /// Solves the stationary vector with explicit solver options.
-    pub fn solve_with(
+    pub(crate) fn solve_with(
         smp: &SemiMarkovProcess,
         options: &SteadyStateOptions,
     ) -> Result<Self, SmpError> {

@@ -32,14 +32,14 @@
 //!   spec for the distributed SpMV transport in `smp-pipeline`.
 //! * [`transient`] — transient state distributions from passage-time transforms via
 //!   Pyke's relations (Eqs. 6–7).
-//! * [`steady`] — SMP steady-state probabilities (embedded-chain stationary vector
+//! * `steady` — SMP steady-state probabilities (embedded-chain stationary vector
 //!   weighted by mean sojourn times), the asymptote shown in Fig. 7.
 //! * [`solver`] — a high-level, single-process driver that goes from an SMP +
 //!   source/target sets straight to densities, CDFs, quantiles and transients.
 //!   (The distributed work-queue version of the same computation lives in
 //!   `smp-pipeline`.)
-//! * [`query`] — the typed measure-query layer: [`MeasureRequest`] /
-//!   [`MeasureReport`] and the [`Engine`] trait that the analytic, simulation,
+//! * [`query`] — the typed measure-query layer: [`query::MeasureRequest`] /
+//!   [`query::MeasureReport`] and the [`query::Engine`] trait that the analytic, simulation,
 //!   distributed and uniformization engines in `smp-pipeline` all implement,
 //!   so every consumer-facing quantity (densities, CDFs, transients,
 //!   quantiles, moments) is served through one front door.
@@ -52,7 +52,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use smp_core::{SmpBuilder, solver::PassageTimeAnalysis};
+//! use smp_core::{PassageTimeAnalysis, SmpBuilder};
 //! use smp_distributions::Dist;
 //! use smp_laplace::InversionMethod;
 //!
@@ -75,30 +75,25 @@
 #![forbid(unsafe_code)]
 
 pub mod embedded;
-pub mod error;
+mod error;
 pub mod passage;
 pub mod query;
 pub mod shard;
 pub mod smp;
 pub mod solver;
-pub mod steady;
+mod steady;
 pub mod transient;
 pub mod uniform;
 pub mod workspace;
 
 pub use error::SmpError;
 pub use passage::{ConvergenceFold, FoldStatus, IterationOptions, PassageTimeSolver};
-pub use query::{
-    CompareOp, Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
-    TargetSpec,
-};
-pub use shard::{
-    plan_exchange, shard_bounds, ExchangePlan, ShardWorkspace, ShardedSkeleton, ShardedSolver,
-};
+pub use query::{CompareOp, MeasureKind, TargetSpec};
+pub use shard::{plan_exchange, ShardWorkspace, ShardedSkeleton, ShardedSolver};
 pub use smp::{SemiMarkovProcess, SmpBuilder, StateSet};
 pub use solver::{PassageTimeAnalysis, TransientAnalysis};
-pub use uniform::{PhaseCtmc, UniformError};
-pub use workspace::{HotPathStats, PassageSkeleton, PassageWorkspace, WorkspacePool};
+pub use uniform::PhaseCtmc;
+pub use workspace::{HotPathStats, PassageSkeleton, PassageWorkspace};
 
 /// A lock's guard whether or not an earlier holder panicked: every lock in
 /// this crate guards a memo or a free list that is whole between statements.

@@ -314,7 +314,7 @@ impl<'a> PassageTimeSolver<'a> {
     /// [`PassageTimeSolver::give_back`] that centralises the return-to-pool
     /// discipline (early `?` returns inside `f` still give the workspace
     /// back; a panic merely forfeits one pooled buffer).
-    pub fn with_workspace<R>(&self, f: impl FnOnce(&mut PassageWorkspace) -> R) -> R {
+    pub(crate) fn with_workspace<R>(&self, f: impl FnOnce(&mut PassageWorkspace) -> R) -> R {
         let mut ws = self.pool.checkout();
         let result = f(&mut ws);
         self.pool.give_back(ws);
@@ -357,7 +357,7 @@ impl<'a> PassageTimeSolver<'a> {
     }
 
     /// [`PassageTimeSolver::transform_many`] through an explicit workspace.
-    pub fn transform_many_with(
+    pub(crate) fn transform_many_with(
         &self,
         ws: &mut PassageWorkspace,
         points: &[Complex64],

@@ -43,7 +43,7 @@ pub enum CompareOp {
 
 impl CompareOp {
     /// The operator's source form, e.g. `>=`.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             CompareOp::Ge => ">=",
             CompareOp::Le => "<=",
@@ -56,7 +56,7 @@ impl CompareOp {
 
     /// Every operator with its symbol, in parse-precedence order
     /// (two-character symbols first so `p>=3` is never read as `p > =3`).
-    pub const ALL: [(&'static str, CompareOp); 6] = [
+    pub(crate) const ALL: [(&'static str, CompareOp); 6] = [
         (">=", CompareOp::Ge),
         ("<=", CompareOp::Le),
         ("==", CompareOp::Eq),
@@ -166,7 +166,7 @@ pub enum MeasureKind {
 }
 
 /// The valid measure-kind names, for error messages and help text.
-pub const MEASURE_KIND_NAMES: &str = "density, cdf, transient, quantile, mean, moment";
+pub(crate) const MEASURE_KIND_NAMES: &str = "density, cdf, transient, quantile, mean, moment";
 
 impl MeasureKind {
     /// Short lower-case name (used in reports and by the `smpq` CLI).
@@ -305,7 +305,7 @@ impl MeasureRequest {
     /// Like [`MeasureRequest::parse`], but an unknown kind is reported in the
     /// words of the engine the request selected ("kinds supported by the
     /// uniform engine").  Every engine answers every kind, so the list is
-    /// always [`MEASURE_KIND_NAMES`].
+    /// always `MEASURE_KIND_NAMES`.
     pub fn parse_for_engine(text: &str, engine: &str) -> Result<MeasureRequest, String> {
         Self::parse_impl(text, Some(engine))
     }
@@ -457,12 +457,12 @@ pub struct Provenance {
     pub cache_hits: usize,
     /// Evaluation-grid points shared with other measures of the same solve.
     pub shared_hits: usize,
-    /// Wall-clock time spent before this measure's report was complete.  The
-    /// distributed and analytic engines time it from the top of `solve`:
-    /// validation, any model parse and every pipeline run the report waited
-    /// on are in it, so the measures of one batch report one wall and a
-    /// quantile's includes the batch before it.  The simulation and
-    /// uniformization engines time each measure's own work.
+    /// Wall-clock time from the top of the engine's `solve` until this
+    /// measure's report was complete: validation, any model parse or lookup
+    /// and the work on every measure before it are in it.  So the walls of
+    /// one solve never decrease in request order; the measures of one
+    /// distributed batch report one wall, and a quantile's includes the
+    /// batch before it.
     pub wall: Duration,
     /// A statistical error bound on the values, when the engine has one (the
     /// simulation engine reports a 95% confidence half-width; deterministic

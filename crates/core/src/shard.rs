@@ -382,14 +382,14 @@ impl ShardWorkspace {
     /// Folds this shard's target-state values of the current term into `acc`
     /// (ascending state order).  Calling this per shard in shard order
     /// reproduces `PassageSkeleton::dot_e`'s exact summation sequence.
-    pub fn fold_targets(&self, acc: &mut Complex64) {
+    pub(crate) fn fold_targets(&self, acc: &mut Complex64) {
         for &t in &self.skeleton.owned_targets {
             *acc += self.term_at(t);
         }
     }
 
     /// Pushes this shard's target-state values of the current term, ascending
-    /// — the wire form of [`ShardWorkspace::fold_targets`]: the master folds
+    /// — the wire form of `ShardWorkspace::fold_targets`: the master folds
     /// the shipped values in the same order with the same `+=`.
     pub fn collect_targets(&self, out: &mut Vec<Complex64>) {
         out.extend(self.skeleton.owned_targets.iter().map(|&t| self.term_at(t)));
@@ -552,11 +552,6 @@ impl ShardedSolver {
             exports: vec![Vec::new(); shards],
             halos: vec![Vec::new(); shards],
         })
-    }
-
-    /// The per-shard slices (diagnostics: owned states, nnz, pool sizes).
-    pub fn slices(&self) -> &[ShardWorkspace] {
-        &self.slices
     }
 
     /// One lockstep round: publishes every shard's boundary values, assembles
@@ -779,7 +774,7 @@ mod tests {
         let mut sharded =
             ShardedSolver::new(&smp, 0, &[2], IterationOptions::default(), 5).unwrap();
         assert!(sharded
-            .slices()
+            .slices
             .iter()
             .any(|ws| ws.skeleton().owned_states() == 0));
         let s = Complex64::new(0.8, 1.2);

@@ -92,7 +92,7 @@ impl StateSet {
     }
 
     /// The member indices, in insertion order.
-    pub fn indices(&self) -> &[usize] {
+    pub(crate) fn indices(&self) -> &[usize] {
         &self.indices
     }
 
@@ -170,7 +170,7 @@ impl SemiMarkovProcess {
     /// The memoized stationary solve of the embedded DTMC (default solver
     /// options).  The first call runs the Gauss–Seidel solver; every later
     /// call — from any solver or clone of this process — returns the shared
-    /// result.  Use [`EmbeddedChain::solve_with`] directly for non-default
+    /// result.  Use `EmbeddedChain::solve_with` directly for non-default
     /// solver options (those results are not cached).
     pub fn embedded_chain(&self) -> Result<Arc<EmbeddedChain>, SmpError> {
         let mut cache = unpoisoned(self.embedded_cache.lock());
@@ -195,7 +195,7 @@ impl SemiMarkovProcess {
     }
 
     /// The embedded discrete-time Markov chain `P = [p_ij]`.
-    pub fn embedded_dtmc(&self) -> CsrMatrix<f64> {
+    pub(crate) fn embedded_dtmc(&self) -> CsrMatrix<f64> {
         let n = self.num_states();
         let mut t = TripletMatrix::with_capacity(n, n, self.num_transitions());
         for i in 0..n {
@@ -250,7 +250,7 @@ impl SemiMarkovProcess {
     }
 
     /// Mean sojourn time in state `i`: `Σ_j p_ij · E[H_ij]`.
-    pub fn mean_sojourn(&self, state: usize) -> f64 {
+    pub(crate) fn mean_sojourn(&self, state: usize) -> f64 {
         self.transitions(state)
             .iter()
             .map(|tr| tr.probability * self.dist_pool[tr.dist as usize].mean())
@@ -275,16 +275,6 @@ impl SemiMarkovProcess {
             tr.target as usize,
             self.dist_pool[tr.dist as usize].sample(rng),
         )
-    }
-
-    /// Heap bytes of the kernel, from capacities: the row offsets, the
-    /// transitions and the distribution pool's slots.  A pooled
-    /// distribution's own heap (a mixture's parts) is not counted, nor are
-    /// the memoized embedded chain and `U` structure.
-    pub fn heap_bytes(&self) -> usize {
-        self.row_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.transitions.capacity() * std::mem::size_of::<Transition>()
-            + self.dist_pool.capacity() * std::mem::size_of::<Dist>()
     }
 }
 
@@ -353,7 +343,13 @@ impl SmpBuilder {
     }
 
     /// Adds a transition referring to an already-interned distribution.
-    pub fn add_transition_pooled(&mut self, from: usize, to: usize, weight: f64, dist: DistId) {
+    pub(crate) fn add_transition_pooled(
+        &mut self,
+        from: usize,
+        to: usize,
+        weight: f64,
+        dist: DistId,
+    ) {
         assert!(from < self.num_states(), "source state {from} out of range");
         assert!(to < self.num_states(), "target state {to} out of range");
         let transition = self.pooled(to, weight, dist);
@@ -532,6 +528,23 @@ mod tests {
         }
         assert_eq!(pushed.num_transitions(), by_source.num_transitions());
         assert_eq!(pushed.num_distributions(), by_source.num_distributions());
+    }
+
+    /// The explorer's build path: rows pushed whole are stored as one CSR of
+    /// 16-byte transitions and `u32` row offsets, with no slack capacity.
+    #[test]
+    fn pushed_rows_are_stored_without_slack() {
+        assert_eq!(std::mem::size_of::<Transition>(), 16);
+        let mut b = SmpBuilder::new(0);
+        let exp = b.intern_distribution(Dist::exponential(1.0));
+        let n = 1000;
+        for state in 0..n {
+            b.push_state(&[((state + 1) % n, 1.0, exp), ((state + 7) % n, 2.0, exp)]);
+        }
+        let smp = b.build().unwrap();
+        assert_eq!(smp.row_offsets.capacity(), n + 1);
+        assert_eq!(smp.transitions.capacity(), 2 * n);
+        assert_eq!(smp.dist_pool.capacity(), 1);
     }
 
     #[test]

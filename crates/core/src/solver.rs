@@ -99,7 +99,10 @@ impl<'a> PassageTimeAnalysis<'a> {
     /// pipeline's work queue).  The plan is one chunk through one workspace:
     /// its points advance in lockstep blocks, and the first failure in plan
     /// order is the one reported.
-    pub fn compute_transform_values(&self, plan: &SPointPlan) -> Result<TransformValues, SmpError> {
+    pub(crate) fn compute_transform_values(
+        &self,
+        plan: &SPointPlan,
+    ) -> Result<TransformValues, SmpError> {
         let mut values = TransformValues::new();
         let points = plan.s_points();
         for (&s, point) in points.iter().zip(self.solver.transform_many(points)) {

@@ -10,13 +10,13 @@ use crate::error::SmpError;
 use crate::smp::{SemiMarkovProcess, StateSet};
 
 /// Long-run (time-average) state probabilities of the SMP.
-pub fn smp_steady_state(smp: &SemiMarkovProcess) -> Result<Vec<f64>, SmpError> {
+pub(crate) fn smp_steady_state(smp: &SemiMarkovProcess) -> Result<Vec<f64>, SmpError> {
     let chain = EmbeddedChain::solve(smp)?;
     Ok(weight_by_sojourn(smp, chain.pi()))
 }
 
 /// Long-run probability of being in any state of `targets`.
-pub fn steady_state_probability(
+pub(crate) fn steady_state_probability(
     smp: &SemiMarkovProcess,
     targets: &StateSet,
 ) -> Result<f64, SmpError> {
@@ -26,7 +26,7 @@ pub fn steady_state_probability(
 
 /// Converts an embedded-DTMC stationary vector into SMP time-average probabilities
 /// by weighting with mean sojourn times and renormalising.
-pub fn weight_by_sojourn(smp: &SemiMarkovProcess, pi: &[f64]) -> Vec<f64> {
+pub(crate) fn weight_by_sojourn(smp: &SemiMarkovProcess, pi: &[f64]) -> Vec<f64> {
     assert_eq!(pi.len(), smp.num_states());
     let weighted: Vec<f64> = pi
         .iter()

@@ -300,14 +300,8 @@ impl PhaseCtmc {
     }
 
     /// Number of phases, including the absorbing phase on passage chains.
-    pub fn num_phases(&self) -> usize {
+    pub(crate) fn num_phases(&self) -> usize {
         self.p.rows()
-    }
-
-    /// The CTMC generator `Q` over the phase space (row sums are 0 up to
-    /// floating-point roundoff; the absorbing row, when present, is empty).
-    pub fn generator(&self) -> &CsrMatrix<f64> {
-        &self.generator
     }
 
     /// Transient occupancy `P(Z(t) ∈ targets)` at each time point.
@@ -648,7 +642,7 @@ mod tests {
         fn prop_generator_row_sums_vanish(seed in 0u64..150, n in 2usize..8) {
             let smp = random_exponential_smp(seed, n);
             let chain = PhaseCtmc::transient(&smp, 0).unwrap();
-            let q = chain.generator();
+            let q = &chain.generator;
             // Phase (i, j) leaves at the rate of transition i → j's distribution.
             let rates = exponential_rates(&smp).unwrap();
             let phase_rate: Vec<f64> = (0..n)

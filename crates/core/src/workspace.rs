@@ -329,12 +329,6 @@ impl PassageSkeleton {
     pub fn target_mask(&self) -> &[bool] {
         &self.target_mask
     }
-
-    /// The target-state indices, ascending — the summation order of the
-    /// `· ẽ` inner products of Eq. (9)/(10).
-    pub fn target_indices(&self) -> &[usize] {
-        &self.target_indices
-    }
 }
 
 /// Leave the sparse active-list iteration mode once the live fraction of the
@@ -495,7 +489,7 @@ struct LaneBuffers<const K: usize> {
     term: LaneVec<K>,
     scratch: LaneVec<K>,
     /// An occupancy skeleton's read-out weights `1 − h*_k(s)`, one per
-    /// read-out state in [`PassageSkeleton::target_indices`] order; empty
+    /// read-out state in `target_indices` order; empty
     /// for a passage.
     weights: Vec<Lanes<K>>,
 }
@@ -730,7 +724,7 @@ impl<const K: usize> LaneKernel<'_, K> {
     }
 
     /// Every lane's inner product of the term vector with the target
-    /// indicator `ẽ`, summed over [`PassageSkeleton::target_indices`] in
+    /// indicator `ẽ`, summed over the skeleton's `target_indices` in
     /// ascending order — the order (and therefore bitwise the value) of the
     /// legacy full-mask filter, in `O(|targets|)` instead of `O(N)`.
     fn dot_e(&self) -> [Complex64; K] {
@@ -958,7 +952,7 @@ impl WorkspacePool {
     }
 
     /// Checks a workspace out (reusing an idle one when available).
-    pub fn checkout(&self) -> PassageWorkspace {
+    pub(crate) fn checkout(&self) -> PassageWorkspace {
         if let Some(ws) = unpoisoned(self.idle.lock()).pop() {
             return ws;
         }
@@ -1109,7 +1103,7 @@ mod tests {
         // ascending state order like the legacy mask filter.
         let targets = StateSet::new(3, &[2, 0]).unwrap();
         let skeleton = Arc::new(PassageSkeleton::build(&smp, &targets));
-        assert_eq!(skeleton.target_indices(), &[0, 2]);
+        assert_eq!(skeleton.target_indices, [0, 2]);
         let v = [
             Complex64::new(0.1, 0.2),
             Complex64::new(9.0, 9.0),

@@ -189,7 +189,7 @@ impl Dist {
     }
 
     /// Raw second moment `E[X²]`.
-    pub fn second_moment(&self) -> f64 {
+    pub(crate) fn second_moment(&self) -> f64 {
         match self {
             Dist::Exponential { rate } => 2.0 / (rate * rate),
             Dist::Erlang { rate, phases } => {

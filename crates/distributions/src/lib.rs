@@ -15,15 +15,15 @@
 //!   - evaluate its LST at a complex point ([`Dist::lst`]),
 //!   - draw samples for the validation simulator ([`Dist::sample`]),
 //!   - report exact moments ([`Dist::mean`], [`Dist::variance`]) and its CDF.
-//! * [`empirical`] — empirical distribution estimation (histograms / densities /
+//! * `empirical` — empirical distribution estimation (histograms / densities /
 //!   CDFs) used to post-process simulator output into the curves plotted in
 //!   Figs. 4 and 6.
 
 #![forbid(unsafe_code)]
 
-pub mod continuous;
-pub mod empirical;
-pub mod lst;
+mod continuous;
+mod empirical;
+mod lst;
 
 pub use continuous::Dist;
 pub use empirical::EmpiricalDistribution;

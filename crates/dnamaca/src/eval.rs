@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// The names an expression may use: constant values and the place-name →
 /// index map.  Lookup only.
 #[derive(Debug, Clone, Default)]
-pub struct Scope {
+pub(crate) struct Scope {
     constants: HashMap<String, f64>,
     places: HashMap<String, usize>,
 }
@@ -54,7 +54,7 @@ pub enum Resolved {
 
 /// A distribution expression with every parameter resolved.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ResolvedDist {
+pub(crate) enum ResolvedDist {
     /// A primitive constructor whose name and arity were checked.
     Call {
         /// Constructor name (`uniformLT`, `erlangLT`, `expLT`, …).
@@ -75,12 +75,12 @@ impl Scope {
     }
 
     /// Defines (or redefines) a constant.
-    pub fn define_constant(&mut self, name: impl Into<String>, value: f64) {
+    pub(crate) fn define_constant(&mut self, name: impl Into<String>, value: f64) {
         self.constants.insert(name.into(), value);
     }
 
     /// Registers a place name at the given marking index.
-    pub fn define_place(&mut self, name: impl Into<String>, index: usize) {
+    pub(crate) fn define_place(&mut self, name: impl Into<String>, index: usize) {
         self.places.insert(name.into(), index);
     }
 
@@ -96,7 +96,7 @@ impl Scope {
 
     /// Resolves an expression of a marking-free context (a constant
     /// definition or an initial marking), where naming a place is an error.
-    pub fn resolve_constant(&self, expr: &Expr) -> Result<Resolved, String> {
+    pub(crate) fn resolve_constant(&self, expr: &Expr) -> Result<Resolved, String> {
         self.resolve_in(expr, false)
     }
 
@@ -148,7 +148,7 @@ impl Scope {
     }
 
     /// Resolves a distribution expression evaluated against a marking.
-    pub fn resolve_dist(&self, expr: &DistExpr) -> Result<ResolvedDist, String> {
+    pub(crate) fn resolve_dist(&self, expr: &DistExpr) -> Result<ResolvedDist, String> {
         Ok(match expr {
             DistExpr::Call { name, args } => {
                 let arity = primitive_arity(name)
@@ -221,7 +221,7 @@ impl Resolved {
     }
 
     /// Evaluates as a boolean (non-zero is true).
-    pub fn eval_bool(&self, tokens: &[u32]) -> Result<bool, String> {
+    pub(crate) fn eval_bool(&self, tokens: &[u32]) -> Result<bool, String> {
         Ok(self.eval(tokens)? != 0.0)
     }
 
@@ -248,7 +248,7 @@ fn fold(args: &[Resolved], tokens: &[u32], op: fn(f64, f64) -> f64) -> Result<f6
 impl ResolvedDist {
     /// True when some parameter or mixture weight reads the marking;
     /// otherwise this is one distribution in every marking.
-    pub fn reads_marking(&self) -> bool {
+    pub(crate) fn reads_marking(&self) -> bool {
         match self {
             ResolvedDist::Call { args, .. } => args.iter().any(Resolved::reads_marking),
             ResolvedDist::Sum(branches) => branches

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token together with its source position (1-based line / column).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token's kind and payload.
     pub kind: TokenKind,
     /// 1-based source line.
@@ -15,7 +15,7 @@ pub struct Token {
 
 /// The kinds of token the language uses.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// A backslash keyword such as `\transition` (stored without the backslash).
     Keyword(String),
     /// An identifier: place name, constant name, distribution function, `next`, `s`.
@@ -121,7 +121,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenises a model source text.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
     let mut tokens = Vec::new();
     let chars: Vec<char> = source.chars().collect();
     let mut i = 0;

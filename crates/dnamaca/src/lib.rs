@@ -29,23 +29,21 @@
 //! token count) and constants.  `%` starts a comment that runs to the end of line.
 //!
 //! The crate is organised as a conventional pipeline:
-//! [`lexer`] → [`parser`] (producing the [`ast`]) → [`eval`] (resolving every
+//! [`lexer`] → [`parser`] (producing the [`ast`]) → `eval` (resolving every
 //! identifier of an expression, once, to a constant value or a place index) →
-//! [`build`] (assembling an `smp_smspn::SmSpn` whose closures evaluate the
+//! `build` (assembling an `smp_smspn::SmSpn` whose closures evaluate the
 //! resolved expressions against a marking's token counts).  [`parse_model`] runs
 //! the whole pipeline.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod build;
-pub mod eval;
+mod build;
+mod eval;
 pub mod lexer;
 pub mod parser;
 
-pub use ast::ModelAst;
-pub use build::build_net;
-pub use parser::{parse, ParseError};
+use parser::{parse, ParseError};
 
 /// Parses a model source text and builds the corresponding SM-SPN.
 pub fn parse_model(source: &str) -> Result<smp_smspn::SmSpn, ParseError> {

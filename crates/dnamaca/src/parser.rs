@@ -54,7 +54,7 @@ impl From<LexError> for ParseError {
 }
 
 /// Distribution constructor names recognised inside `\sojourntimeLT{...}`.
-pub const DIST_FUNCTIONS: &[&str] = &[
+pub(crate) const DIST_FUNCTIONS: &[&str] = &[
     "uniformLT",
     "erlangLT",
     "expLT",
@@ -487,7 +487,7 @@ fn convert(expr: &Expr) -> Result<Converted, String> {
 
 /// Converts a parsed arithmetic expression into a distribution expression,
 /// interpreting `+` as probabilistic mixture and `*` as scaling / convolution.
-pub fn dist_from_expr(expr: &Expr) -> Result<DistExpr, String> {
+pub(crate) fn dist_from_expr(expr: &Expr) -> Result<DistExpr, String> {
     match convert(expr)? {
         Converted::Dist { weight, dist } => {
             if weight == Expr::Number(1.0) {

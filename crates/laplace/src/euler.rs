@@ -51,7 +51,7 @@ impl Default for EulerParams {
 
 impl EulerParams {
     /// Total number of transform evaluations needed per `t`-point.
-    pub fn evaluations_per_t(&self) -> usize {
+    pub(crate) fn evaluations_per_t(&self) -> usize {
         self.terms + self.euler_terms + 1
     }
 }
@@ -90,7 +90,7 @@ impl Euler {
 
     /// Inverts from precomputed transform values laid out in the order returned by
     /// [`Euler::s_points`] for the same `t`.
-    pub fn invert_values(&self, values: &[Complex64], t: f64) -> f64 {
+    pub(crate) fn invert_values(&self, values: &[Complex64], t: f64) -> f64 {
         assert!(t > 0.0, "Euler inversion requires t > 0, got {t}");
         let n = self.params.terms;
         let m = self.params.euler_terms;
@@ -137,7 +137,7 @@ impl Euler {
     /// at each required `s`-point, in [`Euler::s_points`] order per `t` — the
     /// one inversion loop behind the transform-, cache- and lookup-driven
     /// entry points.
-    pub fn invert_many_with(
+    pub(crate) fn invert_many_with(
         &self,
         mut value_at: impl FnMut(Complex64) -> Complex64,
         ts: &[f64],

@@ -151,7 +151,7 @@ impl Laguerre {
     /// Inverts at many `t`-points, asking `value_at` once for the transform
     /// value at each of [`Laguerre::s_points`], in order — the one inversion
     /// loop behind the transform-, cache- and lookup-driven entry points.
-    pub fn invert_many_with(
+    pub(crate) fn invert_many_with(
         &self,
         value_at: impl FnMut(Complex64) -> Complex64,
         ts: &[f64],

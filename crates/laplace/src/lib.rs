@@ -22,21 +22,21 @@
 //! then a complete, constant-space representation (see `smp-core`'s pooled-LST
 //! recipe table, which evaluates each pooled distribution once per `s`-point).
 //!
-//! Finally [`cdf`] and [`mod@quantile`] post-process inverted values into cumulative
+//! Finally `cdf` and [`mod@quantile`] post-process inverted values into cumulative
 //! distribution curves, reliability quantiles and percentile look-ups (Fig. 5 of the
 //! paper).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cdf;
+mod cdf;
 pub mod euler;
 pub mod laguerre;
 pub mod quantile;
-pub mod splan;
+mod splan;
 
 pub use cdf::CdfCurve;
-pub use euler::{Euler, EulerParams};
-pub use laguerre::{Laguerre, LaguerreParams};
+pub use euler::Euler;
+pub use laguerre::Laguerre;
 pub use quantile::{probability_of_completion_by, quantile, quantiles_from_cdf};
 pub use splan::{union_s_points, InversionMethod, SPointPlan, TransformValues};

@@ -6,7 +6,7 @@
 //! * `#[cfg(test)] mod … { … }` extents (test code is exempt from all rules —
 //!   a test unwrapping a decoder result is the *point* of the test),
 //! * function extents (`fn name … { body }`) with their call sites, feeding
-//!   the D004 reachability pass and D006's set of called names,
+//!   the D004 reachability pass,
 //! * a lexical table of bindings whose type is float-like or a hash
 //!   collection, feeding D001/D002.
 
@@ -31,11 +31,9 @@ pub struct SourceFile {
 
 /// A function definition found in a file.
 #[derive(Debug, Clone)]
-pub struct FnDef {
+pub(crate) struct FnDef {
     /// The function's name.
     pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
     /// Token range `[start, end)` of the whole definition (signature + body).
     pub tokens: (usize, usize),
     /// True when the definition sits inside a `#[cfg(test)]` range.
@@ -68,7 +66,7 @@ impl SourceFile {
     }
 
     /// The file stem (`wire` for `crates/pipeline/src/wire.rs`).
-    pub fn stem(&self) -> &str {
+    pub(crate) fn stem(&self) -> &str {
         self.path
             .rsplit('/')
             .next()
@@ -78,7 +76,7 @@ impl SourceFile {
 
     /// The crate directory name (`pipeline` for `crates/pipeline/src/…`;
     /// the umbrella `src/lib.rs` reports `suite`).
-    pub fn crate_name(&self) -> &str {
+    pub(crate) fn crate_name(&self) -> &str {
         let mut parts = self.path.split('/');
         match parts.next() {
             Some("crates") => parts.next().unwrap_or(""),
@@ -87,12 +85,12 @@ impl SourceFile {
     }
 
     /// True when token `i` lies inside a `#[cfg(test)]` range.
-    pub fn in_test_code(&self, i: usize) -> bool {
+    pub(crate) fn in_test_code(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(s, e)| i >= s && i < e)
     }
 
     /// The trimmed source text of a 1-based line (empty if out of range).
-    pub fn line_text(&self, line: u32) -> &str {
+    pub(crate) fn line_text(&self, line: u32) -> &str {
         self.lines
             .get(line as usize - 1)
             .map(|s| s.trim())
@@ -101,7 +99,7 @@ impl SourceFile {
 
     /// Finds the token index of the `}` closing the block opened by the `{`
     /// at token index `open` (returns `tokens.len()` when unterminated).
-    pub fn matching_close(&self, open: usize) -> usize {
+    pub(crate) fn matching_close(&self, open: usize) -> usize {
         let mut depth = 0i64;
         for i in open..self.tokens.len() {
             if self.tokens[i].is_punct("{") {
@@ -117,7 +115,7 @@ impl SourceFile {
     }
 
     /// All `fn` definitions in the file, with body extents.
-    pub fn functions(&self) -> Vec<FnDef> {
+    pub(crate) fn functions(&self) -> Vec<FnDef> {
         let mut defs = Vec::new();
         let toks = &self.tokens;
         for i in 0..toks.len() {
@@ -150,7 +148,6 @@ impl SourceFile {
             let end = self.matching_close(open) + 1;
             defs.push(FnDef {
                 name: name_tok.text.clone(),
-                line: toks[i].line,
                 tokens: (i, end.min(toks.len())),
                 in_test: self.in_test_code(i),
             });
@@ -160,7 +157,7 @@ impl SourceFile {
 
     /// Call sites within a token range: names of functions/methods invoked
     /// (`foo(…)`, `x.foo(…)`, `path::foo(…)`) and of macros (`foo!(…)`).
-    pub fn calls_in(&self, range: (usize, usize)) -> Vec<String> {
+    pub(crate) fn calls_in(&self, range: (usize, usize)) -> Vec<String> {
         let toks = &self.tokens;
         let mut out = Vec::new();
         for i in range.0..range.1.min(toks.len()) {
@@ -203,7 +200,7 @@ impl SourceFile {
     /// (param/field), and `let x = HashMap::new()` all mark `x`.  It does not
     /// chase aliases or generics — rules built on it are best-effort by
     /// design, with `lint.toml` as the escape hatch.
-    pub fn bindings_matching(&self, type_pred: impl Fn(&str) -> bool) -> Vec<String> {
+    pub(crate) fn bindings_matching(&self, type_pred: impl Fn(&str) -> bool) -> Vec<String> {
         let toks = &self.tokens;
         let mut names = Vec::new();
         for i in 0..toks.len() {

@@ -141,23 +141,9 @@ impl Config {
         Ok(Config { allow })
     }
 
-    /// Serializes back to the same subset `parse` accepts (round-trip tested).
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        for e in &self.allow {
-            out.push_str("[[allow]]\n");
-            out.push_str(&format!("rule = {}\n", quote(&e.rule)));
-            out.push_str(&format!("file = {}\n", quote(&e.file)));
-            out.push_str(&format!("context = {}\n", quote(&e.context)));
-            out.push_str(&format!("reason = {}\n", quote(&e.reason)));
-            out.push('\n');
-        }
-        out
-    }
-
     /// True when a finding at (`rule`, `file`) whose source line is
     /// `line_text` is suppressed by some entry.
-    pub fn allows(&self, rule: &str, file: &str, line_text: &str) -> bool {
+    pub(crate) fn allows(&self, rule: &str, file: &str, line_text: &str) -> bool {
         self.allow
             .iter()
             .any(|e| e.rule == rule && e.file == file && line_text.contains(&e.context))
@@ -207,25 +193,39 @@ fn parse_string(text: &str) -> Option<String> {
     Some(out)
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes back to the subset `parse` accepts: the round trip's other half.
+    fn to_toml(cfg: &Config) -> String {
+        let mut out = String::new();
+        for e in &cfg.allow {
+            out.push_str("[[allow]]\n");
+            out.push_str(&format!("rule = {}\n", quote(&e.rule)));
+            out.push_str(&format!("file = {}\n", quote(&e.file)));
+            out.push_str(&format!("context = {}\n", quote(&e.context)));
+            out.push_str(&format!("reason = {}\n", quote(&e.reason)));
+            out.push('\n');
+        }
+        out
+    }
+
+    fn quote(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                _ => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
 
     #[test]
     fn parses_entries_and_comments() {
@@ -306,10 +306,10 @@ reason = "provenance wall field, not a result value"
                 },
             ],
         };
-        let text = cfg.to_toml();
+        let text = to_toml(&cfg);
         let reparsed = Config::parse(&text).unwrap();
         assert_eq!(reparsed, cfg);
         // And the serialization is stable across one more cycle.
-        assert_eq!(reparsed.to_toml(), text);
+        assert_eq!(to_toml(&reparsed), text);
     }
 }

@@ -47,12 +47,12 @@ pub struct Token {
 
 impl Token {
     /// True for an identifier token with exactly this text.
-    pub fn is_ident(&self, text: &str) -> bool {
+    pub(crate) fn is_ident(&self, text: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == text
     }
 
     /// True for a punctuation token with exactly this text.
-    pub fn is_punct(&self, text: &str) -> bool {
+    pub(crate) fn is_punct(&self, text: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == text
     }
 }
@@ -62,7 +62,7 @@ impl Token {
 /// The lexer is infallible by design: any byte it does not recognise becomes a
 /// one-character [`TokenKind::Punct`] token, so analysis degrades gracefully
 /// instead of aborting on exotic input.
-pub fn lex(source: &str) -> Vec<Token> {
+pub(crate) fn lex(source: &str) -> Vec<Token> {
     Lexer {
         chars: source.chars().collect(),
         pos: 0,

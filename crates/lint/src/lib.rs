@@ -5,9 +5,9 @@
 //! knows that iteration order feeding a checkpoint file breaks the
 //! distributed pipeline's bit-exact restart guarantee.  `smp-lint` encodes
 //! those *repo-specific determinism invariants* as five rules, and a sixth
-//! that keeps the public surface free of functions nothing calls (see
-//! [`rules`]), built on a hand-rolled lexer ([`lexer`]) and token-level
-//! structure pass ([`analysis`]) — the build container has no crates.io
+//! that narrows the public surface to what other crates name (see
+//! [`rules`]), built on a hand-rolled lexer (`lexer`) and token-level
+//! structure pass (`analysis`) — the build container has no crates.io
 //! access, so there is deliberately no `syn`/`proc-macro2` in sight.
 //!
 //! Invocation:
@@ -23,9 +23,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
+mod analysis;
 pub mod config;
-pub mod lexer;
+mod lexer;
 pub mod rules;
 
 use analysis::SourceFile;
@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 /// This is the testable core: fixtures hand it synthetic paths such as
 /// `crates/pipeline/src/wire.rs` so the module-scoping logic engages without
 /// touching the real tree.  A file outside `src/` and `crates/*/src`
-/// (`examples/…`, `tests/…`, `smpbench/…`) is read only for the calls it
-/// makes (D006) and is never itself a finding's site.
+/// (`examples/…`, `tests/…`, `smpbench/…`) is read only for the names it
+/// mentions (D006) and is never itself a finding's site.
 pub fn analyze_files(files: &[(String, String)], config: &Config) -> Vec<Finding> {
     let (parsed, callers): (Vec<SourceFile>, Vec<SourceFile>) = files
         .iter()

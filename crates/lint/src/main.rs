@@ -34,7 +34,8 @@ fn main() -> ExitCode {
                      rules: D001 float-as-text on wire paths, D002 hash iteration feeding\n\
                      ordered sinks, D003 wall-clock/entropy in results, D004 panics on\n\
                      untrusted-decode paths, D005 lock guard across blocking I/O, D006\n\
-                     `pub fn` of a library crate that nothing outside test code calls.\n\
+                     `pub` item of a library crate that nothing outside the crate names\n\
+                     (make it `pub(crate)`; clippy's dead_code then judges it).\n\
                      exceptions live in <root>/lint.toml ([[allow]] entries with reasons)."
                 );
                 return ExitCode::SUCCESS;

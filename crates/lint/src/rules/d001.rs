@@ -221,7 +221,7 @@ fn spec_is_bit_or_debug(spec: &str) -> bool {
 impl SourceFile {
     /// Finds the index of the `)` matching the `(` at `open` (falls back to
     /// `tokens.len()` when unterminated).
-    pub fn matching_close_paren(&self, open: usize) -> usize {
+    pub(crate) fn matching_close_paren(&self, open: usize) -> usize {
         let mut depth = 0i64;
         for i in open..self.tokens.len() {
             if self.tokens[i].is_punct("(") {

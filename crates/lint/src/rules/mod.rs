@@ -1,6 +1,6 @@
-//! The rules, D001–D006: five determinism invariants and one on dead surface.
+//! The rules, D001–D006: five determinism invariants and one on `pub` surface.
 //!
-//! Each rule inspects the analyzed [`SourceFile`]s and reports [`Finding`]s.
+//! Each rule inspects the analyzed `SourceFile`s and reports [`Finding`]s.
 //! Rules are *module-path aware*: every rule declares which crates/file stems
 //! it patrols, so e.g. D001 only fires in the wire/checkpoint/cache layer
 //! where decimal float formatting would corrupt bit-exactness, while a CLI
@@ -13,18 +13,18 @@
 //! | D003 | wall clocks and OS entropy never influence result values |
 //! | D004 | code reachable from untrusted-input decoders returns errors, never panics |
 //! | D005 | no lock guard is held across channel sends or socket I/O |
-//! | D006 | every `pub fn` of a library crate has a caller outside `#[cfg(test)]` code |
+//! | D006 | a library's `pub` item is named outside its crate, or it is `pub(crate)` |
 //!
 //! D001–D005 patrol the workspace's own sources.  D006 also reads the
 //! caller-only files (examples, integration tests, the benchmark) for the
-//! names they call, and reports nothing in them.
+//! names they mention, and reports nothing in them.
 
-pub mod d001;
-pub mod d002;
-pub mod d003;
-pub mod d004;
-pub mod d005;
-pub mod d006;
+mod d001;
+mod d002;
+mod d003;
+mod d004;
+mod d005;
+mod d006;
 
 use crate::analysis::SourceFile;
 
@@ -52,9 +52,9 @@ impl Finding {
 }
 
 /// Runs every rule over the linted files (D006 also reads `callers` for
-/// their calls) and returns all findings, sorted by path, line, then rule
-/// code.
-pub fn run_all(files: &[SourceFile], callers: &[SourceFile]) -> Vec<Finding> {
+/// the names they mention) and returns all findings, sorted by path, line,
+/// then rule code.
+pub(crate) fn run_all(files: &[SourceFile], callers: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(d001::check(files));
     findings.extend(d002::check(files));

@@ -167,7 +167,9 @@ fn d006_pub_fn_named_only_by_its_own_unit_test() {
 #[test]
 fn d006_pub_fn_named_only_in_use_items() {
     // `exported` sits mid-list in a `pub use` and is imported by another
-    // crate, but nothing calls it; its neighbours are called by an example.
+    // crate, but nothing names it in code; its neighbours are named by
+    // another crate and by an example.  The function and its re-export both
+    // fire; the module path the import walks (`special`) counts as named.
     let special = "pub fn kept() {}\npub fn exported() {}\npub const fn kept_too() {}\n";
     let reexport = "pub mod special;\npub use special::{kept, exported, kept_too};\n";
     let importer = "use smp_numeric::special::{exported, kept};\nfn f() { kept() }\n";
@@ -179,9 +181,17 @@ fn d006_pub_fn_named_only_in_use_items() {
         ("examples/demo.rs", example),
     ]);
     let fired = d006(&fired);
-    assert_eq!(fired.len(), 1, "{fired:?}");
-    assert_eq!(fired[0].0, "crates/numeric/src/special.rs");
+    assert_eq!(fired.len(), 2, "{fired:?}");
+    assert_eq!(fired[0].0, "crates/numeric/src/lib.rs");
     assert_eq!(fired[0].1, 2);
+    assert!(
+        fired[0].2.contains("`pub use … exported`"),
+        "{}",
+        fired[0].2
+    );
+    assert_eq!(fired[1].0, "crates/numeric/src/special.rs");
+    assert_eq!(fired[1].1, 2);
+    assert!(fired[1].2.contains("`pub fn exported`"), "{}", fired[1].2);
 }
 
 #[test]
@@ -197,6 +207,11 @@ fn d006_counts_every_caller_outside_test_code() {
                pub fn by_figure() {}\n\
                pub struct A;\n\
                impl A { pub fn len(&self) -> usize { 0 } }\n";
+    // Names `A` in every run, so only the functions' callers are dropped.
+    let holder = (
+        "crates/simulator/src/engine.rs",
+        "fn k(_: smp_numeric::A) {}\n",
+    );
     // Each caller file, with the function only it names.
     let callers = [
         (
@@ -254,7 +269,7 @@ fn d006_counts_every_caller_outside_test_code() {
         ),
     ];
     let with_all = |dropped: &str| {
-        let mut files = vec![("crates/numeric/src/lib.rs", lib)];
+        let mut files = vec![("crates/numeric/src/lib.rs", lib), holder];
         files.extend(
             callers
                 .iter()
@@ -275,6 +290,84 @@ fn d006_counts_every_caller_outside_test_code() {
             "{path}: {fired:?}"
         );
     }
+}
+
+#[test]
+fn d006_pub_struct_and_pub_use_named_by_no_other_crate() {
+    // Only the crate itself names `Hidden` and `helper`: a same-crate caller
+    // is no reason to be `pub`, and neither is the origin crate's own code
+    // for another crate's re-export.  A `pub(crate)` item is never a
+    // candidate.
+    let kahan = "pub struct Hidden;\npub fn helper() -> Hidden { Hidden }\n\
+                 pub(crate) struct Narrow;\n";
+    let lib = "mod kahan;\npub use kahan::Hidden;\n";
+    let caller = "fn f() { let _ = crate::kahan::helper(); let _ = crate::kahan::Narrow; }\n";
+    let reexport = "pub use smp_numeric::kahan::helper;\n";
+    let fired = findings_in(&[
+        ("crates/numeric/src/kahan.rs", kahan),
+        ("crates/numeric/src/lib.rs", lib),
+        ("crates/numeric/src/special.rs", caller),
+        ("crates/core/src/lib.rs", reexport),
+    ]);
+    let fired = d006(&fired);
+    let sites: Vec<(&str, u32)> = fired.iter().map(|f| (f.0, f.1)).collect();
+    assert_eq!(
+        sites,
+        [
+            ("crates/core/src/lib.rs", 1),
+            ("crates/numeric/src/kahan.rs", 1),
+            ("crates/numeric/src/kahan.rs", 2),
+            ("crates/numeric/src/lib.rs", 2),
+        ],
+        "{fired:?}"
+    );
+    assert!(fired[0].2.contains("`pub use … helper`"), "{}", fired[0].2);
+    assert!(fired[1].2.contains("`pub struct Hidden`"), "{}", fired[1].2);
+    assert!(fired[1].2.contains("`pub(crate)`"), "{}", fired[1].2);
+    assert!(fired[3].2.contains("`pub use … Hidden`"), "{}", fired[3].2);
+}
+
+#[test]
+fn d006_pub_items_named_by_another_crate_stay_quiet() {
+    // Each kind of item is named by another crate, a trait by its import
+    // alone.  `Made` and `Field` are named by nothing outside, but by the
+    // interface of an item that is: they stay `pub` too (rustc's
+    // `private_interfaces` would fire otherwise), and so does `Made`'s
+    // module, or users could not name it.  `Private` is only the type of a
+    // private field, so it fires.
+    let lib = "pub struct Named { pub field: Field, secret: Private }\n\
+               pub struct Field;\n\
+               pub struct Private;\n\
+               pub enum Choice { A(Made) }\n\
+               pub const LIMIT: usize = 3;\n\
+               pub static NAME: &str = \"x\";\n\
+               pub trait Imported { fn go(&self); }\n\
+               pub type Alias = u32;\n\
+               pub fn make() -> Made { Made }\n\
+               pub mod shapes;\n\
+               use shapes::Made;\n\
+               pub mod inner { pub fn deep() {} }\n";
+    let shapes = "pub struct Made;\n";
+    let user = "use smp_numeric::Imported;\n\
+                fn f(n: smp_numeric::Named, c: smp_numeric::Choice) -> smp_numeric::Alias {\n\
+                    smp_numeric::make().go();\n\
+                    smp_numeric::inner::deep();\n\
+                    let _ = (n, c, smp_numeric::NAME);\n\
+                    smp_numeric::LIMIT as u32\n\
+                }\n";
+    let fired = findings_in(&[
+        ("crates/numeric/src/lib.rs", lib),
+        ("crates/numeric/src/shapes.rs", shapes),
+        ("crates/core/src/solver.rs", user),
+    ]);
+    let fired = d006(&fired);
+    assert_eq!(fired.len(), 1, "{fired:?}");
+    assert_eq!(fired[0].1, 3);
+    assert!(
+        fired[0].2.contains("`pub struct Private`"),
+        "{}",
+        fired[0].2
+    );
 }
 
 #[test]

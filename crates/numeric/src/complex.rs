@@ -67,7 +67,7 @@ impl Complex64 {
     /// Uses Smith's algorithm to avoid intermediate overflow/underflow when the
     /// real and imaginary parts differ greatly in magnitude.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         Complex64::ONE / self
     }
 

@@ -6,10 +6,7 @@
 //! bounds the rounding error independently of the number of terms.
 //!
 //! [`KahanSum`] implements Neumaier's improved variant of the classic Kahan algorithm
-//! (it also handles the case where the next term is larger than the running sum);
-//! [`KahanComplex`] applies it component-wise to [`Complex64`].
-
-use crate::Complex64;
+//! (it also handles the case where the next term is larger than the running sum).
 
 /// Neumaier compensated accumulator for `f64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -63,34 +60,6 @@ impl std::iter::FromIterator<f64> for KahanSum {
     }
 }
 
-/// Compensated accumulator for [`Complex64`], applied component-wise.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KahanComplex {
-    re: KahanSum,
-    im: KahanSum,
-}
-
-impl KahanComplex {
-    /// Creates an empty accumulator.
-    #[inline]
-    pub fn new() -> Self {
-        KahanComplex::default()
-    }
-
-    /// Adds a complex term.
-    #[inline]
-    pub fn add(&mut self, value: Complex64) {
-        self.re.add(value.re);
-        self.im.add(value.im);
-    }
-
-    /// Current compensated value.
-    #[inline]
-    pub fn value(&self) -> Complex64 {
-        Complex64::new(self.re.value(), self.im.value())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,21 +93,6 @@ mod tests {
     fn from_iterator_impl() {
         let acc: KahanSum = [1.0, 2.0, 3.0].into_iter().collect();
         assert_eq!(acc.value(), 6.0);
-    }
-
-    #[test]
-    fn complex_accumulator() {
-        let terms = vec![
-            Complex64::new(1.0, 1e100),
-            Complex64::new(1e100, 1.0),
-            Complex64::new(1.0, -1e100),
-            Complex64::new(-1e100, 1.0),
-        ];
-        let mut acc = KahanComplex::new();
-        for term in terms {
-            acc.add(term);
-        }
-        assert_eq!(acc.value(), Complex64::new(2.0, 2.0));
     }
 
     #[test]

@@ -19,13 +19,12 @@
 //!   interpolation, trapezoidal integration) shared by the simulator and the
 //!   experiment harnesses.
 
-pub mod complex;
+mod complex;
 pub mod kahan;
 pub mod special;
 pub mod stats;
 
 pub use complex::Complex64;
-pub use kahan::{KahanComplex, KahanSum};
 
 /// Default numerical tolerance used across the suite when comparing floating point
 /// quantities produced by analytic manipulation (e.g. convergence of the iterative

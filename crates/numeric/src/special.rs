@@ -12,7 +12,7 @@
 /// Lanczos approximation (g = 7, 9 coefficients); absolute error below `1e-13` over
 /// the positive real axis, which is far more accuracy than the surrounding numerical
 /// inversion can exploit.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires a positive argument, got {x}");
     const G: f64 = 7.0;
     const COEFFS: [f64; 9] = [

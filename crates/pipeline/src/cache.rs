@@ -19,7 +19,7 @@
 //! One-shot runs build a cache, use it, and drop it, so the unbounded default
 //! is fine there.  The always-on query server ([`crate::server`]) keeps one
 //! cache alive across every request it ever answers, so it opts into a byte
-//! limit ([`ResultCache::with_byte_limit`]): each shard's footprint is
+//! limit (`ResultCache::with_byte_limit`): each shard's footprint is
 //! approximated from its entry count and key length, and when an insert pushes
 //! the total past the limit, whole shards are evicted least-recently-used
 //! first (shard granularity — a transform's values are only useful together).
@@ -39,7 +39,7 @@ use std::sync::{Mutex, RwLock};
 /// Approximate heap bytes per cached `(s, L(s))` entry: two `Complex64`s plus
 /// ordered-map node overhead.  The figure is deliberately conservative (an
 /// overestimate keeps a limited cache *under* its limit).
-pub const APPROX_BYTES_PER_ENTRY: usize = 64;
+pub(crate) const APPROX_BYTES_PER_ENTRY: usize = 64;
 
 /// Answers a [`ResultCache`] remembers.  An answer is a few floats, so the
 /// memo is sized by what keeps its linear scan trivial, like the server's
@@ -114,7 +114,7 @@ impl ResultCache {
     /// Creates an empty cache that evicts least-recently-used shards once its
     /// approximate footprint exceeds `limit_bytes`: entry counts and key
     /// lengths, allocator slack not measured.
-    pub fn with_byte_limit(limit_bytes: usize) -> Self {
+    pub(crate) fn with_byte_limit(limit_bytes: usize) -> Self {
         ResultCache {
             limit_bytes: Some(limit_bytes),
             ..ResultCache::default()
@@ -123,7 +123,7 @@ impl ResultCache {
 
     /// Creates a cache from a full measure-keyed restore
     /// (see `checkpoint::load_checkpoint_by_measure`).
-    pub fn from_shards(shards: BTreeMap<String, TransformValues>) -> Self {
+    pub(crate) fn from_shards(shards: BTreeMap<String, TransformValues>) -> Self {
         ResultCache {
             shards: RwLock::new(shards),
             ..ResultCache::default()
@@ -275,7 +275,7 @@ impl ResultCache {
     /// ≈65 ns), so only a plan that is a small part of its shard is picked —
     /// a mean's two stencil points do not pay for the tens of thousands a
     /// quantile search left under the same key.
-    pub fn snapshot(&self, key: &str, points: &[Complex64]) -> TransformValues {
+    pub(crate) fn snapshot(&self, key: &str, points: &[Complex64]) -> TransformValues {
         let snapshot = match unpoisoned(self.shards.read()).get(key) {
             Some(shard) if shard.len() > 8 * points.len() => {
                 let mut picked = TransformValues::new();
@@ -331,7 +331,7 @@ impl ResultCache {
 }
 
 /// A bounded, thread-safe least-recently-used memo — the one cache behind
-/// [`crate::transform::ModelCache`], [`crate::engine::PhaseChainCache`],
+/// [`crate::transform::ModelCache`], `crate::engine::PhaseChainCache`,
 /// the query server's `--engine auto` routing memo and the answers a
 /// [`ResultCache`] remembers.
 ///

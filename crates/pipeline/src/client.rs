@@ -6,11 +6,11 @@
 //! socket itself, so connections are cheap and independent.  Every call is
 //! strictly request/response: one payload out, one payload back.
 
+use crate::fault::Backoff;
 use crate::server::{
     decode_query_reply, encode_query_request, QueryReply, QueryRequest, Refusal, RefusalKind,
     SHUTDOWN_ACK, SHUTDOWN_REQUEST,
 };
-use crate::transport::Backoff;
 use crate::wire::{read_payload, write_payload, WireError};
 use smp_core::query::MeasureReport;
 use std::net::TcpStream;
@@ -85,7 +85,7 @@ impl QueryClient {
 
     /// One dial attempt, no built-in retry loop — the building block
     /// [`query_with_retry`] owns its own schedule with.
-    pub fn connect_once(addr: &str) -> Result<QueryClient, QueryError> {
+    pub(crate) fn connect_once(addr: &str) -> Result<QueryClient, QueryError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(600)))?;
@@ -131,7 +131,7 @@ pub struct RetryPolicy {
     /// [`query_with_retry`] degenerates to dial-once-and-ask.
     pub retries: u32,
     /// Base delay between attempts; the schedule doubles per attempt with
-    /// deterministic jitter (see [`Backoff`]) and caps at 64× the base.
+    /// deterministic jitter (see `Backoff`) and caps at 64× the base.
     pub backoff: Duration,
 }
 

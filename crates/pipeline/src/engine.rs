@@ -333,7 +333,9 @@ impl DistributedEngine {
 
     /// A row-sharded engine whose slice workers are `smpq worker` processes
     /// dialing the rendezvous addresses of `transport` — one shard per
-    /// address, each holding only its own row slice of the model.
+    /// address, each iterating only its own row slice of the model.  Each
+    /// explores the whole model before it carves that slice, so a holder's
+    /// peak memory is the whole explored model's.
     pub fn sharded_tcp(
         model: ModelSpec,
         method: InversionMethod,
@@ -676,6 +678,7 @@ impl Engine for SimulationEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
+        let started = Instant::now();
         let net = parse_net(&self.model)?;
         validate_places(&net, requests)?;
         validate_grids(requests, false)?;
@@ -689,7 +692,6 @@ impl Engine for SimulationEngine {
             Vec::new();
         let mut reports = Vec::with_capacity(requests.len());
         for request in requests {
-            let started = Instant::now();
             let place = net
                 .place_index(&request.target.place)
                 .expect("validated above");
@@ -872,7 +874,7 @@ pub fn uniformizable(model: &ExploredModel) -> bool {
 /// it.  Keys fold in [`crate::transform::model_fingerprint`], so an edited model misses rather
 /// than reading a stale chain.  Eviction is least-recently-used with a
 /// monotonic clock, mirroring [`ModelCache`].
-pub type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
+pub(crate) type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 
 /// Uniformization over the phase-space CTMC of an all-exponential model.
 ///
@@ -903,7 +905,7 @@ impl UniformizationEngine {
     /// A uniformization engine with an explicit truncation tolerance in
     /// `(0, 1)` — the Poisson tail mass the power iteration may neglect at
     /// each time point.
-    pub fn with_tolerance(model: ModelSpec, tolerance: f64) -> Self {
+    pub(crate) fn with_tolerance(model: ModelSpec, tolerance: f64) -> Self {
         assert!(
             tolerance > 0.0 && tolerance < 1.0,
             "truncation tolerance must be in (0, 1), got {tolerance}"
@@ -927,7 +929,7 @@ impl UniformizationEngine {
 
     /// Serves phase-chain reductions from `cache` instead of rebuilding them
     /// on every solve; the cache's own hit and miss counters say how often.
-    pub fn with_phase_cache(mut self, cache: Arc<PhaseChainCache>) -> Self {
+    pub(crate) fn with_phase_cache(mut self, cache: Arc<PhaseChainCache>) -> Self {
         self.phase_cache = Some(cache);
         self
     }
@@ -953,6 +955,7 @@ impl Engine for UniformizationEngine {
     }
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
+        let started = Instant::now();
         let (explored, hit) = self.models.explored(&self.model).map_err(model_error)?;
         validate_places(explored.net(), requests)?;
         validate_grids(requests, false)?;
@@ -994,7 +997,6 @@ impl Engine for UniformizationEngine {
 
         let mut reports = Vec::with_capacity(requests.len());
         for request in requests {
-            let started = Instant::now();
             let target_states = explored.resolve(&request.target).map_err(resolve_error)?;
             let targets = StateSet::new(smp.num_states(), &target_states)
                 .map_err(|e| EngineError::Analysis(e.to_string()))?;
@@ -1108,7 +1110,8 @@ pub(crate) mod tests {
     use crate::transport::ExecutionPlan;
     use crate::worker::WorkerMessage;
     use smp_core::query::TargetSpec;
-    use smp_laplace::{Euler, EulerParams, SPointPlan, TransformValues};
+    use smp_laplace::euler::EulerParams;
+    use smp_laplace::{Euler, SPointPlan, TransformValues};
     use smp_numeric::stats::linspace;
     use smp_numeric::Complex64;
 
@@ -1762,6 +1765,45 @@ pub(crate) mod tests {
         }
         assert_eq!(uncached[0].provenance.model_cache_misses, 1);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
+    }
+
+    /// `Provenance::wall` has one meaning on every engine: time from the top
+    /// of `solve`.  A cheap measure after an expensive curve therefore
+    /// reports a wall no shorter than the curve's, where a clock per measure
+    /// would report the cheap measure's own few microseconds.
+    #[test]
+    fn every_engine_times_walls_from_the_top_of_solve() {
+        let sim_requests = vec![
+            MeasureRequest::cdf(target("p2>=2"), &linspace(2.0, 16.0, 8)),
+            MeasureRequest::mean(target("p2>=2")),
+        ];
+        let sim_options = SimulationOptions {
+            replications: 2_000,
+            ..Default::default()
+        };
+        let uniform_requests = vec![
+            MeasureRequest::cdf(target("c>=1"), &linspace(0.5, 200.0, 400)),
+            MeasureRequest::mean(target("c>=1")),
+        ];
+        let engines: [(Box<dyn Engine>, &[MeasureRequest]); 2] = [
+            (
+                Box::new(SimulationEngine::new(voting(), sim_options)),
+                &sim_requests,
+            ),
+            (
+                Box::new(UniformizationEngine::new(exp_ring())),
+                &uniform_requests,
+            ),
+        ];
+        for (engine, requests) in engines {
+            let reports = engine.solve(requests).unwrap();
+            let (curve, mean) = (reports[0].provenance.wall, reports[1].provenance.wall);
+            assert!(
+                mean >= curve,
+                "{}: the mean's wall {mean:?} is shorter than the curve's {curve:?}",
+                engine.name()
+            );
+        }
     }
 
     #[test]

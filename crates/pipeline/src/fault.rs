@@ -96,7 +96,7 @@ impl FaultPlan {
     }
 
     /// Decides the fault for the next operation and advances the op counter.
-    pub fn next_op(&mut self) -> FaultKind {
+    pub(crate) fn next_op(&mut self) -> FaultKind {
         let op = self.counter;
         self.counter += 1;
         if self.budget.is_some_and(|budget| self.injected >= budget) {
@@ -159,7 +159,7 @@ impl Backoff {
     /// A backoff seeded by an endpoint string (FNV-1a of its bytes): every
     /// process retrying `10.0.0.5:9000` jitters identically run over run,
     /// while distinct endpoints de-synchronize.
-    pub fn for_endpoint(base: Duration, max: Duration, endpoint: &str) -> Backoff {
+    pub(crate) fn for_endpoint(base: Duration, max: Duration, endpoint: &str) -> Backoff {
         Backoff::new(
             base,
             max,
@@ -168,7 +168,7 @@ impl Backoff {
     }
 
     /// The next delay in the schedule (advances the attempt counter).
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let attempt = self.attempt;
         self.attempt = self.attempt.saturating_add(1);
         let doubled = self

@@ -56,13 +56,13 @@
 //!
 //! * [`work`] — the global chunked `s`-point work queue;
 //! * [`batch`] — measure and batch-job specifications and their results;
-//! * [`transform`] — serializable evaluator descriptions ([`TransformSpec`])
+//! * `transform` — serializable evaluator descriptions ([`TransformSpec`])
 //!   and their reconstruction into solvers on a worker;
 //! * [`transport`] — the pluggable master⇄worker backends and the one
 //!   chunk-dispatch loop they share;
-//! * [`link`] — the one framed duplex between the master and a worker, and
+//! * `link` — the one framed duplex between the master and a worker, and
 //!   the single fault-injection point;
-//! * [`fault`] — the deterministic fault schedule and retry backoff;
+//! * `fault` — the deterministic fault schedule and retry backoff;
 //! * [`wire`] — the shared field/frame encoding: TCP frames, query payloads,
 //!   transform specs and checkpoint records are one field grammar with one
 //!   reader;
@@ -73,7 +73,7 @@
 //! * [`worker`] — the slave loops: pull a chunk, evaluate, push one result
 //!   message — from the shared queue (threads) or off a link (processes and
 //!   loopback shards);
-//! * [`master`] — the orchestrating [`DistributedPipeline`];
+//! * `master` — the orchestrating [`DistributedPipeline`];
 //! * [`shard`] — row-sharded distributed SpMV sessions: each worker holds
 //!   one contiguous `O(N/shards)` row block of the state space and the
 //!   Laplace-domain iteration runs as lockstep sparse products with a
@@ -83,7 +83,7 @@
 //! * [`server`] — the always-on query daemon behind `smpq serve`: the
 //!   request/reply protocol, fingerprint-keyed caches, admission control
 //!   and the standing worker pool;
-//! * [`client`] — the matching client side (`smpq query` / `smpq shutdown`).
+//! * `client` — the matching client side (`smpq query` / `smpq shutdown`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -91,11 +91,11 @@
 pub mod batch;
 pub mod cache;
 pub mod checkpoint;
-pub mod client;
-pub mod engine;
-pub mod fault;
-pub mod link;
-pub mod master;
+mod client;
+mod engine;
+mod fault;
+mod link;
+mod master;
 pub mod server;
 pub mod shard;
 pub mod transform;
@@ -104,26 +104,26 @@ pub mod wire;
 pub mod work;
 pub mod worker;
 
-pub use batch::{BatchJob, BatchResult, MeasureKind, MeasureResult, MeasureSpec, MomentStencil};
+pub use batch::{BatchJob, MeasureKind, MeasureSpec};
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
-    uniformizable, uniformization_applies, AnalyticEngine, DistributedEngine, PhaseChainCache,
-    SimulationEngine, SimulationOptions, UniformizationEngine,
+    uniformizable, uniformization_applies, AnalyticEngine, DistributedEngine, SimulationEngine,
+    SimulationOptions, UniformizationEngine,
 };
-pub use fault::{splitmix64, Backoff, FaultKind, FaultPlan};
+pub use fault::{FaultKind, FaultPlan};
 pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};
 pub use master::{DistributedPipeline, PipelineError, PipelineOptions};
 pub use server::{
-    resolve_request, EngineChoice, PoolHealth, PoolSpec, QueryReply, QueryRequest, QueryServer,
-    QueryServerOptions, Refusal, RefusalKind, SHUTDOWN_ACK, SHUTDOWN_REQUEST,
+    resolve_request, EngineChoice, PoolSpec, QueryReply, QueryRequest, QueryServer,
+    QueryServerOptions, Refusal, RefusalKind,
 };
-pub use shard::{ShardedOutcome, ShardedTransport, SliceFleet, SliceWorkerSession, SolveRecovery};
+pub use shard::{SliceFleet, SolveRecovery};
 pub use transform::{
-    model_fingerprint, CompareOp, CompiledModelSet, DistSpec, ExploredModel, ModelCache, ModelSpec,
-    ResolveTarget, TargetResolveError, TargetSpec, TransformSpec,
+    CompareOp, CompiledModelSet, DistSpec, ModelCache, ModelSpec, ResolveTarget, TargetSpec,
+    TransformSpec,
 };
-pub use transport::{InProcess, TcpTransport, Transport, TransportReport};
-pub use worker::{run_tcp_worker, TcpWorkerOptions, TcpWorkerSummary};
+pub use transport::{InProcess, TcpTransport};
+pub use worker::{run_tcp_worker, TcpWorkerOptions};
 
 /// A lock's guard (or a condvar wait's result) whether or not an earlier
 /// holder panicked: every lock in this crate guards a queue, cache, seat

@@ -113,7 +113,7 @@ impl TcpLink {
 
     /// The worker side: one dial attempt.  `idle_timeout` bounds every wait
     /// for the master's next frame.
-    pub fn dial(connect: &str, idle_timeout: Option<Duration>) -> io::Result<TcpLink> {
+    pub(crate) fn dial(connect: &str, idle_timeout: Option<Duration>) -> io::Result<TcpLink> {
         let stream = TcpStream::connect(connect)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(idle_timeout)?;

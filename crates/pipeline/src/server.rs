@@ -98,13 +98,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The query-protocol version spoken by this build.
-pub const QUERY_PROTOCOL_VERSION: u32 = 1;
+pub(crate) const QUERY_PROTOCOL_VERSION: u32 = 1;
 
 /// The payload a client sends to stop the server (drain and exit).
-pub const SHUTDOWN_REQUEST: &str = "shutdown v=1";
+pub(crate) const SHUTDOWN_REQUEST: &str = "shutdown v=1";
 
 /// The server's acknowledgement of [`SHUTDOWN_REQUEST`].
-pub const SHUTDOWN_ACK: &str = "bye v=1";
+pub(crate) const SHUTDOWN_ACK: &str = "bye v=1";
 
 /// Socket read/write timeout for query connections and pooled workers: long
 /// enough for any realistic solve, short enough that a vanished peer cannot
@@ -122,7 +122,7 @@ const HEARTBEAT_IDLE_TICKS: u64 = 50;
 /// Outcome of one standing-pool heartbeat sweep
 /// ([`QueryServer::heartbeat_workers`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolHealth {
+pub(crate) struct PoolHealth {
     /// Idle workers pinged this sweep.
     pub checked: usize,
     /// Workers that failed to echo the ping nonce and were dropped.
@@ -1149,7 +1149,7 @@ impl QueryServer {
     /// solve holds the pool checked out — heartbeats never contend with
     /// work.  Replacements are folded into the next answered query's
     /// `recovered_faults` provenance.
-    pub fn heartbeat_workers(&self) -> PoolHealth {
+    pub(crate) fn heartbeat_workers(&self) -> PoolHealth {
         let mut health = PoolHealth::default();
         if self.worker_listeners.is_empty() {
             return health;
@@ -1201,7 +1201,7 @@ impl QueryServer {
         health
     }
 
-    /// Serves queries until a client sends [`SHUTDOWN_REQUEST`], then drains
+    /// Serves queries until a client sends `SHUTDOWN_REQUEST`, then drains
     /// the in-flight solves and returns.  Each accepted connection gets its
     /// own thread; the solve concurrency cap is the admission controller,
     /// not the thread count.  Between accepts the idle loop heartbeats the

@@ -120,7 +120,7 @@ impl SliceWorkerSession {
 
     /// The [`Frame::SliceMeta`] answer to the job this session was built
     /// from: the slice's memory-model numbers and its halo subscription.
-    pub fn meta(&self) -> Frame {
+    pub(crate) fn meta(&self) -> Frame {
         let skeleton = self.ws.skeleton();
         Frame::SliceMeta {
             states: skeleton.owned_states(),
@@ -134,7 +134,7 @@ impl SliceWorkerSession {
     /// export route and has no answer; [`Frame::SPoint`] and [`Frame::Halo`]
     /// answer with the round's [`Frame::SState`].  Anything else — a route
     /// naming a row this shard does not own included — is a protocol error.
-    pub fn handle(&mut self, frame: &Frame) -> Result<Option<Frame>, String> {
+    pub(crate) fn handle(&mut self, frame: &Frame) -> Result<Option<Frame>, String> {
         match frame {
             Frame::SliceRoute { rows } => {
                 // The only rows a route may name are this shard's own.
@@ -509,7 +509,7 @@ impl SliceFleet {
     /// worker already at the outer loop consumes the first and never reads
     /// the second — either way it sees an explicit farewell, which is the
     /// one signal a `--reconnect` worker will not redial after.
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         for slot in &mut self.slots {
             let _ = slot.link.send(&Frame::Done);
             let _ = slot.link.send(&Frame::Done);
@@ -856,7 +856,9 @@ const SNAPSHOT_EVERY: u64 = 8;
 ///
 /// The state space is partitioned into contiguous row blocks — a pure
 /// function of the state count and the shard count — and each slice worker
-/// explores, compiles and iterates only its own `O(N/shards)` block.  Where
+/// iterates only its own `O(N/shards)` block.  It explores and compiles the
+/// whole model first (see [`SliceWorkerSession::new`]) and keeps only its
+/// slice, so a holder's peak memory is the whole explored model's.  Where
 /// the chunk backends farm whole `s`-points out, this one drives every point
 /// of the plan through the resident [`SliceFleet`], one sharded session per
 /// distinct transform spec, and hands each finished value to the pipeline as
@@ -906,7 +908,7 @@ impl ShardedTransport {
     /// Keeps a mid-point iterate snapshot in the `<checkpoint>.shard` sidecar
     /// of the pipeline's checkpoint file, so a killed master resumes its
     /// in-flight point mid-iteration.  `None` keeps snapshots off.
-    pub fn with_checkpoint(mut self, checkpoint: Option<&Path>) -> ShardedTransport {
+    pub(crate) fn with_checkpoint(mut self, checkpoint: Option<&Path>) -> ShardedTransport {
         self.sidecar = checkpoint.map(shard_snapshot_path);
         self
     }

@@ -34,13 +34,13 @@ use smp_smspn::{SmSpn, StateSpace};
 use std::sync::Arc;
 
 /// Wire-format version of the spec encoding (first field of every spec line).
-pub const SPEC_VERSION: u32 = 1;
+pub(crate) const SPEC_VERSION: u32 = 1;
 
 /// A 64-bit FNV-1a fingerprint of a model's source text, rendered as 16 hex
 /// digits.  Folded into every transform key so that a checkpoint file reused
 /// with a different (or since-edited) model misses the cache instead of
 /// feeding it stale transform values.
-pub fn model_fingerprint(source: &str) -> String {
+pub(crate) fn model_fingerprint(source: &str) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in source.bytes() {
         hash ^= u64::from(byte);
@@ -212,7 +212,7 @@ pub enum DistSpec {
 impl DistSpec {
     /// Builds the concrete distribution, or says why these parameters make
     /// none ([`Dist::checked`]) — a spec off the wire is outside input.
-    pub fn to_dist(&self) -> Result<Dist, String> {
+    pub(crate) fn to_dist(&self) -> Result<Dist, String> {
         match *self {
             DistSpec::Exponential { rate } => Dist::Exponential { rate },
             DistSpec::Erlang { rate, phases } => Dist::Erlang { rate, phases },
@@ -313,7 +313,7 @@ impl TransformSpec {
     /// model fingerprint folded in: `m<fingerprint>:passage:<pred>`,
     /// `m<fingerprint>:transient:<pred>` or `analytic:<dist>`.  An analytic
     /// spec whose parameters do not encode keys as bare `analytic:`; such a
-    /// spec never compiles ([`DistSpec::to_dist`]), so it never evaluates
+    /// spec never compiles (`DistSpec::to_dist`), so it never evaluates
     /// under that key.
     pub fn transform_key(&self) -> String {
         match self {
@@ -332,13 +332,13 @@ impl TransformSpec {
     /// The canonical passage transform key for a model fingerprint and target
     /// predicate — the one format every backend's cache and checkpoint
     /// records are keyed by, so that a checkpoint warms across backends.
-    pub fn passage_key(fingerprint: &str, targets: &TargetSpec) -> String {
+    pub(crate) fn passage_key(fingerprint: &str, targets: &TargetSpec) -> String {
         format!("m{fingerprint}:passage:{targets}")
     }
 
     /// The canonical transient transform key (see
     /// [`TransformSpec::passage_key`]).
-    pub fn transient_key(fingerprint: &str, targets: &TargetSpec) -> String {
+    pub(crate) fn transient_key(fingerprint: &str, targets: &TargetSpec) -> String {
         format!("m{fingerprint}:transient:{targets}")
     }
 
@@ -590,7 +590,7 @@ impl CompiledModelSet {
     }
 
     /// Number of distinct models compiled.
-    pub fn num_models(&self) -> usize {
+    pub(crate) fn num_models(&self) -> usize {
         self.models.len()
     }
 
@@ -650,7 +650,7 @@ impl CompiledModelSet {
     }
 
     /// Builds all evaluators, in spec order.
-    pub fn evaluators(&self) -> Result<Vec<CompiledEvaluator<'_>>, String> {
+    pub(crate) fn evaluators(&self) -> Result<Vec<CompiledEvaluator<'_>>, String> {
         (0..self.resolved.len())
             .map(|i| self.evaluator(i))
             .collect()
@@ -714,7 +714,7 @@ impl CompiledEvaluator<'_> {
     /// lockstep blocks (`PassageTimeSolver::transform_many`,
     /// `TransientSolver::transform_many`); a closed-form distribution has no
     /// cross-point work to share and maps `eval`.
-    pub fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
+    pub(crate) fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
         let text = |e: smp_core::SmpError| e.to_string();
         match &self.kind {
             EvaluatorKind::Passage(solver) => solver

@@ -30,10 +30,10 @@
 //! accepts, or a pool checkout; the chunk protocol itself is written once, in
 //! `dispatch_chunks`.  This file also holds the crate's socket timeouts and
 //! deadlines, which is why `smp-lint` D003 leaves its clock reads alone; the
-//! fault schedule and backoff ([`crate::fault`], re-exported here) are
-//! clock-free and machine-checked.
+//! fault schedule and backoff (`fault.rs`, whose [`splitmix64`] is
+//! re-exported here) are clock-free and machine-checked.
 
-pub use crate::fault::{splitmix64, Backoff, FaultKind, FaultPlan};
+pub use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
 use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
@@ -307,7 +307,7 @@ const FINISHED_RUN_GRACE: Duration = Duration::from_millis(400);
 ///
 /// The master binds one listener per expected worker (so each worker has an
 /// unambiguous rendezvous address) and hands each seat its own handler
-/// thread.  Handlers pull chunks from the shared [`WorkQueue`] — the same
+/// thread.  Handlers pull chunks from the shared `WorkQueue` — the same
 /// global queue the thread backends use — so work naturally balances across
 /// workers of different speeds, and a dead worker's outstanding chunk is
 /// pushed back for the survivors.
@@ -403,7 +403,7 @@ impl TcpTransport {
 
     /// Number of rendezvous addresses, one per worker this transport expects
     /// to dial in.
-    pub fn num_workers(&self) -> usize {
+    pub(crate) fn num_workers(&self) -> usize {
         self.listeners.len()
     }
 
@@ -773,6 +773,7 @@ fn serve_seat<L: Link>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Backoff, FaultKind, FaultPlan};
     use crate::link::{FaultyLink, LoopbackLink};
     use crate::transform::{DistSpec, ModelSpec, TargetSpec};
     use crate::wire::{read_frame, write_frame};

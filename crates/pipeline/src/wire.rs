@@ -62,7 +62,7 @@ use std::str::{FromStr, Lines, Split, SplitWhitespace};
 /// iterate snapshots, `restore` mid-point resume).  Version 3 dropped the
 /// refill-verdict flag from `sstate`: slices solve exact-zero kernel entries
 /// themselves, so there is no per-point verdict to ship.
-pub const WIRE_VERSION: u32 = 3;
+pub(crate) const WIRE_VERSION: u32 = 3;
 
 /// An encoding or decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,7 +146,7 @@ pub(crate) fn malformed(message: impl Into<String>) -> WireError {
 /// Percent-encodes a string into one whitespace-free field (alphanumerics and
 /// `-_.:+/` pass through unchanged).  Shared with the checkpoint format's
 /// measure-tagged records.
-pub fn encode_str(text: &str) -> String {
+pub(crate) fn encode_str(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for byte in text.bytes() {
         match byte {
@@ -161,7 +161,7 @@ pub fn encode_str(text: &str) -> String {
 
 /// Inverse of [`encode_str`].  Returns `None` for malformed escapes or invalid
 /// UTF-8.
-pub fn decode_str(field: &str) -> Option<String> {
+pub(crate) fn decode_str(field: &str) -> Option<String> {
     let bytes = field.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -195,7 +195,7 @@ pub fn encode_finite_f64(value: f64, field: &'static str) -> Result<String, Wire
 }
 
 /// Decodes a 16-hex-digit `f64` field (any bit pattern).
-pub fn decode_f64(field: &str) -> Option<f64> {
+pub(crate) fn decode_f64(field: &str) -> Option<f64> {
     if field.len() != 16 {
         return None; // a short field is a record truncated mid-write
     }
@@ -213,7 +213,7 @@ pub fn decode_finite_f64(field: &str, name: &'static str) -> Result<f64, WireErr
 }
 
 /// Encodes a complex quantity as two finite-`f64` fields.
-pub fn encode_complex(value: Complex64, field: &'static str) -> Result<String, WireError> {
+pub(crate) fn encode_complex(value: Complex64, field: &'static str) -> Result<String, WireError> {
     Ok(format!(
         "{} {}",
         encode_finite_f64(value.re, field)?,
@@ -409,7 +409,7 @@ impl<'a, I: Iterator<Item = &'a str>> Fields<I> {
 // ---------------------------------------------------------------------------
 
 /// Encodes one [`WorkItem`] as `"<measure> <index> <s.re> <s.im>"`.
-pub fn encode_work_item(item: &WorkItem) -> Result<String, WireError> {
+pub(crate) fn encode_work_item(item: &WorkItem) -> Result<String, WireError> {
     Ok(format!(
         "{} {} {}",
         item.measure,
@@ -436,7 +436,7 @@ fn decode_work_item(line: &str) -> Result<WorkItem, WireError> {
 /// `ok <v.re> <v.im>` or `err <message>`.  A *non-finite* success value is
 /// encoded as an error outcome — a NaN transform value must never enter the
 /// master's cache or checkpoint as a number.
-pub fn encode_outcome(outcome: &WorkItemOutcome) -> Result<String, WireError> {
+pub(crate) fn encode_outcome(outcome: &WorkItemOutcome) -> Result<String, WireError> {
     let mut line = encode_work_item(&outcome.item)?;
     match &outcome.outcome {
         Ok(value) if value.re.is_finite() && value.im.is_finite() => {
@@ -528,7 +528,7 @@ fn read_result(
 
 /// Encodes one boundary entry (`halo` / `sstate` export line) as
 /// `"<row> <v.re> <v.im>"` with the bit-exact float codec.
-pub fn encode_value_entry(row: u32, value: Complex64) -> Result<String, WireError> {
+pub(crate) fn encode_value_entry(row: u32, value: Complex64) -> Result<String, WireError> {
     Ok(format!(
         "{row} {}",
         encode_complex(value, "boundary value")?
@@ -961,7 +961,7 @@ impl Frame {
 
 /// Upper bound on an accepted frame payload (64 MiB) — a corrupted length
 /// prefix must not trigger a multi-gigabyte allocation.
-pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Bytes of frame header on the wire: 4-byte big-endian payload length plus
 /// the 8-byte big-endian FNV-1a checksum over (length bytes ‖ payload).
@@ -1031,7 +1031,7 @@ pub fn write_payload(stream: &mut impl Write, payload: &str) -> std::io::Result<
 /// Returns the text and the number of bytes taken off the wire.  The raw
 /// layer under [`read_frame`] — see [`write_payload`].
 ///
-/// An announced length above [`MAX_FRAME_BYTES`] is a typed
+/// An announced length above `MAX_FRAME_BYTES` is a typed
 /// [`WireError::Oversize`] refusal raised *before allocating anything*; a
 /// checksum mismatch is a typed [`WireError::Corrupt`] refusal.  Both reach
 /// the caller as `InvalidData` io errors whose source is the [`WireError`]
@@ -1093,7 +1093,7 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<(Frame, u64)> {
 /// The wire size of a frame without writing it anywhere — used by the
 /// loopback slice workers to report the bytes a real network deployment
 /// would have shipped.
-pub fn frame_wire_size(frame: &Frame) -> Result<u64, WireError> {
+pub(crate) fn frame_wire_size(frame: &Frame) -> Result<u64, WireError> {
     Ok(FRAME_HEADER_BYTES + frame.encode()?.len() as u64)
 }
 

@@ -10,7 +10,7 @@
 //! scalability — and chunking keeps the master⇄worker message count
 //! proportional to the number of chunks, not the number of points.  Chunking
 //! also feeds the hot path: a thread that owns a chunk hands each run of one
-//! measure's points to that measure's evaluator whole ([`evaluate_chunk`]),
+//! measure's points to that measure's evaluator whole (`evaluate_chunk`),
 //! which checks one `PassageWorkspace` out of the solver's pool for the run
 //! and — for a passage transform — advances the points four at a time in
 //! lockstep lanes.  The pool hands the thread the workspace it last
@@ -18,7 +18,7 @@
 //! chunk and the number of workspaces ever built is bounded by the worker
 //! count.
 //!
-//! Two loops live here: [`run_batch_worker`], the in-process thread worker
+//! Two loops live here: `run_batch_worker`, the in-process thread worker
 //! that pulls straight from the shared queue, and `serve_link`, the frame
 //! loop a worker at the far end of a [`Link`] runs — `smpq worker` processes
 //! over a dialed [`TcpLink`] ([`run_tcp_worker`]).  Its slice-session step,
@@ -72,7 +72,7 @@ pub struct WorkerMessage {
 /// evaluator as a whole ([`CompiledEvaluator::eval_many`]); every item keeps
 /// its own outcome, in chunk order, and an item naming a measure
 /// `evaluators` lacks fails alone.
-pub fn evaluate_chunk(
+pub(crate) fn evaluate_chunk(
     items: &[WorkItem],
     evaluators: &[CompiledEvaluator<'_>],
 ) -> Vec<WorkItemOutcome> {
@@ -101,7 +101,7 @@ pub fn evaluate_chunk(
 /// Runs one worker until the queue is empty, evaluating each chunk with the
 /// evaluators of the measures its items belong to and answering it with one
 /// message.
-pub fn run_batch_worker(
+pub(crate) fn run_batch_worker(
     id: usize,
     queue: &WorkQueue,
     evaluators: &[CompiledEvaluator<'_>],
@@ -619,8 +619,14 @@ mod tests {
 
     #[test]
     fn worker_drains_queue_and_reports_stats() {
-        let points: Vec<Complex64> = (1..=20).map(|k| Complex64::new(k as f64, 0.0)).collect();
-        let queue = WorkQueue::new(&points);
+        let items: Vec<WorkItem> = (1..=20)
+            .map(|k| WorkItem {
+                measure: 0,
+                index: k - 1,
+                s: Complex64::new(k as f64, 0.0),
+            })
+            .collect();
+        let queue = WorkQueue::with_chunk_size(items, 1);
         let (tx, rx) = channel();
         let compiled = analytic(&[EXP]);
         let stats = run_batch_worker(3, &queue, &compiled.evaluators().unwrap(), &tx);
@@ -636,7 +642,7 @@ mod tests {
             let expect = Dist::exponential(1.5).lst(outcome.item.s);
             assert_eq!(outcome.outcome.unwrap(), expect);
         }
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]

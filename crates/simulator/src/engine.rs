@@ -52,7 +52,7 @@ impl<'a> SimulationEngine<'a> {
     }
 
     /// The number of firings executed so far.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 
@@ -111,7 +111,7 @@ impl<'a> SimulationEngine<'a> {
     /// `max_time`, or `max_steps` firings have happened.  Returns the clock value at
     /// which the predicate first held, or `None` if the run was cut off (or
     /// deadlocked) first; a step that fails ends the run with its error.
-    pub fn run_until<R: Rng + ?Sized>(
+    pub(crate) fn run_until<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         mut predicate: impl FnMut(&Marking) -> bool,

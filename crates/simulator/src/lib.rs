@@ -9,18 +9,18 @@
 //! chosen transition's firing distribution — and estimates passage-time densities,
 //! CDFs and transient state probabilities from independent replications.
 //!
-//! * [`engine`] — a single trajectory stepper over an `SmSpn`;
+//! * `engine` — a single trajectory stepper over an `SmSpn`;
 //! * [`passage`] — passage-time sampling (optionally multi-threaded) producing an
 //!   [`smp_distributions::EmpiricalDistribution`];
-//! * [`transient`] — transient state-probability estimation on a time grid;
+//! * `transient` — transient state-probability estimation on a time grid;
 //! * [`smp_sim`] — the same measurements driven directly off a `SemiMarkovProcess`
 //!   (used to cross-validate the state-space generator: simulating the net and
 //!   simulating its generated SMP must agree).
 
-pub mod engine;
+mod engine;
 pub mod passage;
 pub mod smp_sim;
-pub mod transient;
+mod transient;
 
 pub use engine::{SimulationEngine, Step};
 pub use passage::{simulate_passage_times, PassageSimulationOptions};

@@ -12,7 +12,7 @@ use smp_distributions::EmpiricalDistribution;
 /// Simulates one passage from `source` into `targets`, returning the elapsed time.
 ///
 /// Returns `None` if the passage has not completed within `max_steps` transitions.
-pub fn sample_passage<R: Rng + ?Sized>(
+pub(crate) fn sample_passage<R: Rng + ?Sized>(
     smp: &SemiMarkovProcess,
     source: usize,
     targets: &StateSet,

@@ -37,7 +37,7 @@ pub fn firing_probabilities(
 
 /// [`firing_probabilities`] into a caller-owned buffer, so a state-space walk
 /// allocates nothing per marking.
-pub fn firing_probabilities_into(
+pub(crate) fn firing_probabilities_into(
     net: &SmSpn,
     m: &Marking,
     out: &mut Vec<(usize, f64)>,

@@ -27,8 +27,8 @@
 #![forbid(unsafe_code)]
 
 pub mod enabling;
-pub mod marking;
-pub mod net;
+mod marking;
+mod net;
 pub mod reachability;
 
 pub use marking::{Marking, MarkingView};

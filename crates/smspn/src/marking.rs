@@ -67,7 +67,7 @@ impl Marking {
 
     /// Overwrites every token count with `tokens` (one per place).
     #[inline]
-    pub fn copy_from(&mut self, tokens: &[u32]) {
+    pub(crate) fn copy_from(&mut self, tokens: &[u32]) {
         self.tokens.copy_from_slice(tokens);
     }
 
@@ -78,7 +78,7 @@ impl Marking {
 
     /// True when place `p` holds at least `count` tokens.
     #[inline]
-    pub fn has_at_least(&self, p: usize, count: u32) -> bool {
+    pub(crate) fn has_at_least(&self, p: usize, count: u32) -> bool {
         self.tokens[p] >= count
     }
 }

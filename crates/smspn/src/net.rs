@@ -20,11 +20,11 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A marking-dependent value; `Err` says why it has none in that marking.
-pub type MarkingFn<T> = Arc<dyn Fn(&Marking) -> Result<T, String> + Send + Sync>;
+pub(crate) type MarkingFn<T> = Arc<dyn Fn(&Marking) -> Result<T, String> + Send + Sync>;
 
 /// A firing effect: writes the successor of the first marking into the
 /// second, which enters holding a copy of the first.
-pub type ActionFn = Arc<dyn Fn(&Marking, &mut Marking) -> Result<(), String> + Send + Sync>;
+pub(crate) type ActionFn = Arc<dyn Fn(&Marking, &mut Marking) -> Result<(), String> + Send + Sync>;
 
 /// A transition's firing-time distribution: one for every marking, or a
 /// function of the marking.
@@ -203,12 +203,12 @@ impl TransitionSpec {
     }
 
     /// The transition's priority in `m`.
-    pub fn priority_in(&self, m: &Marking) -> Result<u32, String> {
+    pub(crate) fn priority_in(&self, m: &Marking) -> Result<u32, String> {
         (self.priority)(m).map_err(|e| format!("priority: {e}"))
     }
 
     /// The transition's weight in `m`.
-    pub fn weight_in(&self, m: &Marking) -> Result<f64, String> {
+    pub(crate) fn weight_in(&self, m: &Marking) -> Result<f64, String> {
         (self.weight)(m).map_err(|e| format!("weight: {e}"))
     }
 
@@ -222,7 +222,7 @@ impl TransitionSpec {
 
     /// The distribution the transition fires with in every marking, when it
     /// does not depend on the marking.
-    pub fn fixed_distribution(&self) -> Option<&Dist> {
+    pub(crate) fn fixed_distribution(&self) -> Option<&Dist> {
         match &self.sojourn {
             Sojourn::Fixed(dist) => Some(dist),
             Sojourn::Marking(_) => None,
@@ -267,11 +267,6 @@ impl SmSpn {
     /// Number of transitions.
     pub fn num_transitions(&self) -> usize {
         self.transitions.len()
-    }
-
-    /// The place names, in index order.
-    pub fn place_names(&self) -> &[String] {
-        &self.place_names
     }
 
     /// Looks up a place index by name.
@@ -326,7 +321,7 @@ mod tests {
         assert_eq!(net.place_index("nope"), None);
         assert_eq!(net.transition_index("t1"), Some(1));
         assert_eq!(net.initial_marking().as_slice(), &[1, 0]);
-        assert_eq!(net.place_names(), &["p0".to_string(), "p1".to_string()]);
+        assert_eq!(net.place_names, ["p0", "p1"]);
     }
 
     #[test]

@@ -207,7 +207,6 @@ impl MarkingIndex {
 #[derive(Debug)]
 pub struct StateSpace {
     markings: MarkingMatrix,
-    place_names: Vec<String>,
     smp: SemiMarkovProcess,
 }
 
@@ -306,11 +305,7 @@ impl StateSpace {
         markings.tokens.shrink_to_fit();
         let smp = builder.build()?;
 
-        Ok(StateSpace {
-            markings,
-            place_names: net.place_names().to_vec(),
-            smp,
-        })
+        Ok(StateSpace { markings, smp })
     }
 
     /// Number of reachable markings (= SMP states).
@@ -341,11 +336,6 @@ impl StateSpace {
         0
     }
 
-    /// The place names of the originating net (indices match marking positions).
-    pub fn place_names(&self) -> &[String] {
-        &self.place_names
-    }
-
     /// The underlying semi-Markov process.
     pub fn smp(&self) -> &SemiMarkovProcess {
         &self.smp
@@ -357,17 +347,6 @@ impl StateSpace {
         (0..self.num_states())
             .filter(|&state| predicate(self.marking(state)))
             .collect()
-    }
-
-    /// Heap bytes of the explored model, from lengths and capacities: the
-    /// marking matrix, the place names and the process's
-    /// [`SemiMarkovProcess::heap_bytes`].
-    pub fn heap_bytes(&self) -> usize {
-        let names: usize = self.place_names.iter().map(String::capacity).sum();
-        self.markings.tokens.capacity() * std::mem::size_of::<u32>()
-            + self.place_names.capacity() * std::mem::size_of::<String>()
-            + names
-            + self.smp.heap_bytes()
     }
 }
 
@@ -481,28 +460,18 @@ mod tests {
         assert_eq!(space.state_of(&Marking::new(vec![5, 0, 2])), None);
     }
 
-    /// The explored model is stored flat: 16 bytes a transition and 4 a row
-    /// offset in the process, `4 × places` bytes a marking beside it, and
-    /// nothing allocated per state.
+    /// The explored model is stored flat: `4 × places` bytes a marking beside
+    /// the process, and nothing allocated per state.  The process's own
+    /// layout (16 bytes a transition, 4 a row offset) is held by
+    /// `smp::tests::pushed_rows_are_stored_without_slack` in `smp-core`.
     #[test]
     fn the_explored_model_is_stored_flat() {
         use std::mem::size_of;
-        let space = StateSpace::explore(&voting(10, 4, 2)).unwrap();
-        let smp = space.smp();
-        let (states, places) = (space.num_states(), space.place_names().len());
-        assert_eq!(size_of::<smp_core::smp::Transition>(), 16);
-        let pool = smp.num_distributions() * size_of::<Dist>();
+        let net = voting(10, 4, 2);
+        let space = StateSpace::explore(&net).unwrap();
+        let (states, places) = (space.num_states(), net.num_places());
         assert_eq!(
-            smp.heap_bytes(),
-            16 * smp.num_transitions() + 4 * (states + 1) + pool
-        );
-        let names: usize = space
-            .place_names()
-            .iter()
-            .map(|name| size_of::<String>() + name.capacity())
-            .sum();
-        assert_eq!(
-            space.heap_bytes() - smp.heap_bytes() - names,
+            space.markings.tokens.capacity() * size_of::<u32>(),
             4 * places * states
         );
     }

@@ -285,7 +285,7 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Transpose (rows become columns).  O(nnz + rows + cols).
-    pub fn transpose(&self) -> CsrMatrix<T> {
+    pub(crate) fn transpose(&self) -> CsrMatrix<T> {
         let mut counts = vec![0u64; self.cols + 1];
         for &c in &self.col_indices {
             counts[c as usize + 1] += 1;

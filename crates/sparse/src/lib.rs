@@ -26,12 +26,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod csr;
-pub mod scalar;
+mod csr;
+mod scalar;
 pub mod steady_state;
-pub mod triplet;
+mod triplet;
 
 pub use csr::CsrMatrix;
 pub use scalar::Scalar;
-pub use steady_state::{gauss_seidel_steady_state, SteadyStateOptions};
 pub use triplet::TripletMatrix;

@@ -27,5 +27,4 @@ pub mod configs;
 pub mod model;
 pub mod spec;
 
-pub use configs::{paper_systems, PaperSystem};
 pub use model::{VotingConfig, VotingSystem};

@@ -41,19 +41,19 @@ use smp_smspn::{MarkingView, ReachabilityOptions, SmSpn, StateSpace, TransitionS
 /// Place indices of the voting net, for readability.
 pub mod places {
     /// Voters still to vote.
-    pub const P1_WAITING: usize = 0;
+    pub(crate) const P1_WAITING: usize = 0;
     /// Voters that have voted.
-    pub const P2_VOTED: usize = 1;
+    pub(crate) const P2_VOTED: usize = 1;
     /// Operational idle polling units.
-    pub const P3_POLLING_IDLE: usize = 2;
+    pub(crate) const P3_POLLING_IDLE: usize = 2;
     /// Polling units busy processing a vote.
-    pub const P4_POLLING_BUSY: usize = 3;
+    pub(crate) const P4_POLLING_BUSY: usize = 3;
     /// Operational central voting units.
-    pub const P5_CENTRAL_OK: usize = 4;
+    pub(crate) const P5_CENTRAL_OK: usize = 4;
     /// Failed central voting units.
-    pub const P6_CENTRAL_FAILED: usize = 5;
+    pub(crate) const P6_CENTRAL_FAILED: usize = 5;
     /// Failed polling units.
-    pub const P7_POLLING_FAILED: usize = 6;
+    pub(crate) const P7_POLLING_FAILED: usize = 6;
 }
 
 /// Sizing parameters of a voting system instance.
@@ -84,7 +84,7 @@ impl VotingConfig {
     /// Upper bound on the reachable state count implied by the three token
     /// invariants `p1+p2 = CC`, `p3+p4+p7 = MM`, `p5+p6 = NN`:
     /// `(CC+1) · C(MM+2, 2) · (NN+1)`.
-    pub fn state_count_upper_bound(&self) -> u64 {
+    pub(crate) fn state_count_upper_bound(&self) -> u64 {
         let cc = self.voters as u64;
         let mm = self.polling_units as u64;
         let nn = self.central_units as u64;
@@ -434,22 +434,20 @@ mod tests {
         let sys = tiny();
         let smp = sys.smp();
         assert_eq!(smp.num_states(), sys.num_states());
-        let p = smp.embedded_dtmc();
-        smp_sparse_assert_stochastic(&p);
+        // Each state's embedded transition probabilities sum to one.
+        for state in 0..smp.num_states() {
+            let sum: f64 = smp.transitions(state).iter().map(|t| t.probability).sum();
+            assert!(
+                (sum - 1.0).abs() <= 1e-9,
+                "state {state} sums to {sum}, not 1"
+            );
+        }
         // A transition out of the initial state uses the `vote` distribution.
         let uses_vote = smp
             .transitions(sys.initial_state())
             .iter()
             .any(|t| smp.distribution(t.dist) == &VotingDistributions::default().vote);
         assert!(uses_vote);
-    }
-
-    fn smp_sparse_assert_stochastic(p: &smp_sparse::CsrMatrix<f64>) {
-        assert_eq!(p.rows(), p.cols(), "transition matrix must be square");
-        for r in 0..p.rows() {
-            let sum: f64 = p.row(r).map(|(_, v)| v).sum();
-            assert!((sum - 1.0).abs() <= 1e-9, "row {r} sums to {sum}, not 1");
-        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //!
 //! The workspace is organised as a set of focused crates; this crate simply
 //! re-exports them under stable names so that the examples and integration tests can
-//! use a single dependency:
+//! use a single dependency (`smp-sparse`, the sparse matrices under `core`, is
+//! reached through `core` and not re-exported):
 //!
 //! | Re-export | Crate | Purpose |
 //! |-----------|-------|---------|
 //! | [`numeric`] | `smp-numeric` | complex arithmetic, compensated summation, special functions |
-//! | [`sparse`] | `smp-sparse` | sparse matrices over ℝ and ℂ, DTMC steady-state solvers |
 //! | [`distributions`] | `smp-distributions` | general distributions with LSTs, sampling and moments |
 //! | [`laplace`] | `smp-laplace` | numerical Laplace transform inversion (Euler, Laguerre) |
 //! | [`core`] | `smp-core` | semi-Markov processes and the iterative passage-time algorithm |
@@ -30,7 +30,7 @@
 //! (`0 --Erlang(2,2)--> 1 --Exp(1)--> 2 --Det(1)--> 0`), through the re-exports:
 //!
 //! ```
-//! use smp_suite::core::{solver::PassageTimeAnalysis, SmpBuilder};
+//! use smp_suite::core::{PassageTimeAnalysis, SmpBuilder};
 //! use smp_suite::distributions::Dist;
 //! use smp_suite::laplace::InversionMethod;
 //!
@@ -54,5 +54,4 @@ pub use smp_numeric as numeric;
 pub use smp_pipeline as pipeline;
 pub use smp_simulator as simulator;
 pub use smp_smspn as smspn;
-pub use smp_sparse as sparse;
 pub use smp_voting as voting;
