@@ -1695,6 +1695,16 @@ mod tests {
     }
 
     #[test]
+    fn model_fingerprint_distinguishes_models() {
+        let fingerprint = |source: &str| ModelSpec::Dnamaca(source.to_string()).fingerprint();
+        let a = fingerprint("\\place{p}{1}");
+        let b = fingerprint("\\place{p}{2}");
+        assert_ne!(a, b);
+        assert_eq!(a, fingerprint("\\place{p}{1}"), "deterministic");
+        assert_eq!(a.len(), 16);
+    }
+
+    #[test]
     fn checkpoint_is_not_shared_across_different_models() {
         // Same measure and grid, two different voting configurations, one
         // checkpoint file: the second run must not reuse the first model's
