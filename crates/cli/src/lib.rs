@@ -281,7 +281,8 @@ QUERY SERVICE (always-on daemon; see ARCHITECTURE.md 'Query service'):
                         bind the query port and answer smpq query requests
                         until an smpq shutdown arrives; caches explored
                         models and transform values across queries
-    --workers N         solve on N in-process threads (default 2), or
+    --workers N         solve on N in-process threads (default: one per
+                        available core), or
     --workers tcp:ADDR[,ADDR...]
                         bind one rendezvous per ADDR and wait for resident
                         'smpq worker --connect' processes to attach once
@@ -471,7 +472,7 @@ impl<'a> Scanned<'a> {
 }
 
 /// The threads the process may run on: the analytic engine's thread count
-/// and the default `--workers`.
+/// and the default `--workers` of a one-shot run and of `smpq serve`.
 fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -1249,7 +1250,7 @@ impl Default for ServeCliOptions {
     fn default() -> Self {
         ServeCliOptions {
             listen: "127.0.0.1:0".to_string(),
-            workers: WorkerBackend::Threads(2),
+            workers: WorkerBackend::Threads(available_cores()),
             cache_models: 8,
             cache_results_mb: 64,
             max_inflight: 4,
@@ -1572,6 +1573,17 @@ mod tests {
         assert_eq!(options.workers, WorkerBackend::Threads(available_cores()));
         assert!(
             usage().contains("--workers N         worker threads (default: one per available core")
+        );
+    }
+
+    /// `smpq serve` without `--workers` solves on one in-process thread per
+    /// core, as the one-shot run does.
+    #[test]
+    fn serve_workers_default_to_the_host() {
+        let options = parse_serve_args(&[]).unwrap();
+        assert_eq!(options.workers, WorkerBackend::Threads(available_cores()));
+        assert!(
+            usage().contains("--workers N         solve on N in-process threads (default: one per")
         );
     }
 

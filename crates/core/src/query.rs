@@ -422,8 +422,8 @@ impl MeasureRequest {
 /// Where a report's numbers came from: the audit trail of one measure.
 #[derive(Debug, Clone)]
 pub struct Provenance {
-    /// The engine that produced the values (`analytic`, `simulation`,
-    /// `distributed`).
+    /// The engine that produced the values (`analytic`, `distributed`,
+    /// `simulation`, `uniformization`).
     pub engine: &'static str,
     /// The engine's backend: transport name for the distributed engine and
     /// the analytic engine, its in-process deployment (`in-process`, `tcp`,
@@ -440,8 +440,10 @@ pub struct Provenance {
     pub messages: usize,
     /// Bytes shipped (or accounted) on the wire; 0 for purely local engines.
     pub bytes_on_wire: u64,
-    /// Transform evaluations (analytic/distributed) or simulation
-    /// replications (simulation) spent on this measure.
+    /// Work spent on this measure: transform evaluations
+    /// (analytic/distributed); Poisson power-iteration terms, or Jacobi
+    /// sweeps for a mean or moment (uniformization); replications
+    /// (simulation).  Zero on a reply the query server remembered.
     pub evaluations: usize,
     /// Kernel-matrix constructions the symbolic/numeric split avoided: one
     /// per `s`-point served by refilling a prebuilt CSR skeleton instead of
@@ -454,6 +456,10 @@ pub struct Provenance {
     /// transition.
     pub pooled_lst_evaluations: u64,
     /// Evaluation-grid points satisfied from a warm cache or checkpoint.
+    /// A reply the query server remembered reports every grid point the
+    /// answer read (a Laplace engine's evaluations, cache hits and shared
+    /// hits when it was found; none for uniformization, which reads no
+    /// transform grid), as a re-run over the warm cache would.
     pub cache_hits: usize,
     /// Evaluation-grid points shared with other measures of the same solve.
     pub shared_hits: usize,
@@ -462,11 +468,16 @@ pub struct Provenance {
     /// and the work on every measure before it are in it.  So the walls of
     /// one solve never decrease in request order; the measures of one
     /// distributed batch report one wall, and a quantile's includes the
-    /// batch before it.
+    /// batch before it.  A reply the query server remembered reports the
+    /// time from the start of answering the request to the reply.
     pub wall: Duration,
-    /// A statistical error bound on the values, when the engine has one (the
-    /// simulation engine reports a 95% confidence half-width; deterministic
-    /// engines report `None`).
+    /// An error bound on the values, when the engine has one: the
+    /// simulation engine's 95% confidence half-width; uniformization's
+    /// Poisson truncation bound (for a quantile, the largest over the CDF
+    /// values its search read) or, for a mean or moment, the Jacobi
+    /// iterate's max-norm residual.  The Laplace-inversion engines report
+    /// `None`.  A reply the query server remembered carries the bound its
+    /// answer was found with.
     pub error_bound: Option<f64>,
     /// Time the request spent queued behind the admission controller before a
     /// solve slot opened (always zero outside the query server).

@@ -29,6 +29,7 @@
 
 use crate::batch::MeasureKind;
 use crate::unpoisoned;
+use smp_core::query::MeasureReport;
 use smp_laplace::{InversionMethod, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
@@ -55,29 +56,24 @@ pub(crate) enum AnswerKind {
     Quantile(Vec<u64>),
 }
 
-/// Everything an answer depends on: what it reads, the bits of the grid it
-/// reads it on (a curve's `t`-points, a quantile search's initial horizon,
-/// nothing for a moment, whose stencil is fixed by its order), the method
-/// that plans the grid, and the transform it reads.  Fields compare in
-/// declaration order, the cheap ones first.
+/// Everything an answer depends on: the engine that found it (the server
+/// builds each with fixed settings, so its name pins them), what it reads,
+/// the bits of the grid it reads it on (a curve's `t`-points, a quantile
+/// search's initial horizon, nothing for a moment, whose stencil is fixed
+/// by its order), the method that plans the grid, and the transform it
+/// reads.  Fields compare in declaration order, the cheap ones first.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AnswerKey {
+    pub(crate) engine: &'static str,
     pub(crate) kind: AnswerKind,
     pub(crate) grid: Vec<u64>,
     pub(crate) method: InversionMethod,
     pub(crate) transform: String,
 }
 
-/// A finished answer: its values and the grid points it read.
-#[derive(Debug, Clone)]
-pub(crate) struct Answer {
-    pub(crate) values: Vec<f64>,
-    pub(crate) grid_points: usize,
-}
-
 /// A thread-safe, measure-keyed collection of [`TransformValues`] shards,
 /// optionally bounded by an approximate byte limit with least-recently-used
-/// shard eviction, and a memo of the answers read off them.
+/// shard eviction, and the query server's memo of the answers it gave.
 #[derive(Debug)]
 pub struct ResultCache {
     shards: RwLock<BTreeMap<String, TransformValues>>,
@@ -88,9 +84,9 @@ pub struct ResultCache {
     /// paths can bump recency without taking the write lock on the data.
     stamps: Mutex<BTreeMap<String, u64>>,
     clock: AtomicU64,
-    /// Every answer that succeeded over this cache — curve, moment or
-    /// quantile: a pure function of values the cache holds or held.
-    answers: LruMemo<AnswerKey, Answer>,
+    /// Every answer a served engine gave — curve, moment or quantile, on
+    /// any engine — as the report a repeat replies with.
+    answers: LruMemo<AnswerKey, MeasureReport>,
 }
 
 impl Default for ResultCache {
@@ -295,25 +291,17 @@ impl ResultCache {
         snapshot
     }
 
-    /// The answer remembered under `key`, if any, stamped most recently used.
-    pub(crate) fn remembered(&self, key: &AnswerKey) -> Option<Answer> {
+    /// The report remembered under `key`, if any, stamped most recently
+    /// used.
+    pub(crate) fn remembered(&self, key: &AnswerKey) -> Option<MeasureReport> {
         self.answers.get(key)
     }
 
-    /// The answer under `key`: a remembered one, or what `solve` finds,
-    /// remembered when it succeeds.  The boolean is `true` when the answer
-    /// was remembered.
-    pub(crate) fn answer_or<E>(
-        &self,
-        key: AnswerKey,
-        solve: impl FnOnce() -> Result<Answer, E>,
-    ) -> Result<(Answer, bool), E> {
-        self.answers.get_or_insert_with(key, solve)
-    }
-
-    /// Remembers `answer` under `key`, unless an answer is there already.
-    pub(crate) fn remember(&self, key: AnswerKey, answer: Answer) {
-        let Ok(_) = self.answer_or(key, || Ok::<_, Infallible>(answer));
+    /// Remembers `report` under `key`, unless a report is there already.
+    pub(crate) fn remember(&self, key: AnswerKey, report: MeasureReport) {
+        let Ok(_) = self
+            .answers
+            .get_or_insert_with(key, || Ok::<_, Infallible>(report));
     }
 
     /// Answers currently remembered.

@@ -40,7 +40,7 @@
 //! points, as the curves over their transform.
 
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
-use crate::cache::{Answer, AnswerKey, AnswerKind, LruMemo};
+use crate::cache::{LruMemo, ResultCache};
 use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
 use crate::transform::{ExploredModel, ModelCache, ModelSpec, TargetResolveError, TransformSpec};
@@ -81,8 +81,11 @@ fn parse_net(model: &ModelSpec) -> Result<smp_smspn::SmSpn, EngineError> {
 /// Checks every request's time grid: every point finite, and — on an engine
 /// that inverts Laplace transforms (`laplace`), whose plans exist only for
 /// `t > 0` — every point of a curve's grid positive.  These checks need no
-/// net, so they run before an answer is looked up, remembered or not.
-fn validate_grids(requests: &[MeasureRequest], laplace: bool) -> Result<(), EngineError> {
+/// net, so the query server runs them before it looks an answer up.
+pub(crate) fn validate_grids(
+    requests: &[MeasureRequest],
+    laplace: bool,
+) -> Result<(), EngineError> {
     for request in requests {
         let curve = request.kind.is_curve();
         if curve && request.t_points.len() < 2 {
@@ -138,7 +141,7 @@ fn transform_spec_for(model: &ModelSpec, request: &MeasureRequest) -> TransformS
 /// The batch measure kind that answers a request from one fixed plan — the
 /// curve kinds on the request's grid, mean/moment on the stencil's nodes —
 /// or `None` for a quantile, whose grids depend on the values found.
-fn batch_kind_of(kind: &MeasureKind) -> Result<Option<CurveKind>, EngineError> {
+pub(crate) fn batch_kind_of(kind: &MeasureKind) -> Result<Option<CurveKind>, EngineError> {
     let moment = |order: u32| {
         MomentStencil::new(order)
             .map(|stencil| Some(CurveKind::Moment(stencil)))
@@ -172,7 +175,7 @@ fn report_points(request: &MeasureRequest) -> Vec<f64> {
 /// The quantile search horizons of a request: start at the request grid's last
 /// point (the caller's idea of the interesting time scale) and allow a
 /// 2¹²-fold expansion before giving up.
-fn quantile_horizons(request: &MeasureRequest) -> (f64, f64) {
+pub(crate) fn quantile_horizons(request: &MeasureRequest) -> (f64, f64) {
     let initial = request
         .t_points
         .last()
@@ -238,8 +241,9 @@ impl AnalyticEngine {
     }
 
     /// The analytic engine over an explicit in-process backend — the query
-    /// server's, whose model cache outlives a request, or the CLI's, whose
-    /// model cache holds what its `--engine` probe explored.
+    /// server's, whose model cache outlives a request (the server also
+    /// shares its result cache with the engine), or the CLI's, whose model
+    /// cache holds what its `--engine` probe explored.
     pub fn over(
         model: ModelSpec,
         method: InversionMethod,
@@ -353,6 +357,15 @@ impl DistributedEngine {
         self.transport.name()
     }
 
+    /// This engine over `cache`, a result cache that outlives it (the query
+    /// server's), so every run's values are warm for the next.
+    pub(crate) fn sharing(mut self, cache: Arc<ResultCache>) -> Self {
+        let mut options = self.pipeline.options().clone();
+        options.shared_cache = Some(cache);
+        self.pipeline = DistributedPipeline::new(self.pipeline.method().clone(), options);
+        self
+    }
+
     /// One run of `pipeline` — the engine's own, or a quantile search's copy
     /// of it — over the engine's transport: the only way this engine obtains
     /// a transform value.
@@ -398,28 +411,6 @@ impl Engine for DistributedEngine {
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         let started = Instant::now();
         validate_grids(requests, true)?;
-        // A shared cache remembers every answer it gave.  When it remembers
-        // all of this request's, they are the reply: an answer remembered
-        // under this model's fingerprint and target proves the places, so
-        // nothing is parsed, planned, snapshot or inverted.
-        let memo = self
-            .pipeline
-            .options()
-            .shared_cache
-            .as_deref()
-            .and_then(|cache| Some((cache, self.answer_keys(requests)?)));
-        if let Some((cache, keys)) = &memo {
-            let remembered: Option<Vec<Answer>> =
-                keys.iter().map(|key| cache.remembered(key)).collect();
-            if let Some(answers) = remembered {
-                return Ok(requests
-                    .iter()
-                    .zip(answers)
-                    .map(|(request, answer)| self.remembered_report(request, answer, started))
-                    .collect());
-            }
-        }
-
         // The net of the model the transport already holds explored, if it
         // does — looked at, not looked up, so no counter or recency moves —
         // else a parse.
@@ -455,13 +446,6 @@ impl Engine for DistributedEngine {
             let batch = self.execute(&self.pipeline, job)?;
             let wall = started.elapsed();
             for (slot, (&ri, result)) in batched.iter().zip(batch.measures).enumerate() {
-                if let Some((cache, keys)) = &memo {
-                    let answer = Answer {
-                        values: result.values.clone(),
-                        grid_points: result.evaluations + result.cache_hits + result.shared_hits,
-                    };
-                    cache.remember(keys[ri].clone(), answer);
-                }
                 let mut provenance = Provenance::local(self.name, backend);
                 provenance.workers = self.transport.parallelism();
                 provenance.shards = batch.report.shards;
@@ -488,10 +472,7 @@ impl Engine for DistributedEngine {
         //    are the CDF's, so it evaluates nothing), all against one result
         //    cache so that no round evaluates a point an earlier round
         //    already has — the configured shared cache (which warms any
-        //    later run too), else one that lives as long as the search.  A
-        //    shared cache also remembers each search's answer, so a repeat
-        //    reads no grid: it reports the points the search read as cache
-        //    hits, as a re-run over the warm cache would.
+        //    later run too), else one that lives as long as the search.
         for (ri, request) in requests.iter().enumerate() {
             let MeasureKind::Quantile { probs } = &request.kind else {
                 continue;
@@ -499,50 +480,34 @@ impl Engine for DistributedEngine {
             let spec = transform_spec_for(&self.model, request);
             let name = request.name();
             let mut provenance = Provenance::local(self.name, backend);
-            let mut search = || {
-                let pipeline = self
-                    .pipeline
-                    .caching_across_runs()
-                    .map_err(|e| EngineError::Analysis(e.to_string()))?;
-                let values = search_quantiles(request, probs, &mut |ts| {
-                    // The density over the same transform and grid: every
-                    // point it needs is the CDF's, a shared hit.
-                    let measure =
-                        |kind| MeasureSpec::from_spec(name.clone(), kind, ts, spec.clone());
-                    let job = BatchJob::new()
-                        .with_measure(measure(CurveKind::Cdf))
-                        .with_measure(measure(CurveKind::Density));
-                    let batch = self.execute(&pipeline, job)?;
-                    absorb_run(&mut provenance, &batch.report);
-                    provenance.shards = provenance.shards.max(batch.report.shards);
-                    provenance.states = provenance.states.or(batch.report.states);
-                    let [cdf, density]: [_; 2] = batch.measures.try_into().expect("two measures");
-                    provenance.evaluations += cdf.evaluations;
-                    provenance.cache_hits += cdf.cache_hits;
-                    Ok(cdf.values.into_iter().zip(density.values).collect())
-                })?;
-                let grid_points = provenance.evaluations + provenance.cache_hits;
-                Ok::<_, EngineError>(Answer {
-                    values,
-                    grid_points,
-                })
-            };
-            let (answer, remembered) = match &memo {
-                Some((cache, keys)) => cache.answer_or(keys[ri].clone(), search)?,
-                None => (search()?, false),
-            };
-            reports[ri] = Some(if remembered {
-                self.remembered_report(request, answer, started)
-            } else {
-                provenance.workers = self.transport.parallelism();
-                provenance.wall = started.elapsed();
-                MeasureReport {
-                    name,
-                    kind: request.kind.clone(),
-                    points: report_points(request),
-                    values: answer.values,
-                    provenance,
-                }
+            let pipeline = self
+                .pipeline
+                .caching_across_runs()
+                .map_err(|e| EngineError::Analysis(e.to_string()))?;
+            let values = search_quantiles(request, probs, &mut |ts| {
+                // The density over the same transform and grid: every point
+                // it needs is the CDF's, a shared hit.
+                let measure = |kind| MeasureSpec::from_spec(name.clone(), kind, ts, spec.clone());
+                let job = BatchJob::new()
+                    .with_measure(measure(CurveKind::Cdf))
+                    .with_measure(measure(CurveKind::Density));
+                let batch = self.execute(&pipeline, job)?;
+                absorb_run(&mut provenance, &batch.report);
+                provenance.shards = provenance.shards.max(batch.report.shards);
+                provenance.states = provenance.states.or(batch.report.states);
+                let [cdf, density]: [_; 2] = batch.measures.try_into().expect("two measures");
+                provenance.evaluations += cdf.evaluations;
+                provenance.cache_hits += cdf.cache_hits;
+                Ok(cdf.values.into_iter().zip(density.values).collect())
+            })?;
+            provenance.workers = self.transport.parallelism();
+            provenance.wall = started.elapsed();
+            reports[ri] = Some(MeasureReport {
+                name,
+                kind: request.kind.clone(),
+                points: report_points(request),
+                values,
+                provenance,
             });
         }
 
@@ -550,67 +515,6 @@ impl Engine for DistributedEngine {
             .into_iter()
             .map(|r| r.expect("every request answered"))
             .collect())
-    }
-}
-
-impl DistributedEngine {
-    /// The memo key of every request's answer, from one render of the
-    /// model's fingerprint — or `None` when a request has no answer to
-    /// remember (a moment order out of range, refused by the solve).
-    fn answer_keys(&self, requests: &[MeasureRequest]) -> Option<Vec<AnswerKey>> {
-        let fingerprint = self.model.fingerprint();
-        let method = self.pipeline.method();
-        requests
-            .iter()
-            .map(|request| {
-                let (kind, grid) = match &request.kind {
-                    MeasureKind::Quantile { probs } => (
-                        AnswerKind::Quantile(probs.iter().map(|p| p.to_bits()).collect()),
-                        vec![quantile_horizons(request).0.to_bits()],
-                    ),
-                    kind => match batch_kind_of(kind).ok()?? {
-                        moment @ CurveKind::Moment(_) => (AnswerKind::Planned(moment), Vec::new()),
-                        curve => (
-                            AnswerKind::Planned(curve),
-                            request.t_points.iter().map(|t| t.to_bits()).collect(),
-                        ),
-                    },
-                };
-                let transform = if request.kind.uses_passage_transform() {
-                    TransformSpec::passage_key(&fingerprint, &request.target)
-                } else {
-                    TransformSpec::transient_key(&fingerprint, &request.target)
-                };
-                Some(AnswerKey {
-                    kind,
-                    grid,
-                    method: method.clone(),
-                    transform,
-                })
-            })
-            .collect()
-    }
-
-    /// The report of a remembered answer: what a re-run over the warm cache
-    /// reports — nothing evaluated, sent, shared or looked up, and every
-    /// grid point the answer read a cache hit.
-    fn remembered_report(
-        &self,
-        request: &MeasureRequest,
-        answer: Answer,
-        started: Instant,
-    ) -> MeasureReport {
-        let mut provenance = Provenance::local(self.name, self.transport.name());
-        provenance.workers = self.transport.parallelism();
-        provenance.cache_hits = answer.grid_points;
-        provenance.wall = started.elapsed();
-        MeasureReport {
-            name: request.name(),
-            kind: request.kind.clone(),
-            points: report_points(request),
-            values: answer.values,
-            provenance,
-        }
     }
 }
 
@@ -956,9 +860,9 @@ impl Engine for UniformizationEngine {
 
     fn solve(&self, requests: &[MeasureRequest]) -> Result<Vec<MeasureReport>, EngineError> {
         let started = Instant::now();
+        validate_grids(requests, false)?;
         let (explored, hit) = self.models.explored(&self.model).map_err(model_error)?;
         validate_places(explored.net(), requests)?;
-        validate_grids(requests, false)?;
         let space = explored.space();
         let smp = space.smp();
         if let Err(e) = uniform::exponential_rates(smp) {

@@ -13,8 +13,8 @@
 //!   zero state-space explorations whatever measures it is asked for;
 //! * a byte-bounded [`crate::cache::ResultCache`] of transform values keyed
 //!   by measure fingerprint, so overlapping evaluation grids are served warm,
-//!   and with it the answer of every quantile search run over it, so a
-//!   repeated quantile reads no grid at all;
+//!   and with it a memo of every answer any served engine gave, so a
+//!   repeated request builds no engine and reads no grid at all;
 //! * a bounded memo of engine-routing verdicts (`--engine auto`), so a model
 //!   whose explored state space was evicted is still routed without
 //!   exploring it again.
@@ -68,16 +68,17 @@
 //! returned).  The pool itself survives a deadline — workers are released in
 //! protocol with a `done` frame and stay attached for the next request.
 
-use crate::cache::{LruMemo, ResultCache};
+use crate::batch::MeasureKind as CurveKind;
+use crate::cache::{AnswerKey, AnswerKind, LruMemo, ResultCache};
 use crate::engine::{
-    available_cores, uniformizable, AnalyticEngine, DistributedEngine, PhaseChainCache,
-    UniformizationEngine,
+    available_cores, batch_kind_of, quantile_horizons, uniformizable, validate_grids,
+    AnalyticEngine, DistributedEngine, PhaseChainCache, UniformizationEngine,
 };
 use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::{PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
-use crate::transform::{CompileError, ModelCache, ModelSpec};
+use crate::transform::{CompileError, ModelCache, ModelSpec, TransformSpec};
 use crate::transport::{
     dispatch_chunks, encode_plan_specs, held, transport_error, ExecutionPlan, InProcess, Transport,
     TransportReport,
@@ -290,7 +291,6 @@ pub fn resolve_request(
     method: &str,
     measures: &[String],
 ) -> Result<(EngineChoice, InversionMethod, Vec<MeasureRequest>), Refusal> {
-    let refusal = |kind, message| Refusal { kind, message };
     let method = InversionMethod::from_name(method).ok_or_else(|| {
         let message = format!("unknown method '{method}' (expected euler or laguerre)");
         refusal(RefusalKind::Protocol, message)
@@ -767,28 +767,6 @@ impl ServerShared {
         }
     }
 
-    /// Routes `--engine auto` for a model: is the all-exponential fast path
-    /// applicable?  Returns the memoized verdict plus the (hits, misses) of
-    /// the model lookup for provenance: a memo hit counts as a hit, a memo
-    /// miss as the probe's lookup in the model cache, which explores the
-    /// model only if it is not there.  A model that fails to explore is
-    /// refused, not routed.
-    fn route_auto(&self, model: &ModelSpec) -> Result<(bool, usize, usize), Refusal> {
-        let mut probed_hit = true;
-        let probe = || {
-            let (explored, hit) = self.models.explored(model)?;
-            probed_hit = hit;
-            Ok::<_, CompileError>(uniformizable(&explored))
-        };
-        match self.routes.get_or_insert_with(model.fingerprint(), probe) {
-            Ok((uniform, _)) => Ok((uniform, usize::from(probed_hit), usize::from(!probed_hit))),
-            Err(e) => Err(Refusal {
-                kind: RefusalKind::Model,
-                message: e.to_string(),
-            }),
-        }
-    }
-
     /// Takes the whole idle pool, waiting (deadline-capped) while another
     /// solve holds it or the workers have not attached yet.
     fn checkout_pool(&self, deadline: Option<Instant>) -> Result<Vec<PoolWorker>, PipelineError> {
@@ -875,166 +853,274 @@ impl Transport for PoolTransport {
 // Request handling
 // ---------------------------------------------------------------------------
 
-fn refuse(kind: RefusalKind, message: impl Into<String>) -> QueryReply {
-    QueryReply::Refusal(Refusal {
-        kind,
-        message: message.into(),
-    })
+fn refusal(kind: RefusalKind, message: impl Into<String>) -> Refusal {
+    let message = message.into();
+    Refusal { kind, message }
 }
 
-/// Builds the engine a request selected, over the server's long-lived
-/// transform-value and explored-model caches: explicit choices pass through,
-/// `auto` consults the memoized uniformization probe (the all-exponential
-/// fast path when it applies, the distributed pipeline otherwise) and also
-/// returns its model lookup's (hits, misses).  Distributed solves go over the
-/// standing worker pool when one is attached, in-process threads otherwise.
+/// The refusal an engine's error becomes.
+fn engine_refusal(e: EngineError) -> Refusal {
+    match e {
+        EngineError::Model(message) => refusal(RefusalKind::Model, message),
+        EngineError::Unsupported(message) => refusal(RefusalKind::Unsupported, message),
+        EngineError::Analysis(message) if message.contains("request deadline exceeded") => {
+            refusal(RefusalKind::Deadline, message)
+        }
+        EngineError::Analysis(message) => refusal(RefusalKind::Analysis, message),
+    }
+}
+
+/// The engine a request's choice routes to, plus the (hits, misses) of the
+/// model lookup that routed it.  Explicit choices pass through.  `auto` asks
+/// whether the all-exponential fast path applies — uniformization if so,
+/// the distributed pipeline otherwise — and memoizes the verdict under the
+/// model's `fingerprint`: a memo hit counts as a hit, a memo miss as the
+/// probe's lookup in the model cache, which explores the model only if it
+/// is not there.  A model that fails to explore is refused, not routed.
 fn route_engine(
-    shared: &Arc<ServerShared>,
+    shared: &ServerShared,
     choice: EngineChoice,
+    model: &ModelSpec,
+    fingerprint: &str,
+) -> Result<(EngineChoice, usize, usize), Refusal> {
+    match choice {
+        EngineChoice::Auto => {
+            let mut probed_hit = true;
+            let probe = || {
+                let (explored, hit) = shared.models.explored(model)?;
+                probed_hit = hit;
+                Ok::<_, CompileError>(uniformizable(&explored))
+            };
+            let (uniform, _) = shared
+                .routes
+                .get_or_insert_with(fingerprint.to_string(), probe)
+                .map_err(|e| refusal(RefusalKind::Model, e.to_string()))?;
+            let routed = if uniform {
+                EngineChoice::Uniform
+            } else {
+                EngineChoice::Distributed
+            };
+            Ok((routed, usize::from(probed_hit), usize::from(!probed_hit)))
+        }
+        EngineChoice::Sim => Err(refusal(
+            RefusalKind::Unsupported,
+            "the query server does not run the simulation engine; \
+             run `smpq --engine sim` one-shot instead",
+        )),
+        explicit => Ok((explicit, 0, 0)),
+    }
+}
+
+/// Builds the engine a request was routed to, over the server's long-lived
+/// transform-value, explored-model and phase-chain caches.  Distributed
+/// solves go over the standing worker pool when one is attached, in-process
+/// threads otherwise.
+fn build_engine(
+    shared: &Arc<ServerShared>,
+    routed: EngineChoice,
     model: &ModelSpec,
     method: &InversionMethod,
     deadline: Option<Instant>,
-) -> Result<(Box<dyn Engine>, usize, usize), Refusal> {
-    let uniformization = || -> Box<dyn Engine> {
-        let engine = UniformizationEngine::new(model.clone())
-            .with_model_cache(shared.models.clone())
-            .with_phase_cache(shared.phase_chains.clone());
-        Box::new(engine)
-    };
-    let distributed = || -> Box<dyn Engine> {
-        let workers = if shared.pool_size > 0 {
-            shared.pool_size
-        } else {
-            shared.inproc_workers.max(1)
-        };
-        let mut options = PipelineOptions::with_workers(workers);
-        options.shared_cache = Some(shared.results.clone());
-        let transport: Box<dyn Transport> = if shared.pool_size > 0 {
-            Box::new(PoolTransport {
-                shared: shared.clone(),
-                deadline,
-            })
-        } else if shared.solve_shards > 0 {
-            // `serve --shards N`: row-shard onto loopback slice workers.
-            // The resident tcp pool speaks the chunked s-point protocol,
-            // not slice jobs, so sharding is in-process only (enforced at
-            // the CLI).
-            Box::new(ShardedTransport::loopback(shared.solve_shards))
-        } else {
-            Box::new(InProcess::new(workers).with_model_cache(shared.models.clone()))
-        };
-        Box::new(DistributedEngine::with_transport(
-            model.clone(),
-            method.clone(),
-            options,
-            transport,
-        ))
-    };
-    let mut memo = (0, 0);
-    let engine: Box<dyn Engine> = match choice {
+) -> Box<dyn Engine> {
+    let in_process = |workers| InProcess::new(workers).with_model_cache(shared.models.clone());
+    let engine = match routed {
+        EngineChoice::Uniform => {
+            let engine = UniformizationEngine::new(model.clone())
+                .with_model_cache(shared.models.clone())
+                .with_phase_cache(shared.phase_chains.clone());
+            return Box::new(engine);
+        }
         EngineChoice::Analytic => {
-            let cores = InProcess::new(available_cores());
-            let backend = cores.with_model_cache(shared.models.clone());
-            Box::new(AnalyticEngine::over(model.clone(), method.clone(), backend))
+            AnalyticEngine::over(model.clone(), method.clone(), in_process(available_cores()))
         }
-        EngineChoice::Uniform => uniformization(),
-        EngineChoice::Distributed => distributed(),
-        EngineChoice::Auto => {
-            let (uniform, hits, misses) = shared.route_auto(model)?;
-            memo = (hits, misses);
-            if uniform {
-                uniformization()
+        _ => {
+            let workers = if shared.pool_size > 0 {
+                shared.pool_size
             } else {
-                distributed()
-            }
-        }
-        EngineChoice::Sim => {
-            return Err(Refusal {
-                kind: RefusalKind::Unsupported,
-                message: "the query server does not run the simulation engine; \
-                          run `smpq --engine sim` one-shot instead"
-                    .to_string(),
-            })
+                shared.inproc_workers.max(1)
+            };
+            let transport: Box<dyn Transport> = if shared.pool_size > 0 {
+                Box::new(PoolTransport {
+                    shared: shared.clone(),
+                    deadline,
+                })
+            } else if shared.solve_shards > 0 {
+                // `serve --shards N`: row-shard onto loopback slice workers.
+                // The resident tcp pool speaks the chunked s-point protocol,
+                // not slice jobs, so sharding is in-process only (enforced
+                // at the CLI).
+                Box::new(ShardedTransport::loopback(shared.solve_shards))
+            } else {
+                Box::new(in_process(workers))
+            };
+            let options = PipelineOptions::with_workers(workers);
+            DistributedEngine::with_transport(model.clone(), method.clone(), options, transport)
         }
     };
-    Ok((engine, memo.0, memo.1))
+    Box::new(engine.sharing(shared.results.clone()))
 }
 
-/// Answers one decoded request end to end: resolve its text, route, pass
-/// admission, solve, and stamp the server-side provenance (queue wait,
-/// model-cache traffic, rebuilds avoided by warm grid points).
-fn answer_query(shared: &Arc<ServerShared>, request: &QueryRequest) -> QueryReply {
-    let deadline = request.deadline.map(|d| Instant::now() + d);
+/// The memo key of every request's answer on the routed engine, over the
+/// model whose fingerprint is `fingerprint` — or `None` when a request has
+/// no answer to remember (a moment order out of range, refused by the
+/// solve).
+fn answer_keys(
+    requests: &[MeasureRequest],
+    routed: EngineChoice,
+    method: &InversionMethod,
+    fingerprint: &str,
+) -> Option<Vec<AnswerKey>> {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+    requests
+        .iter()
+        .map(|request| {
+            let (kind, grid) = match &request.kind {
+                MeasureKind::Quantile { probs } => (
+                    AnswerKind::Quantile(bits(probs)),
+                    vec![quantile_horizons(request).0.to_bits()],
+                ),
+                kind => match batch_kind_of(kind).ok()?? {
+                    moment @ CurveKind::Moment(_) => (AnswerKind::Planned(moment), Vec::new()),
+                    curve => (AnswerKind::Planned(curve), bits(&request.t_points)),
+                },
+            };
+            let transform = if request.kind.uses_passage_transform() {
+                TransformSpec::passage_key(fingerprint, &request.target)
+            } else {
+                TransformSpec::transient_key(fingerprint, &request.target)
+            };
+            Some(AnswerKey {
+                engine: routed.name(),
+                kind,
+                grid,
+                method: method.clone(),
+                transform,
+            })
+        })
+        .collect()
+}
 
+/// The report a remembered answer replies with: the fresh report's values,
+/// error bound, engine, backend and workers, and no work — what a re-run
+/// over the warm point cache reports, every grid point the answer read on a
+/// Laplace engine a cache hit.  Uniformization reads no transform grid.
+fn remembered_report(report: &MeasureReport, laplace: bool) -> MeasureReport {
+    let fresh = &report.provenance;
+    let mut provenance = Provenance::local(fresh.engine, fresh.backend.clone());
+    provenance.workers = fresh.workers;
+    provenance.error_bound = fresh.error_bound;
+    if laplace {
+        provenance.cache_hits = fresh.evaluations + fresh.cache_hits + fresh.shared_hits;
+    }
+    MeasureReport {
+        provenance,
+        ..report.clone()
+    }
+}
+
+/// Answers one decoded request end to end.
+fn answer_query(shared: &Arc<ServerShared>, request: &QueryRequest) -> QueryReply {
+    match solve_query(shared, request) {
+        Ok(reports) => QueryReply::Reports(reports),
+        Err(refusal) => QueryReply::Refusal(refusal),
+    }
+}
+
+/// Resolves a request's text, routes it, checks its grid, and replies with
+/// the remembered answers when every one is remembered — before admission,
+/// and before any engine is built.  Otherwise it passes admission, solves
+/// the whole request and remembers its answers.  Either way it stamps the
+/// server-side provenance (queue wait, model-cache traffic, rebuilds
+/// avoided by warm grid points).
+fn solve_query(
+    shared: &Arc<ServerShared>,
+    request: &QueryRequest,
+) -> Result<Vec<MeasureReport>, Refusal> {
+    let started = Instant::now();
+    let deadline = request.deadline.map(|d| Instant::now() + d);
     let (choice, method, measures) =
-        match resolve_request(&request.engine, &request.method, &request.measures) {
-            Ok(resolved) => resolved,
-            Err(refusal) => return QueryReply::Refusal(refusal),
-        };
+        resolve_request(&request.engine, &request.method, &request.measures)?;
     if measures.is_empty() {
-        return refuse(RefusalKind::Protocol, "query carries no measures");
+        return Err(refusal(RefusalKind::Protocol, "query carries no measures"));
     }
     let requests: Vec<MeasureRequest> = measures
         .into_iter()
         .map(|measure| measure.with_t_points(&request.t_points))
         .collect();
-    let (engine, memo_hits, memo_misses) =
-        match route_engine(shared, choice, &request.model, &method, deadline) {
-            Ok(routed) => routed,
-            Err(refusal) => return QueryReply::Refusal(refusal),
-        };
+    // One render of the fingerprint keys both the route memo and the
+    // answers.
+    let fingerprint = request.model.fingerprint();
+    let (routed, memo_hits, memo_misses) =
+        route_engine(shared, choice, &request.model, &fingerprint)?;
+    let laplace = routed != EngineChoice::Uniform;
+    validate_grids(&requests, laplace).map_err(engine_refusal)?;
 
-    let (permit, queue_wait) = match shared.admit(deadline) {
-        Ok(admitted) => admitted,
-        Err(refusal) => return QueryReply::Refusal(refusal),
+    // An answer remembered under this model's fingerprint and target proves
+    // the places, so a fully remembered request is its reply.
+    let keys = answer_keys(&requests, routed, &method, &fingerprint);
+    let remembered: Option<Vec<MeasureReport>> = keys.as_ref().and_then(|keys| {
+        keys.iter()
+            .map(|key| shared.results.remembered(key))
+            .collect()
+    });
+    let (outcome, queue_wait) = match remembered {
+        Some(reports) => {
+            // A mean and a first moment share an answer: the reply names
+            // what was asked.
+            let wall = started.elapsed();
+            let reply = reports
+                .into_iter()
+                .zip(&requests)
+                .map(|(mut report, request)| {
+                    (report.name, report.kind) = (request.name(), request.kind.clone());
+                    report.provenance.wall = wall;
+                    report
+                });
+            (Ok(reply.collect()), Duration::ZERO)
+        }
+        None => {
+            let engine = build_engine(shared, routed, &request.model, &method, deadline);
+            let (permit, queue_wait) = shared.admit(deadline)?;
+            let outcome = engine.solve(&requests);
+            drop(permit);
+            if let (Ok(reports), Some(keys)) = (&outcome, keys) {
+                for (key, report) in keys.into_iter().zip(reports) {
+                    shared
+                        .results
+                        .remember(key, remembered_report(report, laplace));
+                }
+            }
+            (outcome, queue_wait)
+        }
     };
-    let outcome = engine.solve(&requests);
-    drop(permit);
-
     if let Some(deadline) = deadline {
         if Instant::now() >= deadline {
             // Even a successful solve that finished late is refused: a
             // deadline is a promise about *when*, not just whether.
-            return refuse(
-                RefusalKind::Deadline,
-                "request deadline exceeded before the solve completed",
-            );
+            let message = "request deadline exceeded before the solve completed";
+            return Err(refusal(RefusalKind::Deadline, message));
         }
     }
 
-    match outcome {
-        Ok(mut reports) => {
-            if let Some(first) = reports.first_mut() {
-                first.provenance.queue_wait = queue_wait;
-                first.provenance.model_cache_hits += memo_hits;
-                first.provenance.model_cache_misses += memo_misses;
-                // Pool workers the heartbeat culled and replaced since the
-                // last answer: surfaced here so recovery is visible to the
-                // client that next touches the pool.
-                first.provenance.recovered_faults +=
-                    shared.pool_recovered.swap(0, Ordering::Relaxed);
-            }
-            for report in &mut reports {
-                // Every grid point served from the warm result cache (or
-                // shared with a sibling measure) is a kernel-matrix build
-                // the server never ran — fold it into the rebuild counter
-                // so warm queries are visibly cheap.
-                let warm = (report.provenance.cache_hits + report.provenance.shared_hits) as u64;
-                report.provenance.matrix_rebuilds_avoided += warm;
-            }
-            QueryReply::Reports(reports)
-        }
-        Err(EngineError::Model(message)) => refuse(RefusalKind::Model, message),
-        Err(EngineError::Unsupported(message)) => refuse(RefusalKind::Unsupported, message),
-        Err(EngineError::Analysis(message)) => {
-            let kind = if message.contains("request deadline exceeded") {
-                RefusalKind::Deadline
-            } else {
-                RefusalKind::Analysis
-            };
-            refuse(kind, message)
-        }
+    let mut reports: Vec<MeasureReport> = outcome.map_err(engine_refusal)?;
+    if let Some(first) = reports.first_mut() {
+        first.provenance.queue_wait = queue_wait;
+        first.provenance.model_cache_hits += memo_hits;
+        first.provenance.model_cache_misses += memo_misses;
+        // Pool workers the heartbeat culled and replaced since the last
+        // answer: surfaced here so recovery is visible to the client that
+        // next touches the pool.
+        first.provenance.recovered_faults += shared.pool_recovered.swap(0, Ordering::Relaxed);
     }
+    for report in &mut reports {
+        // Every grid point served from the warm result cache (or shared
+        // with a sibling measure) is a kernel-matrix build the server never
+        // ran — fold it into the rebuild counter so warm queries are
+        // visibly cheap.
+        let warm = (report.provenance.cache_hits + report.provenance.shared_hits) as u64;
+        report.provenance.matrix_rebuilds_avoided += warm;
+    }
+    Ok(reports)
 }
 
 // ---------------------------------------------------------------------------
@@ -1263,7 +1349,10 @@ fn serve_client(shared: Arc<ServerShared>, mut stream: TcpStream) {
         }
         let reply = match decode_query_request(&payload) {
             Ok(request) => answer_query(&shared, &request),
-            Err(e) => refuse(RefusalKind::Protocol, format!("malformed query: {e}")),
+            Err(e) => QueryReply::Refusal(refusal(
+                RefusalKind::Protocol,
+                format!("malformed query: {e}"),
+            )),
         };
         if write_payload(&mut stream, &encode_query_reply(&reply)).is_err() {
             return;
@@ -1505,7 +1594,11 @@ mod tests {
             polling: 1,
             central: 1,
         };
-        let route = |model| shared.route_auto(model).unwrap();
+        let route = |model: &ModelSpec| {
+            let (routed, hits, misses) =
+                route_engine(&shared, EngineChoice::Auto, model, &model.fingerprint()).unwrap();
+            (routed == EngineChoice::Uniform, hits, misses)
+        };
         assert_eq!(route(&a), (false, 0, 1), "first probe explores");
         assert_eq!(route(&a), (false, 1, 0), "repeat probe hits");
         assert_eq!(route(&b), (false, 0, 1));
@@ -1556,16 +1649,13 @@ mod tests {
     fn auto_routes_all_exponential_models_to_uniformization() {
         let shared = Arc::new(bare_shared(1, 1));
         let route = |model: &ModelSpec| {
-            let method = InversionMethod::euler();
-            let (engine, hits, misses) =
-                route_engine(&shared, EngineChoice::Auto, model, &method, None)
-                    .expect("auto routes");
-            (engine.name(), hits, misses)
+            let fingerprint = model.fingerprint();
+            route_engine(&shared, EngineChoice::Auto, model, &fingerprint).expect("auto routes")
         };
         let exp_model = exp_ring();
-        assert_eq!(route(&exp_model), ("uniformization", 0, 1));
-        assert_eq!(route(&exp_model), ("uniformization", 1, 0));
-        assert_eq!(route(&voting()).0, "distributed");
+        assert_eq!(route(&exp_model), (EngineChoice::Uniform, 0, 1));
+        assert_eq!(route(&exp_model), (EngineChoice::Uniform, 1, 0));
+        assert_eq!(route(&voting()).0, EngineChoice::Distributed);
     }
 
     /// Cold `auto` queries of a passage and then a transient measure over
@@ -1652,10 +1742,7 @@ mod tests {
     /// cache: its hit and miss counters stay put, every model stays
     /// resident, and the least recently used one is still the next evicted —
     /// a lookup that restamped the queried model would save it and evict
-    /// another.  The served analytic engine keeps no result cache, so its
-    /// repeat runs again and looks the model up once per run; the check
-    /// there is that those runs' lookups, which its provenance reports, are
-    /// the only ones.
+    /// another.
     #[test]
     fn a_fully_warm_query_leaves_the_model_cache_as_it_found_it() {
         let model = |voters| ModelSpec::Voting {
@@ -1683,17 +1770,6 @@ mod tests {
             let after = counters();
             // Counted, not looked at: the look would be the lookup under test.
             assert_eq!(shared.models.len(), 4);
-            if engine == "analytic" {
-                let reported = repeat.iter().fold((0, 0), |(hits, misses), r| {
-                    let p = &r.provenance;
-                    (
-                        hits + p.model_cache_hits as u64,
-                        misses + p.model_cache_misses as u64,
-                    )
-                });
-                assert_eq!((after.0 - before.0, after.1 - before.1), reported);
-                continue;
-            }
             assert!(
                 repeat.iter().all(|r| r.provenance.evaluations == 0),
                 "{engine}"
@@ -1873,6 +1949,59 @@ mod tests {
             assert_eq!(rerun.provenance.evaluations, 0, "{measure}: fully warm");
             assert_eq!(bits(&rerun.values), bits(&cold.values), "{measure}");
             assert_eq!(without_wall(&repeat), without_wall(&rerun), "{measure}");
+        }
+    }
+
+    /// The memo sits where a request is handed to its engine, so every
+    /// served engine remembers: `uniform` and `auto` (which routes the
+    /// all-exponential ring there) and `analytic` answer a repeat of every
+    /// measure kind with the same bits and the same error bound (the
+    /// uniformization truncation bound, the analytic engine's none),
+    /// evaluating nothing.  Only a Laplace engine reads a grid, so only its
+    /// repeat counts cache hits.
+    #[test]
+    fn every_served_engine_answers_a_repeat_from_the_remembered_answer() {
+        for (engine, model, target) in [
+            ("uniform", exp_ring(), "c>=1"),
+            ("auto", exp_ring(), "c>=1"),
+            ("analytic", voting(), "p2>=2"),
+        ] {
+            for kind in ["cdf", "density", "transient", "mean", "quantile"] {
+                // A server of its own, so the cold query evaluates.
+                let shared = Arc::new(bare_shared(1, 1));
+                let measure = match kind {
+                    "quantile" => format!("quantile:{target}@0.5,0.9"),
+                    _ => format!("{kind}:{target}"),
+                };
+                let request = QueryRequest {
+                    model: model.clone(),
+                    engine: engine.to_string(),
+                    deadline: None,
+                    t_points: vec![0.5, 2.5, 8.0],
+                    measures: vec![measure.clone()],
+                    ..sample_request()
+                };
+                let cold = one_report(&shared, &request);
+                let remembered = shared.results.remembered_answers();
+                let repeat = one_report(&shared, &request);
+                assert_eq!(shared.results.remembered_answers(), remembered);
+                let (c, r) = (&cold.provenance, &repeat.provenance);
+                assert!(c.evaluations > 0, "{engine} {measure}: cold");
+                assert_eq!(r.evaluations, 0, "{engine} {measure}: repeat");
+                assert_eq!(
+                    bits(&repeat.values),
+                    bits(&cold.values),
+                    "{engine} {measure}"
+                );
+                let bound = |p: &Provenance| p.error_bound.map(f64::to_bits);
+                assert_eq!(bound(r), bound(c), "{engine} {measure}");
+                assert_eq!((r.engine, &r.backend), (c.engine, &c.backend));
+                let read = match c.engine {
+                    "uniformization" => 0,
+                    _ => c.evaluations + c.cache_hits + c.shared_hits,
+                };
+                assert_eq!(r.cache_hits, read, "{engine} {measure}");
+            }
         }
     }
 
