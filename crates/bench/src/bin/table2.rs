@@ -19,8 +19,8 @@ use smp_bench::{build_paper_system, build_scaled_system, Args};
 use smp_core::PassageTimeAnalysis;
 use smp_laplace::InversionMethod;
 use smp_pipeline::{
-    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelCache, ModelSpec,
-    PipelineOptions, TargetSpec, TransformSpec,
+    available_cores, BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec,
+    ModelCache, ModelSpec, PipelineOptions, TargetSpec, TransformSpec,
 };
 use std::sync::Arc;
 
@@ -41,9 +41,7 @@ fn main() {
     );
     println!(
         "# available parallelism on this host: {} cores",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        available_cores()
     );
     println!("# thread workers; for worker processes on real sockets run: smpbench --workload fanout_sys0");
 
@@ -57,9 +55,9 @@ fn main() {
     // 5 t-points, as in the paper's Table 2 workload.
     let t_points: Vec<f64> = (1..=5).map(|k| mean * 0.4 * k as f64).collect();
 
-    // The same passage as a spec: the voting model's DNAmaca form explores to
-    // the programmatic state space.  It is explored once, here, so that every
-    // row times evaluation and not exploration.
+    // The same passage as a spec over the voting model's text, the one
+    // `system` was built from.  It is explored once, here, so that every row
+    // times evaluation and not exploration.
     let model = ModelSpec::Voting {
         voters: config.voters,
         polling: config.polling_units,

@@ -50,11 +50,11 @@ use smp_core::query::{Engine, EngineError, MeasureKind, MeasureReport, MeasureRe
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
 use smp_pipeline::{
-    query_with_retry, resolve_request, run_tcp_worker, uniformizable, AnalyticEngine,
-    DistributedEngine, EngineChoice, InProcess, ModelCache, ModelSpec, PipelineOptions, PoolSpec,
-    QueryClient, QueryError, QueryRequest, QueryServer, QueryServerOptions, RefusalKind,
-    RetryPolicy, SimulationEngine, SimulationOptions, TcpTransport, TcpWorkerOptions,
-    UniformizationEngine,
+    available_cores, query_with_retry, resolve_request, run_tcp_worker, uniformizable,
+    AnalyticEngine, DistributedEngine, EngineChoice, InProcess, ModelCache, ModelSpec,
+    PipelineOptions, PoolSpec, QueryClient, QueryError, QueryRequest, QueryServer,
+    QueryServerOptions, RefusalKind, RetryPolicy, SimulationEngine, SimulationOptions,
+    TcpTransport, TcpWorkerOptions, UniformizationEngine,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -471,12 +471,6 @@ impl<'a> Scanned<'a> {
     }
 }
 
-/// The threads the process may run on: the analytic engine's thread count
-/// and the default `--workers` of a one-shot run and of `smpq serve`.
-fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Parses a `--workers` value: a thread count, or `tcp:` plus a list of
 /// rendezvous addresses (shared by one-shot runs and `smpq serve`).
 fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
@@ -632,6 +626,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
 process); for in-process sharding use --shards N",
         ));
     }
+    let sim = SimulationOptions::default();
     Ok(CliOptions {
         request,
         workers,
@@ -641,8 +636,8 @@ process); for in-process sharding use --shards N",
         checkpoint: bag.text("--checkpoint").map(PathBuf::from),
         emit_model: bag.has("--emit-model"),
         validate_sim,
-        replications: bag.get("--replications")?.unwrap_or(10_000),
-        sim_seed: bag.get("--seed")?.unwrap_or(0x5eed),
+        replications: bag.get("--replications")?.unwrap_or(sim.replications),
+        sim_seed: bag.get("--seed")?.unwrap_or(sim.seed),
     })
 }
 
@@ -1247,15 +1242,17 @@ pub struct ServeCliOptions {
 }
 
 impl Default for ServeCliOptions {
+    /// The server's defaults, but for the pool: one thread per core.
     fn default() -> Self {
+        let server = QueryServerOptions::default();
         ServeCliOptions {
-            listen: "127.0.0.1:0".to_string(),
+            listen: server.listen,
             workers: WorkerBackend::Threads(available_cores()),
-            cache_models: 8,
-            cache_results_mb: 64,
-            max_inflight: 4,
-            max_queued: 16,
-            solve_shards: 0,
+            cache_models: server.cache_models,
+            cache_results_mb: server.cache_result_bytes >> 20,
+            max_inflight: server.max_inflight,
+            max_queued: server.max_queued,
+            solve_shards: server.solve_shards,
         }
     }
 }

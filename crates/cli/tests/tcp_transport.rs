@@ -38,7 +38,7 @@ fn voting_model() -> ModelSpec {
 
 /// The three-measure voting job of the walkthrough: density and CDF of the
 /// same passage (shared transform key) plus a transient probability.
-fn voting_job(ts: &[f64]) -> BatchJob<'static> {
+fn voting_job(ts: &[f64]) -> BatchJob {
     let targets = TargetSpec::parse("p2>=2").unwrap();
     let passage = TransformSpec::passage(voting_model(), targets.clone());
     let transient = TransformSpec::transient(voting_model(), targets);

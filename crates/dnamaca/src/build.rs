@@ -17,7 +17,7 @@ use smp_smspn::{SmSpn, TransitionSpec};
 ///
 /// Returns a descriptive error for semantic problems: duplicate or unknown names,
 /// non-integer initial markings, assignments to unknown places, and so on.
-pub fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
+pub(crate) fn build_net(model: &ModelAst) -> Result<SmSpn, String> {
     let mut scope = Scope::new();
 
     // Constants first (they may reference earlier constants only).

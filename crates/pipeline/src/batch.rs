@@ -17,7 +17,6 @@ use crate::transform::TransformSpec;
 use crate::transport::TransportReport;
 use smp_laplace::{InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
-use std::marker::PhantomData;
 use std::time::Duration;
 
 /// How a measure's values are derived from its transform.
@@ -217,16 +216,12 @@ impl MeasureSpec {
 }
 
 /// An ordered collection of measures solved together in one pipeline run.
-///
-/// The job owns its measures; `'a` bounds nothing it holds and is kept so
-/// that signatures spelling `BatchJob<'_>` or `BatchJob<'static>` compile.
 #[derive(Debug, Default)]
-pub struct BatchJob<'a> {
+pub struct BatchJob {
     measures: Vec<MeasureSpec>,
-    owned: PhantomData<&'a ()>,
 }
 
-impl BatchJob<'_> {
+impl BatchJob {
     /// Creates an empty job.
     pub fn new() -> Self {
         BatchJob::default()

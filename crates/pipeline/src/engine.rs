@@ -215,8 +215,9 @@ fn search_quantiles(
 // AnalyticEngine
 // ---------------------------------------------------------------------------
 
-/// The threads the process may run on.
-pub(crate) fn available_cores() -> usize {
+/// The threads the process may run on: the analytic engine's thread count
+/// and the default `--workers` of a one-shot run and of `smpq serve`.
+pub fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -372,7 +373,7 @@ impl DistributedEngine {
     fn execute(
         &self,
         pipeline: &DistributedPipeline,
-        job: BatchJob<'_>,
+        job: BatchJob,
     ) -> Result<BatchResult, EngineError> {
         pipeline
             .execute(job, self.transport.as_ref())

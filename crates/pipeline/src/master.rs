@@ -237,7 +237,7 @@ impl DistributedPipeline {
     /// ```
     pub fn execute(
         &self,
-        job: BatchJob<'_>,
+        job: BatchJob,
         transport: &dyn Transport,
     ) -> Result<BatchResult, PipelineError> {
         let started = Instant::now();
@@ -505,10 +505,7 @@ mod tests {
     }
 
     /// A batch over worker threads, as many as the pipeline's options ask.
-    fn run(
-        pipeline: &DistributedPipeline,
-        job: BatchJob<'_>,
-    ) -> Result<BatchResult, PipelineError> {
+    fn run(pipeline: &DistributedPipeline, job: BatchJob) -> Result<BatchResult, PipelineError> {
         pipeline.execute(job, &InProcess::new(pipeline.options().workers))
     }
 

@@ -95,6 +95,7 @@ use smp_core::query::{
 use smp_laplace::InversionMethod;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -116,21 +117,8 @@ const IO_TIMEOUT: Duration = Duration::from_secs(600);
 /// with EOF instantly, so this only bounds a wedged-but-connected one.
 const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Idle-loop iterations (20 ms sleeps) between heartbeat sweeps — about one
-/// sweep per second, counted rather than clocked.
-const HEARTBEAT_IDLE_TICKS: u64 = 50;
-
-/// Outcome of one standing-pool heartbeat sweep
-/// ([`QueryServer::heartbeat_workers`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PoolHealth {
-    /// Idle workers pinged this sweep.
-    pub checked: usize,
-    /// Workers that failed to echo the ping nonce and were dropped.
-    pub dead: usize,
-    /// Replacement workers accepted onto vacant rendezvous listeners.
-    pub replaced: usize,
-}
+/// The wait between heartbeat sweeps of a TCP pool.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -1231,25 +1219,20 @@ impl QueryServer {
     /// Pings every *idle* pool worker and culls those that fail to echo the
     /// nonce, then re-accepts replacement workers on the vacated rendezvous
     /// listeners (non-blocking: a replacement attaches on whichever later
-    /// sweep finds it dialing).  A no-op for an in-process pool or while a
-    /// solve holds the pool checked out — heartbeats never contend with
-    /// work.  Replacements are folded into the next answered query's
+    /// sweep finds it dialing).  A TCP pool's only; a no-op while a solve
+    /// holds the pool checked out — heartbeats never contend with work.
+    /// Replacements are folded into the next answered query's
     /// `recovered_faults` provenance.
-    pub(crate) fn heartbeat_workers(&self) -> PoolHealth {
-        let mut health = PoolHealth::default();
-        if self.worker_listeners.is_empty() {
-            return health;
-        }
+    fn heartbeat_workers(&self) {
         let workers = {
             let mut slot = unpoisoned(self.shared.pool.lock());
             match slot.take() {
                 Some(workers) => workers,
-                None => return health, // a solve holds the pool
+                None => return, // a solve holds the pool
             }
         };
         let mut live = Vec::with_capacity(workers.len());
         for (id, mut link) in workers {
-            health.checked += 1;
             let tick = self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
             let nonce = splitmix64(tick ^ ((id as u64) << 32));
             // A kill -9'd worker answers the ping with EOF immediately; the
@@ -1263,8 +1246,6 @@ impl QueryServer {
             let _ = link.stream().set_read_timeout(Some(IO_TIMEOUT));
             if healthy {
                 live.push((id, link));
-            } else {
-                health.dead += 1;
             }
         }
         // Every vacant rendezvous slot — vacated by this sweep or by a solve
@@ -1277,59 +1258,52 @@ impl QueryServer {
             }
             if let Ok(Some((link, ..))) = TcpLink::accept(listener, IO_TIMEOUT, &mut || false) {
                 live.push((id, link));
-                health.replaced += 1;
+                self.shared.pool_recovered.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.shared
-            .pool_recovered
-            .fetch_add(health.replaced as u64, Ordering::Relaxed);
         self.shared.return_pool(live);
-        health
     }
 
     /// Serves queries until a client sends `SHUTDOWN_REQUEST`, then drains
     /// the in-flight solves and returns.  Each accepted connection gets its
     /// own thread; the solve concurrency cap is the admission controller,
-    /// not the thread count.  Between accepts the idle loop heartbeats the
-    /// standing worker pool about once a second.
+    /// not the thread count.  Accept blocks until a client dials; the
+    /// connection that asks for shutdown wakes it with one connect of its
+    /// own.  A TCP pool's heartbeat runs about once a second on a thread of
+    /// its own.
     pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut idle_ticks = 0u64;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-                    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-                    let shared = self.shared.clone();
-                    std::thread::spawn(move || serve_client(shared, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    idle_ticks += 1;
-                    if idle_ticks.is_multiple_of(HEARTBEAT_IDLE_TICKS) {
+        let (stop_heartbeat, stopped) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            if !self.worker_listeners.is_empty() {
+                scope.spawn(move || {
+                    while let Err(RecvTimeoutError::Timeout) =
+                        stopped.recv_timeout(HEARTBEAT_INTERVAL)
+                    {
                         self.heartbeat_workers();
                     }
-                    std::thread::sleep(Duration::from_millis(20));
+                });
+            }
+            for stream in self.listener.incoming() {
+                let stream = stream?;
+                if self.shared.shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
-                Err(e) => return Err(e),
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(IO_TIMEOUT))?;
+                stream.set_write_timeout(Some(IO_TIMEOUT))?;
+                let shared = self.shared.clone();
+                std::thread::spawn(move || serve_client(shared, stream));
             }
-        }
+            drop(stop_heartbeat);
+            std::io::Result::Ok(())
+        })?;
         // Drain: give in-flight solves a bounded grace period to finish.
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let idle = {
-                let state = unpoisoned(self.shared.admission.lock());
-                state.active == 0 && state.waiting == 0
-            };
-            if idle || Instant::now() >= drain_deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let admission = unpoisoned(self.shared.admission.lock());
+        let _drained = unpoisoned(self.shared.admission_cv.wait_timeout_while(
+            admission,
+            Duration::from_secs(10),
+            |state| state.active > 0 || state.waiting > 0,
+        ));
         Ok(())
     }
 }
@@ -1345,6 +1319,11 @@ fn serve_client(shared: Arc<ServerShared>, mut stream: TcpStream) {
         if payload.trim() == SHUTDOWN_REQUEST {
             let _ = write_payload(&mut stream, SHUTDOWN_ACK);
             shared.shutdown.store(true, Ordering::SeqCst);
+            // Wake the accept loop: the address this client reached is the
+            // listener's, on an interface of this host.
+            if let Ok(listener) = stream.local_addr() {
+                let _ = TcpStream::connect_timeout(&listener, IO_TIMEOUT);
+            }
             return;
         }
         let reply = match decode_query_request(&payload) {
@@ -2289,6 +2268,41 @@ mod tests {
             assert_eq!(reports.len(), 2);
             client.shutdown().unwrap();
             running.join().unwrap().unwrap();
+        });
+    }
+
+    /// A fresh connection is accepted as soon as it dials, not on the next
+    /// poll of the listener, and `run` returns as soon as a client asks for
+    /// shutdown.
+    #[test]
+    fn fresh_connections_and_shutdown_are_served_without_delay() {
+        let server = QueryServer::bind(QueryServerOptions {
+            pool: PoolSpec::InProcess(1),
+            ..QueryServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.run());
+            let started = Instant::now();
+            for _ in 0..25 {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                write_payload(&mut stream, "not a query").unwrap();
+                let (reply, _) = read_payload(&mut stream).unwrap();
+                match decode_query_reply(&reply).unwrap() {
+                    QueryReply::Refusal(refusal) => assert_eq!(refusal.kind, RefusalKind::Protocol),
+                    QueryReply::Reports(_) => panic!("a malformed payload was answered"),
+                }
+            }
+            let served = started.elapsed();
+            let stopping = Instant::now();
+            let stopper = crate::client::QueryClient::connect(&addr.to_string());
+            stopper.unwrap().shutdown().unwrap();
+            running.join().unwrap().unwrap();
+            let stopped = stopping.elapsed();
+            let limit = Duration::from_millis(200);
+            assert!(served < limit, "25 connections took {served:?}");
+            assert!(stopped < limit, "shutdown took {stopped:?}");
         });
     }
 

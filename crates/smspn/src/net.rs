@@ -284,6 +284,12 @@ impl SmSpn {
         &self.transitions
     }
 
+    /// The transitions of the net, to re-time or re-weight in place (through
+    /// the [`TransitionSpec`] builders) after the net is built.
+    pub fn transitions_mut(&mut self) -> &mut [TransitionSpec] {
+        &mut self.transitions
+    }
+
     /// Looks up a transition index by name.
     pub fn transition_index(&self, name: &str) -> Option<usize> {
         self.transitions.iter().position(|t| t.name() == name)

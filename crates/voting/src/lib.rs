@@ -10,14 +10,14 @@
 //!
 //! The crate provides
 //!
-//! * [`VotingConfig`] / [`VotingSystem`] — a parameterised builder of the SM-SPN of
-//!   Fig. 2 for any `(CC, MM, NN)` (number of voters, polling units, central voting
-//!   units), with the firing-time distributions used throughout the experiments
+//! * [`spec`] — the model's one description, written in the extended DNAmaca
+//!   language accepted by `smp-dnamaca`, for any `(CC, MM, NN)` (number of voters,
+//!   polling units, central voting units);
+//! * [`VotingConfig`] / [`VotingSystem`] — the SM-SPN of Fig. 2 parsed from that
+//!   text, with each transition's firing-time distribution and weight overridable
 //!   (transition `t5`'s distribution is the one printed in Fig. 3 of the paper; the
 //!   remaining distributions are documented substitutions — see the workspace `README.md`);
 //! * [`configs`] — the six configurations of Table 1 (2 061 … 1 140 050 states);
-//! * [`spec`] — the same model written in the extended DNAmaca language accepted by
-//!   `smp-dnamaca`, and a check that both routes produce the same state space;
 //! * helpers to express the paper's source/target sets (voters voted, failure
 //!   modes) as SMP state sets.
 

@@ -1,4 +1,10 @@
-//! The SM-SPN of the distributed voting system (Fig. 2 of the paper).
+//! The distributed voting system (Fig. 2 of the paper), built from its text.
+//!
+//! [`VotingSystem::build_with`] parses the extended DNAmaca description of
+//! [`crate::spec::dnamaca_source`] — the one place where the net's places,
+//! guards, actions and priorities are written — gives each of its nine
+//! transitions the weight and firing-time distribution of
+//! [`VotingDistributions`], matched by transition name, and explores it.
 //!
 //! Places (indices in parentheses):
 //!
@@ -31,30 +37,13 @@
 //!   steady-state and transient quantities (Fig. 7) are well defined.
 //!
 //! The paper prints only `t5`'s firing distribution; the others are configurable
-//! through [`VotingDistributions`] with defaults chosen to give the same qualitative
-//! behaviour (see the substitution note in the workspace `README.md`, which gives
-//! the resulting gap to the paper's numbers).
+//! through [`VotingDistributions`], whose defaults are the constants of the text,
+//! chosen to give the same qualitative behaviour (see the substitution note in the
+//! workspace `README.md`, which gives the resulting gap to the paper's numbers).
 
+use crate::spec::dnamaca_source;
 use smp_distributions::Dist;
-use smp_smspn::{MarkingView, ReachabilityOptions, SmSpn, StateSpace, TransitionSpec};
-
-/// Place indices of the voting net, for readability.
-pub mod places {
-    /// Voters still to vote.
-    pub(crate) const P1_WAITING: usize = 0;
-    /// Voters that have voted.
-    pub(crate) const P2_VOTED: usize = 1;
-    /// Operational idle polling units.
-    pub(crate) const P3_POLLING_IDLE: usize = 2;
-    /// Polling units busy processing a vote.
-    pub(crate) const P4_POLLING_BUSY: usize = 3;
-    /// Operational central voting units.
-    pub(crate) const P5_CENTRAL_OK: usize = 4;
-    /// Failed central voting units.
-    pub(crate) const P6_CENTRAL_FAILED: usize = 5;
-    /// Failed polling units.
-    pub(crate) const P7_POLLING_FAILED: usize = 6;
-}
+use smp_smspn::{MarkingView, ReachabilityOptions, StateSpace};
 
 /// Sizing parameters of a voting system instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +81,8 @@ impl VotingConfig {
     }
 }
 
-/// Firing-time distributions of the voting net's transitions.
+/// Firing-time distributions and weights of the voting net's transitions; the
+/// default is the text's own.
 #[derive(Debug, Clone)]
 pub struct VotingDistributions {
     /// `t1` — time for a voting agent to cast a vote at a polling unit.
@@ -148,6 +138,25 @@ impl Default for VotingDistributions {
     }
 }
 
+impl VotingDistributions {
+    /// The weight and firing-time distribution of the text's transition `name`.
+    fn timing(&self, name: &str) -> Option<(f64, &Dist)> {
+        let (index, dist) = match name {
+            "t1_vote" => (0, &self.vote),
+            "t2_register" => (1, &self.register),
+            "t3_polling_failure" => (2, &self.polling_failure),
+            "t4_central_failure" => (3, &self.central_failure),
+            "t5_polling_full_repair" => (4, &self.polling_full_repair),
+            "t6_central_full_repair" => (5, &self.central_full_repair),
+            "t7_polling_self_recovery" => (6, &self.polling_self_recovery),
+            "t8_central_self_recovery" => (7, &self.central_self_recovery),
+            "t9_voter_return" => (8, &self.voter_return),
+            _ => return None,
+        };
+        Some((self.weights[index], dist))
+    }
+}
+
 /// A fully built voting system: the SM-SPN, its explored state space and the
 /// underlying SMP, plus helpers naming the paper's source/target sets.
 #[derive(Debug)]
@@ -166,13 +175,21 @@ impl VotingSystem {
         )
     }
 
-    /// Builds with explicit distributions and exploration options.
+    /// Builds with explicit distributions and exploration options: the text
+    /// of [`dnamaca_source`], each transition re-timed and re-weighted from
+    /// `dists`.
     pub fn build_with(
         config: VotingConfig,
         dists: &VotingDistributions,
         options: &ReachabilityOptions,
     ) -> Result<Self, Box<dyn std::error::Error>> {
-        let net = build_net(config, dists);
+        let mut net = smp_dnamaca::parse_model(&dnamaca_source(config))?;
+        for transition in net.transitions_mut() {
+            let (weight, dist) = dists
+                .timing(transition.name())
+                .ok_or_else(|| format!("no timing for transition '{}'", transition.name()))?;
+            *transition = transition.clone().weight(weight).distribution(dist.clone());
+        }
         let state_space = StateSpace::explore_with(&net, options)?;
         Ok(VotingSystem {
             config,
@@ -228,130 +245,22 @@ impl VotingSystem {
     }
 }
 
-/// Builds the SM-SPN of Fig. 2 for a configuration.
-pub fn build_net(config: VotingConfig, dists: &VotingDistributions) -> SmSpn {
-    use places::*;
-    let cc = config.voters;
-    let mm = config.polling_units;
-    let nn = config.central_units;
-
-    let mut net = SmSpn::with_places(&[
-        ("p1", cc),
-        ("p2", 0),
-        ("p3", mm),
-        ("p4", 0),
-        ("p5", nn),
-        ("p6", 0),
-        ("p7", 0),
-    ]);
-
-    // t1: a voter casts a vote, claiming an idle polling unit.
-    net.add_transition(
-        TransitionSpec::new("t1_vote")
-            .consumes(P1_WAITING, 1)
-            .consumes(P3_POLLING_IDLE, 1)
-            .produces(P2_VOTED, 1)
-            .produces(P4_POLLING_BUSY, 1)
-            .weight(dists.weights[0])
-            .priority(1)
-            .distribution(dists.vote.clone()),
-    );
-
-    // t2: the polling unit registers the vote with the operational central units
-    // (needs at least one) and becomes idle again.
-    net.add_transition(
-        TransitionSpec::new("t2_register")
-            .consumes(P4_POLLING_BUSY, 1)
-            .produces(P3_POLLING_IDLE, 1)
-            .guard(|m| Ok(m.get(P5_CENTRAL_OK) >= 1))
-            .weight(dists.weights[1])
-            .priority(1)
-            .distribution(dists.register.clone()),
-    );
-
-    // t3: an idle polling unit fails.
-    net.add_transition(
-        TransitionSpec::new("t3_polling_failure")
-            .consumes(P3_POLLING_IDLE, 1)
-            .produces(P7_POLLING_FAILED, 1)
-            .weight(dists.weights[2])
-            .priority(1)
-            .distribution(dists.polling_failure.clone()),
-    );
-
-    // t4: a central voting unit fails.
-    net.add_transition(
-        TransitionSpec::new("t4_central_failure")
-            .consumes(P5_CENTRAL_OK, 1)
-            .produces(P6_CENTRAL_FAILED, 1)
-            .weight(dists.weights[3])
-            .priority(1)
-            .distribution(dists.central_failure.clone()),
-    );
-
-    // t5: high-priority full repair of the polling units — the transition whose
-    // DNAmaca definition appears in Fig. 3 of the paper.
-    net.add_transition(
-        TransitionSpec::new("t5_polling_full_repair")
-            .guard(move |m| Ok(m.get(P7_POLLING_FAILED) > mm - 1))
-            .action(move |m, next| {
-                next.set(P3_POLLING_IDLE, m.get(P3_POLLING_IDLE) + mm);
-                next.set(P7_POLLING_FAILED, m.get(P7_POLLING_FAILED) - mm);
-                Ok(())
-            })
-            .weight(dists.weights[4])
-            .priority(2)
-            .distribution(dists.polling_full_repair.clone()),
-    );
-
-    // t6: high-priority full repair of the central voting units.
-    net.add_transition(
-        TransitionSpec::new("t6_central_full_repair")
-            .guard(move |m| Ok(m.get(P6_CENTRAL_FAILED) > nn - 1))
-            .action(move |m, next| {
-                next.set(P5_CENTRAL_OK, m.get(P5_CENTRAL_OK) + nn);
-                next.set(P6_CENTRAL_FAILED, m.get(P6_CENTRAL_FAILED) - nn);
-                Ok(())
-            })
-            .weight(dists.weights[5])
-            .priority(2)
-            .distribution(dists.central_full_repair.clone()),
-    );
-
-    // t7: self-recovery of a single polling unit (only while not all have failed —
-    // complete failure is handled by the high-priority t5).
-    net.add_transition(
-        TransitionSpec::new("t7_polling_self_recovery")
-            .consumes(P7_POLLING_FAILED, 1)
-            .produces(P3_POLLING_IDLE, 1)
-            .guard(move |m| Ok(m.get(P7_POLLING_FAILED) < mm))
-            .weight(dists.weights[6])
-            .priority(1)
-            .distribution(dists.polling_self_recovery.clone()),
-    );
-
-    // t8: self-recovery of a single central voting unit.
-    net.add_transition(
-        TransitionSpec::new("t8_central_self_recovery")
-            .consumes(P6_CENTRAL_FAILED, 1)
-            .produces(P5_CENTRAL_OK, 1)
-            .guard(move |m| Ok(m.get(P6_CENTRAL_FAILED) < nn))
-            .weight(dists.weights[7])
-            .priority(1)
-            .distribution(dists.central_self_recovery.clone()),
-    );
-
-    // t9: a voter that has voted eventually re-enters the queue for the next poll.
-    net.add_transition(
-        TransitionSpec::new("t9_voter_return")
-            .consumes(P2_VOTED, 1)
-            .produces(P1_WAITING, 1)
-            .weight(dists.weights[8])
-            .priority(1)
-            .distribution(dists.voter_return.clone()),
-    );
-
-    net
+/// Place indices of the voting net, in the order the text declares its places.
+pub mod places {
+    /// Voters that have voted.
+    pub(crate) const P2_VOTED: usize = 1;
+    /// Failed central voting units.
+    pub(crate) const P6_CENTRAL_FAILED: usize = 5;
+    /// Failed polling units.
+    pub(crate) const P7_POLLING_FAILED: usize = 6;
+    #[cfg(test)]
+    pub(crate) const P1_WAITING: usize = 0;
+    #[cfg(test)]
+    pub(crate) const P3_POLLING_IDLE: usize = 2;
+    #[cfg(test)]
+    pub(crate) const P4_POLLING_BUSY: usize = 3;
+    #[cfg(test)]
+    pub(crate) const P5_CENTRAL_OK: usize = 4;
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! The paper specifies its model "textually ... in an extended semi-Markovian version
 //! of the high-level DNAmaca Markov chain specification language" and prints the
 //! definition of transition `t5` (Fig. 3).  [`dnamaca_source`] emits the complete
-//! model in that language for any configuration, and the tests check that parsing it
-//! through `smp-dnamaca` yields exactly the same state space as the programmatic
-//! builder in [`crate::model`].
+//! model in that language for any configuration.  It is the model's only
+//! description: [`crate::model::VotingSystem`] parses it and overrides nothing but
+//! the transitions' weights and firing-time distributions.
 
 use crate::model::VotingConfig;
 
