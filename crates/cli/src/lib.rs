@@ -2603,6 +2603,29 @@ mod tests {
         assert_eq!(documented, declared);
     }
 
+    /// Every default the help text states as a number is the options' own.
+    #[test]
+    fn usage_states_the_options_defaults() {
+        let stated = |flag: &str| -> usize {
+            let line = usage()
+                .lines()
+                .find(|line| line.trim_start().starts_with(&format!("{flag} ")))
+                .unwrap_or_else(|| panic!("{flag} is documented"));
+            let (_, default) = line
+                .split_once("(default ")
+                .unwrap_or_else(|| panic!("{flag} states a default"));
+            default.trim_end_matches(')').parse().unwrap()
+        };
+        let sim = SimulationOptions::default();
+        let server = QueryServerOptions::default();
+        assert_eq!(stated("--replications"), sim.replications);
+        assert_eq!(stated("--seed") as u64, sim.seed);
+        assert_eq!(stated("--cache-models"), server.cache_models);
+        assert_eq!(stated("--cache-results") << 20, server.cache_result_bytes);
+        assert_eq!(stated("--max-inflight"), server.max_inflight);
+        assert_eq!(stated("--max-queued"), server.max_queued);
+    }
+
     #[test]
     fn repeated_flags_are_each_validated_and_the_last_one_wins() {
         let with = |extra: &str| {

@@ -44,7 +44,8 @@
 use crate::error::SmpError;
 use crate::smp::{SemiMarkovProcess, StateSet};
 use crate::workspace::{
-    lane, HotPathStats, LaneKernel, Lanes, PassageWorkspace, WorkspacePool, BLOCK_LANES,
+    lane, lanes_for, HotPathStats, LaneKernel, LaneSets, LaneWidth, Lanes, PassageWorkspace,
+    WorkspacePool, BLOCK_LANES, NARROW_LANES,
 };
 use smp_distributions::LaplaceTransform;
 use smp_numeric::Complex64;
@@ -375,7 +376,7 @@ impl<'a> PassageTimeSolver<'a> {
         }
         self.with_workspace(|ws| {
             ws.refill(self.smp, s);
-            let mut kernel = ws.kernel();
+            let mut kernel = ws.kernel::<1>();
             let [mut total] = kernel.begin(&self.starts);
             for _ in 1..r {
                 kernel.step();
@@ -436,16 +437,18 @@ fn solve_point(
     s: Complex64,
 ) -> Result<PassagePoint, SmpError> {
     ws.refill(smp, s);
-    let [point] = iterate(ws.kernel(), alpha, options, &[s]);
+    let [point] = iterate(ws.kernel::<1>(), alpha, options, &[s]);
     point.expect("the one lane is live")
 }
 
 /// Evaluates a chunk of points through `ws`, one result per point in order.
 ///
-/// The chunk's shape picks the kernel: while two or more points remain they
-/// advance as a block of up to four lockstep lanes over one shared pass of
-/// the index arrays; a last point on its own takes the single-lane instance
-/// of the same code.
+/// The chunk is cut into blocks of the model's lane width
+/// ([`lanes_for`] its state count), each advancing its points as lockstep
+/// lanes over one shared pass of the index arrays.  A padding lane costs a
+/// full lane, so what is left at the end takes the narrowest kernel that
+/// holds it: five to seven points one padded eight-lane block, two to four a
+/// four-lane block, one point the single-lane instance of the same code.
 pub(crate) fn solve_chunk(
     smp: &SemiMarkovProcess,
     ws: &mut PassageWorkspace,
@@ -453,19 +456,35 @@ pub(crate) fn solve_chunk(
     options: IterationOptions,
     points: &[Complex64],
 ) -> Vec<Result<PassagePoint, SmpError>> {
+    let width = lanes_for(ws.skeleton().num_states());
     let mut results = Vec::with_capacity(points.len());
-    let mut rest = points;
-    while rest.len() >= 2 {
-        let (block, tail) = rest.split_at(rest.len().min(BLOCK_LANES));
-        ws.refill_block(smp, block);
-        let lanes = iterate(ws.block_kernel(), alpha, options, block);
-        results.extend(lanes.into_iter().flatten());
-        rest = tail;
-    }
-    if let [s] = *rest {
-        results.push(solve_point(smp, ws, alpha, options, s));
+    for block in points.chunks(width) {
+        match block.len() {
+            1 => results.push(solve_point(smp, ws, alpha, options, block[0])),
+            2..=NARROW_LANES => {
+                results.extend(solve_block::<NARROW_LANES>(smp, ws, alpha, options, block));
+            }
+            _ => results.extend(solve_block::<BLOCK_LANES>(smp, ws, alpha, options, block)),
+        }
     }
     results
+}
+
+/// Evaluates up to `K` points as one block of the `K`-lane kernel.
+fn solve_block<const K: usize>(
+    smp: &SemiMarkovProcess,
+    ws: &mut PassageWorkspace,
+    alpha: &[(usize, f64)],
+    options: IterationOptions,
+    block: &[Complex64],
+) -> impl Iterator<Item = Result<PassagePoint, SmpError>>
+where
+    LaneSets: LaneWidth<K>,
+{
+    ws.refill_block::<K>(smp, block);
+    iterate(ws.kernel::<K>(), alpha, options, block)
+        .into_iter()
+        .flatten()
 }
 
 /// The convergence driver of both measures, generic in the lane count: lane

@@ -818,7 +818,7 @@ mod tests {
                 assert_eq!(nnz, full.skeleton().nnz(), "shards={shards}");
                 for s in test_points().into_iter().chain([underflow]) {
                     full.refill(&smp, s);
-                    let mut kernel = full.kernel();
+                    let mut kernel = full.kernel::<1>();
                     kernel.begin(&[(source, 1.0)]);
                     for ws in sharded.slices.iter_mut() {
                         ws.refill(s);

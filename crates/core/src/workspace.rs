@@ -336,14 +336,56 @@ impl PassageSkeleton {
 /// full-scan scatter's predictable branches beat the list bookkeeping.
 const DENSE_SWITCH_DIVISOR: usize = 4;
 
-/// Lanes of a block: `s`-points that advance in lockstep.  Four lanes share
-/// one pass over the index arrays and fill one 256-bit AVX2 register per
-/// component (one 64-byte cache line per block).  Eight measured level with
-/// four on the 106,994-state model (x86-64-v3 build, 2-core Xeon: median
-/// 2.18 against 2.22 s, faster in 2 of 4 pairs) for twice the iterate bytes
-/// behind every scattered entry.  It is also the chunk a work queue hands a
-/// thread when whole blocks are the unit of work.
-pub const BLOCK_LANES: usize = 4;
+/// Lanes of the widest block: `s`-points that advance in lockstep over one
+/// shared pass of the index arrays, two 256-bit AVX2 registers per component
+/// (two 64-byte cache lines per block).  It is also the chunk a work queue
+/// hands a thread when whole blocks are the unit of work, so every chunk is
+/// whole blocks at either width [`lanes_for`] picks.
+pub const BLOCK_LANES: usize = 8;
+
+/// Lanes of the narrow block: one register per component, one cache line.
+pub(crate) const NARROW_LANES: usize = 4;
+
+/// The bytes the widest block's two iterate vectors (`term`, `scratch`) may
+/// take for a model to run at [`BLOCK_LANES`]: 4 MiB, so up to 16,384 states.
+const WIDE_PAIR_BUDGET: usize = 4 << 20;
+
+/// The widest lockstep block a model of `num_states` states runs:
+/// [`BLOCK_LANES`] while that block's iterate pair fits `WIDE_PAIR_BUDGET`,
+/// four lanes otherwise.
+///
+/// Eight lanes share each index read among twice the points, which pays
+/// most while the iterates are cache-resident.  Single-thread cost per
+/// useful lane-nnz of `transform_many` on a 16-point Euler chunk (two
+/// eight-lane or four four-lane blocks), range of three alternating runs
+/// (x86-64-v3 build, 2-core Xeon, 4 MiB L2 per core, shared host):
+///
+/// | voting model | states | 4 lanes | 8 lanes |
+/// |---|---|---|---|
+/// | 9,3,2 (served) | 290 | 0.53–0.89 ns | 0.43–0.57 ns |
+/// | 18,6,3 (system 0) | 2,109 | 0.41–0.61 ns | 0.34–0.41 ns |
+/// | 30,12,3 | 11,253 | 0.55–0.67 ns | 0.41–0.54 ns |
+/// | 36,14,3 | 17,723 | 0.53–0.99 ns | 0.42–0.53 ns |
+/// | 40,16,4 | 31,324 | 0.49–0.67 ns | 0.47–0.53 ns |
+/// | 45,20,4 | 53,084 | 0.63–0.67 ns | 0.59–0.65 ns |
+/// | 60,25,4 (system 1) | 106,994 | 0.61–0.68 ns | 0.50–0.52 ns |
+///
+/// The gain is widest up to about 11,000 states and narrows past them (on
+/// another series eight lanes measured level with four on system 1:
+/// median 2.18 against 2.22 s a solve).  What eight lanes cost grows with
+/// the model: they double the iterate buffers, already a thread's largest
+/// memory owner.  Forced to eight lanes, one two-thread solve of system 1
+/// peaked at 97.2 MB against 56.2 MB at four (2.27 against 2.58 s), far
+/// more memory than the time it saves.  The budget holds the eight-lane
+/// pair to 4 MiB a thread.  Every lane computes the bits of the one-lane
+/// kernel, so the width moves no value and no iteration count.
+pub fn lanes_for(num_states: usize) -> usize {
+    if 2 * num_states * size_of::<Lanes<BLOCK_LANES>>() <= WIDE_PAIR_BUDGET {
+        BLOCK_LANES
+    } else {
+        NARROW_LANES
+    }
+}
 
 /// `K` complex numbers, one per lane, planar: the real parts, then the
 /// imaginary parts.
@@ -437,11 +479,12 @@ const LINE_BYTES: usize = 64;
 const LINE_F64S: usize = LINE_BYTES / size_of::<f64>();
 
 /// A zeroed `[Lanes<K>]` whose first element starts a cache line, so every
-/// `K = 4` block (64 bytes) is one whole line and no lane load is split
-/// across two.  The allocator only promises 16 bytes (large blocks start 16
-/// bytes past a page boundary), so the storage carries a line of slack and
-/// the lanes start at its first 64-byte boundary; the offset moves with the
-/// storage, so swapping two buffers keeps both aligned.
+/// `K = 4` block (64 bytes) is one whole line, a `K = 8` block two, and no
+/// lane load is split across two.  The allocator only promises 16 bytes
+/// (large blocks start 16 bytes past a page boundary), so the storage
+/// carries a line of slack and the lanes start at its first 64-byte
+/// boundary; the offset moves with the storage, so swapping two buffers
+/// keeps both aligned.
 #[derive(Debug, Default)]
 struct LaneVec<const K: usize> {
     storage: Vec<f64>,
@@ -483,7 +526,7 @@ impl<const K: usize> std::ops::DerefMut for LaneVec<K> {
 /// recipe value table built from them, and the two iterate vectors.  Sized on
 /// first use, so a workspace pays only for the lane counts it is asked for.
 #[derive(Debug, Default)]
-struct LaneBuffers<const K: usize> {
+pub(crate) struct LaneBuffers<const K: usize> {
     pool: LaneVec<K>,
     table: LaneVec<K>,
     term: LaneVec<K>,
@@ -532,6 +575,40 @@ impl<const K: usize> LaneBuffers<K> {
     }
 }
 
+/// A workspace's lane buffers, one set per kernel width, each sized on first
+/// use: a model at [`BLOCK_LANES`] pays for the narrow set only when a chunk
+/// ends in two to four points.
+#[derive(Debug, Default)]
+pub(crate) struct LaneSets {
+    one: LaneBuffers<1>,
+    narrow: LaneBuffers<NARROW_LANES>,
+    wide: LaneBuffers<BLOCK_LANES>,
+}
+
+/// The kernel widths a workspace holds lane buffers for: 1, four and
+/// [`BLOCK_LANES`].
+pub(crate) trait LaneWidth<const K: usize> {
+    fn buffers(&mut self) -> &mut LaneBuffers<K>;
+}
+
+impl LaneWidth<1> for LaneSets {
+    fn buffers(&mut self) -> &mut LaneBuffers<1> {
+        &mut self.one
+    }
+}
+
+impl LaneWidth<NARROW_LANES> for LaneSets {
+    fn buffers(&mut self) -> &mut LaneBuffers<NARROW_LANES> {
+        &mut self.narrow
+    }
+}
+
+impl LaneWidth<BLOCK_LANES> for LaneSets {
+    fn buffers(&mut self) -> &mut LaneBuffers<BLOCK_LANES> {
+        &mut self.wide
+    }
+}
+
 /// Sparse-phase bookkeeping for the `term · U'` steps: the rows where `term`
 /// may be nonzero in some lane, ascending (unused once `dense` is set, when
 /// the frontier has saturated).  The passage iteration's term vector starts
@@ -549,8 +626,7 @@ struct Frontier {
 
 /// The `K`-lane iteration over one workspace: what
 /// `PassageTimeSolver`'s convergence driver steps.  Obtained from
-/// [`PassageWorkspace::kernel`] / [`PassageWorkspace::block_kernel`] after
-/// the matching refill.
+/// [`PassageWorkspace::kernel`] after the matching refill.
 pub(crate) struct LaneKernel<'a, const K: usize> {
     skeleton: &'a PassageSkeleton,
     lanes: &'a mut LaneBuffers<K>,
@@ -756,12 +832,9 @@ impl<const K: usize> LaneKernel<'_, K> {
 #[derive(Debug)]
 pub struct PassageWorkspace {
     skeleton: Arc<PassageSkeleton>,
-    /// The single-point kernel's state: what [`PassageWorkspace::refill`]
-    /// fills and [`PassageWorkspace::u`] views.
-    single: LaneBuffers<1>,
-    /// The lockstep kernel's state, for blocks of up to [`BLOCK_LANES`]
-    /// points.
-    block: LaneBuffers<BLOCK_LANES>,
+    /// Each kernel width's state; the single-point set is what
+    /// [`PassageWorkspace::refill`] fills and [`PassageWorkspace::u`] views.
+    lanes: LaneSets,
     frontier: Frontier,
     /// `U(s)` of the latest [`PassageWorkspace::refill`] as a CSR matrix —
     /// absent until somebody asks for it, kept current from then on.
@@ -776,8 +849,7 @@ impl PassageWorkspace {
         let n = skeleton.structure.num_states;
         PassageWorkspace {
             skeleton,
-            single: LaneBuffers::default(),
-            block: LaneBuffers::default(),
+            lanes: LaneSets::default(),
             frontier: Frontier {
                 active: Vec::new(),
                 touched: Vec::new(),
@@ -818,7 +890,7 @@ impl PassageWorkspace {
                 st.col_indices.clone(),
                 vec![Complex64::ZERO; st.col_indices.len()],
             );
-            gather_values(st, &self.single.table, u.values_mut());
+            gather_values(st, &self.lanes.one.table, u.values_mut());
             u
         })
     }
@@ -832,19 +904,25 @@ impl PassageWorkspace {
     /// as the absent entry it is (see the module docs).
     pub fn refill(&mut self, smp: &SemiMarkovProcess, s: Complex64) {
         debug_assert_eq!(smp.num_states(), self.skeleton.structure.num_states);
-        self.single.refill(smp, &self.skeleton, &[s]);
+        self.lanes.one.refill(smp, &self.skeleton, &[s]);
         if let Some(u) = self.u.get_mut() {
             let st = &*self.skeleton.structure;
-            gather_values(st, &self.single.table, u.values_mut());
+            gather_values(st, &self.lanes.one.table, u.values_mut());
         }
         self.count_points(1);
     }
 
-    /// [`PassageWorkspace::refill`] for a block: lane `l` of the lockstep
-    /// kernel is refilled at `points[l]` (at most [`BLOCK_LANES`] of them).
-    pub(crate) fn refill_block(&mut self, smp: &SemiMarkovProcess, points: &[Complex64]) {
+    /// [`PassageWorkspace::refill`] for a block: lane `l` of the `K`-lane
+    /// kernel is refilled at `points[l]` (at most `K` of them).
+    pub(crate) fn refill_block<const K: usize>(
+        &mut self,
+        smp: &SemiMarkovProcess,
+        points: &[Complex64],
+    ) where
+        LaneSets: LaneWidth<K>,
+    {
         debug_assert_eq!(smp.num_states(), self.skeleton.structure.num_states);
-        self.block.refill(smp, &self.skeleton, points);
+        self.lanes.buffers().refill(smp, &self.skeleton, points);
         self.count_points(points.len() as u64);
     }
 
@@ -857,21 +935,16 @@ impl PassageWorkspace {
         self.stats.pooled_lst_evaluations += points * self.skeleton.structure.num_dists as u64;
     }
 
-    /// The iteration over the point of the latest [`PassageWorkspace::refill`].
-    pub(crate) fn kernel(&mut self) -> LaneKernel<'_, 1> {
+    /// The `K`-lane iteration over the points of the latest refill at that
+    /// width: [`PassageWorkspace::refill`] for `K = 1`,
+    /// `PassageWorkspace::refill_block` for a block.
+    pub(crate) fn kernel<const K: usize>(&mut self) -> LaneKernel<'_, K>
+    where
+        LaneSets: LaneWidth<K>,
+    {
         LaneKernel {
             skeleton: &self.skeleton,
-            lanes: &mut self.single,
-            frontier: &mut self.frontier,
-        }
-    }
-
-    /// The lockstep iteration over the points of the latest
-    /// [`PassageWorkspace::refill_block`].
-    pub(crate) fn block_kernel(&mut self) -> LaneKernel<'_, BLOCK_LANES> {
-        LaneKernel {
-            skeleton: &self.skeleton,
-            lanes: &mut self.block,
+            lanes: self.lanes.buffers(),
             frontier: &mut self.frontier,
         }
     }
@@ -1034,7 +1107,25 @@ mod tests {
     #[test]
     fn lane_vec_starts_a_cache_line_through_a_swap() {
         lane_vec_is_aligned_zeroed_and_sized::<1>();
+        lane_vec_is_aligned_zeroed_and_sized::<NARROW_LANES>();
+        // An eight-lane block spans two lines: both whole.
         lane_vec_is_aligned_zeroed_and_sized::<BLOCK_LANES>();
+    }
+
+    /// The width follows the model's size: eight lanes while the eight-lane
+    /// iterate pair fits 4 MiB (16,384 states), four past it.  System 0 and
+    /// every served model run eight lanes, system 1 four.
+    #[test]
+    fn lanes_for_switches_at_the_budget() {
+        assert_eq!(2 * 16_384 * size_of::<Lanes<BLOCK_LANES>>(), 4 << 20);
+        assert_eq!(lanes_for(16_384), BLOCK_LANES);
+        assert_eq!(lanes_for(16_385), NARROW_LANES);
+        for states in [1, 290, 2_109, 11_253] {
+            assert_eq!(lanes_for(states), BLOCK_LANES, "{states} states");
+        }
+        for states in [53_084, 106_994, 1_141_360] {
+            assert_eq!(lanes_for(states), NARROW_LANES, "{states} states");
+        }
     }
 
     /// A kernel with duplicate (row, col) transitions carrying different
@@ -1118,18 +1209,18 @@ mod tests {
         };
         let mut ws = PassageWorkspace::new(skeleton);
         ws.refill(&smp, Complex64::ONE);
-        ws.refill_block(&smp, &[Complex64::ONE; BLOCK_LANES]);
+        ws.refill_block::<BLOCK_LANES>(&smp, &[Complex64::ONE; BLOCK_LANES]);
         // Lane l of the block holds v scaled by l + 1.
         for (r, value) in v.iter().enumerate() {
-            ws.single.term[r] = [[value.re], [value.im]];
+            ws.lanes.one.term[r] = [[value.re], [value.im]];
             for l in 0..BLOCK_LANES {
                 let scaled = value.scale((l + 1) as f64);
-                ws.block.term[r][0][l] = scaled.re;
-                ws.block.term[r][1][l] = scaled.im;
+                ws.lanes.wide.term[r][0][l] = scaled.re;
+                ws.lanes.wide.term[r][1][l] = scaled.im;
             }
         }
-        assert_eq!(ws.kernel().dot_e(), [legacy(&v)]);
-        let block = ws.block_kernel().dot_e();
+        assert_eq!(ws.kernel::<1>().dot_e(), [legacy(&v)]);
+        let block = ws.kernel::<BLOCK_LANES>().dot_e();
         for (l, got) in block.iter().enumerate() {
             let scaled: Vec<Complex64> = v.iter().map(|c| c.scale((l + 1) as f64)).collect();
             assert_eq!(*got, legacy(&scaled), "lane {l}");
@@ -1296,13 +1387,13 @@ mod tests {
         let mut lazy = PassageWorkspace::new(Arc::clone(ws.skeleton_arc()));
         let (s1, s2) = (Complex64::new(0.5, 1.0), Complex64::new(2.0, -3.0));
         lazy.refill(&smp, s1);
-        lazy.refill_block(&smp, &[s2, s1]);
+        lazy.refill_block::<NARROW_LANES>(&smp, &[s2, s1]);
         assert!(lazy.u.get().is_none(), "nobody asked for the matrix yet");
         assert_eq!(lazy.u().values(), smp.build_u(s1).values());
         for s in [s2, s1] {
             ws.refill(&smp, s);
             lazy.refill(&smp, s);
-            lazy.refill_block(&smp, &[s1, s2, s1]);
+            lazy.refill_block::<BLOCK_LANES>(&smp, &[s1, s2, s1]);
             assert_eq!(ws.u().values(), smp.build_u(s).values());
             assert_eq!(lazy.u().values(), smp.build_u(s).values());
         }

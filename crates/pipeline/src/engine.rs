@@ -14,8 +14,10 @@
 //!   bits.
 //! * [`AnalyticEngine`] — the single-machine reference, which is not a code
 //!   path of its own but the distributed engine deployed over [`InProcess`]
-//!   on every core, handing out lane blocks of [`BLOCK_LANES`] points: the
-//!   paper's one-processor run is the same program as its cluster run.
+//!   on every core, handing out chunks of [`BLOCK_LANES`] points — one
+//!   eight-lane block, or two four-lane blocks on a model too large for
+//!   eight (`smp_core::workspace::lanes_for`): the paper's one-processor run
+//!   is the same program as its cluster run.
 //! * [`SimulationEngine`] — discrete-event simulation of the same high-level
 //!   model (wrapping `smp-simulator` with seed, replication and thread
 //!   control), reporting confidence bounds so the deterministic engines can be
@@ -225,8 +227,9 @@ pub fn available_cores() -> usize {
 /// as the [`DistributedEngine`] over [`InProcess`].
 ///
 /// The engine runs one thread per core.  Each pipeline run plans, dedupes
-/// and caches like any distributed run, and its threads pull lane blocks of
-/// [`BLOCK_LANES`] points from the work queue.  Its reports name the engine
+/// and caches like any distributed run, and its threads pull chunks of
+/// [`BLOCK_LANES`] points from the work queue, whole lane blocks at the
+/// model's width.  Its reports name the engine
 /// `analytic` and the backend `in-process`.  The type has no values: it
 /// names the constructors, so `AnalyticEngine::new(model, method)` reads as
 /// the engine it builds.

@@ -25,7 +25,8 @@ pub struct PipelineOptions {
     /// Number of work items dispatched to a worker per queue request and
     /// answered with a single result message.  `0` picks a size automatically
     /// (enough chunks for ~4 per worker, capped at 64 items, rounded up to a
-    /// multiple of the kernel's lane width, `BLOCK_LANES`).
+    /// multiple of the kernel's widest lane block, `BLOCK_LANES` = 8, so a
+    /// chunk is whole blocks at either lane width a model runs).
     pub chunk_size: usize,
     /// A result cache that outlives single runs.  When set, the pipeline
     /// dedupes against and deposits into this cache instead of building a
@@ -572,7 +573,7 @@ mod tests {
         let automatic = PipelineOptions::default();
         assert_eq!(automatic.resolve_chunk_size(46, 2), 8);
         assert_eq!(automatic.resolve_chunk_size(1_840, 2), 64);
-        assert_eq!(automatic.resolve_chunk_size(3, 4), 4);
+        assert_eq!(automatic.resolve_chunk_size(3, 4), 8);
         // An explicit size is taken as given.
         assert_eq!(automatic.chunked(5).resolve_chunk_size(46, 2), 5);
     }
