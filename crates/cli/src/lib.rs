@@ -49,12 +49,13 @@
 use smp_core::query::{Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest};
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
+use smp_pipeline::shard::ShardedTransport;
+use smp_pipeline::transport::Transport;
 use smp_pipeline::{
-    available_cores, query_with_retry, resolve_request, run_tcp_worker, uniformizable,
-    AnalyticEngine, DistributedEngine, EngineChoice, InProcess, ModelCache, ModelSpec,
-    PipelineOptions, PoolSpec, QueryClient, QueryError, QueryRequest, QueryServer,
-    QueryServerOptions, RefusalKind, RetryPolicy, SimulationEngine, SimulationOptions,
-    TcpTransport, TcpWorkerOptions, UniformizationEngine,
+    available_cores, build_engine, query_with_retry, resolve_request, route, run_tcp_worker,
+    EngineChoice, InProcess, ModelCache, ModelSpec, PipelineOptions, PoolSpec, QueryClient,
+    QueryError, QueryRequest, QueryServer, QueryServerOptions, RefusalKind, RetryPolicy,
+    SimulationEngine, SimulationOptions, TcpTransport, TcpWorkerOptions,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -89,9 +90,9 @@ pub struct RequestOptions {
 pub struct CliOptions {
     /// The request itself; its fields read as this struct's own.
     pub request: RequestOptions,
-    /// Where the distributed engine's evaluations run: worker threads or TCP
-    /// worker processes.
-    pub workers: WorkerBackend,
+    /// Where the distributed engine's evaluations run: in-process worker
+    /// threads or TCP worker processes.
+    pub workers: PoolSpec,
     /// Row shards for the distributed engine over in-process loopback slice
     /// workers (`--shards N`; 0 = unsharded).
     pub shards: usize,
@@ -129,16 +130,6 @@ pub enum ModelSource {
     File(PathBuf),
     /// Generate the built-in voting model for `(voters, polling, central)`.
     Voting(u32, u32, u32),
-}
-
-/// Where the distributed engine farms its transform evaluations out to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerBackend {
-    /// In-process worker threads (the paper's slave processors as threads).
-    Threads(usize),
-    /// One TCP worker process per listed rendezvous address: the master binds
-    /// each address and waits for an `smpq worker --connect` to dial in.
-    Tcp(Vec<String>),
 }
 
 /// An `smpq` failure: bad flags, unreadable/invalid model, or analysis error.
@@ -473,7 +464,7 @@ impl<'a> Scanned<'a> {
 
 /// Parses a `--workers` value: a thread count, or `tcp:` plus a list of
 /// rendezvous addresses (shared by one-shot runs and `smpq serve`).
-fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
+fn parse_workers_value(value: &str) -> Result<PoolSpec, CliError> {
     if let Some(list) = value.strip_prefix("tcp:") {
         let addrs: Vec<String> = list
             .split(',')
@@ -483,9 +474,9 @@ fn parse_workers_value(value: &str) -> Result<WorkerBackend, CliError> {
         if addrs.is_empty() {
             return Err(usage_error("--workers tcp: needs at least one ADDR"));
         }
-        Ok(WorkerBackend::Tcp(addrs))
+        Ok(PoolSpec::Tcp(addrs))
     } else {
-        Ok(WorkerBackend::Threads(value.parse().map_err(|_| {
+        Ok(PoolSpec::InProcess(value.parse().map_err(|_| {
             usage_error("--workers expects an integer or tcp:ADDR[,ADDR...]")
         })?))
     }
@@ -592,7 +583,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
     let engine = request.engine;
     let workers = bag
         .last_of("--workers", parse_workers_value)?
-        .unwrap_or_else(|| WorkerBackend::Threads(available_cores()));
+        .unwrap_or_else(|| PoolSpec::InProcess(available_cores()));
     let shards = bag.get("--shards")?.unwrap_or(0usize);
     let sharded = bag.has("--sharded");
     let validate_sim = bag.last_of("--validate-sim", |value| match value.parse::<f64>() {
@@ -601,7 +592,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
             "--validate-sim tolerance must be a positive number",
         )),
     })?;
-    let tcp = matches!(workers, WorkerBackend::Tcp(_));
+    let tcp = matches!(workers, PoolSpec::Tcp(_));
     if tcp && !matches!(engine, EngineChoice::Distributed | EngineChoice::Auto) {
         return Err(usage_error(format!(
             "--workers tcp: applies to the distributed engine only (got --engine {})",
@@ -667,11 +658,51 @@ fn sim_options(options: &CliOptions) -> SimulationOptions {
         replications: options.replications,
         seed: options.sim_seed,
         threads: match &options.workers {
-            WorkerBackend::Threads(n) => (*n).max(1),
-            WorkerBackend::Tcp(_) => 1,
+            PoolSpec::InProcess(n) => (*n).max(1),
+            PoolSpec::Tcp(_) => 1,
         },
         ..Default::default()
     }
+}
+
+/// The transport a one-shot distributed solve runs over: in-process threads
+/// sharing the run's model cache, loopback row shards (`--shards N`), or TCP
+/// worker processes (row-shard holders under `--sharded`).  The TCP
+/// rendezvous is bound here, and its hints go to stderr at once — solve
+/// blocks in accept until the workers dial in, and the report is printed
+/// only afterwards — as well as to the report.
+fn pool_transport(
+    options: &CliOptions,
+    models: &Arc<ModelCache>,
+    out: &mut String,
+) -> Result<Box<dyn Transport>, CliError> {
+    let checkpoint = options.checkpoint.as_deref();
+    let addrs = match &options.workers {
+        PoolSpec::InProcess(_) if options.shards > 0 => {
+            let shards = ShardedTransport::loopback(options.shards);
+            return Ok(Box::new(shards.with_checkpoint(checkpoint)));
+        }
+        PoolSpec::InProcess(n) => {
+            let threads = InProcess::new((*n).max(1));
+            return Ok(Box::new(threads.with_model_cache(Arc::clone(models))));
+        }
+        PoolSpec::Tcp(addrs) => addrs,
+    };
+    let transport = TcpTransport::bind(addrs)
+        .map_err(|e| CliError::Analysis(format!("cannot bind tcp rendezvous address: {e}")))?;
+    for (worker, addr) in transport.local_addrs().iter().enumerate() {
+        let hint = format!(
+            "tcp master: worker {worker} rendezvous at {addr} \
+(start it with: smpq worker --connect {addr})"
+        );
+        eprintln!("{hint}");
+        let _ = writeln!(out, "{hint}");
+    }
+    Ok(if options.sharded {
+        Box::new(ShardedTransport::tcp(transport).with_checkpoint(checkpoint))
+    } else {
+        Box::new(transport)
+    })
 }
 
 /// Runs one `smpq` invocation, writing the report to a string the binary
@@ -700,145 +731,73 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
         .map(|m| m.clone().with_t_points(&ts))
         .collect();
 
-    // The `--engine analytic` hint and the `--engine auto` probe read the
-    // explored model from the cache the in-process engine they lead to looks
-    // it up in, so the run explores the model once.  The clock starts here:
-    // the probe's exploration is the engine's.
+    // The routing probe and the engine it leads to look the model up in one
+    // cache, so the run explores the model once.  The clock starts here: the
+    // probe's exploration is the engine's.  `--engine analytic` runs the
+    // `auto` probe too, for its hint.
     let started = Instant::now();
     let models = Arc::new(ModelCache::new(1));
-    let mut probed = (0, 0);
-    let mut probe = || -> Result<bool, CliError> {
-        let (explored, hit) = models
-            .explored(&spec)
-            .map_err(|e| CliError::Model(e.to_string()))?;
-        probed = (usize::from(hit), usize::from(!hit));
-        Ok(uniformizable(&explored))
-    };
-
-    // The uniformization engine solves all-exponential models exactly with an
-    // a-priori truncation bound; tell the modeller when their model qualifies
-    // but they picked the Laplace-inversion path.
-    if options.engine == EngineChoice::Analytic && probe()? {
-        let _ = writeln!(
-            out,
-            "hint: every holding-time distribution in this model is exponential; \
---engine uniform solves it by CTMC uniformization with an a-priori truncation bound"
-        );
-    }
-
-    // `--engine auto` routes here, one-shot: the all-exponential fast path
-    // when the probe says yes, the distributed pipeline otherwise (mirroring
-    // the query server's routing, minus its memo).
-    let routed = match options.engine {
-        EngineChoice::Auto => {
-            if probe()? {
-                let _ = writeln!(
-                    out,
-                    "engine auto: every holding time is exponential; \
-routing to uniformization"
-                );
-                EngineChoice::Uniform
-            } else {
-                let _ = writeln!(
-                    out,
-                    "engine auto: non-exponential holding times present; \
-routing to the distributed pipeline"
-                );
-                EngineChoice::Distributed
-            }
-        }
+    let probe = match options.engine {
+        EngineChoice::Analytic => EngineChoice::Auto,
         chosen => chosen,
     };
+    let (probed, probe_hits, probe_misses) = route(probe, &spec, &models, None)?;
+    let (routed, note) = match (options.engine, probed) {
+        // The uniformization engine solves all-exponential models exactly
+        // with an a-priori truncation bound; tell the modeller when their
+        // model qualifies but they picked the Laplace-inversion path.
+        (EngineChoice::Analytic, EngineChoice::Uniform) => (
+            EngineChoice::Analytic,
+            Some(
+                "hint: every holding-time distribution in this model is exponential; \
+--engine uniform solves it by CTMC uniformization with an a-priori truncation bound",
+            ),
+        ),
+        (EngineChoice::Auto, EngineChoice::Uniform) => (
+            probed,
+            Some("engine auto: every holding time is exponential; routing to uniformization"),
+        ),
+        (EngineChoice::Auto, _) => (
+            probed,
+            Some(
+                "engine auto: non-exponential holding times present; \
+routing to the distributed pipeline",
+            ),
+        ),
+        (chosen, _) => (chosen, None),
+    };
+    if let Some(note) = note {
+        let _ = writeln!(out, "{note}");
+    }
 
-    // Build the chosen engine.  The TCP transport is bound here so the
-    // rendezvous hints can be printed *before* solve blocks in accept.
-    let in_process = |workers| InProcess::new(workers).with_model_cache(Arc::clone(&models));
-    let engine: Box<dyn Engine> = match (&routed, &options.workers) {
-        (EngineChoice::Analytic, _) => {
-            let backend = in_process(available_cores());
-            Box::new(AnalyticEngine::over(spec, options.method.clone(), backend))
-        }
-        (EngineChoice::Sim, _) => Box::new(SimulationEngine::new(spec, sim_options(options))),
-        (EngineChoice::Uniform, _) => {
-            Box::new(UniformizationEngine::new(spec).with_model_cache(Arc::clone(&models)))
-        }
-        (EngineChoice::Distributed | EngineChoice::Auto, WorkerBackend::Threads(n)) => {
-            let pipeline = PipelineOptions {
-                workers: (*n).max(1),
-                checkpoint_path: options.checkpoint.clone(),
-                chunk_size: options.chunk_size,
-                ..Default::default()
-            };
-            if options.shards > 0 {
-                Box::new(DistributedEngine::sharded(
-                    spec,
-                    options.method.clone(),
-                    pipeline,
-                    options.shards,
-                ))
-            } else {
-                let backend = Box::new(in_process(pipeline.workers));
-                Box::new(DistributedEngine::with_transport(
-                    spec,
-                    options.method.clone(),
-                    pipeline,
-                    backend,
-                ))
-            }
-        }
-        (EngineChoice::Distributed | EngineChoice::Auto, WorkerBackend::Tcp(addrs)) => {
-            let transport = TcpTransport::bind(addrs).map_err(|e| {
-                CliError::Analysis(format!("cannot bind tcp rendezvous address: {e}"))
-            })?;
-            for (worker, addr) in transport.local_addrs().iter().enumerate() {
-                let hint = format!(
-                    "tcp master: worker {worker} rendezvous at {addr} \
-(start it with: smpq worker --connect {addr})"
-                );
-                // solve() blocks in accept until the workers dial in, and the
-                // report string is only printed afterwards — the operator
-                // needs the rendezvous address *now*, so the hint also goes
-                // to stderr eagerly.
-                eprintln!("{hint}");
-                let _ = writeln!(out, "{hint}");
-            }
-            let pipeline = PipelineOptions {
-                workers: addrs.len(),
-                checkpoint_path: options.checkpoint.clone(),
-                chunk_size: options.chunk_size,
-                ..Default::default()
-            };
-            if options.sharded {
-                Box::new(DistributedEngine::sharded_tcp(
-                    spec,
-                    options.method.clone(),
-                    pipeline,
-                    transport,
-                ))
-            } else {
-                Box::new(DistributedEngine::with_transport(
-                    spec,
-                    options.method.clone(),
-                    pipeline,
-                    Box::new(transport),
-                ))
-            }
-        }
+    // A TCP master binds only when the routed engine is distributed.
+    let engine: Box<dyn Engine> = if routed == EngineChoice::Sim {
+        Box::new(SimulationEngine::new(spec, sim_options(options)))
+    } else {
+        let method = options.method.clone();
+        let pipeline = PipelineOptions {
+            checkpoint_path: options.checkpoint.clone(),
+            chunk_size: options.chunk_size,
+            ..Default::default()
+        };
+        let transport = || pool_transport(options, &models, &mut out);
+        build_engine(routed, spec, method, &models, None, pipeline, transport)?
     };
 
     let mut reports = engine.solve(&requests)?;
     let elapsed = started.elapsed();
     if let Some(first) = reports.first_mut() {
-        first.provenance.model_cache_hits += probed.0;
-        first.provenance.model_cache_misses += probed.1;
+        first.provenance.model_cache_hits += probe_hits;
+        first.provenance.model_cache_misses += probe_misses;
     }
 
-    if matches!(options.workers, WorkerBackend::Tcp(_))
-        && reports.iter().all(|r| r.provenance.messages == 0)
-    {
-        // No frame ever crossed the rendezvous: the checkpoint satisfied the
-        // whole plan.  Say so eagerly — a worker started per the hints above
-        // will retry against a closed port and exit (cleanly, as released).
+    // Every report carries the backend label of the engine that produced it.
+    let backend = reports.first().map_or("", |r| &r.provenance.backend);
+    if backend.contains("tcp") && reports.iter().all(|r| r.provenance.messages == 0) {
+        // A TCP master ran, but no frame ever crossed the rendezvous: the
+        // checkpoint satisfied the whole plan.  Say so eagerly — a worker
+        // started per the hints above will retry against a closed port and
+        // exit (cleanly, as released).
         let note = "tcp master: run satisfied entirely from the checkpoint; \
 no worker connections were used (any started workers exit cleanly)";
         eprintln!("{note}");
@@ -847,8 +806,6 @@ no worker connections were used (any started workers exit cleanly)";
 
     render_model_line(&mut out, &net, routed, &reports);
     render_reports(&mut out, &ts, &reports);
-    // Every report carries the backend label of the engine that produced it.
-    let backend = reports.first().map_or("", |r| &r.provenance.backend);
     render_engine_summary(&mut out, engine.name(), backend, &reports, elapsed);
 
     if let Some(tolerance) = options.validate_sim {
@@ -1221,60 +1178,26 @@ or a faster peer drained the queue){recovery}\n"
 // Query-service modes: serve / query / shutdown
 // ---------------------------------------------------------------------------
 
-/// Options for the `smpq serve` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeCliOptions {
-    /// Address the query listener binds (`HOST:PORT`; port 0 picks freely).
-    pub listen: String,
-    /// The solve backend: in-process threads or resident TCP workers.
-    pub workers: WorkerBackend,
-    /// Compiled-model-set LRU capacity (entries).
-    pub cache_models: usize,
-    /// Transform-value cache byte budget, in MiB.
-    pub cache_results_mb: usize,
-    /// Maximum solves running concurrently.
-    pub max_inflight: usize,
-    /// Maximum requests waiting for a solve slot before Busy refusals.
-    pub max_queued: usize,
-    /// Row shards for distributed solves (`--shards N`; 0 = unsharded).
-    /// In-process pools only: each solve runs over loopback slice workers.
-    pub solve_shards: usize,
-}
-
-impl Default for ServeCliOptions {
-    /// The server's defaults, but for the pool: one thread per core.
-    fn default() -> Self {
-        let server = QueryServerOptions::default();
-        ServeCliOptions {
-            listen: server.listen,
-            workers: WorkerBackend::Threads(available_cores()),
-            cache_models: server.cache_models,
-            cache_results_mb: server.cache_result_bytes >> 20,
-            max_inflight: server.max_inflight,
-            max_queued: server.max_queued,
-            solve_shards: server.solve_shards,
-        }
-    }
-}
-
-/// Parses the arguments after `smpq serve`.
-pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, CliError> {
+/// Parses the arguments after `smpq serve`: the server's own options, but
+/// for the pool, which defaults to one in-process thread per core.
+pub fn parse_serve_args(args: &[String]) -> Result<QueryServerOptions, CliError> {
     let bag = scan("serve ", &[POOL_FLAGS, SERVE_FLAGS], args)?;
-    let defaults = ServeCliOptions::default();
-    let options = ServeCliOptions {
+    let defaults = QueryServerOptions::default();
+    let options = QueryServerOptions {
         listen: bag.text("--listen").map_or(defaults.listen, str::to_string),
-        workers: bag
+        pool: bag
             .last_of("--workers", parse_workers_value)?
-            .unwrap_or(defaults.workers),
+            .unwrap_or_else(|| PoolSpec::InProcess(available_cores())),
         cache_models: bag.get("--cache-models")?.unwrap_or(defaults.cache_models),
-        cache_results_mb: bag
-            .get("--cache-results")?
-            .unwrap_or(defaults.cache_results_mb),
+        cache_result_bytes: match bag.get::<usize>("--cache-results")? {
+            Some(mib) => mib.saturating_mul(1 << 20),
+            None => defaults.cache_result_bytes,
+        },
         max_inflight: bag.get("--max-inflight")?.unwrap_or(defaults.max_inflight),
         max_queued: bag.get("--max-queued")?.unwrap_or(defaults.max_queued),
         solve_shards: bag.get("--shards")?.unwrap_or(defaults.solve_shards),
     };
-    if options.solve_shards > 0 && matches!(options.workers, WorkerBackend::Tcp(_)) {
+    if options.solve_shards > 0 && matches!(options.pool, PoolSpec::Tcp(_)) {
         return Err(usage_error(
             "serve --shards row-shards on in-process loopback slices and cannot be \
 combined with a resident tcp worker pool",
@@ -1290,21 +1213,9 @@ combined with a resident tcp worker pool",
 /// The listening address and the worker rendezvous addresses are printed to
 /// stderr *eagerly* (before the accept loop blocks), since the operator —
 /// or the integration test — needs them to start clients and workers.
-pub fn run_serve(options: &ServeCliOptions) -> Result<String, CliError> {
-    let pool = match &options.workers {
-        WorkerBackend::Threads(n) => PoolSpec::InProcess((*n).max(1)),
-        WorkerBackend::Tcp(addrs) => PoolSpec::Tcp(addrs.clone()),
-    };
-    let server = QueryServer::bind(QueryServerOptions {
-        listen: options.listen.clone(),
-        pool,
-        cache_models: options.cache_models,
-        cache_result_bytes: options.cache_results_mb.saturating_mul(1 << 20),
-        max_inflight: options.max_inflight,
-        max_queued: options.max_queued,
-        solve_shards: options.solve_shards,
-    })
-    .map_err(|e| CliError::Analysis(format!("cannot bind the query server: {e}")))?;
+pub fn run_serve(options: &QueryServerOptions) -> Result<String, CliError> {
+    let server = QueryServer::bind(options.clone())
+        .map_err(|e| CliError::Analysis(format!("cannot bind the query server: {e}")))?;
     let addr = server
         .local_addr()
         .map_err(|e| CliError::Analysis(format!("cannot read the bound address: {e}")))?;
@@ -1551,7 +1462,7 @@ mod tests {
         assert_eq!(options.measures[5].kind, MeasureKind::Moment { order: 2 });
         assert_eq!(options.t_count, 12);
         assert_eq!(options.engine, EngineChoice::Distributed);
-        assert_eq!(options.workers, WorkerBackend::Threads(8));
+        assert_eq!(options.workers, PoolSpec::InProcess(8));
         assert_eq!(options.chunk_size, 16);
         assert_eq!(options.method.name(), "laguerre");
         assert_eq!(options.checkpoint, Some(PathBuf::from("/tmp/x.ckpt")));
@@ -1567,7 +1478,7 @@ mod tests {
     #[test]
     fn default_workers_follow_the_host() {
         let options = parse_args(&args(&["--voting", "3,1,1", "--measure", "cdf:p2>=2"])).unwrap();
-        assert_eq!(options.workers, WorkerBackend::Threads(available_cores()));
+        assert_eq!(options.workers, PoolSpec::InProcess(available_cores()));
         assert!(
             usage().contains("--workers N         worker threads (default: one per available core")
         );
@@ -1578,7 +1489,7 @@ mod tests {
     #[test]
     fn serve_workers_default_to_the_host() {
         let options = parse_serve_args(&[]).unwrap();
-        assert_eq!(options.workers, WorkerBackend::Threads(available_cores()));
+        assert_eq!(options.pool, PoolSpec::InProcess(available_cores()));
         assert!(
             usage().contains("--workers N         solve on N in-process threads (default: one per")
         );
@@ -1645,7 +1556,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             options.workers,
-            WorkerBackend::Tcp(vec![
+            PoolSpec::Tcp(vec![
                 "127.0.0.1:9001".to_string(),
                 "127.0.0.1:9002".to_string()
             ])
@@ -2395,17 +2306,24 @@ mod tests {
         .unwrap();
         assert_eq!(options.listen, "127.0.0.1:7070");
         assert_eq!(
-            options.workers,
-            WorkerBackend::Tcp(vec!["127.0.0.1:0".to_string(), "127.0.0.1:0".to_string()])
+            options.pool,
+            PoolSpec::Tcp(vec!["127.0.0.1:0".to_string(), "127.0.0.1:0".to_string()])
         );
         assert_eq!(options.cache_models, 3);
-        assert_eq!(options.cache_results_mb, 16);
+        assert_eq!(options.cache_result_bytes, 16 << 20);
         assert_eq!(options.max_inflight, 2);
         assert_eq!(options.max_queued, 5);
 
         // Defaults stand when no flags are given.
         let defaults = parse_serve_args(&[]).unwrap();
-        assert_eq!(defaults, ServeCliOptions::default());
+        let pool = PoolSpec::InProcess(available_cores());
+        assert_eq!(
+            defaults,
+            QueryServerOptions {
+                pool,
+                ..QueryServerOptions::default()
+            }
+        );
 
         // Degenerate capacities are rejected up front.
         assert!(matches!(
@@ -2488,8 +2406,10 @@ mod tests {
 
     #[test]
     fn served_query_round_trips_against_a_local_server() {
-        // In-process end-to-end: bind a server with thread workers, ship one
-        // query through run_query, compare against the same one-shot run.
+        // In-process end-to-end: bind a server with thread workers, ship each
+        // query through run_query, and compare it with the same one-shot run:
+        // every engine choice over a model with deterministic holding times
+        // and over an all-exponential one routes alike on both sides.
         let server = QueryServer::bind(QueryServerOptions {
             pool: PoolSpec::InProcess(2),
             ..Default::default()
@@ -2498,37 +2418,9 @@ mod tests {
         let addr = server.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || server.run());
 
-        let query = parse_query_args(&args(&[
-            "--server",
-            &addr,
-            "--voting",
-            "3,1,1",
-            "--measure",
-            "cdf:p2>=2",
-            "--t-count",
-            "4",
-            "--engine",
-            "distributed",
-        ]))
-        .unwrap();
-        let served = run_query(&query).unwrap();
-        assert!(served.contains("engine: distributed"), "{served}");
-        assert!(served.contains(&format!("via {addr}")), "{served}");
-
-        let oneshot = run(&parse_args(&args(&[
-            "--voting",
-            "3,1,1",
-            "--measure",
-            "cdf:p2>=2",
-            "--t-count",
-            "4",
-            "--engine",
-            "distributed",
-        ]))
-        .unwrap())
-        .unwrap();
         // The numeric table must agree line for line (the summary blocks
-        // differ: backend label, timings, server counters).
+        // differ: backend label, timings, server counters), and so must the
+        // engine that answered.
         let table = |report: &str| -> Vec<String> {
             report
                 .lines()
@@ -2536,11 +2428,79 @@ mod tests {
                 .map(str::to_string)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(table(&served), table(&oneshot), "{served}\n---\n{oneshot}");
+        let engine = |report: &str| -> String {
+            let line = report.lines().find_map(|l| l.strip_prefix("engine: "));
+            let line = line.unwrap_or_else(|| panic!("no engine line:\n{report}"));
+            line.split_whitespace().next().unwrap().to_string()
+        };
+        let ring = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/ring_exp.mod"
+        );
+        let models = [
+            ("--voting", "3,1,1", "cdf:p2>=2"),
+            ("--model", ring, "cdf:c>=1"),
+        ];
+        for (flag, model, measure) in models {
+            for choice in ["auto", "analytic", "distributed", "uniform"] {
+                let request = [flag, model, "--measure", measure, "--t-count", "4"];
+                let request = [&request[..], &["--engine", choice]].concat();
+                let query = [&["--server", addr.as_str()], &request[..]].concat();
+                let served = run_query(&parse_query_args(&args(&query)).unwrap());
+                let oneshot = run(&parse_args(&args(&request)).unwrap());
+                let cell = format!("{model} --engine {choice}");
+                let (served, oneshot) = match (served, oneshot) {
+                    (Ok(served), Ok(oneshot)) => (served, oneshot),
+                    // Uniformization refuses the deterministic holding times
+                    // of the voting model on both sides.
+                    (Err(_), Err(_)) if choice == "uniform" && flag == "--voting" => continue,
+                    (served, oneshot) => panic!("{cell}: {served:?}\n---\n{oneshot:?}"),
+                };
+                assert!(served.contains(&format!("via {addr}")), "{served}");
+                assert_eq!(engine(&served), engine(&oneshot), "{cell}");
+                assert_eq!(table(&served), table(&oneshot), "{served}\n---\n{oneshot}");
+                assert!(!table(&served).is_empty(), "{cell}: {served}");
+                if (flag, choice) == ("--voting", "distributed") {
+                    assert!(served.contains("engine: distributed"), "{served}");
+                }
+            }
+        }
 
         run_shutdown(&parse_shutdown_args(&args(&["--server", &addr])).unwrap()).unwrap();
         handle.join().unwrap().unwrap();
     }
+
+    /// `auto` routes an all-exponential model away from `--workers tcp:` to
+    /// uniformization, so no TCP master runs and nothing is said of the
+    /// checkpoint.
+    #[test]
+    fn auto_routed_away_from_tcp_prints_no_checkpoint_note() {
+        let model = exp_ring_model_file("auto-tcp");
+        let options = parse_args(&args(&[
+            "--model",
+            model.to_str().unwrap(),
+            "--engine",
+            "auto",
+            "--workers",
+            "tcp:127.0.0.1:0",
+            "--measure",
+            "cdf:c>=1",
+            "--t-count",
+            "3",
+        ]))
+        .unwrap();
+        let report = run(&options).unwrap();
+        std::fs::remove_file(&model).unwrap();
+        assert!(
+            report.contains("engine: uniformization [poisson]"),
+            "{report}"
+        );
+        assert!(
+            !report.contains("satisfied entirely from the checkpoint"),
+            "{report}"
+        );
+    }
+
     #[test]
     fn query_refuses_a_reply_that_does_not_fit_the_requested_grid() {
         use smp_pipeline::wire::{read_payload, write_payload};

@@ -44,8 +44,9 @@
 use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
 use crate::cache::{LruMemo, ResultCache};
 use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
+use crate::server::EngineChoice;
 use crate::shard::ShardedTransport;
-use crate::transform::{ExploredModel, ModelCache, ModelSpec, TargetResolveError, TransformSpec};
+use crate::transform::{ModelCache, ModelSpec, TargetResolveError, TransformSpec};
 use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
@@ -241,19 +242,23 @@ impl AnalyticEngine {
     /// core.
     #[allow(clippy::new_ret_no_self)] // the engine is a `DistributedEngine`
     pub fn new(model: ModelSpec, method: InversionMethod) -> DistributedEngine {
-        Self::over(model, method, InProcess::new(available_cores()))
+        Self::over(model, method, &Arc::new(ModelCache::new(1)), None)
     }
 
-    /// The analytic engine over an explicit in-process backend — the query
-    /// server's, whose model cache outlives a request (the server also
-    /// shares its result cache with the engine), or the CLI's, whose model
-    /// cache holds what its `--engine` probe explored.
-    pub fn over(
+    /// The analytic engine looking its model up in `models`, the cache the
+    /// routing probe read, and running against `shared_cache`, a result cache
+    /// that outlives it (the query server's), when given one.
+    fn over(
         model: ModelSpec,
         method: InversionMethod,
-        backend: InProcess,
+        models: &Arc<ModelCache>,
+        shared_cache: Option<Arc<ResultCache>>,
     ) -> DistributedEngine {
-        let options = PipelineOptions::with_workers(backend.workers).chunked(BLOCK_LANES);
+        let backend = InProcess::new(available_cores()).with_model_cache(Arc::clone(models));
+        let options = PipelineOptions {
+            shared_cache,
+            ..PipelineOptions::with_workers(backend.workers).chunked(BLOCK_LANES)
+        };
         DistributedEngine {
             name: "analytic",
             ..DistributedEngine::with_transport(model, method, options, Box::new(backend))
@@ -294,7 +299,7 @@ impl std::fmt::Debug for DistributedEngine {
         f.debug_struct("DistributedEngine")
             .field("name", &self.name)
             .field("model", &self.model)
-            .field("backend", &self.backend())
+            .field("backend", &self.transport.name())
             .finish()
     }
 }
@@ -353,21 +358,6 @@ impl DistributedEngine {
         let transport =
             ShardedTransport::tcp(transport).with_checkpoint(options.checkpoint_path.as_deref());
         Self::with_transport(model, method, options, Box::new(transport))
-    }
-
-    /// The backend name (`in-process`, `tcp`, `sharded-loopback`,
-    /// `sharded-tcp`, …).
-    pub fn backend(&self) -> &'static str {
-        self.transport.name()
-    }
-
-    /// This engine over `cache`, a result cache that outlives it (the query
-    /// server's), so every run's values are warm for the next.
-    pub(crate) fn sharing(mut self, cache: Arc<ResultCache>) -> Self {
-        let mut options = self.pipeline.options().clone();
-        options.shared_cache = Some(cache);
-        self.pipeline = DistributedPipeline::new(self.pipeline.method().clone(), options);
-        self
     }
 
     /// One run of `pipeline` — the engine's own, or a quantile search's copy
@@ -573,11 +563,6 @@ impl SimulationEngine {
     pub fn new(model: ModelSpec, options: SimulationOptions) -> Self {
         SimulationEngine { model, options }
     }
-
-    /// The configured options.
-    pub fn options(&self) -> &SimulationOptions {
-        &self.options
-    }
 }
 
 impl Engine for SimulationEngine {
@@ -758,18 +743,12 @@ impl Engine for SimulationEngine {
 ///
 /// This performs a full state-space exploration (distribution parameters may
 /// be marking-dependent, so the check cannot be purely syntactic) and keeps
-/// nothing.  A caller that goes on to solve probes the model it looked up in
-/// its [`ModelCache`] with [`uniformizable`] instead, so the engine it builds
-/// reuses the exploration.
+/// nothing.  A caller that goes on to solve routes `auto` with [`route`]
+/// instead, which probes the model in its [`ModelCache`], so the engine it
+/// builds reuses the exploration.
 pub fn uniformization_applies(model: &ModelSpec) -> bool {
-    ExploredModel::explore(model).is_ok_and(|explored| uniformizable(&explored))
-}
-
-/// `true` iff every pooled holding-time distribution of an explored model is
-/// structurally exponential: the probe behind `--engine auto` and the
-/// analytic engine's hint.
-pub fn uniformizable(model: &ExploredModel) -> bool {
-    uniform::is_all_exponential(model.space().smp())
+    let routed = route(EngineChoice::Auto, model, &ModelCache::new(1), None);
+    routed.is_ok_and(|(engine, ..)| engine == EngineChoice::Uniform)
 }
 
 /// A bounded, thread-safe LRU cache of uniformization phase-chain
@@ -807,39 +786,12 @@ impl UniformizationEngine {
     /// A uniformization engine over `model` with the default Poisson
     /// truncation tolerance ([`smp_core::uniform::DEFAULT_TOLERANCE`]).
     pub fn new(model: ModelSpec) -> Self {
-        Self::with_tolerance(model, uniform::DEFAULT_TOLERANCE)
-    }
-
-    /// A uniformization engine with an explicit truncation tolerance in
-    /// `(0, 1)` — the Poisson tail mass the power iteration may neglect at
-    /// each time point.
-    pub(crate) fn with_tolerance(model: ModelSpec, tolerance: f64) -> Self {
-        assert!(
-            tolerance > 0.0 && tolerance < 1.0,
-            "truncation tolerance must be in (0, 1), got {tolerance}"
-        );
         UniformizationEngine {
             model,
-            tolerance,
+            tolerance: uniform::DEFAULT_TOLERANCE,
             models: Arc::new(ModelCache::new(1)),
             phase_cache: None,
         }
-    }
-
-    /// Looks the model up in `models` instead of the engine's own one-entry
-    /// cache, so the engine reuses what a routing probe or an earlier request
-    /// explored.  The lookup is reported in the first report's provenance
-    /// (`model_cache_hits` / `model_cache_misses`).
-    pub fn with_model_cache(mut self, models: Arc<ModelCache>) -> Self {
-        self.models = models;
-        self
-    }
-
-    /// Serves phase-chain reductions from `cache` instead of rebuilding them
-    /// on every solve; the cache's own hit and miss counters say how often.
-    pub(crate) fn with_phase_cache(mut self, cache: Arc<PhaseChainCache>) -> Self {
-        self.phase_cache = Some(cache);
-        self
     }
 }
 
@@ -1006,6 +958,82 @@ impl Engine for UniformizationEngine {
         }
         Ok(reports)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Routing
+// ---------------------------------------------------------------------------
+
+/// The engine `choice` routes to over `model`, with the (hits, misses) of
+/// the model-cache lookup that routed it: the one routing policy of one-shot
+/// runs and the query server.  `auto` probes the explored model in `models`
+/// — uniformization when every holding time is exponential, the distributed
+/// pipeline otherwise — asking the server's `memo` (keyed by the model's
+/// fingerprint) first when given one, where a hit counts as a hit.  Other
+/// choices pass through unprobed.  A model that fails to explore is a model
+/// error, not a route.
+pub fn route(
+    choice: EngineChoice,
+    model: &ModelSpec,
+    models: &ModelCache,
+    memo: Option<(&LruMemo<String, EngineChoice>, &str)>,
+) -> Result<(EngineChoice, usize, usize), EngineError> {
+    if choice != EngineChoice::Auto {
+        return Ok((choice, 0, 0));
+    }
+    let mut probed_hit = true;
+    let mut probe = || {
+        let (explored, hit) = models.explored(model).map_err(model_error)?;
+        probed_hit = hit;
+        let exponential = uniform::is_all_exponential(explored.space().smp());
+        Ok(if exponential {
+            EngineChoice::Uniform
+        } else {
+            EngineChoice::Distributed
+        })
+    };
+    let routed = match memo {
+        Some((memo, fingerprint)) => memo.get_or_insert_with(fingerprint.to_string(), probe)?.0,
+        None => probe()?,
+    };
+    Ok((routed, usize::from(probed_hit), usize::from(!probed_hit)))
+}
+
+/// Builds the engine [`route`] chose, one-shot or served, looking the model
+/// up in `models`, the cache the routing probe read.  `analytic` runs on
+/// every core in process against `options`' shared result cache, if any;
+/// `uniform` keeps its phase chains in `phase_chains`, if given; any other
+/// choice is the distributed pipeline with `options` over the transport
+/// `transport` makes — called only then, so a caller binds sockets only for
+/// a distributed solve.  (`sim` is the caller's own.)
+pub fn build_engine<E>(
+    routed: EngineChoice,
+    model: ModelSpec,
+    method: InversionMethod,
+    models: &Arc<ModelCache>,
+    phase_chains: Option<&Arc<PhaseChainCache>>,
+    options: PipelineOptions,
+    transport: impl FnOnce() -> Result<Box<dyn Transport>, E>,
+) -> Result<Box<dyn Engine>, E> {
+    Ok(match routed {
+        EngineChoice::Uniform => Box::new(UniformizationEngine {
+            models: Arc::clone(models),
+            phase_cache: phase_chains.cloned(),
+            ..UniformizationEngine::new(model)
+        }),
+        EngineChoice::Analytic => Box::new(AnalyticEngine::over(
+            model,
+            method,
+            models,
+            options.shared_cache,
+        )),
+        _ => {
+            let transport = transport()?;
+            Box::new(DistributedEngine::with_transport(
+                model, method, options, transport,
+            ))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1647,7 +1675,10 @@ pub(crate) mod tests {
             MeasureRequest::mean(target("c>=1")),
         ];
         let cache = Arc::new(PhaseChainCache::new(4));
-        let engine = UniformizationEngine::new(exp_ring()).with_phase_cache(Arc::clone(&cache));
+        let engine = UniformizationEngine {
+            phase_cache: Some(Arc::clone(&cache)),
+            ..UniformizationEngine::new(exp_ring())
+        };
         let cold = engine.solve(&requests).unwrap();
         // First solve builds one passage chain (cdf + mean share the target)
         // and one transient chain, over the one model it explores.

@@ -107,8 +107,8 @@ pub mod worker;
 pub use batch::{BatchJob, MeasureKind, MeasureSpec};
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
-    available_cores, uniformizable, uniformization_applies, AnalyticEngine, DistributedEngine,
-    SimulationEngine, SimulationOptions, UniformizationEngine,
+    available_cores, build_engine, route, uniformization_applies, AnalyticEngine,
+    DistributedEngine, SimulationEngine, SimulationOptions, UniformizationEngine,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};

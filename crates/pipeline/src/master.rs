@@ -149,11 +149,6 @@ impl DistributedPipeline {
         &self.options
     }
 
-    /// The inversion method that plans every run.
-    pub(crate) fn method(&self) -> &InversionMethod {
-        &self.method
-    }
-
     /// The cache a run without a shared one starts from: the checkpoint's
     /// values, or nothing.
     fn restored_cache(&self) -> Result<ResultCache, PipelineError> {

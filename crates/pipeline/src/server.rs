@@ -71,14 +71,13 @@
 use crate::batch::MeasureKind as CurveKind;
 use crate::cache::{AnswerKey, AnswerKind, LruMemo, ResultCache};
 use crate::engine::{
-    available_cores, batch_kind_of, quantile_horizons, uniformizable, validate_grids,
-    AnalyticEngine, DistributedEngine, PhaseChainCache, UniformizationEngine,
+    batch_kind_of, build_engine, quantile_horizons, route, validate_grids, PhaseChainCache,
 };
 use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::{PipelineError, PipelineOptions};
 use crate::shard::ShardedTransport;
-use crate::transform::{CompileError, ModelCache, ModelSpec, TransformSpec};
+use crate::transform::{ModelCache, ModelSpec, TransformSpec};
 use crate::transport::{
     dispatch_chunks, encode_plan_specs, held, transport_error, ExecutionPlan, InProcess, Transport,
     TransportReport,
@@ -89,10 +88,9 @@ use crate::wire::{
     WireError,
 };
 use crate::worker::WorkerMessage;
-use smp_core::query::{
-    Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
-};
+use smp_core::query::{EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance};
 use smp_laplace::InversionMethod;
+use std::convert::Infallible;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -607,7 +605,7 @@ pub enum PoolSpec {
 }
 
 /// Configuration for [`QueryServer::bind`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryServerOptions {
     /// Address the query listener binds (`127.0.0.1:0` picks a free port).
     pub listen: String,
@@ -658,7 +656,7 @@ struct AdmissionState {
 }
 
 /// Capacity of the `--engine auto` routing memo.  An entry is a fingerprint
-/// and one `bool`, and a miss probes the explored model — an exploration
+/// and the routed choice, and a miss probes the explored model — an exploration
 /// unless the model cache still holds it — so the memo is sized by what it
 /// holds, not by `cache_models` (which budgets whole explored models); a few
 /// hundred keeps the LRU's linear scan trivial.
@@ -672,15 +670,15 @@ struct ServerShared {
     results: Arc<ResultCache>,
     /// `--engine auto` routing verdicts, memoized per model fingerprint: they
     /// outlive the explored models the probes read.
-    routes: LruMemo<String, bool>,
+    routes: LruMemo<String, EngineChoice>,
     admission: Mutex<AdmissionState>,
     admission_cv: Condvar,
     /// `None` while the whole pool is checked out by a solve (or not yet
     /// attached); `Some` holds the idle workers.
     pool: Mutex<Option<Vec<PoolWorker>>>,
     pool_cv: Condvar,
-    pool_size: usize,
-    inproc_workers: usize,
+    /// The pool description the server was bound with.
+    pool_spec: PoolSpec,
     max_inflight: usize,
     max_queued: usize,
     solve_shards: usize,
@@ -796,6 +794,8 @@ impl ServerShared {
 struct PoolTransport {
     shared: Arc<ServerShared>,
     deadline: Option<Instant>,
+    /// The pool's rendezvous slots.
+    seats: usize,
 }
 
 impl Transport for PoolTransport {
@@ -804,7 +804,7 @@ impl Transport for PoolTransport {
     }
 
     fn parallelism(&self) -> usize {
-        self.shared.pool_size.max(1)
+        self.seats.max(1)
     }
 
     /// The pool's workers explore on their side of the wire; the server's
@@ -859,93 +859,43 @@ fn engine_refusal(e: EngineError) -> Refusal {
 }
 
 /// The engine a request's choice routes to, plus the (hits, misses) of the
-/// model lookup that routed it.  Explicit choices pass through.  `auto` asks
-/// whether the all-exponential fast path applies — uniformization if so,
-/// the distributed pipeline otherwise — and memoizes the verdict under the
-/// model's `fingerprint`: a memo hit counts as a hit, a memo miss as the
-/// probe's lookup in the model cache, which explores the model only if it
-/// is not there.  A model that fails to explore is refused, not routed.
+/// model lookup that routed it: [`route`] over the server's model cache and
+/// its `auto` memo.  The simulation engine is refused here.
 fn route_engine(
     shared: &ServerShared,
     choice: EngineChoice,
     model: &ModelSpec,
     fingerprint: &str,
 ) -> Result<(EngineChoice, usize, usize), Refusal> {
-    match choice {
-        EngineChoice::Auto => {
-            let mut probed_hit = true;
-            let probe = || {
-                let (explored, hit) = shared.models.explored(model)?;
-                probed_hit = hit;
-                Ok::<_, CompileError>(uniformizable(&explored))
-            };
-            let (uniform, _) = shared
-                .routes
-                .get_or_insert_with(fingerprint.to_string(), probe)
-                .map_err(|e| refusal(RefusalKind::Model, e.to_string()))?;
-            let routed = if uniform {
-                EngineChoice::Uniform
-            } else {
-                EngineChoice::Distributed
-            };
-            Ok((routed, usize::from(probed_hit), usize::from(!probed_hit)))
-        }
-        EngineChoice::Sim => Err(refusal(
+    if choice == EngineChoice::Sim {
+        return Err(refusal(
             RefusalKind::Unsupported,
             "the query server does not run the simulation engine; \
              run `smpq --engine sim` one-shot instead",
-        )),
-        explicit => Ok((explicit, 0, 0)),
+        ));
     }
+    let memo = Some((&shared.routes, fingerprint));
+    route(choice, model, &shared.models, memo).map_err(engine_refusal)
 }
 
-/// Builds the engine a request was routed to, over the server's long-lived
-/// transform-value, explored-model and phase-chain caches.  Distributed
-/// solves go over the standing worker pool when one is attached, in-process
-/// threads otherwise.
-fn build_engine(
-    shared: &Arc<ServerShared>,
-    routed: EngineChoice,
-    model: &ModelSpec,
-    method: &InversionMethod,
-    deadline: Option<Instant>,
-) -> Box<dyn Engine> {
-    let in_process = |workers| InProcess::new(workers).with_model_cache(shared.models.clone());
-    let engine = match routed {
-        EngineChoice::Uniform => {
-            let engine = UniformizationEngine::new(model.clone())
-                .with_model_cache(shared.models.clone())
-                .with_phase_cache(shared.phase_chains.clone());
-            return Box::new(engine);
+/// The transport a served distributed solve runs over: the standing worker
+/// pool when one is attached, loopback row shards under `serve --shards N`
+/// (the resident pool speaks the chunked `s`-point protocol, not slice jobs,
+/// so sharding is in-process only), in-process threads otherwise.
+fn pool_transport(shared: &Arc<ServerShared>, deadline: Option<Instant>) -> Box<dyn Transport> {
+    match &shared.pool_spec {
+        PoolSpec::Tcp(addrs) => Box::new(PoolTransport {
+            shared: shared.clone(),
+            deadline,
+            seats: addrs.len(),
+        }),
+        PoolSpec::InProcess(_) if shared.solve_shards > 0 => {
+            Box::new(ShardedTransport::loopback(shared.solve_shards))
         }
-        EngineChoice::Analytic => {
-            AnalyticEngine::over(model.clone(), method.clone(), in_process(available_cores()))
+        PoolSpec::InProcess(threads) => {
+            Box::new(InProcess::new((*threads).max(1)).with_model_cache(shared.models.clone()))
         }
-        _ => {
-            let workers = if shared.pool_size > 0 {
-                shared.pool_size
-            } else {
-                shared.inproc_workers.max(1)
-            };
-            let transport: Box<dyn Transport> = if shared.pool_size > 0 {
-                Box::new(PoolTransport {
-                    shared: shared.clone(),
-                    deadline,
-                })
-            } else if shared.solve_shards > 0 {
-                // `serve --shards N`: row-shard onto loopback slice workers.
-                // The resident tcp pool speaks the chunked s-point protocol,
-                // not slice jobs, so sharding is in-process only (enforced
-                // at the CLI).
-                Box::new(ShardedTransport::loopback(shared.solve_shards))
-            } else {
-                Box::new(in_process(workers))
-            };
-            let options = PipelineOptions::with_workers(workers);
-            DistributedEngine::with_transport(model.clone(), method.clone(), options, transport)
-        }
-    };
-    Box::new(engine.sharing(shared.results.clone()))
+    }
 }
 
 /// The memo key of every request's answer on the routed engine, over the
@@ -1067,7 +1017,20 @@ fn solve_query(
             (Ok(reply.collect()), Duration::ZERO)
         }
         None => {
-            let engine = build_engine(shared, routed, &request.model, &method, deadline);
+            let options = PipelineOptions {
+                shared_cache: Some(shared.results.clone()),
+                ..Default::default()
+            };
+            let transport = || Ok::<_, Infallible>(pool_transport(shared, deadline));
+            let Ok(engine) = build_engine(
+                routed,
+                request.model.clone(),
+                method,
+                &shared.models,
+                Some(&shared.phase_chains),
+                options,
+                transport,
+            );
             let (permit, queue_wait) = shared.admit(deadline)?;
             let outcome = engine.solve(&requests);
             drop(permit);
@@ -1127,7 +1090,7 @@ impl std::fmt::Debug for QueryServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryServer")
             .field("listen", &self.listener.local_addr())
-            .field("pool_size", &self.shared.pool_size)
+            .field("pool", &self.shared.pool_spec)
             .finish()
     }
 }
@@ -1143,18 +1106,17 @@ impl QueryServer {
     /// waiting out its predecessor's `TIME_WAIT` quarantine.
     pub fn bind(options: QueryServerOptions) -> std::io::Result<QueryServer> {
         let listener = TcpListener::bind(options.listen.as_str())?;
-        let (worker_listeners, pool_size, inproc_workers, initial_pool) = match &options.pool {
+        let (worker_listeners, initial_pool) = match &options.pool {
             PoolSpec::Tcp(addrs) => {
                 let mut listeners = Vec::with_capacity(addrs.len());
                 for addr in addrs {
                     listeners.push(TcpListener::bind(addr.as_str())?);
                 }
-                let size = listeners.len();
                 // The pool slot stays `None` until attach_workers fills it;
                 // early queries wait on the condvar rather than failing.
-                (listeners, size, 0, None)
+                (listeners, None)
             }
-            PoolSpec::InProcess(threads) => (Vec::new(), 0, (*threads).max(1), Some(Vec::new())),
+            PoolSpec::InProcess(_) => (Vec::new(), Some(Vec::new())),
         };
         let shared = Arc::new(ServerShared {
             models: Arc::new(ModelCache::new(options.cache_models)),
@@ -1168,11 +1130,10 @@ impl QueryServer {
             admission_cv: Condvar::new(),
             pool: Mutex::new(initial_pool),
             pool_cv: Condvar::new(),
-            pool_size,
-            inproc_workers,
             max_inflight: options.max_inflight.max(1),
             max_queued: options.max_queued,
             solve_shards: options.solve_shards,
+            pool_spec: options.pool,
             shutdown: AtomicBool::new(false),
             heartbeats: AtomicU64::new(0),
             pool_recovered: AtomicU64::new(0),
@@ -1342,6 +1303,8 @@ fn serve_client(shared: Arc<ServerShared>, mut stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{AnalyticEngine, DistributedEngine};
+    use smp_core::query::Engine;
 
     fn voting() -> ModelSpec {
         ModelSpec::Voting {
@@ -1518,8 +1481,7 @@ mod tests {
             admission_cv: Condvar::new(),
             pool: Mutex::new(Some(Vec::new())),
             pool_cv: Condvar::new(),
-            pool_size: 0,
-            inproc_workers: 1,
+            pool_spec: PoolSpec::InProcess(1),
             max_inflight,
             max_queued,
             solve_shards: 0,

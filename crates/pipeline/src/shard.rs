@@ -908,7 +908,7 @@ impl ShardedTransport {
     /// Keeps a mid-point iterate snapshot in the `<checkpoint>.shard` sidecar
     /// of the pipeline's checkpoint file, so a killed master resumes its
     /// in-flight point mid-iteration.  `None` keeps snapshots off.
-    pub(crate) fn with_checkpoint(mut self, checkpoint: Option<&Path>) -> ShardedTransport {
+    pub fn with_checkpoint(mut self, checkpoint: Option<&Path>) -> ShardedTransport {
         self.sidecar = checkpoint.map(shard_snapshot_path);
         self
     }

@@ -18,7 +18,7 @@
 //!   token row with a fixed hasher; it answers lookups only and is never
 //!   iterated, so no hash order reaches a state number (`smp-lint` D002).  It
 //!   numbers new markings only, so it is dropped when exploration ends, and
-//!   [`StateSpace::state_of`] scans the matrix instead.
+//!   the unit tests' `StateSpace::state_of` scans the matrix instead.
 //! * **Transitions stream into the [`SmpBuilder`]** as each state is expanded,
 //!   straight into the process's flat transition array — no edge list is
 //!   kept — and a successor is fired into one scratch marking, which is
@@ -326,7 +326,8 @@ impl StateSpace {
     /// The state index of a marking, if reachable.  A linear scan of the
     /// marking matrix: the index exploration numbered states with is not
     /// kept.
-    pub fn state_of<'m>(&self, marking: impl Into<MarkingView<'m>>) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn state_of<'m>(&self, marking: impl Into<MarkingView<'m>>) -> Option<usize> {
         let tokens = marking.into().as_slice();
         (0..self.num_states()).find(|&state| self.markings.row(state) == tokens)
     }

@@ -142,29 +142,7 @@ pub fn dnamaca_source(config: VotingConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{VotingConfig, VotingSystem};
-    use smp_smspn::StateSpace;
-
-    #[test]
-    fn spec_parses_and_matches_programmatic_state_space() {
-        let config = VotingConfig::new(3, 2, 2);
-        let source = dnamaca_source(config);
-        let net = smp_dnamaca::parse_model(&source).expect("spec must parse");
-        assert_eq!(net.num_places(), 7);
-        assert_eq!(net.num_transitions(), 9);
-        let parsed_space = StateSpace::explore(&net).unwrap();
-        let programmatic = VotingSystem::build(config).unwrap();
-        assert_eq!(parsed_space.num_states(), programmatic.num_states());
-        assert_eq!(
-            parsed_space.num_edges(),
-            programmatic.state_space().num_edges()
-        );
-        // The initial markings agree place-by-place.
-        assert_eq!(
-            parsed_space.marking(0).as_slice(),
-            programmatic.marking(0).as_slice()
-        );
-    }
+    use crate::model::VotingConfig;
 
     #[test]
     fn spec_embeds_paper_fig3_distribution() {

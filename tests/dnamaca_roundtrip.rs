@@ -1,65 +1,9 @@
-//! The textual (DNAmaca) and programmatic routes into the tool chain must agree:
-//! same state space, same kernel, same passage-time transforms.
+//! The paper's Fig. 3 DNAmaca excerpt parses, explores and fires inside a
+//! complete model.  (The voting net itself is written once, as text:
+//! `exploration_digest` pins what it explores to, both as parsed and as
+//! `VotingSystem` re-times it.)
 
-use smp_suite::core::PassageTimeSolver;
-use smp_suite::numeric::Complex64;
 use smp_suite::smspn::StateSpace;
-use smp_suite::voting::{spec, VotingConfig, VotingSystem};
-
-#[test]
-fn parsed_and_programmatic_models_have_identical_state_spaces() {
-    let config = VotingConfig::new(3, 2, 2);
-    let net = smp_suite::dnamaca::parse_model(&spec::dnamaca_source(config)).unwrap();
-    let parsed = StateSpace::explore(&net).unwrap();
-    let programmatic = VotingSystem::build(config).unwrap();
-
-    assert_eq!(parsed.num_states(), programmatic.num_states());
-    assert_eq!(parsed.num_edges(), programmatic.state_space().num_edges());
-    // Every marking reachable in one is reachable in the other.
-    for s in 0..parsed.num_states() {
-        let marking = parsed.marking(s);
-        assert!(
-            programmatic.state_space().state_of(marking).is_some(),
-            "marking {marking} missing from the programmatic state space"
-        );
-    }
-}
-
-#[test]
-fn parsed_and_programmatic_passage_transforms_agree() {
-    let config = VotingConfig::new(3, 2, 2);
-    let net = smp_suite::dnamaca::parse_model(&spec::dnamaca_source(config)).unwrap();
-    let parsed = StateSpace::explore(&net).unwrap();
-    let programmatic = VotingSystem::build(config).unwrap();
-
-    // Passage: all voters voted, starting from the initial marking.
-    let p2_parsed = net.place_index("p2").unwrap();
-    let parsed_targets = parsed.states_where(|m| m.get(p2_parsed) >= 3);
-    let prog_targets = programmatic.states_with_voted_at_least(3);
-    assert_eq!(parsed_targets.len(), prog_targets.len());
-
-    let parsed_solver =
-        PassageTimeSolver::new(parsed.smp(), &[parsed.initial_state()], &parsed_targets).unwrap();
-    let prog_solver = PassageTimeSolver::new(
-        programmatic.smp(),
-        &[programmatic.initial_state()],
-        &prog_targets,
-    )
-    .unwrap();
-
-    for &s in &[
-        Complex64::new(0.5, 0.0),
-        Complex64::new(0.2, 1.5),
-        Complex64::new(1.0, -3.0),
-    ] {
-        let a = parsed_solver.transform_at(s).unwrap().value;
-        let b = prog_solver.transform_at(s).unwrap().value;
-        assert!(
-            (a - b).norm() < 1e-9,
-            "transform mismatch at {s}: parsed {a} vs programmatic {b}"
-        );
-    }
-}
 
 #[test]
 fn fig3_excerpt_parses_inside_a_complete_model() {
