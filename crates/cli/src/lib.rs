@@ -49,13 +49,11 @@
 use smp_core::query::{Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest};
 use smp_laplace::InversionMethod;
 use smp_numeric::stats::linspace;
-use smp_pipeline::shard::ShardedTransport;
-use smp_pipeline::transport::Transport;
 use smp_pipeline::{
-    available_cores, build_engine, query_with_retry, resolve_request, route, run_tcp_worker,
-    EngineChoice, InProcess, ModelCache, ModelSpec, PipelineOptions, PoolSpec, QueryClient,
+    available_cores, build_engine, build_transport, query_with_retry, resolve_request, route,
+    run_tcp_worker, EngineChoice, ModelCache, ModelSpec, PipelineOptions, PoolSpec, QueryClient,
     QueryError, QueryRequest, QueryServer, QueryServerOptions, RefusalKind, RetryPolicy,
-    SimulationEngine, SimulationOptions, TcpTransport, TcpWorkerOptions,
+    SimulationEngine, SimulationOptions, TcpWorkerOptions,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -90,17 +88,9 @@ pub struct RequestOptions {
 pub struct CliOptions {
     /// The request itself; its fields read as this struct's own.
     pub request: RequestOptions,
-    /// Where the distributed engine's evaluations run: in-process worker
-    /// threads or TCP worker processes.
+    /// Where the distributed engine's evaluations run (`--workers`,
+    /// `--shards`, `--sharded`).
     pub workers: PoolSpec,
-    /// Row shards for the distributed engine over in-process loopback slice
-    /// workers (`--shards N`; 0 = unsharded).
-    pub shards: usize,
-    /// Make the TCP worker processes row-shard holders (`--sharded` with
-    /// `--workers tcp:...`): each worker iterates only its own contiguous
-    /// slice of the state space, with per-round boundary exchange, after
-    /// exploring the whole model to carve it.
-    pub sharded: bool,
     /// Work-queue chunk size; 0 lets the pipeline choose.
     pub chunk_size: usize,
     /// Optional checkpoint file shared across invocations.
@@ -584,7 +574,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
     let workers = bag
         .last_of("--workers", parse_workers_value)?
         .unwrap_or_else(|| PoolSpec::InProcess(available_cores()));
-    let shards = bag.get("--shards")?.unwrap_or(0usize);
+    let shards: Option<usize> = bag.get("--shards")?;
     let sharded = bag.has("--sharded");
     let validate_sim = bag.last_of("--validate-sim", |value| match value.parse::<f64>() {
         Ok(tol) if tol > 0.0 && tol.is_finite() => Ok(tol),
@@ -599,13 +589,13 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
             engine.name()
         )));
     }
-    if (shards > 0 || sharded) && engine != EngineChoice::Distributed {
+    if (shards.is_some() || sharded) && engine != EngineChoice::Distributed {
         return Err(usage_error(format!(
             "row sharding applies to the distributed engine only (got --engine {})",
             engine.name()
         )));
     }
-    if shards > 0 && tcp {
+    if shards.is_some() && tcp {
         return Err(usage_error(
             "--shards runs in-process loopback slices; over TCP workers use --sharded \
 (one shard per rendezvous address)",
@@ -617,12 +607,16 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
 process); for in-process sharding use --shards N",
         ));
     }
+    // `--shards` runs its slices whatever thread count `--workers` gave.
+    let workers = match (shards, workers) {
+        (Some(shards), _) => PoolSpec::Loopback(shards),
+        (None, PoolSpec::Tcp(addrs)) if sharded => PoolSpec::ShardedTcp(addrs),
+        (None, workers) => workers,
+    };
     let sim = SimulationOptions::default();
     Ok(CliOptions {
         request,
         workers,
-        shards,
-        sharded,
         chunk_size: bag.get("--chunk-size")?.unwrap_or(0),
         checkpoint: bag.text("--checkpoint").map(PathBuf::from),
         emit_model: bag.has("--emit-model"),
@@ -659,50 +653,12 @@ fn sim_options(options: &CliOptions) -> SimulationOptions {
         seed: options.sim_seed,
         threads: match &options.workers {
             PoolSpec::InProcess(n) => (*n).max(1),
-            PoolSpec::Tcp(_) => 1,
+            // Simulation bits do not depend on the thread count.
+            PoolSpec::Loopback(_) => available_cores(),
+            PoolSpec::Tcp(_) | PoolSpec::ShardedTcp(_) => 1,
         },
         ..Default::default()
     }
-}
-
-/// The transport a one-shot distributed solve runs over: in-process threads
-/// sharing the run's model cache, loopback row shards (`--shards N`), or TCP
-/// worker processes (row-shard holders under `--sharded`).  The TCP
-/// rendezvous is bound here, and its hints go to stderr at once — solve
-/// blocks in accept until the workers dial in, and the report is printed
-/// only afterwards — as well as to the report.
-fn pool_transport(
-    options: &CliOptions,
-    models: &Arc<ModelCache>,
-    out: &mut String,
-) -> Result<Box<dyn Transport>, CliError> {
-    let checkpoint = options.checkpoint.as_deref();
-    let addrs = match &options.workers {
-        PoolSpec::InProcess(_) if options.shards > 0 => {
-            let shards = ShardedTransport::loopback(options.shards);
-            return Ok(Box::new(shards.with_checkpoint(checkpoint)));
-        }
-        PoolSpec::InProcess(n) => {
-            let threads = InProcess::new((*n).max(1));
-            return Ok(Box::new(threads.with_model_cache(Arc::clone(models))));
-        }
-        PoolSpec::Tcp(addrs) => addrs,
-    };
-    let transport = TcpTransport::bind(addrs)
-        .map_err(|e| CliError::Analysis(format!("cannot bind tcp rendezvous address: {e}")))?;
-    for (worker, addr) in transport.local_addrs().iter().enumerate() {
-        let hint = format!(
-            "tcp master: worker {worker} rendezvous at {addr} \
-(start it with: smpq worker --connect {addr})"
-        );
-        eprintln!("{hint}");
-        let _ = writeln!(out, "{hint}");
-    }
-    Ok(if options.sharded {
-        Box::new(ShardedTransport::tcp(transport).with_checkpoint(checkpoint))
-    } else {
-        Box::new(transport)
-    })
 }
 
 /// Runs one `smpq` invocation, writing the report to a string the binary
@@ -770,7 +726,8 @@ routing to the distributed pipeline",
         let _ = writeln!(out, "{note}");
     }
 
-    // A TCP master binds only when the routed engine is distributed.
+    // A TCP master binds only when the routed engine is distributed; its
+    // hints go to stderr at once, as solve blocks until workers dial in.
     let engine: Box<dyn Engine> = if routed == EngineChoice::Sim {
         Box::new(SimulationEngine::new(spec, sim_options(options)))
     } else {
@@ -780,7 +737,21 @@ routing to the distributed pipeline",
             chunk_size: options.chunk_size,
             ..Default::default()
         };
-        let transport = || pool_transport(options, &models, &mut out);
+        let transport = || {
+            let built = build_transport(&options.workers, &models, options.checkpoint.as_deref());
+            let (transport, rendezvous) = built.map_err(|e| {
+                CliError::Analysis(format!("cannot bind tcp rendezvous address: {e}"))
+            })?;
+            for (worker, addr) in rendezvous.iter().enumerate() {
+                let hint = format!(
+                    "tcp master: worker {worker} rendezvous at {addr} \
+(start it with: smpq worker --connect {addr})"
+                );
+                eprintln!("{hint}");
+                let _ = writeln!(out, "{hint}");
+            }
+            Ok::<_, CliError>(transport)
+        };
         build_engine(routed, spec, method, &models, None, pipeline, transport)?
     };
 
@@ -1195,15 +1166,18 @@ pub fn parse_serve_args(args: &[String]) -> Result<QueryServerOptions, CliError>
         },
         max_inflight: bag.get("--max-inflight")?.unwrap_or(defaults.max_inflight),
         max_queued: bag.get("--max-queued")?.unwrap_or(defaults.max_queued),
-        solve_shards: bag.get("--shards")?.unwrap_or(defaults.solve_shards),
     };
-    if options.solve_shards > 0 && matches!(options.pool, PoolSpec::Tcp(_)) {
+    let Some(shards) = bag.get("--shards")? else {
+        return Ok(options);
+    };
+    if matches!(options.pool, PoolSpec::Tcp(_)) {
         return Err(usage_error(
             "serve --shards row-shards on in-process loopback slices and cannot be \
 combined with a resident tcp worker pool",
         ));
     }
-    Ok(options)
+    let pool = PoolSpec::Loopback(shards);
+    Ok(QueryServerOptions { pool, ..options })
 }
 
 /// Runs the always-on query server: bind, attach any TCP workers, then
@@ -1888,8 +1862,20 @@ mod tests {
             "3",
         ]))
         .unwrap();
-        assert_eq!(options.shards, 3);
-        assert!(!options.sharded);
+        assert_eq!(options.workers, PoolSpec::Loopback(3));
+        // A thread count beside --shards is accepted and runs the slices.
+        let options = parse_args(&args(&[
+            "--voting",
+            "3,1,1",
+            "--measure",
+            "mean:p2>=2",
+            "--workers",
+            "2",
+            "--shards",
+            "2",
+        ]))
+        .unwrap();
+        assert_eq!(options.workers, PoolSpec::Loopback(2));
 
         // Sharding belongs to the distributed engine only.
         for extra in [&["--shards", "2"][..], &["--sharded"][..]] {
@@ -1941,7 +1927,7 @@ mod tests {
 
         // smpq serve: --shards parses, but refuses a resident tcp pool.
         let serve = parse_serve_args(&args(&["--shards", "4"])).unwrap();
-        assert_eq!(serve.solve_shards, 4);
+        assert_eq!(serve.pool, PoolSpec::Loopback(4));
         match parse_serve_args(&args(&["--shards", "2", "--workers", "tcp:127.0.0.1:0"])) {
             Err(CliError::Usage(msg)) => assert!(single_spaced(&msg).contains("loopback"), "{msg}"),
             other => panic!("expected a usage error, got {other:?}"),

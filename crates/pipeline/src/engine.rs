@@ -13,7 +13,7 @@
 //!   [`DistributedPipeline::execute`], and every deployment reports the same
 //!   bits.
 //! * [`AnalyticEngine`] — the single-machine reference, which is not a code
-//!   path of its own but the distributed engine deployed over [`InProcess`]
+//!   path of its own but the distributed engine deployed over [`InProcess`](crate::InProcess)
 //!   on every core, handing out chunks of [`BLOCK_LANES`] points — one
 //!   eight-lane block, or two four-lane blocks on a model too large for
 //!   eight (`smp_core::workspace::lanes_for`): the paper's one-processor run
@@ -47,11 +47,11 @@ use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
 use crate::server::EngineChoice;
 use crate::shard::ShardedTransport;
 use crate::transform::{ModelCache, ModelSpec, TargetResolveError, TransformSpec};
-use crate::transport::{InProcess, TcpTransport, Transport, TransportReport};
+use crate::transport::{transport_over, PoolSpec, TcpTransport, Transport, TransportReport};
 use smp_core::query::{
     Engine, EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance,
 };
-use smp_core::uniform::{self, PhaseCtmc};
+use smp_core::uniform::{self, PhaseCtmc, DEFAULT_TOLERANCE as TOLERANCE};
 use smp_core::workspace::BLOCK_LANES;
 use smp_core::StateSet;
 use smp_laplace::quantile::CdfOnGrid;
@@ -225,7 +225,7 @@ pub fn available_cores() -> usize {
 }
 
 /// In-process Laplace inversion: the single-machine reference engine, built
-/// as the [`DistributedEngine`] over [`InProcess`].
+/// as the [`DistributedEngine`] over [`InProcess`](crate::InProcess).
 ///
 /// The engine runs one thread per core.  Each pipeline run plans, dedupes
 /// and caches like any distributed run, and its threads pull chunks of
@@ -254,14 +254,15 @@ impl AnalyticEngine {
         models: &Arc<ModelCache>,
         shared_cache: Option<Arc<ResultCache>>,
     ) -> DistributedEngine {
-        let backend = InProcess::new(available_cores()).with_model_cache(Arc::clone(models));
         let options = PipelineOptions {
             shared_cache,
-            ..PipelineOptions::with_workers(backend.workers).chunked(BLOCK_LANES)
+            ..PipelineOptions::default().chunked(BLOCK_LANES)
         };
+        let threads = PoolSpec::InProcess(available_cores());
+        let backend = transport_over(&threads, None, Arc::clone(models), None);
         DistributedEngine {
             name: "analytic",
-            ..DistributedEngine::with_transport(model, method, options, Box::new(backend))
+            ..DistributedEngine::with_transport(model, method, options, backend)
         }
     }
 }
@@ -308,7 +309,8 @@ impl DistributedEngine {
     /// A distributed engine over the in-process thread backend — the default
     /// deployment.
     pub fn in_process(model: ModelSpec, method: InversionMethod, options: PipelineOptions) -> Self {
-        let transport = Box::new(InProcess::new(options.workers.max(1)));
+        let threads = PoolSpec::InProcess(options.workers);
+        let transport = transport_over(&threads, None, Arc::new(ModelCache::new(1)), None);
         Self::with_transport(model, method, options, transport)
     }
 
@@ -339,9 +341,10 @@ impl DistributedEngine {
         options: PipelineOptions,
         shards: usize,
     ) -> Self {
-        let transport =
-            ShardedTransport::loopback(shards).with_checkpoint(options.checkpoint_path.as_deref());
-        Self::with_transport(model, method, options, Box::new(transport))
+        let checkpoint = options.checkpoint_path.as_deref();
+        let slices = PoolSpec::Loopback(shards);
+        let transport = transport_over(&slices, None, Arc::new(ModelCache::new(1)), checkpoint);
+        Self::with_transport(model, method, options, transport)
     }
 
     /// A row-sharded engine whose slice workers are `smpq worker` processes
@@ -355,8 +358,7 @@ impl DistributedEngine {
         options: PipelineOptions,
         transport: TcpTransport,
     ) -> Self {
-        let transport =
-            ShardedTransport::tcp(transport).with_checkpoint(options.checkpoint_path.as_deref());
+        let transport = ShardedTransport::tcp(transport, options.checkpoint_path.as_deref());
         Self::with_transport(model, method, options, Box::new(transport))
     }
 
@@ -777,7 +779,6 @@ pub(crate) type PhaseChainCache = LruMemo<String, Arc<PhaseCtmc>>;
 #[derive(Debug, Clone)]
 pub struct UniformizationEngine {
     model: ModelSpec,
-    tolerance: f64,
     models: Arc<ModelCache>,
     phase_cache: Option<Arc<PhaseChainCache>>,
 }
@@ -788,7 +789,6 @@ impl UniformizationEngine {
     pub fn new(model: ModelSpec) -> Self {
         UniformizationEngine {
             model,
-            tolerance: uniform::DEFAULT_TOLERANCE,
             models: Arc::new(ModelCache::new(1)),
             phase_cache: None,
         }
@@ -869,7 +869,7 @@ impl Engine for UniformizationEngine {
                     let chain =
                         chain_for("transient".into(), &|| PhaseCtmc::transient(smp, initial))?;
                     let out = chain
-                        .transient_probability(&targets, &request.t_points, self.tolerance)
+                        .transient_probability(&targets, &request.t_points, TOLERANCE)
                         .map_err(uniform_error)?;
                     provenance.evaluations = out.iterations;
                     provenance.error_bound = Some(out.truncation_bound);
@@ -882,7 +882,7 @@ impl Engine for UniformizationEngine {
                     match kind {
                         MeasureKind::Cdf => {
                             let out = chain
-                                .cdf(&request.t_points, self.tolerance)
+                                .cdf(&request.t_points, TOLERANCE)
                                 .map_err(uniform_error)?;
                             provenance.evaluations = out.iterations;
                             provenance.error_bound = Some(out.truncation_bound);
@@ -901,7 +901,7 @@ impl Engine for UniformizationEngine {
                         }
                         MeasureKind::Density => {
                             let out = chain
-                                .density(&request.t_points, self.tolerance)
+                                .density(&request.t_points, TOLERANCE)
                                 .map_err(uniform_error)?;
                             provenance.evaluations = out.iterations;
                             provenance.error_bound = Some(out.truncation_bound);
@@ -912,9 +912,9 @@ impl Engine for UniformizationEngine {
                             let mut iterations = 0usize;
                             let mut bound = 0.0f64;
                             let values = search_quantiles(request, probs, &mut |ts| {
-                                let cdf = chain.cdf(ts, self.tolerance).map_err(uniform_error)?;
+                                let cdf = chain.cdf(ts, TOLERANCE).map_err(uniform_error)?;
                                 let density =
-                                    chain.density(ts, self.tolerance).map_err(uniform_error)?;
+                                    chain.density(ts, TOLERANCE).map_err(uniform_error)?;
                                 iterations += cdf.iterations + density.iterations;
                                 bound = bound.max(cdf.truncation_bound);
                                 Ok(cdf.values.into_iter().zip(density.values).collect())
@@ -1043,7 +1043,7 @@ pub(crate) mod tests {
     use crate::cache::ResultCache;
     use crate::master::PipelineError;
     use crate::transform::CompiledModelSet;
-    use crate::transport::ExecutionPlan;
+    use crate::transport::{ExecutionPlan, InProcess};
     use crate::worker::WorkerMessage;
     use smp_core::query::TargetSpec;
     use smp_laplace::euler::EulerParams;

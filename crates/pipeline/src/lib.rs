@@ -114,15 +114,15 @@ pub use fault::{FaultKind, FaultPlan};
 pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};
 pub use master::{DistributedPipeline, PipelineError, PipelineOptions};
 pub use server::{
-    resolve_request, EngineChoice, PoolSpec, QueryReply, QueryRequest, QueryServer,
-    QueryServerOptions, Refusal, RefusalKind,
+    resolve_request, EngineChoice, QueryReply, QueryRequest, QueryServer, QueryServerOptions,
+    Refusal, RefusalKind,
 };
 pub use shard::{SliceFleet, SolveRecovery};
 pub use transform::{
     CompareOp, CompiledModelSet, DistSpec, ModelCache, ModelSpec, ResolveTarget, TargetSpec,
     TransformSpec,
 };
-pub use transport::{InProcess, TcpTransport};
+pub use transport::{build_transport, InProcess, PoolSpec, TcpTransport};
 pub use worker::{run_tcp_worker, TcpWorkerOptions};
 
 /// A lock's guard (or a condvar wait's result) whether or not an earlier

@@ -17,7 +17,8 @@ use std::time::Instant;
 /// Configuration of a pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
-    /// Number of worker threads ("slave processors").  0 or 1 means a single worker.
+    /// Threads of [`crate::DistributedEngine::in_process`], its one reader;
+    /// kept while the benchmark harness and a determinism suite set it.
     pub workers: usize,
     /// When set, computed values are appended to this file and reloaded on the next
     /// run (checkpointing).

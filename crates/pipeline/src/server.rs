@@ -76,11 +76,10 @@ use crate::engine::{
 use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::{PipelineError, PipelineOptions};
-use crate::shard::ShardedTransport;
 use crate::transform::{ModelCache, ModelSpec, TransformSpec};
 use crate::transport::{
-    dispatch_chunks, encode_plan_specs, held, transport_error, ExecutionPlan, InProcess, Transport,
-    TransportReport,
+    dispatch_chunks, encode_plan_specs, held, transport_error, transport_over, ExecutionPlan,
+    PoolSpec, Transport, TransportReport,
 };
 use crate::unpoisoned;
 use crate::wire::{
@@ -91,6 +90,7 @@ use crate::worker::WorkerMessage;
 use smp_core::query::{EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance};
 use smp_laplace::InversionMethod;
 use std::convert::Infallible;
+use std::io::ErrorKind::InvalidInput;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -591,25 +591,13 @@ fn read_report(body: &mut Body<'_>) -> Result<MeasureReport, WireError> {
 // Server options
 // ---------------------------------------------------------------------------
 
-/// How the server runs its solves: a standing pool of TCP worker processes,
-/// or in-process threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolSpec {
-    /// Bind one rendezvous listener per address; `smpq worker --connect`
-    /// processes attach once (see [`QueryServer::attach_workers`]) and stay
-    /// resident across requests.
-    Tcp(Vec<String>),
-    /// No worker processes: distributed solves run on this many in-process
-    /// threads.
-    InProcess(usize),
-}
-
 /// Configuration for [`QueryServer::bind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryServerOptions {
     /// Address the query listener binds (`127.0.0.1:0` picks a free port).
     pub listen: String,
-    /// The worker pool behind distributed solves.
+    /// Where distributed solves run; a TCP pool's workers attach once and
+    /// stay resident across requests ([`PoolSpec::ShardedTcp`] is refused).
     pub pool: PoolSpec,
     /// Capacity (explored models) of the model LRU cache.
     pub cache_models: usize,
@@ -620,11 +608,6 @@ pub struct QueryServerOptions {
     /// Maximum requests waiting for a solve slot before new arrivals are
     /// refused with [`RefusalKind::Busy`].
     pub max_queued: usize,
-    /// Row shards for distributed solves (0 = unsharded).  In-process pools
-    /// only: each solve runs over loopback slice workers, each holding one
-    /// contiguous row block of the state space.  Answers are bitwise
-    /// identical for any value.
-    pub solve_shards: usize,
 }
 
 impl Default for QueryServerOptions {
@@ -636,7 +619,6 @@ impl Default for QueryServerOptions {
             cache_result_bytes: 64 << 20,
             max_inflight: 4,
             max_queued: 16,
-            solve_shards: 0,
         }
     }
 }
@@ -681,7 +663,6 @@ struct ServerShared {
     pool_spec: PoolSpec,
     max_inflight: usize,
     max_queued: usize,
-    solve_shards: usize,
     shutdown: AtomicBool,
     /// Monotonic heartbeat counter — each sweep's ping nonces are derived
     /// from it (clock-free, so nonce streams replay deterministically).
@@ -879,9 +860,8 @@ fn route_engine(
 }
 
 /// The transport a served distributed solve runs over: the standing worker
-/// pool when one is attached, loopback row shards under `serve --shards N`
-/// (the resident pool speaks the chunked `s`-point protocol, not slice jobs,
-/// so sharding is in-process only), in-process threads otherwise.
+/// pool for a TCP spec, whose workers outlive the request, and otherwise the
+/// builder's over the shared model cache (the other specs bind nothing).
 fn pool_transport(shared: &Arc<ServerShared>, deadline: Option<Instant>) -> Box<dyn Transport> {
     match &shared.pool_spec {
         PoolSpec::Tcp(addrs) => Box::new(PoolTransport {
@@ -889,12 +869,7 @@ fn pool_transport(shared: &Arc<ServerShared>, deadline: Option<Instant>) -> Box<
             deadline,
             seats: addrs.len(),
         }),
-        PoolSpec::InProcess(_) if shared.solve_shards > 0 => {
-            Box::new(ShardedTransport::loopback(shared.solve_shards))
-        }
-        PoolSpec::InProcess(threads) => {
-            Box::new(InProcess::new((*threads).max(1)).with_model_cache(shared.models.clone()))
-        }
+        spec => transport_over(spec, None, shared.models.clone(), None),
     }
 }
 
@@ -1104,20 +1079,23 @@ impl QueryServer {
     /// [`crate::transport::TcpTransport::bind`]): a daemon restarted after a
     /// crash reclaims its advertised addresses immediately instead of
     /// waiting out its predecessor's `TIME_WAIT` quarantine.
+    ///
+    /// A [`PoolSpec::ShardedTcp`] pool is refused (`InvalidInput`) before
+    /// anything is bound: the standing pool speaks no slice protocol.
     pub fn bind(options: QueryServerOptions) -> std::io::Result<QueryServer> {
-        let listener = TcpListener::bind(options.listen.as_str())?;
-        let (worker_listeners, initial_pool) = match &options.pool {
-            PoolSpec::Tcp(addrs) => {
-                let mut listeners = Vec::with_capacity(addrs.len());
-                for addr in addrs {
-                    listeners.push(TcpListener::bind(addr.as_str())?);
-                }
-                // The pool slot stays `None` until attach_workers fills it;
-                // early queries wait on the condvar rather than failing.
-                (listeners, None)
+        let (addrs, initial_pool): (&[String], _) = match &options.pool {
+            // The pool slot stays `None` until attach_workers fills it;
+            // early queries wait on the condvar rather than failing.
+            PoolSpec::Tcp(addrs) => (addrs, None),
+            PoolSpec::ShardedTcp(_) => {
+                let message = "the query server row-shards on loopback slices only, not on tcp";
+                return Err(std::io::Error::new(InvalidInput, message));
             }
-            PoolSpec::InProcess(_) => (Vec::new(), Some(Vec::new())),
+            PoolSpec::InProcess(_) | PoolSpec::Loopback(_) => (&[], Some(Vec::new())),
         };
+        let listener = TcpListener::bind(options.listen.as_str())?;
+        let bind = |addr: &String| TcpListener::bind(addr.as_str());
+        let worker_listeners = addrs.iter().map(bind).collect::<std::io::Result<_>>()?;
         let shared = Arc::new(ServerShared {
             models: Arc::new(ModelCache::new(options.cache_models)),
             phase_chains: Arc::new(PhaseChainCache::new(options.cache_models)),
@@ -1132,7 +1110,6 @@ impl QueryServer {
             pool_cv: Condvar::new(),
             max_inflight: options.max_inflight.max(1),
             max_queued: options.max_queued,
-            solve_shards: options.solve_shards,
             pool_spec: options.pool,
             shutdown: AtomicBool::new(false),
             heartbeats: AtomicU64::new(0),
@@ -1484,7 +1461,6 @@ mod tests {
             pool_spec: PoolSpec::InProcess(1),
             max_inflight,
             max_queued,
-            solve_shards: 0,
             shutdown: AtomicBool::new(false),
             heartbeats: AtomicU64::new(0),
             pool_recovered: AtomicU64::new(0),
@@ -2092,9 +2068,24 @@ mod tests {
     }
 
     #[test]
+    fn a_sharded_tcp_pool_is_refused_before_anything_is_bound() {
+        // Every address the options name is taken: a refusal that came
+        // after a bind would fail with `AddrInUse` instead.
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap().to_string();
+        let options = QueryServerOptions {
+            listen: addr.clone(),
+            pool: PoolSpec::ShardedTcp(vec![addr]),
+            ..QueryServerOptions::default()
+        };
+        let error = QueryServer::bind(options).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput, "{error}");
+    }
+
+    #[test]
     fn sharded_server_answers_a_repeat_query_from_the_shared_cache() {
         let mut shared = bare_shared(1, 1);
-        shared.solve_shards = 2;
+        shared.pool_spec = PoolSpec::Loopback(2);
         let shared = Arc::new(shared);
         let request = QueryRequest {
             engine: "distributed".to_string(),

@@ -351,7 +351,7 @@ impl SliceFleet {
         // The sentinel never reaches zero: nobody is excused.
         let pending = std::sync::atomic::AtomicUsize::new(usize::MAX);
         let (mut links, mut messages, mut bytes) = (Vec::new(), 0, 0);
-        for index in 0..rendezvous.num_workers() {
+        for index in 0..rendezvous.local_addrs().len() {
             let (link, hello_messages, hello_bytes) = rendezvous
                 .accept(index, &pending)
                 .map_err(|e| transport_error(format!("worker {index} failed to connect: {e}")))?
@@ -884,33 +884,28 @@ pub struct ShardedTransport {
 impl ShardedTransport {
     /// `shards` in-process loopback slice workers (`--shards N` without a
     /// cluster): the full frame grammar runs, bytes are accounted as if
-    /// shipped.
-    pub fn loopback(shards: usize) -> ShardedTransport {
+    /// shipped.  With a `checkpoint`, a mid-point iterate snapshot is kept in
+    /// its `<checkpoint>.shard` sidecar, so a killed master resumes its
+    /// in-flight point mid-iteration; `None` keeps snapshots off.
+    pub fn loopback(shards: usize, checkpoint: Option<&Path>) -> ShardedTransport {
         ShardedTransport {
             rendezvous: None,
             shards: shards.max(1),
             fleet: Mutex::new(None),
-            sidecar: None,
+            sidecar: checkpoint.map(shard_snapshot_path),
         }
     }
 
     /// One shard-holder process per rendezvous address of `rendezvous`
-    /// (`smpq worker --connect host:port` on each machine).
-    pub fn tcp(rendezvous: TcpTransport) -> ShardedTransport {
+    /// (`smpq worker --connect host:port` on each machine), snapshotting
+    /// beside `checkpoint` like [`ShardedTransport::loopback`].
+    pub fn tcp(rendezvous: TcpTransport, checkpoint: Option<&Path>) -> ShardedTransport {
         ShardedTransport {
-            shards: rendezvous.num_workers(),
+            shards: rendezvous.local_addrs().len(),
             rendezvous: Some(rendezvous),
             fleet: Mutex::new(None),
-            sidecar: None,
+            sidecar: checkpoint.map(shard_snapshot_path),
         }
-    }
-
-    /// Keeps a mid-point iterate snapshot in the `<checkpoint>.shard` sidecar
-    /// of the pipeline's checkpoint file, so a killed master resumes its
-    /// in-flight point mid-iteration.  `None` keeps snapshots off.
-    pub fn with_checkpoint(mut self, checkpoint: Option<&Path>) -> ShardedTransport {
-        self.sidecar = checkpoint.map(shard_snapshot_path);
-        self
     }
 
     /// Drives every item of the plan through `fleet`, one session per
@@ -1411,7 +1406,7 @@ pub(crate) mod tests {
             chunk_size: 64,
             method: "euler".to_string(),
         };
-        let transport = ShardedTransport::loopback(2);
+        let transport = ShardedTransport::loopback(2, None);
         assert_eq!(transport.name(), "sharded-loopback");
         // The fleet is resident: a second execute reuses its slices and fallback set.
         for round in 0..2 {

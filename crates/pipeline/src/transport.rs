@@ -23,7 +23,8 @@
 //!
 //! All of them speak about the same [`ExecutionPlan`], whose measures are
 //! [`TransformSpec`]s: a description every backend can rebuild into an
-//! evaluator, in process or on the far side of a socket.
+//! evaluator, in process or on the far side of a socket.  Where a solve runs
+//! is one [`PoolSpec`], which [`build_transport`] makes a backend of.
 //!
 //! The chunk backends with a worker at the far end of a wire differ only in
 //! where their [`Link`]s come from — a seat table filled by lazy rendezvous
@@ -36,6 +37,7 @@
 pub use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
+use crate::shard::ShardedTransport;
 use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
@@ -43,6 +45,7 @@ use crate::work::{WorkItem, WorkQueue};
 use crate::worker::{run_batch_worker, WorkerMessage, WorkerStats};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
@@ -183,6 +186,54 @@ pub trait Transport {
 pub(crate) fn transport_error(message: impl Into<String>) -> PipelineError {
     PipelineError::Transport {
         message: message.into(),
+    }
+}
+
+/// Where a distributed solve runs, for one-shot runs and `smpq serve` alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PoolSpec {
+    /// This many worker threads in process, over the caller's model cache.
+    InProcess(usize),
+    /// This many in-process loopback row slices (`--shards N`).
+    Loopback(usize),
+    /// One TCP worker process per rendezvous address (resident when served).
+    Tcp(Vec<String>),
+    /// One row-shard holder process per rendezvous address (`--sharded`).
+    ShardedTcp(Vec<String>),
+}
+
+/// The transport `spec` describes, looking models up in `models` and keeping
+/// a sharded run's mid-point snapshots beside `checkpoint`, when given.  A
+/// TCP spec binds its rendezvous listeners here and returns their addresses,
+/// so a caller can name them before the solve blocks waiting for workers.
+pub fn build_transport(
+    spec: &PoolSpec,
+    models: &Arc<ModelCache>,
+    checkpoint: Option<&Path>,
+) -> io::Result<(Box<dyn Transport>, Vec<SocketAddr>)> {
+    let rendezvous = match spec {
+        PoolSpec::Tcp(addrs) | PoolSpec::ShardedTcp(addrs) => Some(TcpTransport::bind(addrs)?),
+        PoolSpec::InProcess(_) | PoolSpec::Loopback(_) => None,
+    };
+    let bound = rendezvous.as_ref().map(TcpTransport::local_addrs);
+    let transport = transport_over(spec, rendezvous, Arc::clone(models), checkpoint);
+    Ok((transport, bound.unwrap_or_default()))
+}
+
+/// [`build_transport`] past the bind: `spec` over `rendezvous`, the listeners
+/// bound for its addresses (`None` for a spec that names none).
+pub(crate) fn transport_over(
+    spec: &PoolSpec,
+    rendezvous: Option<TcpTransport>,
+    models: Arc<ModelCache>,
+    checkpoint: Option<&Path>,
+) -> Box<dyn Transport> {
+    let rendezvous = || rendezvous.unwrap_or_else(|| TcpTransport::from_links(Vec::new()));
+    match spec {
+        PoolSpec::InProcess(n) => Box::new(InProcess::new(*n).with_model_cache(models)),
+        PoolSpec::Loopback(n) => Box::new(ShardedTransport::loopback(*n, checkpoint)),
+        PoolSpec::Tcp(_) => Box::new(rendezvous()),
+        PoolSpec::ShardedTcp(_) => Box::new(ShardedTransport::tcp(rendezvous(), checkpoint)),
     }
 }
 
@@ -399,12 +450,6 @@ impl TcpTransport {
             .iter()
             .filter_map(|l| l.local_addr().ok())
             .collect()
-    }
-
-    /// Number of rendezvous addresses, one per worker this transport expects
-    /// to dial in.
-    pub(crate) fn num_workers(&self) -> usize {
-        self.listeners.len()
     }
 
     /// The blocking rendezvous: accepts this listener's worker through
@@ -892,7 +937,7 @@ mod tests {
             .collect();
         let (transport, workers) = cluster(&[None, None]);
         assert_eq!(transport.name(), "tcp");
-        assert_eq!(transport.num_workers(), 2);
+        assert_eq!(transport.local_addrs().len(), 2);
 
         let (outcomes, report) = collect(&transport, spec_plan(&spec, &points, 4));
         assert_eq!(outcomes.len(), 20);
@@ -918,6 +963,76 @@ mod tests {
             total += summary.evaluated;
         }
         assert_eq!(total, 20);
+    }
+
+    /// The one builder over every spec it takes: a voting 3,1,1 CDF and a
+    /// quantile answer with the analytic engine's bits on each, under the
+    /// backend name the spec promises.  A TCP spec binds two ephemeral
+    /// rendezvous addresses, and a thread running the real worker loop dials
+    /// each address the builder returns.
+    #[test]
+    fn every_pool_spec_answers_with_the_analytic_bits() {
+        use crate::engine::{AnalyticEngine, DistributedEngine};
+        use crate::master::PipelineOptions;
+        use crate::transform::ModelSpec;
+        use smp_core::query::{Engine, MeasureReport, MeasureRequest, TargetSpec};
+        use smp_laplace::InversionMethod;
+
+        let model = ModelSpec::Voting {
+            voters: 3,
+            polling: 1,
+            central: 1,
+        };
+        let target = TargetSpec::parse("p2>=2").unwrap();
+        let ts = [1.0, 4.0, 10.0];
+        let requests = [
+            MeasureRequest::cdf(target.clone(), &ts),
+            MeasureRequest::quantile(target, &[0.5]).with_t_points(&ts),
+        ];
+        let bits = |reports: &[MeasureReport]| -> Vec<Vec<u64>> {
+            let values = |r: &MeasureReport| r.values.iter().map(|v| v.to_bits()).collect();
+            reports.iter().map(values).collect()
+        };
+        let method = InversionMethod::euler();
+        let analytic = AnalyticEngine::new(model.clone(), method.clone());
+        let expected = bits(&analytic.solve(&requests).unwrap());
+
+        let two = || vec!["127.0.0.1:0".to_string(); 2];
+        let specs = [
+            (PoolSpec::InProcess(1), "in-process", 0),
+            (PoolSpec::InProcess(3), "in-process", 0),
+            (PoolSpec::Loopback(2), "sharded-loopback", 0),
+            (PoolSpec::Tcp(two()), "tcp", 2),
+            (PoolSpec::ShardedTcp(two()), "sharded-tcp", 2),
+        ];
+        for (spec, backend, dialers) in specs {
+            let models = Arc::new(ModelCache::new(1));
+            let (transport, rendezvous) = build_transport(&spec, &models, None).unwrap();
+            assert_eq!(transport.name(), backend, "{spec:?}");
+            assert_eq!(rendezvous.len(), dialers, "{spec:?}");
+            let dial = |addr: &SocketAddr| {
+                let connect = addr.to_string();
+                std::thread::spawn(move || run_tcp_worker(&connect, &TcpWorkerOptions::default()))
+            };
+            let workers: Vec<WorkerThread> = rendezvous.iter().map(dial).collect();
+            let options = PipelineOptions::default();
+            let engine = DistributedEngine::with_transport(
+                model.clone(),
+                method.clone(),
+                options,
+                transport,
+            );
+            let reports = engine.solve(&requests).unwrap();
+            assert_eq!(bits(&reports), expected, "{spec:?}");
+            for report in &reports {
+                assert_eq!(report.provenance.backend, backend, "{spec:?}");
+            }
+            // Dropping the engine's transport releases the workers.
+            drop(engine);
+            for worker in workers {
+                worker.join().unwrap().unwrap();
+            }
+        }
     }
 
     fn sharded_spec_and_points() -> (TransformSpec, Vec<Complex64>, Vec<Complex64>) {
