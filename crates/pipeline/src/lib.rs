@@ -25,10 +25,12 @@
 //!   length-prefixed frames on TCP sockets (`smpq worker --connect`), which
 //!   rebuild their evaluators from serializable [`transform::TransformSpec`]s
 //!   and survive mid-run disconnects by requeueing outstanding chunks;
-//! * [`shard::ShardedTransport`] — row-sharded evaluation: every point runs
-//!   as lockstep sparse products over slice workers (loopback or TCP) that
-//!   each hold one row block of the model;
-//! * the query server's standing worker pool.
+//! * `ShardedTransport` ([`shard`]) — row-sharded evaluation: every point
+//!   runs as lockstep sparse products over slice workers (loopback or TCP)
+//!   that each hold one row block of the model.
+//!
+//! The query server's standing worker pool is a [`transport::TcpTransport`]
+//! too: every request's solve runs on its resident seats.
 //!
 //! Every backend with a worker at the far end of a wire reaches it through
 //! one type, the [`link::Link`] — a framed, checksummed, handshaken duplex
@@ -82,7 +84,7 @@
 //!   puts those sessions behind the pipeline;
 //! * [`server`] — the always-on query daemon behind `smpq serve`: the
 //!   request/reply protocol, fingerprint-keyed caches, admission control
-//!   and the standing worker pool;
+//!   and the TCP pool's heartbeat;
 //! * `client` — the matching client side (`smpq query` / `smpq shutdown`).
 
 #![forbid(unsafe_code)]

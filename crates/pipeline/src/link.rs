@@ -3,10 +3,9 @@
 //! The paper's cluster has exactly one such layer, and so does this crate: a
 //! [`Link`] is a framed, checksummed, handshaken duplex to one worker, and it
 //! is the only thing master-side code talks to a worker through — chunk
-//! dispatch ([`crate::transport`]), row-sharded sessions ([`crate::shard`])
-//! and the query daemon's standing pool and heartbeats ([`crate::server`])
-//! all hold `Link`s, and the worker's frame loop ([`crate::worker`]) runs
-//! over the far end of one.  Three implementations:
+//! dispatch and its heartbeats ([`crate::transport`], one-shot and served
+//! alike) and row-sharded sessions ([`crate::shard`]) hold `Link`s, and the
+//! worker's frame loop ([`crate::worker`]) runs over the far end of one.  Three implementations:
 //!
 //! * [`TcpLink`] — a connected socket.  The single place that accepts or
 //!   dials, sets socket options, and performs the `Hello` handshake.
@@ -38,6 +37,12 @@ pub trait Link: Send {
     fn send(&mut self, frame: &Frame) -> io::Result<u64>;
     /// Receives the next frame and its wire size.
     fn recv(&mut self) -> io::Result<(Frame, u64)>;
+
+    /// Bounds how long `recv` waits for the peer's next frame.  Only a
+    /// socket waits, so the default does nothing.
+    fn set_read_timeout(&self, _timeout: Duration) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 impl<L: Link + ?Sized> Link for Box<L> {
@@ -47,6 +52,10 @@ impl<L: Link + ?Sized> Link for Box<L> {
 
     fn recv(&mut self) -> io::Result<(Frame, u64)> {
         (**self).recv()
+    }
+
+    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+        (**self).set_read_timeout(timeout)
     }
 }
 
@@ -120,7 +129,8 @@ impl TcpLink {
         Ok(TcpLink { stream })
     }
 
-    /// The socket, for timeout adjustments (the pool heartbeat's short wait).
+    /// The socket, for tests that check its options.
+    #[cfg(test)]
     pub(crate) fn stream(&self) -> &TcpStream {
         &self.stream
     }
@@ -147,6 +157,10 @@ impl Link for TcpLink {
 
     fn recv(&mut self) -> io::Result<(Frame, u64)> {
         wire::read_frame(&mut self.stream)
+    }
+
+    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+        self.stream.set_read_timeout(Some(timeout))
     }
 }
 
@@ -297,6 +311,10 @@ impl Link for FaultyLink {
             ));
         }
         self.inner.recv()
+    }
+
+    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+        self.inner.set_read_timeout(timeout)
     }
 }
 

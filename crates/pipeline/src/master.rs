@@ -191,8 +191,8 @@ impl DistributedPipeline {
     /// own backend.  Pass [`crate::InProcess`] for worker threads, a
     /// [`crate::transport::TcpTransport`] (from the `smpq` CLI:
     /// `--workers tcp:ADDR,...`) to farm the evaluations out to worker
-    /// *processes*, or a [`crate::shard::ShardedTransport`] to run every
-    /// point row-sharded.  When points fail, the error names the first
+    /// *processes*, or a row-sharded backend (`ShardedTransport`, behind
+    /// [`crate::DistributedEngine::sharded`]) to run every point row-sharded.  When points fail, the error names the first
     /// failure in plan order, whichever worker reported it first.
     ///
     /// # Example

@@ -37,7 +37,7 @@
 //!                    report name=density:p2>=2 kind=density
 //!                    points 3 3ff0000000000000 4000000000000000 4008000000000000
 //!                    values 3 3fb3ab167a0df4e4 ...
-//!                    prov engine=distributed backend=tcp-pool workers=2 ...
+//!                    prov engine=distributed backend=tcp workers=2 ...
 //!                    report name=cdf:p2>=2 kind=cdf
 //!                    ...
 //! ```
@@ -63,8 +63,9 @@
 //! [`Provenance::queue_wait`]).  Anything beyond that is refused immediately
 //! with [`RefusalKind::Busy`] — a bounded queue keeps one flood of queries
 //! from taking the daemon down.  A request may carry a deadline: it is
-//! enforced while queued, between dispatch rounds of the standing worker
-//! pool, and after the solve (a result computed too late is refused, not
+//! enforced while queued, while waiting for a TCP pool's seats (one solve
+//! holds them at a time) or for a worker to dial in, between dispatch rounds,
+//! and after the solve (a result computed too late is refused, not
 //! returned).  The pool itself survives a deadline — workers are released in
 //! protocol with a `done` frame and stay attached for the next request.
 
@@ -73,20 +74,13 @@ use crate::cache::{AnswerKey, AnswerKind, LruMemo, ResultCache};
 use crate::engine::{
     batch_kind_of, build_engine, quantile_horizons, route, validate_grids, PhaseChainCache,
 };
-use crate::fault::splitmix64;
-use crate::link::{Link, TcpLink};
-use crate::master::{PipelineError, PipelineOptions};
+use crate::master::PipelineOptions;
 use crate::transform::{ModelCache, ModelSpec, TransformSpec};
-use crate::transport::{
-    dispatch_chunks, encode_plan_specs, held, transport_error, transport_over, ExecutionPlan,
-    PoolSpec, Transport, TransportReport,
-};
+use crate::transport::{transport_over, PoolSpec, TcpTransport, Transport};
 use crate::unpoisoned;
 use crate::wire::{
-    self, encode_f64, encode_str, malformed, read_payload, write_payload, Body, Frame, Line,
-    WireError,
+    self, encode_f64, encode_str, malformed, read_payload, write_payload, Body, Line, WireError,
 };
-use crate::worker::WorkerMessage;
 use smp_core::query::{EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance};
 use smp_laplace::InversionMethod;
 use std::convert::Infallible;
@@ -106,14 +100,10 @@ pub(crate) const SHUTDOWN_REQUEST: &str = "shutdown v=1";
 /// The server's acknowledgement of [`SHUTDOWN_REQUEST`].
 pub(crate) const SHUTDOWN_ACK: &str = "bye v=1";
 
-/// Socket read/write timeout for query connections and pooled workers: long
-/// enough for any realistic solve, short enough that a vanished peer cannot
-/// pin a thread forever.
+/// Socket read/write timeout for query connections: long enough for any
+/// realistic solve, short enough that a vanished peer cannot pin a thread
+/// forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(600);
-
-/// Read timeout while a heartbeat waits for a pong: a crashed worker answers
-/// with EOF instantly, so this only bounds a wedged-but-connected one.
-const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The wait between heartbeat sweeps of a TCP pool.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
@@ -627,10 +617,6 @@ impl Default for QueryServerOptions {
 // Shared server state
 // ---------------------------------------------------------------------------
 
-/// One attached worker process: its rendezvous slot and its link, kept in
-/// protocol sync (`done` received, next `job` expected) between requests.
-type PoolWorker = (usize, TcpLink);
-
 /// Counters behind the admission condition variable.
 struct AdmissionState {
     active: usize,
@@ -655,18 +641,14 @@ struct ServerShared {
     routes: LruMemo<String, EngineChoice>,
     admission: Mutex<AdmissionState>,
     admission_cv: Condvar,
-    /// `None` while the whole pool is checked out by a solve (or not yet
-    /// attached); `Some` holds the idle workers.
-    pool: Mutex<Option<Vec<PoolWorker>>>,
-    pool_cv: Condvar,
     /// The pool description the server was bound with.
     pool_spec: PoolSpec,
+    /// A TCP pool's seats: the resident worker processes every request's
+    /// solve runs on, one solve at a time.
+    rendezvous: Option<TcpTransport>,
     max_inflight: usize,
     max_queued: usize,
     shutdown: AtomicBool,
-    /// Monotonic heartbeat counter — each sweep's ping nonces are derived
-    /// from it (clock-free, so nonce streams replay deterministically).
-    heartbeats: AtomicU64,
     /// Pool workers culled by a heartbeat and replaced by a fresh dial-in,
     /// folded into the next answered query's `recovered_faults` provenance.
     pool_recovered: AtomicU64,
@@ -733,89 +715,6 @@ impl ServerShared {
             state = guard;
         }
     }
-
-    /// Takes the whole idle pool, waiting (deadline-capped) while another
-    /// solve holds it or the workers have not attached yet.
-    fn checkout_pool(&self, deadline: Option<Instant>) -> Result<Vec<PoolWorker>, PipelineError> {
-        let mut slot = unpoisoned(self.pool.lock());
-        loop {
-            if let Some(workers) = slot.take() {
-                return Ok(workers);
-            }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(transport_error(
-                        "request deadline exceeded while waiting for the worker pool",
-                    ));
-                }
-            }
-            let (guard, _) = unpoisoned(self.pool_cv.wait_timeout(slot, Duration::from_millis(50)));
-            slot = guard;
-        }
-    }
-
-    /// Puts the (surviving) workers back and wakes the next solve.
-    fn return_pool(&self, workers: Vec<PoolWorker>) {
-        let mut slot = unpoisoned(self.pool.lock());
-        *slot = Some(workers);
-        drop(slot);
-        self.pool_cv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The standing-pool transport
-// ---------------------------------------------------------------------------
-
-/// A [`Transport`] over the server's resident worker processes.  Where
-/// [`crate::TcpTransport`] owns its seats, this one borrows them: `execute`
-/// checks the attached links out of the pool all requests share, runs the
-/// shared chunk dispatch over them under the request's deadline, and checks
-/// the survivors back in.
-struct PoolTransport {
-    shared: Arc<ServerShared>,
-    deadline: Option<Instant>,
-    /// The pool's rendezvous slots.
-    seats: usize,
-}
-
-impl Transport for PoolTransport {
-    fn name(&self) -> &'static str {
-        "tcp-pool"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.seats.max(1)
-    }
-
-    /// The pool's workers explore on their side of the wire; the server's
-    /// shared cache holds whatever its routing probes and in-process solves
-    /// explored.
-    fn model_cache(&self) -> Option<&ModelCache> {
-        Some(&self.shared.models)
-    }
-
-    fn execute(
-        &self,
-        plan: ExecutionPlan<'_>,
-        on_message: &mut dyn FnMut(WorkerMessage),
-    ) -> Result<TransportReport, PipelineError> {
-        let specs = encode_plan_specs(&plan.specs)?;
-        let workers = self.shared.checkout_pool(self.deadline)?;
-        let (survivors, outcome) = dispatch_chunks(
-            specs,
-            plan,
-            held(workers),
-            &|_, _| Ok(None),
-            self.deadline,
-            on_message,
-        );
-        // Workers still in protocol sync (their `done` frame was delivered —
-        // including those released early by a deadline) go back in the pool;
-        // anything else was dropped and its socket closed.
-        self.shared.return_pool(survivors);
-        outcome
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -859,18 +758,15 @@ fn route_engine(
     route(choice, model, &shared.models, memo).map_err(engine_refusal)
 }
 
-/// The transport a served distributed solve runs over: the standing worker
-/// pool for a TCP spec, whose workers outlive the request, and otherwise the
-/// builder's over the shared model cache (the other specs bind nothing).
-fn pool_transport(shared: &Arc<ServerShared>, deadline: Option<Instant>) -> Box<dyn Transport> {
-    match &shared.pool_spec {
-        PoolSpec::Tcp(addrs) => Box::new(PoolTransport {
-            shared: shared.clone(),
-            deadline,
-            seats: addrs.len(),
-        }),
-        spec => transport_over(spec, None, shared.models.clone(), None),
-    }
+/// The transport a served distributed solve runs over, the builder's over
+/// the shared model cache: for a TCP spec, the resident seats, whose workers
+/// outlive the request, under the request's deadline.
+fn pool_transport(shared: &ServerShared, deadline: Option<Instant>) -> Box<dyn Transport> {
+    let rendezvous = shared
+        .rendezvous
+        .clone()
+        .map(|tcp| tcp.with_deadline(deadline));
+    transport_over(&shared.pool_spec, rendezvous, shared.models.clone(), None)
 }
 
 /// The memo key of every request's answer on the routed engine, over the
@@ -1053,11 +949,10 @@ fn solve_query(
 // The server
 // ---------------------------------------------------------------------------
 
-/// The `smpq serve` daemon: a bound query listener, its worker rendezvous
-/// listeners, and the warm state shared by every connection.
+/// The `smpq serve` daemon: a bound query listener and the warm state
+/// shared by every connection, a TCP pool's seats included.
 pub struct QueryServer {
     listener: TcpListener,
-    worker_listeners: Vec<TcpListener>,
     shared: Arc<ServerShared>,
 }
 
@@ -1072,30 +967,28 @@ impl std::fmt::Debug for QueryServer {
 
 impl QueryServer {
     /// Binds the query listener and (for a TCP pool) one worker rendezvous
-    /// listener per configured address.  Workers are not yet attached — call
-    /// [`QueryServer::attach_workers`] before [`QueryServer::run`].
+    /// listener per configured address, through [`TcpTransport::bind`].
+    /// Workers are not yet attached — call [`QueryServer::attach_workers`]
+    /// before [`QueryServer::run`].
     ///
     /// On Unix std binds every listener with `SO_REUSEADDR` (see
-    /// [`crate::transport::TcpTransport::bind`]): a daemon restarted after a
-    /// crash reclaims its advertised addresses immediately instead of
-    /// waiting out its predecessor's `TIME_WAIT` quarantine.
+    /// [`TcpTransport::bind`]): a daemon restarted after a crash reclaims
+    /// its advertised addresses immediately instead of waiting out its
+    /// predecessor's `TIME_WAIT` quarantine.
     ///
     /// A [`PoolSpec::ShardedTcp`] pool is refused (`InvalidInput`) before
-    /// anything is bound: the standing pool speaks no slice protocol.
+    /// anything is bound: the standing pool speaks no slice protocol.  So is
+    /// a TCP pool with no address.
     pub fn bind(options: QueryServerOptions) -> std::io::Result<QueryServer> {
-        let (addrs, initial_pool): (&[String], _) = match &options.pool {
-            // The pool slot stays `None` until attach_workers fills it;
-            // early queries wait on the condvar rather than failing.
-            PoolSpec::Tcp(addrs) => (addrs, None),
-            PoolSpec::ShardedTcp(_) => {
-                let message = "the query server row-shards on loopback slices only, not on tcp";
-                return Err(std::io::Error::new(InvalidInput, message));
-            }
-            PoolSpec::InProcess(_) | PoolSpec::Loopback(_) => (&[], Some(Vec::new())),
-        };
+        if let PoolSpec::ShardedTcp(_) = options.pool {
+            let message = "the query server row-shards on loopback slices only, not on tcp";
+            return Err(std::io::Error::new(InvalidInput, message));
+        }
         let listener = TcpListener::bind(options.listen.as_str())?;
-        let bind = |addr: &String| TcpListener::bind(addr.as_str());
-        let worker_listeners = addrs.iter().map(bind).collect::<std::io::Result<_>>()?;
+        let rendezvous = match &options.pool {
+            PoolSpec::Tcp(addrs) => Some(TcpTransport::bind(addrs)?),
+            _ => None,
+        };
         let shared = Arc::new(ServerShared {
             models: Arc::new(ModelCache::new(options.cache_models)),
             phase_chains: Arc::new(PhaseChainCache::new(options.cache_models)),
@@ -1106,20 +999,14 @@ impl QueryServer {
                 waiting: 0,
             }),
             admission_cv: Condvar::new(),
-            pool: Mutex::new(initial_pool),
-            pool_cv: Condvar::new(),
             max_inflight: options.max_inflight.max(1),
             max_queued: options.max_queued,
             pool_spec: options.pool,
+            rendezvous,
             shutdown: AtomicBool::new(false),
-            heartbeats: AtomicU64::new(0),
             pool_recovered: AtomicU64::new(0),
         });
-        Ok(QueryServer {
-            listener,
-            worker_listeners,
-            shared,
-        })
+        Ok(QueryServer { listener, shared })
     }
 
     /// The bound query address (what clients dial).
@@ -1130,76 +1017,18 @@ impl QueryServer {
     /// The bound worker rendezvous addresses (what `smpq worker --connect`
     /// dials).  Empty for an in-process pool.
     pub fn worker_addrs(&self) -> std::io::Result<Vec<SocketAddr>> {
-        self.worker_listeners
-            .iter()
-            .map(|listener| listener.local_addr())
-            .collect()
+        let seats = self.shared.rendezvous.as_ref();
+        Ok(seats.map(TcpTransport::local_addrs).unwrap_or_default())
     }
 
     /// Accepts one worker per rendezvous listener (blocking), verifies each
-    /// handshake, and stocks the standing pool.  Returns the number of
-    /// attached workers.  A no-op for an in-process pool.
+    /// handshake, and seats it.  Returns the number of attached workers.  A
+    /// no-op for an in-process pool.
     pub fn attach_workers(&self) -> std::io::Result<usize> {
-        if self.worker_listeners.is_empty() {
-            return Ok(0);
-        }
-        let mut workers = Vec::with_capacity(self.worker_listeners.len());
-        for (id, listener) in self.worker_listeners.iter().enumerate() {
-            let accepted = TcpLink::accept(listener, IO_TIMEOUT, &mut || true)?;
-            let (link, ..) = accepted.ok_or(std::io::ErrorKind::TimedOut)?;
-            workers.push((id, link));
-        }
-        let attached = workers.len();
-        self.shared.return_pool(workers);
-        Ok(attached)
-    }
-
-    /// Pings every *idle* pool worker and culls those that fail to echo the
-    /// nonce, then re-accepts replacement workers on the vacated rendezvous
-    /// listeners (non-blocking: a replacement attaches on whichever later
-    /// sweep finds it dialing).  A TCP pool's only; a no-op while a solve
-    /// holds the pool checked out — heartbeats never contend with work.
-    /// Replacements are folded into the next answered query's
-    /// `recovered_faults` provenance.
-    fn heartbeat_workers(&self) {
-        let workers = {
-            let mut slot = unpoisoned(self.shared.pool.lock());
-            match slot.take() {
-                Some(workers) => workers,
-                None => return, // a solve holds the pool
-            }
-        };
-        let mut live = Vec::with_capacity(workers.len());
-        for (id, mut link) in workers {
-            let tick = self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
-            let nonce = splitmix64(tick ^ ((id as u64) << 32));
-            // A kill -9'd worker answers the ping with EOF immediately; the
-            // short timeout only bounds a *hung* (connected but wedged) one.
-            let _ = link.stream().set_read_timeout(Some(HEARTBEAT_TIMEOUT));
-            let healthy = link.send(&Frame::Ping { nonce }).is_ok()
-                && matches!(
-                    link.recv(),
-                    Ok((Frame::Pong { nonce: echoed }, _)) if echoed == nonce
-                );
-            let _ = link.stream().set_read_timeout(Some(IO_TIMEOUT));
-            if healthy {
-                live.push((id, link));
-            }
-        }
-        // Every vacant rendezvous slot — vacated by this sweep or by a solve
-        // that dropped an out-of-sync worker — offers itself to a dialing
-        // replacement: one non-blocking accept, and nobody waiting is not an
-        // error.
-        for (id, listener) in self.worker_listeners.iter().enumerate() {
-            if live.iter().any(|(taken, _)| *taken == id) {
-                continue;
-            }
-            if let Ok(Some((link, ..))) = TcpLink::accept(listener, IO_TIMEOUT, &mut || false) {
-                live.push((id, link));
-                self.shared.pool_recovered.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.shared.return_pool(live);
+        self.shared
+            .rendezvous
+            .as_ref()
+            .map_or(Ok(0), TcpTransport::attach)
     }
 
     /// Serves queries until a client sends `SHUTDOWN_REQUEST`, then drains
@@ -1207,17 +1036,21 @@ impl QueryServer {
     /// own thread; the solve concurrency cap is the admission controller,
     /// not the thread count.  Accept blocks until a client dials; the
     /// connection that asks for shutdown wakes it with one connect of its
-    /// own.  A TCP pool's heartbeat runs about once a second on a thread of
-    /// its own.
+    /// own.  A TCP pool's heartbeat ([`TcpTransport`]'s) runs about once a
+    /// second on a thread of its own; the seats it refills are folded into
+    /// the next answered query's `recovered_faults`.
     pub fn run(&self) -> std::io::Result<()> {
         let (stop_heartbeat, stopped) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
-            if !self.worker_listeners.is_empty() {
+            if let Some(seats) = &self.shared.rendezvous {
                 scope.spawn(move || {
                     while let Err(RecvTimeoutError::Timeout) =
                         stopped.recv_timeout(HEARTBEAT_INTERVAL)
                     {
-                        self.heartbeat_workers();
+                        let refilled = seats.heartbeat() as u64;
+                        self.shared
+                            .pool_recovered
+                            .fetch_add(refilled, Ordering::Relaxed);
                     }
                 });
             }
@@ -1456,13 +1289,11 @@ mod tests {
                 waiting: 0,
             }),
             admission_cv: Condvar::new(),
-            pool: Mutex::new(Some(Vec::new())),
-            pool_cv: Condvar::new(),
             pool_spec: PoolSpec::InProcess(1),
+            rendezvous: None,
             max_inflight,
             max_queued,
             shutdown: AtomicBool::new(false),
-            heartbeats: AtomicU64::new(0),
             pool_recovered: AtomicU64::new(0),
         }
     }
@@ -2080,6 +1911,23 @@ mod tests {
         };
         let error = QueryServer::bind(options).unwrap_err();
         assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput, "{error}");
+    }
+
+    #[test]
+    fn a_tcp_pool_with_no_addresses_is_refused() {
+        let options = QueryServerOptions {
+            pool: PoolSpec::Tcp(Vec::new()),
+            ..QueryServerOptions::default()
+        };
+        let error = QueryServer::bind(options).unwrap_err();
+        assert_eq!(error.kind(), InvalidInput, "{error}");
+        let models = Arc::new(ModelCache::new(1));
+        for spec in [PoolSpec::Tcp(Vec::new()), PoolSpec::ShardedTcp(Vec::new())] {
+            let Err(error) = crate::transport::build_transport(&spec, &models, None) else {
+                panic!("{spec:?} was built over no address");
+            };
+            assert_eq!(error.kind(), InvalidInput, "{spec:?}: {error}");
+        }
     }
 
     #[test]

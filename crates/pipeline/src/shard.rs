@@ -15,7 +15,7 @@
 //!   `SliceRoute` handshake, the per-point `SPoint` / `Halo` / `SState`
 //!   lockstep rounds with the [`ConvergenceFold`] of the core solver, and
 //!   re-sharding recovery when a worker connection dies mid-run.
-//! * [`ShardedTransport`] — the fleet as a [`Transport`], so a row-sharded
+//! * `ShardedTransport` — the fleet as a [`Transport`], so a row-sharded
 //!   solve is planned, memoised, checkpointed and inverted by the same
 //!   `DistributedPipeline::execute` as every other deployment.
 //!
@@ -871,7 +871,7 @@ const SNAPSHOT_EVERY: u64 = 8;
 /// on the same resident slices): loopback
 /// shards are created, and TCP shard holders accepted, on the first call and
 /// released when the transport drops.
-pub struct ShardedTransport {
+pub(crate) struct ShardedTransport {
     /// The rendezvous of a TCP deployment; `None` runs loopback shards.
     rendezvous: Option<TcpTransport>,
     shards: usize,
@@ -887,7 +887,7 @@ impl ShardedTransport {
     /// shipped.  With a `checkpoint`, a mid-point iterate snapshot is kept in
     /// its `<checkpoint>.shard` sidecar, so a killed master resumes its
     /// in-flight point mid-iteration; `None` keeps snapshots off.
-    pub fn loopback(shards: usize, checkpoint: Option<&Path>) -> ShardedTransport {
+    pub(crate) fn loopback(shards: usize, checkpoint: Option<&Path>) -> ShardedTransport {
         ShardedTransport {
             rendezvous: None,
             shards: shards.max(1),
@@ -899,7 +899,7 @@ impl ShardedTransport {
     /// One shard-holder process per rendezvous address of `rendezvous`
     /// (`smpq worker --connect host:port` on each machine), snapshotting
     /// beside `checkpoint` like [`ShardedTransport::loopback`].
-    pub fn tcp(rendezvous: TcpTransport, checkpoint: Option<&Path>) -> ShardedTransport {
+    pub(crate) fn tcp(rendezvous: TcpTransport, checkpoint: Option<&Path>) -> ShardedTransport {
         ShardedTransport {
             shards: rendezvous.local_addrs().len(),
             rendezvous: Some(rendezvous),

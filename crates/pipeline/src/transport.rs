@@ -15,20 +15,20 @@
 //!   run (a quantile search is one run per refinement round) and releases
 //!   its workers by closing the sockets when the transport drops.  A worker
 //!   that disconnects mid-run loses nothing: its outstanding chunk is
-//!   requeued and the surviving workers finish it,
-//! * [`crate::shard::ShardedTransport`] — row-sharded evaluation: instead of
+//!   requeued and the surviving workers finish it.  The query server keeps
+//!   its resident workers in one, too,
+//! * `ShardedTransport` (`shard.rs`) — row-sharded evaluation: instead of
 //!   farming whole `s`-points out, every point runs as lockstep sparse
-//!   products over slice workers that each hold one row block of the model,
-//! * the query server's standing pool (`server.rs`).
+//!   products over slice workers that each hold one row block of the model.
 //!
 //! All of them speak about the same [`ExecutionPlan`], whose measures are
 //! [`TransformSpec`]s: a description every backend can rebuild into an
 //! evaluator, in process or on the far side of a socket.  Where a solve runs
 //! is one [`PoolSpec`], which [`build_transport`] makes a backend of.
 //!
-//! The chunk backends with a worker at the far end of a wire differ only in
-//! where their [`Link`]s come from — a seat table filled by lazy rendezvous
-//! accepts, or a pool checkout; the chunk protocol itself is written once, in
+//! Every chunk run with a worker at the far end of a wire — one-shot or
+//! served — takes its [`Link`]s from one seat table, filled by lazy
+//! rendezvous accepts; the chunk protocol itself is written once, in
 //! `dispatch_chunks`.  This file also holds the crate's socket timeouts and
 //! deadlines, which is why `smp-lint` D003 leaves its clock reads alone; the
 //! fault schedule and backoff (`fault.rs`, whose [`splitmix64`] is
@@ -46,9 +46,9 @@ use crate::worker::{run_batch_worker, WorkerMessage, WorkerStats};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 impl std::fmt::Debug for ExecutionPlan<'_> {
@@ -220,8 +220,9 @@ pub fn build_transport(
     Ok((transport, bound.unwrap_or_default()))
 }
 
-/// [`build_transport`] past the bind: `spec` over `rendezvous`, the listeners
-/// bound for its addresses (`None` for a spec that names none).
+/// [`build_transport`] past the bind: `spec` over `rendezvous`, the seats
+/// bound for its addresses (`None` for a spec that names none; the query
+/// server hands in a clone of its resident seats).
 pub(crate) fn transport_over(
     spec: &PoolSpec,
     rendezvous: Option<TcpTransport>,
@@ -232,21 +233,9 @@ pub(crate) fn transport_over(
     match spec {
         PoolSpec::InProcess(n) => Box::new(InProcess::new(*n).with_model_cache(models)),
         PoolSpec::Loopback(n) => Box::new(ShardedTransport::loopback(*n, checkpoint)),
-        PoolSpec::Tcp(_) => Box::new(rendezvous()),
+        PoolSpec::Tcp(_) => Box::new(rendezvous().with_model_cache(models)),
         PoolSpec::ShardedTcp(_) => Box::new(ShardedTransport::tcp(rendezvous(), checkpoint)),
     }
-}
-
-/// Encodes every measure of a plan into its wire spec line.  Shared by the
-/// TCP rendezvous backend and the query server's standing worker pool.
-pub(crate) fn encode_plan_specs(specs: &[&TransformSpec]) -> Result<Vec<String>, PipelineError> {
-    specs
-        .iter()
-        .map(|spec| {
-            spec.encode()
-                .map_err(|e| transport_error(format!("unencodable transform spec: {e}")))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +343,13 @@ fn run_threaded(
 /// retry delay.
 const FINISHED_RUN_GRACE: Duration = Duration::from_millis(400);
 
+/// How long a heartbeat waits for a pong: a crashed worker answers the ping
+/// with EOF at once, so this only bounds a wedged-but-connected one.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The link each seat of a [`TcpTransport`] holds, by worker id.
+type Links = Vec<Option<Box<dyn Link>>>;
+
 /// Real multi-process distribution over TCP.
 ///
 /// The master binds one listener per expected worker (so each worker has an
@@ -367,19 +363,66 @@ const FINISHED_RUN_GRACE: Duration = Duration::from_millis(400);
 /// across `job … done` rounds, so the second and later runs of a solve
 /// dispatch without a rendezvous.  A vacant seat (nobody dialed yet, or the
 /// worker was lost) accepts lazily at the start of a run.  Dropping the
-/// transport closes the sockets, which is how a one-shot master releases its
-/// workers.
+/// transport's last clone closes the sockets, which is how a one-shot master
+/// releases its workers.
+///
+/// A `TcpTransport` is a handle: its clones share one seat table, which one
+/// run at a time holds — a second `execute` waits for the seats.  The query
+/// server keeps its resident workers in one table and runs each request on
+/// a clone under the request's deadline.
+#[derive(Clone)]
 pub struct TcpTransport {
-    listeners: Vec<TcpListener>,
-    /// The link each seat holds between runs, by worker id.  Taken out for
-    /// the length of an `execute` (no lock across link I/O) and put back.
-    seats: Mutex<Vec<Option<Box<dyn Link>>>>,
+    table: Arc<SeatTable>,
     accept_timeout: Duration,
     /// Per-read socket timeout on accepted connections.  A worker that
     /// connects but goes silent — a SIGSTOPped process, a network partition
     /// with no RST — is declared lost after this long without a frame, and
     /// its outstanding chunk is requeued.
     io_timeout: Duration,
+    /// When this handle's runs give up: no wait for the seats or for a
+    /// dialing worker, and no new chunk, goes past it.
+    deadline: Option<Instant>,
+    /// The master-side cache places are checked against (the workers
+    /// explore on their side of the wire).
+    models: Option<Arc<ModelCache>>,
+}
+
+/// The seats every clone of a [`TcpTransport`] shares.
+struct SeatTable {
+    listeners: Vec<TcpListener>,
+    /// The seats' links between runs; `None` while a run or a heartbeat has
+    /// them out (no lock is held across link I/O).
+    seats: Mutex<Option<Links>>,
+    /// Signalled when the seats come back.
+    returned: Condvar,
+    width: usize,
+    /// Heartbeat pings sent; each ping's nonce derives from this count
+    /// (clock-free, so nonce streams replay deterministically).
+    pings: AtomicU64,
+}
+
+impl SeatTable {
+    /// Takes the seats, waiting while another run holds them — but never
+    /// past `deadline`.
+    fn checkout(&self, deadline: Option<Instant>) -> Result<Links, PipelineError> {
+        let mut seats = unpoisoned(self.seats.lock());
+        loop {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                let message = "request deadline exceeded while waiting for the workers";
+                return Err(transport_error(message));
+            }
+            if let Some(links) = seats.take() {
+                return Ok(links);
+            }
+            seats = unpoisoned(self.returned.wait_timeout(seats, Duration::from_millis(50))).0;
+        }
+    }
+
+    /// Puts the seats back and wakes the next run.
+    fn checkin(&self, links: Links) {
+        *unpoisoned(self.seats.lock()) = Some(links);
+        self.returned.notify_all();
+    }
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -388,6 +431,7 @@ impl std::fmt::Debug for TcpTransport {
             .field("addrs", &self.local_addrs())
             .field("accept_timeout", &self.accept_timeout)
             .field("io_timeout", &self.io_timeout)
+            .field("deadline", &self.deadline)
             .finish()
     }
 }
@@ -395,7 +439,8 @@ impl std::fmt::Debug for TcpTransport {
 impl TcpTransport {
     /// Binds one listener per address (use port `0` for an ephemeral port and
     /// read the real one back with [`TcpTransport::local_addrs`]).  Each
-    /// listener seats one worker.
+    /// listener seats one worker; an empty list is refused (`InvalidInput`),
+    /// since no run could ever finish on it.
     ///
     /// A master killed mid-solve (`kill -9`) leaves its accepted sockets'
     /// `TIME_WAIT` entries parked on the listener's port.  On Unix std sets
@@ -403,17 +448,17 @@ impl TcpTransport {
     /// inherit it), so the restarted master re-binds its advertised
     /// rendezvous endpoints immediately instead of waiting out the
     /// quarantine — longer than any reconnecting worker's redial budget.
-    pub fn bind<A: ToSocketAddrs>(addrs: &[A]) -> std::io::Result<TcpTransport> {
+    pub fn bind<A: ToSocketAddrs>(addrs: &[A]) -> io::Result<TcpTransport> {
+        if addrs.is_empty() {
+            let message = "a tcp pool needs at least one rendezvous address";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+        }
         let listeners: Vec<TcpListener> = addrs
             .iter()
             .map(TcpListener::bind)
-            .collect::<std::io::Result<_>>()?;
-        Ok(TcpTransport {
-            seats: Mutex::new(listeners.iter().map(|_| None).collect()),
-            listeners,
-            accept_timeout: Duration::from_secs(30),
-            io_timeout: Duration::from_secs(600),
-        })
+            .collect::<io::Result<_>>()?;
+        let vacant = listeners.iter().map(|_| None).collect();
+        Ok(TcpTransport::seated(listeners, vacant))
     }
 
     /// A transport whose seats come with their links: one worker, past its
@@ -422,11 +467,23 @@ impl TcpTransport {
     /// tests put [`crate::link::FaultyLink`]s under the production dispatch,
     /// as `SliceFleet::from_links` does for slices.
     pub fn from_links(links: Vec<Box<dyn Link>>) -> TcpTransport {
+        TcpTransport::seated(Vec::new(), links.into_iter().map(Some).collect())
+    }
+
+    fn seated(listeners: Vec<TcpListener>, links: Links) -> TcpTransport {
+        let table = SeatTable {
+            listeners,
+            width: links.len(),
+            seats: Mutex::new(Some(links)),
+            returned: Condvar::new(),
+            pings: AtomicU64::new(0),
+        };
         TcpTransport {
-            listeners: Vec::new(),
-            seats: Mutex::new(links.into_iter().map(Some).collect()),
-            accept_timeout: Duration::ZERO,
-            io_timeout: Duration::ZERO,
+            table: Arc::new(table),
+            accept_timeout: Duration::from_secs(30),
+            io_timeout: Duration::from_secs(600),
+            deadline: None,
+            models: None,
         }
     }
 
@@ -444,27 +501,44 @@ impl TcpTransport {
         self
     }
 
+    /// Gives up this handle's runs at `deadline`: a run that cannot have
+    /// the seats, or a dialing worker, by then fails, and one under way
+    /// dispatches no chunk past it.
+    pub(crate) fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
+    /// Checks places against `models`, the master's explored models.
+    pub(crate) fn with_model_cache(mut self, models: Arc<ModelCache>) -> Self {
+        self.models = Some(models);
+        self
+    }
+
     /// The bound rendezvous addresses, in worker-id order.
     pub fn local_addrs(&self) -> Vec<SocketAddr> {
-        self.listeners
+        self.table
+            .listeners
             .iter()
             .filter_map(|l| l.local_addr().ok())
             .collect()
     }
 
     /// The blocking rendezvous: accepts this listener's worker through
-    /// [`TcpLink::accept`].  `remaining` counts the items no worker has
-    /// answered yet.  `Ok(None)` means the run finished (every item answered
-    /// by the other workers) before anyone dialed in — not a failure, just an
-    /// unused rendezvous address; without this check a spare address would
-    /// stall the completed run for the full accept timeout and then be
-    /// misreported as a disconnect.
+    /// [`TcpLink::accept`], for up to the accept timeout and never past the
+    /// deadline.  `remaining` counts the items no worker has answered yet.
+    /// `Ok(None)` means the run finished (every item answered by the other
+    /// workers) before anyone dialed in — not a failure, just an unused
+    /// rendezvous address; without this check a spare address would stall
+    /// the completed run for the full accept timeout and then be misreported
+    /// as a disconnect.
     pub(crate) fn accept(
         &self,
         index: usize,
         remaining: &AtomicUsize,
     ) -> io::Result<Option<(TcpLink, usize, u64)>> {
-        let deadline = Instant::now() + self.accept_timeout;
+        let timeout = Instant::now() + self.accept_timeout;
+        let deadline = self.deadline.map_or(timeout, |d| d.min(timeout));
         // Once the run is finished (remaining == 0) this worker is not
         // needed, but one may already be dialing — its connection would land
         // in the listener backlog, never be accepted, and die with an error
@@ -479,7 +553,8 @@ impl TcpTransport {
                 Instant::now() < deadline
             }
         };
-        let accepted = TcpLink::accept(&self.listeners[index], self.io_timeout, &mut keep_waiting)?;
+        let listener = &self.table.listeners[index];
+        let accepted = TcpLink::accept(listener, self.io_timeout, &mut keep_waiting)?;
         if accepted.is_none() && remaining.load(Ordering::SeqCst) > 0 {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
@@ -487,6 +562,64 @@ impl TcpTransport {
             ));
         }
         Ok(accepted)
+    }
+
+    /// Seats a worker on every vacant seat, waiting as long as each takes to
+    /// dial in (the query server's start-up), and returns how many seats
+    /// hold one.
+    pub(crate) fn attach(&self) -> io::Result<usize> {
+        let mut links = self.table.checkout(None).map_err(io::Error::other)?;
+        let mut seats = links.iter_mut().zip(&self.table.listeners);
+        let attached = seats.try_for_each(|(seat, listener)| {
+            if seat.is_none() {
+                let accepted = TcpLink::accept(listener, self.io_timeout, &mut || true)?;
+                let (link, ..) = accepted.ok_or(io::ErrorKind::TimedOut)?;
+                *seat = Some(Box::new(link));
+            }
+            io::Result::Ok(())
+        });
+        let held = links.iter().flatten().count();
+        self.table.checkin(links);
+        attached.map(|()| held)
+    }
+
+    /// Pings every held seat and vacates those that fail to echo the nonce
+    /// within [`HEARTBEAT_TIMEOUT`], then polls each vacant listener once
+    /// for a worker dialing in (nobody waiting is not an error).  Returns
+    /// how many seats it refilled.  A no-op while a run holds the seats:
+    /// heartbeats never contend with work.
+    pub(crate) fn heartbeat(&self) -> usize {
+        let Some(mut links) = unpoisoned(self.table.seats.lock()).take() else {
+            return 0;
+        };
+        for (id, seat) in links.iter_mut().enumerate() {
+            let Some(link) = seat else { continue };
+            let tick = self.table.pings.fetch_add(1, Ordering::Relaxed);
+            let nonce = splitmix64(tick ^ ((id as u64) << 32));
+            let _ = link.set_read_timeout(HEARTBEAT_TIMEOUT);
+            let healthy = link.send(&Frame::Ping { nonce }).is_ok()
+                && matches!(
+                    link.recv(),
+                    Ok((Frame::Pong { nonce: echoed }, _)) if echoed == nonce
+                );
+            let _ = link.set_read_timeout(self.io_timeout);
+            if !healthy {
+                *seat = None;
+            }
+        }
+        let mut refilled = 0;
+        for (seat, listener) in links.iter_mut().zip(&self.table.listeners) {
+            if seat.is_some() {
+                continue;
+            }
+            let polled = TcpLink::accept(listener, self.io_timeout, &mut || false);
+            if let Ok(Some((link, ..))) = polled {
+                *seat = Some(Box::new(link));
+                refilled += 1;
+            }
+        }
+        self.table.checkin(links);
+        refilled
     }
 }
 
@@ -496,7 +629,11 @@ impl Transport for TcpTransport {
     }
 
     fn parallelism(&self) -> usize {
-        unpoisoned(self.seats.lock()).len().max(1)
+        self.table.width.max(1)
+    }
+
+    fn model_cache(&self) -> Option<&ModelCache> {
+        self.models.as_deref()
     }
 
     fn execute(
@@ -504,11 +641,15 @@ impl Transport for TcpTransport {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        let specs = encode_plan_specs(&plan.specs)?;
-        let held: Vec<Option<Box<dyn Link>>> = unpoisoned(self.seats.lock())
-            .iter_mut()
-            .map(Option::take)
-            .collect();
+        let specs = plan
+            .specs
+            .iter()
+            .map(|spec| {
+                spec.encode()
+                    .map_err(|e| transport_error(format!("unencodable transform spec: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        let held = self.table.checkout(self.deadline)?;
         // A transport that holds no link waits for its workers: each vacant
         // seat blocks in the rendezvous, on its own handler thread.  Once a
         // seat is filled the run can proceed without the others, so a
@@ -517,7 +658,7 @@ impl Transport for TcpTransport {
         // with the wait.
         let resident = held.iter().any(Option::is_some);
         let accept = |id: usize, remaining: &AtomicUsize| {
-            let Some(listener) = self.listeners.get(id) else {
+            let Some(listener) = self.table.listeners.get(id) else {
                 return Ok(None);
             };
             let accepted = if resident {
@@ -528,12 +669,9 @@ impl Transport for TcpTransport {
             Ok(accepted
                 .map(|(link, messages, bytes)| (Box::new(link) as Box<dyn Link>, messages, bytes)))
         };
-        let seats = held.into_iter().enumerate().collect();
-        let (survivors, outcome) = dispatch_chunks(specs, plan, seats, &accept, None, on_message);
-        let mut seats = unpoisoned(self.seats.lock());
-        for (id, link) in survivors {
-            seats[id] = Some(link);
-        }
+        let (survivors, outcome) =
+            dispatch_chunks(specs, plan, held, &accept, self.deadline, on_message);
+        self.table.checkin(survivors);
         outcome
     }
 }
@@ -542,22 +680,11 @@ impl Transport for TcpTransport {
 // Chunk dispatch — the one master-side loop
 // ---------------------------------------------------------------------------
 
-/// How a vacant seat of a dispatch gets its link, given the seat id and the
-/// count of unanswered items: a handshaken link plus the handshake's message
-/// and byte counts, or `None` when the run finished without needing the seat.
-pub(crate) type Accept<'a, L> =
-    &'a (dyn Fn(usize, &AtomicUsize) -> io::Result<Option<(L, usize, u64)>> + Sync);
-
-/// Seats for links already in hand (a pool checkout, explicit links).
-pub(crate) fn held<L>(links: Vec<(usize, L)>) -> Vec<(usize, Option<L>)> {
-    links
-        .into_iter()
-        .map(|(id, link)| (id, Some(link)))
-        .collect()
-}
+/// A handshaken link plus the handshake's message and byte counts.
+type Handshaken = (Box<dyn Link>, usize, u64);
 
 /// What one seat's handler thread reports back to [`dispatch_chunks`].
-struct Seat<L> {
+struct Seat {
     stats: WorkerStats,
     messages: usize,
     bytes: u64,
@@ -565,46 +692,47 @@ struct Seat<L> {
     requeued: u64,
     failure: Option<String>,
     /// The link, when it is still in protocol sync (its `done` was delivered).
-    link: Option<L>,
+    link: Option<Box<dyn Link>>,
 }
 
-impl<L: Link> Seat<L> {
+impl Seat {
     /// Sends one frame on the seat's link, counting it.
-    fn send(&mut self, link: &mut L, frame: &Frame) -> io::Result<()> {
+    fn send(&mut self, link: &mut dyn Link, frame: &Frame) -> io::Result<()> {
         self.bytes += link.send(frame)?;
         self.messages += 1;
         Ok(())
     }
 }
 
-/// Drains a plan through one link per seat: the chunk-dispatch loop shared by
-/// every link source.  Each seat's handler thread takes the link it holds (or
-/// has `accept` fetch one), pulls chunks from the shared [`WorkQueue`] until
-/// no item is outstanding (or `deadline` passes) and releases the worker with
+/// Drains a plan through one link per seat.  Each seat's handler thread
+/// takes the link it holds (or has `accept` fetch one, given the seat id
+/// and the count of unanswered items; `None` when the run finished without
+/// needing the seat), pulls chunks from the shared [`WorkQueue`] until no
+/// item is outstanding (or `deadline` passes) and releases the worker with
 /// `done`.  A link that fails mid-run loses nothing: its outstanding chunk
-/// goes back into the queue for the survivors, and the report counts what was
-/// absorbed — `retries` by requeued item, `recovered_faults` by lost link
-/// whose work a survivor finished.
+/// goes back into the queue for the survivors, and the report counts what
+/// was absorbed — `retries` by requeued item, `recovered_faults` by lost
+/// link whose work a survivor finished.
 ///
 /// Returns the links still in protocol sync (including those released early
-/// by the deadline), by seat id, beside the outcome: losing workers is
+/// by the deadline), by seat, beside the outcome: losing workers is
 /// survivable as long as every item was answered; losing *all* of them with
 /// work outstanding is not.
-pub(crate) fn dispatch_chunks<L: Link>(
+fn dispatch_chunks(
     specs: Vec<String>,
     plan: ExecutionPlan<'_>,
-    seats: Vec<(usize, Option<L>)>,
-    accept: Accept<'_, L>,
+    seats: Links,
+    accept: &(dyn Fn(usize, &AtomicUsize) -> io::Result<Option<Handshaken>> + Sync),
     deadline: Option<Instant>,
     on_message: &mut dyn FnMut(WorkerMessage),
-) -> (Vec<(usize, L)>, Result<TransportReport, PipelineError>) {
+) -> (Links, Result<TransportReport, PipelineError>) {
     let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));
     // Items not yet answered by *any* worker.  Handlers stay on duty while
     // this is non-zero even when the queue is momentarily empty: a chunk in
     // flight at a dying worker will be requeued, and someone must still be
     // around to pick it up.
     let remaining = AtomicUsize::new(queue.len());
-    let serve = |(worker, held): (usize, Option<L>), tx: &Sender<_>| {
+    let serve = |(worker, held): (usize, Option<Box<dyn Link>>), tx: &Sender<_>| {
         let job = Frame::Job {
             version: WIRE_VERSION,
             worker,
@@ -617,7 +745,7 @@ pub(crate) fn dispatch_chunks<L: Link>(
         };
         serve_seat(worker, link, job, &queue, &remaining, deadline, tx)
     };
-    let outcomes = fan_in(seats, serve, on_message);
+    let outcomes = fan_in(seats.into_iter().enumerate().collect(), serve, on_message);
 
     let mut report = TransportReport::default();
     let mut failures = Vec::new();
@@ -633,7 +761,7 @@ pub(crate) fn dispatch_chunks<L: Link>(
             }
             failures.push(format!("worker {}: {failure}", seat.stats.id));
         }
-        survivors.extend(seat.link.map(|link| (seat.stats.id, link)));
+        survivors.push(seat.link);
         report.worker_stats.push(seat.stats);
     }
     let undone = remaining.load(Ordering::SeqCst);
@@ -678,15 +806,15 @@ fn fan_in<S: Send, R: Send>(
 
 /// One seat of a dispatch: stream chunks to the worker at the far end of
 /// `link` and forward the results, then release it with `done`.
-fn serve_seat<L: Link>(
+fn serve_seat(
     worker: usize,
-    link: io::Result<Option<(L, usize, u64)>>,
+    link: io::Result<Option<Handshaken>>,
     job: Frame,
     queue: &WorkQueue,
     remaining: &AtomicUsize,
     deadline: Option<Instant>,
     results: &Sender<WorkerMessage>,
-) -> Seat<L> {
+) -> Seat {
     let mut seat = Seat {
         stats: WorkerStats {
             id: worker,
@@ -1171,6 +1299,159 @@ mod tests {
         }
         drop(transport);
         assert_eq!(worker.join().unwrap().unwrap().jobs, 4, "one job per run");
+    }
+
+    /// Two runs on one seat table take turns: the second waits for the
+    /// seats instead of accepting on listeners whose workers the first
+    /// holds, and both answer on the same two links.  A run whose deadline
+    /// has passed is refused without touching them.
+    #[test]
+    fn concurrent_runs_take_turns_at_the_seats_and_a_passed_deadline_is_refused() {
+        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let points: Vec<Complex64> = (1..=16)
+            .map(|k| Complex64::new(0.5 * k as f64, 1.0))
+            .collect();
+        let transport = TcpTransport::bind(&["127.0.0.1:0"; 2])
+            .unwrap()
+            .with_accept_timeout(Duration::from_secs(10));
+        let run = || collect(&transport, spec_plan(&spec, &points, 2));
+        let d = Dist::exponential(1.0);
+        let check = |(outcomes, report): (Vec<WorkItemOutcome>, TransportReport)| {
+            assert_eq!(outcomes.len(), points.len());
+            for outcome in outcomes {
+                assert_eq!(outcome.outcome.unwrap(), d.lst(outcome.item.s));
+            }
+            assert_eq!(report.disconnects, 0);
+        };
+        // Both runs start before any worker dials, so whichever takes the
+        // seats waits in accept while the other waits for the seats.
+        let started = std::sync::Barrier::new(3);
+        let workers = std::thread::scope(|scope| {
+            let start = || {
+                started.wait();
+                run()
+            };
+            let runs: Vec<_> = (0..2).map(|_| scope.spawn(start)).collect();
+            started.wait();
+            let dial = |addr: SocketAddr| {
+                let connect = addr.to_string();
+                std::thread::spawn(move || run_tcp_worker(&connect, &TcpWorkerOptions::default()))
+            };
+            let workers: Vec<WorkerThread> =
+                transport.local_addrs().into_iter().map(dial).collect();
+            for handle in runs {
+                check(handle.join().unwrap());
+            }
+            workers
+        });
+        let late = transport.clone().with_deadline(Some(Instant::now()));
+        let plan = spec_plan(&spec, &points, 2);
+        let error = late.execute(plan, &mut |_| {}).unwrap_err();
+        // The server's `engine_refusal` reads this as a `Deadline` refusal.
+        assert!(
+            error.to_string().contains("request deadline exceeded"),
+            "{error}"
+        );
+        check(run());
+        drop((transport, late));
+        for worker in workers {
+            let summary = worker.join().unwrap().unwrap();
+            assert_eq!(summary.jobs, 3, "one link served every run it was offered");
+        }
+    }
+
+    /// A worker that hangs up between runs keeps its seat until the
+    /// heartbeat finds it silent; the heartbeat then seats whoever dials the
+    /// freed address, and the next run answers on both seats with the
+    /// analytic engine's bits.
+    #[test]
+    fn the_heartbeat_vacates_a_lost_seat_and_seats_a_fresh_dialer() {
+        use crate::engine::{AnalyticEngine, DistributedEngine};
+        use crate::master::PipelineOptions;
+        use smp_core::query::{Engine, MeasureReport, MeasureRequest};
+        use smp_laplace::InversionMethod;
+
+        let model = ModelSpec::Voting {
+            voters: 3,
+            polling: 1,
+            central: 1,
+        };
+        let target = TargetSpec::parse("p2>=2").unwrap();
+        let cdf = [MeasureRequest::cdf(target, &[1.0, 4.0, 10.0])];
+        let method = InversionMethod::euler();
+        let bits = |reports: Vec<MeasureReport>| -> Vec<u64> {
+            reports[0].values.iter().map(|v| v.to_bits()).collect()
+        };
+        let analytic = AnalyticEngine::new(model.clone(), method.clone());
+        let expected = bits(analytic.solve(&cdf).unwrap());
+        let transport = TcpTransport::bind(&["127.0.0.1:0"; 2])
+            .unwrap()
+            .with_accept_timeout(Duration::from_secs(10));
+        let addrs = transport.local_addrs();
+        // The whole plan is one chunk: a worker that answers it has nothing
+        // left to do.
+        let solve = || {
+            let options = PipelineOptions::default().chunked(1 << 20);
+            let seats = Box::new(transport.clone());
+            let (model, method) = (model.clone(), method.clone());
+            let engine = DistributedEngine::with_transport(model, method, options, seats);
+            bits(engine.solve(&cdf).unwrap())
+        };
+        let held = || {
+            let seats = unpoisoned(transport.table.seats.lock());
+            seats
+                .as_ref()
+                .map_or(0, |links| links.iter().flatten().count())
+        };
+
+        // Worker 1 answers the chunk and hangs up after the run has heard
+        // its result, so the run delivers its `done` and keeps the seat.
+        // Nobody dials seat 0, whose rendezvous lapses after the grace.
+        let first = std::thread::scope(|scope| {
+            let run = scope.spawn(solve);
+            let options = TcpWorkerOptions {
+                exit_after_chunks: Some(1),
+                ..Default::default()
+            };
+            let lost = run_tcp_worker(&addrs[1].to_string(), &options).unwrap();
+            assert!(lost.dropped_early);
+            run.join().unwrap()
+        });
+        assert_eq!(first, expected);
+        assert_eq!(
+            held(),
+            1,
+            "a hang-up between runs goes unseen until the heartbeat"
+        );
+        assert_eq!(transport.heartbeat(), 0, "nobody dials");
+        assert_eq!(held(), 0, "the heartbeat vacated the lost worker's seat");
+
+        // A fresh worker dials each address in turn, the freed one first;
+        // a heartbeat seats each.
+        let mut workers = Vec::new();
+        for addr in addrs {
+            let connect = addr.to_string();
+            let options = TcpWorkerOptions::default();
+            workers.push(std::thread::spawn(move || {
+                run_tcp_worker(&connect, &options)
+            }));
+            let started = Instant::now();
+            let refilled = loop {
+                let refilled = transport.heartbeat();
+                if refilled > 0 || started.elapsed() > Duration::from_secs(10) {
+                    break refilled;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            assert_eq!(refilled, 1, "{addr}");
+        }
+        assert_eq!(held(), 2);
+        assert_eq!(solve(), expected);
+        drop(transport);
+        for worker in workers {
+            let summary = worker.join().unwrap().unwrap();
+            assert_eq!(summary.jobs, 1, "both seats served the second run");
+        }
     }
 
     #[test]
