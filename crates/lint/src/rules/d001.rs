@@ -5,22 +5,25 @@
 //! checkpoint reload must reproduce the cache byte-for-byte.  Decimal float
 //! formatting (`{}`, `{:e}`, `{:.17}`) silently rounds — `0.1 + 0.2` prints
 //! as `0.30000000000000004` only if you are lucky with the precision — so the
-//! wire/checkpoint/cache layer must funnel every float through the sanctioned
-//! 16-hex-digit bit codec (`encode_f64` / `to_bits`).
+//! modules that write payloads must funnel every float through the sanctioned
+//! 16-hex-digit bit codec (`append_f64` / `encode_f64` / `to_bits`).
 //!
-//! Fires in the wire, checkpoint, and cache modules of the pipeline crate on
-//! any formatting macro whose argument is float-like (a float literal, an
-//! `as f64` cast, a `.re`/`.im`/`.norm()` projection, or a binding declared
+//! Fires in every module of the pipeline crate that writes a payload (wire,
+//! checkpoint, cache, server and transform) on any formatting macro whose
+//! argument is float-like (a float literal, an `as f64` cast, a
+//! `.re`/`.im`/`.norm()` projection, or a binding declared
 //! `f64`/`f32`/`Complex64`) under a Display/float format spec.  Hex (`{:x}`),
 //! binary/octal, and Debug specs are exempt, as is any argument routed
-//! through `to_bits` or an `encode_*` codec function.
+//! through `to_bits` or an `encode_*` / `append_*` codec function.
 
 use super::Finding;
 use crate::analysis::SourceFile;
 use crate::lexer::{Token, TokenKind};
 
-/// File stems patrolled by D001 (within the pipeline crate).
-const SCOPE_STEMS: &[&str] = &["wire", "checkpoint", "cache"];
+/// File stems patrolled by D001 (within the pipeline crate): every module
+/// that writes a payload — frames, checkpoint records, cache keys, query
+/// requests and replies, spec lines.
+const SCOPE_STEMS: &[&str] = &["wire", "checkpoint", "cache", "server", "transform"];
 
 /// Formatting macros whose output can land on a wire/checkpoint path.
 const FORMAT_MACROS: &[&str] = &[
@@ -32,7 +35,9 @@ const SANCTIONED: &[&str] = &[
     "to_bits",
     "encode_f64",
     "encode_finite_f64",
-    "encode_complex",
+    "append_f64",
+    "append_finite_f64",
+    "append_complex",
 ];
 
 /// Runs D001 over the file set.

@@ -2,9 +2,10 @@
 //!
 //! Each rule inspects the analyzed `SourceFile`s and reports [`Finding`]s.
 //! Rules are *module-path aware*: every rule declares which crates/file stems
-//! it patrols, so e.g. D001 only fires in the wire/checkpoint/cache layer
-//! where decimal float formatting would corrupt bit-exactness, while a CLI
-//! table printer may format floats freely.
+//! it patrols, so e.g. D001 only fires in the modules that write payloads
+//! (wire, checkpoint, cache, server, transform), where decimal float
+//! formatting would corrupt bit-exactness, while a CLI table printer may
+//! format floats freely.
 //!
 //! | Code | Invariant |
 //! |------|-----------|

@@ -3,7 +3,7 @@
 //!
 //! Fixtures are analyzed under *synthetic* workspace paths so the rules'
 //! module scoping engages (e.g. D001 only patrols the pipeline crate's
-//! wire/checkpoint/cache stems) without touching the real tree.
+//! payload-writing stems) without touching the real tree.
 
 use smp_lint::analyze_files;
 use smp_lint::config::Config;
@@ -50,8 +50,15 @@ fn d001_float_to_text_on_wire_paths() {
     // Expect one finding per offending fn: plain {}, inline captures,
     // precision spec, and an `as f64` cast.
     assert_eq!(findings("crates/pipeline/src/wire.rs", bad).len(), 4);
-    // The same source outside the wire/checkpoint/cache scope is no finding:
-    // a CLI table printer may format floats freely.
+    // Every module that writes a payload is patrolled: the query protocol's
+    // server and the spec lines' transform module as well.
+    for stem in ["server", "transform"] {
+        let path = format!("crates/pipeline/src/{stem}.rs");
+        assert_rule("D001", &path, bad, good);
+        assert_eq!(findings(&path, bad).len(), 4, "{path}");
+    }
+    // The same source outside that scope is no finding: a CLI table printer
+    // may format floats freely.
     assert!(findings("crates/cli/src/lib.rs", bad).is_empty());
 }
 

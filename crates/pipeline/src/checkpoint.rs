@@ -22,6 +22,7 @@ use crate::wire::{self, Body, Line, WireError};
 use smp_laplace::TransformValues;
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -79,15 +80,14 @@ impl CheckpointWriter {
         s: Complex64,
         value: Complex64,
     ) -> std::io::Result<()> {
-        writeln!(
-            self.writer,
-            "k={} {} {} {} {}",
-            wire::encode_str(key),
-            wire::encode_f64(s.re),
-            wire::encode_f64(s.im),
-            wire::encode_f64(value.re),
-            wire::encode_f64(value.im)
-        )?;
+        let mut line = String::from("k=");
+        wire::append_str(&mut line, key);
+        for bits in [s.re, s.im, value.re, value.im] {
+            line.push(' ');
+            wire::append_f64(&mut line, bits);
+        }
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         self.records += 1;
         Ok(())
@@ -204,28 +204,30 @@ impl ShardSnapshot {
         let tmp = PathBuf::from(tmp);
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
-            writeln!(
-                w,
-                "shardckpt v=1 key={} s={} {} r={} total={} {} quiet={} delta={} n={}",
-                wire::encode_str(&self.key),
-                wire::encode_f64(self.s.re),
-                wire::encode_f64(self.s.im),
-                self.round,
-                wire::encode_f64(self.total.re),
-                wire::encode_f64(self.total.im),
-                self.quiet,
-                wire::encode_f64(self.last_delta),
-                self.entries.len()
-            )?;
+            let mut line = String::from("shardckpt v=1 key=");
+            wire::append_str(&mut line, &self.key);
+            line.push_str(" s=");
+            wire::append_f64(&mut line, self.s.re);
+            line.push(' ');
+            wire::append_f64(&mut line, self.s.im);
+            let _ = write!(line, " r={} total=", self.round);
+            wire::append_f64(&mut line, self.total.re);
+            line.push(' ');
+            wire::append_f64(&mut line, self.total.im);
+            let _ = write!(line, " quiet={} delta=", self.quiet);
+            wire::append_f64(&mut line, self.last_delta);
+            let _ = writeln!(line, " n={}", self.entries.len());
+            w.write_all(line.as_bytes())?;
             for &(row, v) in &self.entries {
-                writeln!(
-                    w,
-                    "{row} {} {}",
-                    wire::encode_f64(v.re),
-                    wire::encode_f64(v.im)
-                )?;
+                line.clear();
+                let _ = write!(line, "{row} ");
+                wire::append_f64(&mut line, v.re);
+                line.push(' ');
+                wire::append_f64(&mut line, v.im);
+                line.push('\n');
+                w.write_all(line.as_bytes())?;
             }
-            writeln!(w, "end")?;
+            w.write_all(b"end\n")?;
             w.flush()?;
             w.into_inner()
                 .map_err(|e| std::io::Error::other(e.to_string()))?

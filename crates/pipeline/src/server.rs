@@ -79,11 +79,12 @@ use crate::transform::{ModelCache, ModelSpec, TransformSpec};
 use crate::transport::{transport_over, PoolSpec, TcpTransport, Transport};
 use crate::unpoisoned;
 use crate::wire::{
-    self, encode_f64, encode_str, malformed, read_payload, write_payload, Body, Line, WireError,
+    self, append_f64, append_str, malformed, read_payload, write_payload, Body, Line, WireError,
 };
 use smp_core::query::{EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance};
 use smp_laplace::InversionMethod;
 use std::convert::Infallible;
+use std::fmt::Write as _;
 use std::io::ErrorKind::InvalidInput;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -146,26 +147,28 @@ pub fn encode_query_request(request: &QueryRequest) -> String {
         Some(d) => d.as_millis().min(u128::from(u64::MAX)) as u64,
         None => 0,
     };
-    let mut out = format!(
-        "query v={QUERY_PROTOCOL_VERSION} engine={} method={} deadline_ms={deadline_ms} \
-         measures={} tpoints={}\n",
-        encode_str(&request.engine),
-        encode_str(&request.method),
+    let mut out = String::new();
+    let _ = write!(out, "query v={QUERY_PROTOCOL_VERSION} engine=");
+    append_str(&mut out, &request.engine);
+    out.push_str(" method=");
+    append_str(&mut out, &request.method);
+    let _ = writeln!(
+        out,
+        " deadline_ms={deadline_ms} measures={} tpoints={}",
         request.measures.len(),
         request.t_points.len(),
     );
     out.push_str("model ");
-    out.push_str(&request.model.encode());
-    out.push('\n');
-    out.push_str("grid");
+    request.model.append(&mut out);
+    out.push_str("\ngrid");
     for t in &request.t_points {
         out.push(' ');
-        out.push_str(&encode_f64(*t));
+        append_f64(&mut out, *t);
     }
     out.push('\n');
     for measure in &request.measures {
         out.push_str("measure ");
-        out.push_str(&encode_str(measure));
+        append_str(&mut out, measure);
         out.push('\n');
     }
     out
@@ -393,32 +396,23 @@ fn decode_kind(name: &str, points: &[f64]) -> Result<MeasureKind, WireError> {
     }
 }
 
-fn encode_provenance(p: &Provenance) -> String {
-    let states = match p.states {
-        Some(n) => n.to_string(),
-        None => "-".to_string(),
-    };
-    let bound = match p.error_bound {
-        Some(b) => encode_f64(b),
-        None => "-".to_string(),
-    };
-    let shard_states = if p.shard_states.is_empty() {
-        "-".to_string()
-    } else {
-        p.shard_states
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "prov engine={} backend={} workers={} states={states} messages={} bytes={} \
-         evaluations={} rebuilds={} pooled={} cache={} shared={} wall_ns={} bound={bound} \
-         queue_ns={} mhits={} mmiss={} shards={} sstates={shard_states} halo={} rounds={} \
-         retries={} recovered={} resumed={}",
-        encode_str(p.engine),
-        encode_str(&p.backend),
-        p.workers,
+/// Appends a `prov` line, without its newline.
+fn append_provenance(out: &mut String, p: &Provenance) {
+    out.push_str("prov engine=");
+    append_str(out, p.engine);
+    out.push_str(" backend=");
+    append_str(out, &p.backend);
+    let _ = write!(out, " workers={} states=", p.workers);
+    match p.states {
+        Some(n) => {
+            let _ = write!(out, "{n}");
+        }
+        None => out.push('-'),
+    }
+    let _ = write!(
+        out,
+        " messages={} bytes={} evaluations={} rebuilds={} pooled={} cache={} shared={} \
+         wall_ns={} bound=",
         p.messages,
         p.bytes_on_wire,
         p.evaluations,
@@ -427,16 +421,31 @@ fn encode_provenance(p: &Provenance) -> String {
         p.cache_hits,
         p.shared_hits,
         p.wall.as_nanos().min(u128::from(u64::MAX)) as u64,
+    );
+    match p.error_bound {
+        Some(b) => append_f64(out, b),
+        None => out.push('-'),
+    }
+    let _ = write!(
+        out,
+        " queue_ns={} mhits={} mmiss={} shards={} sstates=",
         p.queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
         p.model_cache_hits,
         p.model_cache_misses,
         p.shards,
-        p.halo_bytes,
-        p.exchange_rounds,
-        p.retries,
-        p.recovered_faults,
-        p.resumed_rounds,
-    )
+    );
+    if p.shard_states.is_empty() {
+        out.push('-');
+    }
+    for (i, n) in p.shard_states.iter().enumerate() {
+        let separator = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{separator}{n}");
+    }
+    let _ = write!(
+        out,
+        " halo={} rounds={} retries={} recovered={} resumed={}",
+        p.halo_bytes, p.exchange_rounds, p.retries, p.recovered_faults, p.resumed_rounds,
+    );
 }
 
 /// Reads a `prov` line; the struct literal below lists its fields in wire
@@ -486,38 +495,48 @@ fn read_provenance(line: &mut Line<'_>) -> Result<Provenance, WireError> {
 /// Values travel as bit patterns: the client prints exactly the `f64`s the
 /// server computed.
 pub fn encode_query_reply(reply: &QueryReply) -> String {
+    let mut out = String::new();
     match reply {
-        QueryReply::Refusal(refusal) => format!(
-            "refusal v={QUERY_PROTOCOL_VERSION} kind={} msg={}\n",
-            refusal.kind.name(),
-            encode_str(&refusal.message)
-        ),
+        QueryReply::Refusal(refusal) => {
+            let _ = write!(
+                out,
+                "refusal v={QUERY_PROTOCOL_VERSION} kind={} msg=",
+                refusal.kind.name()
+            );
+            append_str(&mut out, &refusal.message);
+            out.push('\n');
+        }
         QueryReply::Reports(reports) => {
-            let mut out = format!("reports v={QUERY_PROTOCOL_VERSION} n={}\n", reports.len());
+            let _ = writeln!(
+                out,
+                "reports v={QUERY_PROTOCOL_VERSION} n={}",
+                reports.len()
+            );
             for report in reports {
-                out.push_str(&format!(
-                    "report name={} kind={}\n",
-                    encode_str(&report.name),
-                    report.kind.name()
-                ));
-                out.push_str(&format!("points {}", report.points.len()));
+                out.push_str("report name=");
+                append_str(&mut out, &report.name);
+                let _ = write!(
+                    out,
+                    " kind={}\npoints {}",
+                    report.kind.name(),
+                    report.points.len()
+                );
                 for p in &report.points {
                     out.push(' ');
-                    out.push_str(&encode_f64(*p));
+                    append_f64(&mut out, *p);
                 }
-                out.push('\n');
-                out.push_str(&format!("values {}", report.values.len()));
+                let _ = write!(out, "\nvalues {}", report.values.len());
                 for v in &report.values {
                     out.push(' ');
-                    out.push_str(&encode_f64(*v));
+                    append_f64(&mut out, *v);
                 }
                 out.push('\n');
-                out.push_str(&encode_provenance(&report.provenance));
+                append_provenance(&mut out, &report.provenance);
                 out.push('\n');
             }
-            out
         }
     }
+    out
 }
 
 /// Decodes one reply payload (the inverse of [`encode_query_reply`]).
@@ -1114,7 +1133,14 @@ fn serve_client(shared: Arc<ServerShared>, mut stream: TcpStream) {
 mod tests {
     use super::*;
     use crate::engine::{AnalyticEngine, DistributedEngine};
+    use crate::wire::encode_f64;
     use smp_core::query::Engine;
+
+    fn encode_provenance(p: &Provenance) -> String {
+        let mut line = String::new();
+        append_provenance(&mut line, p);
+        line
+    }
 
     fn voting() -> ModelSpec {
         ModelSpec::Voting {

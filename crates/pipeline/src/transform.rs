@@ -25,12 +25,13 @@
 //! shared state space ([`CompiledModelSet::evaluator`]).
 
 use crate::cache::LruMemo;
-use crate::wire::{self, encode_finite_f64, encode_str, malformed, Fields, Line, WireError};
+use crate::wire::{self, append_finite_f64, append_str, malformed, Fields, Line, WireError};
 use smp_core::transient::TransientSolver;
 use smp_core::PassageTimeSolver;
 use smp_distributions::Dist;
 use smp_numeric::Complex64;
 use smp_smspn::{SmSpn, StateSpace};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Wire-format version of the spec encoding (first field of every spec line).
@@ -94,13 +95,25 @@ impl ModelSpec {
     /// Encodes the model as one wire-format field (the `model=` value of a
     /// spec line).  Also used verbatim by the query protocol's model line.
     pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.append(&mut out);
+        out
+    }
+
+    /// Appends the model's wire-format field (see [`ModelSpec::encode`]).
+    pub(crate) fn append(&self, out: &mut String) {
         match self {
             ModelSpec::Voting {
                 voters,
                 polling,
                 central,
-            } => format!("voting:{voters},{polling},{central}"),
-            ModelSpec::Dnamaca(source) => format!("dnamaca:{}", encode_str(source)),
+            } => {
+                let _ = write!(out, "voting:{voters},{polling},{central}");
+            }
+            ModelSpec::Dnamaca(source) => {
+                out.push_str("dnamaca:");
+                append_str(out, source);
+            }
         }
     }
 
@@ -223,15 +236,28 @@ impl DistSpec {
         .checked()
     }
 
-    fn encode(&self) -> Result<String, WireError> {
-        let f = |v: f64| encode_finite_f64(v, "distribution parameter");
-        Ok(match *self {
-            DistSpec::Exponential { rate } => format!("exponential:{}", f(rate)?),
-            DistSpec::Erlang { rate, phases } => format!("erlang:{}:{phases}", f(rate)?),
-            DistSpec::Uniform { lower, upper } => format!("uniform:{}:{}", f(lower)?, f(upper)?),
-            DistSpec::Deterministic { value } => format!("deterministic:{}", f(value)?),
-            DistSpec::Weibull { shape, scale } => format!("weibull:{}:{}", f(shape)?, f(scale)?),
-        })
+    /// Appends the `dist=` field: the family, then its parameters as
+    /// finite bit patterns (an Erlang's phase count last, in decimal).
+    fn append(&self, out: &mut String) -> Result<(), WireError> {
+        const FIELD: &str = "distribution parameter";
+        let (family, first, second) = match *self {
+            DistSpec::Exponential { rate } => ("exponential", rate, None),
+            DistSpec::Erlang { rate, .. } => ("erlang", rate, None),
+            DistSpec::Uniform { lower, upper } => ("uniform", lower, Some(upper)),
+            DistSpec::Deterministic { value } => ("deterministic", value, None),
+            DistSpec::Weibull { shape, scale } => ("weibull", shape, Some(scale)),
+        };
+        out.push_str(family);
+        out.push(':');
+        append_finite_f64(out, first, FIELD)?;
+        if let Some(second) = second {
+            out.push(':');
+            append_finite_f64(out, second, FIELD)?;
+        }
+        if let DistSpec::Erlang { phases, .. } = self {
+            let _ = write!(out, ":{phases}");
+        }
+        Ok(())
     }
 
     fn decode(field: &str) -> Result<DistSpec, WireError> {
@@ -324,7 +350,11 @@ impl TransformSpec {
                 Self::transient_key(&model.fingerprint(), targets)
             }
             TransformSpec::Analytic(dist) => {
-                format!("analytic:{}", dist.encode().unwrap_or_default())
+                let mut key = String::from("analytic:");
+                if dist.append(&mut key).is_err() {
+                    key.truncate("analytic:".len());
+                }
+                key
             }
         }
     }
@@ -344,21 +374,21 @@ impl TransformSpec {
 
     /// Encodes the spec as one canonical line of the wire format.
     pub fn encode(&self) -> Result<String, WireError> {
-        Ok(match self {
-            TransformSpec::Passage { model, targets } => format!(
-                "passage v={SPEC_VERSION} model={} targets={}",
-                model.encode(),
-                encode_str(&targets.to_string())
-            ),
-            TransformSpec::Transient { model, targets } => format!(
-                "transient v={SPEC_VERSION} model={} targets={}",
-                model.encode(),
-                encode_str(&targets.to_string())
-            ),
+        let mut out = String::new();
+        let (tag, model, targets) = match self {
+            TransformSpec::Passage { model, targets } => ("passage", model, targets),
+            TransformSpec::Transient { model, targets } => ("transient", model, targets),
             TransformSpec::Analytic(dist) => {
-                format!("analytic v={SPEC_VERSION} dist={}", dist.encode()?)
+                let _ = write!(out, "analytic v={SPEC_VERSION} dist=");
+                dist.append(&mut out)?;
+                return Ok(out);
             }
-        })
+        };
+        let _ = write!(out, "{tag} v={SPEC_VERSION} model=");
+        model.append(&mut out);
+        out.push_str(" targets=");
+        append_str(&mut out, &targets.to_string());
+        Ok(out)
     }
 
     /// Decodes one wire line back into a spec.

@@ -49,10 +49,21 @@
 //!   payload runs out;
 //! * **trailing** tokens after a line's last field, and trailing lines after
 //!   a payload's last one, are refused.
+//!
+//! ## The append rule
+//!
+//! Every encoder writes into a `String` its caller owns: the field
+//! primitives `append_str`, `append_f64`, `append_finite_f64` and
+//! `append_complex` push their text onto the end of it, and integers go in
+//! through `write!`.  No encoder allocates per byte or per field, and none
+//! builds a field as a `String` of its own to copy in afterwards; the
+//! `String`-returning `encode_*` forms exist only for a caller that keeps
+//! the token.
 
 use crate::work::WorkItem;
 use crate::worker::{WorkItemOutcome, WorkerMessage};
 use smp_numeric::Complex64;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::str::{FromStr, Lines, Split, SplitWhitespace};
 
@@ -143,33 +154,78 @@ pub(crate) fn malformed(message: impl Into<String>) -> WireError {
 // Field primitives
 // ---------------------------------------------------------------------------
 
-/// Percent-encodes a string into one whitespace-free field (alphanumerics and
-/// `-_.:+/` pass through unchanged).  Shared with the checkpoint format's
-/// measure-tagged records.
+/// Lower-case hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The lower-case hex digit of the low nibble of `nibble`.
+fn hex_digit(nibble: u8) -> char {
+    char::from(HEX_DIGITS[usize::from(nibble & 0xf)])
+}
+
+/// The value of one hex digit (either case); `None` for anything else — a
+/// sign included, which `from_str_radix` would have taken.
+fn hex_value(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        b'A'..=b'F' => Some(digit - b'A' + 10),
+        _ => None,
+    }
+}
+
+/// Whether a byte passes through [`append_str`] unescaped.
+fn passes_unescaped(byte: u8) -> bool {
+    matches!(byte, b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b':' | b'+' | b'/')
+}
+
+/// Appends `text` percent-encoded as one whitespace-free field
+/// (alphanumerics and `-_.:+/` pass through unchanged, every other byte is
+/// `%xx`).  Runs of plain bytes are copied whole.  Shared with the
+/// checkpoint format's measure-tagged records.
+pub(crate) fn append_str(out: &mut String, text: &str) {
+    // `run` starts the pending run of plain bytes.  Plain bytes are ASCII, so
+    // a non-empty run starts and ends on character boundaries.
+    let mut run = 0;
+    for (i, byte) in text.bytes().enumerate() {
+        if passes_unescaped(byte) {
+            continue;
+        }
+        if run < i {
+            out.push_str(&text[run..i]);
+        }
+        out.push('%');
+        out.push(hex_digit(byte >> 4));
+        out.push(hex_digit(byte));
+        run = i + 1;
+    }
+    if run < text.len() {
+        out.push_str(&text[run..]);
+    }
+}
+
+/// [`append_str`] into a fresh field, for a test that keeps the token.
+#[cfg(test)]
 pub(crate) fn encode_str(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for byte in text.bytes() {
-        match byte {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b':' | b'+' | b'/' => {
-                out.push(byte as char)
-            }
-            _ => out.push_str(&format!("%{byte:02x}")),
-        }
-    }
+    append_str(&mut out, text);
     out
 }
 
-/// Inverse of [`encode_str`].  Returns `None` for malformed escapes or invalid
-/// UTF-8.
+/// Inverse of [`append_str`].  Returns `None` for malformed escapes or invalid
+/// UTF-8.  A field without escapes is copied whole.
 pub(crate) fn decode_str(field: &str) -> Option<String> {
     let bytes = field.as_bytes();
+    let Some(first) = bytes.iter().position(|&b| b == b'%') else {
+        return Some(field.to_string());
+    };
     let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
+    out.extend_from_slice(&bytes[..first]);
+    let mut i = first;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            let hex = bytes.get(i + 1..i + 3)?;
-            let hex = std::str::from_utf8(hex).ok()?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
+            let high = hex_value(*bytes.get(i + 1)?)?;
+            let low = hex_value(*bytes.get(i + 2)?)?;
+            out.push(high << 4 | low);
             i += 3;
         } else {
             out.push(bytes[i]);
@@ -179,27 +235,57 @@ pub(crate) fn decode_str(field: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-/// Encodes an `f64` as its 16-hex-digit bit pattern (bit-exact; shared with
+/// Appends an `f64` as its 16-hex-digit bit pattern (bit-exact; shared with
 /// the checkpoint format).  Accepts any value, including NaN — use
+/// [`append_finite_f64`] for quantity fields.
+pub(crate) fn append_f64(out: &mut String, value: f64) {
+    let bits = value.to_bits();
+    for shift in (0..16).rev() {
+        out.push(hex_digit((bits >> (4 * shift)) as u8));
+    }
+}
+
+/// Encodes an `f64` as its 16-hex-digit bit pattern into a fresh field, for
+/// a caller that keeps the token (`append_f64` writes into a caller's
+/// `String`).  Accepts any value, including NaN — use
 /// [`encode_finite_f64`] for quantity fields.
 pub fn encode_f64(value: f64) -> String {
-    format!("{:016x}", value.to_bits())
+    let mut out = String::with_capacity(16);
+    append_f64(&mut out, value);
+    out
+}
+
+/// Appends a *quantity* `f64`, rejecting NaN and infinities.
+pub(crate) fn append_finite_f64(
+    out: &mut String,
+    value: f64,
+    field: &'static str,
+) -> Result<(), WireError> {
+    if !value.is_finite() {
+        return Err(WireError::NonFinite { field });
+    }
+    append_f64(out, value);
+    Ok(())
 }
 
 /// Encodes a *quantity* `f64`, rejecting NaN and infinities.
 pub fn encode_finite_f64(value: f64, field: &'static str) -> Result<String, WireError> {
-    if !value.is_finite() {
-        return Err(WireError::NonFinite { field });
-    }
-    Ok(encode_f64(value))
+    let mut out = String::with_capacity(16);
+    append_finite_f64(&mut out, value, field)?;
+    Ok(out)
 }
 
-/// Decodes a 16-hex-digit `f64` field (any bit pattern).
+/// Decodes a 16-hex-digit `f64` field (any bit pattern).  Only hex digits
+/// are read: no sign, no shorter field.
 pub(crate) fn decode_f64(field: &str) -> Option<f64> {
     if field.len() != 16 {
         return None; // a short field is a record truncated mid-write
     }
-    u64::from_str_radix(field, 16).ok().map(f64::from_bits)
+    let mut bits = 0u64;
+    for &digit in field.as_bytes() {
+        bits = bits << 4 | u64::from(hex_value(digit)?);
+    }
+    Some(f64::from_bits(bits))
 }
 
 /// Decodes a *quantity* `f64` field, rejecting NaN and infinities.
@@ -212,19 +298,24 @@ pub fn decode_finite_f64(field: &str, name: &'static str) -> Result<f64, WireErr
     Ok(value)
 }
 
-/// Encodes a complex quantity as two finite-`f64` fields.
-pub(crate) fn encode_complex(value: Complex64, field: &'static str) -> Result<String, WireError> {
-    Ok(format!(
-        "{} {}",
-        encode_finite_f64(value.re, field)?,
-        encode_finite_f64(value.im, field)?
-    ))
+/// Appends a complex quantity as two finite-`f64` fields.
+pub(crate) fn append_complex(
+    out: &mut String,
+    value: Complex64,
+    field: &'static str,
+) -> Result<(), WireError> {
+    append_finite_f64(out, value.re, field)?;
+    out.push(' ');
+    append_finite_f64(out, value.im, field)
 }
 
 /// A field that must parse into `T` (an integer type, for every count and
 /// id on the wire): a value out of `T`'s range is malformed, never narrowed.
+/// No encoder writes a sign, so a leading `+` (which `str::parse` takes) is
+/// malformed too.
 pub(crate) fn number<T: FromStr>(token: &str, what: &str) -> Result<T, WireError> {
-    token.parse().map_err(|_| {
+    let parsed = token.parse().ok().filter(|_| !token.starts_with('+'));
+    parsed.ok_or_else(|| {
         let ty = std::any::type_name::<T>();
         malformed(format!("field '{what}' is not a {ty}: '{token}'"))
     })
@@ -408,14 +499,10 @@ impl<'a, I: Iterator<Item = &'a str>> Fields<I> {
 // Work item / outcome / message encoding
 // ---------------------------------------------------------------------------
 
-/// Encodes one [`WorkItem`] as `"<measure> <index> <s.re> <s.im>"`.
-pub(crate) fn encode_work_item(item: &WorkItem) -> Result<String, WireError> {
-    Ok(format!(
-        "{} {} {}",
-        item.measure,
-        item.index,
-        encode_complex(item.s, "work item s-point")?
-    ))
+/// Appends one [`WorkItem`] as `"<measure> <index> <s.re> <s.im>"`.
+fn append_work_item(out: &mut String, item: &WorkItem) -> Result<(), WireError> {
+    let _ = write!(out, "{} {} ", item.measure, item.index);
+    append_complex(out, item.s, "work item s-point")
 }
 
 fn read_work_item(line: &mut Line<'_>) -> Result<WorkItem, WireError> {
@@ -432,38 +519,37 @@ fn decode_work_item(line: &str) -> Result<WorkItem, WireError> {
     Line::new(line).all(read_work_item)
 }
 
-/// Encodes one [`WorkItemOutcome`]: the item's fields followed by
+/// Appends one [`WorkItemOutcome`]: the item's fields followed by
 /// `ok <v.re> <v.im>` or `err <message>`.  A *non-finite* success value is
 /// encoded as an error outcome — a NaN transform value must never enter the
 /// master's cache or checkpoint as a number.
-pub(crate) fn encode_outcome(outcome: &WorkItemOutcome) -> Result<String, WireError> {
-    let mut line = encode_work_item(&outcome.item)?;
+fn append_outcome(out: &mut String, outcome: &WorkItemOutcome) -> Result<(), WireError> {
+    append_work_item(out, &outcome.item)?;
     match &outcome.outcome {
         Ok(value) if value.re.is_finite() && value.im.is_finite() => {
-            line.push_str(&format!(
-                " ok {}",
-                encode_complex(*value, "transform value")?
-            ));
+            out.push_str(" ok ");
+            append_complex(out, *value, "transform value")
         }
         Ok(value) => {
             // The offending value is reported by its exact bit pattern (the
             // same 16-hex-digit codec as every wire f64), not by `{}`: decimal
             // float formatting is banned on wire paths (smp-lint D001) so that
             // no text on the wire ever depends on a float-to-decimal routine.
-            line.push_str(&format!(
-                " err {}",
-                encode_str(&format!(
-                    "non-finite transform value bits={}/{}",
-                    encode_f64(value.re),
-                    encode_f64(value.im)
-                ))
-            ));
+            // Hex digits and `/` pass through the string escape unchanged, so
+            // the bits are appended as they stand.
+            out.push_str(" err ");
+            append_str(out, "non-finite transform value bits=");
+            append_f64(out, value.re);
+            out.push('/');
+            append_f64(out, value.im);
+            Ok(())
         }
         Err(message) => {
-            line.push_str(&format!(" err {}", encode_str(message)));
+            out.push_str(" err ");
+            append_str(out, message);
+            Ok(())
         }
     }
-    Ok(line)
 }
 
 /// Decodes one [`WorkItemOutcome`] line.
@@ -488,17 +574,28 @@ pub fn encode_worker_message(
     message: &WorkerMessage,
     busy_nanos: u64,
 ) -> Result<String, WireError> {
-    let mut out = format!(
-        "result worker={} busy_ns={} n={}",
+    let mut out = String::new();
+    append_worker_message(&mut out, message, busy_nanos)?;
+    Ok(out)
+}
+
+/// Appends a `result` frame payload (see [`encode_worker_message`]).
+fn append_worker_message(
+    out: &mut String,
+    message: &WorkerMessage,
+    busy_nanos: u64,
+) -> Result<(), WireError> {
+    let _ = write!(
+        out,
+        "result worker={} busy_ns={busy_nanos} n={}",
         message.worker,
-        busy_nanos,
         message.results.len()
     );
     for outcome in &message.results {
         out.push('\n');
-        out.push_str(&encode_outcome(outcome)?);
+        append_outcome(out, outcome)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decodes a `result` frame payload back into a [`WorkerMessage`] and the
@@ -526,16 +623,25 @@ fn read_result(
 // Sharded-session line codecs
 // ---------------------------------------------------------------------------
 
-/// Encodes one boundary entry (`halo` / `sstate` export line) as
-/// `"<row> <v.re> <v.im>"` with the bit-exact float codec.
-pub(crate) fn encode_value_entry(row: u32, value: Complex64) -> Result<String, WireError> {
-    Ok(format!(
-        "{row} {}",
-        encode_complex(value, "boundary value")?
-    ))
+/// Appends boundary entries (`halo`, `term` and `restore` lines, `sstate`
+/// exports), each on a line of its own as `"<row> <v.re> <v.im>"` with the
+/// bit-exact float codec.
+fn append_entries(out: &mut String, entries: &[(u32, Complex64)]) -> Result<(), WireError> {
+    for &(row, value) in entries {
+        let _ = write!(out, "\n{row} ");
+        append_complex(out, value, "boundary value")?;
+    }
+    Ok(())
 }
 
-/// `n` boundary-entry lines (the inverse of [`encode_value_entry`]).
+/// Appends each row as a space-separated field.
+fn append_rows(out: &mut String, rows: &[u32]) {
+    for row in rows {
+        let _ = write!(out, " {row}");
+    }
+}
+
+/// `n` boundary-entry lines (the inverse of [`append_entries`]).
 fn read_entries(body: &mut Body<'_>, n: usize) -> Result<Vec<(u32, Complex64)>, WireError> {
     body.list(n, |body| {
         body.line("boundary entry", |line| {
@@ -726,81 +832,77 @@ pub enum Frame {
 impl Frame {
     /// Encodes the frame into a payload string (no length prefix).
     pub fn encode(&self) -> Result<String, WireError> {
+        let mut buffer = String::new();
+        let out = &mut buffer;
         match self {
-            Frame::Hello { version } => Ok(format!("hello v={version}")),
+            Frame::Hello { version } => {
+                let _ = write!(out, "hello v={version}");
+            }
             Frame::Job {
                 version,
                 worker,
                 method,
                 specs,
             } => {
-                let mut out = format!(
-                    "job v={version} worker={worker} method={} specs={}",
-                    encode_str(method),
-                    specs.len()
-                );
+                let _ = write!(out, "job v={version} worker={worker} method=");
+                append_str(out, method);
+                let _ = write!(out, " specs={}", specs.len());
                 for spec in specs {
                     out.push('\n');
                     out.push_str(spec);
                 }
-                Ok(out)
             }
             Frame::Chunk { items } => {
-                let mut out = format!("chunk n={}", items.len());
+                let _ = write!(out, "chunk n={}", items.len());
                 for item in items {
                     out.push('\n');
-                    out.push_str(&encode_work_item(item)?);
+                    append_work_item(out, item)?;
                 }
-                Ok(out)
             }
-            Frame::Done => Ok("done".to_string()),
+            Frame::Done => out.push_str("done"),
             Frame::Result {
                 message,
                 busy_nanos,
-            } => encode_worker_message(message, *busy_nanos),
-            Frame::Fatal { message } => Ok(format!("fatal {}", encode_str(message))),
+            } => append_worker_message(out, message, *busy_nanos)?,
+            Frame::Fatal { message } => {
+                out.push_str("fatal ");
+                append_str(out, message);
+            }
             Frame::SliceJob {
                 version,
                 worker,
                 shards,
                 spec,
-            } => Ok(format!(
-                "slicejob v={version} worker={worker} shards={shards}\n{spec}"
-            )),
+            } => {
+                let _ = write!(
+                    out,
+                    "slicejob v={version} worker={worker} shards={shards}\n{spec}"
+                );
+            }
             Frame::SliceMeta {
                 states,
                 nnz,
                 dists,
                 need,
             } => {
-                let mut out = format!(
+                let _ = write!(
+                    out,
                     "slicemeta states={states} nnz={nnz} dists={dists} need={}",
                     need.len()
                 );
-                for r in need {
-                    out.push(' ');
-                    out.push_str(&r.to_string());
-                }
-                Ok(out)
+                append_rows(out, need);
             }
             Frame::SliceRoute { rows } => {
-                let mut out = format!("sliceroute n={}", rows.len());
-                for r in rows {
-                    out.push(' ');
-                    out.push_str(&r.to_string());
-                }
-                Ok(out)
+                let _ = write!(out, "sliceroute n={}", rows.len());
+                append_rows(out, rows);
             }
             Frame::SPoint { id, s } => {
-                Ok(format!("spoint id={id} {}", encode_complex(*s, "s-point")?))
+                let _ = write!(out, "spoint id={id} ");
+                append_complex(out, *s, "s-point")?;
             }
             Frame::Halo { id, r, entries } => {
-                let mut out = format!("halo id={id} r={r} n={}", entries.len());
-                for &(row, value) in entries {
-                    out.push('\n');
-                    out.push_str(&encode_value_entry(row, value)?);
-                }
-                Ok(out)
+                let _ = write!(out, "halo id={id} r={r} n={}", entries.len());
+                append_entries(out, entries)?;
             }
             Frame::SState {
                 id,
@@ -809,46 +911,40 @@ impl Frame {
                 targets,
                 exports,
             } => {
-                let mut out = format!(
+                let _ = write!(
+                    out,
                     "sstate id={id} r={r} quiet={} targets={} exports={}",
-                    *quiet as u32,
+                    u32::from(*quiet),
                     targets.len(),
                     exports.len()
                 );
                 for &t in targets {
                     out.push('\n');
-                    out.push_str(&encode_complex(t, "target value")?);
+                    append_complex(out, t, "target value")?;
                 }
-                for &(row, value) in exports {
-                    out.push('\n');
-                    out.push_str(&encode_value_entry(row, value)?);
-                }
-                Ok(out)
+                append_entries(out, exports)?;
             }
-            Frame::Ping { nonce } => Ok(format!("ping nonce={nonce}")),
-            Frame::Pong { nonce } => Ok(format!("pong nonce={nonce}")),
-            Frame::TermReq { id, r } => Ok(format!("termreq id={id} r={r}")),
+            Frame::Ping { nonce } => {
+                let _ = write!(out, "ping nonce={nonce}");
+            }
+            Frame::Pong { nonce } => {
+                let _ = write!(out, "pong nonce={nonce}");
+            }
+            Frame::TermReq { id, r } => {
+                let _ = write!(out, "termreq id={id} r={r}");
+            }
             Frame::Term { id, r, entries } => {
-                let mut out = format!("term id={id} r={r} n={}", entries.len());
-                for &(row, value) in entries {
-                    out.push('\n');
-                    out.push_str(&encode_value_entry(row, value)?);
-                }
-                Ok(out)
+                let _ = write!(out, "term id={id} r={r} n={}", entries.len());
+                append_entries(out, entries)?;
             }
             Frame::Restore { id, r, s, entries } => {
-                let mut out = format!(
-                    "restore id={id} r={r} {} n={}",
-                    encode_complex(*s, "s-point")?,
-                    entries.len()
-                );
-                for &(row, value) in entries {
-                    out.push('\n');
-                    out.push_str(&encode_value_entry(row, value)?);
-                }
-                Ok(out)
+                let _ = write!(out, "restore id={id} r={r} ");
+                append_complex(out, *s, "s-point")?;
+                let _ = write!(out, " n={}", entries.len());
+                append_entries(out, entries)?;
             }
         }
+        Ok(buffer)
     }
 
     /// Decodes a payload string back into a frame.
@@ -1027,6 +1123,11 @@ pub fn write_payload(stream: &mut impl Write, payload: &str) -> std::io::Result<
     Ok(frame.len() as u64)
 }
 
+/// The most a frame reader reserves before the stream has delivered a byte
+/// of the payload (64 KiB).  A frame up to this size is one read of the
+/// header and one of the payload; a larger one grows past it by reading.
+const FIRST_READ_BYTES: usize = 64 * 1024;
+
 /// Reads one checksummed, length-prefixed UTF-8 payload from a stream.
 /// Returns the text and the number of bytes taken off the wire.  The raw
 /// layer under [`read_frame`] — see [`write_payload`].
@@ -1036,6 +1137,13 @@ pub fn write_payload(stream: &mut impl Write, payload: &str) -> std::io::Result<
 /// checksum mismatch is a typed [`WireError::Corrupt`] refusal.  Both reach
 /// the caller as `InvalidData` io errors whose source is the [`WireError`]
 /// (`io::Error::get_ref` recovers it).
+///
+/// The announced length is trusted for a reservation of at most 64 KiB, so a
+/// payload up to that size is one read after the header.  Past it the
+/// buffer grows only once the stream has filled it, to at most twice what
+/// has arrived and never beyond the announced length: a corrupted but
+/// under-cap length costs at most 64 KiB, or twice the bytes the stream
+/// actually delivers where that is more.
 pub fn read_payload(stream: &mut impl Read) -> std::io::Result<(String, u64)> {
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     stream.read_exact(&mut header)?;
@@ -1049,19 +1157,26 @@ pub fn read_payload(stream: &mut impl Read) -> std::io::Result<(String, u64)> {
             cap: MAX_FRAME_BYTES,
         }));
     }
-    // Grow the buffer by reading, never by trusting `len` for a reservation:
-    // a corrupted-but-under-cap length costs at most the bytes the stream
-    // actually delivers.
-    let mut payload = Vec::new();
-    let taken = stream
-        .take(u64::from(len))
-        .read_to_end(&mut payload)
-        .map(|n| n as u64)?;
-    if taken < u64::from(len) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("frame truncated: header announced {len} bytes, stream ended after {taken}"),
-        ));
+    let want = len as usize;
+    let mut payload = vec![0u8; want.min(FIRST_READ_BYTES)];
+    let mut taken = 0;
+    while taken < want {
+        if taken == payload.len() {
+            payload.resize((2 * taken).min(want), 0);
+        }
+        match stream.read(&mut payload[taken..]) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "frame truncated: header announced {len} bytes, stream ended after {taken}"
+                    ),
+                ))
+            }
+            Ok(n) => taken += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let got = frame_checksum(len, &payload);
     if got != expected {
@@ -1100,6 +1215,12 @@ pub(crate) fn frame_wire_size(frame: &Frame) -> Result<u64, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_outcome(outcome: &WorkItemOutcome) -> Result<String, WireError> {
+        let mut line = String::new();
+        append_outcome(&mut line, outcome)?;
+        Ok(line)
+    }
 
     fn item(measure: usize, index: usize, re: f64, im: f64) -> WorkItem {
         WorkItem {
@@ -1531,5 +1652,113 @@ mod tests {
                 "{payload}: {decoded:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_signed_escape_is_malformed() {
+        assert_eq!(decode_str("%+f"), None);
+        assert!(matches!(
+            text("%+f", "name"),
+            Err(WireError::Malformed { .. })
+        ));
+        // Either case of hex digit still reads.
+        assert_eq!(decode_str("%2F%2f").as_deref(), Some("//"));
+    }
+
+    #[test]
+    fn a_signed_f64_field_is_malformed() {
+        assert_eq!(decode_f64("+00000000000000f"), None);
+        assert!(matches!(
+            bits("+00000000000000f", "point"),
+            Err(WireError::Malformed { .. })
+        ));
+        assert_eq!(decode_f64("000000000000000F").map(f64::to_bits), Some(0xf));
+    }
+
+    #[test]
+    fn a_signed_number_is_malformed() {
+        assert!(matches!(
+            number::<u64>("+1", "n"),
+            Err(WireError::Malformed { .. })
+        ));
+        assert!(matches!(
+            Frame::decode("ping nonce=+1"),
+            Err(WireError::Malformed { .. })
+        ));
+        assert!(matches!(
+            Frame::decode("sliceroute n=1 +7"),
+            Err(WireError::Malformed { .. })
+        ));
+        assert_eq!(number::<u64>("1", "n"), Ok(1));
+    }
+
+    /// A reader that hands out `inner`'s bytes and records the size of the
+    /// buffer each read offers.
+    struct CountingReader<R> {
+        inner: R,
+        asked: Vec<usize>,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.asked.push(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    fn counting(bytes: Vec<u8>) -> CountingReader<std::io::Cursor<Vec<u8>>> {
+        CountingReader {
+            inner: std::io::Cursor::new(bytes),
+            asked: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_payload_under_64_kib_is_one_read_after_the_header() {
+        // 1,215 bytes: the size of a query request over a DNAmaca model.
+        let payload = "q".repeat(1215);
+        let mut wire = Vec::new();
+        write_payload(&mut wire, &payload).unwrap();
+        let mut reader = counting(wire);
+        let (text, taken) = read_payload(&mut reader).unwrap();
+        assert_eq!(text, payload);
+        assert_eq!(taken, FRAME_HEADER_BYTES + 1215);
+        assert_eq!(reader.asked, [FRAME_HEADER_BYTES as usize, 1215]);
+    }
+
+    #[test]
+    fn a_payload_over_64_kib_round_trips_through_the_growth_path() {
+        let payload: String = (0..200 * 1024)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let mut wire = Vec::new();
+        write_payload(&mut wire, &payload).unwrap();
+        let mut reader = counting(wire);
+        let (text, taken) = read_payload(&mut reader).unwrap();
+        assert_eq!(text, payload);
+        assert_eq!(taken, FRAME_HEADER_BYTES + 200 * 1024);
+        // 64 KiB, then the buffer doubles twice, the second time to the
+        // announced length.
+        assert_eq!(reader.asked[1..], [64 * 1024, 64 * 1024, 72 * 1024]);
+    }
+
+    #[test]
+    fn a_lying_length_reserves_at_most_64_kib() {
+        // The header announces a payload one byte under the cap; ten bytes
+        // follow.  The reader fails at the end of the stream, and no read
+        // offers a buffer larger than the first reservation.
+        let len = MAX_FRAME_BYTES - 1;
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&len.to_be_bytes());
+        wire.extend_from_slice(&0u64.to_be_bytes());
+        wire.extend_from_slice(&[b'x'; 10]);
+        let mut reader = counting(wire);
+        let error = read_payload(&mut reader).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            reader.asked.iter().all(|&asked| asked <= 64 * 1024),
+            "{:?}",
+            reader.asked
+        );
     }
 }

@@ -569,3 +569,120 @@ fn a_nested_cdf_of_spec_line_is_refused_not_recursed() {
         "{refused:?}"
     );
 }
+
+/// A NaN whose payload is not the canonical quiet NaN's.
+const NAN_PAYLOAD: u64 = 0x7ff8_0000_0000_beef;
+
+/// A query over a DNAmaca model whose source escapes most of its bytes
+/// (backslashes, braces, newlines, a tab, `%`, non-ASCII), on a grid of
+/// subnormal, negative-zero and NaN-payload points.
+fn dnamaca_request_sample() -> QueryRequest {
+    QueryRequest {
+        model: ModelSpec::Dnamaca("\\place{p}{1}\n\t% naïve 100% {a,b}\r\n".to_string()),
+        engine: "distributed".to_string(),
+        method: "laguerre".to_string(),
+        deadline: None,
+        t_points: vec![f64::from_bits(1), -0.0, f64::from_bits(NAN_PAYLOAD)],
+        measures: vec!["transient:p==0".to_string(), "cdf:p>=1".to_string()],
+    }
+}
+
+/// A `result` frame whose two values are not finite (one a NaN with a
+/// payload, one an infinity), each beside a subnormal: both travel as error
+/// outcomes that carry the values' bits.
+fn non_finite_result_sample() -> Frame {
+    Frame::Result {
+        message: WorkerMessage {
+            worker: 0,
+            results: vec![
+                WorkItemOutcome {
+                    item: item(0, 3, c(f64::from_bits(1), -0.0)),
+                    outcome: Ok(c(f64::from_bits(NAN_PAYLOAD), 0.5)),
+                },
+                WorkItemOutcome {
+                    item: item(1, 4, c(0.5, 2.0)),
+                    outcome: Ok(c(f64::NEG_INFINITY, -f64::MIN_POSITIVE / 4.0)),
+                },
+            ],
+        },
+        busy_nanos: 0,
+    }
+}
+
+/// A reply carrying a NaN-payload value and a subnormal error bound.
+fn special_value_reply_sample() -> QueryReply {
+    let mut provenance = Provenance::local("analytic", "in-process");
+    provenance.error_bound = Some(f64::from_bits(1));
+    QueryReply::Reports(vec![MeasureReport {
+        name: "cdf:p>=1".to_string(),
+        kind: MeasureKind::Cdf,
+        points: vec![f64::from_bits(1)],
+        values: vec![f64::from_bits(NAN_PAYLOAD)],
+        provenance,
+    }])
+}
+
+const GOLDEN_DNAMACA_REQUEST: &str =
+    "query v=1 engine=distributed method=laguerre deadline_ms=0 measures=2 tpoints=3\n\
+     model dnamaca:%5cplace%7bp%7d%7b1%7d%0a%09%25%20na%c3%afve%20100%25%20%7ba%2cb%7d%0d%0a\n\
+     grid 0000000000000001 8000000000000000 7ff800000000beef\n\
+     measure transient:p%3d%3d0\n\
+     measure cdf:p%3e%3d1\n";
+const GOLDEN_NON_FINITE_RESULT: &str =
+    "result worker=0 busy_ns=0 n=2\n\
+     0 3 0000000000000001 8000000000000000 err non-finite%20transform%20value%20bits%3d7ff800000000beef/3fe0000000000000\n\
+     1 4 3fe0000000000000 4000000000000000 err non-finite%20transform%20value%20bits%3dfff0000000000000/8004000000000000";
+const GOLDEN_SUBNORMAL_HALO: &str = "halo id=1 r=2 n=1\n\
+     0 0000000000000001 8004000000000000";
+const GOLDEN_SPECIAL_REPLY: &str =
+    "reports v=1 n=1\n\
+     report name=cdf:p%3e%3d1 kind=cdf\n\
+     points 1 0000000000000001\n\
+     values 1 7ff800000000beef\n\
+     prov engine=analytic backend=in-process workers=1 states=- messages=0 bytes=0 evaluations=0 rebuilds=0 pooled=0 cache=0 shared=0 wall_ns=0 bound=0000000000000001 queue_ns=0 mhits=0 mmiss=0 shards=0 sstates=- halo=0 rounds=0 retries=0 recovered=0 resumed=0\n";
+const GOLDEN_SPECIAL_CHECKPOINT: &str = "k=na%c3%afve%20key%20100%25 0000000000000001 8000000000000000 7ff800000000beef 8004000000000000\n";
+
+/// `golden_bytes` over the paths it does not reach: a model source that is
+/// mostly escapes, a non-finite outcome (its bits nested in an escaped error
+/// message), and values with a NaN payload or a subnormal.
+#[test]
+fn golden_bytes_of_escapes_and_special_values() {
+    let request = dnamaca_request_sample();
+    assert_eq!(encode_query_request(&request), GOLDEN_DNAMACA_REQUEST);
+    let decoded = decode_query_request(GOLDEN_DNAMACA_REQUEST).unwrap();
+    assert_eq!(decoded.model, request.model);
+    let grid_bits = |points: &[f64]| points.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    assert_eq!(grid_bits(&decoded.t_points), grid_bits(&request.t_points));
+    assert_eq!(encode_query_request(&decoded), GOLDEN_DNAMACA_REQUEST);
+
+    let result = non_finite_result_sample();
+    assert_eq!(result.encode().unwrap(), GOLDEN_NON_FINITE_RESULT);
+    let decoded = Frame::decode(GOLDEN_NON_FINITE_RESULT).unwrap();
+    assert_eq!(decoded.encode().unwrap(), GOLDEN_NON_FINITE_RESULT);
+
+    let halo = Frame::Halo {
+        id: 1,
+        r: 2,
+        entries: vec![(0, c(f64::from_bits(1), -f64::MIN_POSITIVE / 4.0))],
+    };
+    assert_eq!(halo.encode().unwrap(), GOLDEN_SUBNORMAL_HALO);
+    assert_eq!(Frame::decode(GOLDEN_SUBNORMAL_HALO).unwrap(), halo);
+
+    let reply = special_value_reply_sample();
+    assert_eq!(encode_query_reply(&reply), GOLDEN_SPECIAL_REPLY);
+    let decoded = decode_query_reply(GOLDEN_SPECIAL_REPLY).unwrap();
+    assert_eq!(encode_query_reply(&decoded), GOLDEN_SPECIAL_REPLY);
+
+    let path = temp_path("golden-special-checkpoint");
+    let _ = std::fs::remove_file(&path);
+    let mut writer = CheckpointWriter::open(&path).unwrap();
+    let s = c(f64::from_bits(1), -0.0);
+    let value = c(f64::from_bits(NAN_PAYLOAD), -f64::MIN_POSITIVE / 4.0);
+    writer.record_tagged("naïve key 100%", s, value).unwrap();
+    drop(writer);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        GOLDEN_SPECIAL_CHECKPOINT
+    );
+    std::fs::remove_file(&path).unwrap();
+}
