@@ -11,6 +11,19 @@ use smp_distributions::LaplaceTransform;
 use smp_numeric::stats::{lerp_table, quantile_from_cdf};
 use smp_numeric::Complex64;
 
+/// Repairs raw inverted CDF samples in place: each is clamped into `[0, 1]`
+/// and raised to the running maximum of the samples before it, so inversion
+/// noise can neither leave `[0, 1]` nor make the curve step down.  A NaN
+/// sample takes the running maximum.  The one CDF repair: every CDF curve,
+/// inverted or read off a uniformized chain, goes through it.
+pub fn repair_cdf(values: &mut [f64]) {
+    let mut running_max: f64 = 0.0;
+    for v in values {
+        running_max = running_max.max(v.clamp(0.0, 1.0));
+        *v = running_max;
+    }
+}
+
 /// A sampled cumulative distribution function `F(t)` on a grid of `t`-points.
 #[derive(Debug, Clone)]
 pub struct CdfCurve {
@@ -34,20 +47,14 @@ impl CdfCurve {
     }
 
     /// Wraps raw inverted samples, clamping them to `[0, 1]` and repairing tiny
-    /// non-monotonicities caused by numerical inversion noise.
-    pub fn from_samples(t_points: Vec<f64>, raw: Vec<f64>) -> Self {
-        assert_eq!(t_points.len(), raw.len(), "mismatched sample lengths");
+    /// non-monotonicities caused by numerical inversion noise ([`repair_cdf`]).
+    pub fn from_samples(t_points: Vec<f64>, mut values: Vec<f64>) -> Self {
+        assert_eq!(t_points.len(), values.len(), "mismatched sample lengths");
         assert!(
             t_points.windows(2).all(|w| w[0] < w[1]),
             "t-points must be strictly increasing"
         );
-        let mut values = Vec::with_capacity(raw.len());
-        let mut running_max: f64 = 0.0;
-        for v in raw {
-            let clamped = v.clamp(0.0, 1.0);
-            running_max = running_max.max(clamped);
-            values.push(running_max);
-        }
+        repair_cdf(&mut values);
         CdfCurve { t_points, values }
     }
 
@@ -86,6 +93,15 @@ mod tests {
     use super::*;
     use smp_distributions::Dist;
     use smp_numeric::stats::linspace;
+
+    /// Samples are clamped into `[0, 1]`, never fall below an earlier one,
+    /// and a NaN sample reads the running maximum.
+    #[test]
+    fn repair_cdf_clamps_and_keeps_the_running_maximum() {
+        let mut values = [-0.25, 0.5, 0.25, f64::NAN, 1.5, 0.75];
+        repair_cdf(&mut values);
+        assert_eq!(values, [0.0, 0.5, 0.5, 0.5, 1.0, 1.0]);
+    }
 
     #[test]
     fn exponential_cdf_curve() {

@@ -35,7 +35,7 @@ pub mod laguerre;
 pub mod quantile;
 mod splan;
 
-pub use cdf::CdfCurve;
+pub use cdf::{repair_cdf, CdfCurve};
 pub use euler::Euler;
 pub use laguerre::Laguerre;
 pub use quantile::{probability_of_completion_by, quantile, quantiles_from_cdf};

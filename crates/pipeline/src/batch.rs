@@ -15,7 +15,7 @@
 
 use crate::transform::TransformSpec;
 use crate::transport::TransportReport;
-use smp_laplace::{InversionMethod, SPointPlan, TransformValues};
+use smp_laplace::{repair_cdf, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::time::Duration;
 
@@ -137,11 +137,7 @@ impl MeasureKind {
             MeasureKind::Cdf => {
                 let mut values =
                     plan.invert_with(|s| shard.get(s).expect("plan satisfied by shard") / s);
-                let mut running_max: f64 = 0.0;
-                for v in values.iter_mut() {
-                    *v = v.clamp(0.0, 1.0).max(running_max);
-                    running_max = *v;
-                }
+                repair_cdf(&mut values);
                 values
             }
             MeasureKind::Transient => plan

@@ -55,7 +55,7 @@ use smp_core::uniform::{self, PhaseCtmc, DEFAULT_TOLERANCE as TOLERANCE};
 use smp_core::workspace::BLOCK_LANES;
 use smp_core::StateSet;
 use smp_laplace::quantile::CdfOnGrid;
-use smp_laplace::{quantiles_from_cdf, InversionMethod};
+use smp_laplace::{quantiles_from_cdf, repair_cdf, InversionMethod};
 use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
     TransientSimulationOptions,
@@ -888,15 +888,8 @@ impl Engine for UniformizationEngine {
                             provenance.error_bound = Some(out.truncation_bound);
                             // Same monotone repair the inversion engines apply
                             // to their CDF curves.
-                            let mut running = 0.0f64;
-                            let values = out
-                                .values
-                                .iter()
-                                .map(|v| {
-                                    running = running.max(v.clamp(0.0, 1.0));
-                                    running
-                                })
-                                .collect();
+                            let mut values = out.values;
+                            repair_cdf(&mut values);
                             (request.t_points.clone(), values)
                         }
                         MeasureKind::Density => {
@@ -1042,6 +1035,7 @@ pub(crate) mod tests {
     use crate::batch::BatchResult;
     use crate::cache::ResultCache;
     use crate::master::PipelineError;
+    use crate::one_stage;
     use crate::transform::CompiledModelSet;
     use crate::transport::{ExecutionPlan, InProcess};
     use crate::worker::WorkerMessage;
@@ -1527,24 +1521,15 @@ pub(crate) mod tests {
         assert_eq!(reports[1].provenance.shared_hits, 2_000);
     }
 
-    /// Three models whose state spaces cannot be explored: a constant
+    /// Three one-stage nets whose state spaces cannot be explored: a constant
     /// sojourn that is a zero-weight mixture, a weight `1/b` with `b = 0`,
     /// and a sojourn `expLT(b, s)` with `b = 0`.  Every engine refuses each
     /// as a model error.
     pub(crate) fn hostile_models() -> [ModelSpec; 3] {
-        let ring = |ab: &str| {
-            ModelSpec::Dnamaca(format!(
-                r"\place{{a}}{{1}} \place{{b}}{{0}}
-                  \transition{{ab}}{{ \condition{{a > 0}} \action{{ next->a = a - 1; next->b = b + 1; }}
-                      {ab} }}
-                  \transition{{ba}}{{ \condition{{b > 0}} \action{{ next->b = b - 1; next->a = a + 1; }}
-                      \sojourntimeLT{{ return expLT(1.0, s); }} }}"
-            ))
-        };
         [
-            ring(r"\sojourntimeLT{ return 0 * expLT(2.0, s); }"),
-            ring(r"\weight{1 / b} \sojourntimeLT{ return expLT(2.0, s); }"),
-            ring(r"\sojourntimeLT{ return expLT(b, s); }"),
+            one_stage::net(r"\sojourntimeLT{ return 0 * expLT(2.0, s); }"),
+            one_stage::net(r"\weight{1 / b} \sojourntimeLT{ return expLT(2.0, s); }"),
+            one_stage::net(r"\sojourntimeLT{ return expLT(b, s); }"),
         ]
     }
 

@@ -98,6 +98,9 @@ mod engine;
 mod fault;
 mod link;
 mod master;
+#[cfg(test)]
+#[path = "../tests/one_stage/mod.rs"]
+mod one_stage;
 pub mod server;
 pub mod shard;
 pub mod transform;
@@ -121,8 +124,7 @@ pub use server::{
 };
 pub use shard::{SliceFleet, SolveRecovery};
 pub use transform::{
-    CompareOp, CompiledModelSet, DistSpec, ModelCache, ModelSpec, ResolveTarget, TargetSpec,
-    TransformSpec,
+    CompareOp, CompiledModelSet, ModelCache, ModelSpec, ResolveTarget, TargetSpec, TransformSpec,
 };
 pub use transport::{build_transport, InProcess, PoolSpec, TcpTransport};
 pub use worker::{run_tcp_worker, TcpWorkerOptions};

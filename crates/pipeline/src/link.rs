@@ -321,14 +321,13 @@ impl Link for FaultyLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::{DistSpec, TransformSpec};
+    use crate::one_stage;
     use crate::work::WorkItem;
     use crate::worker::{run_tcp_worker, TcpWorkerOptions};
     use smp_numeric::Complex64;
 
     /// The master's half of a chunk job, in protocol order.
     fn chunk_script() -> Vec<Frame> {
-        let exp = DistSpec::Exponential { rate: 1.5 };
         let item = WorkItem {
             measure: 0,
             index: 7,
@@ -339,7 +338,7 @@ mod tests {
                 version: WIRE_VERSION,
                 worker: 1,
                 method: "euler".to_string(),
-                specs: vec![TransformSpec::Analytic(exp).encode().unwrap()],
+                specs: vec![one_stage::passage("expLT(1.5, s)").encode()],
             },
             Frame::Chunk { items: vec![item] },
             Frame::Done,
@@ -354,7 +353,7 @@ mod tests {
                 version: WIRE_VERSION,
                 worker: 0,
                 shards: 1,
-                spec: crate::shard::tests::voting_spec().encode().unwrap(),
+                spec: crate::shard::tests::voting_spec().encode(),
             },
             Frame::SliceRoute { rows: Vec::new() },
             Frame::SPoint { id: 3, s },

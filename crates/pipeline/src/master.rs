@@ -198,17 +198,27 @@ impl DistributedPipeline {
     /// # Example
     ///
     /// A two-measure batch — the density *and* the CDF of the same Erlang
-    /// transform — over one spec, so they share its transform key and the
-    /// CDF costs no extra transform evaluations:
+    /// passage — over one spec, so they share its transform key and the CDF
+    /// costs no extra transform evaluations.  The model is a one-stage net: a
+    /// token moves `a → b` after an Erlang(2, 3) holding time and back after
+    /// an exponential one, so the passage into `b` is that Erlang time.
     ///
     /// ```
     /// use smp_pipeline::{
-    ///     BatchJob, DistSpec, DistributedPipeline, InProcess, MeasureKind, MeasureSpec,
-    ///     PipelineOptions, TransformSpec,
+    ///     BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec,
+    ///     PipelineOptions, TargetSpec, TransformSpec,
     /// };
     /// use smp_laplace::InversionMethod;
     ///
-    /// let erlang = TransformSpec::Analytic(DistSpec::Erlang { rate: 2.0, phases: 3 });
+    /// let net = r"\place{a}{1} \place{b}{0}
+    ///     \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+    ///         \sojourntimeLT{ return erlangLT(2.0, 3, s); } }
+    ///     \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
+    ///         \sojourntimeLT{ return expLT(1.0, s); } }";
+    /// let erlang = TransformSpec::passage(
+    ///     ModelSpec::Dnamaca(net.to_string()),
+    ///     TargetSpec::parse("b>=1").unwrap(),
+    /// );
     /// let ts: Vec<f64> = (1..=8).map(|k| k as f64 * 0.5).collect();
     ///
     /// let job = BatchJob::new()
@@ -476,21 +486,19 @@ impl DistributedPipeline {
 mod tests {
     use super::*;
     use crate::batch::{MeasureKind, MeasureSpec};
-    use crate::transform::{DistSpec, ModelSpec, TargetSpec, TransformSpec};
+    use crate::one_stage;
+    use crate::transform::{ModelSpec, TargetSpec, TransformSpec};
     use crate::transport::InProcess;
     use crate::worker::{WorkItemOutcome, WorkerMessage};
     use smp_distributions::Dist;
     use smp_laplace::Euler;
     use smp_numeric::stats::linspace;
 
-    /// A closed-form transform: an exact reference whose values the tests
-    /// can recompute with `Dist::lst`.
-    fn analytic(dist: DistSpec) -> TransformSpec {
-        TransformSpec::Analytic(dist)
-    }
-
+    /// The passage of a one-stage net with an Erlang holding time: its
+    /// values are exactly `Dist::erlang(rate, phases).lst(s)`, so the tests
+    /// can recompute them.
     fn erlang(rate: f64, phases: u32) -> TransformSpec {
-        analytic(DistSpec::Erlang { rate, phases })
+        one_stage::passage(&format!("erlangLT({rate:?}, {phases}, s)"))
     }
 
     fn density(name: &str, ts: &[f64], spec: TransformSpec) -> MeasureSpec {
@@ -542,10 +550,7 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_answer() {
-        let uniform = analytic(DistSpec::Uniform {
-            lower: 0.5,
-            upper: 2.0,
-        });
+        let uniform = one_stage::passage("uniformLT(0.5, 2.0, s)");
         let ts = linspace(0.25, 4.0, 12);
         let mut previous: Option<Vec<f64>> = None;
         for workers in [1, 2, 8] {
@@ -825,7 +830,7 @@ mod tests {
         let ts = linspace(0.25, 8.0, 30);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
-        let exponential = analytic(DistSpec::Exponential { rate: 0.8 });
+        let exponential = one_stage::passage("expLT(0.8, s)");
         let result = solve_one(&pipeline, cdf("single", &ts, exponential)).unwrap();
         let values = &result.measures[0].values;
         for w in values.windows(2) {
@@ -868,9 +873,13 @@ mod tests {
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
 
         // A density, a CDF over the same transform (shared key), and a
-        // "transient" measure over an unrelated transform: L{e^{-t}}, a
-        // transient-like bounded function.
-        let decay = analytic(DistSpec::Exponential { rate: 1.0 });
+        // transient measure over another model: a one-stage net with unit
+        // exponential holding times both ways, which is in `a` at time `t`
+        // with probability (1 + e^{-2t}) / 2.
+        let decay = TransformSpec::transient(
+            one_stage::net(r"\sojourntimeLT{ return expLT(1.0, s); }"),
+            TargetSpec::parse("a>=1").unwrap(),
+        );
         let job = BatchJob::new()
             .with_measure(density("d", &ts, erlang(2.0, 2)))
             .with_measure(cdf("F", &ts, erlang(2.0, 2)))
@@ -900,10 +909,10 @@ mod tests {
         assert_eq!(cdf.evaluations, 0);
         assert_eq!(cdf.shared_hits, batch.measure("d").unwrap().evaluations);
 
-        // Transient values are e^{-t}, clamped into [0, 1].
+        // Transient values are (1 + e^{-2t}) / 2, clamped into [0, 1].
         let p = batch.measure("p").unwrap();
         for (t, v) in p.iter() {
-            let expect = (-t).exp();
+            let expect = (1.0 + (-2.0 * t).exp()) / 2.0;
             assert!((v - expect).abs() < 1e-6, "p({t}) = {v} vs {expect}");
             assert!((0.0..=1.0).contains(&v));
         }
@@ -945,8 +954,8 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_share_even_with_identical_grids() {
-        let a = analytic(DistSpec::Exponential { rate: 1.0 });
-        let b = analytic(DistSpec::Exponential { rate: 3.0 });
+        let a = one_stage::passage("expLT(1.0, s)");
+        let b = one_stage::passage("expLT(3.0, s)");
         let ts = linspace(0.5, 4.0, 8);
         let pipeline =
             DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
@@ -962,33 +971,5 @@ mod tests {
             assert_eq!(m.cache_hits, 0);
         }
         assert_eq!(batch.evaluations, 2 * union);
-    }
-
-    /// Two analytic specs whose parameters encode to nothing share the bare
-    /// `analytic:` key; neither makes a distribution, so the run is refused
-    /// before either is evaluated (or read off the other's values).
-    #[test]
-    fn unbuildable_analytic_specs_are_refused_before_evaluation() {
-        let ts = linspace(0.5, 4.0, 4);
-        let pipeline =
-            DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
-        let uniform = analytic(DistSpec::Uniform {
-            lower: 0.5,
-            upper: f64::INFINITY,
-        });
-        let weibull = analytic(DistSpec::Weibull {
-            shape: 1.5,
-            scale: f64::INFINITY,
-        });
-        assert_eq!(uniform.transform_key(), weibull.transform_key());
-        let job = BatchJob::new()
-            .with_measure(density("uniform", &ts, uniform))
-            .with_measure(density("weibull", &ts, weibull));
-        match run(&pipeline, job) {
-            Err(PipelineError::Transport { message }) => {
-                assert!(message.contains("uniform requires"), "{message}");
-            }
-            other => panic!("expected a refused compile, got {other:?}"),
-        }
     }
 }

@@ -408,12 +408,12 @@ impl SliceFleet {
     ) -> Result<ShardedOutcome, PipelineError> {
         if !matches!(spec, TransformSpec::Passage { .. }) {
             return Err(transport_error(
-                "sharded sessions evaluate passage transforms; transient and analytic \
-                 measures are evaluated master-side"
+                "sharded sessions evaluate passage transforms; transient measures are \
+                 evaluated master-side"
                     .to_string(),
             ));
         }
-        let spec_line = spec.encode().map_err(|e| transport_error(e.to_string()))?;
+        let spec_line = spec.encode();
         let options = IterationOptions::default();
         let mut out = ShardedOutcome {
             values: Vec::with_capacity(s_points.len()),
@@ -1434,7 +1434,7 @@ pub(crate) mod tests {
 
     #[test]
     fn worker_session_reports_its_slice_meta() {
-        let spec_line = voting_spec().encode().unwrap();
+        let spec_line = voting_spec().encode();
         let session = SliceWorkerSession::new(&spec_line, 2, 0).unwrap();
         let Frame::SliceMeta { states, nnz, .. } = session.meta() else {
             panic!("meta must be a SliceMeta frame");
@@ -1449,7 +1449,7 @@ pub(crate) mod tests {
     /// are refused when the route arrives — not a panic at the next export.
     #[test]
     fn worker_session_refuses_a_route_outside_its_rows() {
-        let spec_line = voting_spec().encode().unwrap();
+        let spec_line = voting_spec().encode();
         let mut session = SliceWorkerSession::new(&spec_line, 2, 1).unwrap();
         let lo = session.ws.skeleton().bounds().0 as u32;
         let point = Frame::SPoint {

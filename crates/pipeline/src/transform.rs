@@ -5,9 +5,8 @@
 //! for each `s`-value they are handed, so the unit the master distributes is
 //! "model plus target set".  A spec says which model (a built-in voting
 //! configuration or raw extended-DNAmaca source), which target markings (a
-//! token-count predicate), and which transform (the passage density, a
-//! transient row, or a named analytic distribution's LST for testing and
-//! calibration).  A CDF is the passage density's spec too: its `/s` division
+//! token-count predicate), and which transform (the passage density or a
+//! transient row).  A CDF is the passage density's spec too: its `/s` division
 //! happens at inversion ([`crate::MeasureKind::Cdf`]).
 //!
 //! A spec has a **canonical single-line wire encoding**
@@ -25,10 +24,9 @@
 //! shared state space ([`CompiledModelSet::evaluator`]).
 
 use crate::cache::LruMemo;
-use crate::wire::{self, append_finite_f64, append_str, malformed, Fields, Line, WireError};
+use crate::wire::{self, append_str, malformed, Fields, Line, WireError};
 use smp_core::transient::TransientSolver;
 use smp_core::PassageTimeSolver;
-use smp_distributions::Dist;
 use smp_numeric::Complex64;
 use smp_smspn::{SmSpn, StateSpace};
 use std::fmt::Write as _;
@@ -206,88 +204,6 @@ impl std::fmt::Display for TargetResolveError {
 impl std::error::Error for TargetResolveError {}
 
 // ---------------------------------------------------------------------------
-// Analytic distribution specification
-// ---------------------------------------------------------------------------
-
-/// A named analytic distribution whose Laplace–Stieltjes transform serves as
-/// the evaluator — exact references for calibrating a distributed deployment
-/// without shipping a model.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)]
-pub enum DistSpec {
-    Exponential { rate: f64 },
-    Erlang { rate: f64, phases: u32 },
-    Uniform { lower: f64, upper: f64 },
-    Deterministic { value: f64 },
-    Weibull { shape: f64, scale: f64 },
-}
-
-impl DistSpec {
-    /// Builds the concrete distribution, or says why these parameters make
-    /// none ([`Dist::checked`]) — a spec off the wire is outside input.
-    pub(crate) fn to_dist(&self) -> Result<Dist, String> {
-        match *self {
-            DistSpec::Exponential { rate } => Dist::Exponential { rate },
-            DistSpec::Erlang { rate, phases } => Dist::Erlang { rate, phases },
-            DistSpec::Uniform { lower, upper } => Dist::Uniform { lower, upper },
-            DistSpec::Deterministic { value } => Dist::Deterministic { value },
-            DistSpec::Weibull { shape, scale } => Dist::Weibull { shape, scale },
-        }
-        .checked()
-    }
-
-    /// Appends the `dist=` field: the family, then its parameters as
-    /// finite bit patterns (an Erlang's phase count last, in decimal).
-    fn append(&self, out: &mut String) -> Result<(), WireError> {
-        const FIELD: &str = "distribution parameter";
-        let (family, first, second) = match *self {
-            DistSpec::Exponential { rate } => ("exponential", rate, None),
-            DistSpec::Erlang { rate, .. } => ("erlang", rate, None),
-            DistSpec::Uniform { lower, upper } => ("uniform", lower, Some(upper)),
-            DistSpec::Deterministic { value } => ("deterministic", value, None),
-            DistSpec::Weibull { shape, scale } => ("weibull", shape, Some(scale)),
-        };
-        out.push_str(family);
-        out.push(':');
-        append_finite_f64(out, first, FIELD)?;
-        if let Some(second) = second {
-            out.push(':');
-            append_finite_f64(out, second, FIELD)?;
-        }
-        if let DistSpec::Erlang { phases, .. } = self {
-            let _ = write!(out, ":{phases}");
-        }
-        Ok(())
-    }
-
-    fn decode(field: &str) -> Result<DistSpec, WireError> {
-        Fields::split(field, ':').all(|parts| {
-            Ok(match parts.token("distribution")? {
-                "exponential" => DistSpec::Exponential {
-                    rate: parts.finite("rate")?,
-                },
-                "erlang" => DistSpec::Erlang {
-                    rate: parts.finite("rate")?,
-                    phases: parts.parse("phases")?,
-                },
-                "uniform" => DistSpec::Uniform {
-                    lower: parts.finite("lower")?,
-                    upper: parts.finite("upper")?,
-                },
-                "deterministic" => DistSpec::Deterministic {
-                    value: parts.finite("value")?,
-                },
-                "weibull" => DistSpec::Weibull {
-                    shape: parts.finite("shape")?,
-                    scale: parts.finite("scale")?,
-                },
-                other => return Err(malformed(format!("unknown distribution '{other}'"))),
-            })
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // TransformSpec
 // ---------------------------------------------------------------------------
 
@@ -310,8 +226,6 @@ pub enum TransformSpec {
         /// The target-marking predicate.
         targets: TargetSpec,
     },
-    /// A named analytic distribution's LST.
-    Analytic(DistSpec),
 }
 
 impl TransformSpec {
@@ -325,22 +239,16 @@ impl TransformSpec {
         TransformSpec::Transient { model, targets }
     }
 
-    /// The model the spec is evaluated over, if any (analytic specs have none).
-    pub fn model(&self) -> Option<&ModelSpec> {
+    /// The model the spec is evaluated over.
+    pub fn model(&self) -> &ModelSpec {
         match self {
-            TransformSpec::Passage { model, .. } | TransformSpec::Transient { model, .. } => {
-                Some(model)
-            }
-            TransformSpec::Analytic(_) => None,
+            TransformSpec::Passage { model, .. } | TransformSpec::Transient { model, .. } => model,
         }
     }
 
     /// The canonical cache/checkpoint transform key of the spec, with the
-    /// model fingerprint folded in: `m<fingerprint>:passage:<pred>`,
-    /// `m<fingerprint>:transient:<pred>` or `analytic:<dist>`.  An analytic
-    /// spec whose parameters do not encode keys as bare `analytic:`; such a
-    /// spec never compiles (`DistSpec::to_dist`), so it never evaluates
-    /// under that key.
+    /// model fingerprint folded in: `m<fingerprint>:passage:<pred>` or
+    /// `m<fingerprint>:transient:<pred>`.
     pub fn transform_key(&self) -> String {
         match self {
             TransformSpec::Passage { model, targets } => {
@@ -348,13 +256,6 @@ impl TransformSpec {
             }
             TransformSpec::Transient { model, targets } => {
                 Self::transient_key(&model.fingerprint(), targets)
-            }
-            TransformSpec::Analytic(dist) => {
-                let mut key = String::from("analytic:");
-                if dist.append(&mut key).is_err() {
-                    key.truncate("analytic:".len());
-                }
-                key
             }
         }
     }
@@ -373,36 +274,26 @@ impl TransformSpec {
     }
 
     /// Encodes the spec as one canonical line of the wire format.
-    pub fn encode(&self) -> Result<String, WireError> {
-        let mut out = String::new();
+    pub fn encode(&self) -> String {
         let (tag, model, targets) = match self {
             TransformSpec::Passage { model, targets } => ("passage", model, targets),
             TransformSpec::Transient { model, targets } => ("transient", model, targets),
-            TransformSpec::Analytic(dist) => {
-                let _ = write!(out, "analytic v={SPEC_VERSION} dist=");
-                dist.append(&mut out)?;
-                return Ok(out);
-            }
         };
-        let _ = write!(out, "{tag} v={SPEC_VERSION} model=");
+        let mut out = format!("{tag} v={SPEC_VERSION} model=");
         model.append(&mut out);
         out.push_str(" targets=");
         append_str(&mut out, &targets.to_string());
-        Ok(out)
+        out
     }
 
     /// Decodes one wire line back into a spec.
     pub fn decode(line: &str) -> Result<TransformSpec, WireError> {
         Line::new(line).all(|line| {
             let tag = line.token("spec tag")?;
-            if !matches!(tag, "passage" | "transient" | "analytic") {
+            if !matches!(tag, "passage" | "transient") {
                 return Err(malformed(format!("unknown spec tag '{tag}'")));
             }
             line.version(SPEC_VERSION)?;
-            if tag == "analytic" {
-                let dist = DistSpec::decode(line.value("dist")?)?;
-                return Ok(TransformSpec::Analytic(dist));
-            }
             let model = ModelSpec::decode(line.value("model")?)?;
             let targets = TargetSpec::parse(&line.text("targets")?).map_err(malformed)?;
             Ok(if tag == "passage" {
@@ -498,11 +389,10 @@ impl ModelCache {
 /// `targets` holds the *resolved* state indices — the predicate is matched
 /// against the state space exactly once per compile.
 struct ResolvedSpec {
-    /// Index into [`CompiledModelSet::models`], or `None` for analytic specs.
-    model: Option<usize>,
-    targets: Option<Vec<usize>>,
+    /// Index into [`CompiledModelSet::models`].
+    model: usize,
+    targets: Vec<usize>,
     transient: bool,
-    dist: Option<Dist>,
 }
 
 /// Why a spec list would not compile.
@@ -511,8 +401,8 @@ pub enum CompileError {
     /// A model does not parse or build, or its state space cannot be
     /// explored: the model itself is at fault, whatever is asked of it.
     Model(String),
-    /// A spec does not fit its model (no marking matches its target) or
-    /// names an invalid analytic distribution.
+    /// A spec does not fit its model: its target names no place of the
+    /// model, or no reachable marking matches it.
     Spec(String),
 }
 
@@ -583,40 +473,30 @@ impl CompiledModelSet {
         spec: &TransformSpec,
         cache: &ModelCache,
     ) -> Result<ResolvedSpec, CompileError> {
-        match spec {
-            TransformSpec::Analytic(dist) => Ok(ResolvedSpec {
-                model: None,
-                targets: None,
-                transient: false,
-                dist: Some(dist.to_dist().map_err(CompileError::Spec)?),
-            }),
-            TransformSpec::Passage { model, targets }
-            | TransformSpec::Transient { model, targets } => {
-                let fingerprint = model.fingerprint();
-                let index = match self.models.iter().position(|(fp, _)| *fp == fingerprint) {
-                    Some(index) => index,
-                    None => {
-                        let (explored, hit) = cache.explored(model)?;
-                        self.cache_hits += usize::from(hit);
-                        self.models.push((fingerprint, explored));
-                        self.models.len() - 1
-                    }
-                };
-                // Resolving the predicate here both validates it (a bad spec
-                // fails at compile time, not at the first s-point) and does
-                // the full state-space scan exactly once.
-                let target_states = self.models[index]
-                    .1
-                    .resolve(targets)
-                    .map_err(|e| CompileError::Spec(e.to_string()))?;
-                Ok(ResolvedSpec {
-                    model: Some(index),
-                    targets: Some(target_states),
-                    transient: matches!(spec, TransformSpec::Transient { .. }),
-                    dist: None,
-                })
+        let (TransformSpec::Passage { model, targets }
+        | TransformSpec::Transient { model, targets }) = spec;
+        let fingerprint = model.fingerprint();
+        let index = match self.models.iter().position(|(fp, _)| *fp == fingerprint) {
+            Some(index) => index,
+            None => {
+                let (explored, hit) = cache.explored(model)?;
+                self.cache_hits += usize::from(hit);
+                self.models.push((fingerprint, explored));
+                self.models.len() - 1
             }
-        }
+        };
+        // Resolving the predicate here both validates it (a bad spec fails
+        // at compile time, not at the first s-point) and does the full
+        // state-space scan exactly once.
+        let targets = self.models[index]
+            .1
+            .resolve(targets)
+            .map_err(|e| CompileError::Spec(e.to_string()))?;
+        Ok(ResolvedSpec {
+            model: index,
+            targets,
+            transient: matches!(spec, TransformSpec::Transient { .. }),
+        })
     }
 
     /// Number of distinct models compiled.
@@ -651,30 +531,16 @@ impl CompiledModelSet {
             .resolved
             .get(index)
             .ok_or_else(|| format!("no compiled spec at index {index}"))?;
-        let kind = match (&resolved.dist, resolved.model) {
-            (Some(dist), _) => EvaluatorKind::Analytic(dist.clone()),
-            (None, Some(model)) => {
-                let space = &self.models[model].1.space;
-                let targets = resolved
-                    .targets
-                    .as_deref()
-                    .ok_or("model spec carries no resolved targets")?;
-                let smp = space.smp();
-                let initial = space.initial_state();
-                if resolved.transient {
-                    EvaluatorKind::Transient(
-                        TransientSolver::new(smp, initial, targets).map_err(|e| e.to_string())?,
-                    )
-                } else {
-                    EvaluatorKind::Passage(
-                        PassageTimeSolver::new(smp, &[initial], targets)
-                            .map_err(|e| e.to_string())?,
-                    )
-                }
-            }
-            (None, None) => {
-                return Err("resolved spec has neither model nor distribution".to_string())
-            }
+        let space = &self.models[resolved.model].1.space;
+        let (smp, initial, targets) = (space.smp(), space.initial_state(), &resolved.targets);
+        let kind = if resolved.transient {
+            EvaluatorKind::Transient(
+                TransientSolver::new(smp, initial, targets).map_err(|e| e.to_string())?,
+            )
+        } else {
+            EvaluatorKind::Passage(
+                PassageTimeSolver::new(smp, &[initial], targets).map_err(|e| e.to_string())?,
+            )
         };
         Ok(CompiledEvaluator { kind })
     }
@@ -690,7 +556,6 @@ impl CompiledModelSet {
 enum EvaluatorKind<'a> {
     Passage(PassageTimeSolver<'a>),
     Transient(TransientSolver<'a>),
-    Analytic(Dist),
 }
 
 /// A ready-to-run evaluator reconstructed from a [`TransformSpec`], borrowing
@@ -704,7 +569,6 @@ impl std::fmt::Debug for CompiledEvaluator<'_> {
         let kind = match &self.kind {
             EvaluatorKind::Passage(_) => "passage",
             EvaluatorKind::Transient(_) => "transient",
-            EvaluatorKind::Analytic(_) => "analytic",
         };
         f.debug_struct("CompiledEvaluator")
             .field("kind", &kind)
@@ -714,13 +578,11 @@ impl std::fmt::Debug for CompiledEvaluator<'_> {
 
 impl CompiledEvaluator<'_> {
     /// Aggregate symbolic/numeric-split counters of the underlying solver
-    /// (matrix rebuilds avoided, pooled LST evaluations) — zero for analytic
-    /// distribution evaluators, which have no kernel matrix at all.
+    /// (matrix rebuilds avoided, pooled LST evaluations).
     pub fn hotpath_stats(&self) -> smp_core::HotPathStats {
         match &self.kind {
             EvaluatorKind::Passage(solver) => solver.hotpath_stats(),
             EvaluatorKind::Transient(solver) => solver.hotpath_stats(),
-            EvaluatorKind::Analytic(_) => smp_core::HotPathStats::default(),
         }
     }
 
@@ -733,17 +595,15 @@ impl CompiledEvaluator<'_> {
                 .map(|p| p.value)
                 .map_err(|e| e.to_string()),
             EvaluatorKind::Transient(solver) => solver.transform_at(s).map_err(|e| e.to_string()),
-            EvaluatorKind::Analytic(dist) => Ok(dist.lst(s)),
         }
     }
 
     /// Evaluates the transform at every point of a chunk: one result per
     /// point, in order, each bit for bit what [`CompiledEvaluator::eval`]
-    /// returns for that point — so one failing point fails alone.  A passage
-    /// or transient transform gets the chunk whole and advances its points in
-    /// lockstep blocks (`PassageTimeSolver::transform_many`,
-    /// `TransientSolver::transform_many`); a closed-form distribution has no
-    /// cross-point work to share and maps `eval`.
+    /// returns for that point — so one failing point fails alone.  The solver
+    /// gets the chunk whole and advances its points in lockstep blocks
+    /// (`PassageTimeSolver::transform_many`,
+    /// `TransientSolver::transform_many`).
     pub(crate) fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
         let text = |e: smp_core::SmpError| e.to_string();
         match &self.kind {
@@ -757,7 +617,6 @@ impl CompiledEvaluator<'_> {
                 .into_iter()
                 .map(|value| value.map_err(text))
                 .collect(),
-            EvaluatorKind::Analytic(_) => points.iter().map(|&s| self.eval(s)).collect(),
         }
     }
 }
@@ -765,6 +624,8 @@ impl CompiledEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::one_stage;
+    use smp_distributions::Dist;
 
     fn voting() -> ModelSpec {
         ModelSpec::Voting {
@@ -783,17 +644,10 @@ mod tests {
         let specs = vec![
             TransformSpec::passage(voting(), pred("p2>=2")),
             TransformSpec::transient(ModelSpec::Dnamaca("\\place{p}{1}".into()), pred("p==0")),
-            TransformSpec::Analytic(DistSpec::Erlang {
-                rate: 2.0,
-                phases: 3,
-            }),
-            TransformSpec::Analytic(DistSpec::Weibull {
-                shape: 1.5,
-                scale: 0.5,
-            }),
+            one_stage::passage("weibullLT(1.5, 0.5, s)"),
         ];
         for spec in specs {
-            let line = spec.encode().unwrap();
+            let line = spec.encode();
             assert!(!line.contains('\n'), "one line per spec: {line:?}");
             assert_eq!(TransformSpec::decode(&line).unwrap(), spec, "{line}");
         }
@@ -803,19 +657,8 @@ mod tests {
     fn awkward_dnamaca_source_survives_the_wire() {
         let source = "\\place{p}{1}\n% naïve comment with spaces + 100%\n".to_string();
         let spec = TransformSpec::transient(ModelSpec::Dnamaca(source.clone()), pred("p>=1"));
-        let decoded = TransformSpec::decode(&spec.encode().unwrap()).unwrap();
-        assert_eq!(decoded.model().unwrap().source(), source);
-    }
-
-    #[test]
-    fn non_finite_distribution_parameters_are_rejected() {
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: f64::NAN });
-        assert!(matches!(spec.encode(), Err(WireError::NonFinite { .. })));
-        let inf = TransformSpec::Analytic(DistSpec::Uniform {
-            lower: 0.0,
-            upper: f64::INFINITY,
-        });
-        assert!(matches!(inf.encode(), Err(WireError::NonFinite { .. })));
+        let decoded = TransformSpec::decode(&spec.encode()).unwrap();
+        assert_eq!(decoded.model().source(), source);
     }
 
     #[test]
@@ -853,13 +696,17 @@ mod tests {
             TransformSpec::passage(voting(), pred("p2>=2")),
             TransformSpec::passage(voting(), pred("p2>=3")),
             TransformSpec::transient(voting(), pred("p2>=2")),
-            TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 }),
+            one_stage::passage("expLT(1.0, s)"),
         ];
         let compiled = CompiledModelSet::compile(&specs).unwrap();
-        assert_eq!(compiled.num_models(), 1, "one exploration for one model");
+        assert_eq!(
+            compiled.num_models(),
+            2,
+            "one exploration per distinct model"
+        );
         let evaluators = compiled.evaluators().unwrap();
         assert_eq!(evaluators.len(), 4);
-        // The analytic evaluator reproduces the LST exactly.
+        // The one-stage passage is its sojourn's LST.
         let s = Complex64::new(0.7, 1.3);
         let expect = Dist::exponential(1.0).lst(s);
         assert_eq!(evaluators[3].eval(s).unwrap(), expect);
@@ -886,23 +733,17 @@ mod tests {
         }
     }
 
-    /// `eval_many` is `map(eval)`, bit for bit, for every evaluator kind:
+    /// `eval_many` is `map(eval)`, bit for bit, for both evaluator kinds:
     /// passage transforms (whose chunk runs as lockstep blocks, here of every
-    /// shape up to two blocks and a lone remainder), transient transforms and
-    /// closed-form LSTs.
+    /// shape up to two blocks and a lone remainder) and transient transforms,
+    /// over the voting model and one-stage nets.
     #[test]
     fn eval_many_is_map_eval_bitwise() {
         let specs = [
             TransformSpec::passage(voting(), pred("p2>=2")),
             TransformSpec::transient(voting(), pred("p2>=2")),
-            TransformSpec::Analytic(DistSpec::Erlang {
-                rate: 2.0,
-                phases: 3,
-            }),
-            TransformSpec::Analytic(DistSpec::Uniform {
-                lower: 0.5,
-                upper: 2.0,
-            }),
+            one_stage::passage("erlangLT(2.0, 3, s)"),
+            one_stage::passage("uniformLT(0.5, 2.0, s)"),
         ];
         let compiled = CompiledModelSet::compile(&specs).unwrap();
         let points: Vec<Complex64> = (1..=9)
@@ -954,25 +795,16 @@ mod tests {
             "{err}"
         );
 
-        // Distribution parameters that decode but make no distribution.
-        for dist in [
-            DistSpec::Erlang {
-                rate: 2.0,
-                phases: 0,
-            },
-            DistSpec::Exponential { rate: -1.0 },
-            DistSpec::Uniform {
-                lower: 2.0,
-                upper: 1.0,
-            },
-            DistSpec::Weibull {
-                shape: 1.5,
-                scale: f64::INFINITY,
-            },
+        // A sojourn whose parameters make no distribution.
+        for lst in [
+            "erlangLT(2.0, 0, s)",
+            "expLT(-1.0, s)",
+            "uniformLT(2.0, 1.0, s)",
+            "weibullLT(1.5, 1 / b, s)",
         ] {
-            let spec = TransformSpec::Analytic(dist);
-            let compiled = CompiledModelSet::compile(std::slice::from_ref(&spec));
-            assert!(compiled.is_err(), "{spec:?}");
+            let spec = one_stage::passage(lst);
+            let err = CompiledModelSet::compile(std::slice::from_ref(&spec)).unwrap_err();
+            assert!(matches!(err, CompileError::Model(_)), "{lst}: {err}");
         }
     }
 

@@ -641,14 +641,7 @@ impl Transport for TcpTransport {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        let specs = plan
-            .specs
-            .iter()
-            .map(|spec| {
-                spec.encode()
-                    .map_err(|e| transport_error(format!("unencodable transform spec: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
+        let specs = plan.specs.iter().map(|spec| spec.encode()).collect();
         let held = self.table.checkout(self.deadline)?;
         // A transport that holds no link waits for its workers: each vacant
         // seat blocks in the rendezvous, on its own handler thread.  Once a
@@ -948,7 +941,8 @@ mod tests {
     use super::*;
     use crate::fault::{Backoff, FaultKind, FaultPlan};
     use crate::link::{FaultyLink, LoopbackLink};
-    use crate::transform::{DistSpec, ModelSpec, TargetSpec};
+    use crate::one_stage;
+    use crate::transform::{ModelSpec, TargetSpec};
     use crate::wire::{read_frame, write_frame};
     use crate::worker::{run_tcp_worker, TcpWorkerOptions, TcpWorkerSummary, WorkItemOutcome};
     use smp_distributions::Dist;
@@ -1016,7 +1010,7 @@ mod tests {
     /// the one that used to carry closures.)
     #[test]
     fn in_process_closure_plan_evaluates_everything() {
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let spec = one_stage::passage("expLT(1.0, s)");
         let points: Vec<Complex64> = (1..=9).map(|k| Complex64::new(k as f64, 0.5)).collect();
         let transport = InProcess::new(3);
         assert_eq!(transport.name(), "in-process");
@@ -1040,12 +1034,10 @@ mod tests {
         assert_eq!(report.messages, messages);
     }
 
+    /// The one-stage net's passage is its Erlang sojourn's LST.
     #[test]
     fn in_process_spec_plan_matches_the_analytic_transform() {
-        let spec = TransformSpec::Analytic(DistSpec::Erlang {
-            rate: 2.0,
-            phases: 3,
-        });
+        let spec = one_stage::passage("erlangLT(2.0, 3, s)");
         let points: Vec<Complex64> = (1..=5)
             .map(|k| Complex64::new(0.3 * k as f64, 1.0))
             .collect();
@@ -1059,7 +1051,7 @@ mod tests {
     #[test]
     fn tcp_round_trip_with_in_process_worker_threads() {
         // The whole frame protocol over real sockets.
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.5 });
+        let spec = one_stage::passage("expLT(1.5, s)");
         let points: Vec<Complex64> = (1..=20)
             .map(|k| Complex64::new(0.2 * k as f64, -1.0))
             .collect();
@@ -1230,7 +1222,7 @@ mod tests {
 
     #[test]
     fn worker_disconnect_requeues_its_outstanding_chunk() {
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let spec = one_stage::passage("expLT(1.0, s)");
         let points: Vec<Complex64> = (1..=12)
             .map(|k| Complex64::new(0.5 * k as f64, 1.0))
             .collect();
@@ -1279,7 +1271,7 @@ mod tests {
         // refinement round of a quantile search is to its transport) holds
         // worker 0's link and only polls.  One cheap point per run keeps the
         // compute three orders of magnitude under the window.
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let spec = one_stage::passage("expLT(1.0, s)");
         let transport = TcpTransport::bind(&["127.0.0.1:0"; 2]).unwrap();
         let addr = transport.local_addrs()[0].to_string();
         let worker =
@@ -1307,7 +1299,7 @@ mod tests {
     /// has passed is refused without touching them.
     #[test]
     fn concurrent_runs_take_turns_at_the_seats_and_a_passed_deadline_is_refused() {
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let spec = one_stage::passage("expLT(1.0, s)");
         let points: Vec<Complex64> = (1..=16)
             .map(|k| Complex64::new(0.5 * k as f64, 1.0))
             .collect();
@@ -1472,12 +1464,66 @@ mod tests {
         assert!(summary.unwrap_err().contains("nosuchplace"));
     }
 
+    /// A link that sends `line` in place of every spec line of a `job`: a
+    /// line no `TransformSpec` encodes to can still reach a worker.
+    struct SpecLineSwap<L> {
+        inner: L,
+        line: &'static str,
+    }
+
+    impl<L: Link> Link for SpecLineSwap<L> {
+        fn send(&mut self, frame: &Frame) -> io::Result<u64> {
+            match frame {
+                Frame::Job {
+                    version,
+                    worker,
+                    method,
+                    specs,
+                } => self.inner.send(&Frame::Job {
+                    version: *version,
+                    worker: *worker,
+                    method: method.clone(),
+                    specs: vec![self.line.to_string(); specs.len()],
+                }),
+                frame => self.inner.send(frame),
+            }
+        }
+
+        fn recv(&mut self) -> io::Result<(Frame, u64)> {
+            self.inner.recv()
+        }
+    }
+
+    /// The closed-form `analytic` spec line is no spec: a worker handed a
+    /// job carrying one answers `fatal`, and the master's error names the
+    /// tag.
+    #[test]
+    fn a_worker_refuses_an_analytic_spec_line_as_fatal() {
+        let (rendezvous, mut workers) = cluster(&[None]);
+        let accepted = rendezvous.accept(0, &AtomicUsize::new(1)).unwrap();
+        let link = SpecLineSwap {
+            inner: accepted.expect("the worker dials in").0,
+            line: "analytic v=1 dist=erlang:4000000000000000:3",
+        };
+        let transport = TcpTransport::from_links(vec![Box::new(link)]);
+        let spec = one_stage::passage("erlangLT(2.0, 3, s)");
+        let plan = spec_plan(&spec, &[Complex64::ONE], 1);
+        let error = transport.execute(plan, &mut |_| {}).unwrap_err();
+        assert!(
+            error.to_string().contains("unknown spec tag 'analytic'"),
+            "{error}"
+        );
+        drop((transport, rendezvous));
+        let summary = workers.pop().unwrap().join().unwrap();
+        assert!(summary.unwrap_err().contains("'analytic'"));
+    }
+
     #[test]
     fn silent_connected_worker_times_out_instead_of_hanging_the_run() {
         // A client that dials the rendezvous port and never speaks (a port
         // scanner, a SIGSTOPped worker) must not hang execute() forever: the
         // per-read io timeout declares it lost and the run fails cleanly.
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let spec = one_stage::passage("expLT(1.0, s)");
         let transport = TcpTransport::bind(&["127.0.0.1:0"])
             .unwrap()
             .with_accept_timeout(Duration::from_secs(5))
@@ -1502,7 +1548,7 @@ mod tests {
 
     #[test]
     fn accept_timeout_fails_cleanly_when_no_worker_dials_in() {
-        let spec = TransformSpec::Analytic(DistSpec::Exponential { rate: 1.0 });
+        let spec = one_stage::passage("expLT(1.0, s)");
         let transport = TcpTransport::bind(&["127.0.0.1:0"])
             .unwrap()
             .with_accept_timeout(Duration::from_millis(100));
@@ -1577,10 +1623,7 @@ mod tests {
         // lossy fault costs the run one link, whose chunk in flight goes
         // back into the queue for the survivors — the path a real lost
         // worker takes.
-        let spec = TransformSpec::Analytic(DistSpec::Erlang {
-            rate: 1.25,
-            phases: 4,
-        });
+        let spec = one_stage::passage("erlangLT(1.25, 4, s)");
         let points: Vec<Complex64> = (1..=12)
             .map(|k| Complex64::new(0.15 * k as f64, 0.4 * k as f64 - 2.0))
             .collect();

@@ -1335,7 +1335,7 @@ mod tests {
                 version: 1,
                 worker: 2,
                 method: "euler".to_string(),
-                specs: vec!["analytic v=1 key=x dist=exponential:3ff0000000000000".to_string()],
+                specs: vec!["passage v=1 model=voting:3,1,1 targets=p2%3e%3d2".to_string()],
             },
             Frame::Chunk {
                 items: vec![item(0, 0, 1.0, 2.0), item(1, 5, 3.0, -4.0)],
@@ -1368,7 +1368,7 @@ mod tests {
                 version: 1,
                 worker: 2,
                 shards: 4,
-                spec: "analytic v=1 key=x dist=exponential:3ff0000000000000".to_string(),
+                spec: "passage v=1 model=voting:3,1,1 targets=p2%3e%3d2".to_string(),
             },
             Frame::SliceMeta {
                 states: 25,

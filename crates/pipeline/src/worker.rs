@@ -603,19 +603,20 @@ fn serve_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::{CompiledModelSet, DistSpec, ModelSpec, TargetSpec};
+    use crate::one_stage;
+    use crate::transform::{CompiledModelSet, ModelSpec, TargetSpec};
     use smp_distributions::Dist;
     use std::sync::mpsc::channel;
 
-    /// Compiles closed-form transforms: exact references whose values the
-    /// tests can recompute with `Dist::lst`.
-    fn analytic(dists: &[DistSpec]) -> CompiledModelSet {
-        let specs: Vec<TransformSpec> =
-            dists.iter().cloned().map(TransformSpec::Analytic).collect();
+    /// Compiles the passages of one-stage nets with the given sojourn
+    /// transforms: their values are the sojourns' LSTs, which the tests
+    /// recompute with `Dist::lst`.
+    fn compile_one_stage(lsts: &[&str]) -> CompiledModelSet {
+        let specs: Vec<TransformSpec> = lsts.iter().map(|lst| one_stage::passage(lst)).collect();
         CompiledModelSet::compile(&specs).unwrap()
     }
 
-    const EXP: DistSpec = DistSpec::Exponential { rate: 1.5 };
+    const EXP: &str = "expLT(1.5, s)";
 
     #[test]
     fn worker_drains_queue_and_reports_stats() {
@@ -628,7 +629,7 @@ mod tests {
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 1);
         let (tx, rx) = channel();
-        let compiled = analytic(&[EXP]);
+        let compiled = compile_one_stage(&[EXP]);
         let stats = run_batch_worker(3, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         assert_eq!(stats.id, 3);
@@ -656,7 +657,7 @@ mod tests {
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 5);
         let (tx, rx) = channel();
-        let compiled = analytic(&[EXP]);
+        let compiled = compile_one_stage(&[EXP]);
         let stats = run_batch_worker(1, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         // 17 items at chunk size 5: 5 + 5 + 5 + 2 → 4 messages.
@@ -680,11 +681,7 @@ mod tests {
             .collect();
         let queue = WorkQueue::with_chunk_size(items, 4);
         let (tx, rx) = channel();
-        let erlang = DistSpec::Erlang {
-            rate: 2.0,
-            phases: 3,
-        };
-        let compiled = analytic(&[EXP, erlang]);
+        let compiled = compile_one_stage(&[EXP, "erlangLT(2.0, 3, s)"]);
         run_batch_worker(0, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         for outcome in rx.iter().flat_map(|m| m.results) {
@@ -696,10 +693,10 @@ mod tests {
         }
     }
 
-    /// One chunk, three kinds of run: a compiled passage evaluator gets its
-    /// runs whole (and answers each point with its `eval` bits), a
-    /// closed-form transform its own, and items naming a measure the job does
-    /// not have fail alone — all in chunk order.
+    /// One chunk, runs of three measures: each of the two compiled passage
+    /// evaluators gets its runs whole (and answers each point with its
+    /// `eval` bits), and items naming a measure the job does not have fail
+    /// alone — all in chunk order.
     #[test]
     fn chunk_runs_keep_order_and_per_item_outcomes() {
         let passage = TransformSpec::passage(
@@ -710,7 +707,7 @@ mod tests {
             },
             TargetSpec::parse("p2>=2").unwrap(),
         );
-        let compiled = CompiledModelSet::compile(&[passage, TransformSpec::Analytic(EXP)]).unwrap();
+        let compiled = CompiledModelSet::compile(&[passage, one_stage::passage(EXP)]).unwrap();
         let evaluators = compiled.evaluators().unwrap();
         // Runs: measure 0 ×5, measure 1 ×2, measure 7 ×1, measure 0 ×1.
         let items: Vec<WorkItem> = [0, 0, 0, 0, 0, 1, 1, 7, 0]
@@ -749,7 +746,7 @@ mod tests {
         .collect();
         let queue = WorkQueue::with_chunk_size(items, 1);
         let (tx, rx) = channel();
-        let compiled = analytic(&[EXP]);
+        let compiled = compile_one_stage(&[EXP]);
         let stats = run_batch_worker(0, &queue, &compiled.evaluators().unwrap(), &tx);
         drop(tx);
         assert_eq!(stats.evaluated, 3);

@@ -1,5 +1,5 @@
 //! The decode roots against their own samples: every frame kind, the query
-//! request and both reply forms, all three transform-spec forms, a checkpoint
+//! request and both reply forms, both transform-spec forms, a checkpoint
 //! file and a `.shard` sidecar.
 //!
 //! `golden_bytes` pins the exact text each encoder writes and the values each
@@ -20,16 +20,19 @@ use smp_pipeline::checkpoint::{load_checkpoint_by_measure, CheckpointWriter, Sha
 use smp_pipeline::server::{
     decode_query_reply, decode_query_request, encode_query_reply, encode_query_request,
 };
+use smp_pipeline::transform::CompileError;
 use smp_pipeline::wire::{Frame, WireError};
 use smp_pipeline::work::WorkItem;
 use smp_pipeline::worker::{WorkItemOutcome, WorkerMessage};
 use smp_pipeline::{
-    CompiledModelSet, DistSpec, ModelSpec, QueryReply, QueryRequest, Refusal, RefusalKind,
-    TargetSpec, TransformSpec,
+    CompiledModelSet, ModelSpec, QueryReply, QueryRequest, Refusal, RefusalKind, TargetSpec,
+    TransformSpec,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Duration;
+
+mod one_stage;
 
 fn c(re: f64, im: f64) -> Complex64 {
     Complex64::new(re, im)
@@ -51,8 +54,8 @@ fn target(text: &str) -> TargetSpec {
     TargetSpec::parse(text).unwrap()
 }
 
-/// One spec of each form: passage, transient (over awkward DNAmaca source)
-/// and an analytic distribution.
+/// One spec of each form: passage and transient (over awkward DNAmaca
+/// source).
 fn spec_samples() -> Vec<TransformSpec> {
     vec![
         TransformSpec::passage(voting(), target("p2>=2")),
@@ -60,26 +63,19 @@ fn spec_samples() -> Vec<TransformSpec> {
             ModelSpec::Dnamaca("\\place{p}{1}\n% naïve 100%\n".to_string()),
             target("p==0"),
         ),
-        TransformSpec::Analytic(DistSpec::Erlang {
-            rate: 2.0,
-            phases: 3,
-        }),
     ]
 }
 
 /// One frame of each of the 17 kinds.
 fn frame_samples() -> Vec<Frame> {
-    let specs: Vec<String> = spec_samples()
-        .iter()
-        .map(|spec| spec.encode().unwrap())
-        .collect();
+    let specs: Vec<String> = spec_samples().iter().map(TransformSpec::encode).collect();
     vec![
         Frame::Hello { version: 3 },
         Frame::Job {
             version: 3,
             worker: 1,
             method: "euler".to_string(),
-            specs: vec![specs[0].clone(), specs[2].clone()],
+            specs: specs.clone(),
         },
         Frame::Chunk {
             items: vec![item(0, 0, c(0.5, 1.5)), item(1, 7, c(2.0, -3.25))],
@@ -265,7 +261,7 @@ const GOLDEN_FRAMES: [&str; 17] = [
     "hello v=3",
     "job v=3 worker=1 method=euler specs=2\n\
      passage v=1 model=voting:3,1,1 targets=p2%3e%3d2\n\
-     analytic v=1 dist=erlang:4000000000000000:3",
+     transient v=1 model=dnamaca:%5cplace%7bp%7d%7b1%7d%0a%25%20na%c3%afve%20100%25%0a targets=p%3d%3d0",
     "chunk n=2\n\
      0 0 3fe0000000000000 3ff8000000000000\n\
      1 7 4000000000000000 c00a000000000000",
@@ -316,10 +312,9 @@ const GOLDEN_REPLIES: [&str; 2] = [
     "refusal v=1 kind=busy msg=server%20is%20at%20capacity:%204%20in%20flight\n",
 ];
 
-const GOLDEN_SPECS: [&str; 3] = [
+const GOLDEN_SPECS: [&str; 2] = [
     "passage v=1 model=voting:3,1,1 targets=p2%3e%3d2",
     "transient v=1 model=dnamaca:%5cplace%7bp%7d%7b1%7d%0a%25%20na%c3%afve%20100%25%0a targets=p%3d%3d0",
-    "analytic v=1 dist=erlang:4000000000000000:3",
 ];
 
 const GOLDEN_CHECKPOINT: &str =
@@ -359,7 +354,7 @@ fn golden_bytes() {
     }
 
     for (spec, golden) in spec_samples().iter().zip(GOLDEN_SPECS) {
-        assert_eq!(spec.encode().unwrap(), golden);
+        assert_eq!(spec.encode(), golden);
         assert_eq!(&TransformSpec::decode(golden).unwrap(), spec, "{golden}");
     }
 
@@ -405,46 +400,35 @@ const REPLACEMENTS: [&str; 7] = [
     "ffffffffffffffff",
 ];
 
-/// What each parameter of an analytic spec is replaced by, one at a time:
-/// zero, minus one, NaN and infinity bits, and a phase count of zero.
-const HOSTILE_PARAMETERS: [&str; 5] = [
-    "0000000000000000",
-    "bff0000000000000",
-    "7ff8000000000000",
-    "7ff0000000000000",
-    "0",
-];
+/// What each sojourn parameter is replaced by, one at a time: zero, minus
+/// one, and an expression that is not finite where it is evaluated (`b` is 0
+/// in the marking that enables the sojourn).
+const HOSTILE_PARAMETERS: [&str; 3] = ["0", "-1", "1 / b"];
 
-/// One analytic spec line per distribution family, with each parameter in
-/// turn replaced by each hostile value: lines that decode, but whose
-/// parameters may make no distribution.
-fn hostile_analytic_specs() -> Vec<String> {
-    let families = [
-        DistSpec::Exponential { rate: 1.0 },
-        DistSpec::Erlang {
-            rate: 2.0,
-            phases: 3,
-        },
-        DistSpec::Uniform {
-            lower: 0.5,
-            upper: 2.0,
-        },
-        DistSpec::Deterministic { value: 1.5 },
-        DistSpec::Weibull {
-            shape: 1.5,
-            scale: 0.5,
-        },
+/// One one-stage passage line per distribution family, with each sojourn
+/// parameter in turn replaced by each hostile value outside its family's
+/// domain (a uniform's lower bound and a deterministic delay may be 0):
+/// lines that decode, but whose models make no distribution.
+fn hostile_sojourn_specs() -> Vec<String> {
+    let families: [(&str, &[&str]); 5] = [
+        ("expLT", &["2.0"]),
+        ("erlangLT", &["2.0", "3"]),
+        ("uniformLT", &["0.2", "1.0"]),
+        ("detLT", &["0.3"]),
+        ("weibullLT", &["1.5", "0.5"]),
     ];
     let mut out = Vec::new();
-    for dist in families {
-        let line = TransformSpec::Analytic(dist).encode().unwrap();
-        let (head, field) = line.split_once("dist=").unwrap();
-        let parts: Vec<&str> = field.split(':').collect();
-        for k in 1..parts.len() {
+    for (family, parameters) in families {
+        for k in 0..parameters.len() {
             for hostile in HOSTILE_PARAMETERS {
-                let mut mutated = parts.clone();
-                mutated[k] = hostile;
-                out.push(format!("{head}dist={}", mutated.join(":")));
+                let zero_is_legal = matches!((family, k), ("uniformLT" | "detLT", 0));
+                if hostile == "0" && zero_is_legal {
+                    continue;
+                }
+                let mut arguments = parameters.to_vec();
+                arguments[k] = hostile;
+                let lst = format!("{family}({}, s)", arguments.join(", "));
+                out.push(one_stage::passage(&lst).encode());
             }
         }
     }
@@ -494,11 +478,17 @@ fn token_mutation_sweep() {
         .map(|frame| frame.encode().unwrap())
         .collect();
     let replies: Vec<String> = reply_samples().iter().map(encode_query_reply).collect();
-    let mut specs: Vec<String> = spec_samples()
-        .iter()
-        .map(|spec| spec.encode().unwrap())
-        .collect();
-    specs.extend(hostile_analytic_specs());
+    let hostile = hostile_sojourn_specs();
+    for line in &hostile {
+        let spec = TransformSpec::decode(line).unwrap();
+        let compiled = CompiledModelSet::compile(&[spec]);
+        assert!(
+            matches!(compiled, Err(CompileError::Model(_))),
+            "{line}: {compiled:?}"
+        );
+    }
+    let mut specs: Vec<String> = spec_samples().iter().map(TransformSpec::encode).collect();
+    specs.extend(hostile);
     let checkpoint_path = temp_path("sweep-checkpoint");
     let sidecar_path = temp_path("sweep-sidecar");
     let checkpoint = write_checkpoint(&checkpoint_path);
@@ -539,6 +529,17 @@ fn token_mutation_sweep() {
         "{} variants panicked a decoder:\n{}",
         panicked.len(),
         panicked.join("\n")
+    );
+}
+
+/// The closed-form `analytic` spec kind is gone: its line is refused as an
+/// unknown spec tag, never read as a model-free transform.
+#[test]
+fn an_analytic_spec_line_is_refused() {
+    let refused = TransformSpec::decode("analytic v=1 dist=erlang:4000000000000000:3");
+    assert!(
+        matches!(&refused, Err(WireError::Malformed { message }) if message.contains("'analytic'")),
+        "{refused:?}"
     );
 }
 

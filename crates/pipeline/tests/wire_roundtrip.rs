@@ -11,7 +11,9 @@ use smp_pipeline::wire::{
 };
 use smp_pipeline::work::WorkItem;
 use smp_pipeline::worker::{WorkItemOutcome, WorkerMessage};
-use smp_pipeline::{DistSpec, ModelSpec, TargetSpec, TransformSpec};
+use smp_pipeline::{ModelSpec, TargetSpec, TransformSpec};
+
+mod one_stage;
 
 /// Builds a printable-but-awkward string (spaces, escapes, UTF-8) from raw
 /// bytes — the vendored proptest has no string strategy, so payload strings
@@ -132,11 +134,11 @@ proptest! {
         let specs = [
             TransformSpec::passage(model.clone(), targets.clone()),
             TransformSpec::transient(model, targets),
-            TransformSpec::Analytic(DistSpec::Erlang { rate, phases }),
-            TransformSpec::Analytic(DistSpec::Weibull { shape, scale: rate }),
+            one_stage::passage(&format!("erlangLT({rate:?}, {phases}, s)")),
+            one_stage::passage(&format!("weibullLT({shape:?}, {rate:?}, s)")),
         ];
         for spec in specs {
-            let line = spec.encode().unwrap();
+            let line = spec.encode();
             prop_assert!(!line.contains('\n'));
             prop_assert_eq!(TransformSpec::decode(&line).unwrap(), spec);
         }
@@ -158,9 +160,9 @@ proptest! {
                 count: 1,
             },
         );
-        let decoded = TransformSpec::decode(&spec.encode().unwrap()).unwrap();
+        let decoded = TransformSpec::decode(&spec.encode()).unwrap();
         prop_assert_eq!(&decoded, &spec);
-        match decoded.model().unwrap() {
+        match decoded.model() {
             ModelSpec::Dnamaca(decoded_source) => prop_assert_eq!(decoded_source, &source),
             other => panic!("expected a DNAmaca model, got {other:?}"),
         }
@@ -230,26 +232,6 @@ proptest! {
         let position = position % wire.len();
         wire[position] ^= xor;
         prop_assert!(read_frame(&mut wire.as_slice()).is_err());
-    }
-
-    #[test]
-    fn non_finite_distribution_parameters_are_rejected(pick in 0u8..3) {
-        let bad = match pick {
-            0 => f64::NAN,
-            1 => f64::INFINITY,
-            _ => f64::NEG_INFINITY,
-        };
-        for spec in [
-            TransformSpec::Analytic(DistSpec::Exponential { rate: bad }),
-            TransformSpec::Analytic(DistSpec::Uniform { lower: 0.0, upper: bad }),
-            TransformSpec::Analytic(DistSpec::Deterministic { value: bad }),
-            TransformSpec::Analytic(DistSpec::Weibull {
-                shape: bad,
-                scale: 1.0,
-            }),
-        ] {
-            prop_assert!(matches!(spec.encode(), Err(WireError::NonFinite { .. })));
-        }
     }
 }
 

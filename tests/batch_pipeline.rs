@@ -7,8 +7,8 @@ use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::pipeline::checkpoint::load_checkpoint_by_measure;
 use smp_suite::pipeline::{
-    BatchJob, DistSpec, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec,
-    PipelineOptions, ResolveTarget, TargetSpec, TransformSpec,
+    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
+    ResolveTarget, TargetSpec, TransformSpec,
 };
 use smp_suite::smspn::StateSpace;
 
@@ -125,7 +125,7 @@ fn batch_evaluation_count_is_union_times_measures_and_warm_reruns_hit_cache() {
 #[test]
 fn batch_values_match_single_process_analysis() {
     let to_end = passage(0, "q3>=1");
-    let source = to_end.model().unwrap().source();
+    let source = to_end.model().source();
     let net = smp_suite::dnamaca::parse_model(&source).unwrap();
     let space = StateSpace::explore(&net).unwrap();
     let targets = TargetSpec::parse("q3>=1")
@@ -190,29 +190,28 @@ fn one_checkpoint_file_feeds_runs_under_distinct_transform_keys() {
             ..Default::default()
         },
     );
-    let erlang = |phases| TransformSpec::Analytic(DistSpec::Erlang { rate: 2.0, phases });
-    let run = |phases: u32| {
-        let measure = MeasureSpec::from_spec("d", MeasureKind::Density, &ts, erlang(phases));
+    let run = |target: &str| {
+        let measure = MeasureSpec::from_spec("d", MeasureKind::Density, &ts, passage(0, target));
         pipeline
             .execute(BatchJob::new().with_measure(measure), &InProcess::new(2))
             .unwrap()
     };
 
     // A single-measure run writes its records…
-    let two = run(2);
-    assert!(two.evaluations > 0);
+    let half = run("q2>=1");
+    assert!(half.evaluations > 0);
     // …a run under another key appends to the same file…
-    let three = run(3);
-    assert_eq!(three.evaluations, two.evaluations); // distinct shard: re-evaluated
+    let end = run("q3>=1");
+    assert_eq!(end.evaluations, half.evaluations); // distinct shard: re-evaluated
 
     // …and both shards restore: a second run under either key is all cache
     // hits.
-    let two_again = run(2);
-    assert_eq!(two_again.evaluations, 0);
-    assert_eq!(two_again.cache_hits, two.evaluations);
-    let three_again = run(3);
-    assert_eq!(three_again.evaluations, 0);
-    assert_eq!(three_again.measures[0].cache_hits, two.evaluations);
+    let half_again = run("q2>=1");
+    assert_eq!(half_again.evaluations, 0);
+    assert_eq!(half_again.cache_hits, half.evaluations);
+    let end_again = run("q3>=1");
+    assert_eq!(end_again.evaluations, 0);
+    assert_eq!(end_again.measures[0].cache_hits, half.evaluations);
 
     let shards = load_checkpoint_by_measure(&checkpoint).unwrap();
     assert_eq!(shards.len(), 2, "one shard per transform key");
