@@ -26,6 +26,14 @@ pub enum ParseError {
     /// A structurally valid model that is semantically wrong (unknown place,
     /// unknown distribution constructor, scalar sojourn expression, ...).
     Semantic(String),
+    /// An expression nested deeper than the parser's fixed depth cap, which
+    /// keeps every recursive pass over the tree inside a thread's stack.
+    TooDeep {
+        /// 1-based source line where the expression crossed the limit.
+        line: usize,
+        /// 1-based source column.
+        column: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -41,6 +49,11 @@ impl fmt::Display for ParseError {
                 write!(f, "unexpected end of input (line ?): expected {expected}")
             }
             ParseError::Semantic(msg) => write!(f, "semantic error: {msg}"),
+            ParseError::TooDeep { line, column } => write!(
+                f,
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels at line {line}, \
+                 column {column}"
+            ),
         }
     }
 }
@@ -65,9 +78,23 @@ pub(crate) const DIST_FUNCTIONS: &[&str] = &[
     "immediateLT",
 ];
 
+/// The deepest expression the parser accepts, counting every operator, call
+/// and parenthesised group on the longest path from the root to a leaf.
+/// Resolution, evaluation, distribution conversion and drop all recurse over
+/// the tree, so the cap is what keeps a hostile model text from overflowing
+/// the stack of whichever thread parses it (an expression at the cap runs
+/// every pass on a 2 MiB stack in a debug build); a hand-written model nests
+/// a handful of levels.
+pub(crate) const MAX_EXPR_DEPTH: usize = 128;
+
+/// An expression and its depth.
+type Parsed = (Expr, usize);
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Groups, prefix operators and call argument lists open at `pos`.
+    nesting: usize,
 }
 
 impl Parser {
@@ -142,36 +169,67 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        Ok(self.parse_or()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
+    fn too_deep(&self) -> ParseError {
+        let (line, column) = self.position();
+        ParseError::TooDeep { line, column }
+    }
+
+    /// `expr` at `depth`, or the refusal of a tree deeper than the cap.
+    fn node(&self, expr: Expr, depth: usize) -> Result<Parsed, ParseError> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, depth))
+    }
+
+    fn binary(&self, op: BinOp, (lhs, l): Parsed, (rhs, r): Parsed) -> Result<Parsed, ParseError> {
+        let expr = Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        self.node(expr, 1 + l.max(r))
+    }
+
+    /// Runs `parse` one level down — a parenthesised group, a prefix
+    /// operator's operand or a call's arguments — refusing before it
+    /// recurses past the cap, so nesting cannot exhaust the parser's own
+    /// stack either.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.nesting == MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    fn parse_or(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.eat(&TokenKind::OrOr) {
             let rhs = self.parse_and()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
+    fn parse_and(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_comparison()?;
         while self.eat(&TokenKind::AndAnd) {
             let rhs = self.parse_comparison()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_comparison(&mut self) -> Result<Expr, ParseError> {
+    fn parse_comparison(&mut self) -> Result<Parsed, ParseError> {
         let lhs = self.parse_additive()?;
         let op = match self.peek() {
             Some(TokenKind::Greater) => Some(BinOp::Greater),
@@ -185,16 +243,12 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let rhs = self.parse_additive()?;
-            return Ok(Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            });
+            return self.binary(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
+    fn parse_additive(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -204,16 +258,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
+    fn parse_multiplicative(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -223,54 +273,57 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.parse_unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&TokenKind::Minus) {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.eat(&TokenKind::Not) {
-            return Ok(Expr::Not(Box::new(self.parse_unary()?)));
-        }
-        self.parse_primary()
+    fn parse_unary(&mut self) -> Result<Parsed, ParseError> {
+        let prefix: fn(Box<Expr>) -> Expr = if self.eat(&TokenKind::Minus) {
+            Expr::Neg
+        } else if self.eat(&TokenKind::Not) {
+            Expr::Not
+        } else {
+            return self.parse_primary();
+        };
+        let (operand, depth) = self.nested(Self::parse_unary)?;
+        self.node(prefix(Box::new(operand)), depth + 1)
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_primary(&mut self) -> Result<Parsed, ParseError> {
         match self.peek().cloned() {
             Some(TokenKind::Number(n)) => {
                 self.pos += 1;
-                Ok(Expr::Number(n))
+                Ok((Expr::Number(n), 1))
             }
             Some(TokenKind::Ident(name)) => {
                 self.pos += 1;
                 if self.peek() == Some(&TokenKind::LParen) {
                     self.pos += 1;
-                    let mut args = Vec::new();
-                    if self.peek() != Some(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
+                    let (args, depth) = self.nested(|parser| {
+                        let (mut args, mut depth) = (Vec::new(), 0);
+                        if parser.peek() != Some(&TokenKind::RParen) {
+                            loop {
+                                let (arg, arg_depth) = parser.parse_or()?;
+                                args.push(arg);
+                                depth = depth.max(arg_depth);
+                                if !parser.eat(&TokenKind::Comma) {
+                                    break;
+                                }
                             }
                         }
-                    }
+                        Ok((args, depth))
+                    })?;
                     self.expect(&TokenKind::RParen)?;
-                    return Ok(Expr::Call { name, args });
+                    return self.node(Expr::Call { name, args }, depth + 1);
                 }
-                Ok(Expr::Ident(name))
+                Ok((Expr::Ident(name), 1))
             }
             Some(TokenKind::LParen) => {
                 self.pos += 1;
-                let inner = self.parse_expr()?;
+                let (inner, depth) = self.nested(Self::parse_or)?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(inner)
+                self.node(inner, depth + 1)
             }
             Some(other) => Err(self.error(format!("expected an expression, found '{other}'"))),
             None => Err(ParseError::UnexpectedEof {
@@ -505,7 +558,11 @@ pub(crate) fn dist_from_expr(expr: &Expr) -> Result<DistExpr, String> {
 /// Parses a complete model source text into its AST.
 pub fn parse(source: &str) -> Result<ModelAst, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let mut model = ModelAst::default();
     while let Some(kind) = parser.peek().cloned() {
         match kind {
@@ -703,5 +760,71 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// An expression over the places nested `depth` levels deep, in
+    /// one of the shapes that nest: parenthesised groups, prefix operators,
+    /// call arguments, and a left-deep `+` chain (which the parser builds
+    /// in a loop, but every later pass recurses over).
+    fn nested(shape: &str, depth: usize) -> String {
+        let n = depth - 1;
+        match shape {
+            "groups" => format!("{}left{}", "(".repeat(n), ")".repeat(n)),
+            // `left`, or `!right` (`!!!right`, …): true while `left` holds its token.
+            "nots" => format!("{}{}", "!".repeat(n), ["left", "right"][n % 2]),
+            "negations" => format!("{}left", "-".repeat(n)),
+            "calls" => format!("{}left{}", "max(".repeat(n), ")".repeat(n)),
+            "chain" => format!("left{}", "+left".repeat(n)),
+            other => unreachable!("{other}"),
+        }
+    }
+
+    /// A two-place ping-pong whose `go` condition is `condition`.
+    fn ping_pong(condition: &str) -> String {
+        format!(
+            "\\place{{left}}{{1}} \\place{{right}}{{0}}
+             \\transition{{go}}{{ \\condition{{{condition}}}
+                 \\action{{ next->left = left - 1; next->right = right + 1; }}
+                 \\sojourntimeLT{{ return expLT(2.0, s); }} }}
+             \\transition{{back}}{{ \\condition{{right > 0}}
+                 \\action{{ next->left = left + 1; next->right = right - 1; }}
+                 \\sojourntimeLT{{ return expLT(1.0, s); }} }}"
+        )
+    }
+
+    /// 200,000 nested groups, prefix operators or chained terms are refused
+    /// with a typed error, where they used to overflow the parsing thread's
+    /// stack and abort the process.
+    #[test]
+    fn an_expression_nested_200000_deep_is_refused() {
+        for shape in ["groups", "nots", "chain"] {
+            let source = ping_pong(&nested(shape, 200_000));
+            match parse(&source) {
+                Err(ParseError::TooDeep { line, column }) => {
+                    assert!(line > 0 && column > 0, "{shape}: {line}:{column}");
+                }
+                other => panic!("{shape}: expected a depth refusal, got {other:?}"),
+            }
+        }
+    }
+
+    /// An expression exactly at the cap is a model like any other: on a
+    /// 2 MiB stack it parses, resolves and builds, every condition
+    /// evaluates through the state-space exploration, and it drops.  One
+    /// level more is refused.
+    #[test]
+    fn an_expression_at_the_cap_runs_every_pass_on_a_small_stack() {
+        let run = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            for shape in ["groups", "nots", "negations", "calls", "chain"] {
+                let source = ping_pong(&nested(shape, MAX_EXPR_DEPTH));
+                let net = crate::parse_model(&source).unwrap();
+                let space = smp_smspn::StateSpace::explore(&net).unwrap();
+                assert_eq!(space.num_states(), 2, "{shape}");
+                let source = ping_pong(&nested(shape, MAX_EXPR_DEPTH + 1));
+                let refused = parse(&source).unwrap_err();
+                assert!(matches!(refused, ParseError::TooDeep { .. }), "{shape}");
+            }
+        });
+        run.unwrap().join().unwrap();
     }
 }

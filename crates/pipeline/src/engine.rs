@@ -284,7 +284,7 @@ impl AnalyticEngine {
 /// one result cache, so no round evaluates a point an earlier one has; a
 /// configured checkpoint or shared cache also warms any later run.  Every
 /// transport keeps its workers between runs — threads are respawned over a
-/// kept explored model, links and slice fleets stay connected until the
+/// kept explored model, chunk and slice links stay seated until the
 /// engine drops — so a multi-round solve pays its rendezvous once.
 pub struct DistributedEngine {
     /// The engine name reports carry: `distributed`, or `analytic` for the
@@ -358,7 +358,8 @@ impl DistributedEngine {
         options: PipelineOptions,
         transport: TcpTransport,
     ) -> Self {
-        let transport = ShardedTransport::tcp(transport, options.checkpoint_path.as_deref());
+        let checkpoint = options.checkpoint_path.as_deref();
+        let transport = ShardedTransport::new(transport, Arc::new(ModelCache::new(1)), checkpoint);
         Self::with_transport(model, method, options, Box::new(transport))
     }
 

@@ -1956,6 +1956,30 @@ mod tests {
         }
     }
 
+    /// One model cache: a sharded server's master-side transient fallback
+    /// explores in the shared cache, so a second cold transient query over
+    /// the model, on another grid, misses nothing.  (The fallback used to
+    /// explore the model again, into a private cache, on every request.)
+    #[test]
+    fn sharded_transient_queries_find_their_model_in_the_shared_cache() {
+        let mut shared = bare_shared(1, 1);
+        shared.pool_spec = PoolSpec::Loopback(2);
+        let shared = Arc::new(shared);
+        let transient = |t_points: Vec<f64>| QueryRequest {
+            deadline: None,
+            t_points,
+            measures: vec!["transient:p2>=2".to_string()],
+            ..sample_request()
+        };
+        let first = ask(&shared, &transient(vec![1.0, 2.5, 14.0])).unwrap();
+        assert_eq!(first[0].provenance.backend, "sharded-loopback");
+        let second = ask(&shared, &transient(vec![1.0, 2.5, 8.0, 14.0])).unwrap();
+        let provenance = &second[0].provenance;
+        assert!(provenance.evaluations > 0, "a cold grid");
+        assert_eq!(provenance.model_cache_misses, 0);
+        assert!(provenance.model_cache_hits > 0);
+    }
+
     #[test]
     fn sharded_server_answers_a_repeat_query_from_the_shared_cache() {
         let mut shared = bare_shared(1, 1);
@@ -2164,6 +2188,50 @@ mod tests {
                 }
             }
             let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+            assert_eq!(client.query(&sample_request()).unwrap().len(), 2);
+            client.shutdown().unwrap();
+            running.join().unwrap().unwrap();
+        });
+    }
+
+    /// A model whose condition nests 200,000 groups deep is refused as a
+    /// model error, and the same connection answers its next query.  (Its
+    /// parse used to overflow the connection thread's stack, aborting the
+    /// daemon.)
+    #[test]
+    fn a_model_nested_200000_deep_is_refused_and_the_connection_keeps_answering() {
+        let server = QueryServer::bind(QueryServerOptions {
+            pool: PoolSpec::InProcess(1),
+            ..QueryServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let depth = 200_000;
+        let condition = format!("{}a > 0{}", "(".repeat(depth), ")".repeat(depth));
+        let source = format!(
+            r"\place{{a}}{{1}} \place{{b}}{{0}}
+            \transition{{ab}}{{ \condition{{{condition}}}
+                \action{{ next->a = a - 1; next->b = b + 1; }}
+                \sojourntimeLT{{ return expLT(1.0, s); }} }}
+            \transition{{ba}}{{ \condition{{b > 0}}
+                \action{{ next->a = a + 1; next->b = b - 1; }}
+                \sojourntimeLT{{ return expLT(1.0, s); }} }}"
+        );
+        let deep = QueryRequest {
+            model: ModelSpec::Dnamaca(source),
+            measures: vec!["density:b>=1".to_string()],
+            ..sample_request()
+        };
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.run());
+            let mut client = crate::client::QueryClient::connect(&addr).unwrap();
+            match client.query(&deep) {
+                Err(crate::client::QueryError::Refused(refusal)) => {
+                    assert_eq!(refusal.kind, RefusalKind::Model, "{refusal}");
+                    assert!(refusal.message.contains("nested deeper"), "{refusal}");
+                }
+                other => panic!("expected a model refusal, got {other:?}"),
+            }
             assert_eq!(client.query(&sample_request()).unwrap().len(), 2);
             client.shutdown().unwrap();
             running.join().unwrap().unwrap();

@@ -10,14 +10,18 @@
 //!   worker process's link loop and, inline, by a loopback shard): build
 //!   the slice from a [`Frame::SliceJob`], answer [`Frame::SPoint`] /
 //!   [`Frame::Halo`] with [`Frame::SState`].
-//! * [`SliceFleet`] — the master driver over one [`Link`] per worker
-//!   (loopback workers or accepted TCP connections): the `SliceJob` → `SliceMeta` →
-//!   `SliceRoute` handshake, the per-point `SPoint` / `Halo` / `SState`
-//!   lockstep rounds with the [`ConvergenceFold`] of the core solver, and
-//!   re-sharding recovery when a worker connection dies mid-run.
+//! * [`SliceFleet`] — the master's session driver over one [`Link`] per
+//!   worker (loopback workers or accepted TCP connections): the `SliceJob` →
+//!   `SliceMeta` → `SliceRoute` handshake, the per-point `SPoint` / `Halo` /
+//!   `SState` lockstep rounds with the [`ConvergenceFold`] of the core
+//!   solver, and re-sharding recovery when a worker connection dies mid-run.
+//!   It owns no worker between runs.
 //! * `ShardedTransport` — the fleet as a [`Transport`], so a row-sharded
 //!   solve is planned, memoised, checkpointed and inverted by the same
-//!   `DistributedPipeline::execute` as every other deployment.
+//!   `DistributedPipeline::execute` as every other deployment.  It is a
+//!   [`TcpTransport`] plus the `.shard` sidecar: the seat table holds the
+//!   slice links between runs, accepts the holders and sends them the
+//!   farewell, exactly as it does for chunk workers.
 //!
 //! The session protocol, frame by frame (`shards = 3`):
 //!
@@ -50,7 +54,6 @@ use crate::link::{Link, LoopbackLink};
 use crate::master::PipelineError;
 use crate::transform::{CompiledModelSet, ExploredModel, ModelCache, TransformSpec};
 use crate::transport::{transport_error, ExecutionPlan, TcpTransport, Transport, TransportReport};
-use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::WorkItem;
 use crate::worker::{WorkItemOutcome, WorkerMessage};
@@ -62,7 +65,7 @@ use smp_core::{
 use smp_numeric::Complex64;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Worker side
@@ -256,10 +259,12 @@ pub struct SolveRecovery<'a> {
     pub on_value: Option<&'a mut dyn FnMut(Complex64, Complex64) -> io::Result<()>>,
 }
 
-/// One link plus the number of response frames the master has asked of it
-/// and not yet consumed — drained before any re-handshake so a torn session
-/// can never leave a stale frame in front of a fresh `SliceMeta`.
+/// One link, the seat it came from, and the number of response frames the
+/// master has asked of it and not yet consumed — drained before any
+/// re-handshake so a torn session can never leave a stale frame in front of
+/// a fresh `SliceMeta`.
 struct Slot {
+    seat: usize,
     link: Box<dyn Link>,
     pending: usize,
 }
@@ -316,61 +321,60 @@ enum PointError {
     Hard(PipelineError),
 }
 
-/// The master driver over a set of slice workers.
+/// `shards` links to fresh in-process loopback slice workers.
+pub(crate) fn loopback_slices(shards: usize) -> Vec<Box<dyn Link>> {
+    let slice = |_| Box::new(LoopbackLink::new()) as Box<dyn Link>;
+    (0..shards).map(slice).collect()
+}
+
+/// The master's session driver over a set of slice workers.
 ///
-/// A fleet is handed its links once (loopback workers or accepted TCP
-/// connections) and then runs any number of sharded sessions over them — one
+/// A fleet is handed its links (loopback workers or accepted TCP
+/// connections) and runs any number of sharded sessions over them — one
 /// [`solve`](SliceFleet::solve) call per passage spec.  Losing a worker
 /// mid-run shrinks the fleet: the session is re-handshaken across the
 /// survivors (block boundaries are a pure function of `N` and the shard
 /// count, so any count yields the same values) and the in-flight point is
-/// redone from scratch.
+/// redone from scratch.  Between a `ShardedTransport`'s runs the links live
+/// in its seat table, not here.
 pub struct SliceFleet {
     slots: Vec<Slot>,
-    /// The master-side explored model of the last spec the slice grammar
-    /// does not speak, kept until a spec over a different model asks.
-    fallback: ModelCache,
 }
 
 impl SliceFleet {
     /// A fleet of `shards` in-process loopback workers.
     pub fn loopback(shards: usize) -> SliceFleet {
-        SliceFleet::from_links(
-            (0..shards)
-                .map(|_| Box::new(LoopbackLink::new()) as Box<dyn Link>)
-                .collect(),
-        )
-    }
-
-    /// A fleet with one shard holder per rendezvous address of `rendezvous`,
-    /// plus the handshakes' message and byte counts so the caller's wire
-    /// accounting starts from the true totals.  A sharded session needs
-    /// every worker, so an absent one is a timeout error, not an unused
-    /// address.
-    pub fn accept(rendezvous: &TcpTransport) -> Result<(SliceFleet, usize, u64), PipelineError> {
-        // The sentinel never reaches zero: nobody is excused.
-        let pending = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let (mut links, mut messages, mut bytes) = (Vec::new(), 0, 0);
-        for index in 0..rendezvous.local_addrs().len() {
-            let (link, hello_messages, hello_bytes) = rendezvous
-                .accept(index, &pending)
-                .map_err(|e| transport_error(format!("worker {index} failed to connect: {e}")))?
-                .expect("a non-zero sentinel never skips the accept");
-            links.push(Box::new(link) as Box<dyn Link>);
-            messages += hello_messages;
-            bytes += hello_bytes;
-        }
-        Ok((SliceFleet::from_links(links), messages, bytes))
+        SliceFleet::from_links(loopback_slices(shards))
     }
 
     /// A fleet over explicit, already handshaken links.
     pub fn from_links(links: Vec<Box<dyn Link>>) -> SliceFleet {
+        SliceFleet::seated(&mut links.into_iter().map(Some).collect())
+    }
+
+    /// A fleet over the links a seat table holds, taken out of their seats;
+    /// [`unseat`](SliceFleet::unseat) puts the survivors back.
+    fn seated(seats: &mut crate::transport::Links) -> SliceFleet {
+        let held = seats.iter_mut().enumerate();
+        let held = held.filter_map(|(seat, link)| Some((seat, link.take()?)));
+        let slots = held.map(|(seat, link)| Slot {
+            seat,
+            link,
+            pending: 0,
+        });
         SliceFleet {
-            slots: links
-                .into_iter()
-                .map(|link| Slot { link, pending: 0 })
-                .collect(),
-            fallback: ModelCache::new(1),
+            slots: slots.collect(),
+        }
+    }
+
+    /// Puts every surviving link back in its seat, first draining what a
+    /// failed solve left unread; a link that fails the drain stays out.
+    fn unseat(self, seats: &mut crate::transport::Links) {
+        let mut unread = ShardedOutcome::default();
+        for mut slot in self.slots {
+            if slot.drain(&mut unread).is_ok() {
+                seats[slot.seat] = Some(slot.link);
+            }
         }
     }
 
@@ -497,24 +501,6 @@ impl SliceFleet {
             let _ = ShardSnapshot::remove(path);
         }
         Ok(out)
-    }
-
-    /// Releases the fleet: a best-effort outer-level [`Frame::Done`] so TCP
-    /// worker processes exit cleanly, then drops every link.
-    ///
-    /// `Done` is sent *twice* per link: if a worker is still inside a
-    /// slice session (a solve that errored out mid-run never sent the
-    /// session-level farewell), the first `Done` ends the session and the
-    /// second is the outer-level farewell its reconnect loop exits on.  A
-    /// worker already at the outer loop consumes the first and never reads
-    /// the second — either way it sees an explicit farewell, which is the
-    /// one signal a `--reconnect` worker will not redial after.
-    pub(crate) fn release(&mut self) {
-        for slot in &mut self.slots {
-            let _ = slot.link.send(&Frame::Done);
-            let _ = slot.link.send(&Frame::Done);
-        }
-        self.slots.clear();
     }
 
     /// Handshakes a session across the current fleet, shrinking it on
@@ -860,50 +846,32 @@ const SNAPSHOT_EVERY: u64 = 8;
 /// whole model first (see [`SliceWorkerSession::new`]) and keeps only its
 /// slice, so a holder's peak memory is the whole explored model's.  Where
 /// the chunk backends farm whole `s`-points out, this one drives every point
-/// of the plan through the resident [`SliceFleet`], one sharded session per
-/// distinct transform spec, and hands each finished value to the pipeline as
-/// its own [`WorkerMessage`] — so the pipeline's result cache and checkpoint
-/// writer memoise, restore and record sharded points exactly as they do
-/// unsharded ones.  Specs the slice grammar does not speak (transient
-/// transforms) are evaluated master-side by the fleet's fallback evaluator.
-///
-/// The fleet outlives single `execute` calls (quantile refinement rounds run
-/// on the same resident slices): loopback
-/// shards are created, and TCP shard holders accepted, on the first call and
-/// released when the transport drops.
+/// of the plan through a [`SliceFleet`] over its held links, one sharded
+/// session per distinct transform spec, and hands each finished value to the
+/// pipeline as its own [`WorkerMessage`] — so the pipeline's result cache
+/// and checkpoint writer memoise, restore and record sharded points exactly
+/// as they do unsharded ones.  Specs the slice grammar does not speak
+/// (transient transforms) are compiled master-side, through the model cache.
 pub(crate) struct ShardedTransport {
-    /// The rendezvous of a TCP deployment; `None` runs loopback shards.
-    rendezvous: Option<TcpTransport>,
-    shards: usize,
-    /// Taken out for the length of an `execute` — no lock is held across
-    /// slice I/O — and put back afterwards.
-    fleet: Mutex<Option<SliceFleet>>,
+    /// The holders' seat table — which keeps them between runs, seats TCP
+    /// holders as they dial in and releases them — model cache and deadline.
+    seats: TcpTransport,
     sidecar: Option<PathBuf>,
 }
 
 impl ShardedTransport {
-    /// `shards` in-process loopback slice workers (`--shards N` without a
-    /// cluster): the full frame grammar runs, bytes are accounted as if
-    /// shipped.  With a `checkpoint`, a mid-point iterate snapshot is kept in
-    /// its `<checkpoint>.shard` sidecar, so a killed master resumes its
+    /// Row-sharded evaluation over the holders `seats` seats (loopback
+    /// slices, or `smpq worker` processes), exploring transient specs in
+    /// `models`.  With a `checkpoint`, a mid-point iterate snapshot is kept
+    /// in its `<checkpoint>.shard` sidecar, so a killed master resumes its
     /// in-flight point mid-iteration; `None` keeps snapshots off.
-    pub(crate) fn loopback(shards: usize, checkpoint: Option<&Path>) -> ShardedTransport {
+    pub(crate) fn new(
+        seats: TcpTransport,
+        models: Arc<ModelCache>,
+        checkpoint: Option<&Path>,
+    ) -> ShardedTransport {
         ShardedTransport {
-            rendezvous: None,
-            shards: shards.max(1),
-            fleet: Mutex::new(None),
-            sidecar: checkpoint.map(shard_snapshot_path),
-        }
-    }
-
-    /// One shard-holder process per rendezvous address of `rendezvous`
-    /// (`smpq worker --connect host:port` on each machine), snapshotting
-    /// beside `checkpoint` like [`ShardedTransport::loopback`].
-    pub(crate) fn tcp(rendezvous: TcpTransport, checkpoint: Option<&Path>) -> ShardedTransport {
-        ShardedTransport {
-            shards: rendezvous.local_addrs().len(),
-            rendezvous: Some(rendezvous),
-            fleet: Mutex::new(None),
+            seats: seats.with_model_cache(models),
             sidecar: checkpoint.map(shard_snapshot_path),
         }
     }
@@ -940,7 +908,8 @@ impl ShardedTransport {
         for (spec, items) in groups {
             let points: Vec<Complex64> = items.iter().map(|item| item.s).collect();
             if !matches!(spec, TransformSpec::Passage { .. }) {
-                let set = CompiledModelSet::compile_cached([spec], &fleet.fallback)?;
+                let models = self.model_cache().expect("built over a model cache");
+                let set = CompiledModelSet::compile_cached([spec], models)?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
                 for (&item, outcome) in items.iter().zip(evaluator.eval_many(&points)) {
                     deliver(item, outcome);
@@ -963,11 +932,7 @@ impl ShardedTransport {
                 seed: seed.take_if(|snapshot| snapshot.key == key),
                 key,
                 snapshot_path: self.sidecar.clone(),
-                snapshot_every: if self.sidecar.is_some() {
-                    SNAPSHOT_EVERY
-                } else {
-                    0
-                },
+                snapshot_every: self.sidecar.as_ref().map_or(0, |_| SNAPSHOT_EVERY),
                 on_value: Some(&mut on_value),
             };
             let out = fleet.solve_recoverable(spec, &points, &mut recovery)?;
@@ -990,16 +955,18 @@ impl ShardedTransport {
 
 impl Transport for ShardedTransport {
     fn name(&self) -> &'static str {
-        match self.rendezvous {
-            Some(_) => "sharded-tcp",
-            None => "sharded-loopback",
+        match self.seats.local_addrs().is_empty() {
+            true => "sharded-loopback",
+            false => "sharded-tcp",
         }
     }
 
     fn parallelism(&self) -> usize {
-        unpoisoned(self.fleet.lock())
-            .as_ref()
-            .map_or(self.shards, SliceFleet::shards)
+        self.seats.parallelism()
+    }
+
+    fn model_cache(&self) -> Option<&ModelCache> {
+        self.seats.model_cache()
     }
 
     fn execute(
@@ -1007,31 +974,12 @@ impl Transport for ShardedTransport {
         plan: ExecutionPlan<'_>,
         on_message: &mut dyn FnMut(WorkerMessage),
     ) -> Result<TransportReport, PipelineError> {
-        let mut report = TransportReport::default();
-        let resident = unpoisoned(self.fleet.lock()).take();
-        let mut fleet = match (resident, &self.rendezvous) {
-            (Some(fleet), _) => fleet,
-            (None, None) => SliceFleet::loopback(self.shards),
-            (None, Some(rendezvous)) => {
-                let (fleet, messages, bytes) = SliceFleet::accept(rendezvous)?;
-                report.messages += messages;
-                report.bytes_on_wire += bytes;
-                fleet
-            }
-        };
-        let drained = self.drain(&mut fleet, plan, on_message, &mut report);
-        *unpoisoned(self.fleet.lock()) = Some(fleet);
-        drained.map(|()| report)
-    }
-}
-
-impl Drop for ShardedTransport {
-    /// Releases the slice workers with an explicit farewell, whether or not
-    /// the last solve succeeded.
-    fn drop(&mut self) {
-        if let Some(fleet) = unpoisoned(self.fleet.get_mut()) {
-            fleet.release();
-        }
+        self.seats.with_seats(|seats, mut report| {
+            let mut fleet = SliceFleet::seated(seats);
+            let drained = self.drain(&mut fleet, plan, on_message, &mut report);
+            fleet.unseat(seats);
+            drained.map(|()| report)
+        })
     }
 }
 
@@ -1042,6 +990,7 @@ pub(crate) mod tests {
     use crate::link::FaultyLink;
     use crate::transform::{CompiledModelSet, ModelSpec};
     use smp_core::query::TargetSpec;
+    use std::sync::Mutex;
 
     pub(crate) fn voting_spec() -> TransformSpec {
         TransformSpec::passage(
@@ -1406,9 +1355,11 @@ pub(crate) mod tests {
             chunk_size: 64,
             method: "euler".to_string(),
         };
-        let transport = ShardedTransport::loopback(2, None);
+        let slices = TcpTransport::from_links(loopback_slices(2));
+        let transport = ShardedTransport::new(slices, Arc::new(ModelCache::new(1)), None);
         assert_eq!(transport.name(), "sharded-loopback");
-        // The fleet is resident: a second execute reuses its slices and fallback set.
+        // The slices stay seated, and the fallback's model stays in the
+        // transport's cache: a second execute reuses both.
         for round in 0..2 {
             let mut answered = Vec::new();
             let report = transport

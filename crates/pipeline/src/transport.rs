@@ -13,22 +13,24 @@
 //!   job's [`TransformSpec`]s, rebuilds the evaluators from bytes and answers
 //!   chunks until the queue drains.  The master keeps the link for its next
 //!   run (a quantile search is one run per refinement round) and releases
-//!   its workers by closing the sockets when the transport drops.  A worker
-//!   that disconnects mid-run loses nothing: its outstanding chunk is
-//!   requeued and the surviving workers finish it.  The query server keeps
-//!   its resident workers in one, too,
+//!   its workers with a farewell when the transport drops.  A worker that
+//!   disconnects mid-run loses nothing: its outstanding chunk is requeued
+//!   and the surviving workers finish it.  The query server keeps its
+//!   resident workers in one, too,
 //! * `ShardedTransport` (`shard.rs`) — row-sharded evaluation: instead of
 //!   farming whole `s`-points out, every point runs as lockstep sparse
-//!   products over slice workers that each hold one row block of the model.
+//!   products over slice workers that each hold one row block of the model,
+//!   seated in a `TcpTransport`.
 //!
 //! All of them speak about the same [`ExecutionPlan`], whose measures are
 //! [`TransformSpec`]s: a description every backend can rebuild into an
 //! evaluator, in process or on the far side of a socket.  Where a solve runs
 //! is one [`PoolSpec`], which [`build_transport`] makes a backend of.
 //!
-//! Every chunk run with a worker at the far end of a wire — one-shot or
-//! served — takes its [`Link`]s from one seat table, filled by lazy
-//! rendezvous accepts; the chunk protocol itself is written once, in
+//! Every run with a worker at the far end of a link — chunk or slice,
+//! one-shot or served — takes its [`Link`]s from one seat table, filled by
+//! lazy rendezvous accepts and released by one farewell when its last
+//! handle drops; the chunk protocol itself is written once, in
 //! `dispatch_chunks`.  This file also holds the crate's socket timeouts and
 //! deadlines, which is why `smp-lint` D003 leaves its clock reads alone; the
 //! fault schedule and backoff (`fault.rs`, whose [`splitmix64`] is
@@ -37,7 +39,7 @@
 pub use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
-use crate::shard::ShardedTransport;
+use crate::shard::{loopback_slices, ShardedTransport};
 use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
@@ -232,9 +234,14 @@ pub(crate) fn transport_over(
     let rendezvous = || rendezvous.unwrap_or_else(|| TcpTransport::from_links(Vec::new()));
     match spec {
         PoolSpec::InProcess(n) => Box::new(InProcess::new(*n).with_model_cache(models)),
-        PoolSpec::Loopback(n) => Box::new(ShardedTransport::loopback(*n, checkpoint)),
+        PoolSpec::Loopback(n) => {
+            let slices = TcpTransport::from_links(loopback_slices((*n).max(1)));
+            Box::new(ShardedTransport::new(slices, models, checkpoint))
+        }
         PoolSpec::Tcp(_) => Box::new(rendezvous().with_model_cache(models)),
-        PoolSpec::ShardedTcp(_) => Box::new(ShardedTransport::tcp(rendezvous(), checkpoint)),
+        PoolSpec::ShardedTcp(_) => {
+            Box::new(ShardedTransport::new(rendezvous(), models, checkpoint))
+        }
     }
 }
 
@@ -348,7 +355,7 @@ const FINISHED_RUN_GRACE: Duration = Duration::from_millis(400);
 const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The link each seat of a [`TcpTransport`] holds, by worker id.
-type Links = Vec<Option<Box<dyn Link>>>;
+pub(crate) type Links = Vec<Option<Box<dyn Link>>>;
 
 /// Real multi-process distribution over TCP.
 ///
@@ -363,8 +370,8 @@ type Links = Vec<Option<Box<dyn Link>>>;
 /// across `job … done` rounds, so the second and later runs of a solve
 /// dispatch without a rendezvous.  A vacant seat (nobody dialed yet, or the
 /// worker was lost) accepts lazily at the start of a run.  Dropping the
-/// transport's last clone closes the sockets, which is how a one-shot master
-/// releases its workers.
+/// transport's last clone sends every seated worker the farewell, which is
+/// how a master releases its workers.
 ///
 /// A `TcpTransport` is a handle: its clones share one seat table, which one
 /// run at a time holds — a second `execute` waits for the seats.  The query
@@ -387,7 +394,7 @@ pub struct TcpTransport {
     models: Option<Arc<ModelCache>>,
 }
 
-/// The seats every clone of a [`TcpTransport`] shares.
+/// The seats every clone of a [`TcpTransport`] shares, chunk or slice.
 struct SeatTable {
     listeners: Vec<TcpListener>,
     /// The seats' links between runs; `None` while a run or a heartbeat has
@@ -422,6 +429,20 @@ impl SeatTable {
     fn checkin(&self, links: Links) {
         *unpoisoned(self.seats.lock()) = Some(links);
         self.returned.notify_all();
+    }
+}
+
+impl Drop for SeatTable {
+    /// The farewell: `Done` twice per held seat, so a worker still inside a
+    /// slice session (a failed solve never ended it) hears the second at
+    /// its outer loop — the one signal a `--reconnect` worker does not
+    /// redial after.
+    fn drop(&mut self) {
+        let seats = unpoisoned(self.seats.get_mut()).iter_mut().flatten();
+        for link in seats.flatten() {
+            let _ = link.send(&Frame::Done);
+            let _ = link.send(&Frame::Done);
+        }
     }
 }
 
@@ -463,9 +484,9 @@ impl TcpTransport {
 
     /// A transport whose seats come with their links: one worker, past its
     /// handshake, at the far end of each.  There is no address to rejoin at,
-    /// so a seat that loses its link stays vacant.  This is how the fault
-    /// tests put [`crate::link::FaultyLink`]s under the production dispatch,
-    /// as `SliceFleet::from_links` does for slices.
+    /// so a seat that loses its link stays vacant.  Loopback row slices are
+    /// seated this way, as are the fault tests' [`crate::link::FaultyLink`]s
+    /// that run under the production dispatch.
     pub fn from_links(links: Vec<Box<dyn Link>>) -> TcpTransport {
         TcpTransport::seated(Vec::new(), links.into_iter().map(Some).collect())
     }
@@ -524,19 +545,26 @@ impl TcpTransport {
             .collect()
     }
 
-    /// The blocking rendezvous: accepts this listener's worker through
-    /// [`TcpLink::accept`], for up to the accept timeout and never past the
-    /// deadline.  `remaining` counts the items no worker has answered yet.
-    /// `Ok(None)` means the run finished (every item answered by the other
-    /// workers) before anyone dialed in — not a failure, just an unused
-    /// rendezvous address; without this check a spare address would stall
-    /// the completed run for the full accept timeout and then be misreported
-    /// as a disconnect.
+    /// Fills seat `id` through [`TcpLink::accept`] on its listener; a seat
+    /// with none stays vacant.  With `poll` the listener is polled once: the
+    /// run holds other links, and a vacant seat (a `--reconnect` worker may
+    /// still rejoin it) must not tax every run of a multi-round solve with
+    /// the wait.  Otherwise this is the blocking rendezvous, for up to the
+    /// accept timeout and never past the deadline.  `remaining` counts the
+    /// items no worker has answered yet.  `Ok(None)` means the run finished
+    /// (every item answered by the other workers) before anyone dialed in —
+    /// not a failure, just an unused rendezvous address; without this check
+    /// a spare address would stall the completed run for the full accept
+    /// timeout and then be misreported as a disconnect.
     pub(crate) fn accept(
         &self,
-        index: usize,
+        id: usize,
         remaining: &AtomicUsize,
-    ) -> io::Result<Option<(TcpLink, usize, u64)>> {
+        poll: bool,
+    ) -> io::Result<Option<Handshaken>> {
+        let Some(listener) = self.table.listeners.get(id) else {
+            return Ok(None);
+        };
         let timeout = Instant::now() + self.accept_timeout;
         let deadline = self.deadline.map_or(timeout, |d| d.min(timeout));
         // Once the run is finished (remaining == 0) this worker is not
@@ -545,23 +573,68 @@ impl TcpTransport {
         // when the listener drops.  A short grace window lets such a worker
         // be accepted and handshaked, and seated for the next run.
         let mut grace_deadline: Option<Instant> = None;
-        let mut keep_waiting = || {
-            if remaining.load(Ordering::SeqCst) == 0 {
+        let mut keep_waiting = || match remaining.load(Ordering::SeqCst) {
+            _ if poll => false,
+            0 => {
                 Instant::now()
                     < *grace_deadline.get_or_insert_with(|| Instant::now() + FINISHED_RUN_GRACE)
-            } else {
-                Instant::now() < deadline
             }
+            _ => Instant::now() < deadline,
         };
-        let listener = &self.table.listeners[index];
         let accepted = TcpLink::accept(listener, self.io_timeout, &mut keep_waiting)?;
-        if accepted.is_none() && remaining.load(Ordering::SeqCst) > 0 {
+        if accepted.is_none() && !poll && remaining.load(Ordering::SeqCst) > 0 {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!("no worker connected within {:?}", self.accept_timeout),
             ));
         }
-        Ok(accepted)
+        Ok(accepted
+            .map(|(link, messages, bytes)| (Box::new(link) as Box<dyn Link>, messages, bytes)))
+    }
+
+    /// Fills the vacant seats of `links` in turn, polling each once (`poll`)
+    /// or waiting for every worker.  Returns how many it filled and a report
+    /// of the handshakes' messages and bytes.
+    fn fill(&self, links: &mut Links, poll: bool) -> io::Result<(usize, TransportReport)> {
+        // The sentinel never reaches zero: nobody is excused.
+        let pending = AtomicUsize::new(usize::MAX);
+        let (mut filled, mut hellos) = (0, TransportReport::default());
+        let vacant = links
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, seat)| seat.is_none());
+        for (id, seat) in vacant {
+            match self.accept(id, &pending, poll) {
+                Ok(Some((link, messages, bytes))) => {
+                    *seat = Some(link);
+                    filled += 1;
+                    hellos.messages += messages;
+                    hellos.bytes_on_wire += bytes;
+                }
+                Err(e) if !poll => return Err(io::Error::other(format!("worker {id}: {e}"))),
+                _ => {}
+            }
+        }
+        Ok((filled, hellos))
+    }
+
+    /// Runs `session` (a row-sharded one, which needs every worker at once)
+    /// over the links by seat id, from a report of the handshakes: checks
+    /// the seats out, never past the deadline, fills the vacant ones
+    /// (polling each if the run holds any), and checks the links still
+    /// there back in.
+    pub(crate) fn with_seats(
+        &self,
+        session: impl FnOnce(&mut Links, TransportReport) -> Result<TransportReport, PipelineError>,
+    ) -> Result<TransportReport, PipelineError> {
+        let mut links = self.table.checkout(self.deadline)?;
+        let resident = links.iter().any(Option::is_some);
+        let outcome = match self.fill(&mut links, resident) {
+            Ok((_, hellos)) => session(&mut links, hellos),
+            Err(e) => Err(transport_error(format!("a worker failed to connect: {e}"))),
+        };
+        self.table.checkin(links);
+        outcome
     }
 
     /// Seats a worker on every vacant seat, waiting as long as each takes to
@@ -607,17 +680,7 @@ impl TcpTransport {
                 *seat = None;
             }
         }
-        let mut refilled = 0;
-        for (seat, listener) in links.iter_mut().zip(&self.table.listeners) {
-            if seat.is_some() {
-                continue;
-            }
-            let polled = TcpLink::accept(listener, self.io_timeout, &mut || false);
-            if let Ok(Some((link, ..))) = polled {
-                *seat = Some(Box::new(link));
-                refilled += 1;
-            }
-        }
+        let refilled = self.fill(&mut links, true).map_or(0, |(filled, ..)| filled);
         self.table.checkin(links);
         refilled
     }
@@ -643,25 +706,10 @@ impl Transport for TcpTransport {
     ) -> Result<TransportReport, PipelineError> {
         let specs = plan.specs.iter().map(|spec| spec.encode()).collect();
         let held = self.table.checkout(self.deadline)?;
-        // A transport that holds no link waits for its workers: each vacant
-        // seat blocks in the rendezvous, on its own handler thread.  Once a
-        // seat is filled the run can proceed without the others, so a
-        // vacant seat only polls its listener (a `--reconnect` worker can
-        // still rejoin) instead of taxing every run of a multi-round solve
-        // with the wait.
+        // Each vacant seat is filled on its own handler thread, so the run
+        // proceeds as soon as any worker is seated.
         let resident = held.iter().any(Option::is_some);
-        let accept = |id: usize, remaining: &AtomicUsize| {
-            let Some(listener) = self.table.listeners.get(id) else {
-                return Ok(None);
-            };
-            let accepted = if resident {
-                TcpLink::accept(listener, self.io_timeout, &mut || false)?
-            } else {
-                self.accept(id, remaining)?
-            };
-            Ok(accepted
-                .map(|(link, messages, bytes)| (Box::new(link) as Box<dyn Link>, messages, bytes)))
-        };
+        let accept = |id, remaining: &AtomicUsize| self.accept(id, remaining, resident);
         let (survivors, outcome) =
             dispatch_chunks(specs, plan, held, &accept, self.deadline, on_message);
         self.table.checkin(survivors);
@@ -1161,23 +1209,48 @@ mod tests {
         (voting_spec(), points(), expected)
     }
 
+    /// Row-sharded evaluation over the holders `seats` seats.
+    fn sharded_over(seats: TcpTransport) -> ShardedTransport {
+        ShardedTransport::new(seats, Arc::new(ModelCache::new(1)), None)
+    }
+
+    /// The values of `outcomes`, in item order.
+    fn values(outcomes: &[WorkItemOutcome]) -> Vec<Complex64> {
+        let value = |o: &WorkItemOutcome| o.outcome.clone().unwrap();
+        outcomes.iter().map(value).collect()
+    }
+
+    /// How many of the table's seats hold a link between runs.
+    fn held(seats: &TcpTransport) -> usize {
+        let links = unpoisoned(seats.table.seats.lock());
+        links
+            .as_ref()
+            .map_or(0, |links| links.iter().flatten().count())
+    }
+
     #[test]
     fn sharded_tcp_session_matches_the_local_evaluator_bitwise() {
         // Three real worker loops over real sockets, each holding one row
-        // slice; the master folds their lockstep SpMV rounds.
+        // slice in a seat; the master folds their lockstep SpMV rounds.
         let (spec, points, expected) = sharded_spec_and_points();
         let (transport, workers) = cluster(&[None, None, None]);
-
-        let (mut fleet, messages, bytes) = crate::shard::SliceFleet::accept(&transport).unwrap();
-        assert_eq!(messages, 3, "one hello per worker");
-        assert!(bytes > 0);
-        let out = fleet.solve(&spec, &points).unwrap();
-        assert_eq!(out.values, expected, "bit-exact through the wire");
-        assert_eq!(out.disconnects, 0);
-        assert_eq!(out.shard_states.len(), 3);
-        assert_eq!(out.shard_states.iter().sum::<usize>(), out.num_states);
-        assert!(out.halo_bytes > 0, "boundary exchange shipped real bytes");
-        fleet.release();
+        let sharded = sharded_over(transport.clone());
+        assert_eq!(sharded.name(), "sharded-tcp");
+        let (outcomes, report) = collect(&sharded, spec_plan(&spec, &points, 1));
+        assert_eq!(values(&outcomes), expected, "bit-exact through the wire");
+        assert_eq!(report.disconnects, 0);
+        assert_eq!(report.shard_states.len(), 3);
+        assert_eq!(
+            report.shard_states.iter().sum::<usize>(),
+            report.states.unwrap()
+        );
+        assert!(
+            report.halo_bytes > 0,
+            "boundary exchange shipped real bytes"
+        );
+        assert_eq!(held(&transport), 3, "the holders are back in their seats");
+        // The last handle's drop is the farewell.
+        drop((sharded, transport));
 
         for handle in workers {
             let summary = handle.join().unwrap().unwrap();
@@ -1190,9 +1263,14 @@ mod tests {
     #[test]
     fn sharded_tcp_session_solves_underflow_points_on_the_shards() {
         let (transport, workers) = cluster(&[None, None, None]);
-        let (mut fleet, _, _) = crate::shard::SliceFleet::accept(&transport).unwrap();
+        let accept = |k| {
+            let accepted = transport.accept(k, &AtomicUsize::new(1), false).unwrap();
+            accepted.expect("the worker dials in").0
+        };
+        let links = (0..3).map(accept).collect();
+        let mut fleet = crate::shard::SliceFleet::from_links(links);
         crate::shard::tests::assert_underflow_points_run_on_the_shards(&mut fleet);
-        fleet.release();
+        drop(fleet);
         for handle in workers {
             assert_eq!(handle.join().unwrap().unwrap().jobs, 2, "two sessions");
         }
@@ -1206,18 +1284,109 @@ mod tests {
         // in-flight point — the values cannot tell the difference because
         // the block boundaries are a pure function of N and the shard count.
         let (transport, workers) = cluster(&[None, Some(5), None]);
-
-        let (mut fleet, _, _) = crate::shard::SliceFleet::accept(&transport).unwrap();
-        let out = fleet.solve(&spec, &points).unwrap();
-        assert_eq!(out.values, expected, "requeue preserves bitwise identity");
-        assert_eq!(out.disconnects, 1);
-        assert_eq!(fleet.shards(), 2);
-        assert_eq!(out.shard_states.len(), 2, "memory model tracks survivors");
-        fleet.release();
+        let sharded = sharded_over(transport.clone());
+        let (outcomes, report) = collect(&sharded, spec_plan(&spec, &points, 1));
+        assert_eq!(
+            values(&outcomes),
+            expected,
+            "requeue preserves bitwise identity"
+        );
+        assert_eq!(report.disconnects, 1);
+        assert_eq!(report.shards, 2);
+        assert_eq!(
+            report.shard_states.len(),
+            2,
+            "memory model tracks survivors"
+        );
+        assert_eq!(held(&transport), 2, "the lost holder's seat is vacant");
+        drop((sharded, transport));
 
         for (k, handle) in workers.into_iter().enumerate() {
             assert_eq!(handle.join().unwrap().unwrap().dropped_early, k == 1);
         }
+    }
+
+    /// Loopback row slices are seated through `from_links`: the seat table
+    /// holds them between runs, and every run answers with the unsharded
+    /// evaluator's bits.
+    #[test]
+    fn loopback_shards_are_seated_through_from_links() {
+        let (spec, points, expected) = sharded_spec_and_points();
+        let seats = TcpTransport::from_links(crate::shard::loopback_slices(3));
+        let sharded = sharded_over(seats.clone());
+        assert_eq!(sharded.name(), "sharded-loopback");
+        for run in 0..2 {
+            let (outcomes, report) = collect(&sharded, spec_plan(&spec, &points, 1));
+            assert_eq!(values(&outcomes), expected, "run {run}");
+            assert_eq!((report.shards, report.disconnects), (3, 0), "run {run}");
+            assert_eq!(held(&seats), 3, "run {run}: the slices are seated again");
+        }
+    }
+
+    /// A holder lost mid-run leaves its seat vacant: the run re-shards onto
+    /// the survivors, and the next run seats only them (with no address to
+    /// rejoin at, nobody refills the seat) and answers with the same bits.
+    #[test]
+    fn a_sharded_run_after_a_lost_holder_seats_only_the_survivors() {
+        let (spec, points, expected) = sharded_spec_and_points();
+        // Holder 1 dies at the eighth frame the master sends it.
+        let plan = FaultPlan::scripted([(8, FaultKind::Disconnect)]);
+        let mut slices = crate::shard::loopback_slices(3);
+        let doomed = slices.remove(1);
+        let doomed = FaultyLink::new(doomed, Arc::new(Mutex::new(plan)));
+        slices.insert(1, Box::new(doomed));
+        let seats = TcpTransport::from_links(slices);
+        let sharded = sharded_over(seats.clone());
+        let (outcomes, report) = collect(&sharded, spec_plan(&spec, &points, 1));
+        assert_eq!(values(&outcomes), expected);
+        assert_eq!((report.shards, report.disconnects), (2, 1));
+        assert_eq!(held(&seats), 2, "the lost holder's seat is vacant");
+        let (outcomes, report) = collect(&sharded, spec_plan(&spec, &points, 1));
+        assert_eq!(values(&outcomes), expected);
+        assert_eq!((report.shards, report.disconnects), (2, 0));
+        assert_eq!(report.shard_states.len(), 2);
+        assert_eq!(held(&seats), 2);
+    }
+
+    /// One release policy for every seat table: the farewell it sends when
+    /// its last handle drops ends a worker with a reconnect budget without
+    /// a redial, whether the worker served a one-shot chunk run or was
+    /// seated and never given a job — and the latter still reports that it
+    /// was released before work.
+    #[test]
+    fn a_dropped_seat_table_releases_reconnecting_workers_without_a_redial() {
+        let spec = one_stage::passage("expLT(1.0, s)");
+        let dial = |transport: &TcpTransport| {
+            let connect = transport.local_addrs()[0].to_string();
+            let options = TcpWorkerOptions {
+                connect_attempts: 2,
+                retry_delay: Duration::from_millis(10),
+                reconnect_attempts: 3,
+                ..Default::default()
+            };
+            std::thread::spawn(move || run_tcp_worker(&connect, &options))
+        };
+        let transport = TcpTransport::bind(&["127.0.0.1:0"])
+            .unwrap()
+            .with_accept_timeout(Duration::from_secs(10));
+        let worker = dial(&transport);
+        let (outcomes, _) = collect(&transport, spec_plan(&spec, &[Complex64::ONE], 1));
+        assert_eq!(outcomes.len(), 1);
+        drop(transport);
+        let served = worker.join().unwrap().unwrap();
+        assert_eq!(
+            (served.jobs, served.reconnects, served.dial_retries),
+            (1, 0, 0)
+        );
+        assert!(!served.released_before_work);
+
+        let transport = TcpTransport::bind(&["127.0.0.1:0"]).unwrap();
+        let worker = dial(&transport);
+        assert_eq!(transport.attach().unwrap(), 1, "the worker is seated");
+        drop(transport);
+        let idle = worker.join().unwrap().unwrap();
+        assert_eq!((idle.jobs, idle.reconnects, idle.dial_retries), (0, 0, 0));
+        assert!(idle.released_before_work);
     }
 
     #[test]
@@ -1389,12 +1558,6 @@ mod tests {
             let engine = DistributedEngine::with_transport(model, method, options, seats);
             bits(engine.solve(&cdf).unwrap())
         };
-        let held = || {
-            let seats = unpoisoned(transport.table.seats.lock());
-            seats
-                .as_ref()
-                .map_or(0, |links| links.iter().flatten().count())
-        };
 
         // Worker 1 answers the chunk and hangs up after the run has heard
         // its result, so the run delivers its `done` and keeps the seat.
@@ -1411,12 +1574,16 @@ mod tests {
         });
         assert_eq!(first, expected);
         assert_eq!(
-            held(),
+            held(&transport),
             1,
             "a hang-up between runs goes unseen until the heartbeat"
         );
         assert_eq!(transport.heartbeat(), 0, "nobody dials");
-        assert_eq!(held(), 0, "the heartbeat vacated the lost worker's seat");
+        assert_eq!(
+            held(&transport),
+            0,
+            "the heartbeat vacated the lost worker's seat"
+        );
 
         // A fresh worker dials each address in turn, the freed one first;
         // a heartbeat seats each.
@@ -1437,7 +1604,7 @@ mod tests {
             };
             assert_eq!(refilled, 1, "{addr}");
         }
-        assert_eq!(held(), 2);
+        assert_eq!(held(&transport), 2);
         assert_eq!(solve(), expected);
         drop(transport);
         for worker in workers {
@@ -1500,7 +1667,7 @@ mod tests {
     #[test]
     fn a_worker_refuses_an_analytic_spec_line_as_fatal() {
         let (rendezvous, mut workers) = cluster(&[None]);
-        let accepted = rendezvous.accept(0, &AtomicUsize::new(1)).unwrap();
+        let accepted = rendezvous.accept(0, &AtomicUsize::new(1), false).unwrap();
         let link = SpecLineSwap {
             inner: accepted.expect("the worker dials in").0,
             line: "analytic v=1 dist=erlang:4000000000000000:3",
@@ -1645,8 +1812,8 @@ mod tests {
             let shared = Arc::new(Mutex::new(plan));
             let (rendezvous, _workers) = cluster(&[None; 7]);
             let links = (0..7).map(|k| {
-                let accepted = rendezvous.accept(k, &AtomicUsize::new(1)).unwrap();
-                let worker = Box::new(accepted.expect("the worker dials in").0);
+                let accepted = rendezvous.accept(k, &AtomicUsize::new(1), false).unwrap();
+                let worker = accepted.expect("the worker dials in").0;
                 Box::new(FaultyLink::new(worker, Arc::clone(&shared))) as Box<dyn Link>
             });
             let faulty = TcpTransport::from_links(links.collect());
@@ -1724,10 +1891,11 @@ mod tests {
             // Stay connected and silent until the master hangs up.
             let _ = read_frame(&mut stream);
         });
-        let (mut link, messages, bytes) = transport
-            .accept(0, &AtomicUsize::new(1))
-            .unwrap()
-            .expect("the dialer is accepted");
+        let listener = &transport.table.listeners[0];
+        let (mut link, messages, bytes) =
+            TcpLink::accept(listener, transport.io_timeout, &mut || true)
+                .unwrap()
+                .expect("the dialer is accepted");
         assert_eq!((messages, bytes > 0), (1, true), "the hello is accounted");
         let stream = link.stream();
         // The kernel rounds socket timeouts up to its timer tick.

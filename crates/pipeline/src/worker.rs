@@ -195,8 +195,9 @@ pub struct TcpWorkerSummary {
     /// [`TcpWorkerOptions::exit_after_chunks`].
     pub dropped_early: bool,
     /// True when the master's run finished before this worker was assigned
-    /// any job: the link closed cleanly between the hello and the first job
-    /// frame.  Not a failure — the queue simply drained without this worker.
+    /// any job: the master's farewell, or a clean close, came between the
+    /// hello and the first job frame.  Not a failure — the queue simply
+    /// drained without this worker.
     pub released_before_work: bool,
     /// Dial attempts that failed and were retried (initial connect and every
     /// reconnect round).
@@ -212,10 +213,11 @@ pub struct TcpWorkerSummary {
 ///
 /// The worker is **resident**: after a `done` frame it stays connected and
 /// waits for the next job, so a long-running master (the query server) can
-/// reuse it across requests without a fresh rendezvous.  The one-shot master
-/// closes the socket after its single run, which the worker sees as a clean
-/// end-of-stream and exits on — so `smpq worker --connect` behaves exactly as
-/// before against a batch run.  The last explored model is kept: back-to-back
+/// reuse it across requests without a fresh rendezvous.  Every master,
+/// one-shot or served, chunk or sharded, says an outer-level `done` when its
+/// transport drops, and the worker exits on it — with or without a
+/// reconnect budget, which only a link that ends without that farewell
+/// spends.  The last explored model is kept: back-to-back
 /// jobs over one model (the common case behind a server), whatever measures
 /// they ask, skip the parse and state-space exploration entirely.
 ///
@@ -252,7 +254,11 @@ pub fn run_tcp_worker(
             // Only an explicit outer `done` (or the fault-injection exit)
             // ends a reconnecting worker: every other link end could be a
             // master mid-restart.
-            Ok(SessionEnd::Done) | Ok(SessionEnd::DroppedEarly) => return Ok(summary),
+            Ok(SessionEnd::DroppedEarly) => return Ok(summary),
+            Ok(SessionEnd::Done) => {
+                summary.released_before_work = summary.jobs == 0;
+                return Ok(summary);
+            }
             Ok(SessionEnd::Released) => {
                 if summary.reconnects >= options.reconnect_attempts {
                     summary.released_before_work = summary.jobs == 0;
