@@ -44,8 +44,8 @@
 use crate::error::SmpError;
 use crate::smp::{SemiMarkovProcess, StateSet};
 use crate::workspace::{
-    lane, lanes_for, HotPathStats, LaneKernel, LaneSets, LaneWidth, Lanes, PassageWorkspace,
-    WorkspacePool, BLOCK_LANES, NARROW_LANES,
+    lane, lanes_for, HotPathStats, LaneKernel, LaneSets, LaneWidth, Lanes, PassageSkeleton,
+    PassageWorkspace, WorkspacePool, BLOCK_LANES, NARROW_LANES,
 };
 use smp_distributions::LaplaceTransform;
 use smp_numeric::Complex64;
@@ -188,14 +188,17 @@ impl ConvergenceFold {
 /// The result of evaluating the passage-time transform at one `s`-point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassagePoint {
-    /// The converged transform value `L_{i→j}(s)`.
+    /// The converged transform value `L_{i→j}(s)` (`T*_{i→j}(s)` for a
+    /// transient solver).
     pub value: Complex64,
     /// The number of transitions `r` at which the sum converged.
     pub iterations: usize,
 }
 
 /// Evaluates passage-time transforms for one (source set, target set) pair of a
-/// semi-Markov process.
+/// semi-Markov process — or, built by [`PassageTimeSolver::transient`], the
+/// transient transforms of the same pair: one kernel and one convergence
+/// driver for both measures, told apart only by the skeleton.
 ///
 /// Construction runs the one-time *symbolic* phase: the CSR skeleton of `U`
 /// and its per-nonzero fill plan (see [`crate::workspace`]), the list of
@@ -240,16 +243,40 @@ impl<'a> PassageTimeSolver<'a> {
         targets: &[usize],
         options: IterationOptions,
     ) -> Result<Self, SmpError> {
+        Self::over(smp, sources, targets, options, PassageSkeleton::build)
+    }
+
+    /// Creates a solver of the transient measure `T*_{i→j}(s)`, the
+    /// transform of the probability of being in `targets` at time `t` having
+    /// started in `sources` (α-weighted as for a passage).  Its pool runs
+    /// over the occupancy skeleton of `targets`, and every value it returns
+    /// is the kernel's sum divided by `s` (see [`crate::transient`]).
+    pub fn transient(
+        smp: &'a SemiMarkovProcess,
+        sources: &[usize],
+        targets: &[usize],
+        options: IterationOptions,
+    ) -> Result<Self, SmpError> {
+        Self::over(smp, sources, targets, options, PassageSkeleton::occupancy)
+    }
+
+    /// A solver whose pool runs over the `skeleton` of the target set.
+    fn over(
+        smp: &'a SemiMarkovProcess,
+        sources: &[usize],
+        targets: &[usize],
+        options: IterationOptions,
+        skeleton: fn(&SemiMarkovProcess, &StateSet) -> PassageSkeleton,
+    ) -> Result<Self, SmpError> {
         let (sources, targets, alpha) = start_weights(smp, sources, targets)?;
-        let starts = nonzero_weights(&alpha);
         // The symbolic skeleton: the one-time phase of the symbolic/numeric split.
-        let pool = Arc::new(WorkspacePool::build(smp, &targets));
+        let pool = Arc::new(WorkspacePool::over(skeleton(smp, &targets)));
         Ok(PassageTimeSolver {
             smp,
             sources,
             targets,
             options,
-            starts,
+            starts: nonzero_weights(&alpha),
             pool,
         })
     }
@@ -281,6 +308,30 @@ impl<'a> PassageTimeSolver<'a> {
     /// The underlying process.
     pub fn smp(&self) -> &SemiMarkovProcess {
         self.smp
+    }
+
+    /// The value this solver returns for the kernel's converged (or
+    /// truncated) sum at `s`: the sum itself for a passage, the sum over `s`
+    /// for an occupancy measure — the one final division of
+    /// [`crate::transient`].
+    fn measured(&self, s: Complex64, sum: Complex64) -> Complex64 {
+        if self.pool.skeleton().sojourn_weighted() {
+            sum / s
+        } else {
+            sum
+        }
+    }
+
+    /// [`PassageTimeSolver::measured`] on an evaluated point.
+    fn measured_point(
+        &self,
+        s: Complex64,
+        point: Result<PassagePoint, SmpError>,
+    ) -> Result<PassagePoint, SmpError> {
+        point.map(|p| PassagePoint {
+            value: self.measured(s, p.value),
+            ..p
+        })
     }
 
     /// A workspace built over another solver's skeleton would silently
@@ -315,7 +366,7 @@ impl<'a> PassageTimeSolver<'a> {
     /// [`PassageTimeSolver::give_back`] that centralises the return-to-pool
     /// discipline (early `?` returns inside `f` still give the workspace
     /// back; a panic merely forfeits one pooled buffer).
-    pub(crate) fn with_workspace<R>(&self, f: impl FnOnce(&mut PassageWorkspace) -> R) -> R {
+    fn with_workspace<R>(&self, f: impl FnOnce(&mut PassageWorkspace) -> R) -> R {
         let mut ws = self.pool.checkout();
         let result = f(&mut ws);
         self.pool.give_back(ws);
@@ -329,8 +380,9 @@ impl<'a> PassageTimeSolver<'a> {
         self.pool.stats()
     }
 
-    /// Evaluates the α-weighted passage-time transform `L_{i→j}(s)` at one complex
-    /// point by the iterative algorithm of Eq. (10).
+    /// Evaluates the α-weighted passage-time transform `L_{i→j}(s)` (or, for
+    /// a [`PassageTimeSolver::transient`] solver, `T*_{i→j}(s)`) at one
+    /// complex point by the iterative algorithm of Eq. (10).
     pub fn transform_at(&self, s: Complex64) -> Result<PassagePoint, SmpError> {
         self.with_workspace(|ws| self.transform_at_with(ws, s))
     }
@@ -346,7 +398,7 @@ impl<'a> PassageTimeSolver<'a> {
         s: Complex64,
     ) -> Result<PassagePoint, SmpError> {
         self.check_workspace(ws);
-        solve_point(self.smp, ws, &self.starts, self.options, s)
+        self.measured_point(s, solve_point(self.smp, ws, &self.starts, self.options, s))
     }
 
     /// Evaluates the transform at every point of a chunk, one result per
@@ -354,27 +406,22 @@ impl<'a> PassageTimeSolver<'a> {
     /// [`PassageTimeSolver::transform_at`] returns for that point alone, so a
     /// point that fails to converge fails alone.
     pub fn transform_many(&self, points: &[Complex64]) -> Vec<Result<PassagePoint, SmpError>> {
-        self.with_workspace(|ws| self.transform_many_with(ws, points))
-    }
-
-    /// [`PassageTimeSolver::transform_many`] through an explicit workspace.
-    pub(crate) fn transform_many_with(
-        &self,
-        ws: &mut PassageWorkspace,
-        points: &[Complex64],
-    ) -> Vec<Result<PassagePoint, SmpError>> {
-        self.check_workspace(ws);
-        solve_chunk(self.smp, ws, &self.starts, self.options, points)
+        self.with_workspace(|ws| solve_chunk(self.smp, ws, &self.starts, self.options, points))
+            .into_iter()
+            .zip(points)
+            .map(|(point, &s)| self.measured_point(s, point))
+            .collect()
     }
 
     /// Evaluates the truncated `r`-transition transform `L^{(r)}_{i→j}(s)` exactly —
-    /// no convergence test, precisely `r` terms of the sum.  Used to study the
-    /// convergence behaviour of the iteration (the paper's stated future work).
+    /// no convergence test, precisely `r` terms of the sum (divided by `s` for
+    /// a transient solver).  Used to study the convergence behaviour of the
+    /// iteration (the paper's stated future work).
     pub fn r_transition_transform(&self, s: Complex64, r: usize) -> Complex64 {
         if r == 0 {
             return Complex64::ZERO;
         }
-        self.with_workspace(|ws| {
+        let sum = self.with_workspace(|ws| {
             ws.refill(self.smp, s);
             let mut kernel = ws.kernel::<1>();
             let [mut total] = kernel.begin(&self.starts);
@@ -384,14 +431,15 @@ impl<'a> PassageTimeSolver<'a> {
                 total += delta;
             }
             total
-        })
+        });
+        self.measured(s, sum)
     }
 }
 
 /// Validates a measure's source and target sets and derives its start
 /// weights: a unit vector for a single source state, the α-weights of Eq. (5)
 /// for several.
-pub(crate) fn start_weights(
+fn start_weights(
     smp: &SemiMarkovProcess,
     sources: &[usize],
     targets: &[usize],
@@ -419,7 +467,7 @@ pub(crate) fn start_weights(
 
 /// The non-zero entries of a start-weight vector, `(state, weight)` by
 /// ascending state: what [`LaneKernel::begin`] starts a point from.
-pub(crate) fn nonzero_weights(alpha: &[f64]) -> Vec<(usize, f64)> {
+fn nonzero_weights(alpha: &[f64]) -> Vec<(usize, f64)> {
     alpha
         .iter()
         .enumerate()
@@ -449,7 +497,7 @@ fn solve_point(
 /// full lane, so what is left at the end takes the narrowest kernel that
 /// holds it: five to seven points one padded eight-lane block, two to four a
 /// four-lane block, one point the single-lane instance of the same code.
-pub(crate) fn solve_chunk(
+fn solve_chunk(
     smp: &SemiMarkovProcess,
     ws: &mut PassageWorkspace,
     alpha: &[(usize, f64)],
@@ -615,16 +663,17 @@ fn loud_row<const K: usize>(
 }
 
 impl LaplaceTransform for PassageTimeSolver<'_> {
-    /// A passage-time solver *is* a Laplace transform: evaluating it at `s` runs the
-    /// iterative algorithm.  This lets the inversion and pipeline layers treat
-    /// passage-time transforms exactly like any closed-form distribution.
+    /// A passage-time (or transient) solver *is* a Laplace transform:
+    /// evaluating it at `s` runs the iterative algorithm.  This lets the
+    /// inversion and pipeline layers treat its transforms exactly like any
+    /// closed-form distribution.
     ///
     /// # Panics
     /// Panics if the iteration fails to converge; use [`PassageTimeSolver::transform_at`]
     /// for explicit error handling.
     fn lst(&self, s: Complex64) -> Complex64 {
         self.transform_at(s)
-            .unwrap_or_else(|e| panic!("passage-time iteration failed: {e}"))
+            .unwrap_or_else(|e| panic!("transform iteration failed: {e}"))
             .value
     }
 }

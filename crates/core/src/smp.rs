@@ -125,8 +125,8 @@ pub struct SemiMarkovProcess {
     transitions: Vec<Transition>,
     dist_pool: Vec<Dist>,
     /// Lazily-memoized stationary solve of the embedded DTMC: every
-    /// `PassageTimeSolver`/`TransientSolver` built over this process for a
-    /// multiple-source measure needs the same α-weight solve, so a
+    /// `PassageTimeSolver` (passage or transient) built over this process for
+    /// a multiple-source measure needs the same α-weight solve, so a
     /// multi-measure batch pays for it exactly once.
     embedded_cache: Arc<Mutex<Option<Arc<EmbeddedChain>>>>,
     /// Lazily-memoized target-independent CSR structure + fill plan of `U(s)`

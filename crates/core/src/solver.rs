@@ -10,13 +10,13 @@
 //! master–worker version of the same computation — with a shared work queue,
 //! checkpointing and scalability instrumentation — lives in the `smp-pipeline`
 //! crate; the two produce identical numbers because they share this crate's
-//! transform evaluators.
+//! one transform solver, [`PassageTimeSolver`] (a transient is its
+//! [`PassageTimeSolver::transient`] build).
 
 use crate::error::SmpError;
 use crate::passage::{IterationOptions, PassageTimeSolver};
-use crate::smp::{SemiMarkovProcess, StateSet};
+use crate::smp::SemiMarkovProcess;
 use crate::steady::steady_state_probability;
-use crate::transient::TransientSolver;
 use smp_laplace::{CdfCurve, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::stats::trapezoid;
 use smp_numeric::Complex64;
@@ -94,27 +94,10 @@ impl<'a> PassageTimeAnalysis<'a> {
         &self.solver
     }
 
-    /// Evaluates the passage-time transform at every point of a plan, returning the
-    /// filled value cache (this is the sequential analogue of the distributed
-    /// pipeline's work queue).  The plan is one chunk through one workspace:
-    /// its points advance in lockstep blocks, and the first failure in plan
-    /// order is the one reported.
-    pub(crate) fn compute_transform_values(
-        &self,
-        plan: &SPointPlan,
-    ) -> Result<TransformValues, SmpError> {
-        let mut values = TransformValues::new();
-        let points = plan.s_points();
-        for (&s, point) in points.iter().zip(self.solver.transform_many(points)) {
-            values.insert(s, point?.value);
-        }
-        Ok(values)
-    }
-
     /// The passage-time *density* `f(t)` on the given time grid.
     pub fn density(&self, method: InversionMethod, t_points: &[f64]) -> Result<Curve, SmpError> {
         let plan = SPointPlan::new(method, t_points);
-        let values = self.compute_transform_values(&plan)?;
+        let values = compute_transform_values(&self.solver, &plan)?;
         Ok(Curve::new(t_points.to_vec(), plan.invert(&values)))
     }
 
@@ -122,7 +105,7 @@ impl<'a> PassageTimeAnalysis<'a> {
     /// obtained by inverting `L(s)/s` (Fig. 5 of the paper).
     pub fn cdf(&self, method: InversionMethod, t_points: &[f64]) -> Result<CdfCurve, SmpError> {
         let plan = SPointPlan::new(method, t_points);
-        let values = self.compute_transform_values(&plan)?;
+        let values = compute_transform_values(&self.solver, &plan)?;
         let inverted = plan.invert_with(|s| values.get(s).expect("every planned point") / s);
         Ok(CdfCurve::from_samples(t_points.to_vec(), inverted))
     }
@@ -153,12 +136,27 @@ impl<'a> PassageTimeAnalysis<'a> {
     }
 }
 
+/// Evaluates a solver's transform at every point of a plan, returning the
+/// filled value cache (this is the sequential analogue of the distributed
+/// pipeline's work queue).  The plan is one chunk through one workspace: its
+/// points advance in lockstep blocks, and the first failure in plan order is
+/// the one reported.
+fn compute_transform_values(
+    solver: &PassageTimeSolver<'_>,
+    plan: &SPointPlan,
+) -> Result<TransformValues, SmpError> {
+    let mut values = TransformValues::new();
+    let points = plan.s_points();
+    for (&s, point) in points.iter().zip(solver.transform_many(points)) {
+        values.insert(s, point?.value);
+    }
+    Ok(values)
+}
+
 /// End-to-end transient-state-distribution analysis.
 #[derive(Debug, Clone)]
 pub struct TransientAnalysis<'a> {
-    solver: TransientSolver<'a>,
-    smp: &'a SemiMarkovProcess,
-    targets: Vec<usize>,
+    solver: PassageTimeSolver<'a>,
 }
 
 impl<'a> TransientAnalysis<'a> {
@@ -169,14 +167,17 @@ impl<'a> TransientAnalysis<'a> {
         targets: &[usize],
     ) -> Result<Self, SmpError> {
         Ok(TransientAnalysis {
-            solver: TransientSolver::new(smp, source, targets)?,
-            smp,
-            targets: targets.to_vec(),
+            solver: PassageTimeSolver::transient(
+                smp,
+                &[source],
+                targets,
+                IterationOptions::default(),
+            )?,
         })
     }
 
     /// The underlying per-`s`-point transient solver.
-    pub fn solver(&self) -> &TransientSolver<'a> {
+    pub fn solver(&self) -> &PassageTimeSolver<'a> {
         &self.solver
     }
 
@@ -187,12 +188,7 @@ impl<'a> TransientAnalysis<'a> {
         t_points: &[f64],
     ) -> Result<Curve, SmpError> {
         let plan = SPointPlan::new(method, t_points);
-        let mut values = TransformValues::new();
-        let points = plan.s_points();
-        for (&s, value) in points.iter().zip(self.solver.transform_many(points)) {
-            values.insert(s, value?);
-        }
-        let raw = plan.invert(&values);
+        let raw = plan.invert(&compute_transform_values(&self.solver, &plan)?);
         // Probabilities: clamp the inversion noise into [0, 1].
         let clamped = raw.into_iter().map(|p| p.clamp(0.0, 1.0)).collect();
         Ok(Curve::new(t_points.to_vec(), clamped))
@@ -201,8 +197,7 @@ impl<'a> TransientAnalysis<'a> {
     /// The steady-state probability of the target set — the asymptote the transient
     /// curve approaches as `t → ∞` (the horizontal line of Fig. 7).
     pub fn steady_state_value(&self) -> Result<f64, SmpError> {
-        let set = StateSet::new(self.smp.num_states(), &self.targets)?;
-        steady_state_probability(self.smp, &set)
+        steady_state_probability(self.solver.smp(), self.solver.targets())
     }
 }
 
@@ -299,7 +294,7 @@ mod tests {
         let smp = tandem_smp();
         let analysis = PassageTimeAnalysis::new(&smp, &[0], &[2]).unwrap();
         let plan = SPointPlan::new(InversionMethod::euler(), &[1.0, 2.0]);
-        let values = analysis.compute_transform_values(&plan).unwrap();
+        let values = compute_transform_values(analysis.solver(), &plan).unwrap();
         assert!(plan.is_satisfied_by(&values));
         assert_eq!(values.len(), plan.len());
     }

@@ -34,7 +34,10 @@
 //! `ẽ`, so it runs on the passage kernel as it stands (`crate::workspace`: an
 //! occupancy skeleton masks nothing and reads `Σ_k (1 − h*_k) · term_k`) under
 //! the passage's convergence driver — one row pass per `s`-point whatever
-//! `|j|` is.  No `1 − L_kk(s)` is ever formed: nothing is divided but the one
+//! `|j|` is.  The solver is the passage's own:
+//! [`PassageTimeSolver::transient`](crate::PassageTimeSolver::transient)
+//! builds it over the occupancy skeleton, and every value it returns is the
+//! converged sum divided by `s`.  No `1 − L_kk(s)` is ever formed: nothing is divided but the one
 //! final `/s`, so the truncation error of the series reaches the answer
 //! unamplified, where Eq. 7 divides each of its `|j|` truncated series by a
 //! quantity that tends to zero with `s`.
@@ -47,129 +50,24 @@
 //! transitions, observed many cycles out, that is fewer rounds than the
 //! series here needs.  No second path is kept for that case.
 
-use crate::error::SmpError;
-use crate::passage::{nonzero_weights, solve_chunk, start_weights, IterationOptions};
-use crate::smp::{SemiMarkovProcess, StateSet};
-use crate::workspace::{HotPathStats, PassageSkeleton, WorkspacePool};
-use smp_distributions::LaplaceTransform;
-use smp_numeric::Complex64;
-use std::sync::Arc;
+#[cfg(test)]
+mod tests {
+    use crate::error::SmpError;
+    use crate::passage::{IterationOptions, PassageTimeSolver};
+    use crate::smp::{SemiMarkovProcess, SmpBuilder};
+    use crate::steady::smp_steady_state;
+    use smp_distributions::{Dist, LaplaceTransform};
+    use smp_laplace::Euler;
+    use smp_numeric::Complex64;
 
-/// Evaluates transient state-distribution transforms `T*_{i→j}(s)`.
-///
-/// Construction builds the occupancy skeleton of the target set over the
-/// process's memoized `U` structure; every `s`-point then refills a pooled
-/// workspace and runs one unmasked row iteration (see the module docs).
-#[derive(Debug, Clone)]
-pub struct TransientSolver<'a> {
-    smp: &'a SemiMarkovProcess,
-    /// The non-zero start-of-observation weights, `(state, weight)` by
-    /// ascending state (a δ-vector for a single source, α-weights of Eq. (5)
-    /// for a steady-state-weighted set of sources).
-    starts: Vec<(usize, f64)>,
-    sources: StateSet,
-    targets: StateSet,
-    options: IterationOptions,
-    /// Reusable numeric workspaces over the occupancy skeleton.
-    pool: Arc<WorkspacePool>,
-}
-
-impl<'a> TransientSolver<'a> {
-    /// Creates a transient solver observing the probability of being in `targets` at
-    /// time `t`, having started in the single state `source` at time 0.
-    pub fn new(
+    /// The transient solver from one source state with default options.
+    fn transient<'a>(
         smp: &'a SemiMarkovProcess,
         source: usize,
         targets: &[usize],
-    ) -> Result<Self, SmpError> {
-        Self::with_options(smp, &[source], targets, IterationOptions::default())
+    ) -> Result<PassageTimeSolver<'a>, SmpError> {
+        PassageTimeSolver::transient(smp, &[source], targets, IterationOptions::default())
     }
-
-    /// Creates a transient solver with several equally-or-α-weighted source states
-    /// and explicit iteration options.
-    pub fn with_options(
-        smp: &'a SemiMarkovProcess,
-        sources: &[usize],
-        targets: &[usize],
-        options: IterationOptions,
-    ) -> Result<Self, SmpError> {
-        let (sources, targets, alpha) = start_weights(smp, sources, targets)?;
-        let skeleton = PassageSkeleton::occupancy(smp, &targets);
-        Ok(TransientSolver {
-            smp,
-            starts: nonzero_weights(&alpha),
-            sources,
-            targets,
-            options,
-            pool: Arc::new(WorkspacePool::over(skeleton)),
-        })
-    }
-
-    /// The target state set.
-    pub fn targets(&self) -> &StateSet {
-        &self.targets
-    }
-
-    /// The source state set.
-    pub fn sources(&self) -> &StateSet {
-        &self.sources
-    }
-
-    /// The convergence options in use.
-    pub fn options(&self) -> &IterationOptions {
-        &self.options
-    }
-
-    /// Aggregate symbolic/numeric-split counters of this solver's workspace
-    /// pool (see `PassageTimeSolver::hotpath_stats`): one refill per
-    /// `s`-point, like a passage over the same points.
-    pub fn hotpath_stats(&self) -> HotPathStats {
-        self.pool.stats()
-    }
-
-    /// Evaluates `T*_{i→j}(s)` at one complex point: one refill, one row
-    /// iteration, one division by `s`.
-    pub fn transform_at(&self, s: Complex64) -> Result<Complex64, SmpError> {
-        let mut one = self.transform_many(&[s]);
-        one.pop().expect("one result per point")
-    }
-
-    /// Evaluates the transform at every point of a chunk, one result per
-    /// point in order — each bit for bit what
-    /// [`TransientSolver::transform_at`] returns for that point alone (a lone
-    /// point takes the single-lane kernel wherever it falls in a chunk).  The
-    /// points are the lanes of the kernel's lockstep blocks, exactly as for
-    /// `PassageTimeSolver::transform_many`.
-    pub fn transform_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, SmpError>> {
-        let mut ws = self.pool.checkout();
-        let sums = solve_chunk(self.smp, &mut ws, &self.starts, self.options, points);
-        self.pool.give_back(ws);
-        sums.into_iter()
-            .zip(points)
-            .map(|(sum, &s)| Ok(sum?.value / s))
-            .collect()
-    }
-}
-
-impl LaplaceTransform for TransientSolver<'_> {
-    /// Evaluating the solver as a transform runs the iteration at `s`.
-    ///
-    /// # Panics
-    /// Panics if the iteration fails to converge; use
-    /// [`TransientSolver::transform_at`] for explicit error handling.
-    fn lst(&self, s: Complex64) -> Complex64 {
-        self.transform_at(s)
-            .unwrap_or_else(|e| panic!("transient transform failed: {e}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::smp::SmpBuilder;
-    use crate::steady::smp_steady_state;
-    use smp_distributions::Dist;
-    use smp_laplace::Euler;
 
     /// Two-state CTMC with rates λ (0→1) and μ (1→0); transient probabilities have
     /// the classical closed form used as ground truth.
@@ -194,8 +92,8 @@ mod tests {
         let smp = two_state_ctmc(lambda, mu);
         let euler = Euler::standard();
 
-        let stay = TransientSolver::new(&smp, 0, &[0]).unwrap();
-        let move_ = TransientSolver::new(&smp, 0, &[1]).unwrap();
+        let stay = transient(&smp, 0, &[0]).unwrap();
+        let move_ = transient(&smp, 0, &[1]).unwrap();
         for &t in &[0.1, 0.3, 0.7, 1.5, 3.0] {
             let p00 = euler.invert(&stay, t);
             let p01 = euler.invert(&move_, t);
@@ -225,15 +123,15 @@ mod tests {
         let s = Complex64::new(0.8, 1.3);
         let mut total = Complex64::ZERO;
         for j in 0..3 {
-            let solver = TransientSolver::new(&smp, 0, &[j]).unwrap();
-            total += solver.transform_at(s).unwrap();
+            let solver = transient(&smp, 0, &[j]).unwrap();
+            total += solver.transform_at(s).unwrap().value;
         }
         assert!((total - Complex64::ONE / s).norm() < 1e-6, "sum = {total}");
 
         let euler = Euler::standard();
         let t = 1.7;
         let sum_t: f64 = (0..3)
-            .map(|j| euler.invert(&TransientSolver::new(&smp, 0, &[j]).unwrap(), t))
+            .map(|j| euler.invert(&transient(&smp, 0, &[j]).unwrap(), t))
             .sum();
         assert!((sum_t - 1.0).abs() < 1e-4, "sum at t={t}: {sum_t}");
     }
@@ -247,11 +145,11 @@ mod tests {
         b.add_transition(3, 0, 1.0, Dist::exponential(0.7));
         let smp = b.build().unwrap();
         let s = Complex64::new(0.5, -0.8);
-        let set = TransientSolver::new(&smp, 0, &[1, 3]).unwrap();
-        let single1 = TransientSolver::new(&smp, 0, &[1]).unwrap();
-        let single3 = TransientSolver::new(&smp, 0, &[3]).unwrap();
-        let lhs = set.transform_at(s).unwrap();
-        let rhs = single1.transform_at(s).unwrap() + single3.transform_at(s).unwrap();
+        let set = transient(&smp, 0, &[1, 3]).unwrap();
+        let single1 = transient(&smp, 0, &[1]).unwrap();
+        let single3 = transient(&smp, 0, &[3]).unwrap();
+        let lhs = set.transform_at(s).unwrap().value;
+        let rhs = single1.transform_at(s).unwrap().value + single3.transform_at(s).unwrap().value;
         assert!((lhs - rhs).norm() < 1e-7);
     }
 
@@ -265,7 +163,7 @@ mod tests {
         b.add_transition(2, 0, 1.0, Dist::exponential(2.0));
         let smp = b.build().unwrap();
         let steady = smp_steady_state(&smp).unwrap();
-        let solver = TransientSolver::new(&smp, 0, &[1]).unwrap();
+        let solver = transient(&smp, 0, &[1]).unwrap();
         let euler = Euler::standard();
         let late = euler.invert(&solver, 200.0);
         assert!(
@@ -279,7 +177,7 @@ mod tests {
     fn source_inside_target_set_counts_initial_sojourn() {
         // Starting inside the target set, T(t) must start at 1 for small t.
         let smp = two_state_ctmc(1.0, 1.0);
-        let solver = TransientSolver::new(&smp, 0, &[0]).unwrap();
+        let solver = transient(&smp, 0, &[0]).unwrap();
         let euler = Euler::standard();
         let early = euler.invert(&solver, 1e-3);
         assert!((early - 1.0).abs() < 1e-3, "T(0+) = {early}");
@@ -290,30 +188,70 @@ mod tests {
         let smp = two_state_ctmc(1.0, 3.0);
         // Sources {0, 1}: embedded chain of the 2-cycle has π = (0.5, 0.5).
         let solver =
-            TransientSolver::with_options(&smp, &[0, 1], &[0], IterationOptions::default())
-                .unwrap();
+            PassageTimeSolver::transient(&smp, &[0, 1], &[0], IterationOptions::default()).unwrap();
         let s = Complex64::new(0.6, 0.4);
-        let from0 = TransientSolver::new(&smp, 0, &[0])
+        let from0 = transient(&smp, 0, &[0])
             .unwrap()
             .transform_at(s)
-            .unwrap();
-        let from1 = TransientSolver::new(&smp, 1, &[0])
+            .unwrap()
+            .value;
+        let from1 = transient(&smp, 1, &[0])
             .unwrap()
             .transform_at(s)
-            .unwrap();
-        let combined = solver.transform_at(s).unwrap();
+            .unwrap()
+            .value;
+        let combined = solver.transform_at(s).unwrap().value;
         assert!((combined - (from0 + from1).scale(0.5)).norm() < 1e-8);
+    }
+
+    /// An occupancy solver answers through every entry point of the solver:
+    /// an explicit workspace gives `transform_at`'s value and iteration
+    /// count, a chunk gives each point's bits, and the truncated series
+    /// reaches the converged value (all of them divided by `s`).
+    #[test]
+    fn an_occupancy_solver_answers_through_every_entry_point() {
+        let mut b = SmpBuilder::new(3);
+        b.add_transition(0, 1, 1.0, Dist::uniform(0.5, 1.5));
+        b.add_transition(1, 2, 1.0, Dist::erlang(4.0, 2));
+        b.add_transition(1, 0, 1.0, Dist::exponential(1.0));
+        b.add_transition(2, 0, 1.0, Dist::exponential(2.0));
+        let smp = b.build().unwrap();
+        let solver = transient(&smp, 0, &[1, 2]).unwrap();
+        let points = [
+            Complex64::new(0.8, 1.3),
+            Complex64::new(1.5, -2.0),
+            Complex64::new(0.4, 6.0),
+        ];
+        let mut ws = solver.checkout_workspace();
+        let with: Vec<_> = points
+            .iter()
+            .map(|&s| solver.transform_at_with(&mut ws, s).unwrap())
+            .collect();
+        solver.give_back(ws);
+        let many = solver.transform_many(&points);
+        for ((&s, with), many) in points.iter().zip(with).zip(many) {
+            let alone = solver.transform_at(s).unwrap();
+            assert_eq!(with, alone, "transform_at_with at {s}");
+            assert_eq!(many.unwrap(), alone, "transform_many at {s}");
+            assert_eq!(solver.lst(s), alone.value, "lst at {s}");
+            let truncated = solver.r_transition_transform(s, 4 * alone.iterations);
+            assert!(
+                (truncated - alone.value).norm() < 1e-7,
+                "r-transition transform at {s}: {truncated} vs {}",
+                alone.value
+            );
+        }
     }
 
     #[test]
     fn rejects_empty_sets() {
         let smp = two_state_ctmc(1.0, 1.0);
         assert!(matches!(
-            TransientSolver::with_options(&smp, &[], &[0], IterationOptions::default()),
+            PassageTimeSolver::transient(&smp, &[], &[0], IterationOptions::default()),
             Err(SmpError::EmptyStateSet { which: "source" })
         ));
         assert!(matches!(
-            TransientSolver::with_options(&smp, &[0], &[], IterationOptions::default()),
+            PassageTimeSolver::transient(&smp, &[0], &[], IterationOptions::default()),
             Err(SmpError::EmptyStateSet { which: "target" })
         ));
     }

@@ -24,7 +24,7 @@
 //!   count `K`: `K` `s`-points advance in lockstep over one shared index
 //!   stream, each lane an independent point.  A batch of points allocates
 //!   nothing after the workspace's first.
-//! * [`WorkspacePool`] — a shared checkout pool so several worker threads can
+//! * `WorkspacePool` — a shared checkout pool so several worker threads can
 //!   evaluate points of one measure concurrently, each amortising its own
 //!   workspace, with aggregate [`HotPathStats`] for provenance reports.
 //!
@@ -145,8 +145,8 @@ impl HotPathStats {
 /// shares it, so it is memoized per [`SemiMarkovProcess`]
 /// (`SemiMarkovProcess::u_structure`) and building a [`PassageSkeleton`] for
 /// another measure of an already-analysed process — a passage into another
-/// target set, or `TransientSolver`'s occupancy of one — costs only `O(N)`
-/// for the mask and read-out bookkeeping.
+/// target set, or the occupancy of one (`PassageTimeSolver::transient`) —
+/// costs only `O(N)` for the mask and read-out bookkeeping.
 #[derive(Debug)]
 pub(crate) struct UStructure {
     num_states: usize,
@@ -313,6 +313,12 @@ impl PassageSkeleton {
         skeleton.target_mask.fill(false);
         skeleton.sojourn_weighted = true;
         skeleton
+    }
+
+    /// Whether this is an occupancy skeleton, whose read-out is weighted by
+    /// `1 − h*_k(s)`.
+    pub(crate) fn sojourn_weighted(&self) -> bool {
+        self.sojourn_weighted
     }
 
     /// Number of states (matrix dimension).
@@ -825,10 +831,10 @@ impl<const K: usize> LaneKernel<'_, K> {
 /// The numeric phase: reusable per-thread buffers for evaluating the
 /// passage-time iteration at one `s`-point after another without allocating.
 ///
-/// Obtain one from a [`WorkspacePool`] (or directly via
-/// [`PassageWorkspace::new`]) and pass it to
-/// `PassageTimeSolver::transform_at_with` (or `transform_many_with`) to
-/// evaluate a whole chunk of `s`-points through a single workspace.
+/// Obtain one from a solver's pool (`PassageTimeSolver::checkout_workspace`,
+/// or directly via [`PassageWorkspace::new`]) and pass it to
+/// `PassageTimeSolver::transform_at_with` to evaluate a whole chunk of
+/// `s`-points through a single workspace.
 #[derive(Debug)]
 pub struct PassageWorkspace {
     skeleton: Arc<PassageSkeleton>,
@@ -950,7 +956,7 @@ impl PassageWorkspace {
     }
 
     /// Counters accumulated by this workspace since creation (or the last
-    /// [`WorkspacePool`] check-in, which drains them into the pool).
+    /// `WorkspacePool` check-in, which drains them into the pool).
     pub fn stats(&self) -> HotPathStats {
         self.stats
     }
@@ -981,7 +987,7 @@ fn gather_values(st: &UStructure, table: &[Lanes<1>], values: &mut [Complex64]) 
 /// concurrent threads, and each is reused for every subsequent point its
 /// thread evaluates — which is what amortises the symbolic phase across a
 /// whole work-queue chunk.
-pub struct WorkspacePool {
+pub(crate) struct WorkspacePool {
     skeleton: Arc<PassageSkeleton>,
     idle: Mutex<Vec<PassageWorkspace>>,
     rebuilds_avoided: AtomicU64,
@@ -1001,12 +1007,6 @@ impl std::fmt::Debug for WorkspacePool {
 }
 
 impl WorkspacePool {
-    /// Builds the skeleton for `(smp, targets)` and an initially-empty pool
-    /// over it.
-    pub fn build(smp: &SemiMarkovProcess, targets: &StateSet) -> WorkspacePool {
-        Self::over(PassageSkeleton::build(smp, targets))
-    }
-
     /// An initially-empty pool over an already-built skeleton.
     pub(crate) fn over(skeleton: PassageSkeleton) -> WorkspacePool {
         WorkspacePool {
@@ -1146,7 +1146,7 @@ mod tests {
     fn refilled_matrix_is_bitwise_build_u() {
         let smp = duplicate_edge_smp();
         let targets = StateSet::new(3, &[2]).unwrap();
-        let pool = WorkspacePool::build(&smp, &targets);
+        let pool = WorkspacePool::over(PassageSkeleton::build(&smp, &targets));
         let mut ws = pool.checkout();
         for &(re, im) in &[(0.5, 0.0), (1.0, 2.0), (0.2, -3.0), (3.0, 7.0), (0.5, 0.0)] {
             let s = Complex64::new(re, im);
@@ -1170,7 +1170,7 @@ mod tests {
     fn masked_view_matches_zero_rows_bitwise() {
         let smp = duplicate_edge_smp();
         let targets = StateSet::new(3, &[1, 2]).unwrap();
-        let pool = WorkspacePool::build(&smp, &targets);
+        let pool = WorkspacePool::over(PassageSkeleton::build(&smp, &targets));
         let mut ws = pool.checkout();
         let s = Complex64::new(0.8, 1.3);
         ws.refill(&smp, s);
@@ -1405,7 +1405,7 @@ mod tests {
     fn pool_checkout_bounded_by_concurrency() {
         let smp = duplicate_edge_smp();
         let targets = StateSet::new(3, &[2]).unwrap();
-        let pool = WorkspacePool::build(&smp, &targets);
+        let pool = WorkspacePool::over(PassageSkeleton::build(&smp, &targets));
         for _ in 0..10 {
             let ws = pool.checkout();
             pool.give_back(ws);

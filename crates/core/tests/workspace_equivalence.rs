@@ -15,7 +15,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smp_core::passage::{dense_reference_solve, PassagePoint};
-use smp_core::transient::TransientSolver;
 use smp_core::{
     IterationOptions, PassageTimeSolver, SemiMarkovProcess, ShardedSolver, SmpBuilder, SmpError,
     StateSet,
@@ -607,7 +606,7 @@ fn a_lane_that_does_not_converge_fails_alone() {
         ));
         // The occupancy of the same state: unmasked, so near the origin its
         // mass decays no faster, and the same point is stuck.
-        let occupancy = TransientSolver::with_options(&smp, &[0], &[2], options).unwrap();
+        let occupancy = PassageTimeSolver::transient(&smp, &[0], &[2], options).unwrap();
         let occupancy_alone = occupancy.transform_at(stuck).unwrap_err();
         assert!(matches!(
             occupancy_alone,
@@ -631,8 +630,12 @@ fn a_lane_that_does_not_converge_fails_alone() {
                         "leak {leak} at {position}"
                     );
                 } else {
-                    let single = occupancy.transform_at(s).unwrap();
-                    assert_eq!(bits(got.unwrap()), bits(single), "leak {leak} lane {lane}");
+                    let single = occupancy.transform_at(s).unwrap().value;
+                    assert_eq!(
+                        bits(got.unwrap().value),
+                        bits(single),
+                        "leak {leak} lane {lane}"
+                    );
                 }
             }
             let many = solver.transform_many(&points);
@@ -690,7 +693,8 @@ fn a_lane_on_an_lst_pole_fails_on_its_divergent_round() {
     b.add_transition(2, 0, 1.0, Dist::exponential(3.0));
     let smp = b.build().unwrap();
     let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
-    let occupancy = TransientSolver::new(&smp, 0, &[2]).unwrap();
+    let occupancy =
+        PassageTimeSolver::transient(&smp, &[0], &[2], IterationOptions::default()).unwrap();
     let ordinary = [
         Complex64::new(0.5, 1.0),
         Complex64::new(1.5, -2.0),
@@ -731,9 +735,9 @@ fn a_lane_on_an_lst_pole_fails_on_its_divergent_round() {
                     let got = many[lane].as_ref().unwrap();
                     assert_eq!(bits(got.value), bits(single.value), "{context}");
                     assert_eq!(got.iterations, single.iterations, "{context}");
-                    let single = occupancy.transform_at(s).unwrap();
+                    let single = occupancy.transform_at(s).unwrap().value;
                     assert_eq!(
-                        bits(*occupied[lane].as_ref().unwrap()),
+                        bits(occupied[lane].as_ref().unwrap().value),
                         bits(single),
                         "{context}"
                     );
@@ -801,11 +805,11 @@ fn transient_renewal_form_matches_eq7_from_dense_columns() {
                     .unwrap(),
             };
             let solver =
-                TransientSolver::with_options(&smp, &sources, targets, IterationOptions::default())
+                PassageTimeSolver::transient(&smp, &sources, targets, IterationOptions::default())
                     .unwrap();
             for _ in 0..3 {
                 let s = Complex64::new(rng.gen_range(0.1..4.0), rng.gen_range(-6.0..6.0));
-                let got = solver.transform_at(s).unwrap();
+                let got = solver.transform_at(s).unwrap().value;
                 let expect = transient_by_eq7(&smp, &alpha, targets, s);
                 let context = format!("seed {seed} sources {sources:?} targets {targets:?} s={s}");
                 assert!((got - expect).norm() < 1e-6, "{context}: {got} vs {expect}");
@@ -834,7 +838,9 @@ fn transient_lane_blocks_are_single_points_bitwise() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0cc0_9a7c);
         let source = rng.gen_range(0..n);
         let targets: Vec<usize> = (0..n).filter(|&k| k == 0 || rng.gen_bool(0.3)).collect();
-        let solver = TransientSolver::new(&smp, source, &targets).unwrap();
+        let solver =
+            PassageTimeSolver::transient(&smp, &[source], &targets, IterationOptions::default())
+                .unwrap();
         for shape in CHUNK_SHAPES {
             let points: Vec<Complex64> = (0..shape)
                 .map(|lane| {
@@ -856,9 +862,9 @@ fn transient_lane_blocks_are_single_points_bitwise() {
                 "seed {seed} shape {shape}"
             );
             for (lane, (&s, got)) in points.iter().zip(many).enumerate() {
-                let single = solver.transform_at(s).unwrap();
+                let single = solver.transform_at(s).unwrap().value;
                 assert_eq!(
-                    bits(got.unwrap()),
+                    bits(got.unwrap().value),
                     bits(single),
                     "seed {seed} shape {shape} lane {lane} s={s}"
                 );

@@ -186,7 +186,7 @@ impl Scope {
 impl Resolved {
     /// Evaluates against a marking's token counts (empty in a marking-free
     /// context, where no `Place` was resolved).
-    pub fn eval(&self, tokens: &[u32]) -> Result<f64, String> {
+    pub(crate) fn eval(&self, tokens: &[u32]) -> Result<f64, String> {
         Ok(match self {
             Resolved::Const(value) => *value,
             Resolved::Place(index) => f64::from(tokens[*index]),
@@ -260,7 +260,7 @@ impl ResolvedDist {
 
     /// Builds the concrete distribution in a marking (token counts; empty
     /// when the expression reads no marking).
-    pub fn eval(&self, tokens: &[u32]) -> Result<Dist, String> {
+    pub(crate) fn eval(&self, tokens: &[u32]) -> Result<Dist, String> {
         match self {
             ResolvedDist::Call { name, args } => {
                 let mut values = [0.0; 2];

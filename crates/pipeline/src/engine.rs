@@ -1369,9 +1369,9 @@ pub(crate) mod tests {
             for (&s, value) in plan
                 .s_points()
                 .iter()
-                .zip(evaluator.eval_many(plan.s_points()))
+                .zip(evaluator.transform_many(plan.s_points()))
             {
-                shard.insert(s, value.unwrap());
+                shard.insert(s, value.unwrap().value);
             }
             let cdf = CurveKind::Cdf.postprocess(&plan, &shard);
             let density = CurveKind::Density.postprocess(&plan, &shard);

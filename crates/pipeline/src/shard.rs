@@ -56,7 +56,7 @@ use crate::transform::{CompiledModelSet, ExploredModel, ModelCache, TransformSpe
 use crate::transport::{transport_error, ExecutionPlan, TcpTransport, Transport, TransportReport};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::WorkItem;
-use crate::worker::{WorkItemOutcome, WorkerMessage};
+use crate::worker::{point_outcome, WorkItemOutcome, WorkerMessage};
 use smp_core::shard::owner_of;
 use smp_core::{
     plan_exchange, ConvergenceFold, FoldStatus, IterationOptions, ShardWorkspace, ShardedSkeleton,
@@ -384,11 +384,12 @@ impl SliceFleet {
     }
 
     /// Evaluates `spec` at every `s`-point through one sharded session —
-    /// bitwise identical to [`crate::transform::CompiledEvaluator::eval`] on
-    /// the same spec, for any live worker count.
+    /// bitwise identical to the compiled solver's
+    /// [`PassageTimeSolver::transform_at`](smp_core::PassageTimeSolver::transform_at)
+    /// on the same spec, for any live worker count.
     ///
-    /// `spec` must be a passage transform.  Transient and analytic specs are
-    /// rejected: their iterations are not row-sharded and stay master-side.
+    /// `spec` must be a passage transform.  Transient specs are rejected:
+    /// their iterations are not row-sharded and stay master-side.
     pub fn solve(
         &mut self,
         spec: &TransformSpec,
@@ -911,8 +912,8 @@ impl ShardedTransport {
                 let models = self.model_cache().expect("built over a model cache");
                 let set = CompiledModelSet::compile_cached([spec], models)?;
                 let evaluator = set.evaluator(0).map_err(transport_error)?;
-                for (&item, outcome) in items.iter().zip(evaluator.eval_many(&points)) {
-                    deliver(item, outcome);
+                for (&item, point) in items.iter().zip(evaluator.transform_many(&points)) {
+                    deliver(item, point_outcome(point));
                 }
                 report.states = report.states.or(Some(set.num_states()));
                 report.hotpath = report.hotpath.merged(evaluator.hotpath_stats());
@@ -1095,7 +1096,10 @@ pub(crate) mod tests {
     pub(crate) fn reference(spec: &TransformSpec, points: &[Complex64]) -> Vec<Complex64> {
         let set = CompiledModelSet::compile(std::slice::from_ref(spec)).unwrap();
         let evaluator = set.evaluator(0).unwrap();
-        points.iter().map(|&s| evaluator.eval(s).unwrap()).collect()
+        points
+            .iter()
+            .map(|&s| evaluator.transform_at(s).unwrap().value)
+            .collect()
     }
 
     #[test]

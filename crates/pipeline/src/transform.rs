@@ -25,9 +25,7 @@
 
 use crate::cache::LruMemo;
 use crate::wire::{self, append_str, malformed, Fields, Line, WireError};
-use smp_core::transient::TransientSolver;
-use smp_core::PassageTimeSolver;
-use smp_numeric::Complex64;
+use smp_core::{IterationOptions, PassageTimeSolver};
 use smp_smspn::{SmSpn, StateSpace};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -524,100 +522,35 @@ impl CompiledModelSet {
             .sum()
     }
 
-    /// Builds the evaluator of the `index`-th compiled spec, borrowing the
-    /// model set.
-    pub fn evaluator(&self, index: usize) -> Result<CompiledEvaluator<'_>, String> {
+    /// Builds the solver of the `index`-th compiled spec, borrowing the
+    /// model set: a passage solver, or the transient build of the same
+    /// solver for a transient spec.
+    pub fn evaluator(&self, index: usize) -> Result<PassageTimeSolver<'_>, String> {
         let resolved = self
             .resolved
             .get(index)
             .ok_or_else(|| format!("no compiled spec at index {index}"))?;
         let space = &self.models[resolved.model].1.space;
-        let (smp, initial, targets) = (space.smp(), space.initial_state(), &resolved.targets);
-        let kind = if resolved.transient {
-            EvaluatorKind::Transient(
-                TransientSolver::new(smp, initial, targets).map_err(|e| e.to_string())?,
-            )
+        let build = if resolved.transient {
+            PassageTimeSolver::transient
         } else {
-            EvaluatorKind::Passage(
-                PassageTimeSolver::new(smp, &[initial], targets).map_err(|e| e.to_string())?,
-            )
+            PassageTimeSolver::with_options
         };
-        Ok(CompiledEvaluator { kind })
+        let sources = [space.initial_state()];
+        build(
+            space.smp(),
+            &sources,
+            &resolved.targets,
+            IterationOptions::default(),
+        )
+        .map_err(|e| e.to_string())
     }
 
     /// Builds all evaluators, in spec order.
-    pub(crate) fn evaluators(&self) -> Result<Vec<CompiledEvaluator<'_>>, String> {
+    pub(crate) fn evaluators(&self) -> Result<Vec<PassageTimeSolver<'_>>, String> {
         (0..self.resolved.len())
             .map(|i| self.evaluator(i))
             .collect()
-    }
-}
-
-enum EvaluatorKind<'a> {
-    Passage(PassageTimeSolver<'a>),
-    Transient(TransientSolver<'a>),
-}
-
-/// A ready-to-run evaluator reconstructed from a [`TransformSpec`], borrowing
-/// its [`CompiledModelSet`].
-pub struct CompiledEvaluator<'a> {
-    kind: EvaluatorKind<'a>,
-}
-
-impl std::fmt::Debug for CompiledEvaluator<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.kind {
-            EvaluatorKind::Passage(_) => "passage",
-            EvaluatorKind::Transient(_) => "transient",
-        };
-        f.debug_struct("CompiledEvaluator")
-            .field("kind", &kind)
-            .finish()
-    }
-}
-
-impl CompiledEvaluator<'_> {
-    /// Aggregate symbolic/numeric-split counters of the underlying solver
-    /// (matrix rebuilds avoided, pooled LST evaluations).
-    pub fn hotpath_stats(&self) -> smp_core::HotPathStats {
-        match &self.kind {
-            EvaluatorKind::Passage(solver) => solver.hotpath_stats(),
-            EvaluatorKind::Transient(solver) => solver.hotpath_stats(),
-        }
-    }
-
-    /// Evaluates the transform at one `s`-point: the solver's converged
-    /// value, or its error as text.
-    pub fn eval(&self, s: Complex64) -> Result<Complex64, String> {
-        match &self.kind {
-            EvaluatorKind::Passage(solver) => solver
-                .transform_at(s)
-                .map(|p| p.value)
-                .map_err(|e| e.to_string()),
-            EvaluatorKind::Transient(solver) => solver.transform_at(s).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Evaluates the transform at every point of a chunk: one result per
-    /// point, in order, each bit for bit what [`CompiledEvaluator::eval`]
-    /// returns for that point — so one failing point fails alone.  The solver
-    /// gets the chunk whole and advances its points in lockstep blocks
-    /// (`PassageTimeSolver::transform_many`,
-    /// `TransientSolver::transform_many`).
-    pub(crate) fn eval_many(&self, points: &[Complex64]) -> Vec<Result<Complex64, String>> {
-        let text = |e: smp_core::SmpError| e.to_string();
-        match &self.kind {
-            EvaluatorKind::Passage(solver) => solver
-                .transform_many(points)
-                .into_iter()
-                .map(|point| point.map(|point| point.value).map_err(text))
-                .collect(),
-            EvaluatorKind::Transient(solver) => solver
-                .transform_many(points)
-                .into_iter()
-                .map(|value| value.map_err(text))
-                .collect(),
-        }
     }
 }
 
@@ -626,6 +559,7 @@ mod tests {
     use super::*;
     use crate::one_stage;
     use smp_distributions::Dist;
+    use smp_numeric::Complex64;
 
     fn voting() -> ModelSpec {
         ModelSpec::Voting {
@@ -709,7 +643,7 @@ mod tests {
         // The one-stage passage is its sojourn's LST.
         let s = Complex64::new(0.7, 1.3);
         let expect = Dist::exponential(1.0).lst(s);
-        assert_eq!(evaluators[3].eval(s).unwrap(), expect);
+        assert_eq!(evaluators[3].transform_at(s).unwrap().value, expect);
     }
 
     #[test]
@@ -729,14 +663,18 @@ mod tests {
         for k in 1..=4 {
             let s = Complex64::new(0.5 * k as f64, 0.3 * k as f64);
             let expect = solver.transform_at(s).unwrap().value;
-            assert_eq!(evaluator.eval(s).unwrap(), expect, "bitwise at {s}");
+            assert_eq!(
+                evaluator.transform_at(s).unwrap().value,
+                expect,
+                "bitwise at {s}"
+            );
         }
     }
 
-    /// `eval_many` is `map(eval)`, bit for bit, for both evaluator kinds:
-    /// passage transforms (whose chunk runs as lockstep blocks, here of every
-    /// shape up to two blocks and a lone remainder) and transient transforms,
-    /// over the voting model and one-stage nets.
+    /// `transform_many` is `map(transform_at)`, bit for bit, for both
+    /// measures: passage transforms (whose chunk runs as lockstep blocks,
+    /// here of every shape up to two blocks and a lone remainder) and
+    /// transient transforms, over the voting model and one-stage nets.
     #[test]
     fn eval_many_is_map_eval_bitwise() {
         let specs = [
@@ -752,10 +690,11 @@ mod tests {
         for (spec, evaluator) in specs.iter().zip(compiled.evaluators().unwrap()) {
             for shape in [0, 1, 2, 3, 4, 5, 8, 9] {
                 let chunk = &points[..shape];
-                let many = evaluator.eval_many(chunk);
+                let many = evaluator.transform_many(chunk);
                 assert_eq!(many.len(), shape);
                 for (&s, got) in chunk.iter().zip(many) {
-                    let (got, want) = (got.unwrap(), evaluator.eval(s).unwrap());
+                    let (got, want) =
+                        (got.unwrap().value, evaluator.transform_at(s).unwrap().value);
                     assert_eq!(
                         (got.re.to_bits(), got.im.to_bits()),
                         (want.re.to_bits(), want.im.to_bits()),

@@ -40,7 +40,7 @@ pub use crate::fault::splitmix64;
 use crate::link::{Link, TcpLink};
 use crate::master::PipelineError;
 use crate::shard::{loopback_slices, ShardedTransport};
-use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
+use crate::transform::{CompiledModelSet, ModelCache, TransformSpec};
 use crate::unpoisoned;
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
@@ -125,31 +125,6 @@ pub struct TransportReport {
     /// Exchange rounds skipped by resuming a point from a mid-iteration
     /// snapshot instead of redoing them.
     pub resumed_rounds: u64,
-}
-
-impl TransportReport {
-    /// Folds a later round's report into this one: counters add up, the
-    /// state count keeps its first reading, and the shard layout follows the
-    /// most recent session (it shrinks when a slice worker is lost).
-    pub fn absorb(&mut self, later: TransportReport) {
-        self.worker_stats.extend(later.worker_stats);
-        self.messages += later.messages;
-        self.bytes_on_wire += later.bytes_on_wire;
-        self.disconnects += later.disconnects;
-        self.states = self.states.or(later.states);
-        self.hotpath = self.hotpath.merged(later.hotpath);
-        self.model_cache_hits += later.model_cache_hits;
-        self.model_cache_misses += later.model_cache_misses;
-        if later.shards > 0 {
-            self.shards = later.shards;
-            self.shard_states = later.shard_states;
-        }
-        self.halo_bytes += later.halo_bytes;
-        self.exchange_rounds += later.exchange_rounds;
-        self.retries += later.retries;
-        self.recovered_faults += later.recovered_faults;
-        self.resumed_rounds += later.resumed_rounds;
-    }
 }
 
 /// A pluggable master⇄worker message-passing backend.  `execute` may be
@@ -315,8 +290,7 @@ fn run_threaded(
     // cache, and only a model it lacks is explored.
     let compiled_set = CompiledModelSet::compile_cached(plan.specs.iter().copied(), models)?;
     let states = (compiled_set.num_models() > 0).then(|| compiled_set.num_states());
-    let evaluators: Vec<CompiledEvaluator<'_>> =
-        compiled_set.evaluators().map_err(transport_error)?;
+    let evaluators = compiled_set.evaluators().map_err(transport_error)?;
 
     let mut messages = 0usize;
     let queue = WorkQueue::with_chunk_size(plan.items, plan.chunk_size.max(1));

@@ -321,7 +321,7 @@ pub(crate) fn number<T: FromStr>(token: &str, what: &str) -> Result<T, WireError
     })
 }
 
-/// A percent-encoded string field (see [`encode_str`]).
+/// A percent-encoded string field (see [`append_str`]).
 pub(crate) fn text(token: &str, what: &str) -> Result<String, WireError> {
     decode_str(token).ok_or_else(|| {
         malformed(format!(

@@ -27,9 +27,11 @@
 use crate::fault::Backoff;
 use crate::link::{Link, TcpLink};
 use crate::shard::SliceWorkerSession;
-use crate::transform::{CompiledEvaluator, CompiledModelSet, ModelCache, TransformSpec};
+use crate::transform::{CompiledModelSet, ModelCache, TransformSpec};
 use crate::wire::{Frame, WIRE_VERSION};
 use crate::work::{WorkItem, WorkQueue};
+use smp_core::passage::PassagePoint;
+use smp_core::{PassageTimeSolver, SmpError};
 use smp_numeric::Complex64;
 use std::io;
 use std::sync::mpsc::Sender;
@@ -69,12 +71,12 @@ pub struct WorkerMessage {
 /// Evaluates one chunk — the one place a chunk is walked, whichever loop
 /// popped it (worker thread, worker process).
 /// Each run of consecutive items of one measure goes to that measure's
-/// evaluator as a whole ([`CompiledEvaluator::eval_many`]); every item keeps
+/// solver as a whole ([`PassageTimeSolver::transform_many`]); every item keeps
 /// its own outcome, in chunk order, and an item naming a measure
 /// `evaluators` lacks fails alone.
 pub(crate) fn evaluate_chunk(
     items: &[WorkItem],
-    evaluators: &[CompiledEvaluator<'_>],
+    evaluators: &[PassageTimeSolver<'_>],
 ) -> Vec<WorkItemOutcome> {
     let mut outcomes = Vec::with_capacity(items.len());
     for run in items.chunk_by(|a, b| a.measure == b.measure) {
@@ -82,7 +84,11 @@ pub(crate) fn evaluate_chunk(
         let values: Vec<Result<Complex64, String>> = match evaluators.get(measure) {
             Some(evaluator) => {
                 let points: Vec<Complex64> = run.iter().map(|item| item.s).collect();
-                evaluator.eval_many(&points)
+                evaluator
+                    .transform_many(&points)
+                    .into_iter()
+                    .map(point_outcome)
+                    .collect()
             }
             None => run
                 .iter()
@@ -98,13 +104,19 @@ pub(crate) fn evaluate_chunk(
     outcomes
 }
 
+/// A solver's answer at one point as a work item's outcome: the transform
+/// value, or the error as text.
+pub(crate) fn point_outcome(point: Result<PassagePoint, SmpError>) -> Result<Complex64, String> {
+    point.map(|point| point.value).map_err(|e| e.to_string())
+}
+
 /// Runs one worker until the queue is empty, evaluating each chunk with the
 /// evaluators of the measures its items belong to and answering it with one
 /// message.
 pub(crate) fn run_batch_worker(
     id: usize,
     queue: &WorkQueue,
-    evaluators: &[CompiledEvaluator<'_>],
+    evaluators: &[PassageTimeSolver<'_>],
     results: &Sender<WorkerMessage>,
 ) -> WorkerStats {
     let mut stats = WorkerStats {
@@ -701,7 +713,7 @@ mod tests {
 
     /// One chunk, runs of three measures: each of the two compiled passage
     /// evaluators gets its runs whole (and answers each point with its
-    /// `eval` bits), and items naming a measure the job does not have fail
+    /// `transform_at` bits), and items naming a measure the job does not have fail
     /// alone — all in chunk order.
     #[test]
     fn chunk_runs_keep_order_and_per_item_outcomes() {
@@ -730,7 +742,10 @@ mod tests {
         for (item, outcome) in items.iter().zip(outcomes) {
             assert_eq!(outcome.item, *item);
             match item.measure {
-                0 => assert_eq!(outcome.outcome, evaluators[0].eval(item.s)),
+                0 => assert_eq!(
+                    outcome.outcome,
+                    point_outcome(evaluators[0].transform_at(item.s))
+                ),
                 1 => assert_eq!(outcome.outcome, Ok(Dist::exponential(1.5).lst(item.s))),
                 _ => assert!(outcome.outcome.unwrap_err().contains("unknown measure 7")),
             }

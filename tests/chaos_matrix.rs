@@ -190,7 +190,7 @@ fn faulty_slice_channels_leave_sharded_values_untouched() {
     let expected: Vec<Complex64> = plan
         .s_points()
         .iter()
-        .map(|&s| evaluator.eval(s).unwrap())
+        .map(|&s| evaluator.transform_at(s).unwrap().value)
         .collect();
 
     let schedules: Vec<FaultPlan> = vec![
