@@ -16,11 +16,12 @@
 //! `smpbench --workload fanout_sys0` (`fanout.efficiency_w2`).
 
 use smp_bench::{build_paper_system, build_scaled_system, Args};
+use smp_core::query::{Engine, MeasureRequest};
 use smp_core::PassageTimeAnalysis;
 use smp_laplace::InversionMethod;
 use smp_pipeline::{
-    available_cores, BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec,
-    ModelCache, ModelSpec, PipelineOptions, TargetSpec, TransformSpec,
+    available_cores, DistributedEngine, InProcess, ModelCache, ModelSpec, PipelineOptions,
+    TargetSpec,
 };
 use std::sync::Arc;
 
@@ -55,7 +56,7 @@ fn main() {
     // 5 t-points, as in the paper's Table 2 workload.
     let t_points: Vec<f64> = (1..=5).map(|k| mean * 0.4 * k as f64).collect();
 
-    // The same passage as a spec over the voting model's text, the one
+    // The same passage as a request over the voting model's text, the one
     // `system` was built from.  It is explored once, here, so that every row
     // times evaluation and not exploration.
     let model = ModelSpec::Voting {
@@ -66,7 +67,7 @@ fn main() {
     let models = Arc::new(ModelCache::new(1));
     models.explored(&model).expect("the voting model explores");
     let targets = TargetSpec::parse(&format!("p2>={voters}")).expect("a voted-count predicate");
-    let spec = TransformSpec::passage(model, targets);
+    let request = MeasureRequest::density(targets, &t_points);
     println!(
         "{:>6}  {:>10}  {:>8}  {:>10}  {:>8}",
         "slaves", "time(s)", "speedup", "efficiency", "messages"
@@ -76,26 +77,25 @@ fn main() {
         // One point per message, as in the paper's protocol: automatic chunk
         // sizing depends on the worker count, which would make the per-message
         // cost differ between rows and corrupt the speedup comparison.
-        let pipeline = DistributedPipeline::new(
-            InversionMethod::euler(),
-            PipelineOptions::with_workers(workers).chunked(1),
-        );
-        let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
-            "passage",
-            MeasureKind::Density,
-            &t_points,
-            spec.clone(),
-        ));
+        let options = PipelineOptions::with_workers(workers).chunked(1);
         let transport = InProcess::new(workers).with_model_cache(Arc::clone(&models));
-        let run = pipeline
-            .execute(job, &transport)
-            .expect("pipeline run failed");
-        let elapsed = run.elapsed.as_secs_f64();
+        let engine = DistributedEngine::with_transport(
+            model.clone(),
+            InversionMethod::euler(),
+            options,
+            Box::new(transport),
+        );
+        let run = engine
+            .solve(std::slice::from_ref(&request))
+            .expect("pipeline run failed")
+            .remove(0)
+            .provenance;
+        let elapsed = run.wall.as_secs_f64();
         let speedup = *baseline.get_or_insert(elapsed) / elapsed.max(1e-12);
         println!(
             "{workers:>6}  {elapsed:>10.3}  {speedup:>8.2}  {:>10.3}  {:>8}",
             speedup / workers as f64,
-            run.report.messages
+            run.messages
         );
     }
 }

@@ -7,11 +7,13 @@
 //! dead worker's outstanding chunk onto the survivor.
 
 use smp_core::query::{Engine, MeasureRequest};
-use smp_laplace::InversionMethod;
+use smp_laplace::{InversionMethod, SPointPlan};
 use smp_numeric::stats::linspace;
+use smp_pipeline::transport::{ExecutionPlan, Transport, TransportReport};
+use smp_pipeline::work::WorkItem;
 use smp_pipeline::{
-    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, InProcess, MeasureKind,
-    MeasureSpec, ModelSpec, PipelineOptions, TargetSpec, TcpTransport, TransformSpec,
+    AnalyticEngine, DistributedEngine, InProcess, ModelSpec, PipelineOptions, TargetSpec,
+    TcpTransport, TransformSpec,
 };
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -36,31 +38,59 @@ fn voting_model() -> ModelSpec {
     }
 }
 
-/// The three-measure voting job of the walkthrough: density and CDF of the
-/// same passage (shared transform key) plus a transient probability.
-fn voting_job(ts: &[f64]) -> BatchJob {
-    let targets = TargetSpec::parse("p2>=2").unwrap();
-    let passage = TransformSpec::passage(voting_model(), targets.clone());
-    let transient = TransformSpec::transient(voting_model(), targets);
-    BatchJob::new()
-        .with_measure(MeasureSpec::from_spec(
-            "density:p2>=2",
-            MeasureKind::Density,
-            ts,
-            passage.clone(),
-        ))
-        .with_measure(MeasureSpec::from_spec(
-            "cdf:p2>=2",
-            MeasureKind::Cdf,
-            ts,
-            passage,
-        ))
-        .with_measure(MeasureSpec::from_spec(
-            "transient:p2>=2",
-            MeasureKind::Transient,
-            ts,
-            transient,
-        ))
+/// The three measures of the walkthrough: density and CDF of the same
+/// passage (shared transform key) plus a transient probability.
+fn voting_requests(ts: &[f64]) -> [MeasureRequest; 3] {
+    let target = TargetSpec::parse("p2>=2").unwrap();
+    [
+        MeasureRequest::density(target.clone(), ts),
+        MeasureRequest::cdf(target.clone(), ts),
+        MeasureRequest::transient(target, ts),
+    ]
+}
+
+/// The two transforms behind [`voting_requests`]: the passage and the
+/// transient.
+fn voting_specs() -> [TransformSpec; 2] {
+    let target = TargetSpec::parse("p2>=2").unwrap();
+    [
+        TransformSpec::passage(voting_model(), target.clone()),
+        TransformSpec::transient(voting_model(), target),
+    ]
+}
+
+/// The cold plan of [`voting_requests`] as a transport receives it: every
+/// Euler point of `ts` under each spec, `chunk_size` items a chunk.
+fn voting_plan<'a>(specs: &'a [TransformSpec], ts: &[f64], chunk_size: usize) -> ExecutionPlan<'a> {
+    let plan = SPointPlan::new(InversionMethod::euler(), ts);
+    let s_points = plan.s_points();
+    let items = (0..specs.len())
+        .flat_map(|measure| s_points.iter().map(move |&s| (measure, s)))
+        .enumerate()
+        .map(|(index, (measure, s))| WorkItem { measure, index, s })
+        .collect();
+    ExecutionPlan {
+        specs: specs.iter().collect(),
+        items,
+        chunk_size,
+        method: "euler".to_string(),
+    }
+}
+
+/// Drains `plan` over `transport`: its report, and every item's value bits
+/// in plan order.
+fn drain(transport: &dyn Transport, plan: ExecutionPlan<'_>) -> (TransportReport, Vec<(u64, u64)>) {
+    let mut bits = vec![None; plan.items.len()];
+    let report = transport
+        .execute(plan, &mut |message| {
+            for outcome in message.results {
+                let value = outcome.outcome.expect("every point converges");
+                bits[outcome.item.index] = Some((value.re.to_bits(), value.im.to_bits()));
+            }
+        })
+        .unwrap();
+    let bits = bits.into_iter().map(|b| b.expect("every item answered"));
+    (report, bits.collect())
 }
 
 fn finish(mut child: Child) {
@@ -71,14 +101,22 @@ fn finish(mut child: Child) {
 #[test]
 fn voting_over_tcp_is_bitwise_identical_to_in_process() {
     let ts = linspace(2.0, 20.0, 3);
-    let pipeline =
-        DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(2));
+    let requests = voting_requests(&ts);
+    let engine_over = |transport: Box<dyn Transport>| {
+        let options = PipelineOptions::with_workers(2);
+        DistributedEngine::with_transport(
+            voting_model(),
+            InversionMethod::euler(),
+            options,
+            transport,
+        )
+    };
 
-    // Reference: the in-process backend (threads) over the same spec job.
-    let reference = pipeline
-        .execute(voting_job(&ts), &InProcess::new(2))
+    // Reference: the in-process backend (threads) over the same requests.
+    let reference = engine_over(Box::new(InProcess::new(2)))
+        .solve(&requests)
         .unwrap();
-    assert_eq!(reference.backend, "in-process");
+    assert_eq!(reference[0].provenance.backend, "in-process");
 
     // Two real worker processes dial the master's rendezvous listeners.
     let transport = TcpTransport::bind(&["127.0.0.1:0", "127.0.0.1:0"])
@@ -89,14 +127,14 @@ fn voting_over_tcp_is_bitwise_identical_to_in_process() {
         .iter()
         .map(|addr| spawn_worker(&addr.to_string(), &[]))
         .collect();
-    let over_tcp = pipeline.execute(voting_job(&ts), &transport).unwrap();
-    assert_eq!(over_tcp.backend, "tcp");
-    assert_eq!(over_tcp.report.disconnects, 0);
-    assert!(over_tcp.report.bytes_on_wire > 0);
+    let engine = engine_over(Box::new(transport.clone()));
+    let over_tcp = engine.solve(&requests).unwrap();
+    assert_eq!(over_tcp[0].provenance.backend, "tcp");
+    assert!(over_tcp[0].provenance.bytes_on_wire > 0);
 
     // Bitwise-identical inversions: every measure, every t-point.
-    assert_eq!(reference.measures.len(), over_tcp.measures.len());
-    for (a, b) in reference.measures.iter().zip(&over_tcp.measures) {
+    assert_eq!(reference.len(), over_tcp.len());
+    for (a, b) in reference.iter().zip(&over_tcp) {
         assert_eq!(a.name, b.name);
         assert_eq!(
             a.values, b.values,
@@ -105,14 +143,25 @@ fn voting_over_tcp_is_bitwise_identical_to_in_process() {
         );
     }
     // The CDF shared every evaluation with the density, over TCP too.
-    let cdf = over_tcp.measure("cdf:p2>=2").unwrap();
-    assert_eq!(cdf.evaluations, 0);
+    assert_eq!(over_tcp[1].provenance.evaluations, 0);
     assert_eq!(
-        cdf.shared_hits,
-        over_tcp.measure("density:p2>=2").unwrap().evaluations
+        over_tcp[1].provenance.shared_hits,
+        over_tcp[0].provenance.evaluations
     );
 
-    // Closing the sockets is the workers' release.
+    // The seated workers drain the job's plan handed to them directly with
+    // the threads' bits, and lose no one.
+    let specs = voting_specs();
+    let (report, bits) = drain(&transport, voting_plan(&specs, &ts, 8));
+    assert_eq!(report.disconnects, 0);
+    assert_eq!(
+        bits,
+        drain(&InProcess::new(2), voting_plan(&specs, &ts, 8)).1
+    );
+
+    // Closing the sockets — every handle of the seat table — is the
+    // workers' release.
+    drop(engine);
     drop(transport);
     for child in children {
         finish(child);
@@ -176,15 +225,10 @@ fn every_measure_kind_is_dispatched_to_the_tcp_workers() {
 #[test]
 fn mid_run_worker_disconnect_is_survived_by_requeueing() {
     let ts = linspace(2.0, 20.0, 3);
+    let specs = voting_specs();
     // Chunk size 1 so the flaky worker's outstanding chunk is a single point
     // and plenty of work remains when it vanishes.
-    let pipeline = DistributedPipeline::new(
-        InversionMethod::euler(),
-        PipelineOptions::with_workers(2).chunked(1),
-    );
-    let reference = pipeline
-        .execute(voting_job(&ts), &InProcess::new(2))
-        .unwrap();
+    let (_, reference) = drain(&InProcess::new(2), voting_plan(&specs, &ts, 1));
 
     let transport = TcpTransport::bind(&["127.0.0.1:0", "127.0.0.1:0"])
         .unwrap()
@@ -194,34 +238,27 @@ fn mid_run_worker_disconnect_is_survived_by_requeueing() {
     // the chunk the master had already sent it is requeued onto worker 1 —
     // which starts only once worker 0 is gone, so it cannot drain the queue
     // before the fault lands.
-    let over_tcp = std::thread::scope(|scope| {
+    let (report, over_tcp) = std::thread::scope(|scope| {
         // The run owns the transport: its end closes the sockets, which is
         // the healthy worker's release.
-        let (pipeline, ts) = (&pipeline, &ts);
-        let run = scope.spawn(move || pipeline.execute(voting_job(ts), &transport));
+        let (specs, ts) = (&specs, &ts);
+        let run = scope.spawn(move || drain(&transport, voting_plan(specs, ts, 1)));
         let mut flaky = spawn_worker(&addrs[0].to_string(), &["--exit-after-chunks", "1"]);
         let _ = flaky.wait();
         let healthy = spawn_worker(&addrs[1].to_string(), &[]);
-        let over_tcp = run.join().expect("master panicked").unwrap();
+        let over_tcp = run.join().expect("master panicked");
         finish(flaky);
         finish(healthy);
         over_tcp
     });
-    assert_eq!(over_tcp.report.disconnects, 1, "the casualty is reported");
+    assert_eq!(report.disconnects, 1, "the casualty is reported");
     // …as absorbed work: the one-point chunk in flight at the lost worker
     // was requeued and finished by the survivor.
-    assert_eq!(over_tcp.report.retries, 1);
-    assert_eq!(over_tcp.report.recovered_faults, 1);
-    for (a, b) in reference.measures.iter().zip(&over_tcp.measures) {
-        assert_eq!(
-            a.values, b.values,
-            "measure {} differs after the disconnect",
-            a.name
-        );
-    }
+    assert_eq!(report.retries, 1);
+    assert_eq!(report.recovered_faults, 1);
+    assert_eq!(over_tcp, reference, "values differ after the disconnect");
     // The flaky worker answered exactly one chunk before vanishing.
-    let flaky_stats = &over_tcp.report.worker_stats[0];
-    assert_eq!(flaky_stats.messages, 1);
+    assert_eq!(report.worker_stats[0].messages, 1);
 
     // The same loss through `smpq`: the absorbed fault surfaces on the
     // report's recovery line.

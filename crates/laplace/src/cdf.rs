@@ -12,15 +12,26 @@ use smp_numeric::stats::{lerp_table, quantile_from_cdf};
 use smp_numeric::Complex64;
 
 /// Repairs raw inverted CDF samples in place: each is clamped into `[0, 1]`
-/// and raised to the running maximum of the samples before it, so inversion
-/// noise can neither leave `[0, 1]` nor make the curve step down.  A NaN
-/// sample takes the running maximum.  The one CDF repair: every CDF curve,
-/// inverted or read off a uniformized chain, goes through it.
-pub fn repair_cdf(values: &mut [f64]) {
+/// and raised to the running maximum of the samples at earlier times, so
+/// inversion noise can neither leave `[0, 1]` nor make the curve step down.
+/// The maximum runs in ascending-`t` order whatever the grid's order, so a
+/// sample never takes the value of a later time listed before it; ties keep
+/// grid order.  A NaN sample takes the running maximum.  The one CDF repair:
+/// every CDF curve, inverted or read off a uniformized chain, goes through
+/// it.
+///
+/// # Panics
+/// When `t_points` and `values` differ in length.
+pub fn repair_cdf(t_points: &[f64], values: &mut [f64]) {
+    assert_eq!(t_points.len(), values.len(), "one sample per t-point");
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    if !t_points.is_sorted() {
+        order.sort_by(|&a, &b| t_points[a].total_cmp(&t_points[b]));
+    }
     let mut running_max: f64 = 0.0;
-    for v in values {
-        running_max = running_max.max(v.clamp(0.0, 1.0));
-        *v = running_max;
+    for i in order {
+        running_max = running_max.max(values[i].clamp(0.0, 1.0));
+        values[i] = running_max;
     }
 }
 
@@ -54,7 +65,7 @@ impl CdfCurve {
             t_points.windows(2).all(|w| w[0] < w[1]),
             "t-points must be strictly increasing"
         );
-        repair_cdf(&mut values);
+        repair_cdf(&t_points, &mut values);
         CdfCurve { t_points, values }
     }
 
@@ -94,13 +105,22 @@ mod tests {
     use smp_distributions::Dist;
     use smp_numeric::stats::linspace;
 
-    /// Samples are clamped into `[0, 1]`, never fall below an earlier one,
-    /// and a NaN sample reads the running maximum.
+    /// Samples are clamped into `[0, 1]`, never fall below one at an
+    /// earlier time, and a NaN sample reads the running maximum; a reversed
+    /// grid repairs to the reversed ascending repair.
     #[test]
     fn repair_cdf_clamps_and_keeps_the_running_maximum() {
-        let mut values = [-0.25, 0.5, 0.25, f64::NAN, 1.5, 0.75];
-        repair_cdf(&mut values);
+        let ts = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let raw = [-0.25, 0.5, 0.25, f64::NAN, 1.5, 0.75];
+        let mut values = raw;
+        repair_cdf(&ts, &mut values);
         assert_eq!(values, [0.0, 0.5, 0.5, 0.5, 1.0, 1.0]);
+        let (mut reversed_ts, mut reversed) = (ts, raw);
+        reversed_ts.reverse();
+        reversed.reverse();
+        repair_cdf(&reversed_ts, &mut reversed);
+        reversed.reverse();
+        assert_eq!(reversed, values);
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! Batch jobs: families of measures solved in one pipeline run.
+//! Measure kinds: which `s`-points a measure needs and how its values are
+//! read off them.
 //!
 //! Realistic studies rarely ask for a single curve — they ask for *families* of
-//! quantities: passage-time densities and CDFs for several source/target pairs,
-//! transient probabilities for several state sets, all over shared (or
-//! overlapping) time grids, and the moments of the same passages.  A
-//! [`BatchJob`] is that workload: an ordered list of [`MeasureSpec`]s, each
-//! pairing a [`TransformSpec`] with a time grid and a kind that says
-//! which `s`-points it needs ([`MeasureKind::plan`]) and how its values are
-//! read off them ([`MeasureKind::postprocess`]).
-//! `DistributedPipeline::execute` plans the union of required `s`-points per
-//! transform, dedupes against the measure-keyed cache and checkpoint, and
-//! solves everything through one shared work queue — the paper's "cache
-//! results both within and across successive queries" realised as an API.
+//! quantities: passage-time densities and CDFs for several targets, transient
+//! probabilities, all over shared (or overlapping) time grids, and the
+//! moments of the same passages.  Every such measure of one
+//! `DistributedEngine` solve is one row of a single run: its kind says which
+//! `s`-points it needs ([`MeasureKind::plan`]) and how its values are read off
+//! them ([`MeasureKind::postprocess`]).  The run plans the union of required
+//! `s`-points per transform, dedupes against the measure-keyed cache and
+//! checkpoint, and solves everything through one shared work queue — the
+//! paper's "cache results both within and across successive queries".
 
-use crate::transform::TransformSpec;
-use crate::transport::TransportReport;
 use smp_laplace::{repair_cdf, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
-use std::time::Duration;
 
 /// How a measure's values are derived from its transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +133,7 @@ impl MeasureKind {
             MeasureKind::Cdf => {
                 let mut values =
                     plan.invert_with(|s| shard.get(s).expect("plan satisfied by shard") / s);
-                repair_cdf(&mut values);
+                repair_cdf(plan.t_points(), &mut values);
                 values
             }
             MeasureKind::Transient => plan
@@ -147,177 +143,5 @@ impl MeasureKind {
                 .collect(),
             MeasureKind::Moment(stencil) => vec![stencil.fold(shard)],
         }
-    }
-}
-
-/// One measure of a batch job: a named transform spec, the time grid to
-/// invert it on, and the post-processing kind.
-#[derive(Debug)]
-pub struct MeasureSpec {
-    name: String,
-    kind: MeasureKind,
-    t_points: Vec<f64>,
-    transform_key: String,
-    spec: TransformSpec,
-}
-
-impl MeasureSpec {
-    /// Creates a measure over a serializable [`TransformSpec`] — for
-    /// [`MeasureKind::Density`], [`MeasureKind::Cdf`] and moments the
-    /// *passage* transform `L(s)` (the `/s` division happens at inversion),
-    /// for [`MeasureKind::Transient`] the transient transform.  Every
-    /// transport backend, including a worker on the other end of a socket,
-    /// rebuilds the spec into an evaluator.
-    pub fn from_spec(
-        name: impl Into<String>,
-        kind: MeasureKind,
-        t_points: &[f64],
-        spec: TransformSpec,
-    ) -> MeasureSpec {
-        MeasureSpec {
-            name: name.into(),
-            kind,
-            t_points: t_points.to_vec(),
-            transform_key: spec.transform_key(),
-            spec,
-        }
-    }
-
-    /// The measure's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The measure's post-processing kind.
-    pub fn kind(&self) -> MeasureKind {
-        self.kind
-    }
-
-    /// The measure's output time grid.
-    pub fn t_points(&self) -> &[f64] {
-        &self.t_points
-    }
-
-    /// The cache/checkpoint key this measure's transform values live under:
-    /// its spec's [`TransformSpec::transform_key`], which folds the model
-    /// fingerprint in.  Measures over equal specs share cache entries,
-    /// checkpoint records and work-queue evaluations.
-    pub fn transform_key(&self) -> &str {
-        &self.transform_key
-    }
-
-    pub(crate) fn spec(&self) -> &TransformSpec {
-        &self.spec
-    }
-}
-
-/// An ordered collection of measures solved together in one pipeline run.
-#[derive(Debug, Default)]
-pub struct BatchJob {
-    measures: Vec<MeasureSpec>,
-}
-
-impl BatchJob {
-    /// Creates an empty job.
-    pub fn new() -> Self {
-        BatchJob::default()
-    }
-
-    /// Adds a measure (builder style).
-    pub fn with_measure(mut self, measure: MeasureSpec) -> Self {
-        self.measures.push(measure);
-        self
-    }
-
-    /// Adds a measure in place.
-    pub fn push(&mut self, measure: MeasureSpec) {
-        self.measures.push(measure);
-    }
-
-    /// The measures in submission order.
-    pub fn measures(&self) -> &[MeasureSpec] {
-        &self.measures
-    }
-
-    /// Number of measures in the job.
-    pub fn len(&self) -> usize {
-        self.measures.len()
-    }
-
-    /// True when the job has no measures.
-    pub fn is_empty(&self) -> bool {
-        self.measures.is_empty()
-    }
-
-    pub(crate) fn into_measures(self) -> Vec<MeasureSpec> {
-        self.measures
-    }
-}
-
-/// The outcome of one measure of a batch run.
-#[derive(Debug, Clone)]
-pub struct MeasureResult {
-    /// The measure's name, copied from its [`MeasureSpec`].
-    pub name: String,
-    /// The measure's post-processing kind.
-    pub kind: MeasureKind,
-    /// The measure's output time grid (unused by a moment measure).
-    pub t_points: Vec<f64>,
-    /// The inverted (and kind-specific post-processed) values on that grid;
-    /// for a moment measure, the one moment.
-    pub values: Vec<f64>,
-    /// Number of `s`-points this measure caused to be evaluated in this run.
-    pub evaluations: usize,
-    /// Number of this measure's planned `s`-points satisfied from the restored
-    /// cache/checkpoint without any new evaluation.
-    pub cache_hits: usize,
-    /// Number of planned `s`-points satisfied by another measure of the *same
-    /// batch* that shares this measure's transform key (union planning).
-    pub shared_hits: usize,
-}
-
-impl MeasureResult {
-    /// Iterates over `(t, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.t_points
-            .iter()
-            .copied()
-            .zip(self.values.iter().copied())
-    }
-}
-
-/// The outcome of a whole batch run.
-#[derive(Debug)]
-pub struct BatchResult {
-    /// Per-measure results, in the job's submission order.
-    pub measures: Vec<MeasureResult>,
-    /// Wall-clock duration of the whole run (planning to inversion).
-    pub elapsed: Duration,
-    /// Total number of `s`-points evaluated in this run.
-    pub evaluations: usize,
-    /// Total number of planned `s`-points satisfied from the restored
-    /// cache/checkpoint (sum of the per-measure `cache_hits`).
-    pub cache_hits: usize,
-    /// Total number of planned `s`-points shared between measures of this
-    /// batch (sum of the per-measure `shared_hits`).
-    pub shared_hits: usize,
-    /// The chunk size the work queue dispensed items with.
-    pub chunk_size: usize,
-    /// Number of chunks dispatched (equals the number of worker messages).
-    pub chunks_dispatched: usize,
-    /// Name of the transport backend that ran the evaluations.
-    pub backend: &'static str,
-    /// Everything the transport reported about the run: wire traffic, lost
-    /// workers, state-space size, hot-path and model-cache counters, and —
-    /// for row-sharded backends — the shard layout, halo traffic and
-    /// recovery counters.  All zero for a fully-warm run, which never touches
-    /// the transport.
-    pub report: TransportReport,
-}
-
-impl BatchResult {
-    /// Looks a measure's result up by name.
-    pub fn measure(&self, name: &str) -> Option<&MeasureResult> {
-        self.measures.iter().find(|m| m.name == name)
     }
 }

@@ -9,9 +9,8 @@
 //! * [`DistributedEngine`] — Laplace inversion through the master–worker
 //!   pipeline over any [`Transport`] (worker threads, TCP worker processes,
 //!   row shards over loopback or TCP, the query server's standing pool):
-//!   every deployment obtains its values through
-//!   [`DistributedPipeline::execute`], and every deployment reports the same
-//!   bits.
+//!   every deployment obtains its values through one run of the pipeline
+//!   (`master::run`) per plan, and every deployment reports the same bits.
 //! * [`AnalyticEngine`] — the single-machine reference, which is not a code
 //!   path of its own but the distributed engine deployed over [`InProcess`](crate::InProcess)
 //!   on every core, handing out chunks of [`BLOCK_LANES`] points — one
@@ -35,15 +34,15 @@
 //! drift apart: quantiles run `smp_laplace::quantiles_from_cdf` over a
 //! CDF-and-density provider (one pipeline run per search grid for the
 //! inversion engine, Poisson sums for the uniformization engine —
-//! `search_quantiles` is the one call site), and means/moments are a batch
+//! `search_quantiles` is the one call site), and means/moments are a
 //! measure kind like the curves — the stencil's nodes are its plan, the
 //! finite-difference fold its post-processing
-//! ([`crate::batch::MomentStencil`]) — so they ride the same batch, and share
+//! ([`crate::batch::MomentStencil`]) — so they ride the same run, and share
 //! points, as the curves over their transform.
 
-use crate::batch::{BatchJob, BatchResult, MeasureKind as CurveKind, MeasureSpec, MomentStencil};
+use crate::batch::{MeasureKind as CurveKind, MomentStencil};
 use crate::cache::{LruMemo, ResultCache};
-use crate::master::{DistributedPipeline, PipelineError, PipelineOptions};
+use crate::master::{self, Measure, PipelineError, PipelineOptions, Solved};
 use crate::server::EngineChoice;
 use crate::shard::ShardedTransport;
 use crate::transform::{ModelCache, ModelSpec, TargetResolveError, TransformSpec};
@@ -81,15 +80,35 @@ fn parse_net(model: &ModelSpec) -> Result<smp_smspn::SmSpn, EngineError> {
     smp_dnamaca::parse_model(&model.source()).map_err(model_error)
 }
 
-/// Checks every request's time grid: every point finite, and — on an engine
-/// that inverts Laplace transforms (`laplace`), whose plans exist only for
-/// `t > 0` — every point of a curve's grid positive.  These checks need no
-/// net, so the query server runs them before it looks an answer up.
+/// Checks every request against what `MeasureRequest::parse` accepts: a
+/// quantile's probabilities — at least one, each strictly between 0 and 1
+/// — and a moment's order in `1..=4`; and its time grid: every point
+/// finite, and — on an engine that inverts Laplace transforms (`laplace`),
+/// whose plans exist only for `t > 0` — every point of a curve's grid
+/// positive.  These checks need no net, so the query server runs them
+/// before it looks an answer up.
 pub(crate) fn validate_grids(
     requests: &[MeasureRequest],
     laplace: bool,
 ) -> Result<(), EngineError> {
     for request in requests {
+        match &request.kind {
+            MeasureKind::Quantile { probs }
+                if probs.is_empty() || probs.iter().any(|p| !(*p > 0.0 && *p < 1.0)) =>
+            {
+                return Err(EngineError::Analysis(format!(
+                    "quantile measure '{}' needs one or more probabilities, each strictly \
+                     between 0 and 1",
+                    request.name()
+                )));
+            }
+            MeasureKind::Moment { order } if MomentStencil::new(*order).is_none() => {
+                return Err(EngineError::Unsupported(format!(
+                    "moment order {order} is out of range (supported: 1..=4)"
+                )));
+            }
+            _ => {}
+        }
         let curve = request.kind.is_curve();
         if curve && request.t_points.len() < 2 {
             return Err(EngineError::Analysis(format!(
@@ -141,26 +160,21 @@ fn transform_spec_for(model: &ModelSpec, request: &MeasureRequest) -> TransformS
     }
 }
 
-/// The batch measure kind that answers a request from one fixed plan — the
+/// The measure kind that answers a request from one fixed plan — the
 /// curve kinds on the request's grid, mean/moment on the stencil's nodes —
 /// or `None` for a quantile, whose grids depend on the values found.
-pub(crate) fn batch_kind_of(kind: &MeasureKind) -> Result<Option<CurveKind>, EngineError> {
-    let moment = |order: u32| {
-        MomentStencil::new(order)
-            .map(|stencil| Some(CurveKind::Moment(stencil)))
-            .ok_or_else(|| {
-                EngineError::Unsupported(format!(
-                    "moment order {order} is out of range (supported: 1..=4)"
-                ))
-            })
-    };
+///
+/// # Panics
+/// On a moment order [`validate_grids`] refuses.
+pub(crate) fn batch_kind_of(kind: &MeasureKind) -> Option<CurveKind> {
+    let moment = |order| MomentStencil::new(order).expect("a validated moment order");
     match kind {
-        MeasureKind::Density => Ok(Some(CurveKind::Density)),
-        MeasureKind::Cdf => Ok(Some(CurveKind::Cdf)),
-        MeasureKind::Transient => Ok(Some(CurveKind::Transient)),
-        MeasureKind::Quantile { .. } => Ok(None),
-        MeasureKind::Mean => moment(1),
-        MeasureKind::Moment { order } => moment(*order),
+        MeasureKind::Density => Some(CurveKind::Density),
+        MeasureKind::Cdf => Some(CurveKind::Cdf),
+        MeasureKind::Transient => Some(CurveKind::Transient),
+        MeasureKind::Quantile { .. } => None,
+        MeasureKind::Mean => Some(CurveKind::Moment(moment(1))),
+        MeasureKind::Moment { order } => Some(CurveKind::Moment(moment(*order))),
     }
 }
 
@@ -274,24 +288,68 @@ impl AnalyticEngine {
 /// The distributed pipeline behind the typed query layer: one engine, one
 /// evaluation path, any [`Transport`].
 ///
-/// Every transform value this engine reports was obtained through
-/// [`DistributedPipeline::execute`].  The measures with a fixed plan — curves
-/// on their grid, means/moments on their stencil — are planned as a single
-/// [`BatchJob`], so shared transform keys, union `s`-point planning, the
-/// measure-keyed cache and the checkpoint apply to all of them.  Quantiles
-/// run the shared search of `smp_laplace::quantiles_from_cdf` with one
-/// *pipeline run per grid the search asks for*, every run of a search against
-/// one result cache, so no round evaluates a point an earlier one has; a
-/// configured checkpoint or shared cache also warms any later run.  Every
-/// transport keeps its workers between runs — threads are respawned over a
-/// kept explored model, chunk and slice links stay seated until the
-/// engine drops — so a multi-round solve pays its rendezvous once.
+/// Every transform value this engine reports was obtained through one run
+/// of the pipeline over its transport, planned with its inversion method
+/// under its [`PipelineOptions`].  The measures with a fixed plan — curves
+/// on their grid, means/moments on their stencil — are one run, so shared
+/// transform keys, union `s`-point planning, the measure-keyed cache and
+/// the checkpoint apply to all of them.  Quantiles run the shared search of
+/// `smp_laplace::quantiles_from_cdf` with one *run per grid the search asks
+/// for*, every run of a search against one result cache, so no round
+/// evaluates a point an earlier one has; a configured checkpoint or shared
+/// cache also warms any later solve.  Every transport keeps its workers
+/// between runs — threads are respawned over a kept explored model, chunk
+/// and slice links stay seated until the engine drops — so a multi-round
+/// solve pays its rendezvous once.
+///
+/// # Example
+///
+/// A density and a CDF of the same Erlang passage share its transform, so
+/// the CDF costs no transform evaluation of its own.  The model is a
+/// one-stage net: a token moves `a → b` after an Erlang(2, 3) holding time
+/// and back after an exponential one, so the passage into `b` is that
+/// Erlang time.
+///
+/// ```
+/// use smp_core::query::{Engine, MeasureRequest};
+/// use smp_laplace::InversionMethod;
+/// use smp_pipeline::{DistributedEngine, ModelSpec, PipelineOptions, TargetSpec};
+///
+/// let net = r"\place{a}{1} \place{b}{0}
+///     \transition{ab}{ \condition{a > 0} \action{ next->a = a - 1; next->b = b + 1; }
+///         \sojourntimeLT{ return erlangLT(2.0, 3, s); } }
+///     \transition{ba}{ \condition{b > 0} \action{ next->b = b - 1; next->a = a + 1; }
+///         \sojourntimeLT{ return expLT(1.0, s); } }";
+/// let engine = DistributedEngine::in_process(
+///     ModelSpec::Dnamaca(net.to_string()),
+///     InversionMethod::euler(),
+///     PipelineOptions::with_workers(4),
+/// );
+/// let target = TargetSpec::parse("b>=1").unwrap();
+/// let ts: Vec<f64> = (1..=8).map(|k| k as f64 * 0.5).collect();
+///
+/// let [density, cdf] = engine
+///     .solve(&[
+///         MeasureRequest::density(target.clone(), &ts),
+///         MeasureRequest::cdf(target, &ts),
+///     ])
+///     .unwrap()
+///     .try_into()
+///     .unwrap();
+/// // The shared key means the CDF reused every one of the density's points.
+/// assert_eq!(cdf.provenance.evaluations, 0);
+/// assert_eq!(cdf.provenance.shared_hits, density.provenance.evaluations);
+/// // The CDF is monotone and ends near 1.
+/// assert!(cdf.values.windows(2).all(|w| w[1] >= w[0]));
+/// assert!(*cdf.values.last().unwrap() > 0.95);
+/// ```
 pub struct DistributedEngine {
     /// The engine name reports carry: `distributed`, or `analytic` for the
     /// deployment [`AnalyticEngine`] builds.
     name: &'static str,
     model: ModelSpec,
-    pipeline: DistributedPipeline,
+    method: InversionMethod,
+    options: PipelineOptions,
     transport: Box<dyn Transport>,
 }
 
@@ -302,6 +360,15 @@ impl std::fmt::Debug for DistributedEngine {
             .field("model", &self.model)
             .field("backend", &self.transport.name())
             .finish()
+    }
+}
+
+/// A pipeline failure as the engine reports it: a model fault stays one,
+/// anything else failed the analysis.
+fn pipeline_error(e: PipelineError) -> EngineError {
+    match e {
+        PipelineError::Model { message } => EngineError::Model(message),
+        e => EngineError::Analysis(e.to_string()),
     }
 }
 
@@ -326,7 +393,8 @@ impl DistributedEngine {
         DistributedEngine {
             name: "distributed",
             model,
-            pipeline: DistributedPipeline::new(method, options),
+            method,
+            options,
             transport,
         }
     }
@@ -363,25 +431,20 @@ impl DistributedEngine {
         Self::with_transport(model, method, options, Box::new(transport))
     }
 
-    /// One run of `pipeline` — the engine's own, or a quantile search's copy
-    /// of it — over the engine's transport: the only way this engine obtains
-    /// a transform value.
-    fn execute(
+    /// One pipeline run of `measures` against `cache` over the engine's
+    /// transport: the only way this engine obtains a transform value.
+    fn run(
         &self,
-        pipeline: &DistributedPipeline,
-        job: BatchJob,
-    ) -> Result<BatchResult, EngineError> {
-        pipeline
-            .execute(job, self.transport.as_ref())
-            .map_err(|e| match e {
-                PipelineError::Model { message } => EngineError::Model(message),
-                e => EngineError::Analysis(e.to_string()),
-            })
+        cache: &ResultCache,
+        measures: &[Measure<'_>],
+    ) -> Result<(Vec<Solved>, TransportReport), EngineError> {
+        let transport = self.transport.as_ref();
+        master::run(&self.method, &self.options, cache, measures, transport).map_err(pipeline_error)
     }
 }
 
 /// Folds one pipeline run into the provenance of the report it is attributed
-/// to (the first measure of a batch; the quantile a refinement round belongs
+/// to (the first measure of a run; the quantile a refinement round belongs
 /// to), so summing a solve's reports gives true totals.
 fn absorb_run(provenance: &mut Provenance, run: &TransportReport) {
     provenance.messages += run.messages;
@@ -423,49 +486,56 @@ impl Engine for DistributedEngine {
         let mut reports: Vec<Option<MeasureReport>> = requests.iter().map(|_| None).collect();
 
         // 1. Every measure with a fixed plan goes through the pipeline as one
-        //    batch: shared transform keys mean a density, a CDF and a mean
+        //    run: shared transform keys mean a density, a CDF and a mean
         //    over one target share every evaluation they have in common.
-        let mut job = BatchJob::new();
-        let mut batched = Vec::new();
-        for (ri, request) in requests.iter().enumerate() {
-            if let Some(kind) = batch_kind_of(&request.kind)? {
+        let (planned, measures): (Vec<usize>, Vec<Measure<'_>>) = requests
+            .iter()
+            .enumerate()
+            .filter_map(|(ri, request)| {
+                let kind = batch_kind_of(&request.kind)?;
                 let spec = transform_spec_for(&self.model, request);
-                job.push(MeasureSpec::from_spec(
-                    request.name(),
-                    kind,
-                    &request.t_points,
-                    spec,
-                ));
-                batched.push(ri);
-            }
-        }
-        if !batched.is_empty() {
-            let batch = self.execute(&self.pipeline, job)?;
+                let name = request.name();
+                let t_points = &request.t_points;
+                Some((
+                    ri,
+                    Measure {
+                        name,
+                        kind,
+                        t_points,
+                        spec,
+                    },
+                ))
+            })
+            .unzip();
+        if !measures.is_empty() {
+            let cache = self.options.run_cache().map_err(pipeline_error)?;
+            let (solved, report) = self.run(&cache, &measures)?;
             let wall = started.elapsed();
-            for (slot, (&ri, result)) in batched.iter().zip(batch.measures).enumerate() {
+            let answered = planned.iter().zip(measures).zip(solved);
+            for (slot, ((&ri, measure), solved)) in answered.enumerate() {
                 let mut provenance = Provenance::local(self.name, backend);
                 provenance.workers = self.transport.parallelism();
-                provenance.shards = batch.report.shards;
-                provenance.states = batch.report.states;
+                provenance.shards = report.shards;
+                provenance.states = report.states;
                 if slot == 0 {
-                    absorb_run(&mut provenance, &batch.report);
+                    absorb_run(&mut provenance, &report);
                 }
-                provenance.evaluations = result.evaluations;
-                provenance.cache_hits = result.cache_hits;
-                provenance.shared_hits = result.shared_hits;
+                provenance.evaluations = solved.evaluations;
+                provenance.cache_hits = solved.cache_hits;
+                provenance.shared_hits = solved.shared_hits;
                 provenance.wall = wall;
                 reports[ri] = Some(MeasureReport {
-                    name: result.name,
+                    name: measure.name,
                     kind: requests[ri].kind.clone(),
                     points: report_points(&requests[ri]),
-                    values: result.values,
+                    values: solved.values,
                     provenance,
                 });
             }
         }
 
         // 2. Quantiles search through repeated pipeline runs: one Cdf +
-        //    Density batch per grid the search asks for (the density's points
+        //    Density run per grid the search asks for (the density's points
         //    are the CDF's, so it evaluates nothing), all against one result
         //    cache so that no round evaluates a point an earlier round
         //    already has — the configured shared cache (which warms any
@@ -477,22 +547,22 @@ impl Engine for DistributedEngine {
             let spec = transform_spec_for(&self.model, request);
             let name = request.name();
             let mut provenance = Provenance::local(self.name, backend);
-            let pipeline = self
-                .pipeline
-                .caching_across_runs()
-                .map_err(|e| EngineError::Analysis(e.to_string()))?;
-            let values = search_quantiles(request, probs, &mut |ts| {
+            let cache = self.options.run_cache().map_err(pipeline_error)?;
+            let values = search_quantiles(request, probs, &mut |t_points| {
                 // The density over the same transform and grid: every point
                 // it needs is the CDF's, a shared hit.
-                let measure = |kind| MeasureSpec::from_spec(name.clone(), kind, ts, spec.clone());
-                let job = BatchJob::new()
-                    .with_measure(measure(CurveKind::Cdf))
-                    .with_measure(measure(CurveKind::Density));
-                let batch = self.execute(&pipeline, job)?;
-                absorb_run(&mut provenance, &batch.report);
-                provenance.shards = provenance.shards.max(batch.report.shards);
-                provenance.states = provenance.states.or(batch.report.states);
-                let [cdf, density]: [_; 2] = batch.measures.try_into().expect("two measures");
+                let measure = |kind| Measure {
+                    name: name.clone(),
+                    kind,
+                    t_points,
+                    spec: spec.clone(),
+                };
+                let measures = [measure(CurveKind::Cdf), measure(CurveKind::Density)];
+                let (solved, report) = self.run(&cache, &measures)?;
+                absorb_run(&mut provenance, &report);
+                provenance.shards = provenance.shards.max(report.shards);
+                provenance.states = provenance.states.or(report.states);
+                let [cdf, density]: [_; 2] = solved.try_into().expect("two measures");
                 provenance.evaluations += cdf.evaluations;
                 provenance.cache_hits += cdf.cache_hits;
                 Ok(cdf.values.into_iter().zip(density.values).collect())
@@ -890,7 +960,7 @@ impl Engine for UniformizationEngine {
                             // Same monotone repair the inversion engines apply
                             // to their CDF curves.
                             let mut values = out.values;
-                            repair_cdf(&mut values);
+                            repair_cdf(&request.t_points, &mut values);
                             (request.t_points.clone(), values)
                         }
                         MeasureKind::Density => {
@@ -1033,7 +1103,6 @@ pub fn build_engine<E>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::batch::BatchResult;
     use crate::cache::ResultCache;
     use crate::master::PipelineError;
     use crate::one_stage;
@@ -1197,19 +1266,16 @@ pub(crate) mod tests {
             InversionMethod::Euler(Euler::new(params))
         };
         let run = |spec: &TransformSpec, n, backend: &dyn Transport| {
-            let job = BatchJob::new().with_measure(MeasureSpec::from_spec(
-                "f",
-                CurveKind::Cdf,
-                &[1.0],
-                spec.clone(),
-            ));
-            let cache = Arc::new(ResultCache::new());
-            let options = PipelineOptions {
-                shared_cache: Some(Arc::clone(&cache)),
-                ..PipelineOptions::default().chunked(BLOCK_LANES)
+            let measure = Measure {
+                name: "f".to_string(),
+                kind: CurveKind::Cdf,
+                t_points: &[1.0],
+                spec: spec.clone(),
             };
-            let batch = DistributedPipeline::new(euler(n), options).execute(job, backend);
-            (batch, cache)
+            let cache = ResultCache::new();
+            let options = PipelineOptions::default().chunked(BLOCK_LANES);
+            let run = master::run(&euler(n), &options, &cache, &[measure], backend);
+            (run, cache)
         };
         let specs = [
             TransformSpec::passage(voting(), target("p2>=2")),
@@ -1220,18 +1286,18 @@ pub(crate) mod tests {
                 let plan = SPointPlan::new(euler(n), &[1.0]);
                 assert_eq!(plan.len(), n);
                 let table = |threads| {
-                    let (batch, cache) = run(spec, n, &InProcess::new(threads));
-                    let batch: BatchResult = batch.unwrap();
-                    assert_eq!(batch.evaluations, n);
-                    assert_eq!(batch.chunks_dispatched, n.div_ceil(BLOCK_LANES));
-                    assert_eq!(batch.report.worker_stats.len(), threads);
+                    let (run, cache) = run(spec, n, &InProcess::new(threads));
+                    let (solved, report) = run.unwrap();
+                    assert_eq!(solved[0].evaluations, n);
+                    assert_eq!(report.messages, n.div_ceil(BLOCK_LANES));
+                    assert_eq!(report.worker_stats.len(), threads);
                     let values = cache.snapshot(&spec.transform_key(), plan.s_points());
                     let bits: Vec<_> = plan
                         .s_points()
                         .iter()
                         .map(|&s| values.get(s).map(|v| (v.re.to_bits(), v.im.to_bits())))
                         .collect();
-                    (bits, batch.report.hotpath.pooled_lst_evaluations)
+                    (bits, report.hotpath.pooled_lst_evaluations)
                 };
                 let one = table(1);
                 assert!(one.0.iter().all(Option::is_some));
@@ -1650,6 +1716,67 @@ pub(crate) mod tests {
         // The closed-form hypoexponential mean: 1/2 + 1/1.
         let mean = &uniform[4];
         assert!((mean.values[0] - 1.5).abs() < 1e-9, "{}", mean.values[0]);
+    }
+
+    /// A CDF's monotone repair runs in ascending time, whatever order the
+    /// grid lists its points in: on either engine, the CDF on a reversed grid
+    /// is the reversed ascending-grid CDF, bit for bit.
+    #[test]
+    fn a_cdf_on_a_reversed_grid_is_the_reversed_ascending_cdf() {
+        let ascending = linspace(0.2, 2.0, 4);
+        let reversed: Vec<f64> = ascending.iter().rev().copied().collect();
+        let engines: [Box<dyn Engine>; 2] = [
+            Box::new(AnalyticEngine::new(exp_ring(), InversionMethod::euler())),
+            Box::new(UniformizationEngine::new(exp_ring())),
+        ];
+        for engine in engines {
+            let cdf = |ts: &[f64]| {
+                let report = engine.solve(&[MeasureRequest::cdf(target("c>=1"), ts)]);
+                let values = report.unwrap().remove(0).values;
+                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let mut backwards = cdf(&reversed);
+            backwards.reverse();
+            assert_eq!(backwards, cdf(&ascending), "{}", engine.name());
+        }
+    }
+
+    /// What `MeasureRequest::parse` refuses — a probability outside (0, 1),
+    /// none at all, a moment order outside 1..=4 — every engine refuses as
+    /// an error, and none panics.
+    #[test]
+    fn every_engine_refuses_what_parse_refuses() {
+        let ts = linspace(0.5, 4.0, 4);
+        let quantile = |probs: &[f64]| MeasureRequest::quantile(target("c>=1"), probs);
+        let cases = [
+            quantile(&[1.5]),
+            quantile(&[f64::NAN]),
+            quantile(&[1.0]),
+            quantile(&[0.0]),
+            quantile(&[]),
+            MeasureRequest::moment(target("c>=1"), 0),
+            MeasureRequest::moment(target("c>=1"), 9),
+        ];
+        let simulation = SimulationOptions {
+            replications: 100,
+            ..SimulationOptions::default()
+        };
+        let engines: [Box<dyn Engine>; 3] = [
+            Box::new(AnalyticEngine::new(exp_ring(), InversionMethod::euler())),
+            Box::new(UniformizationEngine::new(exp_ring())),
+            Box::new(SimulationEngine::new(exp_ring(), simulation)),
+        ];
+        for engine in engines {
+            for request in &cases {
+                let outcome = engine.solve(&[request.clone().with_t_points(&ts)]);
+                assert!(
+                    outcome.is_err(),
+                    "{} answered {:?}: {outcome:?}",
+                    engine.name(),
+                    request.kind
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! The original tool ran on a cluster of PCs over 100 Mbps Ethernet via a
 //! master–slave message-passing harness.  That layer is abstracted behind the
 //! [`transport::Transport`] trait, so one planning/caching/checkpointing core
-//! ([`DistributedPipeline::execute`]) — the only solve path — drives
-//! interchangeable backends:
+//! — the only solve path, entered through [`DistributedEngine`]'s
+//! `Engine::solve` — drives interchangeable backends:
 //!
 //! * [`transport::InProcess`] (default) — worker threads stand in for slave
 //!   processors, a shared lock-protected queue is the global work queue;
@@ -40,24 +40,25 @@
 //!
 //! The scheduling, caching, checkpointing and convergence code paths are
 //! identical across backends — a TCP or sharded run inverts from
-//! bit-identical transform values.  Every measure names its transform with a
-//! [`TransformSpec`] ([`MeasureSpec::from_spec`]), which each backend
-//! rebuilds into an evaluator on its side of the wire (see the workspace
-//! `README.md` for the two-terminal walkthrough).
+//! bit-identical transform values.  Every measure's transform is a
+//! [`TransformSpec`], which each backend rebuilds into an evaluator on its
+//! side of the wire (see the workspace `README.md` for the two-terminal
+//! walkthrough).
 //!
-//! ## Batch jobs
+//! ## One run per solve
 //!
 //! The paper amortises transform evaluations across many time points and
-//! measures, caching values "both within and across successive queries".  The
-//! pipeline therefore solves whole [`BatchJob`]s: N [`MeasureSpec`]s (densities,
-//! CDFs via the `/s` trick, transients over shared or distinct time grids;
-//! moments over their finite-difference stencil), with
-//! per-transform union planning, a measure-keyed cache/checkpoint, and chunked
-//! work dispatch so channel and lock traffic is one round-trip per *chunk*, not
-//! per point.  A single curve is a one-measure batch.
+//! measures, caching values "both within and across successive queries".  A
+//! solve's requests with a fixed plan — densities, CDFs via the `/s` trick,
+//! transients over shared or distinct time grids, moments over their
+//! finite-difference stencil — are therefore one run, with per-transform
+//! union planning, a measure-keyed cache/checkpoint, and chunked work
+//! dispatch so channel and lock traffic is one round-trip per *chunk*, not
+//! per point; a quantile search is one run per grid it asks for.
 //!
 //! * [`work`] — the global chunked `s`-point work queue;
-//! * [`batch`] — measure and batch-job specifications and their results;
+//! * [`batch`] — the measure kinds: each one's `s`-point plan and how its
+//!   values are read off the transform;
 //! * `transform` — serializable evaluator descriptions ([`TransformSpec`])
 //!   and their reconstruction into solvers on a worker;
 //! * [`transport`] — the pluggable master⇄worker backends and the one
@@ -75,7 +76,8 @@
 //! * [`worker`] — the slave loops: pull a chunk, evaluate, push one result
 //!   message — from the shared queue (threads) or off a link (processes and
 //!   loopback shards);
-//! * `master` — the orchestrating [`DistributedPipeline`];
+//! * `master` — the orchestrating run: planning, dedupe, dispatch,
+//!   checkpointing and inversion;
 //! * [`shard`] — row-sharded distributed SpMV sessions: each worker holds
 //!   one contiguous `O(N/shards)` row block of the state space and the
 //!   Laplace-domain iteration runs as lockstep sparse products with a
@@ -109,7 +111,7 @@ pub mod wire;
 pub mod work;
 pub mod worker;
 
-pub use batch::{BatchJob, MeasureKind, MeasureSpec};
+pub use batch::MeasureKind;
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
     available_cores, build_engine, route, uniformization_applies, AnalyticEngine,
@@ -117,7 +119,7 @@ pub use engine::{
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use link::{FaultyLink, Link, LoopbackLink, TcpLink};
-pub use master::{DistributedPipeline, PipelineError, PipelineOptions};
+pub use master::{PipelineError, PipelineOptions};
 pub use server::{
     resolve_request, EngineChoice, QueryReply, QueryRequest, QueryServer, QueryServerOptions,
     Refusal, RefusalKind,

@@ -789,15 +789,14 @@ fn pool_transport(shared: &ServerShared, deadline: Option<Instant>) -> Box<dyn T
 }
 
 /// The memo key of every request's answer on the routed engine, over the
-/// model whose fingerprint is `fingerprint` — or `None` when a request has
-/// no answer to remember (a moment order out of range, refused by the
-/// solve).
+/// model whose fingerprint is `fingerprint`; the requests passed
+/// `validate_grids`.
 fn answer_keys(
     requests: &[MeasureRequest],
     routed: EngineChoice,
     method: &InversionMethod,
     fingerprint: &str,
-) -> Option<Vec<AnswerKey>> {
+) -> Vec<AnswerKey> {
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
     requests
         .iter()
@@ -807,7 +806,7 @@ fn answer_keys(
                     AnswerKind::Quantile(bits(probs)),
                     vec![quantile_horizons(request).0.to_bits()],
                 ),
-                kind => match batch_kind_of(kind).ok()?? {
+                kind => match batch_kind_of(kind).expect("only a quantile has no fixed plan") {
                     moment @ CurveKind::Moment(_) => (AnswerKind::Planned(moment), Vec::new()),
                     curve => (AnswerKind::Planned(curve), bits(&request.t_points)),
                 },
@@ -817,13 +816,13 @@ fn answer_keys(
             } else {
                 TransformSpec::transient_key(fingerprint, &request.target)
             };
-            Some(AnswerKey {
+            AnswerKey {
                 engine: routed.name(),
                 kind,
                 grid,
                 method: method.clone(),
                 transform,
-            })
+            }
         })
         .collect()
 }
@@ -886,11 +885,10 @@ fn solve_query(
     // An answer remembered under this model's fingerprint and target proves
     // the places, so a fully remembered request is its reply.
     let keys = answer_keys(&requests, routed, &method, &fingerprint);
-    let remembered: Option<Vec<MeasureReport>> = keys.as_ref().and_then(|keys| {
-        keys.iter()
-            .map(|key| shared.results.remembered(key))
-            .collect()
-    });
+    let remembered: Option<Vec<MeasureReport>> = keys
+        .iter()
+        .map(|key| shared.results.remembered(key))
+        .collect();
     let (outcome, queue_wait) = match remembered {
         Some(reports) => {
             // A mean and a first moment share an answer: the reply names
@@ -924,7 +922,7 @@ fn solve_query(
             let (permit, queue_wait) = shared.admit(deadline)?;
             let outcome = engine.solve(&requests);
             drop(permit);
-            if let (Ok(reports), Some(keys)) = (&outcome, keys) {
+            if let Ok(reports) = &outcome {
                 for (key, report) in keys.into_iter().zip(reports) {
                     shared
                         .results

@@ -18,7 +18,7 @@
 //!   It owns no worker between runs.
 //! * `ShardedTransport` — the fleet as a [`Transport`], so a row-sharded
 //!   solve is planned, memoised, checkpointed and inverted by the same
-//!   `DistributedPipeline::execute` as every other deployment.  It is a
+//!   pipeline run (`master::run`) as every other deployment.  It is a
 //!   [`TcpTransport`] plus the `.shard` sidecar: the seat table holds the
 //!   slice links between runs, accepts the holders and sends them the
 //!   farewell, exactly as it does for chunk workers.

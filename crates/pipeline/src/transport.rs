@@ -66,8 +66,8 @@ impl std::fmt::Debug for ExecutionPlan<'_> {
 
 /// Everything a transport needs to run one distributed evaluation: the
 /// per-measure transform specs, the outstanding work items, and the dispatch
-/// chunk size.  Produced by `DistributedPipeline::execute` after planning and
-/// cache dedup.
+/// chunk size.  Produced by the master's run (`master::run`) after planning
+/// and cache dedup.
 pub struct ExecutionPlan<'a> {
     /// Per-measure transform specs, indexed by [`WorkItem::measure`].
     pub specs: Vec<&'a TransformSpec>,

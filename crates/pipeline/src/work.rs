@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// One unit of work: evaluate the transform of measure `measure` at `s`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkItem {
-    /// Index of the measure (within the running batch job) whose transform is to
+    /// Index of the measure (within the running plan) whose transform is to
     /// be evaluated.  Single-measure runs use measure `0` throughout.
     pub measure: usize,
     /// Position of the point in the evaluation plan (used for bookkeeping only).

@@ -10,13 +10,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smp_suite::core::query::{Engine, MeasureRequest};
 use smp_suite::core::{PassageTimeAnalysis, StateSet};
 use smp_suite::laplace::{CdfCurve, InversionMethod};
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{
-    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
-    TargetSpec, TransformSpec,
-};
+use smp_suite::pipeline::{DistributedEngine, ModelSpec, PipelineOptions, TargetSpec};
 use smp_suite::simulator::smp_sim::simulate_smp_passage_times;
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
@@ -42,33 +40,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analytic density via the distributed pipeline (4 workers, Euler
     // inversion).  The pipeline's workers rebuild the same model from its
     // spec: the voting model's DNAmaca form, passage into "all 10 voted".
-    let passage = TransformSpec::passage(
+    let engine = DistributedEngine::in_process(
         ModelSpec::Voting {
             voters: 10,
             polling: 4,
             central: 2,
         },
-        TargetSpec::parse("p2>=10")?,
+        InversionMethod::euler(),
+        PipelineOptions::with_workers(4),
     );
-    let pipeline =
-        DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-    // One batch, two measures over one spec and so one transform key: the
+    // One solve, two measures over one target and so one transform: the
     // CDF of Fig. 5 reuses every s-point the density evaluates.
-    let job = BatchJob::new()
-        .with_measure(MeasureSpec::from_spec(
-            "f",
-            MeasureKind::Density,
-            &ts,
-            passage.clone(),
-        ))
-        .with_measure(MeasureSpec::from_spec("F", MeasureKind::Cdf, &ts, passage));
-    let batch = pipeline.execute(job, &InProcess::new(4))?;
+    let all_voted = TargetSpec::parse("p2>=10")?;
+    let [density, cdf] = <[_; 2]>::try_from(engine.solve(&[
+        MeasureRequest::density(all_voted.clone(), &ts),
+        MeasureRequest::cdf(all_voted, &ts),
+    ])?)
+    .expect("one report per request");
     println!(
         "pipeline evaluated {} s-points in {:.2} s on 4 workers",
-        batch.evaluations,
-        batch.elapsed.as_secs_f64()
+        density.provenance.evaluations + cdf.provenance.evaluations,
+        cdf.provenance.wall.as_secs_f64()
     );
-    let density = &batch.measures[0];
 
     // Validate against simulation of the same SMP.
     let target_set = StateSet::new(smp.num_states(), &targets)?;
@@ -87,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // And the response-time quantile of Fig. 5.
-    let cdf = CdfCurve::from_samples(ts.clone(), batch.measures[1].values.clone());
+    let cdf = CdfCurve::from_samples(ts.clone(), cdf.values);
     if let Some(q) = cdf.quantile(0.95) {
         println!(
             "\n95% of runs finish within {q:.2} s (simulation says {:.2} s)",

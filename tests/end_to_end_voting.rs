@@ -4,13 +4,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smp_suite::core::query::{Engine, MeasureRequest};
 use smp_suite::core::{PassageTimeAnalysis, StateSet, TransientAnalysis};
 use smp_suite::laplace::InversionMethod;
 use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{
-    BatchJob, DistributedPipeline, InProcess, MeasureKind, MeasureSpec, ModelSpec, PipelineOptions,
-    TargetSpec, TransformSpec,
-};
+use smp_suite::pipeline::{DistributedEngine, ModelSpec, PipelineOptions, TargetSpec};
 use smp_suite::simulator::smp_sim::{simulate_smp_passage_times, simulate_smp_transient};
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
@@ -66,26 +64,20 @@ fn pipeline_and_sequential_solver_agree() {
     let sequential = analysis.density(InversionMethod::euler(), &ts).unwrap();
 
     // The pipeline's workers rebuild the same model from its spec.
-    let passage = TransformSpec::passage(
-        ModelSpec::Voting {
-            voters: 4,
-            polling: 2,
-            central: 2,
-        },
-        TargetSpec::parse("p2>=3").unwrap(),
+    let model = ModelSpec::Voting {
+        voters: 4,
+        polling: 2,
+        central: 2,
+    };
+    let engine = DistributedEngine::in_process(
+        model,
+        InversionMethod::euler(),
+        PipelineOptions::with_workers(4),
     );
-    let pipeline =
-        DistributedPipeline::new(InversionMethod::euler(), PipelineOptions::with_workers(4));
-    let measure = MeasureSpec::from_spec("passage", MeasureKind::Density, &ts, passage);
-    let distributed = pipeline
-        .execute(BatchJob::new().with_measure(measure), &InProcess::new(4))
-        .unwrap();
+    let request = MeasureRequest::density(TargetSpec::parse("p2>=3").unwrap(), &ts);
+    let distributed = engine.solve(&[request]).unwrap().remove(0);
 
-    for (a, b) in sequential
-        .values()
-        .iter()
-        .zip(&distributed.measures[0].values)
-    {
+    for (a, b) in sequential.values().iter().zip(&distributed.values) {
         assert!((a - b).abs() < 1e-10, "sequential {a} vs pipeline {b}");
     }
 }

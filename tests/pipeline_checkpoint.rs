@@ -2,28 +2,28 @@
 //! passage-time workload — across worker counts (the protocol of Table 2)
 //! and across sharded and unsharded deployments.
 
-use smp_suite::core::query::{Engine, MeasureRequest, TargetSpec};
+use smp_suite::core::query::{Engine, MeasureReport, MeasureRequest, TargetSpec};
 use smp_suite::laplace::{InversionMethod, SPointPlan};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::numeric::Complex64;
 use smp_suite::pipeline::checkpoint::{shard_snapshot_path, ShardSnapshot};
+use smp_suite::pipeline::transport::{ExecutionPlan, Transport};
+use smp_suite::pipeline::work::WorkItem;
 use smp_suite::pipeline::{
-    AnalyticEngine, BatchJob, DistributedEngine, DistributedPipeline, InProcess, MeasureKind,
-    MeasureSpec, ModelSpec, PipelineOptions, TransformSpec,
+    AnalyticEngine, DistributedEngine, InProcess, ModelSpec, PipelineOptions, TransformSpec,
 };
 use std::path::{Path, PathBuf};
 
-/// The density of the passage until every voter of `voting voters,2,2` has
-/// voted, over the grid `ts`.
-fn all_voted_density(voters: u32, ts: &[f64]) -> MeasureSpec {
+/// `voting voters,2,2` and the request for the density of the passage until
+/// every voter has voted, over the grid `ts`.
+fn all_voted_density(voters: u32, ts: &[f64]) -> (ModelSpec, MeasureRequest) {
     let model = ModelSpec::Voting {
         voters,
         polling: 2,
         central: 2,
     };
     let targets = TargetSpec::parse(&format!("p2>={voters}")).unwrap();
-    let passage = TransformSpec::passage(model, targets);
-    MeasureSpec::from_spec("passage", MeasureKind::Density, ts, passage)
+    (model, MeasureRequest::density(targets, ts))
 }
 
 #[test]
@@ -42,34 +42,34 @@ fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
         checkpoint_path: Some(checkpoint.clone()),
         ..Default::default()
     };
-    let pipeline = DistributedPipeline::new(InversionMethod::euler(), options);
-    let run = |ts: &[f64]| {
-        pipeline
-            .execute(
-                BatchJob::new().with_measure(all_voted_density(3, ts)),
-                &InProcess::new(3),
-            )
-            .unwrap()
+    let (model, _) = all_voted_density(3, &ts);
+    let engine = DistributedEngine::in_process(model, InversionMethod::euler(), options);
+    let run = |ts: &[f64]| -> MeasureReport {
+        let (_, request) = all_voted_density(3, ts);
+        engine.solve(&[request]).unwrap().remove(0)
     };
     let first = run(&ts);
-    assert!(first.evaluations > 0);
-    assert_eq!(first.cache_hits, 0);
+    assert!(first.provenance.evaluations > 0);
+    assert_eq!(first.provenance.cache_hits, 0);
 
     // A second run against the same checkpoint file must do no transform work at
     // all and produce bit-identical output.
     let second = run(&ts);
-    assert_eq!(second.evaluations, 0);
-    assert_eq!(second.cache_hits, first.evaluations);
-    assert_eq!(first.measures[0].values, second.measures[0].values);
+    assert_eq!(second.provenance.evaluations, 0);
+    assert_eq!(second.provenance.cache_hits, first.provenance.evaluations);
+    assert_eq!(first.values, second.values);
 
     // Extending the time grid reuses the checkpointed points that overlap (here the
     // shared t = 1.0 contributes one t-point's worth of s-values) and only computes
     // the new ones.
     let extended = linspace(1.0, 20.0, 8);
     let third = run(&extended);
-    let per_t_point = first.evaluations / ts.len();
-    assert_eq!(third.cache_hits, per_t_point);
-    assert_eq!(third.evaluations, (extended.len() - 1) * per_t_point);
+    let per_t_point = first.provenance.evaluations / ts.len();
+    assert_eq!(third.provenance.cache_hits, per_t_point);
+    assert_eq!(
+        third.provenance.evaluations,
+        (extended.len() - 1) * per_t_point
+    );
 
     std::fs::remove_file(&checkpoint).unwrap();
 }
@@ -78,35 +78,55 @@ fn checkpoint_restart_recomputes_nothing_and_reproduces_results() {
 fn scalability_sweep_runs_the_table2_protocol() {
     // 5 t-points, as in the paper's Table 2 workload.
     let ts: Vec<f64> = (1..=5).map(|k| k as f64 * 3.0).collect();
+    let (model, request) = all_voted_density(4, &ts);
 
     // The protocol: the same plan, one point per message, solved with an
     // increasing worker count.  Every row does the same work and — the
     // property the speedup column rests on — produces the same bits.
-    let rows: Vec<_> = [1usize, 2, 4]
+    let rows: Vec<MeasureReport> = [1usize, 2, 4]
         .into_iter()
         .map(|workers| {
-            DistributedPipeline::new(
-                InversionMethod::euler(),
-                PipelineOptions::with_workers(workers).chunked(1),
-            )
-            .execute(
-                BatchJob::new().with_measure(all_voted_density(4, &ts)),
-                &InProcess::new(workers),
-            )
-            .unwrap()
+            let options = PipelineOptions::with_workers(workers).chunked(1);
+            DistributedEngine::in_process(model.clone(), InversionMethod::euler(), options)
+                .solve(std::slice::from_ref(&request))
+                .unwrap()
+                .remove(0)
         })
         .collect();
 
     assert_eq!(rows.len(), 3);
     for (row, workers) in rows.iter().zip([1usize, 2, 4]) {
-        assert!(row.elapsed.as_secs_f64() > 0.0);
-        assert_eq!(row.report.worker_stats.len(), workers);
-        assert_eq!(row.evaluations, rows[0].evaluations);
-        assert_eq!(
-            row.report.messages, row.evaluations,
-            "one message per point"
-        );
-        assert_eq!(row.measures[0].values, rows[0].measures[0].values);
+        let p = &row.provenance;
+        assert!(p.wall.as_secs_f64() > 0.0);
+        assert_eq!(p.workers, workers);
+        assert_eq!(p.evaluations, rows[0].provenance.evaluations);
+        assert_eq!(p.messages, p.evaluations, "one message per point");
+        assert_eq!(row.values, rows[0].values);
+    }
+
+    // Every one of a row's threads takes a share of the queue: the row's
+    // plan handed to the thread backend directly.
+    let spec = TransformSpec::passage(model, request.target.clone());
+    for workers in [1usize, 2, 4] {
+        let s_points = SPointPlan::new(InversionMethod::euler(), &ts)
+            .s_points()
+            .to_vec();
+        let items = s_points.iter().enumerate();
+        let plan = ExecutionPlan {
+            specs: vec![&spec],
+            items: items
+                .map(|(index, &s)| WorkItem {
+                    measure: 0,
+                    index,
+                    s,
+                })
+                .collect(),
+            chunk_size: 1,
+            method: "euler".to_string(),
+        };
+        let report = InProcess::new(workers).execute(plan, &mut |_| {}).unwrap();
+        assert_eq!(report.worker_stats.len(), workers);
+        assert_eq!(report.messages, rows[0].provenance.evaluations);
     }
 }
 
