@@ -16,8 +16,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_bench::{build_paper_system, build_scaled_system, grid_around_mean, print_columns, Args};
-use smp_core::{PassageTimeAnalysis, StateSet};
-use smp_laplace::InversionMethod;
+use smp_core::{PassageTimeSolver, StateSet};
+use smp_laplace::{InversionMethod, MeasureKind};
 use smp_simulator::smp_sim::simulate_smp_passage_times;
 
 fn main() {
@@ -47,16 +47,16 @@ fn main() {
     assert!(!targets.is_empty(), "no target states: lower --voters");
 
     // Centre the time grid on the analytic mean passage time (from L'(0)).
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).expect("analysis setup");
-    let mean = analysis
-        .mean_from_transform(1e-6)
-        .expect("mean passage time");
+    let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
+    let mean = solver
+        .measure(MeasureKind::MEAN, InversionMethod::euler(), &[])
+        .expect("mean passage time")[0];
     println!("# analytic mean passage time: {mean:.3}");
     let t_points = grid_around_mean(mean, 0.3, 2.0, points);
 
     // Analytic curve (Euler inversion).
-    let density = analysis
-        .density(InversionMethod::euler(), &t_points)
+    let density = solver
+        .measure(MeasureKind::Density, InversionMethod::euler(), &t_points)
         .expect("analytic density");
 
     // Simulation of the same passage on the generated SMP.
@@ -73,7 +73,7 @@ fn main() {
 
     let rows: Vec<Vec<f64>> = t_points
         .iter()
-        .zip(density.values())
+        .zip(&density)
         .zip(sim_density.iter())
         .map(|((t, a), s)| vec![*t, a.max(0.0), *s])
         .collect();

@@ -11,8 +11,9 @@
 //! ```
 
 use smp_bench::{build_paper_system, build_scaled_system, grid_around_mean, print_columns, Args};
-use smp_core::PassageTimeAnalysis;
-use smp_laplace::InversionMethod;
+use smp_core::PassageTimeSolver;
+use smp_laplace::{InversionMethod, MeasureKind};
+use smp_numeric::stats::{lerp_table, quantile_from_cdf};
 
 fn main() {
     let args = Args::from_env();
@@ -34,19 +35,23 @@ fn main() {
     let smp = system.smp();
     let source = system.initial_state();
     let targets = system.states_with_voted_at_least(voters);
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).expect("analysis setup");
-    let mean = analysis
-        .mean_from_transform(1e-6)
-        .expect("mean passage time");
+    let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
+    let mean = solver
+        .measure(MeasureKind::MEAN, InversionMethod::euler(), &[])
+        .expect("mean passage time")[0];
     let t_points = grid_around_mean(mean, 0.3, 2.5, points);
 
-    let curve = analysis
-        .cdf(InversionMethod::euler(), &t_points)
+    let cdf = solver
+        .measure(MeasureKind::Cdf, InversionMethod::euler(), &t_points)
         .expect("analytic CDF");
-    let rows: Vec<Vec<f64>> = curve.iter().map(|(t, p)| vec![t, p]).collect();
+    let rows: Vec<Vec<f64>> = t_points
+        .iter()
+        .zip(&cdf)
+        .map(|(t, p)| vec![*t, *p])
+        .collect();
     print_columns(&["t", "cdf"], &rows);
 
-    if let Some(q) = curve.quantile(quantile_level) {
+    if let Some(q) = quantile_from_cdf(&t_points, &cdf, quantile_level) {
         println!("# P(passage completes in under {q:.3}) = {quantile_level}");
     } else {
         println!("# quantile {quantile_level} not reached within the plotted window");
@@ -54,6 +59,6 @@ fn main() {
     let deadline = *t_points.last().unwrap();
     println!(
         "# P(passage completes in under {deadline:.3}) = {:.4}",
-        curve.probability_at(deadline)
+        lerp_table(&t_points, &cdf, deadline)
     );
 }

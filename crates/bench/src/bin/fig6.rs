@@ -19,9 +19,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_bench::{grid_around_mean, print_columns, Args};
-use smp_core::{PassageTimeAnalysis, StateSet};
+use smp_core::{PassageTimeSolver, StateSet};
 use smp_distributions::Dist;
-use smp_laplace::InversionMethod;
+use smp_laplace::{InversionMethod, MeasureKind};
 use smp_simulator::smp_sim::simulate_smp_passage_times;
 use smp_smspn::ReachabilityOptions;
 use smp_voting::model::VotingDistributions;
@@ -66,15 +66,15 @@ fn main() {
     let targets = system.failure_mode_states();
     println!("# failure-mode target set: {} states", targets.len());
 
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).expect("analysis setup");
-    let mean = analysis
-        .mean_from_transform(1e-6)
-        .expect("mean time to failure");
+    let solver = PassageTimeSolver::new(smp, &[source], &targets).expect("solver setup");
+    let mean = solver
+        .measure(MeasureKind::MEAN, InversionMethod::euler(), &[])
+        .expect("mean time to failure")[0];
     println!("# analytic mean time to complete failure: {mean:.3}");
     let t_points = grid_around_mean(mean, 0.05, 3.0, points);
 
-    let density = analysis
-        .density(InversionMethod::euler(), &t_points)
+    let density = solver
+        .measure(MeasureKind::Density, InversionMethod::euler(), &t_points)
         .expect("analytic density");
 
     let target_set = StateSet::new(smp.num_states(), &targets).expect("target set");
@@ -90,7 +90,7 @@ fn main() {
 
     let rows: Vec<Vec<f64>> = t_points
         .iter()
-        .zip(density.values())
+        .zip(&density)
         .zip(sim_density.iter())
         .map(|((t, a), s)| vec![*t, a.max(0.0), *s])
         .collect();

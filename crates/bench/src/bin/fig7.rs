@@ -12,8 +12,8 @@
 //! 2 061-state configuration.
 
 use smp_bench::{build_paper_system, build_scaled_system, print_columns, Args};
-use smp_core::TransientAnalysis;
-use smp_laplace::InversionMethod;
+use smp_core::{steady_state_probability, IterationOptions, PassageTimeSolver};
+use smp_laplace::{InversionMethod, MeasureKind};
 use smp_numeric::stats::linspace;
 
 fn main() {
@@ -37,18 +37,24 @@ fn main() {
     let targets = system.states_with_voted_at_least(voters);
     println!("# target set: {} states", targets.len());
 
-    let analysis = TransientAnalysis::new(smp, source, &targets).expect("analysis setup");
-    let steady = analysis.steady_state_value().expect("steady-state value");
+    let solver =
+        PassageTimeSolver::transient(smp, &[source], &targets, IterationOptions::default())
+            .expect("solver setup");
+    let steady = steady_state_probability(smp, solver.targets()).expect("steady-state value");
     let t_points = linspace(horizon / points as f64, horizon, points);
-    let curve = analysis
-        .distribution(InversionMethod::euler(), &t_points)
+    let curve = solver
+        .measure(MeasureKind::Transient, InversionMethod::euler(), &t_points)
         .expect("transient inversion failed");
 
-    let rows: Vec<Vec<f64>> = curve.iter().map(|(t, p)| vec![t, p, steady]).collect();
+    let rows: Vec<Vec<f64>> = t_points
+        .iter()
+        .zip(&curve)
+        .map(|(t, p)| vec![*t, *p, steady])
+        .collect();
     print_columns(&["t", "transient_probability", "steady_state"], &rows);
     println!("# steady-state probability of the target set: {steady:.6}");
     println!(
         "# transient at t = {horizon}: {:.6} (should approach the steady-state line)",
-        curve.values().last().unwrap()
+        curve.last().unwrap()
     );
 }

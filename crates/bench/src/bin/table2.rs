@@ -17,7 +17,6 @@
 
 use smp_bench::{build_paper_system, build_scaled_system, Args};
 use smp_core::query::{Engine, MeasureRequest};
-use smp_core::PassageTimeAnalysis;
 use smp_laplace::InversionMethod;
 use smp_pipeline::{
     available_cores, DistributedEngine, InProcess, ModelCache, ModelSpec, PipelineOptions,
@@ -46,17 +45,7 @@ fn main() {
     );
     println!("# thread workers; for worker processes on real sockets run: smpbench --workload fanout_sys0");
 
-    let smp = system.smp();
-    let source = system.initial_state();
-    let targets = system.states_with_voted_at_least(voters);
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).expect("analysis setup");
-    let mean = analysis
-        .mean_from_transform(1e-6)
-        .expect("mean passage time");
-    // 5 t-points, as in the paper's Table 2 workload.
-    let t_points: Vec<f64> = (1..=5).map(|k| mean * 0.4 * k as f64).collect();
-
-    // The same passage as a request over the voting model's text, the one
+    // The passage as a request over the voting model's text, the one
     // `system` was built from.  It is explored once, here, so that every row
     // times evaluation and not exploration.
     let model = ModelSpec::Voting {
@@ -66,7 +55,22 @@ fn main() {
     };
     let models = Arc::new(ModelCache::new(1));
     models.explored(&model).expect("the voting model explores");
+    let engine_on = |workers: usize, options: PipelineOptions| {
+        let transport = InProcess::new(workers).with_model_cache(Arc::clone(&models));
+        DistributedEngine::with_transport(
+            model.clone(),
+            InversionMethod::euler(),
+            options,
+            Box::new(transport),
+        )
+    };
     let targets = TargetSpec::parse(&format!("p2>={voters}")).expect("a voted-count predicate");
+    let mean = engine_on(1, PipelineOptions::with_workers(1))
+        .solve(&[MeasureRequest::mean(targets.clone())])
+        .expect("mean passage time")[0]
+        .values[0];
+    // 5 t-points, as in the paper's Table 2 workload.
+    let t_points: Vec<f64> = (1..=5).map(|k| mean * 0.4 * k as f64).collect();
     let request = MeasureRequest::density(targets, &t_points);
     println!(
         "{:>6}  {:>10}  {:>8}  {:>10}  {:>8}",
@@ -77,14 +81,7 @@ fn main() {
         // One point per message, as in the paper's protocol: automatic chunk
         // sizing depends on the worker count, which would make the per-message
         // cost differ between rows and corrupt the speedup comparison.
-        let options = PipelineOptions::with_workers(workers).chunked(1);
-        let transport = InProcess::new(workers).with_model_cache(Arc::clone(&models));
-        let engine = DistributedEngine::with_transport(
-            model.clone(),
-            InversionMethod::euler(),
-            options,
-            Box::new(transport),
-        );
+        let engine = engine_on(workers, PipelineOptions::with_workers(workers).chunked(1));
         let run = engine
             .solve(std::slice::from_ref(&request))
             .expect("pipeline run failed")

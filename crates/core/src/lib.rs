@@ -17,14 +17,19 @@
 //!   Section 3 (Eqs. 8–11): repeated sparse vector–matrix products with a vector
 //!   accumulator, converging to `L_ij(s)` without ever factorising a matrix, plus a
 //!   dense Gaussian-elimination reference solver (the `O(N³)` baseline the paper
-//!   compares against).
+//!   compares against).  [`PassageTimeSolver::measure`] reads a density, CDF,
+//!   transient or moment off one solver's transform through
+//!   `smp_laplace::MeasureKind`, the readout every engine in `smp-pipeline`
+//!   uses: the single-process door for a hand-built SMP or a target set no
+//!   `PLACE OP N` predicate names.
 //! * [`workspace`] — the symbolic/numeric split behind the per-`s`-point hot
 //!   path: build the CSR skeleton of `U` and its de-duplicated fill recipes
 //!   once per (model, target set), refill a small value table per point,
-//!   apply `U'` as a row mask, and advance up to four points in lockstep
-//!   lanes over one pass of the index arrays — bitwise identical, lane by
-//!   lane, to the build-per-point reference oracle (exact-zero kernel
-//!   entries included) at a fraction of the cost.
+//!   apply `U'` as a row mask, and advance eight points in lockstep lanes
+//!   over one pass of the index arrays (four on a model too large for
+//!   eight: `workspace::lanes_for`) — bitwise identical, lane by lane, to
+//!   the build-per-point reference oracle (exact-zero kernel entries
+//!   included) at a fraction of the cost.
 //! * [`shard`] — row-sharded slices of the same iteration (the paper's
 //!   distributed memory model): deterministic contiguous state blocks,
 //!   per-shard sub-skeletons with halo subscriptions, and an in-process
@@ -32,12 +37,9 @@
 //!   spec for the distributed SpMV transport in `smp-pipeline`.
 //! * [`transient`] — transient state distributions from passage-time transforms via
 //!   Pyke's relations (Eqs. 6–7).
-//! * `steady` — SMP steady-state probabilities (embedded-chain stationary vector
-//!   weighted by mean sojourn times), the asymptote shown in Fig. 7.
-//! * [`solver`] — a high-level, single-process driver that goes from an SMP +
-//!   source/target sets straight to densities, CDFs, quantiles and transients.
-//!   (The distributed work-queue version of the same computation lives in
-//!   `smp-pipeline`.)
+//! * [`steady_state_probability`] — the SMP steady-state probability of a
+//!   state set (embedded-chain stationary vector weighted by mean sojourn
+//!   times), the asymptote shown in Fig. 7.
 //! * [`query`] — the typed measure-query layer: [`query::MeasureRequest`] /
 //!   [`query::MeasureReport`] and the [`query::Engine`] trait that the analytic, simulation,
 //!   distributed and uniformization engines in `smp-pipeline` all implement,
@@ -52,9 +54,9 @@
 //! ## Quick example
 //!
 //! ```
-//! use smp_core::{PassageTimeAnalysis, SmpBuilder};
+//! use smp_core::{PassageTimeSolver, SmpBuilder};
 //! use smp_distributions::Dist;
-//! use smp_laplace::InversionMethod;
+//! use smp_laplace::{InversionMethod, MeasureKind};
 //!
 //! // A three-state SMP: 0 --Erlang(2,2)--> 1 --Exp(1)--> 2 --Det(1)--> 0
 //! let mut builder = SmpBuilder::new(3);
@@ -64,10 +66,12 @@
 //! let smp = builder.build().unwrap();
 //!
 //! // Density of the passage from state 0 into state 2.
-//! let analysis = PassageTimeAnalysis::new(&smp, &[0], &[2]).unwrap();
+//! let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
 //! let t_points: Vec<f64> = (1..=20).map(|k| k as f64 * 0.35).collect();
-//! let density = analysis.density(InversionMethod::euler(), &t_points).unwrap();
-//! let total: f64 = smp_numeric::stats::trapezoid(&t_points, density.values());
+//! let density = solver
+//!     .measure(MeasureKind::Density, InversionMethod::euler(), &t_points)
+//!     .unwrap();
+//! let total: f64 = smp_numeric::stats::trapezoid(&t_points, &density);
 //! assert!((total - 0.95).abs() < 0.1); // most of the probability mass is covered
 //! ```
 
@@ -80,7 +84,6 @@ pub mod passage;
 pub mod query;
 pub mod shard;
 pub mod smp;
-pub mod solver;
 mod steady;
 pub mod transient;
 pub mod uniform;
@@ -91,7 +94,7 @@ pub use passage::{ConvergenceFold, FoldStatus, IterationOptions, PassageTimeSolv
 pub use query::{CompareOp, MeasureKind, TargetSpec};
 pub use shard::{plan_exchange, ShardWorkspace, ShardedSkeleton, ShardedSolver};
 pub use smp::{SemiMarkovProcess, SmpBuilder, StateSet};
-pub use solver::{PassageTimeAnalysis, TransientAnalysis};
+pub use steady::steady_state_probability;
 pub use uniform::PhaseCtmc;
 pub use workspace::{HotPathStats, PassageSkeleton, PassageWorkspace};
 

@@ -48,6 +48,7 @@ use crate::workspace::{
     PassageWorkspace, WorkspacePool, BLOCK_LANES, NARROW_LANES,
 };
 use smp_distributions::LaplaceTransform;
+use smp_laplace::{InversionMethod, MeasureKind, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::sync::Arc;
 
@@ -413,6 +414,39 @@ impl<'a> PassageTimeSolver<'a> {
             .collect()
     }
 
+    /// One measure of this solver's transform, read off on `t_points`:
+    /// `kind` plans its `s`-points for `method`
+    /// ([`MeasureKind::plan`]), [`PassageTimeSolver::transform_many`]
+    /// evaluates them as one chunk, and [`MeasureKind::postprocess`] reads
+    /// the values — a density, CDF or (on a
+    /// [`PassageTimeSolver::transient`] solver) transient on the grid, or one
+    /// value for a moment, which needs no grid.  An engine that evaluates
+    /// the same plan over the same model answers with the same bits.  The
+    /// first point in plan order that fails is the error.
+    ///
+    /// # Panics
+    /// As [`MeasureKind::plan`], for a curve kind over an empty or
+    /// non-positive grid.
+    pub fn measure(
+        &self,
+        kind: MeasureKind,
+        method: InversionMethod,
+        t_points: &[f64],
+    ) -> Result<Vec<f64>, SmpError> {
+        let plan = kind.plan(method, t_points);
+        Ok(kind.postprocess(&plan, &self.transform_values(&plan)?))
+    }
+
+    /// The transform at every point of `plan`, evaluated as one chunk.
+    fn transform_values(&self, plan: &SPointPlan) -> Result<TransformValues, SmpError> {
+        let points = plan.s_points();
+        let mut values = TransformValues::new();
+        for (&s, point) in points.iter().zip(self.transform_many(points)) {
+            values.insert(s, point?.value);
+        }
+        Ok(values)
+    }
+
     /// Evaluates the truncated `r`-transition transform `L^{(r)}_{i→j}(s)` exactly —
     /// no convergence test, precisely `r` terms of the sum (divided by `s` for
     /// a transient solver).  Used to study the convergence behaviour of the
@@ -753,8 +787,10 @@ pub fn dense_reference_solve(
 mod tests {
     use super::*;
     use crate::smp::SmpBuilder;
+    use crate::steady::steady_state_probability;
     use proptest::prelude::*;
     use smp_distributions::Dist;
+    use smp_numeric::stats::{lerp_table, linspace, trapezoid};
 
     fn close(a: Complex64, b: Complex64, tol: f64) -> bool {
         (a - b).norm() < tol
@@ -1070,6 +1106,109 @@ mod tests {
             LaplaceTransform::lst(&solver, s),
             solver.transform_at(s).unwrap().value
         );
+    }
+
+    fn tandem_smp() -> SemiMarkovProcess {
+        // 0 -> 1 -> 2 -> 3 -> 0 with a mix of distribution types.
+        let mut b = SmpBuilder::new(4);
+        b.add_transition(0, 1, 1.0, Dist::erlang(2.0, 2));
+        b.add_transition(1, 2, 1.0, Dist::uniform(0.2, 1.0));
+        b.add_transition(2, 3, 1.0, Dist::exponential(1.5));
+        b.add_transition(3, 0, 1.0, Dist::deterministic(0.3));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn density_integrates_to_one() {
+        let smp = tandem_smp();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[3]).unwrap();
+        let ts = linspace(0.05, 15.0, 300);
+        let density = solver
+            .measure(MeasureKind::Density, InversionMethod::euler(), &ts)
+            .unwrap();
+        let mass = trapezoid(&ts, &density);
+        assert!((mass - 1.0).abs() < 0.02, "total mass {mass}");
+        assert!(density.iter().all(|&v| v > -1e-3));
+        assert_eq!(density.len(), 300);
+    }
+
+    #[test]
+    fn density_matches_known_convolution() {
+        // Passage 0 -> 2 across two exponential stages with equal rates is Erlang-2.
+        let mut b = SmpBuilder::new(3);
+        b.add_transition(0, 1, 1.0, Dist::exponential(2.0));
+        b.add_transition(1, 2, 1.0, Dist::exponential(2.0));
+        b.add_transition(2, 0, 1.0, Dist::exponential(1.0));
+        let smp = b.build().unwrap();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
+        let ts = linspace(0.1, 6.0, 40);
+        let density = solver
+            .measure(MeasureKind::Density, InversionMethod::euler(), &ts)
+            .unwrap();
+        for (t, v) in ts.iter().zip(density) {
+            let expect = 4.0 * t * (-2.0 * t).exp();
+            assert!((v - expect).abs() < 1e-5, "f({t}) = {v} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn cdf_and_completion_probability() {
+        let smp = tandem_smp();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[3]).unwrap();
+        let ts = linspace(0.1, 12.0, 120);
+        let cdf = solver
+            .measure(MeasureKind::Cdf, InversionMethod::euler(), &ts)
+            .unwrap();
+        // Monotone, bounded, reaching essentially 1 by the end of the window.
+        assert!(cdf.windows(2).all(|w| w[1] + 1e-12 >= w[0]));
+        assert!(cdf.last().unwrap() > &0.99);
+        // The completion probability by 12 read off a 48-point grid ending there.
+        let short = linspace(12.0 / 48.0, 12.0, 48);
+        let by_deadline = solver
+            .measure(MeasureKind::Cdf, InversionMethod::euler(), &short)
+            .unwrap();
+        let p = lerp_table(&short, &by_deadline, 12.0);
+        assert!((p - lerp_table(&ts, &cdf, 12.0)).abs() < 1e-3);
+    }
+
+    #[test]
+    fn mean_matches_sum_of_means() {
+        let smp = tandem_smp();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[3]).unwrap();
+        let mean = solver
+            .measure(MeasureKind::MEAN, InversionMethod::euler(), &[])
+            .unwrap()[0];
+        // Passage 0 -> 3 visits states 0, 1, 2: mean sojourns 1.0 + 0.6 + 2/3.
+        let expect = 1.0 + 0.6 + 1.0 / 1.5;
+        assert!((mean - expect).abs() < 1e-3, "mean {mean} vs {expect}");
+    }
+
+    #[test]
+    fn transient_analysis_curve_and_asymptote() {
+        let smp = tandem_smp();
+        let solver =
+            PassageTimeSolver::transient(&smp, &[0], &[2], IterationOptions::default()).unwrap();
+        let ts = linspace(0.25, 40.0, 80);
+        let curve = solver
+            .measure(MeasureKind::Transient, InversionMethod::euler(), &ts)
+            .unwrap();
+        assert!(curve.iter().all(|&p| (0.0..=1.0).contains(&p)));
+        let steady = steady_state_probability(solver.smp(), solver.targets()).unwrap();
+        let tail = *curve.last().unwrap();
+        assert!(
+            (tail - steady).abs() < 0.02,
+            "transient tail {tail} vs steady state {steady}"
+        );
+    }
+
+    #[test]
+    fn transform_values_computed_for_whole_plan() {
+        let smp = tandem_smp();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
+        let plan = SPointPlan::new(InversionMethod::euler(), &[1.0, 2.0]);
+        let values = solver.transform_values(&plan).unwrap();
+        assert!(plan.is_satisfied_by(&values));
+        assert_eq!(values.len(), plan.len());
     }
 
     proptest! {

@@ -15,8 +15,9 @@ pub(crate) fn smp_steady_state(smp: &SemiMarkovProcess) -> Result<Vec<f64>, SmpE
     Ok(weight_by_sojourn(smp, chain.pi()))
 }
 
-/// Long-run probability of being in any state of `targets`.
-pub(crate) fn steady_state_probability(
+/// Long-run probability of being in any state of `targets`: the asymptote a
+/// transient of `targets` approaches as `t → ∞`.
+pub fn steady_state_probability(
     smp: &SemiMarkovProcess,
     targets: &StateSet,
 ) -> Result<f64, SmpError> {

@@ -22,9 +22,13 @@
 //! then a complete, constant-space representation (see `smp-core`'s pooled-LST
 //! recipe table, which evaluates each pooled distribution once per `s`-point).
 //!
-//! Finally `cdf` and [`mod@quantile`] post-process inverted values into cumulative
-//! distribution curves, reliability quantiles and percentile look-ups (Fig. 5 of the
-//! paper).
+//! [`MeasureKind`] is the one readout of a set of transform values: its
+//! [`MeasureKind::plan`] names the `s`-points a density, CDF (`L(s)/s`, Fig. 5
+//! of the paper), transient or moment needs, and its
+//! [`MeasureKind::postprocess`] inverts (or, for a moment, finite-differences)
+//! them.  Every engine reads its answers through it, and so do the
+//! closed-form helpers of [`mod@quantile`]: reliability probabilities and the
+//! quantile search that every engine's quantiles run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,11 +36,13 @@
 mod cdf;
 pub mod euler;
 pub mod laguerre;
+mod measure;
 pub mod quantile;
 mod splan;
 
-pub use cdf::{repair_cdf, CdfCurve};
+pub use cdf::repair_cdf;
 pub use euler::Euler;
 pub use laguerre::Laguerre;
+pub use measure::{MeasureKind, MomentStencil};
 pub use quantile::{probability_of_completion_by, quantile, quantiles_from_cdf};
 pub use splan::{union_s_points, InversionMethod, SPointPlan, TransformValues};

@@ -1,18 +1,19 @@
 //! Measure kinds: which `s`-points a measure needs and how its values are
-//! read off them.
+//! read off them — the one readout of a transform.
 //!
-//! Realistic studies rarely ask for a single curve — they ask for *families* of
-//! quantities: passage-time densities and CDFs for several targets, transient
-//! probabilities, all over shared (or overlapping) time grids, and the
-//! moments of the same passages.  Every such measure of one
-//! `DistributedEngine` solve is one row of a single run: its kind says which
-//! `s`-points it needs ([`MeasureKind::plan`]) and how its values are read off
-//! them ([`MeasureKind::postprocess`]).  The run plans the union of required
-//! `s`-points per transform, dedupes against the measure-keyed cache and
-//! checkpoint, and solves everything through one shared work queue — the
-//! paper's "cache results both within and across successive queries".
+//! Every answer of the paper is read off one set of transform values: the
+//! density by inverting `L(s)`, the CDF of Fig. 5 by inverting `L(s)/s`,
+//! the transient of Eq. 7 by inverting `T*(s)`, and a moment by finite
+//! differences of `L(s)` at the origin.  A measure's kind says which
+//! `s`-points it needs ([`MeasureKind::plan`]) and how its values are read
+//! off them ([`MeasureKind::postprocess`]); whoever evaluates the transform
+//! in between — a distributed run with its shared work queue, cache and
+//! checkpoint, `smp_core`'s single-process solver, or a closed-form
+//! transform ([`mod@crate::quantile`]) — reports the same bits for the same
+//! values.
 
-use smp_laplace::{repair_cdf, InversionMethod, SPointPlan, TransformValues};
+use crate::cdf::repair_cdf;
+use crate::splan::{InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 
 /// How a measure's values are derived from its transform.
@@ -91,6 +92,9 @@ impl MomentStencil {
 }
 
 impl MeasureKind {
+    /// The mean passage time `E[T]`: the first moment's stencil.
+    pub const MEAN: MeasureKind = MeasureKind::Moment(MomentStencil { order: 1 });
+
     /// Short lower-case name (used in reports and by the `smpq` CLI).
     pub fn name(&self) -> &'static str {
         match self {
@@ -115,14 +119,14 @@ impl MeasureKind {
         }
     }
 
-    /// Derives a measure's values from its cached transform shard: inversion
-    /// on the plan's time grid with the kind-specific post-processing for the
+    /// Derives a measure's values from its transform values: inversion on
+    /// the plan's time grid with the kind-specific post-processing for the
     /// curve kinds, the finite-difference fold (one value) for a moment.
-    /// This is the *only* place the `/s`
-    /// trick's inversion side lives: a CDF measure's shard holds the **raw**
-    /// density values (so they stay sharable with density measures over the
-    /// same transform key), and the division happens here, as the inversion
-    /// reads each value, followed by the `[0, 1]` clamp and the monotone sweep.
+    /// This is the *only* place a plan is inverted outside tests, and so the
+    /// only home of the `/s` trick's inversion side: a CDF measure's shard
+    /// holds the **raw** density values (so they stay sharable with density
+    /// measures over the same transform key), and the division happens here,
+    /// as the inversion reads each value, followed by [`repair_cdf`].
     ///
     /// # Panics
     /// Panics when the shard does not cover the plan (callers check

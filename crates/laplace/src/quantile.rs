@@ -7,15 +7,16 @@
 //!   — [`probability_of_completion_by`];
 //! * "the 99th-percentile response time is …" — [`quantile`].
 //!
-//! Both invert `L(s)/s`: the first on a short grid ending at the deadline, the second
-//! wherever the search of [`quantiles_from_cdf`] asks — 16 `t`-points per horizon
-//! level, then one per Newton round, whose step divides by the density `L(s)`
-//! inverts from the same transform values.
+//! Both read the CDF as every engine does, through [`MeasureKind::Cdf`]: the
+//! first on a short grid ending at the deadline, the second wherever the search
+//! of [`quantiles_from_cdf`] asks — 16 `t`-points per horizon level, then one
+//! per Newton round, whose step divides by the [`MeasureKind::Density`] read
+//! off the same transform values.
 
-use crate::cdf::CdfCurve;
-use crate::splan::{InversionMethod, SPointPlan, TransformValues};
+use crate::measure::MeasureKind;
+use crate::splan::{InversionMethod, TransformValues};
 use smp_distributions::LaplaceTransform;
-use smp_numeric::stats::{linspace, quantile_from_cdf};
+use smp_numeric::stats::{lerp_table, linspace, quantile_from_cdf};
 
 /// Probability that the passage completes by time `deadline`, i.e. `F(deadline)`.
 ///
@@ -47,8 +48,10 @@ pub fn probability_of_completion_by<L: LaplaceTransform + ?Sized>(
     // A short grid ending at the deadline: the last point is the answer, the others
     // stabilise the monotonicity repair.
     let ts = linspace(deadline / 16.0, deadline, 16);
-    let curve = CdfCurve::from_density_transform(method, density_transform, &ts);
-    curve.probability_at(deadline)
+    let plan = MeasureKind::Cdf.plan(method, &ts);
+    let cdf =
+        MeasureKind::Cdf.postprocess(&plan, &TransformValues::compute(&plan, density_transform));
+    lerp_table(&ts, &cdf, deadline)
 }
 
 /// The `p`-quantile of the passage time: the earliest time by which the completion
@@ -69,11 +72,13 @@ pub fn quantile<L: LaplaceTransform + ?Sized>(
     assert!((0.0..1.0).contains(&p) || p == 1.0, "p must be in [0, 1]");
     let result: Result<Vec<Option<f64>>, std::convert::Infallible> =
         quantiles_from_cdf(&[p], initial_horizon, max_horizon, &mut |ts: &[f64]| {
-            // The search repairs the CDF values itself, as `CdfCurve` would.
-            let plan = SPointPlan::new(method.clone(), ts);
+            let plan = MeasureKind::Cdf.plan(method.clone(), ts);
             let values = TransformValues::compute(&plan, density_transform);
-            let cdf = plan.invert_with(|s| values.get(s).expect("planned point computed") / s);
-            Ok(cdf.into_iter().zip(plan.invert(&values)).collect())
+            let cdf = MeasureKind::Cdf.postprocess(&plan, &values);
+            Ok(cdf
+                .into_iter()
+                .zip(MeasureKind::Density.postprocess(&plan, &values))
+                .collect())
         });
     match result {
         Ok(mut quantiles) => quantiles.pop().flatten(),
@@ -133,8 +138,8 @@ const STEP_TOLERANCE: f64 = 1.0 / 16_777_216.0;
 /// the next step is at most horizon·2⁻²⁴, or after 8 probes, and answers
 /// with the final bracket's chord.  Probe values are clamped into — and made
 /// monotone from — the CDF values already known at the bracket's two ends
-/// (the repair [`CdfCurve::from_samples`] applies to a whole curve, anchored
-/// at both ends), so inversion noise can never walk the bracket off `p`.
+/// (the repair [`crate::repair_cdf`] applies to a whole curve, anchored at
+/// both ends), so inversion noise can never walk the bracket off `p`.
 ///
 /// The cost is 16 `t`-points per level plus one per Newton round: on a
 /// smooth CDF two to four rounds per probability.  The entry for a
@@ -375,6 +380,7 @@ impl Chord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SPointPlan;
     use smp_distributions::Dist;
 
     #[test]
@@ -417,7 +423,7 @@ mod tests {
     fn quantiles_from_cdf_matches_the_transform_wrapper() {
         // The generic search fed by two separate inversions — the CDF curve
         // of `L(s)/s`, the density of `L(s)` — must agree bitwise with the
-        // `quantile()` API, which wraps it and inverts one set of values twice.
+        // `quantile()` API, which wraps it and reads one set of values twice.
         let d = Dist::erlang(2.0, 3);
         let method = InversionMethod::euler();
         let probs = [0.25, 0.5, 0.9];
@@ -428,10 +434,12 @@ mod tests {
             64.0,
             &mut |ts: &[f64]| {
                 sweeps += 1;
-                let cdf = CdfCurve::from_density_transform(method.clone(), &d, ts);
                 let plan = SPointPlan::new(method.clone(), ts);
+                let cdf_transform = |s: smp_numeric::Complex64| d.lst(s) / s;
+                let mut cdf = plan.invert(&TransformValues::compute(&plan, &cdf_transform));
+                crate::repair_cdf(ts, &mut cdf);
                 let density = plan.invert(&TransformValues::compute(&plan, &d));
-                Ok(cdf.values().iter().copied().zip(density).collect())
+                Ok(cdf.into_iter().zip(density).collect())
             },
         )
         .unwrap();

@@ -121,7 +121,7 @@ impl SPointPlan {
     /// inversion (a finite-difference stencil at the origin).  Such a plan is
     /// queued, cached and checkpointed like any other; [`SPointPlan::invert`]
     /// on it returns no values.
-    pub fn at_points(method: InversionMethod, s_points: Vec<Complex64>) -> Self {
+    pub(crate) fn at_points(method: InversionMethod, s_points: Vec<Complex64>) -> Self {
         SPointPlan {
             method,
             t_points: Vec::new(),
@@ -164,7 +164,7 @@ impl SPointPlan {
     /// [`SPointPlan::invert`] reading each planned point's value through
     /// `value_at` — for values derived on the fly from a cache (the `/s` of a
     /// CDF) without building a second cache to hold them.
-    pub fn invert_with(&self, value_at: impl FnMut(Complex64) -> Complex64) -> Vec<f64> {
+    pub(crate) fn invert_with(&self, value_at: impl FnMut(Complex64) -> Complex64) -> Vec<f64> {
         match &self.method {
             InversionMethod::Euler(euler) => euler.invert_many_with(value_at, &self.t_points),
             InversionMethod::Laguerre(laguerre) => {

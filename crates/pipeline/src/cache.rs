@@ -27,9 +27,9 @@
 //! working set exceeds the limit still completes; the limit should nonetheless
 //! be sized well above the largest expected per-request working set.
 
-use crate::batch::MeasureKind;
 use crate::unpoisoned;
 use smp_core::query::MeasureReport;
+use smp_laplace::MeasureKind;
 use smp_laplace::{InversionMethod, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::BTreeMap;

@@ -37,10 +37,9 @@
 //! `search_quantiles` is the one call site), and means/moments are a
 //! measure kind like the curves — the stencil's nodes are its plan, the
 //! finite-difference fold its post-processing
-//! ([`crate::batch::MomentStencil`]) — so they ride the same run, and share
+//! ([`smp_laplace::MomentStencil`]) — so they ride the same run, and share
 //! points, as the curves over their transform.
 
-use crate::batch::{MeasureKind as CurveKind, MomentStencil};
 use crate::cache::{LruMemo, ResultCache};
 use crate::master::{self, Measure, PipelineError, PipelineOptions, Solved};
 use crate::server::EngineChoice;
@@ -55,6 +54,7 @@ use smp_core::workspace::BLOCK_LANES;
 use smp_core::StateSet;
 use smp_laplace::quantile::CdfOnGrid;
 use smp_laplace::{quantiles_from_cdf, repair_cdf, InversionMethod};
+use smp_laplace::{MeasureKind as CurveKind, MomentStencil};
 use smp_simulator::{
     simulate_passage_times, simulate_transient, PassageSimulationOptions,
     TransientSimulationOptions,
@@ -173,7 +173,7 @@ pub(crate) fn batch_kind_of(kind: &MeasureKind) -> Option<CurveKind> {
         MeasureKind::Cdf => Some(CurveKind::Cdf),
         MeasureKind::Transient => Some(CurveKind::Transient),
         MeasureKind::Quantile { .. } => None,
-        MeasureKind::Mean => Some(CurveKind::Moment(moment(1))),
+        MeasureKind::Mean => Some(CurveKind::MEAN),
         MeasureKind::Moment { order } => Some(CurveKind::Moment(moment(*order))),
     }
 }

@@ -54,11 +54,12 @@
 //! finite-difference stencil — are therefore one run, with per-transform
 //! union planning, a measure-keyed cache/checkpoint, and chunked work
 //! dispatch so channel and lock traffic is one round-trip per *chunk*, not
-//! per point; a quantile search is one run per grid it asks for.
+//! per point; a quantile search is one run per grid it asks for.  Each
+//! measure's kind — which `s`-points it needs and how its values are read off
+//! them — is [`MeasureKind`], the one readout of a transform, which lives in
+//! `smp_laplace` and is re-exported here.
 //!
 //! * [`work`] — the global chunked `s`-point work queue;
-//! * [`batch`] — the measure kinds: each one's `s`-point plan and how its
-//!   values are read off the transform;
 //! * `transform` — serializable evaluator descriptions ([`TransformSpec`])
 //!   and their reconstruction into solvers on a worker;
 //! * [`transport`] — the pluggable master⇄worker backends and the one
@@ -92,7 +93,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod checkpoint;
 mod client;
@@ -111,7 +111,6 @@ pub mod wire;
 pub mod work;
 pub mod worker;
 
-pub use batch::MeasureKind;
 pub use client::{query_with_retry, QueryClient, QueryError, RetryPolicy};
 pub use engine::{
     available_cores, build_engine, route, uniformization_applies, AnalyticEngine,
@@ -125,6 +124,7 @@ pub use server::{
     Refusal, RefusalKind,
 };
 pub use shard::{SliceFleet, SolveRecovery};
+pub use smp_laplace::MeasureKind;
 pub use transform::{
     CompareOp, CompiledModelSet, ModelCache, ModelSpec, ResolveTarget, TargetSpec, TransformSpec,
 };

@@ -1,12 +1,12 @@
 //! The master process: planning, distribution, checkpointing and final inversion.
 
-use crate::batch::MeasureKind;
 use crate::cache::ResultCache;
 use crate::checkpoint::{load_checkpoint_by_measure, CheckpointWriter};
 use crate::transform::{CompileError, TransformSpec};
 use crate::transport::{ExecutionPlan, Transport, TransportReport};
 use crate::work::WorkItem;
 use smp_core::workspace::BLOCK_LANES;
+use smp_laplace::MeasureKind;
 use smp_laplace::{union_s_points, InversionMethod, SPointPlan, TransformValues};
 use smp_numeric::Complex64;
 use std::collections::HashSet;

@@ -69,7 +69,6 @@
 //! returned).  The pool itself survives a deadline — workers are released in
 //! protocol with a `done` frame and stay attached for the next request.
 
-use crate::batch::MeasureKind as CurveKind;
 use crate::cache::{AnswerKey, AnswerKind, LruMemo, ResultCache};
 use crate::engine::{
     batch_kind_of, build_engine, quantile_horizons, route, validate_grids, PhaseChainCache,
@@ -83,6 +82,7 @@ use crate::wire::{
 };
 use smp_core::query::{EngineError, MeasureKind, MeasureReport, MeasureRequest, Provenance};
 use smp_laplace::InversionMethod;
+use smp_laplace::MeasureKind as CurveKind;
 use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::io::ErrorKind::InvalidInput;

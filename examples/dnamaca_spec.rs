@@ -6,8 +6,8 @@
 //! cargo run --release --example dnamaca_spec
 //! ```
 
-use smp_suite::core::TransientAnalysis;
-use smp_suite::laplace::InversionMethod;
+use smp_suite::core::{steady_state_probability, IterationOptions, PassageTimeSolver};
+use smp_suite::laplace::{InversionMethod, MeasureKind};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::smspn::StateSpace;
 use smp_suite::voting::{spec, VotingConfig};
@@ -39,13 +39,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let targets = space.states_where(|m| m.get(p2) >= 3);
     println!("target markings (p2 >= 3): {}", targets.len());
 
-    let analysis = TransientAnalysis::new(space.smp(), space.initial_state(), &targets)?;
-    let steady = analysis.steady_state_value()?;
+    let solver = PassageTimeSolver::transient(
+        space.smp(),
+        &[space.initial_state()],
+        &targets,
+        IterationOptions::default(),
+    )?;
+    let steady = steady_state_probability(space.smp(), solver.targets())?;
     let ts = linspace(2.0, 60.0, 12);
-    let curve = analysis.distribution(InversionMethod::euler(), &ts)?;
+    let curve = solver.measure(MeasureKind::Transient, InversionMethod::euler(), &ts)?;
 
     println!("\n    t    P(p2 >= 3 at t)   steady state {steady:.4}");
-    for (t, p) in curve.iter() {
+    for (t, p) in ts.iter().zip(curve) {
         println!("{t:7.1}  {p:12.4}");
     }
     Ok(())

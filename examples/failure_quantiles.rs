@@ -10,10 +10,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_suite::core::query::{Engine, MeasureRequest, TargetSpec};
-use smp_suite::core::{PassageTimeAnalysis, StateSet};
+use smp_suite::core::{PassageTimeSolver, StateSet};
 use smp_suite::distributions::Dist;
-use smp_suite::laplace::InversionMethod;
-use smp_suite::numeric::stats::linspace;
+use smp_suite::laplace::{InversionMethod, MeasureKind};
+use smp_suite::numeric::stats::{lerp_table, linspace, quantile_from_cdf};
 use smp_suite::pipeline::{AnalyticEngine, ModelSpec, SimulationEngine, SimulationOptions};
 use smp_suite::simulator::smp_sim::simulate_smp_passage_times;
 use smp_suite::smspn::ReachabilityOptions;
@@ -45,16 +45,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let targets = system.failure_mode_states();
     println!("complete-failure target set: {} states", targets.len());
 
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets)?;
-    let mttf = analysis.mean_from_transform(1e-6)?;
+    // The failure-mode disjunction is a target set no single `PLACE OP N`
+    // predicate names, so the SMP's own solver answers it.
+    let solver = PassageTimeSolver::new(smp, &[source], &targets)?;
+    let mttf = solver.measure(MeasureKind::MEAN, InversionMethod::euler(), &[])?[0];
     println!("analytic mean time to complete failure: {mttf:.2} s");
 
     // Reliability quantiles from the inverted CDF.
     let ts = linspace(mttf * 0.02, mttf * 4.0, 160);
-    let cdf = analysis.cdf(InversionMethod::euler(), &ts)?;
+    let cdf = solver.measure(MeasureKind::Cdf, InversionMethod::euler(), &ts)?;
     println!("\nreliability quantiles (time by which failure has occurred with probability p):");
     for p in [0.01, 0.1, 0.5, 0.9, 0.99] {
-        match cdf.quantile(p) {
+        match quantile_from_cdf(&ts, &cdf, p) {
             Some(t) => println!("  p = {p:<5} ->  t = {t:8.2} s"),
             None => println!("  p = {p:<5} ->  beyond the analysed window"),
         }
@@ -62,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nP(complete failure within {:.0} s) = {:.4}",
         mttf / 2.0,
-        cdf.probability_at(mttf / 2.0)
+        lerp_table(&ts, &cdf, mttf / 2.0)
     );
 
     // The same question put to the simulator: with rarer failures this is where a

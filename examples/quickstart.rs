@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use smp_suite::core::{PassageTimeAnalysis, SmpBuilder, TransientAnalysis};
+use smp_suite::core::{steady_state_probability, IterationOptions, PassageTimeSolver, SmpBuilder};
 use smp_suite::distributions::Dist;
-use smp_suite::laplace::InversionMethod;
-use smp_suite::numeric::stats::linspace;
+use smp_suite::laplace::{InversionMethod, MeasureKind};
+use smp_suite::numeric::stats::{lerp_table, linspace, quantile_from_cdf, trapezoid};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A four-state repair model:
@@ -37,37 +37,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Passage time from healthy (0) to failed (2).
-    let analysis = PassageTimeAnalysis::new(&smp, &[0], &[2])?;
-    let mean = analysis.mean_from_transform(1e-6)?;
+    let solver = PassageTimeSolver::new(&smp, &[0], &[2])?;
+    let mean = solver.measure(MeasureKind::MEAN, InversionMethod::euler(), &[])?[0];
     println!("mean time to failure: {mean:.2}");
 
     let ts = linspace(mean * 0.05, mean * 3.0, 40);
-    let density = analysis.density(InversionMethod::euler(), &ts)?;
+    let density = solver.measure(MeasureKind::Density, InversionMethod::euler(), &ts)?;
     println!("\n   t        f(t)");
-    for (t, f) in density.iter().step_by(5) {
+    for (t, f) in ts.iter().zip(&density).step_by(5) {
         println!("{t:8.2}  {f:10.6}");
     }
     println!(
         "(density mass covered by the window: {:.3})",
-        density.integral()
+        trapezoid(&ts, &density)
     );
 
-    let cdf = analysis.cdf(InversionMethod::euler(), &ts)?;
-    if let Some(q90) = cdf.quantile(0.9) {
+    let cdf = solver.measure(MeasureKind::Cdf, InversionMethod::euler(), &ts)?;
+    if let Some(q90) = quantile_from_cdf(&ts, &cdf, 0.9) {
         println!("\n90% of failures happen within {q90:.2} time units");
     }
     println!(
         "P(failure within {:.1}) = {:.4}",
         mean,
-        cdf.probability_at(mean)
+        lerp_table(&ts, &cdf, mean)
     );
 
     // Transient probability of being failed-or-under-repair at time t.
-    let transient = TransientAnalysis::new(&smp, 0, &[2, 3])?;
-    let steady = transient.steady_state_value()?;
-    let curve = transient.distribution(InversionMethod::euler(), &linspace(1.0, mean * 4.0, 12))?;
+    let transient = PassageTimeSolver::transient(&smp, &[0], &[2, 3], IterationOptions::default())?;
+    let steady = steady_state_probability(&smp, transient.targets())?;
+    let grid = linspace(1.0, mean * 4.0, 12);
+    let curve = transient.measure(MeasureKind::Transient, InversionMethod::euler(), &grid)?;
     println!("\n   t        P(down at t)    (steady state = {steady:.4})");
-    for (t, p) in curve.iter() {
+    for (t, p) in grid.iter().zip(&curve) {
         println!("{t:8.2}  {p:12.4}");
     }
     Ok(())

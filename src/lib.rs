@@ -30,9 +30,9 @@
 //! (`0 --Erlang(2,2)--> 1 --Exp(1)--> 2 --Det(1)--> 0`), through the re-exports:
 //!
 //! ```
-//! use smp_suite::core::{PassageTimeAnalysis, SmpBuilder};
+//! use smp_suite::core::{PassageTimeSolver, SmpBuilder};
 //! use smp_suite::distributions::Dist;
-//! use smp_suite::laplace::InversionMethod;
+//! use smp_suite::laplace::{InversionMethod, MeasureKind};
 //!
 //! let mut builder = SmpBuilder::new(3);
 //! builder.add_transition(0, 1, 1.0, Dist::erlang(2.0, 2));
@@ -40,10 +40,12 @@
 //! builder.add_transition(2, 0, 1.0, Dist::deterministic(1.0));
 //! let smp = builder.build().unwrap();
 //!
-//! let analysis = PassageTimeAnalysis::new(&smp, &[0], &[2]).unwrap();
+//! let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
 //! let t: Vec<f64> = (1..=20).map(|k| k as f64 * 0.35).collect();
-//! let density = analysis.density(InversionMethod::euler(), &t).unwrap();
-//! assert!(density.values().iter().all(|f| f.is_finite() && *f >= -1e-9));
+//! let density = solver
+//!     .measure(MeasureKind::Density, InversionMethod::euler(), &t)
+//!     .unwrap();
+//! assert!(density.iter().all(|f| f.is_finite() && *f >= -1e-9));
 //! ```
 
 pub use smp_core as core;

@@ -4,9 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smp_suite::core::{PassageTimeAnalysis, SmpBuilder, TransientAnalysis};
+use smp_suite::core::{steady_state_probability, IterationOptions, PassageTimeSolver, SmpBuilder};
 use smp_suite::distributions::Dist;
-use smp_suite::laplace::{Euler, InversionMethod, Laguerre};
+use smp_suite::laplace::{Euler, InversionMethod, Laguerre, MeasureKind};
 use smp_suite::numeric::stats::{linspace, trapezoid};
 
 #[test]
@@ -23,11 +23,11 @@ fn passage_density_of_exponential_tandem_is_erlang() {
     builder.add_transition(stages, 0, 1.0, Dist::exponential(1.0));
     let smp = builder.build().unwrap();
 
-    let analysis = PassageTimeAnalysis::new(&smp, &[0], &[stages]).unwrap();
+    let solver = PassageTimeSolver::new(&smp, &[0], &[stages]).unwrap();
     let ts = linspace(0.2, 8.0, 30);
     for method in [InversionMethod::euler(), InversionMethod::laguerre()] {
-        let density = analysis.density(method, &ts).unwrap();
-        for (t, f) in density.iter() {
+        let density = solver.measure(MeasureKind::Density, method, &ts).unwrap();
+        for (&t, f) in ts.iter().zip(density) {
             let expect =
                 rate.powi(stages as i32) * t.powi(stages as i32 - 1) * (-rate * t).exp() / 6.0; // (k-1)! = 3! = 6
             assert!(
@@ -62,23 +62,20 @@ fn random_smp_densities_integrate_to_one_and_match_transform_mean() {
         }
         let smp = builder.build().unwrap();
         let target = n - 1;
-        let analysis = PassageTimeAnalysis::new(&smp, &[0], &[target]).unwrap();
-        let mean = analysis.mean_from_transform(1e-6).unwrap();
+        let solver = PassageTimeSolver::new(&smp, &[0], &[target]).unwrap();
+        let euler = InversionMethod::euler;
+        let mean = solver.measure(MeasureKind::MEAN, euler(), &[]).unwrap()[0];
         assert!(mean > 0.0, "trial {trial}: non-positive mean");
 
         let ts = linspace(mean * 0.01, mean * 8.0, 400);
-        let density = analysis.density(InversionMethod::euler(), &ts).unwrap();
-        let mass = density.integral();
+        let density = solver.measure(MeasureKind::Density, euler(), &ts).unwrap();
+        let mass = trapezoid(&ts, &density);
         assert!(
             (mass - 1.0).abs() < 0.05,
             "trial {trial}: density mass {mass}"
         );
         // First moment of the inverted density matches -L'(0).
-        let weighted: Vec<f64> = ts
-            .iter()
-            .zip(density.values())
-            .map(|(t, f)| t * f)
-            .collect();
+        let weighted: Vec<f64> = ts.iter().zip(&density).map(|(t, f)| t * f).collect();
         let numeric_mean = trapezoid(&ts, &weighted);
         assert!(
             (numeric_mean - mean).abs() < 0.05 * mean + 0.05,
@@ -100,21 +97,27 @@ fn euler_and_laguerre_agree_on_a_smooth_passage_density() {
     builder.add_transition(2, 0, 1.0, Dist::exponential(0.5));
     let smp = builder.build().unwrap();
 
-    let analysis = PassageTimeAnalysis::new(&smp, &[0], &[2]).unwrap();
+    let solver = PassageTimeSolver::new(&smp, &[0], &[2]).unwrap();
     let ts = linspace(0.5, 10.0, 12);
-    let euler_curve = analysis.density(InversionMethod::euler(), &ts).unwrap();
-    let laguerre_curve = analysis.density(InversionMethod::laguerre(), &ts).unwrap();
-    for ((t, a), b) in euler_curve.iter().zip(laguerre_curve.values()) {
+    let density = |method| solver.measure(MeasureKind::Density, method, &ts).unwrap();
+    let euler_curve = density(InversionMethod::euler());
+    let laguerre_curve = density(InversionMethod::laguerre());
+    for ((t, a), b) in ts.iter().zip(euler_curve).zip(laguerre_curve) {
         assert!((a - b).abs() < 5e-4, "f({t}): euler {a} vs laguerre {b}");
     }
 
     // The Euler-inverted transient still approaches its steady-state asymptote.
-    let transient = TransientAnalysis::new(&smp, 0, &[2]).unwrap();
-    let steady = transient.steady_state_value().unwrap();
+    let transient =
+        PassageTimeSolver::transient(&smp, &[0], &[2], IterationOptions::default()).unwrap();
+    let steady = steady_state_probability(&smp, transient.targets()).unwrap();
     let curve = transient
-        .distribution(InversionMethod::euler(), &linspace(5.0, 60.0, 6))
+        .measure(
+            MeasureKind::Transient,
+            InversionMethod::euler(),
+            &linspace(5.0, 60.0, 6),
+        )
         .unwrap();
-    assert!((curve.values().last().unwrap() - steady).abs() < 0.01);
+    assert!((curve.last().unwrap() - steady).abs() < 0.01);
 }
 
 #[test]

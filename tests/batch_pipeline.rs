@@ -3,8 +3,8 @@
 //! measure-tagged checkpoint format.
 
 use smp_suite::core::query::{Engine, MeasureReport, MeasureRequest};
-use smp_suite::core::PassageTimeAnalysis;
-use smp_suite::laplace::{InversionMethod, SPointPlan};
+use smp_suite::core::PassageTimeSolver;
+use smp_suite::laplace::{InversionMethod, MeasureKind, SPointPlan};
 use smp_suite::numeric::stats::linspace;
 use smp_suite::pipeline::checkpoint::load_checkpoint_by_measure;
 use smp_suite::pipeline::transport::{ExecutionPlan, Transport};
@@ -143,8 +143,7 @@ fn batch_values_match_single_process_analysis() {
     let net = smp_suite::dnamaca::parse_model(&source).unwrap();
     let space = StateSpace::explore(&net).unwrap();
     let targets = target("q3>=1").resolve(&net, &space).unwrap();
-    let analysis =
-        PassageTimeAnalysis::new(space.smp(), &[space.initial_state()], &targets).unwrap();
+    let solver = PassageTimeSolver::new(space.smp(), &[space.initial_state()], &targets).unwrap();
     let ts = linspace(0.4, 10.0, 20);
 
     let [f, cdf] = engine(PipelineOptions::with_workers(3).chunked(5))
@@ -156,14 +155,15 @@ fn batch_values_match_single_process_analysis() {
         .try_into()
         .unwrap();
 
-    let density = analysis.density(InversionMethod::euler(), &ts).unwrap();
-    for (a, b) in f.values.iter().zip(density.values()) {
-        assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-    }
-    let reference = analysis.cdf(InversionMethod::euler(), &ts).unwrap();
-    for (a, b) in cdf.values.iter().zip(reference.values()) {
-        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-    }
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let density = solver
+        .measure(MeasureKind::Density, InversionMethod::euler(), &ts)
+        .unwrap();
+    assert_eq!(bits(&f.values), bits(&density));
+    let reference = solver
+        .measure(MeasureKind::Cdf, InversionMethod::euler(), &ts)
+        .unwrap();
+    assert_eq!(bits(&cdf.values), bits(&reference));
     // The shared transform key halves the work.
     assert_eq!(cdf.provenance.evaluations, 0);
     assert_eq!(cdf.provenance.shared_hits, f.provenance.evaluations);

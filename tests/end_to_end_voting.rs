@@ -5,15 +5,29 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_suite::core::query::{Engine, MeasureRequest};
-use smp_suite::core::{PassageTimeAnalysis, StateSet, TransientAnalysis};
-use smp_suite::laplace::InversionMethod;
-use smp_suite::numeric::stats::linspace;
-use smp_suite::pipeline::{DistributedEngine, ModelSpec, PipelineOptions, TargetSpec};
+use smp_suite::core::{steady_state_probability, IterationOptions, PassageTimeSolver, StateSet};
+use smp_suite::laplace::{InversionMethod, MeasureKind};
+use smp_suite::numeric::stats::{lerp_table, linspace};
+use smp_suite::pipeline::{
+    AnalyticEngine, DistributedEngine, ModelSpec, PipelineOptions, TargetSpec,
+};
 use smp_suite::simulator::smp_sim::{simulate_smp_passage_times, simulate_smp_transient};
 use smp_suite::voting::{VotingConfig, VotingSystem};
 
 fn tiny_system() -> VotingSystem {
     VotingSystem::build(VotingConfig::new(4, 2, 2)).expect("build tiny voting system")
+}
+
+fn transient_solver<'a>(
+    smp: &'a smp_suite::core::SemiMarkovProcess,
+    source: usize,
+    targets: &[usize],
+) -> PassageTimeSolver<'a> {
+    PassageTimeSolver::transient(smp, &[source], targets, IterationOptions::default()).unwrap()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -23,13 +37,17 @@ fn analytic_voter_passage_matches_simulation() {
     let source = system.initial_state();
     let targets = system.states_with_voted_at_least(4);
 
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).unwrap();
-    let mean = analysis.mean_from_transform(1e-6).unwrap();
+    let solver = PassageTimeSolver::new(smp, &[source], &targets).unwrap();
+    let mean = solver
+        .measure(MeasureKind::MEAN, InversionMethod::euler(), &[])
+        .unwrap()[0];
     assert!(mean > 0.0);
 
     // Analytic CDF over a window covering most of the mass.
     let ts = linspace(mean * 0.2, mean * 3.0, 40);
-    let cdf = analysis.cdf(InversionMethod::euler(), &ts).unwrap();
+    let cdf = solver
+        .measure(MeasureKind::Cdf, InversionMethod::euler(), &ts)
+        .unwrap();
 
     // Simulation of the same passage.
     let target_set = StateSet::new(smp.num_states(), &targets).unwrap();
@@ -43,7 +61,7 @@ fn analytic_voter_passage_matches_simulation() {
         sim.mean()
     );
     // CDF values agree pointwise to a few percent.
-    for (t, analytic) in cdf.iter().step_by(5) {
+    for (&t, analytic) in ts.iter().zip(cdf).step_by(5) {
         let simulated = sim.cdf(t);
         assert!(
             (analytic - simulated).abs() < 0.03,
@@ -60,8 +78,10 @@ fn pipeline_and_sequential_solver_agree() {
     let targets = system.states_with_voted_at_least(3);
     let ts = linspace(1.0, 20.0, 10);
 
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &targets).unwrap();
-    let sequential = analysis.density(InversionMethod::euler(), &ts).unwrap();
+    let sequential = PassageTimeSolver::new(smp, &[source], &targets)
+        .unwrap()
+        .measure(MeasureKind::Density, InversionMethod::euler(), &ts)
+        .unwrap();
 
     // The pipeline's workers rebuild the same model from its spec.
     let model = ModelSpec::Voting {
@@ -77,9 +97,7 @@ fn pipeline_and_sequential_solver_agree() {
     let request = MeasureRequest::density(TargetSpec::parse("p2>=3").unwrap(), &ts);
     let distributed = engine.solve(&[request]).unwrap().remove(0);
 
-    for (a, b) in sequential.values().iter().zip(&distributed.values) {
-        assert!((a - b).abs() < 1e-10, "sequential {a} vs pipeline {b}");
-    }
+    assert_eq!(bits(&sequential), bits(&distributed.values));
 }
 
 #[test]
@@ -89,16 +107,16 @@ fn transient_matches_simulation_and_steady_state() {
     let source = system.initial_state();
     let targets = system.states_with_voted_at_least(2);
 
-    let analysis = TransientAnalysis::new(smp, source, &targets).unwrap();
+    let solver = transient_solver(smp, source, &targets);
     let ts = linspace(2.0, 80.0, 8);
-    let curve = analysis
-        .distribution(InversionMethod::euler(), &ts)
+    let curve = solver
+        .measure(MeasureKind::Transient, InversionMethod::euler(), &ts)
         .unwrap();
 
     let target_set = StateSet::new(smp.num_states(), &targets).unwrap();
     let mut rng = StdRng::seed_from_u64(17);
     let simulated = simulate_smp_transient(smp, source, &target_set, &ts, 30_000, &mut rng);
-    for ((t, analytic), sim) in curve.iter().zip(&simulated) {
+    for ((t, analytic), sim) in ts.iter().zip(&curve).zip(&simulated) {
         assert!(
             (analytic - sim).abs() < 0.03,
             "T({t}): analytic {analytic} vs simulated {sim}"
@@ -109,12 +127,11 @@ fn transient_matches_simulation_and_steady_state() {
     // overshooting it.  (Full convergence takes thousands of seconds here because
     // the paper's full-repair distribution has a 0.2-weight Erlang branch with a
     // mean of 5 000 s; the asymptote itself is checked at t = 20 000 below.)
-    let steady = analysis.steady_state_value().unwrap();
-    let early = *curve.values().first().unwrap();
-    let late = analysis
-        .distribution(InversionMethod::euler(), &[600.0])
-        .unwrap();
-    let tail = late.values()[0];
+    let steady = steady_state_probability(smp, solver.targets()).unwrap();
+    let early = *curve.first().unwrap();
+    let tail = solver
+        .measure(MeasureKind::Transient, InversionMethod::euler(), &[600.0])
+        .unwrap()[0];
     assert!(
         tail > early && tail <= steady + 0.03,
         "transient at t=600 ({tail}) should lie between T(2)={early} and the steady state {steady}"
@@ -127,12 +144,15 @@ fn transient_matches_simulation_and_steady_state() {
     // past this tolerance; the renewal form divides by nothing but `s`.
     let system = VotingSystem::build(VotingConfig::new(6, 2, 2)).expect("build voting 6,2,2");
     let targets = system.states_with_voted_at_least(6);
-    let analysis = TransientAnalysis::new(system.smp(), system.initial_state(), &targets).unwrap();
-    let steady = analysis.steady_state_value().unwrap();
-    let asymptote = analysis
-        .distribution(InversionMethod::euler(), &[20_000.0])
-        .unwrap()
-        .values()[0];
+    let solver = transient_solver(system.smp(), system.initial_state(), &targets);
+    let steady = steady_state_probability(system.smp(), solver.targets()).unwrap();
+    let asymptote = solver
+        .measure(
+            MeasureKind::Transient,
+            InversionMethod::euler(),
+            &[20_000.0],
+        )
+        .unwrap()[0];
     assert!(
         (asymptote - steady).abs() < 5e-4,
         "T(20000) = {asymptote} vs steady state {steady}"
@@ -147,17 +167,76 @@ fn failure_mode_target_reachable_and_analysable() {
     let failures = system.failure_mode_states();
     assert!(!failures.is_empty());
 
-    let analysis = PassageTimeAnalysis::new(smp, &[source], &failures).unwrap();
-    let mttf = analysis.mean_from_transform(1e-6).unwrap();
+    let solver = PassageTimeSolver::new(smp, &[source], &failures).unwrap();
+    let mttf = solver
+        .measure(MeasureKind::MEAN, InversionMethod::euler(), &[])
+        .unwrap()[0];
     assert!(mttf > 0.0 && mttf.is_finite());
 
-    // The completion probability grows with the deadline.
-    let p_short = analysis
-        .completion_probability(InversionMethod::euler(), mttf * 0.2, 16)
-        .unwrap();
-    let p_long = analysis
-        .completion_probability(InversionMethod::euler(), mttf * 2.0, 16)
-        .unwrap();
+    // The completion probability grows with the deadline: F at the end of a
+    // 16-point grid ending there.
+    let completion_by = |deadline: f64| {
+        let ts = linspace(deadline / 16.0, deadline, 16);
+        let cdf = solver
+            .measure(MeasureKind::Cdf, InversionMethod::euler(), &ts)
+            .unwrap();
+        lerp_table(&ts, &cdf, deadline)
+    };
+    let p_short = completion_by(mttf * 0.2);
+    let p_long = completion_by(mttf * 2.0);
     assert!(p_long > p_short);
     assert!((0.0..=1.0).contains(&p_short) && (0.0..=1.0).contains(&p_long));
+}
+
+/// The single-process readout and the analytic engine are one readout of one
+/// transform: on voting 4,2,2 the density, CDF, transient and mean that
+/// `PassageTimeSolver::measure` reads off the SMP equal `AnalyticEngine`'s
+/// bit for bit.
+#[test]
+fn the_solver_readout_is_the_analytic_engines_bits() {
+    let system = tiny_system();
+    let smp = system.smp();
+    let source = system.initial_state();
+    let targets = system.states_with_voted_at_least(3);
+    let ts = linspace(1.0, 20.0, 10);
+    let euler = InversionMethod::euler;
+
+    let passage = PassageTimeSolver::new(smp, &[source], &targets).unwrap();
+    let transient = transient_solver(smp, source, &targets);
+    let readout = [
+        passage.measure(MeasureKind::Density, euler(), &ts).unwrap(),
+        passage.measure(MeasureKind::Cdf, euler(), &ts).unwrap(),
+        transient
+            .measure(MeasureKind::Transient, euler(), &ts)
+            .unwrap(),
+        passage.measure(MeasureKind::MEAN, euler(), &[]).unwrap(),
+    ];
+
+    let engine = AnalyticEngine::new(
+        ModelSpec::Voting {
+            voters: 4,
+            polling: 2,
+            central: 2,
+        },
+        euler(),
+    );
+    let target = TargetSpec::parse("p2>=3").unwrap();
+    let reports = engine
+        .solve(&[
+            MeasureRequest::density(target.clone(), &ts),
+            MeasureRequest::cdf(target.clone(), &ts),
+            MeasureRequest::transient(target.clone(), &ts),
+            MeasureRequest::mean(target),
+        ])
+        .unwrap();
+    assert_eq!(reports.len(), readout.len());
+    for (values, report) in readout.iter().zip(&reports) {
+        assert_eq!(
+            bits(values),
+            bits(&report.values),
+            "{}: {values:?} vs {:?}",
+            report.name,
+            report.values
+        );
+    }
 }

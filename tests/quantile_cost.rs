@@ -14,7 +14,7 @@ mod corpus;
 use smp_suite::core::query::{Engine, MeasureReport, MeasureRequest, TargetSpec};
 use smp_suite::distributions::Dist;
 use smp_suite::laplace::{
-    quantile, quantiles_from_cdf, CdfCurve, InversionMethod, SPointPlan, TransformValues,
+    quantile, quantiles_from_cdf, InversionMethod, MeasureKind, SPointPlan, TransformValues,
 };
 use smp_suite::pipeline::{
     AnalyticEngine, DistributedEngine, ModelSpec, PipelineOptions, UniformizationEngine,
@@ -309,10 +309,12 @@ fn unreachable_and_edge_probabilities_keep_their_verdicts() {
 
 /// `(F(t), f(t))` of `dist` on `ts` by Euler inversion of `L(s)/s` and `L(s)`.
 fn inverted(dist: &Dist, ts: &[f64]) -> Vec<(f64, f64)> {
-    let cdf = CdfCurve::from_density_transform(InversionMethod::euler(), dist, ts);
     let plan = SPointPlan::new(InversionMethod::euler(), ts);
-    let density = plan.invert(&TransformValues::compute(&plan, dist));
-    cdf.values().iter().copied().zip(density).collect()
+    let values = TransformValues::compute(&plan, dist);
+    let cdf = MeasureKind::Cdf.postprocess(&plan, &values);
+    cdf.into_iter()
+        .zip(MeasureKind::Density.postprocess(&plan, &values))
+        .collect()
 }
 
 #[test]
